@@ -1,4 +1,4 @@
-"""Directed-rounding kernels, pure-Python backend.
+"""Directed-rounding kernels.
 
 Every kernel returns a directed rounding (toward -inf / +inf) of the exact
 real result of one binary64 operation.  Exact results are detected with
@@ -6,9 +6,6 @@ error-free transformations (TwoSum, Dekker's product) and returned without
 widening; otherwise the nearest-rounded result is nudged one ulp outward,
 which is always sound.  The error-free transformations are only trusted
 inside a conservative exponent window; outside it we widen unconditionally.
-
-``tangency._fastops`` is a compiled twin of this module; both must produce
-bit-identical results (see tests/test_kernels.py).
 """
 
 import math

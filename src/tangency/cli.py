@@ -49,8 +49,6 @@ def _build_parser():
                        help="parameter interval radius (default 1e-5)")
     prove.add_argument("--grid", type=int, default=None,
                        help="wall subdivision count per axis (default 1)")
-    prove.add_argument("--threads", type=int, default=None,
-                       help="parallel workers for link verification")
     prove.add_argument("--a-tol", type=float, default=None,
                        help="bisection tolerance for the expansion bound A")
     prove.add_argument("--gamma-safety", type=float, default=None,
@@ -90,7 +88,6 @@ def _henon_config(args):
     flag_map = {
         "param_radius": args.param_radius,
         "grid": args.grid,
-        "threads": args.threads,
         "a_tol": args.a_tol,
         "gamma_safety": args.gamma_safety,
     }
@@ -125,7 +122,6 @@ def _config_echo(config):
     return {
         "param_radius": config.param_radius,
         "grid": config.grid,
-        "threads": config.threads,
         "a_tol": config.a_tol,
         "gamma_safety": config.gamma_safety,
         "epsilon": config.epsilon,

@@ -19,8 +19,8 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from tangency.cones import check_cone_chain, check_cone_link
-from tangency.covering import VerificationInconclusive, check_chain, check_covering
+from tangency.cones import check_cone_chain
+from tangency.covering import VerificationInconclusive, check_chain
 from tangency.hset import HSet, QuadraticForm
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalVector
@@ -351,18 +351,6 @@ def projected_disk_data(chain, side):
     return ntilde, qtilde, param, p_coeff
 
 
-def _parallel_links(threads, tasks):
-    """Run independent link checks concurrently, diagnostics in link order."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn, *args) for fn, args in tasks]
-        results = []
-        for fut in futures:  # in link order: first failure wins
-            results.append(fut.result())
-        return results
-
-
 @dataclass(frozen=True)
 class TangencyCertificate:
     coverings: tuple
@@ -393,7 +381,6 @@ class HenonConfig:
     param_radius: float = PARAM_RADIUS
     grid: int = 1
     grids: dict | None = None  # per-link overrides of the global grid
-    threads: int = 1
     a_tol: float = 1e-10
     gamma_safety: float = 0.99
     epsilon: float = 1e-6
@@ -410,8 +397,6 @@ class HenonConfig:
                 raise ValueError("per-link grid counts must be >= 1")
             if any(not 0 <= k < N_SETS - 1 for k in self.grids):
                 raise ValueError("per-link grid keys must name chain links")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if not 0.0 < self.a_tol <= 1e-2:
             raise ValueError("a_tol must lie in (0, 1e-2]")
         if not 0.0 < self.gamma_safety < 1.0:
@@ -447,69 +432,23 @@ def run_proof(config=None):
 
     t0 = time.perf_counter()
     fmap = chart.as_vec_map()
-    grids = config.link_grids()
-    if config.threads > 1:
-        coverings = _parallel_links(
-            config.threads,
-            [
-                (
-                    check_covering,
-                    (
-                        chain.sets[i],
-                        chain.sets[i + 1],
-                        fmap,
-                        grids[i],
-                        (config.correspondences or {}).get(i),
-                    ),
-                )
-                for i in range(N_SETS - 1)
-            ],
-        )
-        timings["covering"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        cones = _parallel_links(
-            config.threads,
-            [
-                (
-                    check_cone_link,
-                    (
-                        chain.sets[i],
-                        chain.sets[i + 1],
-                        chain.forms[i],
-                        chain.forms[i + 1],
-                        deriv_fn,
-                    ),
-                )
-                for i in range(N_SETS - 1)
-            ],
-        )
-        timings["cones"] = time.perf_counter() - t0
-    else:
-        coverings = check_chain(
-            list(chain.sets), fmap, grid=grids,
-            correspondences=config.correspondences,
-        )
-        timings["covering"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        cones = check_cone_chain(list(chain.sets), list(chain.forms), deriv_fn)
-        timings["cones"] = time.perf_counter() - t0
+    coverings = check_chain(
+        list(chain.sets), fmap, grid=config.link_grids(),
+        correspondences=config.correspondences,
+    )
+    timings["covering"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    cones = check_cone_chain(list(chain.sets), list(chain.forms), deriv_fn)
+    timings["cones"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    disk_tasks = []
+    disks = {}
     for side, cmap in (("stable", chart), ("unstable", inv_chart)):
         ntilde, qtilde, param, p_coeff = projected_disk_data(chain, side)
-        disk_tasks.append(
-            (
-                verify_disk,
-                (side, ntilde, qtilde, cmap, param, p_coeff, config.grid,
-                 config.epsilon, config.a_tol, config.gamma_safety),
-            )
+        disks[side] = verify_disk(
+            side, ntilde, qtilde, cmap, param, p_coeff, config.grid,
+            config.epsilon, config.a_tol, config.gamma_safety,
         )
-    if config.threads > 1:
-        results = _parallel_links(min(config.threads, 2), disk_tasks)
-    else:
-        results = [fn(*args) for fn, args in disk_tasks]
-    disks = {cert.side: cert for cert in results}
     timings["disks"] = time.perf_counter() - t0
 
     conclusion = {

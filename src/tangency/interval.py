@@ -90,9 +90,6 @@ class Interval:
     def is_subset(self, other):
         return other.lo <= self.lo and self.hi <= other.hi
 
-    def is_interior_subset(self, other):
-        return other.lo < self.lo and self.hi < other.hi
-
     def intersects(self, other):
         return self.lo <= other.hi and other.lo <= self.hi
 

@@ -1,39 +1,28 @@
-"""Backend selection for the directed-rounding kernels.
+"""The directed-rounding kernels, re-exported from ``tangency._pyops``.
 
-The compiled accelerator (``tangency._fastops``) is preferred when importable;
-``TANGENCY_PURE_PYTHON=1`` in the environment forces the pure-Python twin.
-The two backends are bit-identical by contract.
+Callers use the kernels through this module (``from tangency import
+kernels as _k``), so a name replaced here, for instance to count calls,
+reaches every caller, while the kernels' calls to one another inside
+``_pyops`` stay untouched.
 """
 
-import os
+from tangency._pyops import (
+    add_down,
+    add_up,
+    div_down,
+    div_up,
+    iadd,
+    idiv,
+    imul,
+    isqr,
+    isqrt,
+    isub,
+    mul_down,
+    mul_up,
+    sqrt_down,
+    sqrt_up,
+    sub_down,
+    sub_up,
+)
 
-if os.environ.get("TANGENCY_PURE_PYTHON"):
-    from tangency import _pyops as _impl
-
-    BACKEND = "python"
-else:
-    try:
-        from tangency import _fastops as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from tangency import _pyops as _impl
-
-        BACKEND = "python"
-
-add_down = _impl.add_down
-add_up = _impl.add_up
-sub_down = _impl.sub_down
-sub_up = _impl.sub_up
-mul_down = _impl.mul_down
-mul_up = _impl.mul_up
-div_down = _impl.div_down
-div_up = _impl.div_up
-sqrt_down = _impl.sqrt_down
-sqrt_up = _impl.sqrt_up
-iadd = _impl.iadd
-isub = _impl.isub
-imul = _impl.imul
-idiv = _impl.idiv
-isqr = _impl.isqr
-isqrt = _impl.isqrt
+BACKEND = "python"

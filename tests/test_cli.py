@@ -69,9 +69,21 @@ class TestProve:
         assert report["verdict"] == "INCONCLUSIVE"
         assert report["failure"]["stage"] == "covering"
 
-    def test_bad_config_exits_two(self, capsys):
+    @pytest.mark.parametrize(
+        "argv, cfg",
+        [
+            (["--param-radius", "-1"], None),
+            (["--threads", "2"], None),  # not a flag: argparse rejects it
+            (["--config", "{cfg}"], {"threads": 2}),  # not a config key
+        ],
+        ids=["negative-radius", "threads-flag", "threads-config-key"],
+    )
+    def test_bad_config_exits_two(self, tmp_path, argv, cfg):
+        path = tmp_path / "cfg.json"
+        if cfg is not None:
+            path.write_text(json.dumps(cfg))
         with pytest.raises(SystemExit) as exc:
-            main(["prove", "henon", "--param-radius", "-1"])
+            main(["prove", "henon"] + [a.format(cfg=path) for a in argv])
         assert exc.value.code == 2
 
     def test_unknown_family_exits_two(self):
@@ -81,14 +93,14 @@ class TestProve:
 
     def test_config_file_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid": 2, "threads": 2}))
+        cfg.write_text(json.dumps({"grid": 2, "a_tol": 1e-9}))
         out = tmp_path / "report.json"
         code = main(["prove", "henon", "--config", str(cfg),
                      "--report", str(out)])
         assert code == 0
         report = report_mod.loads(out.read_text())
         assert report["config"]["grid"] == 2
-        assert report["config"]["threads"] == 2
+        assert report["config"]["a_tol"] == 1e-9
 
     def test_config_file_per_link_grids(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -269,14 +269,6 @@ class TestPerturbations:
         d2.pop("timings")
         assert d1 == d2
 
-    def test_threaded_run_matches(self, henon_proof):
-        cert1, _ = henon_proof
-        cert2 = run_proof(HenonConfig(threads=3))
-        d1, d2 = cert1.to_dict(), cert2.to_dict()
-        d1.pop("timings")
-        d2.pop("timings")
-        assert d1 == d2
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             HenonConfig(param_radius=0.0).validate()
