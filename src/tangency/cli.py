@@ -205,8 +205,8 @@ def _cmd_check_toy(args):
     stages = {}
     failure = None
     verdict = "VERIFIED"
+    chain = build_toy_chain(params)
     try:
-        chain = build_toy_chain(params)
         coverings = check_chain(list(chain.sets), list(chain.maps), grid=args.grid)
         stages["covering"] = [c.to_dict() for c in coverings]
 
@@ -262,7 +262,7 @@ def _cmd_check_toy(args):
         verdict=verdict,
         timings={"total": elapsed},
         failure=failure,
-        extras={"flags": list(build_toy_chain(params).flags)},
+        extras={"flags": list(chain.flags)},
     )
     _emit(report, args.report)
     if verdict == "VERIFIED":

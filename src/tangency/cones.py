@@ -20,6 +20,7 @@ from itertools import product
 
 from tangency import kernels as _k
 from tangency.covering import VerificationInconclusive
+from tangency.hset import local_derivative
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalMatrix
 
@@ -135,11 +136,6 @@ def rump_positive_definite(a):
     return RumpResult(positive_definite=ok, vertex_margins=tuple(outcomes))
 
 
-def local_derivative(src, tgt, deriv_chart):
-    """Chart-coordinate derivative enclosure sandwiched into local frames."""
-    return tgt.inv_coord.mat_mul(deriv_chart).mat_mul(src.coord_matrix())
-
-
 def cone_matrix(src, tgt, q_src, q_tgt, deriv_chart, inflate_src=1.0):
     """V = D^T Q_M D - c Q_N over the source set, symmetrized.
 
@@ -152,44 +148,17 @@ def cone_matrix(src, tgt, q_src, q_tgt, deriv_chart, inflate_src=1.0):
     return symmetrize(v - qn)
 
 
-def _hull_matrices(mats):
-    n, m = mats[0].nrows, mats[0].ncols
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            e = mats[0][i, j]
-            for other in mats[1:]:
-                e = e.hull(other[i, j])
-            row.append(e)
-        rows.append(row)
-    return IntervalMatrix(rows)
-
-
-def check_cone_link(src, tgt, q_src, q_tgt, derivative_fn, link=None,
-                    refine_grid=2):
+def check_cone_link(src, tgt, q_src, q_tgt, derivative_fn, link=None):
     """Certify the cone condition on one covering link.
 
     derivative_fn maps the ambient source box to a chart-derivative
-    enclosure (4x4 for the extended map, 3x3 for projected sets).  The
-    whole set is evaluated in one shot first; if that is inconclusive and
-    refine_grid > 1, the derivative enclosure is refined as the hull of
-    per-sub-box evaluations and the test retried once.
+    enclosure (4x4 for the extended map, 3x3 for projected sets); it is
+    evaluated once, over the whole set.
     """
     link = link or f"{src.name}=>{tgt.name}"
-
-    def attempt(deriv):
-        v = cone_matrix(src, tgt, q_src, q_tgt, deriv)
-        return v, rump_positive_definite(v)
-
     try:
-        v, rump = attempt(derivative_fn(src.box()))
-        if not rump.positive_definite and refine_grid > 1:
-            refined = _hull_matrices(
-                [derivative_fn(src.from_normalized(z))
-                 for z in src.subboxes(refine_grid)]
-            )
-            v, rump = attempt(refined)
+        v = cone_matrix(src, tgt, q_src, q_tgt, derivative_fn(src.box()))
+        rump = rump_positive_definite(v)
     except IntervalError as exc:
         raise VerificationInconclusive("cones", link, str(exc))
     if not rump.positive_definite:

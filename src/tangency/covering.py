@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from tangency import kernels as _k
+from tangency.hset import local_derivative
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalMatrix, IntervalVector
 
@@ -38,8 +39,8 @@ class VerificationInconclusive(Exception):
 class BoxMap:
     """An ambient box map bundled with its Jacobian enclosure.
 
-    The checker consumes the pair to evaluate images in mean-value form; a
-    bare callable (no derivative attribute) degrades to hull composition.
+    The checker consumes the pair to evaluate images in mean-value form; the
+    correspondence search calls the map alone, on point boxes.
     """
 
     def __init__(self, value_fn, derivative_fn):
@@ -90,16 +91,12 @@ def _image_normalized(src, tgt, fmap, zbox):
     because the naive composition through the ambient box hull loses the
     correlation between the planar coordinates that the frames are built to
     diagonalize (an unstable excursion would wrongly leak into the stable
-    coordinates).  Requires fmap to expose a ``derivative`` enclosure; a
-    plain callable falls back to the hull composition.
+    coordinates).  fmap is a BoxMap: its derivative encloses DF over B.
     """
-    deriv = getattr(fmap, "derivative", None)
-    if deriv is None:
-        return tgt.to_normalized(fmap(src.from_normalized(zbox)))
     mid = IntervalVector([Interval(e.mid) for e in zbox])
     g_mid = tgt.to_normalized(fmap(src.from_normalized(mid)))
     ambient = src.from_normalized(zbox)
-    sandwich = tgt.inv_coord.mat_mul(deriv(ambient)).mat_mul(src.coord_matrix())
+    sandwich = local_derivative(src, tgt, fmap.derivative(ambient))
     n = src.n
     scaled_rows = []
     for i in range(n):
@@ -121,27 +118,31 @@ def _image_normalized(src, tgt, fmap, zbox):
 
 
 def detect_correspondence(src, tgt, fmap):
-    """Deterministic unstable-axis pairing from midpoint wall images.
+    """Deterministic unstable-axis pairing from wall-center point images.
 
     For each unstable axis of the source, the two opposite wall centers are
-    mapped; the target unstable coordinate they separate across picks the
-    pairing, scored by separation width.  The rigorous check afterwards is
-    what actually decides; this is only a search heuristic.
+    mapped as point boxes (no derivative is taken); the target unstable
+    coordinate they separate across picks the pairing, scored by separation
+    width.  The rigorous check afterwards is what actually decides; this is
+    only a search heuristic.
     """
     n = src.n
     u_src = src.unstable
     u_tgt = tgt.unstable
     if len(u_src) != len(u_tgt):
         raise IntervalError("unstable dimension mismatch")
+
+    def center_image(i, side):
+        center = [Interval(0.0)] * n
+        center[i] = Interval(side)
+        ambient = src.from_normalized(IntervalVector(center))
+        return tgt.to_normalized(fmap(ambient)).mids()
+
     seps = {}
     for i in u_src:
-        plus = [Interval(0.0)] * n
-        minus = [Interval(0.0)] * n
-        plus[i] = Interval(1.0)
-        minus[i] = Interval(-1.0)
         try:
-            img_p = _image_normalized(src, tgt, fmap, plus).mids()
-            img_m = _image_normalized(src, tgt, fmap, minus).mids()
+            img_p = center_image(i, 1.0)
+            img_m = center_image(i, -1.0)
         except IntervalError as exc:
             raise VerificationInconclusive(
                 "covering", f"{src.name}=>{tgt.name}", f"wall-center image: {exc}"

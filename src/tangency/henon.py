@@ -141,16 +141,6 @@ def eigen_data():
 # -- float-level helpers for the frame/center propagation -------------------
 
 
-def _h_point(z, a):
-    x, y = z
-    return (a - x * x + B0 * y, x)
-
-
-def _h_inv_point(z, a):
-    x, y = z
-    return (y, (x - a + y * y) / B0)
-
-
 def _dh(z):
     return ((-2.0 * z[0], B0), (1.0, 0.0))
 

@@ -176,6 +176,12 @@ class HSet:
         )
 
 
+def local_derivative(src, tgt, deriv_chart):
+    """Chart-coordinate derivative enclosure sandwiched into local frames:
+    tgt.inv_coord . D . src.coord, from un-normalized src to tgt coordinates."""
+    return tgt.inv_coord.mat_mul(deriv_chart).mat_mul(src.coord_matrix())
+
+
 class QuadraticForm:
     """Diagonal cone form Q(z) = sum_i coeffs[i] z_i^2 in un-normalized local
     coordinates; positive coefficients sit on the unstable axes, negative on

@@ -3,8 +3,10 @@
 An :class:`Interval` is a closed interval ``[lo, hi]`` of binary64 numbers.
 Every operation returns an interval containing the exact real result for all
 points of the operands (enclosure soundness); rounding is outward via the
-kernels in :mod:`tangency.kernels`.  Non-finite bounds are construction
-errors: a proof pipeline must fail loudly rather than propagate infinities.
+kernels in :mod:`tangency.kernels`.  Float bounds are taken as given; int and
+Fraction bounds are rounded outward, and strings are rejected.  Non-finite
+bounds are construction errors: a proof pipeline must fail loudly rather than
+propagate infinities.
 
 Elementary functions (sqrt, sin, cos, atan) use rigorous argument reduction
 plus alternating Taylor series whose truncation error is bounded by the first
@@ -33,8 +35,10 @@ class Interval:
     def __init__(self, lo, hi=None):
         if hi is None:
             hi = lo
-        lo = float(lo)
-        hi = float(hi)
+        if type(lo) is not float:
+            lo = _bound(lo, down=True)
+        if type(hi) is not float:
+            hi = _bound(hi, down=False)
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise IntervalError(f"non-finite interval bound: [{lo}, {hi}]")
         if lo > hi:
@@ -118,7 +122,7 @@ class Interval:
         if isinstance(x, Interval):
             return x
         if isinstance(x, (int, float)):
-            return Interval(float(x))
+            return Interval(x)
         return None
 
     def __add__(self, other):
@@ -204,6 +208,32 @@ class Interval:
         return _sin_interval(HALF_PI - self)
 
 
+def as_interval(x):
+    """x itself if it is an Interval, else an outward enclosure of the number x."""
+    return x if isinstance(x, Interval) else Interval(x)
+
+
+_EXACT_INT = 2**53  # every int of at most this magnitude is a binary64
+
+
+def _bound(x, down):
+    """A binary64 bound of the number x: at most x if down, else at least x.
+
+    Floats are taken as they are; ints and Fractions are rounded outward.
+    Strings and other types are rejected, never parsed.
+    """
+    if isinstance(x, float):
+        return float(x)
+    if isinstance(x, (int, Fraction)):
+        if type(x) is int and -_EXACT_INT <= x <= _EXACT_INT:
+            return float(x)
+        try:
+            return _float_down(x) if down else _float_up(x)
+        except OverflowError:
+            raise IntervalError("number out of float range") from None
+    raise IntervalError(f"cannot enclose {type(x).__name__} {x!r} in an interval")
+
+
 # ---------------------------------------------------------------------------
 # Import-time constants from exact rational series.
 # ---------------------------------------------------------------------------
@@ -256,7 +286,6 @@ _PI_LO_FR, _PI_HI_FR = _machin_pi_bounds()
 
 PI = _frac_interval(_PI_LO_FR, _PI_HI_FR)
 HALF_PI = _frac_interval(_PI_LO_FR / 2, _PI_HI_FR / 2)
-QUARTER_PI = _frac_interval(_PI_LO_FR / 4, _PI_HI_FR / 4)
 TWO_PI = _frac_interval(2 * _PI_LO_FR, 2 * _PI_HI_FR)
 
 

@@ -12,23 +12,19 @@ The number of independent variables n is a runtime parameter.
 
 from __future__ import annotations
 
-from tangency.interval import Interval, IntervalError
-
-
-def _as_interval(x):
-    return x if isinstance(x, Interval) else Interval(float(x))
+from tangency.interval import Interval, IntervalError, as_interval
 
 
 class Jet:
     __slots__ = ("value", "grad", "hess")
 
     def __init__(self, value, grad, hess=None):
-        self.value = _as_interval(value)
-        self.grad = tuple(_as_interval(g) for g in grad)
+        self.value = as_interval(value)
+        self.grad = tuple(as_interval(g) for g in grad)
         if hess is None:
             self.hess = None
         else:
-            self.hess = tuple(tuple(_as_interval(h) for h in row) for row in hess)
+            self.hess = tuple(tuple(as_interval(h) for h in row) for row in hess)
             n = len(self.grad)
             if len(self.hess) != n or any(len(r) != n for r in self.hess):
                 raise IntervalError("hessian shape mismatch")
@@ -63,7 +59,7 @@ class Jet:
                 raise IntervalError("jet variable-count mismatch")
             return other
         if isinstance(other, (int, float, Interval)):
-            return Jet.constant(_as_interval(other), self.n, self.order)
+            return Jet.constant(as_interval(other), self.n, self.order)
         return None
 
     def __repr__(self):

@@ -8,18 +8,14 @@ in a Neumann-series residual enclosure.
 
 from __future__ import annotations
 
-from tangency.interval import Interval, IntervalError
-
-
-def _as_interval(x):
-    return x if isinstance(x, Interval) else Interval(float(x))
+from tangency.interval import Interval, IntervalError, as_interval
 
 
 class IntervalVector:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        self.entries = tuple(_as_interval(e) for e in entries)
+        self.entries = tuple(as_interval(e) for e in entries)
         if not self.entries:
             raise IntervalError("empty vector")
 
@@ -56,7 +52,7 @@ class IntervalVector:
         return IntervalVector([-a for a in self.entries])
 
     def scale(self, c):
-        c = _as_interval(c)
+        c = as_interval(c)
         return IntervalVector([c * a for a in self.entries])
 
     def dot(self, other):
@@ -80,9 +76,6 @@ class IntervalVector:
         self._check(other)
         return IntervalVector([a.hull(b) for a, b in zip(self.entries, other.entries)])
 
-    def contains_point(self, p):
-        return all(a.contains(float(x)) for a, x in zip(self.entries, p))
-
     def is_subset(self, other):
         self._check(other)
         return all(a.is_subset(b) for a, b in zip(self.entries, other.entries))
@@ -96,7 +89,7 @@ class IntervalMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(_as_interval(e) for e in row) for row in rows)
+        self.rows = tuple(tuple(as_interval(e) for e in row) for row in rows)
         if not self.rows or not self.rows[0]:
             raise IntervalError("empty matrix")
         ncols = len(self.rows[0])
@@ -109,7 +102,7 @@ class IntervalMatrix:
 
     @classmethod
     def from_point(cls, rows):
-        return cls([[Interval(float(e)) for e in row] for row in rows])
+        return cls([[Interval(e) for e in row] for row in rows])
 
     @property
     def nrows(self):
@@ -145,7 +138,7 @@ class IntervalMatrix:
         )
 
     def scale(self, c):
-        c = _as_interval(c)
+        c = as_interval(c)
         return IntervalMatrix([[c * a for a in row] for row in self.rows])
 
     def transpose(self):
@@ -216,9 +209,6 @@ class IntervalMatrix:
             term = self.rows[0][j] * minor.det()
             acc = acc + term if j % 2 == 0 else acc - term
         return acc
-
-    def midpoint_rows(self):
-        return [[e.mid for e in row] for row in self.rows]
 
     def _conform_add(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:

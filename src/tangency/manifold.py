@@ -21,8 +21,10 @@ import math
 
 from tangency.cones import ConeCertificate, cone_matrix, rump_positive_definite
 from tangency.covering import CoveringCertificate, VerificationInconclusive, check_covering
+from tangency.hset import local_derivative
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalMatrix, IntervalVector
+from tangency.projective import ChartPoint
 
 
 @dataclass(frozen=True)
@@ -173,14 +175,13 @@ def verify_disk(
     epsilon=1e-6,
     a_tol=1e-10,
     gamma_safety=0.99,
-    frame4=None,
 ):
     """Full disk certificate for one side (see module docstring).
 
     chart_map must already be oriented: the unstable side passes the
-    inverse-oriented map.  frame4 optionally overrides the 4x4 ambient
-    chart box used for the M/L parameter-derivative enclosures (defaults to
-    the product of the set box and the parameter interval).
+    inverse-oriented map.  The 4x4 chart derivative is enclosed once, over
+    the set box times the parameter interval: its (x, y, t) block is the
+    cone derivative, and its parameter column feeds the M and L bounds.
     """
     locus = f"{side} disk in {ntilde.name}"
     if ntilde.n != 3 or qtilde.n != 3:
@@ -190,7 +191,8 @@ def verify_disk(
     covering_cert = check_covering(ntilde, ntilde, fmap, grid=grid)
 
     box3 = ntilde.box()
-    deriv3 = chart_map.derivative3(box3, param)
+    d4 = chart_map.derivative(ChartPoint(box3[0], box3[1], box3[2], param))
+    deriv3 = IntervalMatrix([[d4[i, j] for j in range(3)] for i in range(3)])
     v_cone = cone_matrix(ntilde, ntilde, qtilde, qtilde, deriv3)
     rump = rump_positive_definite(v_cone)
     if not rump.positive_definite:
@@ -204,19 +206,9 @@ def verify_disk(
     )
     a_lower, a_fail = eigen_lower_bound(v_eps, tol=a_tol, locus=locus)
 
-    # Parameter-derivative enclosures from the 4x4 chart derivative over
-    # set x parameter interval, sandwiched into the local frame of ntilde.
-    from tangency.projective import ChartPoint
-
-    if frame4 is None:
-        p4 = ChartPoint(box3[0], box3[1], box3[2], Interval(param.lo, param.hi))
-    else:
-        p4 = frame4
-    d4 = chart_map.derivative(p4)
-    j_chart = IntervalMatrix([[d4[i, j] for j in range(3)] for i in range(3)])
-    p_chart = IntervalVector([d4[i, 3] for i in range(3)])
-    j_local = ntilde.inv_coord.mat_mul(j_chart).mat_mul(ntilde.coord_matrix())
-    p_local = ntilde.inv_coord.mat_vec(p_chart)
+    # Parameter-derivative enclosures in the local frame of ntilde.
+    j_local = local_derivative(ntilde, ntilde, deriv3)
+    p_local = ntilde.inv_coord.mat_vec(IntervalVector([d4[i, 3] for i in range(3)]))
 
     m_upper = mixed_derivative_bound(j_local, p_local, qtilde.coeffs)
     l_upper = stable_parameter_bound(p_local, qtilde.beta_norm(), ntilde.stable)

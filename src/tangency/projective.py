@@ -17,17 +17,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from tangency.covering import BoxMap
-from tangency.interval import HALF_PI, PI, Interval, IntervalError
+from tangency.interval import HALF_PI, PI, Interval, IntervalError, as_interval
 from tangency.jets import Jet
 from tangency.linalg import IntervalMatrix, IntervalVector
 
 
 class ChartError(IntervalError):
     """Direction enclosure leaves the angle chart (touches t = 0 or pi)."""
-
-
-def _as_interval(x):
-    return x if isinstance(x, Interval) else Interval(float(x))
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,7 @@ class ChartPoint:
 
     @classmethod
     def make(cls, x, y, t, a):
-        return cls(_as_interval(x), _as_interval(y), _as_interval(t), _as_interval(a))
+        return cls(as_interval(x), as_interval(y), as_interval(t), as_interval(a))
 
     def as_vector(self):
         return IntervalVector([self.x, self.y, self.t, self.a])
@@ -85,7 +81,7 @@ def direction_to_angle(v):
     component is used.  If the enclosure touches the excluded horizontal
     direction (or may contain the zero vector) the chart is left: error.
     """
-    vx, vy = _as_interval(v[0]), _as_interval(v[1])
+    vx, vy = as_interval(v[0]), as_interval(v[1])
     if vy.contains_zero():
         if vx.contains_zero():
             raise ChartError("direction enclosure contains the zero vector")
@@ -102,7 +98,7 @@ def direction_to_angle(v):
 
 def angle_to_direction(t):
     """Unit-direction enclosure (cos t, sin t) of an angle enclosure."""
-    t = _as_interval(t)
+    t = as_interval(t)
     return IntervalVector([t.cos(), t.sin()])
 
 
@@ -166,7 +162,7 @@ class ChartMap:
 
     def apply3(self, v3, a):
         """3D variant (x, y, t) with the parameter fixed to the interval a."""
-        p = ChartPoint(v3[0], v3[1], v3[2], _as_interval(a))
+        p = ChartPoint(v3[0], v3[1], v3[2], as_interval(a))
         q = self.apply(p)
         return IntervalVector([q.x, q.y, q.t])
 
@@ -189,7 +185,7 @@ class ChartMap:
         """3x3 derivative in (x, y, t) with the parameter fixed to a."""
         xj = Jet.variable(0, v3[0], 3, order=2)
         yj = Jet.variable(1, v3[1], 3, order=2)
-        aj = Jet.constant(_as_interval(a), 3, order=2)
+        aj = Jet.constant(as_interval(a), 3, order=2)
         fx, fy = self._evaluator()(xj, yj, aj)
         tang = self._tangent_jet(fx, fy, v3[2], 3, 2)
         return IntervalMatrix([fx.grad, fy.grad, tang.grad])
@@ -222,7 +218,7 @@ class ChartMap:
         return BoxMap(run, deriv)
 
     def as_vec_map3(self, a):
-        a = _as_interval(a)
+        a = as_interval(a)
 
         def run(v):
             return self.apply3(v, a)
@@ -238,7 +234,7 @@ def check_inverse_consistency(family, box, tol=1e-9):
 
     Returns the maximal componentwise defect; callers assert it is below tol.
     """
-    x, y, a = (_as_interval(c) for c in box)
+    x, y, a = (as_interval(c) for c in box)
     xj = Jet.variable(0, x, 2, order=1)
     yj = Jet.variable(1, y, 2, order=1)
     aj = Jet.constant(a, 2, order=1)

@@ -1,56 +1,21 @@
 """Machine-readable certificate reports.
 
-Reports are single JSON documents.  Every float is serialized as a decimal
-string with 17 significant digits (%.17g), which round-trips binary64
-bit-exactly; parse_report restores the floats, so re-parsing an emitted
-report reproduces every margin bit for bit.
+Reports are single JSON documents.  Every float is a JSON number written
+with Python's shortest round-tripping repr, so re-parsing an emitted report
+reproduces every margin bit for bit; strings stay strings.
 """
 
 from __future__ import annotations
 
 import json
-import re
-
-_FLOAT_RE = re.compile(
-    r"^[-+]?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$"
-)
-
-
-def fmt17(x):
-    return "%.17g" % x
-
-
-def encode_floats(obj):
-    if isinstance(obj, float):
-        return fmt17(obj)
-    if isinstance(obj, dict):
-        return {k: encode_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [encode_floats(v) for v in obj]
-    return obj
-
-
-def decode_floats(obj):
-    if isinstance(obj, str):
-        if _FLOAT_RE.match(obj):
-            try:
-                return float(obj)
-            except ValueError:
-                return obj
-        return obj
-    if isinstance(obj, dict):
-        return {k: decode_floats(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [decode_floats(v) for v in obj]
-    return obj
 
 
 def dumps(report):
-    return json.dumps(encode_floats(report), indent=2)
+    return json.dumps(report, indent=2)
 
 
 def loads(text):
-    return decode_floats(json.loads(text))
+    return json.loads(text)
 
 
 def build_report(kind, config, stages, verdict, timings=None, failure=None,

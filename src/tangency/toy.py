@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from tangency.covering import BoxMap
 from tangency.hset import HSet, QuadraticForm
-from tangency.interval import Interval, IntervalError
+from tangency.interval import Interval, IntervalError, as_interval
 from tangency.jets import Jet
 from tangency.linalg import IntervalMatrix, IntervalVector, det4
 
@@ -245,7 +245,7 @@ def switch_cone_matrix(params, x=0.0, a_coef=1.0, b_coef=1.0, c_coef=1.0,
                        d_coef=0.5, alpha=1.0, beta=0.25, gamma=4.0, delta=2.0):
     """Full 4x4 cone matrix of the switch link in the unstable-first source coordinates
     (x, a, y, v), evaluated on a box with the given x-range."""
-    x = x if isinstance(x, Interval) else Interval(float(x))
+    x = as_interval(x)
     jx = Jet.variable(0, x, 4, order=1)
     ja = Jet.variable(1, Interval(0.0), 4, order=1)
     jy = Jet.variable(2, Interval(0.0), 4, order=1)
@@ -287,9 +287,7 @@ def transversality_determinant(g_a, g_tt, g_ta):
     is nonzero; the determinant always equals g_a * g_tt, independent of the
     mixed term g_ta.
     """
-    g_a = g_a if isinstance(g_a, Interval) else Interval(float(g_a))
-    g_tt = g_tt if isinstance(g_tt, Interval) else Interval(float(g_tt))
-    g_ta = g_ta if isinstance(g_ta, Interval) else Interval(float(g_ta))
+    g_a, g_tt, g_ta = as_interval(g_a), as_interval(g_tt), as_interval(g_ta)
     zero = Interval(0.0)
     one = Interval(1.0)
     m = IntervalMatrix(

@@ -6,6 +6,7 @@ import pytest
 
 from tangency import report as report_mod
 from tangency.cli import main
+from tangency.toy import build_toy_chain
 
 
 def _walk_floats(obj, path=""):
@@ -153,21 +154,44 @@ class TestCheckToy:
             main(["check-toy", "--lam", "0.5"])
         assert exc.value.code == 2
 
+    def test_chain_built_once(self, monkeypatch, tmp_path):
+        from tangency import cli
+
+        calls = []
+
+        def counting(params):
+            calls.append(params)
+            return build_toy_chain(params)
+
+        monkeypatch.setattr(cli, "build_toy_chain", counting)
+        assert main(["check-toy", "--report", str(tmp_path / "toy.json")]) == 0
+        assert len(calls) == 1
+
 
 class TestReportFormat:
-    def test_seventeen_significant_digits(self, tmp_path):
+    def test_floats_are_json_numbers(self, tmp_path):
         out = tmp_path / "report.json"
         main(["prove", "henon", "--report", str(out)])
         raw = json.loads(out.read_text())
-        # entry margins are serialized as decimal strings
         first = raw["stages"]["covering"][0]["entry_margin"]
-        assert isinstance(first, str)
-        assert float(first) > 0.0
+        assert isinstance(first, float)
+        assert first > 0.0
+        assert report_mod.loads(out.read_text()) == raw
 
-    def test_fmt17_round_trip(self):
+    def test_float_round_trip(self):
         import random
+        import struct
 
         rng = random.Random(3)
-        for _ in range(2000):
-            x = rng.uniform(-1, 1) * 10 ** rng.randint(-300, 300)
-            assert float(report_mod.fmt17(x)) == x
+        xs = [rng.uniform(-1, 1) * 10 ** rng.randint(-300, 300) for _ in range(2000)]
+        xs += [0.0, -0.0, 5e-324, 1.7976931348623157e308, 0.1]
+        back = report_mod.loads(report_mod.dumps({"xs": xs}))["xs"]
+        assert [struct.pack("<d", x) for x in back] == [struct.pack("<d", x) for x in xs]
+
+    def test_numeric_looking_strings_survive(self):
+        doc = {"name": "1e5", "tags": ["0.5", "-3", ".25"], "n": 3, "x": 1e5}
+        back = report_mod.loads(report_mod.dumps(doc))
+        assert back == doc
+        assert isinstance(back["name"], str)
+        assert isinstance(back["n"], int)
+        assert isinstance(back["x"], float)

@@ -185,37 +185,6 @@ class TestToyConeMatrices:
         assert not rump_positive_definite(v).positive_definite
 
 
-class TestSubdivisionRefinement:
-    def test_refinement_rescues_a_wide_single_shot(self):
-        # A derivative evaluator whose whole-box enclosure is uselessly fat
-        # but whose sub-box enclosures are tight: one-shot fails, the hulled
-        # refinement certifies.
-        from tangency.cones import check_cone_link
-        from tangency.covering import VerificationInconclusive
-        from tangency.hset import HSet, QuadraticForm
-        from tangency.linalg import IntervalVector
-
-        h = HSet("R", (0, 0), [[1, 0], [0, 1]], (1, 1), (0,))
-        qn = QuadraticForm((1.0, -1.0), (0,))
-        qm = QuadraticForm((1.0, -1.0), (0,))
-
-        def deriv(box):
-            # artificial width tied to the box size
-            w = box[0].width + box[1].width
-            slack = 0.6 if w > 3.0 else 0.01
-            return IntervalMatrix(
-                [
-                    [Interval(2.0 - slack, 2.0 + slack), Interval(0.0)],
-                    [Interval(0.0), Interval(0.5 - slack, 0.5 + slack)],
-                ]
-            )
-
-        cert = check_cone_link(h, h, qn, qm, deriv)
-        assert cert.rump.positive_definite
-        with pytest.raises(VerificationInconclusive):
-            check_cone_link(h, h, qn, qm, deriv, refine_grid=1)
-
-
 class TestConeMatrixGeneric:
     def test_identity_map_counterexample(self):
         # Q_M = 2 Q_N with Q_N = diag(1, -1) under the identity map:

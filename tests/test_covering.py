@@ -195,6 +195,20 @@ class TestDeterminism:
         cert = check_covering(chain.sets[0], chain.sets[1], fmap, grid=1)
         assert cert.correspondence == detected
 
+    def test_detection_takes_no_derivative(self):
+        # The search maps wall centers as point boxes; only the check
+        # encloses derivatives.
+        def no_derivative(box):
+            raise AssertionError("detect_correspondence took a derivative")
+
+        chain = build_toy_chain(ToyParams())
+        for idx, fmap in enumerate(chain.maps):
+            src, tgt = chain.sets[idx], chain.sets[idx + 1]
+            values_only = BoxMap(fmap, no_derivative)
+            assert detect_correspondence(src, tgt, values_only) == (
+                check_covering(src, tgt, fmap, grid=1).correspondence
+            )
+
 
 class TestChainBasics:
     def test_single_pair_degenerates(self):

@@ -188,6 +188,19 @@ class TestProofStages:
         pairing = {i: j for i, j, _ in c8.correspondence}
         assert pairing == {0: 2, 3: 0}
 
+    def test_all_link_correspondences(self, henon_proof):
+        # (source axis, target axis, sign) per link; N10=>N11 reverses the
+        # first unstable axis.
+        start = ((0, 0, 1), (3, 3, 1))
+        switch = ((0, 2, 1), (3, 0, 1))
+        end = ((0, 0, 1), (2, 2, 1))
+        flipped = ((0, 0, -1), (2, 2, 1))
+        expected = [start] * 8 + [switch, end, flipped] + [end] * 4
+        cert, _ = henon_proof
+        assert [c.correspondence for c in cert.coverings] == expected
+        assert cert.stable_disk.covering.correspondence == end
+        assert cert.unstable_disk.covering.correspondence == ((1, 1, 1), (2, 2, 1))
+
     def test_all_cone_links_certified(self, henon_proof):
         cert, _ = henon_proof
         assert len(cert.cones) == 15

@@ -41,6 +41,50 @@ class TestConstruction:
             x.lo = 2.0
 
 
+_exact_numbers = st.one_of(
+    st.integers(-(2**80), 2**80),
+    st.fractions(min_value=-(2**80), max_value=2**80, max_denominator=2**70),
+)
+
+
+class TestCoercion:
+    @settings(max_examples=500, deadline=None)
+    @given(_exact_numbers)
+    def test_ints_and_fractions_enclosed_outward(self, x):
+        enclosures = [Interval(x), Interval(x, x)]
+        if isinstance(x, int):
+            enclosures += [Interval(0.0) + x, x * Interval(1.0)]
+        for iv in enclosures:
+            assert Fraction(iv.lo) <= x <= Fraction(iv.hi)
+        point = Interval(x)
+        assert point.hi in (point.lo, math.nextafter(point.lo, math.inf))
+
+    def test_inexact_int_is_not_rounded_inward(self):
+        x = Interval(2**53 + 1)
+        assert x == Interval(2.0**53, 2.0**53 + 2.0)
+
+    def test_strings_and_other_types_rejected(self):
+        from tangency.interval import as_interval
+        from tangency.linalg import IntervalVector
+
+        for bad in ("0.1", "1", None, [1.0]):
+            with pytest.raises(IntervalError):
+                Interval(bad)
+            with pytest.raises(IntervalError):
+                as_interval(bad)
+        with pytest.raises(IntervalError):
+            IntervalVector(["0.1", 1.0])
+        with pytest.raises(IntervalError):
+            Interval(10**400)
+
+    def test_as_interval_passes_intervals_through(self):
+        from tangency.interval import as_interval
+
+        x = Interval(1.0, 2.0)
+        assert as_interval(x) is x
+        assert as_interval(0.5) == Interval(0.5)
+
+
 class TestArithmeticExamples:
     def test_integer_add_exact(self):
         assert Interval(1, 2) + Interval(3, 4) == Interval(4, 6)

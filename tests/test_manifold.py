@@ -194,3 +194,22 @@ class TestVerifyDisk:
             verify_disk(
                 "stable", ntilde, qtilde, chart, Interval(-0.01, 0.01), 1e-9
             )
+
+
+class TestDiskDerivative:
+    @pytest.mark.parametrize("side, direction", [("stable", "forward"),
+                                                 ("unstable", "inverse")])
+    def test_chart_block_equals_derivative3(self, henon_chain, side, direction):
+        # verify_disk reads the cone derivative off the (x, y, t) block of the
+        # 4x4 chart derivative; it must be the 3x3 derivative, bit for bit.
+        from tangency.henon import henon_family, projected_disk_data
+        from tangency.projective import ChartPoint
+
+        chart = ChartMap(henon_family(), direction)
+        ntilde, _, param, _ = projected_disk_data(henon_chain, side)
+        box3 = ntilde.box()
+        d4 = chart.derivative(ChartPoint(box3[0], box3[1], box3[2], param))
+        d3 = chart.derivative3(box3, param)
+        for i in range(3):
+            for j in range(3):
+                assert repr(d4[i, j]) == repr(d3[i, j])  # repr keeps every bit
