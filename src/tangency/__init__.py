@@ -13,6 +13,7 @@ exposes both.
 from tangency.covering import (
     BoxMap,
     CoveringCertificate,
+    EnclosureError,
     VerificationInconclusive,
     check_chain,
     check_covering,
@@ -49,6 +50,7 @@ __all__ = [
     "ConeCertificate",
     "CoveringCertificate",
     "DiskCertificate",
+    "EnclosureError",
     "HALF_PI",
     "HSet",
     "Interval",

@@ -9,19 +9,22 @@ Subcommands:
 
 A machine-readable JSON report goes to --report (or stdout when omitted);
 a human summary always goes to stdout.  Exit codes: 0 verified,
-1 inconclusive (failure locus printed), 2 bad configuration or usage.
+1 inconclusive (failure locus printed), 2 bad configuration or usage,
+3 internal enclosure inconsistency (a bug, locus printed to stderr; no
+report is written).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 
 from tangency import report as report_mod
 from tangency.cones import check_cone_link, rump_positive_definite
-from tangency.covering import VerificationInconclusive, check_chain
+from tangency.covering import EnclosureError, VerificationInconclusive, check_chain
 from tangency.henon import HenonConfig, run_proof
 from tangency.interval import Interval, IntervalError
 from tangency.toy import (
@@ -96,8 +99,9 @@ def _henon_config(args):
             overrides[key] = val
     corr = overrides.pop("correspondences", None)
     config = HenonConfig()
+    keys = {f.name for f in dataclasses.fields(HenonConfig)}
     for key, val in overrides.items():
-        if not hasattr(config, key):
+        if key not in keys:
             _usage_error(f"unknown configuration key {key!r}")
         setattr(config, key, val)
     if corr is not None:
@@ -218,7 +222,7 @@ def _cmd_check_toy(args):
                     chain.sets[idx + 1],
                     chain.forms[idx],
                     chain.forms[idx + 1],
-                    chain.maps[idx].derivative,
+                    coverings[idx].jacobian,
                 )
             )
         stages["cones_linear_links"] = [c.to_dict() for c in cone_certs]
@@ -279,11 +283,14 @@ def _cmd_check_toy(args):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "prove":
-        return _cmd_prove(args)
-    if args.command == "check-toy":
-        return _cmd_check_toy(args)
-    parser.error(f"unknown command {args.command}")
+    commands = {"prove": _cmd_prove, "check-toy": _cmd_check_toy}
+    try:
+        return commands[args.command](args)
+    except EnclosureError as exc:
+        print(f"error: enclosure inconsistency at {exc.stage}: {exc.locus}",
+              file=sys.stderr)
+        print(f"  {exc.detail}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -148,16 +148,16 @@ def cone_matrix(src, tgt, q_src, q_tgt, deriv_chart, inflate_src=1.0):
     return symmetrize(v - qn)
 
 
-def check_cone_link(src, tgt, q_src, q_tgt, derivative_fn, link=None):
+def check_cone_link(src, tgt, q_src, q_tgt, jacobian, link=None):
     """Certify the cone condition on one covering link.
 
-    derivative_fn maps the ambient source box to a chart-derivative
-    enclosure (4x4 for the extended map, 3x3 for projected sets); it is
-    evaluated once, over the whole set.
+    jacobian encloses the chart derivative over all of src (4x4 for the
+    extended map, 3x3 for projected sets); the covering certificate of the
+    same link carries one.  Nothing is evaluated here but V and its test.
     """
     link = link or f"{src.name}=>{tgt.name}"
     try:
-        v = cone_matrix(src, tgt, q_src, q_tgt, derivative_fn(src.box()))
+        v = cone_matrix(src, tgt, q_src, q_tgt, jacobian)
         rump = rump_positive_definite(v)
     except IntervalError as exc:
         raise VerificationInconclusive("cones", link, str(exc))
@@ -168,24 +168,23 @@ def check_cone_link(src, tgt, q_src, q_tgt, derivative_fn, link=None):
     return ConeCertificate(link=link, matrix=v, rump=rump)
 
 
-def check_cone_chain(sets, forms, derivative_fn, links=None):
-    """Cone certificates for every consecutive pair of (h-set, form)."""
+def check_cone_chain(sets, forms, jacobians):
+    """Cone certificates for every consecutive pair of (h-set, form).
+
+    jacobians[i] encloses the chart derivative over all of sets[i], as the
+    covering certificate of link i carries it.
+    """
     if len(sets) != len(forms):
         raise IntervalError("one form per h-set required")
     if len(sets) < 2:
         raise IntervalError("a chain needs at least two h-sets")
-    n_links = len(sets) - 1
-    fns = (
-        derivative_fn
-        if isinstance(derivative_fn, (list, tuple))
-        else [derivative_fn] * n_links
-    )
+    if len(jacobians) != len(sets) - 1:
+        raise IntervalError("one Jacobian per link required")
     certs = []
-    for idx in range(n_links):
-        name = None if links is None else links[idx]
+    for idx, jacobian in enumerate(jacobians):
         certs.append(
             check_cone_link(
-                sets[idx], sets[idx + 1], forms[idx], forms[idx + 1], fns[idx], name
+                sets[idx], sets[idx + 1], forms[idx], forms[idx + 1], jacobian
             )
         )
     return certs

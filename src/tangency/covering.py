@@ -26,14 +26,21 @@ from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalMatrix, IntervalVector
 
 
-class VerificationInconclusive(Exception):
-    """A rigorous check did not go through; carries the failure locus."""
-
+class _LocatedError(Exception):
     def __init__(self, stage, locus, detail=""):
         self.stage = stage
         self.locus = locus
         self.detail = detail
         super().__init__(f"{stage}: {locus}" + (f" ({detail})" if detail else ""))
+
+
+class VerificationInconclusive(_LocatedError):
+    """A rigorous check did not go through; carries the failure locus."""
+
+
+class EnclosureError(_LocatedError):
+    """Two enclosures of one quantity are disjoint: a bug in a map or in the
+    checker, never a verdict.  Deliberately not an IntervalError."""
 
 
 class BoxMap:
@@ -43,9 +50,9 @@ class BoxMap:
     correspondence search calls the map alone, on point boxes.
     """
 
-    def __init__(self, value_fn, derivative_fn):
+    def __init__(self, value_fn, jacobian_fn):
         self._value = value_fn
-        self._derivative = derivative_fn
+        self._derivative = jacobian_fn
 
     def __call__(self, box):
         return self._value(box)
@@ -61,7 +68,10 @@ class CoveringCertificate:
     correspondence: tuple  # ((src_axis, tgt_axis, sign), ...)
     grid: int
     exit_margins: dict = field(compare=False)  # (axis, side) -> float
-    entry_margin: float = 0.0
+    entry_margin: float
+    # DF over the source, hulled over the entry check's sub-boxes; the cone
+    # checks read it.  Not serialized.
+    jacobian: IntervalMatrix = field(compare=False, repr=False)
 
     def min_exit_margin(self):
         return min(self.exit_margins.values())
@@ -82,7 +92,8 @@ class CoveringCertificate:
 
 
 def _image_normalized(src, tgt, fmap, zbox):
-    """Normalized-coordinate image enclosure of a normalized sub-box.
+    """Normalized-coordinate image enclosure of a normalized sub-box, and
+    the enclosure of DF over the sub-box it was computed from.
 
     Evaluated in mean-value form,
 
@@ -96,7 +107,8 @@ def _image_normalized(src, tgt, fmap, zbox):
     mid = IntervalVector([Interval(e.mid) for e in zbox])
     g_mid = tgt.to_normalized(fmap(src.from_normalized(mid)))
     ambient = src.from_normalized(zbox)
-    sandwich = local_derivative(src, tgt, fmap.derivative(ambient))
+    jacobian = fmap.derivative(ambient)
+    sandwich = local_derivative(src, tgt, jacobian)
     n = src.n
     scaled_rows = []
     for i in range(n):
@@ -111,10 +123,16 @@ def _image_normalized(src, tgt, fmap, zbox):
     try:
         hull = tgt.to_normalized(fmap(ambient))
     except IntervalError:
-        return mean_value
-    return IntervalVector(
-        [m.intersect(h) for m, h in zip(mean_value, hull)]
-    )
+        return mean_value, jacobian
+    for axis, (m, h) in enumerate(zip(mean_value, hull)):
+        if not m.intersects(h):
+            raise EnclosureError(
+                "covering",
+                f"{src.name}=>{tgt.name}",
+                f"mean-value image {m!r} and hull image {h!r} of axis {axis} "
+                f"are disjoint on sub-box {list(zbox)!r}",
+            )
+    return IntervalVector([m.intersect(h) for m, h in zip(mean_value, hull)]), jacobian
 
 
 def detect_correspondence(src, tgt, fmap):
@@ -164,8 +182,10 @@ def detect_correspondence(src, tgt, fmap):
 def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     """Certify src => tgt under fmap or raise VerificationInconclusive.
 
-    fmap maps ambient IntervalVector boxes to ambient IntervalVector boxes.
-    grid subdivides wall faces (and the entry check) per axis.
+    fmap is a BoxMap on ambient IntervalVector boxes.  grid (an int)
+    subdivides wall faces and the entry check per axis.  The certificate's
+    jacobian is the hull of DF over the entry check's sub-boxes, hence an
+    enclosure of DF over the whole source set.
     """
     link = f"{src.name}=>{tgt.name}"
     if len(src.unstable) != len(tgt.unstable):
@@ -181,7 +201,7 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
             worst = None
             for box_idx, wall in enumerate(src.walls(i, side, grid)):
                 try:
-                    img = _image_normalized(src, tgt, fmap, wall)
+                    img, _ = _image_normalized(src, tgt, fmap, wall)
                 except IntervalError as exc:
                     raise VerificationInconclusive(
                         "covering", link, f"wall z_{i}={side:+d} box {box_idx}: {exc}"
@@ -203,13 +223,15 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
             exit_margins[(i, side)] = worst
 
     entry_margin = None
+    jacobian = None
     for box_idx, zbox in enumerate(src.subboxes(grid)):
         try:
-            img = _image_normalized(src, tgt, fmap, zbox)
+            img, box_jacobian = _image_normalized(src, tgt, fmap, zbox)
         except IntervalError as exc:
             raise VerificationInconclusive(
                 "covering", link, f"interior box {box_idx}: {exc}"
             )
+        jacobian = box_jacobian if jacobian is None else jacobian.hull(box_jacobian)
         for j in tgt.stable:
             margin = min(_k.sub_down(1.0, img[j].hi), _k.add_down(img[j].lo, 1.0))
             if entry_margin is None or margin < entry_margin:
@@ -226,29 +248,27 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
         source=src.name,
         target=tgt.name,
         correspondence=correspondence,
-        grid=grid if isinstance(grid, int) else tuple(grid),
+        grid=grid,
         exit_margins=exit_margins,
         entry_margin=entry_margin,
+        jacobian=jacobian,
     )
 
 
-def check_chain(sets, fmap, grid=1, correspondences=None):
+def check_chain(sets, maps, grid=1, correspondences=None):
     """Certify every consecutive covering in a chain of h-sets.
 
-    fmap may be one callable for all links or a sequence per link; the first
-    inconclusive link aborts with its diagnostics.
+    maps holds one BoxMap per link (maps[i] takes sets[i] to sets[i + 1]);
+    every link is checked at the same int grid.  correspondences optionally
+    maps a link index to its pairing.  The first inconclusive link aborts
+    with its diagnostics.
     """
     if len(sets) < 2:
         raise IntervalError("a chain needs at least two h-sets")
-    n_links = len(sets) - 1
-    maps = fmap if isinstance(fmap, (list, tuple)) else [fmap] * n_links
-    if len(maps) != n_links:
+    if len(maps) != len(sets) - 1:
         raise IntervalError("one map per link required")
-    grids = grid if isinstance(grid, (list, tuple)) else [grid] * n_links
     certs = []
-    for idx in range(n_links):
+    for idx, fmap in enumerate(maps):
         corr = None if correspondences is None else correspondences.get(idx)
-        certs.append(
-            check_covering(sets[idx], sets[idx + 1], maps[idx], grids[idx], corr)
-        )
+        certs.append(check_covering(sets[idx], sets[idx + 1], fmap, grid, corr))
     return certs

@@ -370,7 +370,6 @@ class TangencyCertificate:
 class HenonConfig:
     param_radius: float = PARAM_RADIUS
     grid: int = 1
-    grids: dict | None = None  # per-link overrides of the global grid
     a_tol: float = 1e-10
     gamma_safety: float = 0.99
     epsilon: float = 1e-6
@@ -381,12 +380,6 @@ class HenonConfig:
             raise ValueError("param_radius must lie in (0, 1e-2]")
         if self.grid < 1:
             raise ValueError("grid must be >= 1")
-        if self.grids is not None:
-            self.grids = {int(k): int(v) for k, v in self.grids.items()}
-            if any(v < 1 for v in self.grids.values()):
-                raise ValueError("per-link grid counts must be >= 1")
-            if any(not 0 <= k < N_SETS - 1 for k in self.grids):
-                raise ValueError("per-link grid keys must name chain links")
         if not 0.0 < self.a_tol <= 1e-2:
             raise ValueError("a_tol must lie in (0, 1e-2]")
         if not 0.0 < self.gamma_safety < 1.0:
@@ -394,12 +387,6 @@ class HenonConfig:
         if not 0.0 < self.epsilon <= 1e-2:
             raise ValueError("epsilon must lie in (0, 1e-2]")
         return self
-
-    def link_grids(self):
-        out = [self.grid] * (N_SETS - 1)
-        for k, v in (self.grids or {}).items():
-            out[k] = v
-        return out
 
 
 def run_proof(config=None):
@@ -417,18 +404,16 @@ def run_proof(config=None):
     inv_chart = ChartMap(family, "inverse")
     timings["build"] = time.perf_counter() - t0
 
-    def deriv_fn(vec_box):
-        return chart.derivative(ChartPoint.from_vector(vec_box))
-
     t0 = time.perf_counter()
-    fmap = chart.as_vec_map()
     coverings = check_chain(
-        list(chain.sets), fmap, grid=config.link_grids(),
+        list(chain.sets), [chart.as_vec_map()] * (N_SETS - 1), grid=config.grid,
         correspondences=config.correspondences,
     )
     timings["covering"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    cones = check_cone_chain(list(chain.sets), list(chain.forms), deriv_fn)
+    cones = check_cone_chain(
+        list(chain.sets), list(chain.forms), [c.jacobian for c in coverings]
+    )
     timings["cones"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

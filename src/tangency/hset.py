@@ -24,7 +24,7 @@ from tangency.linalg import IntervalMatrix, IntervalVector, inverse_enclosure
 class HSet:
     __slots__ = ("name", "center", "coord", "diam", "unstable", "stable", "inv_coord")
 
-    def __init__(self, name, center, coord, diam, unstable, check_columns=True):
+    def __init__(self, name, center, coord, diam, unstable):
         self.name = str(name)
         self.center = tuple(float(c) for c in center)
         self.coord = tuple(tuple(float(e) for e in row) for row in coord)
@@ -40,13 +40,12 @@ class HSet:
         ):
             raise IntervalError("invalid unstable axis set")
         self.stable = tuple(i for i in range(n) if i not in self.unstable)
-        if check_columns:
-            for j in range(n):
-                norm = math.sqrt(sum(self.coord[i][j] ** 2 for i in range(n)))
-                if abs(norm - 1.0) > 1e-6:
-                    raise IntervalError(
-                        f"{self.name}: column {j} not normalized (|.|={norm})"
-                    )
+        for j in range(n):
+            norm = math.sqrt(sum(self.coord[i][j] ** 2 for i in range(n)))
+            if abs(norm - 1.0) > 1e-6:
+                raise IntervalError(
+                    f"{self.name}: column {j} not normalized (|.|={norm})"
+                )
         self.inv_coord = inverse_enclosure(self.coord)
 
     @property
@@ -111,45 +110,29 @@ class HSet:
         """Sub-boxes covering the face {z_axis = side} of [-1, 1]^n.
 
         The covering is by closed overlapping boxes whose union equals the
-        face; grid may be an int (uniform) or a per-axis sequence.
+        face: grid segments on each of the other n - 1 axes.
         """
         if axis not in self.unstable:
             raise IntervalError(f"wall axis {axis} is not an unstable axis")
         if side not in (-1, 1):
             raise IntervalError("side must be +-1")
-        n = self.n
-        counts = self._grid_counts(grid, skip=axis)
+        segs = self._segments(grid)
         out = [[]]
-        for i in range(n):
+        for i in range(self.n):
             if i == axis:
                 out = [row + [Interval(float(side))] for row in out]
             else:
-                segs = self._segments(counts[i])
                 out = [row + [s] for row in out for s in segs]
         return [IntervalVector(row) for row in out]
 
     def subboxes(self, grid=1):
-        """Sub-boxes covering the whole normalized cube [-1, 1]^n."""
-        counts = self._grid_counts(grid, skip=None)
+        """Sub-boxes covering the whole normalized cube [-1, 1]^n, grid
+        segments per axis."""
+        segs = self._segments(grid)
         out = [[]]
         for i in range(self.n):
-            segs = self._segments(counts[i])
             out = [row + [s] for row in out for s in segs]
         return [IntervalVector(row) for row in out]
-
-    def _grid_counts(self, grid, skip):
-        n = self.n
-        if isinstance(grid, int):
-            counts = [grid] * n
-        else:
-            counts = [int(g) for g in grid]
-            if len(counts) != n:
-                raise IntervalError("grid length must match dimension")
-        if skip is not None:
-            counts[skip] = 1
-        if any(c < 1 for c in counts):
-            raise IntervalError("grid counts must be >= 1")
-        return counts
 
     def to_dict(self):
         return {

@@ -74,15 +74,6 @@ class Interval:
         """Upper bound of |x| over the interval."""
         return max(abs(self.lo), abs(self.hi))
 
-    @property
-    def mig(self):
-        """Lower bound of |x| over the interval."""
-        if self.lo > 0.0:
-            return self.lo
-        if self.hi < 0.0:
-            return -self.hi
-        return 0.0
-
     def contains(self, x):
         if isinstance(x, Interval):
             return self.lo <= x.lo and x.hi <= self.hi
@@ -172,9 +163,6 @@ class Interval:
 
     def __pos__(self):
         return self
-
-    def abs(self):
-        return Interval(self.mig, self.mag)
 
     def sqr(self):
         return Interval(*_k.isqr(self.lo, self.hi))

@@ -205,15 +205,17 @@ class Jet:
         d2 = -Interval(0.25) / (s * self.value)
         return self._chain(s, d1, d2)
 
-    def sin(self):
+    def sincos(self):
+        """(sin, cos) of the jet from one interval sin and one cos."""
         s = self.value.sin()
         c = self.value.cos()
-        return self._chain(s, c, -s)
+        return self._chain(s, c, -s), self._chain(c, -s, -c)
+
+    def sin(self):
+        return self.sincos()[0]
 
     def cos(self):
-        s = self.value.sin()
-        c = self.value.cos()
-        return self._chain(c, -s, -c)
+        return self.sincos()[1]
 
     def atan(self):
         v = self.value

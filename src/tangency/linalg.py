@@ -122,9 +122,6 @@ class IntervalMatrix:
     def row(self, i):
         return IntervalVector(self.rows[i])
 
-    def col(self, j):
-        return IntervalVector([r[j] for r in self.rows])
-
     def __add__(self, other):
         self._conform_add(other)
         return IntervalMatrix(
@@ -140,6 +137,13 @@ class IntervalMatrix:
     def scale(self, c):
         c = as_interval(c)
         return IntervalMatrix([[c * a for a in row] for row in self.rows])
+
+    def hull(self, other):
+        self._conform_add(other)
+        return IntervalMatrix(
+            [[a.hull(b) for a, b in zip(ra, rb)]
+             for ra, rb in zip(self.rows, other.rows)]
+        )
 
     def transpose(self):
         return IntervalMatrix(

@@ -199,8 +199,7 @@ class ChartMap:
         f2x = Jet(fy.grad[0], fy.hess[0])
         f2y = Jet(fy.grad[1], fy.hess[1])
         tj = Jet.variable(t_slot, t, n, order=1)
-        ct = tj.cos()
-        st = tj.sin()
+        st, ct = tj.sincos()
         wx = f1x * ct + f1y * st
         wy = f2x * ct + f2y * st
         return _angle_jet(wx, wy)

@@ -138,6 +138,23 @@ def encloses_bounds(interval, bounds):
     return Fraction(interval.lo) <= bounds[0] and bounds[1] <= Fraction(interval.hi)
 
 
+def point_shifted_map(fmap, shift):
+    """A deliberately inconsistent BoxMap: fmap, but every image of a thin
+    box (all widths zero) moves by shift in each ambient coordinate.  The
+    derivative is fmap's own, so mean-value and hull images disagree."""
+    from tangency.covering import BoxMap
+    from tangency.interval import Interval
+    from tangency.linalg import IntervalVector
+
+    def value(box):
+        img = fmap(box)
+        if any(e.width > 0.0 for e in box):
+            return img
+        return img + IntervalVector([Interval(shift)] * img.dim)
+
+    return BoxMap(value, fmap.derivative)
+
+
 # -- random float generation --------------------------------------------------
 
 
@@ -170,6 +187,13 @@ def henon_proof():
     cert = run_proof()
     elapsed = time.perf_counter() - t0
     return cert, elapsed
+
+
+@pytest.fixture(scope="session")
+def henon_proof_grid2():
+    from tangency.henon import HenonConfig, run_proof
+
+    return run_proof(HenonConfig(grid=2))
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,11 @@
 """CLI driver: exit codes, summary lines, report round-trips."""
 
+import dataclasses
 import json
 
 import pytest
 
+from conftest import point_shifted_map
 from tangency import report as report_mod
 from tangency.cli import main
 from tangency.toy import build_toy_chain
@@ -76,8 +78,11 @@ class TestProve:
             (["--param-radius", "-1"], None),
             (["--threads", "2"], None),  # not a flag: argparse rejects it
             (["--config", "{cfg}"], {"threads": 2}),  # not a config key
+            (["--config", "{cfg}"], {"grids": {"8": 2}}),  # not a config key
+            (["--config", "{cfg}"], {"validate": 1}),  # a method, not a key
         ],
-        ids=["negative-radius", "threads-flag", "threads-config-key"],
+        ids=["negative-radius", "threads-flag", "threads-config-key",
+             "grids-config-key", "method-name-key"],
     )
     def test_bad_config_exits_two(self, tmp_path, argv, cfg):
         path = tmp_path / "cfg.json"
@@ -102,17 +107,6 @@ class TestProve:
         report = report_mod.loads(out.read_text())
         assert report["config"]["grid"] == 2
         assert report["config"]["a_tol"] == 1e-9
-
-    def test_config_file_per_link_grids(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grids": {"8": 2, "14": 3}}))
-        out = tmp_path / "report.json"
-        assert main(["prove", "henon", "--config", str(cfg),
-                     "--report", str(out)]) == 0
-        report = report_mod.loads(out.read_text())
-        grids = [c["grid"] for c in report["stages"]["covering"]]
-        assert grids[8] == 2 and grids[14] == 3
-        assert all(g == 1 for i, g in enumerate(grids) if i not in (8, 14))
 
     def test_config_file_unknown_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -166,6 +160,21 @@ class TestCheckToy:
         monkeypatch.setattr(cli, "build_toy_chain", counting)
         assert main(["check-toy", "--report", str(tmp_path / "toy.json")]) == 0
         assert len(calls) == 1
+
+    def test_enclosure_error_exits_three(self, monkeypatch, tmp_path, capsys):
+        from tangency import cli
+
+        def inconsistent(params):
+            chain = build_toy_chain(params)
+            bad = point_shifted_map(chain.maps[0], 10.0 * max(chain.sets[1].diam))
+            return dataclasses.replace(chain, maps=(bad,) + chain.maps[1:])
+
+        monkeypatch.setattr(cli, "build_toy_chain", inconsistent)
+        out = tmp_path / "toy.json"
+        assert main(["check-toy", "--report", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "enclosure inconsistency at covering: N0=>N1" in err
+        assert not out.exists()
 
 
 class TestReportFormat:

@@ -4,15 +4,17 @@ import random
 
 import pytest
 
+from conftest import point_shifted_map
 from tangency.covering import (
     BoxMap,
+    EnclosureError,
     VerificationInconclusive,
     check_chain,
     check_covering,
     detect_correspondence,
 )
 from tangency.hset import HSet
-from tangency.interval import Interval
+from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.toy import ToyParams, build_toy_chain, linear_start_map, switch_map
 
@@ -147,6 +149,39 @@ class TestMonotonicity:
         for c1, c2, c3 in zip(base, finer, finest):
             assert c2.min_exit_margin() >= c1.min_exit_margin() - 1e-12
             assert c3.entry_margin >= c1.entry_margin - 1e-12
+
+
+class TestJacobian:
+    def test_grid_one_is_the_whole_set_enclosure(self):
+        chain = build_toy_chain(ToyParams())
+        for cert, src, fmap in zip(
+            check_chain(list(chain.sets), list(chain.maps), grid=1),
+            chain.sets,
+            chain.maps,
+        ):
+            assert cert.jacobian.rows == fmap.derivative(src.box()).rows
+
+    def test_finer_grid_stays_inside(self):
+        chain = build_toy_chain(ToyParams())
+        coarse = check_chain(list(chain.sets), list(chain.maps), grid=1)
+        fine = check_chain(list(chain.sets), list(chain.maps), grid=2)
+        for c1, c2 in zip(coarse, fine):
+            assert c2.grid == 2
+            for r1, r2 in zip(c1.jacobian.rows, c2.jacobian.rows):
+                assert all(e2.is_subset(e1) for e1, e2 in zip(r1, r2))
+
+
+class TestEnclosureConsistency:
+    def test_disjoint_images_are_an_error_not_a_verdict(self):
+        chain = build_toy_chain(ToyParams())
+        src, tgt = chain.sets[0], chain.sets[1]
+        bad = point_shifted_map(chain.maps[0], 10.0 * max(tgt.diam))
+        with pytest.raises(EnclosureError) as err:
+            check_covering(src, tgt, bad, grid=1)
+        assert not isinstance(err.value, (IntervalError, VerificationInconclusive))
+        assert err.value.stage == "covering"
+        assert err.value.locus == "N0=>N1"
+        assert "disjoint" in err.value.detail
 
 
 class TestSoundnessProxy:

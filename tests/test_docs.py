@@ -1,0 +1,65 @@
+"""The README stays in step with the configuration and the CLI it documents."""
+
+import argparse
+import dataclasses
+import re
+from pathlib import Path
+
+from tangency import cli
+from tangency.henon import HenonConfig
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+    encoding="utf-8"
+)
+
+
+def _paragraph(start):
+    begin = README.index(start)
+    end = README.find("\n\n", begin)
+    return README[begin:end if end >= 0 else len(README)]
+
+
+def _synopsis():
+    """Options per subcommand in the fenced block under '## CLI'."""
+    section = README[README.index("## CLI"):]
+    block = section.split("```")[1]
+    options = {}
+    command = None
+    for line in block.splitlines():
+        words = line.split()
+        if words[:1] == ["tangency"]:
+            command = words[1]
+            options[command] = set()
+        if command is not None:
+            options[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return options
+
+
+def _parser_options():
+    parser = cli._build_parser()
+    sub = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: {
+            s
+            for action in p._actions
+            for s in action.option_strings
+            if s.startswith("--") and s != "--help"
+        }
+        for name, p in sub.choices.items()
+    }
+
+
+def test_config_keys_match_henon_config():
+    text = _paragraph("The config file passed with `--config`")
+    keys = set(re.findall(r"`([a-z][a-z_]*)`", text))
+    assert keys == {f.name for f in dataclasses.fields(HenonConfig)}
+
+
+def test_cli_synopsis_names_every_option():
+    documented = _synopsis()
+    actual = _parser_options()
+    assert set(documented) == set(actual) == {"prove", "check-toy"}
+    for command, options in actual.items():
+        assert documented[command] == options, command

@@ -1,7 +1,11 @@
 """Henon certification: data integrity, chain, cones, disks, full driver."""
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import contains_fraction
 from tangency.covering import VerificationInconclusive
 from tangency.henon import (
     A0,
@@ -23,7 +27,7 @@ from tangency.henon import (
 from tangency.interval import Interval
 from tangency.jets import Jet
 from tangency.linalg import IntervalVector
-from tangency.projective import check_inverse_consistency
+from tangency.projective import ChartMap, check_inverse_consistency
 
 
 class TestFamily:
@@ -263,9 +267,9 @@ class TestPerturbations:
             run_proof(HenonConfig(param_radius=1e-3))
         assert err.value.stage in ("covering", "cones", "manifold")
 
-    def test_grid_two_reproduces_with_margins(self, henon_proof):
+    def test_grid_two_reproduces_with_margins(self, henon_proof, henon_proof_grid2):
         cert1, _ = henon_proof
-        cert2 = run_proof(HenonConfig(grid=2))
+        cert2 = henon_proof_grid2
         for c1, c2 in zip(cert1.coverings, cert2.coverings):
             assert c2.correspondence == c1.correspondence
             # refinement keeps success and (up to midpoint rounding noise)
@@ -289,17 +293,75 @@ class TestPerturbations:
             HenonConfig(grid=0).validate()
         with pytest.raises(ValueError):
             HenonConfig(gamma_safety=1.5).validate()
-        with pytest.raises(ValueError):
-            HenonConfig(grids={"3": 0}).validate()
-        with pytest.raises(ValueError):
-            HenonConfig(grids={"99": 2}).validate()
 
-    def test_per_link_grid_override(self, henon_proof):
+
+class TestSharedJacobian:
+    """The cones read the Jacobian the covering check enclosed."""
+
+    def test_derivative_calls_at_grid_one(self, monkeypatch):
+        # 15 links x (4 walls + 1 interior box) + 2 disk self-coverings x 5
+        # + one 4x4 derivative per disk; the cones take none of their own.
+        calls = []
+        for name in ("derivative", "derivative3"):
+            orig = getattr(ChartMap, name)
+
+            def counting(self, *args, _orig=orig):
+                calls.append(_orig.__name__)
+                return _orig(self, *args)
+
+            monkeypatch.setattr(ChartMap, name, counting)
+        run_proof()
+        assert len(calls) == 87
+
+    def test_grid_two_cone_pivots_no_lower(self, henon_proof, henon_proof_grid2):
+        # The hull of the sub-box Jacobians lies inside the whole-set one.
         cert1, _ = henon_proof
-        cert2 = run_proof(HenonConfig(grids={"8": 2}))
-        assert cert2.coverings[8].grid == 2
-        for i in (0, 7, 14):
-            assert cert2.coverings[i].grid == 1
-        assert cert2.coverings[8].min_exit_margin() >= (
-            cert1.coverings[8].min_exit_margin() - 1e-9
+        pivots1 = [c.rump.min_margin() for c in cert1.cones]
+        pivots2 = [c.rump.min_margin() for c in henon_proof_grid2.cones]
+        assert all(p2 >= p1 for p1, p2 in zip(pivots1, pivots2))
+        assert any(p2 > p1 for p1, p2 in zip(pivots1, pivots2))
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        link=st.integers(0, 14),
+        z=st.tuples(*[st.fractions(-1, 1, max_denominator=1 << 20)] * 4),
+    )
+    def test_jacobian_encloses_exact_planar_rows(
+        self, henon_proof, henon_proof_grid2, grid, link, z
+    ):
+        # At a point of the source h-set, computed exactly in rationals, the
+        # planar rows of D(x, y, t, a) are (-2x, b, 0, 1) and (1, 0, 0, 0),
+        # b being the binary64 value the map evaluates with.
+        cert = henon_proof[0] if grid == 1 else henon_proof_grid2
+        src = cert.hsets[link]
+        x = Fraction(src.center[0]) + sum(
+            Fraction(src.coord[0][j]) * Fraction(src.diam[j]) * z[j] for j in range(4)
         )
+        rows = ((-2 * x, Fraction(B0), 0, 1), (1, 0, 0, 0))
+        jac = cert.coverings[link].jacobian
+        for i, row in enumerate(rows):
+            for j, exact in enumerate(row):
+                assert contains_fraction(jac[i, j], Fraction(exact)), (i, j)
+
+
+class TestCorrespondenceOverride:
+    def test_explicit_pairings_reproduce_certificate(self, henon_proof):
+        cert, _ = henon_proof
+        pairings = {
+            idx: [list(c) for c in cov.correspondence]
+            for idx, cov in enumerate(cert.coverings)
+        }
+        explicit = run_proof(HenonConfig(correspondences=pairings))
+        d1, d2 = cert.to_dict(), explicit.to_dict()
+        d1.pop("timings")
+        d2.pop("timings")
+        assert d1 == d2
+
+    def test_flipped_signs_inconclusive_at_their_link(self, henon_proof):
+        cert, _ = henon_proof
+        flipped = [(i, j, -sign) for i, j, sign in cert.coverings[10].correspondence]
+        with pytest.raises(VerificationInconclusive) as err:
+            run_proof(HenonConfig(correspondences={10: flipped}))
+        assert err.value.stage == "covering"
+        assert err.value.locus == "N10=>N11"

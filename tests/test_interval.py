@@ -273,9 +273,7 @@ class TestQueries:
         assert x.mid == 2.0
         assert x.width == 2.0
         assert x.mag == 3.0
-        assert x.mig == 1.0
         assert Interval(-5.0, 1.0).mag == 5.0
-        assert Interval(-5.0, 1.0).mig == 0.0
 
     def test_hull_intersect(self):
         a, b = Interval(0, 1), Interval(2, 3)

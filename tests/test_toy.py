@@ -104,7 +104,7 @@ class TestConeSchemes:
                 chain.sets[idx + 1],
                 chain.forms[idx],
                 chain.forms[idx + 1],
-                chain.maps[idx].derivative,
+                chain.maps[idx].derivative(chain.sets[idx].box()),
             )
             assert cert.rump.positive_definite
 
@@ -118,7 +118,7 @@ class TestConeSchemes:
                 chain.sets[idx + 1],
                 chain.forms[idx],
                 chain.forms[idx + 1],
-                chain.maps[idx].derivative,
+                chain.maps[idx].derivative(chain.sets[idx].box()),
             )
 
     def test_beta_strictness_is_sharp(self):
@@ -130,12 +130,12 @@ class TestConeSchemes:
             check_cone_link(
                 chain_eq.sets[idx], chain_eq.sets[idx + 1],
                 chain_eq.forms[idx], chain_eq.forms[idx + 1],
-                chain_eq.maps[idx].derivative,
+                chain_eq.maps[idx].derivative(chain_eq.sets[idx].box()),
             )
         cert = check_cone_link(
             chain_up.sets[idx], chain_up.sets[idx + 1],
             chain_up.forms[idx], chain_up.forms[idx + 1],
-            chain_up.maps[idx].derivative,
+            chain_up.maps[idx].derivative(chain_up.sets[idx].box()),
         )
         assert cert.rump.positive_definite
 
@@ -148,7 +148,7 @@ class TestConeSchemes:
                 chain.sets[idx + 1],
                 chain.forms[idx],
                 chain.forms[idx + 1],
-                chain.maps[idx].derivative,
+                chain.maps[idx].derivative(chain.sets[idx].box()),
             )
 
     def test_d_drift_reversed_fails(self):
@@ -162,7 +162,7 @@ class TestConeSchemes:
                 chain.sets[idx + 1],
                 chain.forms[idx],
                 chain.forms[idx + 1],
-                chain.maps[idx].derivative,
+                chain.maps[idx].derivative(chain.sets[idx].box()),
             )
 
 
