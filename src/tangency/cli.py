@@ -132,6 +132,16 @@ def _config_echo(config):
     }
 
 
+def _certified_stages(certified):
+    """Report stages of the certificates an inconclusive proof carries: a
+    list per chain stage, one dict per disk."""
+    return {
+        key: [c.to_dict() for c in certs]
+        if isinstance(certs, (list, tuple)) else certs.to_dict()
+        for key, certs in certified.items()
+    }
+
+
 def _cmd_prove(args):
     config = _henon_config(args)
     t0 = time.perf_counter()
@@ -142,7 +152,7 @@ def _cmd_prove(args):
         report = report_mod.build_report(
             kind="proof",
             config=_config_echo(config),
-            stages={},
+            stages=_certified_stages(exc.certified),
             verdict="INCONCLUSIVE",
             timings={"total": elapsed},
             failure={"stage": exc.stage, "locus": exc.locus, "detail": exc.detail},

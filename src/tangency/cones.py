@@ -172,7 +172,8 @@ def check_cone_chain(sets, forms, jacobians):
     """Cone certificates for every consecutive pair of (h-set, form).
 
     jacobians[i] encloses the chart derivative over all of sets[i], as the
-    covering certificate of link i carries it.
+    covering certificate of link i carries it.  The first inconclusive link
+    aborts with the links certified before it.
     """
     if len(sets) != len(forms):
         raise IntervalError("one form per h-set required")
@@ -182,9 +183,13 @@ def check_cone_chain(sets, forms, jacobians):
         raise IntervalError("one Jacobian per link required")
     certs = []
     for idx, jacobian in enumerate(jacobians):
-        certs.append(
-            check_cone_link(
-                sets[idx], sets[idx + 1], forms[idx], forms[idx + 1], jacobian
+        try:
+            certs.append(
+                check_cone_link(
+                    sets[idx], sets[idx + 1], forms[idx], forms[idx + 1], jacobian
+                )
             )
-        )
+        except VerificationInconclusive as exc:
+            exc.certified = {"cones": tuple(certs)}
+            raise
     return certs

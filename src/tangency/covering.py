@@ -18,6 +18,7 @@ disproof: interval methods cannot refute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import permutations
 
 from tangency import kernels as _k
@@ -35,7 +36,13 @@ class _LocatedError(Exception):
 
 
 class VerificationInconclusive(_LocatedError):
-    """A rigorous check did not go through; carries the failure locus."""
+    """A rigorous check did not go through; carries the failure locus and,
+    in ``certified`` (report stage -> certificates), what was certified
+    before the failure."""
+
+    def __init__(self, stage, locus, detail=""):
+        super().__init__(stage, locus, detail)
+        self.certified = {}
 
 
 class EnclosureError(_LocatedError):
@@ -44,15 +51,17 @@ class EnclosureError(_LocatedError):
 
 
 class BoxMap:
-    """An ambient box map bundled with its Jacobian enclosure.
+    """An ambient box map bundled with its enclosure pass.
 
-    The checker consumes the pair to evaluate images in mean-value form; the
-    correspondence search calls the map alone, on point boxes.
+    ``value_fn(box)`` encloses the image of a box; the checker calls it on
+    the thin midpoint of each sub-box.  ``enclosure_fn(box)`` returns
+    ``(image, jacobian)``: the image enclosure and DF over the box, from one
+    evaluation.
     """
 
-    def __init__(self, value_fn, jacobian_fn):
+    def __init__(self, value_fn, enclosure_fn):
         self._value = value_fn
-        self._derivative = jacobian_fn
+        self._derivative = enclosure_fn
 
     def __call__(self, box):
         return self._value(box)
@@ -102,12 +111,13 @@ def _image_normalized(src, tgt, fmap, zbox):
     because the naive composition through the ambient box hull loses the
     correlation between the planar coordinates that the frames are built to
     diagonalize (an unstable excursion would wrongly leak into the stable
-    coordinates).  fmap is a BoxMap: its derivative encloses DF over B.
+    coordinates).  The hull image, which fmap.derivative returns with DF(B),
+    is tighter where nonlinear terms dominate (the mean-value slope doubles a
+    pure square); the two are intersected.
     """
     mid = IntervalVector([Interval(e.mid) for e in zbox])
     g_mid = tgt.to_normalized(fmap(src.from_normalized(mid)))
-    ambient = src.from_normalized(zbox)
-    jacobian = fmap.derivative(ambient)
+    image, jacobian = fmap.derivative(src.from_normalized(zbox))
     sandwich = local_derivative(src, tgt, jacobian)
     n = src.n
     scaled_rows = []
@@ -118,12 +128,7 @@ def _image_normalized(src, tgt, fmap, zbox):
         scaled_rows.append(row)
     delta = IntervalVector([z - Interval(z.mid) for z in zbox])
     mean_value = g_mid + IntervalMatrix(scaled_rows).mat_vec(delta)
-    # The hull composition is tighter where nonlinear terms dominate (the
-    # mean-value slope doubles a pure square); intersect when it evaluates.
-    try:
-        hull = tgt.to_normalized(fmap(ambient))
-    except IntervalError:
-        return mean_value, jacobian
+    hull = tgt.to_normalized(image)
     for axis, (m, h) in enumerate(zip(mean_value, hull)):
         if not m.intersects(h):
             raise EnclosureError(
@@ -135,63 +140,63 @@ def _image_normalized(src, tgt, fmap, zbox):
     return IntervalVector([m.intersect(h) for m, h in zip(mean_value, hull)]), jacobian
 
 
-def detect_correspondence(src, tgt, fmap):
-    """Deterministic unstable-axis pairing from wall-center point images.
+def detect_correspondence(src, tgt, wall_images):
+    """Deterministic unstable-axis pairing read off the certified wall images.
 
-    For each unstable axis of the source, the two opposite wall centers are
-    mapped as point boxes (no derivative is taken); the target unstable
-    coordinate they separate across picks the pairing, scored by separation
-    width.  The rigorous check afterwards is what actually decides; this is
-    only a search heuristic.
+    wall_images maps (axis, side) to the normalized images of that wall's
+    sub-boxes.  For each unstable axis of the source, the target unstable
+    coordinate that the midpoints of the hulls of its two opposite walls'
+    images separate across picks the pairing, scored by separation width.
+    No map is called; the margin check afterwards is what actually decides.
     """
-    n = src.n
     u_src = src.unstable
     u_tgt = tgt.unstable
     if len(u_src) != len(u_tgt):
         raise IntervalError("unstable dimension mismatch")
-
-    def center_image(i, side):
-        center = [Interval(0.0)] * n
-        center[i] = Interval(side)
-        ambient = src.from_normalized(IntervalVector(center))
-        return tgt.to_normalized(fmap(ambient)).mids()
-
-    seps = {}
-    for i in u_src:
-        try:
-            img_p = center_image(i, 1.0)
-            img_m = center_image(i, -1.0)
-        except IntervalError as exc:
-            raise VerificationInconclusive(
-                "covering", f"{src.name}=>{tgt.name}", f"wall-center image: {exc}"
-            )
-        for j in u_tgt:
-            seps[(i, j)] = (img_p[j] - img_m[j], abs(img_p[j] - img_m[j]))
-    best = None
-    for perm in permutations(u_tgt):
-        score = sum(seps[(i, j)][1] for i, j in zip(u_src, perm))
-        if best is None or score > best[0]:
-            best = (score, perm)
-    pairing = []
-    for i, j in zip(u_src, best[1]):
-        sign = 1 if seps[(i, j)][0] >= 0.0 else -1
-        pairing.append((i, j, sign))
-    return tuple(pairing)
+    mids = {
+        key: reduce(IntervalVector.hull, images).mids()
+        for key, images in wall_images.items()
+    }
+    seps = {(i, j): mids[(i, 1)][j] - mids[(i, -1)][j] for i in u_src for j in u_tgt}
+    # The first pairing of largest total separation wins.
+    best = max(
+        permutations(u_tgt),
+        key=lambda perm: sum(abs(seps[(i, j)]) for i, j in zip(u_src, perm)),
+    )
+    return tuple((i, j, 1 if seps[(i, j)] >= 0.0 else -1) for i, j in zip(u_src, best))
 
 
 def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     """Certify src => tgt under fmap or raise VerificationInconclusive.
 
     fmap is a BoxMap on ambient IntervalVector boxes.  grid (an int)
-    subdivides wall faces and the entry check per axis.  The certificate's
-    jacobian is the hull of DF over the entry check's sub-boxes, hence an
-    enclosure of DF over the whole source set.
+    subdivides wall faces and the entry check per axis.  Every wall sub-box
+    of every unstable axis is mapped first; the pairing, unless given, is
+    read off those images, and the exit margins are checked on them.  Each
+    sub-box is evaluated once.  The certificate's jacobian is the hull of DF
+    over the entry check's sub-boxes, hence an enclosure of DF over the whole
+    source set.
     """
     link = f"{src.name}=>{tgt.name}"
     if len(src.unstable) != len(tgt.unstable):
         raise IntervalError(f"{link}: unstable dimension mismatch")
+
+    def image(zbox, where):
+        try:
+            return _image_normalized(src, tgt, fmap, zbox)
+        except IntervalError as exc:
+            raise VerificationInconclusive("covering", link, f"{where}: {exc}")
+
+    wall_images = {
+        (i, side): [
+            image(wall, f"wall z_{i}={side:+d} box {box_idx}")[0]
+            for box_idx, wall in enumerate(src.walls(i, side, grid))
+        ]
+        for i in src.unstable
+        for side in (1, -1)
+    }
     if correspondence is None:
-        correspondence = detect_correspondence(src, tgt, fmap)
+        correspondence = detect_correspondence(src, tgt, wall_images)
     else:
         correspondence = tuple(tuple(c) for c in correspondence)
 
@@ -199,20 +204,10 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     for i, j, sign in correspondence:
         for side in (1, -1):
             worst = None
-            for box_idx, wall in enumerate(src.walls(i, side, grid)):
-                try:
-                    img, _ = _image_normalized(src, tgt, fmap, wall)
-                except IntervalError as exc:
-                    raise VerificationInconclusive(
-                        "covering", link, f"wall z_{i}={side:+d} box {box_idx}: {exc}"
-                    )
+            for box_idx, img in enumerate(wall_images[(i, side)]):
                 w = img[j] if sign > 0 else -img[j]
-                if side > 0:
-                    margin = _k.sub_down(w.lo, 1.0)
-                else:
-                    margin = _k.sub_down(-1.0, w.hi)
-                if worst is None or margin < worst:
-                    worst = margin
+                margin = _k.sub_down(w.lo, 1.0) if side > 0 else _k.sub_down(-1.0, w.hi)
+                worst = margin if worst is None else min(worst, margin)
                 if margin <= 0.0:
                     raise VerificationInconclusive(
                         "covering",
@@ -225,17 +220,11 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     entry_margin = None
     jacobian = None
     for box_idx, zbox in enumerate(src.subboxes(grid)):
-        try:
-            img, box_jacobian = _image_normalized(src, tgt, fmap, zbox)
-        except IntervalError as exc:
-            raise VerificationInconclusive(
-                "covering", link, f"interior box {box_idx}: {exc}"
-            )
+        img, box_jacobian = image(zbox, f"interior box {box_idx}")
         jacobian = box_jacobian if jacobian is None else jacobian.hull(box_jacobian)
         for j in tgt.stable:
             margin = min(_k.sub_down(1.0, img[j].hi), _k.add_down(img[j].lo, 1.0))
-            if entry_margin is None or margin < entry_margin:
-                entry_margin = margin
+            entry_margin = margin if entry_margin is None else min(entry_margin, margin)
             if margin <= 0.0:
                 raise VerificationInconclusive(
                     "covering",
@@ -261,7 +250,7 @@ def check_chain(sets, maps, grid=1, correspondences=None):
     maps holds one BoxMap per link (maps[i] takes sets[i] to sets[i + 1]);
     every link is checked at the same int grid.  correspondences optionally
     maps a link index to its pairing.  The first inconclusive link aborts
-    with its diagnostics.
+    with its diagnostics and the links certified before it.
     """
     if len(sets) < 2:
         raise IntervalError("a chain needs at least two h-sets")
@@ -270,5 +259,9 @@ def check_chain(sets, maps, grid=1, correspondences=None):
     certs = []
     for idx, fmap in enumerate(maps):
         corr = None if correspondences is None else correspondences.get(idx)
-        certs.append(check_covering(sets[idx], sets[idx + 1], fmap, grid, corr))
+        try:
+            certs.append(check_covering(sets[idx], sets[idx + 1], fmap, grid, corr))
+        except VerificationInconclusive as exc:
+            exc.certified = {"covering": tuple(certs)}
+            raise
     return certs

@@ -188,9 +188,7 @@ class HenonChain:
     step_images: tuple  # ChartPoint enclosures of PH(center_i), i = 1..14
     centers: tuple
     frames: tuple
-    z_points: tuple  # float planar orbit points z_1..z_15
     eigen: dict = field(compare=False)
-    z1: tuple = (0.0, 0.0)
     param_radius: float = PARAM_RADIUS
 
 
@@ -209,10 +207,6 @@ def build_chain(param_radius=PARAM_RADIUS, orbit_width_threshold=1e-9):
     z0 = (x0m, x0m)
     u0 = eig["u0_mid"]
     s0 = eig["s0_mid"]
-    z1 = (
-        z0[0] + SEED_U_COEFF * u0[0] + SEED_S_COEFF * s0[0],
-        z0[1] + SEED_U_COEFF * u0[1] + SEED_S_COEFF * s0[1],
-    )
 
     family = henon_family()
     chart = ChartMap(family, "forward")
@@ -303,9 +297,7 @@ def build_chain(param_radius=PARAM_RADIUS, orbit_width_threshold=1e-9):
         step_images=tuple(step_images),
         centers=tuple(centers4),
         frames=tuple(frames),
-        z_points=tuple(z_pts),
         eigen=eig,
-        z1=z1,
         param_radius=param_radius,
     )
 
@@ -393,7 +385,8 @@ def run_proof(config=None):
     """Execute the full certification; returns a TangencyCertificate.
 
     Any inconclusive stage raises VerificationInconclusive carrying the
-    failure locus.
+    failure locus and, in ``certified``, every certificate found before it
+    by report stage ("covering", "cones", "stable_disk", "unstable_disk").
     """
     config = (config or HenonConfig()).validate()
     timings = {}
@@ -404,27 +397,32 @@ def run_proof(config=None):
     inv_chart = ChartMap(family, "inverse")
     timings["build"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    coverings = check_chain(
-        list(chain.sets), [chart.as_vec_map()] * (N_SETS - 1), grid=config.grid,
-        correspondences=config.correspondences,
-    )
-    timings["covering"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    cones = check_cone_chain(
-        list(chain.sets), list(chain.forms), [c.jacobian for c in coverings]
-    )
-    timings["cones"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    disks = {}
-    for side, cmap in (("stable", chart), ("unstable", inv_chart)):
-        ntilde, qtilde, param, p_coeff = projected_disk_data(chain, side)
-        disks[side] = verify_disk(
-            side, ntilde, qtilde, cmap, param, p_coeff, config.grid,
-            config.epsilon, config.a_tol, config.gamma_safety,
+    certified = {}
+    try:
+        t0 = time.perf_counter()
+        certified["covering"] = check_chain(
+            list(chain.sets), [chart.as_vec_map()] * (N_SETS - 1),
+            grid=config.grid, correspondences=config.correspondences,
         )
-    timings["disks"] = time.perf_counter() - t0
+        timings["covering"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        certified["cones"] = check_cone_chain(
+            list(chain.sets), list(chain.forms),
+            [c.jacobian for c in certified["covering"]],
+        )
+        timings["cones"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        for side, cmap in (("stable", chart), ("unstable", inv_chart)):
+            ntilde, qtilde, param, p_coeff = projected_disk_data(chain, side)
+            certified[f"{side}_disk"] = verify_disk(
+                side, ntilde, qtilde, cmap, param, p_coeff, config.grid,
+                config.epsilon, config.a_tol, config.gamma_safety,
+            )
+        timings["disks"] = time.perf_counter() - t0
+    except VerificationInconclusive as exc:
+        exc.certified = {**certified, **exc.certified}
+        raise
 
     conclusion = {
         "family": "henon",
@@ -444,10 +442,10 @@ def run_proof(config=None):
         ],
     }
     return TangencyCertificate(
-        coverings=tuple(coverings),
-        cones=tuple(cones),
-        stable_disk=disks["stable"],
-        unstable_disk=disks["unstable"],
+        coverings=tuple(certified["covering"]),
+        cones=tuple(certified["cones"]),
+        stable_disk=certified["stable_disk"],
+        unstable_disk=certified["unstable_disk"],
         conclusion=conclusion,
         timings=timings,
         hsets=chain.sets,

@@ -164,13 +164,6 @@ class IntervalMatrix:
             out.append(row)
         return IntervalMatrix(out)
 
-    def __matmul__(self, other):
-        if isinstance(other, IntervalMatrix):
-            return self.mat_mul(other)
-        if isinstance(other, IntervalVector):
-            return self.mat_vec(other)
-        return NotImplemented
-
     def mat_vec(self, v):
         if self.ncols != v.dim:
             raise IntervalError("shape mismatch in matrix-vector product")

@@ -191,7 +191,7 @@ def verify_disk(
     covering_cert = check_covering(ntilde, ntilde, fmap, grid=grid)
 
     box3 = ntilde.box()
-    d4 = chart_map.derivative(ChartPoint(box3[0], box3[1], box3[2], param))
+    _, d4 = chart_map.derivative(ChartPoint(box3[0], box3[1], box3[2], param))
     deriv3 = IntervalMatrix([[d4[i, j] for j in range(3)] for i in range(3)])
     v_cone = cone_matrix(ntilde, ntilde, qtilde, qtilde, deriv3)
     rump = rump_positive_definite(v_cone)

@@ -8,7 +8,8 @@ error.  The extended map acts on chart coordinates (x, y, t, a) by
     (x, y, t, a) |-> (f_a(x, y), angle(Df_a(x, y) . (cos t, sin t)), a)
 
 and its rigorous 4x4 derivative is assembled from order-2 jets of f (the
-angle component needs the second derivatives of f).
+angle component needs the second derivatives of f); the value parts of the
+same jets are the image enclosure, returned beside the derivative.
 """
 
 from __future__ import annotations
@@ -47,9 +48,6 @@ class ChartPoint:
     @classmethod
     def from_vector(cls, v):
         return cls(v[0], v[1], v[2], v[3])
-
-    def mids(self):
-        return (self.x.mid, self.y.mid, self.t.mid, self.a.mid)
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,8 @@ class ChartMap:
     # -- derivative enclosures --------------------------------------------
 
     def derivative(self, p):
-        """Sound 4x4 enclosure of the chart-coordinate derivative over a box."""
+        """Image enclosure of a chart box (the jets' values: apply's, bit for
+        bit) and a sound 4x4 enclosure of the derivative over it."""
         xj = Jet.variable(0, p.x, 4, order=2)
         yj = Jet.variable(1, p.y, 4, order=2)
         aj = Jet.variable(3, p.a, 4, order=2)
@@ -177,18 +176,22 @@ class ChartMap:
         tang = self._tangent_jet(fx, fy, p.t, 4, 2)
         zero = Interval(0.0)
         one = Interval(1.0)
-        return IntervalMatrix(
+        return ChartPoint(fx.value, fy.value, tang.value, p.a), IntervalMatrix(
             [fx.grad, fy.grad, tang.grad, (zero, zero, zero, one)]
         )
 
     def derivative3(self, v3, a):
-        """3x3 derivative in (x, y, t) with the parameter fixed to a."""
+        """Image (apply3's) and 3x3 derivative in (x, y, t) with the
+        parameter fixed to a."""
         xj = Jet.variable(0, v3[0], 3, order=2)
         yj = Jet.variable(1, v3[1], 3, order=2)
         aj = Jet.constant(as_interval(a), 3, order=2)
         fx, fy = self._evaluator()(xj, yj, aj)
         tang = self._tangent_jet(fx, fy, v3[2], 3, 2)
-        return IntervalMatrix([fx.grad, fy.grad, tang.grad])
+        q = ChartPoint(fx.value, fy.value, tang.value, aj.value)
+        return IntervalVector([q.x, q.y, q.t]), IntervalMatrix(
+            [fx.grad, fy.grad, tang.grad]
+        )
 
     @staticmethod
     def _tangent_jet(fx, fy, t, n, t_slot):
@@ -211,21 +214,15 @@ class ChartMap:
             q = self.apply(ChartPoint.from_vector(v))
             return q.as_vector()
 
-        def deriv(v):
-            return self.derivative(ChartPoint.from_vector(v))
+        def enclose(v):
+            q, jacobian = self.derivative(ChartPoint.from_vector(v))
+            return q.as_vector(), jacobian
 
-        return BoxMap(run, deriv)
+        return BoxMap(run, enclose)
 
     def as_vec_map3(self, a):
         a = as_interval(a)
-
-        def run(v):
-            return self.apply3(v, a)
-
-        def deriv(v):
-            return self.derivative3(v, a)
-
-        return BoxMap(run, deriv)
+        return BoxMap(lambda v: self.apply3(v, a), lambda v: self.derivative3(v, a))
 
 
 def check_inverse_consistency(family, box, tol=1e-9):

@@ -52,11 +52,13 @@ def _boxmap(evaluator):
     def value(box):
         return IntervalVector(evaluator(*box.entries))
 
-    def deriv(box):
+    def enclose(box):
         jets = [Jet.variable(i, box[i], 4, order=1) for i in range(4)]
-        return IntervalMatrix([out.grad for out in evaluator(*jets)])
+        outs = evaluator(*jets)
+        values, grads = [out.value for out in outs], [out.grad for out in outs]
+        return IntervalVector(values), IntervalMatrix(grads)
 
-    return BoxMap(value, deriv)
+    return BoxMap(value, enclose)
 
 
 def linear_start_map(params):

@@ -138,10 +138,20 @@ def encloses_bounds(interval, bounds):
     return Fraction(interval.lo) <= bounds[0] and bounds[1] <= Fraction(interval.hi)
 
 
+def covering_boxes(src, grid):
+    """The normalized sub-boxes check_covering evaluates: every wall sub-box
+    of every unstable axis, then the interior sub-boxes."""
+    walls = [
+        w for i in src.unstable for side in (1, -1) for w in src.walls(i, side, grid)
+    ]
+    return walls + list(src.subboxes(grid))
+
+
 def point_shifted_map(fmap, shift):
     """A deliberately inconsistent BoxMap: fmap, but every image of a thin
     box (all widths zero) moves by shift in each ambient coordinate.  The
-    derivative is fmap's own, so mean-value and hull images disagree."""
+    enclosure pass (hull image and derivative) is fmap's own, so mean-value
+    and hull images disagree."""
     from tangency.covering import BoxMap
     from tangency.interval import Interval
     from tangency.linalg import IntervalVector

@@ -130,7 +130,7 @@ def test_criterion_6_toy_oracle_suite():
             try:
                 check_cone_link(
                     c.sets[idx], c.sets[idx + 1], c.forms[idx],
-                    c.forms[idx + 1], c.maps[idx].derivative(c.sets[idx].box()),
+                    c.forms[idx + 1], c.maps[idx].derivative(c.sets[idx].box())[1],
                 )
                 out.append(True)
             except VerificationInconclusive:
@@ -143,7 +143,7 @@ def test_criterion_6_toy_oracle_suite():
     for idx in linear_link_indices(chain):
         check_cone_link(
             chain.sets[idx], chain.sets[idx + 1], chain.forms[idx],
-            chain.forms[idx + 1], chain.maps[idx].derivative(chain.sets[idx].box()),
+            chain.forms[idx + 1], chain.maps[idx].derivative(chain.sets[idx].box())[1],
         )
 
     # (c) the switch blocks at (alpha, beta, gamma, delta) = (1, 1/4, 4, 2)

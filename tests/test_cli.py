@@ -71,6 +71,22 @@ class TestProve:
         report = report_mod.loads(out.read_text())
         assert report["verdict"] == "INCONCLUSIVE"
         assert report["failure"]["stage"] == "covering"
+        assert report["stages"] == {"covering": []}
+
+        # Just outside the certified band the chain breaks at link 9: the
+        # report keeps the nine links certified before it, with margins.
+        code = main(["prove", "henon", "--param-radius", "1.1e-5",
+                     "--report", str(out)])
+        assert code == 1
+        report = report_mod.loads(out.read_text())
+        assert report["failure"]["locus"] == "N9=>N10"
+        covering = report["stages"]["covering"]
+        assert [(c["source"], c["target"]) for c in covering] == [
+            (f"N{i}", f"N{i + 1}") for i in range(9)
+        ]
+        for c in covering:
+            assert min(c["exit_margins"].values()) > 0.0
+            assert c["entry_margin"] > 0.0
 
     @pytest.mark.parametrize(
         "argv, cfg",

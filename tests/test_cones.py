@@ -209,7 +209,7 @@ class TestConeMatrixGeneric:
         src, tgt = chain.sets[1], chain.sets[2]
         qn, qm = chain.forms[1], chain.forms[2]
         fmap = linear_start_map(params)
-        v = cone_matrix(src, tgt, qn, qm, fmap.derivative(src.box()))
+        v = cone_matrix(src, tgt, qn, qm, fmap.derivative(src.box())[1])
         lam, mu = params.lam, params.mu
         assert v[0, 0].contains(1.0 * lam**2 - 1.0)
         assert v[1, 1].contains(4.0 - mu**2 * 4.0)

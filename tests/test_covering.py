@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from conftest import point_shifted_map
+from conftest import covering_boxes, point_shifted_map
 from tangency.covering import (
     BoxMap,
     EnclosureError,
     VerificationInconclusive,
+    _image_normalized,
     check_chain,
     check_covering,
     detect_correspondence,
@@ -26,10 +27,10 @@ def _identity_map4():
     def value(box):
         return box
 
-    def deriv(box):
-        return IntervalMatrix.identity(4)
+    def enclose(box):
+        return box, IntervalMatrix.identity(4)
 
-    return BoxMap(value, deriv)
+    return BoxMap(value, enclose)
 
 
 def _linear_inequality_oracle(params, src, tgt):
@@ -159,7 +160,7 @@ class TestJacobian:
             chain.sets,
             chain.maps,
         ):
-            assert cert.jacobian.rows == fmap.derivative(src.box()).rows
+            assert cert.jacobian.rows == fmap.derivative(src.box())[1].rows
 
     def test_finer_grid_stays_inside(self):
         chain = build_toy_chain(ToyParams())
@@ -225,24 +226,57 @@ class TestDeterminism:
     def test_detection_recorded_in_certificate(self):
         params = ToyParams()
         chain = build_toy_chain(params)
-        fmap = chain.maps[0]
-        detected = detect_correspondence(chain.sets[0], chain.sets[1], fmap)
-        cert = check_covering(chain.sets[0], chain.sets[1], fmap, grid=1)
+        src, tgt, fmap = chain.sets[0], chain.sets[1], chain.maps[0]
+        wall_images = {
+            (i, side): [
+                _image_normalized(src, tgt, fmap, w)[0] for w in src.walls(i, side, 1)
+            ]
+            for i in src.unstable
+            for side in (1, -1)
+        }
+        detected = detect_correspondence(src, tgt, wall_images)
+        cert = check_covering(src, tgt, fmap, grid=1)
         assert cert.correspondence == detected
 
-    def test_detection_takes_no_derivative(self):
-        # The search maps wall centers as point boxes; only the check
-        # encloses derivatives.
-        def no_derivative(box):
-            raise AssertionError("detect_correspondence took a derivative")
+    def test_detection_reads_the_wall_image_hulls(self):
+        # Wall z_0 = +-1 separates across target axis 3, reversed, and wall
+        # z_3 = +-1 across target axis 0.  On wall z_0 = +1 the midpoint of
+        # the hull of the sub-box images lies below the opposite wall's; the
+        # first or the last image alone would lie above it.
+        h = HSet("U", (0, 0, 0, 0), EYE4, (1, 1, 1, 1), (0, 3))
 
+        def img(x, a):
+            return IntervalVector([Interval(x), Interval(0.0), Interval(0.0),
+                                   Interval(a)])
+
+        wall_images = {
+            (0, 1): [img(0.0, 0.5), img(0.0, -3.0), img(0.0, 0.5)],
+            (0, -1): [img(0.0, 0.0)],
+            (3, 1): [img(2.0, 0.1)],
+            (3, -1): [img(-2.0, -0.1)],
+        }
+        assert detect_correspondence(h, h, wall_images) == ((0, 3, -1), (3, 0, 1))
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    def test_each_box_evaluated_once(self, grid):
+        # One thin midpoint image and one enclosure pass per wall and
+        # interior sub-box; the pairing search maps nothing.
         chain = build_toy_chain(ToyParams())
         for idx, fmap in enumerate(chain.maps):
             src, tgt = chain.sets[idx], chain.sets[idx + 1]
-            values_only = BoxMap(fmap, no_derivative)
-            assert detect_correspondence(src, tgt, values_only) == (
-                check_covering(src, tgt, fmap, grid=1).correspondence
-            )
+            calls = {"value": 0, "derivative": 0}
+
+            def value(box, _fmap=fmap):
+                calls["value"] += 1
+                return _fmap(box)
+
+            def enclose(box, _fmap=fmap):
+                calls["derivative"] += 1
+                return _fmap.derivative(box)
+
+            check_covering(src, tgt, BoxMap(value, enclose), grid=grid)
+            boxes = len(covering_boxes(src, grid))
+            assert calls == {"value": boxes, "derivative": boxes}, idx
 
 
 class TestChainBasics:

@@ -8,9 +8,8 @@ from pathlib import Path
 from tangency import cli
 from tangency.henon import HenonConfig
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(
-    encoding="utf-8"
-)
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def _paragraph(start):
@@ -55,6 +54,16 @@ def test_config_keys_match_henon_config():
     text = _paragraph("The config file passed with `--config`")
     keys = set(re.findall(r"`([a-z][a-z_]*)`", text))
     assert keys == {f.name for f in dataclasses.fields(HenonConfig)}
+
+
+def test_layout_names_every_module():
+    section = README[README.index("## Layout"):]
+    section = section[:section.index("\n## ", 1)]
+    rows = [line.split("|")[1] for line in section.splitlines()
+            if line.startswith("| `tangency.")]
+    documented = [m for cell in rows for m in re.findall(r"`tangency\.(\w+)`", cell)]
+    modules = {p.stem for p in (ROOT / "src" / "tangency").glob("*.py")} - {"__init__"}
+    assert sorted(documented) == sorted(modules)
 
 
 def test_cli_synopsis_names_every_option():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import contains_fraction
+from conftest import contains_fraction, covering_boxes
 from tangency.covering import VerificationInconclusive
 from tangency.henon import (
     A0,
@@ -27,7 +27,7 @@ from tangency.henon import (
 from tangency.interval import Interval
 from tangency.jets import Jet
 from tangency.linalg import IntervalVector
-from tangency.projective import ChartMap, check_inverse_consistency
+from tangency.projective import ChartMap, ChartPoint, check_inverse_consistency
 
 
 class TestFamily:
@@ -345,6 +345,58 @@ class TestSharedJacobian:
                 assert contains_fraction(jac[i, j], Fraction(exact)), (i, j)
 
 
+class TestOnePassImage:
+    """The covering check's hull image is the value part of the derivative
+    jets: it encloses the exact image, and it is what apply computes."""
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        index=st.integers(0, 15),
+        box=st.integers(0, 47),
+        u=st.tuples(*[st.fractions(0, 1, max_denominator=1 << 20)] * 4),
+    )
+    def test_image_encloses_exact_henon_image(self, henon_chain, grid, index, box, u):
+        # A point of a wall or interior sub-box of an h-set, exact in
+        # rationals, maps to x' = a - x^2 + b y, y' = x, a' = a, b being the
+        # binary64 value the map evaluates with.
+        src = henon_chain.sets[index]
+        boxes = covering_boxes(src, grid)
+        zbox = boxes[box % len(boxes)]
+        z = [Fraction(e.lo) + (Fraction(e.hi) - Fraction(e.lo)) * w for e, w in zip(zbox, u)]
+        x, y, _, a = (
+            Fraction(src.center[i])
+            + sum(Fraction(src.coord[i][j]) * Fraction(src.diam[j]) * z[j] for j in range(4))
+            for i in range(4)
+        )
+        image, _ = ChartMap(henon_family()).as_vec_map().derivative(
+            src.from_normalized(zbox)
+        )
+        exact = {0: a - x * x + Fraction(B0) * y, 1: x, 3: a}
+        for axis, value in exact.items():
+            assert contains_fraction(image[axis], value), axis
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    def test_image_is_apply_bit_for_bit(self, henon_chain, grid):
+        chart = ChartMap(henon_family())
+        for src in henon_chain.sets:
+            for zbox in covering_boxes(src, grid):
+                p = ChartPoint.from_vector(src.from_normalized(zbox))
+                image, _ = chart.derivative(p)
+                assert repr(image) == repr(chart.apply(p)), src.name  # every bit
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    @pytest.mark.parametrize("side, direction", [("stable", "forward"),
+                                                 ("unstable", "inverse")])
+    def test_disk_image_is_apply3_bit_for_bit(self, henon_chain, grid, side, direction):
+        chart = ChartMap(henon_family(), direction)
+        ntilde, _, param, _ = projected_disk_data(henon_chain, side)
+        for zbox in covering_boxes(ntilde, grid):
+            v3 = ntilde.from_normalized(zbox)
+            image, _ = chart.derivative3(v3, param)
+            assert repr(image) == repr(chart.apply3(v3, param))
+
+
 class TestCorrespondenceOverride:
     def test_explicit_pairings_reproduce_certificate(self, henon_proof):
         cert, _ = henon_proof
@@ -365,3 +417,7 @@ class TestCorrespondenceOverride:
             run_proof(HenonConfig(correspondences={10: flipped}))
         assert err.value.stage == "covering"
         assert err.value.locus == "N10=>N11"
+        certified = err.value.certified["covering"]
+        assert [c.to_dict() for c in certified] == [
+            c.to_dict() for c in cert.coverings[:10]
+        ]

@@ -19,7 +19,7 @@ from tangency.toy import (
     switch_map,
     transversality_determinant,
 )
-from conftest import frac_det
+from conftest import covering_boxes, frac_det
 
 
 class TestParams:
@@ -79,7 +79,7 @@ class TestLinearMaps:
         # Centered at the tangency point, in ambient (x, y, v, a) source
         # order and (x, y, w, a) target order: rows of DF.
         fmap = switch_map(ToyParams())
-        d = fmap.derivative(
+        _, d = fmap.derivative(
             IntervalVector([Interval(1.0), Interval(0.0), Interval(0.0),
                             Interval(0.0)])
         )
@@ -95,6 +95,19 @@ class TestLinearMaps:
                 assert d[i, j].width < 1e-14
 
 
+class TestOnePassImage:
+    @pytest.mark.parametrize("grid", [1, 2])
+    def test_image_is_the_map_bit_for_bit(self, grid):
+        # The covering check's hull image is the value part of the jets.
+        chain = build_toy_chain()
+        for idx, fmap in enumerate(chain.maps):
+            src = chain.sets[idx]
+            for zbox in covering_boxes(src, grid):
+                box = src.from_normalized(zbox)
+                image, _ = fmap.derivative(box)
+                assert repr(image) == repr(fmap(box)), idx  # every bit
+
+
 class TestConeSchemes:
     def test_reference_scheme_passes_on_all_linear_links(self):
         chain = build_toy_chain()
@@ -104,7 +117,7 @@ class TestConeSchemes:
                 chain.sets[idx + 1],
                 chain.forms[idx],
                 chain.forms[idx + 1],
-                chain.maps[idx].derivative(chain.sets[idx].box()),
+                chain.maps[idx].derivative(chain.sets[idx].box())[1],
             )
             assert cert.rump.positive_definite
 
@@ -118,7 +131,7 @@ class TestConeSchemes:
                 chain.sets[idx + 1],
                 chain.forms[idx],
                 chain.forms[idx + 1],
-                chain.maps[idx].derivative(chain.sets[idx].box()),
+                chain.maps[idx].derivative(chain.sets[idx].box())[1],
             )
 
     def test_beta_strictness_is_sharp(self):
@@ -130,12 +143,12 @@ class TestConeSchemes:
             check_cone_link(
                 chain_eq.sets[idx], chain_eq.sets[idx + 1],
                 chain_eq.forms[idx], chain_eq.forms[idx + 1],
-                chain_eq.maps[idx].derivative(chain_eq.sets[idx].box()),
+                chain_eq.maps[idx].derivative(chain_eq.sets[idx].box())[1],
             )
         cert = check_cone_link(
             chain_up.sets[idx], chain_up.sets[idx + 1],
             chain_up.forms[idx], chain_up.forms[idx + 1],
-            chain_up.maps[idx].derivative(chain_up.sets[idx].box()),
+            chain_up.maps[idx].derivative(chain_up.sets[idx].box())[1],
         )
         assert cert.rump.positive_definite
 
@@ -148,7 +161,7 @@ class TestConeSchemes:
                 chain.sets[idx + 1],
                 chain.forms[idx],
                 chain.forms[idx + 1],
-                chain.maps[idx].derivative(chain.sets[idx].box()),
+                chain.maps[idx].derivative(chain.sets[idx].box())[1],
             )
 
     def test_d_drift_reversed_fails(self):
@@ -162,7 +175,7 @@ class TestConeSchemes:
                 chain.sets[idx + 1],
                 chain.forms[idx],
                 chain.forms[idx + 1],
-                chain.maps[idx].derivative(chain.sets[idx].box()),
+                chain.maps[idx].derivative(chain.sets[idx].box())[1],
             )
 
 
