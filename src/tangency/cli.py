@@ -52,10 +52,6 @@ def _build_parser():
                        help="parameter interval radius (default 1e-5)")
     prove.add_argument("--grid", type=int, default=None,
                        help="wall subdivision count per axis (default 1)")
-    prove.add_argument("--a-tol", type=float, default=None,
-                       help="bisection tolerance for the expansion bound A")
-    prove.add_argument("--gamma-safety", type=float, default=None,
-                       help="safety factor applied to the optimal Gamma")
     prove.add_argument("--config", type=str, default=None,
                        help="JSON file with configuration overrides")
     prove.add_argument("--report", type=str, default=None,
@@ -87,16 +83,12 @@ def _load_config_file(path):
 def _henon_config(args):
     overrides = {}
     if args.config:
-        overrides.update(_load_config_file(args.config))
-    flag_map = {
-        "param_radius": args.param_radius,
-        "grid": args.grid,
-        "a_tol": args.a_tol,
-        "gamma_safety": args.gamma_safety,
-    }
-    for key, val in flag_map.items():
-        if val is not None:
-            overrides[key] = val
+        overrides = _load_config_file(args.config)
+        if not isinstance(overrides, dict):
+            _usage_error(f"config file {args.config} must hold a JSON object")
+    for key in ("param_radius", "grid"):
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
     corr = overrides.pop("correspondences", None)
     config = HenonConfig()
     keys = {f.name for f in dataclasses.fields(HenonConfig)}
@@ -105,7 +97,10 @@ def _henon_config(args):
             _usage_error(f"unknown configuration key {key!r}")
         setattr(config, key, val)
     if corr is not None:
-        config.correspondences = {int(k): v for k, v in corr.items()}
+        try:
+            config.correspondences = {int(k): v for k, v in corr.items()}
+        except (AttributeError, ValueError):  # not an object, or a key not an int
+            _usage_error("correspondences must map integer link indices to pairings")
     try:
         config.validate()
     except ValueError as exc:
@@ -126,9 +121,6 @@ def _config_echo(config):
     return {
         "param_radius": config.param_radius,
         "grid": config.grid,
-        "a_tol": config.a_tol,
-        "gamma_safety": config.gamma_safety,
-        "epsilon": config.epsilon,
     }
 
 
@@ -186,24 +178,12 @@ def _cmd_prove(args):
     n_cone = len(cert.cones)
     print(f"covering chain: {n_cov} relations certified")
     print(f"cone conditions: {n_cone} links certified")
-    print(
-        "stable disk: A >= %.12g, M <= %.12g, L <= %.12g, delta in [%.12g, %.12g]"
-        % (
-            cert.stable_disk.constants.a_lower,
-            cert.stable_disk.constants.m_upper,
-            cert.stable_disk.constants.l_upper,
-            *cert.stable_disk.constants.delta,
+    for disk in (cert.stable_disk, cert.unstable_disk):
+        c = disk.constants
+        print(
+            "%s disk: A >= %.12g, M <= %.12g, L <= %.12g, delta in [%.12g, %.12g]"
+            % (disk.side, c.a_lower, c.m_upper, c.l_upper, *c.delta)
         )
-    )
-    print(
-        "unstable disk: A >= %.12g, M <= %.12g, L <= %.12g, delta in [%.12g, %.12g]"
-        % (
-            cert.unstable_disk.constants.a_lower,
-            cert.unstable_disk.constants.m_upper,
-            cert.unstable_disk.constants.l_upper,
-            *cert.unstable_disk.constants.delta,
-        )
-    )
     print(f"verdict: VERIFIED ({elapsed:.2f} s)")
     print(cert.conclusion["statement"])
     return 0
@@ -215,6 +195,8 @@ def _cmd_check_toy(args):
                            eps=args.eps).validate()
     except IntervalError as exc:
         _usage_error(str(exc))
+    if args.grid < 1:
+        _usage_error("grid must be an integer >= 1")
     t0 = time.perf_counter()
     stages = {}
     failure = None

@@ -109,6 +109,11 @@ def midrad_split(a):
     return c, r
 
 
+def vertex_signs(n):
+    """The sign vectors z of the 2^(n-1) vertex matrices C - D(z) R D(z)."""
+    return [(1,) + tail for tail in product((1, -1), repeat=n - 1)]
+
+
 def rump_positive_definite(a):
     """Decide positive definiteness of a symmetric interval matrix.
 
@@ -119,8 +124,7 @@ def rump_positive_definite(a):
     c, r = midrad_split(a)
     outcomes = []
     ok = True
-    for tail in product((1, -1), repeat=n - 1):
-        z = (1,) + tail
+    for z in vertex_signs(n):
         rows = []
         for i in range(n):
             row = []

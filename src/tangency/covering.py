@@ -78,8 +78,9 @@ class CoveringCertificate:
     grid: int
     exit_margins: dict = field(compare=False)  # (axis, side) -> float
     entry_margin: float
-    # DF over the source, hulled over the entry check's sub-boxes; the cone
-    # checks read it.  Not serialized.
+    # DF over the source, hulled over the entry check's sub-boxes, with any
+    # columns beyond the source's (a parameter's); the cone checks and the
+    # disk constants read it.  Not serialized.
     jacobian: IntervalMatrix = field(compare=False, repr=False)
 
     def min_exit_margin(self):
@@ -113,13 +114,17 @@ def _image_normalized(src, tgt, fmap, zbox):
     diagonalize (an unstable excursion would wrongly leak into the stable
     coordinates).  The hull image, which fmap.derivative returns with DF(B),
     is tighter where nonlinear terms dominate (the mean-value slope doubles a
-    pure square); the two are intersected.
+    pure square); the two are intersected.  DF may carry columns beyond the
+    first src.n (a parameter held in an interval); only the first src.n are
+    sandwiched, and the whole matrix is returned.
     """
     mid = IntervalVector([Interval(e.mid) for e in zbox])
     g_mid = tgt.to_normalized(fmap(src.from_normalized(mid)))
     image, jacobian = fmap.derivative(src.from_normalized(zbox))
-    sandwich = local_derivative(src, tgt, jacobian)
     n = src.n
+    sandwich = local_derivative(
+        src, tgt, IntervalMatrix([r[:n] for r in jacobian.rows])
+    )
     scaled_rows = []
     for i in range(n):
         row = []
@@ -166,6 +171,28 @@ def detect_correspondence(src, tgt, wall_images):
     return tuple((i, j, 1 if seps[(i, j)] >= 0.0 else -1) for i, j in zip(u_src, best))
 
 
+def checked_correspondence(src_unstable, tgt_unstable, correspondence):
+    """A given pairing as a tuple of (src_axis, tgt_axis, sign) int triples;
+    IntervalError unless it pairs exactly src_unstable with tgt_unstable with
+    signs +-1 (an axis left out would leave its walls unchecked)."""
+    try:
+        pairing = tuple(tuple(c) for c in correspondence)
+    except TypeError:
+        pairing = None
+    if (
+        pairing is None
+        or not all(len(c) == 3 and all(type(k) is int for k in c) for c in pairing)
+        or sorted(c[0] for c in pairing) != sorted(src_unstable)
+        or sorted(c[1] for c in pairing) != sorted(tgt_unstable)
+        or any(c[2] not in (1, -1) for c in pairing)
+    ):
+        raise IntervalError(
+            f"correspondence {correspondence!r} does not pair the unstable axes "
+            f"{tuple(src_unstable)} with {tuple(tgt_unstable)} with signs +-1"
+        )
+    return pairing
+
+
 def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     """Certify src => tgt under fmap or raise VerificationInconclusive.
 
@@ -175,11 +202,16 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     read off those images, and the exit margins are checked on them.  Each
     sub-box is evaluated once.  The certificate's jacobian is the hull of DF
     over the entry check's sub-boxes, hence an enclosure of DF over the whole
-    source set.
+    source set.  A given pairing must pair exactly the unstable axes of src
+    and tgt (see checked_correspondence).
     """
     link = f"{src.name}=>{tgt.name}"
     if len(src.unstable) != len(tgt.unstable):
         raise IntervalError(f"{link}: unstable dimension mismatch")
+    if correspondence is not None:
+        correspondence = checked_correspondence(
+            src.unstable, tgt.unstable, correspondence
+        )
 
     def image(zbox, where):
         try:
@@ -197,8 +229,6 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     }
     if correspondence is None:
         correspondence = detect_correspondence(src, tgt, wall_images)
-    else:
-        correspondence = tuple(tuple(c) for c in correspondence)
 
     exit_margins = {}
     for i, j, sign in correspondence:

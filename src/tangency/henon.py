@@ -20,7 +20,11 @@ import time
 from dataclasses import dataclass, field
 
 from tangency.cones import check_cone_chain
-from tangency.covering import VerificationInconclusive, check_chain
+from tangency.covering import (
+    VerificationInconclusive,
+    check_chain,
+    checked_correspondence,
+)
 from tangency.hset import HSet, QuadraticForm
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalVector
@@ -362,22 +366,26 @@ class TangencyCertificate:
 class HenonConfig:
     param_radius: float = PARAM_RADIUS
     grid: int = 1
-    a_tol: float = 1e-10
-    gamma_safety: float = 0.99
-    epsilon: float = 1e-6
+    # link index -> [[src_axis, tgt_axis, sign], ...], overriding detection
     correspondences: dict | None = None
 
     def validate(self):
-        if not 0.0 < self.param_radius <= 1e-2:
-            raise ValueError("param_radius must lie in (0, 1e-2]")
-        if self.grid < 1:
-            raise ValueError("grid must be >= 1")
-        if not 0.0 < self.a_tol <= 1e-2:
-            raise ValueError("a_tol must lie in (0, 1e-2]")
-        if not 0.0 < self.gamma_safety < 1.0:
-            raise ValueError("gamma_safety must lie in (0, 1)")
-        if not 0.0 < self.epsilon <= 1e-2:
-            raise ValueError("epsilon must lie in (0, 1e-2]")
+        """Raise ValueError unless every field has its type and range."""
+        if type(self.param_radius) not in (int, float) or not (
+            0.0 < self.param_radius <= 1e-2
+        ):
+            raise ValueError("param_radius must be a number in (0, 1e-2]")
+        if type(self.grid) is not int or self.grid < 1:
+            raise ValueError("grid must be an integer >= 1")
+        if self.correspondences is not None:
+            if not isinstance(self.correspondences, dict):
+                raise ValueError("correspondences must map link indices to pairings")
+            for link, pairing in self.correspondences.items():
+                if type(link) is not int or link not in range(N_SETS - 1):
+                    raise ValueError(f"link index {link!r} not in 0..{N_SETS - 2}")
+                checked_correspondence(
+                    _unstable_axes(link), _unstable_axes(link + 1), pairing
+                )
         return self
 
 
@@ -416,8 +424,7 @@ def run_proof(config=None):
         for side, cmap in (("stable", chart), ("unstable", inv_chart)):
             ntilde, qtilde, param, p_coeff = projected_disk_data(chain, side)
             certified[f"{side}_disk"] = verify_disk(
-                side, ntilde, qtilde, cmap, param, p_coeff, config.grid,
-                config.epsilon, config.a_tol, config.gamma_safety,
+                side, ntilde, qtilde, cmap, param, p_coeff, config.grid
             )
         timings["disks"] = time.perf_counter() - t0
     except VerificationInconclusive as exc:

@@ -12,6 +12,12 @@ h-set satisfying cone conditions.  The certificate consists of
 4. a coefficient Gamma with A - 2 M Gamma - L Gamma^2 > 0 certified, and
 5. delta = Gamma^2 / ||alpha|| with the final comparison
    delta * |parameter coefficient of the 4D form| > 1.
+
+Every derivative the disk needs comes from the self-covering's one
+enclosure pass per sub-box: its Jacobian holds d(x, y, t)/d(x, y, t, a),
+whose first three columns are the cone derivative and whose last is the
+parameter column of M and L.  A is a float eigenvalue estimate certified by
+one Rump test.  The constants below are fixed, not configuration.
 """
 
 from __future__ import annotations
@@ -19,18 +25,29 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import math
 
-from tangency.cones import ConeCertificate, cone_matrix, rump_positive_definite
+from tangency.cones import (
+    ConeCertificate,
+    cone_matrix,
+    midrad_split,
+    rump_positive_definite,
+    vertex_signs,
+)
 from tangency.covering import CoveringCertificate, VerificationInconclusive, check_covering
 from tangency.hset import local_derivative
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalMatrix, IntervalVector
-from tangency.projective import ChartPoint
+
+# A's form inflates Q_N by (1 + epsilon); the reported epsilon, INFLATION - 1.0,
+# is exact by Sterbenz's lemma.  A and Gamma shrink by SHRINK on failure.
+INFLATION = 1.0 + 1e-6
+GAMMA_SAFETY = 0.99
+SHRINK = 0.9
+A_TRIES = 8
 
 
 @dataclass(frozen=True)
 class DiskConstants:
     a_lower: float
-    a_fail: float  # bisection bracket: a_lower certified, a_fail not
     m_upper: float
     l_upper: float
     gamma: float
@@ -41,7 +58,6 @@ class DiskConstants:
     def to_dict(self):
         return {
             "A_lower": self.a_lower,
-            "A_bracket_fail": self.a_fail,
             "M_upper": self.m_upper,
             "L_upper": self.l_upper,
             "Gamma": self.gamma,
@@ -79,41 +95,64 @@ class DiskCertificate:
         }
 
 
-def eigen_lower_bound(v, tol=1e-10, locus="manifold"):
-    """Largest certified alpha with V - alpha I positive definite.
+def _jacobi_min_eigenvalue(a):
+    """Smallest eigenvalue of a symmetric float matrix (list of rows) by
+    cyclic Jacobi rotations: an estimate, not an enclosure."""
+    a = [list(row) for row in a]
+    n = len(a)
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    for _ in range(60):
+        # Weyl: the diagonal lies within the off-diagonal norm of the spectrum.
+        if math.hypot(*(a[p][q] for p, q in pairs)) <= 1e-17 * max(
+            abs(a[i][i]) for i in range(n)
+        ):
+            break
+        for p, q in pairs:
+            if a[p][q] != 0.0:
+                theta = (a[q][q] - a[p][p]) / (2.0 * a[p][q])
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                for row in a:
+                    row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+                rp, rq = a[p], a[q]
+                a[p] = [c * x - s * y for x, y in zip(rp, rq)]
+                a[q] = [s * x + c * y for x, y in zip(rp, rq)]
+                a[p][q] = a[q][p] = 0.0
+    return min(a[i][i] for i in range(n))
 
-    Returns (alpha, alpha_fail): alpha passed the Rump test, alpha_fail did
-    not; their gap is at most tol.  Raises when not even alpha = 0 passes.
-    """
+
+def min_vertex_eigenvalue(v):
+    """Float estimate of the smallest eigenvalue over the 2^(n-1) Rump vertex
+    matrices C - D(z) R D(z) of the symmetric interval matrix v.  By Rohn's
+    vertex theorem they attain the smallest eigenvalue over all of v."""
     n = v.nrows
-    eye = IntervalMatrix.identity(n)
+    c, r = midrad_split(v)
+    return min(
+        _jacobi_min_eigenvalue(
+            [[c[i][j] - z[i] * z[j] * r[i][j] for j in range(n)] for i in range(n)]
+        )
+        for z in vertex_signs(n)
+    )
 
-    def passes(alpha):
-        shifted = v - eye.scale(alpha)
-        return rump_positive_definite(shifted).positive_definite
 
-    if not passes(0.0):
+def eigen_lower_bound(v, locus="manifold"):
+    """Certified A > 0 with v - A I positive definite: the vertex estimate
+    of the smallest eigenvalue, scaled by 1 - 1e-9, certified by one Rump
+    test.  A failed test shrinks A by SHRINK, up to A_TRIES tests in all."""
+    alpha = min_vertex_eigenvalue(v) * (1.0 - 1e-9)
+    if not alpha > 0.0:
         raise VerificationInconclusive(
             "manifold", locus, "no positive expansion bound certifiable (A <= 0)"
         )
-    hi = min(v[i, i].hi for i in range(n))  # min eigenvalue <= min diagonal
-    if hi <= 0.0 or passes(hi):
-        # Defensive: the diagonal bound must fail; widen until it does.
-        hi = max(hi, tol)
-        while passes(hi):
-            hi *= 2.0
-            if hi > 1e300:
-                raise IntervalError("eigen_lower_bound: unbounded bisection")
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    eye = IntervalMatrix.identity(v.nrows)
+    for _ in range(A_TRIES):
+        if rump_positive_definite(v - eye.scale(alpha)).positive_definite:
+            return alpha
+        alpha *= SHRINK
+    raise VerificationInconclusive(
+        "manifold", locus, f"no expansion bound certified in {A_TRIES} Rump tests"
+    )
 
 
 def mixed_derivative_bound(j_local, p_local, coeffs):
@@ -134,10 +173,10 @@ def stable_parameter_bound(p_local, beta_norm, stable_axes):
     return (Interval(beta_norm) * acc).hi
 
 
-def choose_gamma(a_lower, m_upper, l_upper, safety=0.99, locus="manifold"):
+def choose_gamma(a_lower, m_upper, l_upper, locus="manifold"):
     """Near-optimal Gamma with eq. A - 2 M Gamma - L Gamma^2 > 0 re-verified.
 
-    The closed-form positive root is shrunk by the safety factor and then the
+    The closed-form positive root is shrunk by GAMMA_SAFETY and then the
     inequality is re-checked in interval arithmetic with A as a lower and
     M, L as upper bounds; on failure Gamma shrinks further.
     """
@@ -145,9 +184,9 @@ def choose_gamma(a_lower, m_upper, l_upper, safety=0.99, locus="manifold"):
         raise VerificationInconclusive("manifold", locus, "A must be positive")
     if l_upper > 0.0:
         root = (-m_upper + math.sqrt(m_upper * m_upper + a_lower * l_upper)) / l_upper
-        gamma = safety * root
+        gamma = GAMMA_SAFETY * root
     elif m_upper > 0.0:
-        gamma = safety * a_lower / (2.0 * m_upper)
+        gamma = GAMMA_SAFETY * a_lower / (2.0 * m_upper)
     else:
         gamma = 1.0
     for _ in range(80):
@@ -158,41 +197,30 @@ def choose_gamma(a_lower, m_upper, l_upper, safety=0.99, locus="manifold"):
         )
         if check.lo > 0.0 and gamma > 0.0:
             return gamma, check.lo
-        gamma *= 0.9
+        gamma *= SHRINK
     raise VerificationInconclusive(
         "manifold", locus, "no Gamma satisfying the quadratic bound was certified"
     )
 
 
-def verify_disk(
-    side,
-    ntilde,
-    qtilde,
-    chart_map,
-    param,
-    param_coefficient,
-    grid=1,
-    epsilon=1e-6,
-    a_tol=1e-10,
-    gamma_safety=0.99,
-):
+def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=1):
     """Full disk certificate for one side (see module docstring).
 
     chart_map must already be oriented: the unstable side passes the
-    inverse-oriented map.  The 4x4 chart derivative is enclosed once, over
-    the set box times the parameter interval: its (x, y, t) block is the
-    cone derivative, and its parameter column feeds the M and L bounds.
+    inverse-oriented map.  The self-covering's Jacobian, d(x, y, t)/d(x, y,
+    t, a) over the set box times the parameter interval, is the only
+    derivative read: its (x, y, t) block is the cone derivative, and its
+    parameter column feeds the M and L bounds.
     """
     locus = f"{side} disk in {ntilde.name}"
     if ntilde.n != 3 or qtilde.n != 3:
         raise IntervalError("verify_disk expects 3D projected sets and forms")
 
-    fmap = chart_map.as_vec_map3(param)
-    covering_cert = check_covering(ntilde, ntilde, fmap, grid=grid)
-
-    box3 = ntilde.box()
-    _, d4 = chart_map.derivative(ChartPoint(box3[0], box3[1], box3[2], param))
-    deriv3 = IntervalMatrix([[d4[i, j] for j in range(3)] for i in range(3)])
+    covering_cert = check_covering(
+        ntilde, ntilde, chart_map.as_vec_map3(param), grid=grid
+    )
+    rows = covering_cert.jacobian.rows
+    deriv3 = IntervalMatrix([row[:3] for row in rows])
     v_cone = cone_matrix(ntilde, ntilde, qtilde, qtilde, deriv3)
     rump = rump_positive_definite(v_cone)
     if not rump.positive_definite:
@@ -201,34 +229,29 @@ def verify_disk(
         )
     cone_cert = ConeCertificate(link=f"{ntilde.name}=>{ntilde.name}", matrix=v_cone, rump=rump)
 
-    v_eps = cone_matrix(
-        ntilde, ntilde, qtilde, qtilde, deriv3, inflate_src=1.0 + epsilon
-    )
-    a_lower, a_fail = eigen_lower_bound(v_eps, tol=a_tol, locus=locus)
+    v_eps = cone_matrix(ntilde, ntilde, qtilde, qtilde, deriv3, inflate_src=INFLATION)
+    a_lower = eigen_lower_bound(v_eps, locus=locus)
 
     # Parameter-derivative enclosures in the local frame of ntilde.
     j_local = local_derivative(ntilde, ntilde, deriv3)
-    p_local = ntilde.inv_coord.mat_vec(IntervalVector([d4[i, 3] for i in range(3)]))
+    p_local = ntilde.inv_coord.mat_vec(IntervalVector([row[3] for row in rows]))
 
     m_upper = mixed_derivative_bound(j_local, p_local, qtilde.coeffs)
     l_upper = stable_parameter_bound(p_local, qtilde.beta_norm(), ntilde.stable)
 
-    gamma, gamma_check = choose_gamma(
-        a_lower, m_upper, l_upper, safety=gamma_safety, locus=locus
-    )
+    gamma, gamma_check = choose_gamma(a_lower, m_upper, l_upper, locus=locus)
 
     alpha_norm = qtilde.alpha_norm()
     delta = Interval(gamma).sqr() / Interval(alpha_norm)
     comparison = delta * Interval(abs(float(param_coefficient)))
     constants = DiskConstants(
         a_lower=a_lower,
-        a_fail=a_fail,
         m_upper=m_upper,
         l_upper=l_upper,
         gamma=gamma,
         gamma_check=gamma_check,
         delta=(delta.lo, delta.hi),
-        epsilon=epsilon,
+        epsilon=INFLATION - 1.0,
     )
     cert = DiskCertificate(
         side=side,

@@ -173,35 +173,22 @@ class ChartMap:
         yj = Jet.variable(1, p.y, 4, order=2)
         aj = Jet.variable(3, p.a, 4, order=2)
         fx, fy = self._evaluator()(xj, yj, aj)
-        tang = self._tangent_jet(fx, fy, p.t, 4, 2)
+        tang = self._tangent_jet(fx, fy, p.t)
         zero = Interval(0.0)
         one = Interval(1.0)
         return ChartPoint(fx.value, fy.value, tang.value, p.a), IntervalMatrix(
             [fx.grad, fy.grad, tang.grad, (zero, zero, zero, one)]
         )
 
-    def derivative3(self, v3, a):
-        """Image (apply3's) and 3x3 derivative in (x, y, t) with the
-        parameter fixed to a."""
-        xj = Jet.variable(0, v3[0], 3, order=2)
-        yj = Jet.variable(1, v3[1], 3, order=2)
-        aj = Jet.constant(as_interval(a), 3, order=2)
-        fx, fy = self._evaluator()(xj, yj, aj)
-        tang = self._tangent_jet(fx, fy, v3[2], 3, 2)
-        q = ChartPoint(fx.value, fy.value, tang.value, aj.value)
-        return IntervalVector([q.x, q.y, q.t]), IntervalMatrix(
-            [fx.grad, fy.grad, tang.grad]
-        )
-
     @staticmethod
-    def _tangent_jet(fx, fy, t, n, t_slot):
+    def _tangent_jet(fx, fy, t):
         # Rows of Df as order-1 jets: value = first derivative, grad = the
         # corresponding Hessian row (mixed partials up to symmetry).
         f1x = Jet(fx.grad[0], fx.hess[0])
         f1y = Jet(fx.grad[1], fx.hess[1])
         f2x = Jet(fy.grad[0], fy.hess[0])
         f2y = Jet(fy.grad[1], fy.hess[1])
-        tj = Jet.variable(t_slot, t, n, order=1)
+        tj = Jet.variable(2, t, 4, order=1)
         st, ct = tj.sincos()
         wx = f1x * ct + f1y * st
         wy = f2x * ct + f2y * st
@@ -221,8 +208,20 @@ class ChartMap:
         return BoxMap(run, enclose)
 
     def as_vec_map3(self, a):
+        """BoxMap on (x, y, t) with the parameter held in the interval a.
+
+        Its enclosure pass is derivative's over box x a: the image's
+        (x, y, t) and rows 0-2 of the 4x4, the 3x4 matrix
+        d(x, y, t)/d(x, y, t, a).  Covering checks sandwich its first three
+        columns; the disk constants read the parameter column.
+        """
         a = as_interval(a)
-        return BoxMap(lambda v: self.apply3(v, a), lambda v: self.derivative3(v, a))
+
+        def enclose(v):
+            q, jacobian = self.derivative(ChartPoint(v[0], v[1], v[2], a))
+            return IntervalVector([q.x, q.y, q.t]), IntervalMatrix(jacobian.rows[:3])
+
+        return BoxMap(lambda v: self.apply3(v, a), enclose)
 
 
 def check_inverse_consistency(family, box, tol=1e-9):

@@ -18,6 +18,7 @@ Chart/coordinate conventions (4D ambient):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from tangency.covering import BoxMap
@@ -35,8 +36,9 @@ class ToyParams:
     eps: float = 0.01
 
     def validate(self):
-        if abs(self.lam) <= 1.0:
-            raise IntervalError("|lam| > 1 required")
+        # Each range test is negated, so NaN (false in every comparison) fails.
+        if not 1.0 < abs(self.lam) < math.inf:
+            raise IntervalError("finite |lam| > 1 required")
         if not 0.0 < abs(self.mu) < 1.0:
             raise IntervalError("0 < |mu| < 1 required")
         if not 0.0 < self.delta < 1.0:

@@ -96,9 +96,34 @@ class TestProve:
             (["--config", "{cfg}"], {"threads": 2}),  # not a config key
             (["--config", "{cfg}"], {"grids": {"8": 2}}),  # not a config key
             (["--config", "{cfg}"], {"validate": 1}),  # a method, not a key
+            # removed knobs: A is certified in one shot, Gamma's safety and
+            # epsilon are constants
+            (["--a-tol", "1e-9"], None),
+            (["--gamma-safety", "0.9"], None),
+            (["--config", "{cfg}"], {"a_tol": 1e-9}),
+            (["--config", "{cfg}"], {"gamma_safety": 0.9}),
+            (["--config", "{cfg}"], {"epsilon": 1e-6}),
+            # malformed values
+            (["--config", "{cfg}"], {"grid": "2"}),
+            (["--config", "{cfg}"], {"grid": 1.5}),
+            (["--config", "{cfg}"], {"grid": True}),
+            (["--config", "{cfg}"], {"param_radius": "1e-5"}),
+            (["--config", "{cfg}"], {"correspondences": [1]}),
+            (["--config", "{cfg}"], {"correspondences": {"x": 1}}),
+            (["--config", "{cfg}"], [{"grid": 1}]),
+            # pairings that do not pair the unstable axes with signs +-1
+            (["--config", "{cfg}"], {"correspondences": {"0": [[0, 0, 1]]}}),
+            (["--config", "{cfg}"], {"correspondences": {"0": [[0, 0, 2], [3, 3, 1]]}}),
+            (["--config", "{cfg}"], {"correspondences": {"0": [[7, 0, 1], [3, 3, 1]]}}),
+            (["--config", "{cfg}"], {"correspondences": {"99": [[0, 0, 1], [3, 3, 1]]}}),
         ],
         ids=["negative-radius", "threads-flag", "threads-config-key",
-             "grids-config-key", "method-name-key"],
+             "grids-config-key", "method-name-key", "a-tol-flag",
+             "gamma-safety-flag", "a-tol-key", "gamma-safety-key", "epsilon-key",
+             "grid-string", "grid-float", "grid-bool", "radius-string",
+             "correspondences-list", "correspondences-bad-index",
+             "top-level-array", "partial-pairing", "sign-two", "bad-axis",
+             "link-out-of-range"],
     )
     def test_bad_config_exits_two(self, tmp_path, argv, cfg):
         path = tmp_path / "cfg.json"
@@ -115,14 +140,13 @@ class TestProve:
 
     def test_config_file_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid": 2, "a_tol": 1e-9}))
+        cfg.write_text(json.dumps({"grid": 2}))
         out = tmp_path / "report.json"
         code = main(["prove", "henon", "--config", str(cfg),
                      "--report", str(out)])
         assert code == 0
         report = report_mod.loads(out.read_text())
-        assert report["config"]["grid"] == 2
-        assert report["config"]["a_tol"] == 1e-9
+        assert report["config"] == {"param_radius": 1e-5, "grid": 2}
 
     def test_config_file_unknown_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -162,6 +186,18 @@ class TestCheckToy:
     def test_invalid_params_exit_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["check-toy", "--lam", "0.5"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--grid", "0"], ["--grid", "-2"], ["--lam", "nan"], ["--lam", "inf"],
+         ["--lam", "-inf"], ["--mu", "nan"], ["--eps", "inf"]],
+        ids=["grid-zero", "grid-negative", "lam-nan", "lam-inf", "lam-minus-inf",
+             "mu-nan", "eps-inf"],
+    )
+    def test_bad_input_exits_two(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-toy"] + argv)
         assert exc.value.code == 2
 
     def test_chain_built_once(self, monkeypatch, tmp_path):

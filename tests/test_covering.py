@@ -304,3 +304,24 @@ class TestChainBasics:
             correspondence=[(0, 0, 1), (3, 3, 1)],
         )
         assert cert.correspondence == ((0, 0, 1), (3, 3, 1))
+
+    @pytest.mark.parametrize(
+        "pairing",
+        [
+            [(0, 0, 1)],  # axis 3 unpaired: its walls would go unchecked
+            [(0, 0, 1), (3, 3, 2)],
+            [(7, 0, 1), (3, 3, 1)],
+            [(0, 0, 1), (0, 3, 1)],
+            [(0, 0, 1), (3, 3, 1), (3, 3, 1)],
+            [(0, 0, 1), (3, 3, True)],
+            [(0, 0), (3, 3, 1)],
+            [1, 2],
+            7,
+        ],
+        ids=["partial", "sign-two", "bad-axis", "repeated-source", "extra",
+             "bool-sign", "pair", "scalars", "not-a-list"],
+    )
+    def test_malformed_correspondence_rejected(self, pairing):
+        chain = build_toy_chain(ToyParams())
+        with pytest.raises(IntervalError, match="does not pair"):
+            check_covering(chain.sets[0], chain.sets[1], chain.maps[0], 1, pairing)

@@ -291,27 +291,58 @@ class TestPerturbations:
             HenonConfig(param_radius=0.0).validate()
         with pytest.raises(ValueError):
             HenonConfig(grid=0).validate()
-        with pytest.raises(ValueError):
-            HenonConfig(gamma_safety=1.5).validate()
+        for bad in (
+            {"param_radius": "1e-5"},
+            {"param_radius": float("nan")},
+            {"grid": True},
+            {"grid": 1.5},
+            {"grid": "2"},
+            {"correspondences": [1]},
+            {"correspondences": {"0": [[0, 0, 1], [3, 3, 1]]}},
+            {"correspondences": {99: [[0, 0, 1], [3, 3, 1]]}},
+            # pairing axis 0 alone would leave N0=>N1's parameter walls unchecked
+            {"correspondences": {0: [[0, 0, 1]]}},
+        ):
+            with pytest.raises(ValueError):
+                HenonConfig(**bad).validate()
 
 
 class TestSharedJacobian:
     """The cones read the Jacobian the covering check enclosed."""
 
     def test_derivative_calls_at_grid_one(self, monkeypatch):
-        # 15 links x (4 walls + 1 interior box) + 2 disk self-coverings x 5
-        # + one 4x4 derivative per disk; the cones take none of their own.
+        # 15 links x (4 walls + 1 interior box) + 2 disk self-coverings x 5;
+        # the cones and the disk constants take none of their own.
+        from tangency import henon, manifold
+
+        where = ["chain"]
         calls = []
-        for name in ("derivative", "derivative3"):
-            orig = getattr(ChartMap, name)
 
-            def counting(self, *args, _orig=orig):
-                calls.append(_orig.__name__)
-                return _orig(self, *args)
+        def tagging(fn, tag):
+            def wrapped(*args, **kwargs):
+                outer, where[0] = where[0], tag
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    where[0] = outer
 
-            monkeypatch.setattr(ChartMap, name, counting)
+            return wrapped
+
+        orig = ChartMap.derivative
+
+        def counting(self, p):
+            calls.append(where[0])
+            return orig(self, p)
+
+        monkeypatch.setattr(ChartMap, "derivative", counting)
+        monkeypatch.setattr(henon, "verify_disk", tagging(manifold.verify_disk, "disk"))
+        monkeypatch.setattr(
+            manifold, "check_covering", tagging(manifold.check_covering, "self-covering")
+        )
         run_proof()
-        assert len(calls) == 87
+        assert len(calls) == 85
+        assert calls.count("self-covering") == 10
+        assert "disk" not in calls  # verify_disk calls none of its own
 
     def test_grid_two_cone_pivots_no_lower(self, henon_proof, henon_proof_grid2):
         # The hull of the sub-box Jacobians lies inside the whole-set one.
@@ -391,10 +422,12 @@ class TestOnePassImage:
     def test_disk_image_is_apply3_bit_for_bit(self, henon_chain, grid, side, direction):
         chart = ChartMap(henon_family(), direction)
         ntilde, _, param, _ = projected_disk_data(henon_chain, side)
+        disk_map = chart.as_vec_map3(param)
         for zbox in covering_boxes(ntilde, grid):
             v3 = ntilde.from_normalized(zbox)
-            image, _ = chart.derivative3(v3, param)
+            image, jacobian = disk_map.derivative(v3)
             assert repr(image) == repr(chart.apply3(v3, param))
+            assert (jacobian.nrows, jacobian.ncols) == (3, 4)
 
 
 class TestCorrespondenceOverride:

@@ -1,21 +1,27 @@
 """Manifold-disk constants: expansion bound, parameter bounds, Gamma, delta."""
 
 import math
+import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from tangency import manifold
+from tangency.cones import cone_matrix, rump_positive_definite, vertex_signs
 from tangency.covering import VerificationInconclusive
 from tangency.hset import HSet, QuadraticForm
 from tangency.interval import Interval
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.manifold import (
+    _jacobi_min_eigenvalue,
     choose_gamma,
     eigen_lower_bound,
     mixed_derivative_bound,
     stable_parameter_bound,
     verify_disk,
 )
-from tangency.projective import ChartMap, PlanarMapFamily
+from tangency.projective import ChartMap, ChartPoint, PlanarMapFamily
 
 
 def saddle_family(lam=2.0, mu=0.4, coupling=0.0):
@@ -56,6 +62,60 @@ def _disk_inputs(coupling=0.0, diam=(0.1, 0.1, 0.1)):
     return chart, ntilde, qtilde
 
 
+INTERVAL_2X2 = IntervalMatrix(
+    [
+        [Interval(1.4, 1.6), Interval(-0.1, 0.1)],
+        [Interval(-0.1, 0.1), Interval(0.9, 1.1)],
+    ]
+)
+# Reference bracket for INTERVAL_2X2 from a bisection over Rump tests to 1e-10:
+# V - a I passes the test at its lower end and fails at its upper end.
+BISECTED_2X2 = (0.880741759581724, 0.8807417596457524)
+
+
+def _exact_pd(rows):
+    """Positive definiteness of a symmetric Fraction matrix by exact LDL^T."""
+    a = [list(row) for row in rows]
+    n = len(a)
+    for j in range(n):
+        if a[j][j] <= 0:
+            return False
+        for i in range(j + 1, n):
+            f = a[i][j] / a[j][j]
+            for k in range(j, n):
+                a[i][k] -= f * a[j][k]
+    return True
+
+
+def _exact_vertices(v):
+    """Rohn's 2^(n-1) vertex matrices of a symmetric interval matrix, exact:
+    entry lo where z_i z_j = +1 (the whole diagonal), hi where -1."""
+    n = v.nrows
+    for z in vertex_signs(n):
+        yield [
+            [Fraction(v[i, j].lo if z[i] * z[j] > 0 else v[i, j].hi) for j in range(n)]
+            for i in range(n)
+        ]
+
+
+def _shifted(m, s):
+    """m - s I."""
+    return [
+        [e - (s if i == j else 0) for j, e in enumerate(row)] for i, row in enumerate(m)
+    ]
+
+
+def _counting_rump(monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return rump_positive_definite(a)
+
+    monkeypatch.setattr(manifold, "rump_positive_definite", counting)
+    return calls
+
+
 class TestEigenLowerBound:
     def test_diagonal_point_matrix(self):
         v = IntervalMatrix(
@@ -65,23 +125,20 @@ class TestEigenLowerBound:
                 [Interval(0.0), Interval(0.0), Interval(5.0)],
             ]
         )
-        a, a_fail = eigen_lower_bound(v, tol=1e-9)
-        assert 2.0 - 1e-6 <= a <= 2.0
-        assert a_fail > a
+        a = eigen_lower_bound(v)
+        assert 2.0 - 1e-8 <= a < 2.0
 
-    def test_bracketing_property(self):
-        from tangency.cones import rump_positive_definite
-
-        v = IntervalMatrix(
-            [
-                [Interval(1.4, 1.6), Interval(-0.1, 0.1)],
-                [Interval(-0.1, 0.1), Interval(0.9, 1.1)],
-            ]
-        )
-        a, a_fail = eigen_lower_bound(v, tol=1e-9)
+    def test_bracketing_property(self, monkeypatch):
+        # One Rump test certifies A, within 1e-8 relative of the bisected
+        # value and inside its bracket.
+        certified, failed = BISECTED_2X2
+        calls = _counting_rump(monkeypatch)
+        a = eigen_lower_bound(INTERVAL_2X2)
+        assert len(calls) == 1
         eye = IntervalMatrix.identity(2)
-        assert rump_positive_definite(v - eye.scale(a)).positive_definite
-        assert not rump_positive_definite(v - eye.scale(a_fail)).positive_definite
+        assert rump_positive_definite(INTERVAL_2X2 - eye.scale(a)).positive_definite
+        assert abs(a - certified) <= 1e-8 * certified
+        assert a < failed
 
     def test_indefinite_rejected(self):
         v = IntervalMatrix(
@@ -89,6 +146,74 @@ class TestEigenLowerBound:
         )
         with pytest.raises(VerificationInconclusive):
             eigen_lower_bound(v)
+
+    def test_overshooting_estimate_is_shrunk(self, monkeypatch):
+        # A 5% overshoot fails the first test and is rescued by one shrink.
+        estimate = manifold.min_vertex_eigenvalue(INTERVAL_2X2)
+        monkeypatch.setattr(manifold, "min_vertex_eigenvalue", lambda v: 1.05 * estimate)
+        calls = _counting_rump(monkeypatch)
+        a = eigen_lower_bound(INTERVAL_2X2)
+        assert len(calls) == 2
+        assert a < BISECTED_2X2[0]
+        eye = IntervalMatrix.identity(2)
+        assert rump_positive_definite(INTERVAL_2X2 - eye.scale(a)).positive_definite
+
+    def test_overshooting_estimate_raises_after_bounded_tries(self, monkeypatch):
+        monkeypatch.setattr(manifold, "min_vertex_eigenvalue", lambda v: 100.0)
+        calls = _counting_rump(monkeypatch)
+        with pytest.raises(VerificationInconclusive, match="no expansion bound"):
+            eigen_lower_bound(INTERVAL_2X2)
+        assert len(calls) == manifold.A_TRIES
+
+    def test_jacobi_matches_eigvalsh(self):
+        rng = random.Random(5)
+        for n in (1, 2, 3, 4):
+            for _ in range(100):
+                a = [[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)]
+                a = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+                want = np.linalg.eigvalsh(np.array(a)).min()
+                assert abs(_jacobi_min_eigenvalue(a) - want) <= 1e-13
+
+
+class TestCertifiedA:
+    """A against exact rationals: by Rohn's vertex theorem the vertex
+    matrices of V_eps attain its smallest eigenvalue, so A is a lower bound
+    of it iff every exact V_z - A I is positive definite."""
+
+    @pytest.mark.parametrize("side", ["stable", "unstable"])
+    def test_a_below_exact_vertex_spectra(self, henon_proof, henon_chain, side):
+        from tangency.henon import projected_disk_data
+
+        disk = getattr(henon_proof[0], f"{side}_disk")
+        ntilde, qtilde, _, _ = projected_disk_data(henon_chain, side)
+        deriv3 = IntervalMatrix([row[:3] for row in disk.covering.jacobian.rows])
+        v_eps = cone_matrix(
+            ntilde, ntilde, qtilde, qtilde, deriv3, inflate_src=manifold.INFLATION
+        )
+        a = Fraction(disk.constants.a_lower)
+        vertices = list(_exact_vertices(v_eps))
+        assert all(_exact_pd(_shifted(m, a)) for m in vertices)
+        # and A is tight: 1e-8 relative above it some vertex is not definite
+        above = a * (1 + Fraction(1, 10**8))
+        assert not all(_exact_pd(_shifted(m, above)) for m in vertices)
+
+    @pytest.mark.parametrize("side, direction", [("stable", "forward"),
+                                                 ("unstable", "inverse")])
+    def test_two_rump_tests_per_disk(self, henon_chain, monkeypatch, side, direction):
+        # the cone test and the A test
+        from tangency.henon import henon_family, projected_disk_data
+
+        calls = _counting_rump(monkeypatch)
+        ntilde, qtilde, param, p_coeff = projected_disk_data(henon_chain, side)
+        chart = ChartMap(henon_family(), direction)
+        assert verify_disk(side, ntilde, qtilde, chart, param, p_coeff).passed
+        assert len(calls) == 2
+
+    def test_epsilon_is_the_inflation_applied(self, henon_proof):
+        for disk in (henon_proof[0].stable_disk, henon_proof[0].unstable_disk):
+            eps = disk.constants.epsilon
+            assert Fraction(eps) == Fraction(manifold.INFLATION) - 1
+            assert abs(eps - 1e-6) <= 1e-6 * 1e-9
 
 
 class TestParameterBounds:
@@ -199,17 +324,16 @@ class TestVerifyDisk:
 class TestDiskDerivative:
     @pytest.mark.parametrize("side, direction", [("stable", "forward"),
                                                  ("unstable", "inverse")])
-    def test_chart_block_equals_derivative3(self, henon_chain, side, direction):
-        # verify_disk reads the cone derivative off the (x, y, t) block of the
-        # 4x4 chart derivative; it must be the 3x3 derivative, bit for bit.
+    def test_self_covering_jacobian_is_derivative_rows(
+        self, henon_proof, henon_chain, side, direction
+    ):
+        # At grid 1 the disk's one enclosure pass is derivative over the
+        # whole box x parameter: its Jacobian is rows 0-2 of that 4x4.
         from tangency.henon import henon_family, projected_disk_data
-        from tangency.projective import ChartPoint
 
+        disk = getattr(henon_proof[0], f"{side}_disk")
         chart = ChartMap(henon_family(), direction)
         ntilde, _, param, _ = projected_disk_data(henon_chain, side)
         box3 = ntilde.box()
         _, d4 = chart.derivative(ChartPoint(box3[0], box3[1], box3[2], param))
-        _, d3 = chart.derivative3(box3, param)
-        for i in range(3):
-            for j in range(3):
-                assert repr(d4[i, j]) == repr(d3[i, j])  # repr keeps every bit
+        assert repr(disk.covering.jacobian) == repr(IntervalMatrix(d4.rows[:3]))

@@ -218,20 +218,6 @@ class TestDerivative:
                 enc = d[i, j]
                 assert enc.lo - 1e-6 <= fd_est <= enc.hi + 1e-6, (i, j)
 
-    def test_derivative3_matches_block(self):
-        from tangency.henon import A0, henon_family
-
-        chart = ChartMap(henon_family(), "forward")
-        box3 = IntervalVector([Interval(-1.91, -1.89), Interval(-1.81, -1.79),
-                               Interval(0.89, 0.91)])
-        _, d3 = chart.derivative3(box3, Interval(A0))
-        _, d4 = chart.derivative(
-            ChartPoint(box3[0], box3[1], box3[2], Interval(A0))
-        )
-        for i in range(3):
-            for j in range(3):
-                assert d3[i, j].intersects(d4[i, j])
-
 
 class TestFamilyInverse:
     def test_henon_inverse_consistency(self):
