@@ -8,11 +8,14 @@ Fraction bounds are rounded outward, and strings are rejected.  Non-finite
 bounds are construction errors: a proof pipeline must fail loudly rather than
 propagate infinities.
 
-Elementary functions (sqrt, sin, cos, atan) use rigorous argument reduction
-plus alternating Taylor series whose truncation error is bounded by the first
-omitted term; the reduction constants (pi and an atan table) are enclosed at
-import time from exact rational series, so no libm accuracy assumption enters
-the proof.
+sqrt is a directed-rounding kernel.  sin, cos and atan reduce the argument
+rigorously and evaluate a truncated Taylor polynomial by float Horner, once
+per interval endpoint, with an a priori bound on its rounding, truncation and
+reduction error (Rump, "Rigorous and portable standard functions", BIT 41,
+2001); interior extrema of sin and cos are found from integer multiples of
+pi/2.  The reduction constants (pi and an atan table) are enclosed at import
+time from exact rational series, so no libm accuracy assumption enters the
+proof.
 
 All values are immutable; operations are pure and thread-safe.
 """
@@ -172,28 +175,19 @@ class Interval:
             raise IntervalError(f"sqrt of negative-containing interval {self!r}")
         return Interval(*_k.isqrt(self.lo, self.hi))
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise IntervalError("only nonnegative integer powers are supported")
-        if n == 0:
-            return Interval(1.0)
-        if n % 2 == 0:
-            half = self ** (n // 2)
-            return half.sqr()
-        return self * (self ** (n - 1))
-
     # -- elementary functions (defined below, after the constants) -------
 
     def atan(self):
-        lo = _atan_point(self.lo).lo
-        hi = _atan_point(self.hi).hi
+        lo, hi = _atan_bounds(self.lo)
+        if self.hi != self.lo:
+            hi = _atan_bounds(self.hi)[1]
         return Interval(lo, hi)
 
     def sin(self):
-        return _sin_interval(self)
+        return Interval(*_sin_hull(self.lo, self.hi, 0))
 
     def cos(self):
-        return _sin_interval(HALF_PI - self)
+        return Interval(*_sin_hull(self.lo, self.hi, 1))
 
 
 def as_interval(x):
@@ -295,57 +289,101 @@ def _build_atan_table():
 
 _ATAN_TABLE = _build_atan_table()
 
-_INV_FACT = tuple(
-    _frac_interval(Fraction(1, math.factorial(n)), Fraction(1, math.factorial(n)))
-    for n in range(20)
+# ---------------------------------------------------------------------------
+# Float kernels with a priori error bounds.
+# ---------------------------------------------------------------------------
+
+# Series coefficients, rounded to nearest from exact rationals (CPython's
+# Fraction -> float conversion is correctly rounded), highest degree first.
+_SIN_POLY = tuple(
+    float(Fraction((-1) ** (i + 1), math.factorial(2 * i + 3))) for i in range(7, -1, -1)
 )
+_COS_POLY = tuple(
+    float(Fraction((-1) ** (i + 1), math.factorial(2 * i + 2))) for i in range(7, -1, -1)
+)
+_ATAN_POLY = tuple(float(Fraction((-1) ** (i + 1), 2 * i + 3)) for i in range(7, -1, -1))
+
+# Error constants K of the kernels, in units of u = 2**-53; see _odd_kernel.
+_SIN_K = 0.78 * 2.0**-53  # derived: 0.7747 u, for |r| <= 0.8
+_COS_K = 1.67 * 2.0**-53  # derived: 1.6638 u, for |r| <= 0.8
+_ATAN_K = 1.53 * 2.0**-53  # derived: 1.5251 u, for |r| <= 0.0938
+
+_TINY_ARG = 2.0**-27  # below it a kernel returns the series' leading term
 
 
-# ---------------------------------------------------------------------------
-# atan
-# ---------------------------------------------------------------------------
+def _horner(poly, z):
+    p = 0.0
+    for a in poly:
+        p = p * z + a
+    return p
 
 
-def _atan_core(u):
-    """Enclosure of atan(u) for an interval u with |u| <= 0.05.
+def _odd_kernel(r, poly, k_err):
+    """(y, e) with |f(r) - y| <= e, for f = sin (|r| <= 0.8) or atan (|r| <= 0.0938).
 
-    Alternating Taylor series; the truncation error is below the first
-    omitted term, which is added as a symmetric remainder.
+    f(r) = r + r·z·P(z) + tau with z = r², where P, with exact coefficients
+    b_i, holds the series' first 8 terms after r, and tau is the alternating
+    tail, at most the first omitted term: |tau| <= |r|·z·z^8/19! for sin and
+    |r|·z·z^8/19 for atan.  The analysis assumes IEEE binary64 with
+    round-to-nearest and every operation rounded once.  CPython guarantees
+    this: each float operation of a Python expression is one C double
+    operation, so none is contracted into an FMA or kept in extended
+    precision (the error-free transformations in ``tangency._pyops`` rest on
+    the same fact).  With u = 2**-53 and g_k = k·u/(1 - k·u) (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, §3.1, §5.1):
+
+    1. zh = fl(r·r) = z·(1 + d) with |d| <= u.
+    2. Horner at zh over the float coefficients a_i (polynomial P~) gives
+       ph = Σ a_i·zh^i·(1 + theta_(2i+1)) (Higham (5.3)), so
+       |ph - P~(zh)| <= H = Σ g_(2i+1)·|a_i|·zh^i.
+    3. The a_i are the b_i rounded to nearest: |P~(zh) - P(zh)| <= R =
+       Σ |a_i - b_i|·zh^i.
+    4. Rounding z: |P(zh) - P(z)| <= D = u·z·max|P'|.
+    5. c = fl(r·fl(zh·ph)) = r·z·ph·(1 + theta_3), and |P(z)| <= |b_0|
+       (alternating series with decreasing terms), so
+       |c - r·z·P(z)| <= |r|·z·(g_3·|b_0| + (1 + g_3)·(H + R + D)).
+    6. y = fl(r + c) with |c| < |r|: Fast2Sum (Dekker, 1971) makes
+       t = c - (y - r) exact, y + t = r + c.
+
+    Hence |f(r) - y| <= K·|r|·z + |t|, where K bounds the bracket of step 5
+    plus |tau|/(|r|·z); H, R, D and the tail grow with z, so K is their sum
+    at the largest z: 0.7747u for sin and 1.5251u for atan.  The constants
+    round K up to three digits; that margin (at least 0.3%, where 3u would
+    do) covers the rounding of fl(K·fl(|r|·zh)), at most a factor
+    (1 - u)**3 below K·|r|·z, and the sum with |t| is rounded up.  Because |c| <= 0.11·|r| for sin, the g_k reach
+    only the correction term: the bound is a fraction of u·|r| plus the
+    final rounding |t|, not g_18·|r|.
+
+    For |r| >= 2**-27 every intermediate is a normal number, so the
+    relative error model holds.  Below it the kernel returns r itself:
+    |sin r - r| <= |r|³/6 and |atan r - r| <= |r|³/3, both under 2**-54·|r|.
     """
-    n_terms = 6
-    u2 = u.sqr()
-    poly = Interval(0.0)
-    for n in range(n_terms - 1, 0, -1):
-        poly = Interval(1.0) / Interval(2 * n + 1) - u2 * poly
-    poly = Interval(1.0) - u2 * poly
-    val = u * poly
-    umag = Interval(u.mag)
-    rem = (umag ** (2 * n_terms + 1) / Interval(2 * n_terms + 1)).hi
-    return val + Interval(-rem, rem)
+    if abs(r) < _TINY_ARG:
+        return r, _k.mul_up(abs(r), 2.0**-54)
+    z = r * r
+    c = r * (z * _horner(poly, z))
+    y = r + c
+    t = c - (y - r)
+    return y, _k.add_up(k_err * (abs(r) * z), abs(t))
 
 
-def _atan_point(x):
-    """Enclosure of atan(x) for a point binary64 x."""
-    if x < 0.0:
-        r = _atan_point(-x)
-        return Interval(-r.hi, -r.lo)
-    if x > 3.0:
-        # atan(x) = pi/2 - atan(1/x), 1/x < 1/3
-        inv = Interval(1.0) / Interval(x)
-        inner = Interval(_atan_tabled(inv.lo).lo, _atan_tabled(inv.hi).hi)
-        return HALF_PI - inner
-    return _atan_tabled(x)
+def _cos_kernel(r):
+    """(y, e) with |cos r - y| <= e, for a float |r| <= 0.8.
 
-
-def _atan_tabled(x):
-    """Enclosure of atan(x) for a point x in [0, 3] via the 1/16-grid table."""
-    k = int(round(16.0 * x))
-    c = k / 16.0  # exact
-    if k == 0:
-        return _atan_core(Interval(x))
-    cx = Interval(c) * Interval(x)
-    u = (Interval(x) - Interval(c)) / (Interval(1.0) + cx)
-    return _ATAN_TABLE[k] + _atan_core(u)
+    cos r = 1 + z·C(z) + tau with z = r², C the series' first 8 terms after
+    1 and |tau| <= z·z^8/18!.  The analysis of :func:`_odd_kernel` applies
+    with one product fewer: d = fl(zh·ph) = z·ph·(1 + theta_2), so
+    |d - z·C(z)| <= z·(g_2/2 + (1 + g_2)·(H + R + D)), |d| < 1 makes
+    t = d - (y - 1) exact, and |cos r - y| <= K·z + |t| with K = 1.6638u.
+    For |r| < 2**-27 the kernel returns 1 with |cos r - 1| <= r²/2.
+    """
+    if abs(r) < _TINY_ARG:
+        return 1.0, _k.mul_up(r, r)
+    z = r * r
+    d = z * _horner(_COS_POLY, z)
+    y = 1.0 + d
+    t = d - (y - 1.0)
+    return y, _k.add_up(_COS_K * z, abs(t))
 
 
 # ---------------------------------------------------------------------------
@@ -353,70 +391,122 @@ def _atan_tabled(x):
 # ---------------------------------------------------------------------------
 
 _BIG_ARG = 2.0**40
+_HALF_PI_F = 1.5707963267948966  # fl(pi/2); picks quadrants, proves nothing
 
 
-def _sin_core(r):
-    """Enclosure of sin(r) for an interval r with |r| <= 1.7."""
-    n_terms = 9  # highest used power: r^(2*9-1) = r^17
-    r2 = r.sqr()
-    poly = Interval(0.0)
-    for n in range(n_terms - 1, 0, -1):
-        poly = _INV_FACT[2 * n + 1] - r2 * poly
-    val = r * (_INV_FACT[1] - r2 * poly)
-    m = Interval(r.mag)
-    rem = ((m ** (2 * n_terms + 1)) * _INV_FACT[2 * n_terms + 1]).hi
-    out = val + Interval(-rem, rem)
-    return Interval(max(out.lo, -1.0), min(out.hi, 1.0))
+def _sin_bounds(x, shift):
+    """(lo, hi) enclosing sin(x + shift·pi/2) at a float |x| <= _BIG_ARG.
+
+    Shift 0 gives sin x, shift 1 gives cos x.  With k = round(x/fl(pi/2)),
+    r = x - k·pi/2 is enclosed in [r_lo, r_hi] from HALF_PI's endpoints with
+    directed rounding (r = x exactly when k == 0), and sin(x + shift·pi/2)
+    is ±sin r or ±cos r by the quadrant (k + shift) mod 4.  On |r| <= 0.8
+    sin increases with r and cos decreases with |r|, so each bound takes one
+    kernel evaluation at an end of [r_lo, r_hi] (cos's upper one at 0 when
+    the enclosure straddles it), and a thin r takes one in all.  Below
+    _BIG_ARG, k·width(HALF_PI) <= 1.5e-4, so |r| <= 0.8 holds; it is
+    checked all the same.
+    """
+    k = round(x / _HALF_PI_F)
+    if k == 0:
+        r_lo = r_hi = x
+    else:
+        p_lo, p_hi = _k.imul(float(k), float(k), HALF_PI.lo, HALF_PI.hi)
+        r_lo = _k.sub_down(x, p_hi)
+        r_hi = _k.sub_up(x, p_lo)
+    if r_lo < -0.8 or r_hi > 0.8:
+        raise IntervalError(f"sin/cos argument reduction failed at {x!r}")
+    q = (k + shift) % 4
+    if q % 2 == 0:
+        y, e = _odd_kernel(r_lo, _SIN_POLY, _SIN_K)
+        lo = _k.sub_down(y, e)
+        if r_hi != r_lo:
+            y, e = _odd_kernel(r_hi, _SIN_POLY, _SIN_K)
+        hi = _k.add_up(y, e)
+    else:
+        far = max(-r_lo, r_hi)
+        near = 0.0 if r_lo <= 0.0 <= r_hi else min(abs(r_lo), abs(r_hi))
+        y, e = _cos_kernel(far)
+        lo = _k.sub_down(y, e)
+        if near != far:
+            y, e = _cos_kernel(near)
+        hi = _k.add_up(y, e)
+    if q >= 2:
+        lo, hi = -hi, -lo
+    return max(lo, -1.0), min(hi, 1.0)
 
 
-def _cos_core(r):
-    """Enclosure of cos(r) for an interval r with |r| <= 1.7."""
-    n_terms = 9  # highest used power: r^16
-    r2 = r.sqr()
-    poly = Interval(0.0)
-    for n in range(n_terms - 1, 0, -1):
-        poly = _INV_FACT[2 * n] - r2 * poly
-    val = Interval(1.0) - r2 * poly
-    m = Interval(r.mag)
-    rem = ((m ** (2 * n_terms)) * _INV_FACT[2 * n_terms]).hi
-    out = val + Interval(-rem, rem)
-    return Interval(max(out.lo, -1.0), min(out.hi, 1.0))
+def _sin_hull(lo, hi, shift):
+    """(lo, hi) enclosing sin(x + shift·pi/2) over the interval [lo, hi].
 
-
-def _sin_point(x):
-    """Enclosure of sin(x) for a point binary64 x of moderate size."""
-    k = round(x / 1.5707963267948966)
-    r = Interval(x) - Interval(float(k)) * HALF_PI
-    q = k % 4
-    if q == 0:
-        return _sin_core(r)
-    if q == 1:
-        return _cos_core(r)
-    if q == 2:
-        return -_sin_core(r)
-    return -_cos_core(r)
-
-
-def _sin_interval(x):
-    if x.mag > _BIG_ARG:
-        return Interval(-1.0, 1.0)
-    if x.width >= TWO_PI.hi:
-        return Interval(-1.0, 1.0)
-    out = _sin_point(x.lo).hull(_sin_point(x.hi))
-    lo, hi = out.lo, out.hi
-    # Interior extrema: sin has maxima at pi/2 + 2 pi m, minima at -pi/2 + 2 pi m.
-    two_pi = 6.283185307179586
-    for sign, center in ((1.0, 1.5707963267948966), (-1.0, -1.5707963267948966)):
-        m0 = math.floor((x.lo - center) / two_pi) - 1
-        m1 = math.ceil((x.hi - center) / two_pi) + 1
-        for m in range(m0, m1 + 1):
-            crit = (HALF_PI if sign > 0 else -HALF_PI) + Interval(float(m)) * TWO_PI
-            if crit.lo <= x.hi and crit.hi >= x.lo:
-                if sign > 0:
-                    hi = 1.0
+    The hull of the endpoint enclosures, widened to ±1 wherever a critical
+    point j·pi/2 (j + shift odd) may lie in [lo, hi]: the maximum where
+    j + shift = 1 mod 4, the minimum where it is 3.  Below _BIG_ARG the
+    quotients by fl(pi/2) are within 1.5e-4 of those by pi/2, so only
+    ceil(lo/fl(pi/2)) - 1 <= j <= floor(hi/fl(pi/2)) + 1 can qualify.
+    """
+    if max(-lo, hi) > _BIG_ARG or _k.sub_up(hi, lo) >= TWO_PI.hi:
+        return -1.0, 1.0
+    out_lo, out_hi = _sin_bounds(lo, shift)
+    if lo == hi:
+        return out_lo, out_hi
+    b_lo, b_hi = _sin_bounds(hi, shift)
+    out_lo, out_hi = min(out_lo, b_lo), max(out_hi, b_hi)
+    for j in range(math.ceil(lo / _HALF_PI_F) - 1, math.floor(hi / _HALF_PI_F) + 2):
+        if (j + shift) % 2:
+            c_lo, c_hi = _k.imul(float(j), float(j), HALF_PI.lo, HALF_PI.hi)
+            if c_lo <= hi and lo <= c_hi:
+                if (j + shift) % 4 == 1:
+                    out_hi = 1.0
                 else:
-                    lo = -1.0
-    return Interval(max(lo, -1.0), min(hi, 1.0))
+                    out_lo = -1.0
+    return out_lo, out_hi
+
+
+# ---------------------------------------------------------------------------
+# atan
+# ---------------------------------------------------------------------------
+
+
+def _atan_bounds(x):
+    """(lo, hi) enclosing atan(x) at a float x."""
+    if x < 0.0:
+        lo, hi = _atan_bounds(-x)
+        return -hi, -lo
+    if x <= 3.0:
+        return _atan_tabled(x, x)
+    # atan(x) = pi/2 - atan(1/x), 1/x < 1/3
+    lo, hi = _atan_tabled(_k.div_down(1.0, x), _k.div_up(1.0, x))
+    return _k.sub_down(HALF_PI.lo, hi), _k.sub_up(HALF_PI.hi, lo)
+
+
+def _atan_tabled(a, b):
+    """(lo, hi) enclosing atan over [a, b], for floats 0 <= a <= b <= 3, b
+    at most a few ulps above a.
+
+    Below 3/32 the kernel takes x itself.  Above, atan x = atan c + atan u
+    with c = k/16 >= 1/8 the table point nearest a and u = (x - c)/(1 + c·x),
+    which increases with x, so |u| <= 1/32 up to the ulps of b - a and the
+    outward rounding.  The kernel runs at u's lower bound; atan' <= 1
+    bounds the rest.
+    """
+    k = round(16.0 * a)
+    if k <= 1:
+        # With c = 1/16, u would be as large as the result, and the
+        # rounding of u would show in the result's last bits.
+        k, u_lo, u_hi = 0, a, b
+    else:
+        c = k / 16.0
+        num = _k.isub(a, b, c, c)
+        den = _k.iadd(1.0, 1.0, *_k.imul(c, c, a, b))
+        u_lo, u_hi = _k.idiv(*num, *den)
+    y, e = _odd_kernel(u_lo, _ATAN_POLY, _ATAN_K)
+    lo = _k.sub_down(y, e)
+    hi = _k.add_up(y, _k.add_up(e, _k.sub_up(u_hi, u_lo)))
+    if k == 0:
+        return lo, hi
+    t = _ATAN_TABLE[k]
+    return _k.add_down(t.lo, lo), _k.add_up(t.hi, hi)
 
 
 def ulp(x):

@@ -17,17 +17,23 @@ import pytest
 
 
 def atan_series_bounds(x, n_terms=60):
-    """Rational bounds on atan(x) for |x| <= 3/4, alternating-series tail."""
+    """Rational bounds on atan(x) for |x| <= 3/4, alternating-series tail.
+
+    Summation stops early once the next term is below 2**-200 |x|, so a
+    tiny x costs a term or two instead of n_terms huge rationals."""
     assert abs(x) <= Fraction(3, 4)
     x2 = x * x
     s = Fraction(0)
     p = x
     sign = 1
-    for n in range(n_terms):
+    small = abs(x) / 2**200
+    n = 0
+    while n < n_terms and abs(p) >= small:
         s += sign * p / (2 * n + 1)
         p *= x2
         sign = -sign
-    tail = abs(p) / (2 * n_terms + 1)
+        n += 1
+    tail = abs(p) / (2 * n + 1)
     return s - tail, s + tail
 
 
@@ -41,7 +47,16 @@ def stormer_pi_bounds():
     return lo, hi
 
 
-PI_BOUNDS = stormer_pi_bounds()
+def dyadic_outward(bounds, bits=300):
+    """Bounds rounded outward to multiples of 2**-bits: short denominators
+    keep every oracle that uses them fast, and 2**-300 is far below the
+    precision any binary64 test can see."""
+    scale = 2**bits
+    return (Fraction(math.floor(bounds[0] * scale), scale),
+            Fraction(math.ceil(bounds[1] * scale), scale))
+
+
+PI_BOUNDS = dyadic_outward(stormer_pi_bounds())
 
 
 def atan_bounds(x):

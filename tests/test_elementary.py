@@ -1,0 +1,283 @@
+"""Float-kernel sin, cos and atan: adversarial soundness against exact
+rationals, the rounding analysis behind the kernels' error bounds, and
+enclosure widths on the chart domain t in (0, pi)."""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tangency.interval import (
+    _ATAN_K,
+    _ATAN_POLY,
+    _BIG_ARG,
+    _COS_POLY,
+    _SIN_K,
+    _SIN_POLY,
+    _TINY_ARG,
+    HALF_PI,
+    PI,
+    Interval,
+    _cos_kernel,
+    _odd_kernel,
+    ulp,
+)
+from conftest import (
+    PI_BOUNDS,
+    _cos_series_bounds,
+    _sin_series_bounds,
+    atan_bounds,
+    atan_series_bounds,
+    sincos_bounds,
+)
+
+
+def _ulps(x, n):
+    """x moved by n ulps (toward +inf for n > 0)."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.inf if n > 0 else -math.inf)
+    return x
+
+
+def _inside(enc, bounds):
+    return Fraction(enc.lo) <= bounds[0] and bounds[1] <= Fraction(enc.hi)
+
+
+def _assert_sincos_contains(enc_sin, enc_cos, x):
+    sb, cb = sincos_bounds(x)
+    assert _inside(enc_sin, sb), (x, enc_sin)
+    assert _inside(enc_cos, cb), (x, enc_cos)
+
+
+def _assert_point_sincos(x):
+    _assert_sincos_contains(Interval(x).sin(), Interval(x).cos(), x)
+
+
+def _near(center, steps=(-2, -1, 0, 1, 2)):
+    return [_ulps(center, n) for n in steps]
+
+
+# -- adversarial points --------------------------------------------------------
+
+
+class TestReductionBoundaries:
+    @pytest.mark.parametrize("j", range(-12, 13))
+    def test_quadrant_switch_points(self, j):
+        # x/fl(pi/2) crosses j + 1/2 here, so the quadrant k flips and |r|
+        # is largest.
+        center = float((2 * j + 1) * PI_BOUNDS[0] / 4)
+        for x in _near(center):
+            _assert_point_sincos(x)
+
+    def test_chart_domain_ends(self):
+        tiny = [5e-324, 2.2250738585072014e-308, 1e-300, 1e-16, 1e-8]
+        tiny += _near(_TINY_ARG) + _near(2.0**-26)
+        for x in tiny:
+            _assert_point_sincos(x)
+        for x in _near(PI.lo, range(-3, 1)) + [3.141592653589793 - 1e-8]:
+            _assert_point_sincos(x)
+
+    def test_multiples_of_half_pi(self):
+        # |r| tiny behind a nonzero k: the reduced argument is the
+        # difference of nearly equal numbers.
+        for j in range(-8, 9):
+            if j:
+                for x in _near(float(j * PI_BOUNDS[0] / 2)):
+                    _assert_point_sincos(x)
+
+    def test_huge_and_signed_zero(self):
+        for x in (1e300, -1e300, 1.7976931348623157e308):
+            assert Interval(x).sin() == Interval(-1.0, 1.0)
+            assert Interval(x).cos() == Interval(-1.0, 1.0)
+        for x in (0.0, -0.0):
+            assert Interval(x).sin() == Interval(0.0)
+            assert Interval(x).cos() == Interval(1.0)
+        for x in (-5e-324, -2.2250738585072014e-308, -1e-300):
+            _assert_point_sincos(x)
+
+    def test_near_big_arg(self):
+        for x in (_BIG_ARG, _ulps(_BIG_ARG, -1), _BIG_ARG - 1.5, -_BIG_ARG + 0.25):
+            _assert_point_sincos(x)
+        assert Interval(_ulps(_BIG_ARG, 1)).sin() == Interval(-1.0, 1.0)
+        lo, hi = _BIG_ARG - 10.0, _BIG_ARG - 7.0
+        box = Interval(lo, hi)
+        for x in (lo, hi, 0.5 * (lo + hi)):
+            _assert_sincos_contains(box.sin(), box.cos(), x)
+
+
+class TestAtanAdversarial:
+    def test_table_midpoints(self):
+        # round(16 x) flips at (m + 1/2)/16: the reduced |u| is largest.
+        for m in range(48):
+            for x in _near((m + 0.5) / 16.0, (-1, 0, 1)):
+                assert _inside(Interval(x).atan(), atan_bounds(x)), x
+
+    def test_reciprocal_branch(self):
+        xs = _near(3.0, (-1, 0, 1)) + [16.0 / (m + 0.5) for m in range(6)]
+        xs += [1e300, 1.7976931348623157e308, 4.5e15]
+        for x in xs:
+            for y in (x, -x):
+                assert _inside(Interval(y).atan(), atan_bounds(y)), y
+
+    def test_tiny_and_signed_zero(self):
+        for x in (0.0, -0.0):
+            assert Interval(x).atan() == Interval(0.0)
+        for x in [5e-324, 2.2250738585072014e-308, 1e-300] + _near(_TINY_ARG):
+            for y in (x, -x):
+                assert _inside(Interval(y).atan(), atan_bounds(y)), y
+
+
+class TestIntervalExtrema:
+    def test_sin_straddling_half_pi(self):
+        h = float(PI_BOUNDS[0] / 2)
+        for lo, hi in ((1.5, 1.6), (h, 1.6), (1.5, h), (_ulps(h, -1), _ulps(h, 1))):
+            enc = Interval(lo, hi).sin()
+            assert enc.hi == 1.0
+            for x in (lo, hi, h):
+                assert _inside(enc, sincos_bounds(x)[0]), (lo, hi, x)
+
+    def test_cos_straddling_zero_and_pi(self):
+        for lo, hi in ((-0.1, 0.1), (-1e-300, 1e-300), (-0.5, 0.0)):
+            enc = Interval(lo, hi).cos()
+            assert enc.hi == 1.0
+            for x in (lo, hi, 0.0):
+                assert _inside(enc, sincos_bounds(x)[1])
+        p = PI.lo
+        for lo, hi in ((3.1, 3.2), (p, 3.2), (3.1, p), (_ulps(p, -1), _ulps(p, 2))):
+            enc = Interval(lo, hi).cos()
+            assert enc.lo == -1.0
+            for x in (lo, hi, p):
+                assert _inside(enc, sincos_bounds(x)[1]), (lo, hi, x)
+
+    def test_chart_domain_sin_has_no_interior_minimum(self):
+        enc = Interval(1e-3, PI.lo).sin()
+        assert enc.hi == 1.0 and enc.lo >= 0.0
+
+    def test_wide_intervals(self):
+        for lo, hi in ((0.0, 7.0), (-3.2, 3.2), (-100.0, -90.0)):
+            assert Interval(lo, hi).sin() == Interval(-1.0, 1.0)
+            assert Interval(lo, hi).cos() == Interval(-1.0, 1.0)
+        # just under a period still reaches both extrema, through j·pi/2
+        assert Interval(0.0, 6.28).sin() == Interval(-1.0, 1.0)
+        assert Interval(0.1, 6.2).cos().lo == -1.0
+
+
+_chart = st.floats(min_value=1e-6, max_value=3.1405, allow_nan=False)
+_width = st.floats(min_value=0.0, max_value=1e-3)
+_frac = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chart, _width, _frac)
+def test_points_inside_chart_intervals_stay_inside(lo, w, f):
+    hi = lo + w
+    box = Interval(lo, hi)
+    s, c = box.sin(), box.cos()
+    x = min(max(lo + f * (hi - lo), lo), hi)
+    for p in (lo, hi, x):
+        _assert_sincos_contains(s, c, p)
+    a = Interval(math.cos(lo) / math.sin(lo), math.cos(lo) / math.sin(lo) + w)
+    y = min(max(a.lo + f * (a.hi - a.lo), a.lo), a.hi)
+    assert _inside(a.atan(), atan_bounds(y)), y
+
+
+def _sample(rng, bound):
+    """A kernel argument in [-bound, bound], uniform or log-uniform, at
+    least _TINY_ARG in magnitude so that the polynomial path runs."""
+    r = rng.uniform(-bound, bound) if rng.random() < 0.7 else (
+        math.copysign(bound * 2.0 ** rng.uniform(-26.0, 0.0), rng.random() - 0.5))
+    return r if abs(r) >= _TINY_ARG else _TINY_ARG
+
+
+class TestKernelBounds:
+    """Each kernel's (y, e) claims |f(r) - y| <= e; checked exactly, before
+    any outward rounding of y -/+ e can hide a bound that is too small."""
+
+    @staticmethod
+    def _points(rng, bound, edges):
+        pts = [x for c in edges for x in _near(c) if abs(x) <= bound]
+        pts += [_sample(rng, bound) for _ in range(300)]
+        return pts + [-x for x in pts]
+
+    def test_sin_and_cos(self, rng):
+        quarter = float(PI_BOUNDS[0] / 4)
+        for r in self._points(rng, 0.8, (0.8, quarter, _TINY_ARG, 1e-300)):
+            q = Fraction(r)
+            for (y, e), (lo, hi) in (
+                (_odd_kernel(r, _SIN_POLY, _SIN_K), _sin_series_bounds(q)),
+                (_cos_kernel(r), _cos_series_bounds(q)),
+            ):
+                assert Fraction(y) - Fraction(e) <= lo and hi <= Fraction(y) + Fraction(e), r
+
+    def test_atan(self, rng):
+        for r in self._points(rng, 0.0938, (3 / 32, 1 / 32, _TINY_ARG, 1e-300)):
+            y, e = _odd_kernel(r, _ATAN_POLY, _ATAN_K)
+            lo, hi = atan_series_bounds(Fraction(r))
+            assert Fraction(y) - Fraction(e) <= lo and hi <= Fraction(y) + Fraction(e), r
+
+
+# -- the rounding analysis -----------------------------------------------------
+
+
+def _exact_odd(r, coeffs, tail_den):
+    """The kernel's polynomial r + r·z·P(z) in exact arithmetic, with exact
+    coefficients, and the first omitted term of the series at r."""
+    q = Fraction(r)
+    z = q * q
+    p = Fraction(0)
+    for c in coeffs[::-1]:
+        p = p * z + c
+    return q + q * z * p, abs(q) * z ** (len(coeffs) + 1) / tail_den
+
+
+class TestRoundingAnalysis:
+    """The float Horner value against the exact value of the same truncated
+    polynomial: the difference is rounding alone, and must stay within the
+    returned bound less the series tail, which the kernel's bound also covers."""
+
+    def test_sin(self, rng):
+        n = len(_SIN_POLY)
+        coeffs = [Fraction((-1) ** (i + 1), math.factorial(2 * i + 3)) for i in range(n)]
+        for _ in range(2000):
+            r = _sample(rng, 0.8)
+            y, e = _odd_kernel(r, _SIN_POLY, _SIN_K)
+            exact, tail = _exact_odd(r, coeffs, math.factorial(2 * n + 3))
+            assert abs(Fraction(y) - exact) <= Fraction(e) - tail, r
+
+    def test_atan(self, rng):
+        n = len(_ATAN_POLY)
+        coeffs = [Fraction((-1) ** (i + 1), 2 * i + 3) for i in range(n)]
+        for _ in range(2000):
+            r = _sample(rng, 0.0938)
+            y, e = _odd_kernel(r, _ATAN_POLY, _ATAN_K)
+            exact, tail = _exact_odd(r, coeffs, 2 * n + 3)
+            assert abs(Fraction(y) - exact) <= Fraction(e) - tail, r
+
+    def test_cos(self, rng):
+        n = len(_COS_POLY)
+        coeffs = [Fraction((-1) ** (i + 1), math.factorial(2 * i + 2)) for i in range(n)]
+        for _ in range(2000):
+            r = _sample(rng, 0.8)
+            y, e = _cos_kernel(r)
+            z = Fraction(r) ** 2
+            p = Fraction(0)
+            for c in coeffs[::-1]:
+                p = p * z + c
+            tail = z ** (n + 1) / math.factorial(2 * n + 2)
+            assert abs(Fraction(y) - (1 + z * p)) <= Fraction(e) - tail, r
+
+
+# -- widths on the chart domain ------------------------------------------------
+
+
+def test_chart_domain_widths(rng):
+    for _ in range(3000):
+        t = rng.uniform(1e-6, PI.lo)
+        k = round(t / 1.5707963267948966)
+        floor = k * HALF_PI.width
+        for enc in (Interval(t).sin(), Interval(t).cos()):
+            assert enc.width <= 6 * ulp(enc.mid) + floor, (t, enc)
+        slope = math.cos(t) / math.sin(t)
+        enc = Interval(slope).atan()
+        assert enc.width <= 4 * ulp(enc.mid), (slope, enc.width / ulp(enc.mid))

@@ -281,8 +281,3 @@ class TestQueries:
         with pytest.raises(IntervalError):
             a.intersect(b)
         assert Interval(0, 2).intersect(Interval(1, 3)) == Interval(1, 2)
-
-    def test_pow(self):
-        assert Interval(2.0) ** 0 == Interval(1.0)
-        assert Interval(2.0) ** 3 == Interval(8.0)
-        assert (Interval(-2.0, 1.0) ** 2).lo == 0.0

@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Layer and end-to-end timings of source trees, as one JSON document.
+
+    python tools/bench_layers.py --tree parent=../parent/src --tree change=src \\
+        --runs 9 > BENCH_7.json
+
+Each run starts a fresh interpreter per tree, with the tree first on
+``sys.path``; the trees alternate which goes first from one run to the next.
+Inside a run every measurement is taken once untimed (warm-up), then timed
+``--repeat`` times: one call of interval ``sin``, ``cos`` and ``atan`` is the
+mean of a ``--calls``-call loop, on a thin chart-domain argument and on one
+``1e-5`` wide, and ``run_proof()`` at grid 1 and grid 2 is one call.  The
+document holds, per tree and measurement, the minimum over all timed runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+
+T = 1.2345678  # a chart-domain angle, quadrant k = 1
+WIDE = 1e-5
+
+
+def _best(f, repeat, number=1):
+    """The minimum over repeat timings of number calls of f, per call."""
+    f()
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            f()
+        best = min(best, (time.perf_counter() - t0) / number)
+    return best
+
+
+def _one_run(calls, repeat):
+    from tangency.henon import HenonConfig, run_proof
+    from tangency.interval import Interval
+
+    out = {}
+    for kind, x in (("thin", Interval(T)), ("wide", Interval(T, T + WIDE))):
+        for name in ("sin", "cos", "atan"):
+            out[f"interval.{name}_{kind}_us"] = _best(getattr(x, name), repeat, calls) * 1e6
+    for grid in (1, 2):
+        config = HenonConfig(grid=grid)
+        out[f"run_proof.grid{grid}_s"] = _best(lambda: run_proof(config), repeat)
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--tree", action="append", default=[],
+                        help="NAME=SRC_DIR, the directory holding the tangency package")
+    parser.add_argument("--runs", type=int, default=9)
+    parser.add_argument("--calls", type=int, default=2000)
+    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.one:
+        print(json.dumps(_one_run(args.calls, args.repeat)))
+        return
+    trees = [spec.split("=", 1) for spec in args.tree]
+    best = {name: {} for name, _ in trees}
+    for run in range(args.runs):
+        order = trees if run % 2 == 0 else trees[::-1]
+        for name, src in order:
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+            done = subprocess.run(
+                [sys.executable, __file__, "--one", "--calls", str(args.calls),
+                 "--repeat", str(args.repeat)],
+                env=env, check=True, capture_output=True, text=True,
+            )
+            for key, value in json.loads(done.stdout).items():
+                best[name][key] = min(value, best[name].get(key, value))
+    print(json.dumps({
+        "command": " ".join(["python", "tools/bench_layers.py"] + sys.argv[1:]),
+        "statistic": f"min of {args.runs * args.repeat} warm runs "
+                     f"({args.runs} interpreters x {args.repeat})",
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "results": best,
+    }, indent=1, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()
