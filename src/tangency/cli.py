@@ -9,9 +9,10 @@ Subcommands:
 
 A machine-readable JSON report goes to --report (or stdout when omitted);
 a human summary always goes to stdout.  Exit codes: 0 verified,
-1 inconclusive (failure locus printed), 2 bad configuration or usage,
-3 internal enclosure inconsistency (a bug, locus printed to stderr; no
-report is written).
+1 inconclusive (failure locus printed), 2 bad configuration or usage (an
+unwritable --report path included), 3 internal enclosure inconsistency (a
+bug, locus printed to stderr; no report is written).  A reader that closes
+stdout early (``| head``) cuts the output short, not the exit code.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 
@@ -108,13 +110,29 @@ def _henon_config(args):
     return config
 
 
+def _say(text):
+    """Print to stdout.  Once the reader has closed the pipe, stdout is
+    pointed at os.devnull, so the rest of the output, and the flush at
+    interpreter exit, are dropped without a traceback and the verdict's exit
+    code stands (see "Note on SIGPIPE" in the signal module's docs)."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(report, path):
     text = report_mod.dumps(report)
-    if path:
+    if not path:
+        _say(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        _usage_error(f"cannot write report {path}: {exc}")
 
 
 def _config_echo(config):
@@ -150,9 +168,9 @@ def _cmd_prove(args):
             failure={"stage": exc.stage, "locus": exc.locus, "detail": exc.detail},
         )
         _emit(report, args.report)
-        print(f"INCONCLUSIVE at {exc.stage}: {exc.locus}")
+        _say(f"INCONCLUSIVE at {exc.stage}: {exc.locus}")
         if exc.detail:
-            print(f"  {exc.detail}")
+            _say(f"  {exc.detail}")
         return 1
     elapsed = time.perf_counter() - t0
     cert_dict = cert.to_dict()
@@ -176,16 +194,16 @@ def _cmd_prove(args):
     _emit(report, args.report)
     n_cov = len(cert.coverings)
     n_cone = len(cert.cones)
-    print(f"covering chain: {n_cov} relations certified")
-    print(f"cone conditions: {n_cone} links certified")
+    _say(f"covering chain: {n_cov} relations certified")
+    _say(f"cone conditions: {n_cone} links certified")
     for disk in (cert.stable_disk, cert.unstable_disk):
         c = disk.constants
-        print(
+        _say(
             "%s disk: A >= %.12g, M <= %.12g, L <= %.12g, delta in [%.12g, %.12g]"
             % (disk.side, c.a_lower, c.m_upper, c.l_upper, *c.delta)
         )
-    print(f"verdict: VERIFIED ({elapsed:.2f} s)")
-    print(cert.conclusion["statement"])
+    _say(f"verdict: VERIFIED ({elapsed:.2f} s)")
+    _say(cert.conclusion["statement"])
     return 0
 
 
@@ -206,17 +224,10 @@ def _cmd_check_toy(args):
         coverings = check_chain(list(chain.sets), list(chain.maps), grid=args.grid)
         stages["covering"] = [c.to_dict() for c in coverings]
 
-        cone_certs = []
-        for idx in linear_link_indices(chain):
-            cone_certs.append(
-                check_cone_link(
-                    chain.sets[idx],
-                    chain.sets[idx + 1],
-                    chain.forms[idx],
-                    chain.forms[idx + 1],
-                    coverings[idx].jacobian,
-                )
-            )
+        cone_certs = [
+            check_cone_link(coverings[idx], chain.forms[idx], chain.forms[idx + 1])
+            for idx in linear_link_indices(chain)
+        ]
         stages["cones_linear_links"] = [c.to_dict() for c in cone_certs]
 
         q1, q2 = switch_cone_blocks()
@@ -263,12 +274,12 @@ def _cmd_check_toy(args):
     _emit(report, args.report)
     if verdict == "VERIFIED":
         n = len(stages["covering"])
-        print(f"toy chain: {n} coverings, "
-              f"{len(stages['cones_linear_links'])} linear-link cones, "
-              "switch blocks and determinant identity certified")
-        print(f"verdict: VERIFIED ({elapsed:.2f} s)")
+        _say(f"toy chain: {n} coverings, "
+             f"{len(stages['cones_linear_links'])} linear-link cones, "
+             "switch blocks and determinant identity certified")
+        _say(f"verdict: VERIFIED ({elapsed:.2f} s)")
         return 0
-    print(f"INCONCLUSIVE at {failure['stage']}: {failure['locus']}")
+    _say(f"INCONCLUSIVE at {failure['stage']}: {failure['locus']}")
     return 1
 
 

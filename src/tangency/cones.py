@@ -5,7 +5,9 @@ whenever the symmetric interval matrix
 
     V = [Df(N)]^T Q_M [Df(N)] - Q_N
 
-(in the un-normalized local frames of N and M) is positive definite.  An
+(in the un-normalized local frames of N and M) is positive definite.  Df is
+the local-frame derivative the covering certificate of the same link
+carries; nothing here changes frames or evaluates a map.  An
 interval symmetric matrix A_c + [-1,1] A_0 is positive definite iff all
 2^(n-1) vertex matrices A_c - D(z) A_0 D(z) are (z and -z coincide, so the
 first component is pinned to +1); each vertex is decided by a rigorous
@@ -20,7 +22,6 @@ from itertools import product
 
 from tangency import kernels as _k
 from tangency.covering import VerificationInconclusive
-from tangency.hset import local_derivative
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalMatrix
 
@@ -140,28 +141,27 @@ def rump_positive_definite(a):
     return RumpResult(positive_definite=ok, vertex_margins=tuple(outcomes))
 
 
-def cone_matrix(src, tgt, q_src, q_tgt, deriv_chart, inflate_src=1.0):
-    """V = D^T Q_M D - c Q_N over the source set, symmetrized.
+def cone_matrix(d_loc, q_src, q_tgt, inflate_src=1.0):
+    """V = D^T Q_M D - c Q_N, symmetrized.
 
-    deriv_chart must enclose the chart-coordinate Jacobian over all of src;
-    inflate_src scales Q_N (used as (1+eps) by the manifold constants).
+    d_loc must enclose the local-frame derivative over all of the source
+    set, as a covering certificate's local_jacobian does; inflate_src is c
+    (used as 1 + eps by the manifold constants).
     """
-    d_loc = local_derivative(src, tgt, deriv_chart)
     v = d_loc.transpose().mat_mul(q_tgt.matrix()).mat_mul(d_loc)
     qn = q_src.matrix() if inflate_src == 1.0 else q_src.matrix().scale(inflate_src)
     return symmetrize(v - qn)
 
 
-def check_cone_link(src, tgt, q_src, q_tgt, jacobian, link=None):
-    """Certify the cone condition on one covering link.
+def check_cone_link(covering, q_src, q_tgt):
+    """Certify the cone condition on one covering link from its certificate.
 
-    jacobian encloses the chart derivative over all of src (4x4 for the
-    extended map, 3x3 for projected sets); the covering certificate of the
-    same link carries one.  Nothing is evaluated here but V and its test.
+    Only V and its test are computed: the derivative is the certificate's
+    local_jacobian, and the link is named after its source and target.
     """
-    link = link or f"{src.name}=>{tgt.name}"
+    link = f"{covering.source}=>{covering.target}"
     try:
-        v = cone_matrix(src, tgt, q_src, q_tgt, jacobian)
+        v = cone_matrix(covering.local_jacobian, q_src, q_tgt)
         rump = rump_positive_definite(v)
     except IntervalError as exc:
         raise VerificationInconclusive("cones", link, str(exc))
@@ -172,27 +172,21 @@ def check_cone_link(src, tgt, q_src, q_tgt, jacobian, link=None):
     return ConeCertificate(link=link, matrix=v, rump=rump)
 
 
-def check_cone_chain(sets, forms, jacobians):
-    """Cone certificates for every consecutive pair of (h-set, form).
+def check_cone_chain(forms, coverings):
+    """Cone certificates for every link of a certified covering chain.
 
-    jacobians[i] encloses the chart derivative over all of sets[i], as the
-    covering certificate of link i carries it.  The first inconclusive link
-    aborts with the links certified before it.
+    coverings[i] certifies the link from the set of forms[i] to that of
+    forms[i + 1].  The first inconclusive link aborts with the links
+    certified before it.
     """
-    if len(sets) != len(forms):
+    if not coverings:
+        raise IntervalError("a chain needs at least one link")
+    if len(forms) != len(coverings) + 1:
         raise IntervalError("one form per h-set required")
-    if len(sets) < 2:
-        raise IntervalError("a chain needs at least two h-sets")
-    if len(jacobians) != len(sets) - 1:
-        raise IntervalError("one Jacobian per link required")
     certs = []
-    for idx, jacobian in enumerate(jacobians):
+    for idx, covering in enumerate(coverings):
         try:
-            certs.append(
-                check_cone_link(
-                    sets[idx], sets[idx + 1], forms[idx], forms[idx + 1], jacobian
-                )
-            )
+            certs.append(check_cone_link(covering, forms[idx], forms[idx + 1]))
         except VerificationInconclusive as exc:
             exc.certified = {"cones": tuple(certs)}
             raise

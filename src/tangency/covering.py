@@ -78,10 +78,12 @@ class CoveringCertificate:
     grid: int
     exit_margins: dict = field(compare=False)  # (axis, side) -> float
     entry_margin: float
-    # DF over the source, hulled over the entry check's sub-boxes, with any
-    # columns beyond the source's (a parameter's); the cone checks and the
-    # disk constants read it.  Not serialized.
-    jacobian: IntervalMatrix = field(compare=False, repr=False)
+    # DF over the source in the un-normalized local frames (see
+    # hset.local_derivative): M_tgt^-1 DF M_src in the first n columns,
+    # M_tgt^-1 times any further (parameter) columns of DF, hulled over the
+    # entry check's sub-boxes.  The cone checks and the disk constants read
+    # it.  Not serialized.
+    local_jacobian: IntervalMatrix = field(compare=False, repr=False)
 
     def min_exit_margin(self):
         return min(self.exit_margins.values())
@@ -103,7 +105,7 @@ class CoveringCertificate:
 
 def _image_normalized(src, tgt, fmap, zbox):
     """Normalized-coordinate image enclosure of a normalized sub-box, and
-    the enclosure of DF over the sub-box it was computed from.
+    the local-frame derivative (hset.local_derivative) over that sub-box.
 
     Evaluated in mean-value form,
 
@@ -115,21 +117,19 @@ def _image_normalized(src, tgt, fmap, zbox):
     coordinates).  The hull image, which fmap.derivative returns with DF(B),
     is tighter where nonlinear terms dominate (the mean-value slope doubles a
     pure square); the two are intersected.  DF may carry columns beyond the
-    first src.n (a parameter held in an interval); only the first src.n are
-    sandwiched, and the whole matrix is returned.
+    first src.n (a parameter held in an interval); the slope uses the first
+    src.n local columns only.
     """
     mid = IntervalVector([Interval(e.mid) for e in zbox])
     g_mid = tgt.to_normalized(fmap(src.from_normalized(mid)))
     image, jacobian = fmap.derivative(src.from_normalized(zbox))
+    local = local_derivative(src, tgt, jacobian)
     n = src.n
-    sandwich = local_derivative(
-        src, tgt, IntervalMatrix([r[:n] for r in jacobian.rows])
-    )
     scaled_rows = []
     for i in range(n):
         row = []
         for j in range(n):
-            row.append(sandwich[i, j] * Interval(src.diam[j]) / Interval(tgt.diam[i]))
+            row.append(local[i, j] * Interval(src.diam[j]) / Interval(tgt.diam[i]))
         scaled_rows.append(row)
     delta = IntervalVector([z - Interval(z.mid) for z in zbox])
     mean_value = g_mid + IntervalMatrix(scaled_rows).mat_vec(delta)
@@ -142,7 +142,7 @@ def _image_normalized(src, tgt, fmap, zbox):
                 f"mean-value image {m!r} and hull image {h!r} of axis {axis} "
                 f"are disjoint on sub-box {list(zbox)!r}",
             )
-    return IntervalVector([m.intersect(h) for m, h in zip(mean_value, hull)]), jacobian
+    return IntervalVector([m.intersect(h) for m, h in zip(mean_value, hull)]), local
 
 
 def detect_correspondence(src, tgt, wall_images):
@@ -200,10 +200,11 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     subdivides wall faces and the entry check per axis.  Every wall sub-box
     of every unstable axis is mapped first; the pairing, unless given, is
     read off those images, and the exit margins are checked on them.  Each
-    sub-box is evaluated once.  The certificate's jacobian is the hull of DF
-    over the entry check's sub-boxes, hence an enclosure of DF over the whole
-    source set.  A given pairing must pair exactly the unstable axes of src
-    and tgt (see checked_correspondence).
+    sub-box is evaluated once.  The certificate's local_jacobian is the hull
+    of the local-frame derivatives over the entry check's sub-boxes, hence an
+    enclosure of the local-frame derivative over the whole source set.  A
+    given pairing must pair exactly the unstable axes of src and tgt (see
+    checked_correspondence).
     """
     link = f"{src.name}=>{tgt.name}"
     if len(src.unstable) != len(tgt.unstable):
@@ -248,10 +249,10 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
             exit_margins[(i, side)] = worst
 
     entry_margin = None
-    jacobian = None
+    local_jacobian = None
     for box_idx, zbox in enumerate(src.subboxes(grid)):
-        img, box_jacobian = image(zbox, f"interior box {box_idx}")
-        jacobian = box_jacobian if jacobian is None else jacobian.hull(box_jacobian)
+        img, local = image(zbox, f"interior box {box_idx}")
+        local_jacobian = local if local_jacobian is None else local_jacobian.hull(local)
         for j in tgt.stable:
             margin = min(_k.sub_down(1.0, img[j].hi), _k.add_down(img[j].lo, 1.0))
             entry_margin = margin if entry_margin is None else min(entry_margin, margin)
@@ -270,7 +271,7 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
         grid=grid,
         exit_margins=exit_margins,
         entry_margin=entry_margin,
-        jacobian=jacobian,
+        local_jacobian=local_jacobian,
     )
 
 

@@ -414,10 +414,7 @@ def run_proof(config=None):
         )
         timings["covering"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        certified["cones"] = check_cone_chain(
-            list(chain.sets), list(chain.forms),
-            [c.jacobian for c in certified["covering"]],
-        )
+        certified["cones"] = check_cone_chain(list(chain.forms), certified["covering"])
         timings["cones"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -10,7 +10,8 @@ directions.  Two local frames matter and are kept explicit:
   cube [-1,1]^n and all covering inequalities are checked.
 
 Rigor enters through ``inv_coord``, a verified interval enclosure of M^-1;
-the coordinate matrix itself is an exact point matrix.
+the coordinate matrix itself is an exact point matrix.  Both, and the
+center as a point interval vector, are built once per set.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from tangency.linalg import IntervalMatrix, IntervalVector, inverse_enclosure
 
 
 class HSet:
-    __slots__ = ("name", "center", "coord", "diam", "unstable", "stable", "inv_coord")
+    __slots__ = ("name", "center", "coord", "diam", "unstable", "stable",
+                 "center_vec", "frame", "inv_coord")
 
     def __init__(self, name, center, coord, diam, unstable):
         self.name = str(name)
@@ -46,6 +48,8 @@ class HSet:
                 raise IntervalError(
                     f"{self.name}: column {j} not normalized (|.|={norm})"
                 )
+        self.center_vec = IntervalVector([Interval(c) for c in self.center])
+        self.frame = IntervalMatrix.from_point(self.coord)
         self.inv_coord = inverse_enclosure(self.coord)
 
     @property
@@ -60,15 +64,9 @@ class HSet:
 
     # -- coordinate transforms -------------------------------------------
 
-    def center_vector(self):
-        return IntervalVector([Interval(c) for c in self.center])
-
-    def coord_matrix(self):
-        return IntervalMatrix.from_point(self.coord)
-
     def to_local(self, p):
         """Un-normalized local coordinates M^-1 (p - c) of an ambient box."""
-        return self.inv_coord.mat_vec(p - self.center_vector())
+        return self.inv_coord.mat_vec(p - self.center_vec)
 
     def to_normalized(self, p):
         """Normalized coordinates; p is certified inside the set iff the
@@ -78,10 +76,10 @@ class HSet:
 
     def from_normalized(self, z):
         scaled = IntervalVector([Interval(d) * zi for d, zi in zip(self.diam, z)])
-        return self.center_vector() + self.coord_matrix().mat_vec(scaled)
+        return self.center_vec + self.frame.mat_vec(scaled)
 
     def from_local(self, w):
-        return self.center_vector() + self.coord_matrix().mat_vec(w)
+        return self.center_vec + self.frame.mat_vec(w)
 
     def box(self):
         """Ambient enclosure of the whole set."""
@@ -159,10 +157,18 @@ class HSet:
         )
 
 
-def local_derivative(src, tgt, deriv_chart):
-    """Chart-coordinate derivative enclosure sandwiched into local frames:
-    tgt.inv_coord . D . src.coord, from un-normalized src to tgt coordinates."""
-    return tgt.inv_coord.mat_mul(deriv_chart).mat_mul(src.coord_matrix())
+def local_derivative(src, tgt, jacobian):
+    """A chart-coordinate Jacobian enclosure in the un-normalized local frames.
+
+    With T = tgt.inv_coord . jacobian, the first src.n columns are
+    T[:, :n] . src.coord, the derivative from src to tgt local coordinates;
+    any further columns (a parameter's) are T[:, n:], the parameter
+    derivative of the tgt local coordinates.
+    """
+    n = src.n
+    t = tgt.inv_coord.mat_mul(jacobian)
+    block = IntervalMatrix([r[:n] for r in t.rows]).mat_mul(src.frame)
+    return IntervalMatrix([b + r[n:] for b, r in zip(block.rows, t.rows)])
 
 
 class QuadraticForm:

@@ -14,10 +14,12 @@ h-set satisfying cone conditions.  The certificate consists of
    delta * |parameter coefficient of the 4D form| > 1.
 
 Every derivative the disk needs comes from the self-covering's one
-enclosure pass per sub-box: its Jacobian holds d(x, y, t)/d(x, y, t, a),
-whose first three columns are the cone derivative and whose last is the
-parameter column of M and L.  A is a float eigenvalue estimate certified by
-one Rump test.  The constants below are fixed, not configuration.
+enclosure pass per sub-box: its certificate's local_jacobian is
+d(x, y, t)/d(x, y, t, a) in the local frame of the projected set, whose first
+three columns are the cone derivative and whose last is the parameter column
+of M and L.  No frame change happens here.  A is a float eigenvalue estimate
+certified by one Rump test.  The constants below are fixed, not
+configuration.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from tangency.cones import (
     vertex_signs,
 )
 from tangency.covering import CoveringCertificate, VerificationInconclusive, check_covering
-from tangency.hset import local_derivative
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalMatrix, IntervalVector
 
@@ -207,10 +208,10 @@ def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=
     """Full disk certificate for one side (see module docstring).
 
     chart_map must already be oriented: the unstable side passes the
-    inverse-oriented map.  The self-covering's Jacobian, d(x, y, t)/d(x, y,
-    t, a) over the set box times the parameter interval, is the only
-    derivative read: its (x, y, t) block is the cone derivative, and its
-    parameter column feeds the M and L bounds.
+    inverse-oriented map.  The self-covering's local_jacobian, d(x, y, t)/d(x,
+    y, t, a) in the local frame over the set times the parameter interval,
+    is the only derivative read: its (x, y, t) block is the cone derivative,
+    and its parameter column feeds the M and L bounds.
     """
     locus = f"{side} disk in {ntilde.name}"
     if ntilde.n != 3 or qtilde.n != 3:
@@ -219,9 +220,10 @@ def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=
     covering_cert = check_covering(
         ntilde, ntilde, chart_map.as_vec_map3(param), grid=grid
     )
-    rows = covering_cert.jacobian.rows
-    deriv3 = IntervalMatrix([row[:3] for row in rows])
-    v_cone = cone_matrix(ntilde, ntilde, qtilde, qtilde, deriv3)
+    rows = covering_cert.local_jacobian.rows
+    j_local = IntervalMatrix([row[:3] for row in rows])
+    p_local = IntervalVector([row[3] for row in rows])
+    v_cone = cone_matrix(j_local, qtilde, qtilde)
     rump = rump_positive_definite(v_cone)
     if not rump.positive_definite:
         raise VerificationInconclusive(
@@ -229,12 +231,8 @@ def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=
         )
     cone_cert = ConeCertificate(link=f"{ntilde.name}=>{ntilde.name}", matrix=v_cone, rump=rump)
 
-    v_eps = cone_matrix(ntilde, ntilde, qtilde, qtilde, deriv3, inflate_src=INFLATION)
+    v_eps = cone_matrix(j_local, qtilde, qtilde, inflate_src=INFLATION)
     a_lower = eigen_lower_bound(v_eps, locus=locus)
-
-    # Parameter-derivative enclosures in the local frame of ntilde.
-    j_local = local_derivative(ntilde, ntilde, deriv3)
-    p_local = ntilde.inv_coord.mat_vec(IntervalVector([row[3] for row in rows]))
 
     m_upper = mixed_derivative_bound(j_local, p_local, qtilde.coeffs)
     l_upper = stable_parameter_bound(p_local, qtilde.beta_norm(), ntilde.stable)

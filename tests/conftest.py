@@ -132,6 +132,24 @@ def frac_matmul(a, b):
     ]
 
 
+def frac_inverse(m):
+    """Exact inverse of a nonsingular matrix of rationals or floats
+    (Gauss-Jordan elimination over Fractions)."""
+    n = len(m)
+    a = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        p = a[col][col]
+        a[col] = [e / p for e in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [e - f * pc for e, pc in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
 def frac_det(m):
     n = len(m)
     if n == 1:

@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +231,40 @@ class TestCheckToy:
         err = capsys.readouterr().err
         assert "enclosure inconsistency at covering: N0=>N1" in err
         assert not out.exists()
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("argv", [["check-toy"], ["prove", "henon"]])
+    def test_report_into_missing_directory_exits_two(self, tmp_path, capsys, argv):
+        path = tmp_path / "missing" / "report.json"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--report", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write report {path}")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["check-toy"], 0), (["prove", "henon", "--param-radius", "1.1e-5"], 1)],
+        ids=["verified", "inconclusive"],
+    )
+    def test_closed_stdout_keeps_verdict_code(self, argv, code):
+        # The read end is closed before the child starts, so its first write
+        # to stdout fails: no traceback, and the verdict's own exit code.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "tangency.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == code
 
 
 class TestReportFormat:

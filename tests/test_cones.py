@@ -189,12 +189,11 @@ class TestConeMatrixGeneric:
     def test_identity_map_counterexample(self):
         # Q_M = 2 Q_N with Q_N = diag(1, -1) under the identity map:
         # V = diag(1, -1), not positive definite.
-        from tangency.hset import HSet, QuadraticForm
+        from tangency.hset import QuadraticForm
 
-        h = HSet("I", (0, 0), [[1, 0], [0, 1]], (1, 1), (0,))
         qn = QuadraticForm((1.0, -1.0), (0,))
         qm = QuadraticForm((2.0, -2.0), (0,))
-        v = cone_matrix(h, h, qn, qm, IntervalMatrix.identity(2))
+        v = cone_matrix(IntervalMatrix.identity(2), qn, qm)
         assert v[0, 0] == Interval(1.0)
         assert v[1, 1] == Interval(-1.0)
         assert not rump_positive_definite(v).positive_definite
@@ -202,14 +201,15 @@ class TestConeMatrixGeneric:
     def test_linear_toy_link_diagonal(self):
         # V = diag(a(l^2-1), g(1-m^2), d(1-(m/l)^2), beta_{i+1}-beta_i) for
         # one chain-start link, exactly, in ambient order (x, y, v, a).
+        from tangency.covering import check_covering
         from tangency.toy import build_toy_chain, linear_start_map
 
         params = ToyParams()
         chain = build_toy_chain(params)
         src, tgt = chain.sets[1], chain.sets[2]
         qn, qm = chain.forms[1], chain.forms[2]
-        fmap = linear_start_map(params)
-        v = cone_matrix(src, tgt, qn, qm, fmap.derivative(src.box())[1])
+        cert = check_covering(src, tgt, linear_start_map(params))
+        v = cone_matrix(cert.local_jacobian, qn, qm)
         lam, mu = params.lam, params.mu
         assert v[0, 0].contains(1.0 * lam**2 - 1.0)
         assert v[1, 1].contains(4.0 - mu**2 * 4.0)

@@ -14,7 +14,7 @@ from tangency.covering import (
     check_covering,
     detect_correspondence,
 )
-from tangency.hset import HSet
+from tangency.hset import HSet, local_derivative
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.toy import ToyParams, build_toy_chain, linear_start_map, switch_map
@@ -155,12 +155,14 @@ class TestMonotonicity:
 class TestJacobian:
     def test_grid_one_is_the_whole_set_enclosure(self):
         chain = build_toy_chain(ToyParams())
-        for cert, src, fmap in zip(
+        for cert, src, tgt, fmap in zip(
             check_chain(list(chain.sets), list(chain.maps), grid=1),
             chain.sets,
+            chain.sets[1:],
             chain.maps,
         ):
-            assert cert.jacobian.rows == fmap.derivative(src.box())[1].rows
+            whole = local_derivative(src, tgt, fmap.derivative(src.box())[1])
+            assert cert.local_jacobian.rows == whole.rows
 
     def test_finer_grid_stays_inside(self):
         chain = build_toy_chain(ToyParams())
@@ -168,7 +170,7 @@ class TestJacobian:
         fine = check_chain(list(chain.sets), list(chain.maps), grid=2)
         for c1, c2 in zip(coarse, fine):
             assert c2.grid == 2
-            for r1, r2 in zip(c1.jacobian.rows, c2.jacobian.rows):
+            for r1, r2 in zip(c1.local_jacobian.rows, c2.local_jacobian.rows):
                 assert all(e2.is_subset(e1) for e1, e2 in zip(r1, r2))
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import contains_fraction, covering_boxes
+from conftest import contains_fraction, covering_boxes, frac_inverse, frac_matmul
 from tangency.covering import VerificationInconclusive
 from tangency.henon import (
     A0,
@@ -26,7 +26,7 @@ from tangency.henon import (
 )
 from tangency.interval import Interval
 from tangency.jets import Jet
-from tangency.linalg import IntervalVector
+from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.projective import ChartMap, ChartPoint, check_inverse_consistency
 
 
@@ -363,17 +363,103 @@ class TestSharedJacobian:
     ):
         # At a point of the source h-set, computed exactly in rationals, the
         # planar rows of D(x, y, t, a) are (-2x, b, 0, 1) and (1, 0, 0, 0),
-        # b being the binary64 value the map evaluates with.
+        # b being the binary64 value the map evaluates with.  The local
+        # Jacobian L encloses M_tgt^-1 D M_src, so the planar rows of M_tgt L,
+        # taken in exact rational interval arithmetic, hold those of D M_src.
         cert = henon_proof[0] if grid == 1 else henon_proof_grid2
-        src = cert.hsets[link]
+        src, tgt = cert.hsets[link], cert.hsets[link + 1]
         x = Fraction(src.center[0]) + sum(
             Fraction(src.coord[0][j]) * Fraction(src.diam[j]) * z[j] for j in range(4)
         )
         rows = ((-2 * x, Fraction(B0), 0, 1), (1, 0, 0, 0))
-        jac = cert.coverings[link].jacobian
+        local = cert.coverings[link].local_jacobian
         for i, row in enumerate(rows):
-            for j, exact in enumerate(row):
-                assert contains_fraction(jac[i, j], Fraction(exact)), (i, j)
+            for j in range(4):
+                exact = sum(row[k] * Fraction(src.coord[k][j]) for k in range(4))
+                lo = hi = Fraction(0)
+                for k in range(4):
+                    m = Fraction(tgt.coord[i][k])
+                    ends = (m * Fraction(local[k, j].lo), m * Fraction(local[k, j].hi))
+                    lo += min(ends)
+                    hi += max(ends)
+                assert lo <= exact <= hi, (i, j)
+
+
+def _exact_samples(jac, left, right, rng, count=6):
+    """Exact matrices D inside the interval matrix jac: for each entry of
+    left . D . right, the two vertices of jac that extremize it (the entry is
+    linear in D), then count random vertices and count random points."""
+    lo = [[Fraction(e.lo) for e in row] for row in jac.rows]
+    hi = [[Fraction(e.hi) for e in row] for row in jac.rows]
+    rows, cols = jac.nrows, jac.ncols
+
+    def vertex(upper):
+        return [[hi[r][k] if upper(r, k) else lo[r][k] for k in range(cols)]
+                for r in range(rows)]
+
+    def point():
+        step = Fraction(1, 1 << 20)
+        return [[lo[r][k] + (hi[r][k] - lo[r][k]) * step * rng.randrange(1 << 20)
+                 for k in range(cols)] for r in range(rows)]
+
+    for i in range(rows):
+        for j in range(cols):
+            for sign in (1, -1):
+                yield vertex(lambda r, k: sign * left[i][r] * right[k][j] > 0)
+    for _ in range(count):
+        yield vertex(lambda r, k: rng.random() < 0.5)
+        yield point()
+
+
+def _check_local_frame(jac, src_coord, tgt_coord, local, cone_v, q_src, q_tgt, rng):
+    """Every exact D in jac has M_tgt^-1 D M_src (and M_tgt^-1 times any
+    parameter column of D) in local, and L^T Q_M L - Q_N in cone_v, with the
+    exact inverse of the float target frame."""
+    n = len(src_coord)
+    left = frac_inverse(tgt_coord)
+    right = [[Fraction(src_coord[k][j]) if k < n and j < n else Fraction(int(k == j))
+              for j in range(jac.ncols)] for k in range(jac.ncols)]
+    for d in _exact_samples(jac, left, right, rng):
+        exact = frac_matmul(frac_matmul(left, d), right)
+        for i in range(n):
+            for j in range(jac.ncols):
+                assert contains_fraction(local[i, j], exact[i][j]), ("L", i, j)
+        for i in range(n):
+            for j in range(n):
+                v = sum(exact[k][i] * Fraction(q_tgt.coeffs[k]) * exact[k][j]
+                        for k in range(n))
+                v -= Fraction(q_src.coeffs[i]) if i == j else 0
+                assert contains_fraction(cone_v[i, j], v), ("V", i, j)
+
+
+class TestLocalFrameOracle:
+    """The certificates' local-frame derivatives and cone matrices against
+    exact rationals, at grid 1, where each covering's one interior sub-box
+    is its whole source set."""
+
+    def test_chain_links(self, henon_proof, rng):
+        cert = henon_proof[0]
+        chart = ChartMap(henon_family())
+        for link, (cov, cone) in enumerate(zip(cert.coverings, cert.cones)):
+            src, tgt = cert.hsets[link], cert.hsets[link + 1]
+            _, jac = chart.derivative(ChartPoint.from_vector(src.box()))
+            _check_local_frame(jac, src.coord, tgt.coord, cov.local_jacobian,
+                               cone.matrix, cert.forms[link], cert.forms[link + 1], rng)
+
+    @pytest.mark.parametrize("side, direction", [("stable", "forward"),
+                                                 ("unstable", "inverse")])
+    def test_disks(self, henon_proof, henon_chain, rng, side, direction):
+        # The parameter column of D is checked against the local Jacobian's
+        # last column, M^-1 dF/da.
+        disk = getattr(henon_proof[0], f"{side}_disk")
+        ntilde, qtilde, param, _ = projected_disk_data(henon_chain, side)
+        box3 = ntilde.box()
+        _, d4 = ChartMap(henon_family(), direction).derivative(
+            ChartPoint(box3[0], box3[1], box3[2], param)
+        )
+        _check_local_frame(IntervalMatrix(d4.rows[:3]), ntilde.coord, ntilde.coord,
+                           disk.covering.local_jacobian, disk.cone.matrix,
+                           qtilde, qtilde, rng)
 
 
 class TestOnePassImage:

@@ -10,7 +10,7 @@ import pytest
 from tangency import manifold
 from tangency.cones import cone_matrix, rump_positive_definite, vertex_signs
 from tangency.covering import VerificationInconclusive
-from tangency.hset import HSet, QuadraticForm
+from tangency.hset import HSet, QuadraticForm, local_derivative
 from tangency.interval import Interval
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.manifold import (
@@ -185,11 +185,9 @@ class TestCertifiedA:
         from tangency.henon import projected_disk_data
 
         disk = getattr(henon_proof[0], f"{side}_disk")
-        ntilde, qtilde, _, _ = projected_disk_data(henon_chain, side)
-        deriv3 = IntervalMatrix([row[:3] for row in disk.covering.jacobian.rows])
-        v_eps = cone_matrix(
-            ntilde, ntilde, qtilde, qtilde, deriv3, inflate_src=manifold.INFLATION
-        )
+        _, qtilde, _, _ = projected_disk_data(henon_chain, side)
+        j_local = IntervalMatrix([row[:3] for row in disk.covering.local_jacobian.rows])
+        v_eps = cone_matrix(j_local, qtilde, qtilde, inflate_src=manifold.INFLATION)
         a = Fraction(disk.constants.a_lower)
         vertices = list(_exact_vertices(v_eps))
         assert all(_exact_pd(_shifted(m, a)) for m in vertices)
@@ -227,7 +225,7 @@ class TestParameterBounds:
         p_chart = IntervalVector([d4[i, 3] for i in range(3)])
         p_local = ntilde.inv_coord.mat_vec(p_chart)
         j_chart = IntervalMatrix([[d4[i, j] for j in range(3)] for i in range(3)])
-        j_local = ntilde.inv_coord.mat_mul(j_chart).mat_mul(ntilde.coord_matrix())
+        j_local = ntilde.inv_coord.mat_mul(j_chart).mat_mul(ntilde.frame)
         m = mixed_derivative_bound(j_local, p_local, qtilde.coeffs)
         el = stable_parameter_bound(p_local, qtilde.beta_norm(), ntilde.stable)
         assert m == 0.0
@@ -251,7 +249,7 @@ class TestParameterBounds:
             )
             j_local = h.inv_coord.mat_mul(
                 IntervalMatrix([[d4[i, j] for j in range(3)] for i in range(3)])
-            ).mat_mul(h.coord_matrix())
+            ).mat_mul(h.frame)
             vals[name] = (
                 mixed_derivative_bound(j_local, p_local, qtilde.coeffs),
                 stable_parameter_bound(p_local, qtilde.beta_norm(), h.stable),
@@ -328,7 +326,8 @@ class TestDiskDerivative:
         self, henon_proof, henon_chain, side, direction
     ):
         # At grid 1 the disk's one enclosure pass is derivative over the
-        # whole box x parameter: its Jacobian is rows 0-2 of that 4x4.
+        # whole box x parameter: its local Jacobian is rows 0-2 of that 4x4
+        # in the local frame, parameter column included.
         from tangency.henon import henon_family, projected_disk_data
 
         disk = getattr(henon_proof[0], f"{side}_disk")
@@ -336,4 +335,5 @@ class TestDiskDerivative:
         ntilde, _, param, _ = projected_disk_data(henon_chain, side)
         box3 = ntilde.box()
         _, d4 = chart.derivative(ChartPoint(box3[0], box3[1], box3[2], param))
-        assert repr(disk.covering.jacobian) == repr(IntervalMatrix(d4.rows[:3]))
+        want = local_derivative(ntilde, ntilde, IntervalMatrix(d4.rows[:3]))
+        assert repr(disk.covering.local_jacobian) == repr(want)

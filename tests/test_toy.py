@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tangency.cones import check_cone_link, rump_positive_definite
-from tangency.covering import VerificationInconclusive, check_chain
+from tangency.covering import VerificationInconclusive, check_chain, check_covering
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalVector
 from tangency.toy import (
@@ -108,75 +108,49 @@ class TestOnePassImage:
                 assert repr(image) == repr(fmap(box)), idx  # every bit
 
 
+def cone_link(chain, idx):
+    """The cone check of link idx, on the local Jacobian of its covering."""
+    cert = check_covering(chain.sets[idx], chain.sets[idx + 1], chain.maps[idx])
+    return check_cone_link(cert, chain.forms[idx], chain.forms[idx + 1])
+
+
 class TestConeSchemes:
     def test_reference_scheme_passes_on_all_linear_links(self):
         chain = build_toy_chain()
         for idx in linear_link_indices(chain):
-            cert = check_cone_link(
-                chain.sets[idx],
-                chain.sets[idx + 1],
-                chain.forms[idx],
-                chain.forms[idx + 1],
-                chain.maps[idx].derivative(chain.sets[idx].box())[1],
-            )
+            cert = cone_link(chain, idx)
             assert cert.rump.positive_definite
 
     def test_beta_equality_fails(self):
         # beta_{i+1} = beta_i makes the parameter pivot exactly zero.
         chain = build_toy_chain(beta_growth=1.0)
         idx = 0
-        with pytest.raises(VerificationInconclusive):
-            check_cone_link(
-                chain.sets[idx],
-                chain.sets[idx + 1],
-                chain.forms[idx],
-                chain.forms[idx + 1],
-                chain.maps[idx].derivative(chain.sets[idx].box())[1],
-            )
+        with pytest.raises(VerificationInconclusive, match="^cones: "):
+            cone_link(chain, idx)
 
     def test_beta_strictness_is_sharp(self):
         # any strict growth passes, equality fails: exactness of the kernels
         chain_eq = build_toy_chain(beta_growth=1.0)
         chain_up = build_toy_chain(beta_growth=1.0 + 1e-9)
         idx = 1
-        with pytest.raises(VerificationInconclusive):
-            check_cone_link(
-                chain_eq.sets[idx], chain_eq.sets[idx + 1],
-                chain_eq.forms[idx], chain_eq.forms[idx + 1],
-                chain_eq.maps[idx].derivative(chain_eq.sets[idx].box())[1],
-            )
-        cert = check_cone_link(
-            chain_up.sets[idx], chain_up.sets[idx + 1],
-            chain_up.forms[idx], chain_up.forms[idx + 1],
-            chain_up.maps[idx].derivative(chain_up.sets[idx].box())[1],
-        )
+        with pytest.raises(VerificationInconclusive, match="^cones: "):
+            cone_link(chain_eq, idx)
+        cert = cone_link(chain_up, idx)
         assert cert.rump.positive_definite
 
     def test_d_equality_fails_on_end_links(self):
         chain = build_toy_chain(d_growth=1.0)
         idx = chain.k + 1  # first chain-end link
-        with pytest.raises(VerificationInconclusive):
-            check_cone_link(
-                chain.sets[idx],
-                chain.sets[idx + 1],
-                chain.forms[idx],
-                chain.forms[idx + 1],
-                chain.maps[idx].derivative(chain.sets[idx].box())[1],
-            )
+        with pytest.raises(VerificationInconclusive, match="^cones: "):
+            cone_link(chain, idx)
 
     def test_d_drift_reversed_fails(self):
         # growing the parameter coefficient toward the chain end reverses the
         # certifiable strictness and must fail
         chain = build_toy_chain(d_growth=1.0 / 1.05)
         idx = chain.k + 1
-        with pytest.raises(VerificationInconclusive):
-            check_cone_link(
-                chain.sets[idx],
-                chain.sets[idx + 1],
-                chain.forms[idx],
-                chain.forms[idx + 1],
-                chain.maps[idx].derivative(chain.sets[idx].box())[1],
-            )
+        with pytest.raises(VerificationInconclusive, match="^cones: "):
+            cone_link(chain, idx)
 
 
 class TestSwitchBlocks:
