@@ -224,10 +224,14 @@ def _cmd_check_toy(args):
         coverings = check_chain(list(chain.sets), list(chain.maps), grid=args.grid)
         stages["covering"] = [c.to_dict() for c in coverings]
 
-        cone_certs = [
-            check_cone_link(coverings[idx], chain.forms[idx], chain.forms[idx + 1])
-            for idx in linear_link_indices(chain)
-        ]
+        cone_certs = []
+        for idx in linear_link_indices(chain):
+            try:
+                cone_certs.append(check_cone_link(
+                    coverings[idx], chain.forms[idx], chain.forms[idx + 1]))
+            except VerificationInconclusive as exc:
+                exc.certified = {"cones_linear_links": tuple(cone_certs)}
+                raise
         stages["cones_linear_links"] = [c.to_dict() for c in cone_certs]
 
         q1, q2 = switch_cone_blocks()
@@ -254,6 +258,7 @@ def _cmd_check_toy(args):
             )
     except VerificationInconclusive as exc:
         verdict = "INCONCLUSIVE"
+        stages.update(_certified_stages(exc.certified))
         failure = {"stage": exc.stage, "locus": exc.locus, "detail": exc.detail}
     elapsed = time.perf_counter() - t0
     report = report_mod.build_report(

@@ -22,7 +22,7 @@ from itertools import product
 
 from tangency import kernels as _k
 from tangency.covering import VerificationInconclusive
-from tangency.interval import Interval, IntervalError
+from tangency.interval import IntervalError, check_pairs, pair_mid
 from tangency.linalg import IntervalMatrix
 
 
@@ -54,7 +54,7 @@ class ConeCertificate:
         return {
             "type": "cone",
             "link": self.link,
-            "V": [[[e.lo, e.hi] for e in row] for row in self.matrix.rows],
+            "V": [[list(e) for e in row] for row in self.matrix.pairs],
             "rump": self.rump.to_dict(),
         }
 
@@ -69,28 +69,34 @@ def interval_cholesky_min_pivot(a):
 
     Returns a strictly positive lower bound on every pivot if the
     factorization certifies positive definiteness of all point matrices in
-    a; None as soon as some pivot cannot be certified positive.
+    a; None as soon as some pivot cannot be certified positive.  The run
+    keeps its factor as (lo, hi) pairs; each pivot and factor entry is
+    checked like an Interval before it enters a product.
     """
     n = a.nrows
     if a.ncols != n:
         raise IntervalError("cholesky requires a square matrix")
-    low = [[Interval(0.0)] * n for _ in range(n)]
+    imul, isub, isqr, idiv = _k.imul, _k.isub, _k.isqr, _k.idiv
+    rows = a.pairs
+    low = [[None] * n for _ in range(n)]
     min_pivot = None
     for j in range(n):
-        acc = a[j, j]
+        low_j = low[j]
+        lo, hi = rows[j][j]
         for k in range(j):
-            acc = acc - low[j][k].sqr()
-        if acc.lo <= 0.0:
+            lo, hi = isub(lo, hi, *isqr(*low_j[k]))
+        check_pairs(((lo, hi),))
+        if lo <= 0.0:
             return None
-        if min_pivot is None or acc.lo < min_pivot:
-            min_pivot = acc.lo
-        ljj = acc.sqrt()
-        low[j][j] = ljj
+        if min_pivot is None or lo < min_pivot:
+            min_pivot = lo
+        ljj = _k.isqrt(lo, hi)
         for i in range(j + 1, n):
-            s = a[i, j]
+            low_i = low[i]
+            s_lo, s_hi = rows[i][j]
             for k in range(j):
-                s = s - low[i][k] * low[j][k]
-            low[i][j] = s / ljj
+                s_lo, s_hi = isub(s_lo, s_hi, *imul(*low_i[k], *low_j[k]))
+            low_i[j] = check_pairs((idiv(s_lo, s_hi, *ljj),))[0]
     return min_pivot
 
 
@@ -102,9 +108,9 @@ def midrad_split(a):
     r = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            e = a[i, j]
-            m = e.mid
-            rad = max(_k.sub_up(e.hi, m), _k.sub_up(m, e.lo))
+            lo, hi = a.pairs[i][j]
+            m = pair_mid(lo, hi)
+            rad = max(_k.sub_up(hi, m), _k.sub_up(m, lo))
             c[i][j] = c[j][i] = m
             r[i][j] = r[j][i] = rad
     return c, r
@@ -123,18 +129,17 @@ def rump_positive_definite(a):
     """
     n = a.nrows
     c, r = midrad_split(a)
+    isub = _k.isub
     outcomes = []
     ok = True
     for z in vertex_signs(n):
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                zz = z[i] * z[j]
-                # enclosure of the exact real c_ij - zz * r_ij
-                row.append(Interval(c[i][j]) - Interval(zz * r[i][j]))
-            rows.append(row)
-        margin = interval_cholesky_min_pivot(IntervalMatrix(rows))
+        # enclosures of the exact reals c_ij - z_i z_j r_ij
+        rows = [
+            [isub(c_ij, c_ij, zz * r_ij, zz * r_ij)
+             for c_ij, r_ij, zz in zip(c_i, r_i, (z_i * z_j for z_j in z))]
+            for c_i, r_i, z_i in zip(c, r, z)
+        ]
+        margin = interval_cholesky_min_pivot(IntervalMatrix.from_pairs(rows))
         outcomes.append((z, margin))
         if margin is None:
             ok = False

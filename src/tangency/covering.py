@@ -23,7 +23,7 @@ from itertools import permutations
 
 from tangency import kernels as _k
 from tangency.hset import local_derivative
-from tangency.interval import Interval, IntervalError
+from tangency.interval import IntervalError, pair_mid
 from tangency.linalg import IntervalMatrix, IntervalVector
 
 
@@ -120,29 +120,37 @@ def _image_normalized(src, tgt, fmap, zbox):
     first src.n (a parameter held in an interval); the slope uses the first
     src.n local columns only.
     """
-    mid = IntervalVector([Interval(e.mid) for e in zbox])
+    imul, idiv, isub = _k.imul, _k.idiv, _k.isub
+    mids = [pair_mid(*z) for z in zbox.pairs]
+    mid = IntervalVector.from_pairs([(m, m) for m in mids])
     g_mid = tgt.to_normalized(fmap(src.from_normalized(mid)))
     image, jacobian = fmap.derivative(src.from_normalized(zbox))
     local = local_derivative(src, tgt, jacobian)
-    n = src.n
-    scaled_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(local[i, j] * Interval(src.diam[j]) / Interval(tgt.diam[i]))
-        scaled_rows.append(row)
-    delta = IntervalVector([z - Interval(z.mid) for z in zbox])
-    mean_value = g_mid + IntervalMatrix(scaled_rows).mat_vec(delta)
+    scaled = IntervalMatrix.from_pairs(
+        [
+            [idiv(*imul(*local.pairs[i][j], d_src, d_src), d_tgt, d_tgt)
+             for j, d_src in enumerate(src.diam)]
+            for i, d_tgt in enumerate(tgt.diam)
+        ]
+    )
+    delta = IntervalVector.from_pairs(
+        [isub(*z, m, m) for z, m in zip(zbox.pairs, mids)]
+    )
+    mean_value = g_mid + scaled.mat_vec(delta)
     hull = tgt.to_normalized(image)
-    for axis, (m, h) in enumerate(zip(mean_value, hull)):
-        if not m.intersects(h):
+    out = []
+    pairs = zip(mean_value.pairs, hull.pairs)
+    for axis, ((m_lo, m_hi), (h_lo, h_hi)) in enumerate(pairs):
+        if not (m_lo <= h_hi and h_lo <= m_hi):
             raise EnclosureError(
                 "covering",
                 f"{src.name}=>{tgt.name}",
-                f"mean-value image {m!r} and hull image {h!r} of axis {axis} "
-                f"are disjoint on sub-box {list(zbox)!r}",
+                f"mean-value image {mean_value[axis]!r} and hull image "
+                f"{hull[axis]!r} of axis {axis} are disjoint on sub-box "
+                f"{list(zbox)!r}",
             )
-    return IntervalVector([m.intersect(h) for m, h in zip(mean_value, hull)]), local
+        out.append((max(m_lo, h_lo), min(m_hi, h_hi)))
+    return IntervalVector.from_pairs(out), local
 
 
 def detect_correspondence(src, tgt, wall_images):
@@ -236,8 +244,10 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
         for side in (1, -1):
             worst = None
             for box_idx, img in enumerate(wall_images[(i, side)]):
-                w = img[j] if sign > 0 else -img[j]
-                margin = _k.sub_down(w.lo, 1.0) if side > 0 else _k.sub_down(-1.0, w.hi)
+                lo, hi = img.pairs[j]
+                if sign < 0:
+                    lo, hi = -hi, -lo
+                margin = _k.sub_down(lo, 1.0) if side > 0 else _k.sub_down(-1.0, hi)
                 worst = margin if worst is None else min(worst, margin)
                 if margin <= 0.0:
                     raise VerificationInconclusive(
@@ -254,7 +264,8 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
         img, local = image(zbox, f"interior box {box_idx}")
         local_jacobian = local if local_jacobian is None else local_jacobian.hull(local)
         for j in tgt.stable:
-            margin = min(_k.sub_down(1.0, img[j].hi), _k.add_down(img[j].lo, 1.0))
+            lo, hi = img.pairs[j]
+            margin = min(_k.sub_down(1.0, hi), _k.add_down(lo, 1.0))
             entry_margin = margin if entry_margin is None else min(entry_margin, margin)
             if margin <= 0.0:
                 raise VerificationInconclusive(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 
+from tangency import kernels as _k
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalMatrix, IntervalVector, inverse_enclosure
 
@@ -48,7 +49,7 @@ class HSet:
                 raise IntervalError(
                     f"{self.name}: column {j} not normalized (|.|={norm})"
                 )
-        self.center_vec = IntervalVector([Interval(c) for c in self.center])
+        self.center_vec = IntervalVector(self.center)
         self.frame = IntervalMatrix.from_point(self.coord)
         self.inv_coord = inverse_enclosure(self.coord)
 
@@ -72,10 +73,16 @@ class HSet:
         """Normalized coordinates; p is certified inside the set iff the
         result is a subset of [-1,1]^n (sufficient direction only)."""
         loc = self.to_local(p)
-        return IntervalVector([w / Interval(d) for w, d in zip(loc, self.diam)])
+        idiv = _k.idiv
+        return IntervalVector.from_pairs(
+            [idiv(*w, d, d) for w, d in zip(loc.pairs, self.diam)]
+        )
 
     def from_normalized(self, z):
-        scaled = IntervalVector([Interval(d) * zi for d, zi in zip(self.diam, z)])
+        imul = _k.imul
+        scaled = IntervalVector.from_pairs(
+            [imul(d, d, *zi) for d, zi in zip(self.diam, z.pairs)]
+        )
         return self.center_vec + self.frame.mat_vec(scaled)
 
     def from_local(self, w):
@@ -166,9 +173,9 @@ def local_derivative(src, tgt, jacobian):
     derivative of the tgt local coordinates.
     """
     n = src.n
-    t = tgt.inv_coord.mat_mul(jacobian)
-    block = IntervalMatrix([r[:n] for r in t.rows]).mat_mul(src.frame)
-    return IntervalMatrix([b + r[n:] for b, r in zip(block.rows, t.rows)])
+    t = tgt.inv_coord.mat_mul(jacobian).pairs
+    block = IntervalMatrix.from_pairs([r[:n] for r in t]).mat_mul(src.frame)
+    return IntervalMatrix.from_pairs([b + r[n:] for b, r in zip(block.pairs, t)])
 
 
 class QuadraticForm:
@@ -207,10 +214,7 @@ class QuadraticForm:
     def matrix(self):
         n = self.n
         return IntervalMatrix(
-            [
-                [Interval(self.coeffs[i]) if i == j else Interval(0.0) for j in range(n)]
-                for i in range(n)
-            ]
+            [[self.coeffs[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
         )
 
     def scaled(self, factor):

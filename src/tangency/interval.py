@@ -18,6 +18,11 @@ time from exact rational series, so no libm accuracy assumption enters the
 proof.
 
 All values are immutable; operations are pure and thread-safe.
+
+The matrices, jets and Cholesky runs of the other modules keep their
+entries as plain ``(lo, hi)`` float pairs and call the kernels on them
+directly; :func:`as_pair`, :func:`pair_mid` and :func:`check_pairs` are the
+conversions and checks they share with this class.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ import math
 from fractions import Fraction
 
 from tangency import kernels as _k
+
+
+_INF = math.inf
 
 
 class IntervalError(ValueError):
@@ -59,14 +67,7 @@ class Interval:
 
     @property
     def mid(self):
-        m = 0.5 * (self.lo + self.hi)
-        if not math.isfinite(m):
-            m = 0.5 * self.lo + 0.5 * self.hi
-        if m < self.lo:
-            return self.lo
-        if m > self.hi:
-            return self.hi
-        return m
+        return pair_mid(self.lo, self.hi)
 
     @property
     def width(self):
@@ -193,6 +194,40 @@ class Interval:
 def as_interval(x):
     """x itself if it is an Interval, else an outward enclosure of the number x."""
     return x if isinstance(x, Interval) else Interval(x)
+
+
+def as_pair(x):
+    """The (lo, hi) bounds of as_interval(x); an Interval or a finite float
+    gives them without building an Interval."""
+    if isinstance(x, Interval):
+        return x.lo, x.hi
+    if type(x) is not float or not math.isfinite(x):
+        x = Interval(x)
+        return x.lo, x.hi
+    return x, x
+
+
+def pair_mid(lo, hi):
+    """A float in [lo, hi] next to the midpoint (Interval.mid)."""
+    m = 0.5 * (lo + hi)
+    if not math.isfinite(m):
+        m = 0.5 * lo + 0.5 * hi
+    if m < lo:
+        return lo
+    if m > hi:
+        return hi
+    return m
+
+
+def check_pairs(pairs):
+    """pairs itself, after the checks Interval's constructor makes: every
+    (lo, hi) finite with lo <= hi.  The kernels return an infinite bound on
+    overflow (and a NaN from 0 * inf), so pairs they computed are checked
+    before they are stored."""
+    for lo, hi in pairs:
+        if not -_INF < lo <= hi < _INF:
+            raise IntervalError(f"non-finite or inverted interval bounds: [{lo}, {hi}]")
+    return pairs
 
 
 _EXACT_INT = 2**53  # every int of at most this magnitude is a binary64

@@ -8,50 +8,114 @@ derivative enclosures valid at every point of the box.  Order is 2 at most
 are used where only first derivatives matter.
 
 The number of independent variables n is a runtime parameter.
+
+A jet stores ``(lo, hi)`` float pairs: ``value_pair``, ``grad_pairs`` and
+``hess_pairs``, the last the Hessian's lower triangle row by row, (0, 0),
+(1, 0), (1, 1), (2, 0), ...  The operations call the kernels on the pairs
+with the operations of the scalar :class:`Interval` expressions they stand
+for, so the enclosures are those of Interval arithmetic bit for bit.
+``value``, ``grad`` and ``hess`` (the full symmetric matrix) give Intervals.
 """
 
 from __future__ import annotations
 
-from tangency.interval import Interval, IntervalError, as_interval
+from functools import lru_cache
+
+from tangency import kernels as _k
+from tangency.interval import Interval, IntervalError, as_pair, check_pairs
+
+_ZERO = (0.0, 0.0)
+_ONE = (1.0, 1.0)
+
+
+@lru_cache(maxsize=None)
+def _tri(n):
+    """The (i, j), j <= i, of an n x n lower triangle, row by row."""
+    return tuple((i, j) for i in range(n) for j in range(i + 1))
+
+
+def _tri_index(i, j):
+    if j > i:
+        i, j = j, i
+    return i * (i + 1) // 2 + j
+
+
+def _div(a, b):
+    """a / b over pairs, refused like Interval division when b holds 0 and
+    checked like an Interval before it enters a product."""
+    if b[0] <= 0.0 <= b[1]:
+        raise IntervalError(f"division by zero-containing interval {Interval(*b)!r}")
+    return check_pairs((_k.idiv(*a, *b),))[0]
 
 
 class Jet:
-    __slots__ = ("value", "grad", "hess")
+    __slots__ = ("value_pair", "grad_pairs", "hess_pairs")
 
     def __init__(self, value, grad, hess=None):
-        self.value = as_interval(value)
-        self.grad = tuple(as_interval(g) for g in grad)
-        if hess is None:
-            self.hess = None
-        else:
-            self.hess = tuple(tuple(as_interval(h) for h in row) for row in hess)
-            n = len(self.grad)
-            if len(self.hess) != n or any(len(r) != n for r in self.hess):
+        self.value_pair = as_pair(value)
+        self.grad_pairs = tuple(as_pair(g) for g in grad)
+        self.hess_pairs = None
+        if hess is not None:
+            n = len(self.grad_pairs)
+            rows = [[as_pair(h) for h in row] for row in hess]
+            if len(rows) != n or any(len(r) != n for r in rows):
                 raise IntervalError("hessian shape mismatch")
+            if any(rows[i][j] != rows[j][i] for i, j in _tri(n)):
+                raise IntervalError("hessian not symmetric")
+            self.hess_pairs = tuple(rows[i][j] for i, j in _tri(n))
+
+    @classmethod
+    def from_pairs(cls, value, grad, hess=None):
+        """A jet of (lo, hi) pairs (hess packed as ``hess_pairs``), checked
+        as Interval checks them."""
+        jet = cls.__new__(cls)
+        jet.value_pair = check_pairs((value,))[0]
+        jet.grad_pairs = check_pairs(tuple(grad))
+        jet.hess_pairs = None if hess is None else check_pairs(tuple(hess))
+        return jet
+
+    @property
+    def value(self):
+        return Interval(*self.value_pair)
+
+    @property
+    def grad(self):
+        return tuple(Interval(lo, hi) for lo, hi in self.grad_pairs)
+
+    @property
+    def hess(self):
+        if self.hess_pairs is None:
+            return None
+        n = self.n
+        return tuple(
+            tuple(Interval(*self.hess_pairs[_tri_index(i, j)]) for j in range(n))
+            for i in range(n)
+        )
+
+    def hess_row_pairs(self, i):
+        """Row i of the Hessian as (lo, hi) pairs."""
+        return tuple(self.hess_pairs[_tri_index(i, j)] for j in range(self.n))
 
     @property
     def n(self):
-        return len(self.grad)
+        return len(self.grad_pairs)
 
     @property
     def order(self):
-        return 1 if self.hess is None else 2
+        return 1 if self.hess_pairs is None else 2
 
     @classmethod
     def variable(cls, i, value, n, order=2):
         if not 0 <= i < n:
             raise IntervalError(f"variable index {i} out of range for n={n}")
-        grad = [Interval(1.0) if j == i else Interval(0.0) for j in range(n)]
-        hess = None
-        if order == 2:
-            hess = [[Interval(0.0)] * n for _ in range(n)]
-        return cls(value, grad, hess)
+        grad = [_ONE if j == i else _ZERO for j in range(n)]
+        hess = [_ZERO] * len(_tri(n)) if order == 2 else None
+        return cls.from_pairs(as_pair(value), grad, hess)
 
     @classmethod
     def constant(cls, value, n, order=2):
-        grad = [Interval(0.0)] * n
-        hess = [[Interval(0.0)] * n for _ in range(n)] if order == 2 else None
-        return cls(value, grad, hess)
+        hess = [_ZERO] * len(_tri(n)) if order == 2 else None
+        return cls.from_pairs(as_pair(value), [_ZERO] * n, hess)
 
     def _promote(self, other):
         if isinstance(other, Jet):
@@ -59,7 +123,7 @@ class Jet:
                 raise IntervalError("jet variable-count mismatch")
             return other
         if isinstance(other, (int, float, Interval)):
-            return Jet.constant(as_interval(other), self.n, self.order)
+            return Jet.constant(other, self.n, self.order)
         return None
 
     def __repr__(self):
@@ -67,37 +131,27 @@ class Jet:
 
     # -- ring operations --------------------------------------------------
 
-    def __add__(self, other):
+    def _termwise(self, other, op):
+        """The jet of self op other for op = kernels.iadd or kernels.isub."""
         o = self._promote(other)
         if o is None:
             return NotImplemented
         hess = None
-        if self.hess is not None and o.hess is not None:
-            hess = [
-                [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.hess, o.hess)
-            ]
-        return Jet(
-            self.value + o.value,
-            [a + b for a, b in zip(self.grad, o.grad)],
+        if self.hess_pairs is not None and o.hess_pairs is not None:
+            hess = [op(*a, *b) for a, b in zip(self.hess_pairs, o.hess_pairs)]
+        return Jet.from_pairs(
+            op(*self.value_pair, *o.value_pair),
+            [op(*a, *b) for a, b in zip(self.grad_pairs, o.grad_pairs)],
             hess,
         )
+
+    def __add__(self, other):
+        return self._termwise(other, _k.iadd)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
-        hess = None
-        if self.hess is not None and o.hess is not None:
-            hess = [
-                [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.hess, o.hess)
-            ]
-        return Jet(
-            self.value - o.value,
-            [a - b for a, b in zip(self.grad, o.grad)],
-            hess,
-        )
+        return self._termwise(other, _k.isub)
 
     def __rsub__(self, other):
         o = self._promote(other)
@@ -107,31 +161,30 @@ class Jet:
 
     def __neg__(self):
         hess = None
-        if self.hess is not None:
-            hess = [[-h for h in row] for row in self.hess]
-        return Jet(-self.value, [-g for g in self.grad], hess)
+        if self.hess_pairs is not None:
+            hess = [(-hi, -lo) for lo, hi in self.hess_pairs]
+        lo, hi = self.value_pair
+        return Jet.from_pairs(
+            (-hi, -lo), [(-g_hi, -g_lo) for g_lo, g_hi in self.grad_pairs], hess
+        )
 
     def __mul__(self, other):
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        n = self.n
-        value = self.value * o.value
-        grad = [self.value * o.grad[i] + o.value * self.grad[i] for i in range(n)]
+        imul, iadd = _k.imul, _k.iadd
+        sv, ov = self.value_pair, o.value_pair
+        sg, og = self.grad_pairs, o.grad_pairs
+        value = imul(*sv, *ov)
+        grad = [iadd(*imul(*sv, *b), *imul(*ov, *a)) for a, b in zip(sg, og)]
         hess = None
-        if self.hess is not None and o.hess is not None:
-            hess = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1):
-                    h = (
-                        self.value * o.hess[i][j]
-                        + o.value * self.hess[i][j]
-                        + self.grad[i] * o.grad[j]
-                        + self.grad[j] * o.grad[i]
-                    )
-                    hess[i][j] = h
-                    hess[j][i] = h
-        return Jet(value, grad, hess)
+        if self.hess_pairs is not None and o.hess_pairs is not None:
+            hess = []
+            for (i, j), sh, oh in zip(_tri(self.n), self.hess_pairs, o.hess_pairs):
+                lo, hi = iadd(*imul(*sv, *oh), *imul(*ov, *sh))
+                lo, hi = iadd(lo, hi, *imul(*sg[i], *og[j]))
+                hess.append(iadd(lo, hi, *imul(*sg[j], *og[i])))
+        return Jet.from_pairs(value, grad, hess)
 
     __rmul__ = __mul__
 
@@ -139,25 +192,25 @@ class Jet:
         o = self._promote(other)
         if o is None:
             return NotImplemented
-        if o.value.contains_zero():
+        ov = o.value_pair
+        if ov[0] <= 0.0 <= ov[1]:
             raise IntervalError("jet division by zero-containing value")
-        n = self.n
-        value = self.value / o.value
-        grad = [(self.grad[i] - value * o.grad[i]) / o.value for i in range(n)]
+        imul, isub, idiv = _k.imul, _k.isub, _k.idiv
+        og = o.grad_pairs
+        value = idiv(*self.value_pair, *ov)
+        grad = [
+            idiv(*isub(*a, *imul(*value, *b)), *ov)
+            for a, b in zip(self.grad_pairs, og)
+        ]
         hess = None
-        if self.hess is not None and o.hess is not None:
-            hess = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1):
-                    h = (
-                        self.hess[i][j]
-                        - grad[i] * o.grad[j]
-                        - grad[j] * o.grad[i]
-                        - value * o.hess[i][j]
-                    ) / o.value
-                    hess[i][j] = h
-                    hess[j][i] = h
-        return Jet(value, grad, hess)
+        if self.hess_pairs is not None and o.hess_pairs is not None:
+            hess = []
+            for (i, j), sh, oh in zip(_tri(self.n), self.hess_pairs, o.hess_pairs):
+                lo, hi = isub(*sh, *imul(*grad[i], *og[j]))
+                lo, hi = isub(lo, hi, *imul(*grad[j], *og[i]))
+                lo, hi = isub(lo, hi, *imul(*value, *oh))
+                hess.append(idiv(lo, hi, *ov))
+        return Jet.from_pairs(value, grad, hess)
 
     def __rtruediv__(self, other):
         o = self._promote(other)
@@ -168,48 +221,50 @@ class Jet:
     # -- composition with elementary functions ----------------------------
 
     def _chain(self, value, d1, d2):
-        n = self.n
-        grad = [d1 * g for g in self.grad]
+        """The jet of g(self) from the pairs value = g(v), d1 = g'(v) and
+        d2 = g''(v)."""
+        imul, iadd = _k.imul, _k.iadd
+        sg = self.grad_pairs
+        grad = [imul(*d1, *g) for g in sg]
         hess = None
-        if self.hess is not None:
-            hess = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1):
-                    h = d2 * self.grad[i] * self.grad[j] + d1 * self.hess[i][j]
-                    hess[i][j] = h
-                    hess[j][i] = h
-        return Jet(value, grad, hess)
+        if self.hess_pairs is not None:
+            hess = [
+                iadd(*imul(*imul(*d2, *sg[i]), *sg[j]), *imul(*d1, *h))
+                for (i, j), h in zip(_tri(self.n), self.hess_pairs)
+            ]
+        return Jet.from_pairs(value, grad, hess)
 
     def sqr(self):
-        n = self.n
-        value = self.value.sqr()
-        two_v = Interval(2.0) * self.value
-        grad = [two_v * g for g in self.grad]
+        imul, iadd = _k.imul, _k.iadd
+        v = self.value_pair
+        sg = self.grad_pairs
+        two_v = imul(2.0, 2.0, *v)
+        grad = [imul(*two_v, *g) for g in sg]
         hess = None
-        if self.hess is not None:
-            hess = [[None] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i + 1):
-                    h = Interval(2.0) * (
-                        self.grad[i] * self.grad[j] + self.value * self.hess[i][j]
-                    )
-                    hess[i][j] = h
-                    hess[j][i] = h
-        return Jet(value, grad, hess)
+        if self.hess_pairs is not None:
+            hess = [
+                imul(2.0, 2.0, *iadd(*imul(*sg[i], *sg[j]), *imul(*v, *h)))
+                for (i, j), h in zip(_tri(self.n), self.hess_pairs)
+            ]
+        return Jet.from_pairs(_k.isqr(*v), grad, hess)
 
     def sqrt(self):
-        if self.value.lo <= 0.0:
+        if self.value_pair[0] <= 0.0:
             raise IntervalError("jet sqrt requires a strictly positive value")
         s = self.value.sqrt()
-        d1 = Interval(0.5) / s
-        d2 = -Interval(0.25) / (s * self.value)
+        s = (s.lo, s.hi)
+        d1 = _div((0.5, 0.5), s)
+        d2 = _div((-0.25, -0.25), _k.imul(*s, *self.value_pair))
         return self._chain(s, d1, d2)
 
     def sincos(self):
         """(sin, cos) of the jet from one interval sin and one cos."""
-        s = self.value.sin()
-        c = self.value.cos()
-        return self._chain(s, c, -s), self._chain(c, -s, -c)
+        v = self.value
+        s = v.sin()
+        c = v.cos()
+        s, c = (s.lo, s.hi), (c.lo, c.hi)
+        neg_s, neg_c = (-s[1], -s[0]), (-c[1], -c[0])
+        return self._chain(s, c, neg_s), self._chain(c, neg_s, neg_c)
 
     def sin(self):
         return self.sincos()[0]
@@ -218,8 +273,9 @@ class Jet:
         return self.sincos()[1]
 
     def atan(self):
-        v = self.value
-        den = Interval(1.0) + v.sqr()
-        d1 = Interval(1.0) / den
-        d2 = Interval(-2.0) * v / den.sqr()
-        return self._chain(v.atan(), d1, d2)
+        v = self.value_pair
+        den = _k.iadd(1.0, 1.0, *_k.isqr(*v))
+        d1 = _div(_ONE, den)
+        d2 = _div(_k.imul(-2.0, -2.0, *v), _k.isqr(*den))
+        t = self.value.atan()
+        return self._chain((t.lo, t.hi), d1, d2)

@@ -220,9 +220,9 @@ def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=
     covering_cert = check_covering(
         ntilde, ntilde, chart_map.as_vec_map3(param), grid=grid
     )
-    rows = covering_cert.local_jacobian.rows
-    j_local = IntervalMatrix([row[:3] for row in rows])
-    p_local = IntervalVector([row[3] for row in rows])
+    rows = covering_cert.local_jacobian.pairs
+    j_local = IntervalMatrix.from_pairs([row[:3] for row in rows])
+    p_local = IntervalVector.from_pairs([row[3] for row in rows])
     v_cone = cone_matrix(j_local, qtilde, qtilde)
     rump = rump_positive_definite(v_cone)
     if not rump.positive_definite:

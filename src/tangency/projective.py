@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from tangency import kernels as _k
 from tangency.covering import BoxMap
 from tangency.interval import HALF_PI, PI, Interval, IntervalError, as_interval
 from tangency.jets import Jet
@@ -100,15 +101,26 @@ def angle_to_direction(t):
     return IntervalVector([t.cos(), t.sin()])
 
 
+_ZERO = (0.0, 0.0)
+
+
+def _place_t(xya):
+    """(x, y, a) pairs placed into (x, y, t, a) with an exact zero for t."""
+    x, y, a = xya
+    return x, y, _ZERO, a
+
+
 def _angle_jet(wx, wy):
     """Order-1 jet of the chart angle of a direction given by jets (wx, wy)."""
-    if wy.value.contains_zero():
-        if wx.value.contains_zero():
+    wy_lo, wy_hi = wy.value_pair
+    if wy_lo <= 0.0 <= wy_hi:
+        wx_lo, wx_hi = wx.value_pair
+        if wx_lo <= 0.0 <= wx_hi:
             raise ChartError("direction enclosure contains the zero vector")
         raise ChartError(
             "direction enclosure touches the excluded chart point t in {0, pi}"
         )
-    if wy.value.hi < 0.0:
+    if wy_hi < 0.0:
         wx, wy = -wx, -wy
     n = wx.n
     half_pi = Jet.constant(HALF_PI, n, order=wx.order)
@@ -153,9 +165,12 @@ class ChartMap:
         fx, fy = self._evaluator()(xj, yj, aj)
         ct = p.t.cos()
         st = p.t.sin()
-        wx = fx.grad[0] * ct + fx.grad[1] * st
-        wy = fy.grad[0] * ct + fy.grad[1] * st
-        t2 = direction_to_angle((wx, wy))
+        w = [
+            _k.iadd(*_k.imul(*f.grad_pairs[0], ct.lo, ct.hi),
+                    *_k.imul(*f.grad_pairs[1], st.lo, st.hi))
+            for f in (fx, fy)
+        ]
+        t2 = direction_to_angle([Interval(*c) for c in w])
         return ChartPoint(fx.value, fy.value, t2, p.a)
 
     def apply3(self, v3, a):
@@ -168,26 +183,33 @@ class ChartMap:
 
     def derivative(self, p):
         """Image enclosure of a chart box (the jets' values: apply's, bit for
-        bit) and a sound 4x4 enclosure of the derivative over it."""
-        xj = Jet.variable(0, p.x, 4, order=2)
-        yj = Jet.variable(1, p.y, 4, order=2)
-        aj = Jet.variable(3, p.a, 4, order=2)
+        bit) and a sound 4x4 enclosure of the derivative over it.
+
+        f does not depend on t, so its order-2 jets run over (x, y, a) and
+        are placed into the (x, y, t, a) rows with an exact zero in the t
+        slot; the t column comes from the tangent jet alone.
+        """
+        xj = Jet.variable(0, p.x, 3, order=2)
+        yj = Jet.variable(1, p.y, 3, order=2)
+        aj = Jet.variable(2, p.a, 3, order=2)
         fx, fy = self._evaluator()(xj, yj, aj)
         tang = self._tangent_jet(fx, fy, p.t)
-        zero = Interval(0.0)
-        one = Interval(1.0)
-        return ChartPoint(fx.value, fy.value, tang.value, p.a), IntervalMatrix(
-            [fx.grad, fy.grad, tang.grad, (zero, zero, zero, one)]
+        jacobian = IntervalMatrix.from_pairs(
+            [_place_t(fx.grad_pairs), _place_t(fy.grad_pairs), tang.grad_pairs,
+             (_ZERO, _ZERO, _ZERO, (1.0, 1.0))]
         )
+        return ChartPoint(fx.value, fy.value, tang.value, p.a), jacobian
 
     @staticmethod
     def _tangent_jet(fx, fy, t):
-        # Rows of Df as order-1 jets: value = first derivative, grad = the
-        # corresponding Hessian row (mixed partials up to symmetry).
-        f1x = Jet(fx.grad[0], fx.hess[0])
-        f1y = Jet(fx.grad[1], fx.hess[1])
-        f2x = Jet(fy.grad[0], fy.hess[0])
-        f2y = Jet(fy.grad[1], fy.hess[1])
+        # Rows of Df as order-1 jets over (x, y, t, a): value = first
+        # derivative, grad = the corresponding Hessian row (mixed partials up
+        # to symmetry).
+        f1x, f1y, f2x, f2y = (
+            Jet.from_pairs(f.grad_pairs[i], _place_t(f.hess_row_pairs(i)))
+            for f in (fx, fy)
+            for i in (0, 1)
+        )
         tj = Jet.variable(2, t, 4, order=1)
         st, ct = tj.sincos()
         wx = f1x * ct + f1y * st
@@ -219,7 +241,9 @@ class ChartMap:
 
         def enclose(v):
             q, jacobian = self.derivative(ChartPoint(v[0], v[1], v[2], a))
-            return IntervalVector([q.x, q.y, q.t]), IntervalMatrix(jacobian.rows[:3])
+            return IntervalVector([q.x, q.y, q.t]), IntervalMatrix.from_pairs(
+                jacobian.pairs[:3]
+            )
 
         return BoxMap(lambda v: self.apply3(v, a), enclose)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from tangency.cones import cone_matrix
 from tangency.covering import BoxMap
 from tangency.hset import HSet, QuadraticForm
 from tangency.interval import Interval, IntervalError, as_interval
@@ -57,8 +58,8 @@ def _boxmap(evaluator):
     def enclose(box):
         jets = [Jet.variable(i, box[i], 4, order=1) for i in range(4)]
         outs = evaluator(*jets)
-        values, grads = [out.value for out in outs], [out.grad for out in outs]
-        return IntervalVector(values), IntervalMatrix(grads)
+        return (IntervalVector.from_pairs([out.value_pair for out in outs]),
+                IntervalMatrix.from_pairs([out.grad_pairs for out in outs]))
 
     return BoxMap(value, enclose)
 
@@ -248,7 +249,10 @@ def switch_cone_blocks(a_coef=1.0, b_coef=1.0, c_coef=1.0, d_coef=0.5,
 def switch_cone_matrix(params, x=0.0, a_coef=1.0, b_coef=1.0, c_coef=1.0,
                        d_coef=0.5, alpha=1.0, beta=0.25, gamma=4.0, delta=2.0):
     """Full 4x4 cone matrix of the switch link in the unstable-first source coordinates
-    (x, a, y, v), evaluated on a box with the given x-range."""
+    (x, a, y, v), evaluated on a box with the given x-range: cones.cone_matrix
+    of the switch derivative with Q_N = (alpha, beta, -gamma, -delta) and
+    Q_M = (A, B, -C, -D) in target order (x, w, y, a), both unstable on axes
+    0 and 1."""
     x = as_interval(x)
     jx = Jet.variable(0, x, 4, order=1)
     ja = Jet.variable(1, Interval(0.0), 4, order=1)
@@ -259,25 +263,10 @@ def switch_cone_matrix(params, x=0.0, a_coef=1.0, b_coef=1.0, c_coef=1.0,
     f2 = -2.0 * jx - jv
     f3 = -jx
     f4 = ja
-    df = IntervalMatrix([f1.grad, f2.grad, f3.grad, f4.grad])
-    qm = IntervalMatrix(
-        [
-            [Interval(a_coef), 0, 0, 0],
-            [0, Interval(b_coef), 0, 0],
-            [0, 0, Interval(-c_coef), 0],
-            [0, 0, 0, Interval(-d_coef)],
-        ]
-    )
-    qn = IntervalMatrix(
-        [
-            [Interval(alpha), 0, 0, 0],
-            [0, Interval(beta), 0, 0],
-            [0, 0, Interval(-gamma), 0],
-            [0, 0, 0, Interval(-delta)],
-        ]
-    )
-    v = df.transpose().mat_mul(qm).mat_mul(df) - qn
-    return (v + v.transpose()).scale(0.5)
+    df = IntervalMatrix.from_pairs([f.grad_pairs for f in (f1, f2, f3, f4)])
+    q_src = QuadraticForm([alpha, beta, -gamma, -delta], (0, 1))
+    q_tgt = QuadraticForm([a_coef, b_coef, -c_coef, -d_coef], (0, 1))
+    return cone_matrix(df, q_src, q_tgt)
 
 
 def transversality_determinant(g_a, g_tt, g_ta):

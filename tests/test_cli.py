@@ -233,6 +233,58 @@ class TestCheckToy:
         assert not out.exists()
 
 
+class TestCheckToyInconclusive:
+    """An INCONCLUSIVE check-toy report keeps every certificate found before
+    the failing link, as the prove report does."""
+
+    def test_failed_middle_covering_keeps_earlier_links(self, monkeypatch, tmp_path):
+        from tangency import cli
+        from tangency.toy import ToyParams, linear_start_map
+
+        def broken(params):
+            chain = build_toy_chain(params)
+            maps = list(chain.maps)
+            maps[2] = linear_start_map(ToyParams(lam=1.01))  # N2 no longer covers N3
+            return dataclasses.replace(chain, maps=tuple(maps))
+
+        monkeypatch.setattr(cli, "build_toy_chain", broken)
+        out = tmp_path / "toy.json"
+        assert main(["check-toy", "--report", str(out)]) == 1
+        report = report_mod.loads(out.read_text())
+        assert report["verdict"] == "INCONCLUSIVE"
+        assert report["failure"]["stage"] == "covering"
+        assert report["failure"]["locus"] == "N2=>N3"
+        assert [(c["source"], c["target"]) for c in report["stages"]["covering"]] == [
+            ("N0", "N1"), ("N1", "N2")
+        ]
+        assert set(report["stages"]) == {"covering"}
+
+    def test_failed_middle_cone_keeps_earlier_cones(self, monkeypatch, tmp_path):
+        from tangency import cli
+        from tangency.covering import VerificationInconclusive
+
+        check_cone_link = cli.check_cone_link
+
+        def failing_at_n2(covering, q_src, q_tgt):
+            if covering.source == "N2":
+                raise VerificationInconclusive("cones", "N2=>N3", "forced failure")
+            return check_cone_link(covering, q_src, q_tgt)
+
+        monkeypatch.setattr(cli, "check_cone_link", failing_at_n2)
+        out = tmp_path / "toy.json"
+        assert main(["check-toy", "--report", str(out)]) == 1
+        report = report_mod.loads(out.read_text())
+        assert report["failure"] == {
+            "stage": "cones", "locus": "N2=>N3", "detail": "forced failure"
+        }
+        n_links = len(build_toy_chain().sets) - 1
+        assert len(report["stages"]["covering"]) == n_links
+        assert [c["link"] for c in report["stages"]["cones_linear_links"]] == [
+            "N0=>N1", "N1=>N2"
+        ]
+        assert "switch_blocks" not in report["stages"]
+
+
 class TestOutputErrors:
     @pytest.mark.parametrize("argv", [["check-toy"], ["prove", "henon"]])
     def test_report_into_missing_directory_exits_two(self, tmp_path, capsys, argv):

@@ -1,6 +1,7 @@
 """Cone machinery: Rump's vertex reduction, interval Cholesky, cone matrices."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tangency.cones import (
     midrad_split,
     rump_positive_definite,
     symmetrize,
+    vertex_signs,
 )
 from tangency.interval import Interval
 from tangency.linalg import IntervalMatrix, IntervalVector
@@ -123,6 +125,15 @@ class TestCholesky:
         )
         assert interval_cholesky_min_pivot(m) is None
 
+    def test_overflow_raises(self):
+        # The factor entry 1e300 / sqrt(1e-300) overflows: an error, as an
+        # Interval holding it would be, not a verdict.
+        from tangency.interval import IntervalError
+
+        m = IntervalMatrix([[1e-300, 1e300], [1e300, 1.0]])
+        with pytest.raises(IntervalError):
+            interval_cholesky_min_pivot(m)
+
 
 class TestSymmetrize:
     def test_quadratic_form_unchanged(self, rng):
@@ -219,3 +230,129 @@ class TestConeMatrixGeneric:
             for j in range(4):
                 if i != j:
                     assert v[i, j].contains(0.0)
+
+
+# -- exact-rational pivot oracle -----------------------------------------------
+
+
+def _exact_pivots(p):
+    """The LDL^T pivots of a symmetric Fraction matrix, up to and including
+    the first one that is not positive."""
+    a = [list(row) for row in p]
+    n = len(a)
+    pivots = []
+    for j in range(n):
+        d = a[j][j]
+        pivots.append(d)
+        if d <= 0:
+            break
+        for i in range(j + 1, n):
+            f = a[i][j] / d
+            for k in range(j + 1, n):
+                a[i][k] -= f * a[j][k]
+    return pivots
+
+
+def _exact_points(m, rng, count):
+    """Symmetric Fraction matrices inside the lower triangle of m (what the
+    Cholesky run and the midpoint/radius split read): corners, then points
+    at random dyadic positions."""
+    n = m.nrows
+    bounds = [[tuple(Fraction(b) for b in m.pairs[i][j]) for j in range(i + 1)]
+              for i in range(n)]
+    for s in range(count):
+        p = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                lo, hi = bounds[i][j]
+                t = Fraction(rng.randint(0, 1)) if s % 2 == 0 else Fraction(
+                    rng.randint(0, 2**20), 2**20)
+                p[i][j] = p[j][i] = lo + t * (hi - lo)
+        yield p
+
+
+def _vertex_enclosures(a):
+    """(z, exact vertex matrix C - D(z) R D(z) of a's split) per sign vector."""
+    c, r = midrad_split(a)
+    n = a.nrows
+    return [
+        (z, [[Fraction(c[i][j]) - z[i] * z[j] * Fraction(r[i][j]) for j in range(n)]
+             for i in range(n)])
+        for z in vertex_signs(n)
+    ]
+
+
+def _henon_and_toy_cone_matrices(henon_proof):
+    from tangency.covering import check_chain
+    from tangency.toy import build_toy_chain, linear_link_indices
+
+    cert, _ = henon_proof
+    mats = [c.matrix for c in cert.cones]
+    mats += [disk.cone.matrix for disk in (cert.stable_disk, cert.unstable_disk)]
+    chain = build_toy_chain()
+    coverings = check_chain(list(chain.sets), list(chain.maps))
+    mats += [
+        cone_matrix(coverings[i].local_jacobian, chain.forms[i], chain.forms[i + 1])
+        for i in linear_link_indices(chain)
+    ]
+    return mats
+
+
+class TestExactPivotOracle:
+    """Every exact LDL^T pivot of every exact matrix inside a certified
+    interval matrix is at least the certified minimum pivot."""
+
+    def test_cholesky_pivots_bound_exact_pivots(self, rng):
+        certified = 0
+        for _ in range(120):
+            n = rng.choice([2, 3, 4, 5])
+            m, _, _ = _sym_interval_matrix(rng, n, rad=rng.choice([0.01, 0.1, 0.4]))
+            pivot = interval_cholesky_min_pivot(m)
+            if pivot is None:
+                continue
+            certified += 1
+            for p in _exact_points(m, rng, 12):
+                assert min(_exact_pivots(p)) >= Fraction(pivot)
+        assert certified >= 60
+
+    def test_rump_vertices_and_points(self, rng):
+        certified = 0
+        for _ in range(60):
+            n = rng.choice([2, 3, 4])
+            m, _, _ = _sym_interval_matrix(rng, n, rad=rng.choice([0.1, 0.5, 1.5]))
+            res = rump_positive_definite(m)
+            vertices = _vertex_enclosures(m)
+            for (z, margin), (z2, vertex) in zip(res.vertex_margins, vertices):
+                assert z == z2
+                if margin is not None:
+                    assert min(_exact_pivots(vertex)) >= Fraction(margin)
+            if res.positive_definite:
+                certified += 1
+                for p in _exact_points(m, rng, 10):
+                    assert min(_exact_pivots(p)) > 0
+        assert certified >= 20
+
+    def test_proof_cone_matrices(self, henon_proof, rng):
+        # The cone matrices V of the grid-1 Henon proof (chain links and
+        # disks) and of the toy's linear links: each vertex certificate
+        # bounds the exact pivots of its vertex matrix and of points of the
+        # vertex's interval enclosure, and points of V are positive definite.
+        mats = _henon_and_toy_cone_matrices(henon_proof)
+        assert len(mats) == 15 + 2 + 9
+        for v in mats:
+            res = rump_positive_definite(v)
+            assert res.positive_definite
+            c, r = midrad_split(v)
+            n = v.nrows
+            vertices = _vertex_enclosures(v)
+            for (z, margin), (_, vertex) in zip(res.vertex_margins, vertices):
+                assert min(_exact_pivots(vertex)) >= Fraction(margin)
+                enclosure = IntervalMatrix(
+                    [[Interval(c[i][j]) - Interval(z[i] * z[j] * r[i][j])
+                      for j in range(n)] for i in range(n)]
+                )
+                assert interval_cholesky_min_pivot(enclosure) == margin
+                for p in _exact_points(enclosure, rng, 4):
+                    assert min(_exact_pivots(p)) >= Fraction(margin)
+            for p in _exact_points(v, rng, 6):
+                assert min(_exact_pivots(p)) > 0

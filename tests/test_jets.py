@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -95,6 +96,22 @@ class TestChainRules:
         f = 1.0 + 3.0 * x - x / 2.0
         assert f.value.contains(6.0)
         assert f.grad[0].contains(2.5)
+
+    def test_overflow_raises(self):
+        # The pairs an operation stores are checked as Intervals are: an
+        # overflowing bound, or a NaN from inf * 0, is an error.
+        x = Jet.variable(0, Interval(-1e300, 1e300), 2)
+        for op in (lambda: x.sqr(), lambda: x * 1e300, lambda: x / 1e-300,
+                   lambda: Jet.variable(0, Interval(1e-300, 1.0), 1).sqrt()):
+            with pytest.raises(IntervalError):
+                op()
+
+    def test_hessian_must_be_symmetric(self):
+        with pytest.raises(IntervalError):
+            Jet(1.0, [0.0, 0.0], [[0.0, 1.0], [0.0, 0.0]])
+        j = Jet(1.0, [0.0, 0.0], [[2.0, 1.0], [1.0, 3.0]])
+        assert j.hess_pairs == ((2.0, 2.0), (1.0, 1.0), (3.0, 3.0))
+        assert j.hess[0][1] == j.hess[1][0] == Interval(1.0)
 
     def test_variable_count_mismatch(self):
         with pytest.raises(IntervalError):
@@ -249,3 +266,142 @@ def test_enclosure_monotonicity_in_box():
         assert small.grad[i].is_subset(big.grad[i])
         for j in range(2):
             assert small.hess[i][j].is_subset(big.hess[i][j])
+
+
+# -- exact-rational oracle ----------------------------------------------------
+
+
+class _Exact:
+    """Forward-mode value, gradient and full Hessian in exact Fractions."""
+
+    def __init__(self, v, g, h):
+        self.v, self.g, self.h = v, g, h
+
+    @classmethod
+    def variable(cls, i, x, n):
+        zero = Fraction(0)
+        return cls(Fraction(x), [Fraction(int(j == i)) for j in range(n)],
+                   [[zero] * n for _ in range(n)])
+
+    def _lift(self, o):
+        if isinstance(o, _Exact):
+            return o
+        n = len(self.g)
+        zero = Fraction(0)
+        return _Exact(Fraction(o), [zero] * n, [[zero] * n for _ in range(n)])
+
+    def __add__(self, o):
+        o = self._lift(o)
+        return _Exact(self.v + o.v, [a + b for a, b in zip(self.g, o.g)],
+                      [[a + b for a, b in zip(r, s)] for r, s in zip(self.h, o.h)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Exact(-self.v, [-a for a in self.g], [[-a for a in r] for r in self.h])
+
+    def __sub__(self, o):
+        return self + (-self._lift(o))
+
+    def __rsub__(self, o):
+        return self._lift(o) - self
+
+    def __mul__(self, o):
+        o = self._lift(o)
+        n = len(self.g)
+        return _Exact(
+            self.v * o.v,
+            [self.v * o.g[i] + o.v * self.g[i] for i in range(n)],
+            [[self.v * o.h[i][j] + o.v * self.h[i][j] + self.g[i] * o.g[j]
+              + self.g[j] * o.g[i] for j in range(n)] for i in range(n)],
+        )
+
+    __rmul__ = __mul__
+
+    def _reciprocal(self):
+        v = self.v
+        n = len(self.g)
+        return _Exact(
+            1 / v,
+            [-g / v**2 for g in self.g],
+            [[2 * self.g[i] * self.g[j] / v**3 - self.h[i][j] / v**2 for j in range(n)]
+             for i in range(n)],
+        )
+
+    def __truediv__(self, o):
+        return self * self._lift(o)._reciprocal()
+
+    def __rtruediv__(self, o):
+        return self._lift(o) / self
+
+    def sqr(self):
+        return self * self
+
+
+def _rational_corpus():
+    """The corpus entries built from +, -, *, / and sqr only: the ones that
+    run on exact jets (the others reach sin, cos, atan or sqrt)."""
+    out = []
+    for fn, xdom, ydom in CORPUS:
+        x, y = _Exact.variable(0, 0.5, 2), _Exact.variable(1, 0.25, 2)
+        try:
+            fn(x, y)
+        except (AttributeError, TypeError):
+            continue
+        out.append((fn, xdom, ydom))
+    return out
+
+
+def _lifted(fn, xs):
+    """fn of two arguments made from n = 2, 3 or 4 variables, so that every
+    variable, and for n = 4 a product of two, reaches both arguments."""
+    if len(xs) == 2:
+        u, v = xs
+    elif len(xs) == 3:
+        u, v = xs[0] + 0.25 * xs[2], xs[1] - 0.25 * xs[2]
+    else:
+        u, v = xs[0] + 0.25 * xs[2] * xs[3], xs[1] - 0.25 * xs[3] + 0.125 * xs[2]
+    return fn(u, v)
+
+
+def _contains(iv, fr):
+    return Fraction(iv.lo) <= fr <= Fraction(iv.hi)
+
+
+class TestExactRationalOracle:
+    """Exact forward-mode derivatives at exact points of a box lie in the
+    jet enclosures over the box: rational corpus, n = 2, 3, 4, orders 1, 2."""
+
+    def test_corpus_is_nontrivial(self):
+        assert len(_rational_corpus()) == 11
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_rational_corpus(self, rng, n, order):
+        for fn, xdom, ydom in _rational_corpus():
+            for half in (0.0, 1e-3, 0.25):
+                # u and v stay in the corpus domains: the lifts move them by
+                # at most 0.375 * half.
+                c = [rng.uniform(xdom[0] + 0.5, xdom[1] - 0.5),
+                     rng.uniform(ydom[0] + 0.5, ydom[1] - 0.5), 0.0, 0.0][:n]
+                c = [float(Fraction(ci).limit_denominator(64)) for ci in c]
+                box = [Interval(ci - half, ci + half) for ci in c]
+                jets = [Jet.variable(i, box[i], n, order=order) for i in range(n)]
+                out = _lifted(fn, jets)
+                for s in range(6):
+                    point = [
+                        Fraction(b.lo) + (Fraction(rng.randint(0, 1)) if s < 3 else
+                                          Fraction(rng.randint(0, 64), 64))
+                        * (Fraction(b.hi) - Fraction(b.lo))
+                        for b in box
+                    ]
+                    exact = _lifted(
+                        fn, [_Exact.variable(i, p, n) for i, p in enumerate(point)])
+                    assert _contains(out.value, exact.v)
+                    for i in range(n):
+                        assert _contains(out.grad[i], exact.g[i]), i
+                        if order == 2:
+                            for j in range(n):
+                                assert _contains(out.hess[i][j], exact.h[i][j]), (i, j)
+                if order == 1:
+                    assert out.hess is None

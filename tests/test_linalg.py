@@ -163,3 +163,33 @@ class TestInverseEnclosure:
     def test_singular_rejected(self):
         with pytest.raises(IntervalError):
             inverse_enclosure([[1.0, 2.0], [2.0, 4.0]])
+
+
+class TestFloatPairs:
+    """Entries are (lo, hi) pairs inside; Intervals at the edges; a pair the
+    kernels computed is checked as an Interval is before it is stored."""
+
+    def test_edges_give_intervals(self):
+        m = IntervalMatrix([[1, Interval(2.0, 3.0)], [Fraction(1, 3), 4.0]])
+        assert m.pairs[0] == ((1.0, 1.0), (2.0, 3.0))
+        assert m[1, 0] == Interval(Fraction(1, 3))
+        assert m.rows[0][1] == Interval(2.0, 3.0)
+        v = IntervalVector([0.5, Interval(-1.0, 1.0)])
+        assert v.pairs == ((0.5, 0.5), (-1.0, 1.0))
+        assert list(v) == [Interval(0.5), Interval(-1.0, 1.0)]
+
+    @pytest.mark.parametrize("pair", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.inf)])
+    def test_bad_pairs_rejected(self, pair):
+        with pytest.raises(IntervalError):
+            IntervalMatrix.from_pairs([[pair]])
+        with pytest.raises(IntervalError):
+            IntervalVector.from_pairs([pair])
+
+    def test_overflow_raises(self):
+        big = IntervalMatrix([[1e200, 1.0], [0.0, 1.0]])
+        with pytest.raises(IntervalError):
+            big.mat_mul(big)
+        with pytest.raises(IntervalError):
+            big.mat_vec(IntervalVector([1e200, 0.0]))
+        with pytest.raises(IntervalError):
+            IntervalMatrix([[1e300, 1e-300], [1e300, 1e300]]).det()

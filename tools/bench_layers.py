@@ -2,14 +2,20 @@
 """Layer and end-to-end timings of source trees, as one JSON document.
 
     python tools/bench_layers.py --tree parent=../parent/src --tree change=src \\
-        --runs 9 > BENCH_8.json
+        --runs 9 > BENCH_9.json
 
 Each run starts a fresh interpreter per tree, with the tree first on
 ``sys.path``; the trees alternate which goes first from one run to the next.
 Inside a run every measurement is taken once untimed (warm-up), then timed
 ``--repeat`` times: one call of interval ``sin``, ``cos`` and ``atan`` is the
 mean of a ``--calls``-call loop, on a thin chart-domain argument and on one
-``1e-5`` wide, and ``run_proof()`` at grid 1 and grid 2 is one call, whose
+``1e-5`` wide; the matrix, jet and cone layers are the mean of a
+``--calls // 10``-call loop (a covering link of a ``--calls // 200``-call
+loop) on the grid-1 Henon chain: a 4x4 ``mat_mul`` (N1's ``inv_coord``
+times the chart Jacobian over N0), ``ChartMap.derivative`` over N0's
+box, ``hset.local_derivative`` of that Jacobian from N0 to N1, one 4x4
+``rump_positive_definite`` (the cone matrix of N0=>N1) and ``check_covering``
+on N0=>N1; and ``run_proof()`` at grid 1 and grid 2 is one call, whose
 per-stage ``timings`` (build, covering, cones, disks) are recorded beside
 its total.  The document holds, per tree and measurement, the minimum over
 all timed runs.
@@ -42,13 +48,37 @@ def _best(f, repeat, number=1):
 
 
 def _one_run(calls, repeat):
-    from tangency.henon import HenonConfig, run_proof
+    from tangency.cones import cone_matrix, rump_positive_definite
+    from tangency.covering import check_covering
+    from tangency.henon import HenonConfig, build_chain, henon_family, run_proof
+    from tangency.hset import local_derivative
     from tangency.interval import Interval
+    from tangency.projective import ChartMap, ChartPoint
 
     out = {}
     for kind, x in (("thin", Interval(T)), ("wide", Interval(T, T + WIDE))):
         for name in ("sin", "cos", "atan"):
             out[f"interval.{name}_{kind}_us"] = _best(getattr(x, name), repeat, calls) * 1e6
+
+    chain = build_chain()
+    chart = ChartMap(henon_family())
+    src, tgt = chain.sets[0], chain.sets[1]
+    box = ChartPoint.from_vector(src.box())
+    _, jacobian = chart.derivative(box)
+    link = check_covering(src, tgt, chart.as_vec_map())
+    v = cone_matrix(link.local_jacobian, chain.forms[0], chain.forms[1])
+    layers = (
+        ("linalg.mat_mul_4x4_us", lambda: tgt.inv_coord.mat_mul(jacobian), calls // 10),
+        ("projective.derivative_us", lambda: chart.derivative(box), calls // 10),
+        ("hset.local_derivative_us", lambda: local_derivative(src, tgt, jacobian),
+         calls // 10),
+        ("cones.rump_4x4_us", lambda: rump_positive_definite(v), calls // 10),
+        ("covering.link_N0_N1_us",
+         lambda: check_covering(src, tgt, chart.as_vec_map()), calls // 200),
+    )
+    for key, f, number in layers:
+        out[key] = _best(f, repeat, max(number, 1)) * 1e6
+
     for grid in (1, 2):
         config = HenonConfig(grid=grid)
         run_proof(config)
