@@ -34,7 +34,6 @@ from tangency.manifold import DiskCertificate, verify_disk
 from tangency.projective import (
     ChartError,
     ChartMap,
-    ChartPoint,
     PlanarMapFamily,
     direction_to_angle,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "BoxMap",
     "ChartError",
     "ChartMap",
-    "ChartPoint",
     "ConeCertificate",
     "CoveringCertificate",
     "DiskCertificate",

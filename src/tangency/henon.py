@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from tangency.cones import check_cone_chain
 from tangency.covering import (
+    BoxMap,
     VerificationInconclusive,
     check_chain,
     checked_correspondence,
@@ -29,11 +30,13 @@ from tangency.hset import HSet, QuadraticForm
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalVector
 from tangency.manifold import verify_disk
-from tangency.projective import ChartMap, ChartPoint, PlanarMapFamily
+from tangency.projective import ChartMap, PlanarMapFamily
 
 A0 = 1.3145271093265
 B0 = -0.3
 PARAM_RADIUS = 1e-5
+# Widest (x, y, t) enclosure of one orbit step that build_chain accepts.
+ORBIT_WIDTH_MAX = 1e-9
 
 # Approximate eigenvalues of DH at the fixed point; exact-by-fiat inputs to
 # the cone-form tables below (their quality is certified a posteriori).
@@ -106,10 +109,11 @@ def henon_family(b0=B0):
     return PlanarMapFamily(name="henon", forward=forward, inverse=inverse)
 
 
-def fixed_point(a=None, b=None):
-    """Enclosure of the fixed point x = y = (b - sqrt((b-1)^2 + 4a) - 1)/2."""
-    a = Interval(A0) if a is None else a
-    b = Interval(B0) if b is None else b
+def fixed_point():
+    """Enclosure of the fixed point x = y = (b - sqrt((b-1)^2 + 4a) - 1)/2
+    at a = A0, b = B0."""
+    a = Interval(A0)
+    b = Interval(B0)
     root = ((b - 1.0).sqr() + 4.0 * a).sqrt()
     x = (b - root - 1.0) * 0.5
     return x, x
@@ -149,12 +153,14 @@ def _dh(z):
     return ((-2.0 * z[0], B0), (1.0, 0.0))
 
 
-def _unit(v, positive_y=True):
+def _unit(v):
+    """v / |v|, signed so that its second component (if zero, its first) is
+    positive."""
     n = math.hypot(v[0], v[1])
     if n == 0.0:
         raise IntervalError("zero direction vector")
     out = (v[0] / n, v[1] / n)
-    if positive_y and (out[1] < 0.0 or (out[1] == 0.0 and out[0] < 0.0)):
+    if out[1] < 0.0 or (out[1] == 0.0 and out[0] < 0.0):
         out = (-out[0], -out[1])
     return out
 
@@ -189,14 +195,14 @@ def _tangent_vec(t):
 class HenonChain:
     sets: tuple
     forms: tuple
-    step_images: tuple  # ChartPoint enclosures of PH(center_i), i = 1..14
+    step_images: tuple  # IntervalVector enclosures of PH(center_i), i = 1..14
     centers: tuple
     frames: tuple
     eigen: dict = field(compare=False)
     param_radius: float = PARAM_RADIUS
 
 
-def build_chain(param_radius=PARAM_RADIUS, orbit_width_threshold=1e-9):
+def build_chain(param_radius=PARAM_RADIUS):
     """Construct the 16 h-sets and cone forms of the heteroclinic chain.
 
     Centers c_2..c_14 are the midpoints of 240-bit enclosures of the seed
@@ -204,7 +210,7 @@ def build_chain(param_radius=PARAM_RADIUS, orbit_width_threshold=1e-9):
     _highprec_orbit for why binary64 center generation cannot work here);
     frames follow the reference propagation rules.  Rigorous one-step chart
     enclosures around every center are kept for consistency checks; one
-    wider than orbit_width_threshold aborts the build.
+    wider than ORBIT_WIDTH_MAX in x, y or t aborts the build.
     """
     eig = eigen_data()
     x0m = eig["x0"].mid
@@ -229,14 +235,13 @@ def build_chain(param_radius=PARAM_RADIUS, orbit_width_threshold=1e-9):
 
     step_images = []
     for i in range(1, 15):
-        c = centers4[i]
-        img = chart.apply(ChartPoint.make(c[0], c[1], c[2], c[3]))
-        width = max(img.x.width, img.y.width, img.t.width)
-        if width > orbit_width_threshold:
+        img = chart.apply(IntervalVector(centers4[i]))
+        width = max(img[k].width for k in range(3))
+        if width > ORBIT_WIDTH_MAX:
             raise VerificationInconclusive(
                 "chain-build",
                 f"orbit step {i}",
-                f"enclosure width {width} exceeds {orbit_width_threshold}",
+                f"enclosure width {width} exceeds {ORBIT_WIDTH_MAX}",
             )
         step_images.append(img)
 
@@ -409,7 +414,7 @@ def run_proof(config=None):
     try:
         t0 = time.perf_counter()
         certified["covering"] = check_chain(
-            list(chain.sets), [chart.as_vec_map()] * (N_SETS - 1),
+            list(chain.sets), [BoxMap(chart.apply, chart.derivative)] * (N_SETS - 1),
             grid=config.grid, correspondences=config.correspondences,
         )
         timings["covering"] = time.perf_counter() - t0

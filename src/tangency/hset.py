@@ -50,7 +50,7 @@ class HSet:
                     f"{self.name}: column {j} not normalized (|.|={norm})"
                 )
         self.center_vec = IntervalVector(self.center)
-        self.frame = IntervalMatrix.from_point(self.coord)
+        self.frame = IntervalMatrix(self.coord)
         self.inv_coord = inverse_enclosure(self.coord)
 
     @property
@@ -205,24 +205,11 @@ class QuadraticForm:
     def __repr__(self):
         return f"QuadraticForm({list(self.coeffs)!r}, unstable={self.unstable})"
 
-    def value(self, z):
-        acc = Interval(0.0)
-        for c, zi in zip(self.coeffs, z):
-            acc = acc + Interval(c) * zi.sqr()
-        return acc
-
     def matrix(self):
         n = self.n
         return IntervalMatrix(
             [[self.coeffs[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
         )
-
-    def scaled(self, factor):
-        """The form with every coefficient multiplied by an exact float."""
-        factor = float(factor)
-        if factor <= 0.0:
-            raise IntervalError("scaling factor must be positive")
-        return QuadraticForm([c * factor for c in self.coeffs], self.unstable)
 
     def alpha_norm(self):
         """Operator norm of the positive (unstable) block: max coefficient."""

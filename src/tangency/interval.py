@@ -309,15 +309,30 @@ TWO_PI = _frac_interval(2 * _PI_LO_FR, 2 * _PI_HI_FR)
 _ATAN_TABLE_MAX = 48  # table covers atan(k/16) for k = 0..48, i.e. x <= 3
 
 
+def _atan_terms(x):
+    """The fewest series terms n whose remainder bound |x|^(2n+1)/(2n+1) is
+    below 2^-80 |x|, for |x| < 1.  The term count only sets the width of the
+    rigorous bracket, far inside one binary64 rounding of atan(x) here, so
+    it is found in floats."""
+    x2 = float(x) ** 2
+    n, p = 0, 1.0
+    while p / (2 * n + 1) >= 2.0**-80:
+        p *= x2
+        n += 1
+    return n
+
+
 def _build_atan_table():
     """Enclosures of atan(k/16) for k = 0.._ATAN_TABLE_MAX."""
     table = [Interval(0.0)]
     for k in range(1, 12):
-        lo, hi = _atan_frac_bounds(Fraction(k, 16), 96)
+        x = Fraction(k, 16)
+        lo, hi = _atan_frac_bounds(x, _atan_terms(x))
         table.append(_frac_interval(lo, hi))
     for k in range(12, _ATAN_TABLE_MAX + 1):
         # atan(x) = pi/4 + atan((x-1)/(x+1)), |(k-16)/(k+16)| <= 1/2
-        lo, hi = _atan_frac_bounds(Fraction(k - 16, k + 16), 96)
+        x = Fraction(k - 16, k + 16)
+        lo, hi = _atan_frac_bounds(x, _atan_terms(x))
         table.append(_frac_interval(_PI_LO_FR / 4 + lo, _PI_HI_FR / 4 + hi))
     return tuple(table)
 

@@ -154,10 +154,6 @@ class IntervalMatrix:
             [[(1.0, 1.0) if i == j else (0.0, 0.0) for j in range(n)] for i in range(n)]
         )
 
-    @classmethod
-    def from_point(cls, rows):
-        return cls(rows)
-
     @property
     def rows(self):
         return tuple(tuple(Interval(lo, hi) for lo, hi in row) for row in self.pairs)
@@ -311,7 +307,11 @@ def approx_inverse(a_rows):
     return _float_solve([list(r) for r in a_rows], eye)
 
 
-def inverse_enclosure(a_rows, max_sweeps=2):
+# Refinement sweeps of inverse_enclosure's float inverse before it gives up.
+INVERSE_SWEEPS = 2
+
+
+def inverse_enclosure(a_rows):
     """Rigorous enclosure of the inverse of a point matrix.
 
     Computes a float approximate inverse R0 and bounds A^-1 within
@@ -319,10 +319,10 @@ def inverse_enclosure(a_rows, max_sweeps=2):
     requiring the residual norm q = ||C||_inf < 1.  Raises on failure.
     """
     n = len(a_rows)
-    a = IntervalMatrix.from_point(a_rows)
+    a = IntervalMatrix(a_rows)
     r0_rows = approx_inverse(a_rows)
-    r0 = IntervalMatrix.from_point(r0_rows)
-    for _ in range(max_sweeps):
+    r0 = IntervalMatrix(r0_rows)
+    for _ in range(INVERSE_SWEEPS):
         c = IntervalMatrix.identity(n) - a.mat_mul(r0)
         q = c.norm_inf_upper()
         if q < 1.0:
@@ -332,7 +332,7 @@ def inverse_enclosure(a_rows, max_sweeps=2):
             return inv
         # One refinement sweep: R0 <- R0 (2I - A R0), then retry.
         two_i = IntervalMatrix.identity(n).scale(2.0)
-        r0 = IntervalMatrix.from_point(
+        r0 = IntervalMatrix(
             [[pair_mid(*e) for e in row]
              for row in r0.mat_mul(two_i - a.mat_mul(r0)).pairs]
         )
@@ -341,6 +341,6 @@ def inverse_enclosure(a_rows, max_sweeps=2):
 
 def residual_norm(a_rows, inv):
     """||I - A R||_inf upper bound, for audits of inverse_enclosure output."""
-    a = IntervalMatrix.from_point(a_rows)
+    a = IntervalMatrix(a_rows)
     n = len(a_rows)
     return (IntervalMatrix.identity(n) - a.mat_mul(inv)).norm_inf_upper()

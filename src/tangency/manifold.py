@@ -13,7 +13,8 @@ h-set satisfying cone conditions.  The certificate consists of
 5. delta = Gamma^2 / ||alpha|| with the final comparison
    delta * |parameter coefficient of the 4D form| > 1.
 
-Every derivative the disk needs comes from the self-covering's one
+The self-covering runs the chart map on (x, y, t) boxes times the parameter
+interval (disk_map), and every derivative the disk needs comes from its one
 enclosure pass per sub-box: its certificate's local_jacobian is
 d(x, y, t)/d(x, y, t, a) in the local frame of the projected set, whose first
 three columns are the cone derivative and whose last is the parameter column
@@ -34,8 +35,13 @@ from tangency.cones import (
     rump_positive_definite,
     vertex_signs,
 )
-from tangency.covering import CoveringCertificate, VerificationInconclusive, check_covering
-from tangency.interval import Interval, IntervalError
+from tangency.covering import (
+    BoxMap,
+    CoveringCertificate,
+    VerificationInconclusive,
+    check_covering,
+)
+from tangency.interval import Interval, IntervalError, as_pair
 from tangency.linalg import IntervalMatrix, IntervalVector
 
 # A's form inflates Q_N by (1 + epsilon); the reported epsilon, INFLATION - 1.0,
@@ -204,6 +210,31 @@ def choose_gamma(a_lower, m_upper, l_upper, locus="manifold"):
     )
 
 
+def disk_map(chart_map, param):
+    """The BoxMap of chart_map on (x, y, t) boxes, the parameter held in the
+    interval param.
+
+    Each box, with param appended, goes through chart_map.apply or
+    chart_map.derivative; the map keeps the image's (x, y, t) and the
+    Jacobian's rows 0-2, the 3x4 matrix d(x, y, t)/d(x, y, t, a) whose last
+    column verify_disk reads as the parameter column.
+    """
+    a = as_pair(param)
+
+    def lifted(v):
+        return IntervalVector.from_pairs(v.pairs + (a,))
+
+    def image(v):
+        return IntervalVector.from_pairs(chart_map.apply(lifted(v)).pairs[:3])
+
+    def enclosure(v):
+        img, jacobian = chart_map.derivative(lifted(v))
+        return (IntervalVector.from_pairs(img.pairs[:3]),
+                IntervalMatrix.from_pairs(jacobian.pairs[:3]))
+
+    return BoxMap(image, enclosure)
+
+
 def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=1):
     """Full disk certificate for one side (see module docstring).
 
@@ -218,7 +249,7 @@ def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=
         raise IntervalError("verify_disk expects 3D projected sets and forms")
 
     covering_cert = check_covering(
-        ntilde, ntilde, chart_map.as_vec_map3(param), grid=grid
+        ntilde, ntilde, disk_map(chart_map, param), grid=grid
     )
     rows = covering_cert.local_jacobian.pairs
     j_local = IntervalMatrix.from_pairs([row[:3] for row in rows])

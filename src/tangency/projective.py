@@ -3,7 +3,9 @@
 Directions [v] in the projective line over a planar tangent space are
 parameterized by an angle t in (0, pi) through (cos t, sin t); the chart
 excludes the horizontal direction, and any enclosure touching it is a hard
-error.  The extended map acts on chart coordinates (x, y, t, a) by
+error (ChartError), checked on the angle of every box the map takes and
+returns.  The extended map acts on chart boxes, IntervalVectors (x, y, t, a),
+by
 
     (x, y, t, a) |-> (f_a(x, y), angle(Df_a(x, y) . (cos t, sin t)), a)
 
@@ -18,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from tangency import kernels as _k
-from tangency.covering import BoxMap
 from tangency.interval import HALF_PI, PI, Interval, IntervalError, as_interval
 from tangency.jets import Jet
 from tangency.linalg import IntervalMatrix, IntervalVector
@@ -28,27 +29,27 @@ class ChartError(IntervalError):
     """Direction enclosure leaves the angle chart (touches t = 0 or pi)."""
 
 
-@dataclass(frozen=True)
-class ChartPoint:
-    x: Interval
-    y: Interval
-    t: Interval
-    a: Interval
+def _check_angle(t):
+    """ChartError unless the angle enclosure t, a (lo, hi) pair, lies
+    strictly inside the chart (0, pi)."""
+    lo, hi = t
+    if not (lo > 0.0 and hi < PI.lo):
+        raise ChartError(
+            f"angle enclosure {Interval(lo, hi)!r} leaves the chart (0, pi)"
+        )
 
-    def __post_init__(self):
-        if not (self.t.lo > 0.0 and self.t.hi < PI.lo):
-            raise ChartError(f"angle enclosure {self.t!r} leaves the chart (0, pi)")
 
-    @classmethod
-    def make(cls, x, y, t, a):
-        return cls(as_interval(x), as_interval(y), as_interval(t), as_interval(a))
-
-    def as_vector(self):
-        return IntervalVector([self.x, self.y, self.t, self.a])
-
-    @classmethod
-    def from_vector(cls, v):
-        return cls(v[0], v[1], v[2], v[3])
+def _flip_to_upper(vx, vy):
+    """Whether the direction enclosure (vx, vy) of (lo, hi) pairs lies below
+    the horizontal, so that -v is the representative the chart uses;
+    ChartError if it may contain the zero vector or touches the horizontal."""
+    if vy[0] <= 0.0 <= vy[1]:
+        if vx[0] <= 0.0 <= vx[1]:
+            raise ChartError("direction enclosure contains the zero vector")
+        raise ChartError(
+            "direction enclosure touches the excluded chart point t in {0, pi}"
+        )
+    return vy[1] < 0.0
 
 
 @dataclass(frozen=True)
@@ -65,13 +66,6 @@ class PlanarMapFamily:
     forward: Callable[[Jet, Jet, Jet], tuple[Jet, Jet]]
     inverse: Optional[Callable[[Jet, Jet, Jet], tuple[Jet, Jet]]] = None
 
-    def flipped(self):
-        if self.inverse is None:
-            raise IntervalError(f"{self.name}: no inverse evaluator")
-        return PlanarMapFamily(
-            name=f"{self.name}^-1", forward=self.inverse, inverse=self.forward
-        )
-
 
 def direction_to_angle(v):
     """Angle enclosure t in (0, pi) of a projective direction enclosure.
@@ -81,24 +75,11 @@ def direction_to_angle(v):
     direction (or may contain the zero vector) the chart is left: error.
     """
     vx, vy = as_interval(v[0]), as_interval(v[1])
-    if vy.contains_zero():
-        if vx.contains_zero():
-            raise ChartError("direction enclosure contains the zero vector")
-        raise ChartError(
-            "direction enclosure touches the excluded chart point t in {0, pi}"
-        )
-    if vy.hi < 0.0:
+    if _flip_to_upper((vx.lo, vx.hi), (vy.lo, vy.hi)):
         vx, vy = -vx, -vy
     t = HALF_PI - (vx / vy).atan()
-    if not (t.lo > 0.0 and t.hi < PI.lo):
-        raise ChartError(f"angle enclosure {t!r} leaves the chart (0, pi)")
+    _check_angle((t.lo, t.hi))
     return t
-
-
-def angle_to_direction(t):
-    """Unit-direction enclosure (cos t, sin t) of an angle enclosure."""
-    t = as_interval(t)
-    return IntervalVector([t.cos(), t.sin()])
 
 
 _ZERO = (0.0, 0.0)
@@ -112,15 +93,7 @@ def _place_t(xya):
 
 def _angle_jet(wx, wy):
     """Order-1 jet of the chart angle of a direction given by jets (wx, wy)."""
-    wy_lo, wy_hi = wy.value_pair
-    if wy_lo <= 0.0 <= wy_hi:
-        wx_lo, wx_hi = wx.value_pair
-        if wx_lo <= 0.0 <= wx_hi:
-            raise ChartError("direction enclosure contains the zero vector")
-        raise ChartError(
-            "direction enclosure touches the excluded chart point t in {0, pi}"
-        )
-    if wy_hi < 0.0:
+    if _flip_to_upper(wx.value_pair, wy.value_pair):
         wx, wy = -wx, -wy
     n = wx.n
     half_pi = Jet.constant(HALF_PI, n, order=wx.order)
@@ -157,31 +130,30 @@ class ChartMap:
 
     # -- value-level application ------------------------------------------
 
-    def apply(self, p):
-        """Image enclosure of a chart box; order-1 jets supply Df."""
-        xj = Jet.variable(0, p.x, 2, order=1)
-        yj = Jet.variable(1, p.y, 2, order=1)
-        aj = Jet.constant(p.a, 2, order=1)
+    def apply(self, v):
+        """Image enclosure of a chart box, the IntervalVector (x, y, t, a);
+        order-1 jets supply Df."""
+        _check_angle(v.pairs[2])
+        x, y, t, a = v
+        xj = Jet.variable(0, x, 2, order=1)
+        yj = Jet.variable(1, y, 2, order=1)
+        aj = Jet.constant(a, 2, order=1)
         fx, fy = self._evaluator()(xj, yj, aj)
-        ct = p.t.cos()
-        st = p.t.sin()
+        ct = t.cos()
+        st = t.sin()
         w = [
             _k.iadd(*_k.imul(*f.grad_pairs[0], ct.lo, ct.hi),
                     *_k.imul(*f.grad_pairs[1], st.lo, st.hi))
             for f in (fx, fy)
         ]
         t2 = direction_to_angle([Interval(*c) for c in w])
-        return ChartPoint(fx.value, fy.value, t2, p.a)
-
-    def apply3(self, v3, a):
-        """3D variant (x, y, t) with the parameter fixed to the interval a."""
-        p = ChartPoint(v3[0], v3[1], v3[2], as_interval(a))
-        q = self.apply(p)
-        return IntervalVector([q.x, q.y, q.t])
+        return IntervalVector.from_pairs(
+            [fx.value_pair, fy.value_pair, (t2.lo, t2.hi), v.pairs[3]]
+        )
 
     # -- derivative enclosures --------------------------------------------
 
-    def derivative(self, p):
+    def derivative(self, v):
         """Image enclosure of a chart box (the jets' values: apply's, bit for
         bit) and a sound 4x4 enclosure of the derivative over it.
 
@@ -189,16 +161,22 @@ class ChartMap:
         are placed into the (x, y, t, a) rows with an exact zero in the t
         slot; the t column comes from the tangent jet alone.
         """
-        xj = Jet.variable(0, p.x, 3, order=2)
-        yj = Jet.variable(1, p.y, 3, order=2)
-        aj = Jet.variable(2, p.a, 3, order=2)
+        _check_angle(v.pairs[2])
+        x, y, t, a = v
+        xj = Jet.variable(0, x, 3, order=2)
+        yj = Jet.variable(1, y, 3, order=2)
+        aj = Jet.variable(2, a, 3, order=2)
         fx, fy = self._evaluator()(xj, yj, aj)
-        tang = self._tangent_jet(fx, fy, p.t)
+        tang = self._tangent_jet(fx, fy, t)
         jacobian = IntervalMatrix.from_pairs(
             [_place_t(fx.grad_pairs), _place_t(fy.grad_pairs), tang.grad_pairs,
              (_ZERO, _ZERO, _ZERO, (1.0, 1.0))]
         )
-        return ChartPoint(fx.value, fy.value, tang.value, p.a), jacobian
+        _check_angle(tang.value_pair)
+        image = IntervalVector.from_pairs(
+            [fx.value_pair, fy.value_pair, tang.value_pair, v.pairs[3]]
+        )
+        return image, jacobian
 
     @staticmethod
     def _tangent_jet(fx, fy, t):
@@ -216,42 +194,12 @@ class ChartMap:
         wy = f2x * ct + f2y * st
         return _angle_jet(wx, wy)
 
-    # -- adapters for the covering machinery --------------------------------
 
-    def as_vec_map(self):
-        def run(v):
-            q = self.apply(ChartPoint.from_vector(v))
-            return q.as_vector()
-
-        def enclose(v):
-            q, jacobian = self.derivative(ChartPoint.from_vector(v))
-            return q.as_vector(), jacobian
-
-        return BoxMap(run, enclose)
-
-    def as_vec_map3(self, a):
-        """BoxMap on (x, y, t) with the parameter held in the interval a.
-
-        Its enclosure pass is derivative's over box x a: the image's
-        (x, y, t) and rows 0-2 of the 4x4, the 3x4 matrix
-        d(x, y, t)/d(x, y, t, a).  Covering checks sandwich its first three
-        columns; the disk constants read the parameter column.
-        """
-        a = as_interval(a)
-
-        def enclose(v):
-            q, jacobian = self.derivative(ChartPoint(v[0], v[1], v[2], a))
-            return IntervalVector([q.x, q.y, q.t]), IntervalMatrix.from_pairs(
-                jacobian.pairs[:3]
-            )
-
-        return BoxMap(lambda v: self.apply3(v, a), enclose)
-
-
-def check_inverse_consistency(family, box, tol=1e-9):
+def check_inverse_consistency(family, box):
     """Verify forward(inverse(p)) re-encloses the box midpoint on a test box.
 
-    Returns the maximal componentwise defect; callers assert it is below tol.
+    Returns the maximal componentwise defect, 0.0 when every component
+    re-encloses it.
     """
     x, y, a = (as_interval(c) for c in box)
     xj = Jet.variable(0, x, 2, order=1)

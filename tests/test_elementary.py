@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tangency import interval
 from tangency.interval import (
     _ATAN_K,
     _ATAN_POLY,
@@ -107,6 +108,15 @@ class TestReductionBoundaries:
 
 
 class TestAtanAdversarial:
+    def test_table_terms_match_a_96_term_build(self, monkeypatch):
+        # Each table entry sums only the series terms its remainder bound
+        # needs; the 96-term build gives the same floats, bit for bit.
+        monkeypatch.setattr(interval, "_atan_terms", lambda x: 96)
+        full = interval._build_atan_table()
+        assert len(full) == len(interval._ATAN_TABLE) == 49
+        for k, (got, want) in enumerate(zip(interval._ATAN_TABLE, full)):
+            assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex()), k
+
     def test_table_midpoints(self):
         # round(16 x) flips at (m + 1/2)/16: the reduced |u| is largest.
         for m in range(48):

@@ -27,7 +27,8 @@ from tangency.henon import (
 from tangency.interval import Interval
 from tangency.jets import Jet
 from tangency.linalg import IntervalMatrix, IntervalVector
-from tangency.projective import ChartMap, ChartPoint, check_inverse_consistency
+from tangency.manifold import disk_map
+from tangency.projective import ChartMap, check_inverse_consistency
 
 
 class TestFamily:
@@ -138,16 +139,13 @@ class TestChainData:
 
     def test_step_enclosures_are_thin(self, henon_chain):
         for img in henon_chain.step_images:
-            assert max(img.x.width, img.y.width, img.t.width) < 1e-12
+            assert max(img[k].width for k in range(3)) < 1e-12
 
     def test_orbit_consistency_interior(self, henon_chain):
         # The one-step image of each orbit center lands inside the next
         # orbit-centered set with positive margin (i = 1..13).
         for i in range(1, 14):
-            img = henon_chain.step_images[i - 1]
-            mid = IntervalVector(
-                [img.x.mid, img.y.mid, img.t.mid, img.a.mid]
-            )
+            mid = IntervalVector(henon_chain.step_images[i - 1].mids())
             z = henon_chain.sets[i + 1].to_normalized(mid)
             for c in z:
                 assert c.mag < 1.0
@@ -156,8 +154,7 @@ class TestChainData:
         # N15 is pinned at the fixed point, not at the 15th orbit point; the
         # image of c14 must enter through its stable direction (the covering
         # takes care of the expanding ones).
-        img = henon_chain.step_images[13]
-        mid = IntervalVector([img.x.mid, img.y.mid, img.t.mid, img.a.mid])
+        mid = IntervalVector(henon_chain.step_images[13].mids())
         z = henon_chain.sets[15].to_normalized(mid)
         assert z[1].mag < 1.0  # stable axis
         assert z[3].mag < 1.0  # parameter axis
@@ -442,7 +439,7 @@ class TestLocalFrameOracle:
         chart = ChartMap(henon_family())
         for link, (cov, cone) in enumerate(zip(cert.coverings, cert.cones)):
             src, tgt = cert.hsets[link], cert.hsets[link + 1]
-            _, jac = chart.derivative(ChartPoint.from_vector(src.box()))
+            _, jac = chart.derivative(src.box())
             _check_local_frame(jac, src.coord, tgt.coord, cov.local_jacobian,
                                cone.matrix, cert.forms[link], cert.forms[link + 1], rng)
 
@@ -455,7 +452,7 @@ class TestLocalFrameOracle:
         ntilde, qtilde, param, _ = projected_disk_data(henon_chain, side)
         box3 = ntilde.box()
         _, d4 = ChartMap(henon_family(), direction).derivative(
-            ChartPoint(box3[0], box3[1], box3[2], param)
+            IntervalVector([*box3, param])
         )
         _check_local_frame(IntervalMatrix(d4.rows[:3]), ntilde.coord, ntilde.coord,
                            disk.covering.local_jacobian, disk.cone.matrix,
@@ -486,9 +483,7 @@ class TestOnePassImage:
             + sum(Fraction(src.coord[i][j]) * Fraction(src.diam[j]) * z[j] for j in range(4))
             for i in range(4)
         )
-        image, _ = ChartMap(henon_family()).as_vec_map().derivative(
-            src.from_normalized(zbox)
-        )
+        image, _ = ChartMap(henon_family()).derivative(src.from_normalized(zbox))
         exact = {0: a - x * x + Fraction(B0) * y, 1: x, 3: a}
         for axis, value in exact.items():
             assert contains_fraction(image[axis], value), axis
@@ -498,7 +493,7 @@ class TestOnePassImage:
         chart = ChartMap(henon_family())
         for src in henon_chain.sets:
             for zbox in covering_boxes(src, grid):
-                p = ChartPoint.from_vector(src.from_normalized(zbox))
+                p = src.from_normalized(zbox)
                 image, _ = chart.derivative(p)
                 assert repr(image) == repr(chart.apply(p)), src.name  # every bit
 
@@ -506,14 +501,22 @@ class TestOnePassImage:
     @pytest.mark.parametrize("side, direction", [("stable", "forward"),
                                                  ("unstable", "inverse")])
     def test_disk_image_is_apply3_bit_for_bit(self, henon_chain, grid, side, direction):
+        # The disk's (x, y, t) map, manifold.disk_map (formerly
+        # ChartMap.apply3), is the chart map over box x param: its image and
+        # Jacobian are entries and rows 0-2 of derivative's, and its value
+        # is apply's.
         chart = ChartMap(henon_family(), direction)
         ntilde, _, param, _ = projected_disk_data(henon_chain, side)
-        disk_map = chart.as_vec_map3(param)
+        fmap = disk_map(chart, param)
         for zbox in covering_boxes(ntilde, grid):
             v3 = ntilde.from_normalized(zbox)
-            image, jacobian = disk_map.derivative(v3)
-            assert repr(image) == repr(chart.apply3(v3, param))
-            assert (jacobian.nrows, jacobian.ncols) == (3, 4)
+            image, jacobian = fmap.derivative(v3)
+            v4 = IntervalVector([*v3, param])
+            image4, jacobian4 = chart.derivative(v4)
+            # repr of the float pairs: every bit, signed zeros included
+            assert repr(image.pairs) == repr(image4.pairs[:3])
+            assert repr(jacobian.pairs) == repr(jacobian4.pairs[:3])
+            assert repr(fmap(v3).pairs) == repr(chart.apply(v4).pairs[:3])
 
 
 class TestCorrespondenceOverride:

@@ -146,23 +146,6 @@ class TestQuadraticForm:
         with pytest.raises(IntervalError):
             QuadraticForm((1.0, 0.0), (0,))
 
-    def test_toy_form_value(self):
-        # x^2 + a^2/4 - 4 y^2 - 2 v^2 at (x, y, v, a) = (1, 0, 0, 0) -> 1
-        q = QuadraticForm((1.0, -4.0, -2.0, 0.25), (0, 3))
-        v = IntervalVector([1.0, 0.0, 0.0, 0.0])
-        assert q.value(v) == Interval(1.0)
-        # and with the parameter: 1 + 1/4 at (1, 0, 0, 1)
-        v = IntervalVector([1.0, 0.0, 0.0, 1.0])
-        assert q.value(v).contains(1.25)
-
-    def test_zero_and_evenness(self):
-        q = QuadraticForm((2.0, -3.0), (0,))
-        zero = IntervalVector([0.0, 0.0])
-        assert q.value(zero) == Interval(0.0)
-        v = IntervalVector([0.7, -1.2])
-        w = IntervalVector([-0.7, 1.2])
-        assert q.value(v) == q.value(w)
-
     def test_norms(self):
         q = QuadraticForm((0.5, 2.0, -0.1, -3.0), (0, 1))
         assert q.alpha_norm() == 2.0
@@ -182,7 +165,3 @@ class TestQuadraticForm:
         assert m[1, 1] == Interval(-2.0)
         assert m[0, 1] == Interval(0.0)
 
-    def test_scaled(self):
-        q = QuadraticForm((1.0, -2.0), (0,))
-        s = q.scaled(1.5)
-        assert s.coeffs == (1.5, -3.0)

@@ -63,7 +63,7 @@ class TestMatMul:
         for _ in range(50):
             a = _rand_point_matrix(rng, 4)
             b = _rand_point_matrix(rng, 4)
-            prod = IntervalMatrix.from_point(a).mat_mul(IntervalMatrix.from_point(b))
+            prod = IntervalMatrix(a).mat_mul(IntervalMatrix(b))
             exact = frac_matmul(a, b)
             for i in range(4):
                 for j in range(4):
@@ -72,7 +72,7 @@ class TestMatMul:
     def test_mat_vec(self, rng):
         a = _rand_point_matrix(rng, 3)
         v = [rng.uniform(-2, 2) for _ in range(3)]
-        out = IntervalMatrix.from_point(a).mat_vec(IntervalVector(v))
+        out = IntervalMatrix(a).mat_vec(IntervalVector(v))
         for i in range(3):
             exact = sum(Fraction(a[i][k]) * Fraction(v[k]) for k in range(3))
             assert contains_fraction(out[i], exact)
@@ -108,7 +108,7 @@ class TestDet4:
     def test_random_against_rational_oracle(self, rng):
         for _ in range(60):
             a = _rand_point_matrix(rng, 4)
-            enc = det4(IntervalMatrix.from_point(a))
+            enc = det4(IntervalMatrix(a))
             assert contains_fraction(enc, frac_det(a))
 
     def test_shape_check(self):

@@ -21,7 +21,7 @@ from tangency.manifold import (
     stable_parameter_bound,
     verify_disk,
 )
-from tangency.projective import ChartMap, ChartPoint, PlanarMapFamily
+from tangency.projective import ChartMap, PlanarMapFamily
 
 
 def saddle_family(lam=2.0, mu=0.4, coupling=0.0):
@@ -217,11 +217,8 @@ class TestCertifiedA:
 class TestParameterBounds:
     def test_parameter_independent_map_gives_zero(self):
         chart, ntilde, qtilde = _disk_inputs(coupling=0.0)
-        from tangency.projective import ChartPoint
-
         box3 = ntilde.box()
-        p4 = ChartPoint(box3[0], box3[1], box3[2], Interval(-0.01, 0.01))
-        _, d4 = chart.derivative(p4)
+        _, d4 = chart.derivative(IntervalVector([*box3, Interval(-0.01, 0.01)]))
         p_chart = IntervalVector([d4[i, 3] for i in range(3)])
         p_local = ntilde.inv_coord.mat_vec(p_chart)
         j_chart = IntervalMatrix([[d4[i, j] for j in range(3)] for i in range(3)])
@@ -234,16 +231,13 @@ class TestParameterBounds:
     def test_monotone_under_box_shrink(self):
         chart, big, qtilde = _disk_inputs(coupling=0.2)
         small = HSet("Ds", big.center, FRAME3, (0.05, 0.05, 0.05), (0,))
-        from tangency.projective import ChartPoint
 
         vals = {}
         for name, h, c in (
             ("big", big, Interval(-0.02, 0.02)),
             ("small", small, Interval(-0.01, 0.01)),
         ):
-            box3 = h.box()
-            p4 = ChartPoint(box3[0], box3[1], box3[2], c)
-            _, d4 = chart.derivative(p4)
+            _, d4 = chart.derivative(IntervalVector([*h.box(), c]))
             p_local = h.inv_coord.mat_vec(
                 IntervalVector([d4[i, 3] for i in range(3)])
             )
@@ -334,6 +328,6 @@ class TestDiskDerivative:
         chart = ChartMap(henon_family(), direction)
         ntilde, _, param, _ = projected_disk_data(henon_chain, side)
         box3 = ntilde.box()
-        _, d4 = chart.derivative(ChartPoint(box3[0], box3[1], box3[2], param))
+        _, d4 = chart.derivative(IntervalVector([*box3, param]))
         want = local_derivative(ntilde, ntilde, IntervalMatrix(d4.rows[:3]))
         assert repr(disk.covering.local_jacobian) == repr(want)

@@ -1,7 +1,9 @@
 """Angle-chart projectivization: directions, extended map, derivatives."""
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,13 +12,15 @@ from tangency.linalg import IntervalVector
 from tangency.projective import (
     ChartError,
     ChartMap,
-    ChartPoint,
     PlanarMapFamily,
-    angle_to_direction,
     check_inverse_consistency,
     direction_to_angle,
 )
 from conftest import PI_BOUNDS, atan_bounds
+
+
+def box(x, y, t, a):
+    return IntervalVector([x, y, t, a])
 
 
 def linear_family(lam, mu):
@@ -81,19 +85,30 @@ class TestDirectionToAngle:
 
     def test_round_trip(self):
         t = direction_to_angle(IntervalVector([0.3, 0.9]))
-        v = angle_to_direction(t)
-        # same projective class: cross product with the input encloses 0
-        cross = Interval(0.3) * v[1] - Interval(0.9) * v[0]
+        # (cos t, sin t) is in the same projective class: its cross product
+        # with the input encloses 0
+        cross = Interval(0.3) * t.sin() - Interval(0.9) * t.cos()
         assert cross.contains(0.0)
 
 
-class TestChartPoint:
-    def test_chart_bounds_enforced(self):
-        with pytest.raises(ChartError):
-            ChartPoint.make(0, 0, 0.0, 0)
-        with pytest.raises(ChartError):
-            ChartPoint.make(0, 0, math.pi, 0)
-        ChartPoint.make(0, 0, 1.5, 0)
+class TestChartDomain:
+    def test_apply_and_derivative_reject_t_touching_0_or_pi(self):
+        chart = ChartMap(linear_family(2.0, 0.5), "forward")
+        for t in (0.0, Interval(-0.1, 0.5), math.pi, Interval(3.0, 3.2)):
+            for evaluate in (chart.apply, chart.derivative):
+                with pytest.raises(ChartError, match="leaves the chart"):
+                    evaluate(box(0.0, 0.0, t, 0.0))
+        chart.apply(box(0.0, 0.0, 1.5, 0.0))
+        chart.derivative(box(0.0, 0.0, 1.5, 0.0))
+
+    def test_image_angle_leaving_the_chart_is_rejected(self):
+        # The diagonal family maps slope-1 directions to slope mu/lam: with
+        # mu/lam = 1e-40 the image angle encloses the excluded t = 0.
+        chart = ChartMap(axis_family(1e20, 1e-20), "forward")
+        p = box(0.0, 0.0, math.pi / 4, 0.0)
+        for evaluate in (chart.apply, chart.derivative):
+            with pytest.raises(ChartError, match="leaves the chart"):
+                evaluate(p)
 
 
 class TestApply:
@@ -101,10 +116,10 @@ class TestApply:
         # Direction pi/2 is the mu-eigendirection of the diagonal family.
         fam = axis_family(2.0, 0.5)
         chart = ChartMap(fam, "forward")
-        p = ChartPoint.make(0.0, 0.0, 1.5707963267948966, 0.0)
+        p = box(0.0, 0.0, 1.5707963267948966, 0.0)
         q = chart.apply(p)
-        assert q.t.contains(Interval(p.t.lo, p.t.hi))
-        assert q.x.contains(0.0) and q.y.contains(0.0)
+        assert q[2].contains(p[2])
+        assert q[0].contains(0.0) and q[1].contains(0.0)
 
     def test_slope_scaling_law(self):
         # For the diagonal family, tan t' = (mu/lam) tan t.
@@ -112,8 +127,8 @@ class TestApply:
         fam = axis_family(lam, mu)
         chart = ChartMap(fam, "forward")
         t_in = direction_to_angle(IntervalVector([1.0, 1.0]))  # slope 1
-        q = chart.apply(ChartPoint.make(0.3, -0.2, t_in, 0.0))
-        slope = q.t.sin() / q.t.cos()
+        q = chart.apply(box(0.3, -0.2, t_in, 0.0))
+        slope = q[2].sin() / q[2].cos()
         assert slope.contains(mu / lam)
 
     def test_projective_consistency_of_apply(self):
@@ -123,9 +138,9 @@ class TestApply:
         t_plus = direction_to_angle(IntervalVector(v))
         t_minus = direction_to_angle(IntervalVector([-v[0], -v[1]]))
         assert t_plus == t_minus
-        q1 = chart.apply(ChartPoint.make(0.1, 0.2, t_plus, 0.0))
-        q2 = chart.apply(ChartPoint.make(0.1, 0.2, t_minus, 0.0))
-        assert q1.t == q2.t
+        q1 = chart.apply(box(0.1, 0.2, t_plus, 0.0))
+        q2 = chart.apply(box(0.1, 0.2, t_minus, 0.0))
+        assert q1[2] == q2[2]
 
     def test_henon_fixed_point_containment(self):
         from tangency.henon import A0, eigen_data, henon_family
@@ -134,29 +149,25 @@ class TestApply:
         x0 = eig["x0"].mid
         t_u = direction_to_angle(IntervalVector(list(eig["u0_mid"])))
         chart = ChartMap(henon_family(), "forward")
-        p = ChartPoint.make(x0, x0, t_u, A0)
-        q = chart.apply(p)
-        assert abs(q.x.mid - x0) < 1e-13
-        assert abs(q.y.mid - x0) < 1e-13
-        assert abs(q.t.mid - t_u.mid) < 1e-12
+        q = chart.apply(box(x0, x0, t_u, A0))
+        assert abs(q[0].mid - x0) < 1e-13
+        assert abs(q[1].mid - x0) < 1e-13
+        assert abs(q[2].mid - t_u.mid) < 1e-12
 
     def test_semigroup_containment_on_thin_box(self):
         fam = linear_family(2.0, 0.5)
         chart = ChartMap(fam, "forward")
         eps = 1e-9
-        p = ChartPoint.make(
+        p = box(
             Interval(0.1 - eps, 0.1 + eps),
             Interval(0.2 - eps, 0.2 + eps),
             Interval(0.8 - eps, 0.8 + eps),
             0.0,
         )
         twice = chart.apply(chart.apply(p))
-        mid_path = chart.apply(
-            chart.apply(ChartPoint.make(0.1, 0.2, 0.8, 0.0))
-        )
-        assert twice.x.contains(mid_path.x.mid)
-        assert twice.y.contains(mid_path.y.mid)
-        assert twice.t.contains(mid_path.t.mid)
+        mid_path = chart.apply(chart.apply(box(0.1, 0.2, 0.8, 0.0)))
+        for i in range(3):
+            assert twice[i].contains(mid_path[i].mid)
 
 
 class TestDerivative:
@@ -167,8 +178,7 @@ class TestDerivative:
         fam = linear_family(lam, mu)
         chart = ChartMap(fam, "forward")
         t_u = direction_to_angle(IntervalVector([1.0, 1.0]))
-        p = ChartPoint.make(0.0, 0.0, t_u, 0.0)
-        _, d = chart.derivative(p)
+        _, d = chart.derivative(box(0.0, 0.0, t_u, 0.0))
         assert d[2, 2].contains(mu / lam)
         # parameter-independent family: last column is (0, 0, 0, 1)
         for i in range(3):
@@ -180,8 +190,7 @@ class TestDerivative:
         fam = linear_family(lam, mu)
         chart = ChartMap(fam, "forward")
         t_s = direction_to_angle(IntervalVector([-1.0, 1.0]))
-        p = ChartPoint.make(0.0, 0.0, t_s, 0.0)
-        _, d = chart.derivative(p)
+        _, d = chart.derivative(box(0.0, 0.0, t_s, 0.0))
         assert d[2, 2].contains(lam / mu)
 
     def test_henon_tangent_entry(self):
@@ -191,7 +200,7 @@ class TestDerivative:
         x0 = eig["x0"].mid
         t_u = direction_to_angle(IntervalVector(list(eig["u0_mid"])))
         chart = ChartMap(henon_family(), "forward")
-        _, d = chart.derivative(ChartPoint.make(x0, x0, t_u, A0))
+        _, d = chart.derivative(box(x0, x0, t_u, A0))
         ratio = eig["mu"] / eig["lam"]
         assert d[2, 2].intersects(ratio)
 
@@ -201,11 +210,10 @@ class TestDerivative:
         chart = ChartMap(henon_family(), "forward")
         base = (-1.9, -1.8, 0.9, A0)
         h = 1e-6
-        _, d = chart.derivative(ChartPoint.make(*base))
+        _, d = chart.derivative(box(*base))
 
         def apply_pt(coords):
-            q = chart.apply(ChartPoint.make(*coords))
-            return (q.x.mid, q.y.mid, q.t.mid, q.a.mid)
+            return chart.apply(box(*coords)).mids()
 
         for j in range(4):
             up = list(base)
@@ -230,16 +238,36 @@ class TestFamilyInverse:
         assert defect == 0.0
 
     def test_flipped_family(self):
+        # The inverse orientation is the forward orientation of the family
+        # with its evaluators swapped.
         fam = linear_family(2.0, 0.5)
-        flipped = fam.flipped()
-        chart_fwd = ChartMap(fam, "inverse")
-        chart_flip = ChartMap(flipped, "forward")
-        p = ChartPoint.make(0.25, 0.125, 0.7, 0.0)
-        q1 = chart_fwd.apply(p)
-        q2 = chart_flip.apply(p)
-        assert q1.x == q2.x and q1.t == q2.t
+        flipped = PlanarMapFamily(name="flipped", forward=fam.inverse,
+                                  inverse=fam.forward)
+        p = box(0.25, 0.125, 0.7, 0.0)
+        q1, d1 = ChartMap(fam, "inverse").derivative(p)
+        q2, d2 = ChartMap(flipped, "forward").derivative(p)
+        assert q1 == q2 == ChartMap(fam, "inverse").apply(p)
+        assert d1.pairs == d2.pairs
 
     def test_missing_inverse_rejected(self):
         fam = PlanarMapFamily(name="fwd-only", forward=lambda x, y, a: (x, y))
         with pytest.raises(IntervalError):
             ChartMap(fam, "inverse")
+
+
+def test_projective_imports_nothing_from_covering():
+    # The chart map hands plain IntervalVector boxes to its callers; the
+    # covering machinery (BoxMap) is theirs to build.
+    import tangency.projective as projective
+
+    tree = ast.parse(Path(projective.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert "tangency.jets" in imported  # the walk sees the module's imports
+    assert not any(m == "tangency.covering" or m.startswith("tangency.covering.")
+                   for m in imported)

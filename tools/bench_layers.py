@@ -19,6 +19,12 @@ on N0=>N1; and ``run_proof()`` at grid 1 and grid 2 is one call, whose
 per-stage ``timings`` (build, covering, cones, disks) are recorded beside
 its total.  The document holds, per tree and measurement, the minimum over
 all timed runs.
+
+The layer loops pass IntervalVector boxes to ``ChartMap.derivative`` and
+``BoxMap(chart.apply, chart.derivative)`` to ``check_covering``, so it
+compares only source trees whose ``ChartMap`` takes and returns
+IntervalVector boxes; older trees, whose chart map took a point type of its
+own, fail in the first run.
 """
 
 from __future__ import annotations
@@ -49,11 +55,11 @@ def _best(f, repeat, number=1):
 
 def _one_run(calls, repeat):
     from tangency.cones import cone_matrix, rump_positive_definite
-    from tangency.covering import check_covering
+    from tangency.covering import BoxMap, check_covering
     from tangency.henon import HenonConfig, build_chain, henon_family, run_proof
     from tangency.hset import local_derivative
     from tangency.interval import Interval
-    from tangency.projective import ChartMap, ChartPoint
+    from tangency.projective import ChartMap
 
     out = {}
     for kind, x in (("thin", Interval(T)), ("wide", Interval(T, T + WIDE))):
@@ -63,9 +69,10 @@ def _one_run(calls, repeat):
     chain = build_chain()
     chart = ChartMap(henon_family())
     src, tgt = chain.sets[0], chain.sets[1]
-    box = ChartPoint.from_vector(src.box())
+    fmap = BoxMap(chart.apply, chart.derivative)
+    box = src.box()
     _, jacobian = chart.derivative(box)
-    link = check_covering(src, tgt, chart.as_vec_map())
+    link = check_covering(src, tgt, fmap)
     v = cone_matrix(link.local_jacobian, chain.forms[0], chain.forms[1])
     layers = (
         ("linalg.mat_mul_4x4_us", lambda: tgt.inv_coord.mat_mul(jacobian), calls // 10),
@@ -74,7 +81,7 @@ def _one_run(calls, repeat):
          calls // 10),
         ("cones.rump_4x4_us", lambda: rump_positive_definite(v), calls // 10),
         ("covering.link_N0_N1_us",
-         lambda: check_covering(src, tgt, chart.as_vec_map()), calls // 200),
+         lambda: check_covering(src, tgt, fmap), calls // 200),
     )
     for key, f, number in layers:
         out[key] = _best(f, repeat, max(number, 1)) * 1e6
