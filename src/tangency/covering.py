@@ -18,12 +18,11 @@ disproof: interval methods cannot refute.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import permutations
 
 from tangency import kernels as _k
-from tangency.hset import local_derivative
-from tangency.interval import IntervalError, pair_mid
+from tangency.hset import local_derivative_rows
+from tangency.interval import Interval, IntervalError, check_pairs, pair_mid
 from tangency.linalg import IntervalMatrix, IntervalVector
 
 
@@ -103,9 +102,10 @@ class CoveringCertificate:
         }
 
 
-def _image_normalized(src, tgt, fmap, zbox):
-    """Normalized-coordinate image enclosure of a normalized sub-box, and
-    the local-frame derivative (hset.local_derivative) over that sub-box.
+def _image_normalized(src, tgt, fmap, zbox, rows):
+    """Normalized-coordinate image enclosure of a normalized sub-box on the
+    target axes ``rows``, as a dict axis -> (lo, hi), and those rows of the
+    local-frame derivative (hset.local_derivative) over that sub-box.
 
     Evaluated in mean-value form,
 
@@ -118,46 +118,50 @@ def _image_normalized(src, tgt, fmap, zbox):
     is tighter where nonlinear terms dominate (the mean-value slope doubles a
     pure square); the two are intersected.  DF may carry columns beyond the
     first src.n (a parameter held in an interval); the slope uses the first
-    src.n local columns only.
+    src.n local columns only.  Row j of g, of the slope and of the hull image
+    reads only row j of M_tgt^-1, so the rows left out are never computed,
+    and the rows computed are the same bits as in the full image.
     """
-    imul, idiv, isub = _k.imul, _k.idiv, _k.isub
+    imul, idiv, isub, iadd = _k.imul, _k.idiv, _k.isub, _k.iadd
     mids = [pair_mid(*z) for z in zbox.pairs]
     mid = IntervalVector.from_pairs([(m, m) for m in mids])
-    g_mid = tgt.to_normalized(fmap(src.from_normalized(mid)))
+    g_mid = tgt.normalized_rows(fmap(src.from_normalized(mid)), rows)
     image, jacobian = fmap.derivative(src.from_normalized(zbox))
-    local = local_derivative(src, tgt, jacobian)
+    local = local_derivative_rows(src, tgt, jacobian, rows)
     scaled = IntervalMatrix.from_pairs(
         [
-            [idiv(*imul(*local.pairs[i][j], d_src, d_src), d_tgt, d_tgt)
-             for j, d_src in enumerate(src.diam)]
-            for i, d_tgt in enumerate(tgt.diam)
+            [idiv(*imul(*e, d_src, d_src), d_tgt, d_tgt)
+             for e, d_src in zip(local_row, src.diam)]
+            for local_row, d_tgt in zip(local.pairs, (tgt.diam[j] for j in rows))
         ]
     )
     delta = IntervalVector.from_pairs(
         [isub(*z, m, m) for z, m in zip(zbox.pairs, mids)]
     )
-    mean_value = g_mid + scaled.mat_vec(delta)
-    hull = tgt.to_normalized(image)
-    out = []
-    pairs = zip(mean_value.pairs, hull.pairs)
-    for axis, ((m_lo, m_hi), (h_lo, h_hi)) in enumerate(pairs):
+    mean_value = check_pairs(
+        [iadd(*g, *s) for g, s in zip(g_mid, scaled.mat_vec(delta).pairs)]
+    )
+    hull = tgt.normalized_rows(image, rows)
+    out = {}
+    for axis, (m_lo, m_hi), (h_lo, h_hi) in zip(rows, mean_value, hull):
         if not (m_lo <= h_hi and h_lo <= m_hi):
             raise EnclosureError(
                 "covering",
                 f"{src.name}=>{tgt.name}",
-                f"mean-value image {mean_value[axis]!r} and hull image "
-                f"{hull[axis]!r} of axis {axis} are disjoint on sub-box "
-                f"{list(zbox)!r}",
+                f"mean-value image {Interval(m_lo, m_hi)!r} and hull image "
+                f"{Interval(h_lo, h_hi)!r} of axis {axis} are disjoint on "
+                f"sub-box {list(zbox)!r}",
             )
-        out.append((max(m_lo, h_lo), min(m_hi, h_hi)))
-    return IntervalVector.from_pairs(out), local
+        out[axis] = (max(m_lo, h_lo), min(m_hi, h_hi))
+    return out, local
 
 
 def detect_correspondence(src, tgt, wall_images):
     """Deterministic unstable-axis pairing read off the certified wall images.
 
     wall_images maps (axis, side) to the normalized images of that wall's
-    sub-boxes.  For each unstable axis of the source, the target unstable
+    sub-boxes, each a dict from every unstable target axis to its (lo, hi)
+    bounds.  For each unstable axis of the source, the target unstable
     coordinate that the midpoints of the hulls of its two opposite walls'
     images separate across picks the pairing, scored by separation width.
     No map is called; the margin check afterwards is what actually decides.
@@ -167,7 +171,11 @@ def detect_correspondence(src, tgt, wall_images):
     if len(u_src) != len(u_tgt):
         raise IntervalError("unstable dimension mismatch")
     mids = {
-        key: reduce(IntervalVector.hull, images).mids()
+        key: {
+            j: pair_mid(min(img[j][0] for img in images),
+                        max(img[j][1] for img in images))
+            for j in u_tgt
+        }
         for key, images in wall_images.items()
     }
     seps = {(i, j): mids[(i, 1)][j] - mids[(i, -1)][j] for i in u_src for j in u_tgt}
@@ -206,13 +214,15 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
 
     fmap is a BoxMap on ambient IntervalVector boxes.  grid (an int)
     subdivides wall faces and the entry check per axis.  Every wall sub-box
-    of every unstable axis is mapped first; the pairing, unless given, is
-    read off those images, and the exit margins are checked on them.  Each
-    sub-box is evaluated once.  The certificate's local_jacobian is the hull
-    of the local-frame derivatives over the entry check's sub-boxes, hence an
-    enclosure of the local-frame derivative over the whole source set.  A
-    given pairing must pair exactly the unstable axes of src and tgt (see
-    checked_correspondence).
+    of every unstable axis is mapped first, on the unstable target axes
+    only: the pairing, unless given, is read off those images, and the exit
+    margins are checked on them.  The interior sub-boxes are mapped on every
+    target axis, since the entry check, the cones and the disks read them.
+    Each sub-box is evaluated once.  The certificate's local_jacobian is the
+    hull of the local-frame derivatives over the entry check's sub-boxes,
+    hence an enclosure of the local-frame derivative over the whole source
+    set.  A given pairing must pair exactly the unstable axes of src and tgt
+    (see checked_correspondence).
     """
     link = f"{src.name}=>{tgt.name}"
     if len(src.unstable) != len(tgt.unstable):
@@ -222,15 +232,15 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
             src.unstable, tgt.unstable, correspondence
         )
 
-    def image(zbox, where):
+    def image(zbox, rows, where):
         try:
-            return _image_normalized(src, tgt, fmap, zbox)
+            return _image_normalized(src, tgt, fmap, zbox, rows)
         except IntervalError as exc:
             raise VerificationInconclusive("covering", link, f"{where}: {exc}")
 
     wall_images = {
         (i, side): [
-            image(wall, f"wall z_{i}={side:+d} box {box_idx}")[0]
+            image(wall, tgt.unstable, f"wall z_{i}={side:+d} box {box_idx}")[0]
             for box_idx, wall in enumerate(src.walls(i, side, grid))
         ]
         for i in src.unstable
@@ -244,7 +254,7 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
         for side in (1, -1):
             worst = None
             for box_idx, img in enumerate(wall_images[(i, side)]):
-                lo, hi = img.pairs[j]
+                lo, hi = img[j]
                 if sign < 0:
                     lo, hi = -hi, -lo
                 margin = _k.sub_down(lo, 1.0) if side > 0 else _k.sub_down(-1.0, hi)
@@ -261,10 +271,10 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     entry_margin = None
     local_jacobian = None
     for box_idx, zbox in enumerate(src.subboxes(grid)):
-        img, local = image(zbox, f"interior box {box_idx}")
+        img, local = image(zbox, range(tgt.n), f"interior box {box_idx}")
         local_jacobian = local if local_jacobian is None else local_jacobian.hull(local)
         for j in tgt.stable:
-            lo, hi = img.pairs[j]
+            lo, hi = img[j]
             margin = min(_k.sub_down(1.0, hi), _k.add_down(lo, 1.0))
             entry_margin = margin if entry_margin is None else min(entry_margin, margin)
             if margin <= 0.0:

@@ -9,9 +9,11 @@ directions.  Two local frames matter and are kept explicit:
 * the diameter-normalized frame ``z = d^-1 . w`` in which the set is the
   cube [-1,1]^n and all covering inequalities are checked.
 
-Rigor enters through ``inv_coord``, a verified interval enclosure of M^-1;
-the coordinate matrix itself is an exact point matrix.  Both, and the
-center as a point interval vector, are built once per set.
+Rigor enters through ``inv_coord``, a verified interval enclosure of M^-1,
+block by block with exact zeros off the blocks of M (see
+``linalg.inverse_enclosure``); the coordinate matrix itself is an exact
+point matrix.  Both, and the center as a point interval vector, are built
+once per set.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 
 from tangency import kernels as _k
-from tangency.interval import Interval, IntervalError
+from tangency.interval import Interval, IntervalError, check_pairs
 from tangency.linalg import IntervalMatrix, IntervalVector, inverse_enclosure
 
 
@@ -72,11 +74,21 @@ class HSet:
     def to_normalized(self, p):
         """Normalized coordinates; p is certified inside the set iff the
         result is a subset of [-1,1]^n (sufficient direction only)."""
-        loc = self.to_local(p)
-        idiv = _k.idiv
-        return IntervalVector.from_pairs(
-            [idiv(*w, d, d) for w, d in zip(loc.pairs, self.diam)]
+        return IntervalVector.from_pairs(self.normalized_rows(p, range(self.n)))
+
+    def normalized_rows(self, p, rows):
+        """The entries ``rows`` of to_normalized(p) as (lo, hi) pairs, from
+        those rows of inv_coord only."""
+        loc = self._inv_rows(rows).mat_vec(p - self.center_vec)
+        idiv, diam = _k.idiv, self.diam
+        return check_pairs(
+            [idiv(*w, diam[j], diam[j]) for w, j in zip(loc.pairs, rows)]
         )
+
+    def _inv_rows(self, rows):
+        """The rows ``rows`` of inv_coord, as a matrix."""
+        inv = self.inv_coord.pairs
+        return IntervalMatrix.from_pairs([inv[j] for j in rows])
 
     def from_normalized(self, z):
         imul = _k.imul
@@ -172,8 +184,14 @@ def local_derivative(src, tgt, jacobian):
     any further columns (a parameter's) are T[:, n:], the parameter
     derivative of the tgt local coordinates.
     """
+    return local_derivative_rows(src, tgt, jacobian, range(tgt.n))
+
+
+def local_derivative_rows(src, tgt, jacobian, rows):
+    """The rows ``rows`` of local_derivative(src, tgt, jacobian), from those
+    rows of tgt.inv_coord only."""
     n = src.n
-    t = tgt.inv_coord.mat_mul(jacobian).pairs
+    t = tgt._inv_rows(rows).mat_mul(jacobian).pairs
     block = IntervalMatrix.from_pairs([r[:n] for r in t]).mat_mul(src.frame)
     return IntervalMatrix.from_pairs([b + r[n:] for b, r in zip(block.pairs, t)])
 

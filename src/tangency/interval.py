@@ -95,13 +95,6 @@ class Interval:
     def hull(self, other):
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
-    def intersect(self, other):
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise IntervalError("empty intersection")
-        return Interval(lo, hi)
-
     def __eq__(self, other):
         if isinstance(other, Interval):
             return self.lo == other.lo and self.hi == other.hi

@@ -1,9 +1,11 @@
 """Interval vectors and matrices over the scalar interval type.
 
 Everything here is dimension-agnostic but tuned for the tiny sizes the proofs
-use (n <= 4): products are plain triple loops, determinants are cofactor
-expansions, and the rigorous inverse is an approximate float inverse wrapped
-in a Neumann-series residual enclosure.
+use (n <= 4): products are triple loops that skip every term with an
+exact-zero factor, determinants are cofactor expansions, and the rigorous
+inverse is block-structured: each block of the matrix's nonzero pattern gets
+an approximate float inverse wrapped in a Neumann-series residual enclosure,
+and the entries off the blocks are exact zeros.
 
 Entries are stored as ``(lo, hi)`` float pairs (``pairs``) and the products
 call the kernels on them directly, with the operations of the scalar
@@ -210,14 +212,18 @@ class IntervalMatrix:
         if self.ncols != other.nrows:
             raise IntervalError("shape mismatch in matrix product")
         imul, iadd = _k.imul, _k.iadd
-        cols = list(zip(*other.pairs))
+        # Each column keeps its nonzero entries with their row index; a term
+        # with an exact-zero factor is skipped (see _nonzero).
+        cols = [_nonzero(col) for col in zip(*other.pairs)]
         out = []
         for row in self.pairs:
             out_row = []
             for col in cols:
                 lo = hi = 0.0
-                for a, b in zip(row, col):
-                    lo, hi = iadd(lo, hi, *imul(*a, *b))
+                for k, b in col:
+                    a = row[k]
+                    if a[0] or a[1]:
+                        lo, hi = iadd(lo, hi, *imul(*a, *b))
                 out_row.append((lo, hi))
             out.append(out_row)
         return IntervalMatrix.from_pairs(out)
@@ -226,11 +232,14 @@ class IntervalMatrix:
         if self.ncols != v.dim:
             raise IntervalError("shape mismatch in matrix-vector product")
         imul, iadd = _k.imul, _k.iadd
+        nz = _nonzero(v.pairs)
         out = []
         for row in self.pairs:
             lo = hi = 0.0
-            for a, b in zip(row, v.pairs):
-                lo, hi = iadd(lo, hi, *imul(*a, *b))
+            for k, b in nz:
+                a = row[k]
+                if a[0] or a[1]:
+                    lo, hi = iadd(lo, hi, *imul(*a, *b))
             out.append((lo, hi))
         return IntervalVector.from_pairs(out)
 
@@ -254,6 +263,18 @@ class IntervalMatrix:
     def _conform_add(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise IntervalError("shape mismatch")
+
+
+def _nonzero(pairs):
+    """The (index, pair) of each entry of pairs that is not an exact zero.
+
+    A product term with an exact-zero factor is (+0.0, +0.0).  Adding it
+    changes an accumulator only if that is -0.0, and a dot product's
+    accumulator never is: it starts at +0.0, and a round-to-nearest sum is
+    -0.0 only when both addends are.  So the products skip such terms and
+    their results keep every bit.
+    """
+    return [(k, p) for k, p in enumerate(pairs) if p[0] or p[1]]
 
 
 def _det(rows):
@@ -307,16 +328,70 @@ def approx_inverse(a_rows):
     return _float_solve([list(r) for r in a_rows], eye)
 
 
-# Refinement sweeps of inverse_enclosure's float inverse before it gives up.
+# Refinement sweeps of _neumann_inverse's float inverse before it gives up.
 INVERSE_SWEEPS = 2
 
 
 def inverse_enclosure(a_rows):
-    """Rigorous enclosure of the inverse of a point matrix.
+    """Rigorous enclosure of the inverse of a point matrix, block by block.
+
+    The indices split into the connected components of the nonzero pattern
+    (i ~ j when a[i][j] or a[j][i] is nonzero); up to a permutation A is
+    block diagonal, and so is its inverse.  A 1x1 block x gives 1/x in
+    directed rounding (an exact 1 for x == 1), a larger block the Neumann
+    enclosure of _neumann_inverse, and every entry off the blocks is an
+    exact zero.  Raises IntervalError on a singular or non-finite matrix.
+    """
+    a = IntervalMatrix(a_rows)
+    n = a.nrows
+    if a.ncols != n:
+        raise IntervalError("inverse of a non-square matrix")
+    out = [[(0.0, 0.0)] * n for _ in range(n)]
+    for block in _blocks(a.pairs):
+        if len(block) == 1:
+            (i,) = block
+            lo, hi = a.pairs[i][i]
+            if lo <= 0.0 <= hi:
+                raise IntervalError("inverse_enclosure: singular 1x1 block")
+            out[i][i] = _k.idiv(1.0, 1.0, lo, hi)
+            continue
+        inv = _neumann_inverse([[a_rows[i][j] for j in block] for i in block])
+        for i, inv_row in zip(block, inv.pairs):
+            for j, e in zip(block, inv_row):
+                out[i][j] = e
+    return IntervalMatrix.from_pairs(out)
+
+
+def _blocks(rows):
+    """The connected components of the nonzero pattern of a square matrix
+    of (lo, hi) pairs, each as a sorted index list, ordered by their
+    smallest index."""
+    n = len(rows)
+    seen = [False] * n
+    blocks = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, todo = [start], [start]
+        while todo:
+            i = todo.pop()
+            for j in range(n):
+                if not seen[j] and (any(rows[i][j]) or any(rows[j][i])):
+                    seen[j] = True
+                    block.append(j)
+                    todo.append(j)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def _neumann_inverse(a_rows):
+    """Dense rigorous enclosure of the inverse of a point matrix.
 
     Computes a float approximate inverse R0 and bounds A^-1 within
     R0 (I + C + E) where C = I - A R0 and E absorbs the Neumann tail,
-    requiring the residual norm q = ||C||_inf < 1.  Raises on failure.
+    requiring the residual norm q = ||C||_inf < 1 (Rump, "Verification
+    methods", Acta Numerica 19, 2010).  Raises on failure.
     """
     n = len(a_rows)
     a = IntervalMatrix(a_rows)
@@ -337,10 +412,3 @@ def inverse_enclosure(a_rows):
              for row in r0.mat_mul(two_i - a.mat_mul(r0)).pairs]
         )
     raise IntervalError("inverse_enclosure: residual check failed (singular matrix?)")
-
-
-def residual_norm(a_rows, inv):
-    """||I - A R||_inf upper bound, for audits of inverse_enclosure output."""
-    a = IntervalMatrix(a_rows)
-    n = len(a_rows)
-    return (IntervalMatrix.identity(n) - a.mat_mul(inv)).norm_inf_upper()

@@ -58,8 +58,8 @@ class PlanarMapFamily:
 
     ``forward(x, y, a)`` and ``inverse(x, y, a)`` take three jets and return
     the pair of image-coordinate jets.  The inverse evaluator really must be
-    the inverse map; :func:`check_inverse_consistency` verifies the round trip
-    on a box and should be exercised by callers' tests.
+    the inverse map; nothing here checks it, so a family's tests should map a
+    box back and forth and see the box midpoint re-enclosed.
     """
 
     name: str
@@ -193,26 +193,3 @@ class ChartMap:
         wx = f1x * ct + f1y * st
         wy = f2x * ct + f2y * st
         return _angle_jet(wx, wy)
-
-
-def check_inverse_consistency(family, box):
-    """Verify forward(inverse(p)) re-encloses the box midpoint on a test box.
-
-    Returns the maximal componentwise defect, 0.0 when every component
-    re-encloses it.
-    """
-    x, y, a = (as_interval(c) for c in box)
-    xj = Jet.variable(0, x, 2, order=1)
-    yj = Jet.variable(1, y, 2, order=1)
-    aj = Jet.constant(a, 2, order=1)
-    ix, iy = family.inverse(xj, yj, aj)
-    rx, ry = family.forward(
-        Jet.constant(ix.value, 2, order=1), Jet.constant(iy.value, 2, order=1), aj
-    )
-    defect = 0.0
-    for got, want in ((rx.value, x), (ry.value, y)):
-        if not got.contains(want.mid):
-            defect = max(
-                defect, abs(got.mid - want.mid) - 0.5 * got.width - 0.5 * want.width
-            )
-    return defect

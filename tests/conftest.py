@@ -166,6 +166,12 @@ def contains_fraction(interval, fr):
     return Fraction(interval.lo) <= fr <= Fraction(interval.hi)
 
 
+def pairs_hex(pairs):
+    """(lo, hi) float pairs as float.hex strings: equal iff equal bit for
+    bit, signed zeros included."""
+    return [(lo.hex(), hi.hex()) for lo, hi in pairs]
+
+
 def encloses_bounds(interval, bounds):
     """The interval contains the whole rational interval ``bounds``."""
     return Fraction(interval.lo) <= bounds[0] and bounds[1] <= Fraction(interval.hi)
@@ -196,6 +202,31 @@ def point_shifted_map(fmap, shift):
         return img + IntervalVector([Interval(shift)] * img.dim)
 
     return BoxMap(value, fmap.derivative)
+
+
+def check_inverse_consistency(family, box):
+    """Map the box through a PlanarMapFamily's inverse evaluator and its
+    image midpoint back through the forward one; the largest componentwise
+    distance by which the round trip misses the box midpoint, 0.0 when
+    every component re-encloses it."""
+    from tangency.interval import as_interval
+    from tangency.jets import Jet
+
+    x, y, a = (as_interval(c) for c in box)
+    xj = Jet.variable(0, x, 2, order=1)
+    yj = Jet.variable(1, y, 2, order=1)
+    aj = Jet.constant(a, 2, order=1)
+    ix, iy = family.inverse(xj, yj, aj)
+    rx, ry = family.forward(
+        Jet.constant(ix.value, 2, order=1), Jet.constant(iy.value, 2, order=1), aj
+    )
+    defect = 0.0
+    for got, want in ((rx.value, x), (ry.value, y)):
+        if not got.contains(want.mid):
+            defect = max(
+                defect, abs(got.mid - want.mid) - 0.5 * got.width - 0.5 * want.width
+            )
+    return defect
 
 
 # -- random float generation --------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import covering_boxes, point_shifted_map
+from conftest import covering_boxes, pairs_hex, point_shifted_map
 from tangency.covering import (
     BoxMap,
     EnclosureError,
@@ -14,9 +14,11 @@ from tangency.covering import (
     check_covering,
     detect_correspondence,
 )
+from tangency.henon import henon_family
 from tangency.hset import HSet, local_derivative
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalMatrix, IntervalVector
+from tangency.projective import ChartMap
 from tangency.toy import ToyParams, build_toy_chain, linear_start_map, switch_map
 
 
@@ -231,7 +233,8 @@ class TestDeterminism:
         src, tgt, fmap = chain.sets[0], chain.sets[1], chain.maps[0]
         wall_images = {
             (i, side): [
-                _image_normalized(src, tgt, fmap, w)[0] for w in src.walls(i, side, 1)
+                _image_normalized(src, tgt, fmap, w, tgt.unstable)[0]
+                for w in src.walls(i, side, 1)
             ]
             for i in src.unstable
             for side in (1, -1)
@@ -248,8 +251,7 @@ class TestDeterminism:
         h = HSet("U", (0, 0, 0, 0), EYE4, (1, 1, 1, 1), (0, 3))
 
         def img(x, a):
-            return IntervalVector([Interval(x), Interval(0.0), Interval(0.0),
-                                   Interval(a)])
+            return {0: (x, x), 3: (a, a)}
 
         wall_images = {
             (0, 1): [img(0.0, 0.5), img(0.0, -3.0), img(0.0, 0.5)],
@@ -279,6 +281,35 @@ class TestDeterminism:
             check_covering(src, tgt, BoxMap(value, enclose), grid=grid)
             boxes = len(covering_boxes(src, grid))
             assert calls == {"value": boxes, "derivative": boxes}, idx
+
+
+class TestWallRows:
+    def test_restricted_rows_equal_the_full_image_rows(self, henon_chain):
+        # Walls are evaluated on the unstable target rows only; those rows
+        # are the full image's rows bit for bit, on every wall of the
+        # grid-1 Henon chain.
+        chart = ChartMap(henon_family())
+        fmap = BoxMap(chart.apply, chart.derivative)
+        sets = henon_chain.sets
+        walls = 0
+        for src, tgt in zip(sets, sets[1:]):
+            rows = tgt.unstable
+            for i in src.unstable:
+                for side in (1, -1):
+                    for w in src.walls(i, side, 1):
+                        img, local = _image_normalized(src, tgt, fmap, w, rows)
+                        full, full_local = _image_normalized(
+                            src, tgt, fmap, w, range(tgt.n)
+                        )
+                        assert list(img) == list(rows)
+                        assert pairs_hex(img.values()) == pairs_hex(
+                            full[j] for j in rows
+                        )
+                        assert [pairs_hex(r) for r in local.pairs] == [
+                            pairs_hex(full_local.pairs[j]) for j in rows
+                        ]
+                        walls += 1
+        assert walls == 4 * (len(sets) - 1)
 
 
 class TestChainBasics:

@@ -5,7 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import contains_fraction, covering_boxes, frac_inverse, frac_matmul
+from conftest import (
+    check_inverse_consistency,
+    contains_fraction,
+    covering_boxes,
+    frac_inverse,
+    frac_matmul,
+)
 from tangency.covering import VerificationInconclusive
 from tangency.henon import (
     A0,
@@ -28,7 +34,7 @@ from tangency.interval import Interval
 from tangency.jets import Jet
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.manifold import disk_map
-from tangency.projective import ChartMap, check_inverse_consistency
+from tangency.projective import ChartMap
 
 
 class TestFamily:

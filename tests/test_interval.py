@@ -275,9 +275,6 @@ class TestQueries:
         assert x.mag == 3.0
         assert Interval(-5.0, 1.0).mag == 5.0
 
-    def test_hull_intersect(self):
+    def test_hull(self):
         a, b = Interval(0, 1), Interval(2, 3)
         assert a.hull(b) == Interval(0, 3)
-        with pytest.raises(IntervalError):
-            a.intersect(b)
-        assert Interval(0, 2).intersect(Interval(1, 3)) == Interval(1, 2)

@@ -6,15 +6,22 @@ from fractions import Fraction
 
 import pytest
 
+from tangency import kernels as _k
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import (
     IntervalMatrix,
     IntervalVector,
+    _neumann_inverse,
     det4,
     inverse_enclosure,
-    residual_norm,
 )
-from conftest import contains_fraction, frac_det, frac_matmul
+from conftest import (
+    contains_fraction,
+    frac_det,
+    frac_inverse,
+    frac_matmul,
+    pairs_hex,
+)
 
 
 def _rand_point_matrix(rng, n, scale=4.0):
@@ -129,6 +136,7 @@ class TestInverseEnclosure:
         assert inv[0, 0].width < 1e-14
 
     def test_henon_frame_residual(self):
+        # The exact rational inverse lies in the enclosure, which is tight.
         from tangency.henon import eigen_data
 
         eig = eigen_data()
@@ -140,7 +148,11 @@ class TestInverseEnclosure:
             [0.0, 0.0, 0.0, 1.0],
         ]
         inv = inverse_enclosure(m0)
-        assert residual_norm(m0, inv) < 1e-12
+        exact = frac_inverse(m0)
+        for i in range(4):
+            for j in range(4):
+                assert contains_fraction(inv[i, j], exact[i][j])
+                assert inv[i, j].width < 1e-12
 
     def test_random_contains_rational_inverse(self, rng):
         for _ in range(30):
@@ -193,3 +205,187 @@ class TestFloatPairs:
             big.mat_vec(IntervalVector([1e200, 0.0]))
         with pytest.raises(IntervalError):
             IntervalMatrix([[1e300, 1e-300], [1e300, 1e300]]).det()
+
+
+def _all_frames(chain):
+    """The coordinate matrices of the Henon sets N0-N15, of both disks'
+    projected sets and of the toy chain's sets."""
+    from tangency.henon import projected_disk_data
+    from tangency.toy import ToyParams, build_toy_chain
+
+    sets = list(chain.sets)
+    sets += [projected_disk_data(chain, side)[0] for side in ("stable", "unstable")]
+    sets += list(build_toy_chain(ToyParams()).sets)
+    return [(h.name, [list(row) for row in h.coord]) for h in sets]
+
+
+def _random_block_matrix(rng, n):
+    """A random nonsingular point matrix whose nonzero pattern splits into
+    blocks, under a random permutation of the indices."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    a = [[0.0] * n for _ in range(n)]
+    start = 0
+    while start < n:
+        size = rng.randint(1, n - start)
+        idx = [perm[k] for k in range(start, start + size)]
+        while True:
+            block = _rand_point_matrix(rng, size)
+            if abs(frac_det(block)) > 1e-2:
+                break
+        for bi, i in enumerate(idx):
+            for bj, j in enumerate(idx):
+                a[i][j] = block[bi][bj]
+        start += size
+    return a
+
+
+def _blocks_of(a):
+    """Index -> set of indices in its block, by closure of the pattern."""
+    n = len(a)
+    comp = {i: {i} for i in range(n)}
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in range(n):
+                if (a[i][j] != 0 or a[j][i] != 0) and comp[i] != comp[j]:
+                    merged = comp[i] | comp[j]
+                    for k in merged:
+                        comp[k] = merged
+                    changed = True
+    return comp
+
+
+class TestBlockInverse:
+    """inverse_enclosure encloses each block of the nonzero pattern on its
+    own: off-block entries are exact zeros, a 1x1 block of 1.0 an exact 1."""
+
+    def test_frames_contain_the_exact_rational_inverse(self, henon_chain):
+        frames = _all_frames(henon_chain)
+        assert len(frames) > 18
+        for name, m in frames:
+            inv = inverse_enclosure(m)
+            exact = frac_inverse(m)
+            for i, row in enumerate(exact):
+                for j, q in enumerate(row):
+                    assert contains_fraction(inv[i, j], q), (name, i, j)
+
+    def test_random_block_matrices_contain_the_exact_inverse(self, rng):
+        for _ in range(60):
+            a = _random_block_matrix(rng, rng.randint(1, 5))
+            inv = inverse_enclosure(a)
+            exact = frac_inverse(a)
+            for i, row in enumerate(exact):
+                for j, q in enumerate(row):
+                    assert contains_fraction(inv[i, j], q)
+
+    def test_blocks_inside_the_dense_enclosure(self, henon_chain, rng):
+        mats = [m for _, m in _all_frames(henon_chain)]
+        mats += [_random_block_matrix(rng, rng.randint(1, 5)) for _ in range(60)]
+        for a in mats:
+            block, dense = inverse_enclosure(a), _neumann_inverse(a)
+            for br, dr in zip(block.pairs, dense.pairs):
+                for (b_lo, b_hi), (d_lo, d_hi) in zip(br, dr):
+                    assert d_lo <= b_lo and b_hi <= d_hi
+
+    def test_off_block_zeros_and_unit_diagonals_are_exact(self, henon_chain, rng):
+        zero = pairs_hex([(0.0, 0.0)])[0]
+        for h in henon_chain.sets:
+            p = h.inv_coord.pairs
+            for i in range(4):
+                for j in range(4):
+                    if (i < 2) != (j < 2) or (i >= 2 and i != j):
+                        assert pairs_hex([p[i][j]])[0] == zero, (h.name, i, j)
+            assert p[2][2] == (1.0, 1.0) and p[3][3] == (1.0, 1.0)
+        for _ in range(60):
+            a = _random_block_matrix(rng, rng.randint(2, 5))
+            comp = _blocks_of(a)
+            inv = inverse_enclosure(a).pairs
+            for i in range(len(a)):
+                for j in range(len(a)):
+                    if j not in comp[i]:
+                        assert pairs_hex([inv[i][j]])[0] == zero
+        assert inverse_enclosure([[1.0, 0.0], [0.0, 1.0]]).pairs == (
+            ((1.0, 1.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 1.0)))
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [[0.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 3.0, 4.0]],
+            [[0.0, 0.0], [0.0, 1.0]],
+            [[1.0, 2.0, 0.0], [0.0, 0.0, 0.0], [0.0, 1.0, 1.0]],
+            [[1.0, 0.0, 5.0], [2.0, 0.0, 1.0], [3.0, 0.0, 1.0]],
+            [[2.0, 0.0], [0.0, 0.0]],
+            [[0.0]],
+        ],
+        ids=["zero-row-and-column", "zero-1x1", "zero-row", "zero-column",
+             "zero-last-diagonal", "zero-scalar"],
+    )
+    def test_zero_row_or_column_rejected(self, a):
+        with pytest.raises(IntervalError):
+            inverse_enclosure(a)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 2), (2, 1)])
+    def test_non_finite_entry_rejected(self, bad, where):
+        a = [[1.0, 0.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.25, 3.0]]
+        a[where[0]][where[1]] = bad
+        with pytest.raises(IntervalError):
+            inverse_enclosure(a)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(IntervalError):
+            inverse_enclosure([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+# Exact zeros of every sign, thin entries that cancel or underflow, thick
+# entries of every sign case.
+_ZEROS = ((0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0))
+_THIN = (1.0, -1.0, 2.0, -2.0, 0.5, 3.0, -3.0, 1e-200, -1e-200, 5e-324, -5e-324)
+
+
+def _random_entry(rng):
+    w = rng.random()
+    if w < 0.3:
+        return rng.choice(_ZEROS)
+    if w < 0.55:
+        x = rng.choice(_THIN) if rng.random() < 0.5 else rng.uniform(-4.0, 4.0)
+        return (x, x)
+    a = rng.choice(_THIN + (0.0, -0.0)) if rng.random() < 0.3 else rng.uniform(-4, 4)
+    b = rng.uniform(-4.0, 4.0)
+    kind = rng.randrange(3)  # below zero, above zero, straddling zero
+    if kind == 0:
+        return (-abs(a) - abs(b), -abs(a))
+    if kind == 1:
+        return (abs(a), abs(a) + abs(b))
+    return (-abs(a), abs(b))
+
+
+def _fold(row, col):
+    """The unskipped iadd(..., imul(...)) fold of one dot product."""
+    lo = hi = 0.0
+    for a, b in zip(row, col):
+        lo, hi = _k.iadd(lo, hi, *_k.imul(*a, *b))
+    return lo, hi
+
+
+class TestZeroSkipping:
+    """mat_mul and mat_vec skip every term with an exact-zero factor; the
+    results keep every bit of the unskipped fold, signed zeros included."""
+
+    def test_products_match_the_unskipped_fold(self, rng):
+        skipped = 0
+        for _ in range(2000):
+            n, m, p = (rng.randint(1, 4) for _ in range(3))
+            a = [[_random_entry(rng) for _ in range(m)] for _ in range(n)]
+            b = [[_random_entry(rng) for _ in range(p)] for _ in range(m)]
+            v = [_random_entry(rng) for _ in range(m)]
+            am = IntervalMatrix.from_pairs(a)
+            want = [[_fold(row, col) for col in zip(*b)] for row in a]
+            got = am.mat_mul(IntervalMatrix.from_pairs(b)).pairs
+            assert [pairs_hex(r) for r in got] == [pairs_hex(r) for r in want]
+            got_v = am.mat_vec(IntervalVector.from_pairs(v)).pairs
+            assert pairs_hex(got_v) == pairs_hex([_fold(row, v) for row in a])
+            skipped += sum(1 for row in a for e in row if e in _ZEROS)
+        assert skipped > 1000

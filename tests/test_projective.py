@@ -13,10 +13,9 @@ from tangency.projective import (
     ChartError,
     ChartMap,
     PlanarMapFamily,
-    check_inverse_consistency,
     direction_to_angle,
 )
-from conftest import PI_BOUNDS, atan_bounds
+from conftest import PI_BOUNDS, atan_bounds, check_inverse_consistency
 
 
 def box(x, y, t, a):

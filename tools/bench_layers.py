@@ -2,7 +2,7 @@
 """Layer and end-to-end timings of source trees, as one JSON document.
 
     python tools/bench_layers.py --tree parent=../parent/src --tree change=src \\
-        --runs 9 > BENCH_9.json
+        --runs 9 > BENCH_11.json
 
 Each run starts a fresh interpreter per tree, with the tree first on
 ``sys.path``; the trees alternate which goes first from one run to the next.
@@ -11,13 +11,14 @@ Inside a run every measurement is taken once untimed (warm-up), then timed
 mean of a ``--calls``-call loop, on a thin chart-domain argument and on one
 ``1e-5`` wide; the matrix, jet and cone layers are the mean of a
 ``--calls // 10``-call loop (a covering link of a ``--calls // 200``-call
-loop) on the grid-1 Henon chain: a 4x4 ``mat_mul`` (N1's ``inv_coord``
-times the chart Jacobian over N0), ``ChartMap.derivative`` over N0's
-box, ``hset.local_derivative`` of that Jacobian from N0 to N1, one 4x4
-``rump_positive_definite`` (the cone matrix of N0=>N1) and ``check_covering``
-on N0=>N1; and ``run_proof()`` at grid 1 and grid 2 is one call, whose
-per-stage ``timings`` (build, covering, cones, disks) are recorded beside
-its total.  The document holds, per tree and measurement, the minimum over
+loop) on the grid-1 Henon chain: ``inverse_enclosure`` of N1's 4x4
+``coord``, a 4x4 ``mat_mul`` (N1's ``inv_coord`` times the chart Jacobian
+over N0), ``ChartMap.derivative`` over N0's box, ``hset.local_derivative``
+of that Jacobian from N0 to N1, one 4x4 ``rump_positive_definite`` (the
+cone matrix of N0=>N1) and ``check_covering`` on N0=>N1; and
+``run_proof()`` at grid 1 and grid 2 is one call, whose per-stage
+``timings`` (build, covering, cones, disks) are recorded beside its
+total.  The document holds, per tree and measurement, the minimum over
 all timed runs.
 
 The layer loops pass IntervalVector boxes to ``ChartMap.derivative`` and
@@ -59,6 +60,7 @@ def _one_run(calls, repeat):
     from tangency.henon import HenonConfig, build_chain, henon_family, run_proof
     from tangency.hset import local_derivative
     from tangency.interval import Interval
+    from tangency.linalg import inverse_enclosure
     from tangency.projective import ChartMap
 
     out = {}
@@ -75,6 +77,8 @@ def _one_run(calls, repeat):
     link = check_covering(src, tgt, fmap)
     v = cone_matrix(link.local_jacobian, chain.forms[0], chain.forms[1])
     layers = (
+        ("linalg.inverse_enclosure_4x4_us", lambda: inverse_enclosure(tgt.coord),
+         calls // 10),
         ("linalg.mat_mul_4x4_us", lambda: tgt.inv_coord.mat_mul(jacobian), calls // 10),
         ("projective.derivative_us", lambda: chart.derivative(box), calls // 10),
         ("hset.local_derivative_us", lambda: local_derivative(src, tgt, jacobian),
