@@ -29,7 +29,7 @@ from tangency.hset import HSet, QuadraticForm
 from tangency.interval import HALF_PI, PI, Interval, IntervalError
 from tangency.jets import Jet
 from tangency.kernels import BACKEND
-from tangency.linalg import IntervalMatrix, IntervalVector, det4, inverse_enclosure
+from tangency.linalg import IntervalMatrix, IntervalVector, inverse_enclosure
 from tangency.manifold import DiskCertificate, verify_disk
 from tangency.projective import (
     ChartError,
@@ -65,7 +65,6 @@ __all__ = [
     "check_cone_link",
     "check_covering",
     "cone_matrix",
-    "det4",
     "direction_to_angle",
     "inverse_enclosure",
     "rump_positive_definite",

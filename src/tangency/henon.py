@@ -195,11 +195,7 @@ def _tangent_vec(t):
 class HenonChain:
     sets: tuple
     forms: tuple
-    step_images: tuple  # IntervalVector enclosures of PH(center_i), i = 1..14
-    centers: tuple
-    frames: tuple
     eigen: dict = field(compare=False)
-    param_radius: float = PARAM_RADIUS
 
 
 def build_chain(param_radius=PARAM_RADIUS):
@@ -208,8 +204,8 @@ def build_chain(param_radius=PARAM_RADIUS):
     Centers c_2..c_14 are the midpoints of 240-bit enclosures of the seed
     orbit and its tangent direction under the projectivized map (see
     _highprec_orbit for why binary64 center generation cannot work here);
-    frames follow the reference propagation rules.  Rigorous one-step chart
-    enclosures around every center are kept for consistency checks; one
+    frames follow the reference propagation rules.  The rigorous one-step
+    chart enclosure of every center c_1..c_14 is checked and dropped: one
     wider than ORBIT_WIDTH_MAX in x, y or t aborts the build.
     """
     eig = eigen_data()
@@ -233,7 +229,6 @@ def build_chain(param_radius=PARAM_RADIUS):
         t_i = _angle_of((_fp_to_float(vx), _fp_to_float(vy)))
         centers4[i] = (_fp_to_float(zx), _fp_to_float(zy), t_i, A0)
 
-    step_images = []
     for i in range(1, 15):
         img = chart.apply(IntervalVector(centers4[i]))
         width = max(img[k].width for k in range(3))
@@ -243,7 +238,6 @@ def build_chain(param_radius=PARAM_RADIUS):
                 f"orbit step {i}",
                 f"enclosure width {width} exceeds {ORBIT_WIDTH_MAX}",
             )
-        step_images.append(img)
 
     z_pts = [(c[0], c[1]) for c in centers4[1:15]]
     z_pts.append(z0)  # z_15 = z_0
@@ -300,15 +294,7 @@ def build_chain(param_radius=PARAM_RADIUS):
         )
         forms.append(QuadraticForm(FORM_ROWS[i], _unstable_axes(i)))
 
-    return HenonChain(
-        sets=tuple(sets),
-        forms=tuple(forms),
-        step_images=tuple(step_images),
-        centers=tuple(centers4),
-        frames=tuple(frames),
-        eigen=eig,
-        param_radius=param_radius,
-    )
+    return HenonChain(sets=tuple(sets), forms=tuple(forms), eigen=eig)
 
 
 def projected_disk_data(chain, side):

@@ -37,8 +37,9 @@ class HSet:
         n = len(self.center)
         if len(self.coord) != n or any(len(r) != n for r in self.coord):
             raise IntervalError("coordinate matrix shape mismatch")
-        if len(self.diam) != n or any(d <= 0.0 for d in self.diam):
-            raise IntervalError("diameters must be positive")
+        # Negated, so that NaN (false in every comparison) fails.
+        if len(self.diam) != n or not all(0.0 < d < math.inf for d in self.diam):
+            raise IntervalError("diameters must be positive and finite")
         self.unstable = tuple(sorted(int(i) for i in unstable))
         if len(set(self.unstable)) != len(self.unstable) or any(
             not 0 <= i < n for i in self.unstable
@@ -208,8 +209,8 @@ class QuadraticForm:
     def __init__(self, coeffs, unstable):
         self.coeffs = tuple(float(c) for c in coeffs)
         self.unstable = tuple(sorted(int(i) for i in unstable))
-        if any(c == 0.0 for c in self.coeffs):
-            raise IntervalError("cone form coefficients must be nonzero")
+        if not all(math.isfinite(c) and c != 0.0 for c in self.coeffs):
+            raise IntervalError("cone form coefficients must be finite and nonzero")
         for i, c in enumerate(self.coeffs):
             if i in self.unstable and c <= 0.0:
                 raise IntervalError(f"coefficient {i} must be positive (unstable)")

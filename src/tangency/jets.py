@@ -11,9 +11,12 @@ The number of independent variables n is a runtime parameter.
 
 A jet stores ``(lo, hi)`` float pairs: ``value_pair``, ``grad_pairs`` and
 ``hess_pairs``, the last the Hessian's lower triangle row by row, (0, 0),
-(1, 0), (1, 1), (2, 0), ...  The operations call the kernels on the pairs
-with the operations of the scalar :class:`Interval` expressions they stand
-for, so the enclosures are those of Interval arithmetic bit for bit.
+(1, 0), (1, 1), (2, 0), ...  The one constructor takes these pairs and
+checks them as Interval checks its bounds; ``Jet.variable`` and
+``Jet.constant`` also accept a float or an Interval value.  The operations
+call the kernels on the pairs with the operations of the scalar
+:class:`Interval` expressions they stand for, so the enclosures are those of
+Interval arithmetic bit for bit.
 ``value``, ``grad`` and ``hess`` (the full symmetric matrix) give Intervals.
 """
 
@@ -52,27 +55,11 @@ class Jet:
     __slots__ = ("value_pair", "grad_pairs", "hess_pairs")
 
     def __init__(self, value, grad, hess=None):
-        self.value_pair = as_pair(value)
-        self.grad_pairs = tuple(as_pair(g) for g in grad)
-        self.hess_pairs = None
-        if hess is not None:
-            n = len(self.grad_pairs)
-            rows = [[as_pair(h) for h in row] for row in hess]
-            if len(rows) != n or any(len(r) != n for r in rows):
-                raise IntervalError("hessian shape mismatch")
-            if any(rows[i][j] != rows[j][i] for i, j in _tri(n)):
-                raise IntervalError("hessian not symmetric")
-            self.hess_pairs = tuple(rows[i][j] for i, j in _tri(n))
-
-    @classmethod
-    def from_pairs(cls, value, grad, hess=None):
-        """A jet of (lo, hi) pairs (hess packed as ``hess_pairs``), checked
-        as Interval checks them."""
-        jet = cls.__new__(cls)
-        jet.value_pair = check_pairs((value,))[0]
-        jet.grad_pairs = check_pairs(tuple(grad))
-        jet.hess_pairs = None if hess is None else check_pairs(tuple(hess))
-        return jet
+        """A jet of (lo, hi) pairs, hess packed as ``hess_pairs`` (or None
+        for order 1), checked as Interval checks them."""
+        self.value_pair = check_pairs((value,))[0]
+        self.grad_pairs = check_pairs(tuple(grad))
+        self.hess_pairs = None if hess is None else check_pairs(tuple(hess))
 
     @property
     def value(self):
@@ -110,12 +97,12 @@ class Jet:
             raise IntervalError(f"variable index {i} out of range for n={n}")
         grad = [_ONE if j == i else _ZERO for j in range(n)]
         hess = [_ZERO] * len(_tri(n)) if order == 2 else None
-        return cls.from_pairs(as_pair(value), grad, hess)
+        return cls(as_pair(value), grad, hess)
 
     @classmethod
     def constant(cls, value, n, order=2):
         hess = [_ZERO] * len(_tri(n)) if order == 2 else None
-        return cls.from_pairs(as_pair(value), [_ZERO] * n, hess)
+        return cls(as_pair(value), [_ZERO] * n, hess)
 
     def _promote(self, other):
         if isinstance(other, Jet):
@@ -139,7 +126,7 @@ class Jet:
         hess = None
         if self.hess_pairs is not None and o.hess_pairs is not None:
             hess = [op(*a, *b) for a, b in zip(self.hess_pairs, o.hess_pairs)]
-        return Jet.from_pairs(
+        return Jet(
             op(*self.value_pair, *o.value_pair),
             [op(*a, *b) for a, b in zip(self.grad_pairs, o.grad_pairs)],
             hess,
@@ -164,7 +151,7 @@ class Jet:
         if self.hess_pairs is not None:
             hess = [(-hi, -lo) for lo, hi in self.hess_pairs]
         lo, hi = self.value_pair
-        return Jet.from_pairs(
+        return Jet(
             (-hi, -lo), [(-g_hi, -g_lo) for g_lo, g_hi in self.grad_pairs], hess
         )
 
@@ -184,7 +171,7 @@ class Jet:
                 lo, hi = iadd(*imul(*sv, *oh), *imul(*ov, *sh))
                 lo, hi = iadd(lo, hi, *imul(*sg[i], *og[j]))
                 hess.append(iadd(lo, hi, *imul(*sg[j], *og[i])))
-        return Jet.from_pairs(value, grad, hess)
+        return Jet(value, grad, hess)
 
     __rmul__ = __mul__
 
@@ -210,7 +197,7 @@ class Jet:
                 lo, hi = isub(lo, hi, *imul(*grad[j], *og[i]))
                 lo, hi = isub(lo, hi, *imul(*value, *oh))
                 hess.append(idiv(lo, hi, *ov))
-        return Jet.from_pairs(value, grad, hess)
+        return Jet(value, grad, hess)
 
     def __rtruediv__(self, other):
         o = self._promote(other)
@@ -232,7 +219,7 @@ class Jet:
                 iadd(*imul(*imul(*d2, *sg[i]), *sg[j]), *imul(*d1, *h))
                 for (i, j), h in zip(_tri(self.n), self.hess_pairs)
             ]
-        return Jet.from_pairs(value, grad, hess)
+        return Jet(value, grad, hess)
 
     def sqr(self):
         imul, iadd = _k.imul, _k.iadd
@@ -246,7 +233,7 @@ class Jet:
                 imul(2.0, 2.0, *iadd(*imul(*sg[i], *sg[j]), *imul(*v, *h)))
                 for (i, j), h in zip(_tri(self.n), self.hess_pairs)
             ]
-        return Jet.from_pairs(_k.isqr(*v), grad, hess)
+        return Jet(_k.isqr(*v), grad, hess)
 
     def sqrt(self):
         if self.value_pair[0] <= 0.0:

@@ -87,14 +87,6 @@ class IntervalVector:
         imul = _k.imul
         return IntervalVector.from_pairs([imul(*c, *a) for a in self.pairs])
 
-    def dot(self, other):
-        self._check(other)
-        imul, iadd = _k.imul, _k.iadd
-        lo = hi = 0.0
-        for a, b in zip(self.pairs, other.pairs):
-            lo, hi = iadd(lo, hi, *imul(*a, *b))
-        return Interval(lo, hi)
-
     def norm_upper(self):
         """Upper bound of the Euclidean norm over all point selections."""
         isqr, iadd = _k.isqr, _k.iadd
@@ -104,16 +96,6 @@ class IntervalVector:
             lo, hi = iadd(lo, hi, *isqr(mag, mag))
         check_pairs(((lo, hi),))
         return _k.isqrt(lo, hi)[1]
-
-    def mids(self):
-        return [pair_mid(lo, hi) for lo, hi in self.pairs]
-
-    def hull(self, other):
-        self._check(other)
-        return IntervalVector.from_pairs(
-            [(min(al, bl), max(ah, bh))
-             for (al, ah), (bl, bh) in zip(self.pairs, other.pairs)]
-        )
 
     def is_subset(self, other):
         self._check(other)
@@ -294,17 +276,12 @@ def _det(rows):
     return check_pairs(((lo, hi),))[0]
 
 
-def det4(a):
-    """Cofactor-expansion determinant enclosure of a 4x4 interval matrix."""
-    if a.nrows != 4 or a.ncols != 4:
-        raise IntervalError("det4 requires a 4x4 matrix")
-    return a.det()
-
-
-def _float_solve(a, rhs_cols):
-    """Plain float Gaussian elimination with partial pivoting; a is n x n."""
-    n = len(a)
-    m = [list(map(float, row)) + list(map(float, rhs)) for row, rhs in zip(a, rhs_cols)]
+def approx_inverse(a_rows):
+    """Non-rigorous float inverse, the seed for inverse_enclosure: Gauss-Jordan
+    elimination with partial pivoting on [A | I]."""
+    n = len(a_rows)
+    m = [[float(e) for e in row] + [1.0 if i == j else 0.0 for j in range(n)]
+         for i, row in enumerate(a_rows)]
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(m[r][col]))
         if m[piv][col] == 0.0:
@@ -316,16 +293,9 @@ def _float_solve(a, rhs_cols):
                 continue
             f = m[r][col] / p
             if f != 0.0:
-                for c in range(col, len(m[r])):
+                for c in range(col, 2 * n):
                     m[r][c] -= f * m[col][c]
-    return [[m[r][n + c] / m[r][r] for c in range(len(m[0]) - n)] for r in range(n)]
-
-
-def approx_inverse(a_rows):
-    """Non-rigorous float inverse, the seed for inverse_enclosure."""
-    n = len(a_rows)
-    eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    return _float_solve([list(r) for r in a_rows], eye)
+    return [[m[r][n + c] / m[r][r] for c in range(n)] for r in range(n)]
 
 
 # Refinement sweeps of _neumann_inverse's float inverse before it gives up.

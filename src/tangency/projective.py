@@ -184,7 +184,7 @@ class ChartMap:
         # derivative, grad = the corresponding Hessian row (mixed partials up
         # to symmetry).
         f1x, f1y, f2x, f2y = (
-            Jet.from_pairs(f.grad_pairs[i], _place_t(f.hess_row_pairs(i)))
+            Jet(f.grad_pairs[i], _place_t(f.hess_row_pairs(i)))
             for f in (fx, fy)
             for i in (0, 1)
         )

@@ -26,7 +26,7 @@ from tangency.covering import BoxMap
 from tangency.hset import HSet, QuadraticForm
 from tangency.interval import Interval, IntervalError, as_interval
 from tangency.jets import Jet
-from tangency.linalg import IntervalMatrix, IntervalVector, det4
+from tangency.linalg import IntervalMatrix, IntervalVector
 
 
 @dataclass(frozen=True)
@@ -291,4 +291,4 @@ def transversality_determinant(g_a, g_tt, g_ta):
             [zero, zero, g_ta, g_tt],
         ]
     )
-    return det4(m)
+    return m.det()

@@ -164,7 +164,8 @@ def test_criterion_7_transversality_identity():
         residual = det - Interval(ga) * Interval(gtt)
         assert residual.contains(0.0), (ga, gtt, gta)
     _report(
-        "7 PASS: det4 identity residual encloses 0 on 1000 random triples"
+        "7 PASS: transversality determinant residual encloses 0 on 1000 "
+        "random triples"
     )
 
 

@@ -92,6 +92,17 @@ class TestProve:
             assert min(c["exit_margins"].values()) > 0.0
             assert c["entry_margin"] > 0.0
 
+    def test_orbit_width_failure_report(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr("tangency.henon.ORBIT_WIDTH_MAX", 1e-300)
+        out = tmp_path / "report.json"
+        assert main(["prove", "henon", "--report", str(out)]) == 1
+        assert "INCONCLUSIVE at chain-build: orbit step 1" in capsys.readouterr().out
+        report = report_mod.loads(out.read_text())
+        assert report["verdict"] == "INCONCLUSIVE"
+        assert report["failure"]["stage"] == "chain-build"
+        assert report["failure"]["locus"] == "orbit step 1"
+        assert report["stages"] == {}
+
     @pytest.mark.parametrize(
         "argv, cfg",
         [

@@ -1,10 +1,11 @@
-"""The README stays in step with the configuration and the CLI it documents."""
+"""The README and the public names stay in step with the code they document."""
 
 import argparse
 import dataclasses
 import re
 from pathlib import Path
 
+import tangency
 from tangency import cli
 from tangency.henon import HenonConfig
 
@@ -72,3 +73,10 @@ def test_cli_synopsis_names_every_option():
     assert set(documented) == set(actual) == {"prove", "check-toy"}
     for command, options in actual.items():
         assert documented[command] == options, command
+
+
+def test_public_names_resolve():
+    # A stale entry in __all__ breaks ``from tangency import *``.
+    assert len(set(tangency.__all__)) == len(tangency.__all__)
+    for name in tangency.__all__:
+        assert hasattr(tangency, name), name

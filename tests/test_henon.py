@@ -37,6 +37,17 @@ from tangency.manifold import disk_map
 from tangency.projective import ChartMap
 
 
+def _step_images(chain):
+    """Rigorous one-step chart images of the orbit centers c_1..c_14, the
+    enclosures build_chain checks."""
+    chart = ChartMap(henon_family())
+    return [chart.apply(IntervalVector(chain.sets[i].center)) for i in range(1, 15)]
+
+
+def _mids(v):
+    return IntervalVector([c.mid for c in v])
+
+
 class TestFamily:
     def test_forward_inverse_consistency(self):
         fam = henon_family()
@@ -124,8 +135,9 @@ class TestSeedQuality:
 class TestChainData:
     def test_determinism(self, henon_chain):
         again = build_chain()
-        assert again.centers == henon_chain.centers
-        assert again.frames == henon_chain.frames
+        for s, t in zip(again.sets, henon_chain.sets):
+            assert s.center == t.center
+            assert s.coord == t.coord
 
     def test_diameter_table_row9(self):
         d9 = DIAM_ROWS[9]
@@ -144,14 +156,15 @@ class TestChainData:
             assert q.unstable == h.unstable
 
     def test_step_enclosures_are_thin(self, henon_chain):
-        for img in henon_chain.step_images:
+        for img in _step_images(henon_chain):
             assert max(img[k].width for k in range(3)) < 1e-12
 
     def test_orbit_consistency_interior(self, henon_chain):
         # The one-step image of each orbit center lands inside the next
         # orbit-centered set with positive margin (i = 1..13).
+        images = _step_images(henon_chain)
         for i in range(1, 14):
-            mid = IntervalVector(henon_chain.step_images[i - 1].mids())
+            mid = _mids(images[i - 1])
             z = henon_chain.sets[i + 1].to_normalized(mid)
             for c in z:
                 assert c.mag < 1.0
@@ -160,17 +173,24 @@ class TestChainData:
         # N15 is pinned at the fixed point, not at the 15th orbit point; the
         # image of c14 must enter through its stable direction (the covering
         # takes care of the expanding ones).
-        mid = IntervalVector(henon_chain.step_images[13].mids())
+        mid = _mids(_step_images(henon_chain)[13])
         z = henon_chain.sets[15].to_normalized(mid)
         assert z[1].mag < 1.0  # stable axis
         assert z[3].mag < 1.0  # parameter axis
 
     def test_frames_have_reference_structure(self, henon_chain):
-        for m in henon_chain.frames:
+        for m in (s.coord for s in henon_chain.sets):
             assert m[0][2] == m[0][3] == 0.0
             assert m[1][2] == m[1][3] == 0.0
             assert m[2] == (0.0, 0.0, 1.0, 0.0)
             assert m[3] == (0.0, 0.0, 0.0, 1.0)
+
+    def test_orbit_width_check_aborts_build(self, monkeypatch):
+        monkeypatch.setattr("tangency.henon.ORBIT_WIDTH_MAX", 1e-300)
+        with pytest.raises(VerificationInconclusive) as exc:
+            build_chain()
+        assert exc.value.stage == "chain-build"
+        assert exc.value.locus == "orbit step 1"
 
     def test_param_radius_scales_only_parameter_column(self):
         base = build_chain()

@@ -1,5 +1,7 @@
 """H-sets: transforms, walls, cone forms."""
 
+import math
+
 import pytest
 
 from tangency.interval import Interval, IntervalError
@@ -24,6 +26,12 @@ class TestConstruction:
             HSet("bad", (0, 0), ROT, (1.0, 1.0), (0, 0))
         with pytest.raises(IntervalError):
             HSet("bad", (0, 0), ROT, (1.0, 1.0), (5,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_diameters_rejected(self, bad):
+        for diam in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(IntervalError):
+                HSet("bad", (0, 0), ROT, diam, (0,))
 
     def test_axis_split(self):
         h = HSet("S", (0, 0, 0, 0),
@@ -103,9 +111,9 @@ class TestWalls:
                  [[1, 0, 0], [0, 1, 0], [0, 0, 1]], (1, 1, 1), (0, 2))
         for grid in (1, 2, 3, 7):
             walls = h.walls(0, 1, grid)
-            hull = walls[0]
+            hull = list(walls[0])
             for w in walls[1:]:
-                hull = hull.hull(w)
+                hull = [a.hull(b) for a, b in zip(hull, w)]
             assert hull[0] == Interval(1.0)
             assert hull[1] == Interval(-1.0, 1.0)
             assert hull[2] == Interval(-1.0, 1.0)
@@ -121,9 +129,9 @@ class TestWalls:
         h = _sample_set()
         boxes = h.subboxes(3)
         assert len(boxes) == 9
-        hull = boxes[0]
+        hull = list(boxes[0])
         for b in boxes[1:]:
-            hull = hull.hull(b)
+            hull = [a.hull(c) for a, c in zip(hull, b)]
         assert hull[0] == Interval(-1.0, 1.0)
         assert hull[1] == Interval(-1.0, 1.0)
 
@@ -145,6 +153,12 @@ class TestQuadraticForm:
             QuadraticForm((-1.0, -1.0), (0,))
         with pytest.raises(IntervalError):
             QuadraticForm((1.0, 0.0), (0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        for coeffs in ((bad, -1.0, -1.0), (1.0, bad, -1.0)):
+            with pytest.raises(IntervalError):
+                QuadraticForm(coeffs, (0,))
 
     def test_norms(self):
         q = QuadraticForm((0.5, 2.0, -0.1, -3.0), (0, 1))

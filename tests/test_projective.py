@@ -212,7 +212,7 @@ class TestDerivative:
         _, d = chart.derivative(box(*base))
 
         def apply_pt(coords):
-            return chart.apply(box(*coords)).mids()
+            return [c.mid for c in chart.apply(box(*coords))]
 
         for j in range(4):
             up = list(base)
