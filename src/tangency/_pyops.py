@@ -157,15 +157,29 @@ def sqrt_up(x):
     return math.nextafter(s, _INF)
 
 
+# The interval kernels return at once when an operand is an exact zero pair
+# (both bounds +-0.0).  A sum or difference with one is the plain float sum,
+# which is exact; a product, or a quotient of one, is (0.0, 0.0).  These are
+# the bits the directed-rounding path gives for every finite operand and for
+# a -inf lower / +inf upper bound; only a zero times an infinite bound
+# differs, giving the exact (0.0, 0.0) where that path gives NaN.
+
+
 def iadd(al, ah, bl, bh):
+    if not (al or ah) or not (bl or bh):
+        return al + bl, ah + bh
     return add_down(al, bl), add_up(ah, bh)
 
 
 def isub(al, ah, bl, bh):
+    if not (al or ah) or not (bl or bh):
+        return al - bh, ah - bl
     return add_down(al, -bh), add_up(ah, -bl)
 
 
 def imul(al, ah, bl, bh):
+    if not (al or ah) or not (bl or bh):
+        return 0.0, 0.0
     if al >= 0.0:
         if bl >= 0.0:
             return mul_down(al, bl), mul_up(ah, bh)
@@ -191,6 +205,8 @@ def imul(al, ah, bl, bh):
 
 def idiv(al, ah, bl, bh):
     # Caller guarantees 0 is outside [bl, bh].
+    if not (al or ah):
+        return 0.0, 0.0
     if bl > 0.0:
         lo = div_down(al, bh if al >= 0.0 else bl)
         hi = div_up(ah, bl if ah >= 0.0 else bh)

@@ -13,6 +13,14 @@ of N and M and orientation signs eps,
 These imply the covering relation via the linear homotopy to the diagonal
 model map with degree +-1.  Failure is always inconclusive, never a
 disproof: interval methods cannot refute.
+
+The exit conditions read only the unstable target coordinates, so a wall
+sub-box is mapped on those rows of the target frame only, and F on the
+outputs those rows read (see _image_normalized); every bit they read is
+the one the full image would give.  Whatever else a map checks on its
+image (the chart map: that the image angle lies in the chart) is still
+checked on the interior sub-boxes, which cover the walls and map every
+output.
 """
 
 from __future__ import annotations
@@ -56,17 +64,42 @@ class BoxMap:
     the thin midpoint of each sub-box.  ``enclosure_fn(box)`` returns
     ``(image, jacobian)``: the image enclosure and DF over the box, from one
     evaluation.
+
+    A map with ``outputs`` (increasing output indices, see restrict)
+    evaluates those output coordinates only: its images hold those entries
+    and its Jacobians those rows, and nothing else.  With
+    ``takes_outputs=True`` the callables compute only what is asked: they
+    are called as ``value_fn(box, outputs)`` and ``enclosure_fn(box,
+    outputs)``.  Otherwise they are called with the box alone, which means
+    every output, and the map keeps the requested ones.
     """
 
-    def __init__(self, value_fn, enclosure_fn):
+    def __init__(self, value_fn, enclosure_fn, takes_outputs=False, outputs=None):
         self._value = value_fn
         self._derivative = enclosure_fn
+        self._takes_outputs = takes_outputs
+        self.outputs = None if outputs is None else tuple(outputs)
+
+    def restrict(self, outputs):
+        """This map on the output coordinates outputs only."""
+        return BoxMap(self._value, self._derivative, self._takes_outputs, outputs)
 
     def __call__(self, box):
-        return self._value(box)
+        if self.outputs is None:
+            return self._value(box)
+        if self._takes_outputs:
+            return self._value(box, self.outputs)
+        pairs = self._value(box).pairs
+        return IntervalVector.from_pairs([pairs[k] for k in self.outputs])
 
     def derivative(self, box):
-        return self._derivative(box)
+        if self.outputs is None:
+            return self._derivative(box)
+        if self._takes_outputs:
+            return self._derivative(box, self.outputs)
+        image, jacobian = self._derivative(box)
+        return (IntervalVector.from_pairs([image.pairs[k] for k in self.outputs]),
+                IntervalMatrix.from_pairs([jacobian.pairs[k] for k in self.outputs]))
 
 
 @dataclass(frozen=True)
@@ -121,13 +154,28 @@ def _image_normalized(src, tgt, fmap, zbox, rows):
     src.n local columns only.  Row j of g, of the slope and of the hull image
     reads only row j of M_tgt^-1, so the rows left out are never computed,
     and the rows computed are the same bits as in the full image.
+
+    Those rows of M_tgt^-1 read only the ambient coordinates
+    tgt.columns_read(rows); every other column of them is an exact zero,
+    whose term the products skip.  When that leaves out an output of F,
+    fmap is evaluated on the outputs read only (BoxMap.restrict), and the
+    rows computed keep every bit.  For the chart map this drops the
+    tangent angle on walls whose target rows do not read it, and with it
+    the check that the image angle lies in the chart.  That check is not
+    lost: the interior sub-boxes cover the whole source set, walls
+    included, and are evaluated on every output.
     """
     imul, idiv, isub, iadd = _k.imul, _k.idiv, _k.isub, _k.iadd
+    cols = tgt.columns_read(rows)
+    if len(cols) < tgt.n:
+        fmap = fmap.restrict(cols)
+    else:
+        cols = None
     mids = [pair_mid(*z) for z in zbox.pairs]
     mid = IntervalVector.from_pairs([(m, m) for m in mids])
-    g_mid = tgt.normalized_rows(fmap(src.from_normalized(mid)), rows)
+    g_mid = tgt.normalized_rows(fmap(src.from_normalized(mid)), rows, cols)
     image, jacobian = fmap.derivative(src.from_normalized(zbox))
-    local = local_derivative_rows(src, tgt, jacobian, rows)
+    local = local_derivative_rows(src, tgt, jacobian, rows, cols)
     scaled = IntervalMatrix.from_pairs(
         [
             [idiv(*imul(*e, d_src, d_src), d_tgt, d_tgt)
@@ -141,7 +189,7 @@ def _image_normalized(src, tgt, fmap, zbox, rows):
     mean_value = check_pairs(
         [iadd(*g, *s) for g, s in zip(g_mid, scaled.mat_vec(delta).pairs)]
     )
-    hull = tgt.normalized_rows(image, rows)
+    hull = tgt.normalized_rows(image, rows, cols)
     out = {}
     for axis, (m_lo, m_hi), (h_lo, h_hi) in zip(rows, mean_value, hull):
         if not (m_lo <= h_hi and h_lo <= m_hi):

@@ -399,8 +399,9 @@ def run_proof(config=None):
     certified = {}
     try:
         t0 = time.perf_counter()
+        fmap = BoxMap(chart.apply, chart.derivative, takes_outputs=True)
         certified["covering"] = check_chain(
-            list(chain.sets), [BoxMap(chart.apply, chart.derivative)] * (N_SETS - 1),
+            list(chain.sets), [fmap] * (N_SETS - 1),
             grid=config.grid, correspondences=config.correspondences,
         )
         timings["covering"] = time.perf_counter() - t0

@@ -77,19 +77,39 @@ class HSet:
         result is a subset of [-1,1]^n (sufficient direction only)."""
         return IntervalVector.from_pairs(self.normalized_rows(p, range(self.n)))
 
-    def normalized_rows(self, p, rows):
-        """The entries ``rows`` of to_normalized(p) as (lo, hi) pairs, from
-        those rows of inv_coord only."""
-        loc = self._inv_rows(rows).mat_vec(p - self.center_vec)
+    def normalized_rows(self, p, rows, cols=None):
+        """The entries ``rows`` of to_normalized(q) as (lo, hi) pairs, from
+        those rows of inv_coord only, where p holds the coordinates ``cols``
+        of the ambient box q (all of them by default) and cols includes
+        columns_read(rows)."""
+        center = self.center_vec
+        if cols is not None:
+            center = IntervalVector.from_pairs([center.pairs[k] for k in cols])
+        loc = self._inv_rows(rows, cols).mat_vec(p - center)
         idiv, diam = _k.idiv, self.diam
         return check_pairs(
             [idiv(*w, diam[j], diam[j]) for w, j in zip(loc.pairs, rows)]
         )
 
-    def _inv_rows(self, rows):
-        """The rows ``rows`` of inv_coord, as a matrix."""
+    def columns_read(self, rows):
+        """The ambient coordinates that the rows ``rows`` of inv_coord read:
+        the columns, increasing, where one of those rows is not an exact
+        zero.  A product skips every other column's term bit for bit (see
+        linalg._nonzero), so those rows of to_normalized and of
+        local_derivative need only these coordinates of the ambient box and
+        these rows of the ambient Jacobian."""
         inv = self.inv_coord.pairs
-        return IntervalMatrix.from_pairs([inv[j] for j in rows])
+        return tuple(
+            k for k in range(self.n) if any(inv[j][k][0] or inv[j][k][1] for j in rows)
+        )
+
+    def _inv_rows(self, rows, cols=None):
+        """The rows ``rows`` of inv_coord, as a matrix; only the columns
+        ``cols`` if given."""
+        inv = self.inv_coord.pairs
+        if cols is None:
+            return IntervalMatrix.from_pairs([inv[j] for j in rows])
+        return IntervalMatrix.from_pairs([[inv[j][k] for k in cols] for j in rows])
 
     def from_normalized(self, z):
         imul = _k.imul
@@ -188,11 +208,13 @@ def local_derivative(src, tgt, jacobian):
     return local_derivative_rows(src, tgt, jacobian, range(tgt.n))
 
 
-def local_derivative_rows(src, tgt, jacobian, rows):
+def local_derivative_rows(src, tgt, jacobian, rows, cols=None):
     """The rows ``rows`` of local_derivative(src, tgt, jacobian), from those
-    rows of tgt.inv_coord only."""
+    rows of tgt.inv_coord only, where jacobian holds the rows ``cols`` of
+    the ambient Jacobian (all of them by default) and cols includes
+    tgt.columns_read(rows)."""
     n = src.n
-    t = tgt._inv_rows(rows).mat_mul(jacobian).pairs
+    t = tgt._inv_rows(rows, cols).mat_mul(jacobian).pairs
     block = IntervalMatrix.from_pairs([r[:n] for r in t]).mat_mul(src.frame)
     return IntervalMatrix.from_pairs([b + r[n:] for b, r in zip(block.pairs, t)])
 
@@ -209,6 +231,10 @@ class QuadraticForm:
     def __init__(self, coeffs, unstable):
         self.coeffs = tuple(float(c) for c in coeffs)
         self.unstable = tuple(sorted(int(i) for i in unstable))
+        if len(set(self.unstable)) != len(self.unstable) or any(
+            not 0 <= i < len(self.coeffs) for i in self.unstable
+        ):
+            raise IntervalError("invalid unstable axis set")
         if not all(math.isfinite(c) and c != 0.0 for c in self.coeffs):
             raise IntervalError("cone form coefficients must be finite and nonzero")
         for i, c in enumerate(self.coeffs):

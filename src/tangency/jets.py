@@ -60,6 +60,11 @@ class Jet:
         self.value_pair = check_pairs((value,))[0]
         self.grad_pairs = check_pairs(tuple(grad))
         self.hess_pairs = None if hess is None else check_pairs(tuple(hess))
+        if hess is not None and len(self.hess_pairs) != len(_tri(len(self.grad_pairs))):
+            raise IntervalError(
+                f"packed Hessian of {len(self.hess_pairs)} entries for "
+                f"n={len(self.grad_pairs)} variables"
+            )
 
     @property
     def value(self):
@@ -209,7 +214,7 @@ class Jet:
 
     def _chain(self, value, d1, d2):
         """The jet of g(self) from the pairs value = g(v), d1 = g'(v) and
-        d2 = g''(v)."""
+        d2 = g''(v); an order-1 jet never reads d2."""
         imul, iadd = _k.imul, _k.iadd
         sg = self.grad_pairs
         grad = [imul(*d1, *g) for g in sg]
@@ -241,7 +246,9 @@ class Jet:
         s = self.value.sqrt()
         s = (s.lo, s.hi)
         d1 = _div((0.5, 0.5), s)
-        d2 = _div((-0.25, -0.25), _k.imul(*s, *self.value_pair))
+        d2 = None
+        if self.hess_pairs is not None:
+            d2 = _div((-0.25, -0.25), _k.imul(*s, *self.value_pair))
         return self._chain(s, d1, d2)
 
     def sincos(self):
@@ -263,6 +270,8 @@ class Jet:
         v = self.value_pair
         den = _k.iadd(1.0, 1.0, *_k.isqr(*v))
         d1 = _div(_ONE, den)
-        d2 = _div(_k.imul(-2.0, -2.0, *v), _k.isqr(*den))
+        d2 = None
+        if self.hess_pairs is not None:
+            d2 = _div(_k.imul(-2.0, -2.0, *v), _k.isqr(*den))
         t = self.value.atan()
         return self._chain((t.lo, t.hi), d1, d2)

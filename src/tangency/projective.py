@@ -11,7 +11,9 @@ by
 
 and its rigorous 4x4 derivative is assembled from order-2 jets of f (the
 angle component needs the second derivatives of f); the value parts of the
-same jets are the image enclosure, returned beside the derivative.
+same jets are the image enclosure, returned beside the derivative.  Both
+can be asked for some outputs only; without t they compute no angle, and
+f's jets drop to order 1 (derivative) or to values alone (apply).
 """
 
 from __future__ import annotations
@@ -130,10 +132,17 @@ class ChartMap:
 
     # -- value-level application ------------------------------------------
 
-    def apply(self, v):
+    def apply(self, v, outputs=None):
         """Image enclosure of a chart box, the IntervalVector (x, y, t, a);
-        order-1 jets supply Df."""
+        order-1 jets supply Df.  With outputs, increasing indices into
+        (x, y, t, a), the image holds those entries only; without t, f runs
+        on values alone and no angle is computed or checked."""
         _check_angle(v.pairs[2])
+        if outputs is not None and 2 not in outputs:
+            x, y, _, a = v.pairs
+            fx, fy = self._evaluator()(Jet(x, ()), Jet(y, ()), Jet(a, ()))
+            image = (fx.value_pair, fy.value_pair, None, a)
+            return IntervalVector.from_pairs([image[k] for k in outputs])
         x, y, t, a = v
         xj = Jet.variable(0, x, 2, order=1)
         yj = Jet.variable(1, y, 2, order=1)
@@ -147,35 +156,44 @@ class ChartMap:
             for f in (fx, fy)
         ]
         t2 = direction_to_angle([Interval(*c) for c in w])
+        image = (fx.value_pair, fy.value_pair, (t2.lo, t2.hi), v.pairs[3])
         return IntervalVector.from_pairs(
-            [fx.value_pair, fy.value_pair, (t2.lo, t2.hi), v.pairs[3]]
+            image if outputs is None else [image[k] for k in outputs]
         )
 
     # -- derivative enclosures --------------------------------------------
 
-    def derivative(self, v):
+    def derivative(self, v, outputs=None):
         """Image enclosure of a chart box (the jets' values: apply's, bit for
         bit) and a sound 4x4 enclosure of the derivative over it.
 
-        f does not depend on t, so its order-2 jets run over (x, y, a) and
-        are placed into the (x, y, t, a) rows with an exact zero in the t
-        slot; the t column comes from the tangent jet alone.
+        f does not depend on t, so its jets run over (x, y, a) and are
+        placed into the (x, y, t, a) rows with an exact zero in the t slot;
+        the t column comes from the tangent jet alone.  With outputs,
+        increasing indices into (x, y, t, a), the image holds those entries
+        and the matrix those rows only; without t, the jets of f are of
+        order 1 and no tangent jet is computed or checked.
         """
         _check_angle(v.pairs[2])
+        angle = outputs is None or 2 in outputs
+        order = 2 if angle else 1
         x, y, t, a = v
-        xj = Jet.variable(0, x, 3, order=2)
-        yj = Jet.variable(1, y, 3, order=2)
-        aj = Jet.variable(2, a, 3, order=2)
+        xj = Jet.variable(0, x, 3, order=order)
+        yj = Jet.variable(1, y, 3, order=order)
+        aj = Jet.variable(2, a, 3, order=order)
         fx, fy = self._evaluator()(xj, yj, aj)
-        tang = self._tangent_jet(fx, fy, t)
-        jacobian = IntervalMatrix.from_pairs(
-            [_place_t(fx.grad_pairs), _place_t(fy.grad_pairs), tang.grad_pairs,
-             (_ZERO, _ZERO, _ZERO, (1.0, 1.0))]
-        )
-        _check_angle(tang.value_pair)
-        image = IntervalVector.from_pairs(
-            [fx.value_pair, fy.value_pair, tang.value_pair, v.pairs[3]]
-        )
+        rows = [(fx.value_pair, _place_t(fx.grad_pairs)),
+                (fy.value_pair, _place_t(fy.grad_pairs)),
+                None,
+                (v.pairs[3], (_ZERO, _ZERO, _ZERO, (1.0, 1.0)))]
+        if angle:
+            tang = self._tangent_jet(fx, fy, t)
+            _check_angle(tang.value_pair)
+            rows[2] = (tang.value_pair, tang.grad_pairs)
+        if outputs is not None:
+            rows = [rows[k] for k in outputs]
+        image = IntervalVector.from_pairs([value for value, _ in rows])
+        jacobian = IntervalMatrix.from_pairs([row for _, row in rows])
         return image, jacobian
 
     @staticmethod

@@ -18,7 +18,7 @@ from tangency.henon import henon_family
 from tangency.hset import HSet, local_derivative
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalMatrix, IntervalVector
-from tangency.projective import ChartMap
+from tangency.projective import ChartError, ChartMap, PlanarMapFamily
 from tangency.toy import ToyParams, build_toy_chain, linear_start_map, switch_map
 
 
@@ -285,31 +285,84 @@ class TestDeterminism:
 
 class TestWallRows:
     def test_restricted_rows_equal_the_full_image_rows(self, henon_chain):
-        # Walls are evaluated on the unstable target rows only; those rows
-        # are the full image's rows bit for bit, on every wall of the
-        # grid-1 Henon chain.
+        # Walls are evaluated on the unstable target rows only, and the
+        # chart map on the outputs those rows read; those rows are the full
+        # image's rows bit for bit, on every wall of the Henon chain at
+        # grid 1 and grid 2.
         chart = ChartMap(henon_family())
-        fmap = BoxMap(chart.apply, chart.derivative)
+        fmap = BoxMap(chart.apply, chart.derivative, takes_outputs=True)
         sets = henon_chain.sets
-        walls = 0
-        for src, tgt in zip(sets, sets[1:]):
-            rows = tgt.unstable
-            for i in src.unstable:
-                for side in (1, -1):
-                    for w in src.walls(i, side, 1):
-                        img, local = _image_normalized(src, tgt, fmap, w, rows)
-                        full, full_local = _image_normalized(
-                            src, tgt, fmap, w, range(tgt.n)
-                        )
-                        assert list(img) == list(rows)
-                        assert pairs_hex(img.values()) == pairs_hex(
-                            full[j] for j in rows
-                        )
-                        assert [pairs_hex(r) for r in local.pairs] == [
-                            pairs_hex(full_local.pairs[j]) for j in rows
-                        ]
-                        walls += 1
-        assert walls == 4 * (len(sets) - 1)
+        for grid in (1, 2):
+            walls = 0
+            for src, tgt in zip(sets, sets[1:]):
+                rows = tgt.unstable
+                for i in src.unstable:
+                    for side in (1, -1):
+                        for w in src.walls(i, side, grid):
+                            img, local = _image_normalized(src, tgt, fmap, w, rows)
+                            full, full_local = _image_normalized(
+                                src, tgt, fmap, w, range(tgt.n)
+                            )
+                            assert list(img) == list(rows)
+                            assert pairs_hex(img.values()) == pairs_hex(
+                                full[j] for j in rows
+                            )
+                            assert [pairs_hex(r) for r in local.pairs] == [
+                                pairs_hex(full_local.pairs[j]) for j in rows
+                            ]
+                            walls += 1
+            assert walls == 4 * grid**3 * (len(sets) - 1)
+
+    def test_restricted_map_returns_only_the_outputs_asked_for(self, henon_chain):
+        # The chart map's restricted evaluation, and a one-argument map's
+        # (which evaluates every output), give exactly the requested
+        # entries and rows of the full evaluation, bit for bit: no
+        # placeholders.
+        chart = ChartMap(henon_family())
+        maps = (BoxMap(chart.apply, chart.derivative, takes_outputs=True),
+                BoxMap(chart.apply, chart.derivative))
+        for h in henon_chain.sets:
+            box = h.box()
+            mid = IntervalVector([Interval(e.mid) for e in box])
+            full_value = chart.apply(mid)
+            full_image, full_jac = chart.derivative(box)
+            for outputs in ((0, 1, 3), (0, 1, 2), (3,), (2,), (0, 1, 2, 3)):
+                for fmap in maps:
+                    sub = fmap.restrict(outputs)
+                    value = sub(mid)
+                    image, jac = sub.derivative(box)
+                    assert pairs_hex(value.pairs) == pairs_hex(
+                        full_value.pairs[k] for k in outputs
+                    )
+                    assert pairs_hex(image.pairs) == pairs_hex(
+                        full_image.pairs[k] for k in outputs
+                    )
+                    assert [pairs_hex(r) for r in jac.pairs] == [
+                        pairs_hex(full_jac.pairs[k]) for k in outputs
+                    ]
+
+    def test_wall_angle_check_moves_to_the_interior(self):
+        # f(x, y) = (x + y, x) turns the direction t = pi/2 horizontal.  On
+        # a link whose target rows are (x, a), the walls never compute the
+        # image angle and pass their exit checks; the interior box, which
+        # covers the walls and maps every output, leaves the chart, so the
+        # link is still inconclusive.
+        family = PlanarMapFamily("shear", lambda x, y, a: (x + y, x))
+        chart = ChartMap(family)
+        fmap = BoxMap(chart.apply, chart.derivative, takes_outputs=True)
+        half_pi = 1.5707963267948966
+        src = HSet("S", (0.0, 0.0, half_pi, 0.0), EYE4, (1.0, 0.01, 0.1, 0.2), (0, 3))
+        tgt = HSet("T", (0.0, 0.0, half_pi, 0.0), EYE4, (0.5, 2.0, 1.0, 0.1), (0, 3))
+        wall = src.walls(0, 1, 1)[0]
+        with pytest.raises(ChartError):
+            _image_normalized(src, tgt, fmap, wall, range(tgt.n))
+        img, _ = _image_normalized(src, tgt, fmap, wall, tgt.unstable)
+        assert img[0][0] > 1.0
+        with pytest.raises(VerificationInconclusive) as exc:
+            check_covering(src, tgt, fmap)
+        assert exc.value.locus == "S=>T"
+        assert exc.value.detail.startswith("interior box 0:")
+        assert "chart" in exc.value.detail
 
 
 class TestChainBasics:

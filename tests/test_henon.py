@@ -353,9 +353,9 @@ class TestSharedJacobian:
 
         orig = ChartMap.derivative
 
-        def counting(self, p):
+        def counting(self, *args):
             calls.append(where[0])
-            return orig(self, p)
+            return orig(self, *args)
 
         monkeypatch.setattr(ChartMap, "derivative", counting)
         monkeypatch.setattr(henon, "verify_disk", tagging(manifold.verify_disk, "disk"))
@@ -366,6 +366,21 @@ class TestSharedJacobian:
         assert len(calls) == 85
         assert calls.count("self-covering") == 10
         assert "disk" not in calls  # verify_disk calls none of its own
+
+    def test_tangent_jets_at_grid_one(self, monkeypatch, henon_chain):
+        # The 85 derivative evaluations less the 32 wall sub-boxes of the 8
+        # links whose unstable target rows (u, a) do not read the angle.
+        calls = []
+        orig = ChartMap._tangent_jet
+
+        def counting(*args):
+            calls.append(args)
+            return orig(*args)
+
+        monkeypatch.setattr(ChartMap, "_tangent_jet", staticmethod(counting))
+        run_proof()
+        assert sum(1 for tgt in henon_chain.sets[1:] if tgt.unstable == (0, 3)) == 8
+        assert len(calls) == 85 - 8 * 4 == 53
 
     def test_grid_two_cone_pivots_no_lower(self, henon_proof, henon_proof_grid2):
         # The hull of the sub-box Jacobians lies inside the whole-set one.

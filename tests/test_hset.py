@@ -154,6 +154,15 @@ class TestQuadraticForm:
         with pytest.raises(IntervalError):
             QuadraticForm((1.0, 0.0), (0,))
 
+    def test_unstable_axes_validated(self):
+        # As HSet checks them: out of range, or named twice.
+        with pytest.raises(IntervalError):
+            QuadraticForm((-1.0, -1.0), (5,))
+        with pytest.raises(IntervalError):
+            QuadraticForm((1.0, -1.0), (0, 0))
+        with pytest.raises(IntervalError):
+            QuadraticForm((1.0, -1.0), (-1,))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coefficients_rejected(self, bad):
         for coeffs in ((bad, -1.0, -1.0), (1.0, bad, -1.0)):

@@ -42,6 +42,14 @@ class TestConstructors:
                           (Interval(1.0), Interval(3.0)))
         assert j.hess_row_pairs(1) == ((1.0, 1.0), (3.0, 3.0))
 
+    def test_hessian_length_is_checked(self):
+        # A packed Hessian for n variables has n (n + 1) / 2 entries.
+        with pytest.raises(IntervalError):
+            Jet((1.0, 1.0), [(0.0, 0.0)] * 2, [(1.0, 1.0)])
+        with pytest.raises(IntervalError):
+            Jet((1.0, 1.0), [(0.0, 0.0)] * 2, [(1.0, 1.0)] * 4)
+        assert Jet((1.0, 1.0), [], []).hess == ()
+
     @pytest.mark.parametrize("bad", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.inf)])
     def test_pairs_are_checked(self, bad):
         ok = (0.0, 0.0)
@@ -104,6 +112,24 @@ class TestChainRules:
         assert a.value.contains(math.pi / 4)
         assert a.grad[0].contains(0.5)
         assert a.hess[0][0].contains(-0.5)
+
+    @pytest.mark.parametrize("fn", ["atan", "sqrt"])
+    def test_order_one_matches_order_two_bits(self, fn):
+        # An order-1 jet skips the second-derivative factor; its value and
+        # gradient are the order-2 jet's, bit for bit.
+        box = [Interval(0.3, 0.31), Interval(1.2, 1.25)]
+        jets = {
+            order: getattr(
+                Jet.variable(0, box[0], 2, order) * Jet.variable(1, box[1], 2, order), fn
+            )()
+            for order in (1, 2)
+        }
+        one, two = jets[1], jets[2]
+        assert one.hess_pairs is None
+        assert [x.hex() for x in one.value_pair] == [x.hex() for x in two.value_pair]
+        assert [[x.hex() for x in g] for g in one.grad_pairs] == [
+            [x.hex() for x in g] for g in two.grad_pairs
+        ]
 
     def test_scalar_mixing(self):
         (x,) = _jet_point([2.0])

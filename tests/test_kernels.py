@@ -91,3 +91,118 @@ def test_underflow_rounds_outward():
     lo = _pyops.mul_down(-tiny, 1e-10)
     hi = _pyops.mul_up(-tiny, 1e-10)
     assert lo < 0.0 <= hi
+
+
+# -- exact-zero operands ------------------------------------------------------
+
+ZERO_PAIRS = ((0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0))
+_EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def _random_pair(rng, infinite=False):
+    """A kernel-style bound pair: thin or thick, any sign, signed zeros,
+    subnormal and huge bounds; with infinite, also a -inf lower or a +inf
+    upper bound, as the kernels give on overflow."""
+    draw = lambda: rng.choice(_EXTREMES) if rng.random() < 0.15 else random_float(rng)  # noqa: E731
+    lo = draw()
+    hi = lo if rng.random() < 0.3 else draw()
+    lo, hi = min(lo, hi), max(lo, hi)
+    if infinite and rng.random() < 0.3:
+        if rng.random() < 0.5:
+            lo = -math.inf
+        else:
+            hi = math.inf
+    return lo, hi
+
+
+def _iadd_full(al, ah, bl, bh):
+    return _pyops.add_down(al, bl), _pyops.add_up(ah, bh)
+
+
+def _isub_full(al, ah, bl, bh):
+    return _pyops.add_down(al, -bh), _pyops.add_up(ah, -bl)
+
+
+def _imul_full(al, ah, bl, bh):
+    # imul's sign-case analysis, without its exact-zero return.
+    down, up = _pyops.mul_down, _pyops.mul_up
+    if al >= 0.0:
+        if bl >= 0.0:
+            return down(al, bl), up(ah, bh)
+        if bh <= 0.0:
+            return down(ah, bl), up(al, bh)
+        return down(ah, bl), up(ah, bh)
+    if ah <= 0.0:
+        if bl >= 0.0:
+            return down(al, bh), up(ah, bl)
+        if bh <= 0.0:
+            return down(ah, bh), up(al, bl)
+        return down(al, bh), up(al, bl)
+    if bl >= 0.0:
+        return down(al, bh), up(ah, bh)
+    if bh <= 0.0:
+        return down(ah, bl), up(al, bl)
+    lo1, lo2 = down(al, bh), down(ah, bl)
+    hi1, hi2 = up(al, bl), up(ah, bh)
+    return (lo1 if lo1 <= lo2 else lo2), (hi1 if hi1 >= hi2 else hi2)
+
+
+def _idiv_full(al, ah, bl, bh):
+    if bl > 0.0:
+        return (_pyops.div_down(al, bh if al >= 0.0 else bl),
+                _pyops.div_up(ah, bl if ah >= 0.0 else bh))
+    return (_pyops.div_down(ah, bh if ah >= 0.0 else bl),
+            _pyops.div_up(al, bl if al >= 0.0 else bh))
+
+
+def _hex(pair):
+    return tuple(x.hex() for x in pair)
+
+
+class TestExactZeroShortCircuit:
+    """iadd, isub, imul and idiv return at once on an exact-zero operand
+    pair, with the bits of the directed-rounding path."""
+
+    def test_sums_and_differences_match_the_full_path(self, rng):
+        others = [_random_pair(rng, infinite=True) for _ in range(3000)]
+        for z in ZERO_PAIRS:
+            for b in list(ZERO_PAIRS) + others:
+                for kernel, full in ((_pyops.iadd, _iadd_full), (_pyops.isub, _isub_full)):
+                    assert _hex(kernel(*z, *b)) == _hex(full(*z, *b)), (kernel, z, b)
+                    assert _hex(kernel(*b, *z)) == _hex(full(*b, *z)), (kernel, b, z)
+
+    def test_products_match_the_full_path(self, rng):
+        others = [_random_pair(rng) for _ in range(3000)]
+        for z in ZERO_PAIRS:
+            for b in list(ZERO_PAIRS) + others:
+                assert _hex(_pyops.imul(*z, *b)) == _hex(_imul_full(*z, *b)) == _hex((0.0, 0.0))
+                assert _hex(_pyops.imul(*b, *z)) == _hex(_imul_full(*b, *z)) == _hex((0.0, 0.0))
+
+    def test_zero_numerator_quotients_match_the_full_path(self, rng):
+        dens = [_random_pair(rng, infinite=True) for _ in range(3000)]
+        dens = [(lo, hi) for lo, hi in dens if lo > 0.0 or hi < 0.0]
+        assert len(dens) > 1000
+        for z in ZERO_PAIRS:
+            for b in dens:
+                assert _hex(_pyops.idiv(*z, *b)) == _hex(_idiv_full(*z, *b)) == _hex((0.0, 0.0))
+
+    def test_nonzero_operands_take_the_full_path(self, rng):
+        for _ in range(3000):
+            a, b = _random_pair(rng), _random_pair(rng)
+            if not (a[0] or a[1]) or not (b[0] or b[1]):
+                continue
+            assert _hex(_pyops.iadd(*a, *b)) == _hex(_iadd_full(*a, *b))
+            assert _hex(_pyops.isub(*a, *b)) == _hex(_isub_full(*a, *b))
+            assert _hex(_pyops.imul(*a, *b)) == _hex(_imul_full(*a, *b))
+            if b[0] > 0.0 or b[1] < 0.0:
+                assert _hex(_pyops.idiv(*a, *b)) == _hex(_idiv_full(*a, *b))
+
+    def test_zero_times_an_infinite_bound_is_exact(self):
+        # The one behaviour change: the directed path gives NaN for 0 * inf;
+        # the short circuit gives the exact product (0.0, 0.0).
+        for b in ((1.0, math.inf), (-math.inf, -1.0), (-math.inf, math.inf)):
+            for z in ZERO_PAIRS:
+                assert any(math.isnan(x) for x in _imul_full(*z, *b))
+                assert _hex(_pyops.imul(*z, *b)) == _hex((0.0, 0.0))
+                assert _hex(_pyops.imul(*b, *z)) == _hex((0.0, 0.0))
