@@ -65,41 +65,35 @@ class BoxMap:
     ``(image, jacobian)``: the image enclosure and DF over the box, from one
     evaluation.
 
-    A map with ``outputs`` (increasing output indices, see restrict)
-    evaluates those output coordinates only: its images hold those entries
-    and its Jacobians those rows, and nothing else.  With
-    ``takes_outputs=True`` the callables compute only what is asked: they
-    are called as ``value_fn(box, outputs)`` and ``enclosure_fn(box,
-    outputs)``.  Otherwise they are called with the box alone, which means
-    every output, and the map keeps the requested ones.
+    With ``takes_outputs=True`` the callables also take increasing output
+    indices, as ``value_fn(box, outputs)`` and ``enclosure_fn(box,
+    outputs)``, and then compute those output coordinates only: the image
+    holds those entries and the Jacobian those rows.  restrict(outputs) is
+    such a map fixed to those outputs.  Called with the box alone, the
+    callables mean every output.
     """
 
     def __init__(self, value_fn, enclosure_fn, takes_outputs=False, outputs=None):
         self._value = value_fn
         self._derivative = enclosure_fn
-        self._takes_outputs = takes_outputs
-        self.outputs = None if outputs is None else tuple(outputs)
+        self.takes_outputs = takes_outputs
+        self.outputs = outputs
 
     def restrict(self, outputs):
         """This map on the output coordinates outputs only."""
-        return BoxMap(self._value, self._derivative, self._takes_outputs, outputs)
+        if not self.takes_outputs:
+            raise TypeError("this map computes every output")
+        return BoxMap(self._value, self._derivative, True, tuple(outputs))
 
     def __call__(self, box):
         if self.outputs is None:
             return self._value(box)
-        if self._takes_outputs:
-            return self._value(box, self.outputs)
-        pairs = self._value(box).pairs
-        return IntervalVector.from_pairs([pairs[k] for k in self.outputs])
+        return self._value(box, self.outputs)
 
     def derivative(self, box):
         if self.outputs is None:
             return self._derivative(box)
-        if self._takes_outputs:
-            return self._derivative(box, self.outputs)
-        image, jacobian = self._derivative(box)
-        return (IntervalVector.from_pairs([image.pairs[k] for k in self.outputs]),
-                IntervalMatrix.from_pairs([jacobian.pairs[k] for k in self.outputs]))
+        return self._derivative(box, self.outputs)
 
 
 @dataclass(frozen=True)
@@ -157,25 +151,25 @@ def _image_normalized(src, tgt, fmap, zbox, rows):
 
     Those rows of M_tgt^-1 read only the ambient coordinates
     tgt.columns_read(rows); every other column of them is an exact zero,
-    whose term the products skip.  When that leaves out an output of F,
-    fmap is evaluated on the outputs read only (BoxMap.restrict), and the
-    rows computed keep every bit.  For the chart map this drops the
-    tangent angle on walls whose target rows do not read it, and with it
-    the check that the image angle lies in the chart.  That check is not
-    lost: the interior sub-boxes cover the whole source set, walls
-    included, and are evaluated on every output.
+    whose term the products skip.  When that leaves out an output of F and
+    fmap can compute fewer outputs (BoxMap.takes_outputs), it is evaluated
+    on the outputs read only (BoxMap.restrict), and the rows computed keep
+    every bit.  For the chart map this drops the tangent angle on walls
+    whose target rows do not read it, and with it the check that the image
+    angle lies in the chart.  That check is not lost: the interior
+    sub-boxes cover the whole source set, walls included, and are
+    evaluated on every output.
     """
     imul, idiv, isub, iadd = _k.imul, _k.idiv, _k.isub, _k.iadd
-    cols = tgt.columns_read(rows)
-    if len(cols) < tgt.n:
-        fmap = fmap.restrict(cols)
-    else:
-        cols = None
+    if fmap.takes_outputs:
+        cols = tgt.columns_read(rows)
+        if len(cols) < tgt.n:
+            fmap = fmap.restrict(cols)
     mids = [pair_mid(*z) for z in zbox.pairs]
     mid = IntervalVector.from_pairs([(m, m) for m in mids])
-    g_mid = tgt.normalized_rows(fmap(src.from_normalized(mid)), rows, cols)
+    g_mid = tgt.normalized_rows(fmap(src.from_normalized(mid)), rows)
     image, jacobian = fmap.derivative(src.from_normalized(zbox))
-    local = local_derivative_rows(src, tgt, jacobian, rows, cols)
+    local = local_derivative_rows(src, tgt, jacobian, rows)
     scaled = IntervalMatrix.from_pairs(
         [
             [idiv(*imul(*e, d_src, d_src), d_tgt, d_tgt)
@@ -189,7 +183,7 @@ def _image_normalized(src, tgt, fmap, zbox, rows):
     mean_value = check_pairs(
         [iadd(*g, *s) for g, s in zip(g_mid, scaled.mat_vec(delta).pairs)]
     )
-    hull = tgt.normalized_rows(image, rows, cols)
+    hull = tgt.normalized_rows(image, rows)
     out = {}
     for axis, (m_lo, m_hi), (h_lo, h_hi) in zip(rows, mean_value, hull):
         if not (m_lo <= h_hi and h_lo <= m_hi):

@@ -27,7 +27,7 @@ from tangency.linalg import IntervalMatrix, IntervalVector, inverse_enclosure
 
 class HSet:
     __slots__ = ("name", "center", "coord", "diam", "unstable", "stable",
-                 "center_vec", "frame", "inv_coord")
+                 "center_vec", "frame", "inv_coord", "_rows_read")
 
     def __init__(self, name, center, coord, diam, unstable):
         self.name = str(name)
@@ -55,6 +55,7 @@ class HSet:
         self.center_vec = IntervalVector(self.center)
         self.frame = IntervalMatrix(self.coord)
         self.inv_coord = inverse_enclosure(self.coord)
+        self._rows_read = {}
 
     @property
     def n(self):
@@ -77,15 +78,14 @@ class HSet:
         result is a subset of [-1,1]^n (sufficient direction only)."""
         return IntervalVector.from_pairs(self.normalized_rows(p, range(self.n)))
 
-    def normalized_rows(self, p, rows, cols=None):
-        """The entries ``rows`` of to_normalized(q) as (lo, hi) pairs, from
-        those rows of inv_coord only, where p holds the coordinates ``cols``
-        of the ambient box q (all of them by default) and cols includes
-        columns_read(rows)."""
-        center = self.center_vec
-        if cols is not None:
-            center = IntervalVector.from_pairs([center.pairs[k] for k in cols])
-        loc = self._inv_rows(rows, cols).mat_vec(p - center)
+    def normalized_rows(self, p, rows):
+        """The entries ``rows`` of to_normalized(p) as (lo, hi) pairs, from
+        those rows of inv_coord only.  p is an ambient box, or its
+        coordinates columns_read(rows) alone."""
+        inv, cols, center = self._inv_rows(rows)
+        if p.dim == self.n and len(cols) < self.n:
+            p = IntervalVector.from_pairs([p.pairs[k] for k in cols])
+        loc = inv.mat_vec(p - center)
         idiv, diam = _k.idiv, self.diam
         return check_pairs(
             [idiv(*w, diam[j], diam[j]) for w, j in zip(loc.pairs, rows)]
@@ -98,18 +98,27 @@ class HSet:
         linalg._nonzero), so those rows of to_normalized and of
         local_derivative need only these coordinates of the ambient box and
         these rows of the ambient Jacobian."""
-        inv = self.inv_coord.pairs
-        return tuple(
-            k for k in range(self.n) if any(inv[j][k][0] or inv[j][k][1] for j in rows)
-        )
+        return self._inv_rows(rows)[1]
 
-    def _inv_rows(self, rows, cols=None):
-        """The rows ``rows`` of inv_coord, as a matrix; only the columns
-        ``cols`` if given."""
-        inv = self.inv_coord.pairs
-        if cols is None:
-            return IntervalMatrix.from_pairs([inv[j] for j in rows])
-        return IntervalMatrix.from_pairs([[inv[j][k] for k in cols] for j in rows])
+    def _inv_rows(self, rows):
+        """The rows ``rows`` of inv_coord on the columns columns_read(rows)
+        only, as a matrix; those columns; and the center on them.  Built
+        once per rows."""
+        rows = tuple(rows)
+        hit = self._rows_read.get(rows)
+        if hit is None:
+            inv = self.inv_coord.pairs
+            cols = tuple(
+                k for k in range(self.n)
+                if any(inv[j][k][0] or inv[j][k][1] for j in rows)
+            )
+            hit = (
+                IntervalMatrix.from_pairs([[inv[j][k] for k in cols] for j in rows]),
+                cols,
+                IntervalVector.from_pairs([self.center_vec.pairs[k] for k in cols]),
+            )
+            self._rows_read[rows] = hit
+        return hit
 
     def from_normalized(self, z):
         imul = _k.imul
@@ -208,13 +217,15 @@ def local_derivative(src, tgt, jacobian):
     return local_derivative_rows(src, tgt, jacobian, range(tgt.n))
 
 
-def local_derivative_rows(src, tgt, jacobian, rows, cols=None):
+def local_derivative_rows(src, tgt, jacobian, rows):
     """The rows ``rows`` of local_derivative(src, tgt, jacobian), from those
-    rows of tgt.inv_coord only, where jacobian holds the rows ``cols`` of
-    the ambient Jacobian (all of them by default) and cols includes
-    tgt.columns_read(rows)."""
+    rows of tgt.inv_coord only.  jacobian is the ambient Jacobian, or its
+    rows tgt.columns_read(rows) alone."""
     n = src.n
-    t = tgt._inv_rows(rows, cols).mat_mul(jacobian).pairs
+    inv, cols, _ = tgt._inv_rows(rows)
+    if jacobian.nrows == tgt.n and len(cols) < tgt.n:
+        jacobian = IntervalMatrix.from_pairs([jacobian.pairs[k] for k in cols])
+    t = inv.mat_mul(jacobian).pairs
     block = IntervalMatrix.from_pairs([r[:n] for r in t]).mat_mul(src.frame)
     return IntervalMatrix.from_pairs([b + r[n:] for b, r in zip(block.pairs, t)])
 

@@ -13,7 +13,7 @@ and its rigorous 4x4 derivative is assembled from order-2 jets of f (the
 angle component needs the second derivatives of f); the value parts of the
 same jets are the image enclosure, returned beside the derivative.  Both
 can be asked for some outputs only; without t they compute no angle, and
-f's jets drop to order 1 (derivative) or to values alone (apply).
+the derivative's jets of f drop to order 1.
 """
 
 from __future__ import annotations
@@ -135,28 +135,25 @@ class ChartMap:
     def apply(self, v, outputs=None):
         """Image enclosure of a chart box, the IntervalVector (x, y, t, a);
         order-1 jets supply Df.  With outputs, increasing indices into
-        (x, y, t, a), the image holds those entries only; without t, f runs
-        on values alone and no angle is computed or checked."""
+        (x, y, t, a), the image holds those entries only; without t, no
+        angle is computed or checked."""
         _check_angle(v.pairs[2])
-        if outputs is not None and 2 not in outputs:
-            x, y, _, a = v.pairs
-            fx, fy = self._evaluator()(Jet(x, ()), Jet(y, ()), Jet(a, ()))
-            image = (fx.value_pair, fy.value_pair, None, a)
-            return IntervalVector.from_pairs([image[k] for k in outputs])
         x, y, t, a = v
         xj = Jet.variable(0, x, 2, order=1)
         yj = Jet.variable(1, y, 2, order=1)
         aj = Jet.constant(a, 2, order=1)
         fx, fy = self._evaluator()(xj, yj, aj)
-        ct = t.cos()
-        st = t.sin()
-        w = [
-            _k.iadd(*_k.imul(*f.grad_pairs[0], ct.lo, ct.hi),
-                    *_k.imul(*f.grad_pairs[1], st.lo, st.hi))
-            for f in (fx, fy)
-        ]
-        t2 = direction_to_angle([Interval(*c) for c in w])
-        image = (fx.value_pair, fy.value_pair, (t2.lo, t2.hi), v.pairs[3])
+        image = [fx.value_pair, fy.value_pair, None, v.pairs[3]]
+        if outputs is None or 2 in outputs:
+            ct = t.cos()
+            st = t.sin()
+            w = [
+                _k.iadd(*_k.imul(*f.grad_pairs[0], ct.lo, ct.hi),
+                        *_k.imul(*f.grad_pairs[1], st.lo, st.hi))
+                for f in (fx, fy)
+            ]
+            t2 = direction_to_angle([Interval(*c) for c in w])
+            image[2] = (t2.lo, t2.hi)
         return IntervalVector.from_pairs(
             image if outputs is None else [image[k] for k in outputs]
         )

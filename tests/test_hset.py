@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+from conftest import pairs_hex
 from tangency.interval import Interval, IntervalError
-from tangency.hset import HSet, QuadraticForm
-from tangency.linalg import IntervalVector
+from tangency.hset import HSet, QuadraticForm, local_derivative, local_derivative_rows
+from tangency.linalg import IntervalMatrix, IntervalVector
+from tangency.projective import ChartMap
 
 
 ROT = [[0.6, -0.8], [0.8, 0.6]]  # normalized columns
@@ -89,6 +91,33 @@ class TestTransforms:
             p = h.from_normalized(z)
             assert box[0].contains(p[0].mid)
             assert box[1].contains(p[1].mid)
+
+    def test_rows_read_only_their_columns(self, henon_chain):
+        # Rows of the normalized image and of the local-frame derivative are
+        # the full transforms' rows bit for bit, whether given the whole
+        # ambient box and Jacobian or only the coordinates the rows read.
+        from tangency.henon import henon_family
+
+        chart = ChartMap(henon_family())
+        sets = henon_chain.sets
+        for src, tgt in zip(sets, sets[1:]):
+            image, jac = chart.derivative(src.box())
+            full = tgt.to_normalized(image).pairs
+            full_local = local_derivative(src, tgt, jac).pairs
+            for rows in (tgt.unstable, tgt.stable, (2,), (3,), tuple(range(4))):
+                cols = tgt.columns_read(rows)
+                part = IntervalVector.from_pairs([image.pairs[k] for k in cols])
+                part_jac = IntervalMatrix.from_pairs([jac.pairs[k] for k in cols])
+                want = pairs_hex(full[j] for j in rows)
+                assert pairs_hex(tgt.normalized_rows(image, rows)) == want
+                assert pairs_hex(tgt.normalized_rows(part, rows)) == want
+                want_local = [pairs_hex(full_local[j]) for j in rows]
+                for j in (jac, part_jac):
+                    got = local_derivative_rows(src, tgt, j, rows).pairs
+                    assert [pairs_hex(r) for r in got] == want_local
+            assert tgt.columns_read((2,)) == (2,) and tgt.columns_read((3,)) == (3,)
+            if tgt.unstable == (0, 3):
+                assert tgt.columns_read(tgt.unstable) == (0, 1, 3)
 
 
 class TestWalls:
