@@ -12,7 +12,8 @@ interval symmetric matrix A_c + [-1,1] A_0 is positive definite iff all
 2^(n-1) vertex matrices A_c - D(z) A_0 D(z) are (z and -z coincide, so the
 first component is pinned to +1); each vertex is decided by a rigorous
 Cholesky factorization run in interval arithmetic: every pivot must be
-certified strictly positive.
+certified strictly positive.  The vertices share one factorization over the
+tree of their sign prefixes (rump_positive_definite).
 """
 
 from __future__ import annotations
@@ -64,42 +65,6 @@ def symmetrize(m):
     return (m + m.transpose()).scale(0.5)
 
 
-def interval_cholesky_min_pivot(a):
-    """Smallest certified pivot of an interval Cholesky run, or None.
-
-    Returns a strictly positive lower bound on every pivot if the
-    factorization certifies positive definiteness of all point matrices in
-    a; None as soon as some pivot cannot be certified positive.  The run
-    keeps its factor as (lo, hi) pairs; each pivot and factor entry is
-    checked like an Interval before it enters a product.
-    """
-    n = a.nrows
-    if a.ncols != n:
-        raise IntervalError("cholesky requires a square matrix")
-    imul, isub, isqr, idiv = _k.imul, _k.isub, _k.isqr, _k.idiv
-    rows = a.pairs
-    low = [[None] * n for _ in range(n)]
-    min_pivot = None
-    for j in range(n):
-        low_j = low[j]
-        lo, hi = rows[j][j]
-        for k in range(j):
-            lo, hi = isub(lo, hi, *isqr(*low_j[k]))
-        check_pairs(((lo, hi),))
-        if lo <= 0.0:
-            return None
-        if min_pivot is None or lo < min_pivot:
-            min_pivot = lo
-        ljj = _k.isqrt(lo, hi)
-        for i in range(j + 1, n):
-            low_i = low[i]
-            s_lo, s_hi = rows[i][j]
-            for k in range(j):
-                s_lo, s_hi = isub(s_lo, s_hi, *imul(*low_i[k], *low_j[k]))
-            low_i[j] = check_pairs((idiv(s_lo, s_hi, *ljj),))[0]
-    return min_pivot
-
-
 def midrad_split(a):
     """Symmetric midpoint/radius split with outward rounding: the returned
     (C, R) satisfy a[i][j] within [C - R, C + R] entrywise."""
@@ -126,23 +91,77 @@ def rump_positive_definite(a):
 
     True iff every vertex matrix passes the rigorous Cholesky; False means
     inconclusive/indefinite, never a disproof of the original enclosure.
+    A matrix that is not square or whose pairs are not exactly symmetric is
+    an error: the test reads only the lower triangle.
+
+    One interval Cholesky runs over the tree of sign prefixes, since column
+    j of vertex z depends only on z_1..z_j and, in row i, on z_i: each pivot
+    is computed once per prefix, each factor entry once per prefix and row
+    sign, each vertex entry c_ij - s r_ij once per sign s = z_i z_j.  A
+    pivot not certified positive gives None for every vertex below it.
+    Every pivot and factor entry takes the kernel calls a separate run on
+    its vertex would, so the margins are those runs' bits, in
+    vertex_signs(n) order.  The factor is kept as (lo, hi) pairs; each
+    pivot and factor entry is checked like an Interval before it enters a
+    product.
     """
     n = a.nrows
+    rows = a.pairs
+    if a.ncols != n:
+        raise IntervalError("positive definiteness requires a square matrix")
+    for i in range(n):
+        for j in range(i):
+            if rows[i][j] != rows[j][i]:
+                raise IntervalError(
+                    f"positive definiteness requires a symmetric matrix: "
+                    f"entries ({i}, {j}) and ({j}, {i}) differ"
+                )
     c, r = midrad_split(a)
-    isub = _k.isub
+    imul, isub, isqr, idiv, isqrt = _k.imul, _k.isub, _k.isqr, _k.idiv, _k.isqrt
+    # enclosures of the exact reals c_ij - s r_ij: s = +1 on the diagonal;
+    # below it one pair per sign, indexed by s < 0
+    diag = [isub(c[i][i], c[i][i], r[i][i], r[i][i]) for i in range(n)]
+    off = [
+        [(isub(c_ij, c_ij, r_ij, r_ij), isub(c_ij, c_ij, -r_ij, -r_ij))
+         for c_ij, r_ij in zip(c[i][:i], r[i][:i])]
+        for i in range(n)
+    ]
     outcomes = []
-    ok = True
-    for z in vertex_signs(n):
-        # enclosures of the exact reals c_ij - z_i z_j r_ij
-        rows = [
-            [isub(c_ij, c_ij, zz * r_ij, zz * r_ij)
-             for c_ij, r_ij, zz in zip(c_i, r_i, (z_i * z_j for z_j in z))]
-            for c_i, r_i, z_i in zip(c, r, z)
-        ]
-        margin = interval_cholesky_min_pivot(IntervalMatrix.from_pairs(rows))
-        outcomes.append((z, margin))
-        if margin is None:
-            ok = False
+
+    def column(z, low_j, below, min_pivot):
+        # Column j = len(z) - 1 under the signs z of rows 0..j.  low_j is row
+        # j's factor so far; below[i - j - 1] is row i's, under z[:j], as
+        # the pair (z_i = +1, z_i = -1).
+        j = len(z) - 1
+        lo, hi = diag[j]
+        for k in range(j):
+            lo, hi = isub(lo, hi, *isqr(*low_j[k]))
+        check_pairs(((lo, hi),))
+        if lo <= 0.0:
+            tails = product((1, -1), repeat=n - 1 - j)
+            outcomes.extend((z + tail, None) for tail in tails)
+            return
+        if min_pivot is None or lo < min_pivot:
+            min_pivot = lo
+        if j == n - 1:
+            outcomes.append((z, min_pivot))
+            return
+        ljj = isqrt(lo, hi)
+        zj = z[j]
+        grown = []
+        for i, low_i in enumerate(below, j + 1):
+            pair = []
+            for z_i, low in zip((1, -1), low_i):
+                s_lo, s_hi = off[i][j][z_i != zj]
+                for k in range(j):
+                    s_lo, s_hi = isub(s_lo, s_hi, *imul(*low[k], *low_j[k]))
+                pair.append(low + check_pairs((idiv(s_lo, s_hi, *ljj),)))
+            grown.append(pair)
+        column(z + (1,), grown[0][0], grown[1:], min_pivot)
+        column(z + (-1,), grown[0][1], grown[1:], min_pivot)
+
+    column((1,), (), [((), ())] * (n - 1), None)
+    ok = all(margin is not None for _, margin in outcomes)
     return RumpResult(positive_definite=ok, vertex_margins=tuple(outcomes))
 
 

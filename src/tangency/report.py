@@ -1,8 +1,9 @@
 """Machine-readable certificate reports.
 
-Reports are single JSON documents.  Every float is a JSON number written
-with Python's shortest round-tripping repr, so re-parsing an emitted report
-reproduces every margin bit for bit; strings stay strings.
+Reports are single JSON documents on one line, written by the json
+module's C encoder.  Every float is a JSON number written with Python's
+shortest round-tripping repr, so re-parsing an emitted report reproduces
+every margin bit for bit; strings stay strings.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 
 
 def dumps(report):
-    return json.dumps(report, indent=2)
+    return json.dumps(report)
 
 
 def loads(text):

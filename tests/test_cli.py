@@ -175,6 +175,8 @@ class TestProve:
         captured = capsys.readouterr().out
         assert code == 0
         assert '"verdict": "VERIFIED"' in captured
+        # the report is one JSON document on the first line of stdout
+        assert json.loads(captured.splitlines()[0])["verdict"] == "VERIFIED"
 
 
 class TestCheckToy:

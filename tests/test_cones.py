@@ -1,22 +1,79 @@
 """Cone machinery: Rump's vertex reduction, interval Cholesky, cone matrices."""
 
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from tangency import kernels as _k
 from tangency.cones import (
+    RumpResult,
     cone_matrix,
-    interval_cholesky_min_pivot,
     midrad_split,
     rump_positive_definite,
     symmetrize,
     vertex_signs,
 )
-from tangency.interval import Interval
+from tangency.interval import Interval, IntervalError, check_pairs
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.toy import ToyParams, switch_cone_blocks, switch_cone_matrix
+
+
+# -- per-vertex oracle -----------------------------------------------------------
+
+
+def interval_cholesky_min_pivot(a):
+    """Smallest certified pivot of an interval Cholesky run, or None.
+
+    Returns a strictly positive lower bound on every pivot if the
+    factorization certifies positive definiteness of all point matrices in
+    a; None as soon as some pivot cannot be certified positive.  The run
+    keeps its factor as (lo, hi) pairs; each pivot and factor entry is
+    checked like an Interval before it enters a product.
+    """
+    n = a.nrows
+    imul, isub, isqr, idiv = _k.imul, _k.isub, _k.isqr, _k.idiv
+    rows = a.pairs
+    low = [[None] * n for _ in range(n)]
+    min_pivot = None
+    for j in range(n):
+        low_j = low[j]
+        lo, hi = rows[j][j]
+        for k in range(j):
+            lo, hi = isub(lo, hi, *isqr(*low_j[k]))
+        check_pairs(((lo, hi),))
+        if lo <= 0.0:
+            return None
+        if min_pivot is None or lo < min_pivot:
+            min_pivot = lo
+        ljj = _k.isqrt(lo, hi)
+        for i in range(j + 1, n):
+            low_i = low[i]
+            s_lo, s_hi = rows[i][j]
+            for k in range(j):
+                s_lo, s_hi = isub(s_lo, s_hi, *imul(*low_i[k], *low_j[k]))
+            low_i[j] = check_pairs((idiv(s_lo, s_hi, *ljj),))[0]
+    return min_pivot
+
+
+def rump_per_vertex(a):
+    """Rump's test with one separate Cholesky run per vertex matrix."""
+    n = a.nrows
+    c, r = midrad_split(a)
+    outcomes = []
+    for z in vertex_signs(n):
+        # enclosures of the exact reals c_ij - z_i z_j r_ij
+        rows = [
+            [_k.isub(c_ij, c_ij, zz * r_ij, zz * r_ij)
+             for c_ij, r_ij, zz in zip(c_i, r_i, (z_i * z_j for z_j in z))]
+            for c_i, r_i, z_i in zip(c, r, z)
+        ]
+        outcomes.append((z, interval_cholesky_min_pivot(IntervalMatrix.from_pairs(rows))))
+    ok = all(margin is not None for _, margin in outcomes)
+    return RumpResult(positive_definite=ok, vertex_margins=tuple(outcomes))
 
 
 def _sym_interval_matrix(rng, n, scale=2.0, rad=0.3):
@@ -115,9 +172,10 @@ class TestCholesky:
         for _ in range(100):
             m, c, r = _sym_interval_matrix(rng, 3, rad=0.05)
             pivot = interval_cholesky_min_pivot(m)
-            if pivot is None:
+            certified = rump_positive_definite(m).positive_definite
+            if pivot is None and not certified:
                 continue
-            assert pivot > 0.0
+            assert pivot is None or pivot > 0.0
             for _ in range(20):
                 x = np.array([rng.uniform(-1, 1) for _ in range(3)])
                 a = np.array([[m[i, j].mid for j in range(3)] for i in range(3)])
@@ -129,15 +187,117 @@ class TestCholesky:
             [[Interval(1.0), Interval(1.0)], [Interval(1.0), Interval(1.0)]]
         )
         assert interval_cholesky_min_pivot(m) is None
+        res = rump_positive_definite(m)
+        assert res.vertex_margins == (((1, 1), None), ((1, -1), None))
+        assert not res.positive_definite
 
     def test_overflow_raises(self):
         # The factor entry 1e300 / sqrt(1e-300) overflows: an error, as an
         # Interval holding it would be, not a verdict.
-        from tangency.interval import IntervalError
-
         m = IntervalMatrix([[1e-300, 1e300], [1e300, 1.0]])
         with pytest.raises(IntervalError):
             interval_cholesky_min_pivot(m)
+        with pytest.raises(IntervalError):
+            rump_positive_definite(m)
+
+
+def _bits(res):
+    return res.positive_definite, tuple(
+        (z, None if m is None else m.hex()) for z, m in res.vertex_margins
+    )
+
+
+def _outcome(test, m):
+    """The bits of test(m), or "raised" for an IntervalError."""
+    try:
+        return _bits(test(m))
+    except IntervalError:
+        return "raised"
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Exactly symmetric interval matrices, n = 1..4, each entry scaled by
+    2**e: e = 0 mostly, +-1000 sometimes (overflowing factor entries)."""
+    n = draw(st.integers(1, 4))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            if i == j:
+                mid, rad = draw(st.floats(0.5, 4.0 * n)), draw(st.sampled_from([0.0, 0.1]))
+            else:
+                mid, rad = draw(st.floats(-2.0, 2.0)), draw(st.sampled_from([0.0, 1.0, 2.0]))
+            scale = 2.0 ** draw(st.sampled_from([0, 0, 0, 0, 0, -1000, 1000]))
+            rows[i][j] = rows[j][i] = ((mid - rad) * scale, (mid + rad) * scale)
+    return IntervalMatrix.from_pairs(rows)
+
+
+_MIXED = IntervalMatrix(
+    [[1.0, Interval(-0.1, 1.1)], [Interval(-0.1, 1.1), 1.0]]
+)
+
+
+class TestSharedVertexTree:
+    """rump_positive_definite runs one Cholesky over the tree of vertex
+    sign prefixes; it must give the per-vertex runs' results bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_symmetric_matrices())
+    @example(_MIXED)
+    @example(IntervalMatrix([[1e-300, 1e300], [1e300, 1.0]]))
+    @example(IntervalMatrix([[4.0, 1e300, 0.0], [1e300, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    def test_matches_per_vertex_oracle(self, m):
+        assert _outcome(rump_positive_definite, m) == _outcome(rump_per_vertex, m)
+
+    def test_mixed_vertices_match_per_vertex_oracle(self, rng):
+        # Matrices where some vertices pass and others fail: the failed
+        # prefixes' subtrees read None, the others their runs' pivots.
+        res = rump_positive_definite(_MIXED)
+        assert [m is None for _, m in res.vertex_margins] == [False, True]
+        mixed = 0
+        for _ in range(300):
+            n = rng.choice([2, 3, 4])
+            m, _, _ = _sym_interval_matrix(rng, n, rad=rng.choice([0.5, 1.5, 3.0]))
+            res = rump_positive_definite(m)
+            assert _bits(res) == _bits(rump_per_vertex(m))
+            failed = sum(margin is None for _, margin in res.vertex_margins)
+            mixed += 0 < failed < len(res.vertex_margins)
+        assert mixed >= 20
+
+    def test_kernel_counts_of_a_positive_definite_4x4(self, monkeypatch):
+        # 15 pivots (one per sign prefix), 7 square roots (one per prefix
+        # with rows below it) and 22 quotients (one per prefix and row
+        # sign), where 8 separate runs take 32, 32 and 48.
+        calls = {"isqrt": 0, "idiv": 0}
+        for name in calls:
+            def counting(*args, _name=name, _f=getattr(_k, name)):
+                calls[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(_k, name, counting)
+        m, _, _ = _sym_interval_matrix(random.Random(5), 4, rad=0.05)
+        assert rump_positive_definite(m).positive_definite
+        assert calls == {"isqrt": 7, "idiv": 22}
+
+
+class TestRumpInput:
+    def test_asymmetric_matrix_raises(self):
+        # Only the lower triangle is read, and it is that of the identity;
+        # the symmetric part [[1, -1.5], [-1.5, 1]] is indefinite: x = (1, 1)
+        # gives x^T A x = -1.
+        a = IntervalMatrix([[1.0, -3.0], [0.0, 1.0]])
+        x = IntervalVector([1.0, 1.0])
+        assert _dot(x, a.mat_vec(x)) == Interval(-1.0)
+        with pytest.raises(IntervalError, match="symmetric"):
+            rump_positive_definite(a)
+
+    def test_one_ulp_asymmetry_raises(self):
+        a = IntervalMatrix([[2.0, 0.5], [Interval(0.5, math.nextafter(0.5, 1.0)), 2.0]])
+        with pytest.raises(IntervalError, match="symmetric"):
+            rump_positive_definite(a)
+
+    def test_non_square_matrix_raises(self):
+        with pytest.raises(IntervalError, match="square"):
+            rump_positive_definite(IntervalMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
 
 
 class TestSymmetrize:

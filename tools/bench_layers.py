@@ -15,7 +15,9 @@ loop) on the grid-1 Henon chain: ``inverse_enclosure`` of N1's 4x4
 ``coord``, a 4x4 ``mat_mul`` (N1's ``inv_coord`` times the chart Jacobian
 over N0), ``ChartMap.derivative`` over N0's box, ``hset.local_derivative``
 of that Jacobian from N0 to N1, one 4x4 ``rump_positive_definite`` (the
-cone matrix of N0=>N1) and ``check_covering`` on N0=>N1; and
+cone matrix of N0=>N1) and ``check_covering`` on N0=>N1; ``report.dumps``
+of the grid-1 ``prove henon`` report, as parsed back from the file it
+wrote, is the mean of a ``--calls // 200``-call loop; and
 ``run_proof()`` at grid 1 and grid 2 is one call, whose per-stage
 ``timings`` (build, covering, cones, disks) are recorded beside its
 total.  The document holds, per tree and measurement, the minimum over
@@ -34,11 +36,14 @@ the first run.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 
 T = 1.2345678  # a chart-domain angle, quadrant k = 1
@@ -57,7 +62,21 @@ def _best(f, repeat, number=1):
     return best
 
 
+def _grid1_report():
+    """The grid-1 ``prove henon`` report, parsed back from its file."""
+    from tangency import report
+    from tangency.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["prove", "henon", "--report", path])
+        with open(path, encoding="utf-8") as fh:
+            return report.loads(fh.read())
+
+
 def _one_run(calls, repeat):
+    from tangency import report
     from tangency.cones import cone_matrix, rump_positive_definite
     from tangency.covering import BoxMap, check_covering
     from tangency.henon import HenonConfig, build_chain, henon_family, run_proof
@@ -82,6 +101,7 @@ def _one_run(calls, repeat):
     _, jacobian = chart.derivative(box)
     link = check_covering(src, tgt, fmap)
     v = cone_matrix(link.local_jacobian, chain.forms[0], chain.forms[1])
+    doc = _grid1_report()
     layers = (
         ("linalg.inverse_enclosure_4x4_us", lambda: inverse_enclosure(tgt.coord),
          calls // 10),
@@ -92,6 +112,7 @@ def _one_run(calls, repeat):
         ("cones.rump_4x4_us", lambda: rump_positive_definite(v), calls // 10),
         ("covering.link_N0_N1_us",
          lambda: check_covering(src, tgt, fmap), calls // 200),
+        ("report.dumps_us", lambda: report.dumps(doc), calls // 200),
     )
     for key, f, number in layers:
         out[key] = _best(f, repeat, max(number, 1)) * 1e6
