@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from tangency.cones import check_cone_chain
 from tangency.covering import (
@@ -163,6 +164,7 @@ def _unit(v):
     if out[1] < 0.0 or (out[1] == 0.0 and out[0] < 0.0):
         out = (-out[0], -out[1])
     return out
+
 
 def _mat_vec2(m, v):
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
@@ -534,8 +536,6 @@ def _fp_sqrt(a, bits=_FP_BITS):
 
 
 def _fp_to_float(a, bits=_FP_BITS):
-    from fractions import Fraction
-
     return float(Fraction(a[0] + a[1], 2 << bits))
 
 
@@ -546,8 +546,6 @@ def _highprec_seed_data():
     eigenvectors are unit, s0 carries the reference sign (second component
     negative), and z1 is the reference homoclinic seed.
     """
-    from fractions import Fraction
-
     one = _fp_from_fraction(Fraction(1))
     a0 = _fp_from_fraction(Fraction(13145271093265, 10**13))
     b0 = _fp_from_fraction(Fraction(-3, 10))
@@ -591,8 +589,6 @@ def _highprec_orbit(steps=14):
     thousands of target-set widths away; the exact-decimal seed at extended
     precision is what the reference chain data corresponds to.
     """
-    from fractions import Fraction
-
     a0, b0, _, u0, _, z1 = _highprec_seed_data()
     zx, zy = z1
     vx, vy = u0

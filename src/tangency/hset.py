@@ -9,10 +9,10 @@ directions.  Two local frames matter and are kept explicit:
 * the diameter-normalized frame ``z = d^-1 . w`` in which the set is the
   cube [-1,1]^n and all covering inequalities are checked.
 
-Rigor enters through ``inv_coord``, a verified interval enclosure of M^-1,
-block by block with exact zeros off the blocks of M (see
-``linalg.inverse_enclosure``); the coordinate matrix itself is an exact
-point matrix.  Both, and the center as a point interval vector, are built
+Rigor enters through ``inv_coord``, a verified interval enclosure of M^-1
+with closed-form 2x2 blocks (adj/det) and exact zeros off the blocks of M
+(see ``linalg.inverse_enclosure``); the coordinate matrix itself is an
+exact point matrix.  Both, and the center as a point interval vector, are built
 once per set.
 """
 

@@ -1,10 +1,10 @@
 """Interval vectors and matrices over the scalar interval type.
 
-Everything here is dimension-agnostic but tuned for the tiny sizes the proofs
-use (n <= 4): products are triple loops that skip every term with an
-exact-zero factor, determinants are cofactor expansions, and the rigorous
-inverse is block-structured: each block of the matrix's nonzero pattern gets
-an approximate float inverse wrapped in a Neumann-series residual enclosure,
+Everything here is tuned for the tiny sizes the proofs use (n <= 4):
+products are triple loops that skip every term with an exact-zero factor,
+determinants are cofactor expansions, and the rigorous inverse has
+closed-form 2x2 blocks: each block of the matrix's nonzero pattern is 1x1 or
+2x2 (the planar (u, s) block of an h-set frame) and is enclosed as adj/det,
 and the entries off the blocks are exact zeros.
 
 Entries are stored as ``(lo, hi)`` float pairs (``pairs``) and the products
@@ -16,13 +16,7 @@ for bit.  Indexing, iteration, ``rows`` and ``entries`` give Intervals.
 from __future__ import annotations
 
 from tangency import kernels as _k
-from tangency.interval import (
-    Interval,
-    IntervalError,
-    as_pair,
-    check_pairs,
-    pair_mid,
-)
+from tangency.interval import Interval, IntervalError, as_pair, check_pairs
 
 
 class IntervalVector:
@@ -225,18 +219,6 @@ class IntervalMatrix:
             out.append((lo, hi))
         return IntervalVector.from_pairs(out)
 
-    def norm_inf_upper(self):
-        """Upper bound on the infinity operator norm over point selections."""
-        iadd = _k.iadd
-        best = 0.0
-        for row in self.pairs:
-            lo = hi = 0.0
-            for e_lo, e_hi in row:
-                mag = max(abs(e_lo), abs(e_hi))
-                lo, hi = iadd(lo, hi, mag, mag)
-            best = max(best, check_pairs(((lo, hi),))[0][1])
-        return best
-
     def det(self):
         if self.nrows != self.ncols:
             raise IntervalError("determinant of non-square matrix")
@@ -276,41 +258,19 @@ def _det(rows):
     return check_pairs(((lo, hi),))[0]
 
 
-def approx_inverse(a_rows):
-    """Non-rigorous float inverse, the seed for inverse_enclosure: Gauss-Jordan
-    elimination with partial pivoting on [A | I]."""
-    n = len(a_rows)
-    m = [[float(e) for e in row] + [1.0 if i == j else 0.0 for j in range(n)]
-         for i, row in enumerate(a_rows)]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if m[piv][col] == 0.0:
-            raise IntervalError("numerically singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = m[r][col] / p
-            if f != 0.0:
-                for c in range(col, 2 * n):
-                    m[r][c] -= f * m[col][c]
-    return [[m[r][n + c] / m[r][r] for c in range(n)] for r in range(n)]
-
-
-# Refinement sweeps of _neumann_inverse's float inverse before it gives up.
-INVERSE_SWEEPS = 2
-
-
 def inverse_enclosure(a_rows):
     """Rigorous enclosure of the inverse of a point matrix, block by block.
 
     The indices split into the connected components of the nonzero pattern
     (i ~ j when a[i][j] or a[j][i] is nonzero); up to a permutation A is
     block diagonal, and so is its inverse.  A 1x1 block x gives 1/x in
-    directed rounding (an exact 1 for x == 1), a larger block the Neumann
-    enclosure of _neumann_inverse, and every entry off the blocks is an
-    exact zero.  Raises IntervalError on a singular or non-finite matrix.
+    directed rounding (an exact 1 for x == 1).  A closed-form 2x2 block
+    [[a, b], [c, d]] gives adj/det: each entry is one directed-rounding
+    quotient of the cofactor d, -b, -c or a (exact, the entries being
+    points) by the enclosure of ad - bc, and an exact zero for a zero
+    cofactor.  Every entry off the blocks is an exact zero.  Raises
+    IntervalError on a singular or non-finite matrix, and on a block
+    larger than 2x2.
     """
     a = IntervalMatrix(a_rows)
     n = a.nrows
@@ -325,10 +285,21 @@ def inverse_enclosure(a_rows):
                 raise IntervalError("inverse_enclosure: singular 1x1 block")
             out[i][i] = _k.idiv(1.0, 1.0, lo, hi)
             continue
-        inv = _neumann_inverse([[a_rows[i][j] for j in block] for i in block])
-        for i, inv_row in zip(block, inv.pairs):
-            for j, e in zip(block, inv_row):
-                out[i][j] = e
+        if len(block) > 2:
+            raise IntervalError(
+                f"inverse_enclosure: a {len(block)}x{len(block)} block of the "
+                "nonzero pattern; only 1x1 and 2x2 blocks are supported")
+        i, j = block
+        p = a.pairs
+        rows = ((p[i][i], p[i][j]), (p[j][i], p[j][j]))
+        det = _det(rows)
+        if det[0] <= 0.0 <= det[1]:
+            raise IntervalError("inverse_enclosure: singular 2x2 block")
+        (aii, (b_lo, b_hi)), ((c_lo, c_hi), ajj) = rows
+        out[i][i] = _k.idiv(*ajj, *det)
+        out[i][j] = _k.idiv(-b_hi, -b_lo, *det)
+        out[j][i] = _k.idiv(-c_hi, -c_lo, *det)
+        out[j][j] = _k.idiv(*aii, *det)
     return IntervalMatrix.from_pairs(out)
 
 
@@ -353,32 +324,3 @@ def _blocks(rows):
                     todo.append(j)
         blocks.append(sorted(block))
     return blocks
-
-
-def _neumann_inverse(a_rows):
-    """Dense rigorous enclosure of the inverse of a point matrix.
-
-    Computes a float approximate inverse R0 and bounds A^-1 within
-    R0 (I + C + E) where C = I - A R0 and E absorbs the Neumann tail,
-    requiring the residual norm q = ||C||_inf < 1 (Rump, "Verification
-    methods", Acta Numerica 19, 2010).  Raises on failure.
-    """
-    n = len(a_rows)
-    a = IntervalMatrix(a_rows)
-    r0_rows = approx_inverse(a_rows)
-    r0 = IntervalMatrix(r0_rows)
-    for _ in range(INVERSE_SWEEPS):
-        c = IntervalMatrix.identity(n) - a.mat_mul(r0)
-        q = c.norm_inf_upper()
-        if q < 1.0:
-            tail = (Interval(q).sqr() / (Interval(1.0) - Interval(q))).hi
-            e = IntervalMatrix.from_pairs([[(-tail, tail)] * n for _ in range(n)])
-            inv = r0.mat_mul(IntervalMatrix.identity(n) + c + e)
-            return inv
-        # One refinement sweep: R0 <- R0 (2I - A R0), then retry.
-        two_i = IntervalMatrix.identity(n).scale(2.0)
-        r0 = IntervalMatrix(
-            [[pair_mid(*e) for e in row]
-             for row in r0.mat_mul(two_i - a.mat_mul(r0)).pairs]
-        )
-    raise IntervalError("inverse_enclosure: residual check failed (singular matrix?)")

@@ -11,7 +11,6 @@ from tangency.interval import Interval, IntervalError
 from tangency.linalg import (
     IntervalMatrix,
     IntervalVector,
-    _neumann_inverse,
     inverse_enclosure,
 )
 from conftest import (
@@ -157,22 +156,14 @@ class TestInverseEnclosure:
                 assert inv[i, j].width < 1e-12
 
     def test_random_contains_rational_inverse(self, rng):
-        for _ in range(30):
-            a = _rand_point_matrix(rng, 3)
+        for _ in range(200):
+            a = _rand_point_matrix(rng, 2)
             if abs(float(frac_det(a))) < 1e-3:
                 continue
             inv = inverse_enclosure(a)
-            det = frac_det(a)
-            n = 3
-            for i in range(n):
-                for j in range(n):
-                    minor = [
-                        [Fraction(a[r][c]) for c in range(n) if c != i]
-                        for r in range(n)
-                        if r != j
-                    ]
-                    cof = frac_det(minor) * (-1) ** (i + j) / det
-                    assert contains_fraction(inv[i, j], cof)
+            for i, row in enumerate(frac_inverse(a)):
+                for j, q in enumerate(row):
+                    assert contains_fraction(inv[i, j], q)
 
     def test_singular_rejected(self):
         with pytest.raises(IntervalError):
@@ -223,13 +214,13 @@ def _all_frames(chain):
 
 def _random_block_matrix(rng, n):
     """A random nonsingular point matrix whose nonzero pattern splits into
-    blocks, under a random permutation of the indices."""
+    1x1 and 2x2 blocks, under a random permutation of the indices."""
     perm = list(range(n))
     rng.shuffle(perm)
     a = [[0.0] * n for _ in range(n)]
     start = 0
     while start < n:
-        size = rng.randint(1, n - start)
+        size = rng.randint(1, min(2, n - start))
         idx = [perm[k] for k in range(start, start + size)]
         while True:
             block = _rand_point_matrix(rng, size)
@@ -282,14 +273,25 @@ class TestBlockInverse:
                 for j, q in enumerate(row):
                     assert contains_fraction(inv[i, j], q)
 
-    def test_blocks_inside_the_dense_enclosure(self, henon_chain, rng):
-        mats = [m for _, m in _all_frames(henon_chain)]
-        mats += [_random_block_matrix(rng, rng.randint(1, 5)) for _ in range(60)]
-        for a in mats:
-            block, dense = inverse_enclosure(a), _neumann_inverse(a)
-            for br, dr in zip(block.pairs, dense.pairs):
-                for (b_lo, b_hi), (d_lo, d_hi) in zip(br, dr):
-                    assert d_lo <= b_lo and b_hi <= d_hi
+    def test_frames_are_within_four_ulps_of_the_exact_inverse(self, henon_chain):
+        for name, m in _all_frames(henon_chain):
+            inv = inverse_enclosure(m).pairs
+            for i, row in enumerate(frac_inverse(m)):
+                for j, q in enumerate(row):
+                    lo, hi = inv[i][j]
+                    assert Fraction(lo) <= q <= Fraction(hi), (name, i, j)
+                    assert hi - lo <= 4 * math.ulp(float(q)), (name, i, j)
+
+    def test_blocks_larger_than_2x2_rejected(self, rng):
+        dense = _rand_point_matrix(rng, 3)
+        a = [[0.0] * 5 for _ in range(5)]
+        for bi, i in enumerate((0, 2, 4)):
+            for bj, j in enumerate((0, 2, 4)):
+                a[i][j] = dense[bi][bj]
+        a[1][1], a[3][3] = 2.0, 0.5
+        for m in (dense, a):
+            with pytest.raises(IntervalError, match="3x3 block"):
+                inverse_enclosure(m)
 
     def test_off_block_zeros_and_unit_diagonals_are_exact(self, henon_chain, rng):
         zero = pairs_hex([(0.0, 0.0)])[0]
