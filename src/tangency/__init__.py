@@ -11,7 +11,6 @@ exposes both.
 """
 
 from tangency.covering import (
-    BoxMap,
     CoveringCertificate,
     EnclosureError,
     VerificationInconclusive,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BACKEND",
-    "BoxMap",
     "ChartError",
     "ChartMap",
     "ConeCertificate",

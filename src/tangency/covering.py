@@ -14,13 +14,23 @@ These imply the covering relation via the linear homotopy to the diagonal
 model map with degree +-1.  Failure is always inconclusive, never a
 disproof: interval methods cannot refute.
 
-The exit conditions read only the unstable target coordinates, so a wall
-sub-box is mapped on those rows of the target frame only, and F on the
-outputs those rows read (see _image_normalized); every bit they read is
-the one the full image would give.  Whatever else a map checks on its
-image (the chart map: that the image angle lies in the chart) is still
-checked on the interior sub-boxes, which cover the walls and map every
-output.
+F is any object with the two methods of the map protocol, on ambient
+IntervalVector boxes and increasing output indices ``outputs``:
+
+* ``F.apply(box, outputs)`` encloses those entries of the image of box; the
+  checker calls it on the thin midpoint of each sub-box;
+* ``F.derivative(box, outputs)`` returns ``(image, jacobian)``: those
+  entries of the image enclosure and those rows of DF over box, from one
+  evaluation.
+
+A map returns exactly the entries and rows asked for; ``outputs=None``
+means every output (projective.ChartMap is such a map).  The exit
+conditions read only the unstable target coordinates, so a wall sub-box is
+mapped on those rows of the target frame only, and F on the outputs those
+rows read (see _image_normalized); every bit they read is the one the full
+image would give.  Whatever else a map checks on its image (the chart map:
+that the image angle lies in the chart) is still checked on the interior
+sub-boxes, which cover the walls and read every output.
 """
 
 from __future__ import annotations
@@ -55,45 +65,6 @@ class VerificationInconclusive(_LocatedError):
 class EnclosureError(_LocatedError):
     """Two enclosures of one quantity are disjoint: a bug in a map or in the
     checker, never a verdict.  Deliberately not an IntervalError."""
-
-
-class BoxMap:
-    """An ambient box map bundled with its enclosure pass.
-
-    ``value_fn(box)`` encloses the image of a box; the checker calls it on
-    the thin midpoint of each sub-box.  ``enclosure_fn(box)`` returns
-    ``(image, jacobian)``: the image enclosure and DF over the box, from one
-    evaluation.
-
-    With ``takes_outputs=True`` the callables also take increasing output
-    indices, as ``value_fn(box, outputs)`` and ``enclosure_fn(box,
-    outputs)``, and then compute those output coordinates only: the image
-    holds those entries and the Jacobian those rows.  restrict(outputs) is
-    such a map fixed to those outputs.  Called with the box alone, the
-    callables mean every output.
-    """
-
-    def __init__(self, value_fn, enclosure_fn, takes_outputs=False, outputs=None):
-        self._value = value_fn
-        self._derivative = enclosure_fn
-        self.takes_outputs = takes_outputs
-        self.outputs = outputs
-
-    def restrict(self, outputs):
-        """This map on the output coordinates outputs only."""
-        if not self.takes_outputs:
-            raise TypeError("this map computes every output")
-        return BoxMap(self._value, self._derivative, True, tuple(outputs))
-
-    def __call__(self, box):
-        if self.outputs is None:
-            return self._value(box)
-        return self._value(box, self.outputs)
-
-    def derivative(self, box):
-        if self.outputs is None:
-            return self._derivative(box)
-        return self._derivative(box, self.outputs)
 
 
 @dataclass(frozen=True)
@@ -150,25 +121,29 @@ def _image_normalized(src, tgt, fmap, zbox, rows):
     and the rows computed are the same bits as in the full image.
 
     Those rows of M_tgt^-1 read only the ambient coordinates
-    tgt.columns_read(rows); every other column of them is an exact zero,
-    whose term the products skip.  When that leaves out an output of F and
-    fmap can compute fewer outputs (BoxMap.takes_outputs), it is evaluated
-    on the outputs read only (BoxMap.restrict), and the rows computed keep
-    every bit.  For the chart map this drops the tangent angle on walls
-    whose target rows do not read it, and with it the check that the image
-    angle lies in the chart.  That check is not lost: the interior
-    sub-boxes cover the whole source set, walls included, and are
-    evaluated on every output.
+    cols = tgt.columns_read(rows); every other column of them is an exact
+    zero, whose term the products skip.  So fmap is evaluated on the outputs
+    cols only, and the rows computed keep every bit.  For the chart map this
+    drops the tangent angle on walls whose target rows do not read it, and
+    with it the check that the image angle lies in the chart.  That check is
+    not lost: the interior sub-boxes cover the whole source set, walls
+    included, and read every output.  A map that returns other than
+    len(cols) image entries or Jacobian rows breaks the map protocol
+    (module docstring): TypeError, a bug and never a verdict.
     """
     imul, idiv, isub, iadd = _k.imul, _k.idiv, _k.isub, _k.iadd
-    if fmap.takes_outputs:
-        cols = tgt.columns_read(rows)
-        if len(cols) < tgt.n:
-            fmap = fmap.restrict(cols)
+    cols = tgt.columns_read(rows)
     mids = [pair_mid(*z) for z in zbox.pairs]
     mid = IntervalVector.from_pairs([(m, m) for m in mids])
-    g_mid = tgt.normalized_rows(fmap(src.from_normalized(mid)), rows)
-    image, jacobian = fmap.derivative(src.from_normalized(zbox))
+    value = fmap.apply(src.from_normalized(mid), cols)
+    image, jacobian = fmap.derivative(src.from_normalized(zbox), cols)
+    if not value.dim == image.dim == jacobian.nrows == len(cols):
+        raise TypeError(
+            f"{src.name}=>{tgt.name}: asked for the outputs {cols}, the map "
+            f"returned {value.dim} image entries, {image.dim} enclosure "
+            f"entries and {jacobian.nrows} Jacobian rows"
+        )
+    g_mid = tgt.normalized_rows(value, rows)
     local = local_derivative_rows(src, tgt, jacobian, rows)
     scaled = IntervalMatrix.from_pairs(
         [
@@ -254,7 +229,7 @@ def checked_correspondence(src_unstable, tgt_unstable, correspondence):
 def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     """Certify src => tgt under fmap or raise VerificationInconclusive.
 
-    fmap is a BoxMap on ambient IntervalVector boxes.  grid (an int)
+    fmap follows the map protocol (module docstring).  grid (an int)
     subdivides wall faces and the entry check per axis.  Every wall sub-box
     of every unstable axis is mapped first, on the unstable target axes
     only: the pairing, unless given, is read off those images, and the exit
@@ -341,7 +316,7 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
 def check_chain(sets, maps, grid=1, correspondences=None):
     """Certify every consecutive covering in a chain of h-sets.
 
-    maps holds one BoxMap per link (maps[i] takes sets[i] to sets[i + 1]);
+    maps holds one map per link (maps[i] takes sets[i] to sets[i + 1]);
     every link is checked at the same int grid.  correspondences optionally
     maps a link index to its pairing.  The first inconclusive link aborts
     with its diagnostics and the links certified before it.

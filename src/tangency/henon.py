@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from tangency.cones import check_cone_chain
 from tangency.covering import (
-    BoxMap,
     VerificationInconclusive,
     check_chain,
     checked_correspondence,
@@ -401,9 +400,8 @@ def run_proof(config=None):
     certified = {}
     try:
         t0 = time.perf_counter()
-        fmap = BoxMap(chart.apply, chart.derivative, takes_outputs=True)
         certified["covering"] = check_chain(
-            list(chain.sets), [fmap] * (N_SETS - 1),
+            list(chain.sets), [chart] * (N_SETS - 1),
             grid=config.grid, correspondences=config.correspondences,
         )
         timings["covering"] = time.perf_counter() - t0

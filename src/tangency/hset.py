@@ -25,26 +25,43 @@ from tangency.interval import Interval, IntervalError, check_pairs
 from tangency.linalg import IntervalMatrix, IntervalVector, inverse_enclosure
 
 
+def _floats(values, what):
+    """values as a tuple of floats; IntervalError unless each is an int or a
+    float (a bool or a string is neither)."""
+    values = tuple(values)
+    if not all(isinstance(v, (int, float)) and type(v) is not bool for v in values):
+        raise IntervalError(f"{what} must be numbers, got {list(values)!r}")
+    return tuple(float(v) for v in values)
+
+
+def _axes(axes, n):
+    """The distinct int axes in range(n), sorted; IntervalError otherwise."""
+    axes = tuple(axes)
+    if (
+        not all(type(i) is int for i in axes)
+        or len(set(axes)) != len(axes)
+        or any(not 0 <= i < n for i in axes)
+    ):
+        raise IntervalError(f"invalid unstable axis set {list(axes)!r}")
+    return tuple(sorted(axes))
+
+
 class HSet:
     __slots__ = ("name", "center", "coord", "diam", "unstable", "stable",
                  "center_vec", "frame", "inv_coord", "_rows_read")
 
     def __init__(self, name, center, coord, diam, unstable):
         self.name = str(name)
-        self.center = tuple(float(c) for c in center)
-        self.coord = tuple(tuple(float(e) for e in row) for row in coord)
-        self.diam = tuple(float(d) for d in diam)
+        self.center = _floats(center, "center entries")
+        self.coord = tuple(_floats(row, "coordinate matrix entries") for row in coord)
+        self.diam = _floats(diam, "diameters")
         n = len(self.center)
         if len(self.coord) != n or any(len(r) != n for r in self.coord):
             raise IntervalError("coordinate matrix shape mismatch")
         # Negated, so that NaN (false in every comparison) fails.
         if len(self.diam) != n or not all(0.0 < d < math.inf for d in self.diam):
             raise IntervalError("diameters must be positive and finite")
-        self.unstable = tuple(sorted(int(i) for i in unstable))
-        if len(set(self.unstable)) != len(self.unstable) or any(
-            not 0 <= i < n for i in self.unstable
-        ):
-            raise IntervalError("invalid unstable axis set")
+        self.unstable = _axes(unstable, n)
         self.stable = tuple(i for i in range(n) if i not in self.unstable)
         for j in range(n):
             norm = math.sqrt(sum(self.coord[i][j] ** 2 for i in range(n)))
@@ -80,11 +97,10 @@ class HSet:
 
     def normalized_rows(self, p, rows):
         """The entries ``rows`` of to_normalized(p) as (lo, hi) pairs, from
-        those rows of inv_coord only.  p is an ambient box, or its
-        coordinates columns_read(rows) alone."""
-        inv, cols, center = self._inv_rows(rows)
-        if p.dim == self.n and len(cols) < self.n:
-            p = IntervalVector.from_pairs([p.pairs[k] for k in cols])
+        those rows of inv_coord only.  p holds the coordinates
+        columns_read(rows) of an ambient box: every coordinate when rows are
+        every row, since the invertible inv_coord has no zero column."""
+        inv, _, center = self._inv_rows(rows)
         loc = inv.mat_vec(p - center)
         idiv, diam = _k.idiv, self.diam
         return check_pairs(
@@ -142,8 +158,8 @@ class HSet:
 
     @staticmethod
     def _segments(grid):
-        if grid < 1:
-            raise IntervalError("grid counts must be >= 1")
+        if type(grid) is not int or grid < 1:
+            raise IntervalError(f"grid must be an int >= 1, got {grid!r}")
         cuts = []
         for j in range(grid):
             lo = Interval(-1.0) + Interval(2.0) * Interval(float(j)) / Interval(grid)
@@ -219,12 +235,11 @@ def local_derivative(src, tgt, jacobian):
 
 def local_derivative_rows(src, tgt, jacobian, rows):
     """The rows ``rows`` of local_derivative(src, tgt, jacobian), from those
-    rows of tgt.inv_coord only.  jacobian is the ambient Jacobian, or its
-    rows tgt.columns_read(rows) alone."""
+    rows of tgt.inv_coord only.  jacobian holds the rows
+    tgt.columns_read(rows) of the ambient Jacobian: every row when rows are
+    every row."""
     n = src.n
-    inv, cols, _ = tgt._inv_rows(rows)
-    if jacobian.nrows == tgt.n and len(cols) < tgt.n:
-        jacobian = IntervalMatrix.from_pairs([jacobian.pairs[k] for k in cols])
+    inv = tgt._inv_rows(rows)[0]
     t = inv.mat_mul(jacobian).pairs
     block = IntervalMatrix.from_pairs([r[:n] for r in t]).mat_mul(src.frame)
     return IntervalMatrix.from_pairs([b + r[n:] for b, r in zip(block.pairs, t)])
@@ -240,12 +255,8 @@ class QuadraticForm:
     __slots__ = ("coeffs", "unstable")
 
     def __init__(self, coeffs, unstable):
-        self.coeffs = tuple(float(c) for c in coeffs)
-        self.unstable = tuple(sorted(int(i) for i in unstable))
-        if len(set(self.unstable)) != len(self.unstable) or any(
-            not 0 <= i < len(self.coeffs) for i in self.unstable
-        ):
-            raise IntervalError("invalid unstable axis set")
+        self.coeffs = _floats(coeffs, "cone form coefficients")
+        self.unstable = _axes(unstable, len(self.coeffs))
         if not all(math.isfinite(c) and c != 0.0 for c in self.coeffs):
             raise IntervalError("cone form coefficients must be finite and nonzero")
         for i, c in enumerate(self.coeffs):

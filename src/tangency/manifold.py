@@ -14,13 +14,13 @@ h-set satisfying cone conditions.  The certificate consists of
    delta * |parameter coefficient of the 4D form| > 1.
 
 The self-covering runs the chart map on (x, y, t) boxes times the parameter
-interval (disk_map), and every derivative the disk needs comes from its one
-enclosure pass per sub-box: its certificate's local_jacobian is
-d(x, y, t)/d(x, y, t, a) in the local frame of the projected set, whose first
-three columns are the cone derivative and whose last is the parameter column
-of M and L.  No frame change happens here.  A is a float eigenvalue estimate
-certified by one Rump test.  The constants below are fixed, not
-configuration.
+interval (DiskMap), on the outputs each sub-box's target rows read, and
+every derivative the disk needs comes from its one enclosure pass per
+sub-box: its certificate's local_jacobian is d(x, y, t)/d(x, y, t, a) in the
+local frame of the projected set, whose first three columns are the cone
+derivative and whose last is the parameter column of M and L.  No frame
+change happens here.  A is a float eigenvalue estimate certified by one Rump
+test.  The constants below are fixed, not configuration.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from tangency.cones import (
     vertex_signs,
 )
 from tangency.covering import (
-    BoxMap,
     CoveringCertificate,
     VerificationInconclusive,
     check_covering,
@@ -210,29 +209,28 @@ def choose_gamma(a_lower, m_upper, l_upper, locus="manifold"):
     )
 
 
-def disk_map(chart_map, param):
-    """The BoxMap of chart_map on (x, y, t) boxes, the parameter held in the
-    interval param.
+class DiskMap:
+    """chart_map on (x, y, t) boxes, the parameter held in the interval param.
 
     Each box, with param appended, goes through chart_map.apply or
-    chart_map.derivative; the map keeps the image's (x, y, t) and the
-    Jacobian's rows 0-2, the 3x4 matrix d(x, y, t)/d(x, y, t, a) whose last
-    column verify_disk reads as the parameter column.
+    chart_map.derivative on the outputs asked for, every output (x, y, t) by
+    default.  A Jacobian row is then d(x, y, t)/d(x, y, t, a) for its
+    output, whose last column verify_disk reads as the parameter column.
     """
-    a = as_pair(param)
 
-    def lifted(v):
-        return IntervalVector.from_pairs(v.pairs + (a,))
+    def __init__(self, chart_map, param):
+        self.chart_map = chart_map
+        self.param = as_pair(param)
 
-    def image(v):
-        return IntervalVector.from_pairs(chart_map.apply(lifted(v)).pairs[:3])
+    def _lifted(self, box, outputs):
+        return (IntervalVector.from_pairs(box.pairs + (self.param,)),
+                (0, 1, 2) if outputs is None else outputs)
 
-    def enclosure(v):
-        img, jacobian = chart_map.derivative(lifted(v))
-        return (IntervalVector.from_pairs(img.pairs[:3]),
-                IntervalMatrix.from_pairs(jacobian.pairs[:3]))
+    def apply(self, box, outputs=None):
+        return self.chart_map.apply(*self._lifted(box, outputs))
 
-    return BoxMap(image, enclosure)
+    def derivative(self, box, outputs=None):
+        return self.chart_map.derivative(*self._lifted(box, outputs))
 
 
 def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=1):
@@ -249,7 +247,7 @@ def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=
         raise IntervalError("verify_disk expects 3D projected sets and forms")
 
     covering_cert = check_covering(
-        ntilde, ntilde, disk_map(chart_map, param), grid=grid
+        ntilde, ntilde, DiskMap(chart_map, param), grid=grid
     )
     rows = covering_cert.local_jacobian.pairs
     j_local = IntervalMatrix.from_pairs([row[:3] for row in rows])

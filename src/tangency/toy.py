@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 from tangency.cones import cone_matrix
-from tangency.covering import BoxMap
 from tangency.hset import HSet, QuadraticForm
 from tangency.interval import Interval, IntervalError, as_interval
 from tangency.jets import Jet
@@ -49,19 +48,26 @@ class ToyParams:
         return self
 
 
-def _boxmap(evaluator):
-    """Wrap a generic 4-scalar evaluator as a BoxMap (values + jets)."""
+class _ToyMap:
+    """A generic 4-scalar evaluator as a map of the covering protocol: the
+    image from Interval values, the image enclosure and the Jacobian from
+    order-1 jets; each the outputs asked for, every output by default."""
 
-    def value(box):
-        return IntervalVector(evaluator(*box.entries))
+    def __init__(self, evaluator):
+        self._evaluator = evaluator
 
-    def enclose(box):
+    def _outputs(self, args, outputs):
+        outs = self._evaluator(*args)
+        return outs if outputs is None else [outs[k] for k in outputs]
+
+    def apply(self, box, outputs=None):
+        return IntervalVector(self._outputs(box.entries, outputs))
+
+    def derivative(self, box, outputs=None):
         jets = [Jet.variable(i, box[i], 4, order=1) for i in range(4)]
-        outs = evaluator(*jets)
+        outs = self._outputs(jets, outputs)
         return (IntervalVector.from_pairs([out.value_pair for out in outs]),
                 IntervalMatrix.from_pairs([out.grad_pairs for out in outs]))
-
-    return BoxMap(value, enclose)
 
 
 def linear_start_map(params):
@@ -72,7 +78,7 @@ def linear_start_map(params):
     def run(x, y, v, a):
         return (lam * x, mu * y, ratio * v, a)
 
-    return _boxmap(run)
+    return _ToyMap(run)
 
 
 def linear_end_map(params):
@@ -83,7 +89,7 @@ def linear_end_map(params):
     def run(x, y, w, a):
         return (lam * x, mu * y, ratio * w, a)
 
-    return _boxmap(run)
+    return _ToyMap(run)
 
 
 def switch_map(params):
@@ -98,7 +104,7 @@ def switch_map(params):
         u = x - 1.0
         return (u.sqr() + y + a, 2.0 - x, -2.0 * u - v, a)
 
-    return _boxmap(run)
+    return _ToyMap(run)
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,7 @@ class ToyChain:
     params: ToyParams
     sets: tuple  # N_0..N_k, M_s..M_0
     forms: tuple
-    maps: tuple  # one BoxMap per link
+    maps: tuple  # one map per link, of the covering module's map protocol
     k: int
     s: int
     flags: tuple = ()

@@ -186,22 +186,66 @@ def covering_boxes(src, grid):
     return walls + list(src.subboxes(grid))
 
 
-def point_shifted_map(fmap, shift):
-    """A deliberately inconsistent BoxMap: fmap, but every image of a thin
-    box (all widths zero) moves by shift in each ambient coordinate.  The
-    enclosure pass (hull image and derivative) is fmap's own, so mean-value
-    and hull images disagree."""
-    from tangency.covering import BoxMap
-    from tangency.interval import Interval
-    from tangency.linalg import IntervalVector
+class PointShiftedMap:
+    """A deliberately inconsistent map: fmap, but every image of a thin box
+    (all widths zero) moves by shift in each output.  The enclosure pass
+    (hull image and derivative) is fmap's own, so mean-value and hull images
+    disagree."""
 
-    def value(box):
-        img = fmap(box)
+    def __init__(self, fmap, shift):
+        self.fmap = fmap
+        self.shift = shift
+
+    def apply(self, box, outputs=None):
+        from tangency.interval import Interval
+        from tangency.linalg import IntervalVector
+
+        img = self.fmap.apply(box, outputs)
         if any(e.width > 0.0 for e in box):
             return img
-        return img + IntervalVector([Interval(shift)] * img.dim)
+        return img + IntervalVector([Interval(self.shift)] * img.dim)
 
-    return BoxMap(value, fmap.derivative)
+    def derivative(self, box, outputs=None):
+        return self.fmap.derivative(box, outputs)
+
+
+class IdentityMap:
+    """The identity map on boxes of dimension n: returns exactly the
+    outputs asked for."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def apply(self, box, outputs=None):
+        from tangency.linalg import IntervalVector
+
+        keep = range(self.n) if outputs is None else outputs
+        return IntervalVector.from_pairs([box.pairs[k] for k in keep])
+
+    def derivative(self, box, outputs=None):
+        from tangency.linalg import IntervalMatrix
+
+        keep = range(self.n) if outputs is None else outputs
+        eye = IntervalMatrix.identity(self.n).pairs
+        return self.apply(box, outputs), IntervalMatrix.from_pairs(
+            [eye[k] for k in keep]
+        )
+
+
+class CountingMap:
+    """fmap, counting its apply and derivative calls in ``calls``."""
+
+    def __init__(self, fmap):
+        self.fmap = fmap
+        self.calls = {"apply": 0, "derivative": 0}
+
+    def apply(self, box, outputs=None):
+        self.calls["apply"] += 1
+        return self.fmap.apply(box, outputs)
+
+    def derivative(self, box, outputs=None):
+        self.calls["derivative"] += 1
+        return self.fmap.derivative(box, outputs)
 
 
 def check_inverse_consistency(family, box):

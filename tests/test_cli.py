@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import point_shifted_map
+from conftest import PointShiftedMap
 from tangency import report as report_mod
 from tangency.cli import main
 from tangency.toy import build_toy_chain
@@ -235,7 +235,7 @@ class TestCheckToy:
 
         def inconsistent(params):
             chain = build_toy_chain(params)
-            bad = point_shifted_map(chain.maps[0], 10.0 * max(chain.sets[1].diam))
+            bad = PointShiftedMap(chain.maps[0], 10.0 * max(chain.sets[1].diam))
             return dataclasses.replace(chain, maps=(bad,) + chain.maps[1:])
 
         monkeypatch.setattr(cli, "build_toy_chain", inconsistent)

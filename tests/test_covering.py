@@ -4,9 +4,14 @@ import random
 
 import pytest
 
-from conftest import covering_boxes, pairs_hex, point_shifted_map
+from conftest import (
+    CountingMap,
+    IdentityMap,
+    PointShiftedMap,
+    covering_boxes,
+    pairs_hex,
+)
 from tangency.covering import (
-    BoxMap,
     EnclosureError,
     VerificationInconclusive,
     _image_normalized,
@@ -14,25 +19,16 @@ from tangency.covering import (
     check_covering,
     detect_correspondence,
 )
-from tangency.henon import henon_family
+from tangency.henon import henon_family, projected_disk_data
 from tangency.hset import HSet, local_derivative
 from tangency.interval import Interval, IntervalError
-from tangency.linalg import IntervalMatrix, IntervalVector
+from tangency.linalg import IntervalVector
+from tangency.manifold import DiskMap
 from tangency.projective import ChartError, ChartMap, PlanarMapFamily
 from tangency.toy import ToyParams, build_toy_chain, linear_start_map, switch_map
 
 
 EYE4 = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]]
-
-
-def _identity_map4():
-    def value(box):
-        return box
-
-    def enclose(box):
-        return box, IntervalMatrix.identity(4)
-
-    return BoxMap(value, enclose)
 
 
 def _linear_inequality_oracle(params, src, tgt):
@@ -113,7 +109,7 @@ class TestSwitchLink:
     def test_planar_image_of_tangency_point(self):
         params = ToyParams()
         fmap = switch_map(params)
-        out = fmap(IntervalVector([1.0, 0.0, 0.0, 0.0]))
+        out = fmap.apply(IntervalVector([1.0, 0.0, 0.0, 0.0]))
         assert out[0].contains(0.0)
         assert out[1].contains(1.0)
 
@@ -122,7 +118,7 @@ class TestFailureModes:
     def test_identity_map_never_covers(self):
         h = HSet("U", (0, 0, 0, 0), EYE4, (1, 1, 1, 1), (0, 3))
         with pytest.raises(VerificationInconclusive) as err:
-            check_covering(h, h, _identity_map4(), grid=1)
+            check_covering(h, h, IdentityMap(4), grid=1)
         assert err.value.stage == "covering"
 
     def test_failure_is_localized(self):
@@ -180,13 +176,34 @@ class TestEnclosureConsistency:
     def test_disjoint_images_are_an_error_not_a_verdict(self):
         chain = build_toy_chain(ToyParams())
         src, tgt = chain.sets[0], chain.sets[1]
-        bad = point_shifted_map(chain.maps[0], 10.0 * max(tgt.diam))
+        bad = PointShiftedMap(chain.maps[0], 10.0 * max(tgt.diam))
         with pytest.raises(EnclosureError) as err:
             check_covering(src, tgt, bad, grid=1)
         assert not isinstance(err.value, (IntervalError, VerificationInconclusive))
         assert err.value.stage == "covering"
         assert err.value.locus == "N0=>N1"
         assert "disjoint" in err.value.detail
+
+    @pytest.mark.parametrize("ignores", ["apply", "derivative"])
+    def test_map_ignoring_outputs_is_an_error_not_a_verdict(self, ignores):
+        # A map that returns every output where fewer were asked for breaks
+        # the map protocol: a TypeError naming the link, not an
+        # INCONCLUSIVE verdict.
+        chain = build_toy_chain(ToyParams())
+        src, tgt, fmap = chain.sets[0], chain.sets[1], chain.maps[0]
+
+        class IgnoresOutputs:
+            def apply(self, box, outputs=None):
+                return fmap.apply(box, None if ignores == "apply" else outputs)
+
+            def derivative(self, box, outputs=None):
+                return fmap.derivative(
+                    box, None if ignores == "derivative" else outputs
+                )
+
+        assert tgt.columns_read(tgt.unstable) == (0, 3)
+        with pytest.raises(TypeError, match="N0=>N1"):
+            check_covering(src, tgt, IgnoresOutputs(), grid=1)
 
 
 class TestSoundnessProxy:
@@ -204,7 +221,7 @@ class TestSoundnessProxy:
                         z = [rng.uniform(-1, 1) for _ in range(4)]
                         z[i] = float(side)
                         img = tgt.to_normalized(
-                            fmap(src.from_normalized(IntervalVector(z)))
+                            fmap.apply(src.from_normalized(IntervalVector(z)))
                         )
                         w = img[j] if sign > 0 else -img[j]
                         if side > 0:
@@ -213,7 +230,7 @@ class TestSoundnessProxy:
                             assert w.hi < -1.0
             for _ in range(60):
                 z = IntervalVector([rng.uniform(-1, 1) for _ in range(4)])
-                img = tgt.to_normalized(fmap(src.from_normalized(z)))
+                img = tgt.to_normalized(fmap.apply(src.from_normalized(z)))
                 for j in tgt.stable:
                     assert -1.0 < img[j].lo and img[j].hi < 1.0
 
@@ -268,19 +285,10 @@ class TestDeterminism:
         chain = build_toy_chain(ToyParams())
         for idx, fmap in enumerate(chain.maps):
             src, tgt = chain.sets[idx], chain.sets[idx + 1]
-            calls = {"value": 0, "derivative": 0}
-
-            def value(box, _fmap=fmap):
-                calls["value"] += 1
-                return _fmap(box)
-
-            def enclose(box, _fmap=fmap):
-                calls["derivative"] += 1
-                return _fmap.derivative(box)
-
-            check_covering(src, tgt, BoxMap(value, enclose), grid=grid)
+            counted = CountingMap(fmap)
+            check_covering(src, tgt, counted, grid=grid)
             boxes = len(covering_boxes(src, grid))
-            assert calls == {"value": boxes, "derivative": boxes}, idx
+            assert counted.calls == {"apply": boxes, "derivative": boxes}, idx
 
 
 class TestWallRows:
@@ -289,8 +297,7 @@ class TestWallRows:
         # chart map on the outputs those rows read; those rows are the full
         # image's rows bit for bit, on every wall of the Henon chain at
         # grid 1 and grid 2.
-        chart = ChartMap(henon_family())
-        fmap = BoxMap(chart.apply, chart.derivative, takes_outputs=True)
+        fmap = ChartMap(henon_family())
         sets = henon_chain.sets
         for grid in (1, 2):
             walls = 0
@@ -314,21 +321,29 @@ class TestWallRows:
             assert walls == 4 * grid**3 * (len(sets) - 1)
 
     def test_restricted_map_returns_only_the_outputs_asked_for(self, henon_chain):
-        # The chart map's restricted evaluation gives exactly the requested
-        # entries and rows of the full evaluation, bit for bit: no
-        # placeholders.  A map of one-argument callables computes every
-        # output and cannot be restricted.
+        # Every map of the protocol, evaluated on some outputs, gives exactly
+        # those entries and rows of its evaluation on every output, bit for
+        # bit: no placeholders.  The maps are the chart map on the Henon
+        # sets, the toy maps on the toy sets and the disk maps on the
+        # projected sets.
         chart = ChartMap(henon_family())
-        fmap = BoxMap(chart.apply, chart.derivative, takes_outputs=True)
-        for h in henon_chain.sets:
+        cases = [(chart, h) for h in henon_chain.sets]
+        toy = build_toy_chain(ToyParams())
+        cases += [(fmap, h) for fmap, h in zip(toy.maps, toy.sets)]
+        for side, direction in (("stable", "forward"), ("unstable", "inverse")):
+            ntilde, _, param, _ = projected_disk_data(henon_chain, side)
+            cases.append((DiskMap(ChartMap(henon_family(), direction), param), ntilde))
+        for fmap, h in cases:
             box = h.box()
             mid = IntervalVector([Interval(e.mid) for e in box])
-            full_value = chart.apply(mid)
-            full_image, full_jac = chart.derivative(box)
-            for outputs in ((0, 1, 3), (0, 1, 2), (3,), (2,), (0, 1, 2, 3)):
-                sub = fmap.restrict(outputs)
-                value = sub(mid)
-                image, jac = sub.derivative(box)
+            full_value = fmap.apply(mid)
+            full_image, full_jac = fmap.derivative(box)
+            n = full_value.dim
+            assert n == h.n == full_image.dim == full_jac.nrows
+            subsets = ((0, 1, n - 1), (0, 1, 2), (n - 1,), (2,), tuple(range(n)))
+            for outputs in subsets:
+                value = fmap.apply(mid, outputs)
+                image, jac = fmap.derivative(box, outputs)
                 assert pairs_hex(value.pairs) == pairs_hex(
                     full_value.pairs[k] for k in outputs
                 )
@@ -338,8 +353,6 @@ class TestWallRows:
                 assert [pairs_hex(r) for r in jac.pairs] == [
                     pairs_hex(full_jac.pairs[k]) for k in outputs
                 ]
-        with pytest.raises(TypeError):
-            BoxMap(chart.apply, chart.derivative).restrict((0, 1, 3))
 
     def test_wall_angle_check_moves_to_the_interior(self):
         # f(x, y) = (x + y, x) turns the direction t = pi/2 horizontal.  On
@@ -348,8 +361,7 @@ class TestWallRows:
         # covers the walls and maps every output, leaves the chart, so the
         # link is still inconclusive.
         family = PlanarMapFamily("shear", lambda x, y, a: (x + y, x))
-        chart = ChartMap(family)
-        fmap = BoxMap(chart.apply, chart.derivative, takes_outputs=True)
+        fmap = ChartMap(family)
         half_pi = 1.5707963267948966
         src = HSet("S", (0.0, 0.0, half_pi, 0.0), EYE4, (1.0, 0.01, 0.1, 0.2), (0, 3))
         tgt = HSet("T", (0.0, 0.0, half_pi, 0.0), EYE4, (0.5, 2.0, 1.0, 0.1), (0, 3))

@@ -33,7 +33,7 @@ from tangency.henon import (
 from tangency.interval import Interval
 from tangency.jets import Jet
 from tangency.linalg import IntervalMatrix, IntervalVector
-from tangency.manifold import disk_map
+from tangency.manifold import DiskMap
 from tangency.projective import ChartMap
 
 
@@ -542,13 +542,13 @@ class TestOnePassImage:
     @pytest.mark.parametrize("side, direction", [("stable", "forward"),
                                                  ("unstable", "inverse")])
     def test_disk_image_is_apply3_bit_for_bit(self, henon_chain, grid, side, direction):
-        # The disk's (x, y, t) map, manifold.disk_map (formerly
+        # The disk's (x, y, t) map, manifold.DiskMap (formerly
         # ChartMap.apply3), is the chart map over box x param: its image and
         # Jacobian are entries and rows 0-2 of derivative's, and its value
         # is apply's.
         chart = ChartMap(henon_family(), direction)
         ntilde, _, param, _ = projected_disk_data(henon_chain, side)
-        fmap = disk_map(chart, param)
+        fmap = DiskMap(chart, param)
         for zbox in covering_boxes(ntilde, grid):
             v3 = ntilde.from_normalized(zbox)
             image, jacobian = fmap.derivative(v3)
@@ -557,7 +557,7 @@ class TestOnePassImage:
             # repr of the float pairs: every bit, signed zeros included
             assert repr(image.pairs) == repr(image4.pairs[:3])
             assert repr(jacobian.pairs) == repr(jacobian4.pairs[:3])
-            assert repr(fmap(v3).pairs) == repr(chart.apply(v4).pairs[:3])
+            assert repr(fmap.apply(v3).pairs) == repr(chart.apply(v4).pairs[:3])
 
 
 class TestCorrespondenceOverride:

@@ -255,8 +255,8 @@ class TestFamilyInverse:
 
 
 def test_projective_imports_nothing_from_covering():
-    # The chart map hands plain IntervalVector boxes to its callers; the
-    # covering machinery (BoxMap) is theirs to build.
+    # The chart map hands plain IntervalVector boxes to its callers, and the
+    # covering checker takes it as it is.
     import tangency.projective as projective
 
     tree = ast.parse(Path(projective.__file__).read_text(encoding="utf-8"))

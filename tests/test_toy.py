@@ -64,7 +64,7 @@ class TestChainCovering:
 class TestLinearMaps:
     def test_start_map_values_exact_on_dyadics(self):
         fmap = linear_start_map(ToyParams())
-        out = fmap(IntervalVector([0.5, 0.25, 1.0, 0.125]))
+        out = fmap.apply(IntervalVector([0.5, 0.25, 1.0, 0.125]))
         assert out[0] == Interval(1.0)
         assert out[1] == Interval(0.125)
         assert out[2] == Interval(0.25)
@@ -72,7 +72,7 @@ class TestLinearMaps:
 
     def test_end_map_slope_expansion(self):
         fmap = linear_end_map(ToyParams())
-        out = fmap(IntervalVector([0.0, 0.0, 0.25, 0.0]))
+        out = fmap.apply(IntervalVector([0.0, 0.0, 0.25, 0.0]))
         assert out[2] == Interval(1.0)  # (lam/mu) w = 4 * 0.25
 
     def test_switch_derivative_matches_closed_form(self):
@@ -105,7 +105,7 @@ class TestOnePassImage:
             for zbox in covering_boxes(src, grid):
                 box = src.from_normalized(zbox)
                 image, _ = fmap.derivative(box)
-                assert repr(image) == repr(fmap(box)), idx  # every bit
+                assert repr(image) == repr(fmap.apply(box)), idx  # every bit
 
 
 def cone_link(chain, idx):
