@@ -24,13 +24,16 @@ IntervalVector boxes and increasing output indices ``outputs``:
   evaluation.
 
 A map returns exactly the entries and rows asked for; ``outputs=None``
-means every output (projective.ChartMap is such a map).  The exit
-conditions read only the unstable target coordinates, so a wall sub-box is
-mapped on those rows of the target frame only, and F on the outputs those
-rows read (see _image_normalized); every bit they read is the one the full
-image would give.  Whatever else a map checks on its image (the chart map:
-that the image angle lies in the chart) is still checked on the interior
-sub-boxes, which cover the walls and read every output.
+means every output (projective.ChartMap is such a map).  The pairing of the
+unstable axes is a search: it is read off the thin midpoint images of the
+wall sub-boxes on the unstable target coordinates, and certifies nothing.
+The exit condition of a wall reads only the target coordinate it is paired
+with, so each wall sub-box is enclosed on that row of the target frame only,
+and F on the outputs that row reads (see _image_normalized); every bit it
+reads is the one the full image would give.  Whatever else a map checks on
+its image (the chart map: that the image angle lies in the chart) is still
+checked on the interior sub-boxes, which cover the walls and read every
+output.
 """
 
 from __future__ import annotations
@@ -100,7 +103,25 @@ class CoveringCertificate:
         }
 
 
-def _image_normalized(src, tgt, fmap, zbox, rows):
+def _thin_image(src, tgt, fmap, zbox, rows):
+    """The image g(mid z) of the midpoint of a normalized sub-box on the
+    target axes ``rows``, as a dict axis -> (lo, hi): fmap.apply on the thin
+    midpoint, on the outputs cols = tgt.columns_read(rows) only.  A map that
+    returns other than len(cols) entries breaks the map protocol (module
+    docstring): TypeError, a bug and never a verdict."""
+    cols = tgt.columns_read(rows)
+    mids = [pair_mid(*z) for z in zbox.pairs]
+    mid = IntervalVector.from_pairs([(m, m) for m in mids])
+    value = fmap.apply(src.from_normalized(mid), cols)
+    if value.dim != len(cols):
+        raise TypeError(
+            f"{src.name}=>{tgt.name}: asked for the outputs {cols}, the map "
+            f"returned {value.dim} image entries"
+        )
+    return dict(zip(rows, tgt.normalized_rows(value, rows)))
+
+
+def _image_normalized(src, tgt, fmap, zbox, rows, thin=None):
     """Normalized-coordinate image enclosure of a normalized sub-box on the
     target axes ``rows``, as a dict axis -> (lo, hi), and those rows of the
     local-frame derivative (hset.local_derivative) over that sub-box.
@@ -120,30 +141,31 @@ def _image_normalized(src, tgt, fmap, zbox, rows):
     reads only row j of M_tgt^-1, so the rows left out are never computed,
     and the rows computed are the same bits as in the full image.
 
-    Those rows of M_tgt^-1 read only the ambient coordinates
-    cols = tgt.columns_read(rows); every other column of them is an exact
-    zero, whose term the products skip.  So fmap is evaluated on the outputs
-    cols only, and the rows computed keep every bit.  For the chart map this
-    drops the tangent angle on walls whose target rows do not read it, and
-    with it the check that the image angle lies in the chart.  That check is
-    not lost: the interior sub-boxes cover the whole source set, walls
-    included, and read every output.  A map that returns other than
-    len(cols) image entries or Jacobian rows breaks the map protocol
-    (module docstring): TypeError, a bug and never a verdict.
+    g(mid z) is the _thin_image of zbox, a dict holding at least the axes
+    rows; a caller that already has it (a wall: the image its pairing was
+    searched on) passes it as ``thin``, else it is mapped here.  Those rows of M_tgt^-1 read only the ambient
+    coordinates cols = tgt.columns_read(rows); every other column of them is
+    an exact zero, whose term the products skip.  So fmap is evaluated on
+    the outputs cols only, and the rows computed keep every bit.  For the
+    chart map this drops the tangent angle on walls whose paired target row
+    does not read it, and with it the check that the image angle lies in
+    the chart.  That check is not lost: the interior sub-boxes cover the
+    whole source set, walls included, and read every output.  A map that
+    returns other than len(cols) enclosure entries or Jacobian rows breaks
+    the map protocol (module docstring): TypeError, a bug and never a
+    verdict.
     """
     imul, idiv, isub, iadd = _k.imul, _k.idiv, _k.isub, _k.iadd
+    if thin is None:
+        thin = _thin_image(src, tgt, fmap, zbox, rows)
     cols = tgt.columns_read(rows)
-    mids = [pair_mid(*z) for z in zbox.pairs]
-    mid = IntervalVector.from_pairs([(m, m) for m in mids])
-    value = fmap.apply(src.from_normalized(mid), cols)
     image, jacobian = fmap.derivative(src.from_normalized(zbox), cols)
-    if not value.dim == image.dim == jacobian.nrows == len(cols):
+    if not image.dim == jacobian.nrows == len(cols):
         raise TypeError(
             f"{src.name}=>{tgt.name}: asked for the outputs {cols}, the map "
-            f"returned {value.dim} image entries, {image.dim} enclosure "
-            f"entries and {jacobian.nrows} Jacobian rows"
+            f"returned {image.dim} enclosure entries and {jacobian.nrows} "
+            f"Jacobian rows"
         )
-    g_mid = tgt.normalized_rows(value, rows)
     local = local_derivative_rows(src, tgt, jacobian, rows)
     scaled = IntervalMatrix.from_pairs(
         [
@@ -152,11 +174,12 @@ def _image_normalized(src, tgt, fmap, zbox, rows):
             for local_row, d_tgt in zip(local.pairs, (tgt.diam[j] for j in rows))
         ]
     )
+    mids = [pair_mid(*z) for z in zbox.pairs]
     delta = IntervalVector.from_pairs(
         [isub(*z, m, m) for z, m in zip(zbox.pairs, mids)]
     )
     mean_value = check_pairs(
-        [iadd(*g, *s) for g, s in zip(g_mid, scaled.mat_vec(delta).pairs)]
+        [iadd(*thin[j], *s) for j, s in zip(rows, scaled.mat_vec(delta).pairs)]
     )
     hull = tgt.normalized_rows(image, rows)
     out = {}
@@ -174,14 +197,16 @@ def _image_normalized(src, tgt, fmap, zbox, rows):
 
 
 def detect_correspondence(src, tgt, wall_images):
-    """Deterministic unstable-axis pairing read off the certified wall images.
+    """Deterministic unstable-axis pairing read off the wall sub-boxes'
+    thin midpoint images.
 
     wall_images maps (axis, side) to the normalized images of that wall's
     sub-boxes, each a dict from every unstable target axis to its (lo, hi)
     bounds.  For each unstable axis of the source, the target unstable
     coordinate that the midpoints of the hulls of its two opposite walls'
     images separate across picks the pairing, scored by separation width.
-    No map is called; the margin check afterwards is what actually decides.
+    No map is called; the margin check afterwards, on certified images, is
+    what actually decides.
     """
     u_src = src.unstable
     u_tgt = tgt.unstable
@@ -230,48 +255,67 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     """Certify src => tgt under fmap or raise VerificationInconclusive.
 
     fmap follows the map protocol (module docstring).  grid (an int)
-    subdivides wall faces and the entry check per axis.  Every wall sub-box
-    of every unstable axis is mapped first, on the unstable target axes
-    only: the pairing, unless given, is read off those images, and the exit
-    margins are checked on them.  The interior sub-boxes are mapped on every
-    target axis, since the entry check, the cones and the disks read them.
-    Each sub-box is evaluated once.  The certificate's local_jacobian is the
-    hull of the local-frame derivatives over the entry check's sub-boxes,
-    hence an enclosure of the local-frame derivative over the whole source
-    set.  A given pairing must pair exactly the unstable axes of src and tgt
-    (see checked_correspondence).
+    subdivides wall faces and the entry check per axis.  The thin midpoint
+    of every wall sub-box of every unstable axis is mapped first, on the
+    unstable target axes: the pairing, unless given, is read off those point
+    images (with a pairing given, each wall's midpoint is mapped on its
+    paired target axis only).  Each wall sub-box is then enclosed on its
+    paired target axis only, the one its exit margin reads, from that thin
+    image.  The interior sub-boxes are mapped on every target axis, since
+    the entry check, the cones and the disks read them.  Each sub-box is
+    evaluated once.  The certificate's local_jacobian is the hull of the
+    local-frame derivatives over the entry check's sub-boxes, hence an
+    enclosure of the local-frame derivative over the whole source set.  A
+    given pairing must pair exactly the unstable axes of src and tgt (see
+    checked_correspondence).
     """
     link = f"{src.name}=>{tgt.name}"
     if len(src.unstable) != len(tgt.unstable):
         raise IntervalError(f"{link}: unstable dimension mismatch")
+    paired = None
     if correspondence is not None:
         correspondence = checked_correspondence(
             src.unstable, tgt.unstable, correspondence
         )
+        paired = {i: j for i, j, _ in correspondence}
 
-    def image(zbox, rows, where):
+    def located(where, evaluate, *args):
         try:
-            return _image_normalized(src, tgt, fmap, zbox, rows)
+            return evaluate(src, tgt, fmap, *args)
         except IntervalError as exc:
             raise VerificationInconclusive("covering", link, f"{where}: {exc}")
 
+    def wall_box(i, side, box_idx):
+        return f"wall z_{i}={side:+d} box {box_idx}"
+
+    walls = {
+        (i, side): src.walls(i, side, grid) for i in src.unstable for side in (1, -1)
+    }
+    thin_images = {
+        (i, side): [
+            located(wall_box(i, side, box_idx), _thin_image, wall,
+                    tgt.unstable if paired is None else (paired[i],))
+            for box_idx, wall in enumerate(boxes)
+        ]
+        for (i, side), boxes in walls.items()
+    }
+    if paired is None:
+        correspondence = detect_correspondence(src, tgt, thin_images)
+        paired = {i: j for i, j, _ in correspondence}
     wall_images = {
         (i, side): [
-            image(wall, tgt.unstable, f"wall z_{i}={side:+d} box {box_idx}")[0]
-            for box_idx, wall in enumerate(src.walls(i, side, grid))
+            located(wall_box(i, side, box_idx), _image_normalized, wall,
+                    (paired[i],), thin)[0][paired[i]]
+            for box_idx, (wall, thin) in enumerate(zip(boxes, thin_images[(i, side)]))
         ]
-        for i in src.unstable
-        for side in (1, -1)
+        for (i, side), boxes in walls.items()
     }
-    if correspondence is None:
-        correspondence = detect_correspondence(src, tgt, wall_images)
 
     exit_margins = {}
     for i, j, sign in correspondence:
         for side in (1, -1):
             worst = None
-            for box_idx, img in enumerate(wall_images[(i, side)]):
-                lo, hi = img[j]
+            for box_idx, (lo, hi) in enumerate(wall_images[(i, side)]):
                 if sign < 0:
                     lo, hi = -hi, -lo
                 margin = _k.sub_down(lo, 1.0) if side > 0 else _k.sub_down(-1.0, hi)
@@ -280,7 +324,7 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
                     raise VerificationInconclusive(
                         "covering",
                         link,
-                        f"exit failed on wall z_{i}={side:+d} box {box_idx} "
+                        f"exit failed on {wall_box(i, side, box_idx)} "
                         f"(margin {margin})",
                     )
             exit_margins[(i, side)] = worst
@@ -288,7 +332,9 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     entry_margin = None
     local_jacobian = None
     for box_idx, zbox in enumerate(src.subboxes(grid)):
-        img, local = image(zbox, range(tgt.n), f"interior box {box_idx}")
+        img, local = located(
+            f"interior box {box_idx}", _image_normalized, zbox, range(tgt.n)
+        )
         local_jacobian = local if local_jacobian is None else local_jacobian.hull(local)
         for j in tgt.stable:
             lo, hi = img[j]

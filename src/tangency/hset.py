@@ -19,6 +19,7 @@ once per set.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from tangency import kernels as _k
 from tangency.interval import Interval, IntervalError, check_pairs
@@ -44,6 +45,18 @@ def _axes(axes, n):
     ):
         raise IntervalError(f"invalid unstable axis set {list(axes)!r}")
     return tuple(sorted(axes))
+
+
+@lru_cache(maxsize=None)
+def _cuts(grid):
+    """The grid segments covering [-1, 1], as a tuple of Intervals; built
+    once per grid."""
+    cuts = []
+    for j in range(grid):
+        lo = Interval(-1.0) + Interval(2.0) * Interval(float(j)) / Interval(grid)
+        hi = Interval(-1.0) + Interval(2.0) * Interval(float(j + 1)) / Interval(grid)
+        cuts.append(Interval(lo.lo, hi.hi))
+    return tuple(cuts)
 
 
 class HSet:
@@ -160,14 +173,7 @@ class HSet:
     def _segments(grid):
         if type(grid) is not int or grid < 1:
             raise IntervalError(f"grid must be an int >= 1, got {grid!r}")
-        cuts = []
-        for j in range(grid):
-            lo = Interval(-1.0) + Interval(2.0) * Interval(float(j)) / Interval(grid)
-            hi = Interval(-1.0) + Interval(2.0) * Interval(float(j + 1)) / Interval(
-                grid
-            )
-            cuts.append(Interval(lo.lo, hi.hi))
-        return cuts
+        return _cuts(grid)
 
     def walls(self, axis, side, grid=1):
         """Sub-boxes covering the face {z_axis = side} of [-1, 1]^n.

@@ -12,8 +12,10 @@ by
 and its rigorous 4x4 derivative is assembled from order-2 jets of f (the
 angle component needs the second derivatives of f); the value parts of the
 same jets are the image enclosure, returned beside the derivative.  Both
-can be asked for some outputs only; without t they compute no angle, and
-the derivative's jets of f drop to order 1.
+can be asked for some outputs only and compute only what those read:
+without t they compute no angle, the image's jets of f carry values only
+and the derivative's drop to order 1; the derivative on a alone does not
+evaluate f.
 """
 
 from __future__ import annotations
@@ -136,15 +138,19 @@ class ChartMap:
         """Image enclosure of a chart box, the IntervalVector (x, y, t, a);
         order-1 jets supply Df.  With outputs, increasing indices into
         (x, y, t, a), the image holds those entries only; without t, no
-        angle is computed or checked."""
+        angle is computed or checked and f runs on value-only jets."""
         _check_angle(v.pairs[2])
+        angle = outputs is None or 2 in outputs
         x, y, t, a = v
-        xj = Jet.variable(0, x, 2, order=1)
-        yj = Jet.variable(1, y, 2, order=1)
-        aj = Jet.constant(a, 2, order=1)
+        if angle:
+            xj = Jet.variable(0, x, 2, order=1)
+            yj = Jet.variable(1, y, 2, order=1)
+            aj = Jet.constant(a, 2, order=1)
+        else:
+            xj, yj, aj = (Jet.constant(c, 0, order=1) for c in (x, y, a))
         fx, fy = self._evaluator()(xj, yj, aj)
         image = [fx.value_pair, fy.value_pair, None, v.pairs[3]]
-        if outputs is None or 2 in outputs:
+        if angle:
             ct = t.cos()
             st = t.sin()
             w = [
@@ -169,24 +175,26 @@ class ChartMap:
         the t column comes from the tangent jet alone.  With outputs,
         increasing indices into (x, y, t, a), the image holds those entries
         and the matrix those rows only; without t, the jets of f are of
-        order 1 and no tangent jet is computed or checked.
+        order 1 and no tangent jet is computed or checked, and with a alone
+        (the parameter is held by the dynamics: its row is (0, 0, 0, 1)) f
+        is not evaluated.
         """
         _check_angle(v.pairs[2])
-        angle = outputs is None or 2 in outputs
-        order = 2 if angle else 1
-        x, y, t, a = v
-        xj = Jet.variable(0, x, 3, order=order)
-        yj = Jet.variable(1, y, 3, order=order)
-        aj = Jet.variable(2, a, 3, order=order)
-        fx, fy = self._evaluator()(xj, yj, aj)
-        rows = [(fx.value_pair, _place_t(fx.grad_pairs)),
-                (fy.value_pair, _place_t(fy.grad_pairs)),
-                None,
-                (v.pairs[3], (_ZERO, _ZERO, _ZERO, (1.0, 1.0)))]
-        if angle:
-            tang = self._tangent_jet(fx, fy, t)
-            _check_angle(tang.value_pair)
-            rows[2] = (tang.value_pair, tang.grad_pairs)
+        rows = [None, None, None, (v.pairs[3], (_ZERO, _ZERO, _ZERO, (1.0, 1.0)))]
+        if outputs is None or not set(outputs) <= {3}:
+            angle = outputs is None or 2 in outputs
+            order = 2 if angle else 1
+            x, y, t, a = v
+            xj = Jet.variable(0, x, 3, order=order)
+            yj = Jet.variable(1, y, 3, order=order)
+            aj = Jet.variable(2, a, 3, order=order)
+            fx, fy = self._evaluator()(xj, yj, aj)
+            rows[0] = (fx.value_pair, _place_t(fx.grad_pairs))
+            rows[1] = (fy.value_pair, _place_t(fy.grad_pairs))
+            if angle:
+                tang = self._tangent_jet(fx, fy, t)
+                _check_angle(tang.value_pair)
+                rows[2] = (tang.value_pair, tang.grad_pairs)
         if outputs is not None:
             rows = [rows[k] for k in outputs]
         image = IntervalVector.from_pairs([value for value, _ in rows])

@@ -233,18 +233,22 @@ class IdentityMap:
 
 
 class CountingMap:
-    """fmap, counting its apply and derivative calls in ``calls``."""
+    """fmap, counting its apply and derivative calls in ``calls`` and
+    recording the outputs each call asked for in ``outputs``."""
 
     def __init__(self, fmap):
         self.fmap = fmap
         self.calls = {"apply": 0, "derivative": 0}
+        self.outputs = {"apply": [], "derivative": []}
 
     def apply(self, box, outputs=None):
         self.calls["apply"] += 1
+        self.outputs["apply"].append(outputs)
         return self.fmap.apply(box, outputs)
 
     def derivative(self, box, outputs=None):
         self.calls["derivative"] += 1
+        self.outputs["derivative"].append(outputs)
         return self.fmap.derivative(box, outputs)
 
 

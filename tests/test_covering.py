@@ -244,21 +244,54 @@ class TestDeterminism:
         for c1, c2 in zip(a, b):
             assert c1.to_dict() == c2.to_dict()
 
-    def test_detection_recorded_in_certificate(self):
-        params = ToyParams()
-        chain = build_toy_chain(params)
-        src, tgt, fmap = chain.sets[0], chain.sets[1], chain.maps[0]
-        wall_images = {
-            (i, side): [
-                _image_normalized(src, tgt, fmap, w, tgt.unstable)[0]
-                for w in src.walls(i, side, 1)
-            ]
-            for i in src.unstable
-            for side in (1, -1)
-        }
-        detected = detect_correspondence(src, tgt, wall_images)
-        cert = check_covering(src, tgt, fmap, grid=1)
-        assert cert.correspondence == detected
+    def test_detection_recorded_in_certificate(
+        self, henon_chain, henon_proof, henon_proof_grid2
+    ):
+        # The pairing is read off the wall sub-boxes' thin midpoint images.
+        # It equals the one read off their certified images on the unstable
+        # target rows, on every Henon link at grid 1 and grid 2, on both
+        # disk self-coverings and on the toy chains of 30 seeded draws.
+        def detected_from_enclosures(src, tgt, fmap, grid):
+            wall_images = {
+                (i, side): [
+                    _image_normalized(src, tgt, fmap, w, tgt.unstable)[0]
+                    for w in src.walls(i, side, grid)
+                ]
+                for i in src.unstable
+                for side in (1, -1)
+            }
+            return detect_correspondence(src, tgt, wall_images)
+
+        chart = ChartMap(henon_family())
+        sets = henon_chain.sets
+        for cert in (henon_proof[0], henon_proof_grid2):
+            grid = cert.coverings[0].grid
+            for src, tgt, cov in zip(sets, sets[1:], cert.coverings):
+                assert cov.correspondence == detected_from_enclosures(
+                    src, tgt, chart, grid
+                ), (cov.source, grid)
+            for side, direction in (("stable", "forward"), ("unstable", "inverse")):
+                ntilde, _, param, _ = projected_disk_data(henon_chain, side)
+                disk_map = DiskMap(ChartMap(henon_family(), direction), param)
+                disk = getattr(cert, f"{side}_disk").covering
+                assert disk.correspondence == detected_from_enclosures(
+                    ntilde, ntilde, disk_map, grid
+                ), (side, grid)
+
+        rng = random.Random("tangency::toy-pairings")
+        for _ in range(30):
+            params = ToyParams(
+                lam=rng.uniform(1.5, 4.0),
+                mu=rng.uniform(0.2, 0.6),
+                delta=rng.uniform(0.3, 0.7),
+                eps=rng.uniform(0.005, 0.05),
+            )
+            chain = build_toy_chain(params)
+            for src, tgt, fmap in zip(chain.sets, chain.sets[1:], chain.maps):
+                cert = check_covering(src, tgt, fmap, grid=1)
+                assert cert.correspondence == detected_from_enclosures(
+                    src, tgt, fmap, 1
+                ), (params, cert.source)
 
     def test_detection_reads_the_wall_image_hulls(self):
         # Wall z_0 = +-1 separates across target axis 3, reversed, and wall
@@ -319,6 +352,33 @@ class TestWallRows:
                             ]
                             walls += 1
             assert walls == 4 * grid**3 * (len(sets) - 1)
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    @pytest.mark.parametrize("given", [False, True], ids=["detected", "given"])
+    def test_walls_read_their_paired_row_only(self, henon_chain, grid, given):
+        # Each wall sub-box's enclosure pass asks the map for the columns
+        # its paired target row reads, and its thin midpoint image for those
+        # of every unstable target row, or, with the pairing given, for the
+        # paired row's too.  Interior sub-boxes ask for every output.
+        chart = ChartMap(henon_family())
+        toy = build_toy_chain(ToyParams())
+        links = [(s, t, chart) for s, t in zip(henon_chain.sets, henon_chain.sets[1:])]
+        links += list(zip(toy.sets, toy.sets[1:], toy.maps))
+        for src, tgt, fmap in links:
+            pairing = check_covering(src, tgt, fmap, grid).correspondence
+            spy = CountingMap(fmap)
+            check_covering(src, tgt, spy, grid, pairing if given else None)
+            paired = {i: j for i, j, _ in pairing}
+            walls = [
+                tgt.columns_read((paired[i],))
+                for i in src.unstable
+                for side in (1, -1)
+                for _ in src.walls(i, side, grid)
+            ]
+            thin = walls if given else [tgt.columns_read(tgt.unstable)] * len(walls)
+            interior = [tuple(range(tgt.n))] * len(src.subboxes(grid))
+            assert spy.outputs["derivative"] == walls + interior, src.name
+            assert spy.outputs["apply"] == thin + interior, src.name
 
     def test_restricted_map_returns_only_the_outputs_asked_for(self, henon_chain):
         # Every map of the protocol, evaluated on some outputs, gives exactly

@@ -367,9 +367,21 @@ class TestSharedJacobian:
         assert calls.count("self-covering") == 10
         assert "disk" not in calls  # verify_disk calls none of its own
 
-    def test_tangent_jets_at_grid_one(self, monkeypatch, henon_chain):
-        # The 85 derivative evaluations less the 32 wall sub-boxes of the 8
-        # links whose unstable target rows (u, a) do not read the angle.
+    def test_tangent_jets_at_grid_one(self, monkeypatch, henon_proof):
+        # One per interior sub-box: 15 links and 2 disk self-coverings, 17.
+        # A wall sub-box is enclosed on its paired target row only, and only
+        # target axis 2 reads the angle: the 2 walls of the source axis
+        # paired with it, on each of the 7 links N8=>N9 through N14=>N15 and
+        # on each of the 2 disks.  17 + 2 * 7 + 2 * 2 = 35.
+        cert, _ = henon_proof
+        angle_links = [
+            f"{c.source}=>{c.target}"
+            for c in cert.coverings
+            if any(j == 2 for _, j, _ in c.correspondence)
+        ]
+        assert angle_links == [f"N{k}=>N{k + 1}" for k in range(8, 15)]
+        for disk in (cert.stable_disk, cert.unstable_disk):
+            assert [j for _, j, _ in disk.covering.correspondence].count(2) == 1
         calls = []
         orig = ChartMap._tangent_jet
 
@@ -379,8 +391,7 @@ class TestSharedJacobian:
 
         monkeypatch.setattr(ChartMap, "_tangent_jet", staticmethod(counting))
         run_proof()
-        assert sum(1 for tgt in henon_chain.sets[1:] if tgt.unstable == (0, 3)) == 8
-        assert len(calls) == 85 - 8 * 4 == 53
+        assert len(calls) == 17 + 2 * 7 + 2 * 2 == 35
 
     def test_grid_two_cone_pivots_no_lower(self, henon_proof, henon_proof_grid2):
         # The hull of the sub-box Jacobians lies inside the whole-set one.

@@ -15,7 +15,7 @@ from tangency.projective import (
     PlanarMapFamily,
     direction_to_angle,
 )
-from conftest import PI_BOUNDS, atan_bounds, check_inverse_consistency
+from conftest import PI_BOUNDS, atan_bounds, check_inverse_consistency, pairs_hex
 
 
 def box(x, y, t, a):
@@ -224,6 +224,70 @@ class TestDerivative:
                 fd_est = (fu[i] - fd[i]) / (2 * h)
                 enc = d[i, j]
                 assert enc.lo - 1e-6 <= fd_est <= enc.hi + 1e-6, (i, j)
+
+
+class TestOutputsRead:
+    """The chart map computes only what the outputs asked for read."""
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_parameter_row_evaluates_no_f(self, monkeypatch, direction):
+        from tangency.henon import A0, henon_family
+
+        chart = ChartMap(henon_family(), direction)
+        p = box(Interval(-1.91, -1.89), Interval(-1.81, -1.79),
+                Interval(0.8, 0.9), Interval(A0 - 1e-5, A0 + 1e-5))
+        full_image, full_jac = chart.derivative(p)
+
+        def refuse(self):
+            raise AssertionError("f evaluated")
+
+        monkeypatch.setattr(ChartMap, "_evaluator", refuse)
+        image, jac = chart.derivative(p, (3,))
+        assert pairs_hex(image.pairs) == pairs_hex([full_image.pairs[3]])
+        assert [pairs_hex(r) for r in jac.pairs] == [pairs_hex(full_jac.pairs[3])]
+        assert jac[0, 3] == Interval(1.0)
+        assert all(jac[0, k] == Interval(0.0) for k in range(3))
+        with pytest.raises(AssertionError, match="f evaluated"):
+            chart.derivative(p, (0, 3))
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_apply_without_angle_is_the_full_apply(self, rng, direction):
+        # Without the angle, f runs on value-only jets (no variables); x, y
+        # and a are the full apply's bit for bit, on random boxes.
+        from tangency.henon import A0, henon_family
+
+        henon = henon_family()
+        seen = []
+
+        def spy(evaluate):
+            def run(x, y, a):
+                seen.append(x.n)
+                return evaluate(x, y, a)
+
+            return run
+
+        family = PlanarMapFamily("spied", spy(henon.forward), spy(henon.inverse))
+        chart = ChartMap(family, direction)
+        compared = 0
+        for _ in range(200):
+            center = (rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5),
+                      rng.uniform(0.3, 2.8), A0 + rng.uniform(-1e-3, 1e-3))
+            radii = [rng.choice((0.0, 1e-9, 1e-5, 1e-2)) * rng.random()
+                     for _ in range(4)]
+            p = box(*[Interval(c - r, c + r) for c, r in zip(center, radii)])
+            try:
+                full = chart.apply(p)
+            except ChartError:  # the image direction left the chart
+                continue
+            for outputs in ((0, 1, 3), (0, 1), (0, 3), (1,), (3,)):
+                del seen[:]
+                image = chart.apply(p, outputs)
+                assert seen == [0]
+                assert pairs_hex(image.pairs) == pairs_hex(
+                    full.pairs[k] for k in outputs
+                )
+            compared += 1
+        assert compared > 150
 
 
 class TestFamilyInverse:

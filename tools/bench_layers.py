@@ -27,8 +27,10 @@ The layer loops pass IntervalVector boxes to ``ChartMap.derivative`` and
 the chart map to ``check_covering`` as ``run_proof`` passes it: the
 ``ChartMap`` itself, or ``BoxMap(chart.apply, chart.derivative,
 takes_outputs=True)`` on trees whose ``tangency.covering`` still has a
-``BoxMap``.  Either way the walls evaluate only the outputs their target
-rows read.  So it compares only source trees whose ``ChartMap`` takes
+``BoxMap``.  Either way the covering check picks the outputs each wall
+sub-box is evaluated on: those of its paired target row, on trees that
+enclose each wall on that row only, and those of every unstable target row
+on older trees.  So it compares only source trees whose ``ChartMap`` takes
 output indices; older trees fail in the first run.
 """
 
