@@ -1,231 +1,227 @@
-"""Directed-rounding kernels.
+"""Directed-rounding kernels, run with the FPU rounding upward.
 
-Every kernel returns a directed rounding (toward -inf / +inf) of the exact
-real result of one binary64 operation.  Exact results are detected with
-error-free transformations (TwoSum, Dekker's product) and returned without
-widening; otherwise the nearest-rounded result is nudged one ulp outward,
-which is always sound.  The error-free transformations are only trusted
-inside a conservative exponent window; outside it we widen unconditionally.
+Every kernel returns the directed rounding (toward -inf / +inf) of the exact
+real result of one binary64 operation: the tightest float bound.  The
+kernels run under IEEE 754 roundTowardPositive, set with libc's
+``fesetround`` through ``ctypes``, so an upper bound is one float operation
+and a lower bound its negated mirror, RD(a*b) = 0.0 - RU((-a)*b) (Rump,
+"Fast and parallel interval arithmetic", BIT 39, 1999).  ``sqrt_down`` steps
+one float down from RU(sqrt x) unless that is exact.
+
+``with upward():`` runs a block under upward rounding and ``with
+nearest():`` one under round-to-nearest; each puts back the mode it found.
+Every kernel first checks the mode (1.0 + 2**-60 rounds to 1.0 in every
+other mode) and, called outside an upward block, sets it for that one call
+(``_upward_call``): sound anywhere, only slower.  Inside an upward block
+every float operation of Python rounds upward, so code whose analysis
+assumes round-to-nearest runs in a nearest block, and none parses a float
+from a string (``float()`` parsing rounds wrongly there) or imports a module
+(which compiles its float literals).  The mode is per thread.
+
+Zero signs: a lower bound 0.0 - x is never -0.0, and an upper bound that
+may be a product's or a quotient's zero gets + 0.0, so that one is never
+-0.0 either; a sum's upper bound is -0.0 only when both addends are.
+``imul`` returns (0.0, 0.0) at once for an exact-zero operand pair, which is
+also the exact product with an infinite bound, where the full path gives
+NaN.
+
+The FE_* constants are those of the platform's <fenv.h>; an unsupported
+machine is an ImportError, and so is a libc whose modes fail the probe.
 """
 
+import ctypes
 import math
-import sys
+import platform
+
+# (FE_UPWARD, FE_TONEAREST) per platform.machine()
+_FE_MODES = {"x86_64": (0x800, 0), "aarch64": (0x400000, 0)}
+
+_MACHINE = platform.machine()
+if _MACHINE not in _FE_MODES:
+    raise ImportError(f"tangency: no FPU rounding-mode constants for machine {_MACHINE!r}")
+_FE_UPWARD, _FE_TONEAREST = _FE_MODES[_MACHINE]
+try:
+    _LIBC = ctypes.CDLL(None)
+    _fesetround, _fegetround = _LIBC.fesetround, _LIBC.fegetround
+except (OSError, AttributeError) as exc:
+    raise ImportError(f"tangency: no fesetround in the C library on {_MACHINE!r}") from exc
 
 _INF = math.inf
-_MAX = sys.float_info.max
-_TINY = 5e-324  # smallest subnormal
-
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp splitting constant
-_SAFE_LO = 2.0**-500
-_SAFE_HI = 2.0**500
+_ONE = 1.0
+_STEP = 2.0**-60  # 1.0 + _STEP != 1.0 only when rounding upward
+_sqrt = math.sqrt
+_nextafter = math.nextafter
 
 
-def _prod_err(a, b, p):
-    # Exact residual of p = fl(a*b); caller guarantees the safe range.
-    t = _SPLIT * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLIT * b
-    bh = t - (t - b)
-    bl = b - bh
-    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+class _RoundingMode:
+    __slots__ = ("_saved",)
+
+    def __enter__(self):
+        self._saved = _fegetround()
+        _fesetround(self._MODE)
+        return self
+
+    def __exit__(self, *exc):
+        _fesetround(self._saved)
+
+
+class upward(_RoundingMode):
+    """``with upward():`` runs the block with the FPU rounding upward."""
+
+    __slots__ = ()
+    _MODE = _FE_UPWARD
+
+
+class nearest(_RoundingMode):
+    """``with nearest():`` runs the block with the FPU rounding to nearest."""
+
+    __slots__ = ()
+    _MODE = _FE_TONEAREST
+
+
+def _upward_call(kernel, *args):
+    """kernel(*args) with the FPU rounding upward for this call only."""
+    with upward():
+        return kernel(*args)
+
+
+with upward():
+    _UP = _ONE + _STEP != _ONE and _fegetround() == _FE_UPWARD
+with nearest():
+    _NEAR = _ONE + _STEP == _ONE and _fegetround() == _FE_TONEAREST
+if not (_UP and _NEAR):
+    raise ImportError(f"tangency: fesetround does not set the FPU rounding on {_MACHINE!r}")
 
 
 def add_down(a, b):
-    s = a + b
-    if s == _INF:
-        return _MAX
-    if s == -_INF:
-        return -_INF
-    bv = s - a
-    err = (a - (s - bv)) + (b - bv)
-    if err < 0.0:
-        return math.nextafter(s, -_INF)
-    return s
+    if _ONE + _STEP == _ONE:
+        return _upward_call(add_down, a, b)
+    return 0.0 - (-a - b)
 
 
 def add_up(a, b):
-    s = a + b
-    if s == _INF:
-        return _INF
-    if s == -_INF:
-        return -_MAX
-    bv = s - a
-    err = (a - (s - bv)) + (b - bv)
-    if err > 0.0:
-        return math.nextafter(s, _INF)
-    return s
+    if _ONE + _STEP == _ONE:
+        return _upward_call(add_up, a, b)
+    return a + b
 
 
 def sub_down(a, b):
-    return add_down(a, -b)
+    if _ONE + _STEP == _ONE:
+        return _upward_call(sub_down, a, b)
+    return 0.0 - (b - a)
 
 
 def sub_up(a, b):
-    return add_up(a, -b)
+    if _ONE + _STEP == _ONE:
+        return _upward_call(sub_up, a, b)
+    return a - b
 
 
 def mul_down(a, b):
-    p = a * b
-    if p == _INF:
-        return _MAX
-    if p == -_INF:
-        return -_INF
-    if p == 0.0:
-        if a == 0.0 or b == 0.0:
-            return 0.0
-        return -_TINY if (a < 0.0) != (b < 0.0) else 0.0
-    if _SAFE_LO < abs(p) < _SAFE_HI and abs(a) < _SAFE_HI and abs(b) < _SAFE_HI:
-        if _prod_err(a, b, p) >= 0.0:
-            return p
-    return math.nextafter(p, -_INF)
+    if _ONE + _STEP == _ONE:
+        return _upward_call(mul_down, a, b)
+    return 0.0 - (-a) * b
 
 
 def mul_up(a, b):
-    p = a * b
-    if p == _INF:
-        return _INF
-    if p == -_INF:
-        return -_MAX
-    if p == 0.0:
-        if a == 0.0 or b == 0.0:
-            return 0.0
-        return _TINY if (a < 0.0) == (b < 0.0) else 0.0
-    if _SAFE_LO < abs(p) < _SAFE_HI and abs(a) < _SAFE_HI and abs(b) < _SAFE_HI:
-        if _prod_err(a, b, p) <= 0.0:
-            return p
-    return math.nextafter(p, _INF)
-
-
-def _div_exact(a, b, q):
-    # True iff q = a/b exactly, decided via the product residual of q*b.
-    if not (_SAFE_LO < abs(a) < _SAFE_HI and abs(b) < _SAFE_HI and abs(q) < _SAFE_HI):
-        return False
-    p = q * b
-    return p == a and _prod_err(q, b, p) == 0.0
+    if _ONE + _STEP == _ONE:
+        return _upward_call(mul_up, a, b)
+    return a * b + 0.0
 
 
 def div_down(a, b):
-    q = a / b
-    if q == _INF:
-        return _MAX
-    if q == -_INF:
-        return -_INF
-    if q == 0.0:
-        if a == 0.0:
-            return 0.0
-        return -_TINY if (a < 0.0) != (b < 0.0) else 0.0
-    if _div_exact(a, b, q):
-        return q
-    return math.nextafter(q, -_INF)
+    if _ONE + _STEP == _ONE:
+        return _upward_call(div_down, a, b)
+    return 0.0 - (-a) / b
 
 
 def div_up(a, b):
-    q = a / b
-    if q == _INF:
-        return _INF
-    if q == -_INF:
-        return -_MAX
-    if q == 0.0:
-        if a == 0.0:
-            return 0.0
-        return _TINY if (a < 0.0) == (b < 0.0) else 0.0
-    if _div_exact(a, b, q):
-        return q
-    return math.nextafter(q, _INF)
+    if _ONE + _STEP == _ONE:
+        return _upward_call(div_up, a, b)
+    return a / b + 0.0
 
 
 def sqrt_down(x):
-    if x == 0.0:
-        return 0.0
-    s = math.sqrt(x)
-    if _SAFE_LO < x < _SAFE_HI:
-        p = s * s
-        if p == x and _prod_err(s, s, p) == 0.0:
-            return s
-    return math.nextafter(s, -_INF)
+    if _ONE + _STEP == _ONE:
+        return _upward_call(sqrt_down, x)
+    s = _sqrt(x)
+    return s + 0.0 if s * s == x else _nextafter(s, -_INF)
 
 
 def sqrt_up(x):
-    if x == 0.0:
-        return 0.0
-    s = math.sqrt(x)
-    if _SAFE_LO < x < _SAFE_HI:
-        p = s * s
-        if p == x and _prod_err(s, s, p) == 0.0:
-            return s
-    return math.nextafter(s, _INF)
+    if _ONE + _STEP == _ONE:
+        return _upward_call(sqrt_up, x)
+    return _sqrt(x) + 0.0
 
 
-# The interval kernels return at once when an operand is an exact zero pair
-# (both bounds +-0.0).  A sum or difference with one is the plain float sum,
-# which is exact; a product, or a quotient of one, is (0.0, 0.0).  These are
-# the bits the directed-rounding path gives for every finite operand and for
-# a -inf lower / +inf upper bound; only a zero times an infinite bound
-# differs, giving the exact (0.0, 0.0) where that path gives NaN.
+# The interval kernels write out the scalar kernels' operations, so their
+# bounds are those of the scalar kernels bit for bit.
 
 
 def iadd(al, ah, bl, bh):
-    if not (al or ah) or not (bl or bh):
-        return al + bl, ah + bh
-    return add_down(al, bl), add_up(ah, bh)
+    if _ONE + _STEP == _ONE:
+        return _upward_call(iadd, al, ah, bl, bh)
+    return 0.0 - (-al - bl), ah + bh
 
 
 def isub(al, ah, bl, bh):
-    if not (al or ah) or not (bl or bh):
-        return al - bh, ah - bl
-    return add_down(al, -bh), add_up(ah, -bl)
+    if _ONE + _STEP == _ONE:
+        return _upward_call(isub, al, ah, bl, bh)
+    return 0.0 - (bh - al), ah - bl
 
 
 def imul(al, ah, bl, bh):
+    if _ONE + _STEP == _ONE:
+        return _upward_call(imul, al, ah, bl, bh)
     if not (al or ah) or not (bl or bh):
         return 0.0, 0.0
     if al >= 0.0:
         if bl >= 0.0:
-            return mul_down(al, bl), mul_up(ah, bh)
+            return 0.0 - (-al) * bl, ah * bh + 0.0
         if bh <= 0.0:
-            return mul_down(ah, bl), mul_up(al, bh)
-        return mul_down(ah, bl), mul_up(ah, bh)
+            return 0.0 - (-ah) * bl, al * bh + 0.0
+        return 0.0 - (-ah) * bl, ah * bh + 0.0
     if ah <= 0.0:
         if bl >= 0.0:
-            return mul_down(al, bh), mul_up(ah, bl)
+            return 0.0 - (-al) * bh, ah * bl + 0.0
         if bh <= 0.0:
-            return mul_down(ah, bh), mul_up(al, bl)
-        return mul_down(al, bh), mul_up(al, bl)
+            return 0.0 - (-ah) * bh, al * bl + 0.0
+        return 0.0 - (-al) * bh, al * bl + 0.0
     if bl >= 0.0:
-        return mul_down(al, bh), mul_up(ah, bh)
+        return 0.0 - (-al) * bh, ah * bh + 0.0
     if bh <= 0.0:
-        return mul_down(ah, bl), mul_up(al, bl)
-    lo1 = mul_down(al, bh)
-    lo2 = mul_down(ah, bl)
-    hi1 = mul_up(al, bl)
-    hi2 = mul_up(ah, bh)
-    return (lo1 if lo1 <= lo2 else lo2), (hi1 if hi1 >= hi2 else hi2)
+        return 0.0 - (-ah) * bl, al * bl + 0.0
+    # 0 inside both: every product below is nonzero
+    n1, n2 = (-al) * bh, (-ah) * bl
+    p1, p2 = al * bl, ah * bh
+    return -(n1 if n1 >= n2 else n2), (p1 if p1 >= p2 else p2)
 
 
 def idiv(al, ah, bl, bh):
     # Caller guarantees 0 is outside [bl, bh].
-    if not (al or ah):
-        return 0.0, 0.0
+    if _ONE + _STEP == _ONE:
+        return _upward_call(idiv, al, ah, bl, bh)
     if bl > 0.0:
-        lo = div_down(al, bh if al >= 0.0 else bl)
-        hi = div_up(ah, bl if ah >= 0.0 else bh)
-        return lo, hi
-    lo = div_down(ah, bh if ah >= 0.0 else bl)
-    hi = div_up(al, bl if al >= 0.0 else bh)
-    return lo, hi
+        return (0.0 - (-al) / (bh if al >= 0.0 else bl),
+                ah / (bl if ah >= 0.0 else bh) + 0.0)
+    return (0.0 - (-ah) / (bh if ah >= 0.0 else bl),
+            al / (bl if al >= 0.0 else bh) + 0.0)
 
 
 def isqr(al, ah):
+    if _ONE + _STEP == _ONE:
+        return _upward_call(isqr, al, ah)
     if al >= 0.0:
-        return mul_down(al, al), mul_up(ah, ah)
+        return 0.0 - (-al) * al, ah * ah + 0.0
     if ah <= 0.0:
-        return mul_down(ah, ah), mul_up(al, al)
-    h1 = mul_up(al, al)
-    h2 = mul_up(ah, ah)
+        return 0.0 - (-ah) * ah, al * al + 0.0
+    h1, h2 = al * al, ah * ah
     return 0.0, (h1 if h1 >= h2 else h2)
 
 
 def isqrt(al, ah):
     # Caller guarantees al >= 0.
-    return sqrt_down(al), sqrt_up(ah)
+    if _ONE + _STEP == _ONE:
+        return _upward_call(isqrt, al, ah)
+    s = _sqrt(al)
+    return (s + 0.0 if s * s == al else _nextafter(s, -_INF)), _sqrt(ah) + 0.0

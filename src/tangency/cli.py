@@ -24,6 +24,7 @@ import os
 import sys
 import time
 
+from tangency import kernels as _k
 from tangency import report as report_mod
 from tangency.cones import check_cone_link, rump_positive_definite
 from tangency.covering import EnclosureError, VerificationInconclusive, check_chain
@@ -221,41 +222,42 @@ def _cmd_check_toy(args):
     verdict = "VERIFIED"
     chain = build_toy_chain(params)
     try:
-        coverings = check_chain(list(chain.sets), list(chain.maps), grid=args.grid)
-        stages["covering"] = [c.to_dict() for c in coverings]
+        with _k.upward():
+            coverings = check_chain(list(chain.sets), list(chain.maps), grid=args.grid)
+            stages["covering"] = [c.to_dict() for c in coverings]
 
-        cone_certs = []
-        for idx in linear_link_indices(chain):
-            try:
-                cone_certs.append(check_cone_link(
-                    coverings[idx], chain.forms[idx], chain.forms[idx + 1]))
-            except VerificationInconclusive as exc:
-                exc.certified = {"cones_linear_links": tuple(cone_certs)}
-                raise
-        stages["cones_linear_links"] = [c.to_dict() for c in cone_certs]
+            cone_certs = []
+            for idx in linear_link_indices(chain):
+                try:
+                    cone_certs.append(check_cone_link(
+                        coverings[idx], chain.forms[idx], chain.forms[idx + 1]))
+                except VerificationInconclusive as exc:
+                    exc.certified = {"cones_linear_links": tuple(cone_certs)}
+                    raise
+            stages["cones_linear_links"] = [c.to_dict() for c in cone_certs]
 
-        q1, q2 = switch_cone_blocks()
-        r1 = rump_positive_definite(q1)
-        r2 = rump_positive_definite(q2)
-        stages["switch_blocks"] = {
-            "Q1": r1.to_dict(),
-            "Q2": r2.to_dict(),
-        }
-        if not (r1.positive_definite and r2.positive_definite):
-            raise VerificationInconclusive(
-                "toy-switch", "tangency-point cone blocks", "not positive definite"
-            )
+            q1, q2 = switch_cone_blocks()
+            r1 = rump_positive_definite(q1)
+            r2 = rump_positive_definite(q2)
+            stages["switch_blocks"] = {
+                "Q1": r1.to_dict(),
+                "Q2": r2.to_dict(),
+            }
+            if not (r1.positive_definite and r2.positive_definite):
+                raise VerificationInconclusive(
+                    "toy-switch", "tangency-point cone blocks", "not positive definite"
+                )
 
-        det = transversality_determinant(2.0, 3.0, 7.0)
-        residual = det - Interval(2.0) * Interval(3.0)
-        stages["transversality"] = {
-            "det_sample": [det.lo, det.hi],
-            "identity_residual": [residual.lo, residual.hi],
-        }
-        if not residual.contains(0.0):
-            raise VerificationInconclusive(
-                "toy-transversality", "determinant identity", "residual excludes 0"
-            )
+            det = transversality_determinant(2.0, 3.0, 7.0)
+            residual = det - Interval(2.0) * Interval(3.0)
+            stages["transversality"] = {
+                "det_sample": [det.lo, det.hi],
+                "identity_residual": [residual.lo, residual.hi],
+            }
+            if not residual.contains(0.0):
+                raise VerificationInconclusive(
+                    "toy-transversality", "determinant identity", "residual excludes 0"
+                )
     except VerificationInconclusive as exc:
         verdict = "INCONCLUSIVE"
         stages.update(_certified_stages(exc.certified))

@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from tangency import kernels as _k
 from tangency.cones import check_cone_chain
 from tangency.covering import (
     VerificationInconclusive,
@@ -126,15 +127,16 @@ def eigen_data():
     eigenvectors u0/s0 (the s0 sign matches the reference seed convention:
     second component negative), and their float midpoints.
     """
-    x0, _ = fixed_point()
-    disc = (x0.sqr() + B0).sqrt()
-    lam = -x0 + disc
-    mu = -x0 - disc
-    # Unstable direction (lam, 1)/|.|, stable -(mu, 1)/|.|
-    un = (lam.sqr() + 1.0).sqrt()
-    u0 = IntervalVector([lam / un, Interval(1.0) / un])
-    sn = (mu.sqr() + 1.0).sqrt()
-    s0 = IntervalVector([-(mu / sn), -(Interval(1.0) / sn)])
+    with _k.upward():
+        x0, _ = fixed_point()
+        disc = (x0.sqr() + B0).sqrt()
+        lam = -x0 + disc
+        mu = -x0 - disc
+        # Unstable direction (lam, 1)/|.|, stable -(mu, 1)/|.|
+        un = (lam.sqr() + 1.0).sqrt()
+        u0 = IntervalVector([lam / un, Interval(1.0) / un])
+        sn = (mu.sqr() + 1.0).sqrt()
+        s0 = IntervalVector([-(mu / sn), -(Interval(1.0) / sn)])
     return {
         "x0": x0,
         "lam": lam,
@@ -205,9 +207,10 @@ def build_chain(param_radius=PARAM_RADIUS):
     Centers c_2..c_14 are the midpoints of 240-bit enclosures of the seed
     orbit and its tangent direction under the projectivized map (see
     _highprec_orbit for why binary64 center generation cannot work here);
-    frames follow the reference propagation rules.  The rigorous one-step
-    chart enclosure of every center c_1..c_14 is checked and dropped: one
-    wider than ORBIT_WIDTH_MAX in x, y or t aborts the build.
+    frames follow the reference propagation rules, in round-to-nearest.  The
+    rigorous one-step chart enclosure of every center c_1..c_14 is checked,
+    in a kernels.upward() block, and dropped: one wider than ORBIT_WIDTH_MAX
+    in x, y or t aborts the build.
     """
     eig = eigen_data()
     x0m = eig["x0"].mid
@@ -230,15 +233,16 @@ def build_chain(param_radius=PARAM_RADIUS):
         t_i = _angle_of((_fp_to_float(vx), _fp_to_float(vy)))
         centers4[i] = (_fp_to_float(zx), _fp_to_float(zy), t_i, A0)
 
-    for i in range(1, 15):
-        img = chart.apply(IntervalVector(centers4[i]))
-        width = max(img[k].width for k in range(3))
-        if width > ORBIT_WIDTH_MAX:
-            raise VerificationInconclusive(
-                "chain-build",
-                f"orbit step {i}",
-                f"enclosure width {width} exceeds {ORBIT_WIDTH_MAX}",
-            )
+    with _k.upward():
+        for i in range(1, 15):
+            img = chart.apply(IntervalVector(centers4[i]))
+            width = max(img[k].width for k in range(3))
+            if width > ORBIT_WIDTH_MAX:
+                raise VerificationInconclusive(
+                    "chain-build",
+                    f"orbit step {i}",
+                    f"enclosure width {width} exceeds {ORBIT_WIDTH_MAX}",
+                )
 
     z_pts = [(c[0], c[1]) for c in centers4[1:15]]
     z_pts.append(z0)  # z_15 = z_0
@@ -384,6 +388,8 @@ class HenonConfig:
 def run_proof(config=None):
     """Execute the full certification; returns a TangencyCertificate.
 
+    The chain and the disks' projected sets are built to nearest; the
+    covering, cone and disk stages run in one kernels.upward() block.
     Any inconclusive stage raises VerificationInconclusive carrying the
     failure locus and, in ``certified``, every certificate found before it
     by report stage ("covering", "cones", "stable_disk", "unstable_disk").
@@ -395,27 +401,29 @@ def run_proof(config=None):
     family = henon_family()
     chart = ChartMap(family, "forward")
     inv_chart = ChartMap(family, "inverse")
+    disks = [(side, cmap, projected_disk_data(chain, side))
+             for side, cmap in (("stable", chart), ("unstable", inv_chart))]
     timings["build"] = time.perf_counter() - t0
 
     certified = {}
     try:
-        t0 = time.perf_counter()
-        certified["covering"] = check_chain(
-            list(chain.sets), [chart] * (N_SETS - 1),
-            grid=config.grid, correspondences=config.correspondences,
-        )
-        timings["covering"] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        certified["cones"] = check_cone_chain(list(chain.forms), certified["covering"])
-        timings["cones"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        for side, cmap in (("stable", chart), ("unstable", inv_chart)):
-            ntilde, qtilde, param, p_coeff = projected_disk_data(chain, side)
-            certified[f"{side}_disk"] = verify_disk(
-                side, ntilde, qtilde, cmap, param, p_coeff, config.grid
+        with _k.upward():
+            t0 = time.perf_counter()
+            certified["covering"] = check_chain(
+                list(chain.sets), [chart] * (N_SETS - 1),
+                grid=config.grid, correspondences=config.correspondences,
             )
-        timings["disks"] = time.perf_counter() - t0
+            timings["covering"] = time.perf_counter() - t0
+            t0 = time.perf_counter()
+            certified["cones"] = check_cone_chain(list(chain.forms), certified["covering"])
+            timings["cones"] = time.perf_counter() - t0
+
+            t0 = time.perf_counter()
+            for side, cmap, (ntilde, qtilde, param, p_coeff) in disks:
+                certified[f"{side}_disk"] = verify_disk(
+                    side, ntilde, qtilde, cmap, param, p_coeff, config.grid
+                )
+            timings["disks"] = time.perf_counter() - t0
     except VerificationInconclusive as exc:
         exc.certified = {**certified, **exc.certified}
         raise

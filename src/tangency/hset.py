@@ -13,7 +13,7 @@ Rigor enters through ``inv_coord``, a verified interval enclosure of M^-1
 with closed-form 2x2 blocks (adj/det) and exact zeros off the blocks of M
 (see ``linalg.inverse_enclosure``); the coordinate matrix itself is an
 exact point matrix.  Both, and the center as a point interval vector, are built
-once per set.
+once per set, inv_coord in a kernels.upward() block.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ class HSet:
                 )
         self.center_vec = IntervalVector(self.center)
         self.frame = IntervalMatrix(self.coord)
-        self.inv_coord = inverse_enclosure(self.coord)
+        with _k.upward():
+            self.inv_coord = inverse_enclosure(self.coord)
         self._rows_read = {}
 
     @property

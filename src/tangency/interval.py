@@ -368,10 +368,12 @@ def _odd_kernel(r, poly, k_err):
     b_i, holds the series' first 8 terms after r, and tau is the alternating
     tail, at most the first omitted term: |tau| <= |r|·z·z^8/19! for sin and
     |r|·z·z^8/19 for atan.  The analysis assumes IEEE binary64 with
-    round-to-nearest and every operation rounded once.  CPython guarantees
-    this: each float operation of a Python expression is one C double
+    round-to-nearest and every operation rounded once.  The float steps run
+    in a ``kernels.nearest()`` block, so they round to nearest inside the
+    upward-rounding blocks of the proof too, and CPython guarantees the
+    rest: each float operation of a Python expression is one C double
     operation, so none is contracted into an FMA or kept in extended
-    precision (the error-free transformations in ``tangency._pyops`` rest on
+    precision (the directed-rounding kernels in ``tangency._pyops`` rest on
     the same fact).  With u = 2**-53 and g_k = k·u/(1 - k·u) (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2002, §3.1, §5.1):
 
@@ -403,11 +405,13 @@ def _odd_kernel(r, poly, k_err):
     """
     if abs(r) < _TINY_ARG:
         return r, _k.mul_up(abs(r), 2.0**-54)
-    z = r * r
-    c = r * (z * _horner(poly, z))
-    y = r + c
-    t = c - (y - r)
-    return y, _k.add_up(k_err * (abs(r) * z), abs(t))
+    with _k.nearest():
+        z = r * r
+        c = r * (z * _horner(poly, z))
+        y = r + c
+        t = c - (y - r)
+        e = k_err * (abs(r) * z)
+    return y, _k.add_up(e, abs(t))
 
 
 def _cos_kernel(r):
@@ -422,11 +426,13 @@ def _cos_kernel(r):
     """
     if abs(r) < _TINY_ARG:
         return 1.0, _k.mul_up(r, r)
-    z = r * r
-    d = z * _horner(_COS_POLY, z)
-    y = 1.0 + d
-    t = d - (y - 1.0)
-    return y, _k.add_up(_COS_K * z, abs(t))
+    with _k.nearest():
+        z = r * r
+        d = z * _horner(_COS_POLY, z)
+        y = 1.0 + d
+        t = d - (y - 1.0)
+        e = _COS_K * z
+    return y, _k.add_up(e, abs(t))
 
 
 # ---------------------------------------------------------------------------

@@ -234,9 +234,10 @@ def _nonzero(pairs):
 
     A product term with an exact-zero factor is (+0.0, +0.0).  Adding it
     changes an accumulator only if that is -0.0, and a dot product's
-    accumulator never is: it starts at +0.0, and a round-to-nearest sum is
-    -0.0 only when both addends are.  So the products skip such terms and
-    their results keep every bit.
+    accumulator never is: it starts at +0.0, a lower bound is never -0.0,
+    and an upper bound, a sum, is -0.0 only when both addends are (see
+    tangency._pyops).  So the products skip such terms and their results
+    keep every bit.
     """
     return [(k, p) for k, p in enumerate(pairs) if p[0] or p[1]]
 

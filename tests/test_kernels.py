@@ -2,16 +2,20 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
+
+import pytest
 
 import tangency
 from tangency import _pyops, kernels
+from tangency.interval import Interval
 from conftest import random_float
 
 KERNELS = (
     "add_down", "add_up", "sub_down", "sub_up", "mul_down", "mul_up",
     "div_down", "div_up", "sqrt_down", "sqrt_up",
-    "iadd", "isub", "imul", "idiv", "isqr", "isqrt",
+    "iadd", "isub", "imul", "idiv", "isqr", "isqrt", "upward", "nearest",
 )
 
 
@@ -206,3 +210,192 @@ class TestExactZeroShortCircuit:
                 assert any(math.isnan(x) for x in _imul_full(*z, *b))
                 assert _hex(_pyops.imul(*z, *b)) == _hex((0.0, 0.0))
                 assert _hex(_pyops.imul(*b, *z)) == _hex((0.0, 0.0))
+
+
+# -- correct rounding against exact rationals ---------------------------------
+
+_MAX = sys.float_info.max
+
+
+def _rd(x):
+    """The largest float at most the rational x (-inf below -MAX)."""
+    if x > _MAX:
+        return _MAX
+    if x < -_MAX:
+        return -math.inf
+    f = float(x)
+    return math.nextafter(f, -math.inf) if Fraction(f) > x else f
+
+
+def _ru(x):
+    """The smallest float at least the rational x (+inf above MAX)."""
+    return -_rd(-x)
+
+
+def _sqrt_rd(x):
+    """The largest float whose square is at most the float x >= 0."""
+    s, fx = math.sqrt(x), Fraction(x)
+    while Fraction(s) ** 2 > fx:
+        s = math.nextafter(s, -math.inf)
+    while Fraction(math.nextafter(s, math.inf)) ** 2 <= fx:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
+def _sqrt_ru(x):
+    s = _sqrt_rd(x)
+    return s if Fraction(s) ** 2 == Fraction(x) else math.nextafter(s, math.inf)
+
+
+def _wide_float(rng):
+    """A float of any binade, subnormals and binades beyond 2**+-500
+    included, or one of random_float's moderate draws."""
+    if rng.random() < 0.3:
+        return random_float(rng)
+    if rng.random() < 0.1:
+        return rng.choice(_EXTREMES)
+    x = math.ldexp(rng.uniform(1.0, 2.0), rng.randint(-1075, 1023))
+    return -x if rng.random() < 0.5 else x
+
+
+def _wide_pair(rng):
+    lo = _wide_float(rng)
+    hi = lo if rng.random() < 0.3 else _wide_float(rng)
+    return min(lo, hi), max(lo, hi)
+
+
+def _run(inside, calls):
+    """Evaluate the thunks calls inside one upward block (the per-call
+    fallback made to fail) or each outside any block (the fallback)."""
+    if not inside:
+        return [f() for f in calls]
+    saved = _pyops._upward_call
+
+    def no_fallback(kernel, *args):
+        raise AssertionError(f"{kernel.__name__} fell back inside an upward block")
+
+    _pyops._upward_call = no_fallback
+    try:
+        with kernels.upward():
+            return [f() for f in calls]
+    finally:
+        _pyops._upward_call = saved
+
+
+def _is_plus_zero_or_nonzero(x):
+    return x != 0.0 or math.copysign(1.0, x) > 0.0
+
+
+WHERE = pytest.mark.parametrize("inside", [True, False], ids=["upward-block", "per-call"])
+
+
+class TestCorrectRounding:
+    """Every kernel returns the tightest float bound of the exact result,
+    inside an upward block and through the per-call fallback alike."""
+
+    @WHERE
+    def test_scalar_kernels_are_tightest(self, rng, inside):
+        ops = (
+            ("add", lambda fa, fb: fa + fb),
+            ("sub", lambda fa, fb: fa - fb),
+            ("mul", lambda fa, fb: fa * fb),
+            ("div", lambda fa, fb: fa / fb),
+        )
+        cases, calls = [], []
+        for _ in range(3000):
+            a, b = _wide_float(rng), _wide_float(rng)
+            for name, exact in ops:
+                if name == "div" and b == 0.0:
+                    continue
+                down, up = getattr(_pyops, name + "_down"), getattr(_pyops, name + "_up")
+                cases.append((name, a, b, exact(Fraction(a), Fraction(b))))
+                calls += [lambda d=down, a=a, b=b: d(a, b), lambda u=up, a=a, b=b: u(a, b)]
+        results = _run(inside, calls)
+        for (name, a, b, exact), lo, hi in zip(cases, results[::2], results[1::2]):
+            assert lo == _rd(exact) and hi == _ru(exact), (name, a, b, lo, hi)
+            assert _is_plus_zero_or_nonzero(lo), (name, a, b)
+            if name != "add" and name != "sub":
+                assert _is_plus_zero_or_nonzero(hi), (name, a, b)
+
+    @WHERE
+    def test_sqrt_is_tightest(self, rng, inside):
+        xs = [abs(_wide_float(rng)) for _ in range(3000)]
+        xs += [0.0, -0.0, 4.0, 2.0, 5e-324, 2.0**-1074 * 4, _MAX]
+        calls = []
+        for x in xs:
+            calls += [lambda x=x: _pyops.sqrt_down(x), lambda x=x: _pyops.sqrt_up(x),
+                      lambda x=x: _pyops.isqrt(x, x)]
+        results = _run(inside, calls)
+        for x, lo, hi, pair in zip(xs, results[::3], results[1::3], results[2::3]):
+            assert lo == _sqrt_rd(x) and hi == _sqrt_ru(x), (x, lo, hi)
+            assert pair == (lo, hi)
+            assert _is_plus_zero_or_nonzero(lo) and _is_plus_zero_or_nonzero(hi), x
+
+    @WHERE
+    def test_interval_kernels_are_tightest(self, rng, inside):
+        cases, calls = [], []
+        for _ in range(1500):
+            a, b = _wide_pair(rng), _wide_pair(rng)
+            fa, fb = [Fraction(x) for x in a], [Fraction(x) for x in b]
+            prods = [x * y for x in fa for y in fb]
+            cases.append(("iadd", fa[0] + fb[0], fa[1] + fb[1]))
+            cases.append(("isub", fa[0] - fb[1], fa[1] - fb[0]))
+            cases.append(("imul", min(prods), max(prods)))
+            sq = [x * x for x in fa]
+            sq_lo = 0 if fa[0] <= 0 <= fa[1] else min(sq)
+            cases.append(("isqr", sq_lo, max(sq)))
+            calls += [lambda a=a, b=b: _pyops.iadd(*a, *b),
+                      lambda a=a, b=b: _pyops.isub(*a, *b),
+                      lambda a=a, b=b: _pyops.imul(*a, *b),
+                      lambda a=a: _pyops.isqr(*a)]
+            if b[0] > 0.0 or b[1] < 0.0:
+                quots = [x / y for x in fa for y in fb]
+                cases.append(("idiv", min(quots), max(quots)))
+                calls.append(lambda a=a, b=b: _pyops.idiv(*a, *b))
+        for (name, lo_exact, hi_exact), (lo, hi) in zip(cases, _run(inside, calls)):
+            assert (lo, hi) == (_rd(lo_exact), _ru(hi_exact)), (name, lo, hi)
+            assert _is_plus_zero_or_nonzero(lo), name
+            if name in ("imul", "isqr", "idiv"):
+                assert _is_plus_zero_or_nonzero(hi), name
+
+    def test_exact_quotients_and_roots_are_not_widened(self):
+        # The one-ulp nudge of an inexactness test is gone: exact results
+        # come back as themselves, inexact ones as the two neighbours.
+        assert _pyops.div_down(1.0, 3.0) == math.nextafter(_pyops.div_up(1.0, 3.0), 0.0)
+        assert _pyops.div_down(2.0**-1000, 2.0**40) == 2.0**-1040 == _pyops.div_up(2.0**-1000, 2.0**40)
+        assert _pyops.sqrt_down(2.0**-1074) == 2.0**-537 == _pyops.sqrt_up(2.0**-1074)
+        assert _pyops.sqrt_down(2.0**-1073) == math.nextafter(_pyops.sqrt_up(2.0**-1073), 0.0)
+        assert _pyops.sqrt_down(2.0**600) == 2.0**300 == _pyops.sqrt_up(2.0**600)
+        assert _pyops.mul_down(2.0**600, 2.0**-700) == 2.0**-100 == _pyops.mul_up(2.0**600, 2.0**-700)
+
+
+def _elementary_args(rng, n):
+    out = []
+    for _ in range(n):
+        w = rng.random()
+        if w < 0.4:
+            x = rng.uniform(-8.0, 8.0)
+        elif w < 0.7:
+            x = rng.uniform(-1e4, 1e4)
+        elif w < 0.9:
+            x = math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-60, 40))
+        else:
+            x = rng.uniform(0.0, 3.2)
+        width = 0.0 if rng.random() < 0.5 else abs(x) * 2.0**-rng.randint(10, 50)
+        out.append((x, x + width))
+    return out
+
+
+def test_elementary_functions_are_the_same_bits_in_and_out_of_a_block(rng):
+    """sin, cos and atan round their float kernels to nearest inside an
+    upward block too, so the enclosures do not depend on the caller's mode."""
+    boxes = [Interval(lo, hi) for lo, hi in _elementary_args(rng, 10000)]
+
+    def evaluate():
+        return [(f(box).lo.hex(), f(box).hi.hex())
+                for box in boxes for f in (Interval.sin, Interval.cos, Interval.atan)]
+
+    outside = evaluate()
+    with kernels.upward():
+        inside = evaluate()
+    assert inside == outside

@@ -31,7 +31,10 @@ takes_outputs=True)`` on trees whose ``tangency.covering`` still has a
 sub-box is evaluated on: those of its paired target row, on trees that
 enclose each wall on that row only, and those of every unstable target row
 on older trees.  So it compares only source trees whose ``ChartMap`` takes
-output indices; older trees fail in the first run.
+output indices; older trees fail in the first run.  On trees whose
+``tangency.kernels`` has ``upward``, the sin, cos, atan, matrix, jet, cone
+and covering loops run inside one ``kernels.upward()`` block, as the proof
+runs them; elsewhere they run as they are.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def _grid1_report():
 
 
 def _one_run(calls, repeat):
-    from tangency import covering, report
+    from tangency import covering, kernels, report
     from tangency.cones import cone_matrix, rump_positive_definite
     from tangency.covering import check_covering
     from tangency.henon import HenonConfig, build_chain, henon_family, run_proof
@@ -86,10 +89,12 @@ def _one_run(calls, repeat):
     from tangency.linalg import inverse_enclosure
     from tangency.projective import ChartMap
 
+    upward = getattr(kernels, "upward", contextlib.nullcontext)
     out = {}
-    for kind, x in (("thin", Interval(T)), ("wide", Interval(T, T + WIDE))):
-        for name in ("sin", "cos", "atan"):
-            out[f"interval.{name}_{kind}_us"] = _best(getattr(x, name), repeat, calls) * 1e6
+    with upward():
+        for kind, x in (("thin", Interval(T)), ("wide", Interval(T, T + WIDE))):
+            for name in ("sin", "cos", "atan"):
+                out[f"interval.{name}_{kind}_us"] = _best(getattr(x, name), repeat, calls) * 1e6
 
     chain = build_chain()
     chart = ChartMap(henon_family())
@@ -97,10 +102,11 @@ def _one_run(calls, repeat):
     fmap = chart
     if hasattr(covering, "BoxMap"):  # a tree that wraps the chart map
         fmap = covering.BoxMap(chart.apply, chart.derivative, takes_outputs=True)
-    box = src.box()
-    _, jacobian = chart.derivative(box)
-    link = check_covering(src, tgt, fmap)
-    v = cone_matrix(link.local_jacobian, chain.forms[0], chain.forms[1])
+    with upward():
+        box = src.box()
+        _, jacobian = chart.derivative(box)
+        link = check_covering(src, tgt, fmap)
+        v = cone_matrix(link.local_jacobian, chain.forms[0], chain.forms[1])
     doc = _grid1_report()
     layers = (
         ("linalg.inverse_enclosure_4x4_us", lambda: inverse_enclosure(tgt.coord),
@@ -112,10 +118,11 @@ def _one_run(calls, repeat):
         ("cones.rump_4x4_us", lambda: rump_positive_definite(v), calls // 10),
         ("covering.link_N0_N1_us",
          lambda: check_covering(src, tgt, fmap), calls // 200),
-        ("report.dumps_us", lambda: report.dumps(doc), calls // 200),
     )
-    for key, f, number in layers:
-        out[key] = _best(f, repeat, max(number, 1)) * 1e6
+    with upward():
+        for key, f, number in layers:
+            out[key] = _best(f, repeat, max(number, 1)) * 1e6
+    out["report.dumps_us"] = _best(lambda: report.dumps(doc), repeat, max(calls // 200, 1)) * 1e6
 
     for grid in (1, 2):
         config = HenonConfig(grid=grid)
