@@ -15,10 +15,10 @@ are fixed tables.
 
 from __future__ import annotations
 
+import decimal
 import math
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from tangency import kernels as _k
 from tangency.cones import check_cone_chain
@@ -204,13 +204,14 @@ class HenonChain:
 def build_chain(param_radius=PARAM_RADIUS):
     """Construct the 16 h-sets and cone forms of the heteroclinic chain.
 
-    Centers c_2..c_14 are the midpoints of 240-bit enclosures of the seed
-    orbit and its tangent direction under the projectivized map (see
-    _highprec_orbit for why binary64 center generation cannot work here);
-    frames follow the reference propagation rules, in round-to-nearest.  The
-    rigorous one-step chart enclosure of every center c_1..c_14 is checked,
-    in a kernels.upward() block, and dropped: one wider than ORBIT_WIDTH_MAX
-    in x, y or t aborts the build.
+    Centers c_2..c_14 are the binary64 roundings of the seed orbit and its
+    tangent direction under the projectivized map, computed in decimal at
+    _DIGITS digits (see _highprec_orbit for why binary64 center generation
+    cannot work here); frames follow the reference propagation rules, in
+    round-to-nearest.  The rigorous one-step chart enclosure of every center
+    c_1..c_14 is checked, in a kernels.upward() block, and dropped: one
+    wider than ORBIT_WIDTH_MAX in x, y or t aborts the build.  float() of a
+    Decimal parses a string, so the centers are converted before that block.
     """
     eig = eigen_data()
     x0m = eig["x0"].mid
@@ -230,8 +231,8 @@ def build_chain(param_radius=PARAM_RADIUS):
     orbit_hp = _highprec_orbit(13)
     for i in range(1, 15):
         zx, zy, vx, vy = orbit_hp[i - 1]
-        t_i = _angle_of((_fp_to_float(vx), _fp_to_float(vy)))
-        centers4[i] = (_fp_to_float(zx), _fp_to_float(zy), t_i, A0)
+        t_i = _angle_of((float(vx), float(vy)))
+        centers4[i] = (float(zx), float(zy), t_i, A0)
 
     with _k.upward():
         for i in range(1, 15):
@@ -481,132 +482,68 @@ def seed_quality():
     return back, forw
 
 
-# -- high-precision scaled-integer intervals for the alignment diagnostic ----
+# -- the seed orbit in extended precision -------------------------------------
 #
-# The arrival direction of the 14-step image of [u0] is hypersensitive to the
-# seed: the per-step angle derivative is det(DH)/||DH v||^2, which spikes
-# where the direction crosses the contracted axis, so binary64-rounded seeds
-# shift the answer by ~1e-2.  The reference diagnostic refers to the exact
-# algebraic seed; reproducing it takes extended precision, supplied here by
-# directed-rounding intervals over integers scaled by 2^-_FP_BITS.
+# Search data, not certificate data: build_chain takes only the binary64
+# rounding of each orbit entry, and tangent_alignment is a diagnostic, so
+# plain decimal arithmetic at _DIGITS significant digits suffices.
 
-_FP_BITS = 240
+_DIGITS = 80
 
 
-def _fp_from_fraction(fr, bits=_FP_BITS):
-    num, den = fr.numerator, fr.denominator
-    lo = (num << bits) // den
-    return lo, lo if (num << bits) % den == 0 else lo + 1
-
-
-def _fp_add(a, b):
-    return a[0] + b[0], a[1] + b[1]
-
-
-def _fp_sub(a, b):
-    return a[0] - b[1], a[1] - b[0]
-
-
-def _fp_shift(p, bits=_FP_BITS):
-    # floor/ceil of p / 2^bits
-    lo = p[0] >> bits
-    hi = -((-p[1]) >> bits)
-    return lo, hi
-
-
-def _fp_mul(a, b, bits=_FP_BITS):
-    prods = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return _fp_shift((min(prods), max(prods)), bits)
-
-
-def _fp_div(a, b, bits=_FP_BITS):
-    # Requires 0 outside b.
-    if b[0] <= 0 <= b[1]:
-        raise IntervalError("scaled-integer division by zero-containing value")
-    cands = []
-    for num in (a[0], a[1]):
-        for den in (b[0], b[1]):
-            q, r = divmod(num << bits, den)
-            cands.append(q)
-            cands.append(q if r == 0 else q + 1)
-    return min(cands), max(cands)
-
-
-def _fp_sqrt(a, bits=_FP_BITS):
-    if a[0] < 0:
-        raise IntervalError("scaled-integer sqrt of negative value")
-    lo = math.isqrt(a[0] << bits)
-    hi_base = math.isqrt(a[1] << bits)
-    hi = hi_base if hi_base * hi_base == (a[1] << bits) else hi_base + 1
-    return lo, hi
-
-
-def _fp_to_float(a, bits=_FP_BITS):
-    return float(Fraction(a[0] + a[1], 2 << bits))
+def _digits_context():
+    """A fresh round-half-even context of _DIGITS digits, so the caller's
+    decimal context cannot change the orbit."""
+    return decimal.localcontext(
+        decimal.Context(prec=_DIGITS, rounding=decimal.ROUND_HALF_EVEN)
+    )
 
 
 def _highprec_seed_data():
-    """Exact-decimal seed constants enclosed at 240 bits.
+    """The seed constants and point as Decimals, in the current context.
 
-    Returns (a0, b0, x0, u0, s0, z1) as scaled-integer intervals; the
-    eigenvectors are unit, s0 carries the reference sign (second component
-    negative), and z1 is the reference homoclinic seed.
+    Returns (a0, b0, u0, s0, z1): the exact decimals of A0, B0, the unit
+    eigenvectors (s0 with the reference sign, second component negative)
+    and the reference homoclinic seed z1 built from SEED_U_COEFF and
+    SEED_S_COEFF.
     """
-    one = _fp_from_fraction(Fraction(1))
-    a0 = _fp_from_fraction(Fraction(13145271093265, 10**13))
-    b0 = _fp_from_fraction(Fraction(-3, 10))
-    cu = _fp_from_fraction(Fraction(1993152279412426, 10**19))
-    cs = _fp_from_fraction(Fraction(250404, 10**16))
-
+    a0, b0, cu, cs = (
+        decimal.Decimal(repr(c)) for c in (A0, B0, SEED_U_COEFF, SEED_S_COEFF)
+    )
     # x0 = (b - sqrt((b-1)^2 + 4a) - 1)/2, lam/mu = -x0 +- sqrt(x0^2 + b)
-    root = _fp_sqrt(
-        _fp_add(
-            _fp_mul(_fp_sub(b0, one), _fp_sub(b0, one)),
-            _fp_mul(_fp_from_fraction(Fraction(4)), a0),
-        )
-    )
-    x0 = _fp_div(_fp_sub(_fp_sub(b0, root), one), _fp_from_fraction(Fraction(2)))
-    disc = _fp_sqrt(_fp_add(_fp_mul(x0, x0), b0))
-    lam = _fp_sub(disc, x0)
-    zero = _fp_from_fraction(Fraction(0))
-    mu = _fp_sub(_fp_sub(zero, x0), disc)
-
-    un = _fp_sqrt(_fp_add(_fp_mul(lam, lam), one))
-    u0 = (_fp_div(lam, un), _fp_div(one, un))
-    sn = _fp_sqrt(_fp_add(_fp_mul(mu, mu), one))
-    s0 = (_fp_sub(zero, _fp_div(mu, sn)), _fp_sub(zero, _fp_div(one, sn)))
-
-    z1 = (
-        _fp_add(x0, _fp_add(_fp_mul(cu, u0[0]), _fp_mul(cs, s0[0]))),
-        _fp_add(x0, _fp_add(_fp_mul(cu, u0[1]), _fp_mul(cs, s0[1]))),
-    )
-    return a0, b0, x0, u0, s0, z1
+    x0 = (b0 - ((b0 - 1) * (b0 - 1) + 4 * a0).sqrt() - 1) / 2
+    disc = (x0 * x0 + b0).sqrt()
+    lam = disc - x0
+    mu = -x0 - disc
+    un = (lam * lam + 1).sqrt()
+    u0 = (lam / un, 1 / un)
+    sn = (mu * mu + 1).sqrt()
+    s0 = (-mu / sn, -1 / sn)
+    z1 = (x0 + cu * u0[0] + cs * s0[0], x0 + cu * u0[1] + cs * s0[1])
+    return a0, b0, u0, s0, z1
 
 
 def _highprec_orbit(steps=14):
-    """Positions and tangent directions of the seed orbit at 240 bits.
+    """Positions and tangent directions of the seed orbit at _DIGITS digits.
 
-    Returns a list of (zx, zy, vx, vy) scaled-integer interval tuples for
-    orbit indices 1..steps+1 (index 1 is the seed with direction u0).  The
-    arrival direction is hypersensitive to the seed representation (the
-    per-step angle derivative det DH / ||DH v||^2 spikes where the tangent
-    crosses the contracted axis, net amplification ~1e10), so binary64
-    propagation -- or binary64-rounded seeds -- would land the final tangent
-    thousands of target-set widths away; the exact-decimal seed at extended
-    precision is what the reference chain data corresponds to.
+    Returns a list of (zx, zy, vx, vy) Decimal tuples for orbit indices
+    1..steps+1 (index 1 is the seed with direction u0).  The arrival
+    direction is hypersensitive to the seed representation (the per-step
+    angle derivative det DH / ||DH v||^2 spikes where the tangent crosses
+    the contracted axis, net amplification ~1e10), so binary64 propagation
+    -- or binary64-rounded seeds -- would land the final tangent thousands
+    of target-set widths away; the exact decimal seed at extended precision
+    is what the reference chain data corresponds to.
     """
-    a0, b0, _, u0, _, z1 = _highprec_seed_data()
-    zx, zy = z1
-    vx, vy = u0
-    minus_two = _fp_from_fraction(Fraction(-2))
-    out = [(zx, zy, vx, vy)]
-    for _ in range(steps):
-        vx, vy = (
-            _fp_add(_fp_mul(_fp_mul(minus_two, zx), vx), _fp_mul(b0, vy)),
-            vx,
-        )
-        zx, zy = _fp_add(_fp_sub(a0, _fp_mul(zx, zx)), _fp_mul(b0, zy)), zx
-        out.append((zx, zy, vx, vy))
+    with _digits_context():
+        a0, b0, u0, _, z1 = _highprec_seed_data()
+        zx, zy = z1
+        vx, vy = u0
+        out = [(zx, zy, vx, vy)]
+        for _ in range(steps):
+            vx, vy = -2 * zx * vx + b0 * vy, vx
+            zx, zy = a0 - zx * zx + b0 * zy, zx
+            out.append((zx, zy, vx, vy))
     return out
 
 
@@ -614,23 +551,15 @@ def tangent_alignment():
     """Eigenbasis components of the 14-step image of the unstable direction.
 
     Evaluates M^-1 pi_t(PH^14(z1, [u0])), M = [u0, s0], for the exact seed
-    in the 240-bit engine.  Returns float bounds ((u_lo, u_hi), (s_lo, s_hi))
-    with the sign fixed so the s-component is positive.
+    at _DIGITS digits, normalised by |pi_t|.  Returns the floats (u, s), with
+    the sign fixed so the s-component is positive.
     """
-    _, _, _, u0, s0, _ = _highprec_seed_data()
     _, _, vx, vy = _highprec_orbit(14)[-1]
-
-    det = _fp_sub(_fp_mul(u0[0], s0[1]), _fp_mul(u0[1], s0[0]))
-    comp_u = _fp_div(_fp_sub(_fp_mul(s0[1], vx), _fp_mul(s0[0], vy)), det)
-    comp_s = _fp_div(_fp_sub(_fp_mul(u0[0], vy), _fp_mul(u0[1], vx)), det)
-    norm = _fp_sqrt(_fp_add(_fp_mul(vx, vx), _fp_mul(vy, vy)))
-    out_u = _fp_div(comp_u, norm)
-    out_s = _fp_div(comp_s, norm)
-    if out_s[1] < 0:
-        out_u = (-out_u[1], -out_u[0])
-        out_s = (-out_s[1], -out_s[0])
-    scale = float(1 << _FP_BITS)
-    return (
-        (out_u[0] / scale, out_u[1] / scale),
-        (out_s[0] / scale, out_s[1] / scale),
-    )
+    with _digits_context():
+        _, _, u0, s0, _ = _highprec_seed_data()
+        scale = (u0[0] * s0[1] - u0[1] * s0[0]) * (vx * vx + vy * vy).sqrt()
+        u = (s0[1] * vx - s0[0] * vy) / scale
+        s = (u0[0] * vy - u0[1] * vx) / scale
+        if s < 0:
+            u, s = -u, -s
+    return float(u), float(s)

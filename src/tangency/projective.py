@@ -120,11 +120,6 @@ class ChartMap:
         self.family = family
         self.direction = direction
 
-    @property
-    def name(self):
-        suffix = "" if self.direction == "forward" else "^-1"
-        return f"P[{self.family.name}]{suffix}"
-
     def _evaluator(self):
         return (
             self.family.forward

@@ -1,5 +1,6 @@
 """Henon certification: data integrity, chain, cones, disks, full driver."""
 
+import decimal
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     frac_inverse,
     frac_matmul,
 )
+from tangency import henon
 from tangency.covering import VerificationInconclusive
 from tangency.henon import (
     A0,
@@ -20,6 +22,8 @@ from tangency.henon import (
     FORM_ROWS,
     LAM,
     MU,
+    SEED_S_COEFF,
+    SEED_U_COEFF,
     HenonConfig,
     build_chain,
     eigen_data,
@@ -126,10 +130,45 @@ class TestSeedQuality:
         # The 14-step image of the unstable direction is microradian-close
         # to the stable direction; the exact value is seed-representation
         # sensitive, so only the magnitude scale is asserted.
-        (u_lo, u_hi), (s_lo, s_hi) = tangent_alignment()
-        assert u_hi - u_lo < 1e-12  # 240-bit evaluation is essentially exact
-        assert abs(u_lo) < 5e-6
-        assert 0.999999 < s_lo <= s_hi <= 1.0 + 1e-12
+        u, s = tangent_alignment()
+        assert abs(u) < 5e-6
+        assert 0.999999 < s <= 1.0 + 1e-12
+
+
+class TestSeedOrbitPrecision:
+    """The decimal seed orbit is search data: only its binary64 roundings
+    are used, and they must not depend on the working precision or on the
+    caller's decimal context."""
+
+    @staticmethod
+    def _binary64_orbit():
+        orbit = [tuple(float(x) for x in p) for p in henon._highprec_orbit(14)]
+        return orbit, tangent_alignment()
+
+    def test_roundings_are_the_same_at_twice_the_digits(self, monkeypatch):
+        orbit, alignment = self._binary64_orbit()
+        assert len(orbit) == 15
+        digits = henon._DIGITS
+        monkeypatch.setattr(henon, "_DIGITS", 2 * digits)
+        last = henon._highprec_orbit(14)[-1][0]
+        assert len(last.as_tuple().digits) > digits
+        assert self._binary64_orbit() == (orbit, alignment)
+
+    def test_callers_decimal_context_is_ignored(self, henon_chain):
+        alignment = tangent_alignment()
+        floor6 = decimal.Context(prec=6, rounding=decimal.ROUND_FLOOR)
+        with decimal.localcontext(floor6):
+            chain = build_chain()
+            assert tangent_alignment() == alignment
+        for s, t in zip(chain.sets, henon_chain.sets):
+            assert s.center == t.center, s.name
+            assert s.coord == t.coord, s.name
+
+    def test_seed_constants_are_the_reference_decimals(self):
+        reprs = [repr(c) for c in (A0, B0, SEED_U_COEFF, SEED_S_COEFF)]
+        assert reprs == [
+            "1.3145271093265", "-0.3", "0.0001993152279412426", "2.50404e-11"
+        ]
 
 
 class TestChainData:

@@ -24,17 +24,11 @@ total.  The document holds, per tree and measurement, the minimum over
 all timed runs.
 
 The layer loops pass IntervalVector boxes to ``ChartMap.derivative`` and
-the chart map to ``check_covering`` as ``run_proof`` passes it: the
-``ChartMap`` itself, or ``BoxMap(chart.apply, chart.derivative,
-takes_outputs=True)`` on trees whose ``tangency.covering`` still has a
-``BoxMap``.  Either way the covering check picks the outputs each wall
-sub-box is evaluated on: those of its paired target row, on trees that
-enclose each wall on that row only, and those of every unstable target row
-on older trees.  So it compares only source trees whose ``ChartMap`` takes
-output indices; older trees fail in the first run.  On trees whose
-``tangency.kernels`` has ``upward``, the sin, cos, atan, matrix, jet, cone
-and covering loops run inside one ``kernels.upward()`` block, as the proof
-runs them; elsewhere they run as they are.
+the ``ChartMap`` itself to ``check_covering``, as ``run_proof`` does; the
+sin, cos, atan, matrix, jet, cone and covering loops run inside one
+``kernels.upward()`` block, as the proof runs them.  So it compares only
+source trees whose ``tangency.kernels`` has ``upward`` and whose
+``check_covering`` takes the ``ChartMap`` unwrapped.
 """
 
 from __future__ import annotations
@@ -80,16 +74,16 @@ def _grid1_report():
 
 
 def _one_run(calls, repeat):
-    from tangency import covering, kernels, report
+    from tangency import report
     from tangency.cones import cone_matrix, rump_positive_definite
     from tangency.covering import check_covering
     from tangency.henon import HenonConfig, build_chain, henon_family, run_proof
     from tangency.hset import local_derivative
     from tangency.interval import Interval
+    from tangency.kernels import upward
     from tangency.linalg import inverse_enclosure
     from tangency.projective import ChartMap
 
-    upward = getattr(kernels, "upward", contextlib.nullcontext)
     out = {}
     with upward():
         for kind, x in (("thin", Interval(T)), ("wide", Interval(T, T + WIDE))):
@@ -99,13 +93,10 @@ def _one_run(calls, repeat):
     chain = build_chain()
     chart = ChartMap(henon_family())
     src, tgt = chain.sets[0], chain.sets[1]
-    fmap = chart
-    if hasattr(covering, "BoxMap"):  # a tree that wraps the chart map
-        fmap = covering.BoxMap(chart.apply, chart.derivative, takes_outputs=True)
     with upward():
         box = src.box()
         _, jacobian = chart.derivative(box)
-        link = check_covering(src, tgt, fmap)
+        link = check_covering(src, tgt, chart)
         v = cone_matrix(link.local_jacobian, chain.forms[0], chain.forms[1])
     doc = _grid1_report()
     layers = (
@@ -117,7 +108,7 @@ def _one_run(calls, repeat):
          calls // 10),
         ("cones.rump_4x4_us", lambda: rump_positive_definite(v), calls // 10),
         ("covering.link_N0_N1_us",
-         lambda: check_covering(src, tgt, fmap), calls // 200),
+         lambda: check_covering(src, tgt, chart), calls // 200),
     )
     with upward():
         for key, f, number in layers:
