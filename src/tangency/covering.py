@@ -44,7 +44,7 @@ from itertools import permutations
 from tangency import kernels as _k
 from tangency.hset import local_derivative_rows
 from tangency.interval import Interval, IntervalError, check_pairs, pair_mid
-from tangency.linalg import IntervalMatrix, IntervalVector
+from tangency.linalg import IntervalMatrix, IntervalVector, dot, nonzero_pattern
 
 
 class _LocatedError(Exception):
@@ -110,9 +110,10 @@ def _thin_image(src, tgt, fmap, zbox, rows):
     returns other than len(cols) entries breaks the map protocol (module
     docstring): TypeError, a bug and never a verdict."""
     cols = tgt.columns_read(rows)
-    mids = [pair_mid(*z) for z in zbox.pairs]
-    mid = IntervalVector.from_pairs([(m, m) for m in mids])
-    value = fmap.apply(src.from_normalized(mid), cols)
+    mid = [(m, m) for m in (pair_mid(*z) for z in zbox.pairs)]
+    value = fmap.apply(
+        IntervalVector.from_pairs(src.from_normalized_pairs(mid)), cols
+    )
     if value.dim != len(cols):
         raise TypeError(
             f"{src.name}=>{tgt.name}: asked for the outputs {cols}, the map "
@@ -124,7 +125,9 @@ def _thin_image(src, tgt, fmap, zbox, rows):
 def _image_normalized(src, tgt, fmap, zbox, rows, thin=None):
     """Normalized-coordinate image enclosure of a normalized sub-box on the
     target axes ``rows``, as a dict axis -> (lo, hi), and those rows of the
-    local-frame derivative (hset.local_derivative) over that sub-box.
+    local-frame derivative (hset.local_derivative) over that sub-box, as a
+    tuple of rows of (lo, hi) pairs.  Everything between the map's returns
+    runs on pairs (see hset), and each vector or row is checked once.
 
     Evaluated in mean-value form,
 
@@ -143,9 +146,10 @@ def _image_normalized(src, tgt, fmap, zbox, rows, thin=None):
 
     g(mid z) is the _thin_image of zbox, a dict holding at least the axes
     rows; a caller that already has it (a wall: the image its pairing was
-    searched on) passes it as ``thin``, else it is mapped here.  Those rows of M_tgt^-1 read only the ambient
-    coordinates cols = tgt.columns_read(rows); every other column of them is
-    an exact zero, whose term the products skip.  So fmap is evaluated on
+    searched on) passes it as ``thin``, else it is mapped here.  Those rows
+    of M_tgt^-1 read only the ambient coordinates cols =
+    tgt.columns_read(rows); every other column of them is an exact zero,
+    whose term the products skip.  So fmap is evaluated on
     the outputs cols only, and the rows computed keep every bit.  For the
     chart map this drops the tangent angle on walls whose paired target row
     does not read it, and with it the check that the image angle lies in
@@ -167,19 +171,19 @@ def _image_normalized(src, tgt, fmap, zbox, rows, thin=None):
             f"Jacobian rows"
         )
     local = local_derivative_rows(src, tgt, jacobian, rows)
-    scaled = IntervalMatrix.from_pairs(
-        [
-            [idiv(*imul(*e, d_src, d_src), d_tgt, d_tgt)
-             for e, d_src in zip(local_row, src.diam)]
-            for local_row, d_tgt in zip(local.pairs, (tgt.diam[j] for j in rows))
-        ]
+    scaled = [
+        check_pairs([idiv(*imul(*e, d_src, d_src), d_tgt, d_tgt)
+                     for e, d_src in zip(local_row, src.diam)])
+        for local_row, d_tgt in zip(local, (tgt.diam[j] for j in rows))
+    ]
+    delta = check_pairs(
+        [isub(*z, m, m) for z, m in ((z, pair_mid(*z)) for z in zbox.pairs)]
     )
-    mids = [pair_mid(*z) for z in zbox.pairs]
-    delta = IntervalVector.from_pairs(
-        [isub(*z, m, m) for z, m in zip(zbox.pairs, mids)]
-    )
+    # The terms of scaled.mat_vec(delta), delta's nonzero entries as the
+    # left factors of their products (imul is commutative bit for bit).
+    (delta_terms,) = nonzero_pattern((delta,))
     mean_value = check_pairs(
-        [iadd(*thin[j], *s) for j, s in zip(rows, scaled.mat_vec(delta).pairs)]
+        [iadd(*thin[j], *dot(delta_terms, row)) for j, row in zip(rows, scaled)]
     )
     hull = tgt.normalized_rows(image, rows)
     out = {}
@@ -330,12 +334,15 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
             exit_margins[(i, side)] = worst
 
     entry_margin = None
-    local_jacobian = None
+    local_hull = None
     for box_idx, zbox in enumerate(src.subboxes(grid)):
         img, local = located(
             f"interior box {box_idx}", _image_normalized, zbox, range(tgt.n)
         )
-        local_jacobian = local if local_jacobian is None else local_jacobian.hull(local)
+        local_hull = local if local_hull is None else [
+            [(min(al, bl), max(ah, bh)) for (al, ah), (bl, bh) in zip(ra, rb)]
+            for ra, rb in zip(local_hull, local)
+        ]
         for j in tgt.stable:
             lo, hi = img[j]
             margin = min(_k.sub_down(1.0, hi), _k.add_down(lo, 1.0))
@@ -355,7 +362,7 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
         grid=grid,
         exit_margins=exit_margins,
         entry_margin=entry_margin,
-        local_jacobian=local_jacobian,
+        local_jacobian=IntervalMatrix.from_pairs(local_hull),
     )
 
 

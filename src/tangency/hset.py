@@ -14,6 +14,16 @@ with closed-form 2x2 blocks (adj/det) and exact zeros off the blocks of M
 (see ``linalg.inverse_enclosure``); the coordinate matrix itself is an
 exact point matrix.  Both, and the center as a point interval vector, are built
 once per set, inv_coord in a kernels.upward() block.
+
+The frame changes a covering check makes per sub-box run on ``(lo, hi)``
+pairs: ``from_normalized_pairs``, ``normalized_rows`` and
+``local_derivative_rows`` take the nonzero patterns of the frame's rows and
+columns, built with the set, and of each set of rows of inv_coord, built on
+first use, and build no vector or matrix object.  Each vector or row they
+compute is checked once: before it enters a product or is returned, or, for
+from_normalized_pairs's result, by the IntervalVector its caller builds.
+They take the terms of the IntervalVector/IntervalMatrix products, in their
+order, so the results are the same bits.
 """
 
 from __future__ import annotations
@@ -23,7 +33,13 @@ from functools import lru_cache
 
 from tangency import kernels as _k
 from tangency.interval import Interval, IntervalError, check_pairs
-from tangency.linalg import IntervalMatrix, IntervalVector, inverse_enclosure
+from tangency.linalg import (
+    IntervalMatrix,
+    IntervalVector,
+    dot,
+    inverse_enclosure,
+    nonzero_pattern,
+)
 
 
 def _floats(values, what):
@@ -61,7 +77,8 @@ def _cuts(grid):
 
 class HSet:
     __slots__ = ("name", "center", "coord", "diam", "unstable", "stable",
-                 "center_vec", "frame", "inv_coord", "_rows_read")
+                 "center_vec", "frame", "inv_coord", "_frame_rows",
+                 "_frame_cols", "_rows_read")
 
     def __init__(self, name, center, coord, diam, unstable):
         self.name = str(name)
@@ -84,6 +101,8 @@ class HSet:
                 )
         self.center_vec = IntervalVector(self.center)
         self.frame = IntervalMatrix(self.coord)
+        self._frame_rows = nonzero_pattern(self.frame.pairs)
+        self._frame_cols = nonzero_pattern(zip(*self.frame.pairs))
         with _k.upward():
             self.inv_coord = inverse_enclosure(self.coord)
         self._rows_read = {}
@@ -114,11 +133,13 @@ class HSet:
         those rows of inv_coord only.  p holds the coordinates
         columns_read(rows) of an ambient box: every coordinate when rows are
         every row, since the invertible inv_coord has no zero column."""
-        inv, _, center = self._inv_rows(rows)
-        loc = inv.mat_vec(p - center)
-        idiv, diam = _k.idiv, self.diam
+        terms, cols, center, diam = self._inv_rows(rows)
+        if len(p) != len(cols):
+            raise IntervalError(f"dimension mismatch: {len(p)} vs {len(cols)}")
+        isub, idiv = _k.isub, _k.idiv
+        diff = check_pairs([isub(*a, *c) for a, c in zip(p.pairs, center)])
         return check_pairs(
-            [idiv(*w, diam[j], diam[j]) for w, j in zip(loc.pairs, rows)]
+            [idiv(*dot(row, diff), d, d) for row, d in zip(terms, diam)]
         )
 
     def columns_read(self, rows):
@@ -131,9 +152,9 @@ class HSet:
         return self._inv_rows(rows)[1]
 
     def _inv_rows(self, rows):
-        """The rows ``rows`` of inv_coord on the columns columns_read(rows)
-        only, as a matrix; those columns; and the center on them.  Built
-        once per rows."""
+        """The nonzero pattern of the rows ``rows`` of inv_coord on the
+        columns columns_read(rows) only; those columns; the center on them;
+        and the diameters of those rows.  Built once per rows."""
         rows = tuple(rows)
         hit = self._rows_read.get(rows)
         if hit is None:
@@ -143,19 +164,29 @@ class HSet:
                 if any(inv[j][k][0] or inv[j][k][1] for j in rows)
             )
             hit = (
-                IntervalMatrix.from_pairs([[inv[j][k] for k in cols] for j in rows]),
+                nonzero_pattern([[inv[j][k] for k in cols] for j in rows]),
                 cols,
-                IntervalVector.from_pairs([self.center_vec.pairs[k] for k in cols]),
+                tuple(self.center_vec.pairs[k] for k in cols),
+                tuple(self.diam[j] for j in rows),
             )
             self._rows_read[rows] = hit
         return hit
 
     def from_normalized(self, z):
-        imul = _k.imul
-        scaled = IntervalVector.from_pairs(
-            [imul(d, d, *zi) for d, zi in zip(self.diam, z.pairs)]
-        )
-        return self.center_vec + self.frame.mat_vec(scaled)
+        """The ambient box c + M (d . z) of a normalized box z."""
+        return IntervalVector.from_pairs(self.from_normalized_pairs(z.pairs))
+
+    def from_normalized_pairs(self, z):
+        """from_normalized on the (lo, hi) pairs z, as a list of pairs left
+        unchecked for the caller's IntervalVector to check."""
+        if len(z) != self.n:
+            raise IntervalError(f"dimension mismatch: {len(z)} vs {self.n}")
+        imul, iadd = _k.imul, _k.iadd
+        scaled = check_pairs([imul(d, d, *zi) for d, zi in zip(self.diam, z)])
+        return [
+            iadd(c, c, *dot(row, scaled))
+            for c, row in zip(self.center, self._frame_rows)
+        ]
 
     def from_local(self, w):
         return self.center_vec + self.frame.mat_vec(w)
@@ -237,19 +268,33 @@ def local_derivative(src, tgt, jacobian):
     any further columns (a parameter's) are T[:, n:], the parameter
     derivative of the tgt local coordinates.
     """
-    return local_derivative_rows(src, tgt, jacobian, range(tgt.n))
+    return IntervalMatrix.from_pairs(
+        local_derivative_rows(src, tgt, jacobian, range(tgt.n))
+    )
 
 
 def local_derivative_rows(src, tgt, jacobian, rows):
     """The rows ``rows`` of local_derivative(src, tgt, jacobian), from those
-    rows of tgt.inv_coord only.  jacobian holds the rows
-    tgt.columns_read(rows) of the ambient Jacobian: every row when rows are
-    every row."""
+    rows of tgt.inv_coord only, as a tuple of rows of (lo, hi) pairs.
+    jacobian holds the rows tgt.columns_read(rows) of the ambient Jacobian:
+    every row when rows are every row.
+
+    Row j is T_j = (row j of tgt.inv_coord) . jacobian, checked, then
+    T_j[:n] . src.coord, checked, followed by T_j[n:].  The second product
+    takes the frame's column pattern as the left factor of each term; imul
+    is commutative bit for bit, so the terms are mat_mul's."""
+    terms, cols = tgt._inv_rows(rows)[:2]
     n = src.n
-    inv = tgt._inv_rows(rows)[0]
-    t = inv.mat_mul(jacobian).pairs
-    block = IntervalMatrix.from_pairs([r[:n] for r in t]).mat_mul(src.frame)
-    return IntervalMatrix.from_pairs([b + r[n:] for b, r in zip(block.pairs, t)])
+    jac = jacobian.pairs
+    if len(jac) != len(cols) or len(jac[0]) < n:
+        raise IntervalError("shape mismatch in matrix product")
+    jac_cols = tuple(zip(*jac))
+    out = []
+    for row in terms:
+        t = check_pairs(tuple(dot(row, col) for col in jac_cols))
+        block = check_pairs(tuple(dot(col, t) for col in src._frame_cols))
+        out.append(block + t[n:])
+    return tuple(out)
 
 
 class QuadraticForm:

@@ -9,20 +9,24 @@ bounds are construction errors: a proof pipeline must fail loudly rather than
 propagate infinities.
 
 sqrt is a directed-rounding kernel.  sin, cos and atan reduce the argument
-rigorously and evaluate a truncated Taylor polynomial by float Horner, once
-per interval endpoint, with an a priori bound on its rounding, truncation and
-reduction error (Rump, "Rigorous and portable standard functions", BIT 41,
-2001); interior extrema of sin and cos are found from integer multiples of
-pi/2.  The reduction constants (pi and an atan table) are enclosed at import
-time from exact rational series, so no libm accuracy assumption enters the
-proof.
+rigorously and evaluate a truncated Taylor polynomial by float Horner, with
+an a priori bound on its rounding, truncation and reduction error (Rump,
+"Rigorous and portable standard functions", BIT 41, 2001).  atan takes one
+evaluation per distinct interval endpoint.  sin and cos take one per end of
+the enclosure of the reduced argument x - k pi/2, which is a point only for
+k = 0: an endpoint with k != 0, every chart angle near pi/2 among them,
+takes two.  Interior extrema of sin and cos are found from integer multiples
+of pi/2.  The reduction constants (pi and an atan table) are enclosed at
+import time from exact rational series, so no libm accuracy assumption
+enters the proof.
 
 All values are immutable; operations are pure and thread-safe.
 
 The matrices, jets and Cholesky runs of the other modules keep their
 entries as plain ``(lo, hi)`` float pairs and call the kernels on them
 directly; :func:`as_pair`, :func:`pair_mid` and :func:`check_pairs` are the
-conversions and checks they share with this class.
+conversions and checks they share with this class, and :func:`pair_sin`,
+:func:`pair_cos` and :func:`pair_atan` its elementary functions on pairs.
 """
 
 from __future__ import annotations
@@ -172,16 +176,13 @@ class Interval:
     # -- elementary functions (defined below, after the constants) -------
 
     def atan(self):
-        lo, hi = _atan_bounds(self.lo)
-        if self.hi != self.lo:
-            hi = _atan_bounds(self.hi)[1]
-        return Interval(lo, hi)
+        return Interval(*pair_atan(self.lo, self.hi))
 
     def sin(self):
-        return Interval(*_sin_hull(self.lo, self.hi, 0))
+        return Interval(*pair_sin(self.lo, self.hi))
 
     def cos(self):
-        return Interval(*_sin_hull(self.lo, self.hi, 1))
+        return Interval(*pair_cos(self.lo, self.hi))
 
 
 def as_interval(x):
@@ -556,6 +557,25 @@ def _atan_tabled(a, b):
         return lo, hi
     t = _ATAN_TABLE[k]
     return _k.add_down(t.lo, lo), _k.add_up(t.hi, hi)
+
+
+def pair_sin(lo, hi):
+    """(lo, hi) enclosing sin over [lo, hi]: Interval.sin on a pair."""
+    return _sin_hull(lo, hi, 0)
+
+
+def pair_cos(lo, hi):
+    """(lo, hi) enclosing cos over [lo, hi]: Interval.cos on a pair."""
+    return _sin_hull(lo, hi, 1)
+
+
+def pair_atan(lo, hi):
+    """(lo, hi) enclosing atan over [lo, hi], a kernel evaluation per
+    distinct endpoint: Interval.atan on a pair."""
+    out_lo, out_hi = _atan_bounds(lo)
+    if hi != lo:
+        out_hi = _atan_bounds(hi)[1]
+    return out_lo, out_hi
 
 
 def ulp(x):

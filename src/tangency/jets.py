@@ -252,7 +252,11 @@ class Jet:
         return self._chain(s, d1, d2)
 
     def sincos(self):
-        """(sin, cos) of the jet from one interval sin and one cos."""
+        """(sin, cos) of the jet from one interval sin and one cos.
+
+        No map of the package calls it: ChartMap writes its angle row out
+        on pairs, and the tests build the jet route that row must equal bit
+        for bit from this, jet division and atan."""
         v = self.value
         s = v.sin()
         c = v.cos()
@@ -267,6 +271,7 @@ class Jet:
         return self.sincos()[1]
 
     def atan(self):
+        """atan of the jet; like sincos, the tests' angle-row oracle."""
         v = self.value_pair
         den = _k.iadd(1.0, 1.0, *_k.isqr(*v))
         d1 = _div(_ONE, den)

@@ -11,6 +11,11 @@ Entries are stored as ``(lo, hi)`` float pairs (``pairs``) and the products
 call the kernels on them directly, with the operations of the scalar
 :class:`Interval` expressions they replace, so the results are the same bit
 for bit.  Indexing, iteration, ``rows`` and ``entries`` give Intervals.
+
+A matrix that is fixed while the vectors it multiplies vary (an h-set's
+frame, or rows of its inverse) keeps its :func:`nonzero_pattern`, built
+once, and :func:`dot` takes each row of it against a vector of pairs with
+no vector or matrix object built per product.
 """
 
 from __future__ import annotations
@@ -174,13 +179,6 @@ class IntervalMatrix:
             [[imul(*c, *a) for a in row] for row in self.pairs]
         )
 
-    def hull(self, other):
-        self._conform_add(other)
-        return IntervalMatrix.from_pairs(
-            [[(min(al, bl), max(ah, bh)) for (al, ah), (bl, bh) in zip(ra, rb)]
-             for ra, rb in zip(self.pairs, other.pairs)]
-        )
-
     def transpose(self):
         return IntervalMatrix.from_pairs(list(zip(*self.pairs)))
 
@@ -240,6 +238,26 @@ def _nonzero(pairs):
     keep every bit.
     """
     return [(k, p) for k, p in enumerate(pairs) if p[0] or p[1]]
+
+
+def nonzero_pattern(rows):
+    """The (index, pair) entries of each row of rows that are not exact
+    zeros, as a tuple per row: the terms of the row in mat_vec."""
+    return tuple(tuple(_nonzero(row)) for row in rows)
+
+
+def dot(terms, v):
+    """The sum of a * v[k] over the (k, a) terms, a row of a nonzero_pattern,
+    that meet an entry of the pair sequence v which is not an exact zero,
+    as an unchecked pair.  These are the terms mat_vec takes, in mat_vec's
+    order, so the sum is the same bits."""
+    imul, iadd = _k.imul, _k.iadd
+    lo = hi = 0.0
+    for k, a in terms:
+        b = v[k]
+        if b[0] or b[1]:
+            lo, hi = iadd(lo, hi, *imul(*a, *b))
+    return lo, hi
 
 
 def _det(rows):

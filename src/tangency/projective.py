@@ -11,7 +11,9 @@ by
 
 and its rigorous 4x4 derivative is assembled from order-2 jets of f (the
 angle component needs the second derivatives of f); the value parts of the
-same jets are the image enclosure, returned beside the derivative.  Both
+same jets are the image enclosure, returned beside the derivative.  The
+angle, in the image and in the derivative's row, is written out on
+(lo, hi) pairs from f's jets.  Both
 can be asked for some outputs only and compute only what those read:
 without t they compute no angle, the image's jets of f carry values only
 and the derivative's drop to order 1; the derivative on a alone does not
@@ -24,7 +26,17 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from tangency import kernels as _k
-from tangency.interval import HALF_PI, PI, Interval, IntervalError, as_interval
+from tangency.interval import (
+    HALF_PI,
+    PI,
+    Interval,
+    IntervalError,
+    as_pair,
+    check_pairs,
+    pair_atan,
+    pair_cos,
+    pair_sin,
+)
 from tangency.jets import Jet
 from tangency.linalg import IntervalMatrix, IntervalVector
 
@@ -78,15 +90,25 @@ def direction_to_angle(v):
     component is used.  If the enclosure touches the excluded horizontal
     direction (or may contain the zero vector) the chart is left: error.
     """
-    vx, vy = as_interval(v[0]), as_interval(v[1])
-    if _flip_to_upper((vx.lo, vx.hi), (vy.lo, vy.hi)):
-        vx, vy = -vx, -vy
-    t = HALF_PI - (vx / vy).atan()
-    _check_angle((t.lo, t.hi))
+    return Interval(*_chart_angle(as_pair(v[0]), as_pair(v[1])))
+
+
+def _chart_angle(vx, vy):
+    """The angle pi/2 - atan(vx/vy) of a direction enclosure (vx, vy) of
+    (lo, hi) pairs, as a pair: direction_to_angle on pairs, with the checks
+    an Interval would make (IntervalError) and the chart's (ChartError)."""
+    vx, vy = check_pairs((vx, vy))
+    if _flip_to_upper(vx, vy):
+        vx, vy = (-vx[1], -vx[0]), (-vy[1], -vy[0])
+    (q,) = check_pairs((_k.idiv(*vx, *vy),))
+    t = _k.isub(*_HALF_PI, *pair_atan(*q))
+    _check_angle(t)
     return t
 
 
 _ZERO = (0.0, 0.0)
+_ONE = (1.0, 1.0)
+_HALF_PI = (HALF_PI.lo, HALF_PI.hi)
 
 
 def _place_t(xya):
@@ -95,13 +117,14 @@ def _place_t(xya):
     return x, y, _ZERO, a
 
 
-def _angle_jet(wx, wy):
-    """Order-1 jet of the chart angle of a direction given by jets (wx, wy)."""
-    if _flip_to_upper(wx.value_pair, wy.value_pair):
-        wx, wy = -wx, -wy
-    n = wx.n
-    half_pi = Jet.constant(HALF_PI, n, order=wx.order)
-    return half_pi - (wx / wy).atan()
+def _jets(values, n, order):
+    """Jets over n variables of the (lo, hi) pairs values: the first n are
+    the variables, in order, and the rest constants."""
+    hess = (_ZERO,) * (n * (n + 1) // 2) if order == 2 else None
+    return [
+        Jet(v, [_ONE if j == i else _ZERO for j in range(n)], hess)
+        for i, v in enumerate(values)
+    ]
 
 
 class ChartMap:
@@ -133,28 +156,21 @@ class ChartMap:
         """Image enclosure of a chart box, the IntervalVector (x, y, t, a);
         order-1 jets supply Df.  With outputs, increasing indices into
         (x, y, t, a), the image holds those entries only; without t, no
-        angle is computed or checked and f runs on value-only jets."""
-        _check_angle(v.pairs[2])
+        angle is computed or checked and f runs on value-only jets.  The
+        image angle is _chart_angle of Df (cos t, sin t), on pairs."""
+        x, y, t, a = v.pairs
+        _check_angle(t)
         angle = outputs is None or 2 in outputs
-        x, y, t, a = v
+        fx, fy = self._evaluator()(*_jets((x, y, a), 2 if angle else 0, 1))
+        image = [fx.value_pair, fy.value_pair, None, a]
         if angle:
-            xj = Jet.variable(0, x, 2, order=1)
-            yj = Jet.variable(1, y, 2, order=1)
-            aj = Jet.constant(a, 2, order=1)
-        else:
-            xj, yj, aj = (Jet.constant(c, 0, order=1) for c in (x, y, a))
-        fx, fy = self._evaluator()(xj, yj, aj)
-        image = [fx.value_pair, fy.value_pair, None, v.pairs[3]]
-        if angle:
-            ct = t.cos()
-            st = t.sin()
-            w = [
-                _k.iadd(*_k.imul(*f.grad_pairs[0], ct.lo, ct.hi),
-                        *_k.imul(*f.grad_pairs[1], st.lo, st.hi))
+            imul, iadd = _k.imul, _k.iadd
+            c = pair_cos(*t)
+            s = pair_sin(*t)
+            image[2] = _chart_angle(*(
+                iadd(*imul(*f.grad_pairs[0], *c), *imul(*f.grad_pairs[1], *s))
                 for f in (fx, fy)
-            ]
-            t2 = direction_to_angle([Interval(*c) for c in w])
-            image[2] = (t2.lo, t2.hi)
+            ))
         return IntervalVector.from_pairs(
             image if outputs is None else [image[k] for k in outputs]
         )
@@ -167,29 +183,23 @@ class ChartMap:
 
         f does not depend on t, so its jets run over (x, y, a) and are
         placed into the (x, y, t, a) rows with an exact zero in the t slot;
-        the t column comes from the tangent jet alone.  With outputs,
-        increasing indices into (x, y, t, a), the image holds those entries
-        and the matrix those rows only; without t, the jets of f are of
-        order 1 and no tangent jet is computed or checked, and with a alone
+        the t column comes from the angle row (_tangent_row) alone.  With
+        outputs, increasing indices into (x, y, t, a), the image holds those
+        entries and the matrix those rows only; without t, the jets of f are
+        of order 1 and no angle row is computed or checked, and with a alone
         (the parameter is held by the dynamics: its row is (0, 0, 0, 1)) f
         is not evaluated.
         """
-        _check_angle(v.pairs[2])
-        rows = [None, None, None, (v.pairs[3], (_ZERO, _ZERO, _ZERO, (1.0, 1.0)))]
+        x, y, t, a = v.pairs
+        _check_angle(t)
+        rows = [None, None, None, (a, (_ZERO, _ZERO, _ZERO, _ONE))]
         if outputs is None or not set(outputs) <= {3}:
             angle = outputs is None or 2 in outputs
-            order = 2 if angle else 1
-            x, y, t, a = v
-            xj = Jet.variable(0, x, 3, order=order)
-            yj = Jet.variable(1, y, 3, order=order)
-            aj = Jet.variable(2, a, 3, order=order)
-            fx, fy = self._evaluator()(xj, yj, aj)
+            fx, fy = self._evaluator()(*_jets((x, y, a), 3, 2 if angle else 1))
             rows[0] = (fx.value_pair, _place_t(fx.grad_pairs))
             rows[1] = (fy.value_pair, _place_t(fy.grad_pairs))
             if angle:
-                tang = self._tangent_jet(fx, fy, t)
-                _check_angle(tang.value_pair)
-                rows[2] = (tang.value_pair, tang.grad_pairs)
+                rows[2] = self._tangent_row(fx, fy, t)
         if outputs is not None:
             rows = [rows[k] for k in outputs]
         image = IntervalVector.from_pairs([value for value, _ in rows])
@@ -197,17 +207,48 @@ class ChartMap:
         return image, jacobian
 
     @staticmethod
-    def _tangent_jet(fx, fy, t):
-        # Rows of Df as order-1 jets over (x, y, t, a): value = first
-        # derivative, grad = the corresponding Hessian row (mixed partials up
-        # to symmetry).
-        f1x, f1y, f2x, f2y = (
-            Jet(f.grad_pairs[i], _place_t(f.hess_row_pairs(i)))
-            for f in (fx, fy)
-            for i in (0, 1)
-        )
-        tj = Jet.variable(2, t, 4, order=1)
-        st, ct = tj.sincos()
-        wx = f1x * ct + f1y * st
-        wy = f2x * ct + f2y * st
-        return _angle_jet(wx, wy)
+    def _tangent_row(fx, fy, t):
+        """The image angle over a chart box and its gradient over
+        (x, y, t, a), as (value, gradient) pairs, from the order-2 jets
+        (fx, fy) of f over (x, y, a) and the angle pair t.
+
+        The angle is pi/2 - atan(wx/wy) of w = f_x cos t + f_y sin t, with
+        f_x, f_y the columns of Df; the gradient of w reads the Hessian rows
+        of f.  Each pair is the kernel call that order-1 jets over
+        (x, y, t, a) make for it, on the same operands in the same order,
+        less the terms with a factor that is an exact zero by construction
+        (f does not depend on t, cos t and sin t on nothing else), so the
+        row is those jets' row bit for bit.  w and the quotient are checked
+        before they enter a product; what follows is finite by
+        construction.
+        """
+        imul, iadd, isub, idiv = _k.imul, _k.iadd, _k.isub, _k.idiv
+        s = pair_sin(*t)
+        c = pair_cos(*t)
+        ds = imul(*c, *_ONE)  # d(sin t)/dt
+        dc = imul(-s[1], -s[0], *_ONE)  # d(cos t)/dt
+        w = []
+        for f in (fx, fy):
+            g0, g1, _ = f.grad_pairs
+            h0, h1 = f.hess_row_pairs(0), f.hess_row_pairs(1)
+            # f_x cos t + f_y sin t: value, then d/dx, d/dy, d/dt, d/da.
+            w.append(check_pairs((
+                iadd(*imul(*g0, *c), *imul(*g1, *s)),
+                iadd(*imul(*c, *h0[0]), *imul(*s, *h1[0])),
+                iadd(*imul(*c, *h0[1]), *imul(*s, *h1[1])),
+                iadd(*imul(*g0, *dc), *imul(*g1, *ds)),
+                iadd(*imul(*c, *h0[2]), *imul(*s, *h1[2])),
+            )))
+        wx, wy = w
+        if _flip_to_upper(wx[0], wy[0]):
+            wx, wy = ([(-hi, -lo) for lo, hi in r] for r in (wx, wy))
+        den = wy[0]
+        q = idiv(*wx[0], *den)
+        q = check_pairs((q, *(
+            idiv(*isub(*a, *imul(*q, *b)), *den) for a, b in zip(wx[1:], wy[1:])
+        )))
+        # The row is pi/2 - atan(q), with atan' = 1 / (1 + q^2).
+        d1 = idiv(*_ONE, *iadd(*_ONE, *_k.isqr(*q[0])))
+        value = isub(*_HALF_PI, *pair_atan(*q[0]))
+        _check_angle(value)
+        return value, tuple(isub(*_ZERO, *imul(*d1, *g)) for g in q[1:])

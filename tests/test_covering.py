@@ -22,7 +22,7 @@ from tangency.covering import (
 from tangency.henon import henon_family, projected_disk_data
 from tangency.hset import HSet, local_derivative
 from tangency.interval import Interval, IntervalError
-from tangency.linalg import IntervalVector
+from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.manifold import DiskMap
 from tangency.projective import ChartError, ChartMap, PlanarMapFamily
 from tangency.toy import ToyParams, build_toy_chain, linear_start_map, switch_map
@@ -136,6 +136,74 @@ class TestFailureModes:
         with pytest.raises(VerificationInconclusive) as err:
             check_chain(sets, list(chain.maps), grid=1)
         assert "N2=>shrunk" in err.value.locus
+
+
+class _AffineMap:
+    """p -> A p + b on 2-D boxes, A an interval matrix, as a map of the
+    covering protocol: exactly the outputs asked for."""
+
+    def __init__(self, a, b=(0.0, 0.0)):
+        self.a = IntervalMatrix(a)
+        self.b = IntervalVector(b)
+
+    def apply(self, box, outputs=None):
+        image = self.a.mat_vec(box) + self.b
+        return IntervalVector.from_pairs(
+            [image.pairs[k] for k in (range(2) if outputs is None else outputs)]
+        )
+
+    def derivative(self, box, outputs=None):
+        rows = self.a.pairs
+        return self.apply(box, outputs), IntervalMatrix.from_pairs(
+            [rows[k] for k in (range(2) if outputs is None else outputs)]
+        )
+
+
+EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+# Columns (1, 0) and (1, 1e-300): unit vectors whose inverse frame holds
+# entries of magnitude 1e300.
+NEAR_SINGULAR = [[1.0, 1.0], [0.0, 1e-300]]
+HUGE = 1.5e308
+
+
+class TestOverflowInTheFrameChange:
+    """A link whose image overflows in the frame change, after the map has
+    returned finite enclosures, ends in VerificationInconclusive at that
+    link: each vector and row the pair-level frame changes store is checked
+    before it enters a product, including the products that reach imul's
+    branch for two operands straddling zero, where a NaN would be dropped.
+    The first link of the chain is certified and kept."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # The image, 1e308 away from the target center, overflows in
+            # p - c on the thin midpoint image of the first wall.
+            ("far-image", EYE2, [[2.0, 0.0], [0.0, 0.5]], (HUGE, 0.0), (-HUGE, 0.0)),
+            # A Jacobian column of [-1.5e308, 1.5e308] times the source
+            # diameter 0.25 is finite; over the target diameter 0.125 it
+            # overflows, on operands straddling zero.
+            ("straddling-slope", EYE2,
+             [[2.0, Interval(-HUGE, HUGE)], [0.0, 0.5]], (0.0, 0.0), (0.0, 0.0)),
+            # The Jacobian entry 1e10 times the -1e300 entry of the
+            # target's inverse frame overflows in the local derivative's
+            # first product; the thin images stay finite.
+            ("inverse-frame", NEAR_SINGULAR,
+             [[2.0, 0.0], [0.0, 1e10]], (0.0, 0.0), (0.0, 0.0)),
+        ],
+        ids=lambda case: case[0],
+    )
+    def test_inconclusive_at_the_link(self, case):
+        _, coord, a, b, center = case
+        s0 = HSet("S0", (0.0, 0.0), EYE2, (1.0, 1.0), (0,))
+        s1 = HSet("S1", (0.0, 0.0), EYE2, (0.25, 1.0), (0,))
+        s2 = HSet("S2", center, coord, (0.125, 1e-3), (0,))
+        good = _AffineMap([[0.5, 0.0], [0.0, 0.25]])
+        with pytest.raises(VerificationInconclusive) as exc:
+            check_chain([s0, s1, s2], [good, _AffineMap(a, b)])
+        assert exc.value.locus == "S1=>S2"
+        assert "non-finite" in exc.value.detail
+        assert [c.target for c in exc.value.certified["covering"]] == ["S1"]
 
 
 class TestMonotonicity:
@@ -347,8 +415,8 @@ class TestWallRows:
                             assert pairs_hex(img.values()) == pairs_hex(
                                 full[j] for j in rows
                             )
-                            assert [pairs_hex(r) for r in local.pairs] == [
-                                pairs_hex(full_local.pairs[j]) for j in rows
+                            assert [pairs_hex(r) for r in local] == [
+                                pairs_hex(full_local[j]) for j in rows
                             ]
                             walls += 1
             assert walls == 4 * grid**3 * (len(sets) - 1)

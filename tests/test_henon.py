@@ -422,13 +422,13 @@ class TestSharedJacobian:
         for disk in (cert.stable_disk, cert.unstable_disk):
             assert [j for _, j, _ in disk.covering.correspondence].count(2) == 1
         calls = []
-        orig = ChartMap._tangent_jet
+        orig = ChartMap._tangent_row
 
         def counting(*args):
             calls.append(args)
             return orig(*args)
 
-        monkeypatch.setattr(ChartMap, "_tangent_jet", staticmethod(counting))
+        monkeypatch.setattr(ChartMap, "_tangent_row", staticmethod(counting))
         run_proof()
         assert len(calls) == 17 + 2 * 7 + 2 * 2 == 35
 

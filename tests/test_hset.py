@@ -1,10 +1,12 @@
 """H-sets: transforms, walls, cone forms."""
 
+import itertools
 import math
 
 import pytest
 
 from conftest import pairs_hex
+from tangency import kernels
 from tangency.interval import Interval, IntervalError
 from tangency.hset import HSet, QuadraticForm, local_derivative, local_derivative_rows
 from tangency.linalg import IntervalMatrix, IntervalVector
@@ -128,7 +130,7 @@ class TestTransforms:
                 part_jac = IntervalMatrix.from_pairs([jac.pairs[k] for k in cols])
                 want = pairs_hex(full[j] for j in rows)
                 assert pairs_hex(tgt.normalized_rows(part, rows)) == want
-                got = local_derivative_rows(src, tgt, part_jac, rows).pairs
+                got = local_derivative_rows(src, tgt, part_jac, rows)
                 assert [pairs_hex(r) for r in got] == [
                     pairs_hex(full_local[j]) for j in rows
                 ]
@@ -257,3 +259,104 @@ class TestQuadraticForm:
         assert m[1, 1] == Interval(-2.0)
         assert m[0, 1] == Interval(0.0)
 
+
+# -- the pair-level frame changes against the IntervalMatrix route -----------
+
+
+def _row_sets(n):
+    return [rows for k in range(1, n + 1) for rows in itertools.combinations(range(n), k)]
+
+
+def _matrix_from_normalized(h, z):
+    """c + M (d . z) through IntervalVector and IntervalMatrix products."""
+    scaled = IntervalVector.from_pairs(
+        [kernels.imul(d, d, *zi) for d, zi in zip(h.diam, z.pairs)]
+    )
+    return (h.center_vec + h.frame.mat_vec(scaled)).pairs
+
+
+def _matrix_normalized_rows(h, p, rows):
+    """Rows of D^-1 M^-1 (p - c) through the full inverse frame's mat_vec."""
+    loc = h.inv_coord.mat_vec(p - h.center_vec).pairs
+    return [kernels.idiv(*loc[j], h.diam[j], h.diam[j]) for j in rows]
+
+
+def _matrix_local_rows(src, tgt, jac, rows):
+    """Rows of local_derivative through the full inverse frame's mat_mul."""
+    n = src.n
+    t = tgt.inv_coord.mat_mul(jac).pairs
+    block = IntervalMatrix.from_pairs([r[:n] for r in t]).mat_mul(src.frame).pairs
+    return [block[j] + t[j][n:] for j in rows]
+
+
+def _frame_cases():
+    """(src, tgt, map) of every Henon link, every toy link at the default
+    parameters and both disk self-coverings."""
+    from tangency.henon import build_chain, henon_family, projected_disk_data
+    from tangency.manifold import DiskMap
+    from tangency.toy import ToyParams, build_toy_chain
+
+    chain = build_chain()
+    chart = ChartMap(henon_family())
+    cases = [(s, t, chart) for s, t in zip(chain.sets, chain.sets[1:])]
+    toy = build_toy_chain(ToyParams())
+    cases += list(zip(toy.sets, toy.sets[1:], toy.maps))
+    for side, direction in (("stable", "forward"), ("unstable", "inverse")):
+        ntilde, _, param, _ = projected_disk_data(chain, side)
+        cases.append((ntilde, ntilde, DiskMap(ChartMap(henon_family(), direction), param)))
+    return cases
+
+
+def _random_box(rng, center, scale):
+    """A box about center whose entries are all nonzero and mostly thick."""
+    out = []
+    for c in center:
+        m = c + scale * rng.uniform(0.1, 1.0) * rng.choice((-1.0, 1.0))
+        r = scale * rng.choice((0.0, rng.uniform(0.0, 0.5)))
+        out.append(Interval(m - r, m + r))
+    return IntervalVector(out)
+
+
+class TestPairFrameChanges:
+    """from_normalized_pairs, normalized_rows and local_derivative_rows are
+    the IntervalMatrix products' results bit for bit, on every Henon and
+    toy set, every set of target rows, the covering's sub-boxes and their
+    midpoints, the maps' images and Jacobians, and dense random inputs that
+    make every nonzero frame term count."""
+
+    def test_against_the_matrix_route(self, rng):
+        from conftest import covering_boxes
+
+        compared = 0
+        with kernels.upward():
+            for src, tgt, fmap in _frame_cases():
+                zs = list(covering_boxes(src, 1))
+                zs += [IntervalVector([Interval(e.mid) for e in z]) for z in zs]
+                zs += [_random_box(rng, [0.0] * src.n, 0.9) for _ in range(4)]
+                inputs = []
+                for z in zs:
+                    got = src.from_normalized_pairs(z.pairs)
+                    assert pairs_hex(got) == pairs_hex(_matrix_from_normalized(src, z))
+                    assert pairs_hex(src.from_normalized(z).pairs) == pairs_hex(got)
+                    inputs.append(fmap.derivative(src.from_normalized(z)))
+                jac_dim = inputs[0][1].ncols
+                for _ in range(4):
+                    p = _random_box(rng, tgt.center, 10.0 * max(tgt.diam))
+                    jac = IntervalMatrix(
+                        [list(_random_box(rng, [0.0] * jac_dim, 2.0)) for _ in range(tgt.n)]
+                    )
+                    inputs.append((p, jac))
+                for p, jac in inputs:
+                    for rows in _row_sets(tgt.n):
+                        cols = tgt.columns_read(rows)
+                        part = IntervalVector.from_pairs([p.pairs[k] for k in cols])
+                        assert pairs_hex(tgt.normalized_rows(part, rows)) == pairs_hex(
+                            _matrix_normalized_rows(tgt, p, rows)
+                        )
+                        part_jac = IntervalMatrix.from_pairs([jac.pairs[k] for k in cols])
+                        got = local_derivative_rows(src, tgt, part_jac, rows)
+                        assert [pairs_hex(r) for r in got] == [
+                            pairs_hex(r) for r in _matrix_local_rows(src, tgt, jac, rows)
+                        ]
+                        compared += 1
+        assert compared > 2000

@@ -334,3 +334,172 @@ def test_projective_imports_nothing_from_covering():
     assert "tangency.jets" in imported  # the walk sees the module's imports
     assert not any(m == "tangency.covering" or m.startswith("tangency.covering.")
                    for m in imported)
+
+
+# -- the pair route against the jet route, bit for bit ------------------------
+
+
+def _dense_family():
+    """A polynomial family whose second derivatives in x, y and a are all
+    nonzero, so that every term of the angle row's gradient counts."""
+
+    def forward(x, y, a):
+        return x * y * a + x.sqr() + 0.5 * y, y.sqr() * a + x * a - 0.25 * x * y
+
+    def inverse(x, y, a):
+        return y * a - x.sqr() * y + 0.75 * x, x * y + y.sqr() * a + 0.5 * x
+
+    return PlanarMapFamily("dense", forward, inverse)
+
+
+def _in_chart(t):
+    from tangency.interval import PI
+
+    return t.lo > 0.0 and t.hi < PI.lo
+
+
+def _oracle_angle(vx, vy):
+    """The image angle pi/2 - atan(vx/vy) of a direction enclosure of jets
+    or Intervals, through their own arithmetic, and whether the flip to the
+    upper half plane was taken; None when the chart is left."""
+    from tangency.interval import HALF_PI
+    from tangency.jets import Jet
+
+    lo, hi = vy.value_pair if isinstance(vy, Jet) else (vy.lo, vy.hi)
+    if lo <= 0.0 <= hi:
+        return None, None
+    flip = hi < 0.0
+    if flip:
+        vx, vy = -vx, -vy
+    if isinstance(vx, Jet):
+        angle = Jet.constant(HALF_PI, vx.n, order=1) - (vx / vy).atan()
+        if not _in_chart(angle.value):
+            return None, flip
+        return (angle.value_pair, angle.grad_pairs), flip
+    angle = HALF_PI - (vx / vy).atan()
+    return ((angle.lo, angle.hi) if _in_chart(angle) else None), flip
+
+
+def _jet_route(chart, v):
+    """derivative's and apply's outputs over the chart box v as the jets
+    compute them: f on Jet.variable jets; the angle row from order-1 jets
+    over (x, y, t, a), through Jet.sincos, jet division and Jet.atan; apply's
+    angle from Interval cos, sin, division and atan.  Returns the
+    derivative's (value, row) pairs, apply's image pairs (each None where
+    the chart is left) and the flips taken."""
+    from tangency.jets import Jet
+
+    evaluate = chart._evaluator()
+    x, y, t, a = v
+    fx, fy = evaluate(*(Jet.variable(i, c, 3, order=2) for i, c in enumerate((x, y, a))))
+
+    def placed(g):
+        return g[0], g[1], (0.0, 0.0), g[2]
+
+    def row_jet(f, i):
+        return Jet(f.grad_pairs[i], placed(f.hess_row_pairs(i)))
+
+    f1x, f1y, f2x, f2y = (row_jet(f, i) for f in (fx, fy) for i in (0, 1))
+    st, ct = Jet.variable(2, t, 4, order=1).sincos()
+    angle_row, row_flip = _oracle_angle(f1x * ct + f1y * st, f2x * ct + f2y * st)
+    rows = None if angle_row is None else [
+        (fx.value_pair, placed(fx.grad_pairs)),
+        (fy.value_pair, placed(fy.grad_pairs)),
+        angle_row,
+        (v.pairs[3], ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 1.0))),
+    ]
+
+    gx, gy = evaluate(Jet.variable(0, x, 2, order=1), Jet.variable(1, y, 2, order=1),
+                      Jet.constant(a, 2, order=1))
+    ct, st = t.cos(), t.sin()
+    angle, image_flip = _oracle_angle(
+        *(Interval(*g.grad_pairs[0]) * ct + Interval(*g.grad_pairs[1]) * st
+          for g in (gx, gy))
+    )
+    image = None if angle is None else [gx.value_pair, gy.value_pair, angle, v.pairs[3]]
+    return rows, image, (row_flip, image_flip)
+
+
+def _compare_routes(chart, v):
+    """Assert derivative's and apply's outputs over v are the jet route's bit
+    for bit, a ChartError where the jet route leaves the chart; return the
+    flips the jet route took."""
+    rows, image, flips = _jet_route(chart, v)
+    if rows is None:
+        with pytest.raises(ChartError):
+            chart.derivative(v)
+    else:
+        value, jacobian = chart.derivative(v)
+        assert pairs_hex(value.pairs) == pairs_hex(r[0] for r in rows)
+        assert [pairs_hex(r) for r in jacobian.pairs] == [pairs_hex(r[1]) for r in rows]
+    if image is None:
+        with pytest.raises(ChartError):
+            chart.apply(v)
+    else:
+        assert pairs_hex(chart.apply(v).pairs) == pairs_hex(image)
+    return flips
+
+
+class TestPairRouteOracle:
+    """ChartMap's angle row and image angle, computed on (lo, hi) pairs,
+    are the jet route's bit for bit: the angle's value and all four of its
+    derivative entries, and every other output."""
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_henon_sub_boxes(self, henon_chain, direction):
+        from tangency.henon import henon_family
+        from tangency.kernels import upward
+
+        from conftest import covering_boxes
+
+        chart = ChartMap(henon_family(), direction)
+        compared = 0
+        with upward():
+            for grid in (1, 2):
+                for h in henon_chain.sets:
+                    for z in covering_boxes(h, grid):
+                        box = h.from_normalized(z)
+                        mid = IntervalVector([Interval(e.mid) for e in box])
+                        _compare_routes(chart, box)
+                        _compare_routes(chart, mid)
+                        compared += 1
+        assert compared == len(henon_chain.sets) * (4 + 1 + 4 * 8 + 16)
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_disk_boxes_with_their_parameter_interval(self, henon_chain, direction):
+        from tangency.henon import henon_family, projected_disk_data
+        from tangency.kernels import upward
+
+        from conftest import covering_boxes
+
+        chart = ChartMap(henon_family(), direction)
+        with upward():
+            for side in ("stable", "unstable"):
+                ntilde, _, param, _ = projected_disk_data(henon_chain, side)
+                for grid in (1, 2):
+                    for z in covering_boxes(ntilde, grid):
+                        box = ntilde.from_normalized(z)
+                        assert box.dim == 3
+                        _compare_routes(chart, IntervalVector(list(box) + [param]))
+
+    @pytest.mark.parametrize("family", ["henon", "dense"])
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_random_chart_boxes(self, rng, family, direction):
+        # 200 seeded boxes, thin and thick, with image directions above and
+        # below the horizontal (the flip); where the jet route leaves the
+        # chart, the pair route must raise ChartError.
+        from tangency.henon import A0, henon_family
+        from tangency.kernels import upward
+
+        fam = henon_family() if family == "henon" else _dense_family()
+        chart = ChartMap(fam, direction)
+        flips = []
+        with upward():
+            for _ in range(200):
+                center = (rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5),
+                          rng.uniform(0.05, 3.09), A0 + rng.uniform(-1e-3, 1e-3))
+                radii = [rng.choice((0.0, 1e-9, 1e-5, 1e-2)) * rng.random()
+                         for _ in range(4)]
+                v = box(*[Interval(c - r, c + r) for c, r in zip(center, radii)])
+                flips += _compare_routes(chart, v)
+        assert flips.count(True) >= 40 and flips.count(False) >= 40

@@ -13,9 +13,12 @@ mean of a ``--calls``-call loop, on a thin chart-domain argument and on one
 ``--calls // 10``-call loop (a covering link of a ``--calls // 200``-call
 loop) on the grid-1 Henon chain: ``inverse_enclosure`` of N1's 4x4
 ``coord``, a 4x4 ``mat_mul`` (N1's ``inv_coord`` times the chart Jacobian
-over N0), ``ChartMap.derivative`` over N0's box, ``hset.local_derivative``
-of that Jacobian from N0 to N1, one 4x4 ``rump_positive_definite`` (the
-cone matrix of N0=>N1) and ``check_covering`` on N0=>N1; ``report.dumps``
+over N0), ``ChartMap.derivative`` over N0's box, a thin ``ChartMap.apply``
+on N0's center with every output (the image angle included),
+``hset.local_derivative`` of that Jacobian from N0 to N1, one 4x4
+``rump_positive_definite`` (the cone matrix of N0=>N1) and
+``check_covering`` on N0=>N1, whose walls never read the image angle, and
+on N9=>N10, two of whose walls do; ``report.dumps``
 of the grid-1 ``prove henon`` report, as parsed back from the file it
 wrote, is the mean of a ``--calls // 200``-call loop; and
 ``run_proof()`` at grid 1 and grid 2 is one call, whose per-stage
@@ -81,7 +84,7 @@ def _one_run(calls, repeat):
     from tangency.hset import local_derivative
     from tangency.interval import Interval
     from tangency.kernels import upward
-    from tangency.linalg import inverse_enclosure
+    from tangency.linalg import IntervalVector, inverse_enclosure
     from tangency.projective import ChartMap
 
     out = {}
@@ -93,6 +96,7 @@ def _one_run(calls, repeat):
     chain = build_chain()
     chart = ChartMap(henon_family())
     src, tgt = chain.sets[0], chain.sets[1]
+    center = IntervalVector(src.center)
     with upward():
         box = src.box()
         _, jacobian = chart.derivative(box)
@@ -104,11 +108,14 @@ def _one_run(calls, repeat):
          calls // 10),
         ("linalg.mat_mul_4x4_us", lambda: tgt.inv_coord.mat_mul(jacobian), calls // 10),
         ("projective.derivative_us", lambda: chart.derivative(box), calls // 10),
+        ("projective.apply_thin_us", lambda: chart.apply(center), calls // 10),
         ("hset.local_derivative_us", lambda: local_derivative(src, tgt, jacobian),
          calls // 10),
         ("cones.rump_4x4_us", lambda: rump_positive_definite(v), calls // 10),
         ("covering.link_N0_N1_us",
          lambda: check_covering(src, tgt, chart), calls // 200),
+        ("covering.link_N9_N10_us",
+         lambda: check_covering(chain.sets[9], chain.sets[10], chart), calls // 200),
     )
     with upward():
         for key, f, number in layers:
