@@ -25,17 +25,12 @@ from tangency.cones import (
     rump_positive_definite,
 )
 from tangency.hset import HSet, QuadraticForm
-from tangency.interval import HALF_PI, PI, Interval, IntervalError
+from tangency.interval import Interval, IntervalError
 from tangency.jets import Jet
 from tangency.kernels import BACKEND
 from tangency.linalg import IntervalMatrix, IntervalVector, inverse_enclosure
 from tangency.manifold import DiskCertificate, verify_disk
-from tangency.projective import (
-    ChartError,
-    ChartMap,
-    PlanarMapFamily,
-    direction_to_angle,
-)
+from tangency.projective import ChartError, ChartMap, PlanarMapFamily
 
 __version__ = "0.1.0"
 
@@ -47,14 +42,12 @@ __all__ = [
     "CoveringCertificate",
     "DiskCertificate",
     "EnclosureError",
-    "HALF_PI",
     "HSet",
     "Interval",
     "IntervalError",
     "IntervalMatrix",
     "IntervalVector",
     "Jet",
-    "PI",
     "PlanarMapFamily",
     "QuadraticForm",
     "VerificationInconclusive",
@@ -63,7 +56,6 @@ __all__ = [
     "check_cone_link",
     "check_covering",
     "cone_matrix",
-    "direction_to_angle",
     "inverse_enclosure",
     "rump_positive_definite",
     "verify_disk",

@@ -31,9 +31,9 @@ The exit condition of a wall reads only the target coordinate it is paired
 with, so each wall sub-box is enclosed on that row of the target frame only,
 and F on the outputs that row reads (see _image_normalized); every bit it
 reads is the one the full image would give.  Whatever else a map checks on
-its image (the chart map: that the image angle lies in the chart) is still
-checked on the interior sub-boxes, which cover the walls and read every
-output.
+its image (the chart map: that the image direction stays in the slope
+chart) is still checked on the interior sub-boxes, which cover the walls
+and read every output.
 """
 
 from __future__ import annotations
@@ -151,13 +151,13 @@ def _image_normalized(src, tgt, fmap, zbox, rows, thin=None):
     tgt.columns_read(rows); every other column of them is an exact zero,
     whose term the products skip.  So fmap is evaluated on
     the outputs cols only, and the rows computed keep every bit.  For the
-    chart map this drops the tangent angle on walls whose paired target row
-    does not read it, and with it the check that the image angle lies in
-    the chart.  That check is not lost: the interior sub-boxes cover the
-    whole source set, walls included, and read every output.  A map that
-    returns other than len(cols) enclosure entries or Jacobian rows breaks
-    the map protocol (module docstring): TypeError, a bug and never a
-    verdict.
+    chart map this drops the image direction's slope on walls whose paired
+    target row does not read it, and with it the check that the image
+    direction stays in the chart.  That check is not lost: the interior
+    sub-boxes cover the whole source set, walls included, and read every
+    output.  A map that returns other than len(cols) enclosure entries or
+    Jacobian rows breaks the map protocol (module docstring): TypeError, a
+    bug and never a verdict.
     """
     imul, idiv, isub, iadd = _k.imul, _k.idiv, _k.isub, _k.iadd
     if thin is None:

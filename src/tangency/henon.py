@@ -36,7 +36,7 @@ from tangency.projective import ChartMap, PlanarMapFamily
 A0 = 1.3145271093265
 B0 = -0.3
 PARAM_RADIUS = 1e-5
-# Widest (x, y, t) enclosure of one orbit step that build_chain accepts.
+# Widest (x, y, w) enclosure of one orbit step that build_chain accepts.
 ORBIT_WIDTH_MAX = 1e-9
 
 # Approximate eigenvalues of DH at the fixed point; exact-by-fiat inputs to
@@ -181,17 +181,25 @@ def _solve2(m, v):
     )
 
 
-def _angle_of(v):
+def _slope_of(v):
+    """The chart slope v_x / v_y of the direction v."""
     vx, vy = v
-    if vy < 0.0 or (vy == 0.0 and vx < 0.0):
-        vx, vy = -vx, -vy
     if vy == 0.0:
         raise IntervalError("direction on the excluded chart point")
-    return math.atan2(vy, vx)
+    return vx / vy
 
 
-def _tangent_vec(t):
-    return (math.cos(t), math.sin(t))
+def _tangent_vec(w):
+    """The unit direction of slope w, with positive second component."""
+    return _unit((w, 1.0))
+
+
+def _frame_tangent(w):
+    """The frame's tangent-column entry -(1 + w^2) at a center slope w:
+    dw/dt of w = cot t, so that, to first order at the center, the local
+    tangent coordinate is the angle t - t_c, the unit that the diameter and
+    cone-form tables are written in."""
+    return -(1.0 + w * w)
 
 
 @dataclass(frozen=True)
@@ -210,7 +218,7 @@ def build_chain(param_radius=PARAM_RADIUS):
     cannot work here); frames follow the reference propagation rules, in
     round-to-nearest.  The rigorous one-step chart enclosure of every center
     c_1..c_14 is checked, in a kernels.upward() block, and dropped: one
-    wider than ORBIT_WIDTH_MAX in x, y or t aborts the build.  float() of a
+    wider than ORBIT_WIDTH_MAX in x, y or w aborts the build.  float() of a
     Decimal parses a string, so the centers are converted before that block.
     """
     eig = eigen_data()
@@ -222,17 +230,17 @@ def build_chain(param_radius=PARAM_RADIUS):
     family = henon_family()
     chart = ChartMap(family, "forward")
 
-    t_u = _angle_of(u0)
-    t_s = _angle_of(s0)
+    w_u = _slope_of(u0)
+    w_s = _slope_of(s0)
 
     centers4 = [None] * N_SETS
-    centers4[0] = (z0[0], z0[1], t_u, A0)
-    centers4[15] = (z0[0], z0[1], t_s, A0)
+    centers4[0] = (z0[0], z0[1], w_u, A0)
+    centers4[15] = (z0[0], z0[1], w_s, A0)
     orbit_hp = _highprec_orbit(13)
     for i in range(1, 15):
         zx, zy, vx, vy = orbit_hp[i - 1]
-        t_i = _angle_of((float(vx), float(vy)))
-        centers4[i] = (float(zx), float(zy), t_i, A0)
+        w_i = _slope_of((float(vx), float(vy)))
+        centers4[i] = (float(zx), float(zy), w_i, A0)
 
     with _k.upward():
         for i in range(1, 15):
@@ -256,7 +264,7 @@ def build_chain(param_radius=PARAM_RADIUS):
     tangent = [None] * N_SETS
     for i in range(1, 15):
         tangent[i] = _tangent_vec(centers4[i][2])
-    tangent[15] = _tangent_vec(t_s)
+    tangent[15] = _tangent_vec(w_s)
 
     for i in range(2, 9):
         u_vecs[i] = tangent[i]
@@ -284,7 +292,7 @@ def build_chain(param_radius=PARAM_RADIUS):
             (
                 (u[0], s[0], 0.0, 0.0),
                 (u[1], s[1], 0.0, 0.0),
-                (0.0, 0.0, 1.0, 0.0),
+                (0.0, 0.0, _frame_tangent(centers4[i][2]), 0.0),
                 (0.0, 0.0, 0.0, 1.0),
             )
         )
@@ -309,11 +317,6 @@ def projected_disk_data(chain, side):
     eig = chain.eigen
     u0 = eig["u0_mid"]
     s0 = eig["s0_mid"]
-    frame3 = (
-        (u0[0], s0[0], 0.0),
-        (u0[1], s0[1], 0.0),
-        (0.0, 0.0, 1.0),
-    )
     if side == "stable":
         idx = 15
         unstable3 = (0, 2)
@@ -326,6 +329,11 @@ def projected_disk_data(chain, side):
         raise IntervalError(f"unknown disk side {side!r}")
     big = chain.sets[idx]
     center3 = big.center[:3]
+    frame3 = (
+        (u0[0], s0[0], 0.0),
+        (u0[1], s0[1], 0.0),
+        (0.0, 0.0, _frame_tangent(center3[2])),
+    )
     diam3 = big.diam[:3]
     ntilde = HSet(f"Ntilde{idx}", center3, frame3, diam3, unstable3)
     qtilde = QuadraticForm(coeffs3, unstable3)

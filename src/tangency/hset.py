@@ -5,7 +5,9 @@ designated split of the axes into unstable (exit) and stable (entry)
 directions.  Two local frames matter and are kept explicit:
 
 * the un-normalized frame ``w = M^-1 (p - c)`` in which the quadratic cone
-  forms are expressed (the frame columns are unit vectors);
+  forms are expressed (the columns of M set its units: a Henon frame's
+  planar columns are unit vectors, and its slope column is scaled so that
+  the local tangent coordinate is, to first order, an angle);
 * the diameter-normalized frame ``z = d^-1 . w`` in which the set is the
   cube [-1,1]^n and all covering inequalities are checked.
 
@@ -93,12 +95,6 @@ class HSet:
             raise IntervalError("diameters must be positive and finite")
         self.unstable = _axes(unstable, n)
         self.stable = tuple(i for i in range(n) if i not in self.unstable)
-        for j in range(n):
-            norm = math.sqrt(sum(self.coord[i][j] ** 2 for i in range(n)))
-            if abs(norm - 1.0) > 1e-6:
-                raise IntervalError(
-                    f"{self.name}: column {j} not normalized (|.|={norm})"
-                )
         self.center_vec = IntervalVector(self.center)
         self.frame = IntervalMatrix(self.coord)
         self._frame_rows = nonzero_pattern(self.frame.pairs)

@@ -210,7 +210,7 @@ class Jet:
             return NotImplemented
         return o / self
 
-    # -- composition with elementary functions ----------------------------
+    # -- squares and square roots ----------------------------------------
 
     def _chain(self, value, d1, d2):
         """The jet of g(self) from the pairs value = g(v), d1 = g'(v) and
@@ -250,33 +250,3 @@ class Jet:
         if self.hess_pairs is not None:
             d2 = _div((-0.25, -0.25), _k.imul(*s, *self.value_pair))
         return self._chain(s, d1, d2)
-
-    def sincos(self):
-        """(sin, cos) of the jet from one interval sin and one cos.
-
-        No map of the package calls it: ChartMap writes its angle row out
-        on pairs, and the tests build the jet route that row must equal bit
-        for bit from this, jet division and atan."""
-        v = self.value
-        s = v.sin()
-        c = v.cos()
-        s, c = (s.lo, s.hi), (c.lo, c.hi)
-        neg_s, neg_c = (-s[1], -s[0]), (-c[1], -c[0])
-        return self._chain(s, c, neg_s), self._chain(c, neg_s, neg_c)
-
-    def sin(self):
-        return self.sincos()[0]
-
-    def cos(self):
-        return self.sincos()[1]
-
-    def atan(self):
-        """atan of the jet; like sincos, the tests' angle-row oracle."""
-        v = self.value_pair
-        den = _k.iadd(1.0, 1.0, *_k.isqr(*v))
-        d1 = _div(_ONE, den)
-        d2 = None
-        if self.hess_pairs is not None:
-            d2 = _div(_k.imul(-2.0, -2.0, *v), _k.isqr(*den))
-        t = self.value.atan()
-        return self._chain((t.lo, t.hi), d1, d2)

@@ -13,10 +13,10 @@ h-set satisfying cone conditions.  The certificate consists of
 5. delta = Gamma^2 / ||alpha|| with the final comparison
    delta * |parameter coefficient of the 4D form| > 1.
 
-The self-covering runs the chart map on (x, y, t) boxes times the parameter
+The self-covering runs the chart map on (x, y, w) boxes times the parameter
 interval (DiskMap), on the outputs each sub-box's target rows read, and
 every derivative the disk needs comes from its one enclosure pass per
-sub-box: its certificate's local_jacobian is d(x, y, t)/d(x, y, t, a) in the
+sub-box: its certificate's local_jacobian is d(x, y, w)/d(x, y, w, a) in the
 local frame of the projected set, whose first three columns are the cone
 derivative and whose last is the parameter column of M and L.  No frame
 change happens here.  A is a float eigenvalue estimate certified by one Rump
@@ -210,11 +210,11 @@ def choose_gamma(a_lower, m_upper, l_upper, locus="manifold"):
 
 
 class DiskMap:
-    """chart_map on (x, y, t) boxes, the parameter held in the interval param.
+    """chart_map on (x, y, w) boxes, the parameter held in the interval param.
 
     Each box, with param appended, goes through chart_map.apply or
-    chart_map.derivative on the outputs asked for, every output (x, y, t) by
-    default.  A Jacobian row is then d(x, y, t)/d(x, y, t, a) for its
+    chart_map.derivative on the outputs asked for, every output (x, y, w) by
+    default.  A Jacobian row is then d(x, y, w)/d(x, y, w, a) for its
     output, whose last column verify_disk reads as the parameter column.
     """
 
@@ -237,9 +237,9 @@ def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=
     """Full disk certificate for one side (see module docstring).
 
     chart_map must already be oriented: the unstable side passes the
-    inverse-oriented map.  The self-covering's local_jacobian, d(x, y, t)/d(x,
-    y, t, a) in the local frame over the set times the parameter interval,
-    is the only derivative read: its (x, y, t) block is the cone derivative,
+    inverse-oriented map.  The self-covering's local_jacobian, d(x, y, w)/d(x,
+    y, w, a) in the local frame over the set times the parameter interval,
+    is the only derivative read: its (x, y, w) block is the cone derivative,
     and its parameter column feeds the M and L bounds.
     """
     locus = f"{side} disk in {ntilde.name}"

@@ -1,23 +1,22 @@
-"""Projectivized dynamics of a planar map family in the angle chart.
+"""Projectivized dynamics of a planar map family in the slope chart.
 
 Directions [v] in the projective line over a planar tangent space are
-parameterized by an angle t in (0, pi) through (cos t, sin t); the chart
-excludes the horizontal direction, and any enclosure touching it is a hard
-error (ChartError), checked on the angle of every box the map takes and
-returns.  The extended map acts on chart boxes, IntervalVectors (x, y, t, a),
-by
+parameterized by the slope w = v_x / v_y, the direction [(w, 1)]; the chart
+excludes the horizontal direction.  The extended map acts on chart boxes,
+IntervalVectors (x, y, w, a), by
 
-    (x, y, t, a) |-> (f_a(x, y), angle(Df_a(x, y) . (cos t, sin t)), a)
+    (x, y, w, a) |-> (f_a(x, y), w_x / w_y, a),  (w_x, w_y) = Df_a(x, y) . (w, 1),
 
-and its rigorous 4x4 derivative is assembled from order-2 jets of f (the
-angle component needs the second derivatives of f); the value parts of the
-same jets are the image enclosure, returned beside the derivative.  The
-angle, in the image and in the derivative's row, is written out on
-(lo, hi) pairs from f's jets.  Both
-can be asked for some outputs only and compute only what those read:
-without t they compute no angle, the image's jets of f carry values only
-and the derivative's drop to order 1; the derivative on a alone does not
-evaluate f.
+a rational function of the box.  An image direction whose w_y enclosure
+contains 0 may be horizontal and leaves the chart: a hard error
+(ChartError).  The rigorous 4x4 derivative is assembled from order-2 jets of
+f (the slope component needs the second derivatives of f); the value parts
+of the same jets are the image enclosure, returned beside the derivative.
+The slope, in the image and in the derivative's row, is written out on
+(lo, hi) pairs from f's jets.  Both can be asked for some outputs only and
+compute only what those read: without w, they compute no slope, the image's
+jets of f carry values only and the derivative's drop to order 1; the
+derivative on a alone does not evaluate f.
 """
 
 from __future__ import annotations
@@ -26,46 +25,24 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from tangency import kernels as _k
-from tangency.interval import (
-    HALF_PI,
-    PI,
-    Interval,
-    IntervalError,
-    as_pair,
-    check_pairs,
-    pair_atan,
-    pair_cos,
-    pair_sin,
-)
+from tangency.interval import Interval, IntervalError, check_pairs
 from tangency.jets import Jet
 from tangency.linalg import IntervalMatrix, IntervalVector
 
 
 class ChartError(IntervalError):
-    """Direction enclosure leaves the angle chart (touches t = 0 or pi)."""
+    """Direction enclosure leaves the slope chart (may be horizontal)."""
 
 
-def _check_angle(t):
-    """ChartError unless the angle enclosure t, a (lo, hi) pair, lies
-    strictly inside the chart (0, pi)."""
-    lo, hi = t
-    if not (lo > 0.0 and hi < PI.lo):
+def _slope(wx, wy):
+    """The slope wx / wy of the direction enclosure (wx, wy), (lo, hi)
+    pairs; ChartError if wy contains 0."""
+    if wy[0] <= 0.0 <= wy[1]:
         raise ChartError(
-            f"angle enclosure {Interval(lo, hi)!r} leaves the chart (0, pi)"
+            f"image direction ({Interval(*wx)!r}, {Interval(*wy)!r}) may be "
+            "horizontal: it leaves the slope chart"
         )
-
-
-def _flip_to_upper(vx, vy):
-    """Whether the direction enclosure (vx, vy) of (lo, hi) pairs lies below
-    the horizontal, so that -v is the representative the chart uses;
-    ChartError if it may contain the zero vector or touches the horizontal."""
-    if vy[0] <= 0.0 <= vy[1]:
-        if vx[0] <= 0.0 <= vx[1]:
-            raise ChartError("direction enclosure contains the zero vector")
-        raise ChartError(
-            "direction enclosure touches the excluded chart point t in {0, pi}"
-        )
-    return vy[1] < 0.0
+    return _k.idiv(*wx, *wy)
 
 
 @dataclass(frozen=True)
@@ -83,36 +60,12 @@ class PlanarMapFamily:
     inverse: Optional[Callable[[Jet, Jet, Jet], tuple[Jet, Jet]]] = None
 
 
-def direction_to_angle(v):
-    """Angle enclosure t in (0, pi) of a projective direction enclosure.
-
-    v and -v denote the same class; the representative with positive second
-    component is used.  If the enclosure touches the excluded horizontal
-    direction (or may contain the zero vector) the chart is left: error.
-    """
-    return Interval(*_chart_angle(as_pair(v[0]), as_pair(v[1])))
-
-
-def _chart_angle(vx, vy):
-    """The angle pi/2 - atan(vx/vy) of a direction enclosure (vx, vy) of
-    (lo, hi) pairs, as a pair: direction_to_angle on pairs, with the checks
-    an Interval would make (IntervalError) and the chart's (ChartError)."""
-    vx, vy = check_pairs((vx, vy))
-    if _flip_to_upper(vx, vy):
-        vx, vy = (-vx[1], -vx[0]), (-vy[1], -vy[0])
-    (q,) = check_pairs((_k.idiv(*vx, *vy),))
-    t = _k.isub(*_HALF_PI, *pair_atan(*q))
-    _check_angle(t)
-    return t
-
-
 _ZERO = (0.0, 0.0)
 _ONE = (1.0, 1.0)
-_HALF_PI = (HALF_PI.lo, HALF_PI.hi)
 
 
-def _place_t(xya):
-    """(x, y, a) pairs placed into (x, y, t, a) with an exact zero for t."""
+def _place_w(xya):
+    """(x, y, a) pairs placed into (x, y, w, a) with an exact zero for w."""
     x, y, a = xya
     return x, y, _ZERO, a
 
@@ -131,7 +84,7 @@ class ChartMap:
     """The extended map on chart coordinates for one orientation of a family.
 
     ``direction="forward"`` uses the family's forward evaluator,
-    ``direction="inverse"`` its inverse; both act on (x, y, t, a) with the
+    ``direction="inverse"`` its inverse; both act on (x, y, w, a) with the
     parameter held fixed by the dynamics.
     """
 
@@ -153,22 +106,19 @@ class ChartMap:
     # -- value-level application ------------------------------------------
 
     def apply(self, v, outputs=None):
-        """Image enclosure of a chart box, the IntervalVector (x, y, t, a);
+        """Image enclosure of a chart box, the IntervalVector (x, y, w, a);
         order-1 jets supply Df.  With outputs, increasing indices into
-        (x, y, t, a), the image holds those entries only; without t, no
-        angle is computed or checked and f runs on value-only jets.  The
-        image angle is _chart_angle of Df (cos t, sin t), on pairs."""
-        x, y, t, a = v.pairs
-        _check_angle(t)
-        angle = outputs is None or 2 in outputs
-        fx, fy = self._evaluator()(*_jets((x, y, a), 2 if angle else 0, 1))
+        (x, y, w, a), the image holds those entries only; without w, no
+        slope is computed or checked and f runs on value-only jets.  The
+        image slope is _slope of Df (w, 1), on pairs."""
+        x, y, w, a = v.pairs
+        slope = outputs is None or 2 in outputs
+        fx, fy = self._evaluator()(*_jets((x, y, a), 2 if slope else 0, 1))
         image = [fx.value_pair, fy.value_pair, None, a]
-        if angle:
+        if slope:
             imul, iadd = _k.imul, _k.iadd
-            c = pair_cos(*t)
-            s = pair_sin(*t)
-            image[2] = _chart_angle(*(
-                iadd(*imul(*f.grad_pairs[0], *c), *imul(*f.grad_pairs[1], *s))
+            image[2] = _slope(*(
+                iadd(*imul(*f.grad_pairs[0], *w), *f.grad_pairs[1])
                 for f in (fx, fy)
             ))
         return IntervalVector.from_pairs(
@@ -181,25 +131,24 @@ class ChartMap:
         """Image enclosure of a chart box (the jets' values: apply's, bit for
         bit) and a sound 4x4 enclosure of the derivative over it.
 
-        f does not depend on t, so its jets run over (x, y, a) and are
-        placed into the (x, y, t, a) rows with an exact zero in the t slot;
-        the t column comes from the angle row (_tangent_row) alone.  With
-        outputs, increasing indices into (x, y, t, a), the image holds those
-        entries and the matrix those rows only; without t, the jets of f are
-        of order 1 and no angle row is computed or checked, and with a alone
+        f does not depend on w, so its jets run over (x, y, a) and are
+        placed into the (x, y, w, a) rows with an exact zero in the w slot;
+        the w column comes from the slope row (_tangent_row) alone.  With
+        outputs, increasing indices into (x, y, w, a), the image holds those
+        entries and the matrix those rows only; without w, the jets of f are
+        of order 1 and no slope row is computed or checked, and with a alone
         (the parameter is held by the dynamics: its row is (0, 0, 0, 1)) f
         is not evaluated.
         """
-        x, y, t, a = v.pairs
-        _check_angle(t)
+        x, y, w, a = v.pairs
         rows = [None, None, None, (a, (_ZERO, _ZERO, _ZERO, _ONE))]
         if outputs is None or not set(outputs) <= {3}:
-            angle = outputs is None or 2 in outputs
-            fx, fy = self._evaluator()(*_jets((x, y, a), 3, 2 if angle else 1))
-            rows[0] = (fx.value_pair, _place_t(fx.grad_pairs))
-            rows[1] = (fy.value_pair, _place_t(fy.grad_pairs))
-            if angle:
-                rows[2] = self._tangent_row(fx, fy, t)
+            slope = outputs is None or 2 in outputs
+            fx, fy = self._evaluator()(*_jets((x, y, a), 3, 2 if slope else 1))
+            rows[0] = (fx.value_pair, _place_w(fx.grad_pairs))
+            rows[1] = (fy.value_pair, _place_w(fy.grad_pairs))
+            if slope:
+                rows[2] = self._tangent_row(fx, fy, w)
         if outputs is not None:
             rows = [rows[k] for k in outputs]
         image = IntervalVector.from_pairs([value for value, _ in rows])
@@ -207,48 +156,34 @@ class ChartMap:
         return image, jacobian
 
     @staticmethod
-    def _tangent_row(fx, fy, t):
-        """The image angle over a chart box and its gradient over
-        (x, y, t, a), as (value, gradient) pairs, from the order-2 jets
-        (fx, fy) of f over (x, y, a) and the angle pair t.
+    def _tangent_row(fx, fy, w):
+        """The image slope over a chart box and its gradient over
+        (x, y, w, a), as (value, gradient) pairs, from the order-2 jets
+        (fx, fy) of f over (x, y, a) and the slope pair w.
 
-        The angle is pi/2 - atan(wx/wy) of w = f_x cos t + f_y sin t, with
-        f_x, f_y the columns of Df; the gradient of w reads the Hessian rows
-        of f.  Each pair is the kernel call that order-1 jets over
-        (x, y, t, a) make for it, on the same operands in the same order,
-        less the terms with a factor that is an exact zero by construction
-        (f does not depend on t, cos t and sin t on nothing else), so the
-        row is those jets' row bit for bit.  w and the quotient are checked
-        before they enter a product; what follows is finite by
-        construction.
+        The slope is wx / wy of (wx, wy) = f_x w + f_y, with f_x, f_y the
+        columns of Df; the gradient of (wx, wy) reads the Hessian rows of
+        f, and the slope's is the quotient rule, (d wx - q d wy) / wy with
+        q an enclosure of wx / wy.  Both and the quotient are checked before
+        they enter a product; the gradient is checked by the caller's
+        IntervalMatrix.
         """
         imul, iadd, isub, idiv = _k.imul, _k.iadd, _k.isub, _k.idiv
-        s = pair_sin(*t)
-        c = pair_cos(*t)
-        ds = imul(*c, *_ONE)  # d(sin t)/dt
-        dc = imul(-s[1], -s[0], *_ONE)  # d(cos t)/dt
-        w = []
+        d = []
         for f in (fx, fy):
             g0, g1, _ = f.grad_pairs
             h0, h1 = f.hess_row_pairs(0), f.hess_row_pairs(1)
-            # f_x cos t + f_y sin t: value, then d/dx, d/dy, d/dt, d/da.
-            w.append(check_pairs((
-                iadd(*imul(*g0, *c), *imul(*g1, *s)),
-                iadd(*imul(*c, *h0[0]), *imul(*s, *h1[0])),
-                iadd(*imul(*c, *h0[1]), *imul(*s, *h1[1])),
-                iadd(*imul(*g0, *dc), *imul(*g1, *ds)),
-                iadd(*imul(*c, *h0[2]), *imul(*s, *h1[2])),
+            # f_x w + f_y: value, then d/dx, d/dy, d/dw, d/da.
+            d.append(check_pairs((
+                iadd(*imul(*g0, *w), *g1),
+                iadd(*imul(*w, *h0[0]), *h1[0]),
+                iadd(*imul(*w, *h0[1]), *h1[1]),
+                g0,
+                iadd(*imul(*w, *h0[2]), *h1[2]),
             )))
-        wx, wy = w
-        if _flip_to_upper(wx[0], wy[0]):
-            wx, wy = ([(-hi, -lo) for lo, hi in r] for r in (wx, wy))
+        wx, wy = d
         den = wy[0]
-        q = idiv(*wx[0], *den)
-        q = check_pairs((q, *(
+        (q,) = check_pairs((_slope(wx[0], den),))
+        return q, tuple(
             idiv(*isub(*a, *imul(*q, *b)), *den) for a, b in zip(wx[1:], wy[1:])
-        )))
-        # The row is pi/2 - atan(q), with atan' = 1 / (1 + q^2).
-        d1 = idiv(*_ONE, *iadd(*_ONE, *_k.isqr(*q[0])))
-        value = isub(*_HALF_PI, *pair_atan(*q[0]))
-        _check_angle(value)
-        return value, tuple(isub(*_ZERO, *imul(*d1, *g)) for g in q[1:])
+        )

@@ -84,6 +84,7 @@ class TestProve:
         assert code == 1
         report = report_mod.loads(out.read_text())
         assert report["failure"]["locus"] == "N9=>N10"
+        assert report["failure"]["detail"].startswith("exit failed on wall z_0=+1 ")
         covering = report["stages"]["covering"]
         assert [(c["source"], c["target"]) for c in covering] == [
             (f"N{i}", f"N{i + 1}") for i in range(9)

@@ -482,17 +482,17 @@ class TestWallRows:
                     pairs_hex(full_jac.pairs[k]) for k in outputs
                 ]
 
-    def test_wall_angle_check_moves_to_the_interior(self):
-        # f(x, y) = (x + y, x) turns the direction t = pi/2 horizontal.  On
-        # a link whose target rows are (x, a), the walls never compute the
-        # image angle and pass their exit checks; the interior box, which
-        # covers the walls and maps every output, leaves the chart, so the
-        # link is still inconclusive.
+    def test_wall_slope_check_moves_to_the_interior(self):
+        # f(x, y) = (x + y, x) maps the direction (w, 1) to (w + 1, w), so
+        # it turns the vertical, slope 0, horizontal.  On a link whose
+        # target rows are (x, a), the walls never compute the image slope
+        # and pass their exit checks; the interior box, which covers the
+        # walls and maps every output, leaves the chart, so the link is
+        # still inconclusive.
         family = PlanarMapFamily("shear", lambda x, y, a: (x + y, x))
         fmap = ChartMap(family)
-        half_pi = 1.5707963267948966
-        src = HSet("S", (0.0, 0.0, half_pi, 0.0), EYE4, (1.0, 0.01, 0.1, 0.2), (0, 3))
-        tgt = HSet("T", (0.0, 0.0, half_pi, 0.0), EYE4, (0.5, 2.0, 1.0, 0.1), (0, 3))
+        src = HSet("S", (0.0, 0.0, 0.0, 0.0), EYE4, (1.0, 0.01, 0.1, 0.2), (0, 3))
+        tgt = HSet("T", (0.0, 0.0, 0.0, 0.0), EYE4, (0.5, 2.0, 1.0, 0.1), (0, 3))
         wall = src.walls(0, 1, 1)[0]
         with pytest.raises(ChartError):
             _image_normalized(src, tgt, fmap, wall, range(tgt.n))

@@ -1,6 +1,7 @@
 """Henon certification: data integrity, chain, cones, disks, full driver."""
 
 import decimal
+import math
 from fractions import Fraction
 
 import pytest
@@ -218,11 +219,17 @@ class TestChainData:
         assert z[3].mag < 1.0  # parameter axis
 
     def test_frames_have_reference_structure(self, henon_chain):
-        for m in (s.coord for s in henon_chain.sets):
+        # Unit planar columns; the slope column is -(1 + w^2) e_w at the
+        # center's slope w, dw/dt of w = cot t, so that the local tangent
+        # coordinate is an angle.
+        for h in henon_chain.sets:
+            m, w = h.coord, h.center[2]
             assert m[0][2] == m[0][3] == 0.0
             assert m[1][2] == m[1][3] == 0.0
-            assert m[2] == (0.0, 0.0, 1.0, 0.0)
+            assert m[2] == (0.0, 0.0, -(1.0 + w * w), 0.0)
             assert m[3] == (0.0, 0.0, 0.0, 1.0)
+            for j in (0, 1):
+                assert abs(math.hypot(m[0][j], m[1][j]) - 1.0) < 1e-15
 
     def test_orbit_width_check_aborts_build(self, monkeypatch):
         monkeypatch.setattr("tangency.henon.ORBIT_WIDTH_MAX", 1e-300)
@@ -409,16 +416,16 @@ class TestSharedJacobian:
     def test_tangent_jets_at_grid_one(self, monkeypatch, henon_proof):
         # One per interior sub-box: 15 links and 2 disk self-coverings, 17.
         # A wall sub-box is enclosed on its paired target row only, and only
-        # target axis 2 reads the angle: the 2 walls of the source axis
+        # target axis 2 reads the slope: the 2 walls of the source axis
         # paired with it, on each of the 7 links N8=>N9 through N14=>N15 and
         # on each of the 2 disks.  17 + 2 * 7 + 2 * 2 = 35.
         cert, _ = henon_proof
-        angle_links = [
+        slope_links = [
             f"{c.source}=>{c.target}"
             for c in cert.coverings
             if any(j == 2 for _, j, _ in c.correspondence)
         ]
-        assert angle_links == [f"N{k}=>N{k + 1}" for k in range(8, 15)]
+        assert slope_links == [f"N{k}=>N{k + 1}" for k in range(8, 15)]
         for disk in (cert.stable_disk, cert.unstable_disk):
             assert [j for _, j, _ in disk.covering.correspondence].count(2) == 1
         calls = []

@@ -22,14 +22,54 @@ def _sample_set():
 
 class TestConstruction:
     def test_validation(self):
-        with pytest.raises(IntervalError):
-            HSet("bad", (0, 0), [[2.0, 0.0], [0.0, 1.0]], (1, 1), (0,))
+        with pytest.raises(IntervalError, match="singular"):
+            HSet("bad", (0, 0), [[2.0, 1.0], [4.0, 2.0]], (1, 1), (0,))
         with pytest.raises(IntervalError):
             HSet("bad", (0, 0), ROT, (1.0, -1.0), (0,))
         with pytest.raises(IntervalError):
             HSet("bad", (0, 0), ROT, (1.0, 1.0), (0, 0))
         with pytest.raises(IntervalError):
             HSet("bad", (0, 0), ROT, (1.0, 1.0), (5,))
+
+    def test_frame_columns_need_not_be_unit(self):
+        # A Henon frame's slope column is -(1 + w^2) e_w: any invertible
+        # frame is an h-set frame, and the transforms use its inverse.
+        h = HSet("S", (1.0, -2.0), [[2.0, 0.0], [0.0, -3.0]], (0.5, 0.25), (0,))
+        w = h.to_normalized(IntervalVector([2.0, -2.75]))
+        assert w[0].contains(1.0) and w[1].contains(1.0)
+
+    @pytest.mark.parametrize(
+        "coord",
+        [
+            [[2.0, 1.0], [4.0, 2.0]],
+            [[0.1, 0.3], [0.2, 0.6]],
+            [[0.6, 0.8, 0.0, 0.0], [-0.8, 0.6, 0.0, 0.0],
+             [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+            [[0.6, 0.6, 0.0, 0.0], [0.8, 0.8, 0.0, 0.0],
+             [0.0, 0.0, -2.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+        ],
+        ids=["parallel-columns", "determinant-enclosing-zero", "zero-slope-column",
+             "parallel-planar-columns"],
+    )
+    def test_singular_frame_rejected_through_the_inverse_enclosure(
+        self, monkeypatch, coord
+    ):
+        # With no unit-column check, the inverse-frame enclosure built with
+        # the set is what rejects a frame that is not certified invertible.
+        from tangency import hset
+
+        seen = []
+        enclose = hset.inverse_enclosure
+
+        def spy(rows):
+            seen.append(rows)
+            return enclose(rows)
+
+        monkeypatch.setattr(hset, "inverse_enclosure", spy)
+        n = len(coord)
+        with pytest.raises(IntervalError, match="inverse_enclosure: singular"):
+            HSet("bad", (0.0,) * n, coord, (1.0,) * n, (0,))
+        assert len(seen) == 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_diameters_rejected(self, bad):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tangency import kernels as _k
-from tangency.interval import Interval, IntervalError
+from tangency.interval import Interval, IntervalError, ulp
 from tangency.linalg import (
     IntervalMatrix,
     IntervalVector,
@@ -301,7 +301,11 @@ class TestBlockInverse:
                 for j in range(4):
                     if (i < 2) != (j < 2) or (i >= 2 and i != j):
                         assert pairs_hex([p[i][j]])[0] == zero, (h.name, i, j)
-            assert p[2][2] == (1.0, 1.0) and p[3][3] == (1.0, 1.0)
+            # The slope entry is 1 / -(1 + w^2), a reciprocal enclosed to
+            # one ulp; the parameter's is exactly 1.
+            lo, hi = p[2][2]
+            assert lo <= 1 / Fraction(h.coord[2][2]) <= hi and hi - lo <= ulp(lo)
+            assert p[3][3] == (1.0, 1.0)
         for _ in range(60):
             a = _random_block_matrix(rng, rng.randint(2, 5))
             comp = _blocks_of(a)

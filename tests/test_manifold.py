@@ -49,15 +49,17 @@ def saddle_family(lam=2.0, mu=0.4, coupling=0.0):
 
 
 ROOT2 = math.sqrt(0.5)
-FRAME3 = ((ROOT2, -ROOT2, 0.0), (ROOT2, ROOT2, 0.0), (0.0, 0.0, 1.0))
+# The slope column is -(1 + w^2) e_w at the unstable eigendirection's slope
+# w = 1, so the local tangent coordinate is an angle, as in the Henon frames.
+FRAME3 = ((ROOT2, -ROOT2, 0.0), (ROOT2, ROOT2, 0.0), (0.0, 0.0, -2.0))
 
 
 def _disk_inputs(coupling=0.0, diam=(0.1, 0.1, 0.1)):
     lam, mu = 2.0, 0.4
     fam = saddle_family(lam, mu, coupling)
     chart = ChartMap(fam, "forward")
-    t_u = math.atan2(1.0, 1.0)  # unstable eigendirection angle pi/4
-    ntilde = HSet("D", (0.0, 0.0, t_u), FRAME3, diam, (0,))
+    w_u = 1.0  # unstable eigendirection (1, 1)
+    ntilde = HSet("D", (0.0, 0.0, w_u), FRAME3, diam, (0,))
     qtilde = QuadraticForm((1.0, -1.0, -1.0), (0,))
     return chart, ntilde, qtilde
 

@@ -1,7 +1,6 @@
-"""Angle-chart projectivization: directions, extended map, derivatives."""
+"""Slope-chart projectivization: directions, extended map, derivatives."""
 
 import ast
-import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,13 +8,8 @@ import pytest
 
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalVector
-from tangency.projective import (
-    ChartError,
-    ChartMap,
-    PlanarMapFamily,
-    direction_to_angle,
-)
-from conftest import PI_BOUNDS, atan_bounds, check_inverse_consistency, pairs_hex
+from tangency.projective import ChartError, ChartMap, PlanarMapFamily
+from conftest import check_inverse_consistency, contains_fraction, pairs_hex
 
 
 def box(x, y, t, a):
@@ -24,7 +18,7 @@ def box(x, y, t, a):
 
 def linear_family(lam, mu):
     """Planar linear map with eigenvalues lam, mu and eigenvectors at 45
-    degrees (both eigendirections inside the angle chart)."""
+    degrees, the slopes 1 and -1 (both eigendirections inside the chart)."""
     p = 0.5 * (lam + mu)
     q = 0.5 * (lam - mu)
 
@@ -40,9 +34,17 @@ def linear_family(lam, mu):
     return PlanarMapFamily(name="linear45", forward=forward, inverse=inverse)
 
 
+def _exact_eigenvalues(lam, mu):
+    """The eigenvalues p + q and p - q of linear_family(lam, mu), whose
+    entries p and q are rounded, as Fractions."""
+    p, q = Fraction(0.5 * (lam + mu)), Fraction(0.5 * (lam - mu))
+    return p + q, p - q
+
+
 def axis_family(lam, mu):
     """Diagonal planar map (eigenvectors on the axes; the unstable
-    eigendirection is the excluded chart point, deliberately)."""
+    eigendirection is the excluded chart point, deliberately).  It maps the
+    slope w to (lam/mu) w."""
 
     def forward(x, y, a):
         return lam * x, mu * y
@@ -53,105 +55,75 @@ def axis_family(lam, mu):
     return PlanarMapFamily(name="diag", forward=forward, inverse=inverse)
 
 
-class TestDirectionToAngle:
-    def test_vertical(self):
-        t = direction_to_angle(IntervalVector([0.0, 1.0]))
-        assert Fraction(t.lo) <= PI_BOUNDS[0] / 2 <= PI_BOUNDS[1] / 2 <= Fraction(t.hi)
-
-    def test_projective_identification(self):
-        t1 = direction_to_angle(IntervalVector([1.0, 1.0]))
-        t2 = direction_to_angle(IntervalVector([-1.0, -1.0]))
-        assert t1 == t2
-        assert Fraction(t1.lo) <= PI_BOUNDS[0] / 4 <= Fraction(t1.hi)
-
-    def test_unstable_eigendirection_value(self):
-        from tangency.henon import eigen_data
-
-        u0 = eigen_data()["u0_mid"]
-        t = direction_to_angle(IntervalVector([u0[0], u0[1]]))
-        # independent oracle: atan of the component ratio
-        lo, hi = atan_bounds(Fraction(u0[1]) / Fraction(u0[0]))
-        assert Fraction(t.lo) <= lo and hi <= Fraction(t.hi)
-        assert abs(t.mid - 0.25365) < 1e-4
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ChartError):
-            direction_to_angle(IntervalVector([Interval(-1, 1), Interval(-1, 1)]))
-
-    def test_horizontal_direction_rejected(self):
-        with pytest.raises(ChartError):
-            direction_to_angle(IntervalVector([1.0, Interval(-1e-12, 1e-12)]))
-
-    def test_round_trip(self):
-        t = direction_to_angle(IntervalVector([0.3, 0.9]))
-        # (cos t, sin t) is in the same projective class: its cross product
-        # with the input encloses 0
-        cross = Interval(0.3) * t.sin() - Interval(0.9) * t.cos()
-        assert cross.contains(0.0)
-
-
 class TestChartDomain:
-    def test_apply_and_derivative_reject_t_touching_0_or_pi(self):
+    def test_apply_and_derivative_accept_every_finite_slope(self):
+        # Every finite slope is a direction of the chart: only an image
+        # direction can leave it.
         chart = ChartMap(linear_family(2.0, 0.5), "forward")
-        for t in (0.0, Interval(-0.1, 0.5), math.pi, Interval(3.0, 3.2)):
-            for evaluate in (chart.apply, chart.derivative):
-                with pytest.raises(ChartError, match="leaves the chart"):
-                    evaluate(box(0.0, 0.0, t, 0.0))
-        chart.apply(box(0.0, 0.0, 1.5, 0.0))
-        chart.derivative(box(0.0, 0.0, 1.5, 0.0))
+        for w in (0.0, Interval(-0.1, 0.5), -1e6, Interval(3.0, 1e8)):
+            chart.apply(box(0.0, 0.0, w, 0.0))
+            chart.derivative(box(0.0, 0.0, w, 0.0))
 
-    def test_image_angle_leaving_the_chart_is_rejected(self):
-        # The diagonal family maps slope-1 directions to slope mu/lam: with
-        # mu/lam = 1e-40 the image angle encloses the excluded t = 0.
-        chart = ChartMap(axis_family(1e20, 1e-20), "forward")
-        p = box(0.0, 0.0, math.pi / 4, 0.0)
-        for evaluate in (chart.apply, chart.derivative):
-            with pytest.raises(ChartError, match="leaves the chart"):
-                evaluate(p)
+    def test_image_slope_leaving_the_chart_is_rejected(self):
+        # Df = [[2, 1], [1, 2]] maps (w, 1) to (2w + 1, w + 2), horizontal
+        # at w = -2: a slope box around -2, or -2 itself, leaves the chart.
+        chart = ChartMap(linear_family(3.0, 1.0), "forward")
+        for w in (Interval(-2.1, -1.9), -2.0):
+            for evaluate in (chart.apply, chart.derivative):
+                with pytest.raises(ChartError, match="leaves the slope chart"):
+                    evaluate(box(0.0, 0.0, w, 0.0))
+        assert chart.apply(box(0.0, 0.0, -1.0, 0.0))[2] == Interval(-1.0)
 
 
 class TestApply:
     def test_eigendirection_fixed_vertical(self):
-        # Direction pi/2 is the mu-eigendirection of the diagonal family.
+        # Slope 0, the vertical, is the mu-eigendirection of the diagonal
+        # family.
         fam = axis_family(2.0, 0.5)
         chart = ChartMap(fam, "forward")
-        p = box(0.0, 0.0, 1.5707963267948966, 0.0)
+        p = box(0.0, 0.0, 0.0, 0.0)
         q = chart.apply(p)
         assert q[2].contains(p[2])
         assert q[0].contains(0.0) and q[1].contains(0.0)
 
     def test_slope_scaling_law(self):
-        # For the diagonal family, tan t' = (mu/lam) tan t.
+        # For the diagonal family, w' = (lam/mu) w.
         lam, mu = 2.0, 0.5
         fam = axis_family(lam, mu)
         chart = ChartMap(fam, "forward")
-        t_in = direction_to_angle(IntervalVector([1.0, 1.0]))  # slope 1
-        q = chart.apply(box(0.3, -0.2, t_in, 0.0))
-        slope = q[2].sin() / q[2].cos()
-        assert slope.contains(mu / lam)
+        q = chart.apply(box(0.3, -0.2, 1.0, 0.0))
+        assert q[2].contains(lam / mu)
+        q = chart.apply(box(0.3, -0.2, Interval(-0.5, 0.25), 0.0))
+        assert q[2] == Interval(-2.0, 1.0)
 
     def test_projective_consistency_of_apply(self):
+        # v and -v have one slope, and the image slope encloses that of
+        # Df v for either representative.
         fam = linear_family(3.0, 0.25)
         chart = ChartMap(fam, "forward")
         v = (0.4, 0.7)
-        t_plus = direction_to_angle(IntervalVector(v))
-        t_minus = direction_to_angle(IntervalVector([-v[0], -v[1]]))
-        assert t_plus == t_minus
-        q1 = chart.apply(box(0.1, 0.2, t_plus, 0.0))
-        q2 = chart.apply(box(0.1, 0.2, t_minus, 0.0))
-        assert q1[2] == q2[2]
+        w_plus = Interval(v[0]) / Interval(v[1])
+        w_minus = Interval(-v[0]) / Interval(-v[1])
+        assert w_plus == w_minus
+        q = chart.apply(box(0.1, 0.2, w_plus, 0.0))
+        p, r = Fraction(1.625), Fraction(1.375)  # Df = [[p, r], [r, p]]
+        for sign in (1, -1):
+            vx, vy = sign * Fraction(v[0]), sign * Fraction(v[1])
+            assert contains_fraction(q[2], (p * vx + r * vy) / (r * vx + p * vy))
 
     def test_henon_fixed_point_containment(self):
         from tangency.henon import A0, eigen_data, henon_family
 
         eig = eigen_data()
         x0 = eig["x0"].mid
-        t_u = direction_to_angle(IntervalVector(list(eig["u0_mid"])))
+        u0 = eig["u0_mid"]
+        w_u = Interval(u0[0]) / Interval(u0[1])
         chart = ChartMap(henon_family(), "forward")
-        q = chart.apply(box(x0, x0, t_u, A0))
+        q = chart.apply(box(x0, x0, w_u, A0))
         assert abs(q[0].mid - x0) < 1e-13
         assert abs(q[1].mid - x0) < 1e-13
-        assert abs(q[2].mid - t_u.mid) < 1e-12
+        assert abs(q[2].mid - w_u.mid) < 1e-12
+        assert abs(w_u.mid - eig["lam"].mid) < 1e-12
 
     def test_semigroup_containment_on_thin_box(self):
         fam = linear_family(2.0, 0.5)
@@ -171,14 +143,14 @@ class TestApply:
 
 class TestDerivative:
     def test_linearization_entries_unstable_chart(self):
-        # At the unstable eigendirection the angle-angle entry of the
-        # extended-map derivative is mu/lam.
+        # At the unstable eigendirection, slope 1, the slope-slope entry of
+        # the extended-map derivative is det Df / lam^2 = mu/lam.
         lam, mu = 3.0, 0.4
         fam = linear_family(lam, mu)
         chart = ChartMap(fam, "forward")
-        t_u = direction_to_angle(IntervalVector([1.0, 1.0]))
-        _, d = chart.derivative(box(0.0, 0.0, t_u, 0.0))
-        assert d[2, 2].contains(mu / lam)
+        _, d = chart.derivative(box(0.0, 0.0, 1.0, 0.0))
+        lam_x, mu_x = _exact_eigenvalues(lam, mu)
+        assert contains_fraction(d[2, 2], mu_x / lam_x)
         # parameter-independent family: last column is (0, 0, 0, 1)
         for i in range(3):
             assert d[i, 3].contains(0.0) and d[i, 3].width < 1e-12
@@ -188,18 +160,18 @@ class TestDerivative:
         lam, mu = 3.0, 0.4
         fam = linear_family(lam, mu)
         chart = ChartMap(fam, "forward")
-        t_s = direction_to_angle(IntervalVector([-1.0, 1.0]))
-        _, d = chart.derivative(box(0.0, 0.0, t_s, 0.0))
-        assert d[2, 2].contains(lam / mu)
+        _, d = chart.derivative(box(0.0, 0.0, -1.0, 0.0))
+        lam_x, mu_x = _exact_eigenvalues(lam, mu)
+        assert contains_fraction(d[2, 2], lam_x / mu_x)
 
     def test_henon_tangent_entry(self):
         from tangency.henon import A0, eigen_data, henon_family
 
         eig = eigen_data()
         x0 = eig["x0"].mid
-        t_u = direction_to_angle(IntervalVector(list(eig["u0_mid"])))
+        u0 = eig["u0_mid"]
         chart = ChartMap(henon_family(), "forward")
-        _, d = chart.derivative(box(x0, x0, t_u, A0))
+        _, d = chart.derivative(box(x0, x0, Interval(u0[0]) / Interval(u0[1]), A0))
         ratio = eig["mu"] / eig["lam"]
         assert d[2, 2].intersects(ratio)
 
@@ -252,7 +224,7 @@ class TestOutputsRead:
 
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
     def test_apply_without_angle_is_the_full_apply(self, rng, direction):
-        # Without the angle, f runs on value-only jets (no variables); x, y
+        # Without the slope, f runs on value-only jets (no variables); x, y
         # and a are the full apply's bit for bit, on random boxes.
         from tangency.henon import A0, henon_family
 
@@ -341,7 +313,7 @@ def test_projective_imports_nothing_from_covering():
 
 def _dense_family():
     """A polynomial family whose second derivatives in x, y and a are all
-    nonzero, so that every term of the angle row's gradient counts."""
+    nonzero, so that every term of the slope row's gradient counts."""
 
     def forward(x, y, a):
         return x * y * a + x.sqr() + 0.5 * y, y.sqr() * a + x * a - 0.25 * x * y
@@ -352,45 +324,32 @@ def _dense_family():
     return PlanarMapFamily("dense", forward, inverse)
 
 
-def _in_chart(t):
-    from tangency.interval import PI
-
-    return t.lo > 0.0 and t.hi < PI.lo
-
-
-def _oracle_angle(vx, vy):
-    """The image angle pi/2 - atan(vx/vy) of a direction enclosure of jets
-    or Intervals, through their own arithmetic, and whether the flip to the
-    upper half plane was taken; None when the chart is left."""
-    from tangency.interval import HALF_PI
+def _oracle_slope(vx, vy):
+    """The image slope vx / vy of a direction enclosure of jets or
+    Intervals, through their own division, and whether vy is negative;
+    None when vy contains 0 and the chart is left."""
     from tangency.jets import Jet
 
     lo, hi = vy.value_pair if isinstance(vy, Jet) else (vy.lo, vy.hi)
     if lo <= 0.0 <= hi:
         return None, None
-    flip = hi < 0.0
-    if flip:
-        vx, vy = -vx, -vy
-    if isinstance(vx, Jet):
-        angle = Jet.constant(HALF_PI, vx.n, order=1) - (vx / vy).atan()
-        if not _in_chart(angle.value):
-            return None, flip
-        return (angle.value_pair, angle.grad_pairs), flip
-    angle = HALF_PI - (vx / vy).atan()
-    return ((angle.lo, angle.hi) if _in_chart(angle) else None), flip
+    slope = vx / vy
+    if isinstance(slope, Jet):
+        return (slope.value_pair, slope.grad_pairs), hi < 0.0
+    return (slope.lo, slope.hi), hi < 0.0
 
 
 def _jet_route(chart, v):
     """derivative's and apply's outputs over the chart box v as the jets
-    compute them: f on Jet.variable jets; the angle row from order-1 jets
-    over (x, y, t, a), through Jet.sincos, jet division and Jet.atan; apply's
-    angle from Interval cos, sin, division and atan.  Returns the
-    derivative's (value, row) pairs, apply's image pairs (each None where
-    the chart is left) and the flips taken."""
+    compute them: f on Jet.variable jets; the slope row from order-1 jets
+    over (x, y, w, a), through jet products and jet division; apply's slope
+    from Interval products and division.  Returns the derivative's (value,
+    row) pairs, apply's image pairs (each None where the chart is left) and
+    whether each route's w_y was negative."""
     from tangency.jets import Jet
 
     evaluate = chart._evaluator()
-    x, y, t, a = v
+    x, y, w, a = v
     fx, fy = evaluate(*(Jet.variable(i, c, 3, order=2) for i, c in enumerate((x, y, a))))
 
     def placed(g):
@@ -400,31 +359,29 @@ def _jet_route(chart, v):
         return Jet(f.grad_pairs[i], placed(f.hess_row_pairs(i)))
 
     f1x, f1y, f2x, f2y = (row_jet(f, i) for f in (fx, fy) for i in (0, 1))
-    st, ct = Jet.variable(2, t, 4, order=1).sincos()
-    angle_row, row_flip = _oracle_angle(f1x * ct + f1y * st, f2x * ct + f2y * st)
-    rows = None if angle_row is None else [
+    wj = Jet.variable(2, w, 4, order=1)
+    slope_row, row_below = _oracle_slope(f1x * wj + f1y, f2x * wj + f2y)
+    rows = None if slope_row is None else [
         (fx.value_pair, placed(fx.grad_pairs)),
         (fy.value_pair, placed(fy.grad_pairs)),
-        angle_row,
+        slope_row,
         (v.pairs[3], ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 1.0))),
     ]
 
     gx, gy = evaluate(Jet.variable(0, x, 2, order=1), Jet.variable(1, y, 2, order=1),
                       Jet.constant(a, 2, order=1))
-    ct, st = t.cos(), t.sin()
-    angle, image_flip = _oracle_angle(
-        *(Interval(*g.grad_pairs[0]) * ct + Interval(*g.grad_pairs[1]) * st
-          for g in (gx, gy))
+    slope, image_below = _oracle_slope(
+        *(Interval(*g.grad_pairs[0]) * w + Interval(*g.grad_pairs[1]) for g in (gx, gy))
     )
-    image = None if angle is None else [gx.value_pair, gy.value_pair, angle, v.pairs[3]]
-    return rows, image, (row_flip, image_flip)
+    image = None if slope is None else [gx.value_pair, gy.value_pair, slope, v.pairs[3]]
+    return rows, image, (row_below, image_below)
 
 
 def _compare_routes(chart, v):
     """Assert derivative's and apply's outputs over v are the jet route's bit
-    for bit, a ChartError where the jet route leaves the chart; return the
-    flips the jet route took."""
-    rows, image, flips = _jet_route(chart, v)
+    for bit, a ChartError where the jet route leaves the chart; return
+    whether the jet route's w_y was negative, per route."""
+    rows, image, below = _jet_route(chart, v)
     if rows is None:
         with pytest.raises(ChartError):
             chart.derivative(v)
@@ -437,12 +394,12 @@ def _compare_routes(chart, v):
             chart.apply(v)
     else:
         assert pairs_hex(chart.apply(v).pairs) == pairs_hex(image)
-    return flips
+    return below
 
 
 class TestPairRouteOracle:
-    """ChartMap's angle row and image angle, computed on (lo, hi) pairs,
-    are the jet route's bit for bit: the angle's value and all four of its
+    """ChartMap's slope row and image slope, computed on (lo, hi) pairs,
+    are the jet route's bit for bit: the slope's value and all four of its
     derivative entries, and every other output."""
 
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
@@ -485,21 +442,106 @@ class TestPairRouteOracle:
     @pytest.mark.parametrize("family", ["henon", "dense"])
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
     def test_random_chart_boxes(self, rng, family, direction):
-        # 200 seeded boxes, thin and thick, with image directions above and
-        # below the horizontal (the flip); where the jet route leaves the
-        # chart, the pair route must raise ChartError.
+        # 200 seeded boxes, thin and thick, with image directions whose w_y
+        # is positive and negative; where the jet route leaves the chart,
+        # the pair route must raise ChartError.
         from tangency.henon import A0, henon_family
         from tangency.kernels import upward
 
         fam = henon_family() if family == "henon" else _dense_family()
         chart = ChartMap(fam, direction)
-        flips = []
+        below = []
         with upward():
             for _ in range(200):
                 center = (rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5),
-                          rng.uniform(0.05, 3.09), A0 + rng.uniform(-1e-3, 1e-3))
+                          rng.uniform(-4.0, 4.0), A0 + rng.uniform(-1e-3, 1e-3))
                 radii = [rng.choice((0.0, 1e-9, 1e-5, 1e-2)) * rng.random()
                          for _ in range(4)]
                 v = box(*[Interval(c - r, c + r) for c, r in zip(center, radii)])
-                flips += _compare_routes(chart, v)
-        assert flips.count(True) >= 40 and flips.count(False) >= 40
+                below += _compare_routes(chart, v)
+        assert below.count(True) >= 40 and below.count(False) >= 40
+
+
+# -- the slope row against exact rationals ------------------------------------
+
+
+def _exact_henon(direction, x, y, w, a):
+    """The extended Henon map's image (x', y', w', a) and its derivative
+    rows over (x, y, w, a) at an exact rational point, from closed forms:
+    forward, Df (w, 1) = (b - 2 x w, w), so w' = b / w - 2 x; inverse,
+    Df (w, 1) = (1, (w + 2 y) / b), so w' = b / (w + 2 y).  b is the binary64
+    B0 the family evaluates with."""
+    from tangency.henon import B0
+
+    b = Fraction(B0)
+    if direction == "forward":
+        image = (a - x * x + b * y, x, b / w - 2 * x, a)
+        rows = ((-2 * x, b, 0, 1), (1, 0, 0, 0), (-2, 0, -b / w**2, 0), (0, 0, 0, 1))
+    else:
+        d = w + 2 * y
+        image = (y, (x - a + y * y) / b, b / d, a)
+        rows = ((0, 1, 0, 0), (1 / b, 2 * y / b, 0, -1 / b),
+                (0, -2 * b / d**2, -b / d**2, 0), (0, 0, 0, 1))
+    return image, rows
+
+
+def _sample_points(rng, box, count):
+    """count float points of the IntervalVector box, seeded, corners
+    included with the rest uniform."""
+    pairs = box.pairs
+    points = [tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)]
+    while len(points) < count:
+        points.append(tuple(
+            min(max(lo + rng.random() * (hi - lo), lo), hi) for lo, hi in pairs
+        ))
+    return points
+
+
+def _assert_exact_in(image, jacobian, exact_image, exact_rows, what):
+    for k in range(4):
+        assert contains_fraction(image[k], exact_image[k]), (what, k)
+        for j in range(4):
+            assert contains_fraction(jacobian[k, j], Fraction(exact_rows[k][j])), (what, k, j)
+
+
+class TestExactRationalSlopeRow:
+    """At exact rational points of the Henon chain's sets and of the grid-2
+    wall sub-boxes of N0=>N1 and N9=>N10, forward and inverse, the exact
+    image, slope w' included, lies in apply's and derivative's image, and
+    the exact derivative, the row d w' / d(x, y, w, a) included, in
+    derivative's: over the thin point box and over the box it was drawn
+    from."""
+
+    @staticmethod
+    def _boxes(chain):
+        boxes = [(h.name, h.box()) for h in chain.sets]
+        for src in (chain.sets[0], chain.sets[9]):
+            for axis in src.unstable:
+                for side in (1, -1):
+                    boxes += [(f"{src.name} wall z_{axis}={side:+d}", src.from_normalized(z))
+                              for z in src.walls(axis, side, 2)]
+        return boxes
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_exact_points_lie_in_the_enclosures(self, henon_chain, rng, direction):
+        from tangency.henon import henon_family
+        from tangency.kernels import upward
+
+        chart = ChartMap(henon_family(), direction)
+        boxes = self._boxes(henon_chain)
+        assert len(boxes) == 16 + 2 * 2 * 2 * 8
+        checked = 0
+        with upward():
+            for name, wide in boxes:
+                wide_image, wide_jacobian = chart.derivative(wide)
+                for point in _sample_points(rng, wide, 6):
+                    exact = _exact_henon(direction, *map(Fraction, point))
+                    thin = IntervalVector(list(point))
+                    image, jacobian = chart.derivative(thin)
+                    _assert_exact_in(image, jacobian, *exact, (name, point))
+                    _assert_exact_in(wide_image, wide_jacobian, *exact, (name, point))
+                    applied = chart.apply(thin)
+                    assert all(contains_fraction(applied[k], exact[0][k])
+                               for k in range(4)), (name, point)
+                    checked += 1
+        assert checked == 6 * len(boxes)

@@ -2,53 +2,58 @@
 """Layer and end-to-end timings of source trees, as one JSON document.
 
     python tools/bench_layers.py --tree parent=../parent/src --tree change=src \\
-        --runs 9 > BENCH_11.json
+        --runs 9 > BENCH_21.json
 
 Each run starts a fresh interpreter per tree, with the tree first on
 ``sys.path``; the trees alternate which goes first from one run to the next.
 Inside a run every measurement is taken once untimed (warm-up), then timed
-``--repeat`` times: one call of interval ``sin``, ``cos`` and ``atan`` is the
-mean of a ``--calls``-call loop, on a thin chart-domain argument and on one
-``1e-5`` wide; the matrix, jet and cone layers are the mean of a
-``--calls // 10``-call loop (a covering link of a ``--calls // 200``-call
+``--repeat`` times, and the run keeps the minimum.  The layers are the mean
+of a ``--calls // 10``-call loop (a covering link of a ``--calls // 200``-call
 loop) on the grid-1 Henon chain: ``inverse_enclosure`` of N1's 4x4
 ``coord``, a 4x4 ``mat_mul`` (N1's ``inv_coord`` times the chart Jacobian
-over N0), ``ChartMap.derivative`` over N0's box, a thin ``ChartMap.apply``
-on N0's center with every output (the image angle included),
+over N0), ``ChartMap.derivative`` over N0's box, the chart's direction row
+alone (``ChartMap.derivative`` on output 2 over N9's box: the slope row, or
+the angle row on a tree with the angle chart), a thin ``ChartMap.apply`` on
+N0's center with every output (the image direction included),
 ``hset.local_derivative`` of that Jacobian from N0 to N1, one 4x4
 ``rump_positive_definite`` (the cone matrix of N0=>N1) and
-``check_covering`` on N0=>N1, whose walls never read the image angle, and
-on N9=>N10, two of whose walls do; ``report.dumps``
-of the grid-1 ``prove henon`` report, as parsed back from the file it
-wrote, is the mean of a ``--calls // 200``-call loop; and
-``run_proof()`` at grid 1 and grid 2 is one call, whose per-stage
-``timings`` (build, covering, cones, disks) are recorded beside its
-total.  The document holds, per tree and measurement, the minimum over
-all timed runs.
+``check_covering`` on N0=>N1, whose walls never read the image direction,
+and on N9=>N10, two of whose walls do; ``report.dumps`` of the grid-1
+``prove henon`` report, as parsed back from the file it wrote, is the mean
+of a ``--calls // 200``-call loop; and ``run_proof()`` at grid 1 and grid 2
+is one call, whose per-stage ``timings`` (build, covering, cones, disks)
+are recorded beside its total.  A layer is timed only where the tree has
+what it calls; where it does not (an ImportError or AttributeError while
+the layer is set up), the tree's value is null.
+
+The document holds, per tree and measurement, ``min``, the minimum over all
+runs, and the ``median`` and ``spread``, the interquartile range over the
+median, of the runs' values: a difference between two trees that is not
+well above both spreads is noise.
 
 The layer loops pass IntervalVector boxes to ``ChartMap.derivative`` and
 the ``ChartMap`` itself to ``check_covering``, as ``run_proof`` does; the
-sin, cos, atan, matrix, jet, cone and covering loops run inside one
-``kernels.upward()`` block, as the proof runs them.  So it compares only
-source trees whose ``tangency.kernels`` has ``upward`` and whose
-``check_covering`` takes the ``ChartMap`` unwrapped.
+matrix, jet, cone and covering loops run inside one ``kernels.upward()``
+block, as the proof runs them.  So it compares only source trees whose
+``tangency.kernels`` has ``upward`` and whose ``check_covering`` takes the
+``ChartMap`` unwrapped.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import io
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
-
-T = 1.2345678  # a chart-domain angle, quadrant k = 1
-WIDE = 1e-5
+from functools import partial
 
 
 def _best(f, repeat, number=1):
@@ -76,50 +81,69 @@ def _grid1_report():
             return report.loads(fh.read())
 
 
-def _one_run(calls, repeat):
-    from tangency import report
-    from tangency.cones import cone_matrix, rump_positive_definite
-    from tangency.covering import check_covering
-    from tangency.henon import HenonConfig, build_chain, henon_family, run_proof
-    from tangency.hset import local_derivative
-    from tangency.interval import Interval
-    from tangency.kernels import upward
-    from tangency.linalg import IntervalVector, inverse_enclosure
-    from tangency.projective import ChartMap
+def _resolve(module, name):
+    """tangency.<module>.<name>; ImportError or AttributeError if the tree
+    does not have it."""
+    return getattr(importlib.import_module(f"tangency.{module}"), name)
 
-    out = {}
-    with upward():
-        for kind, x in (("thin", Interval(T)), ("wide", Interval(T, T + WIDE))):
-            for name in ("sin", "cos", "atan"):
-                out[f"interval.{name}_{kind}_us"] = _best(getattr(x, name), repeat, calls) * 1e6
+
+def _layers(calls):
+    """(key, setup, number) per layer: setup(), called in an upward block,
+    returns the callable to time, with every function it calls resolved, so
+    it raises ImportError or AttributeError on a tree without one."""
+    from tangency.henon import build_chain, henon_family
+    from tangency.kernels import upward
+    from tangency.linalg import IntervalVector
+    from tangency.projective import ChartMap
 
     chain = build_chain()
     chart = ChartMap(henon_family())
-    src, tgt = chain.sets[0], chain.sets[1]
+    src, tgt, n9, n10 = chain.sets[0], chain.sets[1], chain.sets[9], chain.sets[10]
     center = IntervalVector(src.center)
     with upward():
         box = src.box()
+        box9 = n9.box()
         _, jacobian = chart.derivative(box)
-        link = check_covering(src, tgt, chart)
-        v = cone_matrix(link.local_jacobian, chain.forms[0], chain.forms[1])
-    doc = _grid1_report()
-    layers = (
-        ("linalg.inverse_enclosure_4x4_us", lambda: inverse_enclosure(tgt.coord),
-         calls // 10),
-        ("linalg.mat_mul_4x4_us", lambda: tgt.inv_coord.mat_mul(jacobian), calls // 10),
-        ("projective.derivative_us", lambda: chart.derivative(box), calls // 10),
-        ("projective.apply_thin_us", lambda: chart.apply(center), calls // 10),
-        ("hset.local_derivative_us", lambda: local_derivative(src, tgt, jacobian),
-         calls // 10),
-        ("cones.rump_4x4_us", lambda: rump_positive_definite(v), calls // 10),
+
+    def rump():
+        link = _resolve("covering", "check_covering")(src, tgt, chart)
+        v = _resolve("cones", "cone_matrix")(
+            link.local_jacobian, chain.forms[0], chain.forms[1])
+        return partial(_resolve("cones", "rump_positive_definite"), v)
+
+    many, few = calls // 10, calls // 200
+    return (
+        ("linalg.inverse_enclosure_4x4_us",
+         lambda: partial(_resolve("linalg", "inverse_enclosure"), tgt.coord), many),
+        ("linalg.mat_mul_4x4_us", lambda: partial(tgt.inv_coord.mat_mul, jacobian), many),
+        ("projective.derivative_us", lambda: partial(chart.derivative, box), many),
+        ("projective.slope_row_us", lambda: partial(chart.derivative, box9, (2,)), many),
+        ("projective.apply_thin_us", lambda: partial(chart.apply, center), many),
+        ("hset.local_derivative_us",
+         lambda: partial(_resolve("hset", "local_derivative"), src, tgt, jacobian), many),
+        ("cones.rump_4x4_us", rump, many),
         ("covering.link_N0_N1_us",
-         lambda: check_covering(src, tgt, chart), calls // 200),
+         lambda: partial(_resolve("covering", "check_covering"), src, tgt, chart), few),
         ("covering.link_N9_N10_us",
-         lambda: check_covering(chain.sets[9], chain.sets[10], chart), calls // 200),
+         lambda: partial(_resolve("covering", "check_covering"), n9, n10, chart), few),
     )
+
+
+def _one_run(calls, repeat):
+    from tangency import report
+    from tangency.henon import HenonConfig, run_proof
+    from tangency.kernels import upward
+
+    out = {}
     with upward():
-        for key, f, number in layers:
+        for key, setup, number in _layers(calls):
+            try:
+                f = setup()
+            except (ImportError, AttributeError):
+                out[key] = None
+                continue
             out[key] = _best(f, repeat, max(number, 1)) * 1e6
+    doc = _grid1_report()
     out["report.dumps_us"] = _best(lambda: report.dumps(doc), repeat, max(calls // 200, 1)) * 1e6
 
     for grid in (1, 2):
@@ -136,6 +160,15 @@ def _one_run(calls, repeat):
     return out
 
 
+def _summary(values):
+    """min, median and spread, (q3 - q1) / median, of one measurement's
+    per-run values; null where the tree does not have the layer."""
+    if any(v is None for v in values):
+        return None
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"min": min(values), "median": median, "spread": (q3 - q1) / median}
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--tree", action="append", default=[],
@@ -149,7 +182,7 @@ def main():
         print(json.dumps(_one_run(args.calls, args.repeat)))
         return
     trees = [spec.split("=", 1) for spec in args.tree]
-    best = {name: {} for name, _ in trees}
+    runs = {name: {} for name, _ in trees}
     for run in range(args.runs):
         order = trees if run % 2 == 0 else trees[::-1]
         for name, src in order:
@@ -160,15 +193,17 @@ def main():
                 env=env, check=True, capture_output=True, text=True,
             )
             for key, value in json.loads(done.stdout).items():
-                best[name][key] = min(value, best[name].get(key, value))
+                runs[name].setdefault(key, []).append(value)
     print(json.dumps({
         "command": " ".join(["python", "tools/bench_layers.py"] + sys.argv[1:]),
         "statistic": f"min of {args.runs * args.repeat} warm runs "
-                     f"({args.runs} interpreters x {args.repeat})",
+                     f"({args.runs} interpreters x {args.repeat}); median and "
+                     "spread, (q3 - q1) / median, over the interpreters' minima",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
-        "results": best,
+        "results": {name: {key: _summary(values) for key, values in keys.items()}
+                    for name, keys in runs.items()},
     }, indent=1, sort_keys=True))
 
 
