@@ -1,13 +1,127 @@
 """Shared oracles and fixtures.
 
-The oracles here compute in exact Fraction arithmetic, independently of the
-library's interval kernels.
+The rational oracles here are deliberately independent of the library's own
+elementary-function machinery: different argument reductions (Stormer's pi
+decomposition, half-angle-free atan paths) evaluated in exact Fraction
+arithmetic with explicit tail bounds.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+
+
+# -- exact rational enclosures ------------------------------------------------
+
+
+def atan_series_bounds(x, n_terms=60):
+    """Rational bounds on atan(x) for |x| <= 3/4, alternating-series tail.
+
+    Summation stops early once the next term is below 2**-200 |x|, so a
+    tiny x costs a term or two instead of n_terms huge rationals."""
+    assert abs(x) <= Fraction(3, 4)
+    x2 = x * x
+    s = Fraction(0)
+    p = x
+    sign = 1
+    small = abs(x) / 2**200
+    n = 0
+    while n < n_terms and abs(p) >= small:
+        s += sign * p / (2 * n + 1)
+        p *= x2
+        sign = -sign
+        n += 1
+    tail = abs(p) / (2 * n + 1)
+    return s - tail, s + tail
+
+
+def stormer_pi_bounds():
+    """pi = 24 atan(1/8) + 8 atan(1/57) + 4 atan(1/239)."""
+    a8 = atan_series_bounds(Fraction(1, 8), 36)
+    a57 = atan_series_bounds(Fraction(1, 57), 20)
+    a239 = atan_series_bounds(Fraction(1, 239), 16)
+    lo = 24 * a8[0] + 8 * a57[0] + 4 * a239[0]
+    hi = 24 * a8[1] + 8 * a57[1] + 4 * a239[1]
+    return lo, hi
+
+
+def dyadic_outward(bounds, bits=300):
+    """Bounds rounded outward to multiples of 2**-bits: short denominators
+    keep every oracle that uses them fast, and 2**-300 is far below the
+    precision any binary64 test can see."""
+    scale = 2**bits
+    return (Fraction(math.floor(bounds[0] * scale), scale),
+            Fraction(math.ceil(bounds[1] * scale), scale))
+
+
+PI_BOUNDS = dyadic_outward(stormer_pi_bounds())
+
+
+def atan_bounds(x):
+    """Rational bounds on atan(x) for any rational/float x."""
+    q = Fraction(x)
+    if q < 0:
+        lo, hi = atan_bounds(-q)
+        return -hi, -lo
+    if q <= Fraction(3, 4):
+        return atan_series_bounds(q)
+    if q <= Fraction(4, 3):
+        # atan(q) = pi/4 + atan((q-1)/(q+1)), |(q-1)/(q+1)| <= 1/7
+        inner = atan_series_bounds((q - 1) / (q + 1), 24)
+        return PI_BOUNDS[0] / 4 + inner[0], PI_BOUNDS[1] / 4 + inner[1]
+    inner = atan_series_bounds(1 / q)
+    return PI_BOUNDS[0] / 2 - inner[1], PI_BOUNDS[1] / 2 - inner[0]
+
+
+def _sin_series_bounds(r, n_terms=16):
+    """Rational bounds on sin(r) for |r| <= 1, factorial tail."""
+    r2 = r * r
+    s = Fraction(0)
+    p = r
+    sign = 1
+    for n in range(n_terms):
+        s += sign * p / math.factorial(2 * n + 1)
+        p *= r2
+        sign = -sign
+    tail = abs(p) / math.factorial(2 * n_terms + 1)
+    return s - tail, s + tail
+
+
+def _cos_series_bounds(r, n_terms=16):
+    r2 = r * r
+    s = Fraction(0)
+    p = Fraction(1)
+    sign = 1
+    for n in range(n_terms):
+        s += sign * p / math.factorial(2 * n)
+        p *= r2
+        sign = -sign
+    tail = abs(p) / math.factorial(2 * n_terms)
+    return s - tail, s + tail
+
+
+def sincos_bounds(x):
+    """Rational bounds on (sin x, cos x) for a float x of moderate size."""
+    q = Fraction(x)
+    k = int(round(x / (math.pi / 2)))
+    half_pi = (PI_BOUNDS[0] / 2, PI_BOUNDS[1] / 2)
+    r_lo = q - k * half_pi[1 if k >= 0 else 0]
+    r_hi = q - k * half_pi[0 if k >= 0 else 1]
+    mid = (r_lo + r_hi) / 2
+    slack = (r_hi - r_lo) / 2  # |sin'|, |cos'| <= 1
+    s = _sin_series_bounds(mid)
+    c = _cos_series_bounds(mid)
+    s = (s[0] - slack, s[1] + slack)
+    c = (c[0] - slack, c[1] + slack)
+    table = {
+        0: (s, c),
+        1: (c, (-s[1], -s[0])),
+        2: ((-s[1], -s[0]), (-c[1], -c[0])),
+        3: ((-c[1], -c[0]), s),
+    }
+    return table[k % 4]
 
 
 def frac_matmul(a, b):
@@ -56,6 +170,11 @@ def pairs_hex(pairs):
     """(lo, hi) float pairs as float.hex strings: equal iff equal bit for
     bit, signed zeros included."""
     return [(lo.hex(), hi.hex()) for lo, hi in pairs]
+
+
+def encloses_bounds(interval, bounds):
+    """The interval contains the whole rational interval ``bounds``."""
+    return Fraction(interval.lo) <= bounds[0] and bounds[1] <= Fraction(interval.hi)
 
 
 def covering_boxes(src, grid):

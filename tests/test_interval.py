@@ -1,4 +1,4 @@
-"""Interval arithmetic: construction contracts, soundness, square roots."""
+"""Interval arithmetic: construction contracts, soundness, elementary functions."""
 
 import math
 import random
@@ -7,8 +7,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangency.interval import Interval, IntervalError
-from conftest import contains_fraction, random_float
+from tangency.interval import HALF_PI, PI, Interval, IntervalError, ulp
+from conftest import (
+    PI_BOUNDS,
+    atan_bounds,
+    contains_fraction,
+    encloses_bounds,
+    random_float,
+    sincos_bounds,
+)
 
 
 class TestConstruction:
@@ -177,6 +184,87 @@ def test_inclusion_monotonicity(a, b, c, d, s1, s2):
     _assert_monotone(lambda x: x.sqr(), (big_x,), (small_x,))
     if big_x.lo >= 0.0:
         _assert_monotone(lambda x: x.sqrt(), (big_x,), (small_x,))
+    _assert_monotone(lambda x: x.sin(), (big_x,), (small_x,))
+    _assert_monotone(lambda x: x.cos(), (big_x,), (small_x,))
+    _assert_monotone(lambda x: x.atan(), (big_x,), (small_x,))
+
+
+class TestConstants:
+    def test_pi_enclosure_against_independent_identity(self):
+        assert encloses_bounds(PI, PI_BOUNDS) or (
+            Fraction(PI.lo) <= PI_BOUNDS[0] and PI_BOUNDS[1] <= Fraction(PI.hi)
+        )
+        assert PI.width == ulp(PI.lo)
+
+    def test_half_pi(self):
+        assert Fraction(HALF_PI.lo) <= PI_BOUNDS[0] / 2
+        assert PI_BOUNDS[1] / 2 <= Fraction(HALF_PI.hi)
+
+
+class TestAtan:
+    def test_containment_random(self, rng):
+        for _ in range(400):
+            x = rng.uniform(-60.0, 60.0)
+            lo, hi = atan_bounds(x)
+            enc = Interval(x).atan()
+            assert Fraction(enc.lo) <= lo and hi <= Fraction(enc.hi), x
+
+    def test_width_within_four_ulp(self, rng):
+        for _ in range(400):
+            x = rng.uniform(-50.0, 50.0)
+            enc = Interval(x).atan()
+            assert enc.width <= 4 * ulp(enc.mid), (x, enc.width / ulp(enc.mid))
+
+    def test_interval_argument_monotone(self):
+        enc = Interval(-0.5, 2.0).atan()
+        lo_b = atan_bounds(-0.5)
+        hi_b = atan_bounds(2.0)
+        assert Fraction(enc.lo) <= lo_b[0]
+        assert hi_b[1] <= Fraction(enc.hi)
+
+
+class TestSinCos:
+    def test_point_containment(self, rng):
+        for _ in range(300):
+            x = rng.uniform(-20.0, 20.0)
+            sb, cb = sincos_bounds(x)
+            s, c = Interval(x).sin(), Interval(x).cos()
+            assert Fraction(s.lo) <= sb[0] and sb[1] <= Fraction(s.hi), x
+            assert Fraction(c.lo) <= cb[0] and cb[1] <= Fraction(c.hi), x
+
+    def test_point_width_target(self, rng):
+        # 4 ulp of the result plus the unavoidable reduction floor.
+        for _ in range(300):
+            x = rng.uniform(-20.0, 20.0)
+            for enc in (Interval(x).sin(), Interval(x).cos()):
+                bound = 4 * ulp(enc.mid) + 8 * 2.0**-53 * (1.0 + abs(x))
+                assert enc.width <= bound, (x, enc.width, bound)
+
+    def test_interior_maximum_detected(self):
+        # Enclosure of sin over [0, float-pi] must reach exactly 1.
+        enc = Interval(0.0, 3.141592653589793).sin()
+        assert enc.hi == 1.0
+        assert enc.lo >= -1e-300
+        assert enc.contains(Interval(0.0, 1.0))
+        # dense sampling oracle: every sample inside
+        for k in range(200):
+            x = 3.141592653589793 * k / 199
+            assert enc.lo <= math.sin(x) <= enc.hi
+
+    def test_interior_minimum_detected(self):
+        enc = Interval(3.0, 6.5).sin()
+        assert enc.lo == -1.0
+
+    def test_wide_argument_clamps(self):
+        enc = Interval(-1e50, 1e50).sin()
+        assert enc == Interval(-1.0, 1.0)
+
+    def test_known_values(self):
+        s = Interval(0.0).sin()
+        assert s.contains(0.0)
+        assert s.width == 0.0
+        c = Interval(0.0).cos()
+        assert c.contains(1.0)
 
 
 class TestQueries:

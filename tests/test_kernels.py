@@ -9,6 +9,7 @@ import pytest
 
 import tangency
 from tangency import _pyops, kernels
+from tangency.interval import Interval
 from conftest import random_float
 
 KERNELS = (
@@ -366,3 +367,35 @@ class TestCorrectRounding:
         assert _pyops.sqrt_down(2.0**-1073) == math.nextafter(_pyops.sqrt_up(2.0**-1073), 0.0)
         assert _pyops.sqrt_down(2.0**600) == 2.0**300 == _pyops.sqrt_up(2.0**600)
         assert _pyops.mul_down(2.0**600, 2.0**-700) == 2.0**-100 == _pyops.mul_up(2.0**600, 2.0**-700)
+
+
+def _elementary_args(rng, n):
+    out = []
+    for _ in range(n):
+        w = rng.random()
+        if w < 0.4:
+            x = rng.uniform(-8.0, 8.0)
+        elif w < 0.7:
+            x = rng.uniform(-1e4, 1e4)
+        elif w < 0.9:
+            x = math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-60, 40))
+        else:
+            x = rng.uniform(0.0, 3.2)
+        width = 0.0 if rng.random() < 0.5 else abs(x) * 2.0**-rng.randint(10, 50)
+        out.append((x, x + width))
+    return out
+
+
+def test_elementary_functions_are_the_same_bits_in_and_out_of_a_block(rng):
+    """sin, cos and atan round their float kernels to nearest inside an
+    upward block too, so the enclosures do not depend on the caller's mode."""
+    boxes = [Interval(lo, hi) for lo, hi in _elementary_args(rng, 10000)]
+
+    def evaluate():
+        return [(f(box).lo.hex(), f(box).hi.hex())
+                for box in boxes for f in (Interval.sin, Interval.cos, Interval.atan)]
+
+    outside = evaluate()
+    with kernels.upward():
+        inside = evaluate()
+    assert inside == outside
