@@ -14,6 +14,11 @@ first component is pinned to +1); each vertex is decided by a rigorous
 Cholesky factorization run in interval arithmetic: every pivot must be
 certified strictly positive.  The vertices share one factorization over the
 tree of their sign prefixes (rump_positive_definite).
+
+Where pairs are checked: cone_matrix builds V on (lo, hi) pairs and checks
+D^T Q_M and V once each, the product between them being a checked
+IntervalMatrix.mat_mul; the Cholesky run checks each pivot and factor entry
+before it enters a product.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from itertools import product
 
 from tangency import kernels as _k
 from tangency.covering import VerificationInconclusive
-from tangency.interval import IntervalError, check_pairs, pair_mid
-from tangency.linalg import IntervalMatrix
+from tangency.interval import IntervalError, as_pair, check_pairs, pair_mid
+from tangency.linalg import IntervalMatrix, _wrap
 
 
 @dataclass(frozen=True)
@@ -58,11 +63,6 @@ class ConeCertificate:
             "V": [[list(e) for e in row] for row in self.matrix.pairs],
             "rump": self.rump.to_dict(),
         }
-
-
-def symmetrize(m):
-    """Average an interval matrix with its transpose enclosure."""
-    return (m + m.transpose()).scale(0.5)
 
 
 def midrad_split(a):
@@ -171,10 +171,44 @@ def cone_matrix(d_loc, q_src, q_tgt, inflate_src=1.0):
     d_loc must enclose the local-frame derivative over all of the source
     set, as a covering certificate's local_jacobian does; inflate_src is c
     (used as 1 + eps by the manifold constants).
+
+    The forms are diagonal: D^T Q_M is D^T with its columns scaled by the
+    coefficients of Q_M, and c Q_N changes the diagonal only.  Every entry
+    takes the kernel calls of symmetrize(D^T.mat_mul(Q_M).mat_mul(D) - c Q_N)
+    in IntervalMatrix operations, the tests' oracle, except those with an
+    exact-zero operand, which change no bit here (no bound of a product, and
+    no lower bound of D^T Q_M D, is -0.0): V is that expression's bits.
+    D^T Q_M is checked before it enters (D^T Q_M) D, one mat_mul, which
+    checks its product; V's entries are checked once, after the halving,
+    which keeps a non-finite bound non-finite.
     """
-    v = d_loc.transpose().mat_mul(q_tgt.matrix()).mat_mul(d_loc)
-    qn = q_src.matrix() if inflate_src == 1.0 else q_src.matrix().scale(inflate_src)
-    return symmetrize(v - qn)
+    d = d_loc.pairs
+    n = len(d[0])
+    q = q_tgt.coeffs
+    if len(d) != len(q):
+        raise IntervalError("shape mismatch in matrix product")
+    if q_src.n != n:
+        raise IntervalError("shape mismatch")
+    imul, iadd, isub = _k.imul, _k.iadd, _k.isub
+    dtq = tuple(
+        tuple([imul(*d[k][i], q_k, q_k) for k, q_k in enumerate(q)]) for i in range(n)
+    )
+    for row in dtq:
+        check_pairs(row)
+    w = [list(row) for row in _wrap(IntervalMatrix, dtq).mat_mul(d_loc).pairs]
+    c = as_pair(inflate_src)
+    for i, q_i in enumerate(q_src.coeffs):
+        cq = (q_i, q_i) if inflate_src == 1.0 else imul(*c, q_i, q_i)
+        w[i][i] = isub(*w[i][i], *cq)
+    lower = [
+        [imul(0.5, 0.5, *iadd(*w[i][j], *w[j][i])) for j in range(i + 1)]
+        for i in range(n)
+    ]
+    check_pairs([e for row in lower for e in row])
+    return _wrap(IntervalMatrix, tuple(
+        tuple([lower[i][j] if j <= i else lower[j][i] for j in range(n)])
+        for i in range(n)
+    ))
 
 
 def check_cone_link(covering, q_src, q_tgt):

@@ -44,7 +44,7 @@ from itertools import permutations
 from tangency import kernels as _k
 from tangency.hset import local_derivative_rows
 from tangency.interval import Interval, IntervalError, check_pairs, pair_mid
-from tangency.linalg import IntervalMatrix, IntervalVector, dot, nonzero_pattern
+from tangency.linalg import IntervalMatrix, IntervalVector, _wrap, dot, nonzero_pattern
 
 
 class _LocatedError(Exception):
@@ -362,7 +362,7 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
         grid=grid,
         exit_margins=exit_margins,
         entry_margin=entry_margin,
-        local_jacobian=IntervalMatrix.from_pairs(local_hull),
+        local_jacobian=_wrap(IntervalMatrix, tuple(tuple(row) for row in local_hull)),
     )
 
 

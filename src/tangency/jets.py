@@ -18,6 +18,15 @@ call the kernels on the pairs with the operations of the scalar
 :class:`Interval` expressions they stand for, so the enclosures are those of
 Interval arithmetic bit for bit.
 ``value``, ``grad`` and ``hess`` (the full symmetric matrix) give Intervals.
+
+Where pairs are checked: every pair an operation computes with a kernel is
+checked once, by one ``check_pairs`` over the new jet's value, gradient and
+Hessian; pairs taken over from checked operands (a negation, the gradient of
+a jet shifted by a constant) are not checked again.  An int, float or
+Interval operand of ``*``, ``/``, ``+`` and ``-`` is used as its (lo, hi)
+pair, with no constant jet built: the kernel calls with its zero gradient
+and Hessian are left out, and the bits are those the constant jet gives
+(see ``_scalar``).
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from tangency.interval import Interval, IntervalError, as_pair, check_pairs
 
 _ZERO = (0.0, 0.0)
 _ONE = (1.0, 1.0)
+_SCALARS = (int, float, Interval)
 
 
 @lru_cache(maxsize=None)
@@ -43,6 +53,44 @@ def _tri_index(i, j):
     return i * (i + 1) // 2 + j
 
 
+@lru_cache(maxsize=None)
+def _hess_rows(n):
+    """Per row i of an n x n symmetric matrix, the index of each entry (i, j)
+    in the packed lower triangle."""
+    return tuple(tuple(_tri_index(i, j) for j in range(n)) for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def _seeds(n, order):
+    """The gradients of the n variables, the zero gradient and the zero
+    Hessian (None at order 1) of jets over n variables, as tuples of pairs."""
+    units = tuple(tuple(_ONE if j == i else _ZERO for j in range(n)) for i in range(n))
+    hess = (_ZERO,) * len(_tri(n)) if order == 2 else None
+    return units, (_ZERO,) * n, hess
+
+
+def _wrap(value, grad, hess):
+    """The jet of pairs that are checked already: grad and hess (or None)
+    tuples.  Nothing is checked."""
+    jet = Jet.__new__(Jet)
+    jet.value_pair = value
+    jet.grad_pairs = grad
+    jet.hess_pairs = hess
+    return jet
+
+
+def _checked(value, grad, hess):
+    """The jet of pairs an operation computed, after one check_pairs over
+    them all."""
+    grad = tuple(grad)
+    if hess is None:
+        check_pairs((value, *grad))
+        return _wrap(value, grad, None)
+    hess = tuple(hess)
+    check_pairs((value, *grad, *hess))
+    return _wrap(value, grad, hess)
+
+
 def _div(a, b):
     """a / b over pairs, refused like Interval division when b holds 0 and
     checked like an Interval before it enters a product."""
@@ -51,20 +99,38 @@ def _div(a, b):
     return check_pairs((_k.idiv(*a, *b),))[0]
 
 
+def _scalar(other):
+    """The (lo, hi) pair of an int, float or Interval operand, as
+    Jet.constant would hold it; None for any other type.
+
+    Against the constant jet's zero gradient and Hessian the kernels give:
+    imul(c, e) for a product's coefficients, idiv(e, c) for a quotient's,
+    isub((0, 0), e) for c - e, and e itself for e + c and e - c, except that
+    a sum makes a -0.0 bound +0.0 and a difference a -0.0 lower bound.  The
+    scalar operations below take these routes.
+    """
+    if isinstance(other, _SCALARS):
+        return as_pair(other)
+    return None
+
+
 class Jet:
     __slots__ = ("value_pair", "grad_pairs", "hess_pairs")
 
     def __init__(self, value, grad, hess=None):
         """A jet of (lo, hi) pairs, hess packed as ``hess_pairs`` (or None
         for order 1), checked as Interval checks them."""
-        self.value_pair = check_pairs((value,))[0]
-        self.grad_pairs = check_pairs(tuple(grad))
-        self.hess_pairs = None if hess is None else check_pairs(tuple(hess))
-        if hess is not None and len(self.hess_pairs) != len(_tri(len(self.grad_pairs))):
+        grad = tuple(grad)
+        if hess is not None:
+            hess = tuple(hess)
+        check_pairs((value, *grad) if hess is None else (value, *grad, *hess))
+        if hess is not None and len(hess) != len(_tri(len(grad))):
             raise IntervalError(
-                f"packed Hessian of {len(self.hess_pairs)} entries for "
-                f"n={len(self.grad_pairs)} variables"
+                f"packed Hessian of {len(hess)} entries for n={len(grad)} variables"
             )
+        self.value_pair = value
+        self.grad_pairs = grad
+        self.hess_pairs = hess
 
     @property
     def value(self):
@@ -86,7 +152,8 @@ class Jet:
 
     def hess_row_pairs(self, i):
         """Row i of the Hessian as (lo, hi) pairs."""
-        return tuple(self.hess_pairs[_tri_index(i, j)] for j in range(self.n))
+        hess = self.hess_pairs
+        return tuple([hess[k] for k in _hess_rows(len(self.grad_pairs))[i]])
 
     @property
     def n(self):
@@ -100,70 +167,97 @@ class Jet:
     def variable(cls, i, value, n, order=2):
         if not 0 <= i < n:
             raise IntervalError(f"variable index {i} out of range for n={n}")
-        grad = [_ONE if j == i else _ZERO for j in range(n)]
-        hess = [_ZERO] * len(_tri(n)) if order == 2 else None
-        return cls(as_pair(value), grad, hess)
+        units, _, hess = _seeds(n, order)
+        return cls(as_pair(value), units[i], hess)
 
     @classmethod
     def constant(cls, value, n, order=2):
-        hess = [_ZERO] * len(_tri(n)) if order == 2 else None
-        return cls(as_pair(value), [_ZERO] * n, hess)
+        _, zeros, hess = _seeds(n, order)
+        return cls(as_pair(value), zeros, hess)
 
-    def _promote(self, other):
-        if isinstance(other, Jet):
-            if other.n != self.n:
-                raise IntervalError("jet variable-count mismatch")
-            return other
-        if isinstance(other, (int, float, Interval)):
-            return Jet.constant(other, self.n, self.order)
-        return None
+    def _same_n(self, other):
+        if other.n != self.n:
+            raise IntervalError("jet variable-count mismatch")
+        return other
 
     def __repr__(self):
         return f"Jet(value={self.value!r}, n={self.n}, order={self.order})"
 
     # -- ring operations --------------------------------------------------
 
-    def _termwise(self, other, op):
-        """The jet of self op other for op = kernels.iadd or kernels.isub."""
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
+    def _termwise(self, o, op):
+        """The jet of self op o, jets, for op = kernels.iadd or kernels.isub."""
         hess = None
         if self.hess_pairs is not None and o.hess_pairs is not None:
             hess = [op(*a, *b) for a, b in zip(self.hess_pairs, o.hess_pairs)]
-        return Jet(
+        return _checked(
             op(*self.value_pair, *o.value_pair),
             [op(*a, *b) for a, b in zip(self.grad_pairs, o.grad_pairs)],
             hess,
         )
 
     def __add__(self, other):
-        return self._termwise(other, _k.iadd)
+        if isinstance(other, Jet):
+            return self._termwise(self._same_n(other), _k.iadd)
+        c = _scalar(other)
+        if c is None:
+            return NotImplemented
+        value = check_pairs((_k.iadd(*self.value_pair, *c),))[0]
+        hess = self.hess_pairs
+        if hess is not None:
+            hess = tuple([(lo or 0.0, hi or 0.0) for lo, hi in hess])
+        return _wrap(
+            value, tuple([(lo or 0.0, hi or 0.0) for lo, hi in self.grad_pairs]), hess
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._termwise(other, _k.isub)
+        if isinstance(other, Jet):
+            return self._termwise(self._same_n(other), _k.isub)
+        c = _scalar(other)
+        if c is None:
+            return NotImplemented
+        value = check_pairs((_k.isub(*self.value_pair, *c),))[0]
+        hess = self.hess_pairs
+        if hess is not None:
+            hess = tuple([(lo or 0.0, hi) for lo, hi in hess])
+        return _wrap(value, tuple([(lo or 0.0, hi) for lo, hi in self.grad_pairs]), hess)
 
     def __rsub__(self, other):
-        o = self._promote(other)
-        if o is None:
+        c = _scalar(other)
+        if c is None:
             return NotImplemented
-        return o - self
+        isub = _k.isub
+        hess = self.hess_pairs
+        if hess is not None:
+            hess = [isub(0.0, 0.0, *h) for h in hess]
+        return _checked(
+            isub(*c, *self.value_pair), [isub(0.0, 0.0, *g) for g in self.grad_pairs], hess
+        )
 
     def __neg__(self):
-        hess = None
-        if self.hess_pairs is not None:
-            hess = [(-hi, -lo) for lo, hi in self.hess_pairs]
+        hess = self.hess_pairs
+        if hess is not None:
+            hess = tuple([(-hi, -lo) for lo, hi in hess])
         lo, hi = self.value_pair
-        return Jet(
-            (-hi, -lo), [(-g_hi, -g_lo) for g_lo, g_hi in self.grad_pairs], hess
+        return _wrap(
+            (-hi, -lo), tuple([(-g_hi, -g_lo) for g_lo, g_hi in self.grad_pairs]), hess
         )
 
     def __mul__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
+        if not isinstance(other, Jet):
+            c = _scalar(other)
+            if c is None:
+                return NotImplemented
+            imul = _k.imul
+            hess = self.hess_pairs
+            if hess is not None:
+                hess = [imul(*c, *h) for h in hess]
+            return _checked(
+                imul(*self.value_pair, *c), [imul(*c, *g) for g in self.grad_pairs], hess
+            )
+        o = self._same_n(other)
         imul, iadd = _k.imul, _k.iadd
         sv, ov = self.value_pair, o.value_pair
         sg, og = self.grad_pairs, o.grad_pairs
@@ -176,14 +270,25 @@ class Jet:
                 lo, hi = iadd(*imul(*sv, *oh), *imul(*ov, *sh))
                 lo, hi = iadd(lo, hi, *imul(*sg[i], *og[j]))
                 hess.append(iadd(lo, hi, *imul(*sg[j], *og[i])))
-        return Jet(value, grad, hess)
+        return _checked(value, grad, hess)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._promote(other)
-        if o is None:
-            return NotImplemented
+        if not isinstance(other, Jet):
+            c = _scalar(other)
+            if c is None:
+                return NotImplemented
+            if c[0] <= 0.0 <= c[1]:
+                raise IntervalError("jet division by zero-containing value")
+            idiv = _k.idiv
+            hess = self.hess_pairs
+            if hess is not None:
+                hess = [idiv(*h, *c) for h in hess]
+            return _checked(
+                idiv(*self.value_pair, *c), [idiv(*g, *c) for g in self.grad_pairs], hess
+            )
+        o = self._same_n(other)
         ov = o.value_pair
         if ov[0] <= 0.0 <= ov[1]:
             raise IntervalError("jet division by zero-containing value")
@@ -202,13 +307,12 @@ class Jet:
                 lo, hi = isub(lo, hi, *imul(*grad[j], *og[i]))
                 lo, hi = isub(lo, hi, *imul(*value, *oh))
                 hess.append(idiv(lo, hi, *ov))
-        return Jet(value, grad, hess)
+        return _checked(value, grad, hess)
 
     def __rtruediv__(self, other):
-        o = self._promote(other)
-        if o is None:
+        if _scalar(other) is None:
             return NotImplemented
-        return o / self
+        return Jet.constant(other, self.n, self.order) / self
 
     # -- squares and square roots ----------------------------------------
 
@@ -224,7 +328,7 @@ class Jet:
                 iadd(*imul(*imul(*d2, *sg[i]), *sg[j]), *imul(*d1, *h))
                 for (i, j), h in zip(_tri(self.n), self.hess_pairs)
             ]
-        return Jet(value, grad, hess)
+        return _checked(value, grad, hess)
 
     def sqr(self):
         imul, iadd = _k.imul, _k.iadd
@@ -238,7 +342,7 @@ class Jet:
                 imul(2.0, 2.0, *iadd(*imul(*sg[i], *sg[j]), *imul(*v, *h)))
                 for (i, j), h in zip(_tri(self.n), self.hess_pairs)
             ]
-        return Jet(_k.isqr(*v), grad, hess)
+        return _checked(_k.isqr(*v), grad, hess)
 
     def sqrt(self):
         if self.value_pair[0] <= 0.0:

@@ -16,12 +16,29 @@ A matrix that is fixed while the vectors it multiplies vary (an h-set's
 frame, or rows of its inverse) keeps its :func:`nonzero_pattern`, built
 once, and :func:`dot` takes each row of it against a vector of pairs with
 no vector or matrix object built per product.
+
+Where pairs are checked: ``from_pairs`` and the public constructors check
+every pair they are given, and each product, sum or scaling checks the
+pairs it computes.  Pairs that are checked already are wrapped by
+:func:`_wrap` and not checked again: a transpose, a row, a negation, and
+the matrices and vectors the proof path assembles from checked pairs (a
+chart map's image and Jacobian, a covering's local-frame hull, a cone
+matrix).
 """
 
 from __future__ import annotations
 
 from tangency import kernels as _k
 from tangency.interval import Interval, IntervalError, as_pair, check_pairs
+
+
+def _wrap(cls, pairs):
+    """The IntervalVector or IntervalMatrix cls of pairs that are checked
+    already: a tuple of pairs, or of rows of pairs, of a valid shape.
+    Nothing is checked."""
+    obj = cls.__new__(cls)
+    obj.pairs = pairs
+    return obj
 
 
 class IntervalVector:
@@ -35,11 +52,10 @@ class IntervalVector:
     @classmethod
     def from_pairs(cls, pairs):
         """The vector of the (lo, hi) pairs, checked as Interval checks them."""
-        v = cls.__new__(cls)
-        v.pairs = check_pairs(tuple(pairs))
-        if not v.pairs:
+        pairs = check_pairs(tuple(pairs))
+        if not pairs:
             raise IntervalError("empty vector")
-        return v
+        return _wrap(cls, pairs)
 
     @property
     def entries(self):
@@ -79,7 +95,7 @@ class IntervalVector:
         )
 
     def __neg__(self):
-        return IntervalVector.from_pairs([(-hi, -lo) for lo, hi in self.pairs])
+        return _wrap(IntervalVector, tuple([(-hi, -lo) for lo, hi in self.pairs]))
 
     def scale(self, c):
         c = as_pair(c)
@@ -118,9 +134,7 @@ class IntervalMatrix:
     def from_pairs(cls, rows):
         """The matrix of rows of (lo, hi) pairs, checked as Interval checks
         them."""
-        m = cls.__new__(cls)
-        m.pairs = cls._shaped(tuple(tuple(check_pairs(row)) for row in rows))
-        return m
+        return _wrap(cls, cls._shaped(tuple(tuple(check_pairs(row)) for row in rows)))
 
     @staticmethod
     def _shaped(rows):
@@ -157,7 +171,7 @@ class IntervalMatrix:
         return f"IntervalMatrix({[list(r) for r in self.rows]!r})"
 
     def row(self, i):
-        return IntervalVector.from_pairs(self.pairs[i])
+        return _wrap(IntervalVector, self.pairs[i])
 
     def __add__(self, other):
         return self._entrywise(other, _k.iadd)
@@ -180,7 +194,7 @@ class IntervalMatrix:
         )
 
     def transpose(self):
-        return IntervalMatrix.from_pairs(list(zip(*self.pairs)))
+        return _wrap(IntervalMatrix, tuple(zip(*self.pairs)))
 
     def mat_mul(self, other):
         if self.ncols != other.nrows:

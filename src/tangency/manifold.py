@@ -41,7 +41,7 @@ from tangency.covering import (
     check_covering,
 )
 from tangency.interval import Interval, IntervalError, as_pair
-from tangency.linalg import IntervalMatrix, IntervalVector
+from tangency.linalg import IntervalMatrix, IntervalVector, _wrap
 
 # A's form inflates Q_N by (1 + epsilon); the reported epsilon, INFLATION - 1.0,
 # is exact by Sterbenz's lemma.  A and Gamma shrink by SHRINK on failure.
@@ -223,7 +223,7 @@ class DiskMap:
         self.param = as_pair(param)
 
     def _lifted(self, box, outputs):
-        return (IntervalVector.from_pairs(box.pairs + (self.param,)),
+        return (_wrap(IntervalVector, box.pairs + (self.param,)),
                 (0, 1, 2) if outputs is None else outputs)
 
     def apply(self, box, outputs=None):
@@ -250,8 +250,8 @@ def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=
         ntilde, ntilde, DiskMap(chart_map, param), grid=grid
     )
     rows = covering_cert.local_jacobian.pairs
-    j_local = IntervalMatrix.from_pairs([row[:3] for row in rows])
-    p_local = IntervalVector.from_pairs([row[3] for row in rows])
+    j_local = _wrap(IntervalMatrix, tuple([row[:3] for row in rows]))
+    p_local = _wrap(IntervalVector, tuple([row[3] for row in rows]))
     v_cone = cone_matrix(j_local, qtilde, qtilde)
     rump = rump_positive_definite(v_cone)
     if not rump.positive_definite:

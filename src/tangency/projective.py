@@ -15,8 +15,15 @@ of the same jets are the image enclosure, returned beside the derivative.
 The slope, in the image and in the derivative's row, is written out on
 (lo, hi) pairs from f's jets.  Both can be asked for some outputs only and
 compute only what those read: without w, they compute no slope, the image's
-jets of f carry values only and the derivative's drop to order 1; the
-derivative on a alone does not evaluate f.
+jets of f carry values only and the derivative's drop to order 1; on a
+alone, neither evaluates f.
+
+Where pairs are checked: the box's pairs are checked by its IntervalVector
+and seed f's jets as they are; f's jets check what they compute; apply and
+derivative check only the pairs they compute themselves, the image slope
+and the slope row (its gradient, and the direction enclosure and the
+quotient before they enter a product), and assemble the image and the
+Jacobian from checked pairs without checking them again.
 """
 
 from __future__ import annotations
@@ -26,8 +33,9 @@ from typing import Callable, Optional
 
 from tangency import kernels as _k
 from tangency.interval import Interval, IntervalError, check_pairs
-from tangency.jets import Jet
-from tangency.linalg import IntervalMatrix, IntervalVector
+from tangency.jets import Jet, _seeds
+from tangency.jets import _wrap as _jet
+from tangency.linalg import IntervalMatrix, IntervalVector, _wrap
 
 
 class ChartError(IntervalError):
@@ -71,13 +79,19 @@ def _place_w(xya):
 
 
 def _jets(values, n, order):
-    """Jets over n variables of the (lo, hi) pairs values: the first n are
-    the variables, in order, and the rest constants."""
-    hess = (_ZERO,) * (n * (n + 1) // 2) if order == 2 else None
+    """Jets over n variables of the checked (lo, hi) pairs values: the
+    first n are the variables, in order, and the rest constants."""
+    units, zeros, hess = _seeds(n, order)
     return [
-        Jet(v, [_ONE if j == i else _ZERO for j in range(n)], hess)
-        for i, v in enumerate(values)
+        _jet(v, units[i] if i < n else zeros, hess) for i, v in enumerate(values)
     ]
+
+
+def _vector(pairs):
+    """The IntervalVector of checked pairs; an empty one is refused."""
+    if not pairs:
+        raise IntervalError("empty vector")
+    return _wrap(IntervalVector, tuple(pairs))
 
 
 class ChartMap:
@@ -109,21 +123,22 @@ class ChartMap:
         """Image enclosure of a chart box, the IntervalVector (x, y, w, a);
         order-1 jets supply Df.  With outputs, increasing indices into
         (x, y, w, a), the image holds those entries only; without w, no
-        slope is computed or checked and f runs on value-only jets.  The
-        image slope is _slope of Df (w, 1), on pairs."""
+        slope is computed or checked and f runs on value-only jets, and on
+        a alone (the parameter, held by the dynamics) f is not evaluated.
+        The image slope is _slope of Df (w, 1), on pairs."""
         x, y, w, a = v.pairs
-        slope = outputs is None or 2 in outputs
-        fx, fy = self._evaluator()(*_jets((x, y, a), 2 if slope else 0, 1))
-        image = [fx.value_pair, fy.value_pair, None, a]
-        if slope:
-            imul, iadd = _k.imul, _k.iadd
-            image[2] = _slope(*(
-                iadd(*imul(*f.grad_pairs[0], *w), *f.grad_pairs[1])
-                for f in (fx, fy)
-            ))
-        return IntervalVector.from_pairs(
-            image if outputs is None else [image[k] for k in outputs]
-        )
+        image = [None, None, None, a]
+        if outputs is None or not set(outputs) <= {3}:
+            slope = outputs is None or 2 in outputs
+            fx, fy = self._evaluator()(*_jets((x, y, a), 2 if slope else 0, 1))
+            image[0], image[1] = fx.value_pair, fy.value_pair
+            if slope:
+                imul, iadd = _k.imul, _k.iadd
+                image[2] = check_pairs((_slope(*(
+                    iadd(*imul(*f.grad_pairs[0], *w), *f.grad_pairs[1])
+                    for f in (fx, fy)
+                )),))[0]
+        return _vector(image if outputs is None else [image[k] for k in outputs])
 
     # -- derivative enclosures --------------------------------------------
 
@@ -151,8 +166,8 @@ class ChartMap:
                 rows[2] = self._tangent_row(fx, fy, w)
         if outputs is not None:
             rows = [rows[k] for k in outputs]
-        image = IntervalVector.from_pairs([value for value, _ in rows])
-        jacobian = IntervalMatrix.from_pairs([row for _, row in rows])
+        image = _vector([value for value, _ in rows])
+        jacobian = _wrap(IntervalMatrix, tuple([row for _, row in rows]))
         return image, jacobian
 
     @staticmethod
@@ -165,25 +180,25 @@ class ChartMap:
         columns of Df; the gradient of (wx, wy) reads the Hessian rows of
         f, and the slope's is the quotient rule, (d wx - q d wy) / wy with
         q an enclosure of wx / wy.  Both and the quotient are checked before
-        they enter a product; the gradient is checked by the caller's
-        IntervalMatrix.
+        they enter a product, and so is the gradient; d/dw of (wx, wy) is
+        f_x, a checked gradient entry of the jets, and is not checked again.
         """
         imul, iadd, isub, idiv = _k.imul, _k.iadd, _k.isub, _k.idiv
         d = []
         for f in (fx, fy):
             g0, g1, _ = f.grad_pairs
             h0, h1 = f.hess_row_pairs(0), f.hess_row_pairs(1)
-            # f_x w + f_y: value, then d/dx, d/dy, d/dw, d/da.
-            d.append(check_pairs((
+            # f_x w + f_y: value, then d/dx, d/dy, d/da; d/dw is f_x.
+            value, dx, dy, da = check_pairs((
                 iadd(*imul(*g0, *w), *g1),
                 iadd(*imul(*w, *h0[0]), *h1[0]),
                 iadd(*imul(*w, *h0[1]), *h1[1]),
-                g0,
                 iadd(*imul(*w, *h0[2]), *h1[2]),
-            )))
+            ))
+            d.append((value, dx, dy, g0, da))
         wx, wy = d
         den = wy[0]
         (q,) = check_pairs((_slope(wx[0], den),))
-        return q, tuple(
+        return q, check_pairs(tuple([
             idiv(*isub(*a, *imul(*q, *b)), *den) for a, b in zip(wx[1:], wy[1:])
-        )
+        ]))

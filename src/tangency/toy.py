@@ -25,7 +25,7 @@ from tangency.cones import cone_matrix
 from tangency.hset import HSet, QuadraticForm
 from tangency.interval import Interval, IntervalError, as_interval
 from tangency.jets import Jet
-from tangency.linalg import IntervalMatrix, IntervalVector
+from tangency.linalg import IntervalMatrix, IntervalVector, _wrap
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class _ToyMap:
     def derivative(self, box, outputs=None):
         jets = [Jet.variable(i, box[i], 4, order=1) for i in range(4)]
         outs = self._outputs(jets, outputs)
-        return (IntervalVector.from_pairs([out.value_pair for out in outs]),
-                IntervalMatrix.from_pairs([out.grad_pairs for out in outs]))
+        return (_wrap(IntervalVector, tuple([out.value_pair for out in outs])),
+                _wrap(IntervalMatrix, tuple([out.grad_pairs for out in outs])))
 
 
 def linear_start_map(params):

@@ -14,12 +14,18 @@ from tangency.cones import (
     cone_matrix,
     midrad_split,
     rump_positive_definite,
-    symmetrize,
     vertex_signs,
 )
+from tangency.hset import QuadraticForm
 from tangency.interval import Interval, IntervalError, check_pairs
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.toy import ToyParams, switch_cone_blocks, switch_cone_matrix
+from conftest import pairs_hex, random_float
+
+
+def symmetrize(m):
+    """Average an interval matrix with its transpose enclosure."""
+    return (m + m.transpose()).scale(0.5)
 
 
 # -- per-vertex oracle -----------------------------------------------------------
@@ -365,8 +371,6 @@ class TestConeMatrixGeneric:
     def test_identity_map_counterexample(self):
         # Q_M = 2 Q_N with Q_N = diag(1, -1) under the identity map:
         # V = diag(1, -1), not positive definite.
-        from tangency.hset import QuadraticForm
-
         qn = QuadraticForm((1.0, -1.0), (0,))
         qm = QuadraticForm((2.0, -2.0), (0,))
         v = cone_matrix(IntervalMatrix.identity(2), qn, qm)
@@ -395,6 +399,110 @@ class TestConeMatrixGeneric:
             for j in range(4):
                 if i != j:
                     assert v[i, j].contains(0.0)
+
+
+# -- cone matrix against the interval-matrix formula --------------------------
+
+
+def cone_matrix_oracle(d, q_src, q_tgt, inflate_src=1.0):
+    """symmetrize(D^T Q_M D - c Q_N) in IntervalMatrix operations."""
+    qn = q_src.matrix() if inflate_src == 1.0 else q_src.matrix().scale(inflate_src)
+    return symmetrize(d.transpose().mat_mul(q_tgt.matrix()).mat_mul(d) - qn)
+
+
+def _rows_hex(m):
+    return [pairs_hex(row) for row in m.pairs]
+
+
+def _random_form(rng, n):
+    unstable = tuple(sorted(rng.sample(range(n), rng.randint(0, n))))
+    coeffs = [abs(random_float(rng, 20)) or 1.0 for _ in range(n)]
+    return QuadraticForm(
+        [c if i in unstable else -c for i, c in enumerate(coeffs)], unstable
+    )
+
+
+def _random_entry(rng):
+    w = rng.random()
+    if w < 0.05:
+        # squares near the float maximum: sums in V may overflow
+        return rng.choice([(1e154, 1e154), (-1.3e154, -1.3e154), (1e154, 1.3e154)])
+    if w < 0.3:
+        return rng.choice([(0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, -0.0)])
+    if w < 0.4:
+        return rng.choice([(-0.0, 1.5), (-2.5, -0.0), (0.0, 3.0), (-1.0, 0.0)])
+    a, b = random_float(rng, 40), random_float(rng, 40)
+    if w < 0.6:
+        return (a, a)
+    return (a, b) if a <= b else (b, a)
+
+
+class TestConeMatrixBits:
+    """cone_matrix on pairs is cone_matrix_oracle bit for bit."""
+
+    @pytest.mark.parametrize("inflate", [1.0, 1.0 + 1e-6])
+    def test_random_matrices(self, rng, inflate):
+        for _ in range(400):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            d = IntervalMatrix.from_pairs(
+                [[_random_entry(rng) for _ in range(n)] for _ in range(m)]
+            )
+            q_src, q_tgt = _random_form(rng, n), _random_form(rng, m)
+            try:
+                want = _rows_hex(cone_matrix_oracle(d, q_src, q_tgt, inflate))
+            except IntervalError:
+                with pytest.raises(IntervalError):
+                    cone_matrix(d, q_src, q_tgt, inflate)
+                continue
+            assert _rows_hex(cone_matrix(d, q_src, q_tgt, inflate)) == want
+
+    @pytest.mark.parametrize("inflate", [1.0, 1.0 + 1e-6])
+    def test_chain_links(self, henon_proof, henon_chain, inflate):
+        from tangency.covering import check_chain
+        from tangency.henon import projected_disk_data
+        from tangency.toy import build_toy_chain
+
+        cert, _ = henon_proof
+        links = [
+            (cov.local_jacobian, cert.forms[i], cert.forms[i + 1])
+            for i, cov in enumerate(cert.coverings)
+        ]
+        for side, disk in (("stable", cert.stable_disk), ("unstable", cert.unstable_disk)):
+            qtilde = projected_disk_data(henon_chain, side)[1]
+            rows = disk.covering.local_jacobian.pairs
+            links.append(
+                (IntervalMatrix.from_pairs([row[:3] for row in rows]), qtilde, qtilde)
+            )
+        toy = build_toy_chain()
+        coverings = check_chain(list(toy.sets), list(toy.maps))
+        links += [
+            (cov.local_jacobian, toy.forms[i], toy.forms[i + 1])
+            for i, cov in enumerate(coverings)
+        ]
+        assert len(links) == 17 + len(toy.sets) - 1
+        for d, q_src, q_tgt in links:
+            assert _rows_hex(cone_matrix(d, q_src, q_tgt, inflate)) == _rows_hex(
+                cone_matrix_oracle(d, q_src, q_tgt, inflate)
+            )
+
+    def test_shape_mismatch(self):
+        d = IntervalMatrix.identity(2)
+        q1, q2 = QuadraticForm((1.0, -1.0), (0,)), QuadraticForm((1.0, -1.0, -1.0), (0,))
+        for q_src, q_tgt in ((q1, q2), (q2, q1)):
+            with pytest.raises(IntervalError):
+                cone_matrix_oracle(d, q_src, q_tgt)
+            with pytest.raises(IntervalError):
+                cone_matrix(d, q_src, q_tgt)
+
+    def test_overflowing_product_raises(self):
+        # A local_jacobian whose (D^T Q) D entry overflows, while D^T Q
+        # does not, or whose (D^T Q) D is finite but overflows when doubled
+        # in the symmetrization (1e154): an error, never a non-finite pair.
+        q = QuadraticForm((1.0, -1.0), (0,))
+        for big in (1e200, -1e200, 1.5e154, 1e154):
+            d = IntervalMatrix.from_pairs([[(big, big), (0.0, 0.0)], [(0.0, 0.0), (1.0, 1.0)]])
+            with pytest.raises(IntervalError):
+                cone_matrix(d, q, q)
 
 
 # -- exact-rational pivot oracle -----------------------------------------------

@@ -2,9 +2,11 @@
 
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tangency.interval import Interval, IntervalError
 from tangency.jets import Jet
@@ -411,3 +413,91 @@ class TestExactRationalOracle:
                                 assert _contains(out.hess[i][j], exact.h[i][j]), (i, j)
                 if order == 1:
                     assert out.hess is None
+
+
+# -- scalar operands against constant jets --------------------------------------
+
+_MAX = 1.7976931348623157e308
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, -3.0, 5e-324, -5e-324, 1e-300, 1e300,
+            -1e300, _MAX / 2, -_MAX / 2, _MAX, -_MAX)
+_FLOATS = st.one_of(
+    st.sampled_from(_SPECIAL),
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _pairs(draw):
+    a, b = draw(_FLOATS), draw(_FLOATS)
+    return (a, b) if a <= b else (b, a)
+
+
+@st.composite
+def _jets(draw):
+    n, order = draw(st.integers(0, 3)), draw(st.sampled_from((1, 2)))
+    hess = draw(st.lists(_pairs(), min_size=n * (n + 1) // 2,
+                         max_size=n * (n + 1) // 2)) if order == 2 else None
+    return Jet(draw(_pairs()), draw(st.lists(_pairs(), min_size=n, max_size=n)), hess)
+
+
+_SCALAR_OPERANDS = st.one_of(
+    _FLOATS,
+    st.integers(-2**60, 2**60),
+    _pairs().map(lambda p: Interval(*p)),
+)
+
+# (scalar route, constant-jet route) per operation; k is Jet.constant(c).
+_SCALAR_OPS = {
+    "j*c": (lambda j, c: j * c, lambda j, k: j * k),
+    "c*j": (lambda j, c: c * j, lambda j, k: k * j),
+    "j/c": (lambda j, c: j / c, lambda j, k: j / k),
+    "j+c": (lambda j, c: j + c, lambda j, k: j + k),
+    "c+j": (lambda j, c: c + j, lambda j, k: k + j),
+    "j-c": (lambda j, c: j - c, lambda j, k: j - k),
+    "c-j": (lambda j, c: c - j, lambda j, k: k - j),
+}
+
+
+def _packed(jet):
+    hess = None if jet.hess_pairs is None else [
+        struct.pack("<2d", *p) for p in jet.hess_pairs]
+    return (struct.pack("<2d", *jet.value_pair),
+            [struct.pack("<2d", *p) for p in jet.grad_pairs], hess)
+
+
+class TestScalarOperands:
+    """A float, int or Interval operand gives the bits of the same operation
+    on Jet.constant, signed zeros included, and the same errors."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_jets(), _SCALAR_OPERANDS, st.sampled_from(sorted(_SCALAR_OPS)))
+    @example(Jet((1.0, 2.0), [(-0.0, -0.0), (-0.0, 3.0), (0.0, -0.0)]), 5.0, "j+c")
+    @example(Jet((1.0, 2.0), [(-0.0, -0.0)], [(-2.0, -0.0)]), 5.0, "j-c")
+    @example(Jet((1.0, 2.0), [(-0.0, 0.0)], [(0.0, 0.0)]), Interval(-1.0, 2.0), "c-j")
+    @example(Jet((1.0, 2.0), [(-0.0, -0.0)], [(-0.0, 1.0)]), -2.0, "j/c")
+    @example(Jet((1.0, 2.0), [(1e300, 1e300)], None), 1e10, "j*c")
+    @example(Jet((1.0, 2.0), [(1e300, 1e300)], None), 1e-10, "j/c")
+    @example(Jet((1.0, 2.0), [(1.0, 1.0)], None), Interval(-1.0, 1.0), "j/c")
+    @example(Jet((1.0, 2.0), [(1.0, 1.0)], None), -0.0, "j/c")
+    @example(Jet((_MAX, _MAX), [], []), _MAX, "c+j")
+    def test_bits_match_constant_jet(self, jet, c, name):
+        scalar, constant = _SCALAR_OPS[name]
+        try:
+            want = _packed(constant(jet, Jet.constant(c, jet.n, jet.order)))
+        except IntervalError:
+            with pytest.raises(IntervalError):
+                scalar(jet, c)
+            return
+        got = scalar(jet, c)
+        assert _packed(got) == want
+        assert got.order == jet.order
+
+    def test_errors(self):
+        j = Jet((1.0, 2.0), [(1e300, 1e300), (0.0, 0.0)], [(0.0, 0.0)] * 3)
+        for op in (lambda: j * 1e10, lambda: 1e10 * j, lambda: j / 1e-10,
+                   lambda: j + _MAX, lambda: _MAX - (-j),
+                   lambda: j / 0.0, lambda: j / -0.0, lambda: j / Interval(-1.0, 1.0),
+                   lambda: j / Interval(0.0, 1.0)):
+            with pytest.raises(IntervalError):
+                op()

@@ -74,6 +74,27 @@ class TestChartDomain:
                     evaluate(box(0.0, 0.0, w, 0.0))
         assert chart.apply(box(0.0, 0.0, -1.0, 0.0))[2] == Interval(-1.0)
 
+    def test_overflowing_slope_and_slope_row_raise(self):
+        # Henon: (w_x, w_y) = (-2x w + b0, w).  At x = 10, w = 1e308 the
+        # image slope overflows; at x = 1, w = 1e-300 it is about 3e299, but
+        # its w-derivative (-2 - q) / w overflows.  Either is an error, never
+        # a non-finite pair.
+        from tangency.henon import A0, henon_family
+
+        chart = ChartMap(henon_family(), "forward")
+        p = box(10.0, 0.0, 1e308, A0)
+        with pytest.raises(IntervalError, match="non-finite"):
+            chart.apply(p)
+        with pytest.raises(IntervalError, match="non-finite"):
+            chart.apply(p, (2,))
+        p = box(1.0, 0.0, 1e-300, A0)
+        slope = chart.apply(p)[2]
+        assert -4e299 < slope.lo <= slope.hi < -2e299
+        with pytest.raises(IntervalError, match="non-finite"):
+            chart.derivative(p)
+        with pytest.raises(IntervalError, match="non-finite"):
+            chart.derivative(p, (2,))
+
 
 class TestApply:
     def test_eigendirection_fixed_vertical(self):
@@ -223,9 +244,28 @@ class TestOutputsRead:
             chart.derivative(p, (0, 3))
 
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_parameter_image_evaluates_no_f(self, direction):
+        # The thin image of a parameter wall: apply on a alone returns the
+        # box's parameter pair, bit for bit, and never calls f.
+        from tangency.henon import A0
+
+        def refuse(x, y, a):
+            raise AssertionError("f evaluated")
+
+        chart = ChartMap(PlanarMapFamily("refusing", refuse, refuse), direction)
+        for a in (Interval(A0), Interval(A0 - 1e-5, A0 + 1e-5), Interval(-0.0, 0.0)):
+            p = box(Interval(-1.91, -1.89), Interval(-1.81, -1.79),
+                    Interval(0.8, 0.9), a)
+            image = chart.apply(p, (3,))
+            assert pairs_hex(image.pairs) == pairs_hex([p.pairs[3]])
+            with pytest.raises(AssertionError, match="f evaluated"):
+                chart.apply(p, (0, 3))
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
     def test_apply_without_angle_is_the_full_apply(self, rng, direction):
-        # Without the slope, f runs on value-only jets (no variables); x, y
-        # and a are the full apply's bit for bit, on random boxes.
+        # Without the slope, f runs on value-only jets (no variables), and
+        # on a alone not at all; x, y and a are the full apply's bit for
+        # bit, on random boxes.
         from tangency.henon import A0, henon_family
 
         henon = henon_family()
@@ -254,7 +294,7 @@ class TestOutputsRead:
             for outputs in ((0, 1, 3), (0, 1), (0, 3), (1,), (3,)):
                 del seen[:]
                 image = chart.apply(p, outputs)
-                assert seen == [0]
+                assert seen == ([] if outputs == (3,) else [0])
                 assert pairs_hex(image.pairs) == pairs_hex(
                     full.pairs[k] for k in outputs
                 )

@@ -2,7 +2,7 @@
 """Layer and end-to-end timings of source trees, as one JSON document.
 
     python tools/bench_layers.py --tree parent=../parent/src --tree change=src \\
-        --runs 9 > BENCH_21.json
+        --runs 9 > BENCH_22.json
 
 Each run starts a fresh interpreter per tree, with the tree first on
 ``sys.path``; the trees alternate which goes first from one run to the next.
@@ -15,8 +15,10 @@ over N0), ``ChartMap.derivative`` over N0's box, the chart's direction row
 alone (``ChartMap.derivative`` on output 2 over N9's box: the slope row, or
 the angle row on a tree with the angle chart), a thin ``ChartMap.apply`` on
 N0's center with every output (the image direction included),
-``hset.local_derivative`` of that Jacobian from N0 to N1, one 4x4
-``rump_positive_definite`` (the cone matrix of N0=>N1) and
+``hset.local_derivative`` of that Jacobian from N0 to N1, the cone matrix
+of N0=>N1 (``cones.cone_matrix`` of its covering certificate's
+local_jacobian and the forms of N0 and N1), one 4x4
+``rump_positive_definite`` (of that cone matrix) and
 ``check_covering`` on N0=>N1, whose walls never read the image direction,
 and on N9=>N10, two of whose walls do; ``report.dumps`` of the grid-1
 ``prove henon`` report, as parsed back from the file it wrote, is the mean
@@ -105,11 +107,13 @@ def _layers(calls):
         box9 = n9.box()
         _, jacobian = chart.derivative(box)
 
-    def rump():
+    def cone():
         link = _resolve("covering", "check_covering")(src, tgt, chart)
-        v = _resolve("cones", "cone_matrix")(
-            link.local_jacobian, chain.forms[0], chain.forms[1])
-        return partial(_resolve("cones", "rump_positive_definite"), v)
+        return partial(_resolve("cones", "cone_matrix"),
+                       link.local_jacobian, chain.forms[0], chain.forms[1])
+
+    def rump():
+        return partial(_resolve("cones", "rump_positive_definite"), cone()())
 
     many, few = calls // 10, calls // 200
     return (
@@ -121,6 +125,7 @@ def _layers(calls):
         ("projective.apply_thin_us", lambda: partial(chart.apply, center), many),
         ("hset.local_derivative_us",
          lambda: partial(_resolve("hset", "local_derivative"), src, tgt, jacobian), many),
+        ("cones.cone_matrix_us", cone, many),
         ("cones.rump_4x4_us", rump, many),
         ("covering.link_N0_N1_us",
          lambda: partial(_resolve("covering", "check_covering"), src, tgt, chart), few),
@@ -175,7 +180,7 @@ def main():
                         help="NAME=SRC_DIR, the directory holding the tangency package")
     parser.add_argument("--runs", type=int, default=9)
     parser.add_argument("--calls", type=int, default=2000)
-    parser.add_argument("--repeat", type=int, default=3)
+    parser.add_argument("--repeat", type=int, default=9)
     parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.one:
