@@ -32,12 +32,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import product
 
 from tangency import kernels as _k
 from tangency.interval import Interval, IntervalError, check_pairs
 from tangency.linalg import (
     IntervalMatrix,
     IntervalVector,
+    _wrap,
     dot,
     inverse_enclosure,
     nonzero_pattern,
@@ -67,14 +69,14 @@ def _axes(axes, n):
 
 @lru_cache(maxsize=None)
 def _cuts(grid):
-    """The grid segments covering [-1, 1], as a tuple of Intervals; built
-    once per grid."""
-    cuts = []
-    for j in range(grid):
-        lo = Interval(-1.0) + Interval(2.0) * Interval(float(j)) / Interval(grid)
-        hi = Interval(-1.0) + Interval(2.0) * Interval(float(j + 1)) / Interval(grid)
-        cuts.append(Interval(lo.lo, hi.hi))
-    return tuple(cuts)
+    """The grid segments covering [-1, 1], as (lo, hi) pairs: the outward
+    enclosures of -1 + 2 j / grid bound them.  Built once per grid."""
+    g = float(grid)
+    ends = [
+        _k.iadd(-1.0, -1.0, *_k.idiv(*_k.imul(2.0, 2.0, float(j), float(j)), g, g))
+        for j in range(grid + 1)
+    ]
+    return tuple((lo[0], hi[1]) for lo, hi in zip(ends, ends[1:]))
 
 
 class HSet:
@@ -213,23 +215,20 @@ class HSet:
             raise IntervalError(f"wall axis {axis} is not an unstable axis")
         if side not in (-1, 1):
             raise IntervalError("side must be +-1")
+        face = ((float(side), float(side)),)
         segs = self._segments(grid)
-        out = [[]]
-        for i in range(self.n):
-            if i == axis:
-                out = [row + [Interval(float(side))] for row in out]
-            else:
-                out = [row + [s] for row in out for s in segs]
-        return [IntervalVector(row) for row in out]
+        return [
+            _wrap(IntervalVector, box)
+            for box in product(*(face if i == axis else segs for i in range(self.n)))
+        ]
 
     def subboxes(self, grid=1):
         """Sub-boxes covering the whole normalized cube [-1, 1]^n, grid
         segments per axis."""
-        segs = self._segments(grid)
-        out = [[]]
-        for i in range(self.n):
-            out = [row + [s] for row in out for s in segs]
-        return [IntervalVector(row) for row in out]
+        return [
+            _wrap(IntervalVector, box)
+            for box in product(self._segments(grid), repeat=self.n)
+        ]
 
     def to_dict(self):
         return {

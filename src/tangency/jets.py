@@ -18,6 +18,7 @@ call the kernels on the pairs with the operations of the scalar
 :class:`Interval` expressions they stand for, so the enclosures are those of
 Interval arithmetic bit for bit.
 ``value``, ``grad`` and ``hess`` (the full symmetric matrix) give Intervals.
+``seed_jets`` seeds a map evaluator's jets from a box's checked pairs.
 
 Where pairs are checked: every pair an operation computes with a kernel is
 checked once, by one ``check_pairs`` over the new jet's value, gradient and
@@ -67,6 +68,16 @@ def _seeds(n, order):
     units = tuple(tuple(_ONE if j == i else _ZERO for j in range(n)) for i in range(n))
     hess = (_ZERO,) * len(_tri(n)) if order == 2 else None
     return units, (_ZERO,) * n, hess
+
+
+def seed_jets(values, n, order):
+    """Jets of the given order over n variables of the checked (lo, hi)
+    pairs values, unchecked: the first n are the variables, in order, and
+    the rest constants; n = 0 gives value-only jets."""
+    units, zeros, hess = _seeds(n, order)
+    return [
+        _wrap(v, units[i] if i < n else zeros, hess) for i, v in enumerate(values)
+    ]
 
 
 def _wrap(value, grad, hess):

@@ -33,8 +33,7 @@ from typing import Callable, Optional
 
 from tangency import kernels as _k
 from tangency.interval import Interval, IntervalError, check_pairs
-from tangency.jets import Jet, _seeds
-from tangency.jets import _wrap as _jet
+from tangency.jets import Jet, seed_jets
 from tangency.linalg import IntervalMatrix, IntervalVector, _wrap
 
 
@@ -76,15 +75,6 @@ def _place_w(xya):
     """(x, y, a) pairs placed into (x, y, w, a) with an exact zero for w."""
     x, y, a = xya
     return x, y, _ZERO, a
-
-
-def _jets(values, n, order):
-    """Jets over n variables of the checked (lo, hi) pairs values: the
-    first n are the variables, in order, and the rest constants."""
-    units, zeros, hess = _seeds(n, order)
-    return [
-        _jet(v, units[i] if i < n else zeros, hess) for i, v in enumerate(values)
-    ]
 
 
 def _vector(pairs):
@@ -130,7 +120,7 @@ class ChartMap:
         image = [None, None, None, a]
         if outputs is None or not set(outputs) <= {3}:
             slope = outputs is None or 2 in outputs
-            fx, fy = self._evaluator()(*_jets((x, y, a), 2 if slope else 0, 1))
+            fx, fy = self._evaluator()(*seed_jets((x, y, a), 2 if slope else 0, 1))
             image[0], image[1] = fx.value_pair, fy.value_pair
             if slope:
                 imul, iadd = _k.imul, _k.iadd
@@ -159,7 +149,7 @@ class ChartMap:
         rows = [None, None, None, (a, (_ZERO, _ZERO, _ZERO, _ONE))]
         if outputs is None or not set(outputs) <= {3}:
             slope = outputs is None or 2 in outputs
-            fx, fy = self._evaluator()(*_jets((x, y, a), 3, 2 if slope else 1))
+            fx, fy = self._evaluator()(*seed_jets((x, y, a), 3, 2 if slope else 1))
             rows[0] = (fx.value_pair, _place_w(fx.grad_pairs))
             rows[1] = (fy.value_pair, _place_w(fy.grad_pairs))
             if slope:

@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from tangency import kernels as _k
 from tangency.cones import cone_matrix
 from tangency.hset import HSet, QuadraticForm
-from tangency.interval import Interval, IntervalError, as_interval
-from tangency.jets import Jet
+from tangency.interval import Interval, IntervalError, as_interval, as_pair, check_pairs
+from tangency.jets import seed_jets
 from tangency.linalg import IntervalMatrix, IntervalVector, _wrap
 
 
@@ -41,6 +42,9 @@ class ToyParams:
             raise IntervalError("finite |lam| > 1 required")
         if not 0.0 < abs(self.mu) < 1.0:
             raise IntervalError("0 < |mu| < 1 required")
+        # The slope coefficients of the linear maps; lam/mu may overflow.
+        if not math.isfinite(self.lam / self.mu) or not math.isfinite(self.mu / self.lam):
+            raise IntervalError("finite lam/mu and mu/lam required")
         if not 0.0 < self.delta < 1.0:
             raise IntervalError("delta in (0, 1) required")
         if not 0.0 < self.eps < 0.2:
@@ -48,48 +52,71 @@ class ToyParams:
         return self
 
 
-class _ToyMap:
-    """A generic 4-scalar evaluator as a map of the covering protocol: the
-    image from Interval values, the image enclosure and the Jacobian from
-    order-1 jets; each the outputs asked for, every output by default."""
+_ZERO = (0.0, 0.0)
+_ONE = (1.0, 1.0)
+
+
+class _DiagonalMap:
+    """The linear map (x0, x1, x2, a) -> (c0 x0, c1 x1, c2 x2, a) as a map
+    of the covering protocol, on (lo, hi) pairs: each output asked for is
+    imul(*box_k, c_k, c_k), the a entry passes through, and the image is
+    checked once, the a entry with it.  The Jacobian is constant; its rows,
+    (c_k, c_k) on the diagonal and (1, 1) for a, are exact pairs built once
+    per map with no kernel call (the chain is built to nearest), after the
+    coefficients are checked."""
+
+    def __init__(self, coefs):
+        self._coefs = check_pairs(tuple((c, c) for c in coefs))
+        self._rows = tuple(
+            tuple(d if j == i else _ZERO for j in range(4))
+            for i, d in enumerate(self._coefs + (_ONE,))
+        )
+
+    def apply(self, box, outputs=None):
+        pairs, coefs, imul = box.pairs, self._coefs, _k.imul
+        image = tuple([
+            pairs[k] if k == 3 else imul(*pairs[k], *coefs[k])
+            for k in (range(4) if outputs is None else outputs)
+        ])
+        return _wrap(IntervalVector, check_pairs(image))
+
+    def derivative(self, box, outputs=None):
+        """apply's image, bit for bit, and the constant Jacobian rows."""
+        rows = self._rows if outputs is None else tuple([self._rows[k] for k in outputs])
+        return self.apply(box, outputs), _wrap(IntervalMatrix, rows)
+
+
+class _SwitchMap:
+    """A 4-scalar jet evaluator as a map of the covering protocol, on jets
+    seeded from the box's pairs: value-only jets for apply's image, order-1
+    jets over the 4 inputs for derivative's image (apply's bits) and
+    Jacobian, on the outputs asked for; the jets check what they compute."""
 
     def __init__(self, evaluator):
         self._evaluator = evaluator
 
-    def _outputs(self, args, outputs):
-        outs = self._evaluator(*args)
+    def _outputs(self, box, n, outputs):
+        outs = self._evaluator(*seed_jets(box.pairs, n, 1))
         return outs if outputs is None else [outs[k] for k in outputs]
 
     def apply(self, box, outputs=None):
-        return IntervalVector(self._outputs(box.entries, outputs))
+        outs = self._outputs(box, 0, outputs)
+        return _wrap(IntervalVector, tuple([out.value_pair for out in outs]))
 
     def derivative(self, box, outputs=None):
-        jets = [Jet.variable(i, box[i], 4, order=1) for i in range(4)]
-        outs = self._outputs(jets, outputs)
+        outs = self._outputs(box, 4, outputs)
         return (_wrap(IntervalVector, tuple([out.value_pair for out in outs])),
                 _wrap(IntervalMatrix, tuple([out.grad_pairs for out in outs])))
 
 
 def linear_start_map(params):
     """Projectivized linear dynamics near (p, E^u): (x,y,v,a) coordinates."""
-    lam, mu = params.lam, params.mu
-    ratio = mu / lam
-
-    def run(x, y, v, a):
-        return (lam * x, mu * y, ratio * v, a)
-
-    return _ToyMap(run)
+    return _DiagonalMap((params.lam, params.mu, params.mu / params.lam))
 
 
 def linear_end_map(params):
     """Projectivized linear dynamics near (p, E^s): (x,y,w,a) coordinates."""
-    lam, mu = params.lam, params.mu
-    ratio = lam / mu
-
-    def run(x, y, w, a):
-        return (lam * x, mu * y, ratio * w, a)
-
-    return _ToyMap(run)
+    return _DiagonalMap((params.lam, params.mu, params.lam / params.mu))
 
 
 def switch_map(params):
@@ -104,7 +131,7 @@ def switch_map(params):
         u = x - 1.0
         return (u.sqr() + y + a, 2.0 - x, -2.0 * u - v, a)
 
-    return _ToyMap(run)
+    return _SwitchMap(run)
 
 
 @dataclass(frozen=True)
@@ -259,11 +286,7 @@ def switch_cone_matrix(params, x=0.0, a_coef=1.0, b_coef=1.0, c_coef=1.0,
     of the switch derivative with Q_N = (alpha, beta, -gamma, -delta) and
     Q_M = (A, B, -C, -D) in target order (x, w, y, a), both unstable on axes
     0 and 1."""
-    x = as_interval(x)
-    jx = Jet.variable(0, x, 4, order=1)
-    ja = Jet.variable(1, Interval(0.0), 4, order=1)
-    jy = Jet.variable(2, Interval(0.0), 4, order=1)
-    jv = Jet.variable(3, Interval(0.0), 4, order=1)
+    jx, ja, jy, jv = seed_jets((as_pair(x), _ZERO, _ZERO, _ZERO), 4, 1)
     # Switch dynamics in centered coordinates, target order (x, w, y, a).
     f1 = jx.sqr() + jy + ja
     f2 = -2.0 * jx - jv

@@ -209,9 +209,10 @@ class TestCheckToy:
     @pytest.mark.parametrize(
         "argv",
         [["--grid", "0"], ["--grid", "-2"], ["--lam", "nan"], ["--lam", "inf"],
-         ["--lam", "-inf"], ["--mu", "nan"], ["--eps", "inf"]],
+         ["--lam", "-inf"], ["--mu", "nan"], ["--eps", "inf"],
+         ["--lam", "1e300", "--mu", "1e-10"]],
         ids=["grid-zero", "grid-negative", "lam-nan", "lam-inf", "lam-minus-inf",
-             "mu-nan", "eps-inf"],
+             "mu-nan", "eps-inf", "slope-coefficient-overflow"],
     )
     def test_bad_input_exits_two(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -223,6 +223,33 @@ class TestWalls:
         assert hull[0] == Interval(-1.0, 1.0)
         assert hull[1] == Interval(-1.0, 1.0)
 
+    @pytest.mark.parametrize("grid", [1, 2, 3])
+    def test_boxes_are_those_built_from_intervals(self, grid):
+        # The construction from Interval rows that the cut pairs replaced.
+        cuts = []
+        for j in range(grid):
+            lo = Interval(-1.0) + Interval(2.0) * Interval(float(j)) / Interval(grid)
+            hi = Interval(-1.0) + Interval(2.0) * Interval(float(j + 1)) / Interval(grid)
+            cuts.append(Interval(lo.lo, hi.hi))
+
+        def boxes(n, axis=None, side=None):
+            out = [[]]
+            for i in range(n):
+                if i == axis:
+                    out = [row + [Interval(float(side))] for row in out]
+                else:
+                    out = [row + [c] for row in out for c in cuts]
+            return [pairs_hex(IntervalVector(row).pairs) for row in out]
+
+        h = HSet("S", (0, 0, 0, 0),
+                 [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                 (1, 1, 1, 1), (0, 3))
+        for axis in h.unstable:
+            for side in (1, -1):
+                got = [pairs_hex(b.pairs) for b in h.walls(axis, side, grid)]
+                assert got == boxes(4, axis, side)
+        assert [pairs_hex(b.pairs) for b in h.subboxes(grid)] == boxes(4)
+
     def test_wall_requires_unstable_axis(self):
         h = _sample_set()
         with pytest.raises(IntervalError):

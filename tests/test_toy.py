@@ -1,14 +1,17 @@
 """Analytic model suite: chain construction, cone schemes, transversality."""
 
-import random
+import itertools
+import struct
 from fractions import Fraction
 
 import pytest
 
+from tangency import kernels
 from tangency.cones import check_cone_link, rump_positive_definite
 from tangency.covering import VerificationInconclusive, check_chain, check_covering
 from tangency.interval import Interval, IntervalError
-from tangency.linalg import IntervalVector
+from tangency.jets import Jet
+from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.toy import (
     ToyParams,
     build_toy_chain,
@@ -35,6 +38,12 @@ class TestParams:
             ToyParams(delta=1.5).validate()
         with pytest.raises(IntervalError):
             ToyParams(eps=0.5).validate()
+
+    @pytest.mark.parametrize("lam, mu", [(1e300, 1e-10), (-1e300, 1e-10), (2.0, 5e-324)])
+    def test_non_finite_slope_coefficient_rejected(self, lam, mu):
+        # lam/mu overflows: the linear end map's slope coefficient.
+        with pytest.raises(IntervalError, match="lam/mu"):
+            ToyParams(lam=lam, mu=mu).validate()
 
 
 class TestChainCovering:
@@ -106,6 +115,129 @@ class TestOnePassImage:
                 box = src.from_normalized(zbox)
                 image, _ = fmap.derivative(box)
                 assert repr(image) == repr(fmap.apply(box)), idx  # every bit
+
+
+class _IntervalRouteMap:
+    """The toy maps as they ran on Intervals, kept as the oracle of the
+    pair route: the image from Interval values, the image enclosure and the
+    Jacobian from order-1 Jet.variable jets."""
+
+    def __init__(self, evaluator):
+        self._evaluator = evaluator
+
+    def _outputs(self, args, outputs):
+        outs = self._evaluator(*args)
+        return outs if outputs is None else [outs[k] for k in outputs]
+
+    def apply(self, box, outputs=None):
+        return IntervalVector(self._outputs(box.entries, outputs))
+
+    def derivative(self, box, outputs=None):
+        jets = [Jet.variable(i, box[i], 4, order=1) for i in range(4)]
+        outs = self._outputs(jets, outputs)
+        return (IntervalVector.from_pairs([out.value_pair for out in outs]),
+                IntervalMatrix.from_pairs([out.grad_pairs for out in outs]))
+
+
+def _oracle_maps(params):
+    """(start, end, switch) on the Interval route, written out here."""
+    lam, mu = params.lam, params.mu
+
+    def diagonal(ratio):
+        return _IntervalRouteMap(lambda x, y, v, a: (lam * x, mu * y, ratio * v, a))
+
+    def switch(x, y, v, a):
+        u = x - 1.0
+        return (u.sqr() + y + a, 2.0 - x, -2.0 * u - v, a)
+
+    return diagonal(mu / lam), diagonal(lam / mu), _IntervalRouteMap(switch)
+
+
+def _bits(pairs):
+    return b"".join(struct.pack("<dd", lo, hi) for lo, hi in pairs)
+
+
+def _random_entry(rng):
+    """A box entry: wide, thin, an exact zero or one with signed zeros."""
+    x, y = sorted(rng.uniform(-2.0, 2.0) for _ in range(2))
+    return rng.choice([
+        (x, y), (x, x), (0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (-0.0, abs(y)),
+        (-abs(x), -0.0), (0.0, abs(y)), (-abs(x), 0.0), (-x, -x),
+    ])
+
+
+_OUTPUT_SETS = [None] + [
+    c for r in range(1, 5) for c in itertools.combinations(range(4), r)
+]
+
+
+class TestPairRouteOracle:
+    """The toy maps on pairs against the Interval route they replaced, bit
+    for bit: image and Jacobian, every increasing subset of outputs."""
+
+    def test_maps_match_the_interval_route(self, rng):
+        for trial in range(40):
+            params = ToyParams(
+                lam=rng.choice([-1, 1]) * rng.uniform(1.1, 5.0),
+                mu=rng.choice([-1, 1]) * rng.uniform(0.05, 0.95),
+            )
+            maps = (linear_start_map(params), linear_end_map(params),
+                    switch_map(params))
+            for fmap, oracle in zip(maps, _oracle_maps(params)):
+                for _ in range(5):
+                    box = IntervalVector.from_pairs(
+                        [_random_entry(rng) for _ in range(4)])
+                    for outputs in _OUTPUT_SETS:
+                        n = 4 if outputs is None else len(outputs)
+                        image = fmap.apply(box, outputs)
+                        value, jac = fmap.derivative(box, outputs)
+                        want_value, want_jac = oracle.derivative(box, outputs)
+                        assert len(image) == len(value) == jac.nrows == n
+                        assert _bits(image.pairs) == _bits(value.pairs)
+                        assert _bits(image.pairs) == _bits(
+                            oracle.apply(box, outputs).pairs)
+                        assert _bits(value.pairs) == _bits(want_value.pairs)
+                        for row, want in zip(jac.pairs, want_jac.pairs):
+                            assert _bits(row) == _bits(want), (trial, outputs)
+
+    def test_chain_maps_match_on_the_covering_boxes(self):
+        # The boxes check_covering evaluates, at grid 2, on every link.
+        chain = build_toy_chain(ToyParams(lam=-3.0, mu=-0.4))
+        start, end, switch = _oracle_maps(chain.params)
+        oracles = [start] * chain.k + [switch] + [end] * chain.s
+        with kernels.upward():
+            for idx, (fmap, oracle) in enumerate(zip(chain.maps, oracles)):
+                src = chain.sets[idx]
+                for zbox in covering_boxes(src, 2):
+                    box = src.from_normalized(zbox)
+                    value, jac = fmap.derivative(box)
+                    want_value, want_jac = oracle.derivative(box)
+                    assert _bits(value.pairs) == _bits(want_value.pairs), idx
+                    assert all(_bits(r) == _bits(w)
+                               for r, w in zip(jac.pairs, want_jac.pairs)), idx
+
+    def test_non_finite_coefficient_refused_when_the_map_is_built(self):
+        params = ToyParams(lam=1e300, mu=1e-10)  # not validated
+        linear_start_map(params)  # mu/lam is finite
+        with pytest.raises(IntervalError):
+            linear_end_map(params)
+
+    @pytest.mark.parametrize("lam", [2.0, -2.5])
+    def test_chain_checks_construct_no_interval(self, monkeypatch, lam):
+        chain = build_toy_chain(ToyParams(lam=lam))
+        made = []
+        init = Interval.__init__
+
+        def counted(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Interval, "__init__", counted)
+        with kernels.upward():
+            certs = check_chain(list(chain.sets), list(chain.maps), grid=1)
+            for idx in linear_link_indices(chain):
+                check_cone_link(certs[idx], chain.forms[idx], chain.forms[idx + 1])
+        assert made == []
 
 
 def cone_link(chain, idx):

@@ -20,13 +20,16 @@ of N0=>N1 (``cones.cone_matrix`` of its covering certificate's
 local_jacobian and the forms of N0 and N1), one 4x4
 ``rump_positive_definite`` (of that cone matrix) and
 ``check_covering`` on N0=>N1, whose walls never read the image direction,
-and on N9=>N10, two of whose walls do; ``report.dumps`` of the grid-1
-``prove henon`` report, as parsed back from the file it wrote, is the mean
-of a ``--calls // 200``-call loop; and ``run_proof()`` at grid 1 and grid 2
-is one call, whose per-stage ``timings`` (build, covering, cones, disks)
-are recorded beside its total.  A layer is timed only where the tree has
-what it calls; where it does not (an ImportError or AttributeError while
-the layer is set up), the tree's value is null.
+and on N9=>N10, two of whose walls do; ``check_covering`` on the default
+toy chain's N0=>N1, a linear link, and on its switch link N4=>M5, with
+the chain's own maps, and ``report.dumps`` of the grid-1 ``prove henon``
+report, as parsed back from the file it wrote, are each the mean of a
+``--calls // 200``-call loop; ``run_proof()`` at grid 1 and grid 2 is one
+call, whose per-stage ``timings`` (build, covering, cones, disks) are
+recorded beside its total; and ``check_toy_s`` is one ``check-toy`` CLI
+call at the defaults, report file included.  A layer is timed only where
+the tree has what it calls; where it does not (an ImportError or
+AttributeError while the layer is set up), the tree's value is null.
 
 The document holds, per tree and measurement, ``min``, the minimum over all
 runs, and the ``median`` and ``spread``, the interquartile range over the
@@ -83,6 +86,16 @@ def _grid1_report():
             return report.loads(fh.read())
 
 
+def _check_toy():
+    """One ``check-toy`` CLI call at the defaults, its report written to a
+    temporary file."""
+    from tangency.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["check-toy", "--report", os.path.join(tmp, "report.json")])
+
+
 def _resolve(module, name):
     """tangency.<module>.<name>; ImportError or AttributeError if the tree
     does not have it."""
@@ -94,11 +107,14 @@ def _layers(calls):
     returns the callable to time, with every function it calls resolved, so
     it raises ImportError or AttributeError on a tree without one."""
     from tangency.henon import build_chain, henon_family
-    from tangency.kernels import upward
+    from tangency.kernels import nearest, upward
     from tangency.linalg import IntervalVector
     from tangency.projective import ChartMap
+    from tangency.toy import build_toy_chain
 
     chain = build_chain()
+    with nearest():
+        toy = build_toy_chain()  # to nearest, as check-toy builds it
     chart = ChartMap(henon_family())
     src, tgt, n9, n10 = chain.sets[0], chain.sets[1], chain.sets[9], chain.sets[10]
     center = IntervalVector(src.center)
@@ -114,6 +130,10 @@ def _layers(calls):
 
     def rump():
         return partial(_resolve("cones", "rump_positive_definite"), cone()())
+
+    def toy_link(idx):
+        return partial(_resolve("covering", "check_covering"),
+                       toy.sets[idx], toy.sets[idx + 1], toy.maps[idx])
 
     many, few = calls // 10, calls // 200
     return (
@@ -131,6 +151,8 @@ def _layers(calls):
          lambda: partial(_resolve("covering", "check_covering"), src, tgt, chart), few),
         ("covering.link_N9_N10_us",
          lambda: partial(_resolve("covering", "check_covering"), n9, n10, chart), few),
+        ("toy.link_linear_us", lambda: toy_link(0), few),
+        ("toy.link_switch_us", lambda: toy_link(toy.k), few),
     )
 
 
@@ -150,6 +172,7 @@ def _one_run(calls, repeat):
             out[key] = _best(f, repeat, max(number, 1)) * 1e6
     doc = _grid1_report()
     out["report.dumps_us"] = _best(lambda: report.dumps(doc), repeat, max(calls // 200, 1)) * 1e6
+    out["check_toy_s"] = _best(_check_toy, repeat)
 
     for grid in (1, 2):
         config = HenonConfig(grid=grid)
