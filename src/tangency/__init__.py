@@ -24,7 +24,7 @@ from tangency.cones import (
     cone_matrix,
     rump_positive_definite,
 )
-from tangency.hset import HSet, QuadraticForm
+from tangency.hset import Frame, HSet, QuadraticForm
 from tangency.interval import Interval, IntervalError
 from tangency.jets import Jet
 from tangency.kernels import BACKEND
@@ -42,6 +42,7 @@ __all__ = [
     "CoveringCertificate",
     "DiskCertificate",
     "EnclosureError",
+    "Frame",
     "HSet",
     "Interval",
     "IntervalError",

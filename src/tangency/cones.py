@@ -13,7 +13,8 @@ interval symmetric matrix A_c + [-1,1] A_0 is positive definite iff all
 first component is pinned to +1); each vertex is decided by a rigorous
 Cholesky factorization run in interval arithmetic: every pivot must be
 certified strictly positive.  The vertices share one factorization over the
-tree of their sign prefixes (rump_positive_definite).
+tree of their sign prefixes, and vertices that differ only in the sign of
+an index with zero off-diagonal radii share every bit (rump_positive_definite).
 
 Where pairs are checked: cone_matrix builds V on (lo, hi) pairs and checks
 D^T Q_M and V once each, the product between them being a checked
@@ -101,9 +102,12 @@ def rump_positive_definite(a):
     pivot not certified positive gives None for every vertex below it.
     Every pivot and factor entry takes the kernel calls a separate run on
     its vertex would, so the margins are those runs' bits, in
-    vertex_signs(n) order.  The factor is kept as (lo, hi) pairs; each
-    pivot and factor entry is checked like an Interval before it enters a
-    product.
+    vertex_signs(n) order.  Where every off-diagonal radius in row and
+    column j is zero, no vertex matrix depends on z_j: the z_j = -1 subtree
+    is not run, and its outcomes are the +1 subtree's with z_j flipped, so
+    each distinct vertex matrix is factored once (a diagonal V, one).  The
+    factor is kept as (lo, hi) pairs; each pivot and factor entry is
+    checked like an Interval before it enters a product.
     """
     n = a.nrows
     rows = a.pairs
@@ -126,6 +130,10 @@ def rump_positive_definite(a):
          for c_ij, r_ij in zip(c[i][:i], r[i][:i])]
         for i in range(n)
     ]
+    # Index j is free when r_ij = 0 for every i != j: no vertex matrix reads
+    # z_j, and each pair of off that row j or column j picks from is one
+    # value twice, up to zero signs that the factor's quotients erase.
+    free = [all(r[i][j] == 0.0 for i in range(n) if i != j) for j in range(n)]
     outcomes = []
 
     def column(z, low_j, below, min_pivot):
@@ -157,8 +165,15 @@ def rump_positive_definite(a):
                     s_lo, s_hi = isub(s_lo, s_hi, *imul(*low[k], *low_j[k]))
                 pair.append(low + check_pairs((idiv(s_lo, s_hi, *ljj),)))
             grown.append(pair)
+        start = len(outcomes)
         column(z + (1,), grown[0][0], grown[1:], min_pivot)
-        column(z + (-1,), grown[0][1], grown[1:], min_pivot)
+        if free[j + 1]:
+            # The z_(j+1) = -1 subtree is the +1 subtree's bits.
+            outcomes.extend(
+                (v[:j + 1] + (-1,) + v[j + 2:], m) for v, m in outcomes[start:]
+            )
+        else:
+            column(z + (-1,), grown[0][1], grown[1:], min_pivot)
 
     column((1,), (), [((), ())] * (n - 1), None)
     ok = all(margin is not None for _, margin in outcomes)

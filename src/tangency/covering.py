@@ -44,7 +44,7 @@ from itertools import permutations
 from tangency import kernels as _k
 from tangency.hset import local_derivative_rows
 from tangency.interval import Interval, IntervalError, check_pairs, pair_mid
-from tangency.linalg import IntervalMatrix, IntervalVector, _wrap, dot, nonzero_pattern
+from tangency.linalg import IntervalMatrix, IntervalVector, _wrap, dot
 
 
 class _LocatedError(Exception):
@@ -106,13 +106,13 @@ class CoveringCertificate:
 def _thin_image(src, tgt, fmap, zbox, rows):
     """The image g(mid z) of the midpoint of a normalized sub-box on the
     target axes ``rows``, as a dict axis -> (lo, hi): fmap.apply on the thin
-    midpoint, on the outputs cols = tgt.columns_read(rows) only.  A map that
-    returns other than len(cols) entries breaks the map protocol (module
-    docstring): TypeError, a bug and never a verdict."""
+    midpoint, on the outputs cols = tgt.columns_read(rows) only.  zbox is a
+    hset.SubBox (from src.walls or src.subboxes), whose ``mid`` is that
+    midpoint.  A map that returns other than len(cols) entries breaks the
+    map protocol (module docstring): TypeError, a bug and never a verdict."""
     cols = tgt.columns_read(rows)
-    mid = [(m, m) for m in (pair_mid(*z) for z in zbox.pairs)]
     value = fmap.apply(
-        IntervalVector.from_pairs(src.from_normalized_pairs(mid)), cols
+        IntervalVector.from_pairs(src.from_normalized_pairs(zbox.mid)), cols
     )
     if value.dim != len(cols):
         raise TypeError(
@@ -144,6 +144,7 @@ def _image_normalized(src, tgt, fmap, zbox, rows, thin=None):
     reads only row j of M_tgt^-1, so the rows left out are never computed,
     and the rows computed are the same bits as in the full image.
 
+    zbox is a hset.SubBox: z - mid z enters through its ``delta_terms``.
     g(mid z) is the _thin_image of zbox, a dict holding at least the axes
     rows; a caller that already has it (a wall: the image its pairing was
     searched on) passes it as ``thin``, else it is mapped here.  Those rows
@@ -159,7 +160,7 @@ def _image_normalized(src, tgt, fmap, zbox, rows, thin=None):
     Jacobian rows breaks the map protocol (module docstring): TypeError, a
     bug and never a verdict.
     """
-    imul, idiv, isub, iadd = _k.imul, _k.idiv, _k.isub, _k.iadd
+    imul, idiv, iadd = _k.imul, _k.idiv, _k.iadd
     if thin is None:
         thin = _thin_image(src, tgt, fmap, zbox, rows)
     cols = tgt.columns_read(rows)
@@ -176,14 +177,11 @@ def _image_normalized(src, tgt, fmap, zbox, rows, thin=None):
                      for e, d_src in zip(local_row, src.diam)])
         for local_row, d_tgt in zip(local, (tgt.diam[j] for j in rows))
     ]
-    delta = check_pairs(
-        [isub(*z, m, m) for z, m in ((z, pair_mid(*z)) for z in zbox.pairs)]
-    )
-    # The terms of scaled.mat_vec(delta), delta's nonzero entries as the
-    # left factors of their products (imul is commutative bit for bit).
-    (delta_terms,) = nonzero_pattern((delta,))
+    # The terms of scaled.mat_vec(z - mid z), the delta's nonzero entries
+    # as the left factors of their products (imul is commutative bit for
+    # bit).
     mean_value = check_pairs(
-        [iadd(*thin[j], *dot(delta_terms, row)) for j, row in zip(rows, scaled)]
+        [iadd(*thin[j], *dot(zbox.delta_terms, row)) for j, row in zip(rows, scaled)]
     )
     hull = tgt.normalized_rows(image, rows)
     out = {}

@@ -14,18 +14,28 @@ directions.  Two local frames matter and are kept explicit:
 Rigor enters through ``inv_coord``, a verified interval enclosure of M^-1
 with closed-form 2x2 blocks (adj/det) and exact zeros off the blocks of M
 (see ``linalg.inverse_enclosure``); the coordinate matrix itself is an
-exact point matrix.  Both, and the center as a point interval vector, are built
-once per set, inv_coord in a kernels.upward() block.
+exact point matrix.  Both live in a ``Frame``, built once per frame, the
+inverse in a kernels.upward() block: a set is built on a Frame that other
+sets may share (every set of a toy chain has the identity frame), or on the
+rows of M, which build a Frame of its own (every Henon set).  The center as
+a point interval vector is built once per set.
 
 The frame changes a covering check makes per sub-box run on ``(lo, hi)``
 pairs: ``from_normalized_pairs``, ``normalized_rows`` and
 ``local_derivative_rows`` take the nonzero patterns of the frame's rows and
-columns, built with the set, and of each set of rows of inv_coord, built on
-first use, and build no vector or matrix object.  Each vector or row they
+columns, built with the Frame, and of each set of rows of inv_coord, built
+on first use once per Frame (the center and diameters those rows read once
+per set), and build no vector or matrix object.  Each vector or row they
 compute is checked once: before it enters a product or is returned, or, for
 from_normalized_pairs's result, by the IntervalVector its caller builds.
 They take the terms of the IntervalVector/IntervalMatrix products, in their
 order, so the results are the same bits.
+
+The sub-boxes a covering check visits, ``walls`` and ``subboxes``, depend
+only on the dimension and the grid: they are ``SubBox`` tuples built once
+per (n, axis, side, grid) and (n, grid), each with its thin midpoint and the
+nonzero terms of its offset from it, which the covering reads instead of
+computing them per link.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from functools import lru_cache
 from itertools import product
 
 from tangency import kernels as _k
-from tangency.interval import Interval, IntervalError, check_pairs
+from tangency.interval import Interval, IntervalError, check_pairs, pair_mid
 from tangency.linalg import (
     IntervalMatrix,
     IntervalVector,
@@ -79,18 +89,110 @@ def _cuts(grid):
     return tuple((lo[0], hi[1]) for lo, hi in zip(ends, ends[1:]))
 
 
+class SubBox(IntervalVector):
+    """A normalized sub-box of a covering grid with what the covering reads
+    of it besides its pairs: ``mid``, its thin midpoint, (m, m) per entry
+    with m = pair_mid of the entry, and ``delta_terms``, the (k, pair)
+    entries of z - mid z, checked, that are not exact zeros."""
+
+    __slots__ = ("mid", "delta_terms")
+
+
+def _subbox(box):
+    """The SubBox of the (lo, hi) pairs box."""
+    sub = _wrap(SubBox, box)
+    mids = [pair_mid(*z) for z in box]
+    sub.mid = tuple([(m, m) for m in mids])
+    delta = check_pairs([_k.isub(*z, m, m) for z, m in zip(box, mids)])
+    (sub.delta_terms,) = nonzero_pattern((delta,))
+    return sub
+
+
+def _table(segments):
+    """The SubBoxes of the product of the per-axis segments, built in a
+    kernels.upward() block, the mode the covering stage runs in, so that
+    each midpoint is the float that stage would compute, whichever caller
+    asks first."""
+    with _k.upward():
+        return tuple([_subbox(box) for box in product(*segments)])
+
+
+@lru_cache(maxsize=None)
+def _walls(n, axis, side, grid):
+    """The SubBoxes of the face {z_axis = side} of [-1, 1]^n, grid segments
+    on each other axis.  Built once per (n, axis, side, grid)."""
+    face = ((float(side), float(side)),)
+    return _table([face if i == axis else _cuts(grid) for i in range(n)])
+
+
+@lru_cache(maxsize=None)
+def _subboxes(n, grid):
+    """The SubBoxes of [-1, 1]^n, grid segments per axis.  Built once per
+    (n, grid)."""
+    return _table([_cuts(grid)] * n)
+
+
+class Frame:
+    """A coordinate matrix M and what every set built on it shares.
+
+    Holds the validated point entries ``coord``, the point IntervalMatrix
+    ``matrix``, the nonzero patterns of its rows and of its columns, the
+    verified ``inverse`` enclosure (built in a kernels.upward() block) and,
+    per set of rows of the inverse, the nonzero pattern of those rows on
+    the columns they read, with those columns (inv_rows, built on first
+    use).  None of this depends on a set's center or diameters, so sets
+    with one M (every set of a toy chain) share one Frame.
+    """
+
+    __slots__ = ("coord", "matrix", "rows", "cols", "inverse", "_inv_rows")
+
+    def __init__(self, coord):
+        self.coord = tuple(_floats(row, "coordinate matrix entries") for row in coord)
+        n = len(self.coord)
+        if any(len(r) != n for r in self.coord):
+            raise IntervalError("coordinate matrix shape mismatch")
+        self.matrix = IntervalMatrix(self.coord)
+        self.rows = nonzero_pattern(self.matrix.pairs)
+        self.cols = nonzero_pattern(zip(*self.matrix.pairs))
+        with _k.upward():
+            self.inverse = inverse_enclosure(self.coord)
+        self._inv_rows = {}
+
+    @property
+    def n(self):
+        return len(self.coord)
+
+    def inv_rows(self, rows):
+        """The nonzero pattern of the rows ``rows`` (a tuple) of the inverse
+        on the columns they read, and those columns: the ones, increasing,
+        where one of those rows is not an exact zero.  Built once per
+        rows."""
+        hit = self._inv_rows.get(rows)
+        if hit is None:
+            inv = self.inverse.pairs
+            cols = tuple(
+                k for k in range(self.n)
+                if any(inv[j][k][0] or inv[j][k][1] for j in rows)
+            )
+            hit = (nonzero_pattern([[inv[j][k] for k in cols] for j in rows]), cols)
+            self._inv_rows[rows] = hit
+        return hit
+
+
 class HSet:
-    __slots__ = ("name", "center", "coord", "diam", "unstable", "stable",
-                 "center_vec", "frame", "inv_coord", "_frame_rows",
-                 "_frame_cols", "_rows_read")
+    """An h-set on a coordinate matrix ``coord``: its rows, or a Frame that
+    other sets may share."""
+
+    __slots__ = ("name", "center", "basis", "diam", "unstable", "stable",
+                 "center_vec", "_rows_read")
 
     def __init__(self, name, center, coord, diam, unstable):
         self.name = str(name)
         self.center = _floats(center, "center entries")
-        self.coord = tuple(_floats(row, "coordinate matrix entries") for row in coord)
+        self.basis = coord if isinstance(coord, Frame) else Frame(coord)
         self.diam = _floats(diam, "diameters")
         n = len(self.center)
-        if len(self.coord) != n or any(len(r) != n for r in self.coord):
+        if self.basis.n != n:
             raise IntervalError("coordinate matrix shape mismatch")
         # Negated, so that NaN (false in every comparison) fails.
         if len(self.diam) != n or not all(0.0 < d < math.inf for d in self.diam):
@@ -98,12 +200,22 @@ class HSet:
         self.unstable = _axes(unstable, n)
         self.stable = tuple(i for i in range(n) if i not in self.unstable)
         self.center_vec = IntervalVector(self.center)
-        self.frame = IntervalMatrix(self.coord)
-        self._frame_rows = nonzero_pattern(self.frame.pairs)
-        self._frame_cols = nonzero_pattern(zip(*self.frame.pairs))
-        with _k.upward():
-            self.inv_coord = inverse_enclosure(self.coord)
         self._rows_read = {}
+
+    @property
+    def coord(self):
+        """The coordinate matrix M as rows of floats."""
+        return self.basis.coord
+
+    @property
+    def frame(self):
+        """M as a point IntervalMatrix."""
+        return self.basis.matrix
+
+    @property
+    def inv_coord(self):
+        """The verified enclosure of M^-1."""
+        return self.basis.inverse
 
     @property
     def n(self):
@@ -150,19 +262,14 @@ class HSet:
         return self._inv_rows(rows)[1]
 
     def _inv_rows(self, rows):
-        """The nonzero pattern of the rows ``rows`` of inv_coord on the
-        columns columns_read(rows) only; those columns; the center on them;
-        and the diameters of those rows.  Built once per rows."""
+        """The frame's inv_rows(rows), followed by the center on those
+        columns and the diameters of those rows.  Built once per rows."""
         rows = tuple(rows)
         hit = self._rows_read.get(rows)
         if hit is None:
-            inv = self.inv_coord.pairs
-            cols = tuple(
-                k for k in range(self.n)
-                if any(inv[j][k][0] or inv[j][k][1] for j in rows)
-            )
+            terms, cols = self.basis.inv_rows(rows)
             hit = (
-                nonzero_pattern([[inv[j][k] for k in cols] for j in rows]),
+                terms,
                 cols,
                 tuple(self.center_vec.pairs[k] for k in cols),
                 tuple(self.diam[j] for j in rows),
@@ -183,7 +290,7 @@ class HSet:
         scaled = check_pairs([imul(d, d, *zi) for d, zi in zip(self.diam, z)])
         return [
             iadd(c, c, *dot(row, scaled))
-            for c, row in zip(self.center, self._frame_rows)
+            for c, row in zip(self.center, self.basis.rows)
         ]
 
     def from_local(self, w):
@@ -200,13 +307,13 @@ class HSet:
     # -- face machinery -----------------------------------------------------
 
     @staticmethod
-    def _segments(grid):
+    def _check_grid(grid):
         if type(grid) is not int or grid < 1:
             raise IntervalError(f"grid must be an int >= 1, got {grid!r}")
-        return _cuts(grid)
 
     def walls(self, axis, side, grid=1):
-        """Sub-boxes covering the face {z_axis = side} of [-1, 1]^n.
+        """Sub-boxes covering the face {z_axis = side} of [-1, 1]^n, as a
+        tuple of SubBoxes shared by every set of dimension n.
 
         The covering is by closed overlapping boxes whose union equals the
         face: grid segments on each of the other n - 1 axes.
@@ -215,20 +322,15 @@ class HSet:
             raise IntervalError(f"wall axis {axis} is not an unstable axis")
         if side not in (-1, 1):
             raise IntervalError("side must be +-1")
-        face = ((float(side), float(side)),)
-        segs = self._segments(grid)
-        return [
-            _wrap(IntervalVector, box)
-            for box in product(*(face if i == axis else segs for i in range(self.n)))
-        ]
+        self._check_grid(grid)
+        return _walls(self.n, axis, side, grid)
 
     def subboxes(self, grid=1):
         """Sub-boxes covering the whole normalized cube [-1, 1]^n, grid
-        segments per axis."""
-        return [
-            _wrap(IntervalVector, box)
-            for box in product(self._segments(grid), repeat=self.n)
-        ]
+        segments per axis, as a tuple of SubBoxes shared by every set of
+        dimension n."""
+        self._check_grid(grid)
+        return _subboxes(self.n, grid)
 
     def to_dict(self):
         return {
@@ -287,7 +389,7 @@ def local_derivative_rows(src, tgt, jacobian, rows):
     out = []
     for row in terms:
         t = check_pairs(tuple(dot(row, col) for col in jac_cols))
-        block = check_pairs(tuple(dot(col, t) for col in src._frame_cols))
+        block = check_pairs(tuple(dot(col, t) for col in src.basis.cols))
         out.append(block + t[n:])
     return tuple(out)
 

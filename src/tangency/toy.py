@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from tangency import kernels as _k
 from tangency.cones import cone_matrix
-from tangency.hset import HSet, QuadraticForm
+from tangency.hset import Frame, HSet, QuadraticForm
 from tangency.interval import Interval, IntervalError, as_interval, as_pair, check_pairs
 from tangency.jets import seed_jets
 from tangency.linalg import IntervalMatrix, IntervalVector, _wrap
@@ -201,7 +201,8 @@ def build_toy_chain(params=None, k=4, s=None, beta_growth=1.05, d_growth=1.05):
 
     n_sets = []
     n_forms = []
-    eye4 = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]]
+    # Every set has the identity frame: one Frame, shared.
+    eye4 = Frame([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]])
     for i in range(k + 1):
         diam = (x_sizes[i], y_size, v_size, delta * 1.1 ** (k - i))
         n_sets.append(

@@ -285,6 +285,62 @@ class TestSharedVertexTree:
         assert calls == {"isqrt": 7, "idiv": 22}
 
 
+@st.composite
+def _matrices_with_free_indices(draw):
+    """Exactly symmetric interval matrices, n = 1..5, whose off-diagonal
+    entries in the rows and columns of a drawn set of indices are points
+    (zero radius), +-0.0 among them; the vertex matrices do not depend on
+    the signs at those indices."""
+    n = draw(st.integers(1, 5))
+    free = draw(st.sets(st.integers(0, n - 1)))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            if i == j:
+                mid = draw(st.floats(0.25, 3.0 * n))
+                rad = draw(st.sampled_from([0.0, 0.1]))
+            else:
+                mid = draw(st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0))
+                rad = 0.0 if i in free or j in free else draw(
+                    st.sampled_from([0.0, 0.5, 1.5]))
+            rows[i][j] = rows[j][i] = (mid, mid) if rad == 0.0 else (mid - rad, mid + rad)
+    return IntervalMatrix.from_pairs(rows)
+
+
+class TestFreeIndices:
+    """An index whose off-diagonal radii are all zero leaves every vertex
+    matrix unchanged when its sign flips: its -1 subtree is the +1
+    subtree's bits, emitted with that sign flipped."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_matrices_with_free_indices())
+    @example(IntervalMatrix([[1.0, -0.0], [-0.0, 1.0]]))
+    @example(IntervalMatrix.from_pairs(
+        [[(-0.0, -0.0), (0.0, 0.0)], [(0.0, 0.0), (1.0, 1.0)]]))
+    @example(IntervalMatrix([[2.0, Interval(-1.0, 1.0), 0.0],
+                             [Interval(-1.0, 1.0), 2.0, -0.0],
+                             [0.0, -0.0, Interval(0.5, 1.0)]]))
+    def test_matches_per_vertex_oracle(self, m):
+        assert _outcome(rump_positive_definite, m) == _outcome(rump_per_vertex, m)
+
+    def test_diagonal_matrix_factors_one_vertex(self, monkeypatch):
+        # A toy linear link's V is diagonal: every index but the first is
+        # free, so one column per index runs, 4 pivots and 3 square roots,
+        # where the shared tree of a dense 4x4 takes 15 and 7.
+        calls = {"isqrt": 0}
+
+        def counting(*args, _f=_k.isqrt):
+            calls["isqrt"] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(_k, "isqrt", counting)
+        v = IntervalMatrix([[3.0 if i == j else 0.0 for j in range(4)] for i in range(4)])
+        res = rump_positive_definite(v)
+        assert calls["isqrt"] == 3
+        assert [z for z, _ in res.vertex_margins] == vertex_signs(4)
+        assert _bits(res) == _bits(rump_per_vertex(v))
+
+
 class TestRumpInput:
     def test_asymmetric_matrix_raises(self):
         # Only the lower triangle is read, and it is that of the identity;

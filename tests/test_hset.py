@@ -8,7 +8,7 @@ import pytest
 from conftest import pairs_hex
 from tangency import kernels
 from tangency.interval import Interval, IntervalError
-from tangency.hset import HSet, QuadraticForm, local_derivative, local_derivative_rows
+from tangency.hset import Frame, HSet, QuadraticForm, local_derivative, local_derivative_rows
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.projective import ChartMap
 
@@ -427,3 +427,160 @@ class TestPairFrameChanges:
                         ]
                         compared += 1
         assert compared > 2000
+
+
+# -- frames shared between sets, and the per-grid sub-box tables -----------------
+
+
+def _hex_rows(rows):
+    return [pairs_hex(row) for row in rows]
+
+
+class TestSharedFrame:
+    """A set built on a shared Frame is the set built from the frame's rows,
+    bit for bit; the toy chain builds one Frame, the Henon proof one per
+    set."""
+
+    @staticmethod
+    def _boxes(rng, h):
+        return [_random_box(rng, h.center, 10.0 * max(h.diam)) for _ in range(3)]
+
+    def test_same_bits_as_a_set_built_from_rows(self, rng):
+        from tangency.henon import build_chain
+        from tangency.toy import ToyParams, build_toy_chain
+
+        toy = build_toy_chain(ToyParams())
+        assert len({id(h.basis) for h in toy.sets}) == 1
+        henon = build_chain()
+        # Henon sets rebuilt on a Frame of their rows.
+        shared = [HSet(h.name, h.center, Frame(h.coord), h.diam, h.unstable)
+                  for h in henon.sets]
+        for on_frame in list(toy.sets) + shared:
+            from_rows = HSet.from_dict(on_frame.to_dict())
+            assert from_rows.basis is not on_frame.basis
+            assert on_frame.to_dict() == from_rows.to_dict()
+            assert _hex_rows(on_frame.inv_coord.pairs) == _hex_rows(from_rows.inv_coord.pairs)
+            assert _hex_rows(on_frame.frame.pairs) == _hex_rows(from_rows.frame.pairs)
+            boxes = self._boxes(rng, on_frame)
+            with kernels.upward():
+                for rows in _row_sets(on_frame.n):
+                    cols = on_frame.columns_read(rows)
+                    assert from_rows.columns_read(rows) == cols
+                    for p in boxes:
+                        part = IntervalVector.from_pairs([p.pairs[k] for k in cols])
+                        assert pairs_hex(on_frame.normalized_rows(part, rows)) == pairs_hex(
+                            from_rows.normalized_rows(part, rows)
+                        )
+
+    def test_sets_on_one_frame_keep_their_own_centers(self):
+        frame = Frame(ROT)
+        a = HSet("A", (1.0, -2.0), frame, (0.5, 0.25), (0,))
+        b = HSet("B", (3.0, 4.0), frame, (2.0, 1.0), (0,))
+        assert a.basis is b.basis is frame
+        assert a.inv_coord is b.inv_coord
+        p = IntervalVector([1.0, -2.0])
+        assert all(e.contains(0.0) for e in a.to_normalized(p))
+        assert not b.to_normalized(p)[0].contains(0.0)
+
+    def test_frame_dimension_must_match_the_center(self):
+        with pytest.raises(IntervalError, match="shape mismatch"):
+            HSet("bad", (0.0, 0.0, 0.0), Frame(ROT), (1.0, 1.0, 1.0), (0,))
+
+    @staticmethod
+    def _count_inverses(monkeypatch):
+        from tangency import hset
+
+        seen = []
+        enclose = hset.inverse_enclosure
+
+        def counting(rows):
+            seen.append(rows)
+            return enclose(rows)
+
+        monkeypatch.setattr(hset, "inverse_enclosure", counting)
+        return seen
+
+    def test_check_toy_inverts_one_frame(self, monkeypatch, tmp_path, capsys):
+        from tangency.cli import main
+
+        seen = self._count_inverses(monkeypatch)
+        assert main(["check-toy", "--report", str(tmp_path / "r.json")]) == 0
+        assert len(seen) == 1
+
+    def test_prove_henon_inverts_one_frame_per_set(self, monkeypatch, tmp_path, capsys):
+        # 16 chain sets and the two disks' projected sets.
+        from tangency.cli import main
+
+        seen = self._count_inverses(monkeypatch)
+        assert main(["prove", "henon", "--report", str(tmp_path / "r.json")]) == 0
+        assert len(seen) == 18
+
+
+_BAD = [math.nan, math.inf, -math.inf]
+
+
+class TestNonFiniteInput:
+    """NaN and infinite centers and frame entries are refused on both
+    construction routes."""
+
+    @pytest.mark.parametrize("bad", _BAD, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("on_frame", [False, True], ids=["rows", "frame"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_center(self, bad, on_frame, k):
+        center = [1.0, -2.0]
+        center[k] = bad
+        coord = Frame(ROT) if on_frame else ROT
+        with pytest.raises(IntervalError):
+            HSet("bad", center, coord, (0.5, 0.25), (0,))
+
+    @pytest.mark.parametrize("bad", _BAD, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("on_frame", [False, True], ids=["rows", "frame"])
+    @pytest.mark.parametrize("ij", [(0, 0), (0, 1), (1, 0)])
+    def test_coord(self, bad, on_frame, ij):
+        coord = [list(row) for row in ROT]
+        coord[ij[0]][ij[1]] = bad
+        with pytest.raises(IntervalError):
+            if on_frame:
+                HSet("bad", (1.0, -2.0), Frame(coord), (0.5, 0.25), (0,))
+            else:
+                HSet("bad", (1.0, -2.0), coord, (0.5, 0.25), (0,))
+
+
+class TestSubBoxTables:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("grid", [1, 2, 3, 5])
+    def test_midpoints_and_deltas(self, n, grid):
+        # Each box's mid and delta_terms are the pair_mid and isub values
+        # computed from its pairs in the covering stage's rounding mode,
+        # upward, whatever mode the boxes are asked for in (at grid 5 some
+        # midpoints rounded to nearest differ).
+        from tangency.interval import pair_mid
+        from tangency.linalg import nonzero_pattern
+
+        eye = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+        h = HSet("S", (0.0,) * n, eye, (1.0,) * n, range(n))
+        boxes = [b for i in range(n) for side in (1, -1) for b in h.walls(i, side, grid)]
+        boxes += list(h.subboxes(grid))
+        assert len(boxes) == 2 * n * grid ** (n - 1) + grid**n
+        with kernels.upward():
+            for box in boxes:
+                mids = [pair_mid(*z) for z in box.pairs]
+                assert pairs_hex(box.mid) == pairs_hex((m, m) for m in mids)
+                delta = [kernels.isub(*z, m, m) for z, m in zip(box.pairs, mids)]
+                (terms,) = nonzero_pattern((delta,))
+                assert [k for k, _ in box.delta_terms] == [k for k, _ in terms]
+                assert pairs_hex(p for _, p in box.delta_terms) == pairs_hex(
+                    p for _, p in terms)
+
+    def test_sets_of_one_dimension_share_their_boxes(self):
+        a = _sample_set()
+        b = HSet("T", (5.0, 5.0), [[1.0, 0.0], [0.0, 2.0]], (1.0, 3.0), (0, 1))
+        for grid in (1, 2):
+            assert a.walls(0, 1, grid) is b.walls(0, 1, grid)
+            assert a.walls(0, -1, grid) is b.walls(0, -1, grid)
+            assert a.subboxes(grid) is b.subboxes(grid)
+        assert a.walls(0, 1, 1) is not a.walls(0, -1, 1)
+        assert b.walls(1, 1, 1) is not b.walls(0, 1, 1)
+        assert a.subboxes(1) is not HSet(
+            "U", (0.0,) * 3, [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]], (1.0,) * 3, (0,)
+        ).subboxes(1)

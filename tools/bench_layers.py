@@ -2,7 +2,7 @@
 """Layer and end-to-end timings of source trees, as one JSON document.
 
     python tools/bench_layers.py --tree parent=../parent/src --tree change=src \\
-        --runs 9 > BENCH_22.json
+        --runs 9 > BENCH_24.json
 
 Each run starts a fresh interpreter per tree, with the tree first on
 ``sys.path``; the trees alternate which goes first from one run to the next.
@@ -15,19 +15,22 @@ over N0), ``ChartMap.derivative`` over N0's box, the chart's direction row
 alone (``ChartMap.derivative`` on output 2 over N9's box: the slope row, or
 the angle row on a tree with the angle chart), a thin ``ChartMap.apply`` on
 N0's center with every output (the image direction included),
-``hset.local_derivative`` of that Jacobian from N0 to N1, the cone matrix
-of N0=>N1 (``cones.cone_matrix`` of its covering certificate's
-local_jacobian and the forms of N0 and N1), one 4x4
-``rump_positive_definite`` (of that cone matrix) and
+one ``HSet`` built from N1's rows (center, ``coord``, diameters and
+unstable axes), ``hset.local_derivative`` of that Jacobian from N0 to N1,
+the cone matrix of N0=>N1 (``cones.cone_matrix`` of its covering
+certificate's local_jacobian and the forms of N0 and N1), one 4x4
+``rump_positive_definite`` (of that cone matrix), the same test on the
+default toy chain's N0=>N1 cone matrix (diagonal), and
 ``check_covering`` on N0=>N1, whose walls never read the image direction,
 and on N9=>N10, two of whose walls do; ``check_covering`` on the default
 toy chain's N0=>N1, a linear link, and on its switch link N4=>M5, with
-the chain's own maps, and ``report.dumps`` of the grid-1 ``prove henon``
-report, as parsed back from the file it wrote, are each the mean of a
-``--calls // 200``-call loop; ``run_proof()`` at grid 1 and grid 2 is one
-call, whose per-stage ``timings`` (build, covering, cones, disks) are
-recorded beside its total; and ``check_toy_s`` is one ``check-toy`` CLI
-call at the defaults, report file included.  A layer is timed only where
+the chain's own maps, ``build_toy_chain()`` at the defaults, built to
+nearest as ``check-toy`` builds it, and ``report.dumps`` of the grid-1
+``prove henon`` report, as parsed back from the file it wrote, are each the
+mean of a ``--calls // 200``-call loop; ``run_proof()`` at grid 1 and
+grid 2 is one call, whose per-stage ``timings`` (build, covering, cones,
+disks) are recorded beside its total; and ``check_toy_s`` is one
+``check-toy`` CLI call at the defaults, report file included.  A layer is timed only where
 the tree has what it calls; where it does not (an ImportError or
 AttributeError while the layer is set up), the tree's value is null.
 
@@ -135,6 +138,19 @@ def _layers(calls):
         return partial(_resolve("covering", "check_covering"),
                        toy.sets[idx], toy.sets[idx + 1], toy.maps[idx])
 
+    def toy_build():
+        build = _resolve("toy", "build_toy_chain")
+
+        def run():
+            with nearest():
+                return build()
+        return run
+
+    def toy_rump():
+        link = _resolve("covering", "check_covering")(toy.sets[0], toy.sets[1], toy.maps[0])
+        v = _resolve("cones", "cone_matrix")(link.local_jacobian, toy.forms[0], toy.forms[1])
+        return partial(_resolve("cones", "rump_positive_definite"), v)
+
     many, few = calls // 10, calls // 200
     return (
         ("linalg.inverse_enclosure_4x4_us",
@@ -143,16 +159,21 @@ def _layers(calls):
         ("projective.derivative_us", lambda: partial(chart.derivative, box), many),
         ("projective.slope_row_us", lambda: partial(chart.derivative, box9, (2,)), many),
         ("projective.apply_thin_us", lambda: partial(chart.apply, center), many),
+        ("hset.build_us",
+         lambda: partial(_resolve("hset", "HSet"), tgt.name, tgt.center, tgt.coord,
+                         tgt.diam, tgt.unstable), many),
         ("hset.local_derivative_us",
          lambda: partial(_resolve("hset", "local_derivative"), src, tgt, jacobian), many),
         ("cones.cone_matrix_us", cone, many),
         ("cones.rump_4x4_us", rump, many),
+        ("cones.rump_toy_link_us", toy_rump, many),
         ("covering.link_N0_N1_us",
          lambda: partial(_resolve("covering", "check_covering"), src, tgt, chart), few),
         ("covering.link_N9_N10_us",
          lambda: partial(_resolve("covering", "check_covering"), n9, n10, chart), few),
         ("toy.link_linear_us", lambda: toy_link(0), few),
         ("toy.link_switch_us", lambda: toy_link(toy.k), few),
+        ("toy.build_chain_us", toy_build, few),
     )
 
 
