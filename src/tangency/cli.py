@@ -100,9 +100,14 @@ def _henon_config(args):
             _usage_error(f"unknown configuration key {key!r}")
         setattr(config, key, val)
     if corr is not None:
+        # A key must spell its index canonically: int() alone reads "01" and
+        # "1" as one link, and "1_0" as link 10.
         try:
             config.correspondences = {int(k): v for k, v in corr.items()}
+            canonical = all(k == str(int(k)) for k in corr)
         except (AttributeError, ValueError):  # not an object, or a key not an int
+            canonical = False
+        if not canonical:
             _usage_error("correspondences must map integer link indices to pairings")
     try:
         config.validate()

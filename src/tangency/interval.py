@@ -9,31 +9,28 @@ bounds are construction errors: a proof pipeline must fail loudly rather than
 propagate infinities.
 
 sqrt is a directed-rounding kernel.  The maps and the projective slope
-chart are rational, so the proof calls no elementary function; sin, cos and
-atan stay as tested interval functions with no caller in the proof.  They
-reduce the argument rigorously and evaluate a truncated Taylor polynomial by
-float Horner, with an a priori bound on its rounding, truncation and
-reduction error (Rump, "Rigorous and portable standard functions", BIT 41,
-2001).  atan takes one evaluation per distinct interval endpoint.  sin and
-cos take one per end of the enclosure of the reduced argument x - k pi/2,
-which is a point only for k = 0: an endpoint with k != 0 takes two.
-Interior extrema of sin and cos are found from integer multiples of pi/2.
-The reduction constants are enclosed from exact rational series, pi at
-import time and the atan table at the first atan call, so no libm accuracy
-assumption enters and an import that calls no atan builds no table.
+chart are rational, so the proof calls no elementary function; sin and cos
+stay as tested interval functions with no caller in the proof.  They reduce
+the argument rigorously and evaluate a truncated Taylor polynomial by float
+Horner, with an a priori bound on its rounding, truncation and reduction
+error (Rump, "Rigorous and portable standard functions", BIT 41, 2001).
+They take one evaluation per end of the enclosure of the reduced argument
+x - k pi/2, which is a point only for k = 0: an endpoint with k != 0 takes
+two.  Interior extrema are found from integer multiples of pi/2.  pi is
+enclosed at import time from exact rational series, so no libm accuracy
+assumption enters.
 
 All values are immutable; operations are pure and thread-safe.
 
 The matrices, jets and Cholesky runs of the other modules keep their
 entries as plain ``(lo, hi)`` float pairs and call the kernels on them
 directly; :func:`as_pair`, :func:`pair_mid` and :func:`check_pairs` are the
-conversions and checks they share with this class, and :func:`pair_sin`,
-:func:`pair_cos` and :func:`pair_atan` its elementary functions on pairs.
+conversions and checks they share with this class, and :func:`pair_sin`
+and :func:`pair_cos` its elementary functions on pairs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -178,9 +175,6 @@ class Interval:
 
     # -- elementary functions (defined below, after the constants) -------
 
-    def atan(self):
-        return Interval(*pair_atan(self.lo, self.hi))
-
     def sin(self):
         return Interval(*pair_sin(self.lo, self.hi))
 
@@ -305,42 +299,6 @@ HALF_PI = _frac_interval(_PI_LO_FR / 2, _PI_HI_FR / 2)
 TWO_PI = _frac_interval(2 * _PI_LO_FR, 2 * _PI_HI_FR)
 
 
-_ATAN_TABLE_MAX = 48  # table covers atan(k/16) for k = 0..48, i.e. x <= 3
-
-
-def _atan_terms(x):
-    """The fewest series terms n whose remainder bound |x|^(2n+1)/(2n+1) is
-    below 2^-80 |x|, for |x| < 1.  The term count only sets the width of the
-    rigorous bracket, far inside one binary64 rounding of atan(x) here, so
-    it is found in floats."""
-    x2 = float(x) ** 2
-    n, p = 0, 1.0
-    while p / (2 * n + 1) >= 2.0**-80:
-        p *= x2
-        n += 1
-    return n
-
-
-def _build_atan_table():
-    """Enclosures of atan(k/16) for k = 0.._ATAN_TABLE_MAX."""
-    table = [Interval(0.0)]
-    for k in range(1, 12):
-        x = Fraction(k, 16)
-        lo, hi = _atan_frac_bounds(x, _atan_terms(x))
-        table.append(_frac_interval(lo, hi))
-    for k in range(12, _ATAN_TABLE_MAX + 1):
-        # atan(x) = pi/4 + atan((x-1)/(x+1)), |(k-16)/(k+16)| <= 1/2
-        x = Fraction(k - 16, k + 16)
-        lo, hi = _atan_frac_bounds(x, _atan_terms(x))
-        table.append(_frac_interval(_PI_LO_FR / 4 + lo, _PI_HI_FR / 4 + hi))
-    return tuple(table)
-
-
-@functools.cache
-def _atan_table():
-    """The atan table, built on the first atan call rather than at import."""
-    return _build_atan_table()
-
 # ---------------------------------------------------------------------------
 # Float kernels with a priori error bounds.
 # ---------------------------------------------------------------------------
@@ -353,12 +311,10 @@ _SIN_POLY = tuple(
 _COS_POLY = tuple(
     float(Fraction((-1) ** (i + 1), math.factorial(2 * i + 2))) for i in range(7, -1, -1)
 )
-_ATAN_POLY = tuple(float(Fraction((-1) ** (i + 1), 2 * i + 3)) for i in range(7, -1, -1))
 
-# Error constants K of the kernels, in units of u = 2**-53; see _odd_kernel.
+# Error constants K of the kernels, in units of u = 2**-53; see _sin_kernel.
 _SIN_K = 0.78 * 2.0**-53  # derived: 0.7747 u, for |r| <= 0.8
 _COS_K = 1.67 * 2.0**-53  # derived: 1.6638 u, for |r| <= 0.8
-_ATAN_K = 1.53 * 2.0**-53  # derived: 1.5251 u, for |r| <= 0.0938
 
 _TINY_ARG = 2.0**-27  # below it a kernel returns the series' leading term
 
@@ -370,13 +326,13 @@ def _horner(poly, z):
     return p
 
 
-def _odd_kernel(r, poly, k_err):
-    """(y, e) with |f(r) - y| <= e, for f = sin (|r| <= 0.8) or atan (|r| <= 0.0938).
+def _sin_kernel(r):
+    """(y, e) with |sin r - y| <= e, for a float |r| <= 0.8.
 
-    f(r) = r + r·z·P(z) + tau with z = r², where P, with exact coefficients
-    b_i, holds the series' first 8 terms after r, and tau is the alternating
-    tail, at most the first omitted term: |tau| <= |r|·z·z^8/19! for sin and
-    |r|·z·z^8/19 for atan.  The analysis assumes IEEE binary64 with
+    sin r = r + r·z·P(z) + tau with z = r², where P, with exact
+    coefficients b_i, holds the series' first 8 terms after r, and tau is
+    the alternating tail, at most the first omitted term:
+    |tau| <= |r|·z·z^8/19!.  The analysis assumes IEEE binary64 with
     round-to-nearest and every operation rounded once.  The float steps run
     in a ``kernels.nearest()`` block, so they round to nearest inside the
     upward-rounding blocks of the proof too, and CPython guarantees the
@@ -399,27 +355,27 @@ def _odd_kernel(r, poly, k_err):
     6. y = fl(r + c) with |c| < |r|: Fast2Sum (Dekker, 1971) makes
        t = c - (y - r) exact, y + t = r + c.
 
-    Hence |f(r) - y| <= K·|r|·z + |t|, where K bounds the bracket of step 5
-    plus |tau|/(|r|·z); H, R, D and the tail grow with z, so K is their sum
-    at the largest z: 0.7747u for sin and 1.5251u for atan.  The constants
-    round K up to three digits; that margin (at least 0.3%, where 3u would
-    do) covers the rounding of fl(K·fl(|r|·zh)), at most a factor
-    (1 - u)**3 below K·|r|·z, and the sum with |t| is rounded up.  Because |c| <= 0.11·|r| for sin, the g_k reach
-    only the correction term: the bound is a fraction of u·|r| plus the
-    final rounding |t|, not g_18·|r|.
+    Hence |sin r - y| <= K·|r|·z + |t|, where K bounds the bracket of step
+    5 plus |tau|/(|r|·z); H, R, D and the tail grow with z, so K is their
+    sum at the largest z: 0.7747u.  The constant rounds K up to three
+    digits; that margin (at least 0.3%, where 3u would do) covers the
+    rounding of fl(K·fl(|r|·zh)), at most a factor (1 - u)**3 below
+    K·|r|·z, and the sum with |t| is rounded up.  Because |c| <= 0.11·|r|,
+    the g_k reach only the correction term: the bound is a fraction of
+    u·|r| plus the final rounding |t|, not g_18·|r|.
 
     For |r| >= 2**-27 every intermediate is a normal number, so the
     relative error model holds.  Below it the kernel returns r itself:
-    |sin r - r| <= |r|³/6 and |atan r - r| <= |r|³/3, both under 2**-54·|r|.
+    |sin r - r| <= |r|³/6, under 2**-54·|r|.
     """
     if abs(r) < _TINY_ARG:
         return r, _k.mul_up(abs(r), 2.0**-54)
     with _k.nearest():
         z = r * r
-        c = r * (z * _horner(poly, z))
+        c = r * (z * _horner(_SIN_POLY, z))
         y = r + c
         t = c - (y - r)
-        e = k_err * (abs(r) * z)
+        e = _SIN_K * (abs(r) * z)
     return y, _k.add_up(e, abs(t))
 
 
@@ -427,7 +383,7 @@ def _cos_kernel(r):
     """(y, e) with |cos r - y| <= e, for a float |r| <= 0.8.
 
     cos r = 1 + z·C(z) + tau with z = r², C the series' first 8 terms after
-    1 and |tau| <= z·z^8/18!.  The analysis of :func:`_odd_kernel` applies
+    1 and |tau| <= z·z^8/18!.  The analysis of :func:`_sin_kernel` applies
     with one product fewer: d = fl(zh·ph) = z·ph·(1 + theta_2), so
     |d - z·C(z)| <= z·(g_2/2 + (1 + g_2)·(H + R + D)), |d| < 1 makes
     t = d - (y - 1) exact, and |cos r - y| <= K·z + |t| with K = 1.6638u.
@@ -476,10 +432,10 @@ def _sin_bounds(x, shift):
         raise IntervalError(f"sin/cos argument reduction failed at {x!r}")
     q = (k + shift) % 4
     if q % 2 == 0:
-        y, e = _odd_kernel(r_lo, _SIN_POLY, _SIN_K)
+        y, e = _sin_kernel(r_lo)
         lo = _k.sub_down(y, e)
         if r_hi != r_lo:
-            y, e = _odd_kernel(r_hi, _SIN_POLY, _SIN_K)
+            y, e = _sin_kernel(r_hi)
         hi = _k.add_up(y, e)
     else:
         far = max(-r_lo, r_hi)
@@ -521,52 +477,6 @@ def _sin_hull(lo, hi, shift):
     return out_lo, out_hi
 
 
-# ---------------------------------------------------------------------------
-# atan
-# ---------------------------------------------------------------------------
-
-
-def _atan_bounds(x):
-    """(lo, hi) enclosing atan(x) at a float x."""
-    if x < 0.0:
-        lo, hi = _atan_bounds(-x)
-        return -hi, -lo
-    if x <= 3.0:
-        return _atan_tabled(x, x)
-    # atan(x) = pi/2 - atan(1/x), 1/x < 1/3
-    lo, hi = _atan_tabled(_k.div_down(1.0, x), _k.div_up(1.0, x))
-    return _k.sub_down(HALF_PI.lo, hi), _k.sub_up(HALF_PI.hi, lo)
-
-
-def _atan_tabled(a, b):
-    """(lo, hi) enclosing atan over [a, b], for floats 0 <= a <= b <= 3, b
-    at most a few ulps above a.
-
-    Below 3/32 the kernel takes x itself.  Above, atan x = atan c + atan u
-    with c = k/16 >= 1/8 the table point nearest a and u = (x - c)/(1 + c·x),
-    which increases with x, so |u| <= 1/32 up to the ulps of b - a and the
-    outward rounding.  The kernel runs at u's lower bound; atan' <= 1
-    bounds the rest.
-    """
-    k = round(16.0 * a)
-    if k <= 1:
-        # With c = 1/16, u would be as large as the result, and the
-        # rounding of u would show in the result's last bits.
-        k, u_lo, u_hi = 0, a, b
-    else:
-        c = k / 16.0
-        num = _k.isub(a, b, c, c)
-        den = _k.iadd(1.0, 1.0, *_k.imul(c, c, a, b))
-        u_lo, u_hi = _k.idiv(*num, *den)
-    y, e = _odd_kernel(u_lo, _ATAN_POLY, _ATAN_K)
-    lo = _k.sub_down(y, e)
-    hi = _k.add_up(y, _k.add_up(e, _k.sub_up(u_hi, u_lo)))
-    if k == 0:
-        return lo, hi
-    t = _atan_table()[k]
-    return _k.add_down(t.lo, lo), _k.add_up(t.hi, hi)
-
-
 def pair_sin(lo, hi):
     """(lo, hi) enclosing sin over [lo, hi]: Interval.sin on a pair."""
     return _sin_hull(lo, hi, 0)
@@ -575,15 +485,6 @@ def pair_sin(lo, hi):
 def pair_cos(lo, hi):
     """(lo, hi) enclosing cos over [lo, hi]: Interval.cos on a pair."""
     return _sin_hull(lo, hi, 1)
-
-
-def pair_atan(lo, hi):
-    """(lo, hi) enclosing atan over [lo, hi], a kernel evaluation per
-    distinct endpoint: Interval.atan on a pair."""
-    out_lo, out_hi = _atan_bounds(lo)
-    if hi != lo:
-        out_hi = _atan_bounds(hi)[1]
-    return out_lo, out_hi
 
 
 def ulp(x):

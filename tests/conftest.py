@@ -1,9 +1,10 @@
 """Shared oracles and fixtures.
 
 The rational oracles here are deliberately independent of the library's own
-elementary-function machinery: different argument reductions (Stormer's pi
-decomposition, half-angle-free atan paths) evaluated in exact Fraction
-arithmetic with explicit tail bounds.
+elementary-function machinery: pi from Stormer's decomposition rather than
+the library's Machin formula, and sin and cos from their series at a
+reduced argument, all evaluated in exact Fraction arithmetic with explicit
+tail bounds.
 """
 
 import math
@@ -57,22 +58,6 @@ def dyadic_outward(bounds, bits=300):
 
 
 PI_BOUNDS = dyadic_outward(stormer_pi_bounds())
-
-
-def atan_bounds(x):
-    """Rational bounds on atan(x) for any rational/float x."""
-    q = Fraction(x)
-    if q < 0:
-        lo, hi = atan_bounds(-q)
-        return -hi, -lo
-    if q <= Fraction(3, 4):
-        return atan_series_bounds(q)
-    if q <= Fraction(4, 3):
-        # atan(q) = pi/4 + atan((q-1)/(q+1)), |(q-1)/(q+1)| <= 1/7
-        inner = atan_series_bounds((q - 1) / (q + 1), 24)
-        return PI_BOUNDS[0] / 4 + inner[0], PI_BOUNDS[1] / 4 + inner[1]
-    inner = atan_series_bounds(1 / q)
-    return PI_BOUNDS[0] / 2 - inner[1], PI_BOUNDS[1] / 2 - inner[0]
 
 
 def _sin_series_bounds(r, n_terms=16):

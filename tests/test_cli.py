@@ -132,6 +132,11 @@ class TestProve:
             (["--config", "{cfg}"], {"correspondences": {"0": [[0, 0, 2], [3, 3, 1]]}}),
             (["--config", "{cfg}"], {"correspondences": {"0": [[7, 0, 1], [3, 3, 1]]}}),
             (["--config", "{cfg}"], {"correspondences": {"99": [[0, 0, 1], [3, 3, 1]]}}),
+            # keys that int() reads but that do not spell their link: each
+            # pairing is the one detected for that link, so only the key fails
+            (["--config", "{cfg}"], {"correspondences": {"01": [[0, 0, 1], [3, 3, 1]]}}),
+            (["--config", "{cfg}"], {"correspondences": {"+1": [[0, 0, 1], [3, 3, 1]]}}),
+            (["--config", "{cfg}"], {"correspondences": {"1_0": [[0, 0, -1], [2, 2, 1]]}}),
         ],
         ids=["negative-radius", "threads-flag", "threads-config-key",
              "grids-config-key", "method-name-key", "a-tol-flag",
@@ -139,7 +144,7 @@ class TestProve:
              "grid-string", "grid-float", "grid-bool", "radius-string",
              "correspondences-list", "correspondences-bad-index",
              "top-level-array", "partial-pairing", "sign-two", "bad-axis",
-             "link-out-of-range"],
+             "link-out-of-range", "leading-zero", "plus-sign", "underscore"],
     )
     def test_bad_config_exits_two(self, tmp_path, argv, cfg):
         path = tmp_path / "cfg.json"
@@ -361,3 +366,22 @@ class TestReportFormat:
         assert isinstance(back["name"], str)
         assert isinstance(back["n"], int)
         assert isinstance(back["x"], float)
+
+
+def test_proof_paths_evaluate_no_elementary_function(monkeypatch, tmp_path):
+    """The maps and the slope chart are rational: with every sin and cos
+    entry point of the interval layer made to raise, the reference proof and
+    the toy suite still verify."""
+    from tangency import interval
+    from tangency.henon import run_proof
+
+    def forbidden(*args):
+        raise AssertionError("the proof path evaluated an elementary function")
+
+    for name in ("_sin_hull", "_sin_kernel", "_cos_kernel", "pair_sin", "pair_cos"):
+        monkeypatch.setattr(interval, name, forbidden)
+    with pytest.raises(AssertionError):
+        interval.Interval(1.0).sin()
+    cert = run_proof()  # raises unless the verdict is VERIFIED
+    assert len(cert.coverings) == len(cert.cones) == 15
+    assert main(["check-toy", "--report", str(tmp_path / "toy.json")]) == 0

@@ -1,4 +1,4 @@
-"""Float-kernel sin, cos and atan: adversarial soundness against exact
+"""Float-kernel sin and cos: adversarial soundness against exact
 rationals, the rounding analysis behind the kernels' error bounds, and
 enclosure widths on the chart domain t in (0, pi)."""
 
@@ -8,28 +8,22 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangency import interval
 from tangency.interval import (
-    _ATAN_K,
-    _ATAN_POLY,
     _BIG_ARG,
     _COS_POLY,
-    _SIN_K,
     _SIN_POLY,
     _TINY_ARG,
     HALF_PI,
     PI,
     Interval,
     _cos_kernel,
-    _odd_kernel,
+    _sin_kernel,
     ulp,
 )
 from conftest import (
     PI_BOUNDS,
     _cos_series_bounds,
     _sin_series_bounds,
-    atan_bounds,
-    atan_series_bounds,
     sincos_bounds,
 )
 
@@ -107,38 +101,6 @@ class TestReductionBoundaries:
             _assert_sincos_contains(box.sin(), box.cos(), x)
 
 
-class TestAtanAdversarial:
-    def test_table_terms_match_a_96_term_build(self, monkeypatch):
-        # Each table entry sums only the series terms its remainder bound
-        # needs; the 96-term build gives the same floats, bit for bit.
-        table = interval._atan_table()
-        monkeypatch.setattr(interval, "_atan_terms", lambda x: 96)
-        full = interval._build_atan_table()
-        assert len(full) == len(table) == 49
-        for k, (got, want) in enumerate(zip(table, full)):
-            assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex()), k
-
-    def test_table_midpoints(self):
-        # round(16 x) flips at (m + 1/2)/16: the reduced |u| is largest.
-        for m in range(48):
-            for x in _near((m + 0.5) / 16.0, (-1, 0, 1)):
-                assert _inside(Interval(x).atan(), atan_bounds(x)), x
-
-    def test_reciprocal_branch(self):
-        xs = _near(3.0, (-1, 0, 1)) + [16.0 / (m + 0.5) for m in range(6)]
-        xs += [1e300, 1.7976931348623157e308, 4.5e15]
-        for x in xs:
-            for y in (x, -x):
-                assert _inside(Interval(y).atan(), atan_bounds(y)), y
-
-    def test_tiny_and_signed_zero(self):
-        for x in (0.0, -0.0):
-            assert Interval(x).atan() == Interval(0.0)
-        for x in [5e-324, 2.2250738585072014e-308, 1e-300] + _near(_TINY_ARG):
-            for y in (x, -x):
-                assert _inside(Interval(y).atan(), atan_bounds(y)), y
-
-
 class TestIntervalExtrema:
     def test_sin_straddling_half_pi(self):
         h = float(PI_BOUNDS[0] / 2)
@@ -188,9 +150,6 @@ def test_points_inside_chart_intervals_stay_inside(lo, w, f):
     x = min(max(lo + f * (hi - lo), lo), hi)
     for p in (lo, hi, x):
         _assert_sincos_contains(s, c, p)
-    a = Interval(math.cos(lo) / math.sin(lo), math.cos(lo) / math.sin(lo) + w)
-    y = min(max(a.lo + f * (a.hi - a.lo), a.lo), a.hi)
-    assert _inside(a.atan(), atan_bounds(y)), y
 
 
 def _sample(rng, bound):
@@ -216,16 +175,10 @@ class TestKernelBounds:
         for r in self._points(rng, 0.8, (0.8, quarter, _TINY_ARG, 1e-300)):
             q = Fraction(r)
             for (y, e), (lo, hi) in (
-                (_odd_kernel(r, _SIN_POLY, _SIN_K), _sin_series_bounds(q)),
+                (_sin_kernel(r), _sin_series_bounds(q)),
                 (_cos_kernel(r), _cos_series_bounds(q)),
             ):
                 assert Fraction(y) - Fraction(e) <= lo and hi <= Fraction(y) + Fraction(e), r
-
-    def test_atan(self, rng):
-        for r in self._points(rng, 0.0938, (3 / 32, 1 / 32, _TINY_ARG, 1e-300)):
-            y, e = _odd_kernel(r, _ATAN_POLY, _ATAN_K)
-            lo, hi = atan_series_bounds(Fraction(r))
-            assert Fraction(y) - Fraction(e) <= lo and hi <= Fraction(y) + Fraction(e), r
 
 
 # -- the rounding analysis -----------------------------------------------------
@@ -252,17 +205,8 @@ class TestRoundingAnalysis:
         coeffs = [Fraction((-1) ** (i + 1), math.factorial(2 * i + 3)) for i in range(n)]
         for _ in range(2000):
             r = _sample(rng, 0.8)
-            y, e = _odd_kernel(r, _SIN_POLY, _SIN_K)
+            y, e = _sin_kernel(r)
             exact, tail = _exact_odd(r, coeffs, math.factorial(2 * n + 3))
-            assert abs(Fraction(y) - exact) <= Fraction(e) - tail, r
-
-    def test_atan(self, rng):
-        n = len(_ATAN_POLY)
-        coeffs = [Fraction((-1) ** (i + 1), 2 * i + 3) for i in range(n)]
-        for _ in range(2000):
-            r = _sample(rng, 0.0938)
-            y, e = _odd_kernel(r, _ATAN_POLY, _ATAN_K)
-            exact, tail = _exact_odd(r, coeffs, 2 * n + 3)
             assert abs(Fraction(y) - exact) <= Fraction(e) - tail, r
 
     def test_cos(self, rng):
@@ -289,6 +233,3 @@ def test_chart_domain_widths(rng):
         floor = k * HALF_PI.width
         for enc in (Interval(t).sin(), Interval(t).cos()):
             assert enc.width <= 6 * ulp(enc.mid) + floor, (t, enc)
-        slope = math.cos(t) / math.sin(t)
-        enc = Interval(slope).atan()
-        assert enc.width <= 4 * ulp(enc.mid), (slope, enc.width / ulp(enc.mid))

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from tangency.interval import HALF_PI, PI, Interval, IntervalError, ulp
 from conftest import (
     PI_BOUNDS,
-    atan_bounds,
     contains_fraction,
     encloses_bounds,
     random_float,
@@ -186,7 +185,6 @@ def test_inclusion_monotonicity(a, b, c, d, s1, s2):
         _assert_monotone(lambda x: x.sqrt(), (big_x,), (small_x,))
     _assert_monotone(lambda x: x.sin(), (big_x,), (small_x,))
     _assert_monotone(lambda x: x.cos(), (big_x,), (small_x,))
-    _assert_monotone(lambda x: x.atan(), (big_x,), (small_x,))
 
 
 class TestConstants:
@@ -199,28 +197,6 @@ class TestConstants:
     def test_half_pi(self):
         assert Fraction(HALF_PI.lo) <= PI_BOUNDS[0] / 2
         assert PI_BOUNDS[1] / 2 <= Fraction(HALF_PI.hi)
-
-
-class TestAtan:
-    def test_containment_random(self, rng):
-        for _ in range(400):
-            x = rng.uniform(-60.0, 60.0)
-            lo, hi = atan_bounds(x)
-            enc = Interval(x).atan()
-            assert Fraction(enc.lo) <= lo and hi <= Fraction(enc.hi), x
-
-    def test_width_within_four_ulp(self, rng):
-        for _ in range(400):
-            x = rng.uniform(-50.0, 50.0)
-            enc = Interval(x).atan()
-            assert enc.width <= 4 * ulp(enc.mid), (x, enc.width / ulp(enc.mid))
-
-    def test_interval_argument_monotone(self):
-        enc = Interval(-0.5, 2.0).atan()
-        lo_b = atan_bounds(-0.5)
-        hi_b = atan_bounds(2.0)
-        assert Fraction(enc.lo) <= lo_b[0]
-        assert hi_b[1] <= Fraction(enc.hi)
 
 
 class TestSinCos:
