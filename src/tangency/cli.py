@@ -29,6 +29,7 @@ from tangency import report as report_mod
 from tangency.cones import check_cone_link, rump_positive_definite
 from tangency.covering import EnclosureError, VerificationInconclusive, check_chain
 from tangency.henon import HenonConfig, run_proof
+from tangency.hset import _check_grid
 from tangency.interval import Interval, IntervalError
 from tangency.toy import (
     ToyParams,
@@ -217,10 +218,9 @@ def _cmd_check_toy(args):
     try:
         params = ToyParams(lam=args.lam, mu=args.mu, delta=args.delta,
                            eps=args.eps).validate()
+        _check_grid(args.grid)
     except IntervalError as exc:
         _usage_error(str(exc))
-    if args.grid < 1:
-        _usage_error("grid must be an integer >= 1")
     t0 = time.perf_counter()
     stages = {}
     failure = None

@@ -34,6 +34,10 @@ reads is the one the full image would give.  Whatever else a map checks on
 its image (the chart map: that the image direction stays in the slope
 chart) is still checked on the interior sub-boxes, which cover the walls
 and read every output.
+
+check_covering gathers the sub-boxes and the frame changes onto each set of
+target rows (hset.RowsRead, fetched once per link and row set), evaluates
+every sub-box (_thin_image, then _image_normalized), then checks.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from dataclasses import dataclass, field
 from itertools import permutations
 
 from tangency import kernels as _k
-from tangency.hset import local_derivative_rows
 from tangency.interval import Interval, IntervalError, check_pairs, pair_mid
 from tangency.linalg import IntervalMatrix, IntervalVector, _wrap, dot
 
@@ -103,14 +106,14 @@ class CoveringCertificate:
         }
 
 
-def _thin_image(src, tgt, fmap, zbox, rows):
+def _thin_image(src, tgt, fmap, zbox, read):
     """The image g(mid z) of the midpoint of a normalized sub-box on the
-    target axes ``rows``, as a dict axis -> (lo, hi): fmap.apply on the thin
-    midpoint, on the outputs cols = tgt.columns_read(rows) only.  zbox is a
-    hset.SubBox (from src.walls or src.subboxes), whose ``mid`` is that
-    midpoint.  A map that returns other than len(cols) entries breaks the
-    map protocol (module docstring): TypeError, a bug and never a verdict."""
-    cols = tgt.columns_read(rows)
+    target rows of read (a tgt.rows_read), as a dict axis -> (lo, hi):
+    fmap.apply on the thin midpoint, on the outputs read.cols only.  zbox is
+    a hset.SubBox, whose ``mid`` is that midpoint.  A map that returns other
+    than len(read.cols) entries breaks the map protocol (module docstring):
+    TypeError, a bug and never a verdict."""
+    cols = read.cols
     value = fmap.apply(
         IntervalVector.from_pairs(src.from_normalized_pairs(zbox.mid)), cols
     )
@@ -119,13 +122,13 @@ def _thin_image(src, tgt, fmap, zbox, rows):
             f"{src.name}=>{tgt.name}: asked for the outputs {cols}, the map "
             f"returned {value.dim} image entries"
         )
-    return dict(zip(rows, tgt.normalized_rows(value, rows)))
+    return dict(zip(read.rows, read.normalized(value)))
 
 
-def _image_normalized(src, tgt, fmap, zbox, rows, thin=None):
+def _image_normalized(src, tgt, fmap, zbox, read, thin):
     """Normalized-coordinate image enclosure of a normalized sub-box on the
-    target axes ``rows``, as a dict axis -> (lo, hi), and those rows of the
-    local-frame derivative (hset.local_derivative) over that sub-box, as a
+    rows of read (a tgt.rows_read), as a dict axis -> (lo, hi), and those
+    rows of the local-frame derivative (hset.local_derivative) over it, as a
     tuple of rows of (lo, hi) pairs.  Everything between the map's returns
     runs on pairs (see hset), and each vector or row is checked once.
 
@@ -145,25 +148,21 @@ def _image_normalized(src, tgt, fmap, zbox, rows, thin=None):
     and the rows computed are the same bits as in the full image.
 
     zbox is a hset.SubBox: z - mid z enters through its ``delta_terms``.
-    g(mid z) is the _thin_image of zbox, a dict holding at least the axes
-    rows; a caller that already has it (a wall: the image its pairing was
-    searched on) passes it as ``thin``, else it is mapped here.  Those rows
-    of M_tgt^-1 read only the ambient coordinates cols =
-    tgt.columns_read(rows); every other column of them is an exact zero,
-    whose term the products skip.  So fmap is evaluated on
-    the outputs cols only, and the rows computed keep every bit.  For the
-    chart map this drops the image direction's slope on walls whose paired
-    target row does not read it, and with it the check that the image
-    direction stays in the chart.  That check is not lost: the interior
-    sub-boxes cover the whole source set, walls included, and read every
-    output.  A map that returns other than len(cols) enclosure entries or
-    Jacobian rows breaks the map protocol (module docstring): TypeError, a
-    bug and never a verdict.
+    thin is g(mid z), the _thin_image of zbox, a dict holding at least the
+    axes read.rows.  Those rows of M_tgt^-1 read only the ambient
+    coordinates read.cols; every other column of them is an exact zero,
+    whose term the products skip.  So fmap is evaluated on the outputs
+    read.cols only, and the rows computed keep every bit.  For the chart map
+    this drops the image direction's slope on walls whose paired target row
+    does not read it, and with it the check that the image direction stays
+    in the chart.  That check is not lost: the interior sub-boxes cover the
+    whole source set, walls included, and read every output.  A map that
+    returns other than len(read.cols) enclosure entries or Jacobian rows
+    breaks the map protocol (module docstring): TypeError, a bug and never a
+    verdict.
     """
     imul, idiv, iadd = _k.imul, _k.idiv, _k.iadd
-    if thin is None:
-        thin = _thin_image(src, tgt, fmap, zbox, rows)
-    cols = tgt.columns_read(rows)
+    cols = read.cols
     image, jacobian = fmap.derivative(src.from_normalized(zbox), cols)
     if not image.dim == jacobian.nrows == len(cols):
         raise TypeError(
@@ -171,21 +170,22 @@ def _image_normalized(src, tgt, fmap, zbox, rows, thin=None):
             f"returned {image.dim} enclosure entries and {jacobian.nrows} "
             f"Jacobian rows"
         )
-    local = local_derivative_rows(src, tgt, jacobian, rows)
+    local = read.local_derivative(src, jacobian)
     scaled = [
         check_pairs([idiv(*imul(*e, d_src, d_src), d_tgt, d_tgt)
                      for e, d_src in zip(local_row, src.diam)])
-        for local_row, d_tgt in zip(local, (tgt.diam[j] for j in rows))
+        for local_row, d_tgt in zip(local, read.diam)
     ]
     # The terms of scaled.mat_vec(z - mid z), the delta's nonzero entries
     # as the left factors of their products (imul is commutative bit for
     # bit).
     mean_value = check_pairs(
-        [iadd(*thin[j], *dot(zbox.delta_terms, row)) for j, row in zip(rows, scaled)]
+        [iadd(*thin[j], *dot(zbox.delta_terms, row))
+         for j, row in zip(read.rows, scaled)]
     )
-    hull = tgt.normalized_rows(image, rows)
+    hull = read.normalized(image)
     out = {}
-    for axis, (m_lo, m_hi), (h_lo, h_hi) in zip(rows, mean_value, hull):
+    for axis, (m_lo, m_hi), (h_lo, h_hi) in zip(read.rows, mean_value, hull):
         if not (m_lo <= h_hi and h_lo <= m_hi):
             raise EnclosureError(
                 "covering",
@@ -257,19 +257,20 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     """Certify src => tgt under fmap or raise VerificationInconclusive.
 
     fmap follows the map protocol (module docstring).  grid (an int)
-    subdivides wall faces and the entry check per axis.  The thin midpoint
-    of every wall sub-box of every unstable axis is mapped first, on the
-    unstable target axes: the pairing, unless given, is read off those point
-    images (with a pairing given, each wall's midpoint is mapped on its
-    paired target axis only).  Each wall sub-box is then enclosed on its
-    paired target axis only, the one its exit margin reads, from that thin
-    image.  The interior sub-boxes are mapped on every target axis, since
-    the entry check, the cones and the disks read them.  Each sub-box is
-    evaluated once.  The certificate's local_jacobian is the hull of the
-    local-frame derivatives over the entry check's sub-boxes, hence an
-    enclosure of the local-frame derivative over the whole source set.  A
-    given pairing must pair exactly the unstable axes of src and tgt (see
-    checked_correspondence).
+    subdivides wall faces and the entry check per axis.  Gather: the wall
+    and interior sub-boxes and, fetched once for the link, a hset.RowsRead
+    per set of target rows they are read on.  Evaluate: each sub-box gets
+    one thin midpoint image, then one enclosure from it.  The wall
+    midpoints are mapped on the unstable target rows, and the pairing,
+    unless given, is read off those point images (a given pairing maps them
+    on the paired row only); each wall sub-box is enclosed on its paired
+    row, the one its exit margin reads, each interior sub-box on every row,
+    which the entry check, the cones and the disks read.  Check: the exit
+    and entry margins, and the certificate's local_jacobian, the hull of
+    the local-frame derivatives over the interior sub-boxes, hence over the
+    whole source set.  A sub-box that cannot be evaluated makes the link
+    inconclusive before any margin is read.  A given pairing must pair
+    exactly the unstable axes of src and tgt (see checked_correspondence).
     """
     link = f"{src.name}=>{tgt.name}"
     if len(src.unstable) != len(tgt.unstable):
@@ -281,38 +282,54 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
         )
         paired = {i: j for i, j, _ in correspondence}
 
-    def located(where, evaluate, *args):
+    def inconclusive(detail):
+        return VerificationInconclusive("covering", link, detail)
+
+    def locus(wall, box_idx):
+        where = "interior" if wall is None else f"wall z_{wall[0]}={wall[1]:+d}"
+        return f"{where} box {box_idx}"
+
+    def located(evaluate, wall, box_idx, *args):
         try:
             return evaluate(src, tgt, fmap, *args)
         except IntervalError as exc:
-            raise VerificationInconclusive("covering", link, f"{where}: {exc}")
+            raise inconclusive(f"{locus(wall, box_idx)}: {exc}")
 
-    def wall_box(i, side, box_idx):
-        return f"wall z_{i}={side:+d} box {box_idx}"
-
+    # Gather.
     walls = {
         (i, side): src.walls(i, side, grid) for i in src.unstable for side in (1, -1)
     }
+    row_reads = {j: tgt.rows_read((j,)) for j in tgt.unstable}
+    every_row = tgt.rows_read(range(tgt.n))
+    if paired is None:
+        thin_reads = dict.fromkeys(src.unstable, tgt.rows_read(tgt.unstable))
+    else:
+        thin_reads = {i: row_reads[j] for i, j in paired.items()}
+
+    # Evaluate.
     thin_images = {
-        (i, side): [
-            located(wall_box(i, side, box_idx), _thin_image, wall,
-                    tgt.unstable if paired is None else (paired[i],))
-            for box_idx, wall in enumerate(boxes)
-        ]
-        for (i, side), boxes in walls.items()
+        wall: [located(_thin_image, wall, box_idx, zbox, thin_reads[wall[0]])
+               for box_idx, zbox in enumerate(boxes)]
+        for wall, boxes in walls.items()
     }
     if paired is None:
         correspondence = detect_correspondence(src, tgt, thin_images)
         paired = {i: j for i, j, _ in correspondence}
     wall_images = {
-        (i, side): [
-            located(wall_box(i, side, box_idx), _image_normalized, wall,
-                    (paired[i],), thin)[0][paired[i]]
-            for box_idx, (wall, thin) in enumerate(zip(boxes, thin_images[(i, side)]))
+        wall: [
+            located(_image_normalized, wall, box_idx, zbox,
+                    row_reads[paired[wall[0]]], thin)[0][paired[wall[0]]]
+            for box_idx, (zbox, thin) in enumerate(zip(boxes, thin_images[wall]))
         ]
-        for (i, side), boxes in walls.items()
+        for wall, boxes in walls.items()
     }
+    interior_images = [
+        located(_image_normalized, None, box_idx, zbox, every_row,
+                located(_thin_image, None, box_idx, zbox, every_row))
+        for box_idx, zbox in enumerate(src.subboxes(grid))
+    ]
 
+    # Check.
     exit_margins = {}
     for i, j, sign in correspondence:
         for side in (1, -1):
@@ -323,20 +340,13 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
                 margin = _k.sub_down(lo, 1.0) if side > 0 else _k.sub_down(-1.0, hi)
                 worst = margin if worst is None else min(worst, margin)
                 if margin <= 0.0:
-                    raise VerificationInconclusive(
-                        "covering",
-                        link,
-                        f"exit failed on {wall_box(i, side, box_idx)} "
-                        f"(margin {margin})",
-                    )
+                    raise inconclusive(f"exit failed on {locus((i, side), box_idx)} "
+                                       f"(margin {margin})")
             exit_margins[(i, side)] = worst
 
     entry_margin = None
     local_hull = None
-    for box_idx, zbox in enumerate(src.subboxes(grid)):
-        img, local = located(
-            f"interior box {box_idx}", _image_normalized, zbox, range(tgt.n)
-        )
+    for box_idx, (img, local) in enumerate(interior_images):
         local_hull = local if local_hull is None else [
             [(min(al, bl), max(ah, bh)) for (al, ah), (bl, bh) in zip(ra, rb)]
             for ra, rb in zip(local_hull, local)
@@ -346,12 +356,8 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
             margin = min(_k.sub_down(1.0, hi), _k.add_down(lo, 1.0))
             entry_margin = margin if entry_margin is None else min(entry_margin, margin)
             if margin <= 0.0:
-                raise VerificationInconclusive(
-                    "covering",
-                    link,
-                    f"entry failed on stable axis {j} box {box_idx} "
-                    f"(margin {margin})",
-                )
+                raise inconclusive(f"entry failed on stable axis {j} box {box_idx} "
+                                   f"(margin {margin})")
 
     return CoveringCertificate(
         source=src.name,

@@ -27,7 +27,7 @@ from tangency.covering import (
     check_chain,
     checked_correspondence,
 )
-from tangency.hset import HSet, QuadraticForm
+from tangency.hset import HSet, QuadraticForm, _check_grid
 from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalVector
 from tangency.manifold import verify_disk
@@ -380,8 +380,7 @@ class HenonConfig:
             0.0 < self.param_radius <= 1e-2
         ):
             raise ValueError("param_radius must be a number in (0, 1e-2]")
-        if type(self.grid) is not int or self.grid < 1:
-            raise ValueError("grid must be an integer >= 1")
+        _check_grid(self.grid)
         if self.correspondences is not None:
             if not isinstance(self.correspondences, dict):
                 raise ValueError("correspondences must map link indices to pairings")

@@ -21,15 +21,16 @@ rows of M, which build a Frame of its own (every Henon set).  The center as
 a point interval vector is built once per set.
 
 The frame changes a covering check makes per sub-box run on ``(lo, hi)``
-pairs: ``from_normalized_pairs``, ``normalized_rows`` and
-``local_derivative_rows`` take the nonzero patterns of the frame's rows and
-columns, built with the Frame, and of each set of rows of inv_coord, built
-on first use once per Frame (the center and diameters those rows read once
-per set), and build no vector or matrix object.  Each vector or row they
-compute is checked once: before it enters a product or is returned, or, for
-from_normalized_pairs's result, by the IntervalVector its caller builds.
-They take the terms of the IntervalVector/IntervalMatrix products, in their
-order, so the results are the same bits.
+pairs and build no vector or matrix object: ``from_normalized_pairs``, on
+the nonzero patterns of the frame's rows and columns, built with the Frame,
+and the two methods of a ``RowsRead``, the change onto a set of target rows
+(``HSet.rows_read``), on the nonzero pattern of those rows of inv_coord,
+built once per Frame.  A covering check fetches one RowsRead per link and
+row set; to_normalized and local_derivative use one on every row.  Each
+vector or row they compute is checked once: before it enters a product or
+is returned, or, for from_normalized_pairs's result, by the IntervalVector
+its caller builds.  They take the terms of the IntervalVector/IntervalMatrix
+products, in their order, so the results are the same bits.
 
 The sub-boxes a covering check visits, ``walls`` and ``subboxes``, depend
 only on the dimension and the grid: they are ``SubBox`` tuples built once
@@ -75,6 +76,16 @@ def _axes(axes, n):
     ):
         raise IntervalError(f"invalid unstable axis set {list(axes)!r}")
     return tuple(sorted(axes))
+
+
+# A set has grid^n interior sub-boxes (65,536 at grid 16 in 4D, minutes of
+# checking); a larger grid would run out of time or memory before a verdict.
+MAX_GRID = 16
+
+
+def _check_grid(grid):
+    if type(grid) is not int or not 1 <= grid <= MAX_GRID:
+        raise IntervalError(f"grid must be an int in 1..{MAX_GRID}, got {grid!r}")
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +155,7 @@ class Frame:
     with one M (every set of a toy chain) share one Frame.
     """
 
-    __slots__ = ("coord", "matrix", "rows", "cols", "inverse", "_inv_rows")
+    __slots__ = ("coord", "matrix", "rows", "cols", "inverse", "_row_patterns")
 
     def __init__(self, coord):
         self.coord = tuple(_floats(row, "coordinate matrix entries") for row in coord)
@@ -156,7 +167,7 @@ class Frame:
         self.cols = nonzero_pattern(zip(*self.matrix.pairs))
         with _k.upward():
             self.inverse = inverse_enclosure(self.coord)
-        self._inv_rows = {}
+        self._row_patterns = {}
 
     @property
     def n(self):
@@ -167,7 +178,7 @@ class Frame:
         on the columns they read, and those columns: the ones, increasing,
         where one of those rows is not an exact zero.  Built once per
         rows."""
-        hit = self._inv_rows.get(rows)
+        hit = self._row_patterns.get(rows)
         if hit is None:
             inv = self.inverse.pairs
             cols = tuple(
@@ -175,8 +186,55 @@ class Frame:
                 if any(inv[j][k][0] or inv[j][k][1] for j in rows)
             )
             hit = (nonzero_pattern([[inv[j][k] for k in cols] for j in rows]), cols)
-            self._inv_rows[rows] = hit
+            self._row_patterns[rows] = hit
         return hit
+
+
+class RowsRead:
+    """The frame change of an h-set onto the target rows ``rows``: the
+    nonzero pattern ``terms`` of those rows of inv_coord on ``cols``, the
+    ambient coordinates they read (Frame.inv_rows; every one when rows are
+    every row), the set's ``center`` on cols and its ``diam`` on rows.  A
+    product skips every other column's term bit for bit (linalg._nonzero),
+    so both methods read only the cols of an ambient box or Jacobian."""
+
+    __slots__ = ("rows", "cols", "terms", "center", "diam")
+
+    def __init__(self, h, rows):
+        self.rows = tuple(rows)
+        self.terms, self.cols = h.basis.inv_rows(self.rows)
+        self.center = tuple(h.center_vec.pairs[k] for k in self.cols)
+        self.diam = tuple(h.diam[j] for j in self.rows)
+
+    def normalized(self, p):
+        """The entries rows of the set's to_normalized as (lo, hi) pairs,
+        p holding the coordinates cols of an ambient box."""
+        if len(p) != len(self.cols):
+            raise IntervalError(f"dimension mismatch: {len(p)} vs {len(self.cols)}")
+        isub, idiv = _k.isub, _k.idiv
+        diff = check_pairs([isub(*a, *c) for a, c in zip(p.pairs, self.center)])
+        return check_pairs(
+            [idiv(*dot(row, diff), d, d) for row, d in zip(self.terms, self.diam)]
+        )
+
+    def local_derivative(self, src, jacobian):
+        """Those rows of local_derivative(src, set, jacobian), jacobian
+        holding the rows cols of the ambient Jacobian, as rows of (lo, hi)
+        pairs: T_j = (row j of inv_coord) . jacobian, checked, then
+        T_j[:n] . src.coord, checked, followed by T_j[n:].  The second
+        product takes the frame's column pattern as the left factor of each
+        term; imul is commutative bit for bit, so the terms are mat_mul's."""
+        n = src.n
+        jac = jacobian.pairs
+        if len(jac) != len(self.cols) or len(jac[0]) < n:
+            raise IntervalError("shape mismatch in matrix product")
+        jac_cols = tuple(zip(*jac))
+        out = []
+        for row in self.terms:
+            t = check_pairs(tuple(dot(row, col) for col in jac_cols))
+            block = check_pairs(tuple(dot(col, t) for col in src.basis.cols))
+            out.append(block + t[n:])
+        return tuple(out)
 
 
 class HSet:
@@ -184,7 +242,7 @@ class HSet:
     other sets may share."""
 
     __slots__ = ("name", "center", "basis", "diam", "unstable", "stable",
-                 "center_vec", "_rows_read")
+                 "center_vec")
 
     def __init__(self, name, center, coord, diam, unstable):
         self.name = str(name)
@@ -200,7 +258,6 @@ class HSet:
         self.unstable = _axes(unstable, n)
         self.stable = tuple(i for i in range(n) if i not in self.unstable)
         self.center_vec = IntervalVector(self.center)
-        self._rows_read = {}
 
     @property
     def coord(self):
@@ -236,46 +293,11 @@ class HSet:
     def to_normalized(self, p):
         """Normalized coordinates; p is certified inside the set iff the
         result is a subset of [-1,1]^n (sufficient direction only)."""
-        return IntervalVector.from_pairs(self.normalized_rows(p, range(self.n)))
+        return IntervalVector.from_pairs(self.rows_read(range(self.n)).normalized(p))
 
-    def normalized_rows(self, p, rows):
-        """The entries ``rows`` of to_normalized(p) as (lo, hi) pairs, from
-        those rows of inv_coord only.  p holds the coordinates
-        columns_read(rows) of an ambient box: every coordinate when rows are
-        every row, since the invertible inv_coord has no zero column."""
-        terms, cols, center, diam = self._inv_rows(rows)
-        if len(p) != len(cols):
-            raise IntervalError(f"dimension mismatch: {len(p)} vs {len(cols)}")
-        isub, idiv = _k.isub, _k.idiv
-        diff = check_pairs([isub(*a, *c) for a, c in zip(p.pairs, center)])
-        return check_pairs(
-            [idiv(*dot(row, diff), d, d) for row, d in zip(terms, diam)]
-        )
-
-    def columns_read(self, rows):
-        """The ambient coordinates that the rows ``rows`` of inv_coord read:
-        the columns, increasing, where one of those rows is not an exact
-        zero.  A product skips every other column's term bit for bit (see
-        linalg._nonzero), so those rows of to_normalized and of
-        local_derivative need only these coordinates of the ambient box and
-        these rows of the ambient Jacobian."""
-        return self._inv_rows(rows)[1]
-
-    def _inv_rows(self, rows):
-        """The frame's inv_rows(rows), followed by the center on those
-        columns and the diameters of those rows.  Built once per rows."""
-        rows = tuple(rows)
-        hit = self._rows_read.get(rows)
-        if hit is None:
-            terms, cols = self.basis.inv_rows(rows)
-            hit = (
-                terms,
-                cols,
-                tuple(self.center_vec.pairs[k] for k in cols),
-                tuple(self.diam[j] for j in rows),
-            )
-            self._rows_read[rows] = hit
-        return hit
+    def rows_read(self, rows):
+        """The RowsRead of the rows ``rows`` of the frame change."""
+        return RowsRead(self, rows)
 
     def from_normalized(self, z):
         """The ambient box c + M (d . z) of a normalized box z."""
@@ -306,11 +328,6 @@ class HSet:
 
     # -- face machinery -----------------------------------------------------
 
-    @staticmethod
-    def _check_grid(grid):
-        if type(grid) is not int or grid < 1:
-            raise IntervalError(f"grid must be an int >= 1, got {grid!r}")
-
     def walls(self, axis, side, grid=1):
         """Sub-boxes covering the face {z_axis = side} of [-1, 1]^n, as a
         tuple of SubBoxes shared by every set of dimension n.
@@ -322,14 +339,14 @@ class HSet:
             raise IntervalError(f"wall axis {axis} is not an unstable axis")
         if side not in (-1, 1):
             raise IntervalError("side must be +-1")
-        self._check_grid(grid)
+        _check_grid(grid)
         return _walls(self.n, axis, side, grid)
 
     def subboxes(self, grid=1):
         """Sub-boxes covering the whole normalized cube [-1, 1]^n, grid
         segments per axis, as a tuple of SubBoxes shared by every set of
         dimension n."""
-        self._check_grid(grid)
+        _check_grid(grid)
         return _subboxes(self.n, grid)
 
     def to_dict(self):
@@ -366,32 +383,8 @@ def local_derivative(src, tgt, jacobian):
     derivative of the tgt local coordinates.
     """
     return IntervalMatrix.from_pairs(
-        local_derivative_rows(src, tgt, jacobian, range(tgt.n))
+        tgt.rows_read(range(tgt.n)).local_derivative(src, jacobian)
     )
-
-
-def local_derivative_rows(src, tgt, jacobian, rows):
-    """The rows ``rows`` of local_derivative(src, tgt, jacobian), from those
-    rows of tgt.inv_coord only, as a tuple of rows of (lo, hi) pairs.
-    jacobian holds the rows tgt.columns_read(rows) of the ambient Jacobian:
-    every row when rows are every row.
-
-    Row j is T_j = (row j of tgt.inv_coord) . jacobian, checked, then
-    T_j[:n] . src.coord, checked, followed by T_j[n:].  The second product
-    takes the frame's column pattern as the left factor of each term; imul
-    is commutative bit for bit, so the terms are mat_mul's."""
-    terms, cols = tgt._inv_rows(rows)[:2]
-    n = src.n
-    jac = jacobian.pairs
-    if len(jac) != len(cols) or len(jac[0]) < n:
-        raise IntervalError("shape mismatch in matrix product")
-    jac_cols = tuple(zip(*jac))
-    out = []
-    for row in terms:
-        t = check_pairs(tuple(dot(row, col) for col in jac_cols))
-        block = check_pairs(tuple(dot(col, t) for col in src.basis.cols))
-        out.append(block + t[n:])
-    return tuple(out)
 
 
 class QuadraticForm:

@@ -305,6 +305,24 @@ class TestCheckToyInconclusive:
         assert "switch_blocks" not in report["stages"]
 
 
+@pytest.mark.parametrize("command", [["prove", "henon"], ["check-toy"]],
+                         ids=["prove", "check-toy"])
+@pytest.mark.parametrize("grid", ["17", str(10**11)], ids=["17", "1e11"])
+def test_grid_above_the_maximum_exits_two(monkeypatch, capsys, command, grid):
+    # Refused before any sub-box table is built: the tables of grid 10**11
+    # would never finish, and grid 17's would take minutes.
+    from tangency import hset
+
+    def no_table(grid):
+        raise AssertionError(f"grid {grid} cut")
+
+    monkeypatch.setattr(hset, "_cuts", no_table)
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--grid", grid])
+    assert exc.value.code == 2
+    assert f"grid must be an int in 1..{hset.MAX_GRID}" in capsys.readouterr().err
+
+
 class TestOutputErrors:
     @pytest.mark.parametrize("argv", [["check-toy"], ["prove", "henon"]])
     def test_report_into_missing_directory_exits_two(self, tmp_path, capsys, argv):

@@ -15,6 +15,7 @@ from tangency.covering import (
     EnclosureError,
     VerificationInconclusive,
     _image_normalized,
+    _thin_image,
     check_chain,
     check_covering,
     detect_correspondence,
@@ -29,6 +30,14 @@ from tangency.toy import ToyParams, build_toy_chain, linear_start_map, switch_ma
 
 
 EYE4 = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]]
+
+
+def _enclose(src, tgt, fmap, zbox, rows):
+    """The covering's evaluation of one sub-box on the target rows rows:
+    its thin image, then its enclosure from that thin image."""
+    read = tgt.rows_read(rows)
+    thin = _thin_image(src, tgt, fmap, zbox, read)
+    return _image_normalized(src, tgt, fmap, zbox, read, thin)
 
 
 def _linear_inequality_oracle(params, src, tgt):
@@ -269,7 +278,7 @@ class TestEnclosureConsistency:
                     box, None if ignores == "derivative" else outputs
                 )
 
-        assert tgt.columns_read(tgt.unstable) == (0, 3)
+        assert tgt.rows_read(tgt.unstable).cols == (0, 3)
         with pytest.raises(TypeError, match="N0=>N1"):
             check_covering(src, tgt, IgnoresOutputs(), grid=1)
 
@@ -322,7 +331,7 @@ class TestDeterminism:
         def detected_from_enclosures(src, tgt, fmap, grid):
             wall_images = {
                 (i, side): [
-                    _image_normalized(src, tgt, fmap, w, tgt.unstable)[0]
+                    _enclose(src, tgt, fmap, w, tgt.unstable)[0]
                     for w in src.walls(i, side, grid)
                 ]
                 for i in src.unstable
@@ -407,8 +416,8 @@ class TestWallRows:
                 for i in src.unstable:
                     for side in (1, -1):
                         for w in src.walls(i, side, grid):
-                            img, local = _image_normalized(src, tgt, fmap, w, rows)
-                            full, full_local = _image_normalized(
+                            img, local = _enclose(src, tgt, fmap, w, rows)
+                            full, full_local = _enclose(
                                 src, tgt, fmap, w, range(tgt.n)
                             )
                             assert list(img) == list(rows)
@@ -438,12 +447,12 @@ class TestWallRows:
             check_covering(src, tgt, spy, grid, pairing if given else None)
             paired = {i: j for i, j, _ in pairing}
             walls = [
-                tgt.columns_read((paired[i],))
+                tgt.rows_read((paired[i],)).cols
                 for i in src.unstable
                 for side in (1, -1)
                 for _ in src.walls(i, side, grid)
             ]
-            thin = walls if given else [tgt.columns_read(tgt.unstable)] * len(walls)
+            thin = walls if given else [tgt.rows_read(tgt.unstable).cols] * len(walls)
             interior = [tuple(range(tgt.n))] * len(src.subboxes(grid))
             assert spy.outputs["derivative"] == walls + interior, src.name
             assert spy.outputs["apply"] == thin + interior, src.name
@@ -495,14 +504,41 @@ class TestWallRows:
         tgt = HSet("T", (0.0, 0.0, 0.0, 0.0), EYE4, (0.5, 2.0, 1.0, 0.1), (0, 3))
         wall = src.walls(0, 1, 1)[0]
         with pytest.raises(ChartError):
-            _image_normalized(src, tgt, fmap, wall, range(tgt.n))
-        img, _ = _image_normalized(src, tgt, fmap, wall, tgt.unstable)
+            _enclose(src, tgt, fmap, wall, range(tgt.n))
+        img, _ = _enclose(src, tgt, fmap, wall, tgt.unstable)
         assert img[0][0] > 1.0
         with pytest.raises(VerificationInconclusive) as exc:
             check_covering(src, tgt, fmap)
         assert exc.value.locus == "S=>T"
         assert exc.value.detail.startswith("interior box 0:")
         assert "chart" in exc.value.detail
+
+
+class TestFrameChangesFetchedOnce:
+    def test_rows_read_once_per_link_and_row_set(self, monkeypatch, henon_chain):
+        # check_covering fetches the frame change onto each set of target
+        # rows once per link, not per sub-box: as many HSet.rows_read calls
+        # at grid 2 as at grid 1, and no more than one for the pairing
+        # search, one per unstable target row and one for every row.
+        calls = []
+        rows_read = HSet.rows_read
+
+        def counting(h, rows):
+            calls.append(rows)
+            return rows_read(h, rows)
+
+        monkeypatch.setattr(HSet, "rows_read", counting)
+        chart = ChartMap(henon_family())
+        toy = build_toy_chain(ToyParams())
+        links = [(s, t, chart) for s, t in zip(henon_chain.sets, henon_chain.sets[1:])]
+        links += list(zip(toy.sets, toy.sets[1:], toy.maps))
+        for src, tgt, fmap in links:
+            counts = []
+            for grid in (1, 2):
+                calls.clear()
+                check_covering(src, tgt, fmap, grid)
+                counts.append(len(calls))
+            assert counts[0] == counts[1] <= len(tgt.unstable) + 2, src.name
 
 
 class TestChainBasics:

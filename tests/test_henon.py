@@ -571,18 +571,21 @@ class TestOnePassImage:
     def test_image_encloses_exact_henon_image(self, henon_chain, grid, index, box, u):
         # A point of a wall or interior sub-box of an h-set, exact in
         # rationals, maps to x' = a - x^2 + b y, y' = x, a' = a, b being the
-        # binary64 value the map evaluates with.
+        # binary64 value the map evaluates with, and its direction (w, 1) to
+        # Df (w, 1) = (b - 2 x w, w), whose slope (the fiber row) is
+        # (b - 2 x w) / w.
         src = henon_chain.sets[index]
         boxes = covering_boxes(src, grid)
         zbox = boxes[box % len(boxes)]
         z = [Fraction(e.lo) + (Fraction(e.hi) - Fraction(e.lo)) * w for e, w in zip(zbox, u)]
-        x, y, _, a = (
+        x, y, w, a = (
             Fraction(src.center[i])
             + sum(Fraction(src.coord[i][j]) * Fraction(src.diam[j]) * z[j] for j in range(4))
             for i in range(4)
         )
         image, _ = ChartMap(henon_family()).derivative(src.from_normalized(zbox))
-        exact = {0: a - x * x + Fraction(B0) * y, 1: x, 3: a}
+        b = Fraction(B0)
+        exact = {0: a - x * x + b * y, 1: x, 2: (b - 2 * x * w) / w, 3: a}
         for axis, value in exact.items():
             assert contains_fraction(image[axis], value), axis
 

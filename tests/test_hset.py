@@ -6,9 +6,9 @@ import math
 import pytest
 
 from conftest import pairs_hex
-from tangency import kernels
+from tangency import hset, kernels
 from tangency.interval import Interval, IntervalError
-from tangency.hset import Frame, HSet, QuadraticForm, local_derivative, local_derivative_rows
+from tangency.hset import Frame, HSet, QuadraticForm, local_derivative
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.projective import ChartMap
 
@@ -165,18 +165,19 @@ class TestTransforms:
             full = tgt.to_normalized(image).pairs
             full_local = local_derivative(src, tgt, jac).pairs
             for rows in (tgt.unstable, tgt.stable, (2,), (3,), tuple(range(4))):
-                cols = tgt.columns_read(rows)
+                read = tgt.rows_read(rows)
+                cols = read.cols
                 part = IntervalVector.from_pairs([image.pairs[k] for k in cols])
                 part_jac = IntervalMatrix.from_pairs([jac.pairs[k] for k in cols])
                 want = pairs_hex(full[j] for j in rows)
-                assert pairs_hex(tgt.normalized_rows(part, rows)) == want
-                got = local_derivative_rows(src, tgt, part_jac, rows)
+                assert pairs_hex(read.normalized(part)) == want
+                got = read.local_derivative(src, part_jac)
                 assert [pairs_hex(r) for r in got] == [
                     pairs_hex(full_local[j]) for j in rows
                 ]
-            assert tgt.columns_read((2,)) == (2,) and tgt.columns_read((3,)) == (3,)
+            assert tgt.rows_read((2,)).cols == (2,) and tgt.rows_read((3,)).cols == (3,)
             if tgt.unstable == (0, 3):
-                assert tgt.columns_read(tgt.unstable) == (0, 1, 3)
+                assert tgt.rows_read(tgt.unstable).cols == (0, 1, 3)
 
 
 class TestWalls:
@@ -259,14 +260,25 @@ class TestWalls:
         with pytest.raises(IntervalError):
             h.walls(0, 1, 0)
 
-    @pytest.mark.parametrize("grid", [True, 1.5, "2", 0, -1],
-                             ids=["bool", "float", "string", "zero", "negative"])
-    def test_grid_must_be_a_positive_int(self, grid):
+    @pytest.mark.parametrize("grid", [True, 1.5, "2", 0, -1, hset.MAX_GRID + 1, 10**11],
+                             ids=["bool", "float", "string", "zero", "negative",
+                                  "above-max", "1e11"])
+    def test_grid_must_be_a_positive_int(self, monkeypatch, grid):
+        # Refused before any segment is cut: a grid past MAX_GRID would
+        # build grid^n sub-boxes.
+        def no_table(grid):
+            raise AssertionError(f"grid {grid} cut")
+
+        monkeypatch.setattr(hset, "_cuts", no_table)
         h = _sample_set()
         with pytest.raises(IntervalError, match="grid"):
             h.walls(0, 1, grid)
         with pytest.raises(IntervalError, match="grid"):
             h.subboxes(grid)
+
+    def test_grid_at_the_maximum_is_accepted(self):
+        h = _sample_set()
+        assert len(h.subboxes(hset.MAX_GRID)) == hset.MAX_GRID**2
 
 
 class TestQuadraticForm:
@@ -385,7 +397,7 @@ def _random_box(rng, center, scale):
 
 
 class TestPairFrameChanges:
-    """from_normalized_pairs, normalized_rows and local_derivative_rows are
+    """from_normalized_pairs and RowsRead's normalized and local_derivative are
     the IntervalMatrix products' results bit for bit, on every Henon and
     toy set, every set of target rows, the covering's sub-boxes and their
     midpoints, the maps' images and Jacobians, and dense random inputs that
@@ -415,13 +427,14 @@ class TestPairFrameChanges:
                     inputs.append((p, jac))
                 for p, jac in inputs:
                     for rows in _row_sets(tgt.n):
-                        cols = tgt.columns_read(rows)
+                        read = tgt.rows_read(rows)
+                        cols = read.cols
                         part = IntervalVector.from_pairs([p.pairs[k] for k in cols])
-                        assert pairs_hex(tgt.normalized_rows(part, rows)) == pairs_hex(
+                        assert pairs_hex(read.normalized(part)) == pairs_hex(
                             _matrix_normalized_rows(tgt, p, rows)
                         )
                         part_jac = IntervalMatrix.from_pairs([jac.pairs[k] for k in cols])
-                        got = local_derivative_rows(src, tgt, part_jac, rows)
+                        got = read.local_derivative(src, part_jac)
                         assert [pairs_hex(r) for r in got] == [
                             pairs_hex(r) for r in _matrix_local_rows(src, tgt, jac, rows)
                         ]
@@ -464,12 +477,13 @@ class TestSharedFrame:
             boxes = self._boxes(rng, on_frame)
             with kernels.upward():
                 for rows in _row_sets(on_frame.n):
-                    cols = on_frame.columns_read(rows)
-                    assert from_rows.columns_read(rows) == cols
+                    read = on_frame.rows_read(rows)
+                    cols = read.cols
+                    assert from_rows.rows_read(rows).cols == cols
                     for p in boxes:
                         part = IntervalVector.from_pairs([p.pairs[k] for k in cols])
-                        assert pairs_hex(on_frame.normalized_rows(part, rows)) == pairs_hex(
-                            from_rows.normalized_rows(part, rows)
+                        assert pairs_hex(read.normalized(part)) == pairs_hex(
+                            from_rows.rows_read(rows).normalized(part)
                         )
 
     def test_sets_on_one_frame_keep_their_own_centers(self):
