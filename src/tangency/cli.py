@@ -1,18 +1,21 @@
-"""Batch command-line driver.
+"""Batch command line: argument parsing and I/O only.
 
 Subcommands:
 
 * ``prove henon`` -- run the full tangency certification for the Henon
-  family; exit 0 iff the verdict is VERIFIED.
-* ``check-toy``   -- run the analytic model's certificate suite (covering
-  chain, linear-link cones, switch blocks, transversality determinant).
+  family (henon.run_proof); exit 0 iff the verdict is VERIFIED.
+* ``check-toy``   -- run the analytic model's certificate suite
+  (toy.check_toy: covering chain, linear-link cones, switch blocks,
+  transversality determinant).
 
-A machine-readable JSON report goes to --report (or stdout when omitted);
-a human summary always goes to stdout.  Exit codes: 0 verified,
-1 inconclusive (failure locus printed), 2 bad configuration or usage (an
-unwritable --report path included), 3 internal enclosure inconsistency (a
-bug, locus printed to stderr; no report is written).  A reader that closes
-stdout early (``| head``) cuts the output short, not the exit code.
+Both run through one report path (_report), which times the driver, then
+builds, writes and prints the report of either verdict.  A machine-readable
+JSON report goes to --report (or stdout when omitted); a human summary
+always goes to stdout.  Exit codes: 0 verified, 1 inconclusive (failure
+locus and detail printed), 2 bad configuration or usage (an unwritable
+--report path included), 3 internal enclosure inconsistency (a bug, locus
+printed to stderr; no report is written).  A reader that closes stdout
+early (``| head``) cuts the output short, not the exit code.
 """
 
 from __future__ import annotations
@@ -24,20 +27,12 @@ import os
 import sys
 import time
 
-from tangency import kernels as _k
 from tangency import report as report_mod
-from tangency.cones import check_cone_link, rump_positive_definite
-from tangency.covering import EnclosureError, VerificationInconclusive, check_chain
+from tangency.covering import EnclosureError, VerificationInconclusive
 from tangency.henon import HenonConfig, run_proof
 from tangency.hset import _check_grid
-from tangency.interval import Interval, IntervalError
-from tangency.toy import (
-    ToyParams,
-    build_toy_chain,
-    linear_link_indices,
-    switch_cone_blocks,
-    transversality_determinant,
-)
+from tangency.interval import IntervalError
+from tangency.toy import FLAGS, ToyParams, check_toy
 
 
 def _build_parser():
@@ -149,69 +144,75 @@ def _config_echo(config):
     }
 
 
-def _certified_stages(certified):
-    """Report stages of the certificates an inconclusive proof carries: a
-    list per chain stage, one dict per disk."""
-    return {
-        key: [c.to_dict() for c in certs]
-        if isinstance(certs, (list, tuple)) else certs.to_dict()
-        for key, certs in certified.items()
-    }
+def _plain(obj):
+    """obj with every certificate in its lists, tuples and dicts replaced by
+    its to_dict(): stage certificates as report stages."""
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    return obj.to_dict() if hasattr(obj, "to_dict") else obj
+
+
+def _report(path, kind, config, driver, summary, extras=None):
+    """Time driver(), then build, emit and print the report of its verdict.
+
+    driver() returns the certificates by report stage, the stage timings
+    and the VERIFIED report's further keys, or raises
+    VerificationInconclusive carrying the stages certified before the
+    failure.  summary(stages, more, verdict_line) gives a VERIFIED run's
+    stdout lines; extras are report keys of either verdict.
+    """
+    t0 = time.perf_counter()
+    try:
+        stages, timings, more = driver()
+        failure = None
+    except VerificationInconclusive as exc:
+        stages, timings, more = exc.certified, {}, {}
+        failure = {"stage": exc.stage, "locus": exc.locus, "detail": exc.detail}
+    elapsed = time.perf_counter() - t0
+    report = report_mod.build_report(
+        kind=kind,
+        config=config,
+        stages=_plain(stages),
+        verdict="INCONCLUSIVE" if failure else "VERIFIED",
+        timings={**timings, "total": elapsed},
+        failure=failure,
+        extras={**(extras or {}), **_plain(more)},
+    )
+    _emit(report, path)
+    if failure:
+        _say(f"INCONCLUSIVE at {failure['stage']}: {failure['locus']}")
+        if failure["detail"]:
+            _say(f"  {failure['detail']}")
+        return 1
+    for line in summary(stages, more, f"verdict: VERIFIED ({elapsed:.2f} s)"):
+        _say(line)
+    return 0
 
 
 def _cmd_prove(args):
     config = _henon_config(args)
-    t0 = time.perf_counter()
-    try:
+
+    def prove():
         cert = run_proof(config)
-    except VerificationInconclusive as exc:
-        elapsed = time.perf_counter() - t0
-        report = report_mod.build_report(
-            kind="proof",
-            config=_config_echo(config),
-            stages=_certified_stages(exc.certified),
-            verdict="INCONCLUSIVE",
-            timings={"total": elapsed},
-            failure={"stage": exc.stage, "locus": exc.locus, "detail": exc.detail},
-        )
-        _emit(report, args.report)
-        _say(f"INCONCLUSIVE at {exc.stage}: {exc.locus}")
-        if exc.detail:
-            _say(f"  {exc.detail}")
-        return 1
-    elapsed = time.perf_counter() - t0
-    cert_dict = cert.to_dict()
-    report = report_mod.build_report(
-        kind="proof",
-        config=_config_echo(config),
-        stages={
-            "covering": cert_dict["coverings"],
-            "cones": cert_dict["cones"],
-            "stable_disk": cert_dict["stable_disk"],
-            "unstable_disk": cert_dict["unstable_disk"],
-        },
-        verdict="VERIFIED",
-        timings={**cert.timings, "total": elapsed},
-        extras={
-            "conclusion": cert_dict["conclusion"],
-            "hsets": cert_dict["hsets"],
-            "forms": cert_dict["forms"],
-        },
-    )
-    _emit(report, args.report)
-    n_cov = len(cert.coverings)
-    n_cone = len(cert.cones)
-    _say(f"covering chain: {n_cov} relations certified")
-    _say(f"cone conditions: {n_cone} links certified")
-    for disk in (cert.stable_disk, cert.unstable_disk):
-        c = disk.constants
-        _say(
-            "%s disk: A >= %.12g, M <= %.12g, L <= %.12g, delta in [%.12g, %.12g]"
-            % (disk.side, c.a_lower, c.m_upper, c.l_upper, *c.delta)
-        )
-    _say(f"verdict: VERIFIED ({elapsed:.2f} s)")
-    _say(cert.conclusion["statement"])
-    return 0
+        stages = {"covering": cert.coverings, "cones": cert.cones,
+                  "stable_disk": cert.stable_disk, "unstable_disk": cert.unstable_disk}
+        more = {"conclusion": cert.conclusion, "hsets": cert.hsets, "forms": cert.forms}
+        return stages, cert.timings, more
+
+    def summary(stages, more, verdict):
+        lines = [f"covering chain: {len(stages['covering'])} relations certified",
+                 f"cone conditions: {len(stages['cones'])} links certified"]
+        for disk in (stages["stable_disk"], stages["unstable_disk"]):
+            c = disk.constants
+            lines.append(
+                "%s disk: A >= %.12g, M <= %.12g, L <= %.12g, delta in [%.12g, %.12g]"
+                % (disk.side, c.a_lower, c.m_upper, c.l_upper, *c.delta)
+            )
+        return lines + [verdict, more["conclusion"]["statement"]]
+
+    return _report(args.report, "proof", _config_echo(config), prove, summary)
 
 
 def _cmd_check_toy(args):
@@ -221,78 +222,16 @@ def _cmd_check_toy(args):
         _check_grid(args.grid)
     except IntervalError as exc:
         _usage_error(str(exc))
-    t0 = time.perf_counter()
-    stages = {}
-    failure = None
-    verdict = "VERIFIED"
-    chain = build_toy_chain(params)
-    try:
-        with _k.upward():
-            coverings = check_chain(list(chain.sets), list(chain.maps), grid=args.grid)
-            stages["covering"] = [c.to_dict() for c in coverings]
 
-            cone_certs = []
-            for idx in linear_link_indices(chain):
-                try:
-                    cone_certs.append(check_cone_link(
-                        coverings[idx], chain.forms[idx], chain.forms[idx + 1]))
-                except VerificationInconclusive as exc:
-                    exc.certified = {"cones_linear_links": tuple(cone_certs)}
-                    raise
-            stages["cones_linear_links"] = [c.to_dict() for c in cone_certs]
+    def summary(stages, _more, verdict):
+        return [f"toy chain: {len(stages['covering'])} coverings, "
+                f"{len(stages['cones_linear_links'])} linear-link cones, "
+                "switch blocks and determinant identity certified", verdict]
 
-            q1, q2 = switch_cone_blocks()
-            r1 = rump_positive_definite(q1)
-            r2 = rump_positive_definite(q2)
-            stages["switch_blocks"] = {
-                "Q1": r1.to_dict(),
-                "Q2": r2.to_dict(),
-            }
-            if not (r1.positive_definite and r2.positive_definite):
-                raise VerificationInconclusive(
-                    "toy-switch", "tangency-point cone blocks", "not positive definite"
-                )
-
-            det = transversality_determinant(2.0, 3.0, 7.0)
-            residual = det - Interval(2.0) * Interval(3.0)
-            stages["transversality"] = {
-                "det_sample": [det.lo, det.hi],
-                "identity_residual": [residual.lo, residual.hi],
-            }
-            if not residual.contains(0.0):
-                raise VerificationInconclusive(
-                    "toy-transversality", "determinant identity", "residual excludes 0"
-                )
-    except VerificationInconclusive as exc:
-        verdict = "INCONCLUSIVE"
-        stages.update(_certified_stages(exc.certified))
-        failure = {"stage": exc.stage, "locus": exc.locus, "detail": exc.detail}
-    elapsed = time.perf_counter() - t0
-    report = report_mod.build_report(
-        kind="toy-check",
-        config={
-            "lam": params.lam,
-            "mu": params.mu,
-            "delta": params.delta,
-            "eps": params.eps,
-            "grid": args.grid,
-        },
-        stages=stages,
-        verdict=verdict,
-        timings={"total": elapsed},
-        failure=failure,
-        extras={"flags": list(chain.flags)},
-    )
-    _emit(report, args.report)
-    if verdict == "VERIFIED":
-        n = len(stages["covering"])
-        _say(f"toy chain: {n} coverings, "
-             f"{len(stages['cones_linear_links'])} linear-link cones, "
-             "switch blocks and determinant identity certified")
-        _say(f"verdict: VERIFIED ({elapsed:.2f} s)")
-        return 0
-    _say(f"INCONCLUSIVE at {failure['stage']}: {failure['locus']}")
-    return 1
+    return _report(args.report, "toy-check",
+                   {**dataclasses.asdict(params), "grid": args.grid},
+                   lambda: (check_toy(params, args.grid), {}, {}), summary,
+                   extras={"flags": list(FLAGS)})
 
 
 def main(argv=None):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from tangency import kernels as _k
-from tangency.covering import VerificationInconclusive
+from tangency.covering import VerificationInconclusive, certify_each
 from tangency.interval import IntervalError, as_pair, check_pairs, pair_mid
 from tangency.linalg import IntervalMatrix, _wrap
 
@@ -256,11 +256,6 @@ def check_cone_chain(forms, coverings):
         raise IntervalError("a chain needs at least one link")
     if len(forms) != len(coverings) + 1:
         raise IntervalError("one form per h-set required")
-    certs = []
-    for idx, covering in enumerate(coverings):
-        try:
-            certs.append(check_cone_link(covering, forms[idx], forms[idx + 1]))
-        except VerificationInconclusive as exc:
-            exc.certified = {"cones": tuple(certs)}
-            raise
-    return certs
+    return certify_each("cones", check_cone_link, [
+        (covering, forms[idx], forms[idx + 1]) for idx, covering in enumerate(coverings)
+    ])

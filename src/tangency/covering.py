@@ -370,6 +370,22 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     )
 
 
+def certify_each(stage, check, cases):
+    """The certificates check(*case) of the cases, in order.
+
+    The first inconclusive case aborts, its exception carrying in
+    ``certified`` the certificates found before it, under ``stage``.
+    """
+    certs = []
+    for case in cases:
+        try:
+            certs.append(check(*case))
+        except VerificationInconclusive as exc:
+            exc.certified = {stage: tuple(certs)}
+            raise
+    return certs
+
+
 def check_chain(sets, maps, grid=1, correspondences=None):
     """Certify every consecutive covering in a chain of h-sets.
 
@@ -382,12 +398,8 @@ def check_chain(sets, maps, grid=1, correspondences=None):
         raise IntervalError("a chain needs at least two h-sets")
     if len(maps) != len(sets) - 1:
         raise IntervalError("one map per link required")
-    certs = []
-    for idx, fmap in enumerate(maps):
-        corr = None if correspondences is None else correspondences.get(idx)
-        try:
-            certs.append(check_covering(sets[idx], sets[idx + 1], fmap, grid, corr))
-        except VerificationInconclusive as exc:
-            exc.certified = {"covering": tuple(certs)}
-            raise
-    return certs
+    return certify_each("covering", check_covering, [
+        (sets[idx], sets[idx + 1], fmap, grid,
+         None if correspondences is None else correspondences.get(idx))
+        for idx, fmap in enumerate(maps)
+    ])

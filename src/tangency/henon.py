@@ -206,7 +206,6 @@ def _frame_tangent(w):
 class HenonChain:
     sets: tuple
     forms: tuple
-    eigen: dict = field(compare=False)
 
 
 def build_chain(param_radius=PARAM_RADIUS):
@@ -308,15 +307,14 @@ def build_chain(param_radius=PARAM_RADIUS):
         )
         forms.append(QuadraticForm(FORM_ROWS[i], _unstable_axes(i)))
 
-    return HenonChain(sets=tuple(sets), forms=tuple(forms), eigen=eig)
+    return HenonChain(sets=tuple(sets), forms=tuple(forms))
 
 
 def projected_disk_data(chain, side):
     """3D projected h-set, 3D form, parameter interval and 4D-form parameter
-    coefficient for one disk side ("stable" at N15, "unstable" at N0)."""
-    eig = chain.eigen
-    u0 = eig["u0_mid"]
-    s0 = eig["s0_mid"]
+    coefficient for one disk side ("stable" at N15, "unstable" at N0): the
+    set's center, frame and diameters on (x, y, w), and its outward
+    parameter entry."""
     if side == "stable":
         idx = 15
         unstable3 = (0, 2)
@@ -328,18 +326,12 @@ def projected_disk_data(chain, side):
     else:
         raise IntervalError(f"unknown disk side {side!r}")
     big = chain.sets[idx]
-    center3 = big.center[:3]
-    frame3 = (
-        (u0[0], s0[0], 0.0),
-        (u0[1], s0[1], 0.0),
-        (0.0, 0.0, _frame_tangent(center3[2])),
-    )
-    diam3 = big.diam[:3]
-    ntilde = HSet(f"Ntilde{idx}", center3, frame3, diam3, unstable3)
+    frame3 = [row[:3] for row in big.coord[:3]]
+    ntilde = HSet(f"Ntilde{idx}", big.center[:3], frame3, big.diam[:3], unstable3)
     qtilde = QuadraticForm(coeffs3, unstable3)
-    param = Interval(A0 - big.diam[3], A0 + big.diam[3])
-    p_coeff = abs(FORM_ROWS[idx][3])
-    return ntilde, qtilde, param, p_coeff
+    with _k.upward():
+        param = big.box()[3]
+    return ntilde, qtilde, param, abs(FORM_ROWS[idx][3])
 
 
 @dataclass(frozen=True)

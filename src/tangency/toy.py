@@ -6,6 +6,9 @@ tangency point (1, 0).  Projectivized in slope charts, the dynamics and the
 whole heteroclinic chain construction have closed forms, which makes this
 module the oracle corpus for the covering and cone machinery: every
 certificate produced here is checkable against explicit inequalities.
+check_toy runs the model's certificate suite (covering chain, linear-link
+cones, switch blocks, transversality determinant), as henon.run_proof runs
+the Henon proof.
 
 Chart/coordinate conventions (4D ambient):
 
@@ -22,7 +25,8 @@ import math
 from dataclasses import dataclass
 
 from tangency import kernels as _k
-from tangency.cones import cone_matrix
+from tangency.cones import check_cone_link, cone_matrix, rump_positive_definite
+from tangency.covering import VerificationInconclusive, certify_each, check_chain
 from tangency.hset import Frame, HSet, QuadraticForm
 from tangency.interval import Interval, IntervalError, as_interval, as_pair, check_pairs
 from tangency.jets import seed_jets
@@ -54,6 +58,11 @@ class ToyParams:
 
 _ZERO = (0.0, 0.0)
 _ONE = (1.0, 1.0)
+
+FLAGS = (
+    "reference chain-end size recursion is indexed opposite to the chain "
+    "direction; sizes here follow the chain direction",
+)
 
 
 class _DiagonalMap:
@@ -142,7 +151,7 @@ class ToyChain:
     maps: tuple  # one map per link, of the covering module's map protocol
     k: int
     s: int
-    flags: tuple = ()
+    flags: tuple = FLAGS
 
     @property
     def n_links(self):
@@ -234,10 +243,6 @@ def build_toy_chain(params=None, k=4, s=None, beta_growth=1.05, d_growth=1.05):
     switch = switch_map(params)
     maps = [start] * k + [switch] + [end] * s
 
-    flags = (
-        "reference chain-end size recursion is indexed opposite to the chain "
-        "direction; sizes here follow the chain direction",
-    )
     return ToyChain(
         params=params,
         sets=tuple(n_sets + m_sets),
@@ -245,7 +250,6 @@ def build_toy_chain(params=None, k=4, s=None, beta_growth=1.05, d_growth=1.05):
         maps=tuple(maps),
         k=k,
         s=s,
-        flags=flags,
     )
 
 
@@ -322,3 +326,50 @@ def transversality_determinant(g_a, g_tt, g_ta):
         ]
     )
     return m.det()
+
+
+def check_toy(params, grid=1):
+    """Run the model's certificate suite; returns {report stage: certificates}.
+
+    The chain is built to nearest; the covering, linear-link cone, switch
+    block and transversality stages run in one kernels.upward() block.  Any
+    inconclusive stage raises VerificationInconclusive carrying the failure
+    locus and, in ``certified``, every stage certified before it by report
+    stage ("covering", "cones_linear_links", "switch_blocks"); a failing
+    switch block or determinant stage carries its own certificates too.
+    """
+    chain = build_toy_chain(params)
+    certified = {}
+    try:
+        with _k.upward():
+            coverings = certified["covering"] = check_chain(
+                list(chain.sets), list(chain.maps), grid=grid)
+            certified["cones_linear_links"] = certify_each(
+                "cones_linear_links", check_cone_link,
+                [(coverings[i], chain.forms[i], chain.forms[i + 1])
+                 for i in linear_link_indices(chain)],
+            )
+
+            blocks = certified["switch_blocks"] = {
+                name: rump_positive_definite(q)
+                for name, q in zip(("Q1", "Q2"), switch_cone_blocks())
+            }
+            if not all(r.positive_definite for r in blocks.values()):
+                raise VerificationInconclusive(
+                    "toy-switch", "tangency-point cone blocks", "not positive definite"
+                )
+
+            det = transversality_determinant(2.0, 3.0, 7.0)
+            residual = det - Interval(2.0) * Interval(3.0)
+            certified["transversality"] = {
+                "det_sample": [det.lo, det.hi],
+                "identity_residual": [residual.lo, residual.hi],
+            }
+            if not residual.contains(0.0):
+                raise VerificationInconclusive(
+                    "toy-transversality", "determinant identity", "residual excludes 0"
+                )
+    except VerificationInconclusive as exc:
+        exc.certified = {**certified, **exc.certified}
+        raise
+    return certified

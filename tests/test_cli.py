@@ -225,7 +225,7 @@ class TestCheckToy:
         assert exc.value.code == 2
 
     def test_chain_built_once(self, monkeypatch, tmp_path):
-        from tangency import cli
+        from tangency import toy
 
         calls = []
 
@@ -233,19 +233,19 @@ class TestCheckToy:
             calls.append(params)
             return build_toy_chain(params)
 
-        monkeypatch.setattr(cli, "build_toy_chain", counting)
+        monkeypatch.setattr(toy, "build_toy_chain", counting)
         assert main(["check-toy", "--report", str(tmp_path / "toy.json")]) == 0
         assert len(calls) == 1
 
     def test_enclosure_error_exits_three(self, monkeypatch, tmp_path, capsys):
-        from tangency import cli
+        from tangency import toy
 
         def inconsistent(params):
             chain = build_toy_chain(params)
             bad = PointShiftedMap(chain.maps[0], 10.0 * max(chain.sets[1].diam))
             return dataclasses.replace(chain, maps=(bad,) + chain.maps[1:])
 
-        monkeypatch.setattr(cli, "build_toy_chain", inconsistent)
+        monkeypatch.setattr(toy, "build_toy_chain", inconsistent)
         out = tmp_path / "toy.json"
         assert main(["check-toy", "--report", str(out)]) == 3
         err = capsys.readouterr().err
@@ -258,7 +258,7 @@ class TestCheckToyInconclusive:
     the failing link, as the prove report does."""
 
     def test_failed_middle_covering_keeps_earlier_links(self, monkeypatch, tmp_path):
-        from tangency import cli
+        from tangency import toy
         from tangency.toy import ToyParams, linear_start_map
 
         def broken(params):
@@ -267,7 +267,7 @@ class TestCheckToyInconclusive:
             maps[2] = linear_start_map(ToyParams(lam=1.01))  # N2 no longer covers N3
             return dataclasses.replace(chain, maps=tuple(maps))
 
-        monkeypatch.setattr(cli, "build_toy_chain", broken)
+        monkeypatch.setattr(toy, "build_toy_chain", broken)
         out = tmp_path / "toy.json"
         assert main(["check-toy", "--report", str(out)]) == 1
         report = report_mod.loads(out.read_text())
@@ -280,17 +280,17 @@ class TestCheckToyInconclusive:
         assert set(report["stages"]) == {"covering"}
 
     def test_failed_middle_cone_keeps_earlier_cones(self, monkeypatch, tmp_path):
-        from tangency import cli
+        from tangency import toy
         from tangency.covering import VerificationInconclusive
 
-        check_cone_link = cli.check_cone_link
+        check_cone_link = toy.check_cone_link
 
         def failing_at_n2(covering, q_src, q_tgt):
             if covering.source == "N2":
                 raise VerificationInconclusive("cones", "N2=>N3", "forced failure")
             return check_cone_link(covering, q_src, q_tgt)
 
-        monkeypatch.setattr(cli, "check_cone_link", failing_at_n2)
+        monkeypatch.setattr(toy, "check_cone_link", failing_at_n2)
         out = tmp_path / "toy.json"
         assert main(["check-toy", "--report", str(out)]) == 1
         report = report_mod.loads(out.read_text())
@@ -303,6 +303,19 @@ class TestCheckToyInconclusive:
             "N0=>N1", "N1=>N2"
         ]
         assert "switch_blocks" not in report["stages"]
+
+    def test_inconclusive_prints_failure_detail(self, monkeypatch, tmp_path, capsys):
+        from tangency import toy
+        from tangency.covering import VerificationInconclusive
+
+        def failing(covering, q_src, q_tgt):
+            raise VerificationInconclusive("cones", "N0=>N1", "forced failure")
+
+        monkeypatch.setattr(toy, "check_cone_link", failing)
+        assert main(["check-toy", "--report", str(tmp_path / "toy.json")]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "INCONCLUSIVE at cones: N0=>N1", "  forced failure"
+        ]
 
 
 @pytest.mark.parametrize("command", [["prove", "henon"], ["check-toy"]],

@@ -329,6 +329,20 @@ class TestProofStages:
             assert param.contains(A0)
             assert p_coeff == abs(FORM_ROWS[idx][3])
 
+    @pytest.mark.parametrize("side, idx", [("stable", 15), ("unstable", 0)])
+    def test_disk_parameter_interval_is_the_sets_outward_entry(
+        self, henon_chain, side, idx
+    ):
+        # The disk's parameter interval holds the set's exact parameter range
+        # [A0 - d, A0 + d], in rationals, and is the set's own box entry.
+        big = henon_chain.sets[idx]
+        param = projected_disk_data(henon_chain, side)[2]
+        a, d = Fraction(big.center[3]), Fraction(big.diam[3])
+        assert a == Fraction(A0)
+        assert Fraction(param.lo) <= a - d and a + d <= Fraction(param.hi)
+        entry = big.box()[3]
+        assert (param.lo, param.hi) == (entry.lo, entry.hi)
+
 
 class TestPerturbations:
     def test_inflated_radius_fails_loudly(self):
@@ -447,6 +461,31 @@ class TestSharedJacobian:
         assert all(p2 >= p1 for p1, p2 in zip(pivots1, pivots2))
         assert any(p2 > p1 for p1, p2 in zip(pivots1, pivots2))
 
+    @staticmethod
+    def _point(src, z):
+        """The point of the source h-set at normalized coordinates z, exact."""
+        return [
+            Fraction(src.center[i]) + sum(
+                Fraction(src.coord[i][j]) * Fraction(src.diam[j]) * z[j] for j in range(4)
+            )
+            for i in range(4)
+        ]
+
+    @staticmethod
+    def _assert_rows_enclosed(src, tgt, local, rows):
+        """Each exact row i of D M_src lies in row i of M_tgt L, taken in
+        exact rational interval arithmetic (rows maps i to row i of D)."""
+        for i, row in rows.items():
+            for j in range(4):
+                exact = sum(row[k] * Fraction(src.coord[k][j]) for k in range(4))
+                lo = hi = Fraction(0)
+                for k in range(4):
+                    m = Fraction(tgt.coord[i][k])
+                    ends = (m * Fraction(local[k, j].lo), m * Fraction(local[k, j].hi))
+                    lo += min(ends)
+                    hi += max(ends)
+                assert lo <= exact <= hi, (i, j)
+
     @pytest.mark.parametrize("grid", [1, 2])
     @settings(max_examples=60, deadline=None)
     @given(
@@ -463,21 +502,27 @@ class TestSharedJacobian:
         # taken in exact rational interval arithmetic, hold those of D M_src.
         cert = henon_proof[0] if grid == 1 else henon_proof_grid2
         src, tgt = cert.hsets[link], cert.hsets[link + 1]
-        x = Fraction(src.center[0]) + sum(
-            Fraction(src.coord[0][j]) * Fraction(src.diam[j]) * z[j] for j in range(4)
-        )
-        rows = ((-2 * x, Fraction(B0), 0, 1), (1, 0, 0, 0))
-        local = cert.coverings[link].local_jacobian
-        for i, row in enumerate(rows):
-            for j in range(4):
-                exact = sum(row[k] * Fraction(src.coord[k][j]) for k in range(4))
-                lo = hi = Fraction(0)
-                for k in range(4):
-                    m = Fraction(tgt.coord[i][k])
-                    ends = (m * Fraction(local[k, j].lo), m * Fraction(local[k, j].hi))
-                    lo += min(ends)
-                    hi += max(ends)
-                assert lo <= exact <= hi, (i, j)
+        x = self._point(src, z)[0]
+        rows = {0: (-2 * x, Fraction(B0), 0, 1), 1: (1, 0, 0, 0)}
+        self._assert_rows_enclosed(src, tgt, cert.coverings[link].local_jacobian, rows)
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        link=st.integers(0, 14),
+        z=st.tuples(*[st.fractions(-1, 1, max_denominator=1 << 20)] * 4),
+    )
+    def test_jacobian_encloses_exact_slope_row(
+        self, henon_proof, henon_proof_grid2, grid, link, z
+    ):
+        # The image slope of [(w, 1)] is w' = b/w - 2x, so at a point of the
+        # source h-set, exact in rationals, the slope row of D(x, y, w, a) is
+        # (-2, 0, -b/w^2, 0); row 2 of M_tgt L holds row 2 of D M_src.
+        cert = henon_proof[0] if grid == 1 else henon_proof_grid2
+        src, tgt = cert.hsets[link], cert.hsets[link + 1]
+        w = self._point(src, z)[2]
+        rows = {2: (-2, 0, -Fraction(B0) / (w * w), 0)}
+        self._assert_rows_enclosed(src, tgt, cert.coverings[link].local_jacobian, rows)
 
 
 def _exact_samples(jac, left, right, rng, count=6):

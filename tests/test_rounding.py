@@ -139,9 +139,9 @@ class TestModeAfterAProof:
         assert _rounds_to_nearest()
 
     def test_exit_three(self, monkeypatch, tmp_path, capsys):
-        from tangency import cli
+        from tangency import toy
 
-        monkeypatch.setattr(cli, "build_toy_chain", _enclosure_error_toy_chain)
+        monkeypatch.setattr(toy, "build_toy_chain", _enclosure_error_toy_chain)
         assert main(["check-toy", "--report", str(tmp_path / "r.json")]) == 3
         capsys.readouterr()
         assert _rounds_to_nearest()
@@ -158,14 +158,14 @@ class TestModeAfterAProof:
         assert _rounds_to_nearest()
 
     def test_keyboard_interrupt_inside_check_toy(self, monkeypatch, tmp_path):
-        from tangency import cli
+        from tangency import toy
 
         def interrupted(params):
             chain = build_toy_chain(params)
             maps = (chain.maps[0], _InterruptingMap()) + chain.maps[2:]
             return dataclasses.replace(chain, maps=maps)
 
-        monkeypatch.setattr(cli, "build_toy_chain", interrupted)
+        monkeypatch.setattr(toy, "build_toy_chain", interrupted)
         with pytest.raises(KeyboardInterrupt):
             main(["check-toy", "--report", str(tmp_path / "r.json")])
         assert _rounds_to_nearest()

@@ -15,6 +15,7 @@ from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.toy import (
     ToyParams,
     build_toy_chain,
+    check_toy,
     linear_end_map,
     linear_link_indices,
     linear_start_map,
@@ -294,6 +295,22 @@ class TestSwitchBlocks:
     def test_boundary_gamma(self):
         _, q2 = switch_cone_blocks(gamma=3.0)
         assert not rump_positive_definite(q2).positive_definite
+
+    def test_failed_blocks_keep_earlier_stages(self, monkeypatch):
+        from tangency import toy
+
+        monkeypatch.setattr(toy, "switch_cone_blocks",
+                            lambda: switch_cone_blocks(gamma=3.0))
+        with pytest.raises(VerificationInconclusive) as err:
+            check_toy(ToyParams())
+        assert err.value.stage == "toy-switch"
+        certified = err.value.certified
+        assert list(certified) == ["covering", "cones_linear_links", "switch_blocks"]
+        chain = build_toy_chain()
+        assert len(certified["covering"]) == chain.n_links
+        assert len(certified["cones_linear_links"]) == len(linear_link_indices(chain))
+        assert certified["switch_blocks"]["Q1"].positive_definite
+        assert not certified["switch_blocks"]["Q2"].positive_definite
 
 
 class TestTransversalityDeterminant:

@@ -1,0 +1,127 @@
+#!/usr/bin/env python3
+"""Digests of the reports and stdout of a fixed set of CLI calls on a tree.
+
+    python tools/report_digest.py SRC [--draws N]
+
+runs ``tangency.cli.main`` in-process, with the source tree ``SRC`` (the
+directory holding the ``tangency`` package) first on ``sys.path``, for:
+
+* ``prove henon`` at grids 1, 2 and 3;
+* ``prove henon`` at ``--param-radius 1.1e-5`` and at ``5e-6``, both
+  INCONCLUSIVE;
+* ``check-toy`` at the defaults, at ``--grid 2`` and at
+  ``--lam -3 --mu -0.4``;
+* the first N draws (default 150) of the benchmark's ``toy`` workload at
+  seed 7, ``perfbench/workloads.make("toy", 7)``.
+
+Each call prints one line: its argv, its exit code, a digest of its report
+and a digest of its stdout.  The report digest drops ``timings``, writes
+every float as its hex string and keeps key order; the stdout digest drops
+the ``verdict:`` line, which carries the elapsed time.  A last line gives a
+digest of all the lines before it.  Two trees are compared by diffing two
+runs:
+
+    diff <(python tools/report_digest.py ../parent/src) \\
+         <(python tools/report_digest.py src)
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+FIXED_CALLS = (
+    ["prove", "henon", "--grid", "1"],
+    ["prove", "henon", "--grid", "2"],
+    ["prove", "henon", "--grid", "3"],
+    ["prove", "henon", "--param-radius", "1.1e-5"],
+    ["prove", "henon", "--param-radius", "5e-6"],
+    ["check-toy"],
+    ["check-toy", "--grid", "2"],
+    ["check-toy", "--lam", "-3", "--mu", "-0.4"],
+)
+
+
+def _bits(obj):
+    """obj with every float as its hex string, dict order kept."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_bits(v) for v in obj]
+    return obj
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def report_digest(text):
+    report = json.loads(text)
+    report.pop("timings", None)
+    return _digest(json.dumps(_bits(report)))
+
+
+def stdout_digest(text):
+    kept = [line for line in text.splitlines() if not line.startswith("verdict:")]
+    return _digest("\n".join(kept))
+
+
+def run(main, argv, path):
+    """(exit code, report digest, stdout digest) of one call writing its
+    report to path; "-" for a report the call did not write."""
+    if os.path.exists(path):
+        os.remove(path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main(argv + ["--report", path])
+        except SystemExit as exc:
+            code = exc.code
+    report = "-"
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            report = report_digest(fh.read())
+    return code, report, stdout_digest(out.getvalue())
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("src", help="source tree holding the tangency package")
+    parser.add_argument("--draws", type=int, default=150,
+                        help="toy workload draws to run (default 150)")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    sys.path.insert(1, str(PERFBENCH))
+    from tangency.cli import main as cli_main
+    import workloads
+
+    toy = workloads.make("toy", 7)
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        calls = [list(c) for c in FIXED_CALLS]
+        # The workload's argv ends with its own --report pair; drop it.
+        calls += [toy.argv(i, path)[:-2] for i in range(args.draws)]
+        for call in calls:
+            code, report, stdout = run(cli_main, call, path)
+            line = f"{' '.join(call)}\texit {code}\treport {report}\tstdout {stdout}"
+            lines.append(line)
+            print(line, flush=True)
+    print(f"total {_digest(chr(10).join(lines))}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
