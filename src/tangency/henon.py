@@ -345,19 +345,6 @@ class TangencyCertificate:
     hsets: tuple = ()
     forms: tuple = ()
 
-    def to_dict(self):
-        return {
-            "type": "tangency",
-            "coverings": [c.to_dict() for c in self.coverings],
-            "cones": [c.to_dict() for c in self.cones],
-            "stable_disk": self.stable_disk.to_dict(),
-            "unstable_disk": self.unstable_disk.to_dict(),
-            "hsets": [h.to_dict() for h in self.hsets],
-            "forms": [q.to_dict() for q in self.forms],
-            "conclusion": dict(self.conclusion),
-            "timings": dict(self.timings),
-        }
-
 
 @dataclass
 class HenonConfig:

@@ -9,24 +9,14 @@ bounds are construction errors: a proof pipeline must fail loudly rather than
 propagate infinities.
 
 sqrt is a directed-rounding kernel.  The maps and the projective slope
-chart are rational, so the proof calls no elementary function; sin and cos
-stay as tested interval functions with no caller in the proof.  They reduce
-the argument rigorously and evaluate a truncated Taylor polynomial by float
-Horner, with an a priori bound on its rounding, truncation and reduction
-error (Rump, "Rigorous and portable standard functions", BIT 41, 2001).
-They take one evaluation per end of the enclosure of the reduced argument
-x - k pi/2, which is a point only for k = 0: an endpoint with k != 0 takes
-two.  Interior extrema are found from integer multiples of pi/2.  pi is
-enclosed at import time from exact rational series, so no libm accuracy
-assumption enters.
+chart are rational, so the proof calls no elementary function.
 
 All values are immutable; operations are pure and thread-safe.
 
 The matrices, jets and Cholesky runs of the other modules keep their
 entries as plain ``(lo, hi)`` float pairs and call the kernels on them
 directly; :func:`as_pair`, :func:`pair_mid` and :func:`check_pairs` are the
-conversions and checks they share with this class, and :func:`pair_sin`
-and :func:`pair_cos` its elementary functions on pairs.
+conversions and checks they share with this class.
 """
 
 from __future__ import annotations
@@ -173,14 +163,6 @@ class Interval:
             raise IntervalError(f"sqrt of negative-containing interval {self!r}")
         return Interval(*_k.isqrt(self.lo, self.hi))
 
-    # -- elementary functions (defined below, after the constants) -------
-
-    def sin(self):
-        return Interval(*pair_sin(self.lo, self.hi))
-
-    def cos(self):
-        return Interval(*pair_cos(self.lo, self.hi))
-
 
 def as_interval(x):
     """x itself if it is an Interval, else an outward enclosure of the number x."""
@@ -296,7 +278,6 @@ _PI_LO_FR, _PI_HI_FR = _machin_pi_bounds()
 
 PI = _frac_interval(_PI_LO_FR, _PI_HI_FR)
 HALF_PI = _frac_interval(_PI_LO_FR / 2, _PI_HI_FR / 2)
-TWO_PI = _frac_interval(2 * _PI_LO_FR, 2 * _PI_HI_FR)
 
 
 # ---------------------------------------------------------------------------
@@ -401,15 +382,15 @@ def _cos_kernel(r):
 
 
 # ---------------------------------------------------------------------------
-# sin / cos
+# sin / cos at a point (Rump, "Rigorous and portable standard functions",
+# BIT 41, 2001); no caller in the proof.
 # ---------------------------------------------------------------------------
 
-_BIG_ARG = 2.0**40
 _HALF_PI_F = 1.5707963267948966  # fl(pi/2); picks quadrants, proves nothing
 
 
 def _sin_bounds(x, shift):
-    """(lo, hi) enclosing sin(x + shift·pi/2) at a float |x| <= _BIG_ARG.
+    """(lo, hi) enclosing sin(x + shift·pi/2) at a float x.
 
     Shift 0 gives sin x, shift 1 gives cos x.  With k = round(x/fl(pi/2)),
     r = x - k·pi/2 is enclosed in [r_lo, r_hi] from HALF_PI's endpoints with
@@ -417,9 +398,10 @@ def _sin_bounds(x, shift):
     is ±sin r or ±cos r by the quadrant (k + shift) mod 4.  On |r| <= 0.8
     sin increases with r and cos decreases with |r|, so each bound takes one
     kernel evaluation at an end of [r_lo, r_hi] (cos's upper one at 0 when
-    the enclosure straddles it), and a thin r takes one in all.  Below
-    _BIG_ARG, k·width(HALF_PI) <= 1.5e-4, so |r| <= 0.8 holds; it is
-    checked all the same.
+    the enclosure straddles it), and a thin r takes one in all.  For
+    |x| <= 2**40, k·width(HALF_PI) <= 1.5e-4, so |r| <= 0.8 holds; it is
+    checked all the same, and a larger x whose reduction fails raises
+    IntervalError.
     """
     k = round(x / _HALF_PI_F)
     if k == 0:
@@ -448,43 +430,6 @@ def _sin_bounds(x, shift):
     if q >= 2:
         lo, hi = -hi, -lo
     return max(lo, -1.0), min(hi, 1.0)
-
-
-def _sin_hull(lo, hi, shift):
-    """(lo, hi) enclosing sin(x + shift·pi/2) over the interval [lo, hi].
-
-    The hull of the endpoint enclosures, widened to ±1 wherever a critical
-    point j·pi/2 (j + shift odd) may lie in [lo, hi]: the maximum where
-    j + shift = 1 mod 4, the minimum where it is 3.  Below _BIG_ARG the
-    quotients by fl(pi/2) are within 1.5e-4 of those by pi/2, so only
-    ceil(lo/fl(pi/2)) - 1 <= j <= floor(hi/fl(pi/2)) + 1 can qualify.
-    """
-    if max(-lo, hi) > _BIG_ARG or _k.sub_up(hi, lo) >= TWO_PI.hi:
-        return -1.0, 1.0
-    out_lo, out_hi = _sin_bounds(lo, shift)
-    if lo == hi:
-        return out_lo, out_hi
-    b_lo, b_hi = _sin_bounds(hi, shift)
-    out_lo, out_hi = min(out_lo, b_lo), max(out_hi, b_hi)
-    for j in range(math.ceil(lo / _HALF_PI_F) - 1, math.floor(hi / _HALF_PI_F) + 2):
-        if (j + shift) % 2:
-            c_lo, c_hi = _k.imul(float(j), float(j), HALF_PI.lo, HALF_PI.hi)
-            if c_lo <= hi and lo <= c_hi:
-                if (j + shift) % 4 == 1:
-                    out_hi = 1.0
-                else:
-                    out_lo = -1.0
-    return out_lo, out_hi
-
-
-def pair_sin(lo, hi):
-    """(lo, hi) enclosing sin over [lo, hi]: Interval.sin on a pair."""
-    return _sin_hull(lo, hi, 0)
-
-
-def pair_cos(lo, hi):
-    """(lo, hi) enclosing cos over [lo, hi]: Interval.cos on a pair."""
-    return _sin_hull(lo, hi, 1)
 
 
 def ulp(x):

@@ -12,7 +12,7 @@ import pytest
 from conftest import PointShiftedMap
 from tangency import report as report_mod
 from tangency.cli import main
-from tangency.toy import build_toy_chain
+from tangency.toy import ToyParams, build_toy_chain
 
 
 def _walk_floats(obj, path=""):
@@ -259,7 +259,7 @@ class TestCheckToyInconclusive:
 
     def test_failed_middle_covering_keeps_earlier_links(self, monkeypatch, tmp_path):
         from tangency import toy
-        from tangency.toy import ToyParams, linear_start_map
+        from tangency.toy import linear_start_map
 
         def broken(params):
             chain = build_toy_chain(params)
@@ -303,6 +303,25 @@ class TestCheckToyInconclusive:
             "N0=>N1", "N1=>N2"
         ]
         assert "switch_blocks" not in report["stages"]
+
+    def test_valid_arguments_end_inconclusive_at_covering(self, tmp_path, capsys):
+        # No monkeypatch: at mu = 0.99 the chain's end length stops at its
+        # cap, and the last link M1=>M0 fails its entry check.
+        out = tmp_path / "toy.json"
+        assert main(["check-toy", "--mu", "0.99", "--report", str(out)]) == 1
+        detail = "entry failed on stable axis 1 box 0 (margin -0.5154104896390659)"
+        assert capsys.readouterr().out.splitlines() == [
+            "INCONCLUSIVE at covering: M1=>M0", f"  {detail}"
+        ]
+        report = report_mod.loads(out.read_text())
+        assert report["failure"] == {"stage": "covering", "locus": "M1=>M0", "detail": detail}
+        names = [s.name for s in build_toy_chain(ToyParams(mu=0.99)).sets]
+        links = report["stages"]["covering"]
+        assert len(links) == 204
+        assert [(c["source"], c["target"]) for c in links] == list(zip(names, names[1:-1]))
+        assert (names[-2], names[-1]) == ("M1", "M0")
+        for c in links:
+            assert min(c["exit_margins"].values()) > 0.0 and c["entry_margin"] > 0.0
 
     def test_inconclusive_prints_failure_detail(self, monkeypatch, tmp_path, capsys):
         from tangency import toy
@@ -400,19 +419,19 @@ class TestReportFormat:
 
 
 def test_proof_paths_evaluate_no_elementary_function(monkeypatch, tmp_path):
-    """The maps and the slope chart are rational: with every sin and cos
-    entry point of the interval layer made to raise, the reference proof and
-    the toy suite still verify."""
+    """The maps and the slope chart are rational: with the interval layer's
+    point sin/cos routine and its kernels made to raise, the reference proof
+    and the toy suite still verify."""
     from tangency import interval
     from tangency.henon import run_proof
 
     def forbidden(*args):
         raise AssertionError("the proof path evaluated an elementary function")
 
-    for name in ("_sin_hull", "_sin_kernel", "_cos_kernel", "pair_sin", "pair_cos"):
+    for name in ("_sin_bounds", "_sin_kernel", "_cos_kernel"):
         monkeypatch.setattr(interval, name, forbidden)
     with pytest.raises(AssertionError):
-        interval.Interval(1.0).sin()
+        interval._sin_bounds(1.0, 0)
     cert = run_proof()  # raises unless the verdict is VERIFIED
     assert len(cert.coverings) == len(cert.cones) == 15
     assert main(["check-toy", "--report", str(tmp_path / "toy.json")]) == 0

@@ -42,6 +42,22 @@ from tangency.manifold import DiskMap
 from tangency.projective import ChartMap
 
 
+def _serialized(cert):
+    """Everything a certificate certifies, margins included, as plain data:
+    the stage certificates', h-sets' and forms' own to_dict() and the
+    conclusion, without the timings.  Dataclass equality would skip the
+    margins (compare=False)."""
+    return {
+        "coverings": [c.to_dict() for c in cert.coverings],
+        "cones": [c.to_dict() for c in cert.cones],
+        "stable_disk": cert.stable_disk.to_dict(),
+        "unstable_disk": cert.unstable_disk.to_dict(),
+        "hsets": [h.to_dict() for h in cert.hsets],
+        "forms": [q.to_dict() for q in cert.forms],
+        "conclusion": cert.conclusion,
+    }
+
+
 def _step_images(chain):
     """Rigorous one-step chart images of the orbit centers c_1..c_14, the
     enclosures build_chain checks."""
@@ -364,10 +380,7 @@ class TestPerturbations:
     def test_determinism_of_full_run(self, henon_proof):
         cert1, _ = henon_proof
         cert2 = run_proof()
-        d1, d2 = cert1.to_dict(), cert2.to_dict()
-        d1.pop("timings")
-        d2.pop("timings")
-        assert d1 == d2
+        assert _serialized(cert1) == _serialized(cert2)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -464,23 +477,25 @@ class TestSharedJacobian:
     @staticmethod
     def _point(src, z):
         """The point of the source h-set at normalized coordinates z, exact."""
+        n = len(src.center)
         return [
             Fraction(src.center[i]) + sum(
-                Fraction(src.coord[i][j]) * Fraction(src.diam[j]) * z[j] for j in range(4)
+                Fraction(src.coord[i][j]) * Fraction(src.diam[j]) * z[j] for j in range(n)
             )
-            for i in range(4)
+            for i in range(n)
         ]
 
     @staticmethod
-    def _assert_rows_enclosed(src, tgt, local, rows):
-        """Each exact row i of D M_src lies in row i of M_tgt L, taken in
-        exact rational interval arithmetic (rows maps i to row i of D)."""
+    def _assert_rows_enclosed(right, left, local, rows):
+        """Each exact row i of D·right lies in row i of left·L, taken in
+        exact rational interval arithmetic (rows maps i to row i of D; right
+        is the 4x4 source frame, left the target frame)."""
         for i, row in rows.items():
             for j in range(4):
-                exact = sum(row[k] * Fraction(src.coord[k][j]) for k in range(4))
+                exact = sum(row[k] * Fraction(right[k][j]) for k in range(4))
                 lo = hi = Fraction(0)
-                for k in range(4):
-                    m = Fraction(tgt.coord[i][k])
+                for k in range(len(left)):
+                    m = Fraction(left[i][k])
                     ends = (m * Fraction(local[k, j].lo), m * Fraction(local[k, j].hi))
                     lo += min(ends)
                     hi += max(ends)
@@ -504,7 +519,8 @@ class TestSharedJacobian:
         src, tgt = cert.hsets[link], cert.hsets[link + 1]
         x = self._point(src, z)[0]
         rows = {0: (-2 * x, Fraction(B0), 0, 1), 1: (1, 0, 0, 0)}
-        self._assert_rows_enclosed(src, tgt, cert.coverings[link].local_jacobian, rows)
+        self._assert_rows_enclosed(src.coord, tgt.coord, cert.coverings[link].local_jacobian,
+                                   rows)
 
     @pytest.mark.parametrize("grid", [1, 2])
     @settings(max_examples=60, deadline=None)
@@ -522,7 +538,36 @@ class TestSharedJacobian:
         src, tgt = cert.hsets[link], cert.hsets[link + 1]
         w = self._point(src, z)[2]
         rows = {2: (-2, 0, -Fraction(B0) / (w * w), 0)}
-        self._assert_rows_enclosed(src, tgt, cert.coverings[link].local_jacobian, rows)
+        self._assert_rows_enclosed(src.coord, tgt.coord, cert.coverings[link].local_jacobian,
+                                   rows)
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    @pytest.mark.parametrize("side", ["stable", "unstable"])
+    @settings(max_examples=60, deadline=None)
+    @given(z=st.tuples(*[st.fractions(-1, 1, max_denominator=1 << 20)] * 3))
+    def test_disk_jacobian_encloses_exact_rows(
+        self, henon_proof, henon_proof_grid2, henon_chain, grid, side, z
+    ):
+        # A disk's self-covering maps the projected set N~ to itself with the
+        # parameter as a fourth input, so L encloses M~^-1 D (M~ + 1), and
+        # M~ L holds D (M~ + 1) on all three rows, its last column being
+        # D's parameter column.  D does not depend on a.  The stable disk
+        # runs the forward map, the unstable one the inverse
+        # (x, y) -> (y, (x - a + y^2)/b), whose slope image is
+        # w' = b/(w + 2y).
+        cert = henon_proof[0] if grid == 1 else henon_proof_grid2
+        disk = getattr(cert, f"{side}_disk")
+        ntilde = projected_disk_data(henon_chain, side)[0]
+        x, y, w = self._point(ntilde, z)
+        b = Fraction(B0)
+        if side == "stable":
+            rows = {0: (-2 * x, b, 0, 1), 1: (1, 0, 0, 0), 2: (-2, 0, -b / (w * w), 0)}
+        else:
+            s = w + 2 * y
+            rows = {0: (0, 1, 0, 0), 1: (1 / b, 2 * y / b, 0, -1 / b),
+                    2: (0, -2 * b / (s * s), -b / (s * s), 0)}
+        right = [[*row, 0] for row in ntilde.coord] + [[0, 0, 0, 1]]
+        self._assert_rows_enclosed(right, ntilde.coord, disk.covering.local_jacobian, rows)
 
 
 def _exact_samples(jac, left, right, rng, count=6):
@@ -673,10 +718,7 @@ class TestCorrespondenceOverride:
             for idx, cov in enumerate(cert.coverings)
         }
         explicit = run_proof(HenonConfig(correspondences=pairings))
-        d1, d2 = cert.to_dict(), explicit.to_dict()
-        d1.pop("timings")
-        d2.pop("timings")
-        assert d1 == d2
+        assert _serialized(cert) == _serialized(explicit)
 
     def test_flipped_signs_inconclusive_at_their_link(self, henon_proof):
         cert, _ = henon_proof

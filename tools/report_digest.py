@@ -11,6 +11,8 @@ directory holding the ``tangency`` package) first on ``sys.path``, for:
   INCONCLUSIVE;
 * ``check-toy`` at the defaults, at ``--grid 2`` and at
   ``--lam -3 --mu -0.4``;
+* ``check-toy --mu 0.99``, INCONCLUSIVE at ``covering``, link ``M1=>M0``
+  (the chain's end length stops at its cap);
 * the first N draws (default 150) of the benchmark's ``toy`` workload at
   seed 7, ``perfbench/workloads.make("toy", 7)``.
 
@@ -48,6 +50,7 @@ FIXED_CALLS = (
     ["check-toy"],
     ["check-toy", "--grid", "2"],
     ["check-toy", "--lam", "-3", "--mu", "-0.4"],
+    ["check-toy", "--mu", "0.99"],
 )
 
 
