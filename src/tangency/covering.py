@@ -24,20 +24,24 @@ IntervalVector boxes and increasing output indices ``outputs``:
   evaluation.
 
 A map returns exactly the entries and rows asked for; ``outputs=None``
-means every output (projective.ChartMap is such a map).  The pairing of the
-unstable axes is a search: it is read off the thin midpoint images of the
-wall sub-boxes on the unstable target coordinates, and certifies nothing.
-The exit condition of a wall reads only the target coordinate it is paired
-with, so each wall sub-box is enclosed on that row of the target frame only,
-and F on the outputs that row reads (see _image_normalized); every bit it
-reads is the one the full image would give.  Whatever else a map checks on
-its image (the chart map: that the image direction stays in the slope
-chart) is still checked on the interior sub-boxes, which cover the walls
-and read every output.
+means every output (projective.ChartMap is such a map).  Every sub-box is
+evaluated once, by _image_normalized on the target rows it is read on: its
+thin midpoint image and its enclosure, both on those rows only.  The
+interior sub-boxes are read on every row and evaluated first.  The pairing
+of the unstable axes, unless given, is then read off the hull of their
+local-frame Jacobians (detect_correspondence): a search on certified data
+that maps nothing and certifies nothing.  The exit condition of a wall reads
+only the target coordinate it is paired with, so each wall sub-box is
+enclosed on that row of the target frame only, and F on the outputs that
+row reads; every bit it reads is the one the full image would give.
+Whatever else a map checks on its image (the chart map: that the image
+direction stays in the slope chart) is still checked on the interior
+sub-boxes, which cover the walls and read every output.
 
 check_covering gathers the sub-boxes and the frame changes onto each set of
 target rows (hset.RowsRead, fetched once per link and row set), evaluates
-every sub-box (_thin_image, then _image_normalized), then checks.
+the interior sub-boxes, pairs the axes, evaluates the wall sub-boxes, then
+checks.
 """
 
 from __future__ import annotations
@@ -106,26 +110,7 @@ class CoveringCertificate:
         }
 
 
-def _thin_image(src, tgt, fmap, zbox, read):
-    """The image g(mid z) of the midpoint of a normalized sub-box on the
-    target rows of read (a tgt.rows_read), as a dict axis -> (lo, hi):
-    fmap.apply on the thin midpoint, on the outputs read.cols only.  zbox is
-    a hset.SubBox, whose ``mid`` is that midpoint.  A map that returns other
-    than len(read.cols) entries breaks the map protocol (module docstring):
-    TypeError, a bug and never a verdict."""
-    cols = read.cols
-    value = fmap.apply(
-        IntervalVector.from_pairs(src.from_normalized_pairs(zbox.mid)), cols
-    )
-    if value.dim != len(cols):
-        raise TypeError(
-            f"{src.name}=>{tgt.name}: asked for the outputs {cols}, the map "
-            f"returned {value.dim} image entries"
-        )
-    return dict(zip(read.rows, read.normalized(value)))
-
-
-def _image_normalized(src, tgt, fmap, zbox, read, thin):
+def _image_normalized(src, tgt, fmap, zbox, read):
     """Normalized-coordinate image enclosure of a normalized sub-box on the
     rows of read (a tgt.rows_read), as a dict axis -> (lo, hi), and those
     rows of the local-frame derivative (hset.local_derivative) over it, as a
@@ -147,29 +132,32 @@ def _image_normalized(src, tgt, fmap, zbox, read, thin):
     reads only row j of M_tgt^-1, so the rows left out are never computed,
     and the rows computed are the same bits as in the full image.
 
-    zbox is a hset.SubBox: z - mid z enters through its ``delta_terms``.
-    thin is g(mid z), the _thin_image of zbox, a dict holding at least the
-    axes read.rows.  Those rows of M_tgt^-1 read only the ambient
-    coordinates read.cols; every other column of them is an exact zero,
-    whose term the products skip.  So fmap is evaluated on the outputs
-    read.cols only, and the rows computed keep every bit.  For the chart map
-    this drops the image direction's slope on walls whose paired target row
-    does not read it, and with it the check that the image direction stays
-    in the chart.  That check is not lost: the interior sub-boxes cover the
-    whole source set, walls included, and read every output.  A map that
-    returns other than len(read.cols) enclosure entries or Jacobian rows
-    breaks the map protocol (module docstring): TypeError, a bug and never a
-    verdict.
+    zbox is a hset.SubBox: g(mid z) is fmap.apply on its thin ``mid``, and
+    z - mid z enters through its ``delta_terms``.  Those rows of M_tgt^-1
+    read only the ambient coordinates read.cols; every other column of them
+    is an exact zero, whose term the products skip.  So fmap is evaluated,
+    thin and enclosure alike, on the outputs read.cols only, and the rows
+    computed keep every bit.  For the chart map this drops the image
+    direction's slope on walls whose paired target row does not read it,
+    and with it the check that the image direction stays in the chart.
+    That check is not lost: the interior sub-boxes cover the whole source
+    set, walls included, and read every output.  A map that returns other
+    than len(read.cols) image entries or Jacobian rows breaks the map
+    protocol (module docstring): TypeError, a bug and never a verdict.
     """
     imul, idiv, iadd = _k.imul, _k.idiv, _k.iadd
     cols = read.cols
+    value = fmap.apply(
+        IntervalVector.from_pairs(src.from_normalized_pairs(zbox.mid)), cols
+    )
     image, jacobian = fmap.derivative(src.from_normalized(zbox), cols)
-    if not image.dim == jacobian.nrows == len(cols):
+    if not value.dim == image.dim == jacobian.nrows == len(cols):
         raise TypeError(
             f"{src.name}=>{tgt.name}: asked for the outputs {cols}, the map "
-            f"returned {image.dim} enclosure entries and {jacobian.nrows} "
-            f"Jacobian rows"
+            f"returned {value.dim} thin image entries, {image.dim} enclosure "
+            f"entries and {jacobian.nrows} Jacobian rows"
         )
+    thin = read.normalized(value)
     local = read.local_derivative(src, jacobian)
     scaled = [
         check_pairs([idiv(*imul(*e, d_src, d_src), d_tgt, d_tgt)
@@ -180,8 +168,8 @@ def _image_normalized(src, tgt, fmap, zbox, read, thin):
     # as the left factors of their products (imul is commutative bit for
     # bit).
     mean_value = check_pairs(
-        [iadd(*thin[j], *dot(zbox.delta_terms, row))
-         for j, row in zip(read.rows, scaled)]
+        [iadd(*mid, *dot(zbox.delta_terms, row))
+         for mid, row in zip(thin, scaled)]
     )
     hull = read.normalized(image)
     out = {}
@@ -198,37 +186,33 @@ def _image_normalized(src, tgt, fmap, zbox, read, thin):
     return out, local
 
 
-def detect_correspondence(src, tgt, wall_images):
-    """Deterministic unstable-axis pairing read off the wall sub-boxes'
-    thin midpoint images.
+def detect_correspondence(src, tgt, local):
+    """Deterministic unstable-axis pairing read off local, the hull of the
+    local-frame derivative (hset.local_derivative) over the source set, as
+    rows of (lo, hi) pairs, one per target axis: the certificate's
+    local_jacobian.
 
-    wall_images maps (axis, side) to the normalized images of that wall's
-    sub-boxes, each a dict from every unstable target axis to its (lo, hi)
-    bounds.  For each unstable axis of the source, the target unstable
-    coordinate that the midpoints of the hulls of its two opposite walls'
-    images separate across picks the pairing, scored by separation width.
-    No map is called; the margin check afterwards, on certified images, is
-    what actually decides.
+    The score of source axis i and target axis j is s_ij, the midpoint of
+    local[j][i] times src.diam[i] / tgt.diam[j]: the slope of the normalized
+    target coordinate j along the normalized source coordinate i.  The first
+    pairing of the unstable axes with the largest sum of |s_ij| wins, each
+    pair signed as its s_ij.  No map is called; the margin check afterwards,
+    on certified images, is what actually decides.
     """
     u_src = src.unstable
     u_tgt = tgt.unstable
     if len(u_src) != len(u_tgt):
         raise IntervalError("unstable dimension mismatch")
-    mids = {
-        key: {
-            j: pair_mid(min(img[j][0] for img in images),
-                        max(img[j][1] for img in images))
-            for j in u_tgt
-        }
-        for key, images in wall_images.items()
+    slope = {
+        (i, j): pair_mid(*local[j][i]) * src.diam[i] / tgt.diam[j]
+        for i in u_src
+        for j in u_tgt
     }
-    seps = {(i, j): mids[(i, 1)][j] - mids[(i, -1)][j] for i in u_src for j in u_tgt}
-    # The first pairing of largest total separation wins.
     best = max(
         permutations(u_tgt),
-        key=lambda perm: sum(abs(seps[(i, j)]) for i, j in zip(u_src, perm)),
+        key=lambda perm: sum(abs(slope[(i, j)]) for i, j in zip(u_src, perm)),
     )
-    return tuple((i, j, 1 if seps[(i, j)] >= 0.0 else -1) for i, j in zip(u_src, best))
+    return tuple((i, j, 1 if slope[(i, j)] >= 0.0 else -1) for i, j in zip(u_src, best))
 
 
 def checked_correspondence(src_unstable, tgt_unstable, correspondence):
@@ -260,27 +244,24 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     subdivides wall faces and the entry check per axis.  Gather: the wall
     and interior sub-boxes and, fetched once for the link, a hset.RowsRead
     per set of target rows they are read on.  Evaluate: each sub-box gets
-    one thin midpoint image, then one enclosure from it.  The wall
-    midpoints are mapped on the unstable target rows, and the pairing,
-    unless given, is read off those point images (a given pairing maps them
-    on the paired row only); each wall sub-box is enclosed on its paired
-    row, the one its exit margin reads, each interior sub-box on every row,
-    which the entry check, the cones and the disks read.  Check: the exit
-    and entry margins, and the certificate's local_jacobian, the hull of
-    the local-frame derivatives over the interior sub-boxes, hence over the
-    whole source set.  A sub-box that cannot be evaluated makes the link
-    inconclusive before any margin is read.  A given pairing must pair
+    one _image_normalized, a thin midpoint image and an enclosure on its
+    rows.  The interior sub-boxes go first, on every row, which the entry
+    check, the cones and the disks read; the hull of their local-frame
+    derivatives, hence over the whole source set, is the certificate's
+    local_jacobian, and the pairing, unless given, is read off it.  Each
+    wall sub-box is then evaluated on its paired row, the one its exit
+    margin reads.  Check: the exit and entry margins.  A sub-box that cannot
+    be evaluated makes the link inconclusive before any margin is read, an
+    interior one before any wall is mapped.  A given pairing must pair
     exactly the unstable axes of src and tgt (see checked_correspondence).
     """
     link = f"{src.name}=>{tgt.name}"
     if len(src.unstable) != len(tgt.unstable):
         raise IntervalError(f"{link}: unstable dimension mismatch")
-    paired = None
     if correspondence is not None:
         correspondence = checked_correspondence(
             src.unstable, tgt.unstable, correspondence
         )
-        paired = {i: j for i, j, _ in correspondence}
 
     def inconclusive(detail):
         return VerificationInconclusive("covering", link, detail)
@@ -289,9 +270,9 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
         where = "interior" if wall is None else f"wall z_{wall[0]}={wall[1]:+d}"
         return f"{where} box {box_idx}"
 
-    def located(evaluate, wall, box_idx, *args):
+    def located(wall, box_idx, zbox, read):
         try:
-            return evaluate(src, tgt, fmap, *args)
+            return _image_normalized(src, tgt, fmap, zbox, read)
         except IntervalError as exc:
             raise inconclusive(f"{locus(wall, box_idx)}: {exc}")
 
@@ -301,33 +282,27 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
     }
     row_reads = {j: tgt.rows_read((j,)) for j in tgt.unstable}
     every_row = tgt.rows_read(range(tgt.n))
-    if paired is None:
-        thin_reads = dict.fromkeys(src.unstable, tgt.rows_read(tgt.unstable))
-    else:
-        thin_reads = {i: row_reads[j] for i, j in paired.items()}
 
     # Evaluate.
-    thin_images = {
-        wall: [located(_thin_image, wall, box_idx, zbox, thin_reads[wall[0]])
-               for box_idx, zbox in enumerate(boxes)]
-        for wall, boxes in walls.items()
-    }
-    if paired is None:
-        correspondence = detect_correspondence(src, tgt, thin_images)
-        paired = {i: j for i, j, _ in correspondence}
+    interior_images = [
+        located(None, box_idx, zbox, every_row)
+        for box_idx, zbox in enumerate(src.subboxes(grid))
+    ]
+    local_hull = [
+        [(min(lo for lo, _ in entries), max(hi for _, hi in entries))
+         for entries in zip(*rows)]
+        for rows in zip(*(local for _, local in interior_images))
+    ]
+    if correspondence is None:
+        correspondence = detect_correspondence(src, tgt, local_hull)
+    paired = {i: j for i, j, _ in correspondence}
     wall_images = {
         wall: [
-            located(_image_normalized, wall, box_idx, zbox,
-                    row_reads[paired[wall[0]]], thin)[0][paired[wall[0]]]
-            for box_idx, (zbox, thin) in enumerate(zip(boxes, thin_images[wall]))
+            located(wall, box_idx, zbox, row_reads[paired[wall[0]]])[0][paired[wall[0]]]
+            for box_idx, zbox in enumerate(boxes)
         ]
         for wall, boxes in walls.items()
     }
-    interior_images = [
-        located(_image_normalized, None, box_idx, zbox, every_row,
-                located(_thin_image, None, box_idx, zbox, every_row))
-        for box_idx, zbox in enumerate(src.subboxes(grid))
-    ]
 
     # Check.
     exit_margins = {}
@@ -345,12 +320,7 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
             exit_margins[(i, side)] = worst
 
     entry_margin = None
-    local_hull = None
-    for box_idx, (img, local) in enumerate(interior_images):
-        local_hull = local if local_hull is None else [
-            [(min(al, bl), max(ah, bh)) for (al, ah), (bl, bh) in zip(ra, rb)]
-            for ra, rb in zip(local_hull, local)
-        ]
+    for box_idx, (img, _) in enumerate(interior_images):
         for j in tgt.stable:
             lo, hi = img[j]
             margin = min(_k.sub_down(1.0, hi), _k.add_down(lo, 1.0))

@@ -164,7 +164,7 @@ def encloses_bounds(interval, bounds):
 
 def covering_boxes(src, grid):
     """The normalized sub-boxes check_covering evaluates: every wall sub-box
-    of every unstable axis, then the interior sub-boxes."""
+    of every unstable axis and the interior sub-boxes."""
     walls = [
         w for i in src.unstable for side in (1, -1) for w in src.walls(i, side, grid)
     ]

@@ -1,6 +1,7 @@
 """Covering-relation checker: analytic oracles, soundness, monotonicity."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -15,14 +16,13 @@ from tangency.covering import (
     EnclosureError,
     VerificationInconclusive,
     _image_normalized,
-    _thin_image,
     check_chain,
     check_covering,
     detect_correspondence,
 )
 from tangency.henon import henon_family, projected_disk_data
 from tangency.hset import HSet, local_derivative
-from tangency.interval import Interval, IntervalError
+from tangency.interval import Interval, IntervalError, pair_mid
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.manifold import DiskMap
 from tangency.projective import ChartError, ChartMap, PlanarMapFamily
@@ -33,11 +33,40 @@ EYE4 = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]]
 
 
 def _enclose(src, tgt, fmap, zbox, rows):
-    """The covering's evaluation of one sub-box on the target rows rows:
-    its thin image, then its enclosure from that thin image."""
-    read = tgt.rows_read(rows)
-    thin = _thin_image(src, tgt, fmap, zbox, read)
-    return _image_normalized(src, tgt, fmap, zbox, read, thin)
+    """The covering's evaluation of one sub-box on the target rows rows."""
+    return _image_normalized(src, tgt, fmap, zbox, tgt.rows_read(rows))
+
+
+def _wall_midpoint_pairing(src, tgt, fmap, grid):
+    """The unstable-axis pairing read off the wall sub-boxes: the thin
+    midpoint image of each on the unstable target rows; for each source
+    axis i and target axis j, the separation across j of the midpoints of
+    the hulls of the images of the walls z_i = +1 and z_i = -1; the first
+    pairing of largest total |separation|, each pair signed as its
+    separation."""
+    read = tgt.rows_read(tgt.unstable)
+
+    def thin(zbox):
+        point = IntervalVector.from_pairs(src.from_normalized_pairs(zbox.mid))
+        return dict(zip(read.rows, read.normalized(fmap.apply(point, read.cols))))
+
+    mids = {}
+    for i in src.unstable:
+        for side in (1, -1):
+            images = [thin(w) for w in src.walls(i, side, grid)]
+            mids[(i, side)] = {
+                j: pair_mid(min(img[j][0] for img in images),
+                            max(img[j][1] for img in images))
+                for j in tgt.unstable
+            }
+    seps = {(i, j): mids[(i, 1)][j] - mids[(i, -1)][j]
+            for i in src.unstable for j in tgt.unstable}
+    best = max(
+        permutations(tgt.unstable),
+        key=lambda perm: sum(abs(seps[(i, j)]) for i, j in zip(src.unstable, perm)),
+    )
+    return tuple((i, j, 1 if seps[(i, j)] >= 0.0 else -1)
+                 for i, j in zip(src.unstable, best))
 
 
 def _linear_inequality_oracle(params, src, tgt):
@@ -146,6 +175,32 @@ class TestFailureModes:
             check_chain(sets, list(chain.maps), grid=1)
         assert "N2=>shrunk" in err.value.locus
 
+    def test_interior_failure_is_reported_before_any_wall(self):
+        # The interior sub-boxes are evaluated before the walls: a map whose
+        # derivative fails on every box reaching the face z_0 = +1 (the
+        # interior box and that wall's box, at grid 1) ends the link at
+        # the interior box, with no wall sub-box mapped.
+        chain = build_toy_chain(ToyParams())
+        src, tgt, fmap = chain.sets[0], chain.sets[1], chain.maps[0]
+
+        class FailsOnFace:
+            def apply(self, box, outputs=None):
+                return fmap.apply(box, outputs)
+
+            def derivative(self, box, outputs=None):
+                if src.to_normalized(box)[0].hi >= 1.0:
+                    raise IntervalError("no derivative on the face z_0 = +1")
+                return fmap.derivative(box, outputs)
+
+        counted = CountingMap(FailsOnFace())
+        with pytest.raises(VerificationInconclusive) as err:
+            check_covering(src, tgt, counted, grid=1)
+        assert err.value.locus == f"{src.name}=>{tgt.name}"
+        assert err.value.detail.startswith("interior box 0: ")
+        assert "z_0 = +1" in err.value.detail
+        assert counted.calls == {"apply": 1, "derivative": 1}
+        assert counted.outputs["derivative"] == [tuple(range(tgt.n))]
+
 
 class _AffineMap:
     """p -> A p + b on 2-D boxes, A an interval matrix, as a map of the
@@ -187,7 +242,7 @@ class TestOverflowInTheFrameChange:
         "case",
         [
             # The image, 1e308 away from the target center, overflows in
-            # p - c on the thin midpoint image of the first wall.
+            # p - c on the thin midpoint image of the interior box.
             ("far-image", EYE2, [[2.0, 0.0], [0.0, 0.5]], (HUGE, 0.0), (-HUGE, 0.0)),
             # A Jacobian column of [-1.5e308, 1.5e308] times the source
             # diameter 0.25 is finite; over the target diameter 0.125 it
@@ -324,34 +379,23 @@ class TestDeterminism:
     def test_detection_recorded_in_certificate(
         self, henon_chain, henon_proof, henon_proof_grid2
     ):
-        # The pairing is read off the wall sub-boxes' thin midpoint images.
-        # It equals the one read off their certified images on the unstable
-        # target rows, on every Henon link at grid 1 and grid 2, on both
-        # disk self-coverings and on the toy chains of 30 seeded draws.
-        def detected_from_enclosures(src, tgt, fmap, grid):
-            wall_images = {
-                (i, side): [
-                    _enclose(src, tgt, fmap, w, tgt.unstable)[0]
-                    for w in src.walls(i, side, grid)
-                ]
-                for i in src.unstable
-                for side in (1, -1)
-            }
-            return detect_correspondence(src, tgt, wall_images)
-
+        # The pairing is read off the local Jacobian hull.  It equals the one
+        # read off the wall sub-boxes' thin midpoint images, on every Henon
+        # link at grid 1 and grid 2, on both disk self-coverings and on the
+        # toy chains of 30 seeded draws.
         chart = ChartMap(henon_family())
         sets = henon_chain.sets
         for cert in (henon_proof[0], henon_proof_grid2):
             grid = cert.coverings[0].grid
             for src, tgt, cov in zip(sets, sets[1:], cert.coverings):
-                assert cov.correspondence == detected_from_enclosures(
+                assert cov.correspondence == _wall_midpoint_pairing(
                     src, tgt, chart, grid
                 ), (cov.source, grid)
             for side, direction in (("stable", "forward"), ("unstable", "inverse")):
                 ntilde, _, param, _ = projected_disk_data(henon_chain, side)
                 disk_map = DiskMap(ChartMap(henon_family(), direction), param)
                 disk = getattr(cert, f"{side}_disk").covering
-                assert disk.correspondence == detected_from_enclosures(
+                assert disk.correspondence == _wall_midpoint_pairing(
                     ntilde, ntilde, disk_map, grid
                 ), (side, grid)
 
@@ -366,27 +410,30 @@ class TestDeterminism:
             chain = build_toy_chain(params)
             for src, tgt, fmap in zip(chain.sets, chain.sets[1:], chain.maps):
                 cert = check_covering(src, tgt, fmap, grid=1)
-                assert cert.correspondence == detected_from_enclosures(
+                assert cert.correspondence == _wall_midpoint_pairing(
                     src, tgt, fmap, 1
                 ), (params, cert.source)
 
-    def test_detection_reads_the_wall_image_hulls(self):
-        # Wall z_0 = +-1 separates across target axis 3, reversed, and wall
-        # z_3 = +-1 across target axis 0.  On wall z_0 = +1 the midpoint of
-        # the hull of the sub-box images lies below the opposite wall's; the
-        # first or the last image alone would lie above it.
-        h = HSet("U", (0, 0, 0, 0), EYE4, (1, 1, 1, 1), (0, 3))
-
-        def img(x, a):
-            return {0: (x, x), 3: (a, a)}
-
-        wall_images = {
-            (0, 1): [img(0.0, 0.5), img(0.0, -3.0), img(0.0, 0.5)],
-            (0, -1): [img(0.0, 0.0)],
-            (3, 1): [img(2.0, 0.1)],
-            (3, -1): [img(-2.0, -0.1)],
-        }
-        assert detect_correspondence(h, h, wall_images) == ((0, 3, -1), (3, 0, 1))
+    def test_detection_reads_the_normalized_jacobian(self):
+        # Unstable axes (0, 3).  The raw entries pair source axis 0 with
+        # target axis 3 and 3 with 0 (10 + 10 against 1 + 1).  Scaled by the
+        # diameters, d_src[i] / d_tgt[j], the normalized slopes pair 0 with
+        # 0 (100) and 3 with 3 (0.01) against 10 + 10.  A negative entry
+        # signs its pair -1.
+        unit = HSet("U", (0, 0, 0, 0), EYE4, (1.0, 1.0, 1.0, 1.0), (0, 3))
+        src = HSet("S", (0, 0, 0, 0), EYE4, (100.0, 1.0, 1.0, 1.0), (0, 3))
+        tgt = HSet("T", (0, 0, 0, 0), EYE4, (1.0, 1.0, 1.0, 100.0), (0, 3))
+        one, ten, zero = (0.5, 1.5), (9.0, 11.0), (0.0, 0.0)
+        local = [
+            [one, zero, zero, ten],
+            [zero, zero, zero, zero],
+            [zero, zero, zero, zero],
+            [ten, zero, zero, one],
+        ]
+        assert detect_correspondence(unit, unit, local) == ((0, 3, 1), (3, 0, 1))
+        assert detect_correspondence(src, tgt, local) == ((0, 0, 1), (3, 3, 1))
+        local[3][3] = (-1.5, -0.5)
+        assert detect_correspondence(src, tgt, local) == ((0, 0, 1), (3, 3, -1))
 
     @pytest.mark.parametrize("grid", [1, 2])
     def test_each_box_evaluated_once(self, grid):
@@ -433,10 +480,10 @@ class TestWallRows:
     @pytest.mark.parametrize("grid", [1, 2])
     @pytest.mark.parametrize("given", [False, True], ids=["detected", "given"])
     def test_walls_read_their_paired_row_only(self, henon_chain, grid, given):
-        # Each wall sub-box's enclosure pass asks the map for the columns
-        # its paired target row reads, and its thin midpoint image for those
-        # of every unstable target row, or, with the pairing given, for the
-        # paired row's too.  Interior sub-boxes ask for every output.
+        # The interior sub-boxes are evaluated first, asking for every
+        # output.  Then each wall sub-box asks the map, for its thin image
+        # and its enclosure pass alike, for the columns its paired target
+        # row reads, whether the pairing is detected or given.
         chart = ChartMap(henon_family())
         toy = build_toy_chain(ToyParams())
         links = [(s, t, chart) for s, t in zip(henon_chain.sets, henon_chain.sets[1:])]
@@ -452,10 +499,9 @@ class TestWallRows:
                 for side in (1, -1)
                 for _ in src.walls(i, side, grid)
             ]
-            thin = walls if given else [tgt.rows_read(tgt.unstable).cols] * len(walls)
             interior = [tuple(range(tgt.n))] * len(src.subboxes(grid))
-            assert spy.outputs["derivative"] == walls + interior, src.name
-            assert spy.outputs["apply"] == thin + interior, src.name
+            assert spy.outputs["derivative"] == interior + walls, src.name
+            assert spy.outputs["apply"] == interior + walls, src.name
 
     def test_restricted_map_returns_only_the_outputs_asked_for(self, henon_chain):
         # Every map of the protocol, evaluated on some outputs, gives exactly
@@ -518,8 +564,8 @@ class TestFrameChangesFetchedOnce:
     def test_rows_read_once_per_link_and_row_set(self, monkeypatch, henon_chain):
         # check_covering fetches the frame change onto each set of target
         # rows once per link, not per sub-box: as many HSet.rows_read calls
-        # at grid 2 as at grid 1, and no more than one for the pairing
-        # search, one per unstable target row and one for every row.
+        # at grid 2 as at grid 1, one per unstable target row and one for
+        # every row.
         calls = []
         rows_read = HSet.rows_read
 
@@ -538,7 +584,7 @@ class TestFrameChangesFetchedOnce:
                 calls.clear()
                 check_covering(src, tgt, fmap, grid)
                 counts.append(len(calls))
-            assert counts[0] == counts[1] <= len(tgt.unstable) + 2, src.name
+            assert counts[0] == counts[1] == len(tgt.unstable) + 1, src.name
 
 
 class TestChainBasics:

@@ -1,6 +1,7 @@
 """Henon certification: data integrity, chain, cones, disks, full driver."""
 
 import decimal
+import itertools
 import math
 from fractions import Fraction
 
@@ -403,6 +404,17 @@ class TestPerturbations:
                 HenonConfig(**bad).validate()
 
 
+def _exact_point(src, z):
+    """The point of the h-set src at normalized coordinates z, exact."""
+    n = len(src.center)
+    return [
+        Fraction(src.center[i]) + sum(
+            Fraction(src.coord[i][j]) * Fraction(src.diam[j]) * z[j] for j in range(n)
+        )
+        for i in range(n)
+    ]
+
+
 class TestSharedJacobian:
     """The cones read the Jacobian the covering check enclosed."""
 
@@ -475,17 +487,6 @@ class TestSharedJacobian:
         assert any(p2 > p1 for p1, p2 in zip(pivots1, pivots2))
 
     @staticmethod
-    def _point(src, z):
-        """The point of the source h-set at normalized coordinates z, exact."""
-        n = len(src.center)
-        return [
-            Fraction(src.center[i]) + sum(
-                Fraction(src.coord[i][j]) * Fraction(src.diam[j]) * z[j] for j in range(n)
-            )
-            for i in range(n)
-        ]
-
-    @staticmethod
     def _assert_rows_enclosed(right, left, local, rows):
         """Each exact row i of D·right lies in row i of left·L, taken in
         exact rational interval arithmetic (rows maps i to row i of D; right
@@ -517,7 +518,7 @@ class TestSharedJacobian:
         # taken in exact rational interval arithmetic, hold those of D M_src.
         cert = henon_proof[0] if grid == 1 else henon_proof_grid2
         src, tgt = cert.hsets[link], cert.hsets[link + 1]
-        x = self._point(src, z)[0]
+        x = _exact_point(src, z)[0]
         rows = {0: (-2 * x, Fraction(B0), 0, 1), 1: (1, 0, 0, 0)}
         self._assert_rows_enclosed(src.coord, tgt.coord, cert.coverings[link].local_jacobian,
                                    rows)
@@ -536,7 +537,7 @@ class TestSharedJacobian:
         # (-2, 0, -b/w^2, 0); row 2 of M_tgt L holds row 2 of D M_src.
         cert = henon_proof[0] if grid == 1 else henon_proof_grid2
         src, tgt = cert.hsets[link], cert.hsets[link + 1]
-        w = self._point(src, z)[2]
+        w = _exact_point(src, z)[2]
         rows = {2: (-2, 0, -Fraction(B0) / (w * w), 0)}
         self._assert_rows_enclosed(src.coord, tgt.coord, cert.coverings[link].local_jacobian,
                                    rows)
@@ -558,7 +559,7 @@ class TestSharedJacobian:
         cert = henon_proof[0] if grid == 1 else henon_proof_grid2
         disk = getattr(cert, f"{side}_disk")
         ntilde = projected_disk_data(henon_chain, side)[0]
-        x, y, w = self._point(ntilde, z)
+        x, y, w = _exact_point(ntilde, z)
         b = Fraction(B0)
         if side == "stable":
             rows = {0: (-2 * x, b, 0, 1), 1: (1, 0, 0, 0), 2: (-2, 0, -b / (w * w), 0)}
@@ -615,6 +616,62 @@ def _check_local_frame(jac, src_coord, tgt_coord, local, cone_v, q_src, q_tgt, r
                         for k in range(n))
                 v -= Fraction(q_src.coeffs[i]) if i == j else 0
                 assert contains_fraction(cone_v[i, j], v), ("V", i, j)
+
+
+class TestExactRationalMargins:
+    """The coverings' exit and entry margins against exact rationals.  Every
+    corner and a few seeded points of each wall and interior sub-box of the
+    15 links, at grids 1 and 2, map by the closed form of the forward map,
+    (x, y, w, a) -> (a - x^2 + b y, x, b/w - 2x, a), b being the binary64
+    value the map evaluates with, and are normalized with the exact inverse
+    of the target's float frame.  On the wall z_i = +-1 paired with target
+    axis j and sign s, s z'_j lies beyond +-1 by at least the wall's exit
+    margin; inside, every stable z'_j lies within 1 of 0 by at least the
+    entry margin."""
+
+    @staticmethod
+    def _points(zbox, rng, extra=4):
+        """The corners of the normalized sub-box zbox and extra seeded
+        points of it, as exact rationals."""
+        ends = [(Fraction(e.lo), Fraction(e.hi)) for e in zbox]
+        points = [list(c) for c in itertools.product(*(sorted(set(e)) for e in ends))]
+        step = Fraction(1, 1 << 20)
+        for _ in range(extra):
+            points.append([lo + (hi - lo) * step * rng.randrange((1 << 20) + 1)
+                           for lo, hi in ends])
+        return points
+
+    @staticmethod
+    def _image(src, tgt, inverse, z):
+        """The normalized target coordinates of the image of the point of
+        src at normalized coordinates z, exact."""
+        x, y, w, a = _exact_point(src, z)
+        b = Fraction(B0)
+        image = (a - x * x + b * y, x, b / w - 2 * x, a)
+        diff = [p - Fraction(c) for p, c in zip(image, tgt.center)]
+        return [sum(m * d for m, d in zip(row, diff)) / Fraction(r)
+                for row, r in zip(inverse, tgt.diam)]
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    def test_margins_hold_at_exact_points(self, henon_proof, henon_proof_grid2,
+                                          grid, rng):
+        cert = henon_proof[0] if grid == 1 else henon_proof_grid2
+        for link, cov in enumerate(cert.coverings):
+            src, tgt = cert.hsets[link], cert.hsets[link + 1]
+            inverse = frac_inverse(tgt.coord)
+            for i, j, sign in cov.correspondence:
+                for side in (1, -1):
+                    margin = Fraction(cov.exit_margins[(i, side)])
+                    for wall in src.walls(i, side, grid):
+                        for z in self._points(wall, rng):
+                            beyond = sign * self._image(src, tgt, inverse, z)[j] * side - 1
+                            assert beyond >= margin, (cov.source, i, side)
+            entry = Fraction(cov.entry_margin)
+            for zbox in src.subboxes(grid):
+                for z in self._points(zbox, rng):
+                    image = self._image(src, tgt, inverse, z)
+                    for j in tgt.stable:
+                        assert 1 - abs(image[j]) >= entry, (cov.source, j)
 
 
 class TestLocalFrameOracle:

@@ -9,6 +9,10 @@ directory holding the ``tangency`` package) first on ``sys.path``, for:
 * ``prove henon`` at grids 1, 2 and 3;
 * ``prove henon`` at ``--param-radius 1.1e-5`` and at ``5e-6``, both
   INCONCLUSIVE;
+* ``prove henon --config`` with the 15 pairings the default proof detects,
+  given (its report digest is the default call's), and with link 9's signs
+  flipped, INCONCLUSIVE at ``N9=>N10``; each config file is written to a
+  temporary directory, printed as ``<tmp>/NAME`` so that two runs diff;
 * ``check-toy`` at the defaults, at ``--grid 2`` and at
   ``--lam -3 --mu -0.4``;
 * ``check-toy --mu 0.99``, INCONCLUSIVE at ``covering``, link ``M1=>M0``
@@ -47,11 +51,29 @@ FIXED_CALLS = (
     ["prove", "henon", "--grid", "3"],
     ["prove", "henon", "--param-radius", "1.1e-5"],
     ["prove", "henon", "--param-radius", "5e-6"],
+    ["prove", "henon", "--config", "<tmp>/pairings.json"],
+    ["prove", "henon", "--config", "<tmp>/flipped.json"],
     ["check-toy"],
     ["check-toy", "--grid", "2"],
     ["check-toy", "--lam", "-3", "--mu", "-0.4"],
     ["check-toy", "--mu", "0.99"],
 )
+
+# The pairing of each link of the default Henon proof, link index ->
+# [[src_axis, tgt_axis, sign], ...].
+PAIRINGS = {
+    **{link: [[0, 0, 1], [3, 3, 1]] for link in range(8)},
+    8: [[0, 2, 1], [3, 0, 1]],
+    9: [[0, 0, 1], [2, 2, 1]],
+    10: [[0, 0, -1], [2, 2, 1]],
+    **{link: [[0, 0, 1], [2, 2, 1]] for link in range(11, 15)},
+}
+CONFIGS = {
+    "pairings.json": {"correspondences": PAIRINGS},
+    "flipped.json": {"correspondences": {
+        **PAIRINGS, 9: [[i, j, -sign] for i, j, sign in PAIRINGS[9]],
+    }},
+}
 
 
 def _bits(obj):
@@ -113,12 +135,16 @@ def main(argv=None):
     toy = workloads.make("toy", 7)
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
+        for name, config in CONFIGS.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
         path = os.path.join(tmp, "report.json")
         calls = [list(c) for c in FIXED_CALLS]
         # The workload's argv ends with its own --report pair; drop it.
         calls += [toy.argv(i, path)[:-2] for i in range(args.draws)]
         for call in calls:
-            code, report, stdout = run(cli_main, call, path)
+            argv = [arg.replace("<tmp>", tmp) for arg in call]
+            code, report, stdout = run(cli_main, argv, path)
             line = f"{' '.join(call)}\texit {code}\treport {report}\tstdout {stdout}"
             lines.append(line)
             print(line, flush=True)
