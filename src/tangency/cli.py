@@ -6,7 +6,7 @@ Subcommands:
   family (henon.run_proof); exit 0 iff the verdict is VERIFIED.
 * ``check-toy``   -- run the analytic model's certificate suite
   (toy.check_toy: covering chain, linear-link cones, switch blocks,
-  transversality determinant).
+  transversality read off the switch map).
 
 Both run through one report path (_report), which times the driver, then
 builds, writes and prints the report of either verdict.  A machine-readable
@@ -226,7 +226,7 @@ def _cmd_check_toy(args):
     def summary(stages, _more, verdict):
         return [f"toy chain: {len(stages['covering'])} coverings, "
                 f"{len(stages['cones_linear_links'])} linear-link cones, "
-                "switch blocks and determinant identity certified", verdict]
+                "switch blocks and transversality certified", verdict]
 
     return _report(args.report, "toy-check",
                    {**dataclasses.asdict(params), "grid": args.grid},

@@ -2,10 +2,10 @@
 
 Everything here is tuned for the tiny sizes the proofs use (n <= 4):
 products are triple loops that skip every term with an exact-zero factor,
-determinants are cofactor expansions, and the rigorous inverse has
-closed-form 2x2 blocks: each block of the matrix's nonzero pattern is 1x1 or
-2x2 (the planar (u, s) block of an h-set frame) and is enclosed as adj/det,
-and the entries off the blocks are exact zeros.
+and the rigorous inverse has closed-form 2x2 blocks: each block of the
+matrix's nonzero pattern is 1x1 or 2x2 (the planar (u, s) block of an h-set
+frame) and is enclosed as adj/det, and the entries off the blocks are exact
+zeros.
 
 Entries are stored as ``(lo, hi)`` float pairs (``pairs``) and the products
 call the kernels on them directly, with the operations of the scalar
@@ -231,11 +231,6 @@ class IntervalMatrix:
             out.append((lo, hi))
         return IntervalVector.from_pairs(out)
 
-    def det(self):
-        if self.nrows != self.ncols:
-            raise IntervalError("determinant of non-square matrix")
-        return Interval(*_det(self.pairs))
-
     def _conform_add(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise IntervalError("shape mismatch")
@@ -275,20 +270,9 @@ def dot(terms, v):
 
 
 def _det(rows):
-    """Cofactor expansion along the first row, over (lo, hi) pairs; each
-    minor's determinant is checked before it enters a product."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        (a, b), (c, d) = rows
-        return check_pairs((_k.isub(*_k.imul(*a, *d), *_k.imul(*b, *c)),))[0]
-    lo = hi = 0.0
-    for j in range(n):
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = _k.imul(*rows[0][j], *_det(minor))
-        lo, hi = (_k.iadd if j % 2 == 0 else _k.isub)(lo, hi, *term)
-    return check_pairs(((lo, hi),))[0]
+    """ad - bc of the 2x2 matrix [[a, b], [c, d]] of (lo, hi) pairs, checked."""
+    (a, b), (c, d) = rows
+    return check_pairs((_k.isub(*_k.imul(*a, *d), *_k.imul(*b, *c)),))[0]
 
 
 def inverse_enclosure(a_rows):

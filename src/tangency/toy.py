@@ -7,8 +7,8 @@ whole heteroclinic chain construction have closed forms, which makes this
 module the oracle corpus for the covering and cone machinery: every
 certificate produced here is checkable against explicit inequalities.
 check_toy runs the model's certificate suite (covering chain, linear-link
-cones, switch blocks, transversality determinant), as henon.run_proof runs
-the Henon proof.
+cones, switch blocks, transversality), as henon.run_proof runs the Henon
+proof.
 
 Chart/coordinate conventions (4D ambient):
 
@@ -28,9 +28,9 @@ from tangency import kernels as _k
 from tangency.cones import check_cone_link, cone_matrix, rump_positive_definite
 from tangency.covering import VerificationInconclusive, certify_each, check_chain
 from tangency.hset import Frame, HSet, QuadraticForm
-from tangency.interval import Interval, IntervalError, as_interval, as_pair, check_pairs
+from tangency.interval import IntervalError, as_pair, check_pairs
 from tangency.jets import seed_jets
-from tangency.linalg import IntervalMatrix, IntervalVector, _wrap
+from tangency.linalg import IntervalMatrix, IntervalVector, _det, _wrap
 
 
 @dataclass(frozen=True)
@@ -128,19 +128,20 @@ def linear_end_map(params):
     return _DiagonalMap((params.lam, params.mu, params.lam / params.mu))
 
 
-def switch_map(params):
-    """The tangency-neighborhood map from N- to M-coordinates.
+def switch_evaluator(x, y, v, a):
+    """The tangency-neighborhood map from N- to M-coordinates on jets.
 
     Planar action (1 + x, y) -> (x^2 + y + a, 1 - x); the slope v of [(1, v)]
     maps to the slope w = -(2x + v) of [(w, 1)] since the image direction is
     (2x + v, -1).
     """
+    u = x - 1.0
+    return (u.sqr() + y + a, 2.0 - x, -2.0 * u - v, a)
 
-    def run(x, y, v, a):
-        u = x - 1.0
-        return (u.sqr() + y + a, 2.0 - x, -2.0 * u - v, a)
 
-    return _SwitchMap(run)
+def switch_map(params):
+    """switch_evaluator as a map of the covering protocol."""
+    return _SwitchMap(switch_evaluator)
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,18 @@ def _chain_sizes(params, k):
 
 
 def _pick_end_length(params):
-    # |mu|^s must be well below (1 - |mu|) * ybar for the last entry check.
+    # |mu|^s must be well below (1 - |mu|) * ybar for the last entry check;
+    # past s = 200 the chain is not built.
     mu_abs = abs(params.mu)
     ybar = (0.5 + params.eps) * params.delta
     target = 0.45 * (1.0 - mu_abs) * ybar
     s = 4
-    while mu_abs**s >= target and s < 200:
+    while mu_abs**s >= target:
+        if s == 200:
+            raise VerificationInconclusive(
+                "chain-build", "chain end length",
+                f"at s = {s}, |mu|^s = {mu_abs**s!r} is not below the "
+                f"entry target {target!r}")
         s += 1
     return s
 
@@ -303,29 +310,27 @@ def switch_cone_matrix(params, x=0.0, a_coef=1.0, b_coef=1.0, c_coef=1.0,
     return cone_matrix(df, q_src, q_tgt)
 
 
-def transversality_determinant(g_a, g_tt, g_ta):
-    """Enclosure of the 4x4 transversality determinant.
+def switch_transversality(chain):
+    """The transversality of W^u and W^s at the switch link, read off the
+    switch map: Theorem 2.1's generic unfolding.
 
-    The surfaces swept by the two parameterized curves in
-    parameter x plane x direction space meet transversally iff
-
-        det [[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, g_a, 0], [0, 0, g_ta, g_tt]]
-
-    is nonzero; the determinant always equals g_a * g_tt, independent of the
-    mixed term g_ta.
+    W^u runs through N_k, the set the switch link leaves, on y = 0 with
+    slope v = 0, and the switch map sends its point at x, at parameter a,
+    to x' = g(x, a); W^s is x' = 0.  Order-2 jets over (x, a) on N_k's
+    outward box give g_t and g_a (t = x) from the gradient and g_tt and
+    g_ta from Hessian row 0.  The tangency, g = g_t = 0, unfolds
+    generically iff the determinant of d(g, g_t)/d(a, t),
+    g_a g_tt - g_t g_ta, is nonzero on the box.  Returns the box and the
+    enclosures as [lo, hi] lists.
     """
-    g_a, g_tt, g_ta = as_interval(g_a), as_interval(g_tt), as_interval(g_ta)
-    zero = Interval(0.0)
-    one = Interval(1.0)
-    m = IntervalMatrix(
-        [
-            [one, zero, one, zero],
-            [zero, one, zero, one],
-            [zero, zero, g_a, zero],
-            [zero, zero, g_ta, g_tt],
-        ]
-    )
-    return m.det()
+    box = chain.sets[chain.k].box().pairs
+    jx, ja, jy, jv = seed_jets((box[0], box[3], _ZERO, _ZERO), 2, 2)
+    g = switch_evaluator(jx, jy, jv, ja)[0]
+    (g_t, g_a), (g_tt, g_ta) = g.grad_pairs, g.hess_row_pairs(0)
+    det = _det(((g_a, g_t), (g_ta, g_tt)))
+    return {name: list(pair) for name, pair in (
+        ("x", box[0]), ("a", box[3]), ("g_t", g_t), ("g_a", g_a),
+        ("g_tt", g_tt), ("g_ta", g_ta), ("det", det))}
 
 
 def check_toy(params, grid=1):
@@ -336,7 +341,9 @@ def check_toy(params, grid=1):
     inconclusive stage raises VerificationInconclusive carrying the failure
     locus and, in ``certified``, every stage certified before it by report
     stage ("covering", "cones_linear_links", "switch_blocks"); a failing
-    switch block or determinant stage carries its own certificates too.
+    switch block or transversality stage carries its own certificates too.
+    A chain whose end length cannot meet its entry target raises at stage
+    "chain-build", before any stage runs.
     """
     chain = build_toy_chain(params)
     certified = {}
@@ -359,16 +366,11 @@ def check_toy(params, grid=1):
                     "toy-switch", "tangency-point cone blocks", "not positive definite"
                 )
 
-            det = transversality_determinant(2.0, 3.0, 7.0)
-            residual = det - Interval(2.0) * Interval(3.0)
-            certified["transversality"] = {
-                "det_sample": [det.lo, det.hi],
-                "identity_residual": [residual.lo, residual.hi],
-            }
-            if not residual.contains(0.0):
+            stage = certified["transversality"] = switch_transversality(chain)
+            if not stage["det"][0] > 0.0:
                 raise VerificationInconclusive(
-                    "toy-transversality", "determinant identity", "residual excludes 0"
-                )
+                    "toy-transversality", chain.sets[chain.k].name,
+                    f"determinant lower bound {stage['det'][0]!r} is not above 0")
     except VerificationInconclusive as exc:
         exc.certified = {**certified, **exc.certified}
         raise

@@ -7,6 +7,7 @@ reduced argument, all evaluated in exact Fraction arithmetic with explicit
 tail bounds.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -169,6 +170,62 @@ def covering_boxes(src, grid):
         w for i in src.unstable for side in (1, -1) for w in src.walls(i, side, grid)
     ]
     return walls + list(src.subboxes(grid))
+
+
+def exact_point(src, z):
+    """The point of the h-set src at normalized coordinates z, exact."""
+    n = len(src.center)
+    return [
+        Fraction(src.center[i]) + sum(
+            Fraction(src.coord[i][j]) * Fraction(src.diam[j]) * z[j] for j in range(n)
+        )
+        for i in range(n)
+    ]
+
+
+def exact_sample_points(ends, rng, extra=4):
+    """The corners of the box of rational (lo, hi) ends and extra seeded
+    points of it."""
+    points = [list(c) for c in itertools.product(*(sorted(set(e)) for e in ends))]
+    step = Fraction(1, 1 << 20)
+    for _ in range(extra):
+        points.append([lo + (hi - lo) * step * rng.randrange((1 << 20) + 1)
+                       for lo, hi in ends])
+    return points
+
+
+def assert_exact_margins(cov, src, tgt, image, grid, rng, params=((),)):
+    """The exit and entry margins of the covering certificate cov of src over
+    tgt against exact rationals.  Every corner and a few seeded points of
+    each wall and interior sub-box of src at the grid, each followed by each
+    tuple of params (the parameter values of a map that holds the parameter
+    apart), map by image, the closed form of the map on a list of Fractions,
+    and are normalized with the exact inverse of tgt's float frame.  On the
+    wall z_i = +-1 paired with target axis j and sign s, s z'_j lies beyond
+    +-1 by at least the wall's exit margin; inside, every stable z'_j lies
+    within 1 of 0 by at least the entry margin."""
+    inverse = frac_inverse(tgt.coord)
+
+    def normalized_images(zbox):
+        ends = [(Fraction(e.lo), Fraction(e.hi)) for e in zbox]
+        for z in exact_sample_points(ends, rng):
+            for extra in params:
+                diff = [p - Fraction(c) for p, c in
+                        zip(image(exact_point(src, z) + list(extra)), tgt.center)]
+                yield [sum(m * d for m, d in zip(row, diff)) / Fraction(r)
+                       for row, r in zip(inverse, tgt.diam)]
+
+    for i, j, sign in cov.correspondence:
+        for side in (1, -1):
+            margin = Fraction(cov.exit_margins[(i, side)])
+            for wall in src.walls(i, side, grid):
+                for zn in normalized_images(wall):
+                    assert sign * zn[j] * side - 1 >= margin, (cov.source, i, side)
+    entry = Fraction(cov.entry_margin)
+    for zbox in src.subboxes(grid):
+        for zn in normalized_images(zbox):
+            for j in tgt.stable:
+                assert 1 - abs(zn[j]) >= entry, (cov.source, j)
 
 
 class PointShiftedMap:

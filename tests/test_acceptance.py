@@ -17,10 +17,11 @@ from tangency.interval import Interval, IntervalError
 from tangency.jets import Jet
 from tangency.linalg import IntervalMatrix
 from tangency.toy import (
+    ToyParams,
     build_toy_chain,
+    check_toy,
     linear_link_indices,
     switch_cone_blocks,
-    transversality_determinant,
 )
 from conftest import contains_fraction, random_float
 
@@ -154,18 +155,23 @@ def test_criterion_6_toy_oracle_suite():
     )
 
 
-def test_criterion_7_transversality_identity():
-    rng = random.Random(1234321)
-    for _ in range(1000):
-        ga = rng.uniform(-20.0, 20.0)
-        gtt = rng.uniform(-20.0, 20.0)
-        gta = rng.uniform(-200.0, 200.0)
-        det = transversality_determinant(ga, gtt, gta)
-        residual = det - Interval(ga) * Interval(gtt)
-        assert residual.contains(0.0), (ga, gtt, gta)
+def test_criterion_7_switch_map_transversality():
+    # The determinant g_a g_tt - g_t g_ta of check-toy's transversality
+    # stage, read off the switch map's order-2 jets over N_k's (x, a) box,
+    # is 2 on the toy: it encloses 2 and excludes 0 at the defaults, at
+    # grid 2, at (lam, mu) = (-3, -0.4) and on 30 seeded draws of the
+    # benchmark's parameter ranges.
+    rng = random.Random(7)
+    runs = [(ToyParams(), 1), (ToyParams(), 2), (ToyParams(lam=-3.0, mu=-0.4), 1)]
+    runs += [(ToyParams(lam=rng.uniform(1.5, 4.0), mu=rng.uniform(0.2, 0.6),
+                        delta=rng.uniform(0.3, 0.7), eps=rng.uniform(0.005, 0.05)), 1)
+             for _ in range(30)]
+    for params, grid in runs:
+        lo, hi = check_toy(params, grid)["transversality"]["det"]
+        assert 0.0 < lo <= 2.0 <= hi, (params, grid)
     _report(
-        "7 PASS: transversality determinant residual encloses 0 on 1000 "
-        "random triples"
+        f"7 PASS: switch-map transversality determinant encloses 2 and "
+        f"excludes 0 on {len(runs)} check-toy runs"
     )
 
 

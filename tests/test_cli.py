@@ -197,7 +197,8 @@ class TestCheckToy:
         assert len(report["stages"]["covering"]) >= 2
         assert report["stages"]["switch_blocks"]["Q1"]["positive_definite"]
         assert report["stages"]["switch_blocks"]["Q2"]["positive_definite"]
-        assert "transversality" in report["stages"]
+        assert report["stages"]["transversality"]["det"] == [2.0, 2.0]
+        assert "transversality certified" in captured
         assert report["flags"]
 
     def test_custom_params(self, tmp_path):
@@ -304,24 +305,22 @@ class TestCheckToyInconclusive:
         ]
         assert "switch_blocks" not in report["stages"]
 
-    def test_valid_arguments_end_inconclusive_at_covering(self, tmp_path, capsys):
-        # No monkeypatch: at mu = 0.99 the chain's end length stops at its
-        # cap, and the last link M1=>M0 fails its entry check.
+    def test_valid_arguments_end_inconclusive_at_chain_build(self, tmp_path, capsys):
+        # No monkeypatch: at mu = 0.99 no chain end length up to its cap,
+        # 200, brings |mu|^s below the last entry check's target, so the
+        # chain is not built and no stage runs.
         out = tmp_path / "toy.json"
         assert main(["check-toy", "--mu", "0.99", "--report", str(out)]) == 1
-        detail = "entry failed on stable axis 1 box 0 (margin -0.5154104896390659)"
+        detail = ("at s = 200, |mu|^s = 0.13397967485796172 is not below the "
+                  "entry target 0.001147500000000001")
         assert capsys.readouterr().out.splitlines() == [
-            "INCONCLUSIVE at covering: M1=>M0", f"  {detail}"
+            "INCONCLUSIVE at chain-build: chain end length", f"  {detail}"
         ]
         report = report_mod.loads(out.read_text())
-        assert report["failure"] == {"stage": "covering", "locus": "M1=>M0", "detail": detail}
-        names = [s.name for s in build_toy_chain(ToyParams(mu=0.99)).sets]
-        links = report["stages"]["covering"]
-        assert len(links) == 204
-        assert [(c["source"], c["target"]) for c in links] == list(zip(names, names[1:-1]))
-        assert (names[-2], names[-1]) == ("M1", "M0")
-        for c in links:
-            assert min(c["exit_margins"].values()) > 0.0 and c["entry_margin"] > 0.0
+        assert report["failure"] == {
+            "stage": "chain-build", "locus": "chain end length", "detail": detail
+        }
+        assert report["stages"] == {}
 
     def test_inconclusive_prints_failure_detail(self, monkeypatch, tmp_path, capsys):
         from tangency import toy

@@ -1,7 +1,6 @@
 """Henon certification: data integrity, chain, cones, disks, full driver."""
 
 import decimal
-import itertools
 import math
 from fractions import Fraction
 
@@ -9,9 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    assert_exact_margins,
     check_inverse_consistency,
     contains_fraction,
     covering_boxes,
+    exact_point,
+    exact_sample_points,
     frac_inverse,
     frac_matmul,
 )
@@ -404,17 +406,6 @@ class TestPerturbations:
                 HenonConfig(**bad).validate()
 
 
-def _exact_point(src, z):
-    """The point of the h-set src at normalized coordinates z, exact."""
-    n = len(src.center)
-    return [
-        Fraction(src.center[i]) + sum(
-            Fraction(src.coord[i][j]) * Fraction(src.diam[j]) * z[j] for j in range(n)
-        )
-        for i in range(n)
-    ]
-
-
 class TestSharedJacobian:
     """The cones read the Jacobian the covering check enclosed."""
 
@@ -518,7 +509,7 @@ class TestSharedJacobian:
         # taken in exact rational interval arithmetic, hold those of D M_src.
         cert = henon_proof[0] if grid == 1 else henon_proof_grid2
         src, tgt = cert.hsets[link], cert.hsets[link + 1]
-        x = _exact_point(src, z)[0]
+        x = exact_point(src, z)[0]
         rows = {0: (-2 * x, Fraction(B0), 0, 1), 1: (1, 0, 0, 0)}
         self._assert_rows_enclosed(src.coord, tgt.coord, cert.coverings[link].local_jacobian,
                                    rows)
@@ -537,7 +528,7 @@ class TestSharedJacobian:
         # (-2, 0, -b/w^2, 0); row 2 of M_tgt L holds row 2 of D M_src.
         cert = henon_proof[0] if grid == 1 else henon_proof_grid2
         src, tgt = cert.hsets[link], cert.hsets[link + 1]
-        w = _exact_point(src, z)[2]
+        w = exact_point(src, z)[2]
         rows = {2: (-2, 0, -Fraction(B0) / (w * w), 0)}
         self._assert_rows_enclosed(src.coord, tgt.coord, cert.coverings[link].local_jacobian,
                                    rows)
@@ -559,7 +550,7 @@ class TestSharedJacobian:
         cert = henon_proof[0] if grid == 1 else henon_proof_grid2
         disk = getattr(cert, f"{side}_disk")
         ntilde = projected_disk_data(henon_chain, side)[0]
-        x, y, w = _exact_point(ntilde, z)
+        x, y, w = exact_point(ntilde, z)
         b = Fraction(B0)
         if side == "stable":
             rows = {0: (-2 * x, b, 0, 1), 1: (1, 0, 0, 0), 2: (-2, 0, -b / (w * w), 0)}
@@ -619,59 +610,47 @@ def _check_local_frame(jac, src_coord, tgt_coord, local, cone_v, q_src, q_tgt, r
 
 
 class TestExactRationalMargins:
-    """The coverings' exit and entry margins against exact rationals.  Every
-    corner and a few seeded points of each wall and interior sub-box of the
-    15 links, at grids 1 and 2, map by the closed form of the forward map,
-    (x, y, w, a) -> (a - x^2 + b y, x, b/w - 2x, a), b being the binary64
-    value the map evaluates with, and are normalized with the exact inverse
-    of the target's float frame.  On the wall z_i = +-1 paired with target
-    axis j and sign s, s z'_j lies beyond +-1 by at least the wall's exit
-    margin; inside, every stable z'_j lies within 1 of 0 by at least the
-    entry margin."""
-
-    @staticmethod
-    def _points(zbox, rng, extra=4):
-        """The corners of the normalized sub-box zbox and extra seeded
-        points of it, as exact rationals."""
-        ends = [(Fraction(e.lo), Fraction(e.hi)) for e in zbox]
-        points = [list(c) for c in itertools.product(*(sorted(set(e)) for e in ends))]
-        step = Fraction(1, 1 << 20)
-        for _ in range(extra):
-            points.append([lo + (hi - lo) * step * rng.randrange((1 << 20) + 1)
-                           for lo, hi in ends])
-        return points
-
-    @staticmethod
-    def _image(src, tgt, inverse, z):
-        """The normalized target coordinates of the image of the point of
-        src at normalized coordinates z, exact."""
-        x, y, w, a = _exact_point(src, z)
-        b = Fraction(B0)
-        image = (a - x * x + b * y, x, b / w - 2 * x, a)
-        diff = [p - Fraction(c) for p, c in zip(image, tgt.center)]
-        return [sum(m * d for m, d in zip(row, diff)) / Fraction(r)
-                for row, r in zip(inverse, tgt.diam)]
+    """The coverings' exit and entry margins against exact rationals
+    (conftest.assert_exact_margins), on the 15 links and both disks'
+    self-coverings at grids 1 and 2.  The links map by the closed form of
+    the forward map, (x, y, w, a) -> (a - x^2 + b y, x, b/w - 2x, a), b
+    being the binary64 value the map evaluates with.  A disk maps (x, y, w)
+    at every corner and a few seeded points of its parameter interval: the
+    stable one by the forward map, the unstable one by the inverse
+    (x, y) -> (y, (x - a + y^2)/b), whose slope image is b/(w + 2y)."""
 
     @pytest.mark.parametrize("grid", [1, 2])
     def test_margins_hold_at_exact_points(self, henon_proof, henon_proof_grid2,
                                           grid, rng):
         cert = henon_proof[0] if grid == 1 else henon_proof_grid2
         for link, cov in enumerate(cert.coverings):
-            src, tgt = cert.hsets[link], cert.hsets[link + 1]
-            inverse = frac_inverse(tgt.coord)
-            for i, j, sign in cov.correspondence:
-                for side in (1, -1):
-                    margin = Fraction(cov.exit_margins[(i, side)])
-                    for wall in src.walls(i, side, grid):
-                        for z in self._points(wall, rng):
-                            beyond = sign * self._image(src, tgt, inverse, z)[j] * side - 1
-                            assert beyond >= margin, (cov.source, i, side)
-            entry = Fraction(cov.entry_margin)
-            for zbox in src.subboxes(grid):
-                for z in self._points(zbox, rng):
-                    image = self._image(src, tgt, inverse, z)
-                    for j in tgt.stable:
-                        assert 1 - abs(image[j]) >= entry, (cov.source, j)
+            assert_exact_margins(cov, cert.hsets[link], cert.hsets[link + 1],
+                                 _exact_forward, grid, rng)
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    @pytest.mark.parametrize("side", ["stable", "unstable"])
+    def test_disk_margins_hold_at_exact_points(self, henon_proof, henon_proof_grid2,
+                                               henon_chain, grid, side, rng):
+        cert = henon_proof[0] if grid == 1 else henon_proof_grid2
+        cov = getattr(cert, f"{side}_disk").covering
+        ntilde, _, param, _ = projected_disk_data(henon_chain, side)
+        params = exact_sample_points([(Fraction(param.lo), Fraction(param.hi))], rng,
+                                     extra=2)
+        image = _exact_forward if side == "stable" else _exact_inverse
+        assert_exact_margins(cov, ntilde, ntilde, lambda p: image(p)[:3], grid, rng,
+                             params)
+
+
+def _exact_forward(p):
+    x, y, w, a = p
+    b = Fraction(B0)
+    return [a - x * x + b * y, x, b / w - 2 * x, a]
+
+
+def _exact_inverse(p):
+    x, y, w, a = p
+    b = Fraction(B0)
+    return [y, (x - a + y * y) / b, b / (w + 2 * y), a]
 
 
 class TestLocalFrameOracle:

@@ -1,6 +1,7 @@
 """Analytic model suite: chain construction, cone schemes, transversality."""
 
 import itertools
+import random
 import struct
 from fractions import Fraction
 
@@ -21,9 +22,9 @@ from tangency.toy import (
     linear_start_map,
     switch_cone_blocks,
     switch_map,
-    transversality_determinant,
+    switch_transversality,
 )
-from conftest import covering_boxes, frac_det
+from conftest import assert_exact_margins, covering_boxes, exact_sample_points
 
 
 class TestParams:
@@ -313,32 +314,100 @@ class TestSwitchBlocks:
         assert not certified["switch_blocks"]["Q2"].positive_definite
 
 
-class TestTransversalityDeterminant:
-    def test_unit_case(self):
-        assert transversality_determinant(1.0, 1.0, 123.456).contains(1.0)
+def _seeded_draws(count):
+    """The defaults, then count draws of random.Random(7) over the benchmark
+    toy workload's ranges."""
+    rng = random.Random(7)
+    return [ToyParams()] + [
+        ToyParams(lam=rng.uniform(1.5, 4.0), mu=rng.uniform(0.2, 0.6),
+                  delta=rng.uniform(0.3, 0.7), eps=rng.uniform(0.005, 0.05))
+        for _ in range(count)
+    ]
 
-    def test_product_identity_case(self):
-        d = transversality_determinant(2.0, 3.0, 7.0)
-        assert d.contains(6.0)
-        # cofactor-expansion oracle over exact rationals
-        m = [
-            [1, 0, 1, 0],
-            [0, 1, 0, 1],
-            [0, 0, 2, 0],
-            [0, 0, 7, 3],
-        ]
-        assert Fraction(d.lo) <= frac_det(m) <= Fraction(d.hi)
 
-    def test_degenerate_tangency(self):
-        d = transversality_determinant(0.0, 5.0, 1.0)
-        assert d.contains(0.0)
+class TestSwitchTransversality:
+    """The transversality stage against the switch map's closed form: on
+    W^u (y = 0) the switch link sends x of N_k at parameter a to
+    g = (x - 1)^2 + a, so g_t = 2 (x - 1), g_a = 1, g_tt = 2, g_ta = 0 and
+    g_a g_tt - g_t g_ta = 2 at every point."""
 
-    def test_identity_residual_random(self, rng):
-        # full 1e3-triple version runs in the acceptance suite
-        for _ in range(100):
-            ga = rng.uniform(-10, 10)
-            gtt = rng.uniform(-10, 10)
-            gta = rng.uniform(-100, 100)
-            det = transversality_determinant(ga, gtt, gta)
-            residual = det - Interval(ga) * Interval(gtt)
-            assert residual.contains(0.0)
+    def test_encloses_the_exact_values(self, rng):
+        for params in _seeded_draws(30):
+            chain = build_toy_chain(params)
+            with kernels.upward():
+                stage = switch_transversality(chain)
+                box = chain.sets[chain.k].box().pairs
+            assert (stage["x"], stage["a"]) == (list(box[0]), list(box[3]))
+            ends = [tuple(map(Fraction, stage[name])) for name in ("x", "a")]
+            for x, _a in exact_sample_points(ends, rng):
+                exact = {"g_t": 2 * (x - 1), "g_a": 1, "g_tt": 2, "g_ta": 0}
+                exact["det"] = exact["g_a"] * exact["g_tt"] - exact["g_t"] * exact["g_ta"]
+                for name, value in exact.items():
+                    lo, hi = stage[name]
+                    assert Fraction(lo) <= value <= Fraction(hi), (params, name, x)
+            assert stage["det"][0] > 0.0
+
+    def test_no_quadratic_term_is_inconclusive(self, monkeypatch):
+        from tangency import toy
+
+        def flat(x, y, v, a):
+            # switch_evaluator without (x - 1)^2: W^u crosses W^s nowhere
+            # quadratically, so g_tt = 0 and the determinant is 0.
+            return (y + a, 2.0 - x, -2.0 * (x - 1.0) - v, a)
+
+        monkeypatch.setattr(toy, "switch_evaluator", flat)
+        with pytest.raises(VerificationInconclusive) as err:
+            check_toy(ToyParams())
+        assert (err.value.stage, err.value.locus) == ("toy-transversality", "N4")
+        certified = err.value.certified
+        assert list(certified) == ["covering", "cones_linear_links", "switch_blocks",
+                                   "transversality"]
+        chain = build_toy_chain()
+        assert len(certified["covering"]) == chain.n_links
+        assert len(certified["cones_linear_links"]) == len(linear_link_indices(chain))
+        assert certified["transversality"]["det"] == [0.0, 0.0]
+
+
+class TestEndLength:
+    def test_cap_ends_inconclusive_at_chain_build(self):
+        # 0.99^200 is about 0.13, far above the last entry check's target.
+        with pytest.raises(VerificationInconclusive) as err:
+            build_toy_chain(ToyParams(mu=0.99))
+        assert (err.value.stage, err.value.locus) == ("chain-build", "chain end length")
+        assert "s = 200" in err.value.detail
+        assert err.value.certified == {}
+
+    @pytest.mark.parametrize("mu", [0.97, -0.97])
+    def test_below_the_cap_builds(self, mu):
+        chain = build_toy_chain(ToyParams(mu=mu))
+        assert chain.s <= 200
+
+
+class TestExactRationalMargins:
+    """The toy coverings' exit and entry margins against exact rationals
+    (conftest.assert_exact_margins) on every link at grids 1 and 2.  The
+    links map by their closed forms: (x, y, v, a) -> (lam x, mu y, c v, a),
+    c being the binary64 mu/lam (start links) or lam/mu (end links) the map
+    multiplies by, and the switch ((x - 1)^2 + y + a, 2 - x,
+    -2 (x - 1) - v, a)."""
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    @pytest.mark.parametrize("lam, mu", [(2.0, 0.5), (-3.0, -0.4)])
+    def test_margins_hold_at_exact_points(self, grid, lam, mu, rng):
+        params = ToyParams(lam=lam, mu=mu)
+        chain = build_toy_chain(params)
+        coverings = check_toy(params, grid)["covering"]
+
+        def diagonal(c):
+            coefs = (Fraction(lam), Fraction(mu), Fraction(c))
+            return lambda p: [coefs[0] * p[0], coefs[1] * p[1], coefs[2] * p[2], p[3]]
+
+        def switch(p):
+            x, y, v, a = p
+            return [(x - 1) ** 2 + y + a, 2 - x, -2 * (x - 1) - v, a]
+
+        images = [diagonal(mu / lam)] * chain.k + [switch] + [diagonal(lam / mu)] * chain.s
+        assert len(coverings) == len(images) == chain.n_links
+        for link, (cov, image) in enumerate(zip(coverings, images)):
+            assert_exact_margins(cov, chain.sets[link], chain.sets[link + 1], image,
+                                 grid, rng)

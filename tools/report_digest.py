@@ -15,17 +15,18 @@ directory holding the ``tangency`` package) first on ``sys.path``, for:
   temporary directory, printed as ``<tmp>/NAME`` so that two runs diff;
 * ``check-toy`` at the defaults, at ``--grid 2`` and at
   ``--lam -3 --mu -0.4``;
-* ``check-toy --mu 0.99``, INCONCLUSIVE at ``covering``, link ``M1=>M0``
-  (the chain's end length stops at its cap);
+* ``check-toy --mu 0.99``, INCONCLUSIVE at ``chain-build`` with no
+  stages (no chain end length up to its cap meets the entry target);
 * the first N draws (default 150) of the benchmark's ``toy`` workload at
   seed 7, ``perfbench/workloads.make("toy", 7)``.
 
-Each call prints one line: its argv, its exit code, a digest of its report
-and a digest of its stdout.  The report digest drops ``timings``, writes
-every float as its hex string and keeps key order; the stdout digest drops
-the ``verdict:`` line, which carries the elapsed time.  A last line gives a
-digest of all the lines before it.  Two trees are compared by diffing two
-runs:
+Each call prints one line: its argv, its exit code, a digest of its report,
+a digest of its stdout and one digest per report stage, ``name=digest`` in
+report order, so that a diff names the stage that moved.  The report and
+stage digests drop ``timings``, write every float as its hex string and
+keep key order; the stdout digest drops the ``verdict:`` line, which
+carries the elapsed time.  A last line gives a digest of all the lines
+before it.  Two trees are compared by diffing two runs:
 
     diff <(python tools/report_digest.py ../parent/src) \\
          <(python tools/report_digest.py src)
@@ -92,9 +93,13 @@ def _digest(text):
 
 
 def report_digest(text):
+    """The digest of the report and its stage digests, "name=digest" joined
+    by spaces ("-" for no stage)."""
     report = json.loads(text)
     report.pop("timings", None)
-    return _digest(json.dumps(_bits(report)))
+    stages = " ".join(f"{name}={_digest(json.dumps(_bits(stage)))}"
+                      for name, stage in report["stages"].items())
+    return _digest(json.dumps(_bits(report))), stages or "-"
 
 
 def stdout_digest(text):
@@ -103,8 +108,8 @@ def stdout_digest(text):
 
 
 def run(main, argv, path):
-    """(exit code, report digest, stdout digest) of one call writing its
-    report to path; "-" for a report the call did not write."""
+    """(exit code, report digest, stage digests, stdout digest) of one call
+    writing its report to path; "-" for a report the call did not write."""
     if os.path.exists(path):
         os.remove(path)
     out = io.StringIO()
@@ -113,11 +118,11 @@ def run(main, argv, path):
             code = main(argv + ["--report", path])
         except SystemExit as exc:
             code = exc.code
-    report = "-"
+    report = stages = "-"
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
-            report = report_digest(fh.read())
-    return code, report, stdout_digest(out.getvalue())
+            report, stages = report_digest(fh.read())
+    return code, report, stages, stdout_digest(out.getvalue())
 
 
 def main(argv=None):
@@ -144,8 +149,9 @@ def main(argv=None):
         calls += [toy.argv(i, path)[:-2] for i in range(args.draws)]
         for call in calls:
             argv = [arg.replace("<tmp>", tmp) for arg in call]
-            code, report, stdout = run(cli_main, argv, path)
-            line = f"{' '.join(call)}\texit {code}\treport {report}\tstdout {stdout}"
+            code, report, stages, stdout = run(cli_main, argv, path)
+            line = (f"{' '.join(call)}\texit {code}\treport {report}"
+                    f"\tstdout {stdout}\tstages {stages}")
             lines.append(line)
             print(line, flush=True)
     print(f"total {_digest(chr(10).join(lines))}")
