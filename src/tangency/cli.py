@@ -5,8 +5,8 @@ Subcommands:
 * ``prove henon`` -- run the full tangency certification for the Henon
   family (henon.run_proof); exit 0 iff the verdict is VERIFIED.
 * ``check-toy``   -- run the analytic model's certificate suite
-  (toy.check_toy: covering chain, linear-link cones, switch blocks,
-  transversality read off the switch map).
+  (toy.check_toy: covering chain, linear-link cones, switch blocks read off
+  N_k's and M_s's cone forms, transversality read off the switch map).
 
 Both run through one report path (_report), which times the driver, then
 builds, writes and prints the report of either verdict.  A machine-readable
@@ -24,6 +24,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 import time
 
@@ -35,8 +36,21 @@ from tangency.interval import IntervalError
 from tangency.toy import FLAGS, ToyParams, check_toy
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes an argument spelling a negative float,
+    in any spelling float() reads ("-5e-1", "-1E6", "-.5", "-inf"), as a
+    value, not as an option; argparse's own test knows only "-5" and
+    "-0.5".  No option of this CLI starts with "-" and a digit."""
+
+    _NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|(inf|infinity|nan)$)", re.IGNORECASE)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tangency",
         description=(
             "Rigorous certification of quadratic homoclinic tangencies "

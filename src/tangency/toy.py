@@ -7,8 +7,8 @@ whole heteroclinic chain construction have closed forms, which makes this
 module the oracle corpus for the covering and cone machinery: every
 certificate produced here is checkable against explicit inequalities.
 check_toy runs the model's certificate suite (covering chain, linear-link
-cones, switch blocks, transversality), as henon.run_proof runs the Henon
-proof.
+cones, switch blocks built from N_k's and M_s's cone forms, transversality),
+as henon.run_proof runs the Henon proof.
 
 Chart/coordinate conventions (4D ambient):
 
@@ -25,10 +25,10 @@ import math
 from dataclasses import dataclass
 
 from tangency import kernels as _k
-from tangency.cones import check_cone_link, cone_matrix, rump_positive_definite
+from tangency.cones import check_cone_link, rump_positive_definite
 from tangency.covering import VerificationInconclusive, certify_each, check_chain
 from tangency.hset import Frame, HSet, QuadraticForm
-from tangency.interval import IntervalError, as_pair, check_pairs
+from tangency.interval import IntervalError, check_pairs
 from tangency.jets import seed_jets
 from tangency.linalg import IntervalMatrix, IntervalVector, _det, _wrap
 
@@ -58,6 +58,12 @@ class ToyParams:
 
 _ZERO = (0.0, 0.0)
 _ONE = (1.0, 1.0)
+
+# The chain-start length, and the growth of the forms' parameter
+# coefficients along the chain (strict growth is what the linear links'
+# cone pivots on the a axis certify).
+K = 4
+FORM_GROWTH = 1.05
 
 FLAGS = (
     "reference chain-end size recursion is indexed opposite to the chain "
@@ -152,7 +158,6 @@ class ToyChain:
     maps: tuple  # one map per link, of the covering module's map protocol
     k: int
     s: int
-    flags: tuple = FLAGS
 
     @property
     def n_links(self):
@@ -187,7 +192,7 @@ def _pick_end_length(params):
     return s
 
 
-def build_toy_chain(params=None, k=4, s=None, beta_growth=1.05, d_growth=1.05):
+def build_toy_chain(params=None):
     """Concrete h-sets, cone forms and per-link maps for the full chain.
 
     The reference inequality system pins the switch-link sizes; the interior
@@ -198,12 +203,9 @@ def build_toy_chain(params=None, k=4, s=None, beta_growth=1.05, d_growth=1.05):
     rather than reinterpreted silently.
     """
     params = (params or ToyParams()).validate()
-    if k < 1:
-        raise IntervalError("k >= 1 required")
     lam, mu = params.lam, params.mu
     delta, eps = params.delta, params.eps
-    if s is None:
-        s = _pick_end_length(params)
+    k, s = K, _pick_end_length(params)
 
     # Start sets N_0..N_k along the unstable axis, centers lam^(i-k).
     x_sizes = _chain_sizes(params, k)
@@ -224,7 +226,7 @@ def build_toy_chain(params=None, k=4, s=None, beta_growth=1.05, d_growth=1.05):
         n_sets.append(
             HSet(f"N{i}", (centers_x[i], 0.0, 0.0, 0.0), eye4, diam, (0, 3))
         )
-        beta_i = 0.25 * beta_growth ** (i - k)
+        beta_i = 0.25 * FORM_GROWTH ** (i - k)
         n_forms.append(QuadraticForm((1.0, -4.0, -2.0, beta_i), (0, 3)))
 
     # End sets M_s..M_0 along the stable axis, centers mu^(s-j) (0 for M_0).
@@ -242,7 +244,7 @@ def build_toy_chain(params=None, k=4, s=None, beta_growth=1.05, d_growth=1.05):
         m_sets.append(
             HSet(f"M{j}", (0.0, centers_y[j], 0.0, 0.0), eye4, diam, (0, 2))
         )
-        d_j = 0.5 * d_growth ** (j - s)
+        d_j = 0.5 * FORM_GROWTH ** (j - s)
         m_forms.append(QuadraticForm((1.0, -1.0, 1.0, -d_j), (0, 2)))
 
     start = linear_start_map(params)
@@ -265,49 +267,29 @@ def linear_link_indices(chain):
     return [i for i in range(chain.n_links) if i != chain.k]
 
 
-def switch_cone_blocks(a_coef=1.0, b_coef=1.0, c_coef=1.0, d_coef=0.5,
-                       alpha=1.0, beta=0.25, gamma=4.0, delta=2.0):
-    """The two 2x2 blocks deciding the switch-link cone condition at x = 0.
+def switch_cone_blocks(q_n, q_m):
+    """The two 2x2 blocks deciding the switch-link cone condition at the
+    tangency point x = 1, read off N_k's form q_n on (x, y, v, a) and M_s's
+    form q_m on (x, y, w, a).
 
-    With forms Q_N = alpha x^2 + beta a^2 - gamma y^2 - delta v^2 and
-    Q_M = A x^2 + B w^2 - C y^2 - D a^2, the cone matrix at the tangency
-    point block-diagonalizes into
+    With q_n = alpha x^2 - gamma y^2 - delta v^2 + beta a^2 and
+    q_m = A x^2 - C y^2 + B w^2 - D a^2, the cone matrix of the switch
+    derivative at x = 1 splits into its (x, v) and (a, y) blocks
 
         [[4B - C - alpha, 2B], [2B, B + delta]]   and
         [[A - D - beta, A], [A, A + gamma]].
+
+    Each entry is enclosed by the interval kernels on the signed
+    coefficients: q_m's are added and q_n's subtracted (4B + (-C) - alpha).
     """
-    q1 = IntervalMatrix(
-        [
-            [4.0 * b_coef - c_coef - alpha, 2.0 * b_coef],
-            [2.0 * b_coef, b_coef + delta],
-        ]
-    )
-    q2 = IntervalMatrix(
-        [
-            [a_coef - d_coef - beta, a_coef],
-            [a_coef, a_coef + gamma],
-        ]
-    )
-    return q1, q2
-
-
-def switch_cone_matrix(params, x=0.0, a_coef=1.0, b_coef=1.0, c_coef=1.0,
-                       d_coef=0.5, alpha=1.0, beta=0.25, gamma=4.0, delta=2.0):
-    """Full 4x4 cone matrix of the switch link in the unstable-first source coordinates
-    (x, a, y, v), evaluated on a box with the given x-range: cones.cone_matrix
-    of the switch derivative with Q_N = (alpha, beta, -gamma, -delta) and
-    Q_M = (A, B, -C, -D) in target order (x, w, y, a), both unstable on axes
-    0 and 1."""
-    jx, ja, jy, jv = seed_jets((as_pair(x), _ZERO, _ZERO, _ZERO), 4, 1)
-    # Switch dynamics in centered coordinates, target order (x, w, y, a).
-    f1 = jx.sqr() + jy + ja
-    f2 = -2.0 * jx - jv
-    f3 = -jx
-    f4 = ja
-    df = IntervalMatrix.from_pairs([f.grad_pairs for f in (f1, f2, f3, f4)])
-    q_src = QuadraticForm([alpha, beta, -gamma, -delta], (0, 1))
-    q_tgt = QuadraticForm([a_coef, b_coef, -c_coef, -d_coef], (0, 1))
-    return cone_matrix(df, q_src, q_tgt)
+    n_x, n_y, n_v, n_a = ((c, c) for c in q_n.coeffs)
+    m_x, m_y, m_w, m_a = ((c, c) for c in q_m.coeffs)
+    two_b = _k.imul(2.0, 2.0, *m_w)
+    q1 = ((_k.isub(*_k.iadd(*_k.imul(4.0, 4.0, *m_w), *m_y), *n_x), two_b),
+          (two_b, _k.isub(*m_w, *n_v)))
+    q2 = ((_k.isub(*_k.iadd(*m_x, *m_a), *n_a), m_x),
+          (m_x, _k.isub(*m_x, *n_y)))
+    return IntervalMatrix.from_pairs(q1), IntervalMatrix.from_pairs(q2)
 
 
 def switch_transversality(chain):
@@ -359,7 +341,8 @@ def check_toy(params, grid=1):
 
             blocks = certified["switch_blocks"] = {
                 name: rump_positive_definite(q)
-                for name, q in zip(("Q1", "Q2"), switch_cone_blocks())
+                for name, q in zip(("Q1", "Q2"), switch_cone_blocks(
+                    chain.forms[chain.k], chain.forms[chain.k + 1]))
             }
             if not all(r.positive_definite for r in blocks.values()):
                 raise VerificationInconclusive(

@@ -13,6 +13,7 @@ import pytest
 
 from tangency.cones import check_cone_link, rump_positive_definite
 from tangency.covering import VerificationInconclusive, check_chain, check_covering
+from tangency.hset import QuadraticForm
 from tangency.interval import Interval, IntervalError
 from tangency.jets import Jet
 from tangency.linalg import IntervalMatrix
@@ -121,32 +122,32 @@ def test_criterion_6_toy_oracle_suite():
     assert len(certs) == chain.n_links
 
     # (b) cone certificates pass exactly for strictly drifting coefficient
-    # schemes and fail at equality, on both chain halves
-    def cone_outcomes(**kwargs):
-        c = build_toy_chain(**kwargs)
-        start_idx = 0
-        end_idx = c.k + 1
-        out = []
-        for idx in (start_idx, end_idx):
-            cert = check_covering(c.sets[idx], c.sets[idx + 1], c.maps[idx])
-            try:
-                check_cone_link(cert, c.forms[idx], c.forms[idx + 1])
-                out.append(True)
-            except VerificationInconclusive:
-                out.append(False)
-        return out
+    # schemes and fail at equality, on both chain halves: the chain's forms,
+    # then each link's target form set equal to its source form (a chain
+    # half's forms differ only in their a coefficient)
+    def cone_outcome(idx, q_src, q_tgt):
+        cert = check_covering(chain.sets[idx], chain.sets[idx + 1], chain.maps[idx])
+        try:
+            check_cone_link(cert, q_src, q_tgt)
+            return True
+        except VerificationInconclusive:
+            return False
 
-    assert cone_outcomes() == [True, True]
-    assert cone_outcomes(beta_growth=1.0)[0] is False  # beta equality
-    assert cone_outcomes(d_growth=1.0)[1] is False  # D equality
+    start_idx, end_idx = 0, chain.k + 1
+    for idx in (start_idx, end_idx):
+        assert cone_outcome(idx, chain.forms[idx], chain.forms[idx + 1]) is True
+        assert cone_outcome(idx, chain.forms[idx], chain.forms[idx]) is False
     for idx in linear_link_indices(chain):
         check_cone_link(certs[idx], chain.forms[idx], chain.forms[idx + 1])
 
-    # (c) the switch blocks at (alpha, beta, gamma, delta) = (1, 1/4, 4, 2)
-    q1, q2 = switch_cone_blocks(alpha=1.0, beta=0.25, gamma=4.0, delta=2.0)
+    # (c) the switch blocks of N_k's and M_s's forms, at
+    # (alpha, beta, gamma, delta) = (1, 1/4, 4, 2), and with gamma = 3
+    q_n, q_m = chain.forms[chain.k], chain.forms[chain.k + 1]
+    assert q_n.coeffs == (1.0, -4.0, -2.0, 0.25)
+    q1, q2 = switch_cone_blocks(q_n, q_m)
     assert rump_positive_definite(q1).positive_definite
     assert rump_positive_definite(q2).positive_definite
-    _, q2_bad = switch_cone_blocks(gamma=3.0)
+    _, q2_bad = switch_cone_blocks(QuadraticForm((1.0, -3.0, -2.0, 0.25), (0, 3)), q_m)
     assert not rump_positive_definite(q2_bad).positive_definite
     _report(
         f"6 PASS: toy chain of {chain.n_links} coverings certified; cone "

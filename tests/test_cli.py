@@ -185,6 +185,35 @@ class TestProve:
         assert json.loads(captured.splitlines()[0])["verdict"] == "VERIFIED"
 
 
+class TestNegativeNumbers:
+    """A negative number in any spelling float() reads is an option's value
+    on both subcommands, not an unknown option: "-4e-1" as "-0.4"."""
+
+    @pytest.mark.parametrize(
+        "spelling", ["-1e-5", "-1E+06", "-5e-1", "-.5", "-5.", "-1_0.5", "-inf",
+                     "-Infinity", "-nan"])
+    @pytest.mark.parametrize("argv, message", [
+        (["prove", "henon", "--param-radius"], "param_radius must be a number in (0, 1e-2]"),
+        (["check-toy", "--eps"], "eps in (0, 0.2) required"),
+    ], ids=["prove", "check-toy"])
+    def test_spelling_reaches_validation(self, capsys, spelling, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [spelling])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_exponent_notation_gives_the_decimal_report(self, tmp_path):
+        reports = []
+        for argv in (["--lam", "-3e0", "--mu", "-4e-1"], ["--lam", "-3", "--mu", "-0.4"]):
+            out = tmp_path / "toy.json"
+            assert main(["check-toy", *argv, "--report", str(out)]) == 0
+            report = report_mod.loads(out.read_text())
+            report.pop("timings")
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["config"]["mu"] == -0.4
+
+
 class TestCheckToy:
     def test_verified_run(self, tmp_path, capsys):
         out = tmp_path / "toy.json"

@@ -19,7 +19,7 @@ from tangency.cones import (
 from tangency.hset import QuadraticForm
 from tangency.interval import Interval, IntervalError, check_pairs
 from tangency.linalg import IntervalMatrix, IntervalVector
-from tangency.toy import ToyParams, switch_cone_blocks, switch_cone_matrix
+from tangency.toy import ToyParams, build_toy_chain, switch_cone_blocks, switch_map
 from conftest import pairs_hex, random_float
 
 
@@ -383,23 +383,42 @@ class TestSymmetrize:
 
 
 class TestToyConeMatrices:
+    """The switch link's cone matrix: cones.cone_matrix on the Jacobian of
+    the switch map, with the chain's N_k and M_s forms, in ambient source
+    order (x, y, v, a)."""
+
+    @staticmethod
+    def _switch_link(x):
+        chain = build_toy_chain()
+        _, jac = switch_map(chain.params).derivative(IntervalVector([x, 0.0, 0.0, 0.0]))
+        q_n, q_m = chain.forms[chain.k], chain.forms[chain.k + 1]
+        return cone_matrix(jac, q_n, q_m), q_n, q_m
+
     def test_switch_matrix_matches_block_structure(self):
-        # At the tangency point the 4x4 cone matrix in (x, a, y, v) source
-        # coordinates has the reference entries.
-        v = switch_cone_matrix(ToyParams(), x=0.0)
+        # At the tangency point, ambient x = 1, the cone matrix has the
+        # reference entries, and its (x, v) and (a, y) blocks are the
+        # switch blocks of the same forms.
+        v, q_n, q_m = self._switch_link(1.0)
+        alpha, beta, gamma, delta = 1.0, 0.25, 4.0, 2.0
+        a, b, c, d = 1.0, 1.0, 1.0, 0.5
         expected = [
-            [4 * 1.0 - 1.0 - 1.0, 0.0, 0.0, 2.0],
-            [0.0, 1.0 - 0.5 - 0.25, 1.0, 0.0],
-            [0.0, 1.0, 1.0 + 4.0, 0.0],
-            [2.0, 0.0, 0.0, 1.0 + 2.0],
+            [4 * b - c - alpha, 0.0, 2 * b, 0.0],
+            [0.0, a + gamma, 0.0, a],
+            [2 * b, 0.0, b + delta, 0.0],
+            [0.0, a, 0.0, a - d - beta],
         ]
         for i in range(4):
             for j in range(4):
                 assert v[i, j].contains(expected[i][j]), (i, j)
                 assert v[i, j].width < 1e-12
+        for block, axes in zip(switch_cone_blocks(q_n, q_m), ((0, 2), (3, 1))):
+            for i, vi in enumerate(axes):
+                for j, vj in enumerate(axes):
+                    assert v[vi, vj] == block[i, j], (axes, i, j)
 
     def test_blocks_positive_definite_at_reference_coefficients(self):
-        q1, q2 = switch_cone_blocks(alpha=1.0, beta=0.25, gamma=4.0, delta=2.0)
+        chain = build_toy_chain()
+        q1, q2 = switch_cone_blocks(chain.forms[chain.k], chain.forms[chain.k + 1])
         assert q1[0, 0] == Interval(2.0)
         assert q2[0, 0] == Interval(0.25)
         assert rump_positive_definite(q1).positive_definite
@@ -411,15 +430,17 @@ class TestToyConeMatrices:
         assert d2 == Interval(0.25)
 
     def test_gamma_boundary_fails(self):
-        _, q2 = switch_cone_blocks(gamma=3.0)
+        chain = build_toy_chain()
+        q_n = QuadraticForm((1.0, -3.0, -2.0, 0.25), (0, 3))  # gamma = 3
+        _, q2 = switch_cone_blocks(q_n, chain.forms[chain.k + 1])
         d2 = q2[0, 0] * q2[1, 1] - q2[0, 1] * q2[1, 0]
         assert d2.contains(0.0)
         assert not rump_positive_definite(q2).positive_definite
 
     def test_whole_box_switch_matrix_inconclusive(self):
         # Positive definiteness is claimed only near the tangency point; over
-        # the full switch box the interval matrix is not certified.
-        v = switch_cone_matrix(ToyParams(), x=Interval(-0.25, 0.25))
+        # x in 1 +- 0.25 the interval matrix is not certified.
+        v, _, _ = self._switch_link(Interval(0.75, 1.25))
         assert not rump_positive_definite(v).positive_definite
 
 
@@ -438,7 +459,7 @@ class TestConeMatrixGeneric:
         # V = diag(a(l^2-1), g(1-m^2), d(1-(m/l)^2), beta_{i+1}-beta_i) for
         # one chain-start link, exactly, in ambient order (x, y, v, a).
         from tangency.covering import check_covering
-        from tangency.toy import build_toy_chain, linear_start_map
+        from tangency.toy import linear_start_map
 
         params = ToyParams()
         chain = build_toy_chain(params)
@@ -516,7 +537,6 @@ class TestConeMatrixBits:
     def test_chain_links(self, henon_proof, henon_chain, inflate):
         from tangency.covering import check_chain
         from tangency.henon import projected_disk_data
-        from tangency.toy import build_toy_chain
 
         cert, _ = henon_proof
         links = [
@@ -613,7 +633,7 @@ def _vertex_enclosures(a):
 
 def _henon_and_toy_cone_matrices(henon_proof):
     from tangency.covering import check_chain
-    from tangency.toy import build_toy_chain, linear_link_indices
+    from tangency.toy import linear_link_indices
 
     cert, _ = henon_proof
     mats = [c.matrix for c in cert.cones]

@@ -1,5 +1,6 @@
 """Analytic model suite: chain construction, cone schemes, transversality."""
 
+import dataclasses
 import itertools
 import random
 import struct
@@ -10,10 +11,13 @@ import pytest
 from tangency import kernels
 from tangency.cones import check_cone_link, rump_positive_definite
 from tangency.covering import VerificationInconclusive, check_chain, check_covering
+from tangency.hset import QuadraticForm
 from tangency.interval import Interval, IntervalError
 from tangency.jets import Jet
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.toy import (
+    FLAGS,
+    K,
     ToyParams,
     build_toy_chain,
     check_toy,
@@ -24,7 +28,9 @@ from tangency.toy import (
     switch_map,
     switch_transversality,
 )
-from conftest import assert_exact_margins, covering_boxes, exact_sample_points
+from conftest import (
+    assert_exact_margins, covering_boxes, exact_point, exact_sample_points,
+)
 
 
 class TestParams:
@@ -68,8 +74,7 @@ class TestChainCovering:
             assert len(certs) == chain.n_links
 
     def test_orientation_flag_recorded(self):
-        chain = build_toy_chain()
-        assert any("opposite" in f for f in chain.flags)
+        assert any("opposite" in f for f in FLAGS)
 
 
 class TestLinearMaps:
@@ -242,10 +247,27 @@ class TestPairRouteOracle:
         assert made == []
 
 
-def cone_link(chain, idx):
-    """The cone check of link idx, on the local Jacobian of its covering."""
+def cone_link(chain, idx, forms=None):
+    """The cone check of link idx, on the local Jacobian of its covering,
+    with the chain's forms or the (source, target) forms given."""
     cert = check_covering(chain.sets[idx], chain.sets[idx + 1], chain.maps[idx])
-    return check_cone_link(cert, chain.forms[idx], chain.forms[idx + 1])
+    return check_cone_link(cert, *(forms or chain.forms[idx:idx + 2]))
+
+
+def n_form(beta, gamma=4.0):
+    """A chain-start form (1, -gamma, -2, beta) on (x, y, v, a)."""
+    return QuadraticForm((1.0, -gamma, -2.0, beta), (0, 3))
+
+
+def m_form(d, b=1.0):
+    """A chain-end form (1, -1, b, -d) on (x, y, w, a)."""
+    return QuadraticForm((1.0, -1.0, b, -d), (0, 2))
+
+
+def with_forms(chain, replaced):
+    """chain with the forms at the indices of replaced ({index: form})."""
+    forms = tuple(replaced.get(i, q) for i, q in enumerate(chain.forms))
+    return dataclasses.replace(chain, forms=forms)
 
 
 class TestConeSchemes:
@@ -257,57 +279,102 @@ class TestConeSchemes:
 
     def test_beta_equality_fails(self):
         # beta_{i+1} = beta_i makes the parameter pivot exactly zero.
-        chain = build_toy_chain(beta_growth=1.0)
-        idx = 0
+        chain = build_toy_chain()
         with pytest.raises(VerificationInconclusive, match="^cones: "):
-            cone_link(chain, idx)
+            cone_link(chain, 0, (n_form(0.25), n_form(0.25)))
 
     def test_beta_strictness_is_sharp(self):
         # any strict growth passes, equality fails: exactness of the kernels
-        chain_eq = build_toy_chain(beta_growth=1.0)
-        chain_up = build_toy_chain(beta_growth=1.0 + 1e-9)
+        chain = build_toy_chain()
         idx = 1
         with pytest.raises(VerificationInconclusive, match="^cones: "):
-            cone_link(chain_eq, idx)
-        cert = cone_link(chain_up, idx)
+            cone_link(chain, idx, (n_form(0.25), n_form(0.25)))
+        growth = 1.0 + 1e-9
+        cert = cone_link(chain, idx, (n_form(0.25 * growth ** (idx - K)),
+                                      n_form(0.25 * growth ** (idx + 1 - K))))
         assert cert.rump.positive_definite
 
     def test_d_equality_fails_on_end_links(self):
-        chain = build_toy_chain(d_growth=1.0)
-        idx = chain.k + 1  # first chain-end link
+        chain = build_toy_chain()
+        idx = chain.k + 1  # first chain-end link, M_s => M_(s-1)
         with pytest.raises(VerificationInconclusive, match="^cones: "):
-            cone_link(chain, idx)
+            cone_link(chain, idx, (m_form(0.5), m_form(0.5)))
 
     def test_d_drift_reversed_fails(self):
         # growing the parameter coefficient toward the chain end reverses the
         # certifiable strictness and must fail
-        chain = build_toy_chain(d_growth=1.0 / 1.05)
+        chain = build_toy_chain()
         idx = chain.k + 1
         with pytest.raises(VerificationInconclusive, match="^cones: "):
-            cone_link(chain, idx)
+            cone_link(chain, idx, (m_form(0.5), m_form(0.5 * (1.0 / 1.05) ** -1)))
 
 
 class TestSwitchBlocks:
     def test_reference_coefficients(self):
-        q1, q2 = switch_cone_blocks()
+        chain = build_toy_chain()
+        q1, q2 = switch_cone_blocks(chain.forms[chain.k], chain.forms[chain.k + 1])
         assert rump_positive_definite(q1).positive_definite
         assert rump_positive_definite(q2).positive_definite
 
     def test_boundary_gamma(self):
-        _, q2 = switch_cone_blocks(gamma=3.0)
+        _, q2 = switch_cone_blocks(n_form(0.25, gamma=3.0), m_form(0.5))
         assert not rump_positive_definite(q2).positive_definite
+
+    def test_default_blocks_bit_for_bit(self):
+        chain = build_toy_chain()
+        with kernels.upward():
+            blocks = switch_cone_blocks(chain.forms[chain.k], chain.forms[chain.k + 1])
+        want = (((2.0, 2.0), (2.0, 3.0)), ((0.25, 1.0), (1.0, 5.0)))
+        for block, rows in zip(blocks, want):
+            assert [_bits(row) for row in block.pairs] == [
+                _bits((v, v) for v in row) for row in rows]
+
+    def test_inexact_entries_enclose_the_exact_blocks(self):
+        # No diagonal entry's exact value is a binary64, so one float per
+        # entry, rounded upward or not, cannot hold it.
+        q_n = QuadraticForm((0.1, -0.3, -0.1, 0.3), (0, 3))
+        q_m = QuadraticForm((0.1, -0.1, 0.3, -0.3), (0, 2))
+        (n_x, n_y, n_v, n_a), (m_x, m_y, m_w, m_a) = (
+            [Fraction(c) for c in q.coeffs] for q in (q_n, q_m))
+        exact = ([[4 * m_w + m_y - n_x, 2 * m_w], [2 * m_w, m_w - n_v]],
+                 [[m_x + m_a - n_a, m_x], [m_x, m_x - n_y]])
+        with kernels.upward():
+            blocks = switch_cone_blocks(q_n, q_m)
+        for block, want in zip(blocks, exact):
+            for i, (row, want_row) in enumerate(zip(block.pairs, want)):
+                for (lo, hi), value in zip(row, want_row):
+                    assert Fraction(lo) <= value <= Fraction(hi), value
+                assert Fraction(float(want_row[i])) != want_row[i]
+
+    def test_blocks_follow_the_chain_forms(self, monkeypatch):
+        # check_toy reads the blocks off N_k's and M_s's forms: N_k's a
+        # coefficient (beta) moves Q2 alone, M_s's w coefficient (B) Q1
+        # alone.  Every other stage still certifies.
+        from tangency import toy
+
+        chain = build_toy_chain()
+        default = check_toy(ToyParams())["switch_blocks"]
+        for replaced, moved in (({chain.k: n_form(0.28125)}, "Q2"),
+                                ({chain.k + 1: m_form(0.5, b=2.0)}, "Q1")):
+            monkeypatch.setattr(toy, "build_toy_chain",
+                                lambda params: with_forms(chain, replaced))
+            blocks = check_toy(ToyParams())["switch_blocks"]
+            for name, result in blocks.items():
+                assert result.positive_definite
+                same = result.vertex_margins == default[name].vertex_margins
+                assert same is (name != moved), (replaced, name)
 
     def test_failed_blocks_keep_earlier_stages(self, monkeypatch):
         from tangency import toy
 
-        monkeypatch.setattr(toy, "switch_cone_blocks",
-                            lambda: switch_cone_blocks(gamma=3.0))
+        chain = build_toy_chain()
+        monkeypatch.setattr(toy, "build_toy_chain", lambda params: with_forms(
+            chain, {chain.k: n_form(0.25, gamma=3.0)}))
         with pytest.raises(VerificationInconclusive) as err:
             check_toy(ToyParams())
         assert err.value.stage == "toy-switch"
         certified = err.value.certified
         assert list(certified) == ["covering", "cones_linear_links", "switch_blocks"]
-        chain = build_toy_chain()
         assert len(certified["covering"]) == chain.n_links
         assert len(certified["cones_linear_links"]) == len(linear_link_indices(chain))
         assert certified["switch_blocks"]["Q1"].positive_definite
@@ -383,13 +450,39 @@ class TestEndLength:
         assert chain.s <= 200
 
 
+def _closed_forms(chain):
+    """Per link of chain, the closed form of its map on a list of Fractions
+    and of its Jacobian: (x, y, v, a) -> (lam x, mu y, c v, a), c being the
+    binary64 mu/lam (start links) or lam/mu (end links) the map multiplies
+    by, and the switch ((x - 1)^2 + y + a, 2 - x, -2 (x - 1) - v, a)."""
+    lam, mu = chain.params.lam, chain.params.mu
+
+    def diagonal(c):
+        coefs = (Fraction(lam), Fraction(mu), Fraction(c), 1)
+        jacobian = [[coefs[i] if i == j else 0 for j in range(4)] for i in range(4)]
+        return (lambda p: [coef * x for coef, x in zip(coefs, p)],
+                lambda p: jacobian)
+
+    def switch(p):
+        x, y, v, a = p
+        return [(x - 1) ** 2 + y + a, 2 - x, -2 * (x - 1) - v, a]
+
+    def switch_jacobian(p):
+        return [[2 * (p[0] - 1), 1, 0, 1], [-1, 0, 0, 0], [-2, 0, -1, 0], [0, 0, 0, 1]]
+
+    return ([diagonal(mu / lam)] * chain.k + [(switch, switch_jacobian)]
+            + [diagonal(lam / mu)] * chain.s)
+
+
+def _assert_enclosed(pairs, exact, where):
+    for i, ((lo, hi), value) in enumerate(zip(pairs, exact, strict=True)):
+        assert Fraction(lo) <= value <= Fraction(hi), (where, i)
+
+
 class TestExactRationalMargins:
     """The toy coverings' exit and entry margins against exact rationals
-    (conftest.assert_exact_margins) on every link at grids 1 and 2.  The
-    links map by their closed forms: (x, y, v, a) -> (lam x, mu y, c v, a),
-    c being the binary64 mu/lam (start links) or lam/mu (end links) the map
-    multiplies by, and the switch ((x - 1)^2 + y + a, 2 - x,
-    -2 (x - 1) - v, a)."""
+    (conftest.assert_exact_margins) on every link at grids 1 and 2, the
+    links mapping by _closed_forms."""
 
     @pytest.mark.parametrize("grid", [1, 2])
     @pytest.mark.parametrize("lam, mu", [(2.0, 0.5), (-3.0, -0.4)])
@@ -397,17 +490,45 @@ class TestExactRationalMargins:
         params = ToyParams(lam=lam, mu=mu)
         chain = build_toy_chain(params)
         coverings = check_toy(params, grid)["covering"]
-
-        def diagonal(c):
-            coefs = (Fraction(lam), Fraction(mu), Fraction(c))
-            return lambda p: [coefs[0] * p[0], coefs[1] * p[1], coefs[2] * p[2], p[3]]
-
-        def switch(p):
-            x, y, v, a = p
-            return [(x - 1) ** 2 + y + a, 2 - x, -2 * (x - 1) - v, a]
-
-        images = [diagonal(mu / lam)] * chain.k + [switch] + [diagonal(lam / mu)] * chain.s
+        images = [image for image, _ in _closed_forms(chain)]
         assert len(coverings) == len(images) == chain.n_links
         for link, (cov, image) in enumerate(zip(coverings, images)):
             assert_exact_margins(cov, chain.sets[link], chain.sets[link + 1], image,
                                  grid, rng)
+
+
+class TestExactRationalImages:
+    """The toy maps' image and Jacobian enclosures, and each covering's
+    local_jacobian, against exact rationals.  Every corner and a few seeded
+    points of every wall and interior sub-box of every link, at grids 1 and
+    2, map by _closed_forms: each lies in apply's and derivative's image of
+    the sub-box, and its Jacobian in derivative's Jacobian of the sub-box
+    and in the link's local_jacobian.  The toy sets have the identity
+    frame, so local_jacobian encloses the Jacobian itself."""
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    @pytest.mark.parametrize("lam, mu", [(2.0, 0.5), (-3.0, -0.4)])
+    def test_enclosures_hold_at_exact_points(self, grid, lam, mu, rng):
+        params = ToyParams(lam=lam, mu=mu)
+        chain = build_toy_chain(params)
+        coverings = check_toy(params, grid)["covering"]
+        closed = _closed_forms(chain)
+        assert len(coverings) == len(closed) == chain.n_links
+        identity = [[int(i == j) for j in range(4)] for i in range(4)]
+        for link, (cov, fmap, (image, jacobian)) in enumerate(
+                zip(coverings, chain.maps, closed)):
+            src = chain.sets[link]
+            assert [list(row) for row in src.coord] == identity
+            for zbox in covering_boxes(src, grid):
+                box = src.from_normalized(zbox)
+                applied = fmap.apply(box).pairs
+                value, jac = fmap.derivative(box)
+                ends = [(Fraction(e.lo), Fraction(e.hi)) for e in zbox]
+                for z in exact_sample_points(ends, rng):
+                    p = exact_point(src, z)
+                    where = (cov.source, [str(e) for e in z])
+                    _assert_enclosed(applied, image(p), where)
+                    _assert_enclosed(value.pairs, image(p), where)
+                    for rows in (jac.pairs, cov.local_jacobian.pairs):
+                        for row, exact_row in zip(rows, jacobian(p), strict=True):
+                            _assert_enclosed(row, exact_row, where)

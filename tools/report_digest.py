@@ -13,8 +13,9 @@ directory holding the ``tangency`` package) first on ``sys.path``, for:
   given (its report digest is the default call's), and with link 9's signs
   flipped, INCONCLUSIVE at ``N9=>N10``; each config file is written to a
   temporary directory, printed as ``<tmp>/NAME`` so that two runs diff;
-* ``check-toy`` at the defaults, at ``--grid 2`` and at
-  ``--lam -3 --mu -0.4``;
+* ``check-toy`` at the defaults, at ``--grid 2``, at
+  ``--lam -3 --mu -0.4`` and at ``--lam -3e0 --mu -4e-1``, whose report
+  digest is the ``--lam -3 --mu -0.4`` call's;
 * ``check-toy --mu 0.99``, INCONCLUSIVE at ``chain-build`` with no
   stages (no chain end length up to its cap meets the entry target);
 * the first N draws (default 150) of the benchmark's ``toy`` workload at
@@ -57,6 +58,7 @@ FIXED_CALLS = (
     ["check-toy"],
     ["check-toy", "--grid", "2"],
     ["check-toy", "--lam", "-3", "--mu", "-0.4"],
+    ["check-toy", "--lam", "-3e0", "--mu", "-4e-1"],
     ["check-toy", "--mu", "0.99"],
 )
 
