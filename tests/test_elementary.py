@@ -48,23 +48,14 @@ def _near(center, steps=(-2, -1, 0, 1, 2)):
 # -- adversarial points --------------------------------------------------------
 
 
-def _assert_quadrant_switch(j):
-    # x/fl(pi/2) crosses j + 1/2 here, so the quadrant k flips and |r| is
-    # largest.
-    center = float((2 * j + 1) * PI_BOUNDS[0] / 4)
-    for x in _near(center):
-        _assert_point_sincos(x)
-
-
 class TestReductionBoundaries:
-    @pytest.mark.parametrize("j", range(1, 13))
+    @pytest.mark.parametrize("j", range(-12, 13))
     def test_quadrant_switch_points(self, j):
-        _assert_quadrant_switch(j)
-
-    def test_quadrant_switch_centres(self):
-        # The switch points j = -12..0, in one test.
-        for j in range(-12, 1):
-            _assert_quadrant_switch(j)
+        # x/fl(pi/2) crosses j + 1/2 here, so the quadrant k flips and |r|
+        # is largest.
+        center = float((2 * j + 1) * PI_BOUNDS[0] / 4)
+        for x in _near(center):
+            _assert_point_sincos(x)
 
     def test_chart_domain_ends(self):
         tiny = [5e-324, 2.2250738585072014e-308, 1e-300, 1e-16, 1e-8]
