@@ -31,12 +31,13 @@ machine is an ImportError, and so is a libc whose modes fail the probe.
 
 import ctypes
 import math
-import platform
+import os
 
-# (FE_UPWARD, FE_TONEAREST) per platform.machine()
+# (FE_UPWARD, FE_TONEAREST) per machine, as os.uname() and platform.machine()
+# name it
 _FE_MODES = {"x86_64": (0x800, 0), "aarch64": (0x400000, 0)}
 
-_MACHINE = platform.machine()
+_MACHINE = os.uname().machine
 if _MACHINE not in _FE_MODES:
     raise ImportError(f"tangency: no FPU rounding-mode constants for machine {_MACHINE!r}")
 _FE_UPWARD, _FE_TONEAREST = _FE_MODES[_MACHINE]

@@ -16,6 +16,11 @@ locus and detail printed), 2 bad configuration or usage (an unwritable
 --report path included), 3 internal enclosure inconsistency (a bug, locus
 printed to stderr; no report is written).  A reader that closes stdout
 early (``| head``) cuts the output short, not the exit code.
+
+The parser is built once, at import (_PARSER), and main parses with it, so
+main may be called repeatedly in one process.  A call leaves no cyclic
+garbage: every object it allocates is freed by reference counting
+(argparse's usage message excepted, whose help formatter is a cycle).
 """
 
 from __future__ import annotations
@@ -248,9 +253,11 @@ def _cmd_check_toy(args):
                    extras={"flags": list(FLAGS)})
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     commands = {"prove": _cmd_prove, "check-toy": _cmd_check_toy}
     try:
         return commands[args.command](args)

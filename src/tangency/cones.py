@@ -15,6 +15,11 @@ Cholesky factorization run in interval arithmetic: every pivot must be
 certified strictly positive.  The vertices share one factorization over the
 tree of their sign prefixes, and vertices that differ only in the sign of
 an index with zero off-diagonal radii share every bit (rump_positive_definite).
+The tree is walked by a module-level recursion, _cholesky_column, that is
+passed the test's data, not a closure over it: a closure that calls itself
+is a reference cycle, and would leave each test's working data to the
+cyclic garbage collector.  A test's data is freed by reference counting
+when it returns or raises.
 
 Where pairs are checked: cone_matrix builds V on (lo, hi) pairs and checks
 D^T Q_M and V once each, the product between them being a checked
@@ -121,7 +126,7 @@ def rump_positive_definite(a):
                     f"entries ({i}, {j}) and ({j}, {i}) differ"
                 )
     c, r = midrad_split(a)
-    imul, isub, isqr, idiv, isqrt = _k.imul, _k.isub, _k.isqr, _k.idiv, _k.isqrt
+    isub = _k.isub
     # enclosures of the exact reals c_ij - s r_ij: s = +1 on the diagonal;
     # below it one pair per sign, indexed by s < 0
     diag = [isub(c[i][i], c[i][i], r[i][i], r[i][i]) for i in range(n)]
@@ -135,49 +140,59 @@ def rump_positive_definite(a):
     # value twice, up to zero signs that the factor's quotients erase.
     free = [all(r[i][j] == 0.0 for i in range(n) if i != j) for j in range(n)]
     outcomes = []
-
-    def column(z, low_j, below, min_pivot):
-        # Column j = len(z) - 1 under the signs z of rows 0..j.  low_j is row
-        # j's factor so far; below[i - j - 1] is row i's, under z[:j], as
-        # the pair (z_i = +1, z_i = -1).
-        j = len(z) - 1
-        lo, hi = diag[j]
-        for k in range(j):
-            lo, hi = isub(lo, hi, *isqr(*low_j[k]))
-        check_pairs(((lo, hi),))
-        if lo <= 0.0:
-            tails = product((1, -1), repeat=n - 1 - j)
-            outcomes.extend((z + tail, None) for tail in tails)
-            return
-        if min_pivot is None or lo < min_pivot:
-            min_pivot = lo
-        if j == n - 1:
-            outcomes.append((z, min_pivot))
-            return
-        ljj = isqrt(lo, hi)
-        zj = z[j]
-        grown = []
-        for i, low_i in enumerate(below, j + 1):
-            pair = []
-            for z_i, low in zip((1, -1), low_i):
-                s_lo, s_hi = off[i][j][z_i != zj]
-                for k in range(j):
-                    s_lo, s_hi = isub(s_lo, s_hi, *imul(*low[k], *low_j[k]))
-                pair.append(low + check_pairs((idiv(s_lo, s_hi, *ljj),)))
-            grown.append(pair)
-        start = len(outcomes)
-        column(z + (1,), grown[0][0], grown[1:], min_pivot)
-        if free[j + 1]:
-            # The z_(j+1) = -1 subtree is the +1 subtree's bits.
-            outcomes.extend(
-                (v[:j + 1] + (-1,) + v[j + 2:], m) for v, m in outcomes[start:]
-            )
-        else:
-            column(z + (-1,), grown[0][1], grown[1:], min_pivot)
-
-    column((1,), (), [((), ())] * (n - 1), None)
+    tree = (n, diag, off, free, outcomes)
+    _cholesky_column(tree, (1,), (), [((), ())] * (n - 1), None)
     ok = all(margin is not None for _, margin in outcomes)
     return RumpResult(positive_definite=ok, vertex_margins=tuple(outcomes))
+
+
+def _cholesky_column(tree, z, low_j, below, min_pivot):
+    """Column j = len(z) - 1 of the factor under the signs z of rows 0..j,
+    and the subtrees below it; each vertex's (z, min pivot or None) is
+    appended to outcomes in vertex_signs order.
+
+    tree is (n, diag, off, free, outcomes) of rump_positive_definite.  low_j
+    is row j's factor so far; below[i - j - 1] is row i's, under z[:j], as
+    the pair (z_i = +1, z_i = -1).  A module-level function, not a closure
+    over the test's data, so that no reference cycle outlives the test.
+    """
+    n, diag, off, free, outcomes = tree
+    isub, isqr = _k.isub, _k.isqr
+    j = len(z) - 1
+    lo, hi = diag[j]
+    for k in range(j):
+        lo, hi = isub(lo, hi, *isqr(*low_j[k]))
+    check_pairs(((lo, hi),))
+    if lo <= 0.0:
+        tails = product((1, -1), repeat=n - 1 - j)
+        outcomes.extend((z + tail, None) for tail in tails)
+        return
+    if min_pivot is None or lo < min_pivot:
+        min_pivot = lo
+    if j == n - 1:
+        outcomes.append((z, min_pivot))
+        return
+    imul, idiv = _k.imul, _k.idiv
+    ljj = _k.isqrt(lo, hi)
+    zj = z[j]
+    grown = []
+    for i, low_i in enumerate(below, j + 1):
+        pair = []
+        for z_i, low in zip((1, -1), low_i):
+            s_lo, s_hi = off[i][j][z_i != zj]
+            for k in range(j):
+                s_lo, s_hi = isub(s_lo, s_hi, *imul(*low[k], *low_j[k]))
+            pair.append(low + check_pairs((idiv(s_lo, s_hi, *ljj),)))
+        grown.append(pair)
+    start = len(outcomes)
+    _cholesky_column(tree, z + (1,), grown[0][0], grown[1:], min_pivot)
+    if free[j + 1]:
+        # The z_(j+1) = -1 subtree is the +1 subtree's bits.
+        outcomes.extend(
+            (v[:j + 1] + (-1,) + v[j + 2:], m) for v, m in outcomes[start:]
+        )
+    else:
+        _cholesky_column(tree, z + (-1,), grown[0][1], grown[1:], min_pivot)
 
 
 def cone_matrix(d_loc, q_src, q_tgt, inflate_src=1.0):

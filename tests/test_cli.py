@@ -1,6 +1,7 @@
 """CLI driver: exit codes, summary lines, report round-trips."""
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -415,6 +416,39 @@ class TestOutputErrors:
             os.close(write_end)
         assert done.stderr == b""
         assert done.returncode == code
+
+
+class TestNoCyclicGarbage:
+    """A CLI call leaves nothing that only the cyclic garbage collector can
+    free: after one warm-up call, a second call with the collector off
+    leaves no unreachable object behind."""
+
+    @staticmethod
+    def _call(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["prove", "henon"], 0),
+         (["check-toy"], 0),
+         (["check-toy", "--mu", "0.99"], 1),  # INCONCLUSIVE at chain-build
+         (["prove", "henon", "--param-radius", "1.1e-5"], 1),  # at covering
+         (["check-toy", "--mu", "2"], 2)],
+        ids=["prove", "check-toy", "toy-chain-build", "prove-covering", "toy-usage"],
+    )
+    def test_call_leaves_no_cycles(self, tmp_path, capsys, argv, code):
+        argv = argv + ["--report", str(tmp_path / "report.json")]
+        assert self._call(argv) == code
+        gc.collect()
+        gc.disable()
+        try:
+            assert self._call(argv) == code
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestReportFormat:

@@ -1,5 +1,6 @@
 """Cone machinery: Rump's vertex reduction, interval Cholesky, cone matrices."""
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -205,6 +206,23 @@ class TestCholesky:
             interval_cholesky_min_pivot(m)
         with pytest.raises(IntervalError):
             rump_positive_definite(m)
+
+    def test_error_leaves_no_cycles(self):
+        # The factor tree's working data is freed by reference counting when
+        # the test returns or raises: the collector finds nothing to free.
+        m = IntervalMatrix([[1e-300, 1e300], [1e300, 1.0]])
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                rump_positive_definite(m)
+            except IntervalError:
+                pass
+            else:
+                raise AssertionError("the overflow was not raised")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _bits(res):

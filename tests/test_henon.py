@@ -550,14 +550,7 @@ class TestSharedJacobian:
         cert = henon_proof[0] if grid == 1 else henon_proof_grid2
         disk = getattr(cert, f"{side}_disk")
         ntilde = projected_disk_data(henon_chain, side)[0]
-        x, y, w = exact_point(ntilde, z)
-        b = Fraction(B0)
-        if side == "stable":
-            rows = {0: (-2 * x, b, 0, 1), 1: (1, 0, 0, 0), 2: (-2, 0, -b / (w * w), 0)}
-        else:
-            s = w + 2 * y
-            rows = {0: (0, 1, 0, 0), 1: (1 / b, 2 * y / b, 0, -1 / b),
-                    2: (0, -2 * b / (s * s), -b / (s * s), 0)}
+        rows = dict(enumerate(_EXACT_DISK_JACOBIAN[side](exact_point(ntilde, z))))
         right = [[*row, 0] for row in ntilde.coord] + [[0, 0, 0, 1]]
         self._assert_rows_enclosed(right, ntilde.coord, disk.covering.local_jacobian, rows)
 
@@ -651,6 +644,64 @@ def _exact_inverse(p):
     x, y, w, a = p
     b = Fraction(B0)
     return [y, (x - a + y * y) / b, b / (w + 2 * y), a]
+
+
+def _exact_forward_disk_jacobian(p):
+    """d(x', y', w')/d(x, y, w, a) of _exact_forward at p = (x, y, w, ...)."""
+    x, _, w = p[:3]
+    b = Fraction(B0)
+    return [(-2 * x, b, 0, 1), (1, 0, 0, 0), (-2, 0, -b / (w * w), 0)]
+
+
+def _exact_inverse_disk_jacobian(p):
+    """d(x', y', w')/d(x, y, w, a) of _exact_inverse at p = (x, y, w, ...)."""
+    _, y, w = p[:3]
+    b = Fraction(B0)
+    s = w + 2 * y
+    return [(0, 1, 0, 0), (1 / b, 2 * y / b, 0, -1 / b),
+            (0, -2 * b / (s * s), -b / (s * s), 0)]
+
+
+_EXACT_DISK_JACOBIAN = {"stable": _exact_forward_disk_jacobian,
+                        "unstable": _exact_inverse_disk_jacobian}
+
+
+class TestExactRationalDiskImages:
+    """Both disks' DiskMap image and Jacobian enclosures against exact
+    rationals, at grids 1 and 2.  Every corner and a few seeded points of
+    every wall and interior sub-box of the disk's self-covering, each with
+    the ends and a seeded point of the parameter interval, map by the closed
+    forms of TestExactRationalMargins, the stable disk's forward and the
+    unstable disk's inverse: the image lies in DiskMap.apply's and
+    DiskMap.derivative's image of the sub-box, and d(x, y, w)/d(x, y, w, a)
+    in derivative's Jacobian of it."""
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    @pytest.mark.parametrize("side, direction", [("stable", "forward"),
+                                                 ("unstable", "inverse")])
+    def test_enclosures_hold_at_exact_points(self, henon_chain, grid, side, direction,
+                                             rng):
+        ntilde, _, param, _ = projected_disk_data(henon_chain, side)
+        disk_map = DiskMap(ChartMap(henon_family(), direction), param)
+        image = _exact_forward if side == "stable" else _exact_inverse
+        jacobian = _EXACT_DISK_JACOBIAN[side]
+        params = exact_sample_points([(Fraction(param.lo), Fraction(param.hi))], rng,
+                                     extra=1)
+        for zbox in covering_boxes(ntilde, grid):
+            box = ntilde.from_normalized(zbox)
+            applied = disk_map.apply(box)
+            value, jac = disk_map.derivative(box)
+            ends = [(Fraction(e.lo), Fraction(e.hi)) for e in zbox]
+            for z in exact_sample_points(ends, rng):
+                for a in params:
+                    p = exact_point(ntilde, z) + a
+                    where = (side, [str(e) for e in z], str(a[0]))
+                    for i, exact in enumerate(image(p)[:3]):
+                        assert contains_fraction(applied[i], exact), (where, i)
+                        assert contains_fraction(value[i], exact), (where, i)
+                    for i, row in enumerate(jacobian(p)):
+                        for j, exact in enumerate(row):
+                            assert contains_fraction(jac[i, j], exact), (where, i, j)
 
 
 class TestLocalFrameOracle:

@@ -86,8 +86,14 @@ class TestPlatform:
         assert _pyops._FE_MODES == {"x86_64": (0x800, 0), "aarch64": (0x400000, 0)}
         assert (_pyops._FE_UPWARD, _pyops._FE_TONEAREST) == _pyops._FE_MODES[platform.machine()]
 
+    def test_machine_is_platform_machine(self):
+        # _pyops reads os.uname(), which platform.machine() also reads on a
+        # POSIX system, so that importing tangency does not import platform.
+        assert _pyops._MACHINE == platform.machine()
+
     def test_unsupported_machine_is_an_import_error(self, monkeypatch):
-        monkeypatch.setattr(platform, "machine", lambda: "sparc64")
+        uname = os.uname()
+        monkeypatch.setattr(os, "uname", lambda: type(uname)((*uname[:4], "sparc64")))
         spec = importlib.util.spec_from_file_location("_pyops_elsewhere", _pyops.__file__)
         with pytest.raises(ImportError, match="sparc64"):
             spec.loader.exec_module(importlib.util.module_from_spec(spec))

@@ -30,7 +30,14 @@ nearest as ``check-toy`` builds it, and ``report.dumps`` of the grid-1
 mean of a ``--calls // 200``-call loop; ``run_proof()`` at grid 1 and
 grid 2 is one call, whose per-stage ``timings`` (build, covering, cones,
 disks) are recorded beside its total; and ``check_toy_s`` is one
-``check-toy`` CLI call at the defaults, report file included.  A layer is timed only where
+``check-toy`` CLI call at the defaults, report file included.  Beside the
+timings, ``gc.cyclic_prove_henon`` and ``gc.cyclic_check_toy`` count the
+unreachable objects that one CLI call at the defaults leaves for the
+cyclic garbage collector (the count ``gc.collect()`` returns after a
+warm-up call and one call with the collector off), and
+``gc.young_per_100_check_toy`` and ``gc.full_per_100_check_toy`` the
+collections of generation 0 and of generation 2 run during 100
+``check-toy`` calls.  A layer is timed only where
 the tree has what it calls; where it does not (an ImportError or
 AttributeError while the layer is set up), the tree's value is null.
 
@@ -51,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -89,14 +97,42 @@ def _grid1_report():
             return report.loads(fh.read())
 
 
-def _check_toy():
-    """One ``check-toy`` CLI call at the defaults, its report written to a
-    temporary file."""
+def _cli_call(argv):
+    """One CLI call, its report written to a temporary file."""
     from tangency.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
         with contextlib.redirect_stdout(io.StringIO()):
-            main(["check-toy", "--report", os.path.join(tmp, "report.json")])
+            main(argv + ["--report", os.path.join(tmp, "report.json")])
+
+
+def _check_toy():
+    """One ``check-toy`` CLI call at the defaults."""
+    _cli_call(["check-toy"])
+
+
+def _cyclic_garbage(argv):
+    """The count of unreachable objects that one CLI call, after a warm-up
+    call, leaves for the cyclic garbage collector."""
+    _cli_call(argv)
+    gc.collect()
+    gc.disable()
+    try:
+        _cli_call(argv)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def _gc_collections(calls):
+    """(young, full): the collections of generation 0 and of generation 2
+    that the collector runs during calls ``check-toy`` calls."""
+    gc.collect()
+    before = gc.get_stats()
+    for _ in range(calls):
+        _check_toy()
+    after = gc.get_stats()
+    return tuple(after[gen]["collections"] - before[gen]["collections"] for gen in (0, 2))
 
 
 def _resolve(module, name):
@@ -194,6 +230,11 @@ def _one_run(calls, repeat):
     doc = _grid1_report()
     out["report.dumps_us"] = _best(lambda: report.dumps(doc), repeat, max(calls // 200, 1)) * 1e6
     out["check_toy_s"] = _best(_check_toy, repeat)
+    out["gc.cyclic_prove_henon"] = _cyclic_garbage(["prove", "henon"])
+    out["gc.cyclic_check_toy"] = _cyclic_garbage(["check-toy"])
+    young, full = _gc_collections(100)
+    out["gc.young_per_100_check_toy"] = young
+    out["gc.full_per_100_check_toy"] = full
 
     for grid in (1, 2):
         config = HenonConfig(grid=grid)
@@ -211,11 +252,13 @@ def _one_run(calls, repeat):
 
 def _summary(values):
     """min, median and spread, (q3 - q1) / median, of one measurement's
-    per-run values; null where the tree does not have the layer."""
+    per-run values; null where the tree does not have the layer.  The
+    spread is 0 where q1 = q3 and null where only the median is 0."""
     if any(v is None for v in values):
         return None
     q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-    return {"min": min(values), "median": median, "spread": (q3 - q1) / median}
+    spread = 0.0 if q3 == q1 else (q3 - q1) / median if median else None
+    return {"min": min(values), "median": median, "spread": spread}
 
 
 def main():
