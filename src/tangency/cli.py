@@ -9,13 +9,15 @@ Subcommands:
   N_k's and M_s's cone forms, transversality read off the switch map).
 
 Both run through one report path (_report), which times the driver, then
-builds, writes and prints the report of either verdict.  A machine-readable
-JSON report goes to --report (or stdout when omitted); a human summary
-always goes to stdout.  Exit codes: 0 verified, 1 inconclusive (failure
-locus and detail printed), 2 bad configuration or usage (an unwritable
---report path included), 3 internal enclosure inconsistency (a bug, locus
-printed to stderr; no report is written).  A reader that closes stdout
-early (``| head``) cuts the output short, not the exit code.
+builds, writes and prints the report of either verdict; the report holds
+the stage certificates themselves, which report.dumps encodes.  A
+machine-readable JSON report goes to --report (or stdout when omitted); a
+human summary always goes to stdout.  Exit codes: 0 verified, 1
+inconclusive (failure locus and detail printed), 2 bad configuration or
+usage (an unwritable --report path included), 3 internal enclosure
+inconsistency (a bug, locus printed to stderr; no report is written).  A
+reader that closes stdout early (``| head``) cuts the output short, not the
+exit code.
 
 The parser is built once, at import (_PARSER), and main parses with it, so
 main may be called repeatedly in one process.  A call leaves no cyclic
@@ -163,16 +165,6 @@ def _config_echo(config):
     }
 
 
-def _plain(obj):
-    """obj with every certificate in its lists, tuples and dicts replaced by
-    its to_dict(): stage certificates as report stages."""
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    return obj.to_dict() if hasattr(obj, "to_dict") else obj
-
-
 def _report(path, kind, config, driver, summary, extras=None):
     """Time driver(), then build, emit and print the report of its verdict.
 
@@ -193,11 +185,11 @@ def _report(path, kind, config, driver, summary, extras=None):
     report = report_mod.build_report(
         kind=kind,
         config=config,
-        stages=_plain(stages),
+        stages=stages,
         verdict="INCONCLUSIVE" if failure else "VERIFIED",
         timings={**timings, "total": elapsed},
         failure=failure,
-        extras={**(extras or {}), **_plain(more)},
+        extras={**(extras or {}), **more},
     )
     _emit(report, path)
     if failure:

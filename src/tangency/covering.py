@@ -51,7 +51,7 @@ from itertools import permutations
 
 from tangency import kernels as _k
 from tangency.interval import Interval, IntervalError, check_pairs, pair_mid
-from tangency.linalg import IntervalMatrix, IntervalVector, _wrap, dot
+from tangency.linalg import IntervalMatrix, IntervalVector, _wrap
 
 
 class _LocatedError(Exception):
@@ -115,7 +115,15 @@ def _image_normalized(src, tgt, fmap, zbox, read):
     rows of read (a tgt.rows_read), as a dict axis -> (lo, hi), and those
     rows of the local-frame derivative (hset.local_derivative) over it, as a
     tuple of rows of (lo, hi) pairs.  Everything between the map's returns
-    runs on pairs (see hset), and each vector or row is checked once.
+    runs on pairs in one pass, in loops written out over the nonzero
+    patterns of read and of src's frame: the thin and hull images are
+    normalized together, then each row's local-frame row, scaled row and
+    mean-value entry are computed in one loop.  Each vector or row is
+    checked once, before it enters a product or is returned, and every
+    check runs before the two images are intersected.  The terms are those
+    of the IntervalVector/IntervalMatrix products, in their order, so the
+    results are theirs bit for bit (hset.to_normalized and
+    hset.local_derivative are those products).
 
     Evaluated in mean-value form,
 
@@ -145,7 +153,7 @@ def _image_normalized(src, tgt, fmap, zbox, read):
     than len(read.cols) image entries or Jacobian rows breaks the map
     protocol (module docstring): TypeError, a bug and never a verdict.
     """
-    imul, idiv, iadd = _k.imul, _k.idiv, _k.iadd
+    isub, imul, idiv, iadd = _k.isub, _k.imul, _k.idiv, _k.iadd
     cols = read.cols
     value = fmap.apply(
         IntervalVector.from_pairs(src.from_normalized_pairs(zbox.mid)), cols
@@ -157,21 +165,70 @@ def _image_normalized(src, tgt, fmap, zbox, read):
             f"returned {value.dim} thin image entries, {image.dim} enclosure "
             f"entries and {jacobian.nrows} Jacobian rows"
         )
-    thin = read.normalized(value)
-    local = read.local_derivative(src, jacobian)
-    scaled = [
-        check_pairs([idiv(*imul(*e, d_src, d_src), d_tgt, d_tgt)
-                     for e, d_src in zip(local_row, src.diam)])
-        for local_row, d_tgt in zip(local, read.diam)
-    ]
-    # The terms of scaled.mat_vec(z - mid z), the delta's nonzero entries
-    # as the left factors of their products (imul is commutative bit for
-    # bit).
-    mean_value = check_pairs(
-        [iadd(*mid, *dot(zbox.delta_terms, row))
-         for mid, row in zip(thin, scaled)]
-    )
-    hull = read.normalized(image)
+    n = src.n
+    jac = jacobian.pairs
+    if len(jac[0]) < n:
+        raise IntervalError("shape mismatch in matrix product")
+    # The thin image and the hull image, normalized together: on each row,
+    # the terms of M_tgt^-1 (p - c) over the row's nonzero pattern, in
+    # mat_vec's order, divided by the row's diameter.
+    center = read.center
+    thin_diff = check_pairs([isub(*a, *c) for a, c in zip(value.pairs, center)])
+    hull_diff = check_pairs([isub(*a, *c) for a, c in zip(image.pairs, center)])
+    thin = []
+    hull = []
+    for row, d in zip(read.terms, read.diam):
+        lo = hi = h_lo = h_hi = 0.0
+        for k, a in row:
+            b = thin_diff[k]
+            if b[0] or b[1]:
+                lo, hi = iadd(lo, hi, *imul(*a, *b))
+            b = hull_diff[k]
+            if b[0] or b[1]:
+                h_lo, h_hi = iadd(h_lo, h_hi, *imul(*a, *b))
+        thin.append(idiv(lo, hi, d, d))
+        hull.append(idiv(h_lo, h_hi, d, d))
+    check_pairs(thin)
+    check_pairs(hull)
+    jac_cols = tuple(zip(*jac))
+    frame_cols, src_diam, delta = src.basis.cols, src.diam, zbox.delta_terms
+    local = []
+    mean_value = []
+    for row, d_tgt, (t_lo, t_hi) in zip(read.terms, read.diam, thin):
+        # T_j = (row j of M_tgt^-1) . DF, then its local-frame row
+        # T_j[:n] . M_src followed by T_j[n:], each checked: mat_mul's
+        # terms, the frame's column pattern as the left factor of the
+        # second product's (imul is commutative bit for bit).
+        t = []
+        for col in jac_cols:
+            lo = hi = 0.0
+            for k, a in row:
+                b = col[k]
+                if b[0] or b[1]:
+                    lo, hi = iadd(lo, hi, *imul(*a, *b))
+            t.append((lo, hi))
+        check_pairs(t)
+        local_row = []
+        for col in frame_cols:
+            lo = hi = 0.0
+            for k, a in col:
+                b = t[k]
+                if b[0] or b[1]:
+                    lo, hi = iadd(lo, hi, *imul(*a, *b))
+            local_row.append((lo, hi))
+        check_pairs(local_row)
+        scaled = check_pairs([idiv(*imul(*e, d_src, d_src), d_tgt, d_tgt)
+                              for e, d_src in zip(local_row, src_diam)])
+        local.append(tuple(local_row + t[n:]))
+        # The mean-value entry: the terms of scaled.mat_vec(z - mid z), the
+        # delta's nonzero entries as the left factors of their products.
+        lo = hi = 0.0
+        for k, a in delta:
+            b = scaled[k]
+            if b[0] or b[1]:
+                lo, hi = iadd(lo, hi, *imul(*a, *b))
+        mean_value.append(iadd(t_lo, t_hi, lo, hi))
+    check_pairs(mean_value)
     out = {}
     for axis, (m_lo, m_hi), (h_lo, h_hi) in zip(read.rows, mean_value, hull):
         if not (m_lo <= h_hi and h_lo <= m_hi):
@@ -183,7 +240,7 @@ def _image_normalized(src, tgt, fmap, zbox, read):
                 f"sub-box {list(zbox)!r}",
             )
         out[axis] = (max(m_lo, h_lo), min(m_hi, h_hi))
-    return out, local
+    return out, tuple(local)
 
 
 def detect_correspondence(src, tgt, local):
@@ -288,11 +345,19 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
         located(None, box_idx, zbox, every_row)
         for box_idx, zbox in enumerate(src.subboxes(grid))
     ]
-    local_hull = [
-        [(min(lo for lo, _ in entries), max(hi for _, hi in entries))
-         for entries in zip(*rows)]
-        for rows in zip(*(local for _, local in interior_images))
-    ]
+    # The hull of their local-frame derivatives; at grid 1 the one
+    # sub-box's.  Of equal bounds the first is kept, as min and max keep it.
+    local_hull = interior_images[0][1]
+    if len(interior_images) > 1:
+        hull = [list(row) for row in local_hull]
+        for _, local in interior_images[1:]:
+            for hull_row, row in zip(hull, local):
+                for c, (lo, hi) in enumerate(row):
+                    h_lo, h_hi = hull_row[c]
+                    if lo < h_lo or hi > h_hi:
+                        hull_row[c] = (lo if lo < h_lo else h_lo,
+                                       hi if hi > h_hi else h_hi)
+        local_hull = tuple([tuple(row) for row in hull])
     if correspondence is None:
         correspondence = detect_correspondence(src, tgt, local_hull)
     paired = {i: j for i, j, _ in correspondence}
@@ -336,7 +401,7 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
         grid=grid,
         exit_margins=exit_margins,
         entry_margin=entry_margin,
-        local_jacobian=_wrap(IntervalMatrix, tuple(tuple(row) for row in local_hull)),
+        local_jacobian=_wrap(IntervalMatrix, local_hull),
     )
 
 

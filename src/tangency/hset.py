@@ -21,16 +21,17 @@ rows of M, which build a Frame of its own (every Henon set).  The center as
 a point interval vector is built once per set.
 
 The frame changes a covering check makes per sub-box run on ``(lo, hi)``
-pairs and build no vector or matrix object: ``from_normalized_pairs``, on
-the nonzero patterns of the frame's rows and columns, built with the Frame,
-and the two methods of a ``RowsRead``, the change onto a set of target rows
-(``HSet.rows_read``), on the nonzero pattern of those rows of inv_coord,
-built once per Frame.  A covering check fetches one RowsRead per link and
-row set; to_normalized and local_derivative use one on every row.  Each
-vector or row they compute is checked once: before it enters a product or
-is returned, or, for from_normalized_pairs's result, by the IntervalVector
-its caller builds.  They take the terms of the IntervalVector/IntervalMatrix
-products, in their order, so the results are the same bits.
+pairs, in loops written out over nonzero patterns built once, and build no
+vector or matrix object: ``from_normalized_pairs``, on the patterns of the
+frame's rows, built with the Frame, and covering._image_normalized's one
+pass onto a set of target rows, on the patterns of the source frame's
+columns and of a ``RowsRead`` (``HSet.rows_read``, one per link and row
+set): those rows of inv_coord, built once per Frame.  They take the terms
+of the IntervalVector/IntervalMatrix products, in their order, so the
+results are the same bits.  The public transforms, ``to_normalized``
+(through ``to_local``) and ``local_derivative``, are those products
+themselves: the oracle of the pair route.  from_normalized_pairs leaves
+its result for the caller's IntervalVector to check.
 
 The sub-boxes a covering check visits, ``walls`` and ``subboxes``, depend
 only on the dimension and the grid: they are ``SubBox`` tuples built once
@@ -51,7 +52,6 @@ from tangency.linalg import (
     IntervalMatrix,
     IntervalVector,
     _wrap,
-    dot,
     inverse_enclosure,
     nonzero_pattern,
 )
@@ -196,7 +196,8 @@ class RowsRead:
     ambient coordinates they read (Frame.inv_rows; every one when rows are
     every row), the set's ``center`` on cols and its ``diam`` on rows.  A
     product skips every other column's term bit for bit (linalg._nonzero),
-    so both methods read only the cols of an ambient box or Jacobian."""
+    so a change onto these rows reads only the cols of an ambient box or
+    Jacobian (see covering._image_normalized)."""
 
     __slots__ = ("rows", "cols", "terms", "center", "diam")
 
@@ -205,36 +206,6 @@ class RowsRead:
         self.terms, self.cols = h.basis.inv_rows(self.rows)
         self.center = tuple(h.center_vec.pairs[k] for k in self.cols)
         self.diam = tuple(h.diam[j] for j in self.rows)
-
-    def normalized(self, p):
-        """The entries rows of the set's to_normalized as (lo, hi) pairs,
-        p holding the coordinates cols of an ambient box."""
-        if len(p) != len(self.cols):
-            raise IntervalError(f"dimension mismatch: {len(p)} vs {len(self.cols)}")
-        isub, idiv = _k.isub, _k.idiv
-        diff = check_pairs([isub(*a, *c) for a, c in zip(p.pairs, self.center)])
-        return check_pairs(
-            [idiv(*dot(row, diff), d, d) for row, d in zip(self.terms, self.diam)]
-        )
-
-    def local_derivative(self, src, jacobian):
-        """Those rows of local_derivative(src, set, jacobian), jacobian
-        holding the rows cols of the ambient Jacobian, as rows of (lo, hi)
-        pairs: T_j = (row j of inv_coord) . jacobian, checked, then
-        T_j[:n] . src.coord, checked, followed by T_j[n:].  The second
-        product takes the frame's column pattern as the left factor of each
-        term; imul is commutative bit for bit, so the terms are mat_mul's."""
-        n = src.n
-        jac = jacobian.pairs
-        if len(jac) != len(self.cols) or len(jac[0]) < n:
-            raise IntervalError("shape mismatch in matrix product")
-        jac_cols = tuple(zip(*jac))
-        out = []
-        for row in self.terms:
-            t = check_pairs(tuple(dot(row, col) for col in jac_cols))
-            block = check_pairs(tuple(dot(col, t) for col in src.basis.cols))
-            out.append(block + t[n:])
-        return tuple(out)
 
 
 class HSet:
@@ -293,7 +264,10 @@ class HSet:
     def to_normalized(self, p):
         """Normalized coordinates; p is certified inside the set iff the
         result is a subset of [-1,1]^n (sufficient direction only)."""
-        return IntervalVector.from_pairs(self.rows_read(range(self.n)).normalized(p))
+        idiv = _k.idiv
+        return IntervalVector.from_pairs(
+            [idiv(*w, d, d) for w, d in zip(self.to_local(p).pairs, self.diam)]
+        )
 
     def rows_read(self, rows):
         """The RowsRead of the rows ``rows`` of the frame change."""
@@ -310,10 +284,15 @@ class HSet:
             raise IntervalError(f"dimension mismatch: {len(z)} vs {self.n}")
         imul, iadd = _k.imul, _k.iadd
         scaled = check_pairs([imul(d, d, *zi) for d, zi in zip(self.diam, z)])
-        return [
-            iadd(c, c, *dot(row, scaled))
-            for c, row in zip(self.center, self.basis.rows)
-        ]
+        out = []
+        for c, row in zip(self.center, self.basis.rows):
+            lo = hi = 0.0
+            for k, a in row:
+                b = scaled[k]
+                if b[0] or b[1]:
+                    lo, hi = iadd(lo, hi, *imul(*a, *b))
+            out.append(iadd(c, c, lo, hi))
+        return out
 
     def from_local(self, w):
         return self.center_vec + self.frame.mat_vec(w)
@@ -382,9 +361,10 @@ def local_derivative(src, tgt, jacobian):
     any further columns (a parameter's) are T[:, n:], the parameter
     derivative of the tgt local coordinates.
     """
-    return IntervalMatrix.from_pairs(
-        tgt.rows_read(range(tgt.n)).local_derivative(src, jacobian)
-    )
+    n = src.n
+    t = tgt.inv_coord.mat_mul(jacobian).pairs
+    block = IntervalMatrix.from_pairs([row[:n] for row in t]).mat_mul(src.frame).pairs
+    return IntervalMatrix.from_pairs([b + row[n:] for b, row in zip(block, t)])
 
 
 class QuadraticForm:

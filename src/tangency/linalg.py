@@ -14,8 +14,11 @@ for bit.  Indexing, iteration, ``rows`` and ``entries`` give Intervals.
 
 A matrix that is fixed while the vectors it multiplies vary (an h-set's
 frame, or rows of its inverse) keeps its :func:`nonzero_pattern`, built
-once, and :func:`dot` takes each row of it against a vector of pairs with
-no vector or matrix object built per product.
+once.  The covering's per-sub-box frame changes (tangency.hset and
+tangency.covering) take each row of it against a sequence of pairs in a
+loop written out where the product is needed, with no vector or matrix
+object built per product: the terms of mat_vec, in its order, so the
+results are the same bits.
 
 Where pairs are checked: ``from_pairs`` and the public constructors check
 every pair they are given, and each product, sum or scaling checks the
@@ -253,20 +256,6 @@ def nonzero_pattern(rows):
     """The (index, pair) entries of each row of rows that are not exact
     zeros, as a tuple per row: the terms of the row in mat_vec."""
     return tuple(tuple(_nonzero(row)) for row in rows)
-
-
-def dot(terms, v):
-    """The sum of a * v[k] over the (k, a) terms, a row of a nonzero_pattern,
-    that meet an entry of the pair sequence v which is not an exact zero,
-    as an unchecked pair.  These are the terms mat_vec takes, in mat_vec's
-    order, so the sum is the same bits."""
-    imul, iadd = _k.imul, _k.iadd
-    lo = hi = 0.0
-    for k, a in terms:
-        b = v[k]
-        if b[0] or b[1]:
-            lo, hi = iadd(lo, hi, *imul(*a, *b))
-    return lo, hi
 
 
 def _det(rows):

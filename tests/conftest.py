@@ -294,6 +294,92 @@ class CountingMap:
         return self.fmap.derivative(box, outputs)
 
 
+class FixedMap:
+    """A map of the map protocol that returns the same enclosures for every
+    box: the thin image ``value``, the hull image ``image`` and the Jacobian
+    ``jac``, each on the outputs asked for.  It feeds the covering's one
+    pass inputs no real map gives, dense Jacobians among them."""
+
+    def __init__(self, value, image, jac):
+        self.value, self.image, self.jac = value, image, jac
+
+    def _keep(self, outputs):
+        return range(self.value.dim) if outputs is None else outputs
+
+    def apply(self, box, outputs=None):
+        from tangency.linalg import IntervalVector
+
+        return IntervalVector.from_pairs([self.value.pairs[k] for k in self._keep(outputs)])
+
+    def derivative(self, box, outputs=None):
+        from tangency.linalg import IntervalMatrix, IntervalVector
+
+        keep = self._keep(outputs)
+        return (IntervalVector.from_pairs([self.image.pairs[k] for k in keep]),
+                IntervalMatrix.from_pairs([self.jac.pairs[k] for k in keep]))
+
+
+def one_pass_cases(chain):
+    """(src, tgt, map) of every link of the Henon chain, both disk
+    self-coverings and every link of the default toy chain."""
+    from tangency.henon import henon_family, projected_disk_data
+    from tangency.manifold import DiskMap
+    from tangency.projective import ChartMap
+    from tangency.toy import ToyParams, build_toy_chain
+
+    chart = ChartMap(henon_family())
+    cases = [(s, t, chart) for s, t in zip(chain.sets, chain.sets[1:])]
+    for side, direction in (("stable", "forward"), ("unstable", "inverse")):
+        ntilde, _, param, _ = projected_disk_data(chain, side)
+        cases.append((ntilde, ntilde, DiskMap(ChartMap(henon_family(), direction), param)))
+    toy = build_toy_chain(ToyParams())
+    return cases + list(zip(toy.sets, toy.sets[1:], toy.maps))
+
+
+def matrix_from_normalized(h, z):
+    """c + M (d . z) of the (lo, hi) pairs z through IntervalVector and
+    IntervalMatrix products."""
+    from tangency import kernels
+    from tangency.linalg import IntervalVector
+
+    scaled = IntervalVector.from_pairs([kernels.imul(d, d, *zi) for d, zi in zip(h.diam, z)])
+    return h.center_vec + h.frame.mat_vec(scaled)
+
+
+def one_pass_oracle(src, tgt, fmap, zbox):
+    """The covering's evaluation of the sub-box zbox (a hset.SubBox) of src
+    under fmap, through the IntervalVector and IntervalMatrix products and
+    the public transforms, on every output and every target row: (image,
+    local), image a list of (lo, hi) pairs, one per target row, and local
+    the rows of hset.local_derivative over zbox's ambient box.
+
+    The ambient boxes are c + M (d . z) by mat_vec; the thin image of the
+    midpoint and the hull image are hset.to_normalized's; S is
+    local_derivative's first src.n columns times d_src / d_tgt, entry by
+    entry; the mean-value image thin + S.mat_vec(z - mid z) is intersected
+    with the hull image."""
+    from tangency import kernels
+    from tangency.hset import local_derivative
+    from tangency.linalg import IntervalMatrix, IntervalVector
+
+    value = fmap.apply(matrix_from_normalized(src, zbox.mid))
+    image, jac = fmap.derivative(matrix_from_normalized(src, zbox.pairs))
+    hull = tgt.to_normalized(image).pairs
+    local = local_derivative(src, tgt, jac).pairs
+    scaled = IntervalMatrix.from_pairs([
+        [kernels.idiv(*kernels.imul(*e, d_src, d_src), d_tgt, d_tgt)
+         for e, d_src in zip(row, src.diam)]
+        for row, d_tgt in zip(local, tgt.diam)
+    ])
+    delta = IntervalVector.from_pairs(zbox.pairs) - IntervalVector.from_pairs(zbox.mid)
+    mean_value = (tgt.to_normalized(value) + scaled.mat_vec(delta)).pairs
+    out = []
+    for (m_lo, m_hi), (h_lo, h_hi) in zip(mean_value, hull):
+        assert m_lo <= h_hi and h_lo <= m_hi
+        out.append((max(m_lo, h_lo), min(m_hi, h_hi)))
+    return out, local
+
+
 def check_inverse_consistency(family, box):
     """Map the box through a PlanarMapFamily's inverse evaluator and its
     image midpoint back through the forward one; the largest componentwise

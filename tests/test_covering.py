@@ -10,6 +10,8 @@ from conftest import (
     IdentityMap,
     PointShiftedMap,
     covering_boxes,
+    one_pass_cases,
+    one_pass_oracle,
     pairs_hex,
 )
 from tangency.covering import (
@@ -44,11 +46,9 @@ def _wall_midpoint_pairing(src, tgt, fmap, grid):
     the hulls of the images of the walls z_i = +1 and z_i = -1; the first
     pairing of largest total |separation|, each pair signed as its
     separation."""
-    read = tgt.rows_read(tgt.unstable)
-
     def thin(zbox):
         point = IntervalVector.from_pairs(src.from_normalized_pairs(zbox.mid))
-        return dict(zip(read.rows, read.normalized(fmap.apply(point, read.cols))))
+        return tgt.to_normalized(fmap.apply(point)).pairs
 
     mids = {}
     for i in src.unstable:
@@ -558,6 +558,42 @@ class TestWallRows:
         assert exc.value.locus == "S=>T"
         assert exc.value.detail.startswith("interior box 0:")
         assert "chart" in exc.value.detail
+
+
+class TestOnePassOracle:
+    """_image_normalized, the covering's one pass on (lo, hi) pairs, is the
+    object route's evaluation bit for bit (conftest.one_pass_oracle: the
+    ambient boxes by IntervalMatrix.mat_vec, the maps on every output,
+    hset.to_normalized and hset.local_derivative), on every sub-box of the
+    15 Henon links, both disk self-coverings and the default toy chain's
+    links, on every target row, on each single row and on the unstable and
+    stable rows."""
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    def test_every_sub_box(self, henon_chain, grid):
+        from tangency.kernels import upward
+
+        cases = one_pass_cases(henon_chain)
+        compared = 0
+        with upward():
+            for src, tgt, fmap in cases:
+                n = tgt.n
+                row_sets = [tuple(range(n)), tgt.unstable, tgt.stable]
+                row_sets += [(j,) for j in range(n)]
+                for zbox in covering_boxes(src, grid):
+                    want, want_local = one_pass_oracle(src, tgt, fmap, zbox)
+                    for rows in row_sets:
+                        img, local = _enclose(src, tgt, fmap, zbox, rows)
+                        assert list(img) == list(rows)
+                        assert pairs_hex(img.values()) == pairs_hex(want[j] for j in rows)
+                        assert [pairs_hex(r) for r in local] == [
+                            pairs_hex(want_local[j]) for j in rows
+                        ]
+                    compared += 1
+        # 15 Henon and 10 toy links on 4-dimensional sets, 2 disks on
+        # 3-dimensional ones, each with two unstable axes.
+        assert len(cases) == 27
+        assert compared == 25 * (4 * grid**3 + grid**4) + 2 * (4 * grid**2 + grid**3)
 
 
 class TestFrameChangesFetchedOnce:

@@ -7,8 +7,8 @@ import pytest
 
 from conftest import pairs_hex
 from tangency import hset, kernels
-from tangency.interval import Interval, IntervalError
-from tangency.hset import Frame, HSet, QuadraticForm, local_derivative
+from tangency.interval import Interval, IntervalError, pair_mid
+from tangency.hset import Frame, HSet, QuadraticForm
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.projective import ChartMap
 
@@ -153,26 +153,23 @@ class TestTransforms:
             assert box[1].contains(p[1].mid)
 
     def test_rows_read_only_their_columns(self, henon_chain):
-        # Rows of the normalized image and of the local-frame derivative,
-        # given only the coordinates and Jacobian rows they read, are the
-        # full transforms' rows bit for bit.
+        # The covering's one pass onto a set of target rows, which maps and
+        # reads only the coordinates and Jacobian rows those rows read,
+        # gives the rows of the pass onto every row bit for bit.
+        from tangency.covering import _image_normalized
         from tangency.henon import henon_family
 
         chart = ChartMap(henon_family())
         sets = henon_chain.sets
         for src, tgt in zip(sets, sets[1:]):
-            image, jac = chart.derivative(src.box())
-            full = tgt.to_normalized(image).pairs
-            full_local = local_derivative(src, tgt, jac).pairs
+            zbox = src.subboxes(1)[0]
+            full, full_local = _image_normalized(
+                src, tgt, chart, zbox, tgt.rows_read(range(4)))
             for rows in (tgt.unstable, tgt.stable, (2,), (3,), tuple(range(4))):
-                read = tgt.rows_read(rows)
-                cols = read.cols
-                part = IntervalVector.from_pairs([image.pairs[k] for k in cols])
-                part_jac = IntervalMatrix.from_pairs([jac.pairs[k] for k in cols])
-                want = pairs_hex(full[j] for j in rows)
-                assert pairs_hex(read.normalized(part)) == want
-                got = read.local_derivative(src, part_jac)
-                assert [pairs_hex(r) for r in got] == [
+                img, local = _image_normalized(src, tgt, chart, zbox, tgt.rows_read(rows))
+                assert list(img) == list(rows)
+                assert pairs_hex(img.values()) == pairs_hex(full[j] for j in rows)
+                assert [pairs_hex(r) for r in local] == [
                     pairs_hex(full_local[j]) for j in rows
                 ]
             assert tgt.rows_read((2,)).cols == (2,) and tgt.rows_read((3,)).cols == (3,)
@@ -346,44 +343,9 @@ def _row_sets(n):
     return [rows for k in range(1, n + 1) for rows in itertools.combinations(range(n), k)]
 
 
-def _matrix_from_normalized(h, z):
-    """c + M (d . z) through IntervalVector and IntervalMatrix products."""
-    scaled = IntervalVector.from_pairs(
-        [kernels.imul(d, d, *zi) for d, zi in zip(h.diam, z.pairs)]
-    )
-    return (h.center_vec + h.frame.mat_vec(scaled)).pairs
-
-
-def _matrix_normalized_rows(h, p, rows):
-    """Rows of D^-1 M^-1 (p - c) through the full inverse frame's mat_vec."""
-    loc = h.inv_coord.mat_vec(p - h.center_vec).pairs
-    return [kernels.idiv(*loc[j], h.diam[j], h.diam[j]) for j in rows]
-
-
-def _matrix_local_rows(src, tgt, jac, rows):
-    """Rows of local_derivative through the full inverse frame's mat_mul."""
-    n = src.n
-    t = tgt.inv_coord.mat_mul(jac).pairs
-    block = IntervalMatrix.from_pairs([r[:n] for r in t]).mat_mul(src.frame).pairs
-    return [block[j] + t[j][n:] for j in rows]
-
-
-def _frame_cases():
-    """(src, tgt, map) of every Henon link, every toy link at the default
-    parameters and both disk self-coverings."""
-    from tangency.henon import build_chain, henon_family, projected_disk_data
-    from tangency.manifold import DiskMap
-    from tangency.toy import ToyParams, build_toy_chain
-
-    chain = build_chain()
-    chart = ChartMap(henon_family())
-    cases = [(s, t, chart) for s, t in zip(chain.sets, chain.sets[1:])]
-    toy = build_toy_chain(ToyParams())
-    cases += list(zip(toy.sets, toy.sets[1:], toy.maps))
-    for side, direction in (("stable", "forward"), ("unstable", "inverse")):
-        ntilde, _, param, _ = projected_disk_data(chain, side)
-        cases.append((ntilde, ntilde, DiskMap(ChartMap(henon_family(), direction), param)))
-    return cases
+def _thin(p):
+    """The thin box of the midpoints of p's entries."""
+    return IntervalVector.from_pairs([(m, m) for m in (pair_mid(*e) for e in p.pairs)])
 
 
 def _random_box(rng, center, scale):
@@ -397,46 +359,54 @@ def _random_box(rng, center, scale):
 
 
 class TestPairFrameChanges:
-    """from_normalized_pairs and RowsRead's normalized and local_derivative are
-    the IntervalMatrix products' results bit for bit, on every Henon and
-    toy set, every set of target rows, the covering's sub-boxes and their
-    midpoints, the maps' images and Jacobians, and dense random inputs that
-    make every nonzero frame term count."""
+    """from_normalized_pairs is the IntervalMatrix product's result bit for
+    bit, and so is the covering's one pass onto every set of target rows
+    (conftest.one_pass_oracle), on every Henon and toy link and both disk
+    self-coverings: on the covering's sub-boxes and their midpoints and on
+    random sub-boxes, with the maps' own images and Jacobians and with dense
+    random ones (conftest.FixedMap) that make every nonzero frame term
+    count."""
 
-    def test_against_the_matrix_route(self, rng):
-        from conftest import covering_boxes
+    def test_against_the_matrix_route(self, rng, henon_chain):
+        from conftest import (
+            FixedMap,
+            covering_boxes,
+            matrix_from_normalized,
+            one_pass_cases,
+            one_pass_oracle,
+        )
+        from tangency.covering import _image_normalized
 
         compared = 0
         with kernels.upward():
-            for src, tgt, fmap in _frame_cases():
+            for src, tgt, fmap in one_pass_cases(henon_chain):
                 zs = list(covering_boxes(src, 1))
-                zs += [IntervalVector([Interval(e.mid) for e in z]) for z in zs]
-                zs += [_random_box(rng, [0.0] * src.n, 0.9) for _ in range(4)]
-                inputs = []
-                for z in zs:
+                zs += [hset._subbox(_random_box(rng, [0.0] * src.n, 0.9).pairs)
+                       for _ in range(4)]
+                maps = []
+                for z in zs + [IntervalVector.from_pairs(z.mid) for z in zs]:
                     got = src.from_normalized_pairs(z.pairs)
-                    assert pairs_hex(got) == pairs_hex(_matrix_from_normalized(src, z))
+                    want = matrix_from_normalized(src, z.pairs).pairs
+                    assert pairs_hex(got) == pairs_hex(want)
                     assert pairs_hex(src.from_normalized(z).pairs) == pairs_hex(got)
-                    inputs.append(fmap.derivative(src.from_normalized(z)))
-                jac_dim = inputs[0][1].ncols
+                for z in zs:
+                    image, jac = fmap.derivative(src.from_normalized(z))
+                    maps.append(FixedMap(_thin(image), image, jac))
+                jac_dim = maps[0].jac.ncols
                 for _ in range(4):
                     p = _random_box(rng, tgt.center, 10.0 * max(tgt.diam))
                     jac = IntervalMatrix(
                         [list(_random_box(rng, [0.0] * jac_dim, 2.0)) for _ in range(tgt.n)]
                     )
-                    inputs.append((p, jac))
-                for p, jac in inputs:
+                    maps.append(FixedMap(_thin(p), p, jac))
+                for fixed in maps:
+                    z = rng.choice(zs)
+                    want, want_local = one_pass_oracle(src, tgt, fixed, z)
                     for rows in _row_sets(tgt.n):
-                        read = tgt.rows_read(rows)
-                        cols = read.cols
-                        part = IntervalVector.from_pairs([p.pairs[k] for k in cols])
-                        assert pairs_hex(read.normalized(part)) == pairs_hex(
-                            _matrix_normalized_rows(tgt, p, rows)
-                        )
-                        part_jac = IntervalMatrix.from_pairs([jac.pairs[k] for k in cols])
-                        got = read.local_derivative(src, part_jac)
-                        assert [pairs_hex(r) for r in got] == [
-                            pairs_hex(r) for r in _matrix_local_rows(src, tgt, jac, rows)
+                        img, local = _image_normalized(src, tgt, fixed, z, tgt.rows_read(rows))
+                        assert pairs_hex(img.values()) == pairs_hex(want[j] for j in rows)
+                        assert [pairs_hex(r) for r in local] == [
+                            pairs_hex(want_local[j]) for j in rows
                         ]
                         compared += 1
         assert compared > 2000
@@ -475,16 +445,18 @@ class TestSharedFrame:
             assert _hex_rows(on_frame.inv_coord.pairs) == _hex_rows(from_rows.inv_coord.pairs)
             assert _hex_rows(on_frame.frame.pairs) == _hex_rows(from_rows.frame.pairs)
             boxes = self._boxes(rng, on_frame)
+            for rows in _row_sets(on_frame.n):
+                read, other = on_frame.rows_read(rows), from_rows.rows_read(rows)
+                assert (other.cols, other.diam) == (read.cols, read.diam)
+                assert pairs_hex(other.center) == pairs_hex(read.center)
+                assert [[(k, *pairs_hex([a])) for k, a in row] for row in other.terms] == [
+                    [(k, *pairs_hex([a])) for k, a in row] for row in read.terms
+                ]
             with kernels.upward():
-                for rows in _row_sets(on_frame.n):
-                    read = on_frame.rows_read(rows)
-                    cols = read.cols
-                    assert from_rows.rows_read(rows).cols == cols
-                    for p in boxes:
-                        part = IntervalVector.from_pairs([p.pairs[k] for k in cols])
-                        assert pairs_hex(read.normalized(part)) == pairs_hex(
-                            from_rows.rows_read(rows).normalized(part)
-                        )
+                for p in boxes:
+                    assert pairs_hex(on_frame.to_normalized(p).pairs) == pairs_hex(
+                        from_rows.to_normalized(p).pairs
+                    )
 
     def test_sets_on_one_frame_keep_their_own_centers(self):
         frame = Frame(ROT)

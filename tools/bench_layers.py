@@ -2,7 +2,7 @@
 """Layer and end-to-end timings of source trees, as one JSON document.
 
     python tools/bench_layers.py --tree parent=../parent/src --tree change=src \\
-        --runs 9 > BENCH_24.json
+        --runs 9 > BENCH_33.json
 
 Each run starts a fresh interpreter per tree, with the tree first on
 ``sys.path``; the trees alternate which goes first from one run to the next.
@@ -37,7 +37,12 @@ cyclic garbage collector (the count ``gc.collect()`` returns after a
 warm-up call and one call with the collector off), and
 ``gc.young_per_100_check_toy`` and ``gc.full_per_100_check_toy`` the
 collections of generation 0 and of generation 2 run during 100
-``check-toy`` calls.  A layer is timed only where
+``check-toy`` calls; ``gc.young_per_100_prove_henon`` and
+``gc.full_per_1000_prove_henon`` count them during 1000 ``prove henon``
+calls, per 100 and per 1000 calls.  ``covering.subbox_us`` is the sub-box
+evaluations of one grid-1 proof: every ``covering._image_normalized`` call
+that ``run_proof()`` makes (its arguments recorded once by wrapping it),
+replayed in order in an upward block.  A layer is timed only where
 the tree has what it calls; where it does not (an ImportError or
 AttributeError while the layer is set up), the tree's value is null.
 
@@ -124,15 +129,47 @@ def _cyclic_garbage(argv):
         gc.enable()
 
 
-def _gc_collections(calls):
+def _gc_collections(argv, calls):
     """(young, full): the collections of generation 0 and of generation 2
-    that the collector runs during calls ``check-toy`` calls."""
+    that the collector runs during calls CLI calls of argv."""
     gc.collect()
     before = gc.get_stats()
     for _ in range(calls):
-        _check_toy()
+        _cli_call(argv)
     after = gc.get_stats()
     return tuple(after[gen]["collections"] - before[gen]["collections"] for gen in (0, 2))
+
+
+def _subbox_calls():
+    """The arguments of every ``covering._image_normalized`` call of one
+    grid-1 ``run_proof()``, in order, recorded by wrapping it for that
+    run."""
+    from tangency import covering
+    from tangency.henon import run_proof
+
+    calls = []
+    evaluate = covering._image_normalized
+
+    def recording(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    covering._image_normalized = recording
+    try:
+        run_proof()
+    finally:
+        covering._image_normalized = evaluate
+    return calls
+
+
+def _subboxes(calls):
+    """The sub-box evaluations of calls, replayed in order."""
+    from tangency.covering import _image_normalized
+
+    def run():
+        for args in calls:
+            _image_normalized(*args)
+    return run
 
 
 def _resolve(module, name):
@@ -219,7 +256,9 @@ def _one_run(calls, repeat):
     from tangency.kernels import upward
 
     out = {}
+    subbox_calls = _subbox_calls()
     with upward():
+        out["covering.subbox_us"] = _best(_subboxes(subbox_calls), repeat) * 1e6
         for key, setup, number in _layers(calls):
             try:
                 f = setup()
@@ -232,9 +271,12 @@ def _one_run(calls, repeat):
     out["check_toy_s"] = _best(_check_toy, repeat)
     out["gc.cyclic_prove_henon"] = _cyclic_garbage(["prove", "henon"])
     out["gc.cyclic_check_toy"] = _cyclic_garbage(["check-toy"])
-    young, full = _gc_collections(100)
+    young, full = _gc_collections(["check-toy"], 100)
     out["gc.young_per_100_check_toy"] = young
     out["gc.full_per_100_check_toy"] = full
+    young, full = _gc_collections(["prove", "henon"], 1000)
+    out["gc.young_per_100_prove_henon"] = young / 10
+    out["gc.full_per_1000_prove_henon"] = full
 
     for grid in (1, 2):
         config = HenonConfig(grid=grid)
