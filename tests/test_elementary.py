@@ -57,18 +57,13 @@ def _assert_quadrant_switch(j):
 
 
 class TestReductionBoundaries:
-    @pytest.mark.parametrize("j", range(0, 1))
+    @pytest.mark.parametrize("j", range(0, 13))
     def test_quadrant_switch_points(self, j):
         _assert_quadrant_switch(j)
 
     def test_negative_quadrant_switch_points(self):
         # The switch points j = -12..-1, in one test.
         for j in range(-12, 0):
-            _assert_quadrant_switch(j)
-
-    def test_positive_quadrant_switch_points(self):
-        # The switch points j = 1..12, in one test.
-        for j in range(1, 13):
             _assert_quadrant_switch(j)
 
     def test_chart_domain_ends(self):
