@@ -15,16 +15,21 @@ model map with degree +-1.  Failure is always inconclusive, never a
 disproof: interval methods cannot refute.
 
 F is any object with the two methods of the map protocol, on ambient
-IntervalVector boxes and increasing output indices ``outputs``:
+boxes, tuples of checked (lo, hi) pairs, and increasing output indices
+``outputs``:
 
-* ``F.apply(box, outputs)`` encloses those entries of the image of box; the
-  checker calls it on the thin midpoint of each sub-box;
+* ``F.apply(box, outputs)`` encloses those entries of the image of box, as
+  a tuple of pairs; the checker calls it on the thin midpoint of each
+  sub-box;
 * ``F.derivative(box, outputs)`` returns ``(image, jacobian)``: those
-  entries of the image enclosure and those rows of DF over box, from one
-  evaluation.
+  entries of the image enclosure, a tuple of pairs, and those rows of DF
+  over box, a tuple of rows of pairs, from one evaluation.
 
 A map returns exactly the entries and rows asked for; ``outputs=None``
-means every output (projective.ChartMap is such a map).  Every sub-box is
+means every output (projective.ChartMap is such a map).  A box is
+checked where it is built (hset.HSet.from_normalized), a map checks the
+pairs it computes, and the checker checks the counts a map returns; no
+vector or matrix object is built per sub-box.  Every sub-box is
 evaluated once, by _image_normalized on the target rows it is read on: its
 thin midpoint image and its enclosure, both on those rows only.  The
 interior sub-boxes are read on every row and evaluated first.  The pairing
@@ -51,7 +56,7 @@ from itertools import permutations
 
 from tangency import kernels as _k
 from tangency.interval import Interval, IntervalError, check_pairs, pair_mid
-from tangency.linalg import IntervalMatrix, IntervalVector, _wrap
+from tangency.linalg import IntervalMatrix, _wrap
 
 
 class _LocatedError(Exception):
@@ -155,26 +160,23 @@ def _image_normalized(src, tgt, fmap, zbox, read):
     """
     isub, imul, idiv, iadd = _k.isub, _k.imul, _k.idiv, _k.iadd
     cols = read.cols
-    value = fmap.apply(
-        IntervalVector.from_pairs(src.from_normalized_pairs(zbox.mid)), cols
-    )
-    image, jacobian = fmap.derivative(src.from_normalized(zbox), cols)
-    if not value.dim == image.dim == jacobian.nrows == len(cols):
+    value = fmap.apply(src.from_normalized(zbox.mid), cols)
+    image, jac = fmap.derivative(src.from_normalized(zbox.pairs), cols)
+    if not len(value) == len(image) == len(jac) == len(cols):
         raise TypeError(
             f"{src.name}=>{tgt.name}: asked for the outputs {cols}, the map "
-            f"returned {value.dim} thin image entries, {image.dim} enclosure "
-            f"entries and {jacobian.nrows} Jacobian rows"
+            f"returned {len(value)} thin image entries, {len(image)} enclosure "
+            f"entries and {len(jac)} Jacobian rows"
         )
     n = src.n
-    jac = jacobian.pairs
     if len(jac[0]) < n:
         raise IntervalError("shape mismatch in matrix product")
     # The thin image and the hull image, normalized together: on each row,
     # the terms of M_tgt^-1 (p - c) over the row's nonzero pattern, in
     # mat_vec's order, divided by the row's diameter.
     center = read.center
-    thin_diff = check_pairs([isub(*a, *c) for a, c in zip(value.pairs, center)])
-    hull_diff = check_pairs([isub(*a, *c) for a, c in zip(image.pairs, center)])
+    thin_diff = check_pairs([isub(*a, *c) for a, c in zip(value, center)])
+    hull_diff = check_pairs([isub(*a, *c) for a, c in zip(image, center)])
     thin = []
     hull = []
     for row, d in zip(read.terms, read.diam):

@@ -28,7 +28,7 @@ from tangency.covering import (
     checked_correspondence,
 )
 from tangency.hset import HSet, QuadraticForm, _check_grid
-from tangency.interval import Interval, IntervalError
+from tangency.interval import Interval, IntervalError, as_pair
 from tangency.linalg import IntervalVector
 from tangency.manifold import verify_disk
 from tangency.projective import ChartMap, PlanarMapFamily
@@ -243,8 +243,8 @@ def build_chain(param_radius=PARAM_RADIUS):
 
     with _k.upward():
         for i in range(1, 15):
-            img = chart.apply(IntervalVector(centers4[i]))
-            width = max(img[k].width for k in range(3))
+            img = chart.apply(tuple([as_pair(c) for c in centers4[i]]))
+            width = max(_k.sub_up(hi, lo) for lo, hi in img[:3])
             if width > ORBIT_WIDTH_MAX:
                 raise VerificationInconclusive(
                     "chain-build",

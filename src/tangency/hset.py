@@ -22,7 +22,7 @@ a point interval vector is built once per set.
 
 The frame changes a covering check makes per sub-box run on ``(lo, hi)``
 pairs, in loops written out over nonzero patterns built once, and build no
-vector or matrix object: ``from_normalized_pairs``, on the patterns of the
+vector or matrix object: ``from_normalized``, on the patterns of the
 frame's rows, built with the Frame, and covering._image_normalized's one
 pass onto a set of target rows, on the patterns of the source frame's
 columns and of a ``RowsRead`` (``HSet.rows_read``, one per link and row
@@ -30,8 +30,12 @@ set): those rows of inv_coord, built once per Frame.  They take the terms
 of the IntervalVector/IntervalMatrix products, in their order, so the
 results are the same bits.  The public transforms, ``to_normalized``
 (through ``to_local``) and ``local_derivative``, are those products
-themselves: the oracle of the pair route.  from_normalized_pairs leaves
-its result for the caller's IntervalVector to check.
+themselves: the oracle of the pair route.
+
+Where pairs are checked: from_normalized checks the scaled offset before
+it enters a product and the ambient box it returns, once, where it is
+built; the box is handed to a map as it is.  ``box`` wraps that checked
+box in an IntervalVector without checking it again.
 
 The sub-boxes a covering check visits, ``walls`` and ``subboxes``, depend
 only on the dimension and the grid: they are ``SubBox`` tuples built once
@@ -274,12 +278,8 @@ class HSet:
         return RowsRead(self, rows)
 
     def from_normalized(self, z):
-        """The ambient box c + M (d . z) of a normalized box z."""
-        return IntervalVector.from_pairs(self.from_normalized_pairs(z.pairs))
-
-    def from_normalized_pairs(self, z):
-        """from_normalized on the (lo, hi) pairs z, as a list of pairs left
-        unchecked for the caller's IntervalVector to check."""
+        """The ambient box c + M (d . z) of the normalized box z, (lo, hi)
+        pairs, as a checked tuple of pairs."""
         if len(z) != self.n:
             raise IntervalError(f"dimension mismatch: {len(z)} vs {self.n}")
         imul, iadd = _k.imul, _k.iadd
@@ -292,14 +292,14 @@ class HSet:
                 if b[0] or b[1]:
                     lo, hi = iadd(lo, hi, *imul(*a, *b))
             out.append(iadd(c, c, lo, hi))
-        return out
+        return check_pairs(tuple(out))
 
     def from_local(self, w):
         return self.center_vec + self.frame.mat_vec(w)
 
     def box(self):
         """Ambient enclosure of the whole set."""
-        return self.from_normalized(self.unit_cube(self.n))
+        return _wrap(IntervalVector, self.from_normalized(self.unit_cube(self.n).pairs))
 
     @staticmethod
     def unit_cube(n):

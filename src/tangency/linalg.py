@@ -24,9 +24,10 @@ Where pairs are checked: ``from_pairs`` and the public constructors check
 every pair they are given, and each product, sum or scaling checks the
 pairs it computes.  Pairs that are checked already are wrapped by
 :func:`_wrap` and not checked again: a transpose, a row, a negation, and
-the matrices and vectors the proof path assembles from checked pairs (a
-chart map's image and Jacobian, a covering's local-frame hull, a cone
-matrix).
+the matrices and vectors the proof path assembles from checked pairs (an
+h-set's box, a covering's local-frame hull, a disk's blocks of it, a cone
+matrix).  The maps of the covering's map protocol take and return checked
+pairs and build neither type.
 """
 
 from __future__ import annotations

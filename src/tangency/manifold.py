@@ -212,10 +212,11 @@ def choose_gamma(a_lower, m_upper, l_upper, locus="manifold"):
 class DiskMap:
     """chart_map on (x, y, w) boxes, the parameter held in the interval param.
 
-    Each box, with param appended, goes through chart_map.apply or
-    chart_map.derivative on the outputs asked for, every output (x, y, w) by
-    default.  A Jacobian row is then d(x, y, w)/d(x, y, w, a) for its
-    output, whose last column verify_disk reads as the parameter column.
+    Each box, a tuple of checked (lo, hi) pairs, with the pair param
+    appended, goes through chart_map.apply or chart_map.derivative on the
+    outputs asked for, every output (x, y, w) by default.  A Jacobian row
+    is then d(x, y, w)/d(x, y, w, a) for its output, whose last column
+    verify_disk reads as the parameter column.
     """
 
     def __init__(self, chart_map, param):
@@ -223,8 +224,7 @@ class DiskMap:
         self.param = as_pair(param)
 
     def _lifted(self, box, outputs):
-        return (_wrap(IntervalVector, box.pairs + (self.param,)),
-                (0, 1, 2) if outputs is None else outputs)
+        return box + (self.param,), (0, 1, 2) if outputs is None else outputs
 
     def apply(self, box, outputs=None):
         return self.chart_map.apply(*self._lifted(box, outputs))

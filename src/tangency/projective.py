@@ -3,7 +3,7 @@
 Directions [v] in the projective line over a planar tangent space are
 parameterized by the slope w = v_x / v_y, the direction [(w, 1)]; the chart
 excludes the horizontal direction.  The extended map acts on chart boxes,
-IntervalVectors (x, y, w, a), by
+tuples of (lo, hi) pairs (x, y, w, a), by
 
     (x, y, w, a) |-> (f_a(x, y), w_x / w_y, a),  (w_x, w_y) = Df_a(x, y) . (w, 1),
 
@@ -18,12 +18,13 @@ compute only what those read: without w, they compute no slope, the image's
 jets of f carry values only and the derivative's drop to order 1; on a
 alone, neither evaluates f.
 
-Where pairs are checked: the box's pairs are checked by its IntervalVector
-and seed f's jets as they are; f's jets check what they compute; apply and
-derivative check only the pairs they compute themselves, the image slope
-and the slope row (its gradient, and the direction enclosure and the
-quotient before they enter a product), and assemble the image and the
-Jacobian from checked pairs without checking them again.
+Where pairs are checked: the box's pairs are checked by whoever built the
+box (an h-set's from_normalized) and seed f's jets as they are; f's jets
+check what they compute; apply and derivative check only the pairs they
+compute themselves, the image slope and the slope row (its gradient, and
+the direction enclosure and the quotient before they enter a product), and
+return the image and the Jacobian as tuples of checked pairs without
+checking them again.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Callable, Optional
 from tangency import kernels as _k
 from tangency.interval import Interval, IntervalError, check_pairs
 from tangency.jets import Jet, seed_jets
-from tangency.linalg import IntervalMatrix, IntervalVector, _wrap
 
 
 class ChartError(IntervalError):
@@ -77,13 +77,6 @@ def _place_w(xya):
     return x, y, _ZERO, a
 
 
-def _vector(pairs):
-    """The IntervalVector of checked pairs; an empty one is refused."""
-    if not pairs:
-        raise IntervalError("empty vector")
-    return _wrap(IntervalVector, tuple(pairs))
-
-
 class ChartMap:
     """The extended map on chart coordinates for one orientation of a family.
 
@@ -109,14 +102,15 @@ class ChartMap:
 
     # -- value-level application ------------------------------------------
 
-    def apply(self, v, outputs=None):
-        """Image enclosure of a chart box, the IntervalVector (x, y, w, a);
-        order-1 jets supply Df.  With outputs, increasing indices into
-        (x, y, w, a), the image holds those entries only; without w, no
-        slope is computed or checked and f runs on value-only jets, and on
-        a alone (the parameter, held by the dynamics) f is not evaluated.
-        The image slope is _slope of Df (w, 1), on pairs."""
-        x, y, w, a = v.pairs
+    def apply(self, box, outputs=None):
+        """Image enclosure of a chart box, the checked (lo, hi) pairs
+        (x, y, w, a), as a tuple of pairs; order-1 jets supply Df.  With
+        outputs, increasing indices into (x, y, w, a), the image holds those
+        entries only; without w, no slope is computed or checked and f runs
+        on value-only jets, and on a alone (the parameter, held by the
+        dynamics) f is not evaluated.  The image slope is _slope of
+        Df (w, 1), on pairs."""
+        x, y, w, a = box
         image = [None, None, None, a]
         if outputs is None or not set(outputs) <= {3}:
             slope = outputs is None or 2 in outputs
@@ -128,13 +122,14 @@ class ChartMap:
                     iadd(*imul(*f.grad_pairs[0], *w), *f.grad_pairs[1])
                     for f in (fx, fy)
                 )),))[0]
-        return _vector(image if outputs is None else [image[k] for k in outputs])
+        return tuple(image if outputs is None else [image[k] for k in outputs])
 
     # -- derivative enclosures --------------------------------------------
 
-    def derivative(self, v, outputs=None):
+    def derivative(self, box, outputs=None):
         """Image enclosure of a chart box (the jets' values: apply's, bit for
-        bit) and a sound 4x4 enclosure of the derivative over it.
+        bit) and a sound 4x4 enclosure of the derivative over it, as a tuple
+        of pairs and a tuple of rows of pairs.
 
         f does not depend on w, so its jets run over (x, y, a) and are
         placed into the (x, y, w, a) rows with an exact zero in the w slot;
@@ -145,7 +140,7 @@ class ChartMap:
         (the parameter is held by the dynamics: its row is (0, 0, 0, 1)) f
         is not evaluated.
         """
-        x, y, w, a = v.pairs
+        x, y, w, a = box
         rows = [None, None, None, (a, (_ZERO, _ZERO, _ZERO, _ONE))]
         if outputs is None or not set(outputs) <= {3}:
             slope = outputs is None or 2 in outputs
@@ -156,9 +151,7 @@ class ChartMap:
                 rows[2] = self._tangent_row(fx, fy, w)
         if outputs is not None:
             rows = [rows[k] for k in outputs]
-        image = _vector([value for value, _ in rows])
-        jacobian = _wrap(IntervalMatrix, tuple([row for _, row in rows]))
-        return image, jacobian
+        return tuple([value for value, _ in rows]), tuple([row for _, row in rows])
 
     @staticmethod
     def _tangent_row(fx, fy, w):

@@ -30,7 +30,7 @@ from tangency.covering import VerificationInconclusive, certify_each, check_chai
 from tangency.hset import Frame, HSet, QuadraticForm
 from tangency.interval import IntervalError, check_pairs
 from tangency.jets import seed_jets
-from tangency.linalg import IntervalMatrix, IntervalVector, _det, _wrap
+from tangency.linalg import IntervalMatrix, _det
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ FLAGS = (
 class _DiagonalMap:
     """The linear map (x0, x1, x2, a) -> (c0 x0, c1 x1, c2 x2, a) as a map
     of the covering protocol, on (lo, hi) pairs: each output asked for is
-    imul(*box_k, c_k, c_k), the a entry passes through, and the image is
+    imul(*box[k], c_k, c_k), the a entry passes through, and the image is
     checked once, the a entry with it.  The Jacobian is constant; its rows,
     (c_k, c_k) on the diagonal and (1, 1) for a, are exact pairs built once
     per map with no kernel call (the chain is built to nearest), after the
@@ -88,17 +88,16 @@ class _DiagonalMap:
         )
 
     def apply(self, box, outputs=None):
-        pairs, coefs, imul = box.pairs, self._coefs, _k.imul
-        image = tuple([
-            pairs[k] if k == 3 else imul(*pairs[k], *coefs[k])
+        coefs, imul = self._coefs, _k.imul
+        return check_pairs(tuple([
+            box[k] if k == 3 else imul(*box[k], *coefs[k])
             for k in (range(4) if outputs is None else outputs)
-        ])
-        return _wrap(IntervalVector, check_pairs(image))
+        ]))
 
     def derivative(self, box, outputs=None):
         """apply's image, bit for bit, and the constant Jacobian rows."""
         rows = self._rows if outputs is None else tuple([self._rows[k] for k in outputs])
-        return self.apply(box, outputs), _wrap(IntervalMatrix, rows)
+        return self.apply(box, outputs), rows
 
 
 class _SwitchMap:
@@ -111,17 +110,16 @@ class _SwitchMap:
         self._evaluator = evaluator
 
     def _outputs(self, box, n, outputs):
-        outs = self._evaluator(*seed_jets(box.pairs, n, 1))
+        outs = self._evaluator(*seed_jets(box, n, 1))
         return outs if outputs is None else [outs[k] for k in outputs]
 
     def apply(self, box, outputs=None):
-        outs = self._outputs(box, 0, outputs)
-        return _wrap(IntervalVector, tuple([out.value_pair for out in outs]))
+        return tuple([out.value_pair for out in self._outputs(box, 0, outputs)])
 
     def derivative(self, box, outputs=None):
         outs = self._outputs(box, 4, outputs)
-        return (_wrap(IntervalVector, tuple([out.value_pair for out in outs])),
-                _wrap(IntervalMatrix, tuple([out.grad_pairs for out in outs])))
+        return (tuple([out.value_pair for out in outs]),
+                tuple([out.grad_pairs for out in outs]))
 
 
 def linear_start_map(params):
@@ -145,7 +143,7 @@ def switch_evaluator(x, y, v, a):
     return (u.sqr() + y + a, 2.0 - x, -2.0 * u - v, a)
 
 
-def switch_map(params):
+def switch_map():
     """switch_evaluator as a map of the covering protocol."""
     return _SwitchMap(switch_evaluator)
 
@@ -249,7 +247,7 @@ def build_toy_chain(params=None):
 
     start = linear_start_map(params)
     end = linear_end_map(params)
-    switch = switch_map(params)
+    switch = switch_map()
     maps = [start] * k + [switch] + [end] * s
 
     return ToyChain(

@@ -194,6 +194,21 @@ def exact_sample_points(ends, rng, extra=4):
     return points
 
 
+def assert_exact_cone_matrix(v, d, src_coord, tgt_inverse, q_src, q_tgt, where):
+    """The cone matrix v holds L^T Q_M L - Q_N, exactly: L = M_tgt^-1 d M_src
+    is the local-frame derivative of d, the exact n x n derivative at a point
+    of the source set, tgt_inverse the exact inverse of the float target
+    frame (frac_inverse), and the forms' coefficients are Fractions."""
+    n = len(src_coord)
+    local = frac_matmul(frac_matmul(tgt_inverse, d), src_coord)
+    for i in range(n):
+        for j in range(n):
+            exact = sum(local[k][i] * Fraction(q_tgt.coeffs[k]) * local[k][j]
+                        for k in range(n))
+            exact -= Fraction(q_src.coeffs[i]) if i == j else 0
+            assert contains_fraction(v[i, j], exact), (where, i, j)
+
+
 def assert_exact_margins(cov, src, tgt, image, grid, rng, params=((),)):
     """The exit and entry margins of the covering certificate cov of src over
     tgt against exact rationals.  Every corner and a few seeded points of
@@ -243,9 +258,10 @@ class PointShiftedMap:
         from tangency.linalg import IntervalVector
 
         img = self.fmap.apply(box, outputs)
-        if any(e.width > 0.0 for e in box):
+        if any(hi > lo for lo, hi in box):
             return img
-        return img + IntervalVector([Interval(self.shift)] * img.dim)
+        shift = IntervalVector([Interval(self.shift)] * len(img))
+        return (IntervalVector.from_pairs(img) + shift).pairs
 
     def derivative(self, box, outputs=None):
         return self.fmap.derivative(box, outputs)
@@ -259,19 +275,15 @@ class IdentityMap:
         self.n = n
 
     def apply(self, box, outputs=None):
-        from tangency.linalg import IntervalVector
-
         keep = range(self.n) if outputs is None else outputs
-        return IntervalVector.from_pairs([box.pairs[k] for k in keep])
+        return tuple([box[k] for k in keep])
 
     def derivative(self, box, outputs=None):
         from tangency.linalg import IntervalMatrix
 
         keep = range(self.n) if outputs is None else outputs
         eye = IntervalMatrix.identity(self.n).pairs
-        return self.apply(box, outputs), IntervalMatrix.from_pairs(
-            [eye[k] for k in keep]
-        )
+        return self.apply(box, outputs), tuple([eye[k] for k in keep])
 
 
 class CountingMap:
@@ -307,16 +319,12 @@ class FixedMap:
         return range(self.value.dim) if outputs is None else outputs
 
     def apply(self, box, outputs=None):
-        from tangency.linalg import IntervalVector
-
-        return IntervalVector.from_pairs([self.value.pairs[k] for k in self._keep(outputs)])
+        return tuple([self.value.pairs[k] for k in self._keep(outputs)])
 
     def derivative(self, box, outputs=None):
-        from tangency.linalg import IntervalMatrix, IntervalVector
-
         keep = self._keep(outputs)
-        return (IntervalVector.from_pairs([self.image.pairs[k] for k in keep]),
-                IntervalMatrix.from_pairs([self.jac.pairs[k] for k in keep]))
+        return (tuple([self.image.pairs[k] for k in keep]),
+                tuple([self.jac.pairs[k] for k in keep]))
 
 
 def one_pass_cases(chain):
@@ -353,7 +361,8 @@ def one_pass_oracle(src, tgt, fmap, zbox):
     local), image a list of (lo, hi) pairs, one per target row, and local
     the rows of hset.local_derivative over zbox's ambient box.
 
-    The ambient boxes are c + M (d . z) by mat_vec; the thin image of the
+    The ambient boxes are c + M (d . z) by mat_vec, handed to fmap as their
+    pairs, and fmap's pairs are wrapped by from_pairs; the thin image of the
     midpoint and the hull image are hset.to_normalized's; S is
     local_derivative's first src.n columns times d_src / d_tgt, entry by
     entry; the mean-value image thin + S.mat_vec(z - mid z) is intersected
@@ -362,10 +371,11 @@ def one_pass_oracle(src, tgt, fmap, zbox):
     from tangency.hset import local_derivative
     from tangency.linalg import IntervalMatrix, IntervalVector
 
-    value = fmap.apply(matrix_from_normalized(src, zbox.mid))
-    image, jac = fmap.derivative(matrix_from_normalized(src, zbox.pairs))
-    hull = tgt.to_normalized(image).pairs
-    local = local_derivative(src, tgt, jac).pairs
+    value = IntervalVector.from_pairs(
+        fmap.apply(matrix_from_normalized(src, zbox.mid).pairs))
+    image, jac = fmap.derivative(matrix_from_normalized(src, zbox.pairs).pairs)
+    hull = tgt.to_normalized(IntervalVector.from_pairs(image)).pairs
+    local = local_derivative(src, tgt, IntervalMatrix.from_pairs(jac)).pairs
     scaled = IntervalMatrix.from_pairs([
         [kernels.idiv(*kernels.imul(*e, d_src, d_src), d_tgt, d_tgt)
          for e, d_src in zip(row, src.diam)]

@@ -408,7 +408,8 @@ class TestToyConeMatrices:
     @staticmethod
     def _switch_link(x):
         chain = build_toy_chain()
-        _, jac = switch_map(chain.params).derivative(IntervalVector([x, 0.0, 0.0, 0.0]))
+        jac = IntervalMatrix.from_pairs(
+            switch_map().derivative(IntervalVector([x, 0.0, 0.0, 0.0]).pairs)[1])
         q_n, q_m = chain.forms[chain.k], chain.forms[chain.k + 1]
         return cone_matrix(jac, q_n, q_m), q_n, q_m
 

@@ -34,6 +34,12 @@ from tangency.toy import ToyParams, build_toy_chain, linear_start_map, switch_ma
 EYE4 = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]]
 
 
+def _normalized(h, image):
+    """The normalized coordinates in h of the ambient box image, (lo, hi)
+    pairs as a map returns them."""
+    return h.to_normalized(IntervalVector.from_pairs(image))
+
+
 def _enclose(src, tgt, fmap, zbox, rows):
     """The covering's evaluation of one sub-box on the target rows rows."""
     return _image_normalized(src, tgt, fmap, zbox, tgt.rows_read(rows))
@@ -47,8 +53,7 @@ def _wall_midpoint_pairing(src, tgt, fmap, grid):
     pairing of largest total |separation|, each pair signed as its
     separation."""
     def thin(zbox):
-        point = IntervalVector.from_pairs(src.from_normalized_pairs(zbox.mid))
-        return tgt.to_normalized(fmap.apply(point)).pairs
+        return _normalized(tgt, fmap.apply(src.from_normalized(zbox.mid))).pairs
 
     mids = {}
     for i in src.unstable:
@@ -137,7 +142,7 @@ class TestSwitchLink:
         chain = build_toy_chain(params)
         src = chain.sets[chain.k]
         tgt = chain.sets[chain.k + 1]
-        cert = check_covering(src, tgt, switch_map(params), grid=1)
+        cert = check_covering(src, tgt, switch_map(), grid=1)
         # the expanding x-direction stretches across the w-direction and the
         # parameter direction stretches across x
         pairing = {i: (j, s) for i, j, s in cert.correspondence}
@@ -145,9 +150,8 @@ class TestSwitchLink:
         assert pairing[3][0] == 0
 
     def test_planar_image_of_tangency_point(self):
-        params = ToyParams()
-        fmap = switch_map(params)
-        out = fmap.apply(IntervalVector([1.0, 0.0, 0.0, 0.0]))
+        fmap = switch_map()
+        out = IntervalVector.from_pairs(fmap.apply(IntervalVector([1.0, 0.0, 0.0, 0.0]).pairs))
         assert out[0].contains(0.0)
         assert out[1].contains(1.0)
 
@@ -188,7 +192,7 @@ class TestFailureModes:
                 return fmap.apply(box, outputs)
 
             def derivative(self, box, outputs=None):
-                if src.to_normalized(box)[0].hi >= 1.0:
+                if _normalized(src, box)[0].hi >= 1.0:
                     raise IntervalError("no derivative on the face z_0 = +1")
                 return fmap.derivative(box, outputs)
 
@@ -211,14 +215,12 @@ class _AffineMap:
         self.b = IntervalVector(b)
 
     def apply(self, box, outputs=None):
-        image = self.a.mat_vec(box) + self.b
-        return IntervalVector.from_pairs(
-            [image.pairs[k] for k in (range(2) if outputs is None else outputs)]
-        )
+        image = self.a.mat_vec(IntervalVector.from_pairs(box)) + self.b
+        return tuple([image.pairs[k] for k in (range(2) if outputs is None else outputs)])
 
     def derivative(self, box, outputs=None):
         rows = self.a.pairs
-        return self.apply(box, outputs), IntervalMatrix.from_pairs(
+        return self.apply(box, outputs), tuple(
             [rows[k] for k in (range(2) if outputs is None else outputs)]
         )
 
@@ -291,7 +293,8 @@ class TestJacobian:
             chain.sets[1:],
             chain.maps,
         ):
-            whole = local_derivative(src, tgt, fmap.derivative(src.box())[1])
+            jacobian = IntervalMatrix.from_pairs(fmap.derivative(src.box().pairs)[1])
+            whole = local_derivative(src, tgt, jacobian)
             assert cert.local_jacobian.rows == whole.rows
 
     def test_finer_grid_stays_inside(self):
@@ -352,8 +355,8 @@ class TestSoundnessProxy:
                     for _ in range(40):
                         z = [rng.uniform(-1, 1) for _ in range(4)]
                         z[i] = float(side)
-                        img = tgt.to_normalized(
-                            fmap.apply(src.from_normalized(IntervalVector(z)))
+                        img = _normalized(
+                            tgt, fmap.apply(src.from_normalized(IntervalVector(z).pairs))
                         )
                         w = img[j] if sign > 0 else -img[j]
                         if side > 0:
@@ -362,7 +365,7 @@ class TestSoundnessProxy:
                             assert w.hi < -1.0
             for _ in range(60):
                 z = IntervalVector([rng.uniform(-1, 1) for _ in range(4)])
-                img = tgt.to_normalized(fmap.apply(src.from_normalized(z)))
+                img = _normalized(tgt, fmap.apply(src.from_normalized(z.pairs)))
                 for j in tgt.stable:
                     assert -1.0 < img[j].lo and img[j].hi < 1.0
 
@@ -517,24 +520,20 @@ class TestWallRows:
             ntilde, _, param, _ = projected_disk_data(henon_chain, side)
             cases.append((DiskMap(ChartMap(henon_family(), direction), param), ntilde))
         for fmap, h in cases:
-            box = h.box()
-            mid = IntervalVector([Interval(e.mid) for e in box])
+            box = h.box().pairs
+            mid = tuple([(pair_mid(*e),) * 2 for e in box])
             full_value = fmap.apply(mid)
             full_image, full_jac = fmap.derivative(box)
-            n = full_value.dim
-            assert n == h.n == full_image.dim == full_jac.nrows
+            n = len(full_value)
+            assert n == h.n == len(full_image) == len(full_jac)
             subsets = ((0, 1, n - 1), (0, 1, 2), (n - 1,), (2,), tuple(range(n)))
             for outputs in subsets:
                 value = fmap.apply(mid, outputs)
                 image, jac = fmap.derivative(box, outputs)
-                assert pairs_hex(value.pairs) == pairs_hex(
-                    full_value.pairs[k] for k in outputs
-                )
-                assert pairs_hex(image.pairs) == pairs_hex(
-                    full_image.pairs[k] for k in outputs
-                )
-                assert [pairs_hex(r) for r in jac.pairs] == [
-                    pairs_hex(full_jac.pairs[k]) for k in outputs
+                assert pairs_hex(value) == pairs_hex(full_value[k] for k in outputs)
+                assert pairs_hex(image) == pairs_hex(full_image[k] for k in outputs)
+                assert [pairs_hex(r) for r in jac] == [
+                    pairs_hex(full_jac[k]) for k in outputs
                 ]
 
     def test_wall_slope_check_moves_to_the_interior(self):
@@ -594,6 +593,77 @@ class TestOnePassOracle:
         # 3-dimensional ones, each with two unstable axes.
         assert len(cases) == 27
         assert compared == 25 * (4 * grid**3 + grid**4) + 2 * (4 * grid**2 + grid**3)
+
+
+# Run in a fresh interpreter: a __new__ set on a class cannot be taken back
+# (deleting it leaves the class refusing constructor arguments).
+_COUNT_BUILDS = """
+import json, sys
+from collections import Counter
+
+from tangency import kernels
+from tangency.covering import check_chain
+from tangency.linalg import IntervalMatrix, IntervalVector
+
+which, grid = sys.argv[1], int(sys.argv[2])
+if which == "henon":
+    from tangency.henon import build_chain, henon_family
+    from tangency.projective import ChartMap
+
+    sets = list(build_chain().sets)
+    maps = [ChartMap(henon_family())] * (len(sets) - 1)
+else:
+    from tangency.toy import ToyParams, build_toy_chain
+
+    chain = build_toy_chain(ToyParams())
+    sets, maps = list(chain.sets), list(chain.maps)
+with kernels.upward():
+    check_chain(sets, maps, grid)
+built = Counter()
+
+
+def counting(name):
+    def new(cls, *args, **kwargs):
+        built[name] += 1
+        return object.__new__(cls)
+
+    return staticmethod(new)
+
+
+for cls in (IntervalVector, IntervalMatrix):
+    cls.__new__ = counting(cls.__name__)
+with kernels.upward():
+    links = len(check_chain(sets, maps, grid))
+print(json.dumps({"built": built, "links": links}))
+"""
+
+
+class TestObjectsBuiltPerLink:
+    """The map protocol speaks (lo, hi) pairs: a warm covering stage, one
+    whose per-grid sub-box tables and frame row patterns are built already,
+    builds no IntervalVector (SubBoxes included) and one IntervalMatrix per
+    link, its certificate's local_jacobian, counted through the classes'
+    __new__, on the Henon chain at grids 1 and 2 and on the default toy
+    chain."""
+
+    @pytest.mark.parametrize("which, grid, links", [
+        ("henon", 1, 15), ("henon", 2, 15), ("toy", 1, 10),
+    ])
+    def test_warm_stage(self, which, grid, links):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import tangency
+
+        src = str(Path(tangency.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _COUNT_BUILDS, which, str(grid)],
+                             env=env, capture_output=True, text=True, check=True)
+        out = json.loads(run.stdout)
+        assert out == {"built": {"IntervalMatrix": links}, "links": links}
 
 
 class TestFrameChangesFetchedOnce:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    assert_exact_cone_matrix,
     assert_exact_margins,
     check_inverse_consistency,
     contains_fraction,
@@ -38,7 +39,7 @@ from tangency.henon import (
     seed_quality,
     tangent_alignment,
 )
-from tangency.interval import Interval
+from tangency.interval import Interval, as_pair
 from tangency.jets import Jet
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.manifold import DiskMap
@@ -65,7 +66,8 @@ def _step_images(chain):
     """Rigorous one-step chart images of the orbit centers c_1..c_14, the
     enclosures build_chain checks."""
     chart = ChartMap(henon_family())
-    return [chart.apply(IntervalVector(chain.sets[i].center)) for i in range(1, 15)]
+    return [IntervalVector.from_pairs(chart.apply(IntervalVector(chain.sets[i].center).pairs))
+            for i in range(1, 15)]
 
 
 def _mids(v):
@@ -688,9 +690,10 @@ class TestExactRationalDiskImages:
         params = exact_sample_points([(Fraction(param.lo), Fraction(param.hi))], rng,
                                      extra=1)
         for zbox in covering_boxes(ntilde, grid):
-            box = ntilde.from_normalized(zbox)
-            applied = disk_map.apply(box)
+            box = ntilde.from_normalized(zbox.pairs)
+            applied = IntervalVector.from_pairs(disk_map.apply(box))
             value, jac = disk_map.derivative(box)
+            value, jac = IntervalVector.from_pairs(value), IntervalMatrix.from_pairs(jac)
             ends = [(Fraction(e.lo), Fraction(e.hi)) for e in zbox]
             for z in exact_sample_points(ends, rng):
                 for a in params:
@@ -704,6 +707,42 @@ class TestExactRationalDiskImages:
                             assert contains_fraction(jac[i, j], exact), (where, i, j)
 
 
+class TestExactRationalConeMatrices:
+    """Each cone certificate's V against exact rationals at grid 1: at every
+    corner and a few seeded points of the source set, exact in rationals,
+    the exact Jacobian (TestExactRationalMargins' closed forms) in the local
+    frames gives L^T Q_M L - Q_N (conftest.assert_exact_cone_matrix) in V.
+    The 15 links' V is over (x, y, w, a); a disk's is over (x, y, w), its
+    cone derivative, at the ends and a seeded point of the parameter
+    interval."""
+
+    def test_chain_links(self, henon_proof, rng):
+        cert = henon_proof[0]
+        cube = [(Fraction(-1), Fraction(1))] * 4
+        for link, cone in enumerate(cert.cones):
+            src, tgt = cert.hsets[link], cert.hsets[link + 1]
+            inverse = frac_inverse(tgt.coord)
+            for z in exact_sample_points(cube, rng):
+                d = _exact_forward_disk_jacobian(exact_point(src, z)) + [(0, 0, 0, 1)]
+                assert_exact_cone_matrix(cone.matrix, d, src.coord, inverse,
+                                         cert.forms[link], cert.forms[link + 1],
+                                         (cone.link, [str(e) for e in z]))
+
+    @pytest.mark.parametrize("side", ["stable", "unstable"])
+    def test_disks(self, henon_proof, henon_chain, side, rng):
+        cone = getattr(henon_proof[0], f"{side}_disk").cone
+        ntilde, qtilde, param, _ = projected_disk_data(henon_chain, side)
+        inverse = frac_inverse(ntilde.coord)
+        params = exact_sample_points([(Fraction(param.lo), Fraction(param.hi))], rng,
+                                     extra=1)
+        for z in exact_sample_points([(Fraction(-1), Fraction(1))] * 3, rng):
+            for a in params:
+                rows = _EXACT_DISK_JACOBIAN[side](exact_point(ntilde, z) + a)
+                assert_exact_cone_matrix(cone.matrix, [row[:3] for row in rows],
+                                         ntilde.coord, inverse, qtilde, qtilde,
+                                         (side, [str(e) for e in z], str(a[0])))
+
+
 class TestLocalFrameOracle:
     """The certificates' local-frame derivatives and cone matrices against
     exact rationals, at grid 1, where each covering's one interior sub-box
@@ -714,7 +753,7 @@ class TestLocalFrameOracle:
         chart = ChartMap(henon_family())
         for link, (cov, cone) in enumerate(zip(cert.coverings, cert.cones)):
             src, tgt = cert.hsets[link], cert.hsets[link + 1]
-            _, jac = chart.derivative(src.box())
+            jac = IntervalMatrix.from_pairs(chart.derivative(src.box().pairs)[1])
             _check_local_frame(jac, src.coord, tgt.coord, cov.local_jacobian,
                                cone.matrix, cert.forms[link], cert.forms[link + 1], rng)
 
@@ -725,10 +764,8 @@ class TestLocalFrameOracle:
         # last column, M^-1 dF/da.
         disk = getattr(henon_proof[0], f"{side}_disk")
         ntilde, qtilde, param, _ = projected_disk_data(henon_chain, side)
-        box3 = ntilde.box()
-        _, d4 = ChartMap(henon_family(), direction).derivative(
-            IntervalVector([*box3, param])
-        )
+        box4 = ntilde.box().pairs + (as_pair(param),)
+        d4 = IntervalMatrix.from_pairs(ChartMap(henon_family(), direction).derivative(box4)[1])
         _check_local_frame(IntervalMatrix(d4.rows[:3]), ntilde.coord, ntilde.coord,
                            disk.covering.local_jacobian, disk.cone.matrix,
                            qtilde, qtilde, rng)
@@ -760,7 +797,8 @@ class TestOnePassImage:
             + sum(Fraction(src.coord[i][j]) * Fraction(src.diam[j]) * z[j] for j in range(4))
             for i in range(4)
         )
-        image, _ = ChartMap(henon_family()).derivative(src.from_normalized(zbox))
+        image = IntervalVector.from_pairs(
+            ChartMap(henon_family()).derivative(src.from_normalized(zbox.pairs))[0])
         b = Fraction(B0)
         exact = {0: a - x * x + b * y, 1: x, 2: (b - 2 * x * w) / w, 3: a}
         for axis, value in exact.items():
@@ -771,7 +809,7 @@ class TestOnePassImage:
         chart = ChartMap(henon_family())
         for src in henon_chain.sets:
             for zbox in covering_boxes(src, grid):
-                p = src.from_normalized(zbox)
+                p = src.from_normalized(zbox.pairs)
                 image, _ = chart.derivative(p)
                 assert repr(image) == repr(chart.apply(p)), src.name  # every bit
 
@@ -787,14 +825,14 @@ class TestOnePassImage:
         ntilde, _, param, _ = projected_disk_data(henon_chain, side)
         fmap = DiskMap(chart, param)
         for zbox in covering_boxes(ntilde, grid):
-            v3 = ntilde.from_normalized(zbox)
+            v3 = ntilde.from_normalized(zbox.pairs)
             image, jacobian = fmap.derivative(v3)
-            v4 = IntervalVector([*v3, param])
+            v4 = v3 + (as_pair(param),)
             image4, jacobian4 = chart.derivative(v4)
             # repr of the float pairs: every bit, signed zeros included
-            assert repr(image.pairs) == repr(image4.pairs[:3])
-            assert repr(jacobian.pairs) == repr(jacobian4.pairs[:3])
-            assert repr(fmap.apply(v3).pairs) == repr(chart.apply(v4).pairs[:3])
+            assert repr(image) == repr(image4[:3])
+            assert repr(jacobian) == repr(jacobian4[:3])
+            assert repr(fmap.apply(v3)) == repr(chart.apply(v4)[:3])
 
 
 class TestCorrespondenceOverride:

@@ -6,14 +6,20 @@ from pathlib import Path
 
 import pytest
 
-from tangency.interval import Interval, IntervalError
-from tangency.linalg import IntervalVector
+from tangency.interval import Interval, IntervalError, as_pair, pair_mid
+from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.projective import ChartError, ChartMap, PlanarMapFamily
 from conftest import check_inverse_consistency, contains_fraction, pairs_hex
 
+# The chart map returns pairs; these read them as Intervals.
+vec = IntervalVector.from_pairs
+mat = IntervalMatrix.from_pairs
+
 
 def box(x, y, t, a):
-    return IntervalVector([x, y, t, a])
+    """The chart box (x, y, t, a) as the map protocol takes it: checked
+    (lo, hi) pairs."""
+    return IntervalVector([x, y, t, a]).pairs
 
 
 def linear_family(lam, mu):
@@ -72,7 +78,7 @@ class TestChartDomain:
             for evaluate in (chart.apply, chart.derivative):
                 with pytest.raises(ChartError, match="leaves the slope chart"):
                     evaluate(box(0.0, 0.0, w, 0.0))
-        assert chart.apply(box(0.0, 0.0, -1.0, 0.0))[2] == Interval(-1.0)
+        assert chart.apply(box(0.0, 0.0, -1.0, 0.0))[2] == (-1.0, -1.0)
 
     def test_overflowing_slope_and_slope_row_raise(self):
         # Henon: (w_x, w_y) = (-2x w + b0, w).  At x = 10, w = 1e308 the
@@ -88,8 +94,8 @@ class TestChartDomain:
         with pytest.raises(IntervalError, match="non-finite"):
             chart.apply(p, (2,))
         p = box(1.0, 0.0, 1e-300, A0)
-        slope = chart.apply(p)[2]
-        assert -4e299 < slope.lo <= slope.hi < -2e299
+        lo, hi = chart.apply(p)[2]
+        assert -4e299 < lo <= hi < -2e299
         with pytest.raises(IntervalError, match="non-finite"):
             chart.derivative(p)
         with pytest.raises(IntervalError, match="non-finite"):
@@ -103,8 +109,8 @@ class TestApply:
         fam = axis_family(2.0, 0.5)
         chart = ChartMap(fam, "forward")
         p = box(0.0, 0.0, 0.0, 0.0)
-        q = chart.apply(p)
-        assert q[2].contains(p[2])
+        q = vec(chart.apply(p))
+        assert q[2].contains(Interval(*p[2]))
         assert q[0].contains(0.0) and q[1].contains(0.0)
 
     def test_slope_scaling_law(self):
@@ -112,9 +118,9 @@ class TestApply:
         lam, mu = 2.0, 0.5
         fam = axis_family(lam, mu)
         chart = ChartMap(fam, "forward")
-        q = chart.apply(box(0.3, -0.2, 1.0, 0.0))
+        q = vec(chart.apply(box(0.3, -0.2, 1.0, 0.0)))
         assert q[2].contains(lam / mu)
-        q = chart.apply(box(0.3, -0.2, Interval(-0.5, 0.25), 0.0))
+        q = vec(chart.apply(box(0.3, -0.2, Interval(-0.5, 0.25), 0.0)))
         assert q[2] == Interval(-2.0, 1.0)
 
     def test_projective_consistency_of_apply(self):
@@ -126,7 +132,7 @@ class TestApply:
         w_plus = Interval(v[0]) / Interval(v[1])
         w_minus = Interval(-v[0]) / Interval(-v[1])
         assert w_plus == w_minus
-        q = chart.apply(box(0.1, 0.2, w_plus, 0.0))
+        q = vec(chart.apply(box(0.1, 0.2, w_plus, 0.0)))
         p, r = Fraction(1.625), Fraction(1.375)  # Df = [[p, r], [r, p]]
         for sign in (1, -1):
             vx, vy = sign * Fraction(v[0]), sign * Fraction(v[1])
@@ -140,7 +146,7 @@ class TestApply:
         u0 = eig["u0_mid"]
         w_u = Interval(u0[0]) / Interval(u0[1])
         chart = ChartMap(henon_family(), "forward")
-        q = chart.apply(box(x0, x0, w_u, A0))
+        q = vec(chart.apply(box(x0, x0, w_u, A0)))
         assert abs(q[0].mid - x0) < 1e-13
         assert abs(q[1].mid - x0) < 1e-13
         assert abs(q[2].mid - w_u.mid) < 1e-12
@@ -156,8 +162,8 @@ class TestApply:
             Interval(0.8 - eps, 0.8 + eps),
             0.0,
         )
-        twice = chart.apply(chart.apply(p))
-        mid_path = chart.apply(chart.apply(box(0.1, 0.2, 0.8, 0.0)))
+        twice = vec(chart.apply(chart.apply(p)))
+        mid_path = vec(chart.apply(chart.apply(box(0.1, 0.2, 0.8, 0.0))))
         for i in range(3):
             assert twice[i].contains(mid_path[i].mid)
 
@@ -169,7 +175,7 @@ class TestDerivative:
         lam, mu = 3.0, 0.4
         fam = linear_family(lam, mu)
         chart = ChartMap(fam, "forward")
-        _, d = chart.derivative(box(0.0, 0.0, 1.0, 0.0))
+        d = mat(chart.derivative(box(0.0, 0.0, 1.0, 0.0))[1])
         lam_x, mu_x = _exact_eigenvalues(lam, mu)
         assert contains_fraction(d[2, 2], mu_x / lam_x)
         # parameter-independent family: last column is (0, 0, 0, 1)
@@ -181,7 +187,7 @@ class TestDerivative:
         lam, mu = 3.0, 0.4
         fam = linear_family(lam, mu)
         chart = ChartMap(fam, "forward")
-        _, d = chart.derivative(box(0.0, 0.0, -1.0, 0.0))
+        d = mat(chart.derivative(box(0.0, 0.0, -1.0, 0.0))[1])
         lam_x, mu_x = _exact_eigenvalues(lam, mu)
         assert contains_fraction(d[2, 2], lam_x / mu_x)
 
@@ -192,7 +198,7 @@ class TestDerivative:
         x0 = eig["x0"].mid
         u0 = eig["u0_mid"]
         chart = ChartMap(henon_family(), "forward")
-        _, d = chart.derivative(box(x0, x0, Interval(u0[0]) / Interval(u0[1]), A0))
+        d = mat(chart.derivative(box(x0, x0, Interval(u0[0]) / Interval(u0[1]), A0))[1])
         ratio = eig["mu"] / eig["lam"]
         assert d[2, 2].intersects(ratio)
 
@@ -202,10 +208,10 @@ class TestDerivative:
         chart = ChartMap(henon_family(), "forward")
         base = (-1.9, -1.8, 0.9, A0)
         h = 1e-6
-        _, d = chart.derivative(box(*base))
+        d = mat(chart.derivative(box(*base))[1])
 
         def apply_pt(coords):
-            return [c.mid for c in chart.apply(box(*coords))]
+            return [pair_mid(*c) for c in chart.apply(box(*coords))]
 
         for j in range(4):
             up = list(base)
@@ -236,10 +242,10 @@ class TestOutputsRead:
 
         monkeypatch.setattr(ChartMap, "_evaluator", refuse)
         image, jac = chart.derivative(p, (3,))
-        assert pairs_hex(image.pairs) == pairs_hex([full_image.pairs[3]])
-        assert [pairs_hex(r) for r in jac.pairs] == [pairs_hex(full_jac.pairs[3])]
-        assert jac[0, 3] == Interval(1.0)
-        assert all(jac[0, k] == Interval(0.0) for k in range(3))
+        assert pairs_hex(image) == pairs_hex([full_image[3]])
+        assert [pairs_hex(r) for r in jac] == [pairs_hex(full_jac[3])]
+        assert jac[0][3] == (1.0, 1.0)
+        assert all(jac[0][k] == (0.0, 0.0) for k in range(3))
         with pytest.raises(AssertionError, match="f evaluated"):
             chart.derivative(p, (0, 3))
 
@@ -257,7 +263,7 @@ class TestOutputsRead:
             p = box(Interval(-1.91, -1.89), Interval(-1.81, -1.79),
                     Interval(0.8, 0.9), a)
             image = chart.apply(p, (3,))
-            assert pairs_hex(image.pairs) == pairs_hex([p.pairs[3]])
+            assert pairs_hex(image) == pairs_hex([p[3]])
             with pytest.raises(AssertionError, match="f evaluated"):
                 chart.apply(p, (0, 3))
 
@@ -295,9 +301,7 @@ class TestOutputsRead:
                 del seen[:]
                 image = chart.apply(p, outputs)
                 assert seen == ([] if outputs == (3,) else [0])
-                assert pairs_hex(image.pairs) == pairs_hex(
-                    full.pairs[k] for k in outputs
-                )
+                assert pairs_hex(image) == pairs_hex(full[k] for k in outputs)
             compared += 1
         assert compared > 150
 
@@ -322,7 +326,7 @@ class TestFamilyInverse:
         q1, d1 = ChartMap(fam, "inverse").derivative(p)
         q2, d2 = ChartMap(flipped, "forward").derivative(p)
         assert q1 == q2 == ChartMap(fam, "inverse").apply(p)
-        assert d1.pairs == d2.pairs
+        assert d1 == d2
 
     def test_missing_inverse_rejected(self):
         fam = PlanarMapFamily(name="fwd-only", forward=lambda x, y, a: (x, y))
@@ -331,8 +335,8 @@ class TestFamilyInverse:
 
 
 def test_projective_imports_nothing_from_covering():
-    # The chart map hands plain IntervalVector boxes to its callers, and the
-    # covering checker takes it as it is.
+    # The chart map takes and returns tuples of (lo, hi) pairs, and the
+    # covering checker takes it as it is; it builds no vector or matrix.
     import tangency.projective as projective
 
     tree = ast.parse(Path(projective.__file__).read_text(encoding="utf-8"))
@@ -345,6 +349,8 @@ def test_projective_imports_nothing_from_covering():
             imported.update(alias.name for alias in node.names)
     assert "tangency.jets" in imported  # the walk sees the module's imports
     assert not any(m == "tangency.covering" or m.startswith("tangency.covering.")
+                   for m in imported)
+    assert not any(m == "tangency.linalg" or m.startswith("tangency.linalg.")
                    for m in imported)
 
 
@@ -389,7 +395,7 @@ def _jet_route(chart, v):
     from tangency.jets import Jet
 
     evaluate = chart._evaluator()
-    x, y, w, a = v
+    x, y, w, a = (Interval(*e) for e in v)
     fx, fy = evaluate(*(Jet.variable(i, c, 3, order=2) for i, c in enumerate((x, y, a))))
 
     def placed(g):
@@ -405,7 +411,7 @@ def _jet_route(chart, v):
         (fx.value_pair, placed(fx.grad_pairs)),
         (fy.value_pair, placed(fy.grad_pairs)),
         slope_row,
-        (v.pairs[3], ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 1.0))),
+        (v[3], ((0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (1.0, 1.0))),
     ]
 
     gx, gy = evaluate(Jet.variable(0, x, 2, order=1), Jet.variable(1, y, 2, order=1),
@@ -413,7 +419,7 @@ def _jet_route(chart, v):
     slope, image_below = _oracle_slope(
         *(Interval(*g.grad_pairs[0]) * w + Interval(*g.grad_pairs[1]) for g in (gx, gy))
     )
-    image = None if slope is None else [gx.value_pair, gy.value_pair, slope, v.pairs[3]]
+    image = None if slope is None else [gx.value_pair, gy.value_pair, slope, v[3]]
     return rows, image, (row_below, image_below)
 
 
@@ -427,13 +433,13 @@ def _compare_routes(chart, v):
             chart.derivative(v)
     else:
         value, jacobian = chart.derivative(v)
-        assert pairs_hex(value.pairs) == pairs_hex(r[0] for r in rows)
-        assert [pairs_hex(r) for r in jacobian.pairs] == [pairs_hex(r[1]) for r in rows]
+        assert pairs_hex(value) == pairs_hex(r[0] for r in rows)
+        assert [pairs_hex(r) for r in jacobian] == [pairs_hex(r[1]) for r in rows]
     if image is None:
         with pytest.raises(ChartError):
             chart.apply(v)
     else:
-        assert pairs_hex(chart.apply(v).pairs) == pairs_hex(image)
+        assert pairs_hex(chart.apply(v)) == pairs_hex(image)
     return below
 
 
@@ -455,8 +461,8 @@ class TestPairRouteOracle:
             for grid in (1, 2):
                 for h in henon_chain.sets:
                     for z in covering_boxes(h, grid):
-                        box = h.from_normalized(z)
-                        mid = IntervalVector([Interval(e.mid) for e in box])
+                        box = h.from_normalized(z.pairs)
+                        mid = tuple([(pair_mid(*e),) * 2 for e in box])
                         _compare_routes(chart, box)
                         _compare_routes(chart, mid)
                         compared += 1
@@ -475,9 +481,9 @@ class TestPairRouteOracle:
                 ntilde, _, param, _ = projected_disk_data(henon_chain, side)
                 for grid in (1, 2):
                     for z in covering_boxes(ntilde, grid):
-                        box = ntilde.from_normalized(z)
-                        assert box.dim == 3
-                        _compare_routes(chart, IntervalVector(list(box) + [param]))
+                        box = ntilde.from_normalized(z.pairs)
+                        assert len(box) == 3
+                        _compare_routes(chart, box + (as_pair(param),))
 
     @pytest.mark.parametrize("family", ["henon", "dense"])
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
@@ -526,9 +532,9 @@ def _exact_henon(direction, x, y, w, a):
 
 
 def _sample_points(rng, box, count):
-    """count float points of the IntervalVector box, seeded, corners
+    """count float points of the box, (lo, hi) pairs, seeded, corners
     included with the rest uniform."""
-    pairs = box.pairs
+    pairs = box
     points = [tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)]
     while len(points) < count:
         points.append(tuple(
@@ -538,6 +544,7 @@ def _sample_points(rng, box, count):
 
 
 def _assert_exact_in(image, jacobian, exact_image, exact_rows, what):
+    image, jacobian = vec(image), mat(jacobian)
     for k in range(4):
         assert contains_fraction(image[k], exact_image[k]), (what, k)
         for j in range(4):
@@ -554,11 +561,12 @@ class TestExactRationalSlopeRow:
 
     @staticmethod
     def _boxes(chain):
-        boxes = [(h.name, h.box()) for h in chain.sets]
+        boxes = [(h.name, h.box().pairs) for h in chain.sets]
         for src in (chain.sets[0], chain.sets[9]):
             for axis in src.unstable:
                 for side in (1, -1):
-                    boxes += [(f"{src.name} wall z_{axis}={side:+d}", src.from_normalized(z))
+                    boxes += [(f"{src.name} wall z_{axis}={side:+d}",
+                               src.from_normalized(z.pairs))
                               for z in src.walls(axis, side, 2)]
         return boxes
 
@@ -576,11 +584,11 @@ class TestExactRationalSlopeRow:
                 wide_image, wide_jacobian = chart.derivative(wide)
                 for point in _sample_points(rng, wide, 6):
                     exact = _exact_henon(direction, *map(Fraction, point))
-                    thin = IntervalVector(list(point))
+                    thin = IntervalVector(list(point)).pairs
                     image, jacobian = chart.derivative(thin)
                     _assert_exact_in(image, jacobian, *exact, (name, point))
                     _assert_exact_in(wide_image, wide_jacobian, *exact, (name, point))
-                    applied = chart.apply(thin)
+                    applied = vec(chart.apply(thin))
                     assert all(contains_fraction(applied[k], exact[0][k])
                                for k in range(4)), (name, point)
                     checked += 1

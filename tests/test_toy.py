@@ -29,7 +29,8 @@ from tangency.toy import (
     switch_transversality,
 )
 from conftest import (
-    assert_exact_margins, covering_boxes, exact_point, exact_sample_points,
+    assert_exact_cone_matrix, assert_exact_margins, covering_boxes, exact_point,
+    exact_sample_points,
 )
 
 
@@ -80,25 +81,20 @@ class TestChainCovering:
 class TestLinearMaps:
     def test_start_map_values_exact_on_dyadics(self):
         fmap = linear_start_map(ToyParams())
-        out = fmap.apply(IntervalVector([0.5, 0.25, 1.0, 0.125]))
-        assert out[0] == Interval(1.0)
-        assert out[1] == Interval(0.125)
-        assert out[2] == Interval(0.25)
-        assert out[3] == Interval(0.125)
+        out = fmap.apply(IntervalVector([0.5, 0.25, 1.0, 0.125]).pairs)
+        assert out == ((1.0, 1.0), (0.125, 0.125), (0.25, 0.25), (0.125, 0.125))
 
     def test_end_map_slope_expansion(self):
         fmap = linear_end_map(ToyParams())
-        out = fmap.apply(IntervalVector([0.0, 0.0, 0.25, 0.0]))
-        assert out[2] == Interval(1.0)  # (lam/mu) w = 4 * 0.25
+        out = fmap.apply(IntervalVector([0.0, 0.0, 0.25, 0.0]).pairs)
+        assert out[2] == (1.0, 1.0)  # (lam/mu) w = 4 * 0.25
 
     def test_switch_derivative_matches_closed_form(self):
         # Centered at the tangency point, in ambient (x, y, v, a) source
         # order and (x, y, w, a) target order: rows of DF.
-        fmap = switch_map(ToyParams())
-        _, d = fmap.derivative(
-            IntervalVector([Interval(1.0), Interval(0.0), Interval(0.0),
-                            Interval(0.0)])
-        )
+        fmap = switch_map()
+        d = IntervalMatrix.from_pairs(
+            fmap.derivative(IntervalVector([1.0, 0.0, 0.0, 0.0]).pairs)[1])
         expected = [
             [0.0, 1.0, 0.0, 1.0],   # d(x')= 2(x-1) dx + dy + da
             [-1.0, 0.0, 0.0, 0.0],  # d(y')= -dx
@@ -119,7 +115,7 @@ class TestOnePassImage:
         for idx, fmap in enumerate(chain.maps):
             src = chain.sets[idx]
             for zbox in covering_boxes(src, grid):
-                box = src.from_normalized(zbox)
+                box = src.from_normalized(zbox.pairs)
                 image, _ = fmap.derivative(box)
                 assert repr(image) == repr(fmap.apply(box)), idx  # every bit
 
@@ -127,7 +123,7 @@ class TestOnePassImage:
 class _IntervalRouteMap:
     """The toy maps as they ran on Intervals, kept as the oracle of the
     pair route: the image from Interval values, the image enclosure and the
-    Jacobian from order-1 Jet.variable jets."""
+    Jacobian from order-1 Jet.variable jets, on IntervalVector boxes."""
 
     def __init__(self, evaluator):
         self._evaluator = evaluator
@@ -188,23 +184,21 @@ class TestPairRouteOracle:
                 lam=rng.choice([-1, 1]) * rng.uniform(1.1, 5.0),
                 mu=rng.choice([-1, 1]) * rng.uniform(0.05, 0.95),
             )
-            maps = (linear_start_map(params), linear_end_map(params),
-                    switch_map(params))
+            maps = (linear_start_map(params), linear_end_map(params), switch_map())
             for fmap, oracle in zip(maps, _oracle_maps(params)):
                 for _ in range(5):
                     box = IntervalVector.from_pairs(
                         [_random_entry(rng) for _ in range(4)])
                     for outputs in _OUTPUT_SETS:
                         n = 4 if outputs is None else len(outputs)
-                        image = fmap.apply(box, outputs)
-                        value, jac = fmap.derivative(box, outputs)
+                        image = fmap.apply(box.pairs, outputs)
+                        value, jac = fmap.derivative(box.pairs, outputs)
                         want_value, want_jac = oracle.derivative(box, outputs)
-                        assert len(image) == len(value) == jac.nrows == n
-                        assert _bits(image.pairs) == _bits(value.pairs)
-                        assert _bits(image.pairs) == _bits(
-                            oracle.apply(box, outputs).pairs)
-                        assert _bits(value.pairs) == _bits(want_value.pairs)
-                        for row, want in zip(jac.pairs, want_jac.pairs):
+                        assert len(image) == len(value) == len(jac) == n
+                        assert _bits(image) == _bits(value)
+                        assert _bits(image) == _bits(oracle.apply(box, outputs).pairs)
+                        assert _bits(value) == _bits(want_value.pairs)
+                        for row, want in zip(jac, want_jac.pairs):
                             assert _bits(row) == _bits(want), (trial, outputs)
 
     def test_chain_maps_match_on_the_covering_boxes(self):
@@ -216,12 +210,12 @@ class TestPairRouteOracle:
             for idx, (fmap, oracle) in enumerate(zip(chain.maps, oracles)):
                 src = chain.sets[idx]
                 for zbox in covering_boxes(src, 2):
-                    box = src.from_normalized(zbox)
+                    box = src.from_normalized(zbox.pairs)
                     value, jac = fmap.derivative(box)
-                    want_value, want_jac = oracle.derivative(box)
-                    assert _bits(value.pairs) == _bits(want_value.pairs), idx
+                    want_value, want_jac = oracle.derivative(IntervalVector.from_pairs(box))
+                    assert _bits(value) == _bits(want_value.pairs), idx
                     assert all(_bits(r) == _bits(w)
-                               for r, w in zip(jac.pairs, want_jac.pairs)), idx
+                               for r, w in zip(jac, want_jac.pairs)), idx
 
     def test_non_finite_coefficient_refused_when_the_map_is_built(self):
         params = ToyParams(lam=1e300, mu=1e-10)  # not validated
@@ -497,6 +491,32 @@ class TestExactRationalMargins:
                                  grid, rng)
 
 
+class TestExactRationalConeMatrices:
+    """Each linear link's cone certificate against exact rationals: at every
+    corner and a few seeded points of the link's source set, the exact
+    Jacobian (_closed_forms) gives D^T Q_M D - Q_N in V
+    (conftest.assert_exact_cone_matrix; the toy frames are the identity)."""
+
+    @pytest.mark.parametrize("lam, mu", [(2.0, 0.5), (-3.0, -0.4)])
+    def test_cone_matrices_hold_at_exact_points(self, lam, mu, rng):
+        params = ToyParams(lam=lam, mu=mu)
+        chain = build_toy_chain(params)
+        cones = check_toy(params)["cones_linear_links"]
+        links = linear_link_indices(chain)
+        assert len(cones) == len(links) == chain.n_links - 1
+        closed = _closed_forms(chain)
+        identity = [[int(i == j) for j in range(4)] for i in range(4)]
+        cube = [(Fraction(-1), Fraction(1))] * 4
+        for cone, link in zip(cones, links):
+            src = chain.sets[link]
+            assert [list(row) for row in src.coord] == identity
+            for z in exact_sample_points(cube, rng):
+                d = closed[link][1](exact_point(src, z))
+                assert_exact_cone_matrix(cone.matrix, d, identity, identity,
+                                         chain.forms[link], chain.forms[link + 1],
+                                         (cone.link, [str(e) for e in z]))
+
+
 class TestExactRationalImages:
     """The toy maps' image and Jacobian enclosures, and each covering's
     local_jacobian, against exact rationals.  Every corner and a few seeded
@@ -520,15 +540,15 @@ class TestExactRationalImages:
             src = chain.sets[link]
             assert [list(row) for row in src.coord] == identity
             for zbox in covering_boxes(src, grid):
-                box = src.from_normalized(zbox)
-                applied = fmap.apply(box).pairs
+                box = src.from_normalized(zbox.pairs)
+                applied = fmap.apply(box)
                 value, jac = fmap.derivative(box)
                 ends = [(Fraction(e.lo), Fraction(e.hi)) for e in zbox]
                 for z in exact_sample_points(ends, rng):
                     p = exact_point(src, z)
                     where = (cov.source, [str(e) for e in z])
                     _assert_enclosed(applied, image(p), where)
-                    _assert_enclosed(value.pairs, image(p), where)
-                    for rows in (jac.pairs, cov.local_jacobian.pairs):
+                    _assert_enclosed(value, image(p), where)
+                    for rows in (jac, cov.local_jacobian.pairs):
                         for row, exact_row in zip(rows, jacobian(p), strict=True):
                             _assert_enclosed(row, exact_row, where)

@@ -51,12 +51,15 @@ runs, and the ``median`` and ``spread``, the interquartile range over the
 median, of the runs' values: a difference between two trees that is not
 well above both spreads is noise.
 
-The layer loops pass IntervalVector boxes to ``ChartMap.derivative`` and
-the ``ChartMap`` itself to ``check_covering``, as ``run_proof`` does; the
-matrix, jet, cone and covering loops run inside one ``kernels.upward()``
-block, as the proof runs them.  So it compares only source trees whose
-``tangency.kernels`` has ``upward`` and whose ``check_covering`` takes the
-``ChartMap`` unwrapped.
+The layer loops pass boxes to ``ChartMap.derivative`` and
+``ChartMap.apply`` as the map protocol takes them, tuples of ``(lo, hi)``
+pairs, and the ``ChartMap`` itself to ``check_covering``, as ``run_proof``
+does; the matrix layers wrap the chart Jacobian's rows in an
+``IntervalMatrix``.  The matrix, jet, cone and covering loops run inside one
+``kernels.upward()`` block, as the proof runs them.  So it compares only
+source trees whose ``tangency.kernels`` has ``upward``, whose
+``check_covering`` takes the ``ChartMap`` unwrapped and whose map protocol
+speaks pairs.
 """
 
 from __future__ import annotations
@@ -184,7 +187,7 @@ def _layers(calls):
     it raises ImportError or AttributeError on a tree without one."""
     from tangency.henon import build_chain, henon_family
     from tangency.kernels import nearest, upward
-    from tangency.linalg import IntervalVector
+    from tangency.linalg import IntervalMatrix, IntervalVector
     from tangency.projective import ChartMap
     from tangency.toy import build_toy_chain
 
@@ -193,11 +196,11 @@ def _layers(calls):
         toy = build_toy_chain()  # to nearest, as check-toy builds it
     chart = ChartMap(henon_family())
     src, tgt, n9, n10 = chain.sets[0], chain.sets[1], chain.sets[9], chain.sets[10]
-    center = IntervalVector(src.center)
+    center = IntervalVector(src.center).pairs
     with upward():
-        box = src.box()
-        box9 = n9.box()
-        _, jacobian = chart.derivative(box)
+        box = src.box().pairs
+        box9 = n9.box().pairs
+        jacobian = IntervalMatrix.from_pairs(chart.derivative(box)[1])
 
     def cone():
         link = _resolve("covering", "check_covering")(src, tgt, chart)
