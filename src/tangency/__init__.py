@@ -30,7 +30,7 @@ from tangency.jets import Jet
 from tangency.kernels import BACKEND
 from tangency.linalg import IntervalMatrix, IntervalVector, inverse_enclosure
 from tangency.manifold import DiskCertificate, verify_disk
-from tangency.projective import ChartError, ChartMap, PlanarMapFamily
+from tangency.projective import ChartError, ChartMap
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "IntervalMatrix",
     "IntervalVector",
     "Jet",
-    "PlanarMapFamily",
     "QuadraticForm",
     "VerificationInconclusive",
     "check_chain",

@@ -200,7 +200,10 @@ def cone_matrix(d_loc, q_src, q_tgt, inflate_src=1.0):
 
     d_loc must enclose the local-frame derivative over all of the source
     set, as a covering certificate's local_jacobian does; inflate_src is c
-    (used as 1 + eps by the manifold constants).
+    (used as 1 + eps by the manifold constants).  D is d_loc's first
+    q_src.n columns: a disk's local_jacobian carries the parameter column
+    after them, which V does not read.  A d_loc with fewer columns is an
+    error.
 
     The forms are diagonal: D^T Q_M is D^T with its columns scaled by the
     coefficients of Q_M, and c Q_N changes the diagonal only.  Every entry
@@ -212,20 +215,21 @@ def cone_matrix(d_loc, q_src, q_tgt, inflate_src=1.0):
     checks its product; V's entries are checked once, after the halving,
     which keeps a non-finite bound non-finite.
     """
-    d = d_loc.pairs
-    n = len(d[0])
+    n = q_src.n
     q = q_tgt.coeffs
-    if len(d) != len(q):
+    if d_loc.nrows != len(q):
         raise IntervalError("shape mismatch in matrix product")
-    if q_src.n != n:
+    if d_loc.ncols < n:
         raise IntervalError("shape mismatch")
+    d = tuple([row[:n] for row in d_loc.pairs])
     imul, iadd, isub = _k.imul, _k.iadd, _k.isub
     dtq = tuple(
         tuple([imul(*d[k][i], q_k, q_k) for k, q_k in enumerate(q)]) for i in range(n)
     )
     for row in dtq:
         check_pairs(row)
-    w = [list(row) for row in _wrap(IntervalMatrix, dtq).mat_mul(d_loc).pairs]
+    dtqd = _wrap(IntervalMatrix, dtq).mat_mul(_wrap(IntervalMatrix, d))
+    w = [list(row) for row in dtqd.pairs]
     c = as_pair(inflate_src)
     for i, q_i in enumerate(q_src.coeffs):
         cq = (q_i, q_i) if inflate_src == 1.0 else imul(*c, q_i, q_i)

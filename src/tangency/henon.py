@@ -31,7 +31,7 @@ from tangency.hset import HSet, QuadraticForm, _check_grid
 from tangency.interval import Interval, IntervalError, as_pair
 from tangency.linalg import IntervalVector
 from tangency.manifold import verify_disk
-from tangency.projective import ChartMap, PlanarMapFamily
+from tangency.projective import ChartMap
 
 A0 = 1.3145271093265
 B0 = -0.3
@@ -97,7 +97,8 @@ def _unstable_axes(i):
 
 
 def henon_family(b0=B0):
-    """The Henon family as jet/interval evaluators (b is frozen)."""
+    """The Henon family's (forward, inverse) evaluators at b = b0, each
+    f(x, y, a) on jets or intervals, returning the image pair."""
     if b0 == 0.0:
         raise IntervalError("b0 must be nonzero for invertibility")
 
@@ -107,7 +108,7 @@ def henon_family(b0=B0):
     def inverse(x, y, a):
         return y, (x - a + y.sqr()) / b0
 
-    return PlanarMapFamily(name="henon", forward=forward, inverse=inverse)
+    return forward, inverse
 
 
 def fixed_point():
@@ -226,8 +227,7 @@ def build_chain(param_radius=PARAM_RADIUS):
     u0 = eig["u0_mid"]
     s0 = eig["s0_mid"]
 
-    family = henon_family()
-    chart = ChartMap(family, "forward")
+    chart = ChartMap(henon_family()[0])
 
     w_u = _slope_of(u0)
     w_s = _slope_of(s0)
@@ -385,9 +385,7 @@ def run_proof(config=None):
     timings = {}
     t0 = time.perf_counter()
     chain = build_chain(param_radius=config.param_radius)
-    family = henon_family()
-    chart = ChartMap(family, "forward")
-    inv_chart = ChartMap(family, "inverse")
+    chart, inv_chart = map(ChartMap, henon_family())
     disks = [(side, cmap, projected_disk_data(chain, side))
              for side, cmap in (("stable", chart), ("unstable", inv_chart))]
     timings["build"] = time.perf_counter() - t0
@@ -455,15 +453,15 @@ def seed_quality():
     s0 = chain_eig["s0_mid"]
     z1x = x0.mid + SEED_U_COEFF * u0[0] + SEED_S_COEFF * s0[0]
     z1y = x0.mid + SEED_U_COEFF * u0[1] + SEED_S_COEFF * s0[1]
-    family = henon_family()
+    forward, inverse = henon_family()
     a = Interval(A0)
 
-    bx, by = family.inverse(Interval(z1x), Interval(z1y), a)
+    bx, by = inverse(Interval(z1x), Interval(z1y), a)
     back = IntervalVector([bx - x0, by - x0]).norm_upper()
 
     fx, fy = Interval(z1x), Interval(z1y)
     for _ in range(14):
-        fx, fy = family.forward(fx, fy, a)
+        fx, fy = forward(fx, fy, a)
     forw = IntervalVector([fx - x0, fy - x0]).norm_upper()
     return back, forw
 

@@ -319,7 +319,7 @@ def _sin_kernel(r):
     upward-rounding blocks of the proof too, and CPython guarantees the
     rest: each float operation of a Python expression is one C double
     operation, so none is contracted into an FMA or kept in extended
-    precision (the directed-rounding kernels in ``tangency._pyops`` rest on
+    precision (the directed-rounding kernels in ``tangency.kernels`` rest on
     the same fact).  With u = 2**-53 and g_k = k·u/(1 - k·u) (Higham,
     *Accuracy and Stability of Numerical Algorithms*, 2002, §3.1, §5.1):
 

@@ -174,9 +174,6 @@ class IntervalMatrix:
     def __repr__(self):
         return f"IntervalMatrix({[list(r) for r in self.rows]!r})"
 
-    def row(self, i):
-        return _wrap(IntervalVector, self.pairs[i])
-
     def __add__(self, other):
         return self._entrywise(other, _k.iadd)
 
@@ -247,7 +244,7 @@ def _nonzero(pairs):
     changes an accumulator only if that is -0.0, and a dot product's
     accumulator never is: it starts at +0.0, a lower bound is never -0.0,
     and an upper bound, a sum, is -0.0 only when both addends are (see
-    tangency._pyops).  So the products skip such terms and their results
+    tangency.kernels).  So the products skip such terms and their results
     keep every bit.
     """
     return [(k, p) for k, p in enumerate(pairs) if p[0] or p[1]]

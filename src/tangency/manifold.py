@@ -18,9 +18,12 @@ interval (DiskMap), on the outputs each sub-box's target rows read, and
 every derivative the disk needs comes from its one enclosure pass per
 sub-box: its certificate's local_jacobian is d(x, y, w)/d(x, y, w, a) in the
 local frame of the projected set, whose first three columns are the cone
-derivative and whose last is the parameter column of M and L.  No frame
-change happens here.  A is a float eigenvalue estimate certified by one Rump
-test.  The constants below are fixed, not configuration.
+derivative and whose last is the parameter column of M and L.  The cone
+certificate is check_cone_link's of the self-covering: a cone that fails
+ends the disk at stage "cones", a failure in its constants (an IntervalError
+included) at "manifold".  No frame change happens here.  A is a float
+eigenvalue estimate certified by one Rump test.  The constants below are
+fixed, not configuration.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import math
 
 from tangency.cones import (
     ConeCertificate,
+    check_cone_link,
     cone_matrix,
     midrad_split,
     rump_positive_definite,
@@ -41,7 +45,7 @@ from tangency.covering import (
     check_covering,
 )
 from tangency.interval import Interval, IntervalError, as_pair
-from tangency.linalg import IntervalMatrix, IntervalVector, _wrap
+from tangency.linalg import IntervalMatrix, IntervalVector
 
 # A's form inflates Q_N by (1 + epsilon); the reported epsilon, INFLATION - 1.0,
 # is exact by Sterbenz's lemma.  A and Gamma shrink by SHRINK on failure.
@@ -161,21 +165,25 @@ def eigen_lower_bound(v, locus="manifold"):
     )
 
 
-def mixed_derivative_bound(j_local, p_local, coeffs):
-    """M: upper bound of sum_i |a_i| ||d z'_i/d z|| |d z'_i/d lambda|."""
+def mixed_derivative_bound(rows, coeffs):
+    """M: upper bound of sum_i |a_i| ||d z'_i/d z|| |d z'_i/d lambda|.
+
+    rows are d z'/d(z, lambda) as rows of (lo, hi) pairs, one per
+    coefficient, the lambda entry last."""
     acc = Interval(0.0)
-    for i, c in enumerate(coeffs):
-        row_norm = j_local.row(i).norm_upper()
-        p_mag = p_local[i].mag
-        acc = acc + Interval(abs(c)) * Interval(row_norm) * Interval(p_mag)
+    for row, c in zip(rows, coeffs):
+        row_norm = IntervalVector.from_pairs(row[:-1]).norm_upper()
+        acc = acc + Interval(abs(c)) * Interval(row_norm) * Interval(Interval(*row[-1]).mag)
     return acc.hi
 
 
-def stable_parameter_bound(p_local, beta_norm, stable_axes):
-    """L: ||beta|| times the squared norm bound of the stable parameter rows."""
+def stable_parameter_bound(rows, beta_norm, stable_axes):
+    """L: ||beta|| times the squared norm bound of the stable parameter
+    entries, the lambda entries of the stable rows of rows (as in
+    mixed_derivative_bound)."""
     acc = Interval(0.0)
     for i in stable_axes:
-        acc = acc + Interval(p_local[i].mag).sqr()
+        acc = acc + Interval(Interval(*rows[i][-1]).mag).sqr()
     return (Interval(beta_norm) * acc).hi
 
 
@@ -236,11 +244,8 @@ class DiskMap:
 def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=1):
     """Full disk certificate for one side (see module docstring).
 
-    chart_map must already be oriented: the unstable side passes the
-    inverse-oriented map.  The self-covering's local_jacobian, d(x, y, w)/d(x,
-    y, w, a) in the local frame over the set times the parameter interval,
-    is the only derivative read: its (x, y, w) block is the cone derivative,
-    and its parameter column feeds the M and L bounds.
+    chart_map is the chart map of the side's own map: the unstable side
+    passes the inverse map's.
     """
     locus = f"{side} disk in {ntilde.name}"
     if ntilde.n != 3 or qtilde.n != 3:
@@ -249,28 +254,22 @@ def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=
     covering_cert = check_covering(
         ntilde, ntilde, DiskMap(chart_map, param), grid=grid
     )
-    rows = covering_cert.local_jacobian.pairs
-    j_local = _wrap(IntervalMatrix, tuple([row[:3] for row in rows]))
-    p_local = _wrap(IntervalVector, tuple([row[3] for row in rows]))
-    v_cone = cone_matrix(j_local, qtilde, qtilde)
-    rump = rump_positive_definite(v_cone)
-    if not rump.positive_definite:
-        raise VerificationInconclusive(
-            "manifold", locus, "cone matrix not certified positive definite"
-        )
-    cone_cert = ConeCertificate(link=f"{ntilde.name}=>{ntilde.name}", matrix=v_cone, rump=rump)
+    cone_cert = check_cone_link(covering_cert, qtilde, qtilde)
 
-    v_eps = cone_matrix(j_local, qtilde, qtilde, inflate_src=INFLATION)
-    a_lower = eigen_lower_bound(v_eps, locus=locus)
+    jacobian = covering_cert.local_jacobian
+    try:
+        v_eps = cone_matrix(jacobian, qtilde, qtilde, inflate_src=INFLATION)
+        a_lower = eigen_lower_bound(v_eps, locus=locus)
 
-    m_upper = mixed_derivative_bound(j_local, p_local, qtilde.coeffs)
-    l_upper = stable_parameter_bound(p_local, qtilde.beta_norm(), ntilde.stable)
+        m_upper = mixed_derivative_bound(jacobian.pairs, qtilde.coeffs)
+        l_upper = stable_parameter_bound(jacobian.pairs, qtilde.beta_norm(), ntilde.stable)
 
-    gamma, gamma_check = choose_gamma(a_lower, m_upper, l_upper, locus=locus)
+        gamma, gamma_check = choose_gamma(a_lower, m_upper, l_upper, locus=locus)
 
-    alpha_norm = qtilde.alpha_norm()
-    delta = Interval(gamma).sqr() / Interval(alpha_norm)
-    comparison = delta * Interval(abs(float(param_coefficient)))
+        delta = Interval(gamma).sqr() / Interval(qtilde.alpha_norm())
+        comparison = delta * Interval(abs(float(param_coefficient)))
+    except IntervalError as exc:
+        raise VerificationInconclusive("manifold", locus, str(exc))
     constants = DiskConstants(
         a_lower=a_lower,
         m_upper=m_upper,

@@ -1,4 +1,4 @@
-"""Projectivized dynamics of a planar map family in the slope chart.
+"""Projectivized dynamics of a parameterized planar map in the slope chart.
 
 Directions [v] in the projective line over a planar tangent space are
 parameterized by the slope w = v_x / v_y, the direction [(w, 1)]; the chart
@@ -7,16 +7,18 @@ tuples of (lo, hi) pairs (x, y, w, a), by
 
     (x, y, w, a) |-> (f_a(x, y), w_x / w_y, a),  (w_x, w_y) = Df_a(x, y) . (w, 1),
 
-a rational function of the box.  An image direction whose w_y enclosure
-contains 0 may be horizontal and leaves the chart: a hard error
-(ChartError).  The rigorous 4x4 derivative is assembled from order-2 jets of
-f (the slope component needs the second derivatives of f); the value parts
-of the same jets are the image enclosure, returned beside the derivative.
-The slope, in the image and in the derivative's row, is written out on
-(lo, hi) pairs from f's jets.  Both can be asked for some outputs only and
-compute only what those read: without w, they compute no slope, the image's
-jets of f carry values only and the derivative's drop to order 1; on a
-alone, neither evaluates f.
+a rational function of the box.  A ChartMap is built from one evaluator,
+f(x, y, a) on jets; a family's forward and inverse maps are two chart maps,
+one per evaluator, and nothing here checks that they are inverses.  An image
+direction whose w_y enclosure contains 0 may be horizontal and leaves the
+chart: a hard error (ChartError).  The rigorous 4x4 derivative is assembled
+from order-2 jets of f (the slope component needs the second derivatives of
+f); the value parts of the same jets are the image enclosure, returned
+beside the derivative.  The slope, in the image and in the derivative's row,
+is written out on (lo, hi) pairs from f's jets.  Both can be asked for some
+outputs only and compute only what those read: without w, they compute no
+slope, the image's jets of f carry values only and the derivative's drop to
+order 1; on a alone, neither evaluates f.
 
 Where pairs are checked: the box's pairs are checked by whoever built the
 box (an h-set's from_normalized) and seed f's jets as they are; f's jets
@@ -29,12 +31,9 @@ checking them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 from tangency import kernels as _k
 from tangency.interval import Interval, IntervalError, check_pairs
-from tangency.jets import Jet, seed_jets
+from tangency.jets import seed_jets
 
 
 class ChartError(IntervalError):
@@ -52,21 +51,6 @@ def _slope(wx, wy):
     return _k.idiv(*wx, *wy)
 
 
-@dataclass(frozen=True)
-class PlanarMapFamily:
-    """A parameterized planar diffeomorphism given as jet evaluators.
-
-    ``forward(x, y, a)`` and ``inverse(x, y, a)`` take three jets and return
-    the pair of image-coordinate jets.  The inverse evaluator really must be
-    the inverse map; nothing here checks it, so a family's tests should map a
-    box back and forth and see the box midpoint re-enclosed.
-    """
-
-    name: str
-    forward: Callable[[Jet, Jet, Jet], tuple[Jet, Jet]]
-    inverse: Optional[Callable[[Jet, Jet, Jet], tuple[Jet, Jet]]] = None
-
-
 _ZERO = (0.0, 0.0)
 _ONE = (1.0, 1.0)
 
@@ -78,27 +62,13 @@ def _place_w(xya):
 
 
 class ChartMap:
-    """The extended map on chart coordinates for one orientation of a family.
+    """The extended map on chart coordinates of one planar map, whose
+    evaluator ``f(x, y, a)`` takes three jets and returns the pair of
+    image-coordinate jets; it acts on (x, y, w, a) with the parameter held
+    fixed by the dynamics."""
 
-    ``direction="forward"`` uses the family's forward evaluator,
-    ``direction="inverse"`` its inverse; both act on (x, y, w, a) with the
-    parameter held fixed by the dynamics.
-    """
-
-    def __init__(self, family, direction="forward"):
-        if direction not in ("forward", "inverse"):
-            raise ValueError(direction)
-        if direction == "inverse" and family.inverse is None:
-            raise IntervalError(f"{family.name}: no inverse evaluator")
-        self.family = family
-        self.direction = direction
-
-    def _evaluator(self):
-        return (
-            self.family.forward
-            if self.direction == "forward"
-            else self.family.inverse
-        )
+    def __init__(self, f):
+        self.f = f
 
     # -- value-level application ------------------------------------------
 
@@ -114,7 +84,7 @@ class ChartMap:
         image = [None, None, None, a]
         if outputs is None or not set(outputs) <= {3}:
             slope = outputs is None or 2 in outputs
-            fx, fy = self._evaluator()(*seed_jets((x, y, a), 2 if slope else 0, 1))
+            fx, fy = self.f(*seed_jets((x, y, a), 2 if slope else 0, 1))
             image[0], image[1] = fx.value_pair, fy.value_pair
             if slope:
                 imul, iadd = _k.imul, _k.iadd
@@ -144,7 +114,7 @@ class ChartMap:
         rows = [None, None, None, (a, (_ZERO, _ZERO, _ZERO, _ONE))]
         if outputs is None or not set(outputs) <= {3}:
             slope = outputs is None or 2 in outputs
-            fx, fy = self._evaluator()(*seed_jets((x, y, a), 3, 2 if slope else 1))
+            fx, fy = self.f(*seed_jets((x, y, a), 3, 2 if slope else 1))
             rows[0] = (fx.value_pair, _place_w(fx.grad_pairs))
             rows[1] = (fy.value_pair, _place_w(fy.grad_pairs))
             if slope:

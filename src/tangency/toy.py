@@ -322,8 +322,10 @@ def check_toy(params, grid=1):
     locus and, in ``certified``, every stage certified before it by report
     stage ("covering", "cones_linear_links", "switch_blocks"); a failing
     switch block or transversality stage carries its own certificates too.
-    A chain whose end length cannot meet its entry target raises at stage
-    "chain-build", before any stage runs.
+    An IntervalError inside the switch block or transversality stage is
+    that stage's inconclusive verdict, as it is the covering and cone
+    stages'.  A chain whose end length cannot meet its entry target raises
+    at stage "chain-build", before any stage runs.
     """
     chain = build_toy_chain(params)
     certified = {}
@@ -337,20 +339,25 @@ def check_toy(params, grid=1):
                  for i in linear_link_indices(chain)],
             )
 
-            blocks = certified["switch_blocks"] = {
-                name: rump_positive_definite(q)
-                for name, q in zip(("Q1", "Q2"), switch_cone_blocks(
-                    chain.forms[chain.k], chain.forms[chain.k + 1]))
-            }
+            switch_locus = "tangency-point cone blocks"
+            try:
+                blocks = {name: rump_positive_definite(q) for name, q in zip(
+                    ("Q1", "Q2"), switch_cone_blocks(*chain.forms[chain.k:chain.k + 2]))}
+            except IntervalError as exc:
+                raise VerificationInconclusive("toy-switch", switch_locus, str(exc))
+            certified["switch_blocks"] = blocks
             if not all(r.positive_definite for r in blocks.values()):
                 raise VerificationInconclusive(
-                    "toy-switch", "tangency-point cone blocks", "not positive definite"
-                )
+                    "toy-switch", switch_locus, "not positive definite")
 
-            stage = certified["transversality"] = switch_transversality(chain)
+            switch_set = chain.sets[chain.k].name
+            try:
+                stage = certified["transversality"] = switch_transversality(chain)
+            except IntervalError as exc:
+                raise VerificationInconclusive("toy-transversality", switch_set, str(exc))
             if not stage["det"][0] > 0.0:
                 raise VerificationInconclusive(
-                    "toy-transversality", chain.sets[chain.k].name,
+                    "toy-transversality", switch_set,
                     f"determinant lower bound {stage['det'][0]!r} is not above 0")
     except VerificationInconclusive as exc:
         exc.certified = {**certified, **exc.certified}

@@ -335,11 +335,12 @@ def one_pass_cases(chain):
     from tangency.projective import ChartMap
     from tangency.toy import ToyParams, build_toy_chain
 
-    chart = ChartMap(henon_family())
+    forward, inverse = henon_family()
+    chart = ChartMap(forward)
     cases = [(s, t, chart) for s, t in zip(chain.sets, chain.sets[1:])]
-    for side, direction in (("stable", "forward"), ("unstable", "inverse")):
+    for side, f in (("stable", forward), ("unstable", inverse)):
         ntilde, _, param, _ = projected_disk_data(chain, side)
-        cases.append((ntilde, ntilde, DiskMap(ChartMap(henon_family(), direction), param)))
+        cases.append((ntilde, ntilde, DiskMap(ChartMap(f), param)))
     toy = build_toy_chain(ToyParams())
     return cases + list(zip(toy.sets, toy.sets[1:], toy.maps))
 
@@ -390,11 +391,28 @@ def one_pass_oracle(src, tgt, fmap, zbox):
     return out, local
 
 
-def check_inverse_consistency(family, box):
-    """Map the box through a PlanarMapFamily's inverse evaluator and its
-    image midpoint back through the forward one; the largest componentwise
-    distance by which the round trip misses the box midpoint, 0.0 when
-    every component re-encloses it."""
+def evaluator(family, direction):
+    """The "forward" or "inverse" evaluator of a family's (forward, inverse)
+    pair, for tests parameterized by the direction's name."""
+    forward, inverse = family
+    return {"forward": forward, "inverse": inverse}[direction]
+
+
+def flipped_form(q):
+    """The cone form q with every coefficient negated and its unstable and
+    stable axes swapped: a self-covering's cone matrix under it is minus
+    that under q, so its cone test fails."""
+    from tangency.hset import QuadraticForm
+
+    return QuadraticForm(tuple(-c for c in q.coeffs),
+                         tuple(i for i in range(q.n) if i not in q.unstable))
+
+
+def check_inverse_consistency(forward, inverse, box):
+    """Map the box through the inverse evaluator and its image midpoint back
+    through the forward one; the largest componentwise distance by which the
+    round trip misses the box midpoint, 0.0 when every component re-encloses
+    it."""
     from tangency.interval import as_interval
     from tangency.jets import Jet
 
@@ -402,8 +420,8 @@ def check_inverse_consistency(family, box):
     xj = Jet.variable(0, x, 2, order=1)
     yj = Jet.variable(1, y, 2, order=1)
     aj = Jet.constant(a, 2, order=1)
-    ix, iy = family.inverse(xj, yj, aj)
-    rx, ry = family.forward(
+    ix, iy = inverse(xj, yj, aj)
+    rx, ry = forward(
         Jet.constant(ix.value, 2, order=1), Jet.constant(iy.value, 2, order=1), aj
     )
     defect = 0.0

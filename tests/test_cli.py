@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PointShiftedMap
+from conftest import PointShiftedMap, flipped_form
 from tangency import report as report_mod
 from tangency.cli import main
 from tangency.toy import ToyParams, build_toy_chain
@@ -93,6 +93,31 @@ class TestProve:
         for c in covering:
             assert min(c["exit_margins"].values()) > 0.0
             assert c["entry_margin"] > 0.0
+
+    def test_disk_cone_failure_report(self, monkeypatch, tmp_path, capsys):
+        # A stable disk form that fails its cone test ends the proof at the
+        # cones stage, at the self-covering's link, after the chain's
+        # coverings and cones.
+        from tangency import henon
+
+        disk_data = henon.projected_disk_data
+
+        def flipped_stable(chain, side):
+            ntilde, qtilde, param, p_coeff = disk_data(chain, side)
+            if side == "stable":
+                qtilde = flipped_form(qtilde)
+            return ntilde, qtilde, param, p_coeff
+
+        monkeypatch.setattr(henon, "projected_disk_data", flipped_stable)
+        out = tmp_path / "report.json"
+        assert main(["prove", "henon", "--report", str(out)]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "INCONCLUSIVE at cones: Ntilde15=>Ntilde15")
+        report = report_mod.loads(out.read_text())
+        assert report["failure"]["stage"] == "cones"
+        assert report["failure"]["locus"] == "Ntilde15=>Ntilde15"
+        assert list(report["stages"]) == ["covering", "cones"]
+        assert len(report["stages"]["cones"]) == 15
 
     def test_orbit_width_failure_report(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr("tangency.henon.ORBIT_WIDTH_MAX", 1e-300)
@@ -364,6 +389,54 @@ class TestCheckToyInconclusive:
         assert capsys.readouterr().out.splitlines() == [
             "INCONCLUSIVE at cones: N0=>N1", "  forced failure"
         ]
+
+
+class TestIntervalErrorInAStage:
+    """An IntervalError raised inside a stage is that stage's INCONCLUSIVE
+    verdict, with its usual locus and every stage certified before it in
+    the report, and exit code 1, not a traceback."""
+
+    @staticmethod
+    def _raising(*args, **kwargs):
+        from tangency.interval import IntervalError
+
+        raise IntervalError("forced enclosure failure")
+
+    def _failed_report(self, argv, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--report", str(out)]) == 1
+        report = report_mod.loads(out.read_text())
+        assert report["verdict"] == "INCONCLUSIVE"
+        assert report["failure"]["detail"] == "forced enclosure failure"
+        return report
+
+    def test_disk_constants(self, monkeypatch, tmp_path):
+        from tangency import manifold
+
+        monkeypatch.setattr(manifold, "mixed_derivative_bound", self._raising)
+        report = self._failed_report(["prove", "henon"], tmp_path)
+        assert (report["failure"]["stage"], report["failure"]["locus"]) == (
+            "manifold", "stable disk in Ntilde15")
+        assert list(report["stages"]) == ["covering", "cones"]
+        assert len(report["stages"]["covering"]) == len(report["stages"]["cones"]) == 15
+
+    def test_toy_switch_blocks(self, monkeypatch, tmp_path):
+        from tangency import toy
+
+        monkeypatch.setattr(toy, "switch_cone_blocks", self._raising)
+        report = self._failed_report(["check-toy"], tmp_path)
+        assert (report["failure"]["stage"], report["failure"]["locus"]) == (
+            "toy-switch", "tangency-point cone blocks")
+        assert list(report["stages"]) == ["covering", "cones_linear_links"]
+
+    def test_toy_transversality(self, monkeypatch, tmp_path):
+        from tangency import toy
+
+        monkeypatch.setattr(toy, "switch_transversality", self._raising)
+        report = self._failed_report(["check-toy"], tmp_path)
+        assert (report["failure"]["stage"], report["failure"]["locus"]) == (
+            "toy-transversality", f"N{toy.K}")
+        assert list(report["stages"]) == ["covering", "cones_linear_links", "switch_blocks"]
 
 
 @pytest.mark.parametrize("command", [["prove", "henon"], ["check-toy"]],

@@ -291,7 +291,9 @@ class TestSharedVertexTree:
     def test_kernel_counts_of_a_positive_definite_4x4(self, monkeypatch):
         # 15 pivots (one per sign prefix), 7 square roots (one per prefix
         # with rows below it) and 22 quotients (one per prefix and row
-        # sign), where 8 separate runs take 32, 32 and 48.
+        # sign), where 8 separate runs take 32, 32 and 48.  The test runs in
+        # an upward block, as the proofs run it: outside one, each kernel
+        # call also passes its replacement to its own per-call fallback.
         calls = {"isqrt": 0, "idiv": 0}
         for name in calls:
             def counting(*args, _name=name, _f=getattr(_k, name)):
@@ -299,7 +301,8 @@ class TestSharedVertexTree:
                 return _f(*args)
             monkeypatch.setattr(_k, name, counting)
         m, _, _ = _sym_interval_matrix(random.Random(5), 4, rad=0.05)
-        assert rump_positive_definite(m).positive_definite
+        with _k.upward():
+            assert rump_positive_definite(m).positive_definite
         assert calls == {"isqrt": 7, "idiv": 22}
 
 
@@ -353,7 +356,8 @@ class TestFreeIndices:
 
         monkeypatch.setattr(_k, "isqrt", counting)
         v = IntervalMatrix([[3.0 if i == j else 0.0 for j in range(4)] for i in range(4)])
-        res = rump_positive_definite(v)
+        with _k.upward():  # as the proofs run it (see the dense 4x4 count)
+            res = rump_positive_definite(v)
         assert calls["isqrt"] == 3
         assert [z for z, _ in res.vertex_margins] == vertex_signs(4)
         assert _bits(res) == _bits(rump_per_vertex(v))

@@ -27,7 +27,7 @@ from tangency.hset import HSet, local_derivative
 from tangency.interval import Interval, IntervalError, pair_mid
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.manifold import DiskMap
-from tangency.projective import ChartError, ChartMap, PlanarMapFamily
+from tangency.projective import ChartError, ChartMap
 from tangency.toy import ToyParams, build_toy_chain, linear_start_map, switch_map
 
 
@@ -386,7 +386,7 @@ class TestDeterminism:
         # read off the wall sub-boxes' thin midpoint images, on every Henon
         # link at grid 1 and grid 2, on both disk self-coverings and on the
         # toy chains of 30 seeded draws.
-        chart = ChartMap(henon_family())
+        chart = ChartMap(henon_family()[0])
         sets = henon_chain.sets
         for cert in (henon_proof[0], henon_proof_grid2):
             grid = cert.coverings[0].grid
@@ -394,9 +394,9 @@ class TestDeterminism:
                 assert cov.correspondence == _wall_midpoint_pairing(
                     src, tgt, chart, grid
                 ), (cov.source, grid)
-            for side, direction in (("stable", "forward"), ("unstable", "inverse")):
+            for side, f in zip(("stable", "unstable"), henon_family()):
                 ntilde, _, param, _ = projected_disk_data(henon_chain, side)
-                disk_map = DiskMap(ChartMap(henon_family(), direction), param)
+                disk_map = DiskMap(ChartMap(f), param)
                 disk = getattr(cert, f"{side}_disk").covering
                 assert disk.correspondence == _wall_midpoint_pairing(
                     ntilde, ntilde, disk_map, grid
@@ -457,7 +457,7 @@ class TestWallRows:
         # chart map on the outputs those rows read; those rows are the full
         # image's rows bit for bit, on every wall of the Henon chain at
         # grid 1 and grid 2.
-        fmap = ChartMap(henon_family())
+        fmap = ChartMap(henon_family()[0])
         sets = henon_chain.sets
         for grid in (1, 2):
             walls = 0
@@ -487,7 +487,7 @@ class TestWallRows:
         # output.  Then each wall sub-box asks the map, for its thin image
         # and its enclosure pass alike, for the columns its paired target
         # row reads, whether the pairing is detected or given.
-        chart = ChartMap(henon_family())
+        chart = ChartMap(henon_family()[0])
         toy = build_toy_chain(ToyParams())
         links = [(s, t, chart) for s, t in zip(henon_chain.sets, henon_chain.sets[1:])]
         links += list(zip(toy.sets, toy.sets[1:], toy.maps))
@@ -512,13 +512,13 @@ class TestWallRows:
         # bit: no placeholders.  The maps are the chart map on the Henon
         # sets, the toy maps on the toy sets and the disk maps on the
         # projected sets.
-        chart = ChartMap(henon_family())
+        chart = ChartMap(henon_family()[0])
         cases = [(chart, h) for h in henon_chain.sets]
         toy = build_toy_chain(ToyParams())
         cases += [(fmap, h) for fmap, h in zip(toy.maps, toy.sets)]
-        for side, direction in (("stable", "forward"), ("unstable", "inverse")):
+        for side, f in zip(("stable", "unstable"), henon_family()):
             ntilde, _, param, _ = projected_disk_data(henon_chain, side)
-            cases.append((DiskMap(ChartMap(henon_family(), direction), param), ntilde))
+            cases.append((DiskMap(ChartMap(f), param), ntilde))
         for fmap, h in cases:
             box = h.box().pairs
             mid = tuple([(pair_mid(*e),) * 2 for e in box])
@@ -543,8 +543,7 @@ class TestWallRows:
         # and pass their exit checks; the interior box, which covers the
         # walls and maps every output, leaves the chart, so the link is
         # still inconclusive.
-        family = PlanarMapFamily("shear", lambda x, y, a: (x + y, x))
-        fmap = ChartMap(family)
+        fmap = ChartMap(lambda x, y, a: (x + y, x))
         src = HSet("S", (0.0, 0.0, 0.0, 0.0), EYE4, (1.0, 0.01, 0.1, 0.2), (0, 3))
         tgt = HSet("T", (0.0, 0.0, 0.0, 0.0), EYE4, (0.5, 2.0, 1.0, 0.1), (0, 3))
         wall = src.walls(0, 1, 1)[0]
@@ -611,7 +610,7 @@ if which == "henon":
     from tangency.projective import ChartMap
 
     sets = list(build_chain().sets)
-    maps = [ChartMap(henon_family())] * (len(sets) - 1)
+    maps = [ChartMap(henon_family()[0])] * (len(sets) - 1)
 else:
     from tangency.toy import ToyParams, build_toy_chain
 
@@ -680,7 +679,7 @@ class TestFrameChangesFetchedOnce:
             return rows_read(h, rows)
 
         monkeypatch.setattr(HSet, "rows_read", counting)
-        chart = ChartMap(henon_family())
+        chart = ChartMap(henon_family()[0])
         toy = build_toy_chain(ToyParams())
         links = [(s, t, chart) for s, t in zip(henon_chain.sets, henon_chain.sets[1:])]
         links += list(zip(toy.sets, toy.sets[1:], toy.maps))

@@ -13,6 +13,7 @@ from conftest import (
     check_inverse_consistency,
     contains_fraction,
     covering_boxes,
+    evaluator,
     exact_point,
     exact_sample_points,
     frac_inverse,
@@ -65,7 +66,7 @@ def _serialized(cert):
 def _step_images(chain):
     """Rigorous one-step chart images of the orbit centers c_1..c_14, the
     enclosures build_chain checks."""
-    chart = ChartMap(henon_family())
+    chart = ChartMap(henon_family()[0])
     return [IntervalVector.from_pairs(chart.apply(IntervalVector(chain.sets[i].center).pairs))
             for i in range(1, 15)]
 
@@ -81,15 +82,15 @@ class TestFamily:
             (Interval(-2.0, -1.9), Interval(-2.0, -1.9), Interval(A0)),
             (Interval(0.4, 0.5), Interval(-0.1, 0.0), Interval(A0)),
         ):
-            assert check_inverse_consistency(fam, box) == 0.0
+            assert check_inverse_consistency(*fam, box) == 0.0
 
     def test_second_derivative_constant(self):
         # d^2(first component)/dx^2 = -2 everywhere, exactly.
-        fam = henon_family()
+        forward, _ = henon_family()
         x = Jet.variable(0, Interval(-5.0, 5.0), 3)
         y = Jet.variable(1, Interval(-5.0, 5.0), 3)
         a = Jet.variable(2, Interval(1.0, 1.6), 3)
-        fx, fy = fam.forward(x, y, a)
+        fx, fy = forward(x, y, a)
         assert fx.hess[0][0] == Interval(-2.0)
         assert fy.hess[0][0] == Interval(0.0)
 
@@ -107,9 +108,9 @@ class TestFixedPointAndEigen:
 
     def test_fixed_point_residual(self):
         # ||H(z0) - z0|| encloses 0 with width below 1e-10.
-        fam = henon_family()
+        forward, _ = henon_family()
         x0, y0 = fixed_point()
-        fx, fy = fam.forward(x0, y0, Interval(A0))
+        fx, fy = forward(x0, y0, Interval(A0))
         rx, ry = fx - x0, fy - y0
         assert rx.contains(0.0) and ry.contains(0.0)
         assert rx.width < 1e-10 and ry.width < 1e-10
@@ -684,7 +685,7 @@ class TestExactRationalDiskImages:
     def test_enclosures_hold_at_exact_points(self, henon_chain, grid, side, direction,
                                              rng):
         ntilde, _, param, _ = projected_disk_data(henon_chain, side)
-        disk_map = DiskMap(ChartMap(henon_family(), direction), param)
+        disk_map = DiskMap(ChartMap(evaluator(henon_family(), direction)), param)
         image = _exact_forward if side == "stable" else _exact_inverse
         jacobian = _EXACT_DISK_JACOBIAN[side]
         params = exact_sample_points([(Fraction(param.lo), Fraction(param.hi))], rng,
@@ -750,7 +751,7 @@ class TestLocalFrameOracle:
 
     def test_chain_links(self, henon_proof, rng):
         cert = henon_proof[0]
-        chart = ChartMap(henon_family())
+        chart = ChartMap(henon_family()[0])
         for link, (cov, cone) in enumerate(zip(cert.coverings, cert.cones)):
             src, tgt = cert.hsets[link], cert.hsets[link + 1]
             jac = IntervalMatrix.from_pairs(chart.derivative(src.box().pairs)[1])
@@ -765,7 +766,8 @@ class TestLocalFrameOracle:
         disk = getattr(henon_proof[0], f"{side}_disk")
         ntilde, qtilde, param, _ = projected_disk_data(henon_chain, side)
         box4 = ntilde.box().pairs + (as_pair(param),)
-        d4 = IntervalMatrix.from_pairs(ChartMap(henon_family(), direction).derivative(box4)[1])
+        chart = ChartMap(evaluator(henon_family(), direction))
+        d4 = IntervalMatrix.from_pairs(chart.derivative(box4)[1])
         _check_local_frame(IntervalMatrix(d4.rows[:3]), ntilde.coord, ntilde.coord,
                            disk.covering.local_jacobian, disk.cone.matrix,
                            qtilde, qtilde, rng)
@@ -798,7 +800,7 @@ class TestOnePassImage:
             for i in range(4)
         )
         image = IntervalVector.from_pairs(
-            ChartMap(henon_family()).derivative(src.from_normalized(zbox.pairs))[0])
+            ChartMap(henon_family()[0]).derivative(src.from_normalized(zbox.pairs))[0])
         b = Fraction(B0)
         exact = {0: a - x * x + b * y, 1: x, 2: (b - 2 * x * w) / w, 3: a}
         for axis, value in exact.items():
@@ -806,7 +808,7 @@ class TestOnePassImage:
 
     @pytest.mark.parametrize("grid", [1, 2])
     def test_image_is_apply_bit_for_bit(self, henon_chain, grid):
-        chart = ChartMap(henon_family())
+        chart = ChartMap(henon_family()[0])
         for src in henon_chain.sets:
             for zbox in covering_boxes(src, grid):
                 p = src.from_normalized(zbox.pairs)
@@ -821,7 +823,7 @@ class TestOnePassImage:
         # ChartMap.apply3), is the chart map over box x param: its image and
         # Jacobian are entries and rows 0-2 of derivative's, and its value
         # is apply's.
-        chart = ChartMap(henon_family(), direction)
+        chart = ChartMap(evaluator(henon_family(), direction))
         ntilde, _, param, _ = projected_disk_data(henon_chain, side)
         fmap = DiskMap(chart, param)
         for zbox in covering_boxes(ntilde, grid):

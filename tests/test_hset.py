@@ -159,7 +159,7 @@ class TestTransforms:
         from tangency.covering import _image_normalized
         from tangency.henon import henon_family
 
-        chart = ChartMap(henon_family())
+        chart = ChartMap(henon_family()[0])
         sets = henon_chain.sets
         for src, tgt in zip(sets, sets[1:]):
             zbox = src.subboxes(1)[0]

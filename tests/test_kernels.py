@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import tangency
-from tangency import _pyops, kernels
+from tangency import kernels
 from tangency.interval import _sin_bounds
 from conftest import random_float
 
@@ -20,9 +20,11 @@ KERNELS = (
 
 
 def test_kernels_module_reexports_every_kernel():
+    # The kernels module is the one backend: every kernel and block is
+    # defined there, and the package names its backend.
     assert tangency.BACKEND == kernels.BACKEND == "python"
     for name in KERNELS:
-        assert getattr(kernels, name) is getattr(_pyops, name), name
+        assert getattr(kernels, name).__module__ == "tangency.kernels", name
 
 
 def test_directed_soundness_against_rationals():
@@ -31,12 +33,12 @@ def test_directed_soundness_against_rationals():
         a, b = random_float(rng), random_float(rng)
         fa, fb = Fraction(a), Fraction(b)
         cases = [
-            (fa + fb, _pyops.add_down(a, b), _pyops.add_up(a, b)),
-            (fa - fb, _pyops.sub_down(a, b), _pyops.sub_up(a, b)),
-            (fa * fb, _pyops.mul_down(a, b), _pyops.mul_up(a, b)),
+            (fa + fb, kernels.add_down(a, b), kernels.add_up(a, b)),
+            (fa - fb, kernels.sub_down(a, b), kernels.sub_up(a, b)),
+            (fa * fb, kernels.mul_down(a, b), kernels.mul_up(a, b)),
         ]
         if b != 0.0:
-            cases.append((fa / fb, _pyops.div_down(a, b), _pyops.div_up(a, b)))
+            cases.append((fa / fb, kernels.div_down(a, b), kernels.div_up(a, b)))
         for exact, lo, hi in cases:
             if math.isinf(lo) or math.isinf(hi):
                 continue
@@ -47,19 +49,19 @@ def test_sqrt_soundness_against_rationals():
     rng = random.Random(8)
     for _ in range(10000):
         x = abs(random_float(rng))
-        lo, hi = _pyops.sqrt_down(x), _pyops.sqrt_up(x)
+        lo, hi = kernels.sqrt_down(x), kernels.sqrt_up(x)
         fx = Fraction(x)
         assert Fraction(lo) ** 2 <= fx
         assert Fraction(hi) ** 2 >= fx
 
 
 def test_exact_results_stay_exact():
-    assert _pyops.add_down(1.0, 3.0) == 4.0 == _pyops.add_up(1.0, 3.0)
-    assert _pyops.sub_down(10.0, 3.0) == 7.0 == _pyops.sub_up(10.0, 3.0)
-    assert _pyops.mul_down(2.0, 3.0) == 6.0 == _pyops.mul_up(2.0, 3.0)
-    assert _pyops.div_down(1.0, 2.0) == 0.5 == _pyops.div_up(1.0, 2.0)
-    assert _pyops.sqrt_down(4.0) == 2.0 == _pyops.sqrt_up(4.0)
-    assert _pyops.add_down(0.0, 0.3) == 0.3 == _pyops.add_up(0.0, 0.3)
+    assert kernels.add_down(1.0, 3.0) == 4.0 == kernels.add_up(1.0, 3.0)
+    assert kernels.sub_down(10.0, 3.0) == 7.0 == kernels.sub_up(10.0, 3.0)
+    assert kernels.mul_down(2.0, 3.0) == 6.0 == kernels.mul_up(2.0, 3.0)
+    assert kernels.div_down(1.0, 2.0) == 0.5 == kernels.div_up(1.0, 2.0)
+    assert kernels.sqrt_down(4.0) == 2.0 == kernels.sqrt_up(4.0)
+    assert kernels.add_down(0.0, 0.3) == 0.3 == kernels.add_up(0.0, 0.3)
 
 
 def test_directed_rounding_is_at_most_one_ulp():
@@ -67,8 +69,8 @@ def test_directed_rounding_is_at_most_one_ulp():
     for _ in range(5000):
         a, b = random_float(rng), random_float(rng)
         for down, up, op in (
-            (_pyops.add_down, _pyops.add_up, lambda: a + b),
-            (_pyops.mul_down, _pyops.mul_up, lambda: a * b),
+            (kernels.add_down, kernels.add_up, lambda: a + b),
+            (kernels.mul_down, kernels.mul_up, lambda: a * b),
         ):
             nearest = op()
             if not math.isfinite(nearest):
@@ -81,19 +83,19 @@ def test_directed_rounding_is_at_most_one_ulp():
 
 def test_overflow_produces_nonfinite_for_ctor_to_reject():
     big = 1.7e308
-    assert _pyops.add_up(big, big) == math.inf
-    assert _pyops.add_down(big, big) == 1.7976931348623157e308
-    assert _pyops.add_down(-big, -big) == -math.inf
-    assert _pyops.mul_up(big, 2.0) == math.inf
+    assert kernels.add_up(big, big) == math.inf
+    assert kernels.add_down(big, big) == 1.7976931348623157e308
+    assert kernels.add_down(-big, -big) == -math.inf
+    assert kernels.mul_up(big, 2.0) == math.inf
 
 
 def test_underflow_rounds_outward():
     tiny = 1e-320
-    lo = _pyops.mul_down(tiny, 1e-10)
-    hi = _pyops.mul_up(tiny, 1e-10)
+    lo = kernels.mul_down(tiny, 1e-10)
+    hi = kernels.mul_up(tiny, 1e-10)
     assert lo <= 0.0 < hi
-    lo = _pyops.mul_down(-tiny, 1e-10)
-    hi = _pyops.mul_up(-tiny, 1e-10)
+    lo = kernels.mul_down(-tiny, 1e-10)
+    hi = kernels.mul_up(-tiny, 1e-10)
     assert lo < 0.0 <= hi
 
 
@@ -121,16 +123,16 @@ def _random_pair(rng, infinite=False):
 
 
 def _iadd_full(al, ah, bl, bh):
-    return _pyops.add_down(al, bl), _pyops.add_up(ah, bh)
+    return kernels.add_down(al, bl), kernels.add_up(ah, bh)
 
 
 def _isub_full(al, ah, bl, bh):
-    return _pyops.add_down(al, -bh), _pyops.add_up(ah, -bl)
+    return kernels.add_down(al, -bh), kernels.add_up(ah, -bl)
 
 
 def _imul_full(al, ah, bl, bh):
     # imul's sign-case analysis, without its exact-zero return.
-    down, up = _pyops.mul_down, _pyops.mul_up
+    down, up = kernels.mul_down, kernels.mul_up
     if al >= 0.0:
         if bl >= 0.0:
             return down(al, bl), up(ah, bh)
@@ -154,10 +156,10 @@ def _imul_full(al, ah, bl, bh):
 
 def _idiv_full(al, ah, bl, bh):
     if bl > 0.0:
-        return (_pyops.div_down(al, bh if al >= 0.0 else bl),
-                _pyops.div_up(ah, bl if ah >= 0.0 else bh))
-    return (_pyops.div_down(ah, bh if ah >= 0.0 else bl),
-            _pyops.div_up(al, bl if al >= 0.0 else bh))
+        return (kernels.div_down(al, bh if al >= 0.0 else bl),
+                kernels.div_up(ah, bl if ah >= 0.0 else bh))
+    return (kernels.div_down(ah, bh if ah >= 0.0 else bl),
+            kernels.div_up(al, bl if al >= 0.0 else bh))
 
 
 def _hex(pair):
@@ -172,7 +174,7 @@ class TestExactZeroShortCircuit:
         others = [_random_pair(rng, infinite=True) for _ in range(3000)]
         for z in ZERO_PAIRS:
             for b in list(ZERO_PAIRS) + others:
-                for kernel, full in ((_pyops.iadd, _iadd_full), (_pyops.isub, _isub_full)):
+                for kernel, full in ((kernels.iadd, _iadd_full), (kernels.isub, _isub_full)):
                     assert _hex(kernel(*z, *b)) == _hex(full(*z, *b)), (kernel, z, b)
                     assert _hex(kernel(*b, *z)) == _hex(full(*b, *z)), (kernel, b, z)
 
@@ -180,8 +182,8 @@ class TestExactZeroShortCircuit:
         others = [_random_pair(rng) for _ in range(3000)]
         for z in ZERO_PAIRS:
             for b in list(ZERO_PAIRS) + others:
-                assert _hex(_pyops.imul(*z, *b)) == _hex(_imul_full(*z, *b)) == _hex((0.0, 0.0))
-                assert _hex(_pyops.imul(*b, *z)) == _hex(_imul_full(*b, *z)) == _hex((0.0, 0.0))
+                assert _hex(kernels.imul(*z, *b)) == _hex(_imul_full(*z, *b)) == _hex((0.0, 0.0))
+                assert _hex(kernels.imul(*b, *z)) == _hex(_imul_full(*b, *z)) == _hex((0.0, 0.0))
 
     def test_zero_numerator_quotients_match_the_full_path(self, rng):
         dens = [_random_pair(rng, infinite=True) for _ in range(3000)]
@@ -189,18 +191,18 @@ class TestExactZeroShortCircuit:
         assert len(dens) > 1000
         for z in ZERO_PAIRS:
             for b in dens:
-                assert _hex(_pyops.idiv(*z, *b)) == _hex(_idiv_full(*z, *b)) == _hex((0.0, 0.0))
+                assert _hex(kernels.idiv(*z, *b)) == _hex(_idiv_full(*z, *b)) == _hex((0.0, 0.0))
 
     def test_nonzero_operands_take_the_full_path(self, rng):
         for _ in range(3000):
             a, b = _random_pair(rng), _random_pair(rng)
             if not (a[0] or a[1]) or not (b[0] or b[1]):
                 continue
-            assert _hex(_pyops.iadd(*a, *b)) == _hex(_iadd_full(*a, *b))
-            assert _hex(_pyops.isub(*a, *b)) == _hex(_isub_full(*a, *b))
-            assert _hex(_pyops.imul(*a, *b)) == _hex(_imul_full(*a, *b))
+            assert _hex(kernels.iadd(*a, *b)) == _hex(_iadd_full(*a, *b))
+            assert _hex(kernels.isub(*a, *b)) == _hex(_isub_full(*a, *b))
+            assert _hex(kernels.imul(*a, *b)) == _hex(_imul_full(*a, *b))
             if b[0] > 0.0 or b[1] < 0.0:
-                assert _hex(_pyops.idiv(*a, *b)) == _hex(_idiv_full(*a, *b))
+                assert _hex(kernels.idiv(*a, *b)) == _hex(_idiv_full(*a, *b))
 
     def test_zero_times_an_infinite_bound_is_exact(self):
         # The one behaviour change: the directed path gives NaN for 0 * inf;
@@ -208,8 +210,8 @@ class TestExactZeroShortCircuit:
         for b in ((1.0, math.inf), (-math.inf, -1.0), (-math.inf, math.inf)):
             for z in ZERO_PAIRS:
                 assert any(math.isnan(x) for x in _imul_full(*z, *b))
-                assert _hex(_pyops.imul(*z, *b)) == _hex((0.0, 0.0))
-                assert _hex(_pyops.imul(*b, *z)) == _hex((0.0, 0.0))
+                assert _hex(kernels.imul(*z, *b)) == _hex((0.0, 0.0))
+                assert _hex(kernels.imul(*b, *z)) == _hex((0.0, 0.0))
 
 
 # -- correct rounding against exact rationals ---------------------------------
@@ -269,17 +271,17 @@ def _run(inside, calls):
     fallback made to fail) or each outside any block (the fallback)."""
     if not inside:
         return [f() for f in calls]
-    saved = _pyops._upward_call
+    saved = kernels._upward_call
 
     def no_fallback(kernel, *args):
         raise AssertionError(f"{kernel.__name__} fell back inside an upward block")
 
-    _pyops._upward_call = no_fallback
+    kernels._upward_call = no_fallback
     try:
         with kernels.upward():
             return [f() for f in calls]
     finally:
-        _pyops._upward_call = saved
+        kernels._upward_call = saved
 
 
 def _is_plus_zero_or_nonzero(x):
@@ -307,7 +309,7 @@ class TestCorrectRounding:
             for name, exact in ops:
                 if name == "div" and b == 0.0:
                     continue
-                down, up = getattr(_pyops, name + "_down"), getattr(_pyops, name + "_up")
+                down, up = getattr(kernels, name + "_down"), getattr(kernels, name + "_up")
                 cases.append((name, a, b, exact(Fraction(a), Fraction(b))))
                 calls += [lambda d=down, a=a, b=b: d(a, b), lambda u=up, a=a, b=b: u(a, b)]
         results = _run(inside, calls)
@@ -323,8 +325,8 @@ class TestCorrectRounding:
         xs += [0.0, -0.0, 4.0, 2.0, 5e-324, 2.0**-1074 * 4, _MAX]
         calls = []
         for x in xs:
-            calls += [lambda x=x: _pyops.sqrt_down(x), lambda x=x: _pyops.sqrt_up(x),
-                      lambda x=x: _pyops.isqrt(x, x)]
+            calls += [lambda x=x: kernels.sqrt_down(x), lambda x=x: kernels.sqrt_up(x),
+                      lambda x=x: kernels.isqrt(x, x)]
         results = _run(inside, calls)
         for x, lo, hi, pair in zip(xs, results[::3], results[1::3], results[2::3]):
             assert lo == _sqrt_rd(x) and hi == _sqrt_ru(x), (x, lo, hi)
@@ -344,14 +346,14 @@ class TestCorrectRounding:
             sq = [x * x for x in fa]
             sq_lo = 0 if fa[0] <= 0 <= fa[1] else min(sq)
             cases.append(("isqr", sq_lo, max(sq)))
-            calls += [lambda a=a, b=b: _pyops.iadd(*a, *b),
-                      lambda a=a, b=b: _pyops.isub(*a, *b),
-                      lambda a=a, b=b: _pyops.imul(*a, *b),
-                      lambda a=a: _pyops.isqr(*a)]
+            calls += [lambda a=a, b=b: kernels.iadd(*a, *b),
+                      lambda a=a, b=b: kernels.isub(*a, *b),
+                      lambda a=a, b=b: kernels.imul(*a, *b),
+                      lambda a=a: kernels.isqr(*a)]
             if b[0] > 0.0 or b[1] < 0.0:
                 quots = [x / y for x in fa for y in fb]
                 cases.append(("idiv", min(quots), max(quots)))
-                calls.append(lambda a=a, b=b: _pyops.idiv(*a, *b))
+                calls.append(lambda a=a, b=b: kernels.idiv(*a, *b))
         for (name, lo_exact, hi_exact), (lo, hi) in zip(cases, _run(inside, calls)):
             assert (lo, hi) == (_rd(lo_exact), _ru(hi_exact)), (name, lo, hi)
             assert _is_plus_zero_or_nonzero(lo), name
@@ -361,12 +363,12 @@ class TestCorrectRounding:
     def test_exact_quotients_and_roots_are_not_widened(self):
         # The one-ulp nudge of an inexactness test is gone: exact results
         # come back as themselves, inexact ones as the two neighbours.
-        assert _pyops.div_down(1.0, 3.0) == math.nextafter(_pyops.div_up(1.0, 3.0), 0.0)
-        assert _pyops.div_down(2.0**-1000, 2.0**40) == 2.0**-1040 == _pyops.div_up(2.0**-1000, 2.0**40)
-        assert _pyops.sqrt_down(2.0**-1074) == 2.0**-537 == _pyops.sqrt_up(2.0**-1074)
-        assert _pyops.sqrt_down(2.0**-1073) == math.nextafter(_pyops.sqrt_up(2.0**-1073), 0.0)
-        assert _pyops.sqrt_down(2.0**600) == 2.0**300 == _pyops.sqrt_up(2.0**600)
-        assert _pyops.mul_down(2.0**600, 2.0**-700) == 2.0**-100 == _pyops.mul_up(2.0**600, 2.0**-700)
+        assert kernels.div_down(1.0, 3.0) == math.nextafter(kernels.div_up(1.0, 3.0), 0.0)
+        assert kernels.div_down(2.0**-1000, 2.0**40) == 2.0**-1040 == kernels.div_up(2.0**-1000, 2.0**40)
+        assert kernels.sqrt_down(2.0**-1074) == 2.0**-537 == kernels.sqrt_up(2.0**-1074)
+        assert kernels.sqrt_down(2.0**-1073) == math.nextafter(kernels.sqrt_up(2.0**-1073), 0.0)
+        assert kernels.sqrt_down(2.0**600) == 2.0**300 == kernels.sqrt_up(2.0**600)
+        assert kernels.mul_down(2.0**600, 2.0**-700) == 2.0**-100 == kernels.mul_up(2.0**600, 2.0**-700)
 
 
 def _elementary_args(rng, n):

@@ -7,11 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tangency import manifold
-from tangency.cones import cone_matrix, rump_positive_definite, vertex_signs
+from tangency import cones, manifold
+from tangency.cones import check_cone_link, cone_matrix, rump_positive_definite, vertex_signs
 from tangency.covering import VerificationInconclusive
 from tangency.hset import HSet, QuadraticForm, local_derivative
-from tangency.interval import Interval
+from tangency.interval import Interval, IntervalError
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.manifold import (
     _jacobi_min_eigenvalue,
@@ -21,7 +21,8 @@ from tangency.manifold import (
     stable_parameter_bound,
     verify_disk,
 )
-from tangency.projective import ChartMap, PlanarMapFamily
+from tangency.projective import ChartMap
+from conftest import evaluator, flipped_form, pairs_hex
 
 
 def saddle_family(lam=2.0, mu=0.4, coupling=0.0):
@@ -45,7 +46,7 @@ def saddle_family(lam=2.0, mu=0.4, coupling=0.0):
             xx = x - coupling * a
         return ip * xx + iq * y, iq * xx + ip * y
 
-    return PlanarMapFamily(name="saddle45", forward=forward, inverse=inverse)
+    return forward, inverse
 
 
 ROOT2 = math.sqrt(0.5)
@@ -56,8 +57,7 @@ FRAME3 = ((ROOT2, -ROOT2, 0.0), (ROOT2, ROOT2, 0.0), (0.0, 0.0, -2.0))
 
 def _disk_inputs(coupling=0.0, diam=(0.1, 0.1, 0.1)):
     lam, mu = 2.0, 0.4
-    fam = saddle_family(lam, mu, coupling)
-    chart = ChartMap(fam, "forward")
+    chart = ChartMap(saddle_family(lam, mu, coupling)[0])
     w_u = 1.0  # unstable eigendirection (1, 1)
     ntilde = HSet("D", (0.0, 0.0, w_u), FRAME3, diam, (0,))
     qtilde = QuadraticForm((1.0, -1.0, -1.0), (0,))
@@ -108,12 +108,15 @@ def _shifted(m, s):
 
 
 def _counting_rump(monkeypatch):
+    """The matrices of every Rump test run through cones (the cone
+    certificates) or manifold (the A tests)."""
     calls = []
 
     def counting(a):
         calls.append(a)
         return rump_positive_definite(a)
 
+    monkeypatch.setattr(cones, "rump_positive_definite", counting)
     monkeypatch.setattr(manifold, "rump_positive_definite", counting)
     return calls
 
@@ -205,7 +208,7 @@ class TestCertifiedA:
 
         calls = _counting_rump(monkeypatch)
         ntilde, qtilde, param, p_coeff = projected_disk_data(henon_chain, side)
-        chart = ChartMap(henon_family(), direction)
+        chart = ChartMap(evaluator(henon_family(), direction))
         assert verify_disk(side, ntilde, qtilde, chart, param, p_coeff).passed
         assert len(calls) == 2
 
@@ -214,6 +217,74 @@ class TestCertifiedA:
             eps = disk.constants.epsilon
             assert Fraction(eps) == Fraction(manifold.INFLATION) - 1
             assert abs(eps - 1e-6) <= 1e-6 * 1e-9
+
+
+def _disk_rows(j_local, p_local):
+    """The rows of pairs d z'/d(z, lambda): j_local's rows, each with its
+    entry of p_local appended, as a disk's local_jacobian holds them."""
+    return tuple(row + (p,) for row, p in zip(j_local.pairs, p_local.pairs))
+
+
+def _matrix_hex(m):
+    return [pairs_hex(row) for row in m.pairs]
+
+
+def _rump_hex(rump):
+    return rump.positive_definite, [
+        (z, None if m is None else m.hex()) for z, m in rump.vertex_margins
+    ]
+
+
+class TestDiskCone:
+    """A disk's cone certificate is cones.check_cone_link's of its
+    self-covering, whose 3x4 local Jacobian the cone matrix reads whole."""
+
+    @pytest.mark.parametrize("side", ["stable", "unstable"])
+    def test_cone_is_check_cone_link(self, henon_proof, henon_chain, side):
+        from tangency.henon import projected_disk_data
+        from tangency.kernels import upward
+
+        disk = getattr(henon_proof[0], f"{side}_disk")
+        _, qtilde, _, _ = projected_disk_data(henon_chain, side)
+        with upward():
+            want = check_cone_link(disk.covering, qtilde, qtilde)
+        assert disk.cone.link == want.link == f"{disk.set_name}=>{disk.set_name}"
+        assert _matrix_hex(disk.cone.matrix) == _matrix_hex(want.matrix)
+        assert _rump_hex(disk.cone.rump) == _rump_hex(want.rump)
+        assert disk.cone.to_dict() == want.to_dict()
+
+    @pytest.mark.parametrize("inflate", [1.0, manifold.INFLATION])
+    @pytest.mark.parametrize("side", ["stable", "unstable"])
+    def test_cone_matrix_reads_the_first_columns(self, henon_proof, henon_chain, side,
+                                                 inflate):
+        from tangency.henon import projected_disk_data
+        from tangency.kernels import upward
+
+        jacobian = getattr(henon_proof[0], f"{side}_disk").covering.local_jacobian
+        _, qtilde, _, _ = projected_disk_data(henon_chain, side)
+        assert (jacobian.nrows, jacobian.ncols) == (3, 4)
+        first3 = IntervalMatrix.from_pairs([row[:3] for row in jacobian.pairs])
+        first2 = IntervalMatrix.from_pairs([row[:2] for row in jacobian.pairs])
+        with upward():
+            assert _matrix_hex(cone_matrix(jacobian, qtilde, qtilde, inflate)) == (
+                _matrix_hex(cone_matrix(first3, qtilde, qtilde, inflate)))
+            with pytest.raises(IntervalError, match="shape mismatch"):
+                cone_matrix(first2, qtilde, qtilde, inflate)
+
+    @pytest.mark.parametrize("side, direction", [("stable", "forward"),
+                                                 ("unstable", "inverse")])
+    def test_failing_form_ends_at_cones(self, henon_chain, side, direction):
+        # The self-covering passes (it reads no form); the cone test of the
+        # flipped form fails, at the cones stage and the self-covering's link.
+        from tangency.henon import henon_family, projected_disk_data
+        from tangency.kernels import upward
+
+        ntilde, qtilde, param, p_coeff = projected_disk_data(henon_chain, side)
+        chart = ChartMap(evaluator(henon_family(), direction))
+        with upward(), pytest.raises(VerificationInconclusive) as exc:
+            verify_disk(side, ntilde, flipped_form(qtilde), chart, param, p_coeff)
+        assert (exc.value.stage, exc.value.locus) == ("cones", f"{ntilde.name}=>{ntilde.name}")
+        assert exc.value.detail == "interval matrix not certified positive definite"
 
 
 class TestParameterBounds:
@@ -225,8 +296,9 @@ class TestParameterBounds:
         p_local = ntilde.inv_coord.mat_vec(p_chart)
         j_chart = IntervalMatrix([[d4[i, j] for j in range(3)] for i in range(3)])
         j_local = ntilde.inv_coord.mat_mul(j_chart).mat_mul(ntilde.frame)
-        m = mixed_derivative_bound(j_local, p_local, qtilde.coeffs)
-        el = stable_parameter_bound(p_local, qtilde.beta_norm(), ntilde.stable)
+        rows = _disk_rows(j_local, p_local)
+        m = mixed_derivative_bound(rows, qtilde.coeffs)
+        el = stable_parameter_bound(rows, qtilde.beta_norm(), ntilde.stable)
         assert m == 0.0
         assert el == 0.0
 
@@ -247,9 +319,10 @@ class TestParameterBounds:
             j_local = h.inv_coord.mat_mul(
                 IntervalMatrix([[d4[i, j] for j in range(3)] for i in range(3)])
             ).mat_mul(h.frame)
+            rows = _disk_rows(j_local, p_local)
             vals[name] = (
-                mixed_derivative_bound(j_local, p_local, qtilde.coeffs),
-                stable_parameter_bound(p_local, qtilde.beta_norm(), h.stable),
+                mixed_derivative_bound(rows, qtilde.coeffs),
+                stable_parameter_bound(rows, qtilde.beta_norm(), h.stable),
             )
         assert vals["small"][0] <= vals["big"][0] + 1e-12
         assert vals["small"][1] <= vals["big"][1] + 1e-12
@@ -328,7 +401,7 @@ class TestDiskDerivative:
         from tangency.henon import henon_family, projected_disk_data
 
         disk = getattr(henon_proof[0], f"{side}_disk")
-        chart = ChartMap(henon_family(), direction)
+        chart = ChartMap(evaluator(henon_family(), direction))
         ntilde, _, param, _ = projected_disk_data(henon_chain, side)
         d4 = IntervalMatrix.from_pairs(
             chart.derivative(IntervalVector([*ntilde.box(), param]).pairs)[1])

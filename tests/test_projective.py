@@ -8,8 +8,8 @@ import pytest
 
 from tangency.interval import Interval, IntervalError, as_pair, pair_mid
 from tangency.linalg import IntervalMatrix, IntervalVector
-from tangency.projective import ChartError, ChartMap, PlanarMapFamily
-from conftest import check_inverse_consistency, contains_fraction, pairs_hex
+from tangency.projective import ChartError, ChartMap
+from conftest import check_inverse_consistency, contains_fraction, evaluator, pairs_hex
 
 # The chart map returns pairs; these read them as Intervals.
 vec = IntervalVector.from_pairs
@@ -37,7 +37,7 @@ def linear_family(lam, mu):
     def inverse(x, y, a):
         return ip * x + iq * y, iq * x + ip * y
 
-    return PlanarMapFamily(name="linear45", forward=forward, inverse=inverse)
+    return forward, inverse
 
 
 def _exact_eigenvalues(lam, mu):
@@ -58,14 +58,14 @@ def axis_family(lam, mu):
     def inverse(x, y, a):
         return x / lam, y / mu
 
-    return PlanarMapFamily(name="diag", forward=forward, inverse=inverse)
+    return forward, inverse
 
 
 class TestChartDomain:
     def test_apply_and_derivative_accept_every_finite_slope(self):
         # Every finite slope is a direction of the chart: only an image
         # direction can leave it.
-        chart = ChartMap(linear_family(2.0, 0.5), "forward")
+        chart = ChartMap(linear_family(2.0, 0.5)[0])
         for w in (0.0, Interval(-0.1, 0.5), -1e6, Interval(3.0, 1e8)):
             chart.apply(box(0.0, 0.0, w, 0.0))
             chart.derivative(box(0.0, 0.0, w, 0.0))
@@ -73,7 +73,7 @@ class TestChartDomain:
     def test_image_slope_leaving_the_chart_is_rejected(self):
         # Df = [[2, 1], [1, 2]] maps (w, 1) to (2w + 1, w + 2), horizontal
         # at w = -2: a slope box around -2, or -2 itself, leaves the chart.
-        chart = ChartMap(linear_family(3.0, 1.0), "forward")
+        chart = ChartMap(linear_family(3.0, 1.0)[0])
         for w in (Interval(-2.1, -1.9), -2.0):
             for evaluate in (chart.apply, chart.derivative):
                 with pytest.raises(ChartError, match="leaves the slope chart"):
@@ -87,7 +87,7 @@ class TestChartDomain:
         # a non-finite pair.
         from tangency.henon import A0, henon_family
 
-        chart = ChartMap(henon_family(), "forward")
+        chart = ChartMap(henon_family()[0])
         p = box(10.0, 0.0, 1e308, A0)
         with pytest.raises(IntervalError, match="non-finite"):
             chart.apply(p)
@@ -106,8 +106,7 @@ class TestApply:
     def test_eigendirection_fixed_vertical(self):
         # Slope 0, the vertical, is the mu-eigendirection of the diagonal
         # family.
-        fam = axis_family(2.0, 0.5)
-        chart = ChartMap(fam, "forward")
+        chart = ChartMap(axis_family(2.0, 0.5)[0])
         p = box(0.0, 0.0, 0.0, 0.0)
         q = vec(chart.apply(p))
         assert q[2].contains(Interval(*p[2]))
@@ -116,8 +115,7 @@ class TestApply:
     def test_slope_scaling_law(self):
         # For the diagonal family, w' = (lam/mu) w.
         lam, mu = 2.0, 0.5
-        fam = axis_family(lam, mu)
-        chart = ChartMap(fam, "forward")
+        chart = ChartMap(axis_family(lam, mu)[0])
         q = vec(chart.apply(box(0.3, -0.2, 1.0, 0.0)))
         assert q[2].contains(lam / mu)
         q = vec(chart.apply(box(0.3, -0.2, Interval(-0.5, 0.25), 0.0)))
@@ -126,8 +124,7 @@ class TestApply:
     def test_projective_consistency_of_apply(self):
         # v and -v have one slope, and the image slope encloses that of
         # Df v for either representative.
-        fam = linear_family(3.0, 0.25)
-        chart = ChartMap(fam, "forward")
+        chart = ChartMap(linear_family(3.0, 0.25)[0])
         v = (0.4, 0.7)
         w_plus = Interval(v[0]) / Interval(v[1])
         w_minus = Interval(-v[0]) / Interval(-v[1])
@@ -145,7 +142,7 @@ class TestApply:
         x0 = eig["x0"].mid
         u0 = eig["u0_mid"]
         w_u = Interval(u0[0]) / Interval(u0[1])
-        chart = ChartMap(henon_family(), "forward")
+        chart = ChartMap(henon_family()[0])
         q = vec(chart.apply(box(x0, x0, w_u, A0)))
         assert abs(q[0].mid - x0) < 1e-13
         assert abs(q[1].mid - x0) < 1e-13
@@ -153,8 +150,7 @@ class TestApply:
         assert abs(w_u.mid - eig["lam"].mid) < 1e-12
 
     def test_semigroup_containment_on_thin_box(self):
-        fam = linear_family(2.0, 0.5)
-        chart = ChartMap(fam, "forward")
+        chart = ChartMap(linear_family(2.0, 0.5)[0])
         eps = 1e-9
         p = box(
             Interval(0.1 - eps, 0.1 + eps),
@@ -173,8 +169,7 @@ class TestDerivative:
         # At the unstable eigendirection, slope 1, the slope-slope entry of
         # the extended-map derivative is det Df / lam^2 = mu/lam.
         lam, mu = 3.0, 0.4
-        fam = linear_family(lam, mu)
-        chart = ChartMap(fam, "forward")
+        chart = ChartMap(linear_family(lam, mu)[0])
         d = mat(chart.derivative(box(0.0, 0.0, 1.0, 0.0))[1])
         lam_x, mu_x = _exact_eigenvalues(lam, mu)
         assert contains_fraction(d[2, 2], mu_x / lam_x)
@@ -185,8 +180,7 @@ class TestDerivative:
 
     def test_linearization_entries_stable_chart(self):
         lam, mu = 3.0, 0.4
-        fam = linear_family(lam, mu)
-        chart = ChartMap(fam, "forward")
+        chart = ChartMap(linear_family(lam, mu)[0])
         d = mat(chart.derivative(box(0.0, 0.0, -1.0, 0.0))[1])
         lam_x, mu_x = _exact_eigenvalues(lam, mu)
         assert contains_fraction(d[2, 2], lam_x / mu_x)
@@ -197,7 +191,7 @@ class TestDerivative:
         eig = eigen_data()
         x0 = eig["x0"].mid
         u0 = eig["u0_mid"]
-        chart = ChartMap(henon_family(), "forward")
+        chart = ChartMap(henon_family()[0])
         d = mat(chart.derivative(box(x0, x0, Interval(u0[0]) / Interval(u0[1]), A0))[1])
         ratio = eig["mu"] / eig["lam"]
         assert d[2, 2].intersects(ratio)
@@ -205,7 +199,7 @@ class TestDerivative:
     def test_derivative_contains_finite_differences(self):
         from tangency.henon import A0, henon_family
 
-        chart = ChartMap(henon_family(), "forward")
+        chart = ChartMap(henon_family()[0])
         base = (-1.9, -1.8, 0.9, A0)
         h = 1e-6
         d = mat(chart.derivative(box(*base))[1])
@@ -232,15 +226,15 @@ class TestOutputsRead:
     def test_parameter_row_evaluates_no_f(self, monkeypatch, direction):
         from tangency.henon import A0, henon_family
 
-        chart = ChartMap(henon_family(), direction)
+        chart = ChartMap(evaluator(henon_family(), direction))
         p = box(Interval(-1.91, -1.89), Interval(-1.81, -1.79),
                 Interval(0.8, 0.9), Interval(A0 - 1e-5, A0 + 1e-5))
         full_image, full_jac = chart.derivative(p)
 
-        def refuse(self):
+        def refuse(x, y, a):
             raise AssertionError("f evaluated")
 
-        monkeypatch.setattr(ChartMap, "_evaluator", refuse)
+        monkeypatch.setattr(chart, "f", refuse)
         image, jac = chart.derivative(p, (3,))
         assert pairs_hex(image) == pairs_hex([full_image[3]])
         assert [pairs_hex(r) for r in jac] == [pairs_hex(full_jac[3])]
@@ -258,7 +252,7 @@ class TestOutputsRead:
         def refuse(x, y, a):
             raise AssertionError("f evaluated")
 
-        chart = ChartMap(PlanarMapFamily("refusing", refuse, refuse), direction)
+        chart = ChartMap(evaluator((refuse, refuse), direction))
         for a in (Interval(A0), Interval(A0 - 1e-5, A0 + 1e-5), Interval(-0.0, 0.0)):
             p = box(Interval(-1.91, -1.89), Interval(-1.81, -1.79),
                     Interval(0.8, 0.9), a)
@@ -274,7 +268,6 @@ class TestOutputsRead:
         # bit, on random boxes.
         from tangency.henon import A0, henon_family
 
-        henon = henon_family()
         seen = []
 
         def spy(evaluate):
@@ -284,8 +277,7 @@ class TestOutputsRead:
 
             return run
 
-        family = PlanarMapFamily("spied", spy(henon.forward), spy(henon.inverse))
-        chart = ChartMap(family, direction)
+        chart = ChartMap(spy(evaluator(henon_family(), direction)))
         compared = 0
         for _ in range(200):
             center = (rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5),
@@ -310,28 +302,10 @@ class TestFamilyInverse:
     def test_henon_inverse_consistency(self):
         from tangency.henon import A0, henon_family
 
-        fam = henon_family()
         defect = check_inverse_consistency(
-            fam, (Interval(-1.91, -1.89), Interval(-1.81, -1.79), Interval(A0))
+            *henon_family(), (Interval(-1.91, -1.89), Interval(-1.81, -1.79), Interval(A0))
         )
         assert defect == 0.0
-
-    def test_flipped_family(self):
-        # The inverse orientation is the forward orientation of the family
-        # with its evaluators swapped.
-        fam = linear_family(2.0, 0.5)
-        flipped = PlanarMapFamily(name="flipped", forward=fam.inverse,
-                                  inverse=fam.forward)
-        p = box(0.25, 0.125, 0.7, 0.0)
-        q1, d1 = ChartMap(fam, "inverse").derivative(p)
-        q2, d2 = ChartMap(flipped, "forward").derivative(p)
-        assert q1 == q2 == ChartMap(fam, "inverse").apply(p)
-        assert d1 == d2
-
-    def test_missing_inverse_rejected(self):
-        fam = PlanarMapFamily(name="fwd-only", forward=lambda x, y, a: (x, y))
-        with pytest.raises(IntervalError):
-            ChartMap(fam, "inverse")
 
 
 def test_projective_imports_nothing_from_covering():
@@ -367,7 +341,7 @@ def _dense_family():
     def inverse(x, y, a):
         return y * a - x.sqr() * y + 0.75 * x, x * y + y.sqr() * a + 0.5 * x
 
-    return PlanarMapFamily("dense", forward, inverse)
+    return forward, inverse
 
 
 def _oracle_slope(vx, vy):
@@ -394,7 +368,7 @@ def _jet_route(chart, v):
     whether each route's w_y was negative."""
     from tangency.jets import Jet
 
-    evaluate = chart._evaluator()
+    evaluate = chart.f
     x, y, w, a = (Interval(*e) for e in v)
     fx, fy = evaluate(*(Jet.variable(i, c, 3, order=2) for i, c in enumerate((x, y, a))))
 
@@ -455,7 +429,7 @@ class TestPairRouteOracle:
 
         from conftest import covering_boxes
 
-        chart = ChartMap(henon_family(), direction)
+        chart = ChartMap(evaluator(henon_family(), direction))
         compared = 0
         with upward():
             for grid in (1, 2):
@@ -475,7 +449,7 @@ class TestPairRouteOracle:
 
         from conftest import covering_boxes
 
-        chart = ChartMap(henon_family(), direction)
+        chart = ChartMap(evaluator(henon_family(), direction))
         with upward():
             for side in ("stable", "unstable"):
                 ntilde, _, param, _ = projected_disk_data(henon_chain, side)
@@ -495,7 +469,7 @@ class TestPairRouteOracle:
         from tangency.kernels import upward
 
         fam = henon_family() if family == "henon" else _dense_family()
-        chart = ChartMap(fam, direction)
+        chart = ChartMap(evaluator(fam, direction))
         below = []
         with upward():
             for _ in range(200):
@@ -575,7 +549,7 @@ class TestExactRationalSlopeRow:
         from tangency.henon import henon_family
         from tangency.kernels import upward
 
-        chart = ChartMap(henon_family(), direction)
+        chart = ChartMap(evaluator(henon_family(), direction))
         boxes = self._boxes(henon_chain)
         assert len(boxes) == 16 + 2 * 2 * 2 * 8
         checked = 0

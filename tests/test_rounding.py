@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from conftest import PointShiftedMap
-from tangency import _pyops, kernels
+from tangency import kernels
 from tangency.cli import main
 from tangency.covering import check_covering
 from tangency.henon import build_chain, run_proof
@@ -37,8 +37,8 @@ def _rounds_to_nearest():
     nearest, and fegetround says so."""
     one, three = "".join(["0", ".", "1"]), "".join(["0", ".", "3"])
     return (float(one) == 0.1 and float(three) == 0.3
-            and _pyops._ONE + _pyops._STEP == _pyops._ONE
-            and _pyops._fegetround() == _pyops._FE_TONEAREST)
+            and kernels._ONE + kernels._STEP == kernels._ONE
+            and kernels._fegetround() == kernels._FE_TONEAREST)
 
 
 class TestBlocks:
@@ -46,7 +46,7 @@ class TestBlocks:
         assert _rounds_to_nearest()
         with kernels.upward():
             assert not _rounds_to_nearest()
-            assert _pyops._fegetround() == _pyops._FE_UPWARD
+            assert kernels._fegetround() == kernels._FE_UPWARD
         assert _rounds_to_nearest()
 
     def test_blocks_restore_the_mode_they_found(self):
@@ -54,24 +54,24 @@ class TestBlocks:
             with kernels.nearest():
                 assert _rounds_to_nearest()
                 with kernels.upward():
-                    assert _pyops._fegetround() == _pyops._FE_UPWARD
+                    assert kernels._fegetround() == kernels._FE_UPWARD
                 assert _rounds_to_nearest()
-            assert _pyops._fegetround() == _pyops._FE_UPWARD
+            assert kernels._fegetround() == kernels._FE_UPWARD
         assert _rounds_to_nearest()
 
     def test_blocks_restore_a_third_mode(self):
         # FE_DOWNWARD of <fenv.h>
         downward = {"x86_64": 0x400, "aarch64": 0x800000}[platform.machine()]
-        assert _pyops._fesetround(downward) == 0
+        assert kernels._fesetround(downward) == 0
         try:
             with kernels.upward():
                 pass
             with kernels.nearest():
                 pass
-            assert _pyops._fegetround() == downward
+            assert kernels._fegetround() == downward
             assert kernels.mul_up(1.0, 0.1) == 0.1  # the fallback, in a third mode
         finally:
-            _pyops._fesetround(_pyops._FE_TONEAREST)
+            kernels._fesetround(kernels._FE_TONEAREST)
         assert _rounds_to_nearest()
 
     def test_blocks_restore_the_mode_on_an_exception(self):
@@ -83,18 +83,18 @@ class TestBlocks:
 
 class TestPlatform:
     def test_constants_per_machine(self):
-        assert _pyops._FE_MODES == {"x86_64": (0x800, 0), "aarch64": (0x400000, 0)}
-        assert (_pyops._FE_UPWARD, _pyops._FE_TONEAREST) == _pyops._FE_MODES[platform.machine()]
+        assert kernels._FE_MODES == {"x86_64": (0x800, 0), "aarch64": (0x400000, 0)}
+        assert (kernels._FE_UPWARD, kernels._FE_TONEAREST) == kernels._FE_MODES[platform.machine()]
 
     def test_machine_is_platform_machine(self):
-        # _pyops reads os.uname(), which platform.machine() also reads on a
+        # kernels reads os.uname(), which platform.machine() also reads on a
         # POSIX system, so that importing tangency does not import platform.
-        assert _pyops._MACHINE == platform.machine()
+        assert kernels._MACHINE == platform.machine()
 
     def test_unsupported_machine_is_an_import_error(self, monkeypatch):
         uname = os.uname()
         monkeypatch.setattr(os, "uname", lambda: type(uname)((*uname[:4], "sparc64")))
-        spec = importlib.util.spec_from_file_location("_pyops_elsewhere", _pyops.__file__)
+        spec = importlib.util.spec_from_file_location("kernels_elsewhere", kernels.__file__)
         with pytest.raises(ImportError, match="sparc64"):
             spec.loader.exec_module(importlib.util.module_from_spec(spec))
         assert _rounds_to_nearest()
@@ -262,13 +262,13 @@ class TestSearchStaysInNearest:
 
 def test_a_proof_takes_no_per_call_fallback(monkeypatch, tmp_path):
     calls = []
-    fallback = _pyops._upward_call
+    fallback = kernels._upward_call
 
     def counted(kernel, *args):
         calls.append(kernel.__name__)
         return fallback(kernel, *args)
 
-    monkeypatch.setattr(_pyops, "_upward_call", counted)
+    monkeypatch.setattr(kernels, "_upward_call", counted)
     kernels.imul(1.0, 1.0, 3.0, 3.0)  # outside a block: counted
     assert calls == ["imul"]
     calls.clear()

@@ -9,7 +9,8 @@ Each run starts a fresh interpreter per tree, with the tree first on
 Inside a run every measurement is taken once untimed (warm-up), then timed
 ``--repeat`` times, and the run keeps the minimum.  The layers are the mean
 of a ``--calls // 10``-call loop (a covering link of a ``--calls // 200``-call
-loop) on the grid-1 Henon chain: ``inverse_enclosure`` of N1's 4x4
+loop) on the grid-1 Henon chain, built to nearest as ``run_proof`` builds
+it: ``inverse_enclosure`` of N1's 4x4
 ``coord``, a 4x4 ``mat_mul`` (N1's ``inv_coord`` times the chart Jacobian
 over N0), ``ChartMap.derivative`` over N0's box, the chart's direction row
 alone (``ChartMap.derivative`` on output 2 over N9's box: the slope row, or
@@ -25,8 +26,10 @@ default toy chain's N0=>N1 cone matrix (diagonal), and
 and on N9=>N10, two of whose walls do; ``check_covering`` on the default
 toy chain's N0=>N1, a linear link, and on its switch link N4=>M5, with
 the chain's own maps, ``build_toy_chain()`` at the defaults, built to
-nearest as ``check-toy`` builds it, and ``report.dumps`` of the grid-1
-``prove henon`` report, as parsed back from the file it wrote, are each the
+nearest as ``check-toy`` builds it, the disk constants
+(``manifold.verify_disk_us``, one stable-side ``verify_disk`` at grid 1:
+its self-covering, cone certificate and constants), and ``report.dumps``
+of the grid-1 ``prove henon`` report, as parsed back from the file it wrote, are each the
 mean of a ``--calls // 200``-call loop; ``run_proof()`` at grid 1 and
 grid 2 is one call, whose per-stage ``timings`` (build, covering, cones,
 disks) are recorded beside its total; and ``check_toy_s`` is one
@@ -51,15 +54,17 @@ runs, and the ``median`` and ``spread``, the interquartile range over the
 median, of the runs' values: a difference between two trees that is not
 well above both spreads is noise.
 
-The layer loops pass boxes to ``ChartMap.derivative`` and
-``ChartMap.apply`` as the map protocol takes them, tuples of ``(lo, hi)``
-pairs, and the ``ChartMap`` itself to ``check_covering``, as ``run_proof``
-does; the matrix layers wrap the chart Jacobian's rows in an
-``IntervalMatrix``.  The matrix, jet, cone and covering loops run inside one
+The layer loops build the chart map as ``ChartMap(forward)``, of the
+first of ``henon_family()``'s two evaluators, pass boxes to
+``ChartMap.derivative`` and ``ChartMap.apply`` as the map protocol takes
+them, tuples of ``(lo, hi)`` pairs, and the ``ChartMap`` itself to
+``check_covering`` and ``verify_disk``, as ``run_proof`` does; the
+matrix layers wrap the chart Jacobian's rows in an ``IntervalMatrix``.
+The matrix, jet, cone, covering and disk loops run inside one
 ``kernels.upward()`` block, as the proof runs them.  So it compares only
 source trees whose ``tangency.kernels`` has ``upward``, whose
-``check_covering`` takes the ``ChartMap`` unwrapped and whose map protocol
-speaks pairs.
+``check_covering`` takes the ``ChartMap`` unwrapped, whose map protocol
+speaks pairs and whose ``ChartMap`` takes one evaluator.
 """
 
 from __future__ import annotations
@@ -185,16 +190,17 @@ def _layers(calls):
     """(key, setup, number) per layer: setup(), called in an upward block,
     returns the callable to time, with every function it calls resolved, so
     it raises ImportError or AttributeError on a tree without one."""
-    from tangency.henon import build_chain, henon_family
+    from tangency.henon import build_chain, henon_family, projected_disk_data
     from tangency.kernels import nearest, upward
     from tangency.linalg import IntervalMatrix, IntervalVector
     from tangency.projective import ChartMap
     from tangency.toy import build_toy_chain
 
-    chain = build_chain()
-    with nearest():
-        toy = build_toy_chain()  # to nearest, as check-toy builds it
-    chart = ChartMap(henon_family())
+    with nearest():  # the chains and the disk's set, as the CLI builds them
+        chain = build_chain()
+        toy = build_toy_chain()
+        stable = projected_disk_data(chain, "stable")
+    chart = ChartMap(henon_family()[0])
     src, tgt, n9, n10 = chain.sets[0], chain.sets[1], chain.sets[9], chain.sets[10]
     center = IntervalVector(src.center).pairs
     with upward():
@@ -227,6 +233,11 @@ def _layers(calls):
         v = _resolve("cones", "cone_matrix")(link.local_jacobian, toy.forms[0], toy.forms[1])
         return partial(_resolve("cones", "rump_positive_definite"), v)
 
+    def disk():
+        ntilde, qtilde, param, p_coeff = stable
+        return partial(_resolve("manifold", "verify_disk"),
+                       "stable", ntilde, qtilde, chart, param, p_coeff)
+
     many, few = calls // 10, calls // 200
     return (
         ("linalg.inverse_enclosure_4x4_us",
@@ -250,6 +261,7 @@ def _layers(calls):
         ("toy.link_linear_us", lambda: toy_link(0), few),
         ("toy.link_switch_us", lambda: toy_link(toy.k), few),
         ("toy.build_chain_us", toy_build, few),
+        ("manifold.verify_disk_us", disk, few),
     )
 
 
