@@ -26,7 +26,6 @@ from tangency.cones import (
 )
 from tangency.hset import Frame, HSet, QuadraticForm
 from tangency.interval import Interval, IntervalError
-from tangency.jets import Jet
 from tangency.kernels import BACKEND
 from tangency.linalg import IntervalMatrix, IntervalVector, inverse_enclosure
 from tangency.manifold import DiskCertificate, verify_disk
@@ -48,7 +47,6 @@ __all__ = [
     "IntervalError",
     "IntervalMatrix",
     "IntervalVector",
-    "Jet",
     "QuadraticForm",
     "VerificationInconclusive",
     "check_chain",

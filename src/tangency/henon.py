@@ -28,7 +28,7 @@ from tangency.covering import (
     checked_correspondence,
 )
 from tangency.hset import HSet, QuadraticForm, _check_grid
-from tangency.interval import Interval, IntervalError, as_pair
+from tangency.interval import Interval, IntervalError, as_pair, check_pairs
 from tangency.linalg import IntervalVector
 from tangency.manifold import verify_disk
 from tangency.projective import ChartMap
@@ -96,17 +96,68 @@ def _unstable_axes(i):
     return (0, 3) if i <= 8 else (0, 2)
 
 
+_ZERO = (0.0, 0.0)
+_ONE = (1.0, 1.0)
+_ZERO_ROW = (_ZERO, _ZERO, _ZERO)
+
+
 def henon_family(b0=B0):
-    """The Henon family's (forward, inverse) evaluators at b = b0, each
-    f(x, y, a) on jets or intervals, returning the image pair."""
-    if b0 == 0.0:
+    """The Henon family's (forward, inverse) evaluators at b = b0, the maps
+    (a - x^2 + b y, x) and (y, (x - a + y^2) / b) in closed form.
+
+    Each is f(x, y, a, order) on checked (lo, hi) pairs and returns, per
+    image coordinate, a tuple of its value pair, at order >= 1 its gradient
+    over (x, y, a), and at order 2 its Hessian rows over x and over y.  The
+    closed forms make the kernel calls that second-order forward-mode
+    differentiation of the two expressions makes on operands that depend on
+    the box, in the same order, so their bits are that route's, signed
+    zeros included, at every order (the tests keep the route as their
+    oracle); a kernel call on an exact 0 or 1 whose result is provably
+    known is left out (2x times a unit gradient is 2x, times a zero one 0).
+    b is as_pair(b0), so b0 may also be an Interval; it must exclude 0.
+    The entries that do not depend on the box, 1/b, -1/b and 2/b among
+    them, are enclosed here, once, in an upward block.  Each evaluator
+    checks the pairs it computes before it returns them; the box's pairs
+    are checked by whoever built the box.
+    """
+    b = as_pair(b0)
+    if b[0] <= 0.0 <= b[1]:
         raise IntervalError("b0 must be nonzero for invertibility")
+    imul, iadd, isub, idiv, isqr = _k.imul, _k.iadd, _k.isub, _k.idiv, _k.isqr
+    with _k.upward():
+        inv_b, neg_inv_b, two_inv_b = check_pairs(
+            (idiv(1.0, 1.0, *b), idiv(-1.0, -1.0, *b), idiv(2.0, 2.0, *b)))
+    zero_rows = (_ZERO_ROW, _ZERO_ROW)
+    forward_rows = ((((-2.0, -2.0), _ZERO, _ZERO), _ZERO_ROW), zero_rows)
+    inverse_rows = (zero_rows, (_ZERO_ROW, (_ZERO, two_inv_b, _ZERO)))
+    forward_grads = (_ONE, _ZERO, _ZERO)
+    inverse_grads = (_ZERO, _ONE, _ZERO)
 
-    def forward(x, y, a):
-        return a - x.sqr() + b0 * y, x
+    def forward(x, y, a, order):
+        if not order:
+            value = iadd(*isub(*a, *isqr(*x)), *imul(*y, *b))
+            return (check_pairs((value,))[0],), (x,)
+        two_x = imul(2.0, 2.0, *x)
+        diff = isub(*a, *isqr(*x))
+        d_x = isub(0.0, 0.0, *two_x)
+        value, d_x = check_pairs((iadd(*diff, *imul(*y, *b)), d_x))
+        outs = (value, (d_x, b, _ONE)), (x, forward_grads)
+        if order == 2:
+            return tuple([out + (rows,) for out, rows in zip(outs, forward_rows)])
+        return outs
 
-    def inverse(x, y, a):
-        return y, (x - a + y.sqr()) / b0
+    def inverse(x, y, a, order):
+        if not order:
+            value = idiv(*iadd(*isub(*x, *a), *isqr(*y)), *b)
+            return (y,), (check_pairs((value,))[0],)
+        diff = isub(*x, *a)
+        two_y = imul(2.0, 2.0, *y)
+        value = idiv(*iadd(*diff, *isqr(*y)), *b)
+        value, d_y = check_pairs((value, idiv(*two_y, *b)))
+        outs = (y, inverse_grads), (value, (inv_b, d_y, neg_inv_b))
+        if order == 2:
+            return tuple([out + (rows,) for out, rows in zip(outs, inverse_rows)])
+        return outs
 
     return forward, inverse
 
@@ -454,15 +505,15 @@ def seed_quality():
     z1x = x0.mid + SEED_U_COEFF * u0[0] + SEED_S_COEFF * s0[0]
     z1y = x0.mid + SEED_U_COEFF * u0[1] + SEED_S_COEFF * s0[1]
     forward, inverse = henon_family()
-    a = Interval(A0)
+    a = as_pair(A0)
 
-    bx, by = inverse(Interval(z1x), Interval(z1y), a)
-    back = IntervalVector([bx - x0, by - x0]).norm_upper()
+    (bx,), (by,) = inverse(as_pair(z1x), as_pair(z1y), a, 0)
+    back = IntervalVector([Interval(*bx) - x0, Interval(*by) - x0]).norm_upper()
 
-    fx, fy = Interval(z1x), Interval(z1y)
+    fx, fy = as_pair(z1x), as_pair(z1y)
     for _ in range(14):
-        fx, fy = forward(fx, fy, a)
-    forw = IntervalVector([fx - x0, fy - x0]).norm_upper()
+        (fx,), (fy,) = forward(fx, fy, a, 0)
+    forw = IntervalVector([Interval(*fx) - x0, Interval(*fy) - x0]).norm_upper()
     return back, forw
 
 

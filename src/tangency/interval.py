@@ -13,8 +13,8 @@ chart are rational, so the proof calls no elementary function.
 
 All values are immutable; operations are pure and thread-safe.
 
-The matrices, jets and Cholesky runs of the other modules keep their
-entries as plain ``(lo, hi)`` float pairs and call the kernels on them
+The matrices, the maps' closed forms and the Cholesky runs of the other
+modules keep their entries as plain ``(lo, hi)`` float pairs and call the kernels on them
 directly; :func:`as_pair`, :func:`pair_mid` and :func:`check_pairs` are the
 conversions and checks they share with this class.
 """
@@ -164,14 +164,10 @@ class Interval:
         return Interval(*_k.isqrt(self.lo, self.hi))
 
 
-def as_interval(x):
-    """x itself if it is an Interval, else an outward enclosure of the number x."""
-    return x if isinstance(x, Interval) else Interval(x)
-
-
 def as_pair(x):
-    """The (lo, hi) bounds of as_interval(x); an Interval or a finite float
-    gives them without building an Interval."""
+    """The (lo, hi) bounds of the Interval x, or of an outward enclosure of
+    the number x; an Interval or a finite float gives them without building
+    an Interval."""
     if isinstance(x, Interval):
         return x.lo, x.hi
     if type(x) is not float or not math.isfinite(x):

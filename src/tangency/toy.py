@@ -29,7 +29,6 @@ from tangency.cones import check_cone_link, rump_positive_definite
 from tangency.covering import VerificationInconclusive, certify_each, check_chain
 from tangency.hset import Frame, HSet, QuadraticForm
 from tangency.interval import IntervalError, check_pairs
-from tangency.jets import seed_jets
 from tangency.linalg import IntervalMatrix, _det
 
 
@@ -101,25 +100,24 @@ class _DiagonalMap:
 
 
 class _SwitchMap:
-    """A 4-scalar jet evaluator as a map of the covering protocol, on jets
-    seeded from the box's pairs: value-only jets for apply's image, order-1
-    jets over the 4 inputs for derivative's image (apply's bits) and
-    Jacobian, on the outputs asked for; the jets check what they compute."""
+    """A 4-scalar evaluator f(x, y, v, a, order) on pairs (switch_evaluator)
+    as a map of the covering protocol: one call at order 0 for apply's
+    image, one at order 1 for derivative's image (apply's bits) and
+    Jacobian, on the outputs asked for; f checks what it computes."""
 
     def __init__(self, evaluator):
         self._evaluator = evaluator
 
-    def _outputs(self, box, n, outputs):
-        outs = self._evaluator(*seed_jets(box, n, 1))
+    def _outputs(self, box, order, outputs):
+        outs = self._evaluator(*box, order)
         return outs if outputs is None else [outs[k] for k in outputs]
 
     def apply(self, box, outputs=None):
-        return tuple([out.value_pair for out in self._outputs(box, 0, outputs)])
+        return tuple([out[0] for out in self._outputs(box, 0, outputs)])
 
     def derivative(self, box, outputs=None):
-        outs = self._outputs(box, 4, outputs)
-        return (tuple([out.value_pair for out in outs]),
-                tuple([out.grad_pairs for out in outs]))
+        outs = self._outputs(box, 1, outputs)
+        return tuple([value for value, _ in outs]), tuple([grad for _, grad in outs])
 
 
 def linear_start_map(params):
@@ -132,15 +130,48 @@ def linear_end_map(params):
     return _DiagonalMap((params.lam, params.mu, params.lam / params.mu))
 
 
-def switch_evaluator(x, y, v, a):
-    """The tangency-neighborhood map from N- to M-coordinates on jets.
+_NEG_ONE = (-1.0, -1.0)
+_ZERO_ROW = (_ZERO, _ZERO, _ZERO, _ZERO)
+# The gradients over (x, y, v, a) that do not depend on the box, of y', w'
+# and a', and the Hessian rows over x of x', y', w' and a', one per output.
+_SWITCH_GRADS = ((_NEG_ONE, _ZERO, _ZERO, _ZERO),
+                 ((-2.0, -2.0), _ZERO, _NEG_ONE, _ZERO),
+                 (_ZERO, _ZERO, _ZERO, _ONE))
+_SWITCH_ROWS = ((((2.0, 2.0), _ZERO, _ZERO, _ZERO),),
+                (_ZERO_ROW,), (_ZERO_ROW,), (_ZERO_ROW,))
+
+
+def switch_evaluator(x, y, v, a, order):
+    """The tangency-neighborhood map from N- to M-coordinates in closed form
+    on checked (lo, hi) pairs.
 
     Planar action (1 + x, y) -> (x^2 + y + a, 1 - x); the slope v of [(1, v)]
     maps to the slope w = -(2x + v) of [(w, 1)] since the image direction is
-    (2x + v, -1).
+    (2x + v, -1).  With u = x - 1 the image is (u^2 + y + a, 2 - x,
+    -2 u - v, a).  Per output the evaluator returns a tuple of its value
+    pair, at order >= 1 its gradient over (x, y, v, a), and at order 2 its
+    Hessian row over x, in a 1-tuple.  The kernel calls are those that
+    forward-mode differentiation of the same expression makes on operands
+    that depend on the box, so the bits are that route's; u is checked
+    before it enters a product, and every other pair computed before it is
+    returned.
     """
-    u = x - 1.0
-    return (u.sqr() + y + a, 2.0 - x, -2.0 * u - v, a)
+    isub, imul, iadd = _k.isub, _k.imul, _k.iadd
+    (u,) = check_pairs((isub(*x, 1.0, 1.0),))
+    if order:
+        (two_u,) = check_pairs((imul(2.0, 2.0, *u),))
+    values = check_pairs((
+        iadd(*iadd(*_k.isqr(*u), *y), *a),
+        isub(2.0, 2.0, *x),
+        isub(*imul(*u, -2.0, -2.0), *v),
+    ))
+    if not order:
+        return (values[0],), (values[1],), (values[2],), (a,)
+    grads = ((two_u, _ONE, _ZERO, _ONE),) + _SWITCH_GRADS
+    outs = tuple(zip(values + (a,), grads))
+    if order == 2:
+        return tuple([out + (rows,) for out, rows in zip(outs, _SWITCH_ROWS)])
+    return outs
 
 
 def switch_map():
@@ -296,17 +327,16 @@ def switch_transversality(chain):
 
     W^u runs through N_k, the set the switch link leaves, on y = 0 with
     slope v = 0, and the switch map sends its point at x, at parameter a,
-    to x' = g(x, a); W^s is x' = 0.  Order-2 jets over (x, a) on N_k's
-    outward box give g_t and g_a (t = x) from the gradient and g_tt and
-    g_ta from Hessian row 0.  The tangency, g = g_t = 0, unfolds
-    generically iff the determinant of d(g, g_t)/d(a, t),
-    g_a g_tt - g_t g_ta, is nonzero on the box.  Returns the box and the
-    enclosures as [lo, hi] lists.
+    to x' = g(x, a); W^s is x' = 0.  switch_evaluator at order 2 on N_k's
+    outward box in x and a gives g_t and g_a (t = x) from x''s gradient
+    and g_tt and g_ta from its Hessian row over x.  The tangency,
+    g = g_t = 0, unfolds generically iff the determinant of
+    d(g, g_t)/d(a, t), g_a g_tt - g_t g_ta, is nonzero on the box.  Returns
+    the box and the enclosures as [lo, hi] lists.
     """
     box = chain.sets[chain.k].box().pairs
-    jx, ja, jy, jv = seed_jets((box[0], box[3], _ZERO, _ZERO), 2, 2)
-    g = switch_evaluator(jx, jy, jv, ja)[0]
-    (g_t, g_a), (g_tt, g_ta) = g.grad_pairs, g.hess_row_pairs(0)
+    _, (g_t, _, _, g_a), ((g_tt, _, _, g_ta),) = switch_evaluator(
+        box[0], _ZERO, _ZERO, box[3], 2)[0]
     det = _det(((g_a, g_t), (g_ta, g_tt)))
     return {name: list(pair) for name, pair in (
         ("x", box[0]), ("a", box[3]), ("g_t", g_t), ("g_a", g_a),

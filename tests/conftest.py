@@ -409,12 +409,11 @@ def flipped_form(q):
 
 
 def check_inverse_consistency(forward, inverse, box):
-    """Map the box through the inverse evaluator and its image midpoint back
-    through the forward one; the largest componentwise distance by which the
-    round trip misses the box midpoint, 0.0 when every component re-encloses
-    it."""
-    from tangency.interval import as_interval
-    from tangency.jets import Jet
+    """Map the box through the inverse expression on jets and its image
+    midpoint back through the forward one (jet_oracle.henon_expressions, for
+    instance); the largest componentwise distance by which the round trip
+    misses the box midpoint, 0.0 when every component re-encloses it."""
+    from jet_oracle import Jet, as_interval
 
     x, y, a = (as_interval(c) for c in box)
     xj = Jet.variable(0, x, 2, order=1)

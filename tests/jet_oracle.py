@@ -1,11 +1,15 @@
-"""Forward-mode automatic differentiation with interval coefficients.
+"""The tests' oracle of the maps' closed forms: forward-mode automatic
+differentiation with interval coefficients, the maps as expressions on it,
+and that route as an evaluator of the pair protocol.
 
 A :class:`Jet` carries an enclosure of a function value together with
 enclosures of its gradient and (optionally) its Hessian over a box: feeding
 interval-valued variables through a composite expression yields rigorous
 derivative enclosures valid at every point of the box.  Order is 2 at most
-(the proofs need exactly D and D^2); order-1 jets skip the Hessian work and
-are used where only first derivatives matter.
+(the proofs need exactly D and D^2); order-1 jets skip the Hessian work.
+The Henon maps and the toy's switch map are evaluated in closed form
+(``henon.henon_family``, ``toy.switch_evaluator``) with the bits of this
+route, which the tests check them against.
 
 The number of independent variables n is a runtime parameter.
 
@@ -18,7 +22,7 @@ call the kernels on the pairs with the operations of the scalar
 :class:`Interval` expressions they stand for, so the enclosures are those of
 Interval arithmetic bit for bit.
 ``value``, ``grad`` and ``hess`` (the full symmetric matrix) give Intervals.
-``seed_jets`` seeds a map evaluator's jets from a box's checked pairs.
+``seed_jets`` seeds jets from a box's checked pairs.
 
 Where pairs are checked: every pair an operation computes with a kernel is
 checked once, by one ``check_pairs`` over the new jet's value, gradient and
@@ -28,6 +32,12 @@ Interval operand of ``*``, ``/``, ``+`` and ``-`` is used as its (lo, hi)
 pair, with no constant jet built: the kernel calls with its zero gradient
 and Hessian are left out, and the bits are those the constant jet gives
 (see ``_scalar``).
+
+``henon_expressions`` and ``switch_expression`` are the maps written as
+expressions, on jets or on Intervals; ``on_pairs`` runs such an expression
+on jets as an evaluator of the pair protocol, ``f(*pairs, order)``, and
+``planar_evaluators`` does so for the chart map's planar maps.
+``as_interval`` is the coercion the oracles use.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from tangency import kernels as _k
+from tangency.henon import B0
 from tangency.interval import Interval, IntervalError, as_pair, check_pairs
 
 _ZERO = (0.0, 0.0)
@@ -365,3 +376,58 @@ class Jet:
         if self.hess_pairs is not None:
             d2 = _div((-0.25, -0.25), _k.imul(*s, *self.value_pair))
         return self._chain(s, d1, d2)
+
+
+def as_interval(x):
+    """x itself if it is an Interval, else an outward enclosure of the number x."""
+    return x if isinstance(x, Interval) else Interval(x)
+
+
+# -- the maps as expressions, and the jet route ------------------------------
+
+
+def henon_expressions(b0=B0):
+    """The Henon family's (forward, inverse) maps at b = b0 as expressions
+    f(x, y, a) on jets or Intervals, returning the image pair."""
+
+    def forward(x, y, a):
+        return a - x.sqr() + b0 * y, x
+
+    def inverse(x, y, a):
+        return y, (x - a + y.sqr()) / b0
+
+    return forward, inverse
+
+
+def switch_expression(x, y, v, a):
+    """The toy's switch map (x, y, v, a) -> ((x - 1)^2 + y + a, 2 - x,
+    -2 (x - 1) - v, a) as an expression on jets or Intervals."""
+    u = x - 1.0
+    return (u.sqr() + y + a, 2.0 - x, -2.0 * u - v, a)
+
+
+def on_pairs(expression, n, rows):
+    """The expression of n arguments run on jets, as an evaluator of the
+    pair protocol: f(*pairs, order) returns per output a tuple of its value
+    pair, at order >= 1 its gradient over the n arguments, and at order 2
+    its Hessian rows over the argument indices rows.  Order 0 runs on
+    value-only jets, order 1 and 2 on jets of that order over all n
+    arguments."""
+
+    def evaluate(*args):
+        *values, order = args
+        outs = expression(*seed_jets(values, n if order else 0, max(order, 1)))
+        if order == 0:
+            return tuple([(out.value_pair,) for out in outs])
+        if order == 1:
+            return tuple([(out.value_pair, out.grad_pairs) for out in outs])
+        return tuple([(out.value_pair, out.grad_pairs,
+                       tuple([out.hess_row_pairs(i) for i in rows])) for out in outs])
+
+    return evaluate
+
+
+def planar_evaluators(*expressions):
+    """Planar map expressions f(x, y, a) as evaluators of the chart map's
+    protocol, on_pairs with Hessian rows over x and y."""
+    return tuple([on_pairs(f, 3, (0, 1)) for f in expressions])

@@ -15,7 +15,6 @@ from tangency.cones import check_cone_link, rump_positive_definite
 from tangency.covering import VerificationInconclusive, check_chain, check_covering
 from tangency.hset import QuadraticForm
 from tangency.interval import Interval, IntervalError
-from tangency.jets import Jet
 from tangency.linalg import IntervalMatrix
 from tangency.toy import (
     ToyParams,
@@ -25,6 +24,7 @@ from tangency.toy import (
     switch_cone_blocks,
 )
 from conftest import contains_fraction, random_float
+from jet_oracle import Jet
 
 STABLE_A = 0.099394300936541294
 STABLE_M = 0.084042214456891598

@@ -14,6 +14,7 @@ from conftest import (
     one_pass_oracle,
     pairs_hex,
 )
+from jet_oracle import planar_evaluators
 from tangency.covering import (
     EnclosureError,
     VerificationInconclusive,
@@ -543,7 +544,7 @@ class TestWallRows:
         # and pass their exit checks; the interior box, which covers the
         # walls and maps every output, leaves the chart, so the link is
         # still inconclusive.
-        fmap = ChartMap(lambda x, y, a: (x + y, x))
+        fmap = ChartMap(planar_evaluators(lambda x, y, a: (x + y, x))[0])
         src = HSet("S", (0.0, 0.0, 0.0, 0.0), EYE4, (1.0, 0.01, 0.1, 0.2), (0, 3))
         tgt = HSet("T", (0.0, 0.0, 0.0, 0.0), EYE4, (0.5, 2.0, 1.0, 0.1), (0, 3))
         wall = src.walls(0, 1, 1)[0]

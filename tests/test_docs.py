@@ -80,3 +80,12 @@ def test_public_names_resolve():
     assert len(set(tangency.__all__)) == len(tangency.__all__)
     for name in tangency.__all__:
         assert hasattr(tangency, name), name
+
+
+def test_src_evaluates_no_jets():
+    # The maps are closed forms on pairs; the jets are the tests' oracle of
+    # them (tests/jet_oracle.py), and no longer a public name.
+    assert "Jet" not in tangency.__all__
+    for path in (ROOT / "src" / "tangency").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"\b(jets?|Jet|seed_jets)\b", text), path.name

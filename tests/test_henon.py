@@ -19,6 +19,7 @@ from conftest import (
     frac_inverse,
     frac_matmul,
 )
+from jet_oracle import Jet, henon_expressions
 from tangency import henon
 from tangency.covering import VerificationInconclusive
 from tangency.henon import (
@@ -41,7 +42,6 @@ from tangency.henon import (
     tangent_alignment,
 )
 from tangency.interval import Interval, as_pair
-from tangency.jets import Jet
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.manifold import DiskMap
 from tangency.projective import ChartMap
@@ -77,7 +77,7 @@ def _mids(v):
 
 class TestFamily:
     def test_forward_inverse_consistency(self):
-        fam = henon_family()
+        fam = henon_expressions()
         for box in (
             (Interval(-2.0, -1.9), Interval(-2.0, -1.9), Interval(A0)),
             (Interval(0.4, 0.5), Interval(-0.1, 0.0), Interval(A0)),
@@ -85,14 +85,18 @@ class TestFamily:
             assert check_inverse_consistency(*fam, box) == 0.0
 
     def test_second_derivative_constant(self):
-        # d^2(first component)/dx^2 = -2 everywhere, exactly.
-        forward, _ = henon_family()
+        # d^2(first component)/dx^2 = -2 everywhere, exactly: on the jets of
+        # the map's expression and in its closed form's Hessian rows.
+        forward, _ = henon_expressions()
         x = Jet.variable(0, Interval(-5.0, 5.0), 3)
         y = Jet.variable(1, Interval(-5.0, 5.0), 3)
         a = Jet.variable(2, Interval(1.0, 1.6), 3)
         fx, fy = forward(x, y, a)
         assert fx.hess[0][0] == Interval(-2.0)
         assert fy.hess[0][0] == Interval(0.0)
+        (_, _, (hx, _)), (_, _, (gx, _)) = henon_family()[0](
+            (-5.0, 5.0), (-5.0, 5.0), (1.0, 1.6), 2)
+        assert (hx[0], gx[0]) == ((-2.0, -2.0), (0.0, 0.0))
 
     def test_zero_b_rejected(self):
         with pytest.raises(Exception):
@@ -108,7 +112,7 @@ class TestFixedPointAndEigen:
 
     def test_fixed_point_residual(self):
         # ||H(z0) - z0|| encloses 0 with width below 1e-10.
-        forward, _ = henon_family()
+        forward, _ = henon_expressions()
         x0, y0 = fixed_point()
         fx, fy = forward(x0, y0, Interval(A0))
         rx, ry = fx - x0, fy - y0

@@ -64,7 +64,7 @@ class TestCoercion:
         assert x == Interval(2.0**53, 2.0**53 + 2.0)
 
     def test_strings_and_other_types_rejected(self):
-        from tangency.interval import as_interval
+        from jet_oracle import as_interval
         from tangency.linalg import IntervalVector
 
         for bad in ("0.1", "1", None, [1.0]):
@@ -78,7 +78,7 @@ class TestCoercion:
             Interval(10**400)
 
     def test_as_interval_passes_intervals_through(self):
-        from tangency.interval import as_interval
+        from jet_oracle import as_interval
 
         x = Interval(1.0, 2.0)
         assert as_interval(x) is x

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tangency.interval import Interval, IntervalError
-from tangency.jets import Jet
+from jet_oracle import Jet
 
 
 def _jet_point(values, order=2):

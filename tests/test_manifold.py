@@ -23,11 +23,13 @@ from tangency.manifold import (
 )
 from tangency.projective import ChartMap
 from conftest import evaluator, flipped_form, pairs_hex
+from jet_oracle import planar_evaluators
 
 
 def saddle_family(lam=2.0, mu=0.4, coupling=0.0):
     """Planar saddle with 45-degree eigenvectors and optional additive
-    parameter coupling on the first coordinate."""
+    parameter coupling on the first coordinate, as a pair of evaluators on
+    the jet route."""
     p = 0.5 * (lam + mu)
     q = 0.5 * (lam - mu)
 
@@ -46,7 +48,7 @@ def saddle_family(lam=2.0, mu=0.4, coupling=0.0):
             xx = x - coupling * a
         return ip * xx + iq * y, iq * xx + ip * y
 
-    return forward, inverse
+    return planar_evaluators(forward, inverse)
 
 
 ROOT2 = math.sqrt(0.5)

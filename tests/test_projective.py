@@ -10,6 +10,7 @@ from tangency.interval import Interval, IntervalError, as_pair, pair_mid
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.projective import ChartError, ChartMap
 from conftest import check_inverse_consistency, contains_fraction, evaluator, pairs_hex
+from jet_oracle import Jet, henon_expressions, planar_evaluators
 
 # The chart map returns pairs; these read them as Intervals.
 vec = IntervalVector.from_pairs
@@ -24,7 +25,8 @@ def box(x, y, t, a):
 
 def linear_family(lam, mu):
     """Planar linear map with eigenvalues lam, mu and eigenvectors at 45
-    degrees, the slopes 1 and -1 (both eigendirections inside the chart)."""
+    degrees, the slopes 1 and -1 (both eigendirections inside the chart),
+    as a pair of evaluators on the jet route."""
     p = 0.5 * (lam + mu)
     q = 0.5 * (lam - mu)
 
@@ -37,7 +39,7 @@ def linear_family(lam, mu):
     def inverse(x, y, a):
         return ip * x + iq * y, iq * x + ip * y
 
-    return forward, inverse
+    return planar_evaluators(forward, inverse)
 
 
 def _exact_eigenvalues(lam, mu):
@@ -58,7 +60,7 @@ def axis_family(lam, mu):
     def inverse(x, y, a):
         return x / lam, y / mu
 
-    return forward, inverse
+    return planar_evaluators(forward, inverse)
 
 
 class TestChartDomain:
@@ -231,7 +233,7 @@ class TestOutputsRead:
                 Interval(0.8, 0.9), Interval(A0 - 1e-5, A0 + 1e-5))
         full_image, full_jac = chart.derivative(p)
 
-        def refuse(x, y, a):
+        def refuse(x, y, a, order):
             raise AssertionError("f evaluated")
 
         monkeypatch.setattr(chart, "f", refuse)
@@ -249,7 +251,7 @@ class TestOutputsRead:
         # box's parameter pair, bit for bit, and never calls f.
         from tangency.henon import A0
 
-        def refuse(x, y, a):
+        def refuse(x, y, a, order):
             raise AssertionError("f evaluated")
 
         chart = ChartMap(evaluator((refuse, refuse), direction))
@@ -263,17 +265,17 @@ class TestOutputsRead:
 
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
     def test_apply_without_angle_is_the_full_apply(self, rng, direction):
-        # Without the slope, f runs on value-only jets (no variables), and
-        # on a alone not at all; x, y and a are the full apply's bit for
-        # bit, on random boxes.
+        # Without the slope, f runs at order 0 (values only), and on a
+        # alone not at all; x, y and a are the full apply's bit for bit, on
+        # random boxes.
         from tangency.henon import A0, henon_family
 
         seen = []
 
         def spy(evaluate):
-            def run(x, y, a):
-                seen.append(x.n)
-                return evaluate(x, y, a)
+            def run(x, y, a, order):
+                seen.append(order)
+                return evaluate(x, y, a, order)
 
             return run
 
@@ -300,10 +302,10 @@ class TestOutputsRead:
 
 class TestFamilyInverse:
     def test_henon_inverse_consistency(self):
-        from tangency.henon import A0, henon_family
+        from tangency.henon import A0
 
         defect = check_inverse_consistency(
-            *henon_family(), (Interval(-1.91, -1.89), Interval(-1.81, -1.79), Interval(A0))
+            *henon_expressions(), (Interval(-1.91, -1.89), Interval(-1.81, -1.79), Interval(A0))
         )
         assert defect == 0.0
 
@@ -321,7 +323,7 @@ def test_projective_imports_nothing_from_covering():
             imported.update(f"{node.module}.{alias.name}" for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    assert "tangency.jets" in imported  # the walk sees the module's imports
+    assert "tangency.kernels" in imported  # the walk sees the module's imports
     assert not any(m == "tangency.covering" or m.startswith("tangency.covering.")
                    for m in imported)
     assert not any(m == "tangency.linalg" or m.startswith("tangency.linalg.")
@@ -333,7 +335,8 @@ def test_projective_imports_nothing_from_covering():
 
 def _dense_family():
     """A polynomial family whose second derivatives in x, y and a are all
-    nonzero, so that every term of the slope row's gradient counts."""
+    nonzero, so that every term of the slope row's gradient counts, as
+    expressions on jets."""
 
     def forward(x, y, a):
         return x * y * a + x.sqr() + 0.5 * y, y.sqr() * a + x * a - 0.25 * x * y
@@ -348,8 +351,6 @@ def _oracle_slope(vx, vy):
     """The image slope vx / vy of a direction enclosure of jets or
     Intervals, through their own division, and whether vy is negative;
     None when vy contains 0 and the chart is left."""
-    from tangency.jets import Jet
-
     lo, hi = vy.value_pair if isinstance(vy, Jet) else (vy.lo, vy.hi)
     if lo <= 0.0 <= hi:
         return None, None
@@ -359,16 +360,15 @@ def _oracle_slope(vx, vy):
     return (slope.lo, slope.hi), hi < 0.0
 
 
-def _jet_route(chart, v):
-    """derivative's and apply's outputs over the chart box v as the jets
-    compute them: f on Jet.variable jets; the slope row from order-1 jets
-    over (x, y, w, a), through jet products and jet division; apply's slope
-    from Interval products and division.  Returns the derivative's (value,
-    row) pairs, apply's image pairs (each None where the chart is left) and
-    whether each route's w_y was negative."""
-    from tangency.jets import Jet
-
-    evaluate = chart.f
+def _jet_route(expression, v):
+    """The chart map's derivative and apply outputs over the chart box v as
+    the jets compute them: the planar map's expression on Jet.variable
+    jets; the slope row from order-1 jets over (x, y, w, a), through jet
+    products and jet division; apply's slope from Interval products and
+    division.  Returns the derivative's (value, row) pairs, apply's image
+    pairs (each None where the chart is left) and whether each route's w_y
+    was negative."""
+    evaluate = expression
     x, y, w, a = (Interval(*e) for e in v)
     fx, fy = evaluate(*(Jet.variable(i, c, 3, order=2) for i, c in enumerate((x, y, a))))
 
@@ -397,11 +397,11 @@ def _jet_route(chart, v):
     return rows, image, (row_below, image_below)
 
 
-def _compare_routes(chart, v):
-    """Assert derivative's and apply's outputs over v are the jet route's bit
-    for bit, a ChartError where the jet route leaves the chart; return
-    whether the jet route's w_y was negative, per route."""
-    rows, image, below = _jet_route(chart, v)
+def _compare_routes(chart, expression, v):
+    """Assert derivative's and apply's outputs over v are the jet route's of
+    the expression bit for bit, a ChartError where the jet route leaves the
+    chart; return whether the jet route's w_y was negative, per route."""
+    rows, image, below = _jet_route(expression, v)
     if rows is None:
         with pytest.raises(ChartError):
             chart.derivative(v)
@@ -418,8 +418,9 @@ def _compare_routes(chart, v):
 
 
 class TestPairRouteOracle:
-    """ChartMap's slope row and image slope, computed on (lo, hi) pairs,
-    are the jet route's bit for bit: the slope's value and all four of its
+    """ChartMap's outputs, from the maps' closed forms and the slope row and
+    image slope written out on (lo, hi) pairs, are the jet route's of the
+    maps' expressions bit for bit: the slope's value and all four of its
     derivative entries, and every other output."""
 
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
@@ -430,6 +431,7 @@ class TestPairRouteOracle:
         from conftest import covering_boxes
 
         chart = ChartMap(evaluator(henon_family(), direction))
+        expression = evaluator(henon_expressions(), direction)
         compared = 0
         with upward():
             for grid in (1, 2):
@@ -437,8 +439,8 @@ class TestPairRouteOracle:
                     for z in covering_boxes(h, grid):
                         box = h.from_normalized(z.pairs)
                         mid = tuple([(pair_mid(*e),) * 2 for e in box])
-                        _compare_routes(chart, box)
-                        _compare_routes(chart, mid)
+                        _compare_routes(chart, expression, box)
+                        _compare_routes(chart, expression, mid)
                         compared += 1
         assert compared == len(henon_chain.sets) * (4 + 1 + 4 * 8 + 16)
 
@@ -450,6 +452,7 @@ class TestPairRouteOracle:
         from conftest import covering_boxes
 
         chart = ChartMap(evaluator(henon_family(), direction))
+        expression = evaluator(henon_expressions(), direction)
         with upward():
             for side in ("stable", "unstable"):
                 ntilde, _, param, _ = projected_disk_data(henon_chain, side)
@@ -457,7 +460,7 @@ class TestPairRouteOracle:
                     for z in covering_boxes(ntilde, grid):
                         box = ntilde.from_normalized(z.pairs)
                         assert len(box) == 3
-                        _compare_routes(chart, box + (as_pair(param),))
+                        _compare_routes(chart, expression, box + (as_pair(param),))
 
     @pytest.mark.parametrize("family", ["henon", "dense"])
     @pytest.mark.parametrize("direction", ["forward", "inverse"])
@@ -468,8 +471,10 @@ class TestPairRouteOracle:
         from tangency.henon import A0, henon_family
         from tangency.kernels import upward
 
-        fam = henon_family() if family == "henon" else _dense_family()
-        chart = ChartMap(evaluator(fam, direction))
+        expressions = henon_expressions() if family == "henon" else _dense_family()
+        chart = ChartMap(evaluator(henon_family() if family == "henon"
+                                   else planar_evaluators(*expressions), direction))
+        expression = evaluator(expressions, direction)
         below = []
         with upward():
             for _ in range(200):
@@ -478,7 +483,7 @@ class TestPairRouteOracle:
                 radii = [rng.choice((0.0, 1e-9, 1e-5, 1e-2)) * rng.random()
                          for _ in range(4)]
                 v = box(*[Interval(c - r, c + r) for c, r in zip(center, radii)])
-                below += _compare_routes(chart, v)
+                below += _compare_routes(chart, expression, v)
         assert below.count(True) >= 40 and below.count(False) >= 40
 
 

@@ -13,7 +13,6 @@ from tangency.cones import check_cone_link, rump_positive_definite
 from tangency.covering import VerificationInconclusive, check_chain, check_covering
 from tangency.hset import QuadraticForm
 from tangency.interval import Interval, IntervalError
-from tangency.jets import Jet
 from tangency.linalg import IntervalMatrix, IntervalVector
 from tangency.toy import (
     FLAGS,
@@ -32,6 +31,7 @@ from conftest import (
     assert_exact_cone_matrix, assert_exact_margins, covering_boxes, exact_point,
     exact_sample_points,
 )
+from jet_oracle import Jet, on_pairs, switch_expression
 
 
 class TestParams:
@@ -143,17 +143,14 @@ class _IntervalRouteMap:
 
 
 def _oracle_maps(params):
-    """(start, end, switch) on the Interval route, written out here."""
+    """(start, end, switch) on the Interval route: the linear maps written
+    out here, the switch map's expression from the tests' oracle module."""
     lam, mu = params.lam, params.mu
 
     def diagonal(ratio):
         return _IntervalRouteMap(lambda x, y, v, a: (lam * x, mu * y, ratio * v, a))
 
-    def switch(x, y, v, a):
-        u = x - 1.0
-        return (u.sqr() + y + a, 2.0 - x, -2.0 * u - v, a)
-
-    return diagonal(mu / lam), diagonal(lam / mu), _IntervalRouteMap(switch)
+    return diagonal(mu / lam), diagonal(lam / mu), _IntervalRouteMap(switch_expression)
 
 
 def _bits(pairs):
@@ -416,7 +413,7 @@ class TestSwitchTransversality:
             # quadratically, so g_tt = 0 and the determinant is 0.
             return (y + a, 2.0 - x, -2.0 * (x - 1.0) - v, a)
 
-        monkeypatch.setattr(toy, "switch_evaluator", flat)
+        monkeypatch.setattr(toy, "switch_evaluator", on_pairs(flat, 4, (0,)))
         with pytest.raises(VerificationInconclusive) as err:
             check_toy(ToyParams())
         assert (err.value.stage, err.value.locus) == ("toy-transversality", "N4")

@@ -60,7 +60,7 @@ first of ``henon_family()``'s two evaluators, pass boxes to
 them, tuples of ``(lo, hi)`` pairs, and the ``ChartMap`` itself to
 ``check_covering`` and ``verify_disk``, as ``run_proof`` does; the
 matrix layers wrap the chart Jacobian's rows in an ``IntervalMatrix``.
-The matrix, jet, cone, covering and disk loops run inside one
+The matrix, chart map, cone, covering and disk loops run inside one
 ``kernels.upward()`` block, as the proof runs them.  So it compares only
 source trees whose ``tangency.kernels`` has ``upward``, whose
 ``check_covering`` takes the ``ChartMap`` unwrapped, whose map protocol
