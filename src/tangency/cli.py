@@ -169,28 +169,27 @@ def _report(path, kind, config, driver, summary, extras=None):
     """Time driver(), then build, emit and print the report of its verdict.
 
     driver() returns the certificates by report stage, the stage timings
-    and the VERIFIED report's further keys, or raises
-    VerificationInconclusive carrying the stages certified before the
-    failure.  summary(stages, more, verdict_line) gives a VERIFIED run's
-    stdout lines; extras are report keys of either verdict.
+    and the VERIFIED report's further keys, or raises covering.run_stages'
+    VerificationInconclusive, which carries the stages certified before the
+    failure and the time of every stage that ran, the failing one included:
+    the report of either verdict has its stage timings and "total".
+    summary(stages, more, verdict_line) gives a VERIFIED run's stdout
+    lines; extras are report keys of either verdict.
     """
     t0 = time.perf_counter()
     try:
         stages, timings, more = driver()
         failure = None
     except VerificationInconclusive as exc:
-        stages, timings, more = exc.certified, {}, {}
+        stages, timings, more = exc.certified, exc.timings, {}
         failure = {"stage": exc.stage, "locus": exc.locus, "detail": exc.detail}
     elapsed = time.perf_counter() - t0
-    report = report_mod.build_report(
-        kind=kind,
-        config=config,
-        stages=stages,
-        verdict="INCONCLUSIVE" if failure else "VERIFIED",
-        timings={**timings, "total": elapsed},
-        failure=failure,
-        extras={**(extras or {}), **more},
-    )
+    report = {"kind": kind, "config": config, "stages": stages,
+              "verdict": "INCONCLUSIVE" if failure else "VERIFIED",
+              "timings": {**timings, "total": elapsed}}
+    if failure:
+        report["failure"] = failure
+    report.update(extras or {}, **more)
     _emit(report, path)
     if failure:
         _say(f"INCONCLUSIVE at {failure['stage']}: {failure['locus']}")
@@ -241,7 +240,7 @@ def _cmd_check_toy(args):
 
     return _report(args.report, "toy-check",
                    {**dataclasses.asdict(params), "grid": args.grid},
-                   lambda: (check_toy(params, args.grid), {}, {}), summary,
+                   lambda: (*check_toy(params, args.grid), {}), summary,
                    extras={"flags": list(FLAGS)})
 
 

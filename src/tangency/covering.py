@@ -51,6 +51,7 @@ checks.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -68,13 +69,14 @@ class _LocatedError(Exception):
 
 
 class VerificationInconclusive(_LocatedError):
-    """A rigorous check did not go through; carries the failure locus and,
-    in ``certified`` (report stage -> certificates), what was certified
-    before the failure."""
+    """A rigorous check did not go through; carries the failure locus, in
+    ``certified`` (report stage -> certificates) what was certified before
+    the failure, and in ``timings`` the time of each stage run_stages ran."""
 
-    def __init__(self, stage, locus, detail=""):
+    def __init__(self, stage, locus, detail="", certified=None):
         super().__init__(stage, locus, detail)
-        self.certified = {}
+        self.certified = certified or {}
+        self.timings = {}
 
 
 class EnclosureError(_LocatedError):
@@ -421,6 +423,42 @@ def certify_each(stage, check, cases):
             exc.certified = {stage: tuple(certs)}
             raise
     return certs
+
+
+def run_stages(build):
+    """Run a driver's stages: (what build() built, certificates by report
+    stage, timings by name).
+
+    build() runs to nearest, timed as "build", and returns what it built and
+    its stage entries (report stage, timing name, failure stage, locus, fn).
+    Each fn(certificates so far) runs in turn in one kernels.upward() block,
+    timed under its timing name; times of one name add up.  An IntervalError
+    in fn is its failure stage's VerificationInconclusive at its locus (an
+    EnclosureError is not one and passes through).  A VerificationInconclusive
+    leaves carrying in ``certified`` every stage before it and its own partial
+    certificates, and in ``timings`` the time of every entry that ran.
+    """
+    certified, timings = {}, {}
+    t0 = time.perf_counter()
+    try:
+        try:
+            built, entries = build()
+        finally:
+            timings["build"] = time.perf_counter() - t0
+        with _k.upward():
+            for key, name, stage, locus, fn in entries:
+                t0 = time.perf_counter()
+                try:
+                    certified[key] = fn(certified)
+                except IntervalError as exc:
+                    raise VerificationInconclusive(stage, locus, str(exc))
+                finally:
+                    timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
+    except VerificationInconclusive as exc:
+        exc.certified = {**certified, **exc.certified}
+        exc.timings = timings
+        raise
+    return built, certified, timings
 
 
 def check_chain(sets, maps, grid=1, correspondences=None):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import decimal
 import math
-import time
 from dataclasses import dataclass, field
 
 from tangency import kernels as _k
@@ -26,6 +25,7 @@ from tangency.covering import (
     VerificationInconclusive,
     check_chain,
     checked_correspondence,
+    run_stages,
 )
 from tangency.hset import HSet, QuadraticForm, _check_grid
 from tangency.interval import Interval, IntervalError, as_pair, check_pairs
@@ -424,46 +424,31 @@ class HenonConfig:
 
 
 def run_proof(config=None):
-    """Execute the full certification; returns a TangencyCertificate.
-
-    The chain and the disks' projected sets are built to nearest; the
-    covering, cone and disk stages run in one kernels.upward() block.
-    Any inconclusive stage raises VerificationInconclusive carrying the
-    failure locus and, in ``certified``, every certificate found before it
-    by report stage ("covering", "cones", "stable_disk", "unstable_disk").
-    """
+    """The full certification, as a TangencyCertificate.  The chain, the
+    chart maps and the disks' projected sets are built to nearest; then
+    covering.run_stages runs the covering, cone and disk stages (both disks
+    timed as "disks") and raises on the first inconclusive one."""
     config = (config or HenonConfig()).validate()
-    timings = {}
-    t0 = time.perf_counter()
-    chain = build_chain(param_radius=config.param_radius)
-    chart, inv_chart = map(ChartMap, henon_family())
-    disks = [(side, cmap, projected_disk_data(chain, side))
-             for side, cmap in (("stable", chart), ("unstable", inv_chart))]
-    timings["build"] = time.perf_counter() - t0
 
-    certified = {}
-    try:
-        with _k.upward():
-            t0 = time.perf_counter()
-            certified["covering"] = check_chain(
+    def build():
+        chain = build_chain(param_radius=config.param_radius)
+        chart, inv_chart = map(ChartMap, henon_family())
+
+        def disk(side, cmap):
+            ntilde, qtilde, param, p_coeff = projected_disk_data(chain, side)
+            return (f"{side}_disk", "disks", "manifold", f"{side} disk in {ntilde.name}",
+                    lambda done: verify_disk(side, ntilde, qtilde, cmap, param, p_coeff,
+                                             config.grid))
+
+        return chain, [
+            ("covering", "covering", "covering", "chain", lambda done: check_chain(
                 list(chain.sets), [chart] * (N_SETS - 1),
-                grid=config.grid, correspondences=config.correspondences,
-            )
-            timings["covering"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            certified["cones"] = check_cone_chain(list(chain.forms), certified["covering"])
-            timings["cones"] = time.perf_counter() - t0
+                grid=config.grid, correspondences=config.correspondences)),
+            ("cones", "cones", "cones", "chain",
+             lambda done: check_cone_chain(list(chain.forms), done["covering"])),
+            disk("stable", chart), disk("unstable", inv_chart)]
 
-            t0 = time.perf_counter()
-            for side, cmap, (ntilde, qtilde, param, p_coeff) in disks:
-                certified[f"{side}_disk"] = verify_disk(
-                    side, ntilde, qtilde, cmap, param, p_coeff, config.grid
-                )
-            timings["disks"] = time.perf_counter() - t0
-    except VerificationInconclusive as exc:
-        exc.certified = {**certified, **exc.certified}
-        raise
-
+    chain, certified, timings = run_stages(build)
     conclusion = {
         "family": "henon",
         "a_center": A0,

@@ -20,10 +20,10 @@ sub-box: its certificate's local_jacobian is d(x, y, w)/d(x, y, w, a) in the
 local frame of the projected set, whose first three columns are the cone
 derivative and whose last is the parameter column of M and L.  The cone
 certificate is check_cone_link's of the self-covering: a cone that fails
-ends the disk at stage "cones", a failure in its constants (an IntervalError
-included) at "manifold".  No frame change happens here.  A is a float
-eigenvalue estimate certified by one Rump test.  The constants below are
-fixed, not configuration.
+ends the disk at stage "cones", a failure in its constants at "manifold"
+(an IntervalError there through the disk's entry in covering.run_stages).
+No frame change happens here.  A is a float eigenvalue estimate certified
+by one Rump test.  The constants below are fixed, not configuration.
 """
 
 from __future__ import annotations
@@ -257,19 +257,16 @@ def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=
     cone_cert = check_cone_link(covering_cert, qtilde, qtilde)
 
     jacobian = covering_cert.local_jacobian
-    try:
-        v_eps = cone_matrix(jacobian, qtilde, qtilde, inflate_src=INFLATION)
-        a_lower = eigen_lower_bound(v_eps, locus=locus)
+    v_eps = cone_matrix(jacobian, qtilde, qtilde, inflate_src=INFLATION)
+    a_lower = eigen_lower_bound(v_eps, locus=locus)
 
-        m_upper = mixed_derivative_bound(jacobian.pairs, qtilde.coeffs)
-        l_upper = stable_parameter_bound(jacobian.pairs, qtilde.beta_norm(), ntilde.stable)
+    m_upper = mixed_derivative_bound(jacobian.pairs, qtilde.coeffs)
+    l_upper = stable_parameter_bound(jacobian.pairs, qtilde.beta_norm(), ntilde.stable)
 
-        gamma, gamma_check = choose_gamma(a_lower, m_upper, l_upper, locus=locus)
+    gamma, gamma_check = choose_gamma(a_lower, m_upper, l_upper, locus=locus)
 
-        delta = Interval(gamma).sqr() / Interval(qtilde.alpha_norm())
-        comparison = delta * Interval(abs(float(param_coefficient)))
-    except IntervalError as exc:
-        raise VerificationInconclusive("manifold", locus, str(exc))
+    delta = Interval(gamma).sqr() / Interval(qtilde.alpha_norm())
+    comparison = delta * Interval(abs(float(param_coefficient)))
     constants = DiskConstants(
         a_lower=a_lower,
         m_upper=m_upper,

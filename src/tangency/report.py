@@ -31,19 +31,3 @@ def dumps(report):
 def loads(text):
     return json.loads(text)
 
-
-def build_report(kind, config, stages, verdict, timings=None, failure=None,
-                 extras=None):
-    report = {
-        "kind": kind,
-        "config": config,
-        "stages": stages,
-        "verdict": verdict,
-    }
-    if timings is not None:
-        report["timings"] = timings
-    if failure is not None:
-        report["failure"] = failure
-    if extras:
-        report.update(extras)
-    return report

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from tangency import kernels as _k
 from tangency.cones import check_cone_link, rump_positive_definite
-from tangency.covering import VerificationInconclusive, certify_each, check_chain
+from tangency.covering import VerificationInconclusive, certify_each, check_chain, run_stages
 from tangency.hset import Frame, HSet, QuadraticForm
 from tangency.interval import IntervalError, check_pairs
 from tangency.linalg import IntervalMatrix, _det
@@ -344,52 +344,43 @@ def switch_transversality(chain):
 
 
 def check_toy(params, grid=1):
-    """Run the model's certificate suite; returns {report stage: certificates}.
+    """The model's certificate suite: (certificates by report stage,
+    timings).  The chain is built to nearest; then covering.run_stages runs
+    the covering, linear-link cone, switch-block and transversality stages
+    and raises on the first inconclusive one.  The switch-block and
+    transversality stages keep their own certificates when they fail."""
 
-    The chain is built to nearest; the covering, linear-link cone, switch
-    block and transversality stages run in one kernels.upward() block.  Any
-    inconclusive stage raises VerificationInconclusive carrying the failure
-    locus and, in ``certified``, every stage certified before it by report
-    stage ("covering", "cones_linear_links", "switch_blocks"); a failing
-    switch block or transversality stage carries its own certificates too.
-    An IntervalError inside the switch block or transversality stage is
-    that stage's inconclusive verdict, as it is the covering and cone
-    stages'.  A chain whose end length cannot meet its entry target raises
-    at stage "chain-build", before any stage runs.
-    """
-    chain = build_toy_chain(params)
-    certified = {}
-    try:
-        with _k.upward():
-            coverings = certified["covering"] = check_chain(
-                list(chain.sets), list(chain.maps), grid=grid)
-            certified["cones_linear_links"] = certify_each(
-                "cones_linear_links", check_cone_link,
-                [(coverings[i], chain.forms[i], chain.forms[i + 1])
-                 for i in linear_link_indices(chain)],
-            )
+    def build():
+        chain = build_toy_chain(params)
+        switch_locus, switch_set = "tangency-point cone blocks", chain.sets[chain.k].name
 
-            switch_locus = "tangency-point cone blocks"
-            try:
-                blocks = {name: rump_positive_definite(q) for name, q in zip(
-                    ("Q1", "Q2"), switch_cone_blocks(*chain.forms[chain.k:chain.k + 2]))}
-            except IntervalError as exc:
-                raise VerificationInconclusive("toy-switch", switch_locus, str(exc))
-            certified["switch_blocks"] = blocks
+        def switch_blocks(done):
+            blocks = {name: rump_positive_definite(q) for name, q in zip(
+                ("Q1", "Q2"), switch_cone_blocks(*chain.forms[chain.k:chain.k + 2]))}
             if not all(r.positive_definite for r in blocks.values()):
-                raise VerificationInconclusive(
-                    "toy-switch", switch_locus, "not positive definite")
+                raise VerificationInconclusive("toy-switch", switch_locus,
+                                               "not positive definite", {"switch_blocks": blocks})
+            return blocks
 
-            switch_set = chain.sets[chain.k].name
-            try:
-                stage = certified["transversality"] = switch_transversality(chain)
-            except IntervalError as exc:
-                raise VerificationInconclusive("toy-transversality", switch_set, str(exc))
+        def transversality(done):
+            stage = switch_transversality(chain)
             if not stage["det"][0] > 0.0:
                 raise VerificationInconclusive(
                     "toy-transversality", switch_set,
-                    f"determinant lower bound {stage['det'][0]!r} is not above 0")
-    except VerificationInconclusive as exc:
-        exc.certified = {**certified, **exc.certified}
-        raise
-    return certified
+                    f"determinant lower bound {stage['det'][0]!r} is not above 0",
+                    {"transversality": stage})
+            return stage
+
+        return chain, [
+            ("covering", "covering", "covering", "chain",
+             lambda done: check_chain(list(chain.sets), list(chain.maps), grid=grid)),
+            ("cones_linear_links", "cones_linear_links", "cones", "chain",
+             lambda done: certify_each("cones_linear_links", check_cone_link, [
+                 (done["covering"][i], chain.forms[i], chain.forms[i + 1])
+                 for i in linear_link_indices(chain)])),
+            ("switch_blocks", "switch_blocks", "toy-switch", switch_locus, switch_blocks),
+            ("transversality", "transversality", "toy-transversality", switch_set,
+             transversality)]
+
+    _, certified, timings = run_stages(build)
+    return certified, timings

@@ -168,7 +168,7 @@ def test_criterion_7_switch_map_transversality():
                         delta=rng.uniform(0.3, 0.7), eps=rng.uniform(0.005, 0.05)), 1)
              for _ in range(30)]
     for params, grid in runs:
-        lo, hi = check_toy(params, grid)["transversality"]["det"]
+        lo, hi = check_toy(params, grid)[0]["transversality"]["det"]
         assert 0.0 < lo <= 2.0 <= hi, (params, grid)
     _report(
         f"7 PASS: switch-map transversality determinant encloses 2 and "

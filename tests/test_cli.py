@@ -439,6 +439,46 @@ class TestIntervalErrorInAStage:
         assert list(report["stages"]) == ["covering", "cones_linear_links", "switch_blocks"]
 
 
+class TestStageTimings:
+    """A report times every stage that ran, on either verdict: an
+    INCONCLUSIVE report keeps the times of the stages before the failure
+    and of the failing stage itself."""
+
+    TOY = ["build", "covering", "cones_linear_links", "switch_blocks", "transversality"]
+
+    @staticmethod
+    def _timings(argv, code, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--report", str(out)]) == code
+        timings = report_mod.loads(out.read_text())["timings"]
+        assert all(seconds > 0.0 for seconds in timings.values())
+        return list(timings)
+
+    def test_prove(self, tmp_path):
+        assert self._timings(["prove", "henon"], 0, tmp_path) == [
+            "build", "covering", "cones", "disks", "total"]
+
+    def test_prove_inconclusive_at_covering(self, tmp_path):
+        argv = ["prove", "henon", "--param-radius", "1.1e-5"]
+        assert self._timings(argv, 1, tmp_path) == ["build", "covering", "total"]
+
+    def test_check_toy(self, tmp_path):
+        assert self._timings(["check-toy"], 0, tmp_path) == self.TOY + ["total"]
+
+    def test_check_toy_inconclusive_at_switch_blocks(self, monkeypatch, tmp_path):
+        # N_k's form with gamma = 3 leaves Q2 not positive definite: the
+        # run ends at toy-switch, before the transversality stage.
+        from tangency import toy
+        from tangency.hset import QuadraticForm
+
+        chain = build_toy_chain()
+        forms = list(chain.forms)
+        forms[chain.k] = QuadraticForm((1.0, -3.0, -2.0, 0.25), (0, 3))
+        monkeypatch.setattr(toy, "build_toy_chain", lambda params: dataclasses.replace(
+            chain, forms=tuple(forms)))
+        assert self._timings(["check-toy"], 1, tmp_path) == self.TOY[:4] + ["total"]
+
+
 @pytest.mark.parametrize("command", [["prove", "henon"], ["check-toy"]],
                          ids=["prove", "check-toy"])
 @pytest.mark.parametrize("grid", ["17", str(10**11)], ids=["17", "1e11"])
@@ -504,15 +544,24 @@ class TestNoCyclicGarbage:
             return exc.code
 
     @pytest.mark.parametrize(
-        "argv, code",
-        [(["prove", "henon"], 0),
-         (["check-toy"], 0),
-         (["check-toy", "--mu", "0.99"], 1),  # INCONCLUSIVE at chain-build
-         (["prove", "henon", "--param-radius", "1.1e-5"], 1),  # at covering
-         (["check-toy", "--mu", "2"], 2)],
-        ids=["prove", "check-toy", "toy-chain-build", "prove-covering", "toy-usage"],
+        "argv, code, raising",
+        [(["prove", "henon"], 0, None),
+         (["check-toy"], 0, None),
+         (["check-toy", "--mu", "0.99"], 1, None),  # INCONCLUSIVE at chain-build
+         (["prove", "henon", "--param-radius", "1.1e-5"], 1, None),  # at covering
+         (["check-toy", "--mu", "2"], 2, None),
+         # an IntervalError in a stage, as TestIntervalErrorInAStage forces it
+         (["prove", "henon"], 1, ("manifold", "mixed_derivative_bound")),
+         (["check-toy"], 1, ("toy", "switch_cone_blocks")),
+         (["check-toy"], 1, ("toy", "switch_transversality"))],
+        ids=["prove", "check-toy", "toy-chain-build", "prove-covering", "toy-usage",
+             "disk-constants-interval-error", "toy-switch-interval-error",
+             "toy-transversality-interval-error"],
     )
-    def test_call_leaves_no_cycles(self, tmp_path, capsys, argv, code):
+    def test_call_leaves_no_cycles(self, monkeypatch, tmp_path, capsys, argv, code, raising):
+        if raising:
+            module, name = raising
+            monkeypatch.setattr(f"tangency.{module}.{name}", TestIntervalErrorInAStage._raising)
         argv = argv + ["--report", str(tmp_path / "report.json")]
         assert self._call(argv) == code
         gc.collect()

@@ -22,7 +22,9 @@ from tangency.covering import (
     check_chain,
     check_covering,
     detect_correspondence,
+    run_stages,
 )
+from tangency import kernels
 from tangency.henon import henon_family, projected_disk_data
 from tangency.hset import HSet, local_derivative
 from tangency.interval import Interval, IntervalError, pair_mid
@@ -205,6 +207,71 @@ class TestFailureModes:
         assert "z_0 = +1" in err.value.detail
         assert counted.calls == {"apply": 1, "derivative": 1}
         assert counted.outputs["derivative"] == [tuple(range(tgt.n))]
+
+
+class TestRunStages:
+    """covering.run_stages, the one stage runner of both drivers, on stages
+    that record the rounding mode they run in."""
+
+    @staticmethod
+    def _run(last):
+        modes = []
+
+        def stage(value):
+            def fn(done):
+                modes.append(kernels._fegetround())
+                return value(done) if callable(value) else value
+            return fn
+
+        def build():
+            modes.append(kernels._fegetround())
+            return "built", [("first", "first", "stage-1", "locus 1", stage(1)),
+                             ("second", "shared", "stage-2", "locus 2",
+                              stage(lambda done: done["first"] + 1)),
+                             ("third", "shared", "stage-3", "locus 3", stage(last))]
+
+        try:
+            return run_stages(build)
+        finally:
+            assert modes[0] == kernels._FE_TONEAREST  # the build
+            assert set(modes[1:]) == {kernels._FE_UPWARD}
+            assert kernels._fegetround() == kernels._FE_TONEAREST
+
+    def test_every_stage_certified(self):
+        built, certified, timings = self._run(3)
+        assert built == "built"
+        assert certified == {"first": 1, "second": 2, "third": 3}
+        assert list(timings) == ["build", "first", "shared"]
+
+    def test_interval_error_is_the_stage_verdict(self):
+        def fails(done):
+            raise IntervalError("no enclosure")
+
+        with pytest.raises(VerificationInconclusive) as err:
+            self._run(fails)
+        exc = err.value
+        assert (exc.stage, exc.locus, exc.detail) == ("stage-3", "locus 3", "no enclosure")
+        assert exc.certified == {"first": 1, "second": 2}
+        assert list(exc.timings) == ["build", "first", "shared"]
+
+    def test_a_failing_stage_keeps_its_own_certificates(self):
+        def fails(done):
+            raise VerificationInconclusive("own stage", "own locus", "failed",
+                                           {"third": ("partial",)})
+
+        with pytest.raises(VerificationInconclusive) as err:
+            self._run(fails)
+        exc = err.value
+        assert (exc.stage, exc.locus) == ("own stage", "own locus")
+        assert exc.certified == {"first": 1, "second": 2, "third": ("partial",)}
+        assert list(exc.timings) == ["build", "first", "shared"]
+
+    def test_enclosure_error_is_not_a_verdict(self):
+        def fails(done):
+            raise EnclosureError("stage-3", "locus 3", "disjoint enclosures")
+
+        with pytest.raises(EnclosureError):
+            self._run(fails)
 
 
 class _AffineMap:

@@ -1,6 +1,7 @@
 """The README and the public names stay in step with the code they document."""
 
 import argparse
+import ast
 import dataclasses
 import re
 from pathlib import Path
@@ -80,6 +81,50 @@ def test_public_names_resolve():
     assert len(set(tangency.__all__)) == len(tangency.__all__)
     for name in tangency.__all__:
         assert hasattr(tangency, name), name
+
+
+def _upward_blocks_and_handlers():
+    """The (module, function) pairs of src/ that open a ``with ...
+    upward():`` block, the function by qualified name and "<module>" at
+    the top level, and per module the names its except clauses catch."""
+    blocks, handlers = set(), {}
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        if isinstance(node, ast.With) and any(
+                isinstance(item.context_expr, ast.Call)
+                and getattr(item.context_expr.func, "attr",
+                            getattr(item.context_expr.func, "id", None)) == "upward"
+                for item in node.items):
+            blocks.add((module, scope))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            handlers[module] |= {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in (ROOT / "src" / "tangency").glob("*.py"):
+        handlers[path.stem] = set()
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    return blocks, handlers
+
+
+def test_stages_run_in_one_runner():
+    # covering.run_stages opens the one upward block the stages of either
+    # subcommand run in and turns an IntervalError into a verdict; the
+    # drivers only build their chain and list their stages.  The other
+    # blocks are build-time ones: the chain, the maps, the disks' sets,
+    # the sub-box tables and an h-set's inverse frame.
+    blocks, handlers = _upward_blocks_and_handlers()
+    assert blocks == {
+        ("covering", "run_stages"),
+        ("henon", "henon_family"), ("henon", "eigen_data"), ("henon", "build_chain"),
+        ("henon", "projected_disk_data"),
+        ("hset", "_table"), ("hset", "Frame.__init__"),
+        ("kernels", "<module>"),  # the import-time probe of the rounding
+    }
+    for module in ("henon", "toy"):
+        assert not handlers[module] & {"IntervalError", "VerificationInconclusive"}, module
 
 
 def test_src_evaluates_no_jets():

@@ -344,12 +344,12 @@ class TestSwitchBlocks:
         from tangency import toy
 
         chain = build_toy_chain()
-        default = check_toy(ToyParams())["switch_blocks"]
+        default = check_toy(ToyParams())[0]["switch_blocks"]
         for replaced, moved in (({chain.k: n_form(0.28125)}, "Q2"),
                                 ({chain.k + 1: m_form(0.5, b=2.0)}, "Q1")):
             monkeypatch.setattr(toy, "build_toy_chain",
                                 lambda params: with_forms(chain, replaced))
-            blocks = check_toy(ToyParams())["switch_blocks"]
+            blocks = check_toy(ToyParams())[0]["switch_blocks"]
             for name, result in blocks.items():
                 assert result.positive_definite
                 same = result.vertex_margins == default[name].vertex_margins
@@ -480,7 +480,7 @@ class TestExactRationalMargins:
     def test_margins_hold_at_exact_points(self, grid, lam, mu, rng):
         params = ToyParams(lam=lam, mu=mu)
         chain = build_toy_chain(params)
-        coverings = check_toy(params, grid)["covering"]
+        coverings = check_toy(params, grid)[0]["covering"]
         images = [image for image, _ in _closed_forms(chain)]
         assert len(coverings) == len(images) == chain.n_links
         for link, (cov, image) in enumerate(zip(coverings, images)):
@@ -498,7 +498,7 @@ class TestExactRationalConeMatrices:
     def test_cone_matrices_hold_at_exact_points(self, lam, mu, rng):
         params = ToyParams(lam=lam, mu=mu)
         chain = build_toy_chain(params)
-        cones = check_toy(params)["cones_linear_links"]
+        cones = check_toy(params)[0]["cones_linear_links"]
         links = linear_link_indices(chain)
         assert len(cones) == len(links) == chain.n_links - 1
         closed = _closed_forms(chain)
@@ -528,7 +528,7 @@ class TestExactRationalImages:
     def test_enclosures_hold_at_exact_points(self, grid, lam, mu, rng):
         params = ToyParams(lam=lam, mu=mu)
         chain = build_toy_chain(params)
-        coverings = check_toy(params, grid)["covering"]
+        coverings = check_toy(params, grid)[0]["covering"]
         closed = _closed_forms(chain)
         assert len(coverings) == len(closed) == chain.n_links
         identity = [[int(i == j) for j in range(4)] for i in range(4)]
