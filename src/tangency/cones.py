@@ -129,9 +129,9 @@ def rump_positive_definite(a):
     isub = _k.isub
     # enclosures of the exact reals c_ij - s r_ij: s = +1 on the diagonal;
     # below it one pair per sign, indexed by s < 0
-    diag = [isub(c[i][i], c[i][i], r[i][i], r[i][i]) for i in range(n)]
+    diag = [isub((c[i][i], c[i][i]), (r[i][i], r[i][i])) for i in range(n)]
     off = [
-        [(isub(c_ij, c_ij, r_ij, r_ij), isub(c_ij, c_ij, -r_ij, -r_ij))
+        [(isub((c_ij, c_ij), (r_ij, r_ij)), isub((c_ij, c_ij), (-r_ij, -r_ij)))
          for c_ij, r_ij in zip(c[i][:i], r[i][:i])]
         for i in range(n)
     ]
@@ -159,10 +159,11 @@ def _cholesky_column(tree, z, low_j, below, min_pivot):
     n, diag, off, free, outcomes = tree
     isub, isqr = _k.isub, _k.isqr
     j = len(z) - 1
-    lo, hi = diag[j]
+    pivot = diag[j]
     for k in range(j):
-        lo, hi = isub(lo, hi, *isqr(*low_j[k]))
-    check_pairs(((lo, hi),))
+        pivot = isub(pivot, isqr(low_j[k]))
+    check_pairs((pivot,))
+    lo = pivot[0]
     if lo <= 0.0:
         tails = product((1, -1), repeat=n - 1 - j)
         outcomes.extend((z + tail, None) for tail in tails)
@@ -173,16 +174,16 @@ def _cholesky_column(tree, z, low_j, below, min_pivot):
         outcomes.append((z, min_pivot))
         return
     imul, idiv = _k.imul, _k.idiv
-    ljj = _k.isqrt(lo, hi)
+    ljj = _k.isqrt(pivot)
     zj = z[j]
     grown = []
     for i, low_i in enumerate(below, j + 1):
         pair = []
         for z_i, low in zip((1, -1), low_i):
-            s_lo, s_hi = off[i][j][z_i != zj]
+            s = off[i][j][z_i != zj]
             for k in range(j):
-                s_lo, s_hi = isub(s_lo, s_hi, *imul(*low[k], *low_j[k]))
-            pair.append(low + check_pairs((idiv(s_lo, s_hi, *ljj),)))
+                s = isub(s, imul(low[k], low_j[k]))
+            pair.append(low + check_pairs((idiv(s, ljj),)))
         grown.append(pair)
     start = len(outcomes)
     _cholesky_column(tree, z + (1,), grown[0][0], grown[1:], min_pivot)
@@ -224,7 +225,7 @@ def cone_matrix(d_loc, q_src, q_tgt, inflate_src=1.0):
     d = tuple([row[:n] for row in d_loc.pairs])
     imul, iadd, isub = _k.imul, _k.iadd, _k.isub
     dtq = tuple(
-        tuple([imul(*d[k][i], q_k, q_k) for k, q_k in enumerate(q)]) for i in range(n)
+        tuple([imul(d[k][i], (q_k, q_k)) for k, q_k in enumerate(q)]) for i in range(n)
     )
     for row in dtq:
         check_pairs(row)
@@ -232,10 +233,10 @@ def cone_matrix(d_loc, q_src, q_tgt, inflate_src=1.0):
     w = [list(row) for row in dtqd.pairs]
     c = as_pair(inflate_src)
     for i, q_i in enumerate(q_src.coeffs):
-        cq = (q_i, q_i) if inflate_src == 1.0 else imul(*c, q_i, q_i)
-        w[i][i] = isub(*w[i][i], *cq)
+        cq = (q_i, q_i) if inflate_src == 1.0 else imul(c, (q_i, q_i))
+        w[i][i] = isub(w[i][i], cq)
     lower = [
-        [imul(0.5, 0.5, *iadd(*w[i][j], *w[j][i])) for j in range(i + 1)]
+        [imul((0.5, 0.5), iadd(w[i][j], w[j][i])) for j in range(i + 1)]
         for i in range(n)
     ]
     check_pairs([e for row in lower for e in row])

@@ -177,61 +177,61 @@ def _image_normalized(src, tgt, fmap, zbox, read):
     # the terms of M_tgt^-1 (p - c) over the row's nonzero pattern, in
     # mat_vec's order, divided by the row's diameter.
     center = read.center
-    thin_diff = check_pairs([isub(*a, *c) for a, c in zip(value, center)])
-    hull_diff = check_pairs([isub(*a, *c) for a, c in zip(image, center)])
+    thin_diff = check_pairs([isub(a, c) for a, c in zip(value, center)])
+    hull_diff = check_pairs([isub(a, c) for a, c in zip(image, center)])
     thin = []
     hull = []
     for row, d in zip(read.terms, read.diam):
-        lo = hi = h_lo = h_hi = 0.0
+        acc = h_acc = (0.0, 0.0)
         for k, a in row:
             b = thin_diff[k]
             if b[0] or b[1]:
-                lo, hi = iadd(lo, hi, *imul(*a, *b))
+                acc = iadd(acc, imul(a, b))
             b = hull_diff[k]
             if b[0] or b[1]:
-                h_lo, h_hi = iadd(h_lo, h_hi, *imul(*a, *b))
-        thin.append(idiv(lo, hi, d, d))
-        hull.append(idiv(h_lo, h_hi, d, d))
+                h_acc = iadd(h_acc, imul(a, b))
+        thin.append(idiv(acc, (d, d)))
+        hull.append(idiv(h_acc, (d, d)))
     check_pairs(thin)
     check_pairs(hull)
     jac_cols = tuple(zip(*jac))
     frame_cols, src_diam, delta = src.basis.cols, src.diam, zbox.delta_terms
     local = []
     mean_value = []
-    for row, d_tgt, (t_lo, t_hi) in zip(read.terms, read.diam, thin):
+    for row, d_tgt, thin_j in zip(read.terms, read.diam, thin):
         # T_j = (row j of M_tgt^-1) . DF, then its local-frame row
         # T_j[:n] . M_src followed by T_j[n:], each checked: mat_mul's
         # terms, the frame's column pattern as the left factor of the
         # second product's (imul is commutative bit for bit).
         t = []
         for col in jac_cols:
-            lo = hi = 0.0
+            acc = (0.0, 0.0)
             for k, a in row:
                 b = col[k]
                 if b[0] or b[1]:
-                    lo, hi = iadd(lo, hi, *imul(*a, *b))
-            t.append((lo, hi))
+                    acc = iadd(acc, imul(a, b))
+            t.append(acc)
         check_pairs(t)
         local_row = []
         for col in frame_cols:
-            lo = hi = 0.0
+            acc = (0.0, 0.0)
             for k, a in col:
                 b = t[k]
                 if b[0] or b[1]:
-                    lo, hi = iadd(lo, hi, *imul(*a, *b))
-            local_row.append((lo, hi))
+                    acc = iadd(acc, imul(a, b))
+            local_row.append(acc)
         check_pairs(local_row)
-        scaled = check_pairs([idiv(*imul(*e, d_src, d_src), d_tgt, d_tgt)
+        scaled = check_pairs([idiv(imul(e, (d_src, d_src)), (d_tgt, d_tgt))
                               for e, d_src in zip(local_row, src_diam)])
         local.append(tuple(local_row + t[n:]))
         # The mean-value entry: the terms of scaled.mat_vec(z - mid z), the
         # delta's nonzero entries as the left factors of their products.
-        lo = hi = 0.0
+        acc = (0.0, 0.0)
         for k, a in delta:
             b = scaled[k]
             if b[0] or b[1]:
-                lo, hi = iadd(lo, hi, *imul(*a, *b))
-        mean_value.append(iadd(t_lo, t_hi, lo, hi))
+                acc = iadd(acc, imul(a, b))
+        mean_value.append(iadd(thin_j, acc))
     check_pairs(mean_value)
     out = {}
     for axis, (m_lo, m_hi), (h_lo, h_hi) in zip(read.rows, mean_value, hull):

@@ -126,7 +126,7 @@ def henon_family(b0=B0):
     imul, iadd, isub, idiv, isqr = _k.imul, _k.iadd, _k.isub, _k.idiv, _k.isqr
     with _k.upward():
         inv_b, neg_inv_b, two_inv_b = check_pairs(
-            (idiv(1.0, 1.0, *b), idiv(-1.0, -1.0, *b), idiv(2.0, 2.0, *b)))
+            (idiv(_ONE, b), idiv((-1.0, -1.0), b), idiv((2.0, 2.0), b)))
     zero_rows = (_ZERO_ROW, _ZERO_ROW)
     forward_rows = ((((-2.0, -2.0), _ZERO, _ZERO), _ZERO_ROW), zero_rows)
     inverse_rows = (zero_rows, (_ZERO_ROW, (_ZERO, two_inv_b, _ZERO)))
@@ -135,12 +135,12 @@ def henon_family(b0=B0):
 
     def forward(x, y, a, order):
         if not order:
-            value = iadd(*isub(*a, *isqr(*x)), *imul(*y, *b))
+            value = iadd(isub(a, isqr(x)), imul(y, b))
             return (check_pairs((value,))[0],), (x,)
-        two_x = imul(2.0, 2.0, *x)
-        diff = isub(*a, *isqr(*x))
-        d_x = isub(0.0, 0.0, *two_x)
-        value, d_x = check_pairs((iadd(*diff, *imul(*y, *b)), d_x))
+        two_x = imul((2.0, 2.0), x)
+        diff = isub(a, isqr(x))
+        d_x = isub(_ZERO, two_x)
+        value, d_x = check_pairs((iadd(diff, imul(y, b)), d_x))
         outs = (value, (d_x, b, _ONE)), (x, forward_grads)
         if order == 2:
             return tuple([out + (rows,) for out, rows in zip(outs, forward_rows)])
@@ -148,12 +148,12 @@ def henon_family(b0=B0):
 
     def inverse(x, y, a, order):
         if not order:
-            value = idiv(*iadd(*isub(*x, *a), *isqr(*y)), *b)
+            value = idiv(iadd(isub(x, a), isqr(y)), b)
             return (y,), (check_pairs((value,))[0],)
-        diff = isub(*x, *a)
-        two_y = imul(2.0, 2.0, *y)
-        value = idiv(*iadd(*diff, *isqr(*y)), *b)
-        value, d_y = check_pairs((value, idiv(*two_y, *b)))
+        diff = isub(x, a)
+        two_y = imul((2.0, 2.0), y)
+        value = idiv(iadd(diff, isqr(y)), b)
+        value, d_y = check_pairs((value, idiv(two_y, b)))
         outs = (y, inverse_grads), (value, (inv_b, d_y, neg_inv_b))
         if order == 2:
             return tuple([out + (rows,) for out, rows in zip(outs, inverse_rows)])

@@ -98,7 +98,7 @@ def _cuts(grid):
     enclosures of -1 + 2 j / grid bound them.  Built once per grid."""
     g = float(grid)
     ends = [
-        _k.iadd(-1.0, -1.0, *_k.idiv(*_k.imul(2.0, 2.0, float(j), float(j)), g, g))
+        _k.iadd((-1.0, -1.0), _k.idiv(_k.imul((2.0, 2.0), (float(j), float(j))), (g, g)))
         for j in range(grid + 1)
     ]
     return tuple((lo[0], hi[1]) for lo, hi in zip(ends, ends[1:]))
@@ -118,7 +118,7 @@ def _subbox(box):
     sub = _wrap(SubBox, box)
     mids = [pair_mid(*z) for z in box]
     sub.mid = tuple([(m, m) for m in mids])
-    delta = check_pairs([_k.isub(*z, m, m) for z, m in zip(box, mids)])
+    delta = check_pairs([_k.isub(z, (m, m)) for z, m in zip(box, mids)])
     (sub.delta_terms,) = nonzero_pattern((delta,))
     return sub
 
@@ -270,7 +270,7 @@ class HSet:
         result is a subset of [-1,1]^n (sufficient direction only)."""
         idiv = _k.idiv
         return IntervalVector.from_pairs(
-            [idiv(*w, d, d) for w, d in zip(self.to_local(p).pairs, self.diam)]
+            [idiv(w, (d, d)) for w, d in zip(self.to_local(p).pairs, self.diam)]
         )
 
     def rows_read(self, rows):
@@ -283,15 +283,15 @@ class HSet:
         if len(z) != self.n:
             raise IntervalError(f"dimension mismatch: {len(z)} vs {self.n}")
         imul, iadd = _k.imul, _k.iadd
-        scaled = check_pairs([imul(d, d, *zi) for d, zi in zip(self.diam, z)])
+        scaled = check_pairs([imul((d, d), zi) for d, zi in zip(self.diam, z)])
         out = []
         for c, row in zip(self.center, self.basis.rows):
-            lo = hi = 0.0
+            acc = (0.0, 0.0)
             for k, a in row:
                 b = scaled[k]
                 if b[0] or b[1]:
-                    lo, hi = iadd(lo, hi, *imul(*a, *b))
-            out.append(iadd(c, c, lo, hi))
+                    acc = iadd(acc, imul(a, b))
+            out.append(iadd((c, c), acc))
         return check_pairs(tuple(out))
 
     def from_local(self, w):

@@ -111,7 +111,7 @@ class Interval:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Interval(*_k.iadd(self.lo, self.hi, o.lo, o.hi))
+        return Interval(*_k.iadd((self.lo, self.hi), (o.lo, o.hi)))
 
     __radd__ = __add__
 
@@ -119,19 +119,19 @@ class Interval:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Interval(*_k.isub(self.lo, self.hi, o.lo, o.hi))
+        return Interval(*_k.isub((self.lo, self.hi), (o.lo, o.hi)))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Interval(*_k.isub(o.lo, o.hi, self.lo, self.hi))
+        return Interval(*_k.isub((o.lo, o.hi), (self.lo, self.hi)))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Interval(*_k.imul(self.lo, self.hi, o.lo, o.hi))
+        return Interval(*_k.imul((self.lo, self.hi), (o.lo, o.hi)))
 
     __rmul__ = __mul__
 
@@ -141,7 +141,7 @@ class Interval:
             return NotImplemented
         if o.contains_zero():
             raise IntervalError(f"division by zero-containing interval {o!r}")
-        return Interval(*_k.idiv(self.lo, self.hi, o.lo, o.hi))
+        return Interval(*_k.idiv((self.lo, self.hi), (o.lo, o.hi)))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -156,12 +156,12 @@ class Interval:
         return self
 
     def sqr(self):
-        return Interval(*_k.isqr(self.lo, self.hi))
+        return Interval(*_k.isqr((self.lo, self.hi)))
 
     def sqrt(self):
         if self.lo < 0.0:
             raise IntervalError(f"sqrt of negative-containing interval {self!r}")
-        return Interval(*_k.isqrt(self.lo, self.hi))
+        return Interval(*_k.isqrt((self.lo, self.hi)))
 
 
 def as_pair(x):
@@ -403,7 +403,7 @@ def _sin_bounds(x, shift):
     if k == 0:
         r_lo = r_hi = x
     else:
-        p_lo, p_hi = _k.imul(float(k), float(k), HALF_PI.lo, HALF_PI.hi)
+        p_lo, p_hi = _k.imul((float(k), float(k)), (HALF_PI.lo, HALF_PI.hi))
         r_lo = _k.sub_down(x, p_hi)
         r_hi = _k.sub_up(x, p_lo)
     if r_lo < -0.8 or r_hi > 0.8:

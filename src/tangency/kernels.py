@@ -26,6 +26,14 @@ may be a product's or a quotient's zero gets + 0.0, so that one is never
 also the exact product with an infinite bound, where the full path gives
 NaN.
 
+The interval kernels take and return (lo, hi) pairs: ``iadd``, ``isub``,
+``imul`` and ``idiv`` two, ``isqr`` and ``isqrt`` one, so one dot-product
+term is ``acc = iadd(acc, imul(a, b))``; the scalar kernels take floats.  A
+pair star-unpacked into a call builds an argument tuple, a call CPython 3.11
+does not specialise: with 2 x86_64 cores and CPython 3.11.7, in an upward
+block, ``imul(*a, *b)`` on four floats took 293 ns and ``imul(a, b)`` 162
+ns, and the term ``iadd(*acc, *imul(*a, *b))`` 531 ns against 288 ns.
+
 The FE_* constants are those of the platform's <fenv.h>; an unsupported
 machine is an ImportError, and so is a libc whose modes fail the probe.
 
@@ -175,21 +183,27 @@ def sqrt_up(x):
 # bounds are those of the scalar kernels bit for bit.
 
 
-def iadd(al, ah, bl, bh):
+def iadd(a, b):
     if _ONE + _STEP == _ONE:
-        return _upward_call(iadd, al, ah, bl, bh)
+        return _upward_call(iadd, a, b)
+    al, ah = a
+    bl, bh = b
     return 0.0 - (-al - bl), ah + bh
 
 
-def isub(al, ah, bl, bh):
+def isub(a, b):
     if _ONE + _STEP == _ONE:
-        return _upward_call(isub, al, ah, bl, bh)
+        return _upward_call(isub, a, b)
+    al, ah = a
+    bl, bh = b
     return 0.0 - (bh - al), ah - bl
 
 
-def imul(al, ah, bl, bh):
+def imul(a, b):
     if _ONE + _STEP == _ONE:
-        return _upward_call(imul, al, ah, bl, bh)
+        return _upward_call(imul, a, b)
+    al, ah = a
+    bl, bh = b
     if not (al or ah) or not (bl or bh):
         return 0.0, 0.0
     if al >= 0.0:
@@ -214,10 +228,12 @@ def imul(al, ah, bl, bh):
     return -(n1 if n1 >= n2 else n2), (p1 if p1 >= p2 else p2)
 
 
-def idiv(al, ah, bl, bh):
-    # Caller guarantees 0 is outside [bl, bh].
+def idiv(a, b):
+    # Caller guarantees 0 is outside b.
     if _ONE + _STEP == _ONE:
-        return _upward_call(idiv, al, ah, bl, bh)
+        return _upward_call(idiv, a, b)
+    al, ah = a
+    bl, bh = b
     if bl > 0.0:
         return (0.0 - (-al) / (bh if al >= 0.0 else bl),
                 ah / (bl if ah >= 0.0 else bh) + 0.0)
@@ -225,9 +241,10 @@ def idiv(al, ah, bl, bh):
             al / (bl if al >= 0.0 else bh) + 0.0)
 
 
-def isqr(al, ah):
+def isqr(a):
     if _ONE + _STEP == _ONE:
-        return _upward_call(isqr, al, ah)
+        return _upward_call(isqr, a)
+    al, ah = a
     if al >= 0.0:
         return 0.0 - (-al) * al, ah * ah + 0.0
     if ah <= 0.0:
@@ -236,9 +253,10 @@ def isqr(al, ah):
     return 0.0, (h1 if h1 >= h2 else h2)
 
 
-def isqrt(al, ah):
-    # Caller guarantees al >= 0.
+def isqrt(a):
+    # Caller guarantees a[0] >= 0.
     if _ONE + _STEP == _ONE:
-        return _upward_call(isqrt, al, ah)
+        return _upward_call(isqrt, a)
+    al, ah = a
     s = _sqrt(al)
     return (s + 0.0 if s * s == al else _nextafter(s, -_INF)), _sqrt(ah) + 0.0

@@ -95,7 +95,7 @@ class IntervalVector:
     def _entrywise(self, other, op):
         self._check(other)
         return IntervalVector.from_pairs(
-            [op(*a, *b) for a, b in zip(self.pairs, other.pairs)]
+            [op(a, b) for a, b in zip(self.pairs, other.pairs)]
         )
 
     def __neg__(self):
@@ -104,17 +104,17 @@ class IntervalVector:
     def scale(self, c):
         c = as_pair(c)
         imul = _k.imul
-        return IntervalVector.from_pairs([imul(*c, *a) for a in self.pairs])
+        return IntervalVector.from_pairs([imul(c, a) for a in self.pairs])
 
     def norm_upper(self):
         """Upper bound of the Euclidean norm over all point selections."""
         isqr, iadd = _k.isqr, _k.iadd
-        lo = hi = 0.0
+        acc = (0.0, 0.0)
         for a_lo, a_hi in self.pairs:
             mag = max(abs(a_lo), abs(a_hi))
-            lo, hi = iadd(lo, hi, *isqr(mag, mag))
-        check_pairs(((lo, hi),))
-        return _k.isqrt(lo, hi)[1]
+            acc = iadd(acc, isqr((mag, mag)))
+        check_pairs((acc,))
+        return _k.isqrt(acc)[1]
 
     def is_subset(self, other):
         self._check(other)
@@ -183,7 +183,7 @@ class IntervalMatrix:
     def _entrywise(self, other, op):
         self._conform_add(other)
         return IntervalMatrix.from_pairs(
-            [[op(*a, *b) for a, b in zip(ra, rb)]
+            [[op(a, b) for a, b in zip(ra, rb)]
              for ra, rb in zip(self.pairs, other.pairs)]
         )
 
@@ -191,7 +191,7 @@ class IntervalMatrix:
         c = as_pair(c)
         imul = _k.imul
         return IntervalMatrix.from_pairs(
-            [[imul(*c, *a) for a in row] for row in self.pairs]
+            [[imul(c, a) for a in row] for row in self.pairs]
         )
 
     def transpose(self):
@@ -208,12 +208,12 @@ class IntervalMatrix:
         for row in self.pairs:
             out_row = []
             for col in cols:
-                lo = hi = 0.0
+                acc = (0.0, 0.0)
                 for k, b in col:
                     a = row[k]
                     if a[0] or a[1]:
-                        lo, hi = iadd(lo, hi, *imul(*a, *b))
-                out_row.append((lo, hi))
+                        acc = iadd(acc, imul(a, b))
+                out_row.append(acc)
             out.append(out_row)
         return IntervalMatrix.from_pairs(out)
 
@@ -224,12 +224,12 @@ class IntervalMatrix:
         nz = _nonzero(v.pairs)
         out = []
         for row in self.pairs:
-            lo = hi = 0.0
+            acc = (0.0, 0.0)
             for k, b in nz:
                 a = row[k]
                 if a[0] or a[1]:
-                    lo, hi = iadd(lo, hi, *imul(*a, *b))
-            out.append((lo, hi))
+                    acc = iadd(acc, imul(a, b))
+            out.append(acc)
         return IntervalVector.from_pairs(out)
 
     def _conform_add(self, other):
@@ -259,7 +259,7 @@ def nonzero_pattern(rows):
 def _det(rows):
     """ad - bc of the 2x2 matrix [[a, b], [c, d]] of (lo, hi) pairs, checked."""
     (a, b), (c, d) = rows
-    return check_pairs((_k.isub(*_k.imul(*a, *d), *_k.imul(*b, *c)),))[0]
+    return check_pairs((_k.isub(_k.imul(a, d), _k.imul(b, c)),))[0]
 
 
 def inverse_enclosure(a_rows):
@@ -284,10 +284,10 @@ def inverse_enclosure(a_rows):
     for block in _blocks(a.pairs):
         if len(block) == 1:
             (i,) = block
-            lo, hi = a.pairs[i][i]
-            if lo <= 0.0 <= hi:
+            x = a.pairs[i][i]
+            if x[0] <= 0.0 <= x[1]:
                 raise IntervalError("inverse_enclosure: singular 1x1 block")
-            out[i][i] = _k.idiv(1.0, 1.0, lo, hi)
+            out[i][i] = _k.idiv((1.0, 1.0), x)
             continue
         if len(block) > 2:
             raise IntervalError(
@@ -300,10 +300,10 @@ def inverse_enclosure(a_rows):
         if det[0] <= 0.0 <= det[1]:
             raise IntervalError("inverse_enclosure: singular 2x2 block")
         (aii, (b_lo, b_hi)), ((c_lo, c_hi), ajj) = rows
-        out[i][i] = _k.idiv(*ajj, *det)
-        out[i][j] = _k.idiv(-b_hi, -b_lo, *det)
-        out[j][i] = _k.idiv(-c_hi, -c_lo, *det)
-        out[j][j] = _k.idiv(*aii, *det)
+        out[i][i] = _k.idiv(ajj, det)
+        out[i][j] = _k.idiv((-b_hi, -b_lo), det)
+        out[j][i] = _k.idiv((-c_hi, -c_lo), det)
+        out[j][j] = _k.idiv(aii, det)
     return IntervalMatrix.from_pairs(out)
 
 

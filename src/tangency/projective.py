@@ -51,7 +51,7 @@ def _slope(wx, wy):
             f"image direction ({Interval(*wx)!r}, {Interval(*wy)!r}) may be "
             "horizontal: it leaves the slope chart"
         )
-    return _k.idiv(*wx, *wy)
+    return _k.idiv(wx, wy)
 
 
 _ZERO = (0.0, 0.0)
@@ -92,7 +92,7 @@ class ChartMap:
             if slope:
                 imul, iadd = _k.imul, _k.iadd
                 image[2] = check_pairs((_slope(*(
-                    iadd(*imul(*grad[0], *w), *grad[1]) for _, grad in (fx, fy)
+                    iadd(imul(grad[0], w), grad[1]) for _, grad in (fx, fy)
                 )),))[0]
         return tuple(image if outputs is None else [image[k] for k in outputs])
 
@@ -143,15 +143,15 @@ class ChartMap:
         for _, (g0, g1, _), (h0, h1) in (fx, fy):
             # f_x w + f_y: value, then d/dx, d/dy, d/da; d/dw is f_x.
             value, dx, dy, da = check_pairs((
-                iadd(*imul(*g0, *w), *g1),
-                iadd(*imul(*w, *h0[0]), *h1[0]),
-                iadd(*imul(*w, *h0[1]), *h1[1]),
-                iadd(*imul(*w, *h0[2]), *h1[2]),
+                iadd(imul(g0, w), g1),
+                iadd(imul(w, h0[0]), h1[0]),
+                iadd(imul(w, h0[1]), h1[1]),
+                iadd(imul(w, h0[2]), h1[2]),
             ))
             d.append((value, dx, dy, g0, da))
         wx, wy = d
         den = wy[0]
         (q,) = check_pairs((_slope(wx[0], den),))
         return q, check_pairs(tuple([
-            idiv(*isub(*a, *imul(*q, *b)), *den) for a, b in zip(wx[1:], wy[1:])
+            idiv(isub(a, imul(q, b)), den) for a, b in zip(wx[1:], wy[1:])
         ]))

@@ -73,7 +73,7 @@ FLAGS = (
 class _DiagonalMap:
     """The linear map (x0, x1, x2, a) -> (c0 x0, c1 x1, c2 x2, a) as a map
     of the covering protocol, on (lo, hi) pairs: each output asked for is
-    imul(*box[k], c_k, c_k), the a entry passes through, and the image is
+    imul(box[k], (c_k, c_k)), the a entry passes through, and the image is
     checked once, the a entry with it.  The Jacobian is constant; its rows,
     (c_k, c_k) on the diagonal and (1, 1) for a, are exact pairs built once
     per map with no kernel call (the chain is built to nearest), after the
@@ -89,7 +89,7 @@ class _DiagonalMap:
     def apply(self, box, outputs=None):
         coefs, imul = self._coefs, _k.imul
         return check_pairs(tuple([
-            box[k] if k == 3 else imul(*box[k], *coefs[k])
+            box[k] if k == 3 else imul(box[k], coefs[k])
             for k in (range(4) if outputs is None else outputs)
         ]))
 
@@ -157,13 +157,13 @@ def switch_evaluator(x, y, v, a, order):
     returned.
     """
     isub, imul, iadd = _k.isub, _k.imul, _k.iadd
-    (u,) = check_pairs((isub(*x, 1.0, 1.0),))
+    (u,) = check_pairs((isub(x, _ONE),))
     if order:
-        (two_u,) = check_pairs((imul(2.0, 2.0, *u),))
+        (two_u,) = check_pairs((imul((2.0, 2.0), u),))
     values = check_pairs((
-        iadd(*iadd(*_k.isqr(*u), *y), *a),
-        isub(2.0, 2.0, *x),
-        isub(*imul(*u, -2.0, -2.0), *v),
+        iadd(iadd(_k.isqr(u), y), a),
+        isub((2.0, 2.0), x),
+        isub(imul(u, (-2.0, -2.0)), v),
     ))
     if not order:
         return (values[0],), (values[1],), (values[2],), (a,)
@@ -313,11 +313,11 @@ def switch_cone_blocks(q_n, q_m):
     """
     n_x, n_y, n_v, n_a = ((c, c) for c in q_n.coeffs)
     m_x, m_y, m_w, m_a = ((c, c) for c in q_m.coeffs)
-    two_b = _k.imul(2.0, 2.0, *m_w)
-    q1 = ((_k.isub(*_k.iadd(*_k.imul(4.0, 4.0, *m_w), *m_y), *n_x), two_b),
-          (two_b, _k.isub(*m_w, *n_v)))
-    q2 = ((_k.isub(*_k.iadd(*m_x, *m_a), *n_a), m_x),
-          (m_x, _k.isub(*m_x, *n_y)))
+    two_b = _k.imul((2.0, 2.0), m_w)
+    q1 = ((_k.isub(_k.iadd(_k.imul((4.0, 4.0), m_w), m_y), n_x), two_b),
+          (two_b, _k.isub(m_w, n_v)))
+    q2 = ((_k.isub(_k.iadd(m_x, m_a), n_a), m_x),
+          (m_x, _k.isub(m_x, n_y)))
     return IntervalMatrix.from_pairs(q1), IntervalMatrix.from_pairs(q2)
 
 

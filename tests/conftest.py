@@ -351,7 +351,7 @@ def matrix_from_normalized(h, z):
     from tangency import kernels
     from tangency.linalg import IntervalVector
 
-    scaled = IntervalVector.from_pairs([kernels.imul(d, d, *zi) for d, zi in zip(h.diam, z)])
+    scaled = IntervalVector.from_pairs([kernels.imul((d, d), zi) for d, zi in zip(h.diam, z)])
     return h.center_vec + h.frame.mat_vec(scaled)
 
 
@@ -378,7 +378,7 @@ def one_pass_oracle(src, tgt, fmap, zbox):
     hull = tgt.to_normalized(IntervalVector.from_pairs(image)).pairs
     local = local_derivative(src, tgt, IntervalMatrix.from_pairs(jac)).pairs
     scaled = IntervalMatrix.from_pairs([
-        [kernels.idiv(*kernels.imul(*e, d_src, d_src), d_tgt, d_tgt)
+        [kernels.idiv(kernels.imul(e, (d_src, d_src)), (d_tgt, d_tgt))
          for e, d_src in zip(row, src.diam)]
         for row, d_tgt in zip(local, tgt.diam)
     ])

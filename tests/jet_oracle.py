@@ -118,7 +118,7 @@ def _div(a, b):
     checked like an Interval before it enters a product."""
     if b[0] <= 0.0 <= b[1]:
         raise IntervalError(f"division by zero-containing interval {Interval(*b)!r}")
-    return check_pairs((_k.idiv(*a, *b),))[0]
+    return check_pairs((_k.idiv(a, b),))[0]
 
 
 def _scalar(other):
@@ -211,10 +211,10 @@ class Jet:
         """The jet of self op o, jets, for op = kernels.iadd or kernels.isub."""
         hess = None
         if self.hess_pairs is not None and o.hess_pairs is not None:
-            hess = [op(*a, *b) for a, b in zip(self.hess_pairs, o.hess_pairs)]
+            hess = [op(a, b) for a, b in zip(self.hess_pairs, o.hess_pairs)]
         return _checked(
-            op(*self.value_pair, *o.value_pair),
-            [op(*a, *b) for a, b in zip(self.grad_pairs, o.grad_pairs)],
+            op(self.value_pair, o.value_pair),
+            [op(a, b) for a, b in zip(self.grad_pairs, o.grad_pairs)],
             hess,
         )
 
@@ -224,7 +224,7 @@ class Jet:
         c = _scalar(other)
         if c is None:
             return NotImplemented
-        value = check_pairs((_k.iadd(*self.value_pair, *c),))[0]
+        value = check_pairs((_k.iadd(self.value_pair, c),))[0]
         hess = self.hess_pairs
         if hess is not None:
             hess = tuple([(lo or 0.0, hi or 0.0) for lo, hi in hess])
@@ -240,7 +240,7 @@ class Jet:
         c = _scalar(other)
         if c is None:
             return NotImplemented
-        value = check_pairs((_k.isub(*self.value_pair, *c),))[0]
+        value = check_pairs((_k.isub(self.value_pair, c),))[0]
         hess = self.hess_pairs
         if hess is not None:
             hess = tuple([(lo or 0.0, hi) for lo, hi in hess])
@@ -253,9 +253,9 @@ class Jet:
         isub = _k.isub
         hess = self.hess_pairs
         if hess is not None:
-            hess = [isub(0.0, 0.0, *h) for h in hess]
+            hess = [isub((0.0, 0.0), h) for h in hess]
         return _checked(
-            isub(*c, *self.value_pair), [isub(0.0, 0.0, *g) for g in self.grad_pairs], hess
+            isub(c, self.value_pair), [isub((0.0, 0.0), g) for g in self.grad_pairs], hess
         )
 
     def __neg__(self):
@@ -275,23 +275,23 @@ class Jet:
             imul = _k.imul
             hess = self.hess_pairs
             if hess is not None:
-                hess = [imul(*c, *h) for h in hess]
+                hess = [imul(c, h) for h in hess]
             return _checked(
-                imul(*self.value_pair, *c), [imul(*c, *g) for g in self.grad_pairs], hess
+                imul(self.value_pair, c), [imul(c, g) for g in self.grad_pairs], hess
             )
         o = self._same_n(other)
         imul, iadd = _k.imul, _k.iadd
         sv, ov = self.value_pair, o.value_pair
         sg, og = self.grad_pairs, o.grad_pairs
-        value = imul(*sv, *ov)
-        grad = [iadd(*imul(*sv, *b), *imul(*ov, *a)) for a, b in zip(sg, og)]
+        value = imul(sv, ov)
+        grad = [iadd(imul(sv, b), imul(ov, a)) for a, b in zip(sg, og)]
         hess = None
         if self.hess_pairs is not None and o.hess_pairs is not None:
             hess = []
             for (i, j), sh, oh in zip(_tri(self.n), self.hess_pairs, o.hess_pairs):
-                lo, hi = iadd(*imul(*sv, *oh), *imul(*ov, *sh))
-                lo, hi = iadd(lo, hi, *imul(*sg[i], *og[j]))
-                hess.append(iadd(lo, hi, *imul(*sg[j], *og[i])))
+                acc = iadd(imul(sv, oh), imul(ov, sh))
+                acc = iadd(acc, imul(sg[i], og[j]))
+                hess.append(iadd(acc, imul(sg[j], og[i])))
         return _checked(value, grad, hess)
 
     __rmul__ = __mul__
@@ -306,9 +306,9 @@ class Jet:
             idiv = _k.idiv
             hess = self.hess_pairs
             if hess is not None:
-                hess = [idiv(*h, *c) for h in hess]
+                hess = [idiv(h, c) for h in hess]
             return _checked(
-                idiv(*self.value_pair, *c), [idiv(*g, *c) for g in self.grad_pairs], hess
+                idiv(self.value_pair, c), [idiv(g, c) for g in self.grad_pairs], hess
             )
         o = self._same_n(other)
         ov = o.value_pair
@@ -316,19 +316,19 @@ class Jet:
             raise IntervalError("jet division by zero-containing value")
         imul, isub, idiv = _k.imul, _k.isub, _k.idiv
         og = o.grad_pairs
-        value = idiv(*self.value_pair, *ov)
+        value = idiv(self.value_pair, ov)
         grad = [
-            idiv(*isub(*a, *imul(*value, *b)), *ov)
+            idiv(isub(a, imul(value, b)), ov)
             for a, b in zip(self.grad_pairs, og)
         ]
         hess = None
         if self.hess_pairs is not None and o.hess_pairs is not None:
             hess = []
             for (i, j), sh, oh in zip(_tri(self.n), self.hess_pairs, o.hess_pairs):
-                lo, hi = isub(*sh, *imul(*grad[i], *og[j]))
-                lo, hi = isub(lo, hi, *imul(*grad[j], *og[i]))
-                lo, hi = isub(lo, hi, *imul(*value, *oh))
-                hess.append(idiv(lo, hi, *ov))
+                acc = isub(sh, imul(grad[i], og[j]))
+                acc = isub(acc, imul(grad[j], og[i]))
+                acc = isub(acc, imul(value, oh))
+                hess.append(idiv(acc, ov))
         return _checked(value, grad, hess)
 
     def __rtruediv__(self, other):
@@ -343,11 +343,11 @@ class Jet:
         d2 = g''(v); an order-1 jet never reads d2."""
         imul, iadd = _k.imul, _k.iadd
         sg = self.grad_pairs
-        grad = [imul(*d1, *g) for g in sg]
+        grad = [imul(d1, g) for g in sg]
         hess = None
         if self.hess_pairs is not None:
             hess = [
-                iadd(*imul(*imul(*d2, *sg[i]), *sg[j]), *imul(*d1, *h))
+                iadd(imul(imul(d2, sg[i]), sg[j]), imul(d1, h))
                 for (i, j), h in zip(_tri(self.n), self.hess_pairs)
             ]
         return _checked(value, grad, hess)
@@ -356,15 +356,15 @@ class Jet:
         imul, iadd = _k.imul, _k.iadd
         v = self.value_pair
         sg = self.grad_pairs
-        two_v = imul(2.0, 2.0, *v)
-        grad = [imul(*two_v, *g) for g in sg]
+        two_v = imul((2.0, 2.0), v)
+        grad = [imul(two_v, g) for g in sg]
         hess = None
         if self.hess_pairs is not None:
             hess = [
-                imul(2.0, 2.0, *iadd(*imul(*sg[i], *sg[j]), *imul(*v, *h)))
+                imul((2.0, 2.0), iadd(imul(sg[i], sg[j]), imul(v, h)))
                 for (i, j), h in zip(_tri(self.n), self.hess_pairs)
             ]
-        return _checked(_k.isqr(*v), grad, hess)
+        return _checked(_k.isqr(v), grad, hess)
 
     def sqrt(self):
         if self.value_pair[0] <= 0.0:
@@ -374,7 +374,7 @@ class Jet:
         d1 = _div((0.5, 0.5), s)
         d2 = None
         if self.hess_pairs is not None:
-            d2 = _div((-0.25, -0.25), _k.imul(*s, *self.value_pair))
+            d2 = _div((-0.25, -0.25), _k.imul(s, self.value_pair))
         return self._chain(s, d1, d2)
 
 

@@ -48,21 +48,22 @@ def interval_cholesky_min_pivot(a):
     min_pivot = None
     for j in range(n):
         low_j = low[j]
-        lo, hi = rows[j][j]
+        pivot = rows[j][j]
         for k in range(j):
-            lo, hi = isub(lo, hi, *isqr(*low_j[k]))
-        check_pairs(((lo, hi),))
+            pivot = isub(pivot, isqr(low_j[k]))
+        check_pairs((pivot,))
+        lo = pivot[0]
         if lo <= 0.0:
             return None
         if min_pivot is None or lo < min_pivot:
             min_pivot = lo
-        ljj = _k.isqrt(lo, hi)
+        ljj = _k.isqrt(pivot)
         for i in range(j + 1, n):
             low_i = low[i]
-            s_lo, s_hi = rows[i][j]
+            s = rows[i][j]
             for k in range(j):
-                s_lo, s_hi = isub(s_lo, s_hi, *imul(*low_i[k], *low_j[k]))
-            low_i[j] = check_pairs((idiv(s_lo, s_hi, *ljj),))[0]
+                s = isub(s, imul(low_i[k], low_j[k]))
+            low_i[j] = check_pairs((idiv(s, ljj),))[0]
     return min_pivot
 
 
@@ -74,7 +75,7 @@ def rump_per_vertex(a):
     for z in vertex_signs(n):
         # enclosures of the exact reals c_ij - z_i z_j r_ij
         rows = [
-            [_k.isub(c_ij, c_ij, zz * r_ij, zz * r_ij)
+            [_k.isub((c_ij, c_ij), (zz * r_ij, zz * r_ij))
              for c_ij, r_ij, zz in zip(c_i, r_i, (z_i * z_j for z_j in z))]
             for c_i, r_i, z_i in zip(c, r, z)
         ]

@@ -553,7 +553,7 @@ class TestSubBoxTables:
             for box in boxes:
                 mids = [pair_mid(*z) for z in box.pairs]
                 assert pairs_hex(box.mid) == pairs_hex((m, m) for m in mids)
-                delta = [kernels.isub(*z, m, m) for z, m in zip(box.pairs, mids)]
+                delta = [kernels.isub(z, (m, m)) for z, m in zip(box.pairs, mids)]
                 (terms,) = nonzero_pattern((delta,))
                 assert [k for k, _ in box.delta_terms] == [k for k, _ in terms]
                 assert pairs_hex(p for _, p in box.delta_terms) == pairs_hex(

@@ -1,14 +1,21 @@
 """Directed-rounding kernel correctness."""
 
+import ast
+import contextlib
+import inspect
+import io
 import math
+import os
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import tangency
-from tangency import kernels
+from tangency import hset, kernels
+from tangency.cli import main
 from tangency.interval import _sin_bounds
 from conftest import random_float
 
@@ -122,16 +129,20 @@ def _random_pair(rng, infinite=False):
     return lo, hi
 
 
-def _iadd_full(al, ah, bl, bh):
-    return kernels.add_down(al, bl), kernels.add_up(ah, bh)
+# The full-path references: the scalar kernels on (lo, hi) pairs.
 
 
-def _isub_full(al, ah, bl, bh):
-    return kernels.add_down(al, -bh), kernels.add_up(ah, -bl)
+def _iadd_full(a, b):
+    return kernels.add_down(a[0], b[0]), kernels.add_up(a[1], b[1])
 
 
-def _imul_full(al, ah, bl, bh):
+def _isub_full(a, b):
+    return kernels.add_down(a[0], -b[1]), kernels.add_up(a[1], -b[0])
+
+
+def _imul_full(a, b):
     # imul's sign-case analysis, without its exact-zero return.
+    (al, ah), (bl, bh) = a, b
     down, up = kernels.mul_down, kernels.mul_up
     if al >= 0.0:
         if bl >= 0.0:
@@ -154,7 +165,8 @@ def _imul_full(al, ah, bl, bh):
     return (lo1 if lo1 <= lo2 else lo2), (hi1 if hi1 >= hi2 else hi2)
 
 
-def _idiv_full(al, ah, bl, bh):
+def _idiv_full(a, b):
+    (al, ah), (bl, bh) = a, b
     if bl > 0.0:
         return (kernels.div_down(al, bh if al >= 0.0 else bl),
                 kernels.div_up(ah, bl if ah >= 0.0 else bh))
@@ -175,15 +187,15 @@ class TestExactZeroShortCircuit:
         for z in ZERO_PAIRS:
             for b in list(ZERO_PAIRS) + others:
                 for kernel, full in ((kernels.iadd, _iadd_full), (kernels.isub, _isub_full)):
-                    assert _hex(kernel(*z, *b)) == _hex(full(*z, *b)), (kernel, z, b)
-                    assert _hex(kernel(*b, *z)) == _hex(full(*b, *z)), (kernel, b, z)
+                    assert _hex(kernel(z, b)) == _hex(full(z, b)), (kernel, z, b)
+                    assert _hex(kernel(b, z)) == _hex(full(b, z)), (kernel, b, z)
 
     def test_products_match_the_full_path(self, rng):
         others = [_random_pair(rng) for _ in range(3000)]
         for z in ZERO_PAIRS:
             for b in list(ZERO_PAIRS) + others:
-                assert _hex(kernels.imul(*z, *b)) == _hex(_imul_full(*z, *b)) == _hex((0.0, 0.0))
-                assert _hex(kernels.imul(*b, *z)) == _hex(_imul_full(*b, *z)) == _hex((0.0, 0.0))
+                assert _hex(kernels.imul(z, b)) == _hex(_imul_full(z, b)) == _hex((0.0, 0.0))
+                assert _hex(kernels.imul(b, z)) == _hex(_imul_full(b, z)) == _hex((0.0, 0.0))
 
     def test_zero_numerator_quotients_match_the_full_path(self, rng):
         dens = [_random_pair(rng, infinite=True) for _ in range(3000)]
@@ -191,27 +203,27 @@ class TestExactZeroShortCircuit:
         assert len(dens) > 1000
         for z in ZERO_PAIRS:
             for b in dens:
-                assert _hex(kernels.idiv(*z, *b)) == _hex(_idiv_full(*z, *b)) == _hex((0.0, 0.0))
+                assert _hex(kernels.idiv(z, b)) == _hex(_idiv_full(z, b)) == _hex((0.0, 0.0))
 
     def test_nonzero_operands_take_the_full_path(self, rng):
         for _ in range(3000):
             a, b = _random_pair(rng), _random_pair(rng)
             if not (a[0] or a[1]) or not (b[0] or b[1]):
                 continue
-            assert _hex(kernels.iadd(*a, *b)) == _hex(_iadd_full(*a, *b))
-            assert _hex(kernels.isub(*a, *b)) == _hex(_isub_full(*a, *b))
-            assert _hex(kernels.imul(*a, *b)) == _hex(_imul_full(*a, *b))
+            assert _hex(kernels.iadd(a, b)) == _hex(_iadd_full(a, b))
+            assert _hex(kernels.isub(a, b)) == _hex(_isub_full(a, b))
+            assert _hex(kernels.imul(a, b)) == _hex(_imul_full(a, b))
             if b[0] > 0.0 or b[1] < 0.0:
-                assert _hex(kernels.idiv(*a, *b)) == _hex(_idiv_full(*a, *b))
+                assert _hex(kernels.idiv(a, b)) == _hex(_idiv_full(a, b))
 
     def test_zero_times_an_infinite_bound_is_exact(self):
         # The one behaviour change: the directed path gives NaN for 0 * inf;
         # the short circuit gives the exact product (0.0, 0.0).
         for b in ((1.0, math.inf), (-math.inf, -1.0), (-math.inf, math.inf)):
             for z in ZERO_PAIRS:
-                assert any(math.isnan(x) for x in _imul_full(*z, *b))
-                assert _hex(kernels.imul(*z, *b)) == _hex((0.0, 0.0))
-                assert _hex(kernels.imul(*b, *z)) == _hex((0.0, 0.0))
+                assert any(math.isnan(x) for x in _imul_full(z, b))
+                assert _hex(kernels.imul(z, b)) == _hex((0.0, 0.0))
+                assert _hex(kernels.imul(b, z)) == _hex((0.0, 0.0))
 
 
 # -- correct rounding against exact rationals ---------------------------------
@@ -326,7 +338,7 @@ class TestCorrectRounding:
         calls = []
         for x in xs:
             calls += [lambda x=x: kernels.sqrt_down(x), lambda x=x: kernels.sqrt_up(x),
-                      lambda x=x: kernels.isqrt(x, x)]
+                      lambda x=x: kernels.isqrt((x, x))]
         results = _run(inside, calls)
         for x, lo, hi, pair in zip(xs, results[::3], results[1::3], results[2::3]):
             assert lo == _sqrt_rd(x) and hi == _sqrt_ru(x), (x, lo, hi)
@@ -346,14 +358,14 @@ class TestCorrectRounding:
             sq = [x * x for x in fa]
             sq_lo = 0 if fa[0] <= 0 <= fa[1] else min(sq)
             cases.append(("isqr", sq_lo, max(sq)))
-            calls += [lambda a=a, b=b: kernels.iadd(*a, *b),
-                      lambda a=a, b=b: kernels.isub(*a, *b),
-                      lambda a=a, b=b: kernels.imul(*a, *b),
-                      lambda a=a: kernels.isqr(*a)]
+            calls += [lambda a=a, b=b: kernels.iadd(a, b),
+                      lambda a=a, b=b: kernels.isub(a, b),
+                      lambda a=a, b=b: kernels.imul(a, b),
+                      lambda a=a: kernels.isqr(a)]
             if b[0] > 0.0 or b[1] < 0.0:
                 quots = [x / y for x in fa for y in fb]
                 cases.append(("idiv", min(quots), max(quots)))
-                calls.append(lambda a=a, b=b: kernels.idiv(*a, *b))
+                calls.append(lambda a=a, b=b: kernels.idiv(a, b))
         for (name, lo_exact, hi_exact), (lo, hi) in zip(cases, _run(inside, calls)):
             assert (lo, hi) == (_rd(lo_exact), _ru(hi_exact)), (name, lo, hi)
             assert _is_plus_zero_or_nonzero(lo), name
@@ -400,3 +412,108 @@ def test_elementary_functions_are_the_same_bits_in_and_out_of_a_block(rng):
     with kernels.upward():
         inside = evaluate()
     assert inside == outside
+
+
+# -- the pair convention ------------------------------------------------------
+
+BINARY_KERNELS = ("iadd", "isub", "imul", "idiv")
+UNARY_KERNELS = ("isqr", "isqrt")
+INTERVAL_KERNELS = BINARY_KERNELS + UNARY_KERNELS
+
+
+def _kernel_aliases(tree):
+    """The names bound in tree to an interval kernel (``imul = _k.imul``,
+    ``imul, iadd = _k.imul, _k.iadd``), each mapped to the kernel's name;
+    every kernel's own name included."""
+    aliases = {name: name for name in INTERVAL_KERNELS}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        value = node.value
+        for target in node.targets:
+            pairs = [(target, value)]
+            if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple):
+                pairs = zip(target.elts, value.elts)
+            for t, v in pairs:
+                if (isinstance(t, ast.Name) and isinstance(v, ast.Attribute)
+                        and v.attr in INTERVAL_KERNELS):
+                    aliases[t.id] = v.attr
+    return aliases
+
+
+def _kernel_calls(path):
+    """(line, kernel name, call node) of every interval-kernel call in the
+    source file path, called as ``<module>.name`` or through a local
+    alias."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = _kernel_aliases(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in INTERVAL_KERNELS:
+            yield node.lineno, func.attr, node
+        elif isinstance(func, ast.Name) and func.id in aliases:
+            yield node.lineno, aliases[func.id], node
+
+
+class TestPairConvention:
+    """The interval kernels take and return (lo, hi) pairs, and no source
+    file star-unpacks a pair into one."""
+
+    def test_kernels_take_pairs(self):
+        for name in BINARY_KERNELS:
+            assert len(inspect.signature(getattr(kernels, name)).parameters) == 2, name
+        for name in UNARY_KERNELS:
+            assert len(inspect.signature(getattr(kernels, name)).parameters) == 1, name
+
+    def test_no_starred_argument_reaches_a_kernel(self):
+        package = Path(tangency.__file__).parent
+        starred, seen = [], {}
+        for path in sorted(package.glob("*.py")):
+            for line, name, call in _kernel_calls(path):
+                seen[name] = seen.get(name, 0) + 1
+                arity = 2 if name in BINARY_KERNELS else 1
+                if (any(isinstance(a, ast.Starred) for a in call.args)
+                        or len(call.args) != arity or call.keywords):
+                    starred.append(f"{path.name}:{line} {name}")
+        assert starred == []
+        # The scan sees the proof path's calls: every kernel, many times.
+        assert set(seen) == set(INTERVAL_KERNELS)
+        assert sum(seen.values()) > 80
+
+
+# Per-kernel call counts of one CLI call, the subbox tables built afresh
+# (their lru caches cleared), so that each call builds them as the first
+# call of a process does.  A rewrite of the call sites keeps them exactly.
+PROOF_KERNEL_CALLS = {
+    "prove-henon": (["prove", "henon"], {
+        "add_down": 32, "sub_down": 100, "sub_up": 414,
+        "iadd": 4103, "isub": 2105, "imul": 5444, "idiv": 1514, "isqr": 730, "isqrt": 127,
+    }),
+    "check-toy": (["check-toy"], {
+        "add_down": 20, "sub_down": 60, "sub_up": 192,
+        "iadd": 1229, "isub": 542, "imul": 1792, "idiv": 598, "isqr": 67, "isqrt": 29,
+    }),
+}
+
+COUNTED_KERNELS = (
+    "add_down", "add_up", "sub_down", "sub_up", "mul_down", "mul_up",
+    "div_down", "div_up", "sqrt_down", "sqrt_up",
+) + INTERVAL_KERNELS
+
+
+@pytest.mark.parametrize("case", sorted(PROOF_KERNEL_CALLS))
+def test_proof_kernel_call_counts(monkeypatch, tmp_path, case):
+    argv, expected = PROOF_KERNEL_CALLS[case]
+    counts = dict.fromkeys(COUNTED_KERNELS, 0)
+    for name in COUNTED_KERNELS:
+        def counting(*args, _name=name, _f=getattr(kernels, name)):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(kernels, name, counting)
+    for table in (hset._cuts, hset._walls, hset._subboxes):
+        table.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--report", os.fspath(tmp_path / "r.json")]) == 0
+    assert {k: v for k, v in counts.items() if v} == expected

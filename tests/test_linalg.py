@@ -340,10 +340,10 @@ def _random_entry(rng):
 
 def _fold(row, col):
     """The unskipped iadd(..., imul(...)) fold of one dot product."""
-    lo = hi = 0.0
+    acc = (0.0, 0.0)
     for a, b in zip(row, col):
-        lo, hi = _k.iadd(lo, hi, *_k.imul(*a, *b))
-    return lo, hi
+        acc = _k.iadd(acc, _k.imul(a, b))
+    return acc
 
 
 class TestZeroSkipping:

@@ -269,7 +269,7 @@ def test_a_proof_takes_no_per_call_fallback(monkeypatch, tmp_path):
         return fallback(kernel, *args)
 
     monkeypatch.setattr(kernels, "_upward_call", counted)
-    kernels.imul(1.0, 1.0, 3.0, 3.0)  # outside a block: counted
+    kernels.imul((1.0, 1.0), (3.0, 3.0))  # outside a block: counted
     assert calls == ["imul"]
     calls.clear()
     run_proof()

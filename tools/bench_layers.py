@@ -2,7 +2,7 @@
 """Layer and end-to-end timings of source trees, as one JSON document.
 
     python tools/bench_layers.py --tree parent=../parent/src --tree change=src \\
-        --runs 9 > BENCH_33.json
+        --runs 9 > BENCH_38.json
 
 Each run starts a fresh interpreter per tree, with the tree first on
 ``sys.path``; the trees alternate which goes first from one run to the next.
@@ -45,9 +45,25 @@ collections of generation 0 and of generation 2 run during 100
 calls, per 100 and per 1000 calls.  ``covering.subbox_us`` is the sub-box
 evaluations of one grid-1 proof: every ``covering._image_normalized`` call
 that ``run_proof()`` makes (its arguments recorded once by wrapping it),
-replayed in order in an upward block.  A layer is timed only where
-the tree has what it calls; where it does not (an ImportError or
+replayed in order in an upward block.  ``kernels.acc_term_ns`` is one
+dot-product term, ``acc = iadd(acc, imul(a, b))``, in an upward block, the
+mean of a ``--calls * 50``-term loop: on (lo, hi) pairs where the tree's
+``imul`` takes two parameters, and star-unpacked into four floats, as
+``iadd(*acc, *imul(*a, *b))``, where it takes four.  A layer is timed only
+where the tree has what it calls; where it does not (an ImportError or
 AttributeError while the layer is set up), the tree's value is null.
+
+Each run also times fresh interpreters, each value the minimum over
+``--repeat`` of them, started one after another:
+``cli_process_ms.prove_henon``, ``.prove_henon_grid2`` and ``.check_toy``
+are one CLI call each, as the ``tangency`` script makes it, and
+``import_ms`` is ``import tangency.cli`` less ``python -c pass``.  Each is
+taken twice: ``.pyc``, with the bytecode cache that one untimed call of
+each wrote under a temporary ``PYTHONPYCACHEPREFIX``, and ``.no_pyc``,
+with ``PYTHONDONTWRITEBYTECODE`` set, so that every call compiles the
+package.  Both run a copy of the package made, without its
+``__pycache__``, in a temporary directory, so the tree measured stays
+clean.
 
 The document holds, per tree and measurement, ``min``, the minimum over all
 runs, and the ``median`` and ``spread``, the interquartile range over the
@@ -73,15 +89,18 @@ import argparse
 import contextlib
 import gc
 import importlib
+import inspect
 import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
 import time
+import timeit
 from functools import partial
 
 
@@ -180,6 +199,68 @@ def _subboxes(calls):
     return run
 
 
+def _acc_term_timer():
+    """A timeit.Timer of one dot-product term, acc = iadd(acc, imul(a, b)),
+    in the convention of the tree's kernels: (lo, hi) pairs where imul
+    takes two parameters, four floats, star-unpacked, where it takes four.
+    Built outside any upward block, since it compiles its source."""
+    from tangency import kernels
+
+    pairs = len(inspect.signature(kernels.imul).parameters) == 2
+    stmt = "acc = iadd(acc, imul(a, b))" if pairs else "acc = iadd(*acc, *imul(*a, *b))"
+    return timeit.Timer(stmt, setup=(
+        "from tangency.kernels import iadd, imul\n"
+        "a, b, acc = (1.5, 2.5), (-0.25, 0.75), (0.0, 0.0)"))
+
+
+_CLI = "import sys; from tangency.cli import main; sys.exit(main(sys.argv[1:]))"
+_PROCESS_CALLS = (
+    ("pass", ["-c", "pass"]),
+    ("import", ["-c", "import tangency.cli"]),
+    ("prove_henon", ["-c", _CLI, "prove", "henon"]),
+    ("prove_henon_grid2", ["-c", _CLI, "prove", "henon", "--grid", "2"]),
+    ("check_toy", ["-c", _CLI, "check-toy"]),
+)
+
+
+def _process_call(args, env, cwd):
+    """The wall time in ms of one fresh interpreter running args."""
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable] + args, env=env, cwd=cwd, check=True,
+                   stdout=subprocess.DEVNULL)
+    return (time.perf_counter() - t0) * 1e3
+
+
+def _process_ms(processes):
+    """``cli_process_ms.<call>.<cache>`` and ``import_ms.<cache>``, in ms,
+    each the minimum over processes fresh interpreters (module docstring),
+    run on a copy of the package in a temporary directory."""
+    import tangency
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "src")
+        shutil.copytree(os.path.dirname(tangency.__file__), os.path.join(src, "tangency"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        base = {k: v for k, v in os.environ.items()
+                if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+        envs = {"pyc": dict(base, PYTHONPATH=src,
+                            PYTHONPYCACHEPREFIX=os.path.join(tmp, "pycache")),
+                "no_pyc": dict(base, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")}
+        for cache, env in envs.items():
+            if cache == "pyc":
+                for _, args in _PROCESS_CALLS:
+                    _process_call(args, env, tmp)
+            best = {}
+            for _ in range(processes):
+                for name, args in _PROCESS_CALLS:
+                    best[name] = min(_process_call(args, env, tmp), best.get(name, float("inf")))
+            out[f"import_ms.{cache}"] = best["import"] - best["pass"]
+            for name, _ in _PROCESS_CALLS[2:]:
+                out[f"cli_process_ms.{name}.{cache}"] = best[name]
+    return out
+
+
 def _resolve(module, name):
     """tangency.<module>.<name>; ImportError or AttributeError if the tree
     does not have it."""
@@ -272,7 +353,10 @@ def _one_run(calls, repeat):
 
     out = {}
     subbox_calls = _subbox_calls()
+    acc_term = _acc_term_timer()
+    terms = calls * 50
     with upward():
+        out["kernels.acc_term_ns"] = _best(partial(acc_term.timeit, terms), repeat) / terms * 1e9
         out["covering.subbox_us"] = _best(_subboxes(subbox_calls), repeat) * 1e6
         for key, setup, number in _layers(calls):
             try:
@@ -304,6 +388,7 @@ def _one_run(calls, repeat):
                 times[f"run_proof.grid{grid}.{stage}_s"] = seconds
             for key, seconds in times.items():
                 out[key] = min(seconds, out.get(key, seconds))
+    out.update(_process_ms(repeat))
     return out
 
 
