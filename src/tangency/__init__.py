@@ -27,7 +27,7 @@ from tangency.cones import (
 from tangency.hset import Frame, HSet, QuadraticForm
 from tangency.interval import Interval, IntervalError
 from tangency.kernels import BACKEND
-from tangency.linalg import IntervalMatrix, IntervalVector, inverse_enclosure
+from tangency.linalg import inverse_enclosure
 from tangency.manifold import DiskCertificate, verify_disk
 from tangency.projective import ChartError, ChartMap
 
@@ -45,8 +45,6 @@ __all__ = [
     "HSet",
     "Interval",
     "IntervalError",
-    "IntervalMatrix",
-    "IntervalVector",
     "QuadraticForm",
     "VerificationInconclusive",
     "check_chain",

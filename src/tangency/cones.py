@@ -21,10 +21,14 @@ is a reference cycle, and would leave each test's working data to the
 cyclic garbage collector.  A test's data is freed by reference counting
 when it returns or raises.
 
-Where pairs are checked: cone_matrix builds V on (lo, hi) pairs and checks
-D^T Q_M and V once each, the product between them being a checked
-IntervalMatrix.mat_mul; the Cholesky run checks each pivot and factor entry
-before it enters a product.
+Every matrix here is rows of (lo, hi) pairs.  Where pairs are checked:
+the public entry points check the shape and pairs of the matrices they are
+handed (linalg.checked_rows); cone_matrix builds V on pairs, D^T Q_M and D
+being checked as they enter their product, linalg.mat_mul, which checks
+that product, and V once, after the halving; the Cholesky run checks each
+pivot and factor entry before it enters a product.  The tests' oracle of V
+is the same expression in the interval matrix objects of
+tests/linalg_oracle.py.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from itertools import product
 from tangency import kernels as _k
 from tangency.covering import VerificationInconclusive, certify_each
 from tangency.interval import IntervalError, as_pair, check_pairs, pair_mid
-from tangency.linalg import IntervalMatrix, _wrap
+from tangency.linalg import checked_rows, mat_mul
 
 
 @dataclass(frozen=True)
@@ -59,27 +63,28 @@ class RumpResult:
 @dataclass(frozen=True)
 class ConeCertificate:
     link: str
-    matrix: IntervalMatrix = field(compare=False)
+    matrix: tuple = field(compare=False)  # V, rows of (lo, hi) pairs
     rump: RumpResult = field(compare=False)
 
     def to_dict(self):
         return {
             "type": "cone",
             "link": self.link,
-            "V": [[list(e) for e in row] for row in self.matrix.pairs],
+            "V": [[list(e) for e in row] for row in self.matrix],
             "rump": self.rump.to_dict(),
         }
 
 
 def midrad_split(a):
-    """Symmetric midpoint/radius split with outward rounding: the returned
-    (C, R) satisfy a[i][j] within [C - R, C + R] entrywise."""
-    n = a.nrows
+    """Symmetric midpoint/radius split with outward rounding of the square
+    matrix a, rows of (lo, hi) pairs: the returned (C, R) satisfy a[i][j]
+    within [C - R, C + R] entrywise."""
+    n = len(a)
     c = [[0.0] * n for _ in range(n)]
     r = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            lo, hi = a.pairs[i][j]
+            lo, hi = a[i][j]
             m = pair_mid(lo, hi)
             rad = max(_k.sub_up(hi, m), _k.sub_up(m, lo))
             c[i][j] = c[j][i] = m
@@ -93,12 +98,13 @@ def vertex_signs(n):
 
 
 def rump_positive_definite(a):
-    """Decide positive definiteness of a symmetric interval matrix.
+    """Decide positive definiteness of a symmetric interval matrix, rows of
+    (lo, hi) pairs.
 
     True iff every vertex matrix passes the rigorous Cholesky; False means
     inconclusive/indefinite, never a disproof of the original enclosure.
-    A matrix that is not square or whose pairs are not exactly symmetric is
-    an error: the test reads only the lower triangle.
+    A matrix that is empty, ragged or not square, or whose pairs are not
+    exactly symmetric, is an error: the test reads only the lower triangle.
 
     One interval Cholesky runs over the tree of sign prefixes, since column
     j of vertex z depends only on z_1..z_j and, in row i, on z_i: each pivot
@@ -114,9 +120,9 @@ def rump_positive_definite(a):
     factor is kept as (lo, hi) pairs; each pivot and factor entry is
     checked like an Interval before it enters a product.
     """
-    n = a.nrows
-    rows = a.pairs
-    if a.ncols != n:
+    rows = checked_rows(a)
+    n = len(rows)
+    if len(rows[0]) != n:
         raise IntervalError("positive definiteness requires a square matrix")
     for i in range(n):
         for j in range(i):
@@ -125,7 +131,7 @@ def rump_positive_definite(a):
                     f"positive definiteness requires a symmetric matrix: "
                     f"entries ({i}, {j}) and ({j}, {i}) differ"
                 )
-    c, r = midrad_split(a)
+    c, r = midrad_split(rows)
     isub = _k.isub
     # enclosures of the exact reals c_ij - s r_ij: s = +1 on the diagonal;
     # below it one pair per sign, indexed by s < 0
@@ -199,38 +205,37 @@ def _cholesky_column(tree, z, low_j, below, min_pivot):
 def cone_matrix(d_loc, q_src, q_tgt, inflate_src=1.0):
     """V = D^T Q_M D - c Q_N, symmetrized.
 
-    d_loc must enclose the local-frame derivative over all of the source
-    set, as a covering certificate's local_jacobian does; inflate_src is c
-    (used as 1 + eps by the manifold constants).  D is d_loc's first
-    q_src.n columns: a disk's local_jacobian carries the parameter column
-    after them, which V does not read.  A d_loc with fewer columns is an
-    error.
+    d_loc, rows of (lo, hi) pairs, must enclose the local-frame derivative
+    over all of the source set, as a covering certificate's local_jacobian
+    does; inflate_src is c (used as 1 + eps by the manifold constants).  D
+    is d_loc's first q_src.n columns: a disk's local_jacobian carries the
+    parameter column after them, which V does not read.  An empty or ragged
+    d_loc, or one with other than q_tgt.n rows or fewer than q_src.n
+    columns, is an error.
 
     The forms are diagonal: D^T Q_M is D^T with its columns scaled by the
     coefficients of Q_M, and c Q_N changes the diagonal only.  Every entry
     takes the kernel calls of symmetrize(D^T.mat_mul(Q_M).mat_mul(D) - c Q_N)
-    in IntervalMatrix operations, the tests' oracle, except those with an
-    exact-zero operand, which change no bit here (no bound of a product, and
-    no lower bound of D^T Q_M D, is -0.0): V is that expression's bits.
-    D^T Q_M is checked before it enters (D^T Q_M) D, one mat_mul, which
-    checks its product; V's entries are checked once, after the halving,
-    which keeps a non-finite bound non-finite.
+    in the interval matrix operations of the tests' oracle, except those
+    with an exact-zero operand, which change no bit here (no bound of a
+    product, and no lower bound of D^T Q_M D, is -0.0): V is that
+    expression's bits.  D^T Q_M is checked as it enters (D^T Q_M) D, one
+    mat_mul, which checks its product; V's entries are checked once, after
+    the halving, which keeps a non-finite bound non-finite.
     """
     n = q_src.n
     q = q_tgt.coeffs
-    if d_loc.nrows != len(q):
+    d_loc = checked_rows(d_loc)
+    if len(d_loc) != len(q):
         raise IntervalError("shape mismatch in matrix product")
-    if d_loc.ncols < n:
+    if len(d_loc[0]) < n:
         raise IntervalError("shape mismatch")
-    d = tuple([row[:n] for row in d_loc.pairs])
+    d = tuple([row[:n] for row in d_loc])
     imul, iadd, isub = _k.imul, _k.iadd, _k.isub
     dtq = tuple(
         tuple([imul(d[k][i], (q_k, q_k)) for k, q_k in enumerate(q)]) for i in range(n)
     )
-    for row in dtq:
-        check_pairs(row)
-    dtqd = _wrap(IntervalMatrix, dtq).mat_mul(_wrap(IntervalMatrix, d))
-    w = [list(row) for row in dtqd.pairs]
+    w = [list(row) for row in mat_mul(dtq, d)]
     c = as_pair(inflate_src)
     for i, q_i in enumerate(q_src.coeffs):
         cq = (q_i, q_i) if inflate_src == 1.0 else imul(c, (q_i, q_i))
@@ -240,10 +245,10 @@ def cone_matrix(d_loc, q_src, q_tgt, inflate_src=1.0):
         for i in range(n)
     ]
     check_pairs([e for row in lower for e in row])
-    return _wrap(IntervalMatrix, tuple(
+    return tuple(
         tuple([lower[i][j] if j <= i else lower[j][i] for j in range(n)])
         for i in range(n)
-    ))
+    )
 
 
 def check_cone_link(covering, q_src, q_tgt):

@@ -28,10 +28,12 @@ boxes, tuples of checked (lo, hi) pairs, and increasing output indices
 A map returns exactly the entries and rows asked for; ``outputs=None``
 means every output (projective.ChartMap is such a map).  A box is
 checked where it is built (hset.HSet.from_normalized), a map checks the
-pairs it computes, and the checker checks the counts a map returns; no
-vector or matrix object is built per sub-box.  Every sub-box is
-evaluated once, by _image_normalized on the target rows it is read on: its
-thin midpoint image and its enclosure, both on those rows only.  The
+pairs it computes, and the checker checks the counts a map returns.
+Everything from the sub-boxes to the certificate, its local_jacobian
+included, is (lo, hi) pairs, and no interval object is built on the way.
+Every sub-box is evaluated once, by _image_normalized on the target rows
+it is read on: its thin midpoint image and its enclosure, both on those
+rows only.  The
 interior sub-boxes are read on every row and evaluated first.  The pairing
 of the unstable axes, unless given, is then read off the hull of their
 local-frame Jacobians (detect_correspondence): a search on certified data
@@ -57,7 +59,6 @@ from itertools import permutations
 
 from tangency import kernels as _k
 from tangency.interval import Interval, IntervalError, check_pairs, pair_mid
-from tangency.linalg import IntervalMatrix, _wrap
 
 
 class _LocatedError(Exception):
@@ -92,12 +93,12 @@ class CoveringCertificate:
     grid: int
     exit_margins: dict = field(compare=False)  # (axis, side) -> float
     entry_margin: float
-    # DF over the source in the un-normalized local frames (see
-    # hset.local_derivative): M_tgt^-1 DF M_src in the first n columns,
-    # M_tgt^-1 times any further (parameter) columns of DF, hulled over the
-    # entry check's sub-boxes.  The cone checks and the disk constants read
-    # it.  Not serialized.
-    local_jacobian: IntervalMatrix = field(compare=False, repr=False)
+    # DF over the source in the un-normalized local frames, as rows of
+    # (lo, hi) pairs: M_tgt^-1 DF M_src in the first n columns, M_tgt^-1
+    # times any further (parameter) columns of DF, hulled over the entry
+    # check's sub-boxes.  The cone checks and the disk constants read it.
+    # Not serialized.
+    local_jacobian: tuple = field(compare=False, repr=False)
 
     def min_exit_margin(self):
         return min(self.exit_margins.values())
@@ -120,17 +121,17 @@ class CoveringCertificate:
 def _image_normalized(src, tgt, fmap, zbox, read):
     """Normalized-coordinate image enclosure of a normalized sub-box on the
     rows of read (a tgt.rows_read), as a dict axis -> (lo, hi), and those
-    rows of the local-frame derivative (hset.local_derivative) over it, as a
-    tuple of rows of (lo, hi) pairs.  Everything between the map's returns
-    runs on pairs in one pass, in loops written out over the nonzero
-    patterns of read and of src's frame: the thin and hull images are
-    normalized together, then each row's local-frame row, scaled row and
-    mean-value entry are computed in one loop.  Each vector or row is
+    rows of the local-frame derivative over it (what the certificate's
+    local_jacobian hulls), as a tuple of rows of (lo, hi) pairs.  Everything
+    between the map's returns runs on pairs in one pass, in loops written
+    out over the nonzero patterns of read and of src's frame: the thin and
+    hull images are normalized together, then each row's local-frame row,
+    scaled row and mean-value entry are computed in one loop.  Each vector or row is
     checked once, before it enters a product or is returned, and every
     check runs before the two images are intersected.  The terms are those
-    of the IntervalVector/IntervalMatrix products, in their order, so the
-    results are theirs bit for bit (hset.to_normalized and
-    hset.local_derivative are those products).
+    of the interval vector and matrix products of the tests' oracle
+    (tests/linalg_oracle.py), in their order, so the results are theirs bit
+    for bit.
 
     Evaluated in mean-value form,
 
@@ -147,10 +148,11 @@ def _image_normalized(src, tgt, fmap, zbox, read):
     reads only row j of M_tgt^-1, so the rows left out are never computed,
     and the rows computed are the same bits as in the full image.
 
-    zbox is a hset.SubBox: g(mid z) is fmap.apply on its thin ``mid``, and
-    z - mid z enters through its ``delta_terms``.  Those rows of M_tgt^-1
-    read only the ambient coordinates read.cols; every other column of them
-    is an exact zero, whose term the products skip.  So fmap is evaluated,
+    zbox is a sub-box (box, mid, delta_terms) of hset: g(mid z) is
+    fmap.apply on its thin midpoint mid, and z - mid z enters through its
+    delta_terms.  Those rows of M_tgt^-1 read only the ambient coordinates
+    read.cols; every other column of them is an exact zero, whose term the
+    products skip.  So fmap is evaluated,
     thin and enclosure alike, on the outputs read.cols only, and the rows
     computed keep every bit.  For the chart map this drops the image
     direction's slope on walls whose paired target row does not read it,
@@ -162,8 +164,9 @@ def _image_normalized(src, tgt, fmap, zbox, read):
     """
     isub, imul, idiv, iadd = _k.isub, _k.imul, _k.idiv, _k.iadd
     cols = read.cols
-    value = fmap.apply(src.from_normalized(zbox.mid), cols)
-    image, jac = fmap.derivative(src.from_normalized(zbox.pairs), cols)
+    box, mid, delta = zbox
+    value = fmap.apply(src.from_normalized(mid), cols)
+    image, jac = fmap.derivative(src.from_normalized(box), cols)
     if not len(value) == len(image) == len(jac) == len(cols):
         raise TypeError(
             f"{src.name}=>{tgt.name}: asked for the outputs {cols}, the map "
@@ -195,7 +198,7 @@ def _image_normalized(src, tgt, fmap, zbox, read):
     check_pairs(thin)
     check_pairs(hull)
     jac_cols = tuple(zip(*jac))
-    frame_cols, src_diam, delta = src.basis.cols, src.diam, zbox.delta_terms
+    frame_cols, src_diam = src.basis.cols, src.diam
     local = []
     mean_value = []
     for row, d_tgt, thin_j in zip(read.terms, read.diam, thin):
@@ -241,7 +244,7 @@ def _image_normalized(src, tgt, fmap, zbox, read):
                 f"{src.name}=>{tgt.name}",
                 f"mean-value image {Interval(m_lo, m_hi)!r} and hull image "
                 f"{Interval(h_lo, h_hi)!r} of axis {axis} are disjoint on "
-                f"sub-box {list(zbox)!r}",
+                f"sub-box {[Interval(lo, hi) for lo, hi in box]!r}",
             )
         out[axis] = (max(m_lo, h_lo), min(m_hi, h_hi))
     return out, tuple(local)
@@ -249,9 +252,8 @@ def _image_normalized(src, tgt, fmap, zbox, read):
 
 def detect_correspondence(src, tgt, local):
     """Deterministic unstable-axis pairing read off local, the hull of the
-    local-frame derivative (hset.local_derivative) over the source set, as
-    rows of (lo, hi) pairs, one per target axis: the certificate's
-    local_jacobian.
+    local-frame derivative over the source set, as rows of (lo, hi) pairs,
+    one per target axis: the certificate's local_jacobian.
 
     The score of source axis i and target axis j is s_ij, the midpoint of
     local[j][i] times src.diam[i] / tgt.diam[j]: the slope of the normalized
@@ -405,7 +407,7 @@ def check_covering(src, tgt, fmap, grid=1, correspondence=None):
         grid=grid,
         exit_margins=exit_margins,
         entry_margin=entry_margin,
-        local_jacobian=_wrap(IntervalMatrix, local_hull),
+        local_jacobian=local_hull,
     )
 
 

@@ -29,7 +29,7 @@ from tangency.covering import (
 )
 from tangency.hset import HSet, QuadraticForm, _check_grid
 from tangency.interval import Interval, IntervalError, as_pair, check_pairs
-from tangency.linalg import IntervalVector
+from tangency.linalg import norm_upper
 from tangency.manifold import verify_disk
 from tangency.projective import ChartMap
 
@@ -176,8 +176,9 @@ def eigen_data():
     """Rigorous eigen-system of DH_{a0} at the fixed point.
 
     Returns a dict with interval eigenvalues lam/mu, interval unit
-    eigenvectors u0/s0 (the s0 sign matches the reference seed convention:
-    second component negative), and their float midpoints.
+    eigenvectors u0/s0 as tuples of Intervals (the s0 sign matches the
+    reference seed convention: second component negative), and their float
+    midpoints.
     """
     with _k.upward():
         x0, _ = fixed_point()
@@ -186,9 +187,9 @@ def eigen_data():
         mu = -x0 - disc
         # Unstable direction (lam, 1)/|.|, stable -(mu, 1)/|.|
         un = (lam.sqr() + 1.0).sqrt()
-        u0 = IntervalVector([lam / un, Interval(1.0) / un])
+        u0 = (lam / un, Interval(1.0) / un)
         sn = (mu.sqr() + 1.0).sqrt()
-        s0 = IntervalVector([-(mu / sn), -(Interval(1.0) / sn)])
+        s0 = (-(mu / sn), -(Interval(1.0) / sn))
     return {
         "x0": x0,
         "lam": lam,
@@ -381,7 +382,7 @@ def projected_disk_data(chain, side):
     ntilde = HSet(f"Ntilde{idx}", big.center[:3], frame3, big.diam[:3], unstable3)
     qtilde = QuadraticForm(coeffs3, unstable3)
     with _k.upward():
-        param = big.box()[3]
+        param = Interval(*big.box()[3])
     return ntilde, qtilde, param, abs(FORM_ROWS[idx][3])
 
 
@@ -493,12 +494,12 @@ def seed_quality():
     a = as_pair(A0)
 
     (bx,), (by,) = inverse(as_pair(z1x), as_pair(z1y), a, 0)
-    back = IntervalVector([Interval(*bx) - x0, Interval(*by) - x0]).norm_upper()
+    back = norm_upper([as_pair(Interval(*bx) - x0), as_pair(Interval(*by) - x0)])
 
     fx, fy = as_pair(z1x), as_pair(z1y)
     for _ in range(14):
         (fx,), (fy,) = forward(fx, fy, a, 0)
-    forw = IntervalVector([Interval(*fx) - x0, Interval(*fy) - x0]).norm_upper()
+    forw = norm_upper([as_pair(Interval(*fx) - x0), as_pair(Interval(*fy) - x0)])
     return back, forw
 
 

@@ -17,31 +17,28 @@ with closed-form 2x2 blocks (adj/det) and exact zeros off the blocks of M
 exact point matrix.  Both live in a ``Frame``, built once per frame, the
 inverse in a kernels.upward() block: a set is built on a Frame that other
 sets may share (every set of a toy chain has the identity frame), or on the
-rows of M, which build a Frame of its own (every Henon set).  The center as
-a point interval vector is built once per set.
+rows of M, which build a Frame of its own (every Henon set).
 
 The frame changes a covering check makes per sub-box run on ``(lo, hi)``
-pairs, in loops written out over nonzero patterns built once, and build no
-vector or matrix object: ``from_normalized``, on the patterns of the
-frame's rows, built with the Frame, and covering._image_normalized's one
-pass onto a set of target rows, on the patterns of the source frame's
-columns and of a ``RowsRead`` (``HSet.rows_read``, one per link and row
-set): those rows of inv_coord, built once per Frame.  They take the terms
-of the IntervalVector/IntervalMatrix products, in their order, so the
-results are the same bits.  The public transforms, ``to_normalized``
-(through ``to_local``) and ``local_derivative``, are those products
-themselves: the oracle of the pair route.
+pairs, in loops written out over nonzero patterns built once:
+``from_normalized``, on the patterns of the frame's rows, built with the
+Frame, and covering._image_normalized's one pass onto a set of target rows,
+on the patterns of the source frame's columns and of a ``RowsRead``
+(``HSet.rows_read``, one per link and row set): those rows of inv_coord,
+built once per Frame.  They take the terms of the interval matrix products
+of the tests' oracle (``tests/linalg_oracle.py``), in their order, so the
+results are the same bits.
 
 Where pairs are checked: from_normalized checks the scaled offset before
 it enters a product and the ambient box it returns, once, where it is
-built; the box is handed to a map as it is.  ``box`` wraps that checked
-box in an IntervalVector without checking it again.
+built; the box is handed to a map as it is, and ``box`` is such a box.
 
 The sub-boxes a covering check visits, ``walls`` and ``subboxes``, depend
-only on the dimension and the grid: they are ``SubBox`` tuples built once
-per (n, axis, side, grid) and (n, grid), each with its thin midpoint and the
-nonzero terms of its offset from it, which the covering reads instead of
-computing them per link.
+only on the dimension and the grid: they are tuples of sub-boxes built once
+per (n, axis, side, grid) and (n, grid).  A sub-box is the triple ``(box,
+mid, delta_terms)``: its (lo, hi) pairs, its thin midpoint and the nonzero
+terms of its offset from it, which the covering reads instead of computing
+them per link.
 """
 
 from __future__ import annotations
@@ -51,14 +48,8 @@ from functools import lru_cache
 from itertools import product
 
 from tangency import kernels as _k
-from tangency.interval import Interval, IntervalError, check_pairs, pair_mid
-from tangency.linalg import (
-    IntervalMatrix,
-    IntervalVector,
-    _wrap,
-    inverse_enclosure,
-    nonzero_pattern,
-)
+from tangency.interval import IntervalError, check_pairs, pair_mid
+from tangency.linalg import inverse_enclosure, nonzero_pattern
 
 
 def _floats(values, what):
@@ -104,27 +95,19 @@ def _cuts(grid):
     return tuple((lo[0], hi[1]) for lo, hi in zip(ends, ends[1:]))
 
 
-class SubBox(IntervalVector):
-    """A normalized sub-box of a covering grid with what the covering reads
-    of it besides its pairs: ``mid``, its thin midpoint, (m, m) per entry
-    with m = pair_mid of the entry, and ``delta_terms``, the (k, pair)
-    entries of z - mid z, checked, that are not exact zeros."""
-
-    __slots__ = ("mid", "delta_terms")
-
-
 def _subbox(box):
-    """The SubBox of the (lo, hi) pairs box."""
-    sub = _wrap(SubBox, box)
+    """The sub-box (box, mid, delta_terms) of the (lo, hi) pairs box: mid is
+    its thin midpoint, (m, m) per entry with m = pair_mid of the entry, and
+    delta_terms the (k, pair) entries of z - mid z, checked, that are not
+    exact zeros."""
     mids = [pair_mid(*z) for z in box]
-    sub.mid = tuple([(m, m) for m in mids])
     delta = check_pairs([_k.isub(z, (m, m)) for z, m in zip(box, mids)])
-    (sub.delta_terms,) = nonzero_pattern((delta,))
-    return sub
+    (delta_terms,) = nonzero_pattern((delta,))
+    return box, tuple([(m, m) for m in mids]), delta_terms
 
 
 def _table(segments):
-    """The SubBoxes of the product of the per-axis segments, built in a
+    """The sub-boxes of the product of the per-axis segments, built in a
     kernels.upward() block, the mode the covering stage runs in, so that
     each midpoint is the float that stage would compute, whichever caller
     asks first."""
@@ -134,7 +117,7 @@ def _table(segments):
 
 @lru_cache(maxsize=None)
 def _walls(n, axis, side, grid):
-    """The SubBoxes of the face {z_axis = side} of [-1, 1]^n, grid segments
+    """The sub-boxes of the face {z_axis = side} of [-1, 1]^n, grid segments
     on each other axis.  Built once per (n, axis, side, grid)."""
     face = ((float(side), float(side)),)
     return _table([face if i == axis else _cuts(grid) for i in range(n)])
@@ -142,7 +125,7 @@ def _walls(n, axis, side, grid):
 
 @lru_cache(maxsize=None)
 def _subboxes(n, grid):
-    """The SubBoxes of [-1, 1]^n, grid segments per axis.  Built once per
+    """The sub-boxes of [-1, 1]^n, grid segments per axis.  Built once per
     (n, grid)."""
     return _table([_cuts(grid)] * n)
 
@@ -150,25 +133,25 @@ def _subboxes(n, grid):
 class Frame:
     """A coordinate matrix M and what every set built on it shares.
 
-    Holds the validated point entries ``coord``, the point IntervalMatrix
-    ``matrix``, the nonzero patterns of its rows and of its columns, the
-    verified ``inverse`` enclosure (built in a kernels.upward() block) and,
+    Holds the validated point entries ``coord``, the nonzero patterns of
+    its rows and of its columns, as point pairs, the verified ``inverse``
+    enclosure, rows of pairs (built in a kernels.upward() block) and,
     per set of rows of the inverse, the nonzero pattern of those rows on
     the columns they read, with those columns (inv_rows, built on first
     use).  None of this depends on a set's center or diameters, so sets
     with one M (every set of a toy chain) share one Frame.
     """
 
-    __slots__ = ("coord", "matrix", "rows", "cols", "inverse", "_row_patterns")
+    __slots__ = ("coord", "rows", "cols", "inverse", "_row_patterns")
 
     def __init__(self, coord):
         self.coord = tuple(_floats(row, "coordinate matrix entries") for row in coord)
         n = len(self.coord)
         if any(len(r) != n for r in self.coord):
             raise IntervalError("coordinate matrix shape mismatch")
-        self.matrix = IntervalMatrix(self.coord)
-        self.rows = nonzero_pattern(self.matrix.pairs)
-        self.cols = nonzero_pattern(zip(*self.matrix.pairs))
+        points = [[(c, c) for c in row] for row in self.coord]
+        self.rows = nonzero_pattern(points)
+        self.cols = nonzero_pattern(zip(*points))
         with _k.upward():
             self.inverse = inverse_enclosure(self.coord)
         self._row_patterns = {}
@@ -184,7 +167,7 @@ class Frame:
         rows."""
         hit = self._row_patterns.get(rows)
         if hit is None:
-            inv = self.inverse.pairs
+            inv = self.inverse
             cols = tuple(
                 k for k in range(self.n)
                 if any(inv[j][k][0] or inv[j][k][1] for j in rows)
@@ -208,7 +191,7 @@ class RowsRead:
     def __init__(self, h, rows):
         self.rows = tuple(rows)
         self.terms, self.cols = h.basis.inv_rows(self.rows)
-        self.center = tuple(h.center_vec.pairs[k] for k in self.cols)
+        self.center = tuple((h.center[k], h.center[k]) for k in self.cols)
         self.diam = tuple(h.diam[j] for j in self.rows)
 
 
@@ -216,12 +199,13 @@ class HSet:
     """An h-set on a coordinate matrix ``coord``: its rows, or a Frame that
     other sets may share."""
 
-    __slots__ = ("name", "center", "basis", "diam", "unstable", "stable",
-                 "center_vec")
+    __slots__ = ("name", "center", "basis", "diam", "unstable", "stable")
 
     def __init__(self, name, center, coord, diam, unstable):
         self.name = str(name)
         self.center = _floats(center, "center entries")
+        if not all(math.isfinite(c) for c in self.center):
+            raise IntervalError(f"center entries must be finite, got {list(self.center)!r}")
         self.basis = coord if isinstance(coord, Frame) else Frame(coord)
         self.diam = _floats(diam, "diameters")
         n = len(self.center)
@@ -232,7 +216,6 @@ class HSet:
             raise IntervalError("diameters must be positive and finite")
         self.unstable = _axes(unstable, n)
         self.stable = tuple(i for i in range(n) if i not in self.unstable)
-        self.center_vec = IntervalVector(self.center)
 
     @property
     def coord(self):
@@ -240,13 +223,8 @@ class HSet:
         return self.basis.coord
 
     @property
-    def frame(self):
-        """M as a point IntervalMatrix."""
-        return self.basis.matrix
-
-    @property
     def inv_coord(self):
-        """The verified enclosure of M^-1."""
+        """The verified enclosure of M^-1, rows of (lo, hi) pairs."""
         return self.basis.inverse
 
     @property
@@ -260,18 +238,6 @@ class HSet:
         )
 
     # -- coordinate transforms -------------------------------------------
-
-    def to_local(self, p):
-        """Un-normalized local coordinates M^-1 (p - c) of an ambient box."""
-        return self.inv_coord.mat_vec(p - self.center_vec)
-
-    def to_normalized(self, p):
-        """Normalized coordinates; p is certified inside the set iff the
-        result is a subset of [-1,1]^n (sufficient direction only)."""
-        idiv = _k.idiv
-        return IntervalVector.from_pairs(
-            [idiv(w, (d, d)) for w, d in zip(self.to_local(p).pairs, self.diam)]
-        )
 
     def rows_read(self, rows):
         """The RowsRead of the rows ``rows`` of the frame change."""
@@ -294,22 +260,15 @@ class HSet:
             out.append(iadd((c, c), acc))
         return check_pairs(tuple(out))
 
-    def from_local(self, w):
-        return self.center_vec + self.frame.mat_vec(w)
-
     def box(self):
-        """Ambient enclosure of the whole set."""
-        return _wrap(IntervalVector, self.from_normalized(self.unit_cube(self.n).pairs))
-
-    @staticmethod
-    def unit_cube(n):
-        return IntervalVector([Interval(-1.0, 1.0)] * n)
+        """Ambient enclosure of the whole set, a checked tuple of pairs."""
+        return self.from_normalized(((-1.0, 1.0),) * self.n)
 
     # -- face machinery -----------------------------------------------------
 
     def walls(self, axis, side, grid=1):
         """Sub-boxes covering the face {z_axis = side} of [-1, 1]^n, as a
-        tuple of SubBoxes shared by every set of dimension n.
+        tuple of sub-boxes shared by every set of dimension n.
 
         The covering is by closed overlapping boxes whose union equals the
         face: grid segments on each of the other n - 1 axes.
@@ -323,7 +282,7 @@ class HSet:
 
     def subboxes(self, grid=1):
         """Sub-boxes covering the whole normalized cube [-1, 1]^n, grid
-        segments per axis, as a tuple of SubBoxes shared by every set of
+        segments per axis, as a tuple of sub-boxes shared by every set of
         dimension n."""
         _check_grid(grid)
         return _subboxes(self.n, grid)
@@ -353,20 +312,6 @@ class HSet:
         )
 
 
-def local_derivative(src, tgt, jacobian):
-    """A chart-coordinate Jacobian enclosure in the un-normalized local frames.
-
-    With T = tgt.inv_coord . jacobian, the first src.n columns are
-    T[:, :n] . src.coord, the derivative from src to tgt local coordinates;
-    any further columns (a parameter's) are T[:, n:], the parameter
-    derivative of the tgt local coordinates.
-    """
-    n = src.n
-    t = tgt.inv_coord.mat_mul(jacobian).pairs
-    block = IntervalMatrix.from_pairs([row[:n] for row in t]).mat_mul(src.frame).pairs
-    return IntervalMatrix.from_pairs([b + row[n:] for b, row in zip(block, t)])
-
-
 class QuadraticForm:
     """Diagonal cone form Q(z) = sum_i coeffs[i] z_i^2 in un-normalized local
     coordinates; positive coefficients sit on the unstable axes, negative on
@@ -393,12 +338,6 @@ class QuadraticForm:
 
     def __repr__(self):
         return f"QuadraticForm({list(self.coeffs)!r}, unstable={self.unstable})"
-
-    def matrix(self):
-        n = self.n
-        return IntervalMatrix(
-            [[self.coeffs[i] if i == j else 0.0 for j in range(n)] for i in range(n)]
-        )
 
     def alpha_norm(self):
         """Operator norm of the positive (unstable) block: max coefficient."""

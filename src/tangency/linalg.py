@@ -1,4 +1,4 @@
-"""Interval vectors and matrices over the scalar interval type.
+"""Interval matrices as rows of ``(lo, hi)`` float pairs.
 
 Everything here is tuned for the tiny sizes the proofs use (n <= 4):
 products are triple loops that skip every term with an exact-zero factor,
@@ -7,234 +7,71 @@ matrix's nonzero pattern is 1x1 or 2x2 (the planar (u, s) block of an h-set
 frame) and is enclosed as adj/det, and the entries off the blocks are exact
 zeros.
 
-Entries are stored as ``(lo, hi)`` float pairs (``pairs``) and the products
-call the kernels on them directly, with the operations of the scalar
-:class:`Interval` expressions they replace, so the results are the same bit
-for bit.  Indexing, iteration, ``rows`` and ``entries`` give Intervals.
-
 A matrix that is fixed while the vectors it multiplies vary (an h-set's
 frame, or rows of its inverse) keeps its :func:`nonzero_pattern`, built
 once.  The covering's per-sub-box frame changes (tangency.hset and
 tangency.covering) take each row of it against a sequence of pairs in a
-loop written out where the product is needed, with no vector or matrix
-object built per product: the terms of mat_vec, in its order, so the
-results are the same bits.
+loop written out where the product is needed: the terms of a matrix-vector
+product, in their order.
 
-Where pairs are checked: ``from_pairs`` and the public constructors check
-every pair they are given, and each product, sum or scaling checks the
-pairs it computes.  Pairs that are checked already are wrapped by
-:func:`_wrap` and not checked again: a transpose, a row, a negation, and
-the matrices and vectors the proof path assembles from checked pairs (an
-h-set's box, a covering's local-frame hull, a disk's blocks of it, a cone
-matrix).  The maps of the covering's map protocol take and return checked
-pairs and build neither type.
+Where pairs are checked: :func:`checked_rows` checks the shape and every
+pair of a matrix handed to a public entry point, and each product checks
+the pairs it computes.  The tests' oracle, ``tests/linalg_oracle.py``,
+holds the interval vector and matrix objects whose products these loops
+match bit for bit.
 """
 
 from __future__ import annotations
 
 from tangency import kernels as _k
-from tangency.interval import Interval, IntervalError, as_pair, check_pairs
+from tangency.interval import IntervalError, as_pair, check_pairs
 
 
-def _wrap(cls, pairs):
-    """The IntervalVector or IntervalMatrix cls of pairs that are checked
-    already: a tuple of pairs, or of rows of pairs, of a valid shape.
-    Nothing is checked."""
-    obj = cls.__new__(cls)
-    obj.pairs = pairs
-    return obj
+def checked_rows(rows):
+    """rows as a tuple of tuples of (lo, hi) pairs, each checked as Interval
+    checks them; IntervalError on an empty or ragged matrix."""
+    rows = tuple(tuple(check_pairs(tuple(row))) for row in rows)
+    if not rows or not rows[0]:
+        raise IntervalError("empty matrix")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise IntervalError("ragged matrix")
+    return rows
 
 
-class IntervalVector:
-    __slots__ = ("pairs",)
-
-    def __init__(self, entries):
-        self.pairs = tuple(as_pair(e) for e in entries)
-        if not self.pairs:
-            raise IntervalError("empty vector")
-
-    @classmethod
-    def from_pairs(cls, pairs):
-        """The vector of the (lo, hi) pairs, checked as Interval checks them."""
-        pairs = check_pairs(tuple(pairs))
-        if not pairs:
-            raise IntervalError("empty vector")
-        return _wrap(cls, pairs)
-
-    @property
-    def entries(self):
-        return tuple(Interval(lo, hi) for lo, hi in self.pairs)
-
-    @property
-    def dim(self):
-        return len(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return Interval(*self.pairs[i])
-
-    def __repr__(self):
-        return f"IntervalVector({list(self.entries)!r})"
-
-    def __eq__(self, other):
-        if isinstance(other, IntervalVector):
-            return self.pairs == other.pairs
-        return NotImplemented
-
-    def __add__(self, other):
-        return self._entrywise(other, _k.iadd)
-
-    def __sub__(self, other):
-        return self._entrywise(other, _k.isub)
-
-    def _entrywise(self, other, op):
-        self._check(other)
-        return IntervalVector.from_pairs(
-            [op(a, b) for a, b in zip(self.pairs, other.pairs)]
-        )
-
-    def __neg__(self):
-        return _wrap(IntervalVector, tuple([(-hi, -lo) for lo, hi in self.pairs]))
-
-    def scale(self, c):
-        c = as_pair(c)
-        imul = _k.imul
-        return IntervalVector.from_pairs([imul(c, a) for a in self.pairs])
-
-    def norm_upper(self):
-        """Upper bound of the Euclidean norm over all point selections."""
-        isqr, iadd = _k.isqr, _k.iadd
-        acc = (0.0, 0.0)
-        for a_lo, a_hi in self.pairs:
-            mag = max(abs(a_lo), abs(a_hi))
-            acc = iadd(acc, isqr((mag, mag)))
-        check_pairs((acc,))
-        return _k.isqrt(acc)[1]
-
-    def is_subset(self, other):
-        self._check(other)
-        return all(
-            bl <= al and ah <= bh
-            for (al, ah), (bl, bh) in zip(self.pairs, other.pairs)
-        )
-
-    def _check(self, other):
-        if self.dim != other.dim:
-            raise IntervalError(f"dimension mismatch: {self.dim} vs {other.dim}")
-
-
-class IntervalMatrix:
-    __slots__ = ("pairs",)
-
-    def __init__(self, rows):
-        self.pairs = self._shaped(tuple(tuple(as_pair(e) for e in row) for row in rows))
-
-    @classmethod
-    def from_pairs(cls, rows):
-        """The matrix of rows of (lo, hi) pairs, checked as Interval checks
-        them."""
-        return _wrap(cls, cls._shaped(tuple(tuple(check_pairs(row)) for row in rows)))
-
-    @staticmethod
-    def _shaped(rows):
-        if not rows or not rows[0]:
-            raise IntervalError("empty matrix")
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise IntervalError("ragged matrix")
-        return rows
-
-    @classmethod
-    def identity(cls, n):
-        return cls.from_pairs(
-            [[(1.0, 1.0) if i == j else (0.0, 0.0) for j in range(n)] for i in range(n)]
-        )
-
-    @property
-    def rows(self):
-        return tuple(tuple(Interval(lo, hi) for lo, hi in row) for row in self.pairs)
-
-    @property
-    def nrows(self):
-        return len(self.pairs)
-
-    @property
-    def ncols(self):
-        return len(self.pairs[0])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return Interval(*self.pairs[i][j])
-
-    def __repr__(self):
-        return f"IntervalMatrix({[list(r) for r in self.rows]!r})"
-
-    def __add__(self, other):
-        return self._entrywise(other, _k.iadd)
-
-    def __sub__(self, other):
-        return self._entrywise(other, _k.isub)
-
-    def _entrywise(self, other, op):
-        self._conform_add(other)
-        return IntervalMatrix.from_pairs(
-            [[op(a, b) for a, b in zip(ra, rb)]
-             for ra, rb in zip(self.pairs, other.pairs)]
-        )
-
-    def scale(self, c):
-        c = as_pair(c)
-        imul = _k.imul
-        return IntervalMatrix.from_pairs(
-            [[imul(c, a) for a in row] for row in self.pairs]
-        )
-
-    def transpose(self):
-        return _wrap(IntervalMatrix, tuple(zip(*self.pairs)))
-
-    def mat_mul(self, other):
-        if self.ncols != other.nrows:
-            raise IntervalError("shape mismatch in matrix product")
-        imul, iadd = _k.imul, _k.iadd
-        # Each column keeps its nonzero entries with their row index; a term
-        # with an exact-zero factor is skipped (see _nonzero).
-        cols = [_nonzero(col) for col in zip(*other.pairs)]
-        out = []
-        for row in self.pairs:
-            out_row = []
-            for col in cols:
-                acc = (0.0, 0.0)
-                for k, b in col:
-                    a = row[k]
-                    if a[0] or a[1]:
-                        acc = iadd(acc, imul(a, b))
-                out_row.append(acc)
-            out.append(out_row)
-        return IntervalMatrix.from_pairs(out)
-
-    def mat_vec(self, v):
-        if self.ncols != v.dim:
-            raise IntervalError("shape mismatch in matrix-vector product")
-        imul, iadd = _k.imul, _k.iadd
-        nz = _nonzero(v.pairs)
-        out = []
-        for row in self.pairs:
+def mat_mul(a, b):
+    """The product of the matrices a and b, rows of (lo, hi) pairs, as a
+    checked tuple of rows.  Each column of b keeps its nonzero entries with
+    their row index; a term with an exact-zero factor is skipped (see
+    _nonzero)."""
+    a, b = checked_rows(a), checked_rows(b)
+    if len(a[0]) != len(b):
+        raise IntervalError("shape mismatch in matrix product")
+    imul, iadd = _k.imul, _k.iadd
+    cols = [_nonzero(col) for col in zip(*b)]
+    out = []
+    for row in a:
+        out_row = []
+        for col in cols:
             acc = (0.0, 0.0)
-            for k, b in nz:
-                a = row[k]
-                if a[0] or a[1]:
-                    acc = iadd(acc, imul(a, b))
-            out.append(acc)
-        return IntervalVector.from_pairs(out)
+            for k, e in col:
+                f = row[k]
+                if f[0] or f[1]:
+                    acc = iadd(acc, imul(f, e))
+            out_row.append(acc)
+        out.append(tuple(check_pairs(out_row)))
+    return tuple(out)
 
-    def _conform_add(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise IntervalError("shape mismatch")
+
+def norm_upper(pairs):
+    """Upper bound of the Euclidean norm of the vector of (lo, hi) pairs
+    over all point selections."""
+    isqr, iadd = _k.isqr, _k.iadd
+    acc = (0.0, 0.0)
+    for a_lo, a_hi in pairs:
+        mag = max(abs(a_lo), abs(a_hi))
+        acc = iadd(acc, isqr((mag, mag)))
+    check_pairs((acc,))
+    return _k.isqrt(acc)[1]
 
 
 def _nonzero(pairs):
@@ -252,7 +89,8 @@ def _nonzero(pairs):
 
 def nonzero_pattern(rows):
     """The (index, pair) entries of each row of rows that are not exact
-    zeros, as a tuple per row: the terms of the row in mat_vec."""
+    zeros, as a tuple per row: the terms of the row in a matrix-vector
+    product."""
     return tuple(tuple(_nonzero(row)) for row in rows)
 
 
@@ -263,7 +101,8 @@ def _det(rows):
 
 
 def inverse_enclosure(a_rows):
-    """Rigorous enclosure of the inverse of a point matrix, block by block.
+    """Rigorous enclosure of the inverse of a point matrix, block by block,
+    as a tuple of rows of (lo, hi) pairs.
 
     The indices split into the connected components of the nonzero pattern
     (i ~ j when a[i][j] or a[j][i] is nonzero); up to a permutation A is
@@ -273,18 +112,18 @@ def inverse_enclosure(a_rows):
     quotient of the cofactor d, -b, -c or a (exact, the entries being
     points) by the enclosure of ad - bc, and an exact zero for a zero
     cofactor.  Every entry off the blocks is an exact zero.  Raises
-    IntervalError on a singular or non-finite matrix, and on a block
-    larger than 2x2.
+    IntervalError on an empty, ragged, non-square, singular or non-finite
+    matrix, and on a block larger than 2x2.
     """
-    a = IntervalMatrix(a_rows)
-    n = a.nrows
-    if a.ncols != n:
+    p = checked_rows([as_pair(e) for e in row] for row in a_rows)
+    n = len(p)
+    if len(p[0]) != n:
         raise IntervalError("inverse of a non-square matrix")
     out = [[(0.0, 0.0)] * n for _ in range(n)]
-    for block in _blocks(a.pairs):
+    for block in _blocks(p):
         if len(block) == 1:
             (i,) = block
-            x = a.pairs[i][i]
+            x = p[i][i]
             if x[0] <= 0.0 <= x[1]:
                 raise IntervalError("inverse_enclosure: singular 1x1 block")
             out[i][i] = _k.idiv((1.0, 1.0), x)
@@ -294,7 +133,6 @@ def inverse_enclosure(a_rows):
                 f"inverse_enclosure: a {len(block)}x{len(block)} block of the "
                 "nonzero pattern; only 1x1 and 2x2 blocks are supported")
         i, j = block
-        p = a.pairs
         rows = ((p[i][i], p[i][j]), (p[j][i], p[j][j]))
         det = _det(rows)
         if det[0] <= 0.0 <= det[1]:
@@ -304,7 +142,7 @@ def inverse_enclosure(a_rows):
         out[i][j] = _k.idiv((-b_hi, -b_lo), det)
         out[j][i] = _k.idiv((-c_hi, -c_lo), det)
         out[j][j] = _k.idiv(aii, det)
-    return IntervalMatrix.from_pairs(out)
+    return checked_rows(out)
 
 
 def _blocks(rows):

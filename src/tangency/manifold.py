@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import math
 
+from tangency import kernels as _k
 from tangency.cones import (
     ConeCertificate,
     check_cone_link,
@@ -44,8 +45,8 @@ from tangency.covering import (
     VerificationInconclusive,
     check_covering,
 )
-from tangency.interval import Interval, IntervalError, as_pair
-from tangency.linalg import IntervalMatrix, IntervalVector
+from tangency.interval import Interval, IntervalError, as_pair, check_pairs
+from tangency.linalg import norm_upper
 
 # A's form inflates Q_N by (1 + epsilon); the reported epsilon, INFLATION - 1.0,
 # is exact by Sterbenz's lemma.  A and Gamma shrink by SHRINK on failure.
@@ -134,9 +135,10 @@ def _jacobi_min_eigenvalue(a):
 
 def min_vertex_eigenvalue(v):
     """Float estimate of the smallest eigenvalue over the 2^(n-1) Rump vertex
-    matrices C - D(z) R D(z) of the symmetric interval matrix v.  By Rohn's
-    vertex theorem they attain the smallest eigenvalue over all of v."""
-    n = v.nrows
+    matrices C - D(z) R D(z) of the symmetric interval matrix v, rows of
+    (lo, hi) pairs.  By Rohn's vertex theorem they attain the smallest
+    eigenvalue over all of v."""
+    n = len(v)
     c, r = midrad_split(v)
     return min(
         _jacobi_min_eigenvalue(
@@ -147,17 +149,25 @@ def min_vertex_eigenvalue(v):
 
 
 def eigen_lower_bound(v, locus="manifold"):
-    """Certified A > 0 with v - A I positive definite: the vertex estimate
-    of the smallest eigenvalue, scaled by 1 - 1e-9, certified by one Rump
-    test.  A failed test shrinks A by SHRINK, up to A_TRIES tests in all."""
+    """Certified A > 0 with v - A I positive definite, v rows of (lo, hi)
+    pairs: the vertex estimate of the smallest eigenvalue, scaled by
+    1 - 1e-9, certified by one Rump test.  A failed test shrinks A by
+    SHRINK, up to A_TRIES tests in all.  v - A I takes A times every entry
+    of I, zeros included, then each difference, each checked."""
     alpha = min_vertex_eigenvalue(v) * (1.0 - 1e-9)
     if not alpha > 0.0:
         raise VerificationInconclusive(
             "manifold", locus, "no positive expansion bound certifiable (A <= 0)"
         )
-    eye = IntervalMatrix.identity(v.nrows)
+    n = len(v)
+    eye = [[(1.0, 1.0) if i == j else (0.0, 0.0) for j in range(n)] for i in range(n)]
+    imul, isub = _k.imul, _k.isub
     for _ in range(A_TRIES):
-        if rump_positive_definite(v - eye.scale(alpha)).positive_definite:
+        c = as_pair(alpha)
+        scaled = [check_pairs([imul(c, e) for e in row]) for row in eye]
+        shifted = [check_pairs([isub(a, b) for a, b in zip(ra, rb)])
+                   for ra, rb in zip(v, scaled)]
+        if rump_positive_definite(shifted).positive_definite:
             return alpha
         alpha *= SHRINK
     raise VerificationInconclusive(
@@ -172,7 +182,7 @@ def mixed_derivative_bound(rows, coeffs):
     coefficient, the lambda entry last."""
     acc = Interval(0.0)
     for row, c in zip(rows, coeffs):
-        row_norm = IntervalVector.from_pairs(row[:-1]).norm_upper()
+        row_norm = norm_upper(row[:-1])
         acc = acc + Interval(abs(c)) * Interval(row_norm) * Interval(Interval(*row[-1]).mag)
     return acc.hi
 
@@ -260,8 +270,8 @@ def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=
     v_eps = cone_matrix(jacobian, qtilde, qtilde, inflate_src=INFLATION)
     a_lower = eigen_lower_bound(v_eps, locus=locus)
 
-    m_upper = mixed_derivative_bound(jacobian.pairs, qtilde.coeffs)
-    l_upper = stable_parameter_bound(jacobian.pairs, qtilde.beta_norm(), ntilde.stable)
+    m_upper = mixed_derivative_bound(jacobian, qtilde.coeffs)
+    l_upper = stable_parameter_bound(jacobian, qtilde.beta_norm(), ntilde.stable)
 
     gamma, gamma_check = choose_gamma(a_lower, m_upper, l_upper, locus=locus)
 

@@ -29,7 +29,7 @@ from tangency.cones import check_cone_link, rump_positive_definite
 from tangency.covering import VerificationInconclusive, certify_each, check_chain, run_stages
 from tangency.hset import Frame, HSet, QuadraticForm
 from tangency.interval import IntervalError, check_pairs
-from tangency.linalg import IntervalMatrix, _det
+from tangency.linalg import _det, checked_rows
 
 
 @dataclass(frozen=True)
@@ -310,6 +310,7 @@ def switch_cone_blocks(q_n, q_m):
 
     Each entry is enclosed by the interval kernels on the signed
     coefficients: q_m's are added and q_n's subtracted (4B + (-C) - alpha).
+    Each block is rows of (lo, hi) pairs, checked.
     """
     n_x, n_y, n_v, n_a = ((c, c) for c in q_n.coeffs)
     m_x, m_y, m_w, m_a = ((c, c) for c in q_m.coeffs)
@@ -318,7 +319,7 @@ def switch_cone_blocks(q_n, q_m):
           (two_b, _k.isub(m_w, n_v)))
     q2 = ((_k.isub(_k.iadd(m_x, m_a), n_a), m_x),
           (m_x, _k.isub(m_x, n_y)))
-    return IntervalMatrix.from_pairs(q1), IntervalMatrix.from_pairs(q2)
+    return checked_rows(q1), checked_rows(q2)
 
 
 def switch_transversality(chain):
@@ -334,7 +335,7 @@ def switch_transversality(chain):
     d(g, g_t)/d(a, t), g_a g_tt - g_t g_ta, is nonzero on the box.  Returns
     the box and the enclosures as [lo, hi] lists.
     """
-    box = chain.sets[chain.k].box().pairs
+    box = chain.sets[chain.k].box()
     _, (g_t, _, _, g_a), ((g_tt, _, _, g_ta),) = switch_evaluator(
         box[0], _ZERO, _ZERO, box[3], 2)[0]
     det = _det(((g_a, g_t), (g_ta, g_tt)))

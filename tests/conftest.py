@@ -198,7 +198,8 @@ def assert_exact_cone_matrix(v, d, src_coord, tgt_inverse, q_src, q_tgt, where):
     """The cone matrix v holds L^T Q_M L - Q_N, exactly: L = M_tgt^-1 d M_src
     is the local-frame derivative of d, the exact n x n derivative at a point
     of the source set, tgt_inverse the exact inverse of the float target
-    frame (frac_inverse), and the forms' coefficients are Fractions."""
+    frame (frac_inverse), and the forms' coefficients are Fractions.  v is
+    rows of (lo, hi) pairs, as a cone certificate holds it."""
     n = len(src_coord)
     local = frac_matmul(frac_matmul(tgt_inverse, d), src_coord)
     for i in range(n):
@@ -206,7 +207,8 @@ def assert_exact_cone_matrix(v, d, src_coord, tgt_inverse, q_src, q_tgt, where):
             exact = sum(local[k][i] * Fraction(q_tgt.coeffs[k]) * local[k][j]
                         for k in range(n))
             exact -= Fraction(q_src.coeffs[i]) if i == j else 0
-            assert contains_fraction(v[i, j], exact), (where, i, j)
+            lo, hi = v[i][j]
+            assert Fraction(lo) <= exact <= Fraction(hi), (where, i, j)
 
 
 def assert_exact_margins(cov, src, tgt, image, grid, rng, params=((),)):
@@ -222,7 +224,7 @@ def assert_exact_margins(cov, src, tgt, image, grid, rng, params=((),)):
     inverse = frac_inverse(tgt.coord)
 
     def normalized_images(zbox):
-        ends = [(Fraction(e.lo), Fraction(e.hi)) for e in zbox]
+        ends = [(Fraction(lo), Fraction(hi)) for lo, hi in zbox[0]]
         for z in exact_sample_points(ends, rng):
             for extra in params:
                 diff = [p - Fraction(c) for p, c in
@@ -255,7 +257,7 @@ class PointShiftedMap:
 
     def apply(self, box, outputs=None):
         from tangency.interval import Interval
-        from tangency.linalg import IntervalVector
+        from linalg_oracle import IntervalVector
 
         img = self.fmap.apply(box, outputs)
         if any(hi > lo for lo, hi in box):
@@ -279,7 +281,7 @@ class IdentityMap:
         return tuple([box[k] for k in keep])
 
     def derivative(self, box, outputs=None):
-        from tangency.linalg import IntervalMatrix
+        from linalg_oracle import IntervalMatrix
 
         keep = range(self.n) if outputs is None else outputs
         eye = IntervalMatrix.identity(self.n).pairs
@@ -349,41 +351,41 @@ def matrix_from_normalized(h, z):
     """c + M (d . z) of the (lo, hi) pairs z through IntervalVector and
     IntervalMatrix products."""
     from tangency import kernels
-    from tangency.linalg import IntervalVector
+    from linalg_oracle import IntervalVector, center_vec, frame
 
     scaled = IntervalVector.from_pairs([kernels.imul((d, d), zi) for d, zi in zip(h.diam, z)])
-    return h.center_vec + h.frame.mat_vec(scaled)
+    return center_vec(h) + frame(h).mat_vec(scaled)
 
 
 def one_pass_oracle(src, tgt, fmap, zbox):
-    """The covering's evaluation of the sub-box zbox (a hset.SubBox) of src
-    under fmap, through the IntervalVector and IntervalMatrix products and
-    the public transforms, on every output and every target row: (image,
-    local), image a list of (lo, hi) pairs, one per target row, and local
-    the rows of hset.local_derivative over zbox's ambient box.
+    """The covering's evaluation of the sub-box zbox, (box, mid,
+    delta_terms) of hset, of src under fmap, through the IntervalVector and
+    IntervalMatrix products and the frame changes of linalg_oracle, on
+    every output and every target row: (image, local), image a list of
+    (lo, hi) pairs, one per target row, and local the rows of
+    linalg_oracle.local_derivative over zbox's ambient box.
 
     The ambient boxes are c + M (d . z) by mat_vec, handed to fmap as their
     pairs, and fmap's pairs are wrapped by from_pairs; the thin image of the
-    midpoint and the hull image are hset.to_normalized's; S is
+    midpoint and the hull image are linalg_oracle.to_normalized's; S is
     local_derivative's first src.n columns times d_src / d_tgt, entry by
     entry; the mean-value image thin + S.mat_vec(z - mid z) is intersected
     with the hull image."""
     from tangency import kernels
-    from tangency.hset import local_derivative
-    from tangency.linalg import IntervalMatrix, IntervalVector
+    from linalg_oracle import IntervalMatrix, IntervalVector, local_derivative, to_normalized
 
-    value = IntervalVector.from_pairs(
-        fmap.apply(matrix_from_normalized(src, zbox.mid).pairs))
-    image, jac = fmap.derivative(matrix_from_normalized(src, zbox.pairs).pairs)
-    hull = tgt.to_normalized(IntervalVector.from_pairs(image)).pairs
+    box, mid, _ = zbox
+    value = IntervalVector.from_pairs(fmap.apply(matrix_from_normalized(src, mid).pairs))
+    image, jac = fmap.derivative(matrix_from_normalized(src, box).pairs)
+    hull = to_normalized(tgt, IntervalVector.from_pairs(image)).pairs
     local = local_derivative(src, tgt, IntervalMatrix.from_pairs(jac)).pairs
     scaled = IntervalMatrix.from_pairs([
         [kernels.idiv(kernels.imul(e, (d_src, d_src)), (d_tgt, d_tgt))
          for e, d_src in zip(row, src.diam)]
         for row, d_tgt in zip(local, tgt.diam)
     ])
-    delta = IntervalVector.from_pairs(zbox.pairs) - IntervalVector.from_pairs(zbox.mid)
-    mean_value = (tgt.to_normalized(value) + scaled.mat_vec(delta)).pairs
+    delta = IntervalVector.from_pairs(box) - IntervalVector.from_pairs(mid)
+    mean_value = (to_normalized(tgt, value) + scaled.mat_vec(delta)).pairs
     out = []
     for (m_lo, m_hi), (h_lo, h_hi) in zip(mean_value, hull):
         assert m_lo <= h_hi and h_lo <= m_hi

@@ -15,7 +15,6 @@ from tangency.cones import check_cone_link, rump_positive_definite
 from tangency.covering import VerificationInconclusive, check_chain, check_covering
 from tangency.hset import QuadraticForm
 from tangency.interval import Interval, IntervalError
-from tangency.linalg import IntervalMatrix
 from tangency.toy import (
     ToyParams,
     build_toy_chain,
@@ -296,7 +295,7 @@ def test_criterion_8d_rump_vs_eigenvalue_oracle():
             [Interval(c[i][j] - r[i][j], c[i][j] + r[i][j]) for j in range(n)]
             for i in range(n)
         ]
-        res = rump_positive_definite(IntervalMatrix(rows))
+        res = rump_positive_definite([[(e.lo, e.hi) for e in row] for row in rows])
         vertex_eigs = []
         for tail in product((1, -1), repeat=n - 1):
             z = (1,) + tail

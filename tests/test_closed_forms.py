@@ -79,7 +79,7 @@ class TestHenonChain:
         with kernels.upward():
             for h in henon_chain.sets:
                 for z in covering_boxes(h, grid):
-                    box = h.from_normalized(z.pairs)
+                    box = h.from_normalized(z[0])
                     for x, y, _, a in (box, _midpoint(box)):
                         _assert_same(closed, oracle, (x, y, a))
                     compared += 1
@@ -91,8 +91,8 @@ class TestHenonChain:
         with kernels.upward():
             for side in ("stable", "unstable"):
                 ntilde, _, param, _ = projected_disk_data(henon_chain, side)
-                boxes = [ntilde.box().pairs] + [
-                    ntilde.from_normalized(z.pairs)
+                boxes = [ntilde.box()] + [
+                    ntilde.from_normalized(z[0])
                     for grid in (1, 2) for z in covering_boxes(ntilde, grid)]
                 for x, y, _ in boxes:
                     _assert_same(closed, oracle, (x, y, as_pair(param)))
@@ -186,7 +186,7 @@ def _seed7_draws(count):
 
 def _jet_transversality(chain):
     """switch_transversality on order-2 jets over (x, a): the jet route."""
-    box = chain.sets[chain.k].box().pairs
+    box = chain.sets[chain.k].box()
     jx, ja, jy, jv = seed_jets((box[0], box[3], (0.0, 0.0), (0.0, 0.0)), 2, 2)
     g = switch_expression(jx, jy, jv, ja)[0]
     (g_t, g_a), (g_tt, g_ta) = g.grad_pairs, g.hess_row_pairs(0)
@@ -206,7 +206,7 @@ class TestSwitchMap:
                 src = chain.sets[chain.k]
                 for grid in (1, 2):
                     for z in covering_boxes(src, grid):
-                        box = src.from_normalized(z.pairs)
+                        box = src.from_normalized(z[0])
                         for b in (box, _midpoint(box)):
                             _assert_same(switch_evaluator, oracle, b)
                 got, want = switch_transversality(chain), _jet_transversality(chain)

@@ -19,7 +19,7 @@ from tangency.cones import (
 )
 from tangency.hset import QuadraticForm
 from tangency.interval import Interval, IntervalError, check_pairs
-from tangency.linalg import IntervalMatrix, IntervalVector
+from linalg_oracle import IntervalMatrix, IntervalVector, form_matrix
 from tangency.toy import ToyParams, build_toy_chain, switch_cone_blocks, switch_map
 from conftest import pairs_hex, random_float
 
@@ -32,18 +32,18 @@ def symmetrize(m):
 # -- per-vertex oracle -----------------------------------------------------------
 
 
-def interval_cholesky_min_pivot(a):
+def interval_cholesky_min_pivot(rows):
     """Smallest certified pivot of an interval Cholesky run, or None.
 
     Returns a strictly positive lower bound on every pivot if the
     factorization certifies positive definiteness of all point matrices in
-    a; None as soon as some pivot cannot be certified positive.  The run
-    keeps its factor as (lo, hi) pairs; each pivot and factor entry is
-    checked like an Interval before it enters a product.
+    rows, rows of (lo, hi) pairs; None as soon as some pivot cannot be
+    certified positive.  The run keeps its factor as (lo, hi) pairs; each
+    pivot and factor entry is checked like an Interval before it enters a
+    product.
     """
-    n = a.nrows
+    n = len(rows)
     imul, isub, isqr, idiv = _k.imul, _k.isub, _k.isqr, _k.idiv
-    rows = a.pairs
     low = [[None] * n for _ in range(n)]
     min_pivot = None
     for j in range(n):
@@ -68,8 +68,9 @@ def interval_cholesky_min_pivot(a):
 
 
 def rump_per_vertex(a):
-    """Rump's test with one separate Cholesky run per vertex matrix."""
-    n = a.nrows
+    """Rump's test with one separate Cholesky run per vertex matrix of a,
+    rows of (lo, hi) pairs."""
+    n = len(a)
     c, r = midrad_split(a)
     outcomes = []
     for z in vertex_signs(n):
@@ -79,7 +80,7 @@ def rump_per_vertex(a):
              for c_ij, r_ij, zz in zip(c_i, r_i, (z_i * z_j for z_j in z))]
             for c_i, r_i, z_i in zip(c, r, z)
         ]
-        outcomes.append((z, interval_cholesky_min_pivot(IntervalMatrix.from_pairs(rows))))
+        outcomes.append((z, interval_cholesky_min_pivot(IntervalMatrix.from_pairs(rows).pairs)))
     ok = all(margin is not None for _, margin in outcomes)
     return RumpResult(positive_definite=ok, vertex_margins=tuple(outcomes))
 
@@ -126,7 +127,7 @@ class TestRump:
         m = IntervalMatrix(
             [[Interval(1, 2), Interval(0.0)], [Interval(0.0), Interval(3, 4)]]
         )
-        res = rump_positive_definite(m)
+        res = rump_positive_definite(m.pairs)
         assert res.positive_definite
         assert len(res.vertex_margins) == 2
         assert res.min_margin() > 0.0
@@ -141,7 +142,7 @@ class TestRump:
             for i in range(n)
         ]
         m = IntervalMatrix(rows)
-        res = rump_positive_definite(m)
+        res = rump_positive_definite(m.pairs)
         c = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
         r = [[0.6] * n for _ in range(n)]
         eigs = [np.linalg.eigvalsh(v).min() for v in _vertex_matrices(c, r)]
@@ -149,7 +150,7 @@ class TestRump:
 
     def test_vertex_count_is_half(self):
         m, _, _ = _sym_interval_matrix(random.Random(5), 4)
-        res = rump_positive_definite(m)
+        res = rump_positive_definite(m.pairs)
         assert len(res.vertex_margins) == 8  # 2^(4-1)
 
     def test_agreement_with_eigenvalue_oracle(self, rng):
@@ -157,7 +158,7 @@ class TestRump:
         for _ in range(200):
             n = rng.choice([2, 3])
             m, c, r = _sym_interval_matrix(rng, n)
-            res = rump_positive_definite(m)
+            res = rump_positive_definite(m.pairs)
             mins = [np.linalg.eigvalsh(v).min() for v in _vertex_matrices(c, r)]
             if res.positive_definite:
                 # no sampled point matrix may contradict the certificate
@@ -168,7 +169,7 @@ class TestRump:
 
     def test_split_is_outward(self, rng):
         m, _, _ = _sym_interval_matrix(rng, 3)
-        c, r = midrad_split(m)
+        c, r = midrad_split(m.pairs)
         for i in range(3):
             for j in range(3):
                 assert c[i][j] - r[i][j] <= m[i, j].lo
@@ -179,8 +180,8 @@ class TestCholesky:
     def test_certified_pivots_imply_positivity(self, rng):
         for _ in range(100):
             m, c, r = _sym_interval_matrix(rng, 3, rad=0.05)
-            pivot = interval_cholesky_min_pivot(m)
-            certified = rump_positive_definite(m).positive_definite
+            pivot = interval_cholesky_min_pivot(m.pairs)
+            certified = rump_positive_definite(m.pairs).positive_definite
             if pivot is None and not certified:
                 continue
             assert pivot is None or pivot > 0.0
@@ -194,8 +195,8 @@ class TestCholesky:
         m = IntervalMatrix(
             [[Interval(1.0), Interval(1.0)], [Interval(1.0), Interval(1.0)]]
         )
-        assert interval_cholesky_min_pivot(m) is None
-        res = rump_positive_definite(m)
+        assert interval_cholesky_min_pivot(m.pairs) is None
+        res = rump_positive_definite(m.pairs)
         assert res.vertex_margins == (((1, 1), None), ((1, -1), None))
         assert not res.positive_definite
 
@@ -204,9 +205,9 @@ class TestCholesky:
         # Interval holding it would be, not a verdict.
         m = IntervalMatrix([[1e-300, 1e300], [1e300, 1.0]])
         with pytest.raises(IntervalError):
-            interval_cholesky_min_pivot(m)
+            interval_cholesky_min_pivot(m.pairs)
         with pytest.raises(IntervalError):
-            rump_positive_definite(m)
+            rump_positive_definite(m.pairs)
 
     def test_error_leaves_no_cycles(self):
         # The factor tree's working data is freed by reference counting when
@@ -216,7 +217,7 @@ class TestCholesky:
         gc.disable()
         try:
             try:
-                rump_positive_definite(m)
+                rump_positive_definite(m.pairs)
             except IntervalError:
                 pass
             else:
@@ -233,9 +234,9 @@ def _bits(res):
 
 
 def _outcome(test, m):
-    """The bits of test(m), or "raised" for an IntervalError."""
+    """The bits of test(m.pairs), or "raised" for an IntervalError."""
     try:
-        return _bits(test(m))
+        return _bits(test(m.pairs))
     except IntervalError:
         return "raised"
 
@@ -277,14 +278,14 @@ class TestSharedVertexTree:
     def test_mixed_vertices_match_per_vertex_oracle(self, rng):
         # Matrices where some vertices pass and others fail: the failed
         # prefixes' subtrees read None, the others their runs' pivots.
-        res = rump_positive_definite(_MIXED)
+        res = rump_positive_definite(_MIXED.pairs)
         assert [m is None for _, m in res.vertex_margins] == [False, True]
         mixed = 0
         for _ in range(300):
             n = rng.choice([2, 3, 4])
             m, _, _ = _sym_interval_matrix(rng, n, rad=rng.choice([0.5, 1.5, 3.0]))
-            res = rump_positive_definite(m)
-            assert _bits(res) == _bits(rump_per_vertex(m))
+            res = rump_positive_definite(m.pairs)
+            assert _bits(res) == _bits(rump_per_vertex(m.pairs))
             failed = sum(margin is None for _, margin in res.vertex_margins)
             mixed += 0 < failed < len(res.vertex_margins)
         assert mixed >= 20
@@ -303,7 +304,7 @@ class TestSharedVertexTree:
             monkeypatch.setattr(_k, name, counting)
         m, _, _ = _sym_interval_matrix(random.Random(5), 4, rad=0.05)
         with _k.upward():
-            assert rump_positive_definite(m).positive_definite
+            assert rump_positive_definite(m.pairs).positive_definite
         assert calls == {"isqrt": 7, "idiv": 22}
 
 
@@ -358,10 +359,10 @@ class TestFreeIndices:
         monkeypatch.setattr(_k, "isqrt", counting)
         v = IntervalMatrix([[3.0 if i == j else 0.0 for j in range(4)] for i in range(4)])
         with _k.upward():  # as the proofs run it (see the dense 4x4 count)
-            res = rump_positive_definite(v)
+            res = rump_positive_definite(v.pairs)
         assert calls["isqrt"] == 3
         assert [z for z, _ in res.vertex_margins] == vertex_signs(4)
-        assert _bits(res) == _bits(rump_per_vertex(v))
+        assert _bits(res) == _bits(rump_per_vertex(v.pairs))
 
 
 class TestRumpInput:
@@ -373,16 +374,16 @@ class TestRumpInput:
         x = IntervalVector([1.0, 1.0])
         assert _dot(x, a.mat_vec(x)) == Interval(-1.0)
         with pytest.raises(IntervalError, match="symmetric"):
-            rump_positive_definite(a)
+            rump_positive_definite(a.pairs)
 
     def test_one_ulp_asymmetry_raises(self):
         a = IntervalMatrix([[2.0, 0.5], [Interval(0.5, math.nextafter(0.5, 1.0)), 2.0]])
         with pytest.raises(IntervalError, match="symmetric"):
-            rump_positive_definite(a)
+            rump_positive_definite(a.pairs)
 
     def test_non_square_matrix_raises(self):
         with pytest.raises(IntervalError, match="square"):
-            rump_positive_definite(IntervalMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+            rump_positive_definite(IntervalMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]).pairs)
 
 
 class TestSymmetrize:
@@ -413,10 +414,9 @@ class TestToyConeMatrices:
     @staticmethod
     def _switch_link(x):
         chain = build_toy_chain()
-        jac = IntervalMatrix.from_pairs(
-            switch_map().derivative(IntervalVector([x, 0.0, 0.0, 0.0]).pairs)[1])
+        jac = switch_map().derivative(IntervalVector([x, 0.0, 0.0, 0.0]).pairs)[1]
         q_n, q_m = chain.forms[chain.k], chain.forms[chain.k + 1]
-        return cone_matrix(jac, q_n, q_m), q_n, q_m
+        return IntervalMatrix.from_pairs(cone_matrix(jac, q_n, q_m)), q_n, q_m
 
     def test_switch_matrix_matches_block_structure(self):
         # At the tangency point, ambient x = 1, the cone matrix has the
@@ -438,15 +438,16 @@ class TestToyConeMatrices:
         for block, axes in zip(switch_cone_blocks(q_n, q_m), ((0, 2), (3, 1))):
             for i, vi in enumerate(axes):
                 for j, vj in enumerate(axes):
-                    assert v[vi, vj] == block[i, j], (axes, i, j)
+                    assert v.pairs[vi][vj] == block[i][j], (axes, i, j)
 
     def test_blocks_positive_definite_at_reference_coefficients(self):
         chain = build_toy_chain()
-        q1, q2 = switch_cone_blocks(chain.forms[chain.k], chain.forms[chain.k + 1])
+        q1, q2 = (IntervalMatrix.from_pairs(q) for q in switch_cone_blocks(
+            chain.forms[chain.k], chain.forms[chain.k + 1]))
         assert q1[0, 0] == Interval(2.0)
         assert q2[0, 0] == Interval(0.25)
-        assert rump_positive_definite(q1).positive_definite
-        assert rump_positive_definite(q2).positive_definite
+        assert rump_positive_definite(q1.pairs).positive_definite
+        assert rump_positive_definite(q2.pairs).positive_definite
         # determinants 2 and 1/4 via direct 2x2 arithmetic
         d1 = q1[0, 0] * q1[1, 1] - q1[0, 1] * q1[1, 0]
         d2 = q2[0, 0] * q2[1, 1] - q2[0, 1] * q2[1, 0]
@@ -457,15 +458,16 @@ class TestToyConeMatrices:
         chain = build_toy_chain()
         q_n = QuadraticForm((1.0, -3.0, -2.0, 0.25), (0, 3))  # gamma = 3
         _, q2 = switch_cone_blocks(q_n, chain.forms[chain.k + 1])
+        q2 = IntervalMatrix.from_pairs(q2)
         d2 = q2[0, 0] * q2[1, 1] - q2[0, 1] * q2[1, 0]
         assert d2.contains(0.0)
-        assert not rump_positive_definite(q2).positive_definite
+        assert not rump_positive_definite(q2.pairs).positive_definite
 
     def test_whole_box_switch_matrix_inconclusive(self):
         # Positive definiteness is claimed only near the tangency point; over
         # x in 1 +- 0.25 the interval matrix is not certified.
         v, _, _ = self._switch_link(Interval(0.75, 1.25))
-        assert not rump_positive_definite(v).positive_definite
+        assert not rump_positive_definite(v.pairs).positive_definite
 
 
 class TestConeMatrixGeneric:
@@ -474,9 +476,9 @@ class TestConeMatrixGeneric:
         # V = diag(1, -1), not positive definite.
         qn = QuadraticForm((1.0, -1.0), (0,))
         qm = QuadraticForm((2.0, -2.0), (0,))
-        v = cone_matrix(IntervalMatrix.identity(2), qn, qm)
-        assert v[0, 0] == Interval(1.0)
-        assert v[1, 1] == Interval(-1.0)
+        v = cone_matrix(IntervalMatrix.identity(2).pairs, qn, qm)
+        assert v[0][0] == (1.0, 1.0)
+        assert v[1][1] == (-1.0, -1.0)
         assert not rump_positive_definite(v).positive_definite
 
     def test_linear_toy_link_diagonal(self):
@@ -490,7 +492,7 @@ class TestConeMatrixGeneric:
         src, tgt = chain.sets[1], chain.sets[2]
         qn, qm = chain.forms[1], chain.forms[2]
         cert = check_covering(src, tgt, linear_start_map(params))
-        v = cone_matrix(cert.local_jacobian, qn, qm)
+        v = IntervalMatrix.from_pairs(cone_matrix(cert.local_jacobian, qn, qm))
         lam, mu = params.lam, params.mu
         assert v[0, 0].contains(1.0 * lam**2 - 1.0)
         assert v[1, 1].contains(4.0 - mu**2 * 4.0)
@@ -506,13 +508,17 @@ class TestConeMatrixGeneric:
 
 
 def cone_matrix_oracle(d, q_src, q_tgt, inflate_src=1.0):
-    """symmetrize(D^T Q_M D - c Q_N) in IntervalMatrix operations."""
-    qn = q_src.matrix() if inflate_src == 1.0 else q_src.matrix().scale(inflate_src)
-    return symmetrize(d.transpose().mat_mul(q_tgt.matrix()).mat_mul(d) - qn)
+    """symmetrize(D^T Q_M D - c Q_N) in IntervalMatrix operations, d rows of
+    (lo, hi) pairs, as rows of (lo, hi) pairs."""
+    d = IntervalMatrix.from_pairs(d)
+    qn = form_matrix(q_src)
+    if inflate_src != 1.0:
+        qn = qn.scale(inflate_src)
+    return symmetrize(d.transpose().mat_mul(form_matrix(q_tgt)).mat_mul(d) - qn).pairs
 
 
-def _rows_hex(m):
-    return [pairs_hex(row) for row in m.pairs]
+def _rows_hex(rows):
+    return [pairs_hex(row) for row in rows]
 
 
 def _random_form(rng, n):
@@ -547,7 +553,7 @@ class TestConeMatrixBits:
             m, n = rng.randint(1, 4), rng.randint(1, 4)
             d = IntervalMatrix.from_pairs(
                 [[_random_entry(rng) for _ in range(n)] for _ in range(m)]
-            )
+            ).pairs
             q_src, q_tgt = _random_form(rng, n), _random_form(rng, m)
             try:
                 want = _rows_hex(cone_matrix_oracle(d, q_src, q_tgt, inflate))
@@ -569,10 +575,8 @@ class TestConeMatrixBits:
         ]
         for side, disk in (("stable", cert.stable_disk), ("unstable", cert.unstable_disk)):
             qtilde = projected_disk_data(henon_chain, side)[1]
-            rows = disk.covering.local_jacobian.pairs
-            links.append(
-                (IntervalMatrix.from_pairs([row[:3] for row in rows]), qtilde, qtilde)
-            )
+            rows = disk.covering.local_jacobian
+            links.append((tuple(row[:3] for row in rows), qtilde, qtilde))
         toy = build_toy_chain()
         coverings = check_chain(list(toy.sets), list(toy.maps))
         links += [
@@ -586,7 +590,7 @@ class TestConeMatrixBits:
             )
 
     def test_shape_mismatch(self):
-        d = IntervalMatrix.identity(2)
+        d = IntervalMatrix.identity(2).pairs
         q1, q2 = QuadraticForm((1.0, -1.0), (0,)), QuadraticForm((1.0, -1.0, -1.0), (0,))
         for q_src, q_tgt in ((q1, q2), (q2, q1)):
             with pytest.raises(IntervalError):
@@ -600,7 +604,7 @@ class TestConeMatrixBits:
         # in the symmetrization (1e154): an error, never a non-finite pair.
         q = QuadraticForm((1.0, -1.0), (0,))
         for big in (1e200, -1e200, 1.5e154, 1e154):
-            d = IntervalMatrix.from_pairs([[(big, big), (0.0, 0.0)], [(0.0, 0.0), (1.0, 1.0)]])
+            d = ((big, big), (0.0, 0.0)), ((0.0, 0.0), (1.0, 1.0))
             with pytest.raises(IntervalError):
                 cone_matrix(d, q, q)
 
@@ -627,11 +631,11 @@ def _exact_pivots(p):
 
 
 def _exact_points(m, rng, count):
-    """Symmetric Fraction matrices inside the lower triangle of m (what the
-    Cholesky run and the midpoint/radius split read): corners, then points
-    at random dyadic positions."""
-    n = m.nrows
-    bounds = [[tuple(Fraction(b) for b in m.pairs[i][j]) for j in range(i + 1)]
+    """Symmetric Fraction matrices inside the lower triangle of m, rows of
+    (lo, hi) pairs (what the Cholesky run and the midpoint/radius split
+    read): corners, then points at random dyadic positions."""
+    n = len(m)
+    bounds = [[tuple(Fraction(b) for b in m[i][j]) for j in range(i + 1)]
               for i in range(n)]
     for s in range(count):
         p = [[None] * n for _ in range(n)]
@@ -645,9 +649,10 @@ def _exact_points(m, rng, count):
 
 
 def _vertex_enclosures(a):
-    """(z, exact vertex matrix C - D(z) R D(z) of a's split) per sign vector."""
+    """(z, exact vertex matrix C - D(z) R D(z) of the split of a, rows of
+    (lo, hi) pairs) per sign vector."""
     c, r = midrad_split(a)
-    n = a.nrows
+    n = len(a)
     return [
         (z, [[Fraction(c[i][j]) - z[i] * z[j] * Fraction(r[i][j]) for j in range(n)]
              for i in range(n)])
@@ -680,11 +685,11 @@ class TestExactPivotOracle:
         for _ in range(120):
             n = rng.choice([2, 3, 4, 5])
             m, _, _ = _sym_interval_matrix(rng, n, rad=rng.choice([0.01, 0.1, 0.4]))
-            pivot = interval_cholesky_min_pivot(m)
+            pivot = interval_cholesky_min_pivot(m.pairs)
             if pivot is None:
                 continue
             certified += 1
-            for p in _exact_points(m, rng, 12):
+            for p in _exact_points(m.pairs, rng, 12):
                 assert min(_exact_pivots(p)) >= Fraction(pivot)
         assert certified >= 60
 
@@ -693,15 +698,15 @@ class TestExactPivotOracle:
         for _ in range(60):
             n = rng.choice([2, 3, 4])
             m, _, _ = _sym_interval_matrix(rng, n, rad=rng.choice([0.1, 0.5, 1.5]))
-            res = rump_positive_definite(m)
-            vertices = _vertex_enclosures(m)
+            res = rump_positive_definite(m.pairs)
+            vertices = _vertex_enclosures(m.pairs)
             for (z, margin), (z2, vertex) in zip(res.vertex_margins, vertices):
                 assert z == z2
                 if margin is not None:
                     assert min(_exact_pivots(vertex)) >= Fraction(margin)
             if res.positive_definite:
                 certified += 1
-                for p in _exact_points(m, rng, 10):
+                for p in _exact_points(m.pairs, rng, 10):
                     assert min(_exact_pivots(p)) > 0
         assert certified >= 20
 
@@ -716,7 +721,7 @@ class TestExactPivotOracle:
             res = rump_positive_definite(v)
             assert res.positive_definite
             c, r = midrad_split(v)
-            n = v.nrows
+            n = len(v)
             vertices = _vertex_enclosures(v)
             for (z, margin), (_, vertex) in zip(res.vertex_margins, vertices):
                 assert min(_exact_pivots(vertex)) >= Fraction(margin)
@@ -724,8 +729,8 @@ class TestExactPivotOracle:
                     [[Interval(c[i][j]) - Interval(z[i] * z[j] * r[i][j])
                       for j in range(n)] for i in range(n)]
                 )
-                assert interval_cholesky_min_pivot(enclosure) == margin
-                for p in _exact_points(enclosure, rng, 4):
+                assert interval_cholesky_min_pivot(enclosure.pairs) == margin
+                for p in _exact_points(enclosure.pairs, rng, 4):
                     assert min(_exact_pivots(p)) >= Fraction(margin)
             for p in _exact_points(v, rng, 6):
                 assert min(_exact_pivots(p)) > 0

@@ -26,9 +26,9 @@ from tangency.covering import (
 )
 from tangency import kernels
 from tangency.henon import henon_family, projected_disk_data
-from tangency.hset import HSet, local_derivative
+from tangency.hset import HSet
 from tangency.interval import Interval, IntervalError, pair_mid
-from tangency.linalg import IntervalMatrix, IntervalVector
+from linalg_oracle import IntervalMatrix, IntervalVector, local_derivative, to_normalized
 from tangency.manifold import DiskMap
 from tangency.projective import ChartError, ChartMap
 from tangency.toy import ToyParams, build_toy_chain, linear_start_map, switch_map
@@ -40,7 +40,7 @@ EYE4 = [[1.0, 0, 0, 0], [0, 1.0, 0, 0], [0, 0, 1.0, 0], [0, 0, 0, 1.0]]
 def _normalized(h, image):
     """The normalized coordinates in h of the ambient box image, (lo, hi)
     pairs as a map returns them."""
-    return h.to_normalized(IntervalVector.from_pairs(image))
+    return to_normalized(h, IntervalVector.from_pairs(image))
 
 
 def _enclose(src, tgt, fmap, zbox, rows):
@@ -56,7 +56,7 @@ def _wall_midpoint_pairing(src, tgt, fmap, grid):
     pairing of largest total |separation|, each pair signed as its
     separation."""
     def thin(zbox):
-        return _normalized(tgt, fmap.apply(src.from_normalized(zbox.mid))).pairs
+        return _normalized(tgt, fmap.apply(src.from_normalized(zbox[1]))).pairs
 
     mids = {}
     for i in src.unstable:
@@ -361,9 +361,9 @@ class TestJacobian:
             chain.sets[1:],
             chain.maps,
         ):
-            jacobian = IntervalMatrix.from_pairs(fmap.derivative(src.box().pairs)[1])
+            jacobian = IntervalMatrix.from_pairs(fmap.derivative(src.box())[1])
             whole = local_derivative(src, tgt, jacobian)
-            assert cert.local_jacobian.rows == whole.rows
+            assert cert.local_jacobian == whole.pairs
 
     def test_finer_grid_stays_inside(self):
         chain = build_toy_chain(ToyParams())
@@ -371,8 +371,8 @@ class TestJacobian:
         fine = check_chain(list(chain.sets), list(chain.maps), grid=2)
         for c1, c2 in zip(coarse, fine):
             assert c2.grid == 2
-            for r1, r2 in zip(c1.local_jacobian.rows, c2.local_jacobian.rows):
-                assert all(e2.is_subset(e1) for e1, e2 in zip(r1, r2))
+            for r1, r2 in zip(c1.local_jacobian, c2.local_jacobian):
+                assert all(l1 <= l2 and h2 <= h1 for (l1, h1), (l2, h2) in zip(r1, r2))
 
 
 class TestEnclosureConsistency:
@@ -385,7 +385,11 @@ class TestEnclosureConsistency:
         assert not isinstance(err.value, (IntervalError, VerificationInconclusive))
         assert err.value.stage == "covering"
         assert err.value.locus == "N0=>N1"
-        assert "disjoint" in err.value.detail
+        assert err.value.detail == (
+            "mean-value image Interval(48.84140625, 53.18984375000001) and hull "
+            "image Interval(-3.1507812499999996, 1.19765625) of axis 0 are "
+            "disjoint on sub-box [Interval(-1.0, 1.0), Interval(-1.0, 1.0), "
+            "Interval(-1.0, 1.0), Interval(-1.0, 1.0)]")
 
     @pytest.mark.parametrize("ignores", ["apply", "derivative"])
     def test_map_ignoring_outputs_is_an_error_not_a_verdict(self, ignores):
@@ -588,7 +592,7 @@ class TestWallRows:
             ntilde, _, param, _ = projected_disk_data(henon_chain, side)
             cases.append((DiskMap(ChartMap(f), param), ntilde))
         for fmap, h in cases:
-            box = h.box().pairs
+            box = h.box()
             mid = tuple([(pair_mid(*e),) * 2 for e in box])
             full_value = fmap.apply(mid)
             full_image, full_jac = fmap.derivative(box)
@@ -630,7 +634,7 @@ class TestOnePassOracle:
     """_image_normalized, the covering's one pass on (lo, hi) pairs, is the
     object route's evaluation bit for bit (conftest.one_pass_oracle: the
     ambient boxes by IntervalMatrix.mat_vec, the maps on every output,
-    hset.to_normalized and hset.local_derivative), on every sub-box of the
+    linalg_oracle.to_normalized and local_derivative), on every sub-box of the
     15 Henon links, both disk self-coverings and the default toy chain's
     links, on every target row, on each single row and on the unstable and
     stable rows."""
@@ -663,74 +667,90 @@ class TestOnePassOracle:
 
 
 # Run in a fresh interpreter: a __new__ set on a class cannot be taken back
-# (deleting it leaves the class refusing constructor arguments).
+# (deleting it leaves the class refusing constructor arguments).  The first
+# run warms the per-grid sub-box tables and the frames' row patterns; the
+# second is counted.
 _COUNT_BUILDS = """
-import json, sys
+import contextlib, io, json, sys
 from collections import Counter
 
 from tangency import kernels
-from tangency.covering import check_chain
-from tangency.linalg import IntervalMatrix, IntervalVector
+from tangency.interval import Interval
 
 which, grid = sys.argv[1], int(sys.argv[2])
-if which == "henon":
-    from tangency.henon import build_chain, henon_family
-    from tangency.projective import ChartMap
+if which == "check-toy":
+    from tangency.cli import main
 
-    sets = list(build_chain().sets)
-    maps = [ChartMap(henon_family()[0])] * (len(sets) - 1)
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return main(["check-toy", "--report", sys.argv[3]])
 else:
-    from tangency.toy import ToyParams, build_toy_chain
+    from tangency.covering import check_chain
 
-    chain = build_toy_chain(ToyParams())
-    sets, maps = list(chain.sets), list(chain.maps)
-with kernels.upward():
-    check_chain(sets, maps, grid)
+    if which == "henon":
+        from tangency.henon import build_chain, henon_family
+        from tangency.projective import ChartMap
+
+        sets = list(build_chain().sets)
+        maps = [ChartMap(henon_family()[0])] * (len(sets) - 1)
+    else:
+        from tangency.toy import ToyParams, build_toy_chain
+
+        chain = build_toy_chain(ToyParams())
+        sets, maps = list(chain.sets), list(chain.maps)
+
+    def run():
+        with kernels.upward():
+            return len(check_chain(sets, maps, grid))
+run()
 built = Counter()
 
 
-def counting(name):
-    def new(cls, *args, **kwargs):
-        built[name] += 1
-        return object.__new__(cls)
-
-    return staticmethod(new)
+def new(cls, *args, **kwargs):
+    built[cls.__name__] += 1
+    return object.__new__(cls)
 
 
-for cls in (IntervalVector, IntervalMatrix):
-    cls.__new__ = counting(cls.__name__)
-with kernels.upward():
-    links = len(check_chain(sets, maps, grid))
-print(json.dumps({"built": built, "links": links}))
+Interval.__new__ = staticmethod(new)
+out = run()
+print(json.dumps({"built": built, "out": out}))
 """
 
 
+def _count_builds(*args):
+    """What the _COUNT_BUILDS script prints for args, run on the tangency
+    package the tests import."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tangency
+
+    src = str(Path(tangency.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", _COUNT_BUILDS, *map(str, args)],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(run.stdout)
+
+
 class TestObjectsBuiltPerLink:
-    """The map protocol speaks (lo, hi) pairs: a warm covering stage, one
-    whose per-grid sub-box tables and frame row patterns are built already,
-    builds no IntervalVector (SubBoxes included) and one IntervalMatrix per
-    link, its certificate's local_jacobian, counted through the classes'
-    __new__, on the Henon chain at grids 1 and 2 and on the default toy
-    chain."""
+    """The covering speaks (lo, hi) pairs from the sub-boxes to the
+    certificate: a warm covering stage, one whose per-grid sub-box tables
+    and frame row patterns are built already, builds no Interval, counted
+    through the class's __new__, on the Henon chain at grids 1 and 2 and on
+    the default toy chain; nor does a whole warm check-toy call, which
+    certifies the same chain, its cones, switch blocks and transversality."""
 
     @pytest.mark.parametrize("which, grid, links", [
         ("henon", 1, 15), ("henon", 2, 15), ("toy", 1, 10),
     ])
     def test_warm_stage(self, which, grid, links):
-        import json
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
+        assert _count_builds(which, grid) == {"built": {}, "out": links}
 
-        import tangency
-
-        src = str(Path(tangency.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        run = subprocess.run([sys.executable, "-c", _COUNT_BUILDS, which, str(grid)],
-                             env=env, capture_output=True, text=True, check=True)
-        out = json.loads(run.stdout)
-        assert out == {"built": {"IntervalMatrix": links}, "links": links}
+    def test_warm_check_toy_call(self, tmp_path):
+        assert _count_builds("check-toy", 1, tmp_path / "r.json") == {"built": {}, "out": 0}
 
 
 class TestFrameChangesFetchedOnce:

@@ -134,3 +134,14 @@ def test_src_evaluates_no_jets():
     for path in (ROOT / "src" / "tangency").glob("*.py"):
         text = path.read_text(encoding="utf-8")
         assert not re.search(r"\b(jets?|Jet|seed_jets)\b", text), path.name
+
+
+def test_src_keeps_one_interval_representation():
+    # Interval vectors and matrices are rows of (lo, hi) pairs in src/; the
+    # objects that wrapped them are the tests' oracle
+    # (tests/linalg_oracle.py), and no longer public names.
+    assert not {"IntervalVector", "IntervalMatrix"} & set(tangency.__all__)
+    assert "BACKEND" in tangency.__all__
+    for path in (ROOT / "src" / "tangency").glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert not re.search(r"\b(IntervalVector|IntervalMatrix|_wrap|SubBox)\b", text), path.name

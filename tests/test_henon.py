@@ -42,7 +42,7 @@ from tangency.henon import (
     tangent_alignment,
 )
 from tangency.interval import Interval, as_pair
-from tangency.linalg import IntervalMatrix, IntervalVector
+from linalg_oracle import IntervalMatrix, IntervalVector, to_normalized
 from tangency.manifold import DiskMap
 from tangency.projective import ChartMap
 
@@ -231,7 +231,7 @@ class TestChainData:
         images = _step_images(henon_chain)
         for i in range(1, 14):
             mid = _mids(images[i - 1])
-            z = henon_chain.sets[i + 1].to_normalized(mid)
+            z = to_normalized(henon_chain.sets[i + 1], mid)
             for c in z:
                 assert c.mag < 1.0
 
@@ -240,7 +240,7 @@ class TestChainData:
         # image of c14 must enter through its stable direction (the covering
         # takes care of the expanding ones).
         mid = _mids(_step_images(henon_chain)[13])
-        z = henon_chain.sets[15].to_normalized(mid)
+        z = to_normalized(henon_chain.sets[15], mid)
         assert z[1].mag < 1.0  # stable axis
         assert z[3].mag < 1.0  # parameter axis
 
@@ -366,8 +366,7 @@ class TestProofStages:
         a, d = Fraction(big.center[3]), Fraction(big.diam[3])
         assert a == Fraction(A0)
         assert Fraction(param.lo) <= a - d and a + d <= Fraction(param.hi)
-        entry = big.box()[3]
-        assert (param.lo, param.hi) == (entry.lo, entry.hi)
+        assert (param.lo, param.hi) == big.box()[3]
 
 
 class TestPerturbations:
@@ -489,6 +488,7 @@ class TestSharedJacobian:
         """Each exact row i of D·right lies in row i of left·L, taken in
         exact rational interval arithmetic (rows maps i to row i of D; right
         is the 4x4 source frame, left the target frame)."""
+        local = IntervalMatrix.from_pairs(local)
         for i, row in rows.items():
             for j in range(4):
                 exact = sum(row[k] * Fraction(right[k][j]) for k in range(4))
@@ -591,7 +591,9 @@ def _exact_samples(jac, left, right, rng, count=6):
 def _check_local_frame(jac, src_coord, tgt_coord, local, cone_v, q_src, q_tgt, rng):
     """Every exact D in jac has M_tgt^-1 D M_src (and M_tgt^-1 times any
     parameter column of D) in local, and L^T Q_M L - Q_N in cone_v, with the
-    exact inverse of the float target frame."""
+    exact inverse of the float target frame.  local and cone_v are rows of
+    (lo, hi) pairs, as the certificates hold them."""
+    local, cone_v = IntervalMatrix.from_pairs(local), IntervalMatrix.from_pairs(cone_v)
     n = len(src_coord)
     left = frac_inverse(tgt_coord)
     right = [[Fraction(src_coord[k][j]) if k < n and j < n else Fraction(int(k == j))
@@ -695,11 +697,11 @@ class TestExactRationalDiskImages:
         params = exact_sample_points([(Fraction(param.lo), Fraction(param.hi))], rng,
                                      extra=1)
         for zbox in covering_boxes(ntilde, grid):
-            box = ntilde.from_normalized(zbox.pairs)
+            box = ntilde.from_normalized(zbox[0])
             applied = IntervalVector.from_pairs(disk_map.apply(box))
             value, jac = disk_map.derivative(box)
             value, jac = IntervalVector.from_pairs(value), IntervalMatrix.from_pairs(jac)
-            ends = [(Fraction(e.lo), Fraction(e.hi)) for e in zbox]
+            ends = [(Fraction(lo), Fraction(hi)) for lo, hi in zbox[0]]
             for z in exact_sample_points(ends, rng):
                 for a in params:
                     p = exact_point(ntilde, z) + a
@@ -758,7 +760,7 @@ class TestLocalFrameOracle:
         chart = ChartMap(henon_family()[0])
         for link, (cov, cone) in enumerate(zip(cert.coverings, cert.cones)):
             src, tgt = cert.hsets[link], cert.hsets[link + 1]
-            jac = IntervalMatrix.from_pairs(chart.derivative(src.box().pairs)[1])
+            jac = IntervalMatrix.from_pairs(chart.derivative(src.box())[1])
             _check_local_frame(jac, src.coord, tgt.coord, cov.local_jacobian,
                                cone.matrix, cert.forms[link], cert.forms[link + 1], rng)
 
@@ -769,7 +771,7 @@ class TestLocalFrameOracle:
         # last column, M^-1 dF/da.
         disk = getattr(henon_proof[0], f"{side}_disk")
         ntilde, qtilde, param, _ = projected_disk_data(henon_chain, side)
-        box4 = ntilde.box().pairs + (as_pair(param),)
+        box4 = ntilde.box() + (as_pair(param),)
         chart = ChartMap(evaluator(henon_family(), direction))
         d4 = IntervalMatrix.from_pairs(chart.derivative(box4)[1])
         _check_local_frame(IntervalMatrix(d4.rows[:3]), ntilde.coord, ntilde.coord,
@@ -797,14 +799,15 @@ class TestOnePassImage:
         src = henon_chain.sets[index]
         boxes = covering_boxes(src, grid)
         zbox = boxes[box % len(boxes)]
-        z = [Fraction(e.lo) + (Fraction(e.hi) - Fraction(e.lo)) * w for e, w in zip(zbox, u)]
+        z = [Fraction(lo) + (Fraction(hi) - Fraction(lo)) * w
+             for (lo, hi), w in zip(zbox[0], u)]
         x, y, w, a = (
             Fraction(src.center[i])
             + sum(Fraction(src.coord[i][j]) * Fraction(src.diam[j]) * z[j] for j in range(4))
             for i in range(4)
         )
         image = IntervalVector.from_pairs(
-            ChartMap(henon_family()[0]).derivative(src.from_normalized(zbox.pairs))[0])
+            ChartMap(henon_family()[0]).derivative(src.from_normalized(zbox[0]))[0])
         b = Fraction(B0)
         exact = {0: a - x * x + b * y, 1: x, 2: (b - 2 * x * w) / w, 3: a}
         for axis, value in exact.items():
@@ -815,7 +818,7 @@ class TestOnePassImage:
         chart = ChartMap(henon_family()[0])
         for src in henon_chain.sets:
             for zbox in covering_boxes(src, grid):
-                p = src.from_normalized(zbox.pairs)
+                p = src.from_normalized(zbox[0])
                 image, _ = chart.derivative(p)
                 assert repr(image) == repr(chart.apply(p)), src.name  # every bit
 
@@ -831,7 +834,7 @@ class TestOnePassImage:
         ntilde, _, param, _ = projected_disk_data(henon_chain, side)
         fmap = DiskMap(chart, param)
         for zbox in covering_boxes(ntilde, grid):
-            v3 = ntilde.from_normalized(zbox.pairs)
+            v3 = ntilde.from_normalized(zbox[0])
             image, jacobian = fmap.derivative(v3)
             v4 = v3 + (as_pair(param),)
             image4, jacobian4 = chart.derivative(v4)

@@ -9,7 +9,14 @@ from conftest import pairs_hex
 from tangency import hset, kernels
 from tangency.interval import Interval, IntervalError, pair_mid
 from tangency.hset import Frame, HSet, QuadraticForm
-from tangency.linalg import IntervalMatrix, IntervalVector
+from linalg_oracle import (
+    IntervalMatrix,
+    IntervalVector,
+    form_matrix,
+    frame,
+    to_normalized,
+    unit_cube,
+)
 from tangency.projective import ChartMap
 
 
@@ -35,7 +42,7 @@ class TestConstruction:
         # A Henon frame's slope column is -(1 + w^2) e_w: any invertible
         # frame is an h-set frame, and the transforms use its inverse.
         h = HSet("S", (1.0, -2.0), [[2.0, 0.0], [0.0, -3.0]], (0.5, 0.25), (0,))
-        w = h.to_normalized(IntervalVector([2.0, -2.75]))
+        w = to_normalized(h, IntervalVector([2.0, -2.75]))
         assert w[0].contains(1.0) and w[1].contains(1.0)
 
     @pytest.mark.parametrize(
@@ -114,14 +121,14 @@ class TestConstruction:
 class TestTransforms:
     def test_center_maps_to_zero(self):
         h = _sample_set()
-        z = h.to_normalized(IntervalVector([1.0, -2.0]))
+        z = to_normalized(h, IntervalVector([1.0, -2.0]))
         assert z[0].contains(0.0) and z[1].contains(0.0)
         assert z[0].width < 1e-14
 
     def test_axis_point_maps_to_unit(self):
         h = _sample_set()
         p = IntervalVector([1.0 + 0.5 * 0.6, -2.0 + 0.5 * 0.8])
-        z = h.to_normalized(p)
+        z = to_normalized(h, p)
         assert z[0].contains(1.0)
         assert z[1].contains(0.0)
 
@@ -129,7 +136,7 @@ class TestTransforms:
         h = _sample_set()
         for _ in range(100):
             p = IntervalVector([rng.uniform(0.5, 1.5), rng.uniform(-2.5, -1.5)])
-            back = IntervalVector.from_pairs(h.from_normalized(h.to_normalized(p).pairs))
+            back = IntervalVector.from_pairs(h.from_normalized(to_normalized(h, p).pairs))
             assert back[0].contains(p[0].mid)
             assert back[1].contains(p[1].mid)
 
@@ -140,12 +147,12 @@ class TestTransforms:
             z0 = rng.uniform(-0.95, 0.95)
             z1 = rng.uniform(-0.95, 0.95)
             p = h.from_normalized(IntervalVector([z0, z1]).pairs)
-            z = h.to_normalized(IntervalVector.from_pairs(p))
-            assert z.is_subset(HSet.unit_cube(2))
+            z = to_normalized(h, IntervalVector.from_pairs(p))
+            assert z.is_subset(unit_cube(2))
 
     def test_box_encloses_samples(self, rng):
         h = _sample_set()
-        box = h.box()
+        box = IntervalVector.from_pairs(h.box())
         for _ in range(100):
             z = IntervalVector([rng.uniform(-1, 1), rng.uniform(-1, 1)])
             p = h.from_normalized(z.pairs)
@@ -182,8 +189,7 @@ class TestWalls:
         h = _sample_set()
         walls = h.walls(0, 1, 1)
         assert len(walls) == 1
-        assert walls[0][0] == Interval(1.0)
-        assert walls[0][1] == Interval(-1.0, 1.0)
+        assert walls[0][0] == ((1.0, 1.0), (-1.0, 1.0))
 
     def test_grid_counts_4d(self):
         h = HSet("S", (0, 0, 0, 0),
@@ -196,7 +202,7 @@ class TestWalls:
         h = HSet("S", (0, 0, 0),
                  [[1, 0, 0], [0, 1, 0], [0, 0, 1]], (1, 1, 1), (0, 2))
         for grid in (1, 2, 3, 7):
-            walls = h.walls(0, 1, grid)
+            walls = [IntervalVector.from_pairs(box) for box, _, _ in h.walls(0, 1, grid)]
             hull = list(walls[0])
             for w in walls[1:]:
                 hull = [a.hull(b) for a, b in zip(hull, w)]
@@ -213,7 +219,7 @@ class TestWalls:
 
     def test_subboxes_cover_cube(self):
         h = _sample_set()
-        boxes = h.subboxes(3)
+        boxes = [IntervalVector.from_pairs(box) for box, _, _ in h.subboxes(3)]
         assert len(boxes) == 9
         hull = list(boxes[0])
         for b in boxes[1:]:
@@ -244,9 +250,9 @@ class TestWalls:
                  (1, 1, 1, 1), (0, 3))
         for axis in h.unstable:
             for side in (1, -1):
-                got = [pairs_hex(b.pairs) for b in h.walls(axis, side, grid)]
+                got = [pairs_hex(b) for b, _, _ in h.walls(axis, side, grid)]
                 assert got == boxes(4, axis, side)
-        assert [pairs_hex(b.pairs) for b in h.subboxes(grid)] == boxes(4)
+        assert [pairs_hex(b) for b, _, _ in h.subboxes(grid)] == boxes(4)
 
     def test_wall_requires_unstable_axis(self):
         h = _sample_set()
@@ -330,7 +336,7 @@ class TestQuadraticForm:
 
     def test_matrix(self):
         q = QuadraticForm((1.0, -2.0), (0,))
-        m = q.matrix()
+        m = form_matrix(q)
         assert m[0, 0] == Interval(1.0)
         assert m[1, 1] == Interval(-2.0)
         assert m[0, 1] == Interval(0.0)
@@ -384,13 +390,13 @@ class TestPairFrameChanges:
                 zs += [hset._subbox(_random_box(rng, [0.0] * src.n, 0.9).pairs)
                        for _ in range(4)]
                 maps = []
-                for z in zs + [IntervalVector.from_pairs(z.mid) for z in zs]:
-                    got = src.from_normalized(z.pairs)
-                    want = matrix_from_normalized(src, z.pairs).pairs
+                for z in [box for box, _, _ in zs] + [mid for _, mid, _ in zs]:
+                    got = src.from_normalized(z)
+                    want = matrix_from_normalized(src, z).pairs
                     assert type(got) is tuple
                     assert pairs_hex(got) == pairs_hex(want)
-                for z in zs:
-                    image, jac = fmap.derivative(src.from_normalized(z.pairs))
+                for z, _, _ in zs:
+                    image, jac = fmap.derivative(src.from_normalized(z))
                     image = IntervalVector.from_pairs(image)
                     maps.append(FixedMap(_thin(image), image, IntervalMatrix.from_pairs(jac)))
                 jac_dim = maps[0].jac.ncols
@@ -443,8 +449,8 @@ class TestSharedFrame:
             from_rows = HSet.from_dict(on_frame.to_dict())
             assert from_rows.basis is not on_frame.basis
             assert on_frame.to_dict() == from_rows.to_dict()
-            assert _hex_rows(on_frame.inv_coord.pairs) == _hex_rows(from_rows.inv_coord.pairs)
-            assert _hex_rows(on_frame.frame.pairs) == _hex_rows(from_rows.frame.pairs)
+            assert _hex_rows(on_frame.inv_coord) == _hex_rows(from_rows.inv_coord)
+            assert _hex_rows(frame(on_frame).pairs) == _hex_rows(frame(from_rows).pairs)
             boxes = self._boxes(rng, on_frame)
             for rows in _row_sets(on_frame.n):
                 read, other = on_frame.rows_read(rows), from_rows.rows_read(rows)
@@ -455,8 +461,8 @@ class TestSharedFrame:
                 ]
             with kernels.upward():
                 for p in boxes:
-                    assert pairs_hex(on_frame.to_normalized(p).pairs) == pairs_hex(
-                        from_rows.to_normalized(p).pairs
+                    assert pairs_hex(to_normalized(on_frame, p).pairs) == pairs_hex(
+                        to_normalized(from_rows, p).pairs
                     )
 
     def test_sets_on_one_frame_keep_their_own_centers(self):
@@ -466,8 +472,8 @@ class TestSharedFrame:
         assert a.basis is b.basis is frame
         assert a.inv_coord is b.inv_coord
         p = IntervalVector([1.0, -2.0])
-        assert all(e.contains(0.0) for e in a.to_normalized(p))
-        assert not b.to_normalized(p)[0].contains(0.0)
+        assert all(e.contains(0.0) for e in to_normalized(a, p))
+        assert not to_normalized(b, p)[0].contains(0.0)
 
     def test_frame_dimension_must_match_the_center(self):
         with pytest.raises(IntervalError, match="shape mismatch"):
@@ -550,13 +556,13 @@ class TestSubBoxTables:
         boxes += list(h.subboxes(grid))
         assert len(boxes) == 2 * n * grid ** (n - 1) + grid**n
         with kernels.upward():
-            for box in boxes:
-                mids = [pair_mid(*z) for z in box.pairs]
-                assert pairs_hex(box.mid) == pairs_hex((m, m) for m in mids)
-                delta = [kernels.isub(z, (m, m)) for z, m in zip(box.pairs, mids)]
+            for box, mid, delta_terms in boxes:
+                mids = [pair_mid(*z) for z in box]
+                assert pairs_hex(mid) == pairs_hex((m, m) for m in mids)
+                delta = [kernels.isub(z, (m, m)) for z, m in zip(box, mids)]
                 (terms,) = nonzero_pattern((delta,))
-                assert [k for k, _ in box.delta_terms] == [k for k, _ in terms]
-                assert pairs_hex(p for _, p in box.delta_terms) == pairs_hex(
+                assert [k for k, _ in delta_terms] == [k for k, _ in terms]
+                assert pairs_hex(p for _, p in delta_terms) == pairs_hex(
                     p for _, p in terms)
 
     def test_sets_of_one_dimension_share_their_boxes(self):

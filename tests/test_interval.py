@@ -65,15 +65,18 @@ class TestCoercion:
 
     def test_strings_and_other_types_rejected(self):
         from jet_oracle import as_interval
-        from tangency.linalg import IntervalVector
+        from tangency.interval import as_pair
+        from tangency.linalg import inverse_enclosure
 
         for bad in ("0.1", "1", None, [1.0]):
             with pytest.raises(IntervalError):
                 Interval(bad)
             with pytest.raises(IntervalError):
                 as_interval(bad)
+            with pytest.raises(IntervalError):
+                as_pair(bad)
         with pytest.raises(IntervalError):
-            IntervalVector(["0.1", 1.0])
+            inverse_enclosure([["0.1", 1.0], [0.0, 1.0]])
         with pytest.raises(IntervalError):
             Interval(10**400)
 

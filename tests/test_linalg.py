@@ -1,4 +1,6 @@
-"""Interval vectors/matrices against exact rational oracles."""
+"""The pair matrix functions of tangency.linalg, and the interval vector
+and matrix objects of the tests' oracle (linalg_oracle), against exact
+rational oracles."""
 
 import math
 import random
@@ -8,11 +10,10 @@ import pytest
 
 from tangency import kernels as _k
 from tangency.interval import Interval, IntervalError, ulp
-from tangency.linalg import (
-    IntervalMatrix,
-    IntervalVector,
-    inverse_enclosure,
-)
+from tangency.cones import cone_matrix, rump_positive_definite
+from tangency.hset import QuadraticForm
+from tangency.linalg import checked_rows, inverse_enclosure, mat_mul, norm_upper
+from linalg_oracle import IntervalMatrix, IntervalVector
 from conftest import (
     contains_fraction,
     frac_det,
@@ -24,6 +25,16 @@ from conftest import (
 
 def _rand_point_matrix(rng, n, scale=4.0):
     return [[rng.uniform(-scale, scale) for _ in range(n)] for _ in range(n)]
+
+
+def _points(rows):
+    """The point matrix of the numbers rows as rows of (lo, hi) pairs."""
+    return IntervalMatrix(rows).pairs
+
+
+def _at(rows, i, j):
+    """Entry (i, j) of rows of (lo, hi) pairs as an Interval."""
+    return Interval(*rows[i][j])
 
 
 class TestVector:
@@ -38,9 +49,8 @@ class TestVector:
     def test_norm_upper(self, rng):
         for _ in range(200):
             pts = [rng.uniform(-5, 5) for _ in range(3)]
-            v = IntervalVector(pts)
             exact = math.sqrt(sum(p * p for p in pts))
-            assert v.norm_upper() >= exact
+            assert norm_upper(IntervalVector(pts).pairs) >= exact
 
     def test_dim_mismatch(self):
         with pytest.raises(IntervalError):
@@ -49,30 +59,25 @@ class TestVector:
 
 class TestMatMul:
     def test_identity_encloses(self):
-        a = IntervalMatrix([[1.25, -0.5], [0.75, 2.0]])
-        prod = IntervalMatrix.identity(2).mat_mul(a)
+        a = _points([[1.25, -0.5], [0.75, 2.0]])
+        prod = mat_mul(IntervalMatrix.identity(2).pairs, a)
         for i in range(2):
             for j in range(2):
-                assert prod[i, j].contains(a[i, j])
+                assert _at(prod, i, j).contains(_at(a, i, j))
 
     def test_degenerate_exact(self):
-        a = IntervalMatrix([[1.0, 2.0], [3.0, 4.0]])
-        b = IntervalMatrix([[5.0, 6.0], [7.0, 8.0]])
-        prod = a.mat_mul(b)
-        assert prod[0, 0] == Interval(19.0)
-        assert prod[0, 1] == Interval(22.0)
-        assert prod[1, 0] == Interval(43.0)
-        assert prod[1, 1] == Interval(50.0)
+        prod = mat_mul(_points([[1.0, 2.0], [3.0, 4.0]]), _points([[5.0, 6.0], [7.0, 8.0]]))
+        assert prod == (((19.0, 19.0), (22.0, 22.0)), ((43.0, 43.0), (50.0, 50.0)))
 
     def test_random_against_rational_oracle(self, rng):
         for _ in range(50):
             a = _rand_point_matrix(rng, 4)
             b = _rand_point_matrix(rng, 4)
-            prod = IntervalMatrix(a).mat_mul(IntervalMatrix(b))
+            prod = mat_mul(_points(a), _points(b))
             exact = frac_matmul(a, b)
             for i in range(4):
                 for j in range(4):
-                    assert contains_fraction(prod[i, j], exact[i][j])
+                    assert contains_fraction(_at(prod, i, j), exact[i][j])
 
     def test_mat_vec(self, rng):
         a = _rand_point_matrix(rng, 3)
@@ -83,6 +88,8 @@ class TestMatMul:
             assert contains_fraction(out[i], exact)
 
     def test_shape_mismatch(self):
+        with pytest.raises(IntervalError, match="shape mismatch"):
+            mat_mul(IntervalMatrix.identity(2).pairs, IntervalMatrix.identity(3).pairs)
         with pytest.raises(IntervalError):
             IntervalMatrix.identity(2).mat_mul(IntervalMatrix.identity(3))
 
@@ -95,14 +102,14 @@ class TestMatMul:
 class TestInverseEnclosure:
     def test_identity(self):
         inv = inverse_enclosure([[1.0, 0.0], [0.0, 1.0]])
-        assert inv[0, 0].contains(1.0)
-        assert inv[0, 1].contains(0.0)
+        assert _at(inv, 0, 0).contains(1.0)
+        assert _at(inv, 0, 1).contains(0.0)
 
     def test_diagonal(self):
         inv = inverse_enclosure([[2.0, 0.0], [0.0, 0.5]])
-        assert inv[0, 0].contains(0.5)
-        assert inv[1, 1].contains(2.0)
-        assert inv[0, 0].width < 1e-14
+        assert _at(inv, 0, 0).contains(0.5)
+        assert _at(inv, 1, 1).contains(2.0)
+        assert _at(inv, 0, 0).width < 1e-14
 
     def test_henon_frame_residual(self):
         # The exact rational inverse lies in the enclosure, which is tight.
@@ -120,8 +127,8 @@ class TestInverseEnclosure:
         exact = frac_inverse(m0)
         for i in range(4):
             for j in range(4):
-                assert contains_fraction(inv[i, j], exact[i][j])
-                assert inv[i, j].width < 1e-12
+                assert contains_fraction(_at(inv, i, j), exact[i][j])
+                assert _at(inv, i, j).width < 1e-12
 
     def test_random_contains_rational_inverse(self, rng):
         for _ in range(200):
@@ -131,7 +138,7 @@ class TestInverseEnclosure:
             inv = inverse_enclosure(a)
             for i, row in enumerate(frac_inverse(a)):
                 for j, q in enumerate(row):
-                    assert contains_fraction(inv[i, j], q)
+                    assert contains_fraction(_at(inv, i, j), q)
 
     def test_singular_rejected(self):
         with pytest.raises(IntervalError):
@@ -139,8 +146,9 @@ class TestInverseEnclosure:
 
 
 class TestFloatPairs:
-    """Entries are (lo, hi) pairs inside; Intervals at the edges; a pair the
-    kernels computed is checked as an Interval is before it is stored."""
+    """The oracle's entries are (lo, hi) pairs inside and Intervals at the
+    edges; a pair the kernels computed is checked as an Interval is before
+    it is stored, by the oracle and by tangency.linalg alike."""
 
     def test_edges_give_intervals(self):
         m = IntervalMatrix([[1, Interval(2.0, 3.0)], [Fraction(1, 3), 4.0]])
@@ -157,9 +165,13 @@ class TestFloatPairs:
             IntervalMatrix.from_pairs([[pair]])
         with pytest.raises(IntervalError):
             IntervalVector.from_pairs([pair])
+        with pytest.raises(IntervalError):
+            checked_rows([[pair]])
 
     def test_overflow_raises(self):
         big = IntervalMatrix([[1e200, 1.0], [0.0, 1.0]])
+        with pytest.raises(IntervalError):
+            mat_mul(big.pairs, big.pairs)
         with pytest.raises(IntervalError):
             big.mat_mul(big)
         with pytest.raises(IntervalError):
@@ -230,7 +242,7 @@ class TestBlockInverse:
             exact = frac_inverse(m)
             for i, row in enumerate(exact):
                 for j, q in enumerate(row):
-                    assert contains_fraction(inv[i, j], q), (name, i, j)
+                    assert contains_fraction(_at(inv, i, j), q), (name, i, j)
 
     def test_random_block_matrices_contain_the_exact_inverse(self, rng):
         for _ in range(60):
@@ -239,11 +251,11 @@ class TestBlockInverse:
             exact = frac_inverse(a)
             for i, row in enumerate(exact):
                 for j, q in enumerate(row):
-                    assert contains_fraction(inv[i, j], q)
+                    assert contains_fraction(_at(inv, i, j), q)
 
     def test_frames_are_within_four_ulps_of_the_exact_inverse(self, henon_chain):
         for name, m in _all_frames(henon_chain):
-            inv = inverse_enclosure(m).pairs
+            inv = inverse_enclosure(m)
             for i, row in enumerate(frac_inverse(m)):
                 for j, q in enumerate(row):
                     lo, hi = inv[i][j]
@@ -264,7 +276,7 @@ class TestBlockInverse:
     def test_off_block_zeros_and_unit_diagonals_are_exact(self, henon_chain, rng):
         zero = pairs_hex([(0.0, 0.0)])[0]
         for h in henon_chain.sets:
-            p = h.inv_coord.pairs
+            p = h.inv_coord
             for i in range(4):
                 for j in range(4):
                     if (i < 2) != (j < 2) or (i >= 2 and i != j):
@@ -277,12 +289,12 @@ class TestBlockInverse:
         for _ in range(60):
             a = _random_block_matrix(rng, rng.randint(2, 5))
             comp = _blocks_of(a)
-            inv = inverse_enclosure(a).pairs
+            inv = inverse_enclosure(a)
             for i in range(len(a)):
                 for j in range(len(a)):
                     if j not in comp[i]:
                         assert pairs_hex([inv[i][j]])[0] == zero
-        assert inverse_enclosure([[1.0, 0.0], [0.0, 1.0]]).pairs == (
+        assert inverse_enclosure([[1.0, 0.0], [0.0, 1.0]]) == (
             ((1.0, 1.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 1.0)))
 
     @pytest.mark.parametrize(
@@ -347,8 +359,9 @@ def _fold(row, col):
 
 
 class TestZeroSkipping:
-    """mat_mul and mat_vec skip every term with an exact-zero factor; the
-    results keep every bit of the unskipped fold, signed zeros included."""
+    """linalg.mat_mul and the oracle's mat_mul and mat_vec skip every term
+    with an exact-zero factor; the results keep every bit of the unskipped
+    fold, signed zeros included."""
 
     def test_products_match_the_unskipped_fold(self, rng):
         skipped = 0
@@ -361,7 +374,37 @@ class TestZeroSkipping:
             want = [[_fold(row, col) for col in zip(*b)] for row in a]
             got = am.mat_mul(IntervalMatrix.from_pairs(b)).pairs
             assert [pairs_hex(r) for r in got] == [pairs_hex(r) for r in want]
+            got = mat_mul(a, b)
+            assert [pairs_hex(r) for r in got] == [pairs_hex(r) for r in want]
             got_v = am.mat_vec(IntervalVector.from_pairs(v)).pairs
             assert pairs_hex(got_v) == pairs_hex([_fold(row, v) for row in a])
             skipped += sum(1 for row in a for e in row if e in _ZEROS)
         assert skipped > 1000
+
+
+_FORM = QuadraticForm((1.0, -1.0), (0,))
+_ENTRY_POINTS = {
+    "rump_positive_definite": rump_positive_definite,
+    "cone_matrix": lambda rows: cone_matrix(rows, _FORM, _FORM),
+    "inverse_enclosure": lambda rows: inverse_enclosure(
+        [[lo for lo, _ in row] for row in rows]),
+    "mat_mul-left": lambda rows: mat_mul(rows, IntervalMatrix.identity(2).pairs),
+    "mat_mul-right": lambda rows: mat_mul(IntervalMatrix.identity(2).pairs, rows),
+}
+_ONE = (1.0, 1.0)
+_BAD_SHAPES = {
+    "no-rows": ([], "empty matrix"),
+    "empty-row": ([[]], "empty matrix"),
+    "ragged-short": ([[_ONE, _ONE], [_ONE]], "ragged matrix"),
+    "ragged-long": ([[_ONE, _ONE], [_ONE, _ONE, _ONE]], "ragged matrix"),
+}
+
+
+@pytest.mark.parametrize("shape", list(_BAD_SHAPES))
+@pytest.mark.parametrize("entry", list(_ENTRY_POINTS))
+def test_entry_points_reject_empty_and_ragged_rows(entry, shape):
+    # The public functions that take rows of (lo, hi) pairs reject a
+    # matrix with no entries or rows of unequal length as IntervalError.
+    rows, message = _BAD_SHAPES[shape]
+    with pytest.raises(IntervalError, match=message):
+        _ENTRY_POINTS[entry](rows)

@@ -10,9 +10,9 @@ import pytest
 from tangency import cones, manifold
 from tangency.cones import check_cone_link, cone_matrix, rump_positive_definite, vertex_signs
 from tangency.covering import VerificationInconclusive
-from tangency.hset import HSet, QuadraticForm, local_derivative
-from tangency.interval import Interval, IntervalError
-from tangency.linalg import IntervalMatrix, IntervalVector
+from tangency.hset import HSet, QuadraticForm
+from tangency.interval import Interval, IntervalError, as_pair
+from linalg_oracle import IntervalMatrix, IntervalVector, frame, inv_coord, local_derivative
 from tangency.manifold import (
     _jacobi_min_eigenvalue,
     choose_gamma,
@@ -94,10 +94,10 @@ def _exact_pd(rows):
 def _exact_vertices(v):
     """Rohn's 2^(n-1) vertex matrices of a symmetric interval matrix, exact:
     entry lo where z_i z_j = +1 (the whole diagonal), hi where -1."""
-    n = v.nrows
+    n = len(v)
     for z in vertex_signs(n):
         yield [
-            [Fraction(v[i, j].lo if z[i] * z[j] > 0 else v[i, j].hi) for j in range(n)]
+            [Fraction(v[i][j][0] if z[i] * z[j] > 0 else v[i][j][1]) for j in range(n)]
             for i in range(n)
         ]
 
@@ -132,7 +132,7 @@ class TestEigenLowerBound:
                 [Interval(0.0), Interval(0.0), Interval(5.0)],
             ]
         )
-        a = eigen_lower_bound(v)
+        a = eigen_lower_bound(v.pairs)
         assert 2.0 - 1e-8 <= a < 2.0
 
     def test_bracketing_property(self, monkeypatch):
@@ -140,10 +140,10 @@ class TestEigenLowerBound:
         # value and inside its bracket.
         certified, failed = BISECTED_2X2
         calls = _counting_rump(monkeypatch)
-        a = eigen_lower_bound(INTERVAL_2X2)
+        a = eigen_lower_bound(INTERVAL_2X2.pairs)
         assert len(calls) == 1
         eye = IntervalMatrix.identity(2)
-        assert rump_positive_definite(INTERVAL_2X2 - eye.scale(a)).positive_definite
+        assert rump_positive_definite((INTERVAL_2X2 - eye.scale(a)).pairs).positive_definite
         assert abs(a - certified) <= 1e-8 * certified
         assert a < failed
 
@@ -152,24 +152,24 @@ class TestEigenLowerBound:
             [[Interval(1.0), Interval(0.0)], [Interval(0.0), Interval(-1.0)]]
         )
         with pytest.raises(VerificationInconclusive):
-            eigen_lower_bound(v)
+            eigen_lower_bound(v.pairs)
 
     def test_overshooting_estimate_is_shrunk(self, monkeypatch):
         # A 5% overshoot fails the first test and is rescued by one shrink.
-        estimate = manifold.min_vertex_eigenvalue(INTERVAL_2X2)
+        estimate = manifold.min_vertex_eigenvalue(INTERVAL_2X2.pairs)
         monkeypatch.setattr(manifold, "min_vertex_eigenvalue", lambda v: 1.05 * estimate)
         calls = _counting_rump(monkeypatch)
-        a = eigen_lower_bound(INTERVAL_2X2)
+        a = eigen_lower_bound(INTERVAL_2X2.pairs)
         assert len(calls) == 2
         assert a < BISECTED_2X2[0]
         eye = IntervalMatrix.identity(2)
-        assert rump_positive_definite(INTERVAL_2X2 - eye.scale(a)).positive_definite
+        assert rump_positive_definite((INTERVAL_2X2 - eye.scale(a)).pairs).positive_definite
 
     def test_overshooting_estimate_raises_after_bounded_tries(self, monkeypatch):
         monkeypatch.setattr(manifold, "min_vertex_eigenvalue", lambda v: 100.0)
         calls = _counting_rump(monkeypatch)
         with pytest.raises(VerificationInconclusive, match="no expansion bound"):
-            eigen_lower_bound(INTERVAL_2X2)
+            eigen_lower_bound(INTERVAL_2X2.pairs)
         assert len(calls) == manifold.A_TRIES
 
     def test_jacobi_matches_eigvalsh(self):
@@ -193,7 +193,7 @@ class TestCertifiedA:
 
         disk = getattr(henon_proof[0], f"{side}_disk")
         _, qtilde, _, _ = projected_disk_data(henon_chain, side)
-        j_local = IntervalMatrix([row[:3] for row in disk.covering.local_jacobian.rows])
+        j_local = tuple(row[:3] for row in disk.covering.local_jacobian)
         v_eps = cone_matrix(j_local, qtilde, qtilde, inflate_src=manifold.INFLATION)
         a = Fraction(disk.constants.a_lower)
         vertices = list(_exact_vertices(v_eps))
@@ -227,8 +227,8 @@ def _disk_rows(j_local, p_local):
     return tuple(row + (p,) for row, p in zip(j_local.pairs, p_local.pairs))
 
 
-def _matrix_hex(m):
-    return [pairs_hex(row) for row in m.pairs]
+def _matrix_hex(rows):
+    return [pairs_hex(row) for row in rows]
 
 
 def _rump_hex(rump):
@@ -264,9 +264,9 @@ class TestDiskCone:
 
         jacobian = getattr(henon_proof[0], f"{side}_disk").covering.local_jacobian
         _, qtilde, _, _ = projected_disk_data(henon_chain, side)
-        assert (jacobian.nrows, jacobian.ncols) == (3, 4)
-        first3 = IntervalMatrix.from_pairs([row[:3] for row in jacobian.pairs])
-        first2 = IntervalMatrix.from_pairs([row[:2] for row in jacobian.pairs])
+        assert (len(jacobian), len(jacobian[0])) == (3, 4)
+        first3 = tuple(row[:3] for row in jacobian)
+        first2 = tuple(row[:2] for row in jacobian)
         with upward():
             assert _matrix_hex(cone_matrix(jacobian, qtilde, qtilde, inflate)) == (
                 _matrix_hex(cone_matrix(first3, qtilde, qtilde, inflate)))
@@ -292,12 +292,12 @@ class TestDiskCone:
 class TestParameterBounds:
     def test_parameter_independent_map_gives_zero(self):
         chart, ntilde, qtilde = _disk_inputs(coupling=0.0)
-        box4 = IntervalVector([*ntilde.box(), Interval(-0.01, 0.01)]).pairs
+        box4 = ntilde.box() + (as_pair(Interval(-0.01, 0.01)),)
         d4 = IntervalMatrix.from_pairs(chart.derivative(box4)[1])
         p_chart = IntervalVector([d4[i, 3] for i in range(3)])
-        p_local = ntilde.inv_coord.mat_vec(p_chart)
+        p_local = inv_coord(ntilde).mat_vec(p_chart)
         j_chart = IntervalMatrix([[d4[i, j] for j in range(3)] for i in range(3)])
-        j_local = ntilde.inv_coord.mat_mul(j_chart).mat_mul(ntilde.frame)
+        j_local = inv_coord(ntilde).mat_mul(j_chart).mat_mul(frame(ntilde))
         rows = _disk_rows(j_local, p_local)
         m = mixed_derivative_bound(rows, qtilde.coeffs)
         el = stable_parameter_bound(rows, qtilde.beta_norm(), ntilde.stable)
@@ -313,14 +313,13 @@ class TestParameterBounds:
             ("big", big, Interval(-0.02, 0.02)),
             ("small", small, Interval(-0.01, 0.01)),
         ):
-            d4 = IntervalMatrix.from_pairs(
-                chart.derivative(IntervalVector([*h.box(), c]).pairs)[1])
-            p_local = h.inv_coord.mat_vec(
+            d4 = IntervalMatrix.from_pairs(chart.derivative(h.box() + (as_pair(c),))[1])
+            p_local = inv_coord(h).mat_vec(
                 IntervalVector([d4[i, 3] for i in range(3)])
             )
-            j_local = h.inv_coord.mat_mul(
+            j_local = inv_coord(h).mat_mul(
                 IntervalMatrix([[d4[i, j] for j in range(3)] for i in range(3)])
-            ).mat_mul(h.frame)
+            ).mat_mul(frame(h))
             rows = _disk_rows(j_local, p_local)
             vals[name] = (
                 mixed_derivative_bound(rows, qtilde.coeffs),
@@ -405,7 +404,6 @@ class TestDiskDerivative:
         disk = getattr(henon_proof[0], f"{side}_disk")
         chart = ChartMap(evaluator(henon_family(), direction))
         ntilde, _, param, _ = projected_disk_data(henon_chain, side)
-        d4 = IntervalMatrix.from_pairs(
-            chart.derivative(IntervalVector([*ntilde.box(), param]).pairs)[1])
+        d4 = IntervalMatrix.from_pairs(chart.derivative(ntilde.box() + (as_pair(param),))[1])
         want = local_derivative(ntilde, ntilde, IntervalMatrix(d4.rows[:3]))
-        assert repr(disk.covering.local_jacobian) == repr(want)
+        assert _matrix_hex(disk.covering.local_jacobian) == _matrix_hex(want.pairs)

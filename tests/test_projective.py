@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from tangency.interval import Interval, IntervalError, as_pair, pair_mid
-from tangency.linalg import IntervalMatrix, IntervalVector
+from linalg_oracle import IntervalMatrix, IntervalVector
 from tangency.projective import ChartError, ChartMap
 from conftest import check_inverse_consistency, contains_fraction, evaluator, pairs_hex
 from jet_oracle import Jet, henon_expressions, planar_evaluators
@@ -437,7 +437,7 @@ class TestPairRouteOracle:
             for grid in (1, 2):
                 for h in henon_chain.sets:
                     for z in covering_boxes(h, grid):
-                        box = h.from_normalized(z.pairs)
+                        box = h.from_normalized(z[0])
                         mid = tuple([(pair_mid(*e),) * 2 for e in box])
                         _compare_routes(chart, expression, box)
                         _compare_routes(chart, expression, mid)
@@ -458,7 +458,7 @@ class TestPairRouteOracle:
                 ntilde, _, param, _ = projected_disk_data(henon_chain, side)
                 for grid in (1, 2):
                     for z in covering_boxes(ntilde, grid):
-                        box = ntilde.from_normalized(z.pairs)
+                        box = ntilde.from_normalized(z[0])
                         assert len(box) == 3
                         _compare_routes(chart, expression, box + (as_pair(param),))
 
@@ -540,12 +540,12 @@ class TestExactRationalSlopeRow:
 
     @staticmethod
     def _boxes(chain):
-        boxes = [(h.name, h.box().pairs) for h in chain.sets]
+        boxes = [(h.name, h.box()) for h in chain.sets]
         for src in (chain.sets[0], chain.sets[9]):
             for axis in src.unstable:
                 for side in (1, -1):
                     boxes += [(f"{src.name} wall z_{axis}={side:+d}",
-                               src.from_normalized(z.pairs))
+                               src.from_normalized(z[0]))
                               for z in src.walls(axis, side, 2)]
         return boxes
 

@@ -230,7 +230,7 @@ def _bits(obj):
 
 
 def _chain_bits(sets, forms):
-    return _bits([[h.to_dict() for h in sets], [h.inv_coord.pairs for h in sets],
+    return _bits([[h.to_dict() for h in sets], [h.inv_coord for h in sets],
                   [q.to_dict() for q in forms]])
 
 

@@ -13,7 +13,7 @@ from tangency.cones import check_cone_link, rump_positive_definite
 from tangency.covering import VerificationInconclusive, check_chain, check_covering
 from tangency.hset import QuadraticForm
 from tangency.interval import Interval, IntervalError
-from tangency.linalg import IntervalMatrix, IntervalVector
+from linalg_oracle import IntervalMatrix, IntervalVector
 from tangency.toy import (
     FLAGS,
     K,
@@ -115,7 +115,7 @@ class TestOnePassImage:
         for idx, fmap in enumerate(chain.maps):
             src = chain.sets[idx]
             for zbox in covering_boxes(src, grid):
-                box = src.from_normalized(zbox.pairs)
+                box = src.from_normalized(zbox[0])
                 image, _ = fmap.derivative(box)
                 assert repr(image) == repr(fmap.apply(box)), idx  # every bit
 
@@ -207,7 +207,7 @@ class TestPairRouteOracle:
             for idx, (fmap, oracle) in enumerate(zip(chain.maps, oracles)):
                 src = chain.sets[idx]
                 for zbox in covering_boxes(src, 2):
-                    box = src.from_normalized(zbox.pairs)
+                    box = src.from_normalized(zbox[0])
                     value, jac = fmap.derivative(box)
                     want_value, want_jac = oracle.derivative(IntervalVector.from_pairs(box))
                     assert _bits(value) == _bits(want_value.pairs), idx
@@ -317,7 +317,7 @@ class TestSwitchBlocks:
             blocks = switch_cone_blocks(chain.forms[chain.k], chain.forms[chain.k + 1])
         want = (((2.0, 2.0), (2.0, 3.0)), ((0.25, 1.0), (1.0, 5.0)))
         for block, rows in zip(blocks, want):
-            assert [_bits(row) for row in block.pairs] == [
+            assert [_bits(row) for row in block] == [
                 _bits((v, v) for v in row) for row in rows]
 
     def test_inexact_entries_enclose_the_exact_blocks(self):
@@ -332,7 +332,7 @@ class TestSwitchBlocks:
         with kernels.upward():
             blocks = switch_cone_blocks(q_n, q_m)
         for block, want in zip(blocks, exact):
-            for i, (row, want_row) in enumerate(zip(block.pairs, want)):
+            for i, (row, want_row) in enumerate(zip(block, want)):
                 for (lo, hi), value in zip(row, want_row):
                     assert Fraction(lo) <= value <= Fraction(hi), value
                 assert Fraction(float(want_row[i])) != want_row[i]
@@ -394,7 +394,7 @@ class TestSwitchTransversality:
             chain = build_toy_chain(params)
             with kernels.upward():
                 stage = switch_transversality(chain)
-                box = chain.sets[chain.k].box().pairs
+                box = chain.sets[chain.k].box()
             assert (stage["x"], stage["a"]) == (list(box[0]), list(box[3]))
             ends = [tuple(map(Fraction, stage[name])) for name in ("x", "a")]
             for x, _a in exact_sample_points(ends, rng):
@@ -537,15 +537,15 @@ class TestExactRationalImages:
             src = chain.sets[link]
             assert [list(row) for row in src.coord] == identity
             for zbox in covering_boxes(src, grid):
-                box = src.from_normalized(zbox.pairs)
+                box = src.from_normalized(zbox[0])
                 applied = fmap.apply(box)
                 value, jac = fmap.derivative(box)
-                ends = [(Fraction(e.lo), Fraction(e.hi)) for e in zbox]
+                ends = [(Fraction(lo), Fraction(hi)) for lo, hi in zbox[0]]
                 for z in exact_sample_points(ends, rng):
                     p = exact_point(src, z)
                     where = (cov.source, [str(e) for e in z])
                     _assert_enclosed(applied, image(p), where)
                     _assert_enclosed(value, image(p), where)
-                    for rows in (jac, cov.local_jacobian.pairs):
+                    for rows in (jac, cov.local_jacobian):
                         for row, exact_row in zip(rows, jacobian(p), strict=True):
                             _assert_enclosed(row, exact_row, where)

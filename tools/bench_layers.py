@@ -11,13 +11,15 @@ Inside a run every measurement is taken once untimed (warm-up), then timed
 of a ``--calls // 10``-call loop (a covering link of a ``--calls // 200``-call
 loop) on the grid-1 Henon chain, built to nearest as ``run_proof`` builds
 it: ``inverse_enclosure`` of N1's 4x4
-``coord``, a 4x4 ``mat_mul`` (N1's ``inv_coord`` times the chart Jacobian
-over N0), ``ChartMap.derivative`` over N0's box, the chart's direction row
+``coord``, a 4x4 matrix product (N1's ``inv_coord`` times the chart
+Jacobian over N0: ``linalg.mat_mul`` on rows of pairs, or the
+``mat_mul`` method on a tree whose ``inv_coord`` is a matrix object), ``ChartMap.derivative`` over N0's box, the chart's direction row
 alone (``ChartMap.derivative`` on output 2 over N9's box: the slope row, or
 the angle row on a tree with the angle chart), a thin ``ChartMap.apply`` on
 N0's center with every output (the image direction included),
 one ``HSet`` built from N1's rows (center, ``coord``, diameters and
-unstable axes), ``hset.local_derivative`` of that Jacobian from N0 to N1,
+unstable axes), ``hset.local_derivative`` of that Jacobian from N0 to N1
+(on a tree that has it),
 the cone matrix of N0=>N1 (``cones.cone_matrix`` of its covering
 certificate's local_jacobian and the forms of N0 and N1), one 4x4
 ``rump_positive_definite`` (of that cone matrix), the same test on the
@@ -75,7 +77,8 @@ first of ``henon_family()``'s two evaluators, pass boxes to
 ``ChartMap.derivative`` and ``ChartMap.apply`` as the map protocol takes
 them, tuples of ``(lo, hi)`` pairs, and the ``ChartMap`` itself to
 ``check_covering`` and ``verify_disk``, as ``run_proof`` does; the
-matrix layers wrap the chart Jacobian's rows in an ``IntervalMatrix``.
+matrix layers take the chart Jacobian's rows of pairs, wrapped by the
+tree's ``IntervalMatrix.from_pairs`` on a tree whose matrices are objects.
 The matrix, chart map, cone, covering and disk loops run inside one
 ``kernels.upward()`` block, as the proof runs them.  So it compares only
 source trees whose ``tangency.kernels`` has ``upward``, whose
@@ -273,7 +276,6 @@ def _layers(calls):
     it raises ImportError or AttributeError on a tree without one."""
     from tangency.henon import build_chain, henon_family, projected_disk_data
     from tangency.kernels import nearest, upward
-    from tangency.linalg import IntervalMatrix, IntervalVector
     from tangency.projective import ChartMap
     from tangency.toy import build_toy_chain
 
@@ -283,11 +285,22 @@ def _layers(calls):
         stable = projected_disk_data(chain, "stable")
     chart = ChartMap(henon_family()[0])
     src, tgt, n9, n10 = chain.sets[0], chain.sets[1], chain.sets[9], chain.sets[10]
-    center = IntervalVector(src.center).pairs
+    center = tuple([(c, c) for c in src.center])
     with upward():
-        box = src.box().pairs
-        box9 = n9.box().pairs
-        jacobian = IntervalMatrix.from_pairs(chart.derivative(box)[1])
+        # An h-set's box is a tuple of pairs, or a vector object holding one.
+        box = getattr(src.box(), "pairs", src.box())
+        box9 = getattr(n9.box(), "pairs", n9.box())
+        jacobian = chart.derivative(box)[1]
+
+    def mat_mul():
+        inverse = tgt.inv_coord
+        if hasattr(inverse, "mat_mul"):  # a tree whose matrices are objects
+            return partial(inverse.mat_mul, type(inverse).from_pairs(jacobian))
+        return partial(_resolve("linalg", "mat_mul"), inverse, jacobian)
+
+    def local_derivative():
+        f = _resolve("hset", "local_derivative")
+        return partial(f, src, tgt, _resolve("linalg", "IntervalMatrix").from_pairs(jacobian))
 
     def cone():
         link = _resolve("covering", "check_covering")(src, tgt, chart)
@@ -323,15 +336,14 @@ def _layers(calls):
     return (
         ("linalg.inverse_enclosure_4x4_us",
          lambda: partial(_resolve("linalg", "inverse_enclosure"), tgt.coord), many),
-        ("linalg.mat_mul_4x4_us", lambda: partial(tgt.inv_coord.mat_mul, jacobian), many),
+        ("linalg.mat_mul_4x4_us", mat_mul, many),
         ("projective.derivative_us", lambda: partial(chart.derivative, box), many),
         ("projective.slope_row_us", lambda: partial(chart.derivative, box9, (2,)), many),
         ("projective.apply_thin_us", lambda: partial(chart.apply, center), many),
         ("hset.build_us",
          lambda: partial(_resolve("hset", "HSet"), tgt.name, tgt.center, tgt.coord,
                          tgt.diam, tgt.unstable), many),
-        ("hset.local_derivative_us",
-         lambda: partial(_resolve("hset", "local_derivative"), src, tgt, jacobian), many),
+        ("hset.local_derivative_us", local_derivative, many),
         ("cones.cone_matrix_us", cone, many),
         ("cones.rump_4x4_us", rump, many),
         ("cones.rump_toy_link_us", toy_rump, many),
