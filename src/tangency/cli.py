@@ -38,7 +38,6 @@ import time
 from tangency import report as report_mod
 from tangency.covering import EnclosureError, VerificationInconclusive
 from tangency.henon import HenonConfig, run_proof
-from tangency.hset import _check_grid
 from tangency.interval import IntervalError
 from tangency.toy import FLAGS, ToyParams, check_toy
 
@@ -168,8 +167,9 @@ def _config_echo(config):
 def _report(path, kind, config, driver, summary, extras=None):
     """Time driver(), then build, emit and print the report of its verdict.
 
-    driver() returns the certificates by report stage, the stage timings
-    and the VERIFIED report's further keys, or raises covering.run_stages'
+    driver() calls henon.run_proof or toy.check_toy, whose result is taken
+    as it is: the certificates by report stage, the stage timings and the
+    VERIFIED report's further keys.  Or it raises covering.run_stages'
     VerificationInconclusive, which carries the stages certified before the
     failure and the time of every stage that ran, the failing one included:
     the report of either verdict has its stage timings and "total".
@@ -204,13 +204,6 @@ def _report(path, kind, config, driver, summary, extras=None):
 def _cmd_prove(args):
     config = _henon_config(args)
 
-    def prove():
-        cert = run_proof(config)
-        stages = {"covering": cert.coverings, "cones": cert.cones,
-                  "stable_disk": cert.stable_disk, "unstable_disk": cert.unstable_disk}
-        more = {"conclusion": cert.conclusion, "hsets": cert.hsets, "forms": cert.forms}
-        return stages, cert.timings, more
-
     def summary(stages, more, verdict):
         lines = [f"covering chain: {len(stages['covering'])} relations certified",
                  f"cone conditions: {len(stages['cones'])} links certified"]
@@ -222,14 +215,14 @@ def _cmd_prove(args):
             )
         return lines + [verdict, more["conclusion"]["statement"]]
 
-    return _report(args.report, "proof", _config_echo(config), prove, summary)
+    return _report(args.report, "proof", _config_echo(config),
+                   lambda: run_proof(config), summary)
 
 
 def _cmd_check_toy(args):
     try:
         params = ToyParams(lam=args.lam, mu=args.mu, delta=args.delta,
-                           eps=args.eps).validate()
-        _check_grid(args.grid)
+                           eps=args.eps, grid=args.grid).validate()
     except IntervalError as exc:
         _usage_error(str(exc))
 
@@ -238,10 +231,8 @@ def _cmd_check_toy(args):
                 f"{len(stages['cones_linear_links'])} linear-link cones, "
                 "switch blocks and transversality certified", verdict]
 
-    return _report(args.report, "toy-check",
-                   {**dataclasses.asdict(params), "grid": args.grid},
-                   lambda: (*check_toy(params, args.grid), {}), summary,
-                   extras={"flags": list(FLAGS)})
+    return _report(args.report, "toy-check", dataclasses.asdict(params),
+                   lambda: check_toy(params), summary, extras={"flags": list(FLAGS)})
 
 
 _PARSER = _build_parser()

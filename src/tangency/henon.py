@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from tangency import kernels as _k
 from tangency.cones import check_cone_chain
@@ -363,10 +363,10 @@ def build_chain(param_radius=PARAM_RADIUS):
 
 
 def projected_disk_data(chain, side):
-    """3D projected h-set, 3D form, parameter interval and 4D-form parameter
+    """3D projected h-set, 3D form, parameter pair and 4D-form parameter
     coefficient for one disk side ("stable" at N15, "unstable" at N0): the
     set's center, frame and diameters on (x, y, w), and its outward
-    parameter entry."""
+    parameter entry, the (lo, hi) pair of its box."""
     if side == "stable":
         idx = 15
         unstable3 = (0, 2)
@@ -382,20 +382,8 @@ def projected_disk_data(chain, side):
     ntilde = HSet(f"Ntilde{idx}", big.center[:3], frame3, big.diam[:3], unstable3)
     qtilde = QuadraticForm(coeffs3, unstable3)
     with _k.upward():
-        param = Interval(*big.box()[3])
+        param = big.box()[3]
     return ntilde, qtilde, param, abs(FORM_ROWS[idx][3])
-
-
-@dataclass(frozen=True)
-class TangencyCertificate:
-    coverings: tuple
-    cones: tuple
-    stable_disk: object
-    unstable_disk: object
-    conclusion: dict
-    timings: dict = field(compare=False)
-    hsets: tuple = ()
-    forms: tuple = ()
 
 
 @dataclass
@@ -425,10 +413,12 @@ class HenonConfig:
 
 
 def run_proof(config=None):
-    """The full certification, as a TangencyCertificate.  The chain, the
-    chart maps and the disks' projected sets are built to nearest; then
-    covering.run_stages runs the covering, cone and disk stages (both disks
-    timed as "disks") and raises on the first inconclusive one."""
+    """The full certification: (certificates by report stage, timings,
+    the VERIFIED report's further keys: conclusion, hsets, forms).  The
+    chain, the chart maps and the disks' projected sets are built to
+    nearest; then covering.run_stages runs the covering, cone and disk
+    stages (both disks timed as "disks") and raises on the first
+    inconclusive one."""
     config = (config or HenonConfig()).validate()
 
     def build():
@@ -467,16 +457,8 @@ def run_proof(config=None):
             "unstable-disk",
         ],
     }
-    return TangencyCertificate(
-        coverings=tuple(certified["covering"]),
-        cones=tuple(certified["cones"]),
-        stable_disk=certified["stable_disk"],
-        unstable_disk=certified["unstable_disk"],
-        conclusion=conclusion,
-        timings=timings,
-        hsets=chain.sets,
-        forms=chain.forms,
-    )
+    return certified, timings, {"conclusion": conclusion, "hsets": chain.sets,
+                                "forms": chain.forms}
 
 
 # -- seed-quality evaluations -------------------------------------------------

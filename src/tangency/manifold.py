@@ -228,10 +228,10 @@ def choose_gamma(a_lower, m_upper, l_upper, locus="manifold"):
 
 
 class DiskMap:
-    """chart_map on (x, y, w) boxes, the parameter held in the interval param.
+    """chart_map on (x, y, w) boxes, the parameter held in the checked
+    (lo, hi) pair param.
 
-    Each box, a tuple of checked (lo, hi) pairs, with the pair param
-    appended, goes through chart_map.apply or chart_map.derivative on the
+    Each box, a tuple of checked (lo, hi) pairs, with param appended, goes through chart_map.apply or chart_map.derivative on the
     outputs asked for, every output (x, y, w) by default.  A Jacobian row
     is then d(x, y, w)/d(x, y, w, a) for its output, whose last column
     verify_disk reads as the parameter column.
@@ -239,7 +239,7 @@ class DiskMap:
 
     def __init__(self, chart_map, param):
         self.chart_map = chart_map
-        self.param = as_pair(param)
+        self.param = param
 
     def _lifted(self, box, outputs):
         return box + (self.param,), (0, 1, 2) if outputs is None else outputs
@@ -255,7 +255,8 @@ def verify_disk(side, ntilde, qtilde, chart_map, param, param_coefficient, grid=
     """Full disk certificate for one side (see module docstring).
 
     chart_map is the chart map of the side's own map: the unstable side
-    passes the inverse map's.
+    passes the inverse map's; param is the parameter's checked (lo, hi)
+    pair.
     """
     locus = f"{side} disk in {ntilde.name}"
     if ntilde.n != 3 or qtilde.n != 3:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from tangency import kernels as _k
 from tangency.cones import check_cone_link, rump_positive_definite
 from tangency.covering import VerificationInconclusive, certify_each, check_chain, run_stages
-from tangency.hset import Frame, HSet, QuadraticForm
+from tangency.hset import Frame, HSet, QuadraticForm, _check_grid
 from tangency.interval import IntervalError, check_pairs
 from tangency.linalg import _det, checked_rows
 
@@ -38,6 +38,7 @@ class ToyParams:
     mu: float = 0.5
     delta: float = 0.5
     eps: float = 0.01
+    grid: int = 1  # the covering stage's wall subdivision count per axis
 
     def validate(self):
         # Each range test is negated, so NaN (false in every comparison) fails.
@@ -52,6 +53,7 @@ class ToyParams:
             raise IntervalError("delta in (0, 1) required")
         if not 0.0 < self.eps < 0.2:
             raise IntervalError("eps in (0, 0.2) required")
+        _check_grid(self.grid)
         return self
 
 
@@ -181,7 +183,6 @@ def switch_map():
 
 @dataclass(frozen=True)
 class ToyChain:
-    params: ToyParams
     sets: tuple  # N_0..N_k, M_s..M_0
     forms: tuple
     maps: tuple  # one map per link, of the covering module's map protocol
@@ -282,7 +283,6 @@ def build_toy_chain(params=None):
     maps = [start] * k + [switch] + [end] * s
 
     return ToyChain(
-        params=params,
         sets=tuple(n_sets + m_sets),
         forms=tuple(n_forms + m_forms),
         maps=tuple(maps),
@@ -344,12 +344,14 @@ def switch_transversality(chain):
         ("g_tt", g_tt), ("g_ta", g_ta), ("det", det))}
 
 
-def check_toy(params, grid=1):
+def check_toy(params):
     """The model's certificate suite: (certificates by report stage,
-    timings).  The chain is built to nearest; then covering.run_stages runs
-    the covering, linear-link cone, switch-block and transversality stages
-    and raises on the first inconclusive one.  The switch-block and
-    transversality stages keep their own certificates when they fail."""
+    timings, {}), the shape of henon.run_proof's result; a toy report has
+    no further keys.  The chain is built to nearest; then
+    covering.run_stages runs the covering stage at params.grid, the
+    linear-link cone, switch-block and transversality stages, and raises
+    on the first inconclusive one.  The switch-block and transversality
+    stages keep their own certificates when they fail."""
 
     def build():
         chain = build_toy_chain(params)
@@ -374,7 +376,7 @@ def check_toy(params, grid=1):
 
         return chain, [
             ("covering", "covering", "covering", "chain",
-             lambda done: check_chain(list(chain.sets), list(chain.maps), grid=grid)),
+             lambda done: check_chain(list(chain.sets), list(chain.maps), grid=params.grid)),
             ("cones_linear_links", "cones_linear_links", "cones", "chain",
              lambda done: certify_each("cones_linear_links", check_cone_link, [
                  (done["covering"][i], chain.forms[i], chain.forms[i + 1])
@@ -384,4 +386,4 @@ def check_toy(params, grid=1):
              transversality)]
 
     _, certified, timings = run_stages(build)
-    return certified, timings
+    return certified, timings, {}

@@ -458,14 +458,10 @@ def rng(request):
 
 @pytest.fixture(scope="session")
 def henon_proof():
+    """run_proof()'s (stages, timings, extras) at grid 1."""
     from tangency.henon import run_proof
 
-    import time
-
-    t0 = time.perf_counter()
-    cert = run_proof()
-    elapsed = time.perf_counter() - t0
-    return cert, elapsed
+    return run_proof()
 
 
 @pytest.fixture(scope="session")

@@ -38,9 +38,10 @@ def _report(line):
 
 
 def test_criterion_1_covering_chain_reproduction(henon_proof):
-    cert, elapsed = henon_proof
-    assert len(cert.coverings) == 15
-    for c in cert.coverings:
+    stages, timings, _ = henon_proof
+    elapsed = sum(timings.values())  # the driver's build and stage times
+    assert len(stages["covering"]) == 15
+    for c in stages["covering"]:
         assert c.grid == 1
         assert c.min_exit_margin() > 0.0
         assert c.entry_margin > 0.0
@@ -52,10 +53,10 @@ def test_criterion_1_covering_chain_reproduction(henon_proof):
 
 
 def test_criterion_2_cone_chain_reproduction(henon_proof):
-    cert, _ = henon_proof
-    assert len(cert.cones) == 15
+    stages = henon_proof[0]
+    assert len(stages["cones"]) == 15
     worst = None
-    for c in cert.cones:
+    for c in stages["cones"]:
         assert c.rump.positive_definite
         assert len(c.rump.vertex_margins) == 8
         for _z, pivot in c.rump.vertex_margins:
@@ -69,36 +70,36 @@ def test_criterion_2_cone_chain_reproduction(henon_proof):
 
 
 def test_criterion_3_stable_manifold_constants(henon_proof):
-    cert, _ = henon_proof
-    c = cert.stable_disk.constants
+    disk = henon_proof[0]["stable_disk"]
+    c = disk.constants
     assert c.a_lower >= 0.9 * STABLE_A
     assert c.m_upper <= 1.2 * STABLE_M
     assert c.l_upper <= 1.5 * STABLE_L
     assert c.gamma > 0.0 and c.gamma_check > 0.0
-    assert cert.stable_disk.param_coefficient == 2.0 * 1.5**-6
-    assert cert.stable_disk.comparison_lower > 1.0
+    assert disk.param_coefficient == 2.0 * 1.5**-6
+    assert disk.comparison_lower > 1.0
     _report(
         "3 PASS: stable side A >= %.12g, M <= %.12g, L <= %.12g, "
         "Gamma = %.6g, 2(1.5)^-6 delta >= %.6g > 1"
         % (c.a_lower, c.m_upper, c.l_upper, c.gamma,
-           cert.stable_disk.comparison_lower)
+           disk.comparison_lower)
     )
 
 
 def test_criterion_4_unstable_manifold_constants(henon_proof):
-    cert, _ = henon_proof
-    c = cert.unstable_disk.constants
+    disk = henon_proof[0]["unstable_disk"]
+    c = disk.constants
     assert c.a_lower >= 0.9 * UNSTABLE_A
     assert c.m_upper <= 1.2 * UNSTABLE_M
     assert c.l_upper <= 1.5 * UNSTABLE_L
     assert c.gamma > 0.0 and c.gamma_check > 0.0
-    assert cert.unstable_disk.param_coefficient == 2.0 * 1.5**-8
-    assert cert.unstable_disk.comparison_lower > 1.0
+    assert disk.param_coefficient == 2.0 * 1.5**-8
+    assert disk.comparison_lower > 1.0
     _report(
         "4 PASS: unstable side A >= %.12g, M <= %.12g, L <= %.12g, "
         "Gamma = %.6g, 2(1.5)^-8 delta >= %.6g > 1"
         % (c.a_lower, c.m_upper, c.l_upper, c.gamma,
-           cert.unstable_disk.comparison_lower)
+           disk.comparison_lower)
     )
 
 
@@ -162,13 +163,13 @@ def test_criterion_7_switch_map_transversality():
     # grid 2, at (lam, mu) = (-3, -0.4) and on 30 seeded draws of the
     # benchmark's parameter ranges.
     rng = random.Random(7)
-    runs = [(ToyParams(), 1), (ToyParams(), 2), (ToyParams(lam=-3.0, mu=-0.4), 1)]
-    runs += [(ToyParams(lam=rng.uniform(1.5, 4.0), mu=rng.uniform(0.2, 0.6),
-                        delta=rng.uniform(0.3, 0.7), eps=rng.uniform(0.005, 0.05)), 1)
+    runs = [ToyParams(), ToyParams(grid=2), ToyParams(lam=-3.0, mu=-0.4)]
+    runs += [ToyParams(lam=rng.uniform(1.5, 4.0), mu=rng.uniform(0.2, 0.6),
+                       delta=rng.uniform(0.3, 0.7), eps=rng.uniform(0.005, 0.05))
              for _ in range(30)]
-    for params, grid in runs:
-        lo, hi = check_toy(params, grid)[0]["transversality"]["det"]
-        assert 0.0 < lo <= 2.0 <= hi, (params, grid)
+    for params in runs:
+        lo, hi = check_toy(params)[0]["transversality"]["det"]
+        assert 0.0 < lo <= 2.0 <= hi, params
     _report(
         f"7 PASS: switch-map transversality determinant encloses 2 and "
         f"excludes 0 on {len(runs)} check-toy runs"

@@ -1,7 +1,9 @@
 """CLI driver: exit codes, summary lines, report round-trips."""
 
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import os
 import subprocess
@@ -616,6 +618,54 @@ def test_proof_paths_evaluate_no_elementary_function(monkeypatch, tmp_path):
         monkeypatch.setattr(interval, name, forbidden)
     with pytest.raises(AssertionError):
         interval._sin_bounds(1.0, 0)
-    cert = run_proof()  # raises unless the verdict is VERIFIED
-    assert len(cert.coverings) == len(cert.cones) == 15
+    stages = run_proof()[0]  # raises unless the verdict is VERIFIED
+    assert len(stages["covering"]) == len(stages["cones"]) == 15
     assert main(["check-toy", "--report", str(tmp_path / "toy.json")]) == 0
+
+
+@pytest.mark.parametrize("argv", [["prove", "henon"], ["check-toy"]],
+                         ids=["prove-henon", "check-toy"])
+def test_report_holds_what_the_driver_returns(tmp_path, argv):
+    """Both drivers return (certificates by report stage, timings, extras),
+    and the report's stages are the first, as report.dumps writes them, and
+    its timings the second's keys and "total"."""
+    from tangency.henon import run_proof
+    from tangency.toy import check_toy
+
+    stages, timings, extras = run_proof() if argv[0] == "prove" else check_toy(ToyParams())
+    path = tmp_path / "r.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--report", str(path)]) == 0
+    doc = report_mod.loads(path.read_text(encoding="utf-8"))
+    assert doc["stages"] == report_mod.loads(report_mod.dumps(stages))
+    assert list(doc["timings"]) == list(timings) + ["total"]
+    assert {k: doc[k] for k in extras} == report_mod.loads(report_mod.dumps(extras))
+
+
+def test_report_digest_tool_runs(tmp_path):
+    """tools/report_digest.py on this tree with one toy draw: each fixed call
+    exits as its verdict says, the --config call with the default proof's
+    15 pairings digests like the default call, and a total line ends it."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "tools" / "report_digest.py"), str(root / "src"),
+         "--draws", "1"], capture_output=True, text=True, check=True, cwd=tmp_path)
+    lines = done.stdout.splitlines()
+    calls = [line.split("\t") for line in lines[:-1]]
+    assert [(argv, code) for argv, code, *_ in calls] == [
+        ("prove henon --grid 1", "exit 0"), ("prove henon --grid 2", "exit 0"),
+        ("prove henon --grid 3", "exit 0"),
+        ("prove henon --param-radius 1.1e-5", "exit 1"),
+        ("prove henon --param-radius 5e-6", "exit 1"),
+        ("prove henon --config <tmp>/pairings.json", "exit 0"),
+        ("prove henon --config <tmp>/flipped.json", "exit 1"),
+        ("check-toy", "exit 0"), ("check-toy --grid 2", "exit 0"),
+        ("check-toy --lam -3 --mu -0.4", "exit 0"),
+        ("check-toy --lam -3e0 --mu -4e-1", "exit 0"),
+        ("check-toy --mu 0.99", "exit 1"),
+        (calls[12][0], "exit 0"),
+    ]
+    assert calls[12][0].startswith("check-toy --lam ")
+    assert calls[5][1:] == calls[0][1:]
+    assert calls[10][1:] == calls[9][1:]
+    assert lines[-1].startswith("total ") and len(lines) == 14

@@ -21,7 +21,7 @@ from conftest import covering_boxes, evaluator
 from jet_oracle import henon_expressions, on_pairs, seed_jets, switch_expression
 from tangency import kernels
 from tangency.henon import B0, HenonConfig, henon_family, projected_disk_data, run_proof
-from tangency.interval import Interval, IntervalError, as_pair, pair_mid
+from tangency.interval import Interval, IntervalError, pair_mid
 from tangency.linalg import _det
 from tangency.projective import ChartMap
 from tangency.toy import (
@@ -95,7 +95,7 @@ class TestHenonChain:
                     ntilde.from_normalized(z[0])
                     for grid in (1, 2) for z in covering_boxes(ntilde, grid)]
                 for x, y, _ in boxes:
-                    _assert_same(closed, oracle, (x, y, as_pair(param)))
+                    _assert_same(closed, oracle, (x, y, param))
 
 
 _SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -0.3, 1e-300, 3.0])

@@ -568,12 +568,14 @@ class TestConeMatrixBits:
         from tangency.covering import check_chain
         from tangency.henon import projected_disk_data
 
-        cert, _ = henon_proof
+        stages, _, extras = henon_proof
+        forms = extras["forms"]
         links = [
-            (cov.local_jacobian, cert.forms[i], cert.forms[i + 1])
-            for i, cov in enumerate(cert.coverings)
+            (cov.local_jacobian, forms[i], forms[i + 1])
+            for i, cov in enumerate(stages["covering"])
         ]
-        for side, disk in (("stable", cert.stable_disk), ("unstable", cert.unstable_disk)):
+        for side in ("stable", "unstable"):
+            disk = stages[f"{side}_disk"]
             qtilde = projected_disk_data(henon_chain, side)[1]
             rows = disk.covering.local_jacobian
             links.append((tuple(row[:3] for row in rows), qtilde, qtilde))
@@ -664,9 +666,9 @@ def _henon_and_toy_cone_matrices(henon_proof):
     from tangency.covering import check_chain
     from tangency.toy import linear_link_indices
 
-    cert, _ = henon_proof
-    mats = [c.matrix for c in cert.cones]
-    mats += [disk.cone.matrix for disk in (cert.stable_disk, cert.unstable_disk)]
+    stages = henon_proof[0]
+    mats = [c.matrix for c in stages["cones"]]
+    mats += [stages[key].cone.matrix for key in ("stable_disk", "unstable_disk")]
     chain = build_toy_chain()
     coverings = check_chain(list(chain.sets), list(chain.maps))
     mats += [

@@ -460,16 +460,16 @@ class TestDeterminism:
         # toy chains of 30 seeded draws.
         chart = ChartMap(henon_family()[0])
         sets = henon_chain.sets
-        for cert in (henon_proof[0], henon_proof_grid2):
-            grid = cert.coverings[0].grid
-            for src, tgt, cov in zip(sets, sets[1:], cert.coverings):
+        for stages, _, _ in (henon_proof, henon_proof_grid2):
+            grid = stages["covering"][0].grid
+            for src, tgt, cov in zip(sets, sets[1:], stages["covering"]):
                 assert cov.correspondence == _wall_midpoint_pairing(
                     src, tgt, chart, grid
                 ), (cov.source, grid)
             for side, f in zip(("stable", "unstable"), henon_family()):
                 ntilde, _, param, _ = projected_disk_data(henon_chain, side)
                 disk_map = DiskMap(ChartMap(f), param)
-                disk = getattr(cert, f"{side}_disk").covering
+                disk = stages[f"{side}_disk"].covering
                 assert disk.correspondence == _wall_midpoint_pairing(
                     ntilde, ntilde, disk_map, grid
                 ), (side, grid)

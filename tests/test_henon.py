@@ -41,25 +41,26 @@ from tangency.henon import (
     seed_quality,
     tangent_alignment,
 )
-from tangency.interval import Interval, as_pair
+from tangency.interval import Interval
 from linalg_oracle import IntervalMatrix, IntervalVector, to_normalized
 from tangency.manifold import DiskMap
 from tangency.projective import ChartMap
 
 
-def _serialized(cert):
-    """Everything a certificate certifies, margins included, as plain data:
-    the stage certificates', h-sets' and forms' own to_dict() and the
+def _serialized(result):
+    """Everything run_proof's result certifies, margins included, as plain
+    data: the stage certificates', h-sets' and forms' own to_dict() and the
     conclusion, without the timings.  Dataclass equality would skip the
     margins (compare=False)."""
+    stages, _, extras = result
     return {
-        "coverings": [c.to_dict() for c in cert.coverings],
-        "cones": [c.to_dict() for c in cert.cones],
-        "stable_disk": cert.stable_disk.to_dict(),
-        "unstable_disk": cert.unstable_disk.to_dict(),
-        "hsets": [h.to_dict() for h in cert.hsets],
-        "forms": [q.to_dict() for q in cert.forms],
-        "conclusion": cert.conclusion,
+        "coverings": [c.to_dict() for c in stages["covering"]],
+        "cones": [c.to_dict() for c in stages["cones"]],
+        "stable_disk": stages["stable_disk"].to_dict(),
+        "unstable_disk": stages["unstable_disk"].to_dict(),
+        "hsets": [h.to_dict() for h in extras["hsets"]],
+        "forms": [q.to_dict() for q in extras["forms"]],
+        "conclusion": extras["conclusion"],
     }
 
 
@@ -274,16 +275,16 @@ class TestChainData:
 
 class TestProofStages:
     def test_all_coverings_certified(self, henon_proof):
-        cert, _ = henon_proof
-        assert len(cert.coverings) == 15
-        for c in cert.coverings:
+        stages = henon_proof[0]
+        assert len(stages["covering"]) == 15
+        for c in stages["covering"]:
             assert c.min_exit_margin() > 0.0
             assert c.entry_margin > 0.0
             assert c.grid == 1
 
     def test_switch_link_correspondence(self, henon_proof):
-        cert, _ = henon_proof
-        c8 = cert.coverings[8]
+        stages = henon_proof[0]
+        c8 = stages["covering"][8]
         pairing = {i: j for i, j, _ in c8.correspondence}
         assert pairing == {0: 2, 3: 0}
 
@@ -295,51 +296,51 @@ class TestProofStages:
         end = ((0, 0, 1), (2, 2, 1))
         flipped = ((0, 0, -1), (2, 2, 1))
         expected = [start] * 8 + [switch, end, flipped] + [end] * 4
-        cert, _ = henon_proof
-        assert [c.correspondence for c in cert.coverings] == expected
-        assert cert.stable_disk.covering.correspondence == end
-        assert cert.unstable_disk.covering.correspondence == ((1, 1, 1), (2, 2, 1))
+        stages = henon_proof[0]
+        assert [c.correspondence for c in stages["covering"]] == expected
+        assert stages["stable_disk"].covering.correspondence == end
+        assert stages["unstable_disk"].covering.correspondence == ((1, 1, 1), (2, 2, 1))
 
     def test_all_cone_links_certified(self, henon_proof):
-        cert, _ = henon_proof
-        assert len(cert.cones) == 15
-        for c in cert.cones:
+        stages = henon_proof[0]
+        assert len(stages["cones"]) == 15
+        for c in stages["cones"]:
             assert c.rump.positive_definite
             assert len(c.rump.vertex_margins) == 8
             assert c.rump.min_margin() > 0.0
 
     def test_stable_disk_constants_in_bands(self, henon_proof):
-        cert, _ = henon_proof
-        c = cert.stable_disk.constants
+        stages = henon_proof[0]
+        c = stages["stable_disk"].constants
         assert c.a_lower >= 0.9 * 0.099394300936541294
         assert c.m_upper <= 1.2 * 0.084042214456891598
         assert c.l_upper <= 1.5 * 0.0070394636406844067
         assert c.gamma_check > 0.0
-        assert cert.stable_disk.comparison_lower > 1.0
-        assert cert.stable_disk.param_coefficient == 2.0 * 1.5**-6
+        assert stages["stable_disk"].comparison_lower > 1.0
+        assert stages["stable_disk"].param_coefficient == 2.0 * 1.5**-6
 
     def test_unstable_disk_constants_in_bands(self, henon_proof):
-        cert, _ = henon_proof
-        c = cert.unstable_disk.constants
+        stages = henon_proof[0]
+        c = stages["unstable_disk"].constants
         assert c.a_lower >= 0.9 * 0.1877584261322994
         assert c.m_upper <= 1.2 * 0.2795983187542756
         assert c.l_upper <= 1.5 * 0.015049353557694945
-        assert cert.unstable_disk.comparison_lower > 1.0
-        assert cert.unstable_disk.param_coefficient == 2.0 * 1.5**-8
+        assert stages["unstable_disk"].comparison_lower > 1.0
+        assert stages["unstable_disk"].param_coefficient == 2.0 * 1.5**-8
 
     def test_delta_alpha_consistency(self, henon_proof):
-        cert, _ = henon_proof
+        stages = henon_proof[0]
         for disk, alpha in (
-            (cert.stable_disk, 0.3 / LAM**2),
-            (cert.unstable_disk, MU**2),
+            (stages["stable_disk"], 0.3 / LAM**2),
+            (stages["unstable_disk"], MU**2),
         ):
             gamma_sq = disk.constants.gamma ** 2
             lo, hi = disk.constants.delta
             assert lo <= gamma_sq / alpha <= hi
 
     def test_conclusion_statement(self, henon_proof):
-        cert, _ = henon_proof
-        s = cert.conclusion["statement"]
+        extras = henon_proof[2]
+        s = extras["conclusion"]["statement"]
         assert "1.3145271093265" in s
         assert "1e-05" in s
         assert "-0.3" in s
@@ -352,21 +353,21 @@ class TestProofStages:
             big = henon_chain.sets[idx]
             assert ntilde.diam == big.diam[:3]
             assert ntilde.center == big.center[:3]
-            assert param.contains(A0)
+            assert param[0] <= A0 <= param[1]
             assert p_coeff == abs(FORM_ROWS[idx][3])
 
     @pytest.mark.parametrize("side, idx", [("stable", 15), ("unstable", 0)])
     def test_disk_parameter_interval_is_the_sets_outward_entry(
         self, henon_chain, side, idx
     ):
-        # The disk's parameter interval holds the set's exact parameter range
+        # The disk's parameter pair holds the set's exact parameter range
         # [A0 - d, A0 + d], in rationals, and is the set's own box entry.
         big = henon_chain.sets[idx]
-        param = projected_disk_data(henon_chain, side)[2]
+        lo, hi = param = projected_disk_data(henon_chain, side)[2]
         a, d = Fraction(big.center[3]), Fraction(big.diam[3])
         assert a == Fraction(A0)
-        assert Fraction(param.lo) <= a - d and a + d <= Fraction(param.hi)
-        assert (param.lo, param.hi) == big.box()[3]
+        assert Fraction(lo) <= a - d and a + d <= Fraction(hi)
+        assert param == big.box()[3]
 
 
 class TestPerturbations:
@@ -376,9 +377,7 @@ class TestPerturbations:
         assert err.value.stage in ("covering", "cones", "manifold")
 
     def test_grid_two_reproduces_with_margins(self, henon_proof, henon_proof_grid2):
-        cert1, _ = henon_proof
-        cert2 = henon_proof_grid2
-        for c1, c2 in zip(cert1.coverings, cert2.coverings):
+        for c1, c2 in zip(henon_proof[0]["covering"], henon_proof_grid2[0]["covering"]):
             assert c2.correspondence == c1.correspondence
             # refinement keeps success and (up to midpoint rounding noise)
             # only tightens the margins
@@ -387,9 +386,7 @@ class TestPerturbations:
             assert c2.entry_margin >= c1.entry_margin - 1e-9
 
     def test_determinism_of_full_run(self, henon_proof):
-        cert1, _ = henon_proof
-        cert2 = run_proof()
-        assert _serialized(cert1) == _serialized(cert2)
+        assert _serialized(henon_proof) == _serialized(run_proof())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -455,14 +452,14 @@ class TestSharedJacobian:
         # target axis 2 reads the slope: the 2 walls of the source axis
         # paired with it, on each of the 7 links N8=>N9 through N14=>N15 and
         # on each of the 2 disks.  17 + 2 * 7 + 2 * 2 = 35.
-        cert, _ = henon_proof
+        stages = henon_proof[0]
         slope_links = [
             f"{c.source}=>{c.target}"
-            for c in cert.coverings
+            for c in stages["covering"]
             if any(j == 2 for _, j, _ in c.correspondence)
         ]
         assert slope_links == [f"N{k}=>N{k + 1}" for k in range(8, 15)]
-        for disk in (cert.stable_disk, cert.unstable_disk):
+        for disk in (stages["stable_disk"], stages["unstable_disk"]):
             assert [j for _, j, _ in disk.covering.correspondence].count(2) == 1
         calls = []
         orig = ChartMap._tangent_row
@@ -477,9 +474,8 @@ class TestSharedJacobian:
 
     def test_grid_two_cone_pivots_no_lower(self, henon_proof, henon_proof_grid2):
         # The hull of the sub-box Jacobians lies inside the whole-set one.
-        cert1, _ = henon_proof
-        pivots1 = [c.rump.min_margin() for c in cert1.cones]
-        pivots2 = [c.rump.min_margin() for c in henon_proof_grid2.cones]
+        pivots1 = [c.rump.min_margin() for c in henon_proof[0]["cones"]]
+        pivots2 = [c.rump.min_margin() for c in henon_proof_grid2[0]["cones"]]
         assert all(p2 >= p1 for p1, p2 in zip(pivots1, pivots2))
         assert any(p2 > p1 for p1, p2 in zip(pivots1, pivots2))
 
@@ -514,11 +510,11 @@ class TestSharedJacobian:
         # b being the binary64 value the map evaluates with.  The local
         # Jacobian L encloses M_tgt^-1 D M_src, so the planar rows of M_tgt L,
         # taken in exact rational interval arithmetic, hold those of D M_src.
-        cert = henon_proof[0] if grid == 1 else henon_proof_grid2
-        src, tgt = cert.hsets[link], cert.hsets[link + 1]
+        stages, _, extras = henon_proof if grid == 1 else henon_proof_grid2
+        src, tgt = extras["hsets"][link], extras["hsets"][link + 1]
         x = exact_point(src, z)[0]
         rows = {0: (-2 * x, Fraction(B0), 0, 1), 1: (1, 0, 0, 0)}
-        self._assert_rows_enclosed(src.coord, tgt.coord, cert.coverings[link].local_jacobian,
+        self._assert_rows_enclosed(src.coord, tgt.coord, stages["covering"][link].local_jacobian,
                                    rows)
 
     @pytest.mark.parametrize("grid", [1, 2])
@@ -533,11 +529,11 @@ class TestSharedJacobian:
         # The image slope of [(w, 1)] is w' = b/w - 2x, so at a point of the
         # source h-set, exact in rationals, the slope row of D(x, y, w, a) is
         # (-2, 0, -b/w^2, 0); row 2 of M_tgt L holds row 2 of D M_src.
-        cert = henon_proof[0] if grid == 1 else henon_proof_grid2
-        src, tgt = cert.hsets[link], cert.hsets[link + 1]
+        stages, _, extras = henon_proof if grid == 1 else henon_proof_grid2
+        src, tgt = extras["hsets"][link], extras["hsets"][link + 1]
         w = exact_point(src, z)[2]
         rows = {2: (-2, 0, -Fraction(B0) / (w * w), 0)}
-        self._assert_rows_enclosed(src.coord, tgt.coord, cert.coverings[link].local_jacobian,
+        self._assert_rows_enclosed(src.coord, tgt.coord, stages["covering"][link].local_jacobian,
                                    rows)
 
     @pytest.mark.parametrize("grid", [1, 2])
@@ -554,8 +550,8 @@ class TestSharedJacobian:
         # runs the forward map, the unstable one the inverse
         # (x, y) -> (y, (x - a + y^2)/b), whose slope image is
         # w' = b/(w + 2y).
-        cert = henon_proof[0] if grid == 1 else henon_proof_grid2
-        disk = getattr(cert, f"{side}_disk")
+        stages = (henon_proof if grid == 1 else henon_proof_grid2)[0]
+        disk = stages[f"{side}_disk"]
         ntilde = projected_disk_data(henon_chain, side)[0]
         rows = dict(enumerate(_EXACT_DISK_JACOBIAN[side](exact_point(ntilde, z))))
         right = [[*row, 0] for row in ntilde.coord] + [[0, 0, 0, 1]]
@@ -624,19 +620,19 @@ class TestExactRationalMargins:
     @pytest.mark.parametrize("grid", [1, 2])
     def test_margins_hold_at_exact_points(self, henon_proof, henon_proof_grid2,
                                           grid, rng):
-        cert = henon_proof[0] if grid == 1 else henon_proof_grid2
-        for link, cov in enumerate(cert.coverings):
-            assert_exact_margins(cov, cert.hsets[link], cert.hsets[link + 1],
+        stages, _, extras = henon_proof if grid == 1 else henon_proof_grid2
+        for link, cov in enumerate(stages["covering"]):
+            assert_exact_margins(cov, extras["hsets"][link], extras["hsets"][link + 1],
                                  _exact_forward, grid, rng)
 
     @pytest.mark.parametrize("grid", [1, 2])
     @pytest.mark.parametrize("side", ["stable", "unstable"])
     def test_disk_margins_hold_at_exact_points(self, henon_proof, henon_proof_grid2,
                                                henon_chain, grid, side, rng):
-        cert = henon_proof[0] if grid == 1 else henon_proof_grid2
-        cov = getattr(cert, f"{side}_disk").covering
+        stages = (henon_proof if grid == 1 else henon_proof_grid2)[0]
+        cov = stages[f"{side}_disk"].covering
         ntilde, _, param, _ = projected_disk_data(henon_chain, side)
-        params = exact_sample_points([(Fraction(param.lo), Fraction(param.hi))], rng,
+        params = exact_sample_points([(Fraction(param[0]), Fraction(param[1]))], rng,
                                      extra=2)
         image = _exact_forward if side == "stable" else _exact_inverse
         assert_exact_margins(cov, ntilde, ntilde, lambda p: image(p)[:3], grid, rng,
@@ -694,7 +690,7 @@ class TestExactRationalDiskImages:
         disk_map = DiskMap(ChartMap(evaluator(henon_family(), direction)), param)
         image = _exact_forward if side == "stable" else _exact_inverse
         jacobian = _EXACT_DISK_JACOBIAN[side]
-        params = exact_sample_points([(Fraction(param.lo), Fraction(param.hi))], rng,
+        params = exact_sample_points([(Fraction(param[0]), Fraction(param[1]))], rng,
                                      extra=1)
         for zbox in covering_boxes(ntilde, grid):
             box = ntilde.from_normalized(zbox[0])
@@ -724,23 +720,23 @@ class TestExactRationalConeMatrices:
     interval."""
 
     def test_chain_links(self, henon_proof, rng):
-        cert = henon_proof[0]
+        stages, _, extras = henon_proof
         cube = [(Fraction(-1), Fraction(1))] * 4
-        for link, cone in enumerate(cert.cones):
-            src, tgt = cert.hsets[link], cert.hsets[link + 1]
+        for link, cone in enumerate(stages["cones"]):
+            src, tgt = extras["hsets"][link], extras["hsets"][link + 1]
             inverse = frac_inverse(tgt.coord)
             for z in exact_sample_points(cube, rng):
                 d = _exact_forward_disk_jacobian(exact_point(src, z)) + [(0, 0, 0, 1)]
                 assert_exact_cone_matrix(cone.matrix, d, src.coord, inverse,
-                                         cert.forms[link], cert.forms[link + 1],
+                                         extras["forms"][link], extras["forms"][link + 1],
                                          (cone.link, [str(e) for e in z]))
 
     @pytest.mark.parametrize("side", ["stable", "unstable"])
     def test_disks(self, henon_proof, henon_chain, side, rng):
-        cone = getattr(henon_proof[0], f"{side}_disk").cone
+        cone = henon_proof[0][f"{side}_disk"].cone
         ntilde, qtilde, param, _ = projected_disk_data(henon_chain, side)
         inverse = frac_inverse(ntilde.coord)
-        params = exact_sample_points([(Fraction(param.lo), Fraction(param.hi))], rng,
+        params = exact_sample_points([(Fraction(param[0]), Fraction(param[1]))], rng,
                                      extra=1)
         for z in exact_sample_points([(Fraction(-1), Fraction(1))] * 3, rng):
             for a in params:
@@ -756,22 +752,22 @@ class TestLocalFrameOracle:
     is its whole source set."""
 
     def test_chain_links(self, henon_proof, rng):
-        cert = henon_proof[0]
+        stages, _, extras = henon_proof
         chart = ChartMap(henon_family()[0])
-        for link, (cov, cone) in enumerate(zip(cert.coverings, cert.cones)):
-            src, tgt = cert.hsets[link], cert.hsets[link + 1]
+        for link, (cov, cone) in enumerate(zip(stages["covering"], stages["cones"])):
+            src, tgt = extras["hsets"][link], extras["hsets"][link + 1]
             jac = IntervalMatrix.from_pairs(chart.derivative(src.box())[1])
             _check_local_frame(jac, src.coord, tgt.coord, cov.local_jacobian,
-                               cone.matrix, cert.forms[link], cert.forms[link + 1], rng)
+                               cone.matrix, extras["forms"][link], extras["forms"][link + 1], rng)
 
     @pytest.mark.parametrize("side, direction", [("stable", "forward"),
                                                  ("unstable", "inverse")])
     def test_disks(self, henon_proof, henon_chain, rng, side, direction):
         # The parameter column of D is checked against the local Jacobian's
         # last column, M^-1 dF/da.
-        disk = getattr(henon_proof[0], f"{side}_disk")
+        disk = henon_proof[0][f"{side}_disk"]
         ntilde, qtilde, param, _ = projected_disk_data(henon_chain, side)
-        box4 = ntilde.box() + (as_pair(param),)
+        box4 = ntilde.box() + (param,)
         chart = ChartMap(evaluator(henon_family(), direction))
         d4 = IntervalMatrix.from_pairs(chart.derivative(box4)[1])
         _check_local_frame(IntervalMatrix(d4.rows[:3]), ntilde.coord, ntilde.coord,
@@ -836,7 +832,7 @@ class TestOnePassImage:
         for zbox in covering_boxes(ntilde, grid):
             v3 = ntilde.from_normalized(zbox[0])
             image, jacobian = fmap.derivative(v3)
-            v4 = v3 + (as_pair(param),)
+            v4 = v3 + (param,)
             image4, jacobian4 = chart.derivative(v4)
             # repr of the float pairs: every bit, signed zeros included
             assert repr(image) == repr(image4[:3])
@@ -846,22 +842,22 @@ class TestOnePassImage:
 
 class TestCorrespondenceOverride:
     def test_explicit_pairings_reproduce_certificate(self, henon_proof):
-        cert, _ = henon_proof
+        stages = henon_proof[0]
         pairings = {
             idx: [list(c) for c in cov.correspondence]
-            for idx, cov in enumerate(cert.coverings)
+            for idx, cov in enumerate(stages["covering"])
         }
         explicit = run_proof(HenonConfig(correspondences=pairings))
-        assert _serialized(cert) == _serialized(explicit)
+        assert _serialized(henon_proof) == _serialized(explicit)
 
     def test_flipped_signs_inconclusive_at_their_link(self, henon_proof):
-        cert, _ = henon_proof
-        flipped = [(i, j, -sign) for i, j, sign in cert.coverings[10].correspondence]
+        stages = henon_proof[0]
+        flipped = [(i, j, -sign) for i, j, sign in stages["covering"][10].correspondence]
         with pytest.raises(VerificationInconclusive) as err:
             run_proof(HenonConfig(correspondences={10: flipped}))
         assert err.value.stage == "covering"
         assert err.value.locus == "N10=>N11"
         certified = err.value.certified["covering"]
         assert [c.to_dict() for c in certified] == [
-            c.to_dict() for c in cert.coverings[:10]
+            c.to_dict() for c in stages["covering"][:10]
         ]

@@ -191,7 +191,7 @@ class TestCertifiedA:
     def test_a_below_exact_vertex_spectra(self, henon_proof, henon_chain, side):
         from tangency.henon import projected_disk_data
 
-        disk = getattr(henon_proof[0], f"{side}_disk")
+        disk = henon_proof[0][f"{side}_disk"]
         _, qtilde, _, _ = projected_disk_data(henon_chain, side)
         j_local = tuple(row[:3] for row in disk.covering.local_jacobian)
         v_eps = cone_matrix(j_local, qtilde, qtilde, inflate_src=manifold.INFLATION)
@@ -215,7 +215,7 @@ class TestCertifiedA:
         assert len(calls) == 2
 
     def test_epsilon_is_the_inflation_applied(self, henon_proof):
-        for disk in (henon_proof[0].stable_disk, henon_proof[0].unstable_disk):
+        for disk in (henon_proof[0]["stable_disk"], henon_proof[0]["unstable_disk"]):
             eps = disk.constants.epsilon
             assert Fraction(eps) == Fraction(manifold.INFLATION) - 1
             assert abs(eps - 1e-6) <= 1e-6 * 1e-9
@@ -246,7 +246,7 @@ class TestDiskCone:
         from tangency.henon import projected_disk_data
         from tangency.kernels import upward
 
-        disk = getattr(henon_proof[0], f"{side}_disk")
+        disk = henon_proof[0][f"{side}_disk"]
         _, qtilde, _, _ = projected_disk_data(henon_chain, side)
         with upward():
             want = check_cone_link(disk.covering, qtilde, qtilde)
@@ -262,7 +262,7 @@ class TestDiskCone:
         from tangency.henon import projected_disk_data
         from tangency.kernels import upward
 
-        jacobian = getattr(henon_proof[0], f"{side}_disk").covering.local_jacobian
+        jacobian = henon_proof[0][f"{side}_disk"].covering.local_jacobian
         _, qtilde, _, _ = projected_disk_data(henon_chain, side)
         assert (len(jacobian), len(jacobian[0])) == (3, 4)
         first3 = tuple(row[:3] for row in jacobian)
@@ -355,7 +355,7 @@ class TestVerifyDisk:
         # M = L = 0; Gamma = 1; delta = 1/||alpha||; comparison with p = 2.
         chart, ntilde, qtilde = _disk_inputs(coupling=0.0)
         cert = verify_disk(
-            "stable", ntilde, qtilde, chart, Interval(-0.01, 0.01), 2.0
+            "stable", ntilde, qtilde, chart, (-0.01, 0.01), 2.0
         )
         assert cert.constants.m_upper == 0.0
         assert cert.constants.l_upper == 0.0
@@ -366,7 +366,7 @@ class TestVerifyDisk:
     def test_parameter_coupled_side(self):
         chart, ntilde, qtilde = _disk_inputs(coupling=0.1)
         cert = verify_disk(
-            "stable", ntilde, qtilde, chart, Interval(-0.005, 0.005), 4.0
+            "stable", ntilde, qtilde, chart, (-0.005, 0.005), 4.0
         )
         assert cert.constants.m_upper > 0.0
         assert cert.constants.l_upper > 0.0
@@ -376,7 +376,7 @@ class TestVerifyDisk:
     def test_delta_consistency(self):
         chart, ntilde, qtilde = _disk_inputs(coupling=0.1)
         cert = verify_disk(
-            "stable", ntilde, qtilde, chart, Interval(-0.005, 0.005), 4.0
+            "stable", ntilde, qtilde, chart, (-0.005, 0.005), 4.0
         )
         gamma_sq = cert.constants.gamma ** 2
         lo, hi = cert.constants.delta
@@ -386,7 +386,7 @@ class TestVerifyDisk:
         chart, ntilde, qtilde = _disk_inputs(coupling=0.0)
         with pytest.raises(VerificationInconclusive):
             verify_disk(
-                "stable", ntilde, qtilde, chart, Interval(-0.01, 0.01), 1e-9
+                "stable", ntilde, qtilde, chart, (-0.01, 0.01), 1e-9
             )
 
 
@@ -401,9 +401,9 @@ class TestDiskDerivative:
         # in the local frame, parameter column included.
         from tangency.henon import henon_family, projected_disk_data
 
-        disk = getattr(henon_proof[0], f"{side}_disk")
+        disk = henon_proof[0][f"{side}_disk"]
         chart = ChartMap(evaluator(henon_family(), direction))
         ntilde, _, param, _ = projected_disk_data(henon_chain, side)
-        d4 = IntervalMatrix.from_pairs(chart.derivative(ntilde.box() + (as_pair(param),))[1])
+        d4 = IntervalMatrix.from_pairs(chart.derivative(ntilde.box() + (param,))[1])
         want = local_derivative(ntilde, ntilde, IntervalMatrix(d4.rows[:3]))
         assert _matrix_hex(disk.covering.local_jacobian) == _matrix_hex(want.pairs)

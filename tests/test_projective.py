@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from tangency.interval import Interval, IntervalError, as_pair, pair_mid
+from tangency.interval import Interval, IntervalError, pair_mid
 from linalg_oracle import IntervalMatrix, IntervalVector
 from tangency.projective import ChartError, ChartMap
 from conftest import check_inverse_consistency, contains_fraction, evaluator, pairs_hex
@@ -460,7 +460,7 @@ class TestPairRouteOracle:
                     for z in covering_boxes(ntilde, grid):
                         box = ntilde.from_normalized(z[0])
                         assert len(box) == 3
-                        _compare_routes(chart, expression, box + (as_pair(param),))
+                        _compare_routes(chart, expression, box + (param,))
 
     @pytest.mark.parametrize("family", ["henon", "dense"])
     @pytest.mark.parametrize("direction", ["forward", "inverse"])

@@ -240,12 +240,13 @@ class TestSearchStaysInNearest:
     fallback), bit for bit."""
 
     def test_henon(self, monkeypatch, henon_proof):
-        cert, _ = henon_proof
+        extras = henon_proof[2]
         chain = build_chain()
         monkeypatch.setattr(kernels, "upward", contextlib.nullcontext)
         nearest = build_chain()
         assert _chain_bits(chain.sets, chain.forms) == _chain_bits(nearest.sets, nearest.forms)
-        assert _chain_bits(cert.hsets, cert.forms) == _chain_bits(nearest.sets, nearest.forms)
+        assert (_chain_bits(extras["hsets"], extras["forms"])
+                == _chain_bits(nearest.sets, nearest.forms))
 
     def test_toy(self, monkeypatch, rng):
         params = [ToyParams()] + [

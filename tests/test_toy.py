@@ -200,8 +200,9 @@ class TestPairRouteOracle:
 
     def test_chain_maps_match_on_the_covering_boxes(self):
         # The boxes check_covering evaluates, at grid 2, on every link.
-        chain = build_toy_chain(ToyParams(lam=-3.0, mu=-0.4))
-        start, end, switch = _oracle_maps(chain.params)
+        params = ToyParams(lam=-3.0, mu=-0.4)
+        chain = build_toy_chain(params)
+        start, end, switch = _oracle_maps(params)
         oracles = [start] * chain.k + [switch] + [end] * chain.s
         with kernels.upward():
             for idx, (fmap, oracle) in enumerate(zip(chain.maps, oracles)):
@@ -441,12 +442,13 @@ class TestEndLength:
         assert chain.s <= 200
 
 
-def _closed_forms(chain):
-    """Per link of chain, the closed form of its map on a list of Fractions
-    and of its Jacobian: (x, y, v, a) -> (lam x, mu y, c v, a), c being the
-    binary64 mu/lam (start links) or lam/mu (end links) the map multiplies
-    by, and the switch ((x - 1)^2 + y + a, 2 - x, -2 (x - 1) - v, a)."""
-    lam, mu = chain.params.lam, chain.params.mu
+def _closed_forms(chain, params):
+    """Per link of chain, built from params, the closed form of its map on
+    a list of Fractions and of its Jacobian: (x, y, v, a) -> (lam x, mu y,
+    c v, a), c being the binary64 mu/lam (start links) or lam/mu (end
+    links) the map multiplies by, and the switch ((x - 1)^2 + y + a, 2 - x,
+    -2 (x - 1) - v, a)."""
+    lam, mu = params.lam, params.mu
 
     def diagonal(c):
         coefs = (Fraction(lam), Fraction(mu), Fraction(c), 1)
@@ -478,10 +480,10 @@ class TestExactRationalMargins:
     @pytest.mark.parametrize("grid", [1, 2])
     @pytest.mark.parametrize("lam, mu", [(2.0, 0.5), (-3.0, -0.4)])
     def test_margins_hold_at_exact_points(self, grid, lam, mu, rng):
-        params = ToyParams(lam=lam, mu=mu)
+        params = ToyParams(lam=lam, mu=mu, grid=grid)
         chain = build_toy_chain(params)
-        coverings = check_toy(params, grid)[0]["covering"]
-        images = [image for image, _ in _closed_forms(chain)]
+        coverings = check_toy(params)[0]["covering"]
+        images = [image for image, _ in _closed_forms(chain, params)]
         assert len(coverings) == len(images) == chain.n_links
         for link, (cov, image) in enumerate(zip(coverings, images)):
             assert_exact_margins(cov, chain.sets[link], chain.sets[link + 1], image,
@@ -501,7 +503,7 @@ class TestExactRationalConeMatrices:
         cones = check_toy(params)[0]["cones_linear_links"]
         links = linear_link_indices(chain)
         assert len(cones) == len(links) == chain.n_links - 1
-        closed = _closed_forms(chain)
+        closed = _closed_forms(chain, params)
         identity = [[int(i == j) for j in range(4)] for i in range(4)]
         cube = [(Fraction(-1), Fraction(1))] * 4
         for cone, link in zip(cones, links):
@@ -526,10 +528,10 @@ class TestExactRationalImages:
     @pytest.mark.parametrize("grid", [1, 2])
     @pytest.mark.parametrize("lam, mu", [(2.0, 0.5), (-3.0, -0.4)])
     def test_enclosures_hold_at_exact_points(self, grid, lam, mu, rng):
-        params = ToyParams(lam=lam, mu=mu)
+        params = ToyParams(lam=lam, mu=mu, grid=grid)
         chain = build_toy_chain(params)
-        coverings = check_toy(params, grid)[0]["covering"]
-        closed = _closed_forms(chain)
+        coverings = check_toy(params)[0]["covering"]
+        closed = _closed_forms(chain, params)
         assert len(coverings) == len(closed) == chain.n_links
         identity = [[int(i == j) for j in range(4)] for i in range(4)]
         for link, (cov, fmap, (image, jacobian)) in enumerate(

@@ -12,15 +12,13 @@ of a ``--calls // 10``-call loop (a covering link of a ``--calls // 200``-call
 loop) on the grid-1 Henon chain, built to nearest as ``run_proof`` builds
 it: ``inverse_enclosure`` of N1's 4x4
 ``coord``, a 4x4 matrix product (N1's ``inv_coord`` times the chart
-Jacobian over N0: ``linalg.mat_mul`` on rows of pairs, or the
-``mat_mul`` method on a tree whose ``inv_coord`` is a matrix object), ``ChartMap.derivative`` over N0's box, the chart's direction row
+Jacobian over N0: ``linalg.mat_mul`` on rows of pairs),
+``ChartMap.derivative`` over N0's box, the chart's direction row
 alone (``ChartMap.derivative`` on output 2 over N9's box: the slope row, or
 the angle row on a tree with the angle chart), a thin ``ChartMap.apply`` on
 N0's center with every output (the image direction included),
 one ``HSet`` built from N1's rows (center, ``coord``, diameters and
-unstable axes), ``hset.local_derivative`` of that Jacobian from N0 to N1
-(on a tree that has it),
-the cone matrix of N0=>N1 (``cones.cone_matrix`` of its covering
+unstable axes), the cone matrix of N0=>N1 (``cones.cone_matrix`` of its covering
 certificate's local_jacobian and the forms of N0 and N1), one 4x4
 ``rump_positive_definite`` (of that cone matrix), the same test on the
 default toy chain's N0=>N1 cone matrix (diagonal), and
@@ -32,9 +30,9 @@ nearest as ``check-toy`` builds it, the disk constants
 (``manifold.verify_disk_us``, one stable-side ``verify_disk`` at grid 1:
 its self-covering, cone certificate and constants), and ``report.dumps``
 of the grid-1 ``prove henon`` report, as parsed back from the file it wrote, are each the
-mean of a ``--calls // 200``-call loop; ``run_proof()`` at grid 1 and
-grid 2 is one call, whose per-stage ``timings`` (build, covering, cones,
-disks) are recorded beside its total; and ``check_toy_s`` is one
+mean of a ``--calls // 200``-call loop; ``prove henon`` at grid 1 and
+grid 2 is one CLI call, whose report's ``timings`` (build, covering,
+cones, disks and the driver's total) are recorded; and ``check_toy_s`` is one
 ``check-toy`` CLI call at the defaults, report file included.  Beside the
 timings, ``gc.cyclic_prove_henon`` and ``gc.cyclic_check_toy`` count the
 unreachable objects that one CLI call at the defaults leaves for the
@@ -49,9 +47,7 @@ evaluations of one grid-1 proof: every ``covering._image_normalized`` call
 that ``run_proof()`` makes (its arguments recorded once by wrapping it),
 replayed in order in an upward block.  ``kernels.acc_term_ns`` is one
 dot-product term, ``acc = iadd(acc, imul(a, b))``, in an upward block, the
-mean of a ``--calls * 50``-term loop: on (lo, hi) pairs where the tree's
-``imul`` takes two parameters, and star-unpacked into four floats, as
-``iadd(*acc, *imul(*a, *b))``, where it takes four.  A layer is timed only
+mean of a ``--calls * 50``-term loop on (lo, hi) pairs.  A layer is timed only
 where the tree has what it calls; where it does not (an ImportError or
 AttributeError while the layer is set up), the tree's value is null.
 
@@ -77,8 +73,7 @@ first of ``henon_family()``'s two evaluators, pass boxes to
 ``ChartMap.derivative`` and ``ChartMap.apply`` as the map protocol takes
 them, tuples of ``(lo, hi)`` pairs, and the ``ChartMap`` itself to
 ``check_covering`` and ``verify_disk``, as ``run_proof`` does; the
-matrix layers take the chart Jacobian's rows of pairs, wrapped by the
-tree's ``IntervalMatrix.from_pairs`` on a tree whose matrices are objects.
+matrix layers take the chart Jacobian's rows of pairs.
 The matrix, chart map, cone, covering and disk loops run inside one
 ``kernels.upward()`` block, as the proof runs them.  So it compares only
 source trees whose ``tangency.kernels`` has ``upward``, whose
@@ -92,7 +87,6 @@ import argparse
 import contextlib
 import gc
 import importlib
-import inspect
 import io
 import json
 import os
@@ -119,15 +113,15 @@ def _best(f, repeat, number=1):
     return best
 
 
-def _grid1_report():
-    """The grid-1 ``prove henon`` report, parsed back from its file."""
+def _prove_report(grid=1):
+    """The ``prove henon`` report at grid, parsed back from its file."""
     from tangency import report
     from tangency.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "report.json")
         with contextlib.redirect_stdout(io.StringIO()):
-            main(["prove", "henon", "--report", path])
+            main(["prove", "henon", "--grid", str(grid), "--report", path])
         with open(path, encoding="utf-8") as fh:
             return report.loads(fh.read())
 
@@ -204,14 +198,9 @@ def _subboxes(calls):
 
 def _acc_term_timer():
     """A timeit.Timer of one dot-product term, acc = iadd(acc, imul(a, b)),
-    in the convention of the tree's kernels: (lo, hi) pairs where imul
-    takes two parameters, four floats, star-unpacked, where it takes four.
-    Built outside any upward block, since it compiles its source."""
-    from tangency import kernels
-
-    pairs = len(inspect.signature(kernels.imul).parameters) == 2
-    stmt = "acc = iadd(acc, imul(a, b))" if pairs else "acc = iadd(*acc, *imul(*a, *b))"
-    return timeit.Timer(stmt, setup=(
+    on (lo, hi) pairs.  Built outside any upward block, since it compiles
+    its source."""
+    return timeit.Timer("acc = iadd(acc, imul(a, b))", setup=(
         "from tangency.kernels import iadd, imul\n"
         "a, b, acc = (1.5, 2.5), (-0.25, 0.75), (0.0, 0.0)"))
 
@@ -287,20 +276,11 @@ def _layers(calls):
     src, tgt, n9, n10 = chain.sets[0], chain.sets[1], chain.sets[9], chain.sets[10]
     center = tuple([(c, c) for c in src.center])
     with upward():
-        # An h-set's box is a tuple of pairs, or a vector object holding one.
-        box = getattr(src.box(), "pairs", src.box())
-        box9 = getattr(n9.box(), "pairs", n9.box())
+        box, box9 = src.box(), n9.box()
         jacobian = chart.derivative(box)[1]
 
     def mat_mul():
-        inverse = tgt.inv_coord
-        if hasattr(inverse, "mat_mul"):  # a tree whose matrices are objects
-            return partial(inverse.mat_mul, type(inverse).from_pairs(jacobian))
-        return partial(_resolve("linalg", "mat_mul"), inverse, jacobian)
-
-    def local_derivative():
-        f = _resolve("hset", "local_derivative")
-        return partial(f, src, tgt, _resolve("linalg", "IntervalMatrix").from_pairs(jacobian))
+        return partial(_resolve("linalg", "mat_mul"), tgt.inv_coord, jacobian)
 
     def cone():
         link = _resolve("covering", "check_covering")(src, tgt, chart)
@@ -343,7 +323,6 @@ def _layers(calls):
         ("hset.build_us",
          lambda: partial(_resolve("hset", "HSet"), tgt.name, tgt.center, tgt.coord,
                          tgt.diam, tgt.unstable), many),
-        ("hset.local_derivative_us", local_derivative, many),
         ("cones.cone_matrix_us", cone, many),
         ("cones.rump_4x4_us", rump, many),
         ("cones.rump_toy_link_us", toy_rump, many),
@@ -360,7 +339,6 @@ def _layers(calls):
 
 def _one_run(calls, repeat):
     from tangency import report
-    from tangency.henon import HenonConfig, run_proof
     from tangency.kernels import upward
 
     out = {}
@@ -377,7 +355,7 @@ def _one_run(calls, repeat):
                 out[key] = None
                 continue
             out[key] = _best(f, repeat, max(number, 1)) * 1e6
-    doc = _grid1_report()
+    doc = _prove_report()
     out["report.dumps_us"] = _best(lambda: report.dumps(doc), repeat, max(calls // 200, 1)) * 1e6
     out["check_toy_s"] = _best(_check_toy, repeat)
     out["gc.cyclic_prove_henon"] = _cyclic_garbage(["prove", "henon"])
@@ -390,13 +368,12 @@ def _one_run(calls, repeat):
     out["gc.full_per_1000_prove_henon"] = full
 
     for grid in (1, 2):
-        config = HenonConfig(grid=grid)
-        run_proof(config)
+        _prove_report(grid)
         for _ in range(repeat):
-            t0 = time.perf_counter()
-            cert = run_proof(config)
-            times = {f"run_proof.grid{grid}_s": time.perf_counter() - t0}
-            for stage, seconds in cert.timings.items():
+            # The report's timings: the driver's "total" and its stages'.
+            timings = _prove_report(grid)["timings"]
+            times = {f"run_proof.grid{grid}_s": timings.pop("total")}
+            for stage, seconds in timings.items():
                 times[f"run_proof.grid{grid}.{stage}_s"] = seconds
             for key, seconds in times.items():
                 out[key] = min(seconds, out.get(key, seconds))
