@@ -20,7 +20,10 @@ reader that closes stdout early (``| head``) cuts the output short, not the
 exit code.
 
 The parser is built once, at import (_PARSER), and main parses with it, so
-main may be called repeatedly in one process.  A call leaves no cyclic
+main may be called repeatedly in one process.  Each subcommand imports only
+its own driver, when it runs: _cmd_prove imports tangency.henon and
+_cmd_check_toy tangency.toy, at round-to-nearest, before the driver's
+upward block, so importing this module loads neither.  A call leaves no cyclic
 garbage: every object it allocates is freed by reference counting
 (argparse's usage message excepted, whose help formatter is a cycle).
 """
@@ -28,7 +31,6 @@ garbage: every object it allocates is freed by reference counting
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -37,9 +39,7 @@ import time
 
 from tangency import report as report_mod
 from tangency.covering import EnclosureError, VerificationInconclusive
-from tangency.henon import HenonConfig, run_proof
 from tangency.interval import IntervalError
-from tangency.toy import FLAGS, ToyParams, check_toy
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,7 +99,9 @@ def _load_config_file(path):
         _usage_error(f"cannot read config file {path}: {exc}")
 
 
-def _henon_config(args):
+def _henon_config(args, config):
+    """config, a default HenonConfig, with the --config file's and the
+    options' overrides set, validated."""
     overrides = {}
     if args.config:
         overrides = _load_config_file(args.config)
@@ -109,10 +111,8 @@ def _henon_config(args):
         if getattr(args, key) is not None:
             overrides[key] = getattr(args, key)
     corr = overrides.pop("correspondences", None)
-    config = HenonConfig()
-    keys = {f.name for f in dataclasses.fields(HenonConfig)}
     for key, val in overrides.items():
-        if key not in keys:
+        if key not in config.FIELDS:
             _usage_error(f"unknown configuration key {key!r}")
         setattr(config, key, val)
     if corr is not None:
@@ -202,7 +202,9 @@ def _report(path, kind, config, driver, summary, extras=None):
 
 
 def _cmd_prove(args):
-    config = _henon_config(args)
+    from tangency.henon import HenonConfig, run_proof
+
+    config = _henon_config(args, HenonConfig())
 
     def summary(stages, more, verdict):
         lines = [f"covering chain: {len(stages['covering'])} relations certified",
@@ -220,6 +222,8 @@ def _cmd_prove(args):
 
 
 def _cmd_check_toy(args):
+    from tangency.toy import FLAGS, ToyParams, check_toy
+
     try:
         params = ToyParams(lam=args.lam, mu=args.mu, delta=args.delta,
                            eps=args.eps, grid=args.grid).validate()
@@ -231,7 +235,9 @@ def _cmd_check_toy(args):
                 f"{len(stages['cones_linear_links'])} linear-link cones, "
                 "switch blocks and transversality certified", verdict]
 
-    return _report(args.report, "toy-check", dataclasses.asdict(params),
+    echo = {"lam": params.lam, "mu": params.mu, "delta": params.delta,
+            "eps": params.eps, "grid": params.grid}
+    return _report(args.report, "toy-check", echo,
                    lambda: check_toy(params), summary, extras={"flags": list(FLAGS)})
 
 

@@ -33,19 +33,22 @@ tests/linalg_oracle.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from tangency import kernels as _k
 from tangency.covering import VerificationInconclusive, certify_each
 from tangency.interval import IntervalError, as_pair, check_pairs, pair_mid
 from tangency.linalg import checked_rows, mat_mul
+from tangency.record import Record
 
 
-@dataclass(frozen=True)
-class RumpResult:
-    positive_definite: bool
-    vertex_margins: tuple  # ((z, min_pivot_lower_bound_or_None), ...)
+class RumpResult(Record):
+    """vertex_margins: ((z, min_pivot_lower_bound_or_None), ...)."""
+
+    __slots__ = ("positive_definite", "vertex_margins")
+
+    def __init__(self, positive_definite, vertex_margins):
+        self._set(positive_definite, vertex_margins)
 
     def min_margin(self):
         vals = [m for _, m in self.vertex_margins if m is not None]
@@ -60,11 +63,14 @@ class RumpResult:
         }
 
 
-@dataclass(frozen=True)
-class ConeCertificate:
-    link: str
-    matrix: tuple = field(compare=False)  # V, rows of (lo, hi) pairs
-    rump: RumpResult = field(compare=False)
+class ConeCertificate(Record):
+    """matrix: V, rows of (lo, hi) pairs; rump: its RumpResult."""
+
+    __slots__ = ("link", "matrix", "rump")
+    _uncompared = ("matrix", "rump")
+
+    def __init__(self, link, matrix, rump):
+        self._set(link, matrix, rump)
 
     def to_dict(self):
         return {

@@ -54,11 +54,11 @@ checks.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import permutations
 
 from tangency import kernels as _k
 from tangency.interval import Interval, IntervalError, check_pairs, pair_mid
+from tangency.record import Record
 
 
 class _LocatedError(Exception):
@@ -85,20 +85,23 @@ class EnclosureError(_LocatedError):
     checker, never a verdict.  Deliberately not an IntervalError."""
 
 
-@dataclass(frozen=True)
-class CoveringCertificate:
-    source: str
-    target: str
-    correspondence: tuple  # ((src_axis, tgt_axis, sign), ...)
-    grid: int
-    exit_margins: dict = field(compare=False)  # (axis, side) -> float
-    entry_margin: float
-    # DF over the source in the un-normalized local frames, as rows of
-    # (lo, hi) pairs: M_tgt^-1 DF M_src in the first n columns, M_tgt^-1
-    # times any further (parameter) columns of DF, hulled over the entry
-    # check's sub-boxes.  The cone checks and the disk constants read it.
-    # Not serialized.
-    local_jacobian: tuple = field(compare=False, repr=False)
+class CoveringCertificate(Record):
+    """correspondence: ((src_axis, tgt_axis, sign), ...); exit_margins:
+    (axis, side) -> float.  local_jacobian is DF over the source in the
+    un-normalized local frames, as rows of (lo, hi) pairs: M_tgt^-1 DF M_src
+    in the first n columns, M_tgt^-1 times any further (parameter) columns
+    of DF, hulled over the entry check's sub-boxes.  The cone checks and the
+    disk constants read it.  Not serialized."""
+
+    __slots__ = ("source", "target", "correspondence", "grid", "exit_margins",
+                 "entry_margin", "local_jacobian")
+    _uncompared = ("exit_margins", "local_jacobian")
+    _unshown = ("local_jacobian",)
+
+    def __init__(self, source, target, correspondence, grid, exit_margins,
+                 entry_margin, local_jacobian):
+        self._set(source, target, correspondence, grid, exit_margins,
+                  entry_margin, local_jacobian)
 
     def min_exit_margin(self):
         return min(self.exit_margins.values())

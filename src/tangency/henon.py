@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 
 from tangency import kernels as _k
 from tangency.cones import check_cone_chain
@@ -32,6 +31,7 @@ from tangency.interval import Interval, IntervalError, as_pair, check_pairs
 from tangency.linalg import norm_upper
 from tangency.manifold import verify_disk
 from tangency.projective import ChartMap
+from tangency.record import Record
 
 A0 = 1.3145271093265
 B0 = -0.3
@@ -255,10 +255,11 @@ def _frame_tangent(w):
     return -(1.0 + w * w)
 
 
-@dataclass(frozen=True)
-class HenonChain:
-    sets: tuple
-    forms: tuple
+class HenonChain(Record):
+    __slots__ = ("sets", "forms")
+
+    def __init__(self, sets, forms):
+        self._set(sets, forms)
 
 
 def build_chain(param_radius=PARAM_RADIUS):
@@ -386,12 +387,19 @@ def projected_disk_data(chain, side):
     return ntilde, qtilde, param, abs(FORM_ROWS[idx][3])
 
 
-@dataclass
-class HenonConfig:
-    param_radius: float = PARAM_RADIUS
-    grid: int = 1
-    # link index -> [[src_axis, tgt_axis, sign], ...], overriding detection
-    correspondences: dict | None = None
+class HenonConfig(Record):
+    """The settable values of run_proof, FIELDS, which a --config file may
+    set; correspondences maps a link index to [[src_axis, tgt_axis, sign],
+    ...], overriding detection.  Unlike the other records, a config is
+    mutable and so unhashable."""
+
+    __slots__ = FIELDS = ("param_radius", "grid", "correspondences")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, param_radius=PARAM_RADIUS, grid=1, correspondences=None):
+        self._set(param_radius, grid, correspondences)
 
     def validate(self):
         """Raise ValueError unless every field has its type and range."""

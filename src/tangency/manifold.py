@@ -28,25 +28,20 @@ by one Rump test.  The constants below are fixed, not configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import math
 
 from tangency import kernels as _k
 from tangency.cones import (
-    ConeCertificate,
     check_cone_link,
     cone_matrix,
     midrad_split,
     rump_positive_definite,
     vertex_signs,
 )
-from tangency.covering import (
-    CoveringCertificate,
-    VerificationInconclusive,
-    check_covering,
-)
+from tangency.covering import VerificationInconclusive, check_covering
 from tangency.interval import Interval, IntervalError, as_pair, check_pairs
 from tangency.linalg import norm_upper
+from tangency.record import Record
 
 # A's form inflates Q_N by (1 + epsilon); the reported epsilon, INFLATION - 1.0,
 # is exact by Sterbenz's lemma.  A and Gamma shrink by SHRINK on failure.
@@ -56,15 +51,15 @@ SHRINK = 0.9
 A_TRIES = 8
 
 
-@dataclass(frozen=True)
-class DiskConstants:
-    a_lower: float
-    m_upper: float
-    l_upper: float
-    gamma: float
-    gamma_check: float  # certified lower bound of A - 2 M Gamma - L Gamma^2
-    delta: tuple  # certified interval bounds (lo, hi) of Gamma^2 / ||alpha||
-    epsilon: float
+class DiskConstants(Record):
+    """gamma_check: a certified lower bound of A - 2 M Gamma - L Gamma^2;
+    delta: certified interval bounds (lo, hi) of Gamma^2 / ||alpha||."""
+
+    __slots__ = ("a_lower", "m_upper", "l_upper", "gamma", "gamma_check", "delta",
+                 "epsilon")
+
+    def __init__(self, a_lower, m_upper, l_upper, gamma, gamma_check, delta, epsilon):
+        self._set(a_lower, m_upper, l_upper, gamma, gamma_check, delta, epsilon)
 
     def to_dict(self):
         return {
@@ -78,15 +73,19 @@ class DiskConstants:
         }
 
 
-@dataclass(frozen=True)
-class DiskCertificate:
-    side: str  # "stable" | "unstable"
-    set_name: str
-    constants: DiskConstants
-    covering: CoveringCertificate = field(compare=False)
-    cone: ConeCertificate = field(compare=False)
-    param_coefficient: float = 0.0
-    comparison_lower: float = 0.0  # certified lower bound of delta * |coeff|
+class DiskCertificate(Record):
+    """side: "stable" or "unstable"; covering and cone: the self-covering's
+    CoveringCertificate and ConeCertificate; comparison_lower: a certified
+    lower bound of delta * |param_coefficient|."""
+
+    __slots__ = ("side", "set_name", "constants", "covering", "cone",
+                 "param_coefficient", "comparison_lower")
+    _uncompared = ("covering", "cone")
+
+    def __init__(self, side, set_name, constants, covering, cone,
+                 param_coefficient=0.0, comparison_lower=0.0):
+        self._set(side, set_name, constants, covering, cone, param_coefficient,
+                  comparison_lower)
 
     @property
     def passed(self):

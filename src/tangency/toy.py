@@ -22,7 +22,6 @@ Chart/coordinate conventions (4D ambient):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from tangency import kernels as _k
 from tangency.cones import check_cone_link, rump_positive_definite
@@ -30,15 +29,16 @@ from tangency.covering import VerificationInconclusive, certify_each, check_chai
 from tangency.hset import Frame, HSet, QuadraticForm, _check_grid
 from tangency.interval import IntervalError, check_pairs
 from tangency.linalg import _det, checked_rows
+from tangency.record import Record
 
 
-@dataclass(frozen=True)
-class ToyParams:
-    lam: float = 2.0
-    mu: float = 0.5
-    delta: float = 0.5
-    eps: float = 0.01
-    grid: int = 1  # the covering stage's wall subdivision count per axis
+class ToyParams(Record):
+    """grid: the covering stage's wall subdivision count per axis."""
+
+    __slots__ = ("lam", "mu", "delta", "eps", "grid")
+
+    def __init__(self, lam=2.0, mu=0.5, delta=0.5, eps=0.01, grid=1):
+        self._set(lam, mu, delta, eps, grid)
 
     def validate(self):
         # Each range test is negated, so NaN (false in every comparison) fails.
@@ -181,13 +181,14 @@ def switch_map():
     return _SwitchMap(switch_evaluator)
 
 
-@dataclass(frozen=True)
-class ToyChain:
-    sets: tuple  # N_0..N_k, M_s..M_0
-    forms: tuple
-    maps: tuple  # one map per link, of the covering module's map protocol
-    k: int
-    s: int
+class ToyChain(Record):
+    """sets: N_0..N_k, M_s..M_0; maps: one map per link, of the covering
+    module's map protocol."""
+
+    __slots__ = ("sets", "forms", "maps", "k", "s")
+
+    def __init__(self, sets, forms, maps, k, s):
+        self._set(sets, forms, maps, k, s)
 
     @property
     def n_links(self):

@@ -1,7 +1,6 @@
 """CLI driver: exit codes, summary lines, report round-trips."""
 
 import contextlib
-import dataclasses
 import gc
 import io
 import json
@@ -15,7 +14,7 @@ import pytest
 from conftest import PointShiftedMap, flipped_form
 from tangency import report as report_mod
 from tangency.cli import main
-from tangency.toy import ToyParams, build_toy_chain
+from tangency.toy import ToyChain, ToyParams, build_toy_chain
 
 
 def _walk_floats(obj, path=""):
@@ -197,6 +196,35 @@ class TestProve:
         report = report_mod.loads(out.read_text())
         assert report["config"] == {"param_radius": 1e-5, "grid": 2}
 
+    def test_config_file_sets_exactly_the_field_tuple(self, monkeypatch, tmp_path):
+        # Every name in HenonConfig.FIELDS is a --config key and reaches the
+        # driver's config; the class's other attributes are not keys.
+        from tangency import henon
+
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def recording(config):
+            seen.append(config)
+            raise Stop
+
+        monkeypatch.setattr(henon, "run_proof", recording)
+        values = {"param_radius": 2e-5, "grid": 2, "correspondences": {}}
+        assert tuple(values) == henon.HenonConfig.FIELDS
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        with pytest.raises(Stop):
+            main(["prove", "henon", "--config", str(cfg)])
+        assert seen == [henon.HenonConfig(2e-5, 2, {})]
+        for key in ("FIELDS", "__slots__", "_uncompared", "_set"):
+            cfg.write_text(json.dumps({key: 1}))
+            with pytest.raises(SystemExit) as exc:
+                main(["prove", "henon", "--config", str(cfg)])
+            assert exc.value.code == 2, key
+        assert len(seen) == 1
+
     def test_config_file_unknown_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"does_not_exist": 1}))
@@ -301,7 +329,8 @@ class TestCheckToy:
         def inconsistent(params):
             chain = build_toy_chain(params)
             bad = PointShiftedMap(chain.maps[0], 10.0 * max(chain.sets[1].diam))
-            return dataclasses.replace(chain, maps=(bad,) + chain.maps[1:])
+            return ToyChain(chain.sets, chain.forms, (bad,) + chain.maps[1:],
+                            chain.k, chain.s)
 
         monkeypatch.setattr(toy, "build_toy_chain", inconsistent)
         out = tmp_path / "toy.json"
@@ -323,7 +352,7 @@ class TestCheckToyInconclusive:
             chain = build_toy_chain(params)
             maps = list(chain.maps)
             maps[2] = linear_start_map(ToyParams(lam=1.01))  # N2 no longer covers N3
-            return dataclasses.replace(chain, maps=tuple(maps))
+            return ToyChain(chain.sets, chain.forms, tuple(maps), chain.k, chain.s)
 
         monkeypatch.setattr(toy, "build_toy_chain", broken)
         out = tmp_path / "toy.json"
@@ -476,8 +505,8 @@ class TestStageTimings:
         chain = build_toy_chain()
         forms = list(chain.forms)
         forms[chain.k] = QuadraticForm((1.0, -3.0, -2.0, 0.25), (0, 3))
-        monkeypatch.setattr(toy, "build_toy_chain", lambda params: dataclasses.replace(
-            chain, forms=tuple(forms)))
+        monkeypatch.setattr(toy, "build_toy_chain", lambda params: ToyChain(
+            chain.sets, tuple(forms), chain.maps, chain.k, chain.s))
         assert self._timings(["check-toy"], 1, tmp_path) == self.TOY[:4] + ["total"]
 
 
@@ -531,6 +560,40 @@ class TestOutputErrors:
             os.close(write_end)
         assert done.stderr == b""
         assert done.returncode == code
+
+
+_LOADED_AFTER = """
+import contextlib, io, json, sys
+import tangency.cli
+names = ("dataclasses", "inspect", "tangency.henon", "tangency.toy")
+loaded = [[n for n in names if n in sys.modules]]
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = tangency.cli.main(sys.argv[1:])
+    loaded.append([n for n in names if n in sys.modules] + ["exit %d" % code])
+print(json.dumps(loaded))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, after_call",
+    [([], None),
+     (["prove", "henon"], ["tangency.henon", "exit 0"]),
+     (["check-toy"], ["tangency.toy", "exit 0"])],
+    ids=["import", "prove", "check-toy"],
+)
+def test_import_path(tmp_path, argv, after_call):
+    """Importing the CLI, in a fresh interpreter that compiles every module,
+    loads neither dataclasses (nor the inspect it imports) nor a driver;
+    each subcommand loads only its own driver."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    argv = argv + ["--report", str(tmp_path / "r.json")] if argv else []
+    done = subprocess.run([sys.executable, "-c", _LOADED_AFTER, *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    loaded = json.loads(done.stdout)
+    assert loaded[0] == []
+    assert loaded[1:] == ([after_call] if after_call else [])
 
 
 class TestNoCyclicGarbage:

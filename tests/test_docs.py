@@ -2,7 +2,6 @@
 
 import argparse
 import ast
-import dataclasses
 import re
 from pathlib import Path
 
@@ -55,7 +54,7 @@ def _parser_options():
 def test_config_keys_match_henon_config():
     text = _paragraph("The config file passed with `--config`")
     keys = set(re.findall(r"`([a-z][a-z_]*)`", text))
-    assert keys == {f.name for f in dataclasses.fields(HenonConfig)}
+    assert keys == set(HenonConfig.FIELDS)
 
 
 def test_layout_names_every_module():

@@ -8,7 +8,6 @@ kernels' per-call fallback.
 """
 
 import contextlib
-import dataclasses
 import importlib.util
 import io
 import json
@@ -26,7 +25,7 @@ from tangency.cli import main
 from tangency.covering import check_covering
 from tangency.henon import build_chain, run_proof
 from tangency.projective import ChartMap
-from tangency.toy import ToyParams, build_toy_chain
+from tangency.toy import ToyChain, ToyParams, build_toy_chain
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -111,7 +110,7 @@ class _InterruptingMap:
 def _enclosure_error_toy_chain(params):
     chain = build_toy_chain(params)
     bad = PointShiftedMap(chain.maps[0], 10.0 * max(chain.sets[1].diam))
-    return dataclasses.replace(chain, maps=(bad,) + chain.maps[1:])
+    return ToyChain(chain.sets, chain.forms, (bad,) + chain.maps[1:], chain.k, chain.s)
 
 
 class TestModeAfterAProof:
@@ -169,7 +168,7 @@ class TestModeAfterAProof:
         def interrupted(params):
             chain = build_toy_chain(params)
             maps = (chain.maps[0], _InterruptingMap()) + chain.maps[2:]
-            return dataclasses.replace(chain, maps=maps)
+            return ToyChain(chain.sets, chain.forms, maps, chain.k, chain.s)
 
         monkeypatch.setattr(toy, "build_toy_chain", interrupted)
         with pytest.raises(KeyboardInterrupt):

@@ -1,6 +1,5 @@
 """Analytic model suite: chain construction, cone schemes, transversality."""
 
-import dataclasses
 import itertools
 import random
 import struct
@@ -17,6 +16,7 @@ from linalg_oracle import IntervalMatrix, IntervalVector
 from tangency.toy import (
     FLAGS,
     K,
+    ToyChain,
     ToyParams,
     build_toy_chain,
     check_toy,
@@ -259,7 +259,7 @@ def m_form(d, b=1.0):
 def with_forms(chain, replaced):
     """chain with the forms at the indices of replaced ({index: form})."""
     forms = tuple(replaced.get(i, q) for i, q in enumerate(chain.forms))
-    return dataclasses.replace(chain, forms=forms)
+    return ToyChain(chain.sets, forms, chain.maps, chain.k, chain.s)
 
 
 class TestConeSchemes:
